@@ -39,6 +39,10 @@ class Block:
             mint conflicting sibling blocks with identical payloads.
         block_id: the unique identifier, derived from all other fields.
             Computed automatically; never pass it explicitly.
+
+    Pickles as its constructor arguments without ``block_id``, so a
+    decoded block's id is recomputed from the content that arrived
+    (README, "Identifiers and where they are computed").
     """
 
     parent: BlockId | None
@@ -60,6 +64,9 @@ class Block:
         if self.block_id and self.block_id != computed:
             raise ValueError("block_id does not match block contents")
         object.__setattr__(self, "block_id", computed)
+
+    def __reduce__(self):
+        return (type(self), (self.parent, self.proposer, self.view, self.payload, self.salt))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parent = self.parent[:8] if self.parent else "root"

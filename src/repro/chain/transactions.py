@@ -22,12 +22,27 @@ class Transaction:
     Build transactions with :meth:`Transaction.create`, which computes
     the checksum that the global validity predicate
     (:func:`is_valid_transaction`) verifies.
+
+    The id is hashed once, at construction, and never crosses a pickle
+    (README, "Identifiers and where they are computed").
     """
 
     sender: int
     nonce: int
     payload: bytes
     checksum: str
+
+    def __post_init__(self) -> None:
+        # Not a dataclass field: fields enter ``canonical_form`` and with
+        # it every spec digest that holds materialised transactions.
+        object.__setattr__(
+            self,
+            "_tx_id",
+            hash_fields("tx", self.sender, self.nonce, self.payload, self.checksum),
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.sender, self.nonce, self.payload, self.checksum))
 
     @staticmethod
     def create(sender: int, nonce: int, payload: bytes = b"") -> "Transaction":
@@ -36,8 +51,12 @@ class Transaction:
 
     @property
     def tx_id(self) -> str:
-        """Unique transaction identifier (valid txs: equals checksum)."""
-        return hash_fields("tx", self.sender, self.nonce, self.payload, self.checksum)
+        """Unique transaction identifier: the hash of all four fields.
+
+        Distinct from ``checksum`` (which does not cover itself), so a
+        transaction with a forged checksum still has its own id.
+        """
+        return self._tx_id
 
 
 def _checksum(sender: int, nonce: int, payload: bytes) -> str:

@@ -11,6 +11,7 @@ their unforgeability argument from the injectivity of this encoding.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 _TAG_NONE = b"N"
 _TAG_INT = b"I"
@@ -20,6 +21,9 @@ _TAG_TUPLE = b"T"
 
 Encodable = None | int | str | bytes | tuple
 
+#: Tag byte and big-endian u32 length of one field, packed in one call.
+_pack_head = struct.Struct(">cI").pack
+
 
 def encode_fields(*fields: Encodable) -> bytes:
     """Return the canonical, injective byte encoding of ``fields``.
@@ -27,15 +31,41 @@ def encode_fields(*fields: Encodable) -> bytes:
     Supports ``None``, ``int`` (arbitrary size, signed), ``str``,
     ``bytes`` and arbitrarily nested tuples of these.
     """
-    out = bytearray()
-    out += _TAG_TUPLE
-    out += len(fields).to_bytes(4, "big")
-    for field in fields:
-        out += _encode_one(field)
-    return bytes(out)
+    parts: list[bytes] = []
+    _emit_tuple(fields, parts.append)
+    return b"".join(parts)
+
+
+def _emit_tuple(items: tuple, append) -> None:
+    # The one pass: dispatch on the exact type of each field, append its
+    # pieces to the caller's list (joined once at the end), recurse only
+    # into nested tuples.  Everything else — subclasses of the supported
+    # types, and ``bool``, which must raise — takes ``_encode_one``, so
+    # the two paths cannot disagree on what is encodable.
+    append(_pack_head(_TAG_TUPLE, len(items)))
+    for field in items:
+        kind = type(field)
+        if kind is str:
+            payload = field.encode("utf-8")
+            append(_pack_head(_TAG_STR, len(payload)))
+            append(payload)
+        elif kind is int:
+            payload = field.to_bytes((field.bit_length() + 8) // 8, "big", signed=True)
+            append(_pack_head(_TAG_INT, len(payload)))
+            append(payload)
+        elif kind is tuple:
+            _emit_tuple(field, append)
+        elif field is None:
+            append(_TAG_NONE)
+        elif kind is bytes:
+            append(_pack_head(_TAG_BYTES, len(field)))
+            append(field)
+        else:
+            append(_encode_one(field))
 
 
 def _encode_one(field: Encodable) -> bytes:
+    """The slow path: ``isinstance`` dispatch, one ``bytes`` per field."""
     if field is None:
         return _TAG_NONE
     if isinstance(field, bool):
@@ -52,12 +82,7 @@ def _encode_one(field: Encodable) -> bytes:
     if isinstance(field, bytes):
         return _TAG_BYTES + len(field).to_bytes(4, "big") + field
     if isinstance(field, tuple):
-        inner = bytearray()
-        inner += _TAG_TUPLE
-        inner += len(field).to_bytes(4, "big")
-        for item in field:
-            inner += _encode_one(item)
-        return bytes(inner)
+        return encode_fields(*field)
     raise TypeError(f"unsupported field type for canonical encoding: {type(field)!r}")
 
 

@@ -24,15 +24,15 @@ seeded traces across the refactor): publish order is delivery order,
 duplicate publishes are suppressed, and a process that slept through
 rounds catches up on its entire gap at its next awake receive phase.
 
-Deduplication is **digest-keyed**: like the verification layer
-(:func:`~repro.sleepy.messages.verification_digest`), the bus computes
-its dedup key from a message's *content* and never reads the message's
-own memoised ``message_id`` — that slot is attacker-supplied state on
-adversary-constructed objects, so trusting it would let a transplanted
-id either suppress a distinct message at publish or, worse, void an
-honest message's delivery through :meth:`MessageBus.deliver_chosen`.
-Foreign message types without signed fields (test doubles, custom
-transports) fall back to their ``message_id`` attribute as the key.
+Deduplication is **digest-keyed**: like the verification layer, the bus
+computes its dedup key from a message's *content*
+(:func:`~repro.sleepy.messages.verification_digest`), once per
+log-resident object, and never reads it from the message (README,
+"Identifiers and where they are computed"; a trusted id could suppress
+a distinct message at publish or void an honest message's delivery
+through :meth:`MessageBus.deliver_chosen`).  Foreign message types
+without signed fields (test doubles, custom transports) fall back to
+their ``message_id`` attribute as the key.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ class MessageBus:
         self._keys: set[str] = set()
         #: id(message) -> dedup key for log-resident messages (the bus
         #: holds a strong reference to everything it memoises, so the
-        #: ``id`` cannot be recycled while the entry exists).
+        #: ``id`` cannot be recycled while the entry exists).  Not a
+        #: bounded ``DigestMemo``: the log never shrinks, and
+        #: ``deliver_chosen`` keys a whole backlog three times over.
         self._key_memo: dict[int, str] = {}
         #: round -> (start, end) span of ``_log``; the current round's
         #: end is resolved lazily (it is still growing).

@@ -78,6 +78,7 @@ from repro.runtime.worker import (
     WorkerConfig,
     clock_skew_offsets,
     drive_node,
+    shard_arrivals,
     shard_pids,
     worker_main,
 )
@@ -256,6 +257,7 @@ class DeploymentBackend(ExecutionBackend):
         started = asyncio.get_running_loop().time()
 
         offsets = clock_skew_offsets(spec, self.clock_skew_s)
+        arrivals = shard_arrivals(spec.arrivals)
 
         async def drive_adversary() -> None:
             for r in range(spec.rounds):
@@ -291,7 +293,7 @@ class DeploymentBackend(ExecutionBackend):
                     offset=offsets[node.pid],
                     receive_fraction=self.receive_fraction,
                     byz_by_round=byz_by_round,
-                    arrivals=spec.arrivals,
+                    arrivals=arrivals,
                     publish=publish,
                     metrics=hub,
                 )

@@ -32,16 +32,16 @@ protocol import graph acyclic.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.crypto.signatures import KeyRegistry, VerificationCache
 from repro.sleepy.messages import (
     CachedVerifier,
+    DigestMemo,
+    IdentityMemo,
     Message,
     MessageInterner,
     VerifiedBatch,
-    verification_digest,
 )
 
 #: How many distinct delivered tuples keep their classified batch alive.
@@ -65,14 +65,12 @@ class IngestPipeline(CachedVerifier):
         batch_memo_capacity: int = DEFAULT_BATCH_MEMO_CAPACITY,
     ) -> None:
         super().__init__(registry, cache=cache)
-        if batch_memo_capacity <= 0:
-            raise ValueError("batch memo capacity must be positive")
         self._interner = MessageInterner()
-        self._batch_memo_capacity = batch_memo_capacity
-        # id(tuple) -> (tuple, batch).  The stored tuple is compared by
-        # identity on lookup and held strongly, so a recycled id can
-        # never alias a dead key.
-        self._batch_memo: OrderedDict[int, tuple[tuple, VerifiedBatch]] = OrderedDict()
+        #: Digests of the objects that are not (yet) canonical: a decoded
+        #: duplicate sits in several inboxes and is hashed for the first.
+        self._digests = DigestMemo()
+        #: Delivered tuple -> its classified batch.
+        self._batch_memo = IdentityMemo(batch_memo_capacity)
         #: Pipeline accounting (consumed by benches and tests):
         #: ``crypto_verifications`` counts actual signature/VRF checks,
         #: which the bench gate pins to one per logical message.
@@ -99,7 +97,7 @@ class IngestPipeline(CachedVerifier):
         if interner.is_canonical(message):
             self.stats["identity_hits"] += 1
             return True
-        digest = verification_digest(message)
+        digest = self._digests.digest(message)
         if interner.lookup(digest) is not None:
             return True
         verdict = self._cache.get(digest)
@@ -124,17 +122,12 @@ class IngestPipeline(CachedVerifier):
         hit the interner's identity path per message.
         """
         if type(messages) is tuple:
-            key = id(messages)
-            hit = self._batch_memo.get(key)
-            if hit is not None and hit[0] is messages:
-                self._batch_memo.move_to_end(key)
+            built = self._batch_memo.get(messages)
+            if built is not None:
                 self.stats["batch_memo_hits"] += 1
-                return hit[1]
+                return built
             built = self._build_batch(messages)
-            memo = self._batch_memo
-            memo[key] = (messages, built)
-            while len(memo) > self._batch_memo_capacity:
-                memo.popitem(last=False)
+            self._batch_memo.put(messages, built)
             return built
         return self._build_batch(messages)
 
@@ -153,7 +146,7 @@ class IngestPipeline(CachedVerifier):
                 self.stats["identity_hits"] += 1
                 resolved_messages[i] = message
                 continue
-            digest = verification_digest(message)
+            digest = self._digests.digest(message)
             canonical = interner.lookup(digest)
             if canonical is not None:
                 resolved_messages[i] = canonical

@@ -11,14 +11,12 @@ every node forwards each first-seen message to all its neighbours, which
 floods any connected graph in ``diameter`` hops.
 
 Deduplication is **digest-keyed**, exactly like the round simulator's
-message bus (:mod:`repro.engine.bus`): the "seen" key is recomputed from
-a message's *content* via
-:func:`~repro.sleepy.messages.verification_digest` and never read from
-the message's own memoised ``message_id`` — that slot is
-attacker-supplied state on adversary-constructed objects.  Trusting it
-would let an adversary **censor** an honest message: publish a junk
-message carrying the honest message's transplanted id first, and every
-node would mark the id seen and refuse to flood the honest original.
+message bus (:mod:`repro.engine.bus`): the "seen" key is the message's
+content digest, computed by this consumer's
+:class:`~repro.sleepy.messages.DigestMemo` once per message object —
+not once per arrival — and never read from the message (README,
+"Identifiers and where they are computed"; a trusted id would let a
+junk message carrying a transplanted one censor the honest original).
 Foreign message types without signed fields (test doubles) fall back to
 their ``message_id`` attribute as the key.
 
@@ -41,7 +39,7 @@ from collections.abc import Callable
 
 import networkx as nx
 
-from repro.sleepy.messages import Message, verification_digest
+from repro.sleepy.messages import DigestMemo, Message
 
 #: Called on each node's behalf when a new message first reaches it.
 DeliveryHandler = Callable[[int, Message], None]
@@ -98,6 +96,8 @@ class GossipNode:
         #: round -> keys first seen with that message round.
         self._seen_buckets: dict[int, list[str]] = {}
         self._seen_floor = 0
+        #: Replaced by the network's when one hosts this node.
+        self._digests = DigestMemo()
         self._pump_task: asyncio.Task | None = None
         #: Dissemination accounting (consumed by metrics and tests).
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
@@ -170,12 +170,9 @@ class GossipNode:
                 self._seen.pop(key, None)
             self._seen_floor += 1
 
-    @staticmethod
-    def _dedup_key(message: Message) -> str:
-        # Content-derived, mirroring engine/bus.py: never trust the
-        # instance's memoised message_id (transplanted-id censorship).
+    def _dedup_key(self, message: Message) -> str:
         if isinstance(message, Message):
-            return verification_digest(message)
+            return self._digests.digest(message)
         return message.message_id
 
 
@@ -206,6 +203,11 @@ class GossipNetwork:
             )
             for pid, neighbors in topology.items()
         }
+        # One memo for all hosted nodes: the same message object reaches
+        # each of them, and its digest depends on its content alone.
+        digests = DigestMemo()
+        for node in self.nodes.values():
+            node._digests = digests
 
     def start(self) -> None:
         """Start every node's pump."""

@@ -50,11 +50,15 @@ import math
 import pickle
 import socket
 import struct
-from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.net.transport import DeliveryWheel, FrameQueue, LinkLatencyModel, SurgeWindow
-from repro.sleepy.messages import Message, verification_digest
+from repro.sleepy.messages import (
+    IDENTITY_MEMO_CAPACITY,
+    IdentityMemo,
+    Message,
+    verification_digest,
+)
 
 #: ``str`` → UNIX domain socket path, ``(host, port)`` → TCP.
 Address = str | tuple[str, int]
@@ -190,42 +194,31 @@ class EncodedPayloadCache:
     A broadcast hands the *same* payload object to ``send`` once per
     destination; this cache pickles it on first sight and reuses the
     bytes for every later destination, so a fan-out at n = 1000 costs
-    one pickle, not ~1000.  Entries are keyed by object identity —
-    unforgeable, and sound because the entry holds a strong reference
-    (an ``id`` can never be recycled while its entry lives).  For
-    protocol messages the entry also carries the **verification
-    digest**, computed fresh from message content at first encode and
-    never read from the instance's memoised slots (those are
-    attacker-supplied state on adversary-constructed objects — trusting
-    them would let a transplanted digest substitute cached bytes for a
-    different message, the censorship shape the gossip layer already
-    defends against).  The digest keys the batch intern table, so two
-    distinct instances of one logical message still share a single body
-    on the wire.  LRU-bounded: a flood of distinct payloads evicts, it
-    never grows without bound.
+    one pickle, not ~1000.  Entries live in an
+    :class:`~repro.sleepy.messages.IdentityMemo` (keyed by the payload
+    object, LRU-bounded: a flood of distinct payloads evicts, it never
+    grows without bound).  For protocol messages the entry also carries
+    the **verification digest**, computed from message content at that
+    first encode and never read from the instance (README, "Identifiers
+    and where they are computed").  The digest keys the batch intern
+    table, so two distinct instances of one logical message still share
+    a single body on the wire.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self._capacity = capacity
-        #: id(payload) -> (payload ref, intern key, encoded body).
-        self._entries: OrderedDict[int, tuple[object, object, bytes]] = OrderedDict()
+    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
+        #: payload -> (intern key, encoded body).
+        self._entries = IdentityMemo(capacity)
 
     def encode(self, payload: object) -> tuple[object, bytes, bool]:
         """``(intern_key, body, freshly_encoded)`` for ``payload``."""
-        key = id(payload)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is payload:
-            self._entries.move_to_end(key)
-            return entry[1], entry[2], False
+        entry = self._entries.get(payload)
+        if entry is not None:
+            return entry[0], entry[1], False
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         intern_key: object = (
             verification_digest(payload) if isinstance(payload, Message) else ("raw", body)
         )
-        self._entries[key] = (payload, intern_key, body)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
+        self._entries.put(payload, (intern_key, body))
         return intern_key, body, True
 
 

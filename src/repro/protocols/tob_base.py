@@ -87,6 +87,11 @@ from repro.sleepy.trace import DecisionEvent
 DEFAULT_BLOCK_CAPACITY = 16
 
 
+def first_round_of_view(view: int) -> int:
+    """The round in which ``view`` starts (layout above): ``2v − 1``, view 0 at round 0."""
+    return max(2 * view - 1, 0)
+
+
 @dataclass(frozen=True)
 class TallySample:
     """Telemetry of one GA tally: how close the quorum race was.

@@ -37,6 +37,7 @@ changes *where* nodes run, never *how*.
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.socket_transport import SocketTransport, encode_frame, open_stream, read_frame
+from repro.protocols.tob_base import first_round_of_view
 from repro.runtime.clock import RoundClock
 from repro.runtime.metrics import MetricsHub, export_wire_gauges
 from repro.runtime.node import DeployedNode
@@ -90,6 +92,24 @@ def clock_skew_offsets(spec: RunSpec, clock_skew_s: float) -> dict[int, float]:
     return {pid: skew_rng.uniform(-clock_skew_s, clock_skew_s) for pid in range(spec.n)}
 
 
+#: Rounds of arrivals a shard keeps: skewed nodes are at most a round apart.
+_ARRIVAL_ROUNDS_KEPT = 4
+
+
+def shard_arrivals(
+    arrivals: Callable[[int], Sequence[Transaction]],
+) -> Callable[[int], Sequence[Transaction]]:
+    """``arrivals``, generated once per round for all nodes of a shard.
+
+    A lazy workload builds (and hashes) a round's transactions on every
+    call; every node of a shard asks for the same rounds, so the shard
+    keeps the last few and its nodes share the ``Transaction`` objects.
+    The workload itself stays unmemoised (see
+    :class:`~repro.workloads.transactions.SubmissionRateWorkload`).
+    """
+    return functools.lru_cache(maxsize=_ARRIVAL_ROUNDS_KEPT)(arrivals)
+
+
 async def drive_node(
     node: DeployedNode,
     *,
@@ -110,8 +130,8 @@ async def drive_node(
     stop executing the honest protocol (the adversary speaks for them)
     but keep relaying gossip — dissemination is a model assumption, not
     a courtesy.  ``metrics``, when given, observes per-decision latency
-    (decision time minus the decided view's round start) and round/
-    decision counters; it never alters protocol behaviour.
+    (decision time minus the start of the decided view's first round)
+    and round/decision counters; it never alters protocol behaviour.
     """
     for r in range(rounds):
         await clock.sleep_until_elapsed(clock.start_of(r) + offset)
@@ -124,7 +144,8 @@ async def drive_node(
             if metrics is not None:
                 for decision in node.decisions[decisions_before:]:
                     metrics.inc("decisions")
-                    latency = clock.elapsed() - clock.start_of(max(decision.view, 0))
+                    view_start = clock.start_of(first_round_of_view(decision.view))
+                    latency = clock.elapsed() - view_start
                     metrics.observe("decision_latency_s", max(latency, 0.0))
         await clock.sleep_until_elapsed(
             clock.start_of(r) + receive_fraction * clock.round_s + offset
@@ -317,6 +338,7 @@ async def _run_worker(config: WorkerConfig) -> None:
         network.start()
 
         offsets = clock_skew_offsets(spec, config.clock_skew_s)
+        arrivals = shard_arrivals(spec.arrivals)
         pump = loop.create_task(pump_control())
         pusher = loop.create_task(push_metrics_forever())
         await asyncio.gather(
@@ -328,7 +350,7 @@ async def _run_worker(config: WorkerConfig) -> None:
                     offset=offsets[node.pid],
                     receive_fraction=config.receive_fraction,
                     byz_by_round=byz_by_round,
-                    arrivals=spec.arrivals,
+                    arrivals=arrivals,
                     publish=publish,
                     metrics=hub,
                 )

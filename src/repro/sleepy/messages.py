@@ -44,14 +44,22 @@ class Message:
     def message_id(self) -> str:
         """Unique id (hash of contents, signature included).
 
-        Computed on first access and memoised on the (frozen) instance —
-        the simulator consults ids on every delivery decision.
+        Computed on first access and memoised on the (frozen) instance,
+        for the instance's owner only: the memo is dropped from pickles,
+        and no consumer keys anything by it (README, "Identifiers and
+        where they are computed").
         """
         cached = self.__dict__.get("_message_id")
         if cached is None:
             cached = hash_fields(type(self).__name__, *self._signed_fields(), self.signature)
             object.__setattr__(self, "_message_id", cached)
         return cached
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_message_id" in state:
+            state = {k: v for k, v in state.items() if k != "_message_id"}
+        return state
 
     def _signed_fields(self) -> tuple:
         raise NotImplementedError
@@ -170,15 +178,88 @@ def verification_digest(message: Message) -> str:
     """Canonical digest a verifier keys its caches by.
 
     Recomputed from the message's content — kind, claimed sender, signed
-    fields, signature — and **never** read from ``message.message_id``:
-    the memoised ``_message_id`` slot on a message instance is
-    attacker-supplied state (adversary code constructs the objects it
-    multicasts), so trusting it would let a transplanted identity
-    inherit another message's cached verdict.
+    fields, signature — and **never** read from ``message.message_id``
+    (README, "Identifiers and where they are computed").  Per-arrival
+    callers go through a :class:`DigestMemo`, which pays this hash once
+    per object.
     """
     return hash_fields(
         "verified", type(message).__name__, message.sender, *message._signed_fields(), message.signature
     )
+
+
+#: Entries a :class:`DigestMemo` or an encoded-payload cache keeps.
+#: Every entry pins its object — a decoded proposal owns its block and
+#: transactions — so it is a few rounds' worth, not a run's.
+IDENTITY_MEMO_CAPACITY = 256
+
+
+class IdentityMemo:
+    """LRU memo of one value per *object*, keyed by ``id``.
+
+    The one implementation behind :class:`DigestMemo`, the ingest
+    pipeline's batch memo and the wire's encoded-payload cache.  An
+    entry holds a strong reference to its key object, so the ``id``
+    cannot be recycled while the entry lives, and lookups compare with
+    ``is``, so an ``id`` recycled after eviction cannot alias.  Identity
+    is unforgeable: an adversary-constructed object is a different
+    object and never hits another's entry.  What it cannot see is an
+    object mutated after its first sight — instances are immutable once
+    published, the assumption :meth:`MessageInterner.is_canonical`
+    already makes.
+    """
+
+    __slots__ = ("_capacity", "_entries")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("memo capacity must be positive")
+        self._capacity = capacity
+        #: id(key object) -> (key object, value).
+        self._entries: OrderedDict[int, tuple[object, object]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, obj: object):
+        """The value memoised for ``obj`` itself, else ``None``."""
+        key = id(obj)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is obj:
+            self._entries.move_to_end(key)
+            return entry[1]
+        return None
+
+    def put(self, obj: object, value: object) -> None:
+        """Memoise ``value`` for ``obj``, evicting the least recently used."""
+        entries = self._entries
+        entries[id(obj)] = (obj, value)
+        while len(entries) > self._capacity:
+            entries.popitem(last=False)
+
+
+class DigestMemo(IdentityMemo):
+    """:func:`verification_digest` once per message *object*.
+
+    The digest is always computed from content on the first sight of an
+    object and never read from the instance; a miss (or an eviction)
+    falls back to hashing, so the memo changes cost, never behaviour.
+    Consumer-owned: gossip (one per hosted ``GossipNetwork``) and the
+    ingest pipeline each keep their own.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(IDENTITY_MEMO_CAPACITY)
+
+    def digest(self, message: Message) -> str:
+        """``verification_digest(message)``, hashed at most once per object."""
+        digest = self.get(message)
+        if digest is None:
+            digest = verification_digest(message)
+            self.put(message, digest)
+        return digest
 
 
 #: Default capacity of a :class:`MessageInterner` — matches the verdict
@@ -211,6 +292,8 @@ class MessageInterner:
             raise ValueError("interner capacity must be positive")
         self._capacity = capacity
         self._by_digest: OrderedDict[str, Message] = OrderedDict()
+        # Not an IdentityMemo: membership follows ``_by_digest``'s LRU
+        # (evicted in the same step) and there is no value to hold.
         self._canonical_ids: set[int] = set()
 
     def __len__(self) -> int:
