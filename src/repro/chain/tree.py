@@ -19,7 +19,7 @@ implementations by ``tests/chain/test_tree_index.py``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId
 from repro.chain.log import Log
@@ -148,6 +148,10 @@ class BlockTree:
     def tips(self) -> tuple[BlockId, ...]:
         """All leaves of the tree (blocks without children)."""
         return tuple(self._leaves)
+
+    def blocks(self) -> Iterator[Block]:
+        """Every block exactly once, parents first (insertion order)."""
+        return iter(self._blocks.values())
 
     def ancestor_at_depth(self, tip: BlockId | None, depth: int) -> BlockId | None:
         """The prefix of ``tip``'s log that has length ``depth`` (O(log d))."""

@@ -568,18 +568,10 @@ def _cmd_soak(args) -> int:
     trace = result.trace
     safety = check_safety(trace)
     extras = result.extras
-    if "mempool" in extras:
-        shed_transactions = extras["mempool"]["shed"]
-        admitted = extras["mempool"]["admitted"]
-    else:
-        pools = [node.process.mempool for node in extras["nodes"].values()]
-        shed_transactions = sum(getattr(pool, "shed_count", 0) for pool in pools)
-        admitted = sum(getattr(pool, "admitted_count", 0) for pool in pools)
-    transport = extras.get("transport")
     # Protocol messages are never shed by design; the only way one could
     # vanish in the socket substrate is a routing bug, which the
     # transports audit as ``misrouted``.
-    shed_protocol = transport["misrouted"] if isinstance(transport, dict) else 0
+    shed_protocol = extras["transport"]["misrouted"]
     summary = {
         "n": args.n,
         "processes": args.processes,
@@ -590,10 +582,10 @@ def _cmd_soak(args) -> int:
         "decisions": len(trace.decisions),
         "safe": safety.ok,
         "messages_sent": result.messages_sent,
-        "shed_transactions": shed_transactions,
-        "admitted_transactions": admitted,
+        "shed_transactions": extras["mempool"]["shed"],
+        "admitted_transactions": extras["mempool"]["admitted"],
         "shed_protocol_messages": shed_protocol,
-        "gossip": _json_safe(extras.get("gossip", {})),
+        "gossip": _json_safe(extras["gossip"]),
     }
     print(
         format_table(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.chain.transactions import Transaction
-from repro.engine.conditions import NetworkConditions
+from repro.engine.conditions import NetworkConditions, conditions_from_network
 from repro.protocols.graded_agreement import DEFAULT_BETA
 from repro.sleepy.adversary import Adversary, NullAdversary
 from repro.sleepy.network import NetworkModel, SynchronousNetwork
@@ -114,6 +114,14 @@ class RunSpec:
         if self.conditions is not None:
             return self.conditions.network_model()
         return SynchronousNetwork()
+
+    def resolved_conditions(self) -> NetworkConditions:
+        """The physical conditions (for deployments and trace labelling)."""
+        if self.conditions is not None:
+            return self.conditions
+        if self.network is not None:
+            return conditions_from_network(self.network)
+        return NetworkConditions.synchronous()
 
     def arrivals(self, round_number: int) -> Sequence[Transaction]:
         """Transactions arriving at the beginning of ``round_number``."""

@@ -26,7 +26,7 @@ from repro.net.socket_transport import (
     read_frame,
     supports_unix_sockets,
 )
-from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
+from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow, Transport
 
 __all__ = [
     "GossipNetwork",
@@ -36,6 +36,7 @@ __all__ = [
     "SimTransport",
     "SocketTransport",
     "SurgeWindow",
+    "Transport",
     "encode_frame",
     "read_frame",
     "regular_topology",

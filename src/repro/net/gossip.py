@@ -39,6 +39,7 @@ from collections.abc import Callable
 
 import networkx as nx
 
+from repro.net.transport import Transport
 from repro.sleepy.messages import DigestMemo, Message
 
 #: Called on each node's behalf when a new message first reaches it.
@@ -64,10 +65,10 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
 class GossipNode:
     """One node's view of the gossip overlay.
 
-    ``transport`` may be any object with the ``send(src, dst, payload)``
-    / ``await recv(pid)`` surface — the in-process
-    :class:`~repro.net.transport.SimTransport` or the multi-process
-    :class:`~repro.net.socket_transport.SocketTransport`.
+    ``transport`` is any :class:`~repro.net.transport.Transport` — the
+    in-process :class:`~repro.net.transport.SimTransport`, the
+    multi-process :class:`~repro.net.socket_transport.SocketTransport`,
+    or the adversarial proxy in front of either.
 
     ``current_round`` / ``seen_horizon_rounds`` bound the seen set (see
     the module docstring); with either unset the node keeps every digest
@@ -77,7 +78,7 @@ class GossipNode:
     def __init__(
         self,
         pid: int,
-        transport,
+        transport: Transport,
         neighbors: tuple[int, ...],
         on_deliver: DeliveryHandler,
         current_round: Callable[[], int] | None = None,
@@ -186,7 +187,7 @@ class GossipNetwork:
 
     def __init__(
         self,
-        transport,
+        transport: Transport,
         topology: dict[int, tuple[int, ...]],
         on_deliver: DeliveryHandler,
         current_round: Callable[[], int] | None = None,

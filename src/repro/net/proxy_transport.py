@@ -39,9 +39,9 @@ passes through :meth:`send` individually, and only the survivors reach
 the inner transport to be coalesced into frame v2 batch writes.  Drop
 coins are tossed per frame, partitions hold per frame, and surges delay
 per frame — a batch on the wire never becomes the unit of interference.
-Surge re-injections ride the inner transport's delivery wheel when it
-has one (``defer``), keeping the timer budget O(slots) even while an
-attack delays a whole broadcast storm.
+Surge re-injections ride the inner transport's delivery wheel
+(``defer``), keeping the timer budget O(slots) even while an attack
+delays a whole broadcast storm.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ import asyncio
 import random
 from typing import TYPE_CHECKING
 
+from repro.net.transport import Transport
+
 if TYPE_CHECKING:  # import at runtime would cycle through repro.net
     from repro.attacks.script import ScriptTimeline
 
@@ -57,11 +59,11 @@ if TYPE_CHECKING:  # import at runtime would cycle through repro.net
 AUDIT_KEYS = ("partitioned", "delayed", "dropped")
 
 
-class ProxyTransport:
+class ProxyTransport(Transport):
     """Apply a script's delivery effects in front of an inner transport.
 
     Args:
-        inner: the wrapped transport (``send``/``recv``/``latency``/…).
+        inner: the wrapped fabric (a :class:`~repro.net.transport.Transport`).
         timeline: the resolved script timeline to interpret.
         seed: run seed for the drop-coin streams (per-link, content
             seeded — identical across processes, independent of send
@@ -74,7 +76,7 @@ class ProxyTransport:
 
     def __init__(
         self,
-        inner,
+        inner: Transport,
         timeline: ScriptTimeline,
         *,
         seed: int,
@@ -154,12 +156,7 @@ class ProxyTransport:
             return
         if state.surged(src, dst):
             extra = (state.surge_factor - 1.0) * self.base_latency_s
-            defer = getattr(self.inner, "defer", None)
-            if defer is not None:
-                defer(extra, self.inner.send, src, dst, payload)
-            else:
-                loop = asyncio.get_running_loop()
-                self._timers.append(loop.call_later(extra, self.inner.send, src, dst, payload))
+            self.inner.defer(extra, self.inner.send, src, dst, payload)
             counters["delayed"] += 1
             return
         self.inner.send(src, dst, payload)
@@ -174,10 +171,30 @@ class ProxyTransport:
         for dst in dsts:
             self.send(src, dst, payload)
 
-    def __getattr__(self, name: str):
-        # Everything but ``send`` (recv, latency, start, anchor, close,
-        # queue_depths, counters, …) is the inner transport's business.
-        return getattr(self.inner, name)
+    # The rest of the data surface is the inner fabric's, untouched.
+    # (Lifecycle and wire counters are not forwarded: whoever built the
+    # inner transport holds it and asks it directly.)
+    def defer(self, delay_s: float, callback, *args) -> None:
+        self.inner.defer(delay_s, callback, *args)
+
+    async def recv(self, pid: int) -> tuple[int, object]:
+        return await self.inner.recv(pid)
+
+    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
+        return self.inner.recv_nowait(pid)
+
+    def now(self) -> float:
+        return self.inner.now()
+
+    def latency(self, src: int, dst: int, at_s: float) -> float:
+        return self.inner.latency(src, dst, at_s)
+
+    def queue_depths(self) -> dict[int, int]:
+        return self.inner.queue_depths()
+
+    @property
+    def sent_count(self) -> int:
+        return self.inner.sent_count
 
     # ------------------------------------------------------------------
     # Audit

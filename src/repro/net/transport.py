@@ -24,7 +24,50 @@ import asyncio
 import collections
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Protocol
+
+
+class Transport(Protocol):
+    """The data surface every fabric offers its consumers.
+
+    Implemented by :class:`SimTransport` (one process, in-memory
+    queues), :class:`~repro.net.socket_transport.SocketTransport` (one
+    shard of a socket mesh) and
+    :class:`~repro.net.proxy_transport.ProxyTransport` (attack effects
+    in front of either); ``tests/net/test_transport_conformance.py``
+    holds all three to it.  Lifecycle (start/anchor/connect/close) is
+    deliberately not part of it: that is where the fabrics genuinely
+    differ, and only whoever builds a fabric calls it.
+    """
+
+    #: Sends initiated through this fabric so far.
+    sent_count: int
+
+    def send(self, src: int, dst: int, payload: object) -> None:
+        """Send ``payload`` to ``dst``; it arrives after the link latency."""
+
+    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
+        """:meth:`send` to every pid in ``dsts`` (same latencies, same counters)."""
+
+    def defer(self, delay_s: float, callback, *args) -> None:
+        """Run ``callback(*args)`` after ``delay_s`` on the fabric's timer budget."""
+
+    async def recv(self, pid: int) -> tuple[int, object]:
+        """Wait for the next ``(source, payload)`` addressed to ``pid``."""
+
+    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
+        """The next already-arrived frame for ``pid``, or ``None``."""
+
+    def now(self) -> float:
+        """Seconds since the fabric was started/anchored."""
+
+    def latency(self, src: int, dst: int, at_s: float) -> float:
+        """Sampled one-way latency for ``src → dst`` at ``at_s``."""
+
+    def queue_depths(self) -> dict[int, int]:
+        """Arrived-but-unreceived frames per hosted pid."""
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ traffic — so the batched and unbatched wire formats can be compared on
 identical, deterministic inputs.
 
 Each worker process hosts a contiguous shard of pids (the same
-:func:`~repro.runtime.worker.shard_pids` split deployments use), drives
+:func:`~repro.runtime.shard.shard_pids` split deployments use), drives
 the transactions whose origin pid lands in its shard (origin of
 transaction ``t`` is ``t mod n``, so traffic is spread evenly and every
 process computes the schedule independently), and counts deliveries
-until every expected frame has arrived.  The coordinator sequences the
-workers over the same v1 control protocol the deployment coordinator
-speaks (``ready → dial → dialed → start → result → shutdown``) and
-reports sustained throughput as ``transactions / max(worker wall)`` —
-the slowest worker gates the service, exactly as in a real deployment.
+until every expected frame has arrived.  Workers are spawned and
+sequenced by the deployment's own
+:class:`~repro.runtime.coordinator.Coordinator` (``ready → dial → dialed
+→ start → result → shutdown``); this module keeps only its measured
+loop and reports sustained throughput as ``transactions / max(worker
+wall)`` — the slowest worker gates the service, exactly as in a real
+deployment.
 
 Lives in the package (not ``benchmarks/``) because worker entrypoints
 must be importable from spawned processes, and so the harness can be
@@ -29,22 +31,13 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import multiprocessing
-import os
-import shutil
-import tempfile
 import time
 from dataclasses import asdict, dataclass
 
-from repro.net.socket_transport import (
-    SocketTransport,
-    encode_frame,
-    open_stream,
-    read_frame,
-    serve_stream,
-    supports_unix_sockets,
-)
-from repro.runtime.worker import shard_pids
+from repro.net.socket_transport import SocketTransport
+from repro.runtime.coordinator import ControlChannel, Coordinator
+from repro.runtime.metrics import WIRE_COUNTER_ATTRS, transport_counters
+from repro.runtime.shard import shard_pids
 from repro.workloads.transactions import SubmissionRateWorkload
 
 
@@ -105,21 +98,8 @@ async def _run_bench_worker(
         slot_s=config.slot_s,
     )
     await transport.start()
-    reader, writer = await open_stream(control_address)
-    writer.write(encode_frame(("ready", worker_id)))
-    await writer.drain()
-
-    async def expect(tag: str) -> tuple:
-        frame = await asyncio.wait_for(read_frame(reader), timeout=config.budget_s)
-        if frame[0] != tag:
-            raise RuntimeError(f"worker {worker_id}: expected {tag!r}, got {frame[0]!r}")
-        return frame
-
-    await expect("dial")
-    await transport.connect()
-    writer.write(encode_frame(("dialed", worker_id)))
-    await writer.drain()
-    await expect("start")
+    channel = await ControlChannel.open(control_address, worker_id, timeout_s=config.budget_s)
+    await channel.join(transport)
     transport.anchor()
 
     # Every transaction reaches each of its n − 1 non-origin pids once;
@@ -167,9 +147,7 @@ async def _run_bench_worker(
                 t += 1
                 if origin not in shard:
                     continue
-                transport.send_many(
-                    origin, (dst for dst in range(config.n) if dst != origin), tx
-                )
+                transport.send_many(origin, (dst for dst in range(config.n) if dst != origin), tx)
                 # Yield after each fan-out so wheel slots fire and socket
                 # writers/readers make progress while we keep submitting.
                 await asyncio.sleep(0)
@@ -186,172 +164,36 @@ async def _run_bench_worker(
         "submitted": own,
         "received": received,
         "expected": expected,
-        "sent": transport.sent_count,
-        "frames_sent": transport.frames_sent,
-        "frames_received": transport.frames_received,
-        "batches_sent": transport.batches_sent,
-        "batches_received": transport.batches_received,
-        "bytes_sent": transport.bytes_sent,
-        "bytes_received": transport.bytes_received,
-        "payload_encodes": transport.payload_encodes,
-        "payload_reuses": transport.payload_reuses,
-        "misrouted": transport.misrouted_count,
+        **transport_counters(transport),
         "timers_created": transport.wheel.timers_created if transport.wheel else None,
     }
-    writer.write(encode_frame(("result", worker_id, result)))
-    await writer.drain()
-    await expect("shutdown")
+    await channel.send("result", result)
+    await channel.until_shutdown()
     for task in drain_tasks:
         task.cancel()
     await transport.close()
-    writer.close()
+    channel.close()
 
 
-def _bench_worker_main(
-    config: WireBenchConfig,
-    worker_id: int,
-    addresses: dict[int, object],
-    control_address: object,
-) -> None:
+def _bench_worker_main(*args) -> None:
     """Spawn entrypoint: run one bench worker to completion."""
-    asyncio.run(_run_bench_worker(config, worker_id, addresses, control_address))
-
-
-def _free_tcp_address() -> tuple[str, int]:
-    """A loopback TCP address that was free a moment ago (UDS fallback)."""
-    import socket as socket_module
-
-    probe = socket_module.socket()
-    probe.bind(("127.0.0.1", 0))
-    address = probe.getsockname()
-    probe.close()
-    return ("127.0.0.1", address[1])
+    asyncio.run(_run_bench_worker(*args))
 
 
 async def _coordinate(config: WireBenchConfig) -> dict:
-    tmpdir = tempfile.mkdtemp(prefix="repro-wire-bench-")
-    if supports_unix_sockets():
-        addresses: dict[int, object] = {
-            wid: os.path.join(tmpdir, f"w{wid}.sock") for wid in range(config.processes)
-        }
-        control_address: object = os.path.join(tmpdir, "control.sock")
-    else:
-        addresses = {wid: _free_tcp_address() for wid in range(config.processes)}
-        control_address = _free_tcp_address()
-
-    loop = asyncio.get_running_loop()
-    writers: dict[int, asyncio.StreamWriter] = {}
-    results: dict[int, dict] = {}
-    failures: list[str] = []
-    ready_evt, dialed_evt, results_evt = asyncio.Event(), asyncio.Event(), asyncio.Event()
-    ready: set[int] = set()
-    dialed: set[int] = set()
-
-    def fail(reason: str) -> None:
-        failures.append(reason)
-        ready_evt.set()
-        dialed_evt.set()
-        results_evt.set()
-
-    async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                tag = frame[0]
-                if tag == "ready":
-                    writers[frame[1]] = writer
-                    ready.add(frame[1])
-                    if len(ready) == config.processes:
-                        ready_evt.set()
-                elif tag == "dialed":
-                    dialed.add(frame[1])
-                    if len(dialed) == config.processes:
-                        dialed_evt.set()
-                elif tag == "result":
-                    results[frame[1]] = frame[2]
-                    if len(results) == config.processes:
-                        results_evt.set()
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            if len(results) < config.processes:
-                fail("a bench worker's control connection closed early")
-
-    server = await serve_stream(control_address, handle)
-    ctx = multiprocessing.get_context("spawn")
-    procs: list = []
-
-    async def watch_processes() -> None:
-        while not results_evt.is_set():
-            for wid, proc in enumerate(procs):
-                if proc.exitcode not in (None, 0):
-                    fail(f"bench worker {wid} exited with code {proc.exitcode}")
-                    return
-            await asyncio.sleep(0.2)
-
-    async def wait(event: asyncio.Event, phase: str) -> None:
-        try:
-            await asyncio.wait_for(event.wait(), timeout=config.budget_s)
-        except asyncio.TimeoutError:
-            raise RuntimeError(f"wire bench workers timed out during {phase}") from None
-        if failures:
-            raise RuntimeError("; ".join(failures))
-
-    async def broadcast(frame: object) -> None:
-        blob = encode_frame(frame)
-        for wid in sorted(writers):
-            writers[wid].write(blob)
-            await writers[wid].drain()
-
-    watcher = loop.create_task(watch_processes())
-    try:
-        for wid in range(config.processes):
-            proc = ctx.Process(
-                target=_bench_worker_main,
-                args=(config, wid, addresses, control_address),
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
-        await wait(ready_evt, "listener setup")
-        await broadcast(("dial",))
-        await wait(dialed_evt, "mesh dialing")
-        await broadcast(("start",))
-        await wait(results_evt, "the measured run")
-        await broadcast(("shutdown",))
-    finally:
-        watcher.cancel()
-        try:
-            await watcher
-        except asyncio.CancelledError:
-            pass
-        server.close()
-        await server.wait_closed()
-        for proc in procs:
-            await loop.run_in_executor(None, proc.join, 10)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-    ordered = [results[wid] for wid in range(config.processes)]
+    coordinator = Coordinator(config.processes, budget_s=config.budget_s)
+    ordered = await coordinator.run(
+        _bench_worker_main,
+        [
+            (config, wid, coordinator.addresses, coordinator.control_address)
+            for wid in range(config.processes)
+        ],
+    )
     wall = max(payload["elapsed_s"] for payload in ordered)
     cpu = sum(payload["cpu_s"] for payload in ordered)
     totals = {
         key: sum(payload[key] for payload in ordered)
-        for key in (
-            "submitted",
-            "received",
-            "expected",
-            "sent",
-            "frames_sent",
-            "frames_received",
-            "batches_sent",
-            "batches_received",
-            "bytes_sent",
-            "bytes_received",
-            "payload_encodes",
-            "payload_reuses",
-            "misrouted",
-        )
+        for key in ("submitted", "received", "expected", "sent", "misrouted", *WIRE_COUNTER_ATTRS)
     }
     return {
         "config": asdict(config),

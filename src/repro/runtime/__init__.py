@@ -4,13 +4,18 @@
 * :mod:`repro.runtime.node` — a protocol process bridged onto gossip.
 * :mod:`repro.runtime.runner` — whole-deployment orchestration
   producing a standard :class:`~repro.sleepy.trace.Trace`.
+* :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
+  assembly every deployment substrate runs, and its payload merge.
+* :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
+  :class:`ControlChannel`, the two ends of the control handshake.
 * :mod:`repro.runtime.worker` — the multi-process worker entrypoint
-  (one shard of nodes per process, joined over sockets).
+  (one shard per process, joined over sockets).
 * :mod:`repro.runtime.metrics` — live service telemetry (counters,
   histograms, an HTTP JSON scrape endpoint).
 """
 
 from repro.runtime.clock import ROUND_FACTOR, RoundClock
+from repro.runtime.coordinator import ControlChannel, Coordinator
 from repro.runtime.metrics import Histogram, MetricsHub, MetricsServer, SourcedMetrics
 from repro.runtime.node import DeployedNode
 from repro.runtime.runner import (
@@ -19,17 +24,21 @@ from repro.runtime.runner import (
     run_deployment,
     run_deployment_async,
 )
-from repro.runtime.worker import WorkerConfig, drive_node, shard_pids, worker_main
+from repro.runtime.shard import ShardRuntime, WorkerConfig, drive_node, shard_pids
+from repro.runtime.worker import worker_main
 
 __all__ = [
     "ROUND_FACTOR",
     "RoundClock",
+    "ControlChannel",
+    "Coordinator",
     "DeployedNode",
     "DeploymentConfig",
     "DeploymentResult",
     "Histogram",
     "MetricsHub",
     "MetricsServer",
+    "ShardRuntime",
     "SourcedMetrics",
     "WorkerConfig",
     "drive_node",

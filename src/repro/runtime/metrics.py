@@ -35,10 +35,9 @@ import json
 from collections.abc import Mapping
 
 
-#: Cumulative wire-path counters a transport may expose; exported as
-#: gauges (workers push *cumulative* snapshots which the coordinator
-#: replaces per source, so gauges — last write wins — are the correct
-#: kind; hub-owned counters would double-count on every re-push).
+#: Cumulative wire-path counters of a socket fabric — the one list the
+#: shard payload, the merged result, the wire bench and the ``wire_*``
+#: gauges all read.
 WIRE_COUNTER_ATTRS = (
     "frames_sent",
     "frames_received",
@@ -51,17 +50,21 @@ WIRE_COUNTER_ATTRS = (
 )
 
 
-def export_wire_gauges(hub: "MetricsHub", transport) -> None:
-    """Publish ``transport``'s wire counters on ``hub`` as ``wire_*`` gauges.
+def transport_counters(transport) -> dict[str, int]:
+    """``sent``, ``misrouted`` and every wire counter of one fabric.
 
-    Tolerant of fabrics without the batched wire path (``SimTransport``
-    exposes none of the batch counters): missing attributes are skipped,
-    so every substrate exports exactly what it measures.
+    Zeros where a fabric has no wire: ``SimTransport`` moves nothing
+    over sockets and keeps none of the wire counters, so every
+    substrate reports the same keys and a reader never has to ask
+    which fabric produced a result.
     """
+    counters = {
+        "sent": transport.sent_count,
+        "misrouted": getattr(transport, "misrouted_count", 0),
+    }
     for attr in WIRE_COUNTER_ATTRS:
-        value = getattr(transport, attr, None)
-        if value is not None:
-            hub.gauge(f"wire_{attr}", value)
+        counters[attr] = getattr(transport, attr, 0)
+    return counters
 
 
 def _bucket_ladder() -> tuple[float, ...]:

@@ -12,7 +12,6 @@ class FakeInner:
 
     def __init__(self):
         self.sent = []
-        self.closed = False
 
     def send(self, src, dst, payload):
         self.sent.append((src, dst, payload))
@@ -20,8 +19,8 @@ class FakeInner:
     def now(self):
         return 0.0
 
-    def close(self):
-        self.closed = True
+    def defer(self, delay_s, callback, *args):
+        asyncio.get_running_loop().call_later(delay_s, callback, *args)
 
 
 def _proxy(script, *, seed=0, round_s=0.02, base_latency_s=0.01, inner=None):
@@ -140,9 +139,9 @@ def test_metrics_export_and_delegation():
     assert gauges["attack_partitioned_frames"] == 1
     assert gauges["attack_held_frames"] == 1
     assert gauges["attack_phase"] == 1
-    # Everything but send is the inner transport's business.
-    proxy.close()
-    assert proxy.inner.closed
+    # Only the data surface is forwarded: lifecycle stays with whoever
+    # built the inner transport.
+    assert not hasattr(proxy, "close")
 
 
 def test_drop_wildcards_match_any_link():
