@@ -19,7 +19,9 @@ Both stay safe; the resilient deployment decides blocks roughly
 """
 
 from repro.analysis import check_safety, format_table
-from repro.runtime import DeploymentConfig, run_deployment
+from repro.engine.conditions import NetworkConditions
+from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.spec import RunSpec
 
 COMMON_DELTA = 0.02
 SURGE_FACTOR = 12.0
@@ -31,16 +33,12 @@ BENCH_CONFIG = {"n": N, "delta_s": COMMON_DELTA, "surge_factor": SURGE_FACTOR}
 
 
 def deploy(protocol: str, eta: int, delta_s: float, rounds: int, surge) -> dict:
-    result = run_deployment(
-        DeploymentConfig(
-            n=N,
-            rounds=rounds,
-            delta_s=delta_s,
-            protocol=protocol,
-            eta=eta,
-            surge=surge,
-            seed=5,
-        )
+    conditions = None
+    if surge is not None:
+        ra, pi, factor = surge
+        conditions = NetworkConditions.window(ra, pi, surge_factor=factor)
+    result = DeploymentBackend(delta_s=delta_s).execute(
+        RunSpec(n=N, rounds=rounds, protocol=protocol, eta=eta, conditions=conditions, seed=5)
     )
     trace = result.trace
     deepest = max((trace.tree.depth(d.tip) for d in trace.decisions), default=0)

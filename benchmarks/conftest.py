@@ -117,7 +117,7 @@ def bench_json(request):
 
     ``samples_s`` are the per-repeat seconds of the measured kernel;
     ``config`` defaults to the module's ``BENCH_CONFIG``; ``extra``
-    lands verbatim in the entry (speedups, counters, table paths).
+    lands verbatim in the entry (throughputs, counters, table paths).
     """
 
     def _write(samples_s: list[float], config: dict | None = None, **extra) -> Path:
@@ -138,12 +138,7 @@ def _bench_json_fallback(request):
     tracemalloc runs around the whole test; the allocation peak lands
     in the entry as ``peak_mem_bytes``.  Tests that sample memory
     themselves (e.g. the large-n lane) may reset the peak mid-test but
-    should leave the tracer running.  The one sanctioned exception:
-    benches whose *result* is a wall-clock ratio between two kernels
-    (e.g. the bus-vs-pool replay) may suspend tracing around the timed
-    region — tracing taxes the two sides unevenly and distorts the
-    ratio — provided they restart it before returning, so the entry
-    still gets a (then partial) peak.
+    should leave the tracer running.
     """
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:

@@ -10,23 +10,23 @@ Run:  python examples/gossip_deployment.py
 """
 
 from repro.analysis import check_safety, decision_rounds, format_table
-from repro.runtime import DeploymentConfig, run_deployment
+from repro.engine.conditions import NetworkConditions
+from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.spec import RunSpec
 
 
 def main() -> None:
     delta_s = 0.02  # 20 ms synchrony bound → 60 ms rounds
-    surge = (7, 2, 25.0)  # rounds 8-9: latency × 25 (≫ δ)
-    config = DeploymentConfig(
+    ra, pi, factor = 7, 2, 25.0  # rounds 8-9: latency × 25 (≫ δ)
+    config = RunSpec(
         n=8,
         rounds=20,
-        delta_s=delta_s,
         protocol="resilient",
         eta=4,
-        gossip_degree=4,
-        surge=surge,
+        conditions=NetworkConditions.window(ra, pi, surge_factor=factor),
         seed=11,
     )
-    result = run_deployment(config)
+    result = DeploymentBackend(delta_s=delta_s, gossip_degree=4).execute(config)
     trace = result.trace
     safety = check_safety(trace)
 
@@ -38,7 +38,7 @@ def main() -> None:
                 ["δ (ms)", delta_s * 1000],
                 ["round duration (ms)", 3 * delta_s * 1000],
                 ["rounds run", config.rounds],
-                ["latency surge", f"rounds {surge[0] + 1}-{surge[0] + surge[1]} ×{surge[2]:.0f}"],
+                ["latency surge", f"rounds {ra + 1}-{ra + pi} ×{factor:.0f}"],
                 ["wall-clock (s)", result.wall_seconds],
                 ["gossip messages", result.messages_sent],
                 ["decisions", len(trace.decisions)],

@@ -473,16 +473,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_deploy(args) -> int:
-    from repro.runtime import DeploymentConfig, run_deployment
+    from repro.engine.deploy_backend import DeploymentBackend
+    from repro.engine.spec import RunSpec
 
-    result = run_deployment(
-        DeploymentConfig(
-            n=args.n,
-            rounds=args.rounds,
-            delta_s=args.delta_ms / 1000.0,
-            protocol="resilient",
-            eta=args.eta,
-        )
+    result = DeploymentBackend(delta_s=args.delta_ms / 1000.0).execute(
+        RunSpec(n=args.n, rounds=args.rounds, protocol="resilient", eta=args.eta)
     )
     trace = result.trace
     print(

@@ -93,11 +93,6 @@ class DeploymentBackend(ExecutionBackend):
     #: (see :class:`~repro.net.gossip.GossipNode`); ``None`` = retain
     #: forever, the historical behaviour for bounded experiments.
     gossip_seen_horizon: int | None = None
-    #: The batched wire path (frame v2 batch writes, digest-interned
-    #: payload encoding, δ/8 slot-coalesced delivery timers) on every
-    #: substrate flavour; ``False`` keeps the historical per-frame
-    #: pickle/timer/write path — the wire-throughput bench's baseline.
-    wire_batching: bool = True
     protocols: ProtocolRegistry = field(repr=False, default_factory=lambda: PROTOCOLS)
 
     name = "deployment"
@@ -162,7 +157,6 @@ class DeploymentBackend(ExecutionBackend):
             clock_skew_s=self.clock_skew_s,
             seen_horizon_rounds=self.gossip_seen_horizon,
             mempool_capacity=self.mempool_capacity,
-            wire_batching=self.wire_batching,
         )
 
     def _in_process_shard(self, spec: RunSpec, on_publish=None) -> ShardRuntime:
@@ -174,7 +168,7 @@ class DeploymentBackend(ExecutionBackend):
             # Half the modelled jitter width, so quantization (< one
             # slot) hides inside jitter with real-time margin to spare
             # before the 0.9 Δ receive phase even when the host stalls.
-            slot_s=self.delta_s / 16 if self.wire_batching else None,
+            slot_s=self.delta_s / 16,
             **link_model(spec, self.delta_s),
         )
         config = self._shard_config(spec, 0, shard_pids(spec.n, 1), {}, None)

@@ -33,9 +33,7 @@ class SimulationBackend(ExecutionBackend):
         The simulation interns one :class:`~repro.chain.shared.
         SharedChain` per run and hands it to chain-capable process
         factories, so every receiver holds a visibility view over one
-        canonical tree (the n≥1000 lane) instead of a private copy;
-        pass ``share_chain=False`` to :class:`Simulation` directly for
-        the per-process-tree baseline.
+        canonical tree (the n≥1000 lane) instead of a private copy.
         """
         factory = self._protocols.factory(
             spec.protocol,

@@ -14,21 +14,21 @@ seeded, a sharded run draws exactly the modelled latencies the
 single-process run would (real socket hops add on top; δ absorbs them).
 
 Wire format: every write is a 4-byte big-endian length followed by a
-blob.  Two blob layouts share the stream, distinguished by their first
-byte:
+blob.  There are two blob layouts, one per channel:
 
-* **v1 single frame** — a pickle of ``(src, dst, payload)`` (pickles at
-  protocol ≥ 2 always start with the ``0x80`` PROTO opcode).  The
-  control channel speaks only v1, and v1 data frames from an unbatched
-  peer are always accepted.
+* **v1 single frame** — a pickle of one object (pickles at protocol
+  ≥ 2 always start with the ``0x80`` PROTO opcode).  This is the
+  control channel's format only; the data mesh never reads it.
 * **frame v2 batch** — version byte ``0x02``, then an **intern table**
   of distinct encoded payload bodies (u16 count, each body
   length-prefixed u32), then a frame list (u32 count, each frame
   ``u32 src · u32 dst · u16 body index``).  Every frame coalesced into
   the same delivery slot for the same worker rides one batch write, and
   a payload broadcast to many destinations is pickled once and
-  referenced by offset — the per-destination cost falls from one pickle
-  + one timer + one write to ten bytes of header.
+  referenced by offset — the per-destination cost is ten bytes of
+  header.  It is the only layout the data mesh accepts: a data blob
+  that does not decode as a batch is counted in ``frames_rejected`` and
+  skipped (the outer length prefix keeps the stream in sync).
 
 Workers form a full mesh — every worker dials every other worker once
 and uses that connection for its outgoing frames; the accepting side
@@ -68,8 +68,8 @@ _HEADER = struct.Struct(">I")
 #: trigger a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First blob byte of a frame v2 batch.  Unambiguous against v1: a
-#: pickle at protocol ≥ 2 always begins with the PROTO opcode ``0x80``.
+#: First blob byte of a frame v2 batch (never a pickle's first byte: a
+#: pickle at protocol ≥ 2 begins with the PROTO opcode ``0x80``).
 BATCH_VERSION = 0x02
 _BATCH_MARKER = bytes([BATCH_VERSION])
 _U16 = struct.Struct(">H")
@@ -269,7 +269,6 @@ class SocketTransport:
         jitter_s: float = 0.001,
         seed: int = 0,
         surges: tuple[SurgeWindow, ...] = (),
-        batching: bool = True,
         slot_s: float | None = None,
     ) -> None:
         if n <= 0:
@@ -285,11 +284,10 @@ class SocketTransport:
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
         self._origin: float | None = None
-        self._batching = batching
         #: Delivery slot width: δ/8 in deployments (the base link
         #: latency), so quantization hides inside the modelled jitter.
         self._slot_s = slot_s if slot_s is not None else (base_latency_s or 0.0005)
-        self.wheel = DeliveryWheel(self._slot_s) if batching else None
+        self.wheel = DeliveryWheel(self._slot_s)
         self._encode_cache = EncodedPayloadCache()
         #: (slot, worker id) -> frames awaiting that slot's batch write.
         self._slot_batches: dict[tuple[int, int], list[tuple[int, int, object, bytes]]] = {}
@@ -298,9 +296,11 @@ class SocketTransport:
         #: Logical frames written to / read from the socket mesh.
         self.frames_sent = 0
         self.frames_received = 0
-        #: Batch writes issued / batch blobs decoded (frame v2 only).
+        #: Batch writes issued / batch blobs decoded.
         self.batches_sent = 0
         self.batches_received = 0
+        #: Data blobs that did not decode as a frame v2 batch.
+        self.frames_rejected = 0
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -343,10 +343,9 @@ class SocketTransport:
 
         Pending wheel slots are flushed first — deliveries land in local
         queues and outstanding batches are written — so teardown never
-        loses a frame that a per-message timer path would have delivered.
+        loses a frame whose slot had not fired yet.
         """
-        if self.wheel is not None:
-            self.wheel.flush()
+        self.wheel.flush()
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
@@ -381,14 +380,11 @@ class SocketTransport:
 
         Local destinations loop back through in-process queues; remote
         ones ride the owning worker's connection once the modelled
-        latency has elapsed (the real socket adds its own).  With
-        batching on (the default) deliveries are bucketed into wheel
-        slots — one timer per slot — and every remote frame sharing a
-        ``(slot, worker)`` bucket coalesces into a single frame v2 batch
-        write whose payload bodies are pickled once per fan-out and
-        referenced by offset.  ``batching=False`` keeps the historical
-        one-pickle-one-timer-one-write-per-frame path (the benchmark
-        baseline).
+        latency has elapsed (the real socket adds its own).  Deliveries
+        are bucketed into wheel slots — one timer per slot — and every
+        remote frame sharing a ``(slot, worker)`` bucket coalesces into
+        a single frame v2 batch write whose payload bodies are pickled
+        once per fan-out and referenced by offset.
         """
         if self._origin is None:
             raise RuntimeError("transport not anchored")
@@ -396,18 +392,9 @@ class SocketTransport:
         # this runs once per (payload, destination) pair, the hottest
         # line of a deployment, so the send path reads the loop clock
         # once and calls the latency model directly.
-        loop = asyncio.get_running_loop()
-        loop_time = loop.time()
+        loop_time = asyncio.get_running_loop().time()
         delay = self._latency.latency(src, dst, loop_time - self._origin)
         self.sent_count += 1
-        if self.wheel is None:
-            if dst in self._local_pids:
-                loop.call_later(delay, self._queues[dst].put_nowait, (src, payload))
-            else:
-                self.payload_encodes += 1
-                frame = encode_frame((src, dst, payload))
-                loop.call_later(delay, self._write_frame, self._owner[dst], frame)
-            return
         slot = math.ceil((loop_time + delay) / self._slot_s)
         if dst in self._local_pids:
             self.wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
@@ -438,21 +425,9 @@ class SocketTransport:
         """
         if self._origin is None:
             raise RuntimeError("transport not anchored")
-        loop = asyncio.get_running_loop()
-        loop_time = loop.time()
+        loop_time = asyncio.get_running_loop().time()
         at = loop_time - self._origin
         sample = self._latency.latency
-        if self.wheel is None:
-            for dst in dsts:
-                delay = sample(src, dst, at)
-                self.sent_count += 1
-                if dst in self._local_pids:
-                    loop.call_later(delay, self._queues[dst].put_nowait, (src, payload))
-                else:
-                    self.payload_encodes += 1
-                    frame = encode_frame((src, dst, payload))
-                    loop.call_later(delay, self._write_frame, self._owner[dst], frame)
-            return
         encoded: tuple[object, bytes] | None = None
         for dst in dsts:
             delay = sample(src, dst, at)
@@ -482,13 +457,9 @@ class SocketTransport:
         """Schedule ``callback`` after ``delay_s`` on the slot wheel.
 
         Used by the adversarial proxy's surge path so attack-delayed
-        frames share the O(slots) timer budget; falls back to one loop
-        timer per call on an unbatched transport.
+        frames share the O(slots) timer budget.
         """
-        if self.wheel is not None:
-            self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
-        else:
-            asyncio.get_running_loop().call_later(delay_s, callback, *args)
+        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
 
     async def recv(self, pid: int) -> tuple[int, object]:
         """Wait for the next ``(source, payload)`` addressed to local ``pid``."""
@@ -510,16 +481,6 @@ class SocketTransport:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _write_frame(self, wid: int, frame: bytes) -> None:
-        writer = self._peer_writers.get(wid)
-        if writer is None or writer.is_closing():
-            # Peer already gone (shutdown race): nothing to deliver to.
-            self.misrouted_count += 1
-            return
-        writer.write(frame)
-        self.frames_sent += 1
-        self.bytes_sent += len(frame)
-
     def _flush_batch(self, key: tuple[int, int]) -> None:
         """Write every frame parked under ``(slot, worker)`` as v2 batches."""
         frames = self._slot_batches.pop(key, None)
@@ -548,11 +509,16 @@ class SocketTransport:
                     )
                 blob = await reader.readexactly(length)
                 self.bytes_received += _HEADER.size + length
-                if blob[:1] == _BATCH_MARKER:
+                try:
                     frames = decode_batch(blob)
-                    self.batches_received += 1
-                else:
-                    frames = [pickle.loads(blob)]
+                except ValueError:
+                    # A peer's blob is untrusted input: anything that is
+                    # not a well-formed batch is counted and skipped, and
+                    # the length prefix already consumed keeps the stream
+                    # in sync for the next blob.
+                    self.frames_rejected += 1
+                    continue
+                self.batches_received += 1
                 for src, dst, payload in frames:
                     self.frames_received += 1
                     queue = self._queues.get(dst)

@@ -256,9 +256,9 @@ class DeliveryWheel:
 class SimTransport:
     """Point-to-point message fabric for one deployment run.
 
-    ``slot_s`` opts the delivery path into a :class:`DeliveryWheel` of
-    that slot width (one timer per slot); ``None`` keeps the historical
-    one-``call_later``-per-message path.
+    Deliveries ride a :class:`DeliveryWheel` (one timer per slot);
+    ``slot_s`` is the slot width and defaults, as on the socket fabric,
+    to the base link latency.
     """
 
     def __init__(
@@ -276,7 +276,7 @@ class SimTransport:
         self._latency = LinkLatencyModel(base_latency_s, jitter_s, seed, surges)
         self._queues: dict[int, FrameQueue] = {}
         self._origin: float | None = None
-        self.wheel = DeliveryWheel(slot_s) if slot_s is not None else None
+        self.wheel = DeliveryWheel(slot_s if slot_s is not None else (base_latency_s or 0.0005))
         self.sent_count = 0
 
     def start(self) -> None:
@@ -300,15 +300,10 @@ class SimTransport:
             raise RuntimeError("transport not started")
         # One clock read serves both the model time and the wheel slot
         # (this is the hottest line of a simulated broadcast round).
-        loop = asyncio.get_running_loop()
-        loop_time = loop.time()
+        loop_time = asyncio.get_running_loop().time()
         delay = self._latency.latency(src, dst, loop_time - self._origin)
-        queue = self._queues[dst]
-        if self.wheel is not None:
-            slot = math.ceil((loop_time + delay) / self.wheel.slot_s)
-            self.wheel.schedule(slot, queue.put_nowait, (src, payload))
-        else:
-            loop.call_later(delay, queue.put_nowait, (src, payload))
+        slot = math.ceil((loop_time + delay) / self.wheel.slot_s)
+        self.wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
         self.sent_count += 1
 
     def send_many(self, src: int, dsts, payload: object) -> None:
@@ -322,19 +317,14 @@ class SimTransport:
         """
         if self._origin is None:
             raise RuntimeError("transport not started")
-        loop = asyncio.get_running_loop()
-        loop_time = loop.time()
+        loop_time = asyncio.get_running_loop().time()
         at = loop_time - self._origin
         sample = self._latency.latency
         wheel = self.wheel
         for dst in dsts:
             delay = sample(src, dst, at)
-            queue = self._queues[dst]
-            if wheel is not None:
-                slot = math.ceil((loop_time + delay) / wheel.slot_s)
-                wheel.schedule(slot, queue.put_nowait, (src, payload))
-            else:
-                loop.call_later(delay, queue.put_nowait, (src, payload))
+            slot = math.ceil((loop_time + delay) / wheel.slot_s)
+            wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
             self.sent_count += 1
 
     def defer(self, delay_s: float, callback, *args) -> None:
@@ -342,13 +332,9 @@ class SimTransport:
 
         The :class:`~repro.net.proxy_transport.ProxyTransport` surge
         path routes its extra delays here so attack-delayed frames ride
-        the same O(slots) timer budget as ordinary deliveries.  Without
-        a wheel this degrades to one plain loop timer per call.
+        the same O(slots) timer budget as ordinary deliveries.
         """
-        if self.wheel is not None:
-            self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
-        else:
-            asyncio.get_running_loop().call_later(delay_s, callback, *args)
+        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
 
     async def recv(self, pid: int) -> tuple[int, object]:
         """Wait for the next ``(source, payload)`` addressed to ``pid``."""

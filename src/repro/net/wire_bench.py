@@ -1,13 +1,11 @@
 """Multi-process wire-throughput harness for the socket fabric.
 
 The deployment substrate's hot loop is the send path: every submitted
-transaction fans out to ``n − 1`` destinations, and before frame v2 each
-of those sends cost one pickle, one loop timer, and one socket write.
-This module measures that path in isolation — no protocol, no gossip,
-just :class:`~repro.net.socket_transport.SocketTransport` meshes moving
-a :class:`~repro.workloads.transactions.SubmissionRateWorkload`'s
-traffic — so the batched and unbatched wire formats can be compared on
-identical, deterministic inputs.
+transaction fans out to ``n − 1`` destinations.  This module measures
+that path in isolation — no protocol, no gossip, just
+:class:`~repro.net.socket_transport.SocketTransport` meshes moving a
+:class:`~repro.workloads.transactions.SubmissionRateWorkload`'s
+traffic — on identical, deterministic inputs from run to run.
 
 Each worker process hosts a contiguous shard of pids (the same
 :func:`~repro.runtime.shard.shard_pids` split deployments use), drives
@@ -43,7 +41,7 @@ from repro.workloads.transactions import SubmissionRateWorkload
 
 @dataclass(frozen=True)
 class WireBenchConfig:
-    """One wire-throughput measurement: a mesh, a workload, a wire mode."""
+    """One wire-throughput measurement: a mesh and a workload."""
 
     n: int = 64
     processes: int = 4
@@ -51,7 +49,6 @@ class WireBenchConfig:
     rate_per_round: int = 64
     payload_bytes: int = 32
     seed: int = 0
-    batching: bool = True
     #: Modelled link latency (δ/8 convention at δ = 4 ms).
     base_latency_s: float = 0.0005
     jitter_s: float = 0.0
@@ -94,7 +91,6 @@ async def _run_bench_worker(
         base_latency_s=config.base_latency_s,
         jitter_s=config.jitter_s,
         seed=config.seed,
-        batching=config.batching,
         slot_s=config.slot_s,
     )
     await transport.start()
@@ -114,8 +110,7 @@ async def _run_bench_worker(
 
     async def drain(pid: int) -> None:
         # Burst through whatever already arrived after each wakeup: with
-        # slot-coalesced delivery that is a whole batch per task switch,
-        # without it one frame — consumption cost mirrors delivery cost.
+        # slot-coalesced delivery that is a whole batch per task switch.
         nonlocal received
         while True:
             await transport.recv(pid)
@@ -133,7 +128,7 @@ async def _run_bench_worker(
     )
     rounds = -(-config.transactions // config.rate_per_round)
     # A collector pause inside the measured window is scheduling noise,
-    # not wire cost; both modes run collector-free and collect after.
+    # not wire cost; the run is collector-free and collects after.
     gc.disable()
     started = time.perf_counter()
     cpu_started = time.process_time()
@@ -165,7 +160,7 @@ async def _run_bench_worker(
         "received": received,
         "expected": expected,
         **transport_counters(transport),
-        "timers_created": transport.wheel.timers_created if transport.wheel else None,
+        "timers_created": transport.wheel.timers_created,
     }
     await channel.send("result", result)
     await channel.until_shutdown()

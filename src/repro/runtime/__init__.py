@@ -2,8 +2,6 @@
 
 * :mod:`repro.runtime.clock` — the round clock.
 * :mod:`repro.runtime.node` — a protocol process bridged onto gossip.
-* :mod:`repro.runtime.runner` — whole-deployment orchestration
-  producing a standard :class:`~repro.sleepy.trace.Trace`.
 * :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
   assembly every deployment substrate runs, and its payload merge.
 * :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
@@ -18,12 +16,6 @@ from repro.runtime.clock import ROUND_FACTOR, RoundClock
 from repro.runtime.coordinator import ControlChannel, Coordinator
 from repro.runtime.metrics import Histogram, MetricsHub, MetricsServer, SourcedMetrics
 from repro.runtime.node import DeployedNode
-from repro.runtime.runner import (
-    DeploymentConfig,
-    DeploymentResult,
-    run_deployment,
-    run_deployment_async,
-)
 from repro.runtime.shard import ShardRuntime, WorkerConfig, drive_node, shard_pids
 from repro.runtime.worker import worker_main
 
@@ -33,8 +25,6 @@ __all__ = [
     "ControlChannel",
     "Coordinator",
     "DeployedNode",
-    "DeploymentConfig",
-    "DeploymentResult",
     "Histogram",
     "MetricsHub",
     "MetricsServer",
@@ -42,8 +32,6 @@ __all__ = [
     "SourcedMetrics",
     "WorkerConfig",
     "drive_node",
-    "run_deployment",
-    "run_deployment_async",
     "shard_pids",
     "worker_main",
 ]

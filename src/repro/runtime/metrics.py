@@ -47,6 +47,7 @@ WIRE_COUNTER_ATTRS = (
     "bytes_received",
     "payload_encodes",
     "payload_reuses",
+    "frames_rejected",
 )
 
 

@@ -184,9 +184,6 @@ class WorkerConfig:
     clock_skew_s: float = 0.0
     seen_horizon_rounds: int | None = None
     mempool_capacity: int | None = None
-    #: Frame v2 batch writes + slot-coalesced delivery timers (the
-    #: default wire path); ``False`` keeps the per-frame legacy path.
-    wire_batching: bool = True
 
 
 class ShardRuntime:

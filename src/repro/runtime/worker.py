@@ -44,7 +44,6 @@ async def _run_worker(config: WorkerConfig) -> None:
         owner=config.owner,
         worker_id=config.worker_id,
         addresses=config.addresses,
-        batching=config.wire_batching,
         slot_s=config.delta_s / 8,
         **link_model(spec, config.delta_s),
     )

@@ -59,7 +59,6 @@ class Simulation:
         network: NetworkModel,
         process_factory: ProcessFactory,
         meta: dict | None = None,
-        share_chain: bool = True,
     ) -> None:
         if schedule.n != registry.n:
             raise ValueError("schedule and registry disagree on the number of processes")
@@ -83,11 +82,11 @@ class Simulation:
         self._ctx = AdversaryContext(registry, self._tree)
         self._corruption = CorruptionTracker(adversary, self._ctx)
 
-        # Factories advertise view support via ``supports_shared_chain``
-        # (unmarked factories — e.g. bespoke test processes — keep
-        # building private trees); ``share_chain=False`` forces the
-        # per-process-tree baseline for equivalence oracles and benches.
-        use_chain = share_chain and getattr(process_factory, "supports_shared_chain", False)
+        # Factories advertise view support via ``supports_shared_chain``;
+        # unmarked factories — e.g. bespoke test processes, or a plain
+        # wrapper an equivalence oracle puts around a marked one — keep
+        # building private trees.
+        use_chain = getattr(process_factory, "supports_shared_chain", False)
         self.processes: dict[int, Process] = {
             pid: (
                 process_factory(pid, registry.secret_key(pid), self.pipeline, chain=self.chain)

@@ -3,12 +3,14 @@
 The shared chain (:mod:`repro.chain.shared`) is a memory optimisation,
 not a semantic change: a full simulation where every receiver holds a
 visibility view over one interned tree must reproduce the exact
-execution of the same seeded run with ``share_chain=False`` (a private
-:class:`~repro.chain.tree.BlockTree` per process, the historical
-layout).  The scenarios stress the paths where sharing could plausibly
-leak state between receivers: sleep/wake churn (stale views catching
-up), equivocation (conflicting sibling blocks), and asynchronous
-delivery (orphan buffering and eviction in front of the view).
+execution of the same seeded run with a private
+:class:`~repro.chain.tree.BlockTree` per process — what ``Simulation``
+builds for any factory not marked ``supports_shared_chain``, here an
+unmarked wrapper of the same factory.  The scenarios stress the paths
+where sharing could plausibly leak state between receivers: sleep/wake
+churn (stale views catching up), equivocation (conflicting sibling
+blocks), and asynchronous delivery (orphan buffering and eviction in
+front of the view).
 """
 
 import pytest
@@ -82,7 +84,7 @@ SCENARIOS = (
 )
 
 
-def _run(name: str, share_chain: bool) -> Simulation:
+def _run(name: str, shared: bool) -> Simulation:
     config = _scenario(name)
     if config.protocol == "ebb-and-flow":
         factory = ebb_and_flow_factory("resilient", eta=config.eta, n=config.n)
@@ -93,13 +95,18 @@ def _run(name: str, share_chain: bool) -> Simulation:
             beta=config.beta,
             record_telemetry=config.record_telemetry,
         )
+    if not shared:
+        marked = factory
+
+        def factory(pid, secret_key, pipeline):
+            return marked(pid, secret_key, pipeline)
+
     simulation = Simulation(
         KeyRegistry(config.n, run_seed=config.seed),
         config.resolved_schedule(),
         config.resolved_adversary(),
         config.resolved_network(),
         factory,
-        share_chain=share_chain,
     )
     SimulationBackend.drive(simulation, config)
     return simulation
@@ -107,8 +114,8 @@ def _run(name: str, share_chain: bool) -> Simulation:
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_shared_run_replays_private_tree_run_bit_for_bit(name):
-    shared = _run(name, share_chain=True)
-    private = _run(name, share_chain=False)
+    shared = _run(name, shared=True)
+    private = _run(name, shared=False)
     assert trace_digest(shared.trace) == trace_digest(private.trace)
     # Beyond the digest: every receiver's local tree answers the same.
     def local_tree(process):
@@ -125,9 +132,9 @@ def test_shared_run_replays_private_tree_run_bit_for_bit(name):
 
 def test_shared_run_actually_interns_one_tree():
     """The capability wiring: views over one chain, not private trees."""
-    shared = _run("churn-equivocation", share_chain=True)
+    shared = _run("churn-equivocation", shared=True)
     for process in shared.processes.values():
         assert process.tree._tree is shared.chain.tree
-    private = _run("churn-equivocation", share_chain=False)
+    private = _run("churn-equivocation", shared=False)
     trees = {id(process.tree) for process in private.processes.values()}
     assert len(trees) == private.registry.n

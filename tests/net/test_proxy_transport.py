@@ -118,12 +118,15 @@ def test_schedule_phases_self_drives_from_the_loop_clock():
         proxy = _proxy(SCRIPT, round_s=0.01)
         proxy.schedule_phases()
         proxy.send(0, 2, "early")
-        await asyncio.sleep(0.035)  # past round 2: the partition is up
-        proxy.send(0, 2, "blocked")
-        assert proxy.held_count == 1
-        await asyncio.sleep(0.03)  # past round 4: healed, frame flushed
+        # Mid-partition (rounds 2-3), as a loop timer: the loop runs due
+        # timers in deadline order, so this send falls between the two
+        # phase flips however late a loaded host runs them.
+        asyncio.get_running_loop().call_later(0.025, proxy.send, 0, 2, "blocked")
+        async with asyncio.timeout(2):
+            while proxy.inner.sent[-1] != (0, 2, "blocked"):  # healed, frame flushed
+                await asyncio.sleep(0.001)
+        assert proxy.audit[1]["partitioned"] == 1  # it was held, not forwarded
         assert proxy.held_count == 0
-        assert proxy.inner.sent[-1] == (0, 2, "blocked")
         proxy.cancel_timers()
 
     asyncio.run(scenario())

@@ -13,6 +13,7 @@ from repro.net.socket_transport import (
     decode_batch,
     encode_batch,
     encode_frame,
+    open_stream,
     read_frame,
     supports_unix_sockets,
 )
@@ -264,9 +265,9 @@ def test_broadcast_pickles_once_and_rides_one_batch(tmp_path):
         a.anchor()
         b.anchor()
         try:
-            payload = ["broadcast"]
-            a.send(0, 1, payload)
-            a.send(0, 2, payload)
+            # One send_many = one clock read, so at zero jitter both
+            # frames land in one slot by construction.
+            a.send_many(0, (1, 2), ["broadcast"])
             got_1 = await asyncio.wait_for(b.recv(1), timeout=2)
             got_2 = await asyncio.wait_for(b.recv(2), timeout=2)
             assert got_1 == (0, ["broadcast"]) and got_2 == (0, ["broadcast"])
@@ -338,84 +339,61 @@ def test_timer_budget_is_per_slot_not_per_message(tmp_path):
     asyncio.run(scenario())
 
 
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_unbatched_flag_keeps_the_v1_path(tmp_path):
-    async def scenario():
-        addresses = {0: str(tmp_path / "w0.sock"), 1: str(tmp_path / "w1.sock")}
-        owner = {0: 0, 1: 1, 2: 1}
-        common = dict(base_latency_s=0.001, jitter_s=0.0, seed=0, batching=False)
-        a = SocketTransport(
-            3, local_pids=(0,), owner=owner, worker_id=0, addresses=addresses, **common
-        )
-        b = SocketTransport(
-            3, local_pids=(1, 2), owner=owner, worker_id=1, addresses=addresses, **common
-        )
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
-        b.anchor()
-        try:
-            assert a.wheel is None
-            payload = ["legacy"]
-            a.send(0, 1, payload)
-            a.send(0, 2, payload)
-            assert await asyncio.wait_for(b.recv(1), timeout=2) == (0, ["legacy"])
-            assert await asyncio.wait_for(b.recv(2), timeout=2) == (0, ["legacy"])
-            # One pickle, one write per destination — the historical cost.
-            assert a.payload_encodes == 2 and a.payload_reuses == 0
-            assert a.batches_sent == 0 and b.batches_received == 0
-            assert a.frames_sent == 2 and b.frames_received == 2
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
+_TRIPPED = []
 
 
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_batched_and_unbatched_peers_interoperate(tmp_path):
-    """v1 and v2 blobs share the stream: an unbatched peer's singles are
-    accepted by a batched one and vice versa (first-byte dispatch)."""
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Bomb:
+    """Unpickling this calls :func:`_trip` — code execution, were it ever loaded."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _blob(data: bytes) -> bytes:
+    return len(data).to_bytes(4, "big") + data
+
+
+def _deliver_raw(tmp_path, junk: bytes) -> SocketTransport:
+    """Worker b after a raw peer wrote ``junk`` and then one valid batch."""
+    (valid,) = encode_batch([(0, dst, "key", _body("ok")) for dst in (1, 2)])
 
     async def scenario():
-        addresses = {0: str(tmp_path / "w0.sock"), 1: str(tmp_path / "w1.sock")}
-        owner = {0: 0, 1: 1}
-        common = dict(base_latency_s=0.001, jitter_s=0.0, seed=0)
-        a = SocketTransport(
-            2,
-            local_pids=(0,),
-            owner=owner,
-            worker_id=0,
-            addresses=addresses,
-            batching=False,
-            **common,
-        )
-        b = SocketTransport(
-            2,
-            local_pids=(1,),
-            owner=owner,
-            worker_id=1,
-            addresses=addresses,
-            batching=True,
-            **common,
-        )
-        await a.start()
+        _, b = _mesh_pair(tmp_path)
         await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
         b.anchor()
         try:
-            a.send(0, 1, "v1 single")
-            b.send(1, 0, "v2 batch")
-            assert await asyncio.wait_for(b.recv(1), timeout=2) == (0, "v1 single")
-            assert await asyncio.wait_for(a.recv(0), timeout=2) == (1, "v2 batch")
-            assert a.batches_sent == 0 and b.batches_received == 0
-            assert b.batches_sent == 1 and a.batches_received == 1
+            _, writer = await open_stream(b._addresses[1])
+            writer.write(junk + valid)
+            # The reader outlives the junk: the valid batch still lands.
+            assert await asyncio.wait_for(b.recv(1), timeout=2) == (0, "ok")
+            assert await asyncio.wait_for(b.recv(2), timeout=2) == (0, "ok")
+            writer.close()
         finally:
-            await a.close()
             await b.close()
+        return b
 
-    asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
+    bomb = encode_frame((0, 1, _Bomb()))
+    pickle.loads(bomb[4:])
+    assert _TRIPPED.pop()  # the bomb is live: loading it runs code
+    b = _deliver_raw(tmp_path, bomb)
+    assert not _TRIPPED
+    assert b.frames_rejected == 1
+    assert b.batches_received == 1 and b.frames_received == 2
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
+    (chunk,) = encode_batch([(0, 1, "key", _body("lost"))])
+    b = _deliver_raw(tmp_path, _blob(chunk[4:-3]) + _blob(b"\x02garbage"))
+    assert b.frames_rejected == 2
+    assert b.batches_received == 1 and b.frames_received == 2
+    assert b.misrouted_count == 0

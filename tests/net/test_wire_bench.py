@@ -1,4 +1,4 @@
-"""The wire-throughput harness at toy scale: exact counters, both modes."""
+"""The wire-throughput harness at toy scale: exact counters."""
 
 import pytest
 
@@ -10,41 +10,34 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _tiny(batching):
-    return WireBenchConfig(
-        n=8,
-        processes=2,
-        transactions=32,
-        rate_per_round=8,
-        payload_bytes=16,
-        seed=3,
-        batching=batching,
-        budget_s=60.0,
-    )
+TINY = WireBenchConfig(
+    n=8,
+    processes=2,
+    transactions=32,
+    rate_per_round=8,
+    payload_bytes=16,
+    seed=3,
+    budget_s=60.0,
+)
 
 
-def test_wire_bench_delivers_every_frame_in_both_modes():
-    for batching in (True, False):
-        report = run_wire_benchmark(_tiny(batching))
-        totals = report["totals"]
-        # 32 transactions, each delivered to the 7 non-origin pids; the
-        # 4 pids sharing the origin's process receive in-process, the
-        # remaining 4 over the socket.
-        assert totals["submitted"] == 32
-        assert totals["received"] == totals["expected"] == 32 * 7
-        assert totals["sent"] == 32 * 7
-        assert totals["frames_sent"] == totals["frames_received"] == 32 * 4
-        assert totals["misrouted"] == 0
-        assert report["wall_s"] > 0
-        assert report["tx_per_s"] > 0
-        if batching:
-            assert totals["payload_encodes"] == 32
-            assert totals["payload_reuses"] == 32 * 4 - 32
-            assert 0 < totals["batches_sent"] == totals["batches_received"]
-        else:
-            assert totals["payload_encodes"] == 32 * 4
-            assert totals["payload_reuses"] == 0
-            assert totals["batches_sent"] == 0
-        for worker in report["workers"]:
-            assert worker["received"] == worker["expected"]
-            assert (worker["timers_created"] is not None) == batching
+def test_wire_bench_delivers_every_frame():
+    report = run_wire_benchmark(TINY)
+    totals = report["totals"]
+    # 32 transactions, each delivered to the 7 non-origin pids; the
+    # 4 pids sharing the origin's process receive in-process, the
+    # remaining 4 over the socket.
+    assert totals["submitted"] == 32
+    assert totals["received"] == totals["expected"] == 32 * 7
+    assert totals["sent"] == 32 * 7
+    assert totals["frames_sent"] == totals["frames_received"] == 32 * 4
+    assert totals["misrouted"] == 0
+    assert totals["frames_rejected"] == 0
+    assert report["wall_s"] > 0
+    assert report["tx_per_s"] > 0
+    assert totals["payload_encodes"] == 32
+    assert totals["payload_reuses"] == 32 * 4 - 32
+    assert 0 < totals["batches_sent"] == totals["batches_received"]
+    for worker in report["workers"]:
+        assert worker["received"] == worker["expected"]
+        assert 0 < worker["timers_created"] < worker["sent"]

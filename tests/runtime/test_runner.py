@@ -4,13 +4,15 @@ import pytest
 
 from repro.analysis.checkers import check_safety
 from repro.analysis.metrics import decision_rounds
-from repro.runtime.runner import DeploymentConfig, run_deployment
+from repro.engine.conditions import NetworkConditions
+from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.spec import RunSpec
 from repro.sleepy.schedule import TableSchedule
 
 
 def test_deployment_reaches_steady_state_decisions():
-    result = run_deployment(
-        DeploymentConfig(n=5, rounds=12, delta_s=0.02, protocol="resilient", eta=2, seed=1)
+    result = DeploymentBackend(delta_s=0.02).execute(
+        RunSpec(n=5, rounds=12, protocol="resilient", eta=2, seed=1)
     )
     trace = result.trace
     assert check_safety(trace).ok
@@ -25,12 +27,11 @@ def test_deployment_reaches_steady_state_decisions():
 def test_deployment_mmr_matches_round_simulator_decisions():
     """Same protocol, same seeds: the deployment's decided logs must
     agree (prefix-wise) with the round simulator's."""
-    from repro.harness import TOBRunConfig, run_tob
+    from repro.harness import run_tob
 
-    deployed = run_deployment(
-        DeploymentConfig(n=5, rounds=10, delta_s=0.02, protocol="mmr", seed=0)
-    ).trace
-    simulated = run_tob(TOBRunConfig(n=5, rounds=10, protocol="mmr", seed=0))
+    spec = RunSpec(n=5, rounds=10, protocol="mmr", seed=0)
+    deployed = DeploymentBackend(delta_s=0.02).execute(spec).trace
+    simulated = run_tob(spec)
     # Block ids differ only if content differs; with empty payloads and
     # the same keys, the decided chains must be identical.
     deep_d = max((d.tip for d in deployed.decisions), key=deployed.tree.depth)
@@ -45,14 +46,11 @@ def test_deployment_mmr_matches_round_simulator_decisions():
 
 def test_deployment_with_sleep_schedule():
     schedule = TableSchedule(5, {r: {0, 1, 2} for r in range(4, 8)}, default=set(range(5)))
-    result = run_deployment(
-        DeploymentConfig(
-            n=5, rounds=14, delta_s=0.02, protocol="resilient", eta=3, schedule=schedule, seed=2
-        )
+    result = DeploymentBackend(delta_s=0.02).execute(
+        RunSpec(n=5, rounds=14, protocol="resilient", eta=3, schedule=schedule, seed=2)
     )
-    trace = result.trace
-    assert check_safety(trace).ok
-    sleeper = result.nodes[4]
+    assert check_safety(result.trace).ok
+    sleeper = result.extras["nodes"][4]
     assert 5 not in sleeper.rounds_participated
     assert 9 in sleeper.rounds_participated
 
@@ -61,14 +59,13 @@ def test_deployment_with_sleep_schedule():
 def test_deployment_latency_surge_preserves_safety_with_eta():
     """A latency surge (real asynchrony) during two rounds: the resilient
     protocol must come out safe and decide again afterwards."""
-    result = run_deployment(
-        DeploymentConfig(
+    result = DeploymentBackend(delta_s=0.02).execute(
+        RunSpec(
             n=5,
             rounds=16,
-            delta_s=0.02,
             protocol="resilient",
             eta=4,
-            surge=(7, 2, 25.0),
+            conditions=NetworkConditions.window(7, 2, surge_factor=25.0),
             seed=3,
         )
     )
@@ -79,7 +76,7 @@ def test_deployment_latency_surge_preserves_safety_with_eta():
 
 def test_deployment_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="unknown protocol"):
-        run_deployment(DeploymentConfig(n=3, rounds=2, protocol="tendermint"))
+        DeploymentBackend().execute(RunSpec(n=3, rounds=2, protocol="tendermint"))
 
 
 def test_deployment_tolerates_small_clock_skew():
@@ -89,16 +86,8 @@ def test_deployment_tolerates_small_clock_skew():
     clock offsets plus propagation — a skew of δ/4 must be invisible.
     """
     delta = 0.02
-    result = run_deployment(
-        DeploymentConfig(
-            n=5,
-            rounds=12,
-            delta_s=delta,
-            protocol="resilient",
-            eta=3,
-            clock_skew_s=delta / 4,
-            seed=4,
-        )
+    result = DeploymentBackend(delta_s=delta, clock_skew_s=delta / 4).execute(
+        RunSpec(n=5, rounds=12, protocol="resilient", eta=3, seed=4)
     )
     trace = result.trace
     assert check_safety(trace).ok
