@@ -115,11 +115,13 @@ class ChainView:
     canonical index once the arguments pass the visibility check.)
     """
 
-    __slots__ = ("_chain", "_tree", "_floor", "_extra", "_count", "_leaves")
+    __slots__ = ("_tree", "_index", "_floor", "_extra", "_count", "_leaves")
 
     def __init__(self, chain: SharedChain) -> None:
-        self._chain = chain
         self._tree = chain.tree
+        # The chain's live id -> intern index map, held directly: every
+        # membership probe is one dict lookup on it.
+        self._index = chain._index
         # Visible iff index < _floor or index in _extra.  Genesis is
         # index 0, visible from birth in every view.
         self._floor = 1
@@ -140,28 +142,37 @@ class ChainView:
         most once per run regardless of how many views accept the block.
         """
         block_id = block.block_id
-        if self._visible(block_id):
+        index_of = self._index.get
+        floor = self._floor
+        extra = self._extra
+        # One intern-index lookup each for the block and its parent.
+        index = index_of(block_id)
+        if index is not None and (index < floor or index in extra):
             return block_id
-        if block.parent is not None and not self._visible(block.parent):
-            raise MissingParentError(f"parent {block.parent[:8]} of {block_id[:8]} unknown")
-        self._tree.add(block)  # no-op when another view interned it first
-        index = self._chain.index(block_id)
-        if index == self._floor:
-            self._floor += 1
-            extra = self._extra
-            while self._floor in extra:
-                extra.remove(self._floor)
-                self._floor += 1
-        elif index > self._floor:
-            self._extra.add(index)
+        parent = block.parent
+        if parent is not None:
+            parent_index = index_of(parent)
+            if parent_index is None or not (parent_index < floor or parent_index in extra):
+                raise MissingParentError(f"parent {parent[:8]} of {block_id[:8]} unknown")
+        if index is None:  # first view to learn it: intern once per run
+            self._tree.add(block)
+            index = self._index[block_id]
+        if index == floor:
+            floor += 1
+            while floor in extra:
+                extra.remove(floor)
+                floor += 1
+            self._floor = floor
+        else:
+            extra.add(index)
         self._count += 1
-        if block.parent is not None:
-            self._leaves.pop(block.parent, None)
+        if parent is not None:
+            self._leaves.pop(parent, None)
         self._leaves[block_id] = None
         return block_id
 
     def _visible(self, block_id: BlockId) -> bool:
-        index = self._chain._index.get(block_id)
+        index = self._index.get(block_id)
         if index is None:
             return False
         return index < self._floor or index in self._extra
@@ -244,11 +255,18 @@ class ChainView:
             raise UnknownBlockError(tip)
         return self._tree.log(tip)
 
-    def payload_ids(self, tip: BlockId | None) -> frozenset[str]:
-        """Ids of every transaction in the log identified by ``tip``."""
+    def payload_ids(
+        self, tip: BlockId | None, above: BlockId | None = GENESIS_TIP
+    ) -> frozenset[str]:
+        """Transaction ids of ``tip``'s log, or of its segment ``(above, tip]``.
+
+        A path walk, as :meth:`repro.chain.tree.BlockTree.payload_ids`.
+        """
         if tip not in self:
             raise UnknownBlockError(tip)
-        return self._tree.payload_ids(tip)
+        if above not in self:
+            raise UnknownBlockError(above)
+        return self._tree.payload_ids(tip, above)
 
     def longest(self, tips: Iterable[BlockId | None]) -> BlockId | None:
         """The deepest visible tip among ``tips``; ties broken by tip id."""

@@ -31,6 +31,7 @@ from collections import defaultdict
 
 from repro.chain.block import Block, BlockId
 from repro.chain.shared import TreeLike
+from repro.chain.tree import MissingParentError
 
 #: Default per-source orphan quota — far above the block or two an
 #: honest proposer ever has awaiting a parent, far below what unbounded
@@ -76,29 +77,41 @@ class BlockBuffer:
 
     def offer(self, block: Block, source: object = None) -> list[BlockId]:
         """Insert ``block`` (and any unblocked orphans) into the tree."""
-        if block.block_id in self._tree:
+        tree = self._tree
+        block_id = block.block_id
+        size = len(tree)
+        try:
+            # The tree's own admission check is the only membership
+            # probe: one lookup each for the block and its parent.  It
+            # is idempotent, so growth tells an insertion from a re-add.
+            tree.add(block)
+        except MissingParentError:
+            if block_id not in self._orphans:
+                self._orphans[block_id] = block
+                self._waiting_on[block.parent].append(block_id)
+                self._sources_of[block_id] = set()
+            # Every delivery, first or repeated, adds its source's
+            # vouch, so one voucher's eviction pressure cannot drop a
+            # block another delivery path still stands behind.
+            self._vouch(block_id, source)
             return []
-        if block.block_id in self._orphans:
-            # Already buffered: an independent delivery adds this
-            # source's vouch, so one voucher's eviction pressure cannot
-            # drop a block another delivery path still stands behind.
-            self._vouch(block.block_id, source)
-            return []
-        if block.parent is not None and block.parent not in self._tree:
-            self._orphans[block.block_id] = block
-            self._waiting_on[block.parent].append(block.block_id)
-            self._sources_of[block.block_id] = set()
-            self._vouch(block.block_id, source)
-            return []
-        inserted = [self._tree.add(block)]
+        if block_id in self._orphans:
+            # A buffered orphan whose parent reached the tree by another
+            # route (a direct add, another buffer over the same view).
+            self._unbuffer(block_id)
+        if len(tree) == size:
+            return []  # already in the tree
+        inserted = [block_id]
+        if not self._waiting_on:
+            return inserted
         # Cascade: children of each newly inserted block may now be insertable.
-        frontier = [block.block_id]
+        frontier = [block_id]
         while frontier:
             parent_id = frontier.pop()
             for child_id in self._waiting_on.pop(parent_id, ()):
                 child = self._orphans.pop(child_id)
                 self._forget(child_id)
-                inserted.append(self._tree.add(child))
+                inserted.append(tree.add(child))
                 frontier.append(child_id)
         return inserted
 
@@ -131,16 +144,20 @@ class BlockBuffer:
         sources.discard(source)
         if sources:
             return  # another delivery path still vouches for the block
-        victim = self._orphans.pop(victim_id)
-        del self._sources_of[victim_id]
-        waiters = self._waiting_on.get(victim.parent)
+        self._unbuffer(victim_id)
+
+    def _unbuffer(self, block_id: BlockId) -> None:
+        """Take an orphan out of the buffer without inserting it."""
+        block = self._orphans.pop(block_id)
+        self._forget(block_id)
+        waiters = self._waiting_on.get(block.parent)
         if waiters is not None:
             try:
-                waiters.remove(victim_id)
+                waiters.remove(block_id)
             except ValueError:
                 pass
             if not waiters:
-                del self._waiting_on[victim.parent]
+                del self._waiting_on[block.parent]
 
     def orphan_ids(self) -> frozenset[BlockId]:
         """Ids of blocks still waiting for an ancestor."""

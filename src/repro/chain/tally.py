@@ -12,13 +12,17 @@ differ only in *which* votes they feed it.
 under vote churn instead of re-walking every vote's ancestor chain per
 query:
 
-* :meth:`~PrefixTally.add_vote` / :meth:`~PrefixTally.remove_vote`
-  adjust counts along one root path — O(depth of the tip);
-* :meth:`~PrefixTally.move_vote` adjusts counts only along the path
-  *between* the old and new tip, found via the tree's O(log d) LCA
-  query — O(distance between the tips), which for the protocol's
-  steady state (a sender's next vote extends its last by a block or
-  two) is O(1) walk plus an O(log d) LCA, regardless of chain depth;
+* :meth:`~PrefixTally.set_votes` — the call every GA instance makes —
+  diffs the new vote set against the tallied one, groups the changed
+  senders by ``(old tip, new tip)`` and applies each *distinct*
+  transition once, weighted by its voter count: one O(log d) LCA and
+  one ``±weight`` adjustment of the path between the two tips.  In the
+  protocol's steady state all but a few senders move from the same old
+  tip to the same new tip, so a GA pays for one or two transitions, not
+  for n voters;
+* :meth:`~PrefixTally.add_vote` / :meth:`~PrefixTally.remove_vote` /
+  :meth:`~PrefixTally.move_vote` are the single-voter forms: one root
+  path, or the path between the old and new tip;
 * block insertion needs no maintenance at all: a fresh block starts
   with count 0 until a vote reaches its subtree.
 
@@ -31,7 +35,6 @@ naive-recount oracle pin that equivalence.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,45 +174,62 @@ class PrefixTally:
         self._set_count(GENESIS_TIP, total, total - 1)
 
     def set_votes(self, votes: Mapping[int, BlockId | None]) -> None:
-        """Make the tallied set equal ``votes``, by incremental diff.
+        """Make the tallied set equal ``votes``, by weighted diff.
 
-        The cost is one dict scan plus count updates proportional to
-        how much the vote set actually changed — the protocol's
-        steady-state access pattern (per-round windows over a vote set
-        that barely moves) pays for its churn, not for its depth.
-        Building from empty (the one-shot :func:`~repro.protocols.
-        graded_agreement.tally_votes` path) walks once per *distinct*
-        tip with its vote weight, not once per voter, so converged vote
-        sets cost O(distinct tips · depth) exactly as the historical
-        recount did.
+        One dict scan finds the senders whose vote changed and groups
+        them by ``(old tip, new tip)`` — "no vote" on either side for a
+        sender entering or leaving.  Each *distinct* transition is then
+        applied once with its voter count as the weight: one LCA and one
+        ``±weight`` adjustment of the path between the two tips.  The
+        protocol's steady state moves almost every sender from the same
+        old tip to the same new tip, so a GA costs O(distinct
+        transitions · log d) — one or two — not O(voters); building from
+        empty costs O(distinct tips · depth), as the historical recount
+        did.
+
+        Every new tip is validated before any count moves: a call that
+        raises :class:`UnknownBlockError` leaves the tally untouched.
         """
-        if not self._votes:
-            self._bulk_add(votes)
+        current = self._votes
+        transitions: dict[tuple[object, object], int] = {}
+        lookup = votes.get
+        for sender, old in current.items():
+            new = lookup(sender, _MISSING)
+            if new != old:
+                key = (old, new)
+                transitions[key] = transitions.get(key, 0) + 1
+        leaving = sum(w for (_, new), w in transitions.items() if new is _MISSING)
+        if len(current) - leaving != len(votes):  # some senders are new
+            for sender, new in votes.items():
+                if sender not in current:
+                    key = (_MISSING, new)
+                    transitions[key] = transitions.get(key, 0) + 1
+        if not transitions:
             return
-        for sender in [s for s in self._votes if s not in votes]:
-            self.remove_vote(sender)
-        for sender, tip in votes.items():
-            self.set_vote(sender, tip)
-
-    def _bulk_add(self, votes: Mapping[int, BlockId | None]) -> None:
-        """Tally ``votes`` into an empty tally, weight-grouped by tip."""
-        assert not self._votes
-        counts = self._counts
         tree = self._tree
-        direct = Counter(votes.values())
-        for tip in direct:  # validate before mutating any count
-            if tip not in tree:
-                raise UnknownBlockError(tip)
-        for tip, weight in direct.items():
-            node = tip
-            while node is not GENESIS_TIP:
-                old = counts.get(node, 0)
-                self._set_count(node, old, old + weight)
-                node = tree.parent(node)
-        if votes:
-            total = counts.get(GENESIS_TIP, 0)
-            self._set_count(GENESIS_TIP, total, total + len(votes))
-            self._votes.update(votes)
+        for _old, new in transitions:
+            if new is not _MISSING and new not in tree:
+                raise UnknownBlockError(new)
+
+        # No count can dip below zero whatever the order: the decrements
+        # a node receives are distinct tallied voters leaving its subtree.
+        entered = 0
+        for (old, new), weight in transitions.items():
+            if old is _MISSING:
+                self._adjust_path(new, GENESIS_TIP, weight)
+                entered += weight
+            elif new is _MISSING:
+                self._adjust_path(old, GENESIS_TIP, -weight)
+                entered -= weight
+            else:
+                fork = tree.common_prefix((old, new))
+                self._adjust_path(new, fork, weight)
+                self._adjust_path(old, fork, -weight)
+        if entered:
+            total = self._counts.get(GENESIS_TIP, 0)
+            self._set_count(GENESIS_TIP, total, total + entered)
+        current.clear()
+        current.update(votes)
 
     def _set_count(self, node: BlockId | None, old: int, new: int) -> None:
         """Move ``node`` from count ``old`` to ``new`` (count + bucket)."""

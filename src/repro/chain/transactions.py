@@ -10,6 +10,7 @@ appear in a delivered log.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_fields
@@ -23,8 +24,10 @@ class Transaction:
     the checksum that the global validity predicate
     (:func:`is_valid_transaction`) verifies.
 
-    The id is hashed once, at construction, and never crosses a pickle
-    (README, "Identifiers and where they are computed").
+    The id is hashed once, at construction, and the validity verdict
+    once, on first ask; neither crosses a pickle, so a peer can ship
+    neither an id nor a "valid" verdict (README, "Identifiers and where
+    they are computed").
     """
 
     sender: int
@@ -64,8 +67,17 @@ def _checksum(sender: int, nonce: int, payload: bytes) -> str:
 
 
 def is_valid_transaction(tx: Transaction) -> bool:
-    """The global validity predicate ``P`` (paper Definition 2, fn. 3)."""
-    return tx.checksum == _checksum(tx.sender, tx.nonce, tx.payload)
+    """The global validity predicate ``P`` (paper Definition 2, fn. 3).
+
+    Every process's mempool asks about the same immutable object, so the
+    verdict is memoised on it (a non-field attribute, like ``_tx_id``).
+    """
+    try:
+        return tx._valid
+    except AttributeError:
+        valid = tx.checksum == _checksum(tx.sender, tx.nonce, tx.payload)
+        object.__setattr__(tx, "_valid", valid)
+        return valid
 
 
 class Mempool:
@@ -116,20 +128,39 @@ class Mempool:
         self.admitted_count += 1
         return True
 
-    def take(self, limit: int, exclude: frozenset[str] = frozenset()) -> tuple[Transaction, ...]:
-        """Up to ``limit`` pending transactions whose ids are not in ``exclude``."""
+    def take(
+        self,
+        limit: int,
+        exclude: Set[str] = frozenset(),
+        also_exclude: Set[str] = frozenset(),
+    ) -> tuple[Transaction, ...]:
+        """Up to ``limit`` pending transactions whose ids are in neither set.
+
+        Two sets because a proposer excludes its (long, standing)
+        delivered set and a (short, per-block) undelivered segment, and
+        uniting them would copy the long one per block.
+        """
         selected: list[Transaction] = []
         for tx_id, tx in self._pending.items():
             if len(selected) >= limit:
                 break
-            if tx_id not in exclude:
+            if tx_id not in exclude and tx_id not in also_exclude:
                 selected.append(tx)
         return tuple(selected)
 
-    def mark_included(self, tx_ids: frozenset[str]) -> None:
-        """Drop transactions that have been observed in a delivered log."""
-        for tx_id in tx_ids:
-            self._pending.pop(tx_id, None)
+    def mark_included(self, tx_ids: Set[str]) -> None:
+        """Drop transactions that have been observed in a delivered log.
+
+        ``tx_ids`` may be the whole delivered log: the cost is the size
+        of the smaller side, the pending pool or ``tx_ids``.
+        """
+        pending = self._pending
+        if len(tx_ids) < len(pending):
+            for tx_id in tx_ids:
+                pending.pop(tx_id, None)
+        else:
+            for tx_id in [tx_id for tx_id in pending if tx_id in tx_ids]:
+                del pending[tx_id]
 
     def pending_ids(self) -> frozenset[str]:
         """Ids of all transactions currently pending."""

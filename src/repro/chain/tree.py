@@ -3,8 +3,10 @@
 Logs (paper Definition 1) form a tree under the prefix relation: a log is
 identified by its tip block, ``Λ ⪯ Λ'`` iff the tip of ``Λ`` is an
 ancestor of the tip of ``Λ'`` (the empty log, tip ``None``, is a prefix
-of everything).  The tree also memoises per-tip transaction membership,
-which proposers use to avoid re-including transactions.
+of everything).  The tree stores no transaction membership: a block
+holds its own payload, :meth:`BlockTree.payload_ids` unions a path on
+demand, and a process that needs membership on its hot path keeps one
+set for its delivered log (README, "The indexed chain core").
 
 Ancestry queries are indexed: :meth:`BlockTree.add` maintains a
 binary-lifting skip-pointer table (``up[b][k]`` is the ``2^k``-th
@@ -46,7 +48,6 @@ class BlockTree:
         self._blocks: dict[BlockId, Block] = {}
         self._depth: dict[BlockId | None, int] = {GENESIS_TIP: 0}
         self._children: dict[BlockId | None, list[BlockId]] = {GENESIS_TIP: []}
-        self._payload_ids: dict[BlockId | None, frozenset[str]] = {GENESIS_TIP: frozenset()}
         # Binary-lifting skip pointers: _up[b][k] is the 2^k-th ancestor
         # of b (GENESIS_TIP when the jump lands exactly on the virtual
         # root); entry k exists iff depth(b) >= 2^k, so every stored
@@ -83,20 +84,20 @@ class BlockTree:
         unknown (callers that receive blocks out of order should buffer
         them with :class:`repro.chain.store.BlockBuffer`).
         """
-        if block.block_id in self._blocks:
-            return block.block_id
-        if block.parent is not None and block.parent not in self._blocks:
-            raise MissingParentError(f"parent {block.parent[:8]} of {block.block_id[:8]} unknown")
-        self._blocks[block.block_id] = block
-        self._depth[block.block_id] = self._depth[block.parent] + 1
-        self._children[block.block_id] = []
-        self._children[block.parent].append(block.block_id)
-        self._payload_ids[block.block_id] = self._payload_ids[block.parent] | frozenset(
-            tx.tx_id for tx in block.payload
-        )
+        block_id = block.block_id
+        blocks = self._blocks
+        if block_id in blocks:
+            return block_id
+        parent = block.parent
+        if parent is not None and parent not in blocks:
+            raise MissingParentError(f"parent {parent[:8]} of {block_id[:8]} unknown")
+        blocks[block_id] = block
+        self._depth[block_id] = self._depth[parent] + 1
+        self._children[block_id] = []
+        self._children[parent].append(block_id)
         # Skip pointers: up[k] = up[up[k-1]][k-1], stopping once a jump
         # reaches the virtual root (no jump can go past it).
-        up: list[BlockId | None] = [block.parent]
+        up: list[BlockId | None] = [parent]
         k = 0
         while up[k] is not None:
             above = self._up[up[k]]
@@ -104,13 +105,13 @@ class BlockTree:
                 break
             up.append(above[k])
             k += 1
-        self._up[block.block_id] = up
-        self._leaves.pop(block.parent, None)  # parent just stopped being a leaf
-        self._leaves[block.block_id] = None
+        self._up[block_id] = up
+        self._leaves.pop(parent, None)  # parent just stopped being a leaf
+        self._leaves[block_id] = None
         if self._listeners:
             for listener in self._listeners:
                 listener(block)
-        return block.block_id
+        return block_id
 
     # ------------------------------------------------------------------
     # Queries
@@ -240,12 +241,28 @@ class BlockTree:
         """Materialise the log identified by ``tip``."""
         return Log(tuple(self._blocks[bid] for bid in self.path(tip)))
 
-    def payload_ids(self, tip: BlockId | None) -> frozenset[str]:
-        """Ids of every transaction in the log identified by ``tip``."""
-        try:
-            return self._payload_ids[tip]
-        except KeyError:
-            raise UnknownBlockError(tip) from None
+    def payload_ids(
+        self, tip: BlockId | None, above: BlockId | None = GENESIS_TIP
+    ) -> frozenset[str]:
+        """Ids of every transaction in the log identified by ``tip``.
+
+        With ``above`` (a prefix of ``tip``'s log), only the segment
+        ``(above, tip]``.  Computed by walking that segment — O(its
+        length), nothing is stored per block — so it is for analysis
+        and for short segments, never for a whole log on a hot path.
+        Raises :class:`ValueError` when ``above`` is not a prefix of
+        ``tip``'s log.
+        """
+        steps = self.depth(tip) - self.depth(above)
+        ids: set[str] = set()
+        node = tip
+        for _ in range(steps):
+            block = self._blocks[node]
+            ids.update(tx.tx_id for tx in block.payload)
+            node = block.parent
+        if node != above:  # also every steps < 0
+            raise ValueError(f"{above!r} is not a prefix of {tip!r}")
+        return frozenset(ids)
 
     def longest(self, tips: Iterable[BlockId | None]) -> BlockId | None:
         """The deepest tip among ``tips``; ties broken by tip id.

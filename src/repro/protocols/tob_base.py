@@ -59,7 +59,7 @@ Conventions where the paper leaves freedom (all documented choices):
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,6 +167,10 @@ class SleepyTOBProcess(Process):
 
         #: Tip of the longest log this process has delivered.
         self.delivered_tip: BlockId | None = GENESIS_TIP
+        # Ids of every transaction in the delivered log: the process's
+        # one membership set (the tree stores none), extended at each
+        # decision by the newly delivered segment only.
+        self._delivered_ids: set[str] = set()
         self._pending_decisions: list[DecisionEvent] = []
 
     # ------------------------------------------------------------------
@@ -319,12 +323,17 @@ class SleepyTOBProcess(Process):
     def _ga_output(self, ga_round: int) -> GAOutput:
         lo, hi = self.vote_window(ga_round)
         votes = self._votes.latest(lo, hi)
-        known = {pid: tip for pid, tip in votes.items() if tip in self.tree}
+        # A vote for a tip this process cannot interpret yet is left
+        # out; membership is probed once per distinct tip, not per voter.
+        tree = self.tree
+        unknown = {tip for tip in set(votes.values()) if tip not in tree}
+        if unknown:
+            votes = {pid: tip for pid, tip in votes.items() if tip not in unknown}
         # Roll the persistent tally to this window's vote set: only the
-        # senders whose latest vote changed (or newly entered/left the
-        # window, or whose tip just became interpretable) cost tree
-        # walks — the unchanged majority is free.
-        self._tally.set_votes(known)
+        # distinct (old tip, new tip) transitions cost tree walks — the
+        # unchanged majority is free, and so is the size of a camp that
+        # moves together.
+        self._tally.set_votes(votes)
         output = self._tally.grade(self._beta)
         if self._record_telemetry:
             self._sample_tally(ga_round, output)
@@ -375,8 +384,19 @@ class SleepyTOBProcess(Process):
         return self.tree.longest([best.tip, longest_any])
 
     def _make_block(self, parent: BlockId | None, view: int) -> Block:
-        included = self.tree.payload_ids(parent) if parent in self.tree else frozenset()
-        payload = self.mempool.take(self._block_capacity, exclude=included)
+        # Exclude everything on the parent's path: the delivered set
+        # plus the (short) undelivered segment above the delivered tip —
+        # or, when the parent does not extend the delivered tip, the
+        # whole path, walked.
+        tree = self.tree
+        exclude: tuple[Set[str], ...] = ()
+        if parent in tree:
+            if tree.is_prefix(self.delivered_tip, parent):
+                segment = tree.payload_ids(parent, above=self.delivered_tip)
+                exclude = (self._delivered_ids, segment)
+            else:
+                exclude = (tree.payload_ids(parent),)
+        payload = self.mempool.take(self._block_capacity, *exclude)
         block = Block(parent=parent, proposer=self.pid, view=view, payload=payload)
         self._buffer.offer(block)
         return block
@@ -389,8 +409,12 @@ class SleepyTOBProcess(Process):
         self._pending_decisions.append(
             DecisionEvent(pid=self.pid, round=round_number, view=view, tip=tip)
         )
+        if self.tree.is_prefix(self.delivered_tip, tip):
+            self._delivered_ids |= self.tree.payload_ids(tip, above=self.delivered_tip)
+        else:  # a conflicting decision, recorded faithfully: start over
+            self._delivered_ids = set(self.tree.payload_ids(tip))
         self.delivered_tip = tip
-        self.mempool.mark_included(self.tree.payload_ids(tip))
+        self.mempool.mark_included(self._delivered_ids)
 
     # ------------------------------------------------------------------
     # Accountability

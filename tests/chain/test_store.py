@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.block import Block
+from repro.chain.shared import SharedChain
 from repro.chain.store import DEFAULT_ORPHANS_PER_SOURCE, BlockBuffer
 
 
@@ -49,6 +50,34 @@ def test_duplicate_offers_are_noops(tree, genesis):
     assert buffer.offer(b3) == []  # buffered twice: still one orphan
     assert buffer.orphan_ids() == {b3.block_id}
     assert set(buffer.offer(b2)) == {b2.block_id, b3.block_id}
+
+
+def test_reoffered_orphan_is_released_when_its_parent_came_by_another_route(tree, genesis):
+    """The parent reaches the tree without passing through this buffer
+    (a direct add); the orphan's next delivery must insert it, cascade
+    its own waiting children, and clear its vouches."""
+    buffer = BlockBuffer(tree, max_orphans_per_source=2)
+    b1, b2, b3 = _chain_from(genesis, 3)
+    assert buffer.offer(b3, source=1) == []
+    assert buffer.offer(b2, source=1) == []
+    tree.add(b1)
+    assert buffer.offer(b2, source=2) == [b2.block_id, b3.block_id]
+    assert b3.block_id in tree
+    assert len(buffer) == 0
+    # Source 1's quota is free again: two fresh orphans both fit.
+    for i in range(2):
+        buffer.offer(_chaff(i), source=1)
+    assert len(buffer) == 2
+
+
+def test_two_buffers_over_one_view_release_each_others_orphans(genesis):
+    view = SharedChain().view()
+    first, second = BlockBuffer(view), BlockBuffer(view)
+    b1, b2 = _chain_from(genesis, 2)
+    assert first.offer(b2) == []
+    assert second.offer(b1) == [b1.block_id]
+    assert first.offer(b2) == [b2.block_id]
+    assert first.orphan_ids() == frozenset()
 
 
 def test_forked_orphans_cascade_together(tree, genesis):

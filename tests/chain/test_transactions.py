@@ -16,6 +16,24 @@ def test_tampered_transactions_are_invalid():
     assert not is_valid_transaction(forged_payload)
 
 
+def test_validity_verdict_is_per_object_and_never_shipped():
+    import pickle
+
+    from repro.engine.spec import canonical_form
+
+    tx = Transaction.create(3, 7, b"payload")
+    before = canonical_form(tx)
+    assert is_valid_transaction(tx) and is_valid_transaction(tx)
+    assert canonical_form(tx) == before  # the memo is not a field
+    # A peer cannot ship a verdict: a forged transaction pickled after a
+    # "valid" memo was planted on it arrives without one and is re-judged.
+    forged = Transaction(sender=3, nonce=8, payload=b"payload", checksum=tx.checksum)
+    object.__setattr__(forged, "_valid", True)
+    arrived = pickle.loads(pickle.dumps(forged))
+    assert "_valid" not in vars(arrived)
+    assert not is_valid_transaction(arrived)
+
+
 def test_tx_id_unique_per_content():
     assert Transaction.create(0, 0).tx_id != Transaction.create(0, 1).tx_id
     assert Transaction.create(0, 0).tx_id == Transaction.create(0, 0).tx_id
@@ -50,6 +68,18 @@ def test_mempool_mark_included_drops():
         pool.add(tx)
     pool.mark_included(frozenset({txs[1].tx_id}))
     assert pool.pending_ids() == {txs[0].tx_id, txs[2].tx_id}
+    # A whole delivered log, far larger than the pool, sweeps the same way.
+    log = {Transaction.create(1, i).tx_id for i in range(50)} | {txs[0].tx_id}
+    pool.mark_included(log)
+    assert pool.pending_ids() == {txs[2].tx_id}
+
+
+def test_mempool_take_excludes_both_sets():
+    pool = Mempool()
+    txs = [Transaction.create(0, i) for i in range(4)]
+    for tx in txs:
+        pool.add(tx)
+    assert pool.take(10, {txs[0].tx_id}, {txs[2].tx_id}) == (txs[1], txs[3])
 
 
 def test_mempool_capacity_sheds_and_counts():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.chain.block import genesis_block
+from repro.chain.block import Block, genesis_block
 from repro.chain.transactions import Transaction
 from repro.harness import TOBRunConfig, build_simulation, run_tob
 from repro.sleepy.messages import ProposeMessage, VoteMessage
@@ -96,6 +96,69 @@ def test_transactions_not_duplicated_across_blocks():
         tx.tx_id for block_id in trace.tree.path(deepest) for tx in trace.tree.get(block_id).payload
     ]
     assert len(all_txs) == len(set(all_txs))
+
+
+def _sim_with_delivered_transactions():
+    txs = [Transaction.create(9, nonce) for nonce in range(3)]
+    sim = build_simulation(TOBRunConfig(n=4, rounds=40, protocol="mmr"))
+    for each in sim.processes.values():
+        for tx in txs:
+            each.mempool.add(tx)
+    sim.run(14)
+    process = sim.processes[0]
+    assert {tx.tx_id for tx in txs} <= process.tree.payload_ids(process.delivered_tip)
+    return sim, process, txs
+
+
+def test_transaction_reoffered_after_delivery_is_never_proposed_again():
+    sim, process, txs = _sim_with_delivered_transactions()
+    assert len(process.mempool) == 0
+    assert process.mempool.add(txs[0])  # a client retries a delivered transaction
+    decisions_before = len(sim.trace.decisions_by(process.pid))
+    known = {block.block_id for block in sim.trace.tree.blocks()}
+    sim.run(6)
+    fresh = [block for block in sim.trace.tree.blocks() if block.block_id not in known]
+    assert any(block.proposer == process.pid for block in fresh)
+    assert all(txs[0] not in block.payload for block in fresh)
+    # ... and the next decision sweeps it out of the pool.
+    assert len(sim.trace.decisions_by(process.pid)) > decisions_before
+    assert txs[0].tx_id not in process.mempool.pending_ids()
+
+
+def _fork_off_genesis(process, payload):
+    fork = Block(
+        parent=genesis_block().block_id, proposer=3, view=1, payload=payload, salt=1
+    )
+    process.tree.add(fork)
+    assert process.tree.conflict(fork.block_id, process.delivered_tip)
+    return fork
+
+
+def test_block_on_a_parent_off_the_delivered_log_excludes_that_parents_path():
+    _sim, process, _txs = _sim_with_delivered_transactions()
+    on_fork, elsewhere = Transaction.create(8, 0), Transaction.create(8, 1)
+    fork = _fork_off_genesis(process, (on_fork,))
+    process.mempool.add(on_fork)
+    process.mempool.add(elsewhere)
+    block = process._make_block(parent=fork.block_id, view=99)
+    assert block.payload == (elsewhere,)
+
+
+def test_conflicting_decision_rebuilds_the_delivered_set():
+    _sim, process, txs = _sim_with_delivered_transactions()
+    process.pop_decisions()
+    on_fork = Transaction.create(8, 0)
+    fork = _fork_off_genesis(process, (on_fork,))
+    process.mempool.add(on_fork)
+    process.mempool.add(txs[0])
+    process._decide(fork.block_id, round_number=15, view=7)
+    # Recorded faithfully, and membership now describes the new log only.
+    assert [event.tip for event in process.pop_decisions()] == [fork.block_id]
+    assert process.delivered_tip == fork.block_id
+    assert process._delivered_ids == process.tree.payload_ids(fork.block_id) == {on_fork.tx_id}
+    assert process.mempool.pending_ids() == {txs[0].tx_id}
+    # The old branch's transaction is proposable again on the new log.
+    assert process._make_block(parent=fork.block_id, view=99).payload == (txs[0],)
 
 
 def test_decision_events_deduplicate_prefix_redeliveries():
