@@ -16,54 +16,39 @@ adversary sized between β̃ and β — legal by the original protocol's
 accounting! — keeps the fresh votes pinned below the 2/3 quorum and the
 chain limps at a fraction of its cadence indefinitely.
 
-Both sizings are the named grid ``ablation-beta`` from
-:mod:`repro.analysis.batch` (a :class:`StaleTipChooser` adversary per
+Both sizings are the ``ablation-beta`` row of
+:data:`repro.analysis.batch.GRIDS` (a :class:`StaleTipChooser` adversary per
 cell), executed side by side through the engine's streamed parallel
 sweep with in-worker reduction to cadence rows.
 """
 
-import os
 from fractions import Fraction
 
-from repro.analysis.batch import (
-    ablation_beta_grid,
-    ablation_beta_sizings,
-    ablation_beta_table,
-    grid_journal,
-    reduce_ablation_beta,
-)
+from repro.analysis.batch import GRIDS, ablation_beta_sizings
 from repro.core.bounds import beta_tilde
 from repro.engine.sweep import sweep_rows
 
-N, ROUNDS, ETA = 30, 40, 6
-SLEEP_AT = 14  # a third of the honest population sleeps after this round
-SLEEPERS = 9
+JOB = GRIDS["ablation-beta"]
+#: ``sleep_at``: a third of the honest population sleeps after this round.
+SETTINGS = {"n": 30, "rounds": 40, "eta": 6, "sleep_at": 14, "sleepers": 9}
 #: Machine-readable run configuration (recorded in BENCH_*.json).
 BENCH_CONFIG = {
-    "n": N,
-    "rounds": ROUNDS,
-    "eta": ETA,
-    "sleep_at": SLEEP_AT,
+    "n": SETTINGS["n"],
+    "rounds": SETTINGS["rounds"],
+    "eta": SETTINGS["eta"],
+    "sleep_at": SETTINGS["sleep_at"],
     "streamed": True,
-    # A warm journal replays cells instead of computing them, so a
-    # journaled run is a different experiment for the trend checker.
-    "journaled": bool(os.environ.get("REPRO_SWEEP_JOURNAL_DIR")),
 }
 
 
 def test_ablation_beta(benchmark, record):
     def experiment():
-        grid = ablation_beta_grid(
-            n=N, rounds=ROUNDS, eta=ETA, sleep_at=SLEEP_AT, sleepers=SLEEPERS
-        )
-        return sweep_rows(
-            grid, reduce_ablation_beta, journal=grid_journal("ablation-beta"), resume="auto"
-        )
+        return sweep_rows(JOB.build(**SETTINGS), JOB.reducer)
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    record(ablation_beta_table(rows, n=N, eta=ETA, sleepers=SLEEPERS))
+    record(JOB.table(rows, **SETTINGS))
 
-    under, over, gamma = ablation_beta_sizings(N, SLEEPERS)
+    under, over, gamma = ablation_beta_sizings(SETTINGS["n"], SETTINGS["sleepers"])
     assert [row["byz"] for row in rows] == [under, over]
     assert beta_tilde(Fraction(1, 3), gamma) > 0
 

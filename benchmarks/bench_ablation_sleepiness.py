@@ -13,47 +13,29 @@ Eq. 1+2 round also passes Eq. 3) and (b) how many Eq. 3-admissible
 rounds the explicit churn bound rejects — the price of the more
 structured assumption.
 
-The 12 sampled traces are the named grid ``sleepiness`` from
-:mod:`repro.analysis.batch` (seeded draws, one independent run per
+The 12 sampled traces are the ``sleepiness`` row of
+:data:`repro.analysis.batch.GRIDS` (seeded draws, one independent run per
 cell), executed through the engine's streamed parallel sweep; each
 worker ships back only the per-run admission sets, aggregated here.
 """
 
-import os
-
-from repro.analysis.batch import (
-    aggregate_sleepiness,
-    grid_journal,
-    reduce_sleepiness,
-    sleepiness_grid,
-    sleepiness_table,
-)
+from repro.analysis.batch import GRIDS, aggregate_sleepiness, sleepiness_draws
 from repro.engine.sweep import sweep_rows
 
+JOB = GRIDS["sleepiness"]
 N, ROUNDS, ETA = 24, 30, 4
 SAMPLES = 12
 #: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {
-    "n": N,
-    "rounds": ROUNDS,
-    "eta": ETA,
-    "samples": SAMPLES,
-    "streamed": True,
-    # A warm journal replays cells instead of computing them, so a
-    # journaled run is a different experiment for the trend checker.
-    "journaled": bool(os.environ.get("REPRO_SWEEP_JOURNAL_DIR")),
-}
+BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "eta": ETA, "samples": SAMPLES, "streamed": True}
 
 
 def test_ablation_sleepiness(benchmark, record):
     def experiment():
-        grid = sleepiness_grid(samples=SAMPLES, n=N, rounds=ROUNDS, eta=ETA)
-        return sweep_rows(
-            grid, reduce_sleepiness, journal=grid_journal("sleepiness"), resume="auto"
-        )
+        grid = JOB.build(draw=sleepiness_draws(SAMPLES), n=N, rounds=ROUNDS, eta=ETA)
+        return sweep_rows(grid, JOB.reducer)
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    record(sleepiness_table(rows, n=N, eta=ETA))
+    record(JOB.table(rows, n=N, eta=ETA))
     agg = aggregate_sleepiness(rows)
 
     # §3.3's implication, observed: no round passes the explicit

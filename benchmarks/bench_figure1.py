@@ -10,8 +10,8 @@ Regenerates the paper's only data figure twice over:
   exhibited with a steep participation decline (see bench_churn_stall
   for the full stall study).
 
-The empirical probe is the named grid ``figure1`` from
-:mod:`repro.analysis.batch`, executed through the engine's streamed
+The empirical probe is the ``figure1`` row of
+:data:`repro.analysis.batch.GRIDS`, executed through the engine's streamed
 parallel sweep — one worker per churn point, each reducing its run to a
 (growth, safety) row in-process; the serial-loop equivalence is pinned
 by ``tests/engine/test_sweep_equivalence.py``.
@@ -21,24 +21,19 @@ import os
 from fractions import Fraction
 
 from repro.analysis import format_table
-from repro.analysis.batch import figure1_grid, figure1_table, grid_journal, reduce_figure1
+from repro.analysis.batch import GRIDS
 from repro.core.bounds import beta_tilde, beta_tilde_one_third, figure1_curve
 from repro.engine.sweep import sweep_rows
 
 THIRD = Fraction(1, 3)
+JOB = GRIDS["figure1"]
 
 #: CI smoke mode: shrink the empirical probe so the bench finishes in
 #: seconds while still executing the full code path.
 TINY = os.environ.get("REPRO_BENCH_TINY", "0").strip() in ("1", "true", "yes")
 
 #: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {
-    "tiny": TINY,
-    "beta": str(THIRD),
-    # A warm journal replays cells instead of computing them, so a
-    # journaled run is a different experiment for the trend checker.
-    "journaled": bool(os.environ.get("REPRO_SWEEP_JOURNAL_DIR")),
-}
+BENCH_CONFIG = {"tiny": TINY, "beta": str(THIRD)}
 
 
 def analytic_tables() -> str:
@@ -56,15 +51,10 @@ def analytic_tables() -> str:
 
 def empirical_probe() -> tuple[str, list[dict]]:
     """Runs below the curve: growth and safety must hold (streamed sweep)."""
-    n, eta, rounds = (12, 4, 24) if TINY else (45, 4, 50)
-    gammas = (0.0, 0.10) if TINY else (0.0, 0.10, 0.20, 0.28)
-    outcomes = sweep_rows(
-        figure1_grid(n=n, eta=eta, rounds=rounds, gammas=gammas),
-        reduce_figure1,
-        journal=grid_journal("figure1"),
-        resume="auto",
-    )
-    return figure1_table(outcomes, n=n), outcomes
+    # The grid's own defaults are the paper scale.
+    shrink = {"n": 12, "rounds": 24, "gamma_f": (0.0, 0.10)} if TINY else {}
+    outcomes = sweep_rows(JOB.build(**shrink), JOB.reducer)
+    return JOB.table(outcomes, **shrink), outcomes
 
 
 def test_figure1(benchmark, record):

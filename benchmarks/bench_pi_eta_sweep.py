@@ -5,8 +5,8 @@ across the theorem boundary, always ending the window at the attacked
 decision round; the adversary starves delivery throughout the window so
 honest votes age out, then split-votes the final round.
 
-The (η, π) matrix is the named grid ``pi-eta`` from
-:mod:`repro.analysis.batch`, executed through the engine's streamed
+The (η, π) matrix is the ``pi-eta`` row of
+:data:`repro.analysis.batch.GRIDS`, executed through the engine's streamed
 parallel sweep (:func:`repro.engine.sweep.stream_sweep`): cells fan
 across a process pool, each worker reduces its run to a verdict row
 in-process, and rows stream back in grid order —
@@ -21,34 +21,22 @@ documented: the paper's expiration window ``[r − η, r]`` is inclusive
 forks appear from π = η + 1 onward.
 """
 
-import os
-
-from repro.analysis.batch import grid_journal, pi_eta_grid, pi_eta_table, reduce_pi_eta
+from repro.analysis.batch import GRIDS
 from repro.engine.sweep import sweep_rows
 
+JOB = GRIDS["pi-eta"]
 N = 20
 
 #: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {
-    "n": N,
-    "target_round": 10,
-    "streamed": True,
-    # A warm journal replays cells instead of computing them, so a
-    # journaled run is a different experiment for the trend checker.
-    "journaled": bool(os.environ.get("REPRO_SWEEP_JOURNAL_DIR")),
-}
+BENCH_CONFIG = {"n": N, "target_round": 10, "streamed": True}
 
 
 def test_pi_eta_sweep(benchmark, record):
     def experiment():
-        # With $REPRO_SWEEP_JOURNAL_DIR set, finished cells are
-        # checkpointed and an interrupted grid resumes where it stopped.
-        return sweep_rows(
-            pi_eta_grid(n=N), reduce_pi_eta, journal=grid_journal("pi-eta"), resume="auto"
-        )
+        return sweep_rows(JOB.build(n=N), JOB.reducer)
 
     cells = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    record(pi_eta_table(cells, n=N))
+    record(JOB.table(cells, n=N))
 
     for cell in cells:
         if cell["guaranteed"]:

@@ -1,12 +1,11 @@
 """Shared benchmark fixtures.
 
-Every bench regenerates one paper table/figure/claim (see DESIGN.md §4)
-and reports it three ways:
+Every bench regenerates one paper table/figure/claim (README.md,
+"Benchmarks") and reports it three ways:
 
 * printed to stdout (visible with ``pytest benchmarks/ --benchmark-only -s``
   or in the teed bench output),
-* written to ``benchmarks/results/<bench>.txt`` so EXPERIMENTS.md can
-  embed the measured tables verbatim, and
+* written to ``benchmarks/results/<bench>.txt`` (untracked), and
 * aggregated into a machine-readable ``BENCH_<name>.json`` at the repo
   root (one file per bench module; per-test median/p95 seconds plus the
   module's ``BENCH_CONFIG``), so the perf trajectory is comparable
@@ -14,8 +13,8 @@ and reports it three ways:
 
 JSON emission is automatic: an autouse fixture wall-times every bench
 test and records one sample.  Benches that repeat their measured kernel
-(receive path, bus replay) call the ``bench_json`` fixture instead with
-their real per-repeat samples and exact config.
+(the large-n lane) call the ``bench_json`` fixture instead with their
+real per-repeat samples and exact config.
 
 Every entry also carries ``peak_mem_bytes``: the autouse fixture traces
 the test under :mod:`tracemalloc` and merges the allocation peak into

@@ -17,7 +17,7 @@ Quick start::
     report = repro.check_safety(trace)
     assert report.ok
 
-See README.md for the tour and DESIGN.md for the architecture.
+See README.md for the tour and the architecture.
 """
 
 from repro.chain import Block, BlockTree, Log, Mempool, PrefixTally, Transaction

@@ -1,16 +1,17 @@
 """Batch analysis entry points: the paper's experiment grids as sweeps.
 
 Every large experiment grid in the repository — the Theorem-2 (η, π)
-boundary matrix, the Figure-1 empirical probes, and both ablations —
-is defined here *once* as a :class:`~repro.engine.sweep.SweepSpec`
-(a picklable cell factory expanding to seeded
-:class:`~repro.engine.spec.RunSpec`\\ s) plus a per-cell **reducer**
-that turns an executed run into a small measurement row inside the
-worker process.  Benches, the ``repro sweep`` CLI subcommand, and tests
-all drive the same grid definitions through
-:func:`~repro.engine.sweep.stream_sweep`, so "the Theorem 2 sweep"
-means exactly the same cells everywhere — and every grid is proven
-run-for-run identical to its pre-sweep serial loop by
+boundary matrix, the Figure-1 empirical probes, both ablations, the
+deployment smoke and the two attack matrices — is one :class:`GridJob`
+row of :data:`GRIDS`: its axes, its base defaults, a picklable cell
+factory expanding to seeded :class:`~repro.engine.spec.RunSpec`\\ s, a
+per-cell **reducer** that turns an executed run into a small
+measurement row inside the worker process, and the ``(header, column)``
+pairs its table is rendered from.  Benches, the ``repro sweep`` CLI
+subcommand, and tests all call ``GRIDS[name].build`` / ``.reducer`` /
+``.table``, so "the Theorem 2 sweep" means exactly the same cells
+everywhere — and the paper grids are proven run-for-run identical to
+their pre-sweep serial loops by
 ``tests/engine/test_sweep_equivalence.py``.
 
 Factories and reducers are module-level functions (process pools import
@@ -20,12 +21,10 @@ executed trace plus the cell's parameter dict.
 
 from __future__ import annotations
 
-import os
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from repro.analysis.assumptions import (
     check_churn,
@@ -35,11 +34,11 @@ from repro.analysis.assumptions import (
 from repro.analysis.checkers import check_asynchrony_resilience, check_safety
 from repro.analysis.metrics import chain_growth_rate, decision_rounds
 from repro.analysis.tables import format_table
-from repro.attacks import apply_script, get_script
+from repro.attacks import ATTACKS, apply_script, get_script
 from repro.core.bounds import beta_tilde
 from repro.engine.backend import EngineResult, ExecutionBackend
 from repro.engine.spec import RunSpec
-from repro.engine.sweep import SweepJournal, SweepSpec
+from repro.engine.sweep import Reducer, SweepSpec
 from repro.sleepy.adversary import CrashAdversary, StaleTipChooser, StaticVoteAdversary
 from repro.sleepy.schedule import RandomChurnSchedule, TableSchedule
 from repro.workloads.scenarios import churn_scenario, split_vote_attack_scenario
@@ -47,34 +46,12 @@ from repro.workloads.scenarios import churn_scenario, split_vote_attack_scenario
 THIRD = Fraction(1, 3)
 
 __all__ = [
-    "ATTACK_DEPLOY_SCRIPTS",
-    "ATTACK_SCRIPTS",
     "GRIDS",
     "GridJob",
-    "ablation_beta_grid",
-    "ablation_beta_table",
-    "attack_deploy_grid",
-    "attack_deploy_table",
-    "attack_grid",
-    "attack_table",
-    "deploy_smoke_grid",
-    "deploy_smoke_table",
-    "figure1_grid",
-    "figure1_table",
-    "grid_journal",
-    "make_attack_deploy_backend",
-    "make_deployment_backend",
-    "pi_eta_grid",
-    "pi_eta_table",
-    "reduce_ablation_beta",
-    "reduce_attack",
-    "reduce_attack_deploy",
-    "reduce_deploy_smoke",
-    "reduce_figure1",
-    "reduce_pi_eta",
-    "reduce_sleepiness",
-    "sleepiness_grid",
-    "sleepiness_table",
+    "ablation_beta_sizings",
+    "aggregate_sleepiness",
+    "figure1_sizing",
+    "sleepiness_draws",
 ]
 
 
@@ -101,21 +78,6 @@ def pi_eta_spec(*, eta: int, pi: int, n: int, base_target: int, seed: int, **_) 
     )
 
 
-def pi_eta_grid(
-    n: int = 20,
-    etas: Sequence[int] = (2, 4, 6),
-    extra_pi: int = 2,
-    base_target: int = 10,
-    seed: int = 0,
-) -> SweepSpec:
-    """The Theorem-2 (η, π) matrix under the split-vote attack."""
-    return SweepSpec(
-        axes={"eta": tuple(etas), "pi": _pi_axis},
-        base={"n": n, "extra_pi": extra_pi, "base_target": base_target, "seed": seed},
-        factory=pi_eta_spec,
-    )
-
-
 def reduce_pi_eta(result: EngineResult, params: dict) -> dict:
     """Reduce one (η, π) run to its safety/resilience verdict row."""
     trace = result.trace
@@ -127,15 +89,6 @@ def reduce_pi_eta(result: EngineResult, params: dict) -> dict:
         "safe": check_safety(trace).ok,
         "resilient": check_asynchrony_resilience(trace, ra=trace.meta["ra"], pi=pi).ok,
     }
-
-
-def pi_eta_table(rows: Sequence[dict], n: int = 20) -> str:
-    """The E3 bench table over reduced (η, π) rows."""
-    return format_table(
-        ["η", "π", "π < η (guaranteed)", "safe", "Def.5 resilient"],
-        [[c["eta"], c["pi"], c["guaranteed"], c["safe"], c["resilient"]] for c in rows],
-        title=f"E3: Theorem 2 boundary sweep under the split-vote attack (n={n})",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -163,22 +116,6 @@ def figure1_spec(
     )
 
 
-def figure1_grid(
-    n: int = 45,
-    eta: int = 4,
-    rounds: int = 50,
-    gammas: Sequence[float] = (0.0, 0.10, 0.20, 0.28),
-    beta: Fraction = THIRD,
-    seed: int = 3,
-) -> SweepSpec:
-    """Runs below the Figure-1 curve: growth and safety must hold."""
-    return SweepSpec(
-        axes={"gamma_f": tuple(gammas)},
-        base={"n": n, "eta": eta, "rounds": rounds, "beta": beta, "seed": seed},
-        factory=figure1_spec,
-    )
-
-
 def reduce_figure1(result: EngineResult, params: dict) -> dict:
     """Reduce one churn run to its (β̃, Byzantine, growth, safety) row."""
     trace = result.trace
@@ -192,13 +129,9 @@ def reduce_figure1(result: EngineResult, params: dict) -> dict:
     }
 
 
-def figure1_table(rows: Sequence[dict], n: int = 45) -> str:
-    """The F1 empirical bench table over reduced churn rows."""
-    return format_table(
-        ["γ", "β̃ (analytic)", f"Byzantine (of {n})", "growth blocks/round", "safe"],
-        [[r["gamma"], float(r["allowed"]), r["byz"], r["growth"], r["safe"]] for r in rows],
-        title="Figure 1 (empirical): runs below the curve make progress",
-    )
+def _figure1_view(rows: Sequence[dict], fields: dict) -> tuple[list[dict], dict]:
+    """β̃ is an exact fraction in the rows and a decimal in the table."""
+    return [{**row, "allowed": float(row["allowed"])} for row in rows], {}
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +146,11 @@ def ablation_beta_sizings(n: int = 30, sleepers: int = 9) -> tuple[int, int, Fra
     gamma = Fraction(sleepers, n)
     tilde = beta_tilde(THIRD, gamma)
     return max(1, int(tilde * n) - 1), int(THIRD * n) - 1, gamma
+
+
+def _byz_axis(params: dict) -> tuple[int, int]:
+    """Adversary sized by β̃ (Eq. 2) vs by the unadjusted β, side by side."""
+    return ablation_beta_sizings(params["n"], params["sleepers"])[:2]
 
 
 def ablation_beta_spec(
@@ -239,25 +177,6 @@ def ablation_beta_spec(
     )
 
 
-def ablation_beta_grid(
-    byz_counts: Sequence[int] | None = None,
-    n: int = 30,
-    rounds: int = 40,
-    eta: int = 6,
-    sleep_at: int = 14,
-    sleepers: int = 9,
-) -> SweepSpec:
-    """Adversary sized by β̃ (Eq. 2) vs by the unadjusted β, side by side."""
-    if byz_counts is None:
-        under, over, _ = ablation_beta_sizings(n, sleepers)
-        byz_counts = (under, over)
-    return SweepSpec(
-        axes={"byz_count": tuple(byz_counts)},
-        base={"n": n, "rounds": rounds, "eta": eta, "sleep_at": sleep_at, "sleepers": sleepers},
-        factory=ablation_beta_spec,
-    )
-
-
 def reduce_ablation_beta(result: EngineResult, params: dict) -> dict:
     """Reduce one A1 run to its post-sleep cadence/stall/safety row."""
     trace = result.trace
@@ -272,24 +191,14 @@ def reduce_ablation_beta(result: EngineResult, params: dict) -> dict:
     }
 
 
-def ablation_beta_table(
-    rows: Sequence[dict], n: int = 30, eta: int = 6, sleepers: int = 9
-) -> str:
-    """The A1 bench table (rows must be the [under-β̃, over-β̃] pair, in order)."""
-    gamma = Fraction(sleepers, n)
-    tilde = beta_tilde(THIRD, gamma)
-    sized_by = [f"β̃={float(tilde):.3f} (Eq. 2)", "β=1/3 (unadjusted)"]
-    return format_table(
-        ["adversary size", "sized by", "decisions after sleep", "longest stall", "safe"],
-        [
-            [r["byz"], label, r["post_decisions"], r["longest_stall"], r["safe"]]
-            for r, label in zip(rows, sized_by)
-        ],
-        title=(
-            f"A1: stale-vote amplification, n={n}, η={eta}, "
-            f"{sleepers} sleepers (γ={float(gamma):.2f})"
-        ),
-    )
+def _ablation_beta_view(rows: Sequence[dict], fields: dict) -> tuple[list[dict], dict]:
+    """Label each adversary size by the bound that admits it."""
+    under, _, gamma = ablation_beta_sizings(fields["n"], fields["sleepers"])
+    eq2 = f"β̃={float(beta_tilde(THIRD, gamma)):.3f} (Eq. 2)"
+    labelled = [
+        {**row, "sized_by": eq2 if row["byz"] <= under else "β=1/3 (unadjusted)"} for row in rows
+    ]
+    return labelled, {"gamma": float(gamma)}
 
 
 # ----------------------------------------------------------------------
@@ -321,22 +230,6 @@ def sleepiness_spec(*, draw: tuple[int, float, int], n: int, rounds: int, eta: i
     )
 
 
-def sleepiness_grid(
-    samples: int = 12,
-    master_seed: int = 99,
-    n: int = 24,
-    rounds: int = 30,
-    eta: int = 4,
-    gamma: Fraction = Fraction(1, 5),
-) -> SweepSpec:
-    """Random participation traces classified by Eqs. 1+2 vs Eq. 3."""
-    return SweepSpec(
-        axes={"draw": sleepiness_draws(samples, master_seed)},
-        base={"n": n, "rounds": rounds, "eta": eta, "gamma": gamma},
-        factory=sleepiness_spec,
-    )
-
-
 def reduce_sleepiness(result: EngineResult, params: dict) -> dict:
     """Reduce one A2 run to its per-round Eq. 1+2 / Eq. 3 admission sets."""
     trace = result.trace
@@ -364,19 +257,20 @@ def aggregate_sleepiness(rows: Sequence[dict]) -> dict:
     return agg
 
 
-def sleepiness_table(rows: Sequence[dict], n: int = 24, eta: int = 4) -> str:
-    """The A2 bench table over reduced admission rows."""
+def _sleepiness_view(rows: Sequence[dict], fields: dict) -> tuple[list[dict], dict]:
+    """The A2 table is the aggregate, one line per admission check."""
     agg = aggregate_sleepiness(rows)
-    return format_table(
-        ["admission check", "rounds admitted", "share"],
-        [
-            ["Eq. 1 + Eq. 2 (churn bound γ=1/5 + β̃)", agg["eq12"], agg["eq12"] / agg["total"]],
-            ["Eq. 3 (η-sleepiness)", agg["eq3"], agg["eq3"] / agg["total"]],
-            ["admitted by Eqs. 1+2 but not Eq. 3", agg["eq12_not_eq3"], agg["eq12_not_eq3"] / agg["total"]],
-            ["admitted by Eq. 3 but not Eqs. 1+2", agg["eq3_not_eq12"], agg["eq3_not_eq12"] / agg["total"]],
-        ],
-        title=f"A2: admission-check comparison over {agg['total']} sampled rounds (n={n}, η={eta})",
+    checks = (
+        (f"Eq. 1 + Eq. 2 (churn bound γ={fields['gamma']} + β̃)", "eq12"),
+        ("Eq. 3 (η-sleepiness)", "eq3"),
+        ("admitted by Eqs. 1+2 but not Eq. 3", "eq12_not_eq3"),
+        ("admitted by Eq. 3 but not Eqs. 1+2", "eq3_not_eq12"),
     )
+    summary = [
+        {"check": label, "admitted": agg[key], "share": agg[key] / agg["total"]}
+        for label, key in checks
+    ]
+    return summary, {"total": agg["total"]}
 
 
 # ----------------------------------------------------------------------
@@ -387,28 +281,18 @@ def deploy_smoke_spec(*, eta: int, n: int, rounds: int, seed: int, **_) -> RunSp
     return RunSpec(n=n, rounds=rounds, protocol="resilient", eta=eta, seed=seed)
 
 
-def deploy_smoke_grid(
-    n: int = 4, rounds: int = 6, etas: Sequence[int] = (2, 3), seed: int = 0
-) -> SweepSpec:
-    """A tiny grid for the real asyncio substrate (one cell per η).
+def deployment_backend() -> ExecutionBackend:
+    """The single-process deployment backend of the D0 and AD grids.
 
-    Deployment cells cost wall-clock time by construction (rounds are
-    Δ = 3δ of real time), which is exactly why they are worth
-    journaling: a resumed deployment sweep never re-pays a finished
-    cell.
+    Sweeps run it on the serial lane.  The multi-process proxy path
+    (coordinator-broadcast phase frames) is exercised by the CI
+    attack-matrix job's ``repro attack --processes 2`` step and by the
+    runtime test-suite, where one cell is enough; paying two worker
+    spawns per grid cell here would not buy more coverage.
     """
-    return SweepSpec(
-        axes={"eta": tuple(etas)},
-        base={"n": n, "rounds": rounds, "seed": seed},
-        factory=deploy_smoke_spec,
-    )
-
-
-def make_deployment_backend(delta_ms: float = 10.0) -> ExecutionBackend:
-    """The deployment backend D0 runs on (sweeps use the serial lane)."""
     from repro.engine.deploy_backend import DeploymentBackend
 
-    return DeploymentBackend(delta_s=delta_ms / 1000.0)
+    return DeploymentBackend(delta_s=0.01)
 
 
 def reduce_deploy_smoke(result: EngineResult, params: dict) -> dict:
@@ -426,38 +310,9 @@ def reduce_deploy_smoke(result: EngineResult, params: dict) -> dict:
     }
 
 
-def deploy_smoke_table(rows: Sequence[dict], n: int = 4) -> str:
-    """The D0 smoke table over reduced deployment rows."""
-    return format_table(
-        ["η", "decided", "safe"],
-        [[r["eta"], r["decided"], r["safe"]] for r in rows],
-        title=f"D0: deployment-substrate sweep smoke (n={n}, real asyncio rounds)",
-    )
-
-
 # ----------------------------------------------------------------------
-# AT — scripted-attack matrix (attack scripts × protocols × seeds)
+# AT / AD — scripted-attack matrices (attack scripts × protocols × seeds)
 # ----------------------------------------------------------------------
-#: Every script in the attack library, in the order the matrix runs them.
-ATTACK_SCRIPTS: tuple[str, ...] = (
-    "partition-heal",
-    "surge-recover",
-    "partition-surge",
-    "lossy-links",
-    "equivocation-storm",
-    "sleep-storm",
-)
-
-#: The delay-only subset that is meaningful on the real deployment
-#: substrate (drops/corruption/equivocation are simulator powers or
-#: need in-process keys; see ``repro.attacks.library``).
-ATTACK_DEPLOY_SCRIPTS: tuple[str, ...] = (
-    "partition-heal",
-    "surge-recover",
-    "partition-surge",
-)
-
-
 def attack_spec(
     *, script_name: str, protocol: str, n: int, eta: int, tail: int, seed: int, **_
 ) -> RunSpec:
@@ -471,33 +326,6 @@ def attack_spec(
         n=n, rounds=script.total_rounds + tail, protocol=protocol, eta=eta, seed=seed
     )
     return apply_script(base, script)
-
-
-def attack_grid(
-    n: int = 12,
-    scripts: Sequence[str] = ATTACK_SCRIPTS,
-    protocols: Sequence[str] = ("mmr", "resilient"),
-    seeds: Sequence[int] = (0, 1),
-    eta: int = 6,
-    tail: int = 4,
-) -> SweepSpec:
-    """The simulator attack matrix: scripts × protocols × seeds.
-
-    η = 6 exceeds every scripted asynchronous stretch (π ≤ 5), so
-    Theorem 2 *guarantees* safety for the resilient protocol in every
-    cell — the CI gate asserts exactly that, while MMR's violations
-    under partition + surge are the paper's expected headline and are
-    reported, not gated.
-    """
-    return SweepSpec(
-        axes={
-            "script_name": tuple(scripts),
-            "protocol": tuple(protocols),
-            "seed": tuple(seeds),
-        },
-        base={"n": n, "eta": eta, "tail": tail},
-        factory=attack_spec,
-    )
 
 
 def reduce_attack(result: EngineResult, params: dict) -> dict:
@@ -526,78 +354,6 @@ def reduce_attack(result: EngineResult, params: dict) -> dict:
     }
 
 
-def attack_table(rows: Sequence[dict], n: int = 12) -> str:
-    """The AT matrix table over reduced attack rows."""
-    return format_table(
-        [
-            "script",
-            "protocol",
-            "seed",
-            "safe",
-            "decided",
-            "recovered",
-            "first decision",
-            "longest stall",
-            "recovery latency",
-        ],
-        [
-            [
-                r["script"],
-                r["protocol"],
-                r["seed"],
-                r["safe"],
-                r["decided"],
-                r["recovered"],
-                r["first_decision"],
-                r["longest_stall"],
-                r["recovery_latency"],
-            ]
-            for r in rows
-        ],
-        title=f"AT: scripted-attack matrix (n={n}, simulator)",
-    )
-
-
-def attack_deploy_grid(
-    n: int = 6,
-    scripts: Sequence[str] = ATTACK_DEPLOY_SCRIPTS,
-    protocols: Sequence[str] = ("mmr", "resilient"),
-    seeds: Sequence[int] = (0,),
-    eta: int = 6,
-    tail: int = 4,
-) -> SweepSpec:
-    """The deployment attack matrix: delay-only scripts on real asyncio.
-
-    Same axes semantics as :func:`attack_grid`, restricted to the
-    delay-only library subset — the proxy transport realises exactly
-    the partitions and surges the simulator's scripted adversary
-    realises, so this grid is the substrate-equivalence smoke.
-    """
-    return SweepSpec(
-        axes={
-            "script_name": tuple(scripts),
-            "protocol": tuple(protocols),
-            "seed": tuple(seeds),
-        },
-        base={"n": n, "eta": eta, "tail": tail},
-        factory=attack_spec,
-    )
-
-
-def make_attack_deploy_backend(delta_ms: float = 10.0) -> ExecutionBackend:
-    """The deployment backend the AD grid runs on (single OS process).
-
-    The multi-process proxy path (coordinator-broadcast phase frames)
-    is exercised by the CI attack-matrix job's ``repro attack
-    --processes 2`` step and by the runtime test-suite, where one cell
-    is enough; paying two worker spawns per grid cell here would not
-    buy more coverage.
-    """
-    from repro.engine.deploy_backend import DeploymentBackend
-
-    return DeploymentBackend(delta_s=delta_ms / 1000.0)
-
-
 def reduce_attack_deploy(result: EngineResult, params: dict) -> dict:
     """Reduce one deployment attack cell to its deterministic columns.
 
@@ -615,59 +371,68 @@ def reduce_attack_deploy(result: EngineResult, params: dict) -> dict:
     }
 
 
-def attack_deploy_table(rows: Sequence[dict], n: int = 6) -> str:
-    """The AD matrix table over reduced deployment attack rows."""
-    return format_table(
-        ["script", "protocol", "seed", "safe", "decided"],
-        [
-            [r["script"], r["protocol"], r["seed"], r["safe"], r["decided"]]
-            for r in rows
-        ],
-        title=f"AD: scripted attacks on the deployment substrate (n={n}, real asyncio)",
-    )
-
-
 # ----------------------------------------------------------------------
-# Journals (checkpoint/resume for long grids)
-# ----------------------------------------------------------------------
-def grid_journal(name: str) -> SweepJournal | None:
-    """The journal for grid ``name`` under ``$REPRO_SWEEP_JOURNAL_DIR``.
-
-    Returns ``None`` when the environment variable is unset (the common
-    interactive case: no checkpointing).  The grid benches thread this
-    through :func:`~repro.engine.sweep.sweep_rows` with
-    ``resume="auto"``, so pointing the variable at a directory makes
-    every experiment grid checkpointed and resumable — an interrupted
-    multi-hour bench re-runs only its unfinished cells, and a *stale*
-    journal (another grid shape, backend, or code version) restarts
-    fresh instead of failing the bench.
-    """
-    root = os.environ.get("REPRO_SWEEP_JOURNAL_DIR")
-    if not root:
-        return None
-    directory = Path(root)
-    directory.mkdir(parents=True, exist_ok=True)
-    return SweepJournal(directory / f"{name}.jsonl", grid=name)
-
-
-# ----------------------------------------------------------------------
-# The named-grid registry (CLI + tooling)
+# The grid table (benches, tests, CLI)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GridJob:
-    """One named experiment grid: build it, reduce it, format it."""
+    """One named experiment grid: its cells, its reducer, its table.
+
+    :meth:`build` and :meth:`table` take the same overrides; each key
+    names an axis (replacing its values) or a ``base`` constant
+    (replacing its default), and anything else is a :class:`TypeError`.
+    """
 
     name: str
     description: str
-    build: Callable[..., SweepSpec]
-    reducer: Callable[[EngineResult, dict], dict]
-    table: Callable[..., str]
-    #: Build/table kwargs the CLI may override (``--n`` maps to ``n``).
+    #: Axis name -> values, or a callable over the partial params (see
+    #: :class:`~repro.engine.sweep.SweepSpec`), in nested-loop order.
+    axes: Mapping[str, object]
+    #: Constants merged under every cell's axis values, with defaults.
+    base: Mapping[str, object]
+    factory: Callable[..., RunSpec]
+    reducer: Reducer
+    #: ``str.format`` template over the resolved settings.
+    title: str
+    #: ``(header, row key)`` per table column; headers are templates too.
+    columns: Sequence[tuple[str, str]]
+    #: For a table that is not the reduced rows verbatim (a derived
+    #: column, an aggregate): ``(rows, settings) -> (table rows, extra
+    #: template fields)``.
+    view: Callable[[Sequence[dict], dict], tuple[Sequence[dict], dict]] | None = None
+    #: Whether the CLI's ``--n`` may override ``base["n"]``.
     sizeable: bool = True
     #: Backend factory for grids that do not run on the default round
     #: simulator (``None`` → simulator).  A factory, not an instance,
     #: so building the registry never constructs a substrate.
     backend: Callable[[], ExecutionBackend] | None = None
+
+    def _settings(self, overrides: dict) -> dict:
+        unknown = overrides.keys() - self.axes.keys() - self.base.keys()
+        if unknown:
+            raise TypeError(f"grid {self.name!r} has no setting {sorted(unknown)}")
+        return {**self.base, **overrides}
+
+    def build(self, **overrides) -> SweepSpec:
+        """The grid's :class:`SweepSpec` under ``overrides``."""
+        settings = self._settings(overrides)
+        return SweepSpec(
+            axes={name: overrides.get(name, values) for name, values in self.axes.items()},
+            base={key: settings[key] for key in self.base},
+            factory=self.factory,
+        )
+
+    def table(self, rows: Sequence[dict], **overrides) -> str:
+        """The grid's table over reduced ``rows`` (same overrides as :meth:`build`)."""
+        fields = self._settings(overrides)
+        if self.view is not None:
+            rows, extra = self.view(rows, fields)
+            fields = {**fields, **extra}
+        return format_table(
+            [header.format(**fields) for header, _ in self.columns],
+            [[row[key] for _, key in self.columns] for row in rows],
+            title=self.title.format(**fields),
+        )
 
 
 GRIDS: dict[str, GridJob] = {
@@ -676,54 +441,137 @@ GRIDS: dict[str, GridJob] = {
         GridJob(
             name="pi-eta",
             description="E3: Theorem 2 (η, π) boundary matrix under the split-vote attack",
-            build=pi_eta_grid,
+            axes={"eta": (2, 4, 6), "pi": _pi_axis},
+            base={"n": 20, "extra_pi": 2, "base_target": 10, "seed": 0},
+            factory=pi_eta_spec,
             reducer=reduce_pi_eta,
-            table=pi_eta_table,
+            title="E3: Theorem 2 boundary sweep under the split-vote attack (n={n})",
+            columns=(
+                ("η", "eta"),
+                ("π", "pi"),
+                ("π < η (guaranteed)", "guaranteed"),
+                ("safe", "safe"),
+                ("Def.5 resilient", "resilient"),
+            ),
         ),
         GridJob(
             name="figure1",
             description="F1: Figure 1 empirical probe (churn points below the β̃ curve)",
-            build=figure1_grid,
+            axes={"gamma_f": (0.0, 0.10, 0.20, 0.28)},
+            base={"n": 45, "eta": 4, "rounds": 50, "beta": THIRD, "seed": 3},
+            factory=figure1_spec,
             reducer=reduce_figure1,
-            table=figure1_table,
+            title="Figure 1 (empirical): runs below the curve make progress",
+            columns=(
+                ("γ", "gamma"),
+                ("β̃ (analytic)", "allowed"),
+                ("Byzantine (of {n})", "byz"),
+                ("growth blocks/round", "growth"),
+                ("safe", "safe"),
+            ),
+            view=_figure1_view,
         ),
         GridJob(
             name="ablation-beta",
             description="A1: stale-vote amplification — β̃ sizing vs unadjusted β",
-            build=ablation_beta_grid,
+            axes={"byz_count": _byz_axis},
+            base={"n": 30, "rounds": 40, "eta": 6, "sleep_at": 14, "sleepers": 9},
+            factory=ablation_beta_spec,
             reducer=reduce_ablation_beta,
-            table=ablation_beta_table,
+            title=(
+                "A1: stale-vote amplification, n={n}, η={eta}, "
+                "{sleepers} sleepers (γ={gamma:.2f})"
+            ),
+            columns=(
+                ("adversary size", "byz"),
+                ("sized by", "sized_by"),
+                ("decisions after sleep", "post_decisions"),
+                ("longest stall", "longest_stall"),
+                ("safe", "safe"),
+            ),
+            view=_ablation_beta_view,
         ),
         GridJob(
             name="sleepiness",
             description="A2: Eqs. 1+2 vs Eq. 3 admission over random participation",
-            build=sleepiness_grid,
+            axes={"draw": sleepiness_draws()},
+            base={"n": 24, "rounds": 30, "eta": 4, "gamma": Fraction(1, 5)},
+            factory=sleepiness_spec,
             reducer=reduce_sleepiness,
-            table=sleepiness_table,
+            title="A2: admission-check comparison over {total} sampled rounds (n={n}, η={eta})",
+            columns=(
+                ("admission check", "check"),
+                ("rounds admitted", "admitted"),
+                ("share", "share"),
+            ),
+            view=_sleepiness_view,
             sizeable=False,
         ),
         GridJob(
             name="deploy-smoke",
             description="D0: tiny real-time deployment grid (serial lane, journaled like any sweep)",
-            build=deploy_smoke_grid,
+            axes={"eta": (2, 3)},
+            base={"n": 4, "rounds": 6, "seed": 0},
+            factory=deploy_smoke_spec,
             reducer=reduce_deploy_smoke,
-            table=deploy_smoke_table,
-            backend=make_deployment_backend,
+            title="D0: deployment-substrate sweep smoke (n={n}, real asyncio rounds)",
+            columns=(("η", "eta"), ("decided", "decided"), ("safe", "safe")),
+            backend=deployment_backend,
         ),
         GridJob(
             name="attacks",
             description="AT: scripted-attack matrix (scripts × protocols) on the simulator",
-            build=attack_grid,
+            axes={
+                "script_name": tuple(ATTACKS),
+                "protocol": ("mmr", "resilient"),
+                "seed": (0, 1),
+            },
+            # η = 6 exceeds every scripted asynchronous stretch (π ≤ 5), so
+            # Theorem 2 *guarantees* safety for the resilient protocol in
+            # every cell — the CI gate asserts exactly that, while MMR's
+            # violations under partition + surge are the paper's expected
+            # headline and are reported, not gated.
+            base={"n": 12, "eta": 6, "tail": 4},
+            factory=attack_spec,
             reducer=reduce_attack,
-            table=attack_table,
+            title="AT: scripted-attack matrix (n={n}, simulator)",
+            columns=(
+                ("script", "script"),
+                ("protocol", "protocol"),
+                ("seed", "seed"),
+                ("safe", "safe"),
+                ("decided", "decided"),
+                ("recovered", "recovered"),
+                ("first decision", "first_decision"),
+                ("longest stall", "longest_stall"),
+                ("recovery latency", "recovery_latency"),
+            ),
         ),
         GridJob(
             name="attacks-deploy",
             description="AD: delay-only scripted attacks on the real asyncio deployment",
-            build=attack_deploy_grid,
+            # The delay-only scripts: the proxy transport realises exactly
+            # the partitions and surges the simulator's scripted adversary
+            # realises (drops, corruption and equivocation are simulator
+            # powers or need in-process keys; see ``repro.attacks.library``),
+            # so this grid is the substrate-equivalence smoke.
+            axes={
+                "script_name": ("partition-heal", "surge-recover", "partition-surge"),
+                "protocol": ("mmr", "resilient"),
+                "seed": (0,),
+            },
+            base={"n": 6, "eta": 6, "tail": 4},
+            factory=attack_spec,
             reducer=reduce_attack_deploy,
-            table=attack_deploy_table,
-            backend=make_attack_deploy_backend,
+            title="AD: scripted attacks on the deployment substrate (n={n}, real asyncio)",
+            columns=(
+                ("script", "script"),
+                ("protocol", "protocol"),
+                ("seed", "seed"),
+                ("safe", "safe"),
+                ("decided", "decided"),
+            ),
+            backend=deployment_backend,
         ),
     )
 }

@@ -1,8 +1,7 @@
 """Plain-text table formatting for benches and examples.
 
 Every experiment prints its results as an aligned table (the repository
-has no plotting dependency); EXPERIMENTS.md embeds these tables
-verbatim.
+has no plotting dependency).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Every command drives the public API and prints an aligned table, so the
 library is explorable without writing a script:
 
 * ``figure1``  — the Figure 1 curve (β̃ vs γ);
-* ``run``      — one protocol run with a summary;
+* ``run``      — one protocol run with a summary, on the round
+  simulator or (``--backend deployment``) as a real-time asyncio gossip
+  deployment;
 * ``attack``   — the §1 split-vote attack, baseline vs η-expiration;
   with ``--script`` a named scheduled-attack script from
   :mod:`repro.attacks` instead, on either backend (``--backend
@@ -12,7 +14,6 @@ library is explorable without writing a script:
   phase path of the adversarial proxy transport);
 * ``outage``   — a correlated participation outage replay;
 * ``tune-eta`` — the operator's η menu for a given per-round churn;
-* ``deploy``   — a real-time asyncio gossip deployment;
 * ``soak``     — the deployment run as a *service*: a wall-clock
   budget instead of a round count, submission-rate client traffic with
   bounded mempools, optional churn, multi-process sharding via
@@ -39,34 +40,55 @@ from repro.analysis import (
     max_reorg_depth,
     message_totals,
 )
+from repro.analysis.batch import GRIDS
+from repro.attacks import ATTACKS
 from repro.core.bounds import beta_tilde, figure1_curve, max_resilient_pi
 from repro.engine.registry import PROTOCOLS
 from repro.harness import TOBRunConfig, run_tob
 from repro.workloads import ethereum_outage_scenario, split_vote_attack_scenario
 
-#: The named experiment grids of :data:`repro.analysis.batch.GRIDS`,
-#: spelled out so the parser does not import the batch layer just to
-#: build its ``choices`` (``tests/test_cli.py`` pins the two in sync).
-SWEEP_GRID_NAMES = (
-    "ablation-beta",
-    "attacks",
-    "attacks-deploy",
-    "deploy-smoke",
-    "figure1",
-    "pi-eta",
-    "sleepiness",
-)
 
-#: The named scripts of :data:`repro.attacks.ATTACKS`, spelled out for
-#: the same reason (``tests/test_cli.py`` pins the two in sync).
-ATTACK_SCRIPT_NAMES = (
-    "equivocation-storm",
-    "lossy-links",
-    "partition-heal",
-    "partition-surge",
-    "sleep-storm",
-    "surge-recover",
-)
+def _add_substrate_flags(
+    p: argparse.ArgumentParser, *, delta_ms: float, backend: bool = True, processes: bool = True
+) -> None:
+    """The flags :func:`_backend_from` reads.
+
+    A subcommand that does not offer one of them pins the value instead
+    (``soak`` is always a deployment, ``run`` always one process), so the
+    parsed namespace has all three either way.
+    """
+    if backend:
+        p.add_argument(
+            "--backend",
+            choices=["simulator", "deployment"],
+            default="simulator",
+            help="execution substrate: deterministic rounds or real-time asyncio gossip",
+        )
+    else:
+        p.set_defaults(backend="deployment")
+    if processes:
+        p.add_argument(
+            "--processes",
+            type=int,
+            default=1,
+            help="worker processes to shard a deployment's nodes across (1 = in-process)",
+        )
+    else:
+        p.set_defaults(processes=1)
+    p.add_argument(
+        "--delta-ms", type=float, default=delta_ms, help="synchrony bound δ (deployment backend)"
+    )
+
+
+def _backend_from(args, **deployment_options):
+    """The backend the substrate flags select (``None``: the default simulator)."""
+    if args.backend != "deployment":
+        return None
+    from repro.engine.deploy_backend import DeploymentBackend
+
+    return DeploymentBackend(
+        delta_s=args.delta_ms / 1000.0, processes=args.processes, **deployment_options
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,15 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=sorted(PROTOCOLS.names()), default="resilient")
     p.add_argument("--eta", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend",
-        choices=["simulator", "deployment"],
-        default="simulator",
-        help="execution substrate: deterministic rounds or real-time asyncio gossip",
-    )
-    p.add_argument(
-        "--delta-ms", type=float, default=20.0, help="synchrony bound δ (deployment backend)"
-    )
+    _add_substrate_flags(p, delta_ms=20.0, processes=False)
     p.add_argument(
         "--txs-per-round",
         type=int,
@@ -113,25 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument(
         "--script",
-        choices=ATTACK_SCRIPT_NAMES,
+        choices=sorted(ATTACKS),
         default=None,
         help="run this named script from repro.attacks instead of the split-vote replay",
     )
-    p.add_argument(
-        "--backend",
-        choices=["simulator", "deployment"],
-        default="simulator",
-        help="substrate for --script runs (the split-vote replay is simulator-only)",
-    )
-    p.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="worker processes for --backend deployment (1 = in-process)",
-    )
-    p.add_argument(
-        "--delta-ms", type=float, default=20.0, help="synchrony bound δ (deployment backend)"
-    )
+    _add_substrate_flags(p, delta_ms=20.0)
     p.add_argument(
         "--rounds",
         type=int,
@@ -149,22 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--churn-per-round", type=float, default=0.02)
     p.add_argument("--n", type=int, default=48)
 
-    p = sub.add_parser("deploy", help="run a real-time asyncio gossip deployment")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--rounds", type=int, default=14)
-    p.add_argument("--delta-ms", type=float, default=20.0)
-    p.add_argument("--eta", type=int, default=3)
-
     p = sub.add_parser("soak", help="run the deployment as a service for a wall-clock budget")
     p.add_argument("--duration", type=float, default=30.0, help="wall-clock budget in seconds")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="worker processes to shard the nodes across (1 = in-process)",
-    )
-    p.add_argument("--delta-ms", type=float, default=50.0)
+    _add_substrate_flags(p, delta_ms=50.0, backend=False)
     p.add_argument("--protocol", choices=sorted(PROTOCOLS.names()), default="resilient")
     p.add_argument("--eta", type=int, default=3)
     p.add_argument(
@@ -191,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep", help="run a named experiment grid as a streamed parallel sweep")
-    p.add_argument("grid", choices=SWEEP_GRID_NAMES, help="which experiment grid to run")
+    p.add_argument("grid", choices=sorted(GRIDS), help="which experiment grid to run")
     p.add_argument("--n", type=int, default=None, help="grid size override (where applicable)")
     p.add_argument(
         "--workers",
@@ -200,13 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size (default: cores − 1; 0 forces the serial in-process path)",
     )
     p.add_argument(
-        "--chunk", type=int, default=1, help="cells handed to a worker per dispatch"
-    )
-    p.add_argument(
         "--window",
         type=int,
         default=None,
-        help="cells in flight at once — bounds sweep memory (default: 4 × workers × chunk)",
+        help="cells in flight at once — bounds sweep memory (default: 4 × workers)",
     )
     p.add_argument(
         "--journal",
@@ -225,7 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` (default: ``sys.argv``) and run the subcommand."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    replay = args.command == "attack" and args.script is None
+    if replay and (args.backend != "simulator" or args.processes != 1):
+        parser.error(
+            "--backend deployment and --processes need --script "
+            "(the split-vote replay is simulator-only)"
+        )
     command = args.command.replace("-", "_")
     return globals()[f"_cmd_{command}"](args)
 
@@ -264,11 +256,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         transactions=transactions,
     )
-    backend = None
-    if args.backend == "deployment":
-        from repro.engine.deploy_backend import DeploymentBackend
-
-        backend = DeploymentBackend(delta_s=args.delta_ms / 1000.0)
+    backend = _backend_from(args)
     result = run_spec(spec, backend)
     trace = result.trace
     safety = check_safety(trace)
@@ -279,9 +267,12 @@ def _cmd_run(args) -> int:
         format_table(
             ["metric", "value"],
             [
-                ["backend", result.backend],
+                ["backend", result.backend + (f" (δ={args.delta_ms:g} ms)" if backend else "")],
                 ["protocol", f"{args.protocol} (η={eta})"],
                 ["processes / rounds", f"{args.n} / {args.rounds}"],
+                ["wall-clock (s)", result.wall_seconds],
+                ["messages sent", result.messages_sent],
+                ["decisions", len(trace.decisions)],
                 ["decided depth", depth],
                 ["growth (blocks/round)", chain_growth_rate(trace)],
                 ["safety", safety.ok],
@@ -332,13 +323,7 @@ def _cmd_attack_script(args) -> int:
 
     script = get_script(args.script, args.n)
     rounds = args.rounds if args.rounds is not None else script.total_rounds + 4
-    backend = None
-    if args.backend == "deployment":
-        from repro.engine.deploy_backend import DeploymentBackend
-
-        backend = DeploymentBackend(
-            delta_s=args.delta_ms / 1000.0, processes=args.processes
-        )
+    backend = _backend_from(args)
     rows = []
     resilient_safe = True
     for protocol, eta in (("mmr", 0), ("resilient", args.eta)):
@@ -435,8 +420,7 @@ def _json_safe(value):
 def _cmd_sweep(args) -> int:
     import json
 
-    from repro.analysis.batch import GRIDS
-    from repro.engine.sweep import SweepJournal, SweepJournalMismatch, stream_sweep
+    from repro.engine.sweep import SweepJournal, SweepJournalMismatch, sweep_rows
 
     job = GRIDS[args.grid]
     overrides = {}
@@ -449,19 +433,15 @@ def _cmd_sweep(args) -> int:
     journal = SweepJournal(args.journal, grid=job.name) if args.journal else None
     grid = job.build(**overrides)
     try:
-        rows = [
-            outcome.row
-            for outcome in stream_sweep(
-                grid,
-                reducer=job.reducer,
-                backend=job.backend() if job.backend is not None else None,
-                max_workers=args.workers,
-                chunksize=args.chunk,
-                window=args.window,
-                journal=journal,
-                resume=args.resume,
-            )
-        ]
+        rows = sweep_rows(
+            grid,
+            job.reducer,
+            backend=job.backend() if job.backend is not None else None,
+            max_workers=args.workers,
+            window=args.window,
+            journal=journal,
+            resume=args.resume,
+        )
     except SweepJournalMismatch as exc:
         raise SystemExit(str(exc)) from None
     print(job.table(rows, **overrides))
@@ -472,44 +452,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_deploy(args) -> int:
-    from repro.engine.deploy_backend import DeploymentBackend
-    from repro.engine.spec import RunSpec
-
-    result = DeploymentBackend(delta_s=args.delta_ms / 1000.0).execute(
-        RunSpec(n=args.n, rounds=args.rounds, protocol="resilient", eta=args.eta)
-    )
-    trace = result.trace
-    print(
-        format_table(
-            ["metric", "value"],
-            [
-                ["nodes", args.n],
-                ["δ (ms)", args.delta_ms],
-                ["rounds", args.rounds],
-                ["wall-clock (s)", result.wall_seconds],
-                ["gossip messages", result.messages_sent],
-                ["decisions", len(trace.decisions)],
-                ["safety", check_safety(trace).ok],
-            ],
-            title="Deployment summary",
-        )
-    )
-    return 0
-
-
 def _cmd_soak(args) -> int:
     import asyncio
     import json
     import urllib.request
 
-    from repro.engine.deploy_backend import DeploymentBackend
     from repro.engine.spec import RunSpec
     from repro.runtime.metrics import MetricsHub, MetricsServer, SourcedMetrics
     from repro.workloads import SubmissionRateWorkload, churn_walk
 
-    delta_s = args.delta_ms / 1000.0
-    round_s = 3 * delta_s
+    round_s = 3 * (args.delta_ms / 1000.0)
     rounds = max(2, int(args.duration / round_s))
     schedule = (
         churn_walk(args.n, args.eta, args.churn, seed=args.seed) if args.churn > 0 else None
@@ -523,11 +475,8 @@ def _cmd_soak(args) -> int:
         schedule=schedule,
         transactions=SubmissionRateWorkload(args.rate, seed=args.seed),
     )
-    backend = DeploymentBackend(
-        delta_s=delta_s,
-        processes=args.processes,
-        mempool_capacity=args.mempool_capacity,
-        gossip_seen_horizon=args.eta + 8,
+    backend = _backend_from(
+        args, mempool_capacity=args.mempool_capacity, gossip_seen_horizon=args.eta + 8
     )
     collector = SourcedMetrics()
     backend.attach_metrics(collector)

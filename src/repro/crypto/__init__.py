@@ -11,9 +11,6 @@ verifiable random function (VRF).  Both are simulated with keyed hashes:
 * :mod:`repro.crypto.vrf` — deterministic keyed-hash VRF whose output is
   mapped to a rational in ``[0, 1)``; anyone can verify an evaluation
   against the claimed process and input.
-
-See DESIGN.md §2 ("Substitutions") for why this preserves the behaviour
-the paper relies on.
 """
 
 from repro.crypto.hashing import encode_fields, hash_fields, sha256_hex

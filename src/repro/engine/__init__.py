@@ -25,10 +25,9 @@ One protocol/adversary/schedule stack over both execution substrates:
 * :mod:`repro.engine.sim_backend` / :mod:`repro.engine.deploy_backend`
   — the two substrates.
 * :mod:`repro.engine.sweep` — the sweep harness: :class:`SweepSpec`
-  parameter grids, the chunked :func:`stream_sweep` generator (bounded
-  memory, per-cell reducers), :class:`ParallelSweepBackend` /
-  :func:`run_sweep`, fanning independent :class:`RunSpec` sweeps across
-  a process pool — and :class:`SweepJournal`, the checkpoint/resume
+  parameter grids, the windowed :func:`stream_sweep` generator (bounded
+  memory, per-cell reducers) fanning independent :class:`RunSpec`\\ s
+  across a process pool — and :class:`SweepJournal`, the checkpoint/resume
   layer keying each cell's reduced row by a content-derived digest
   (:func:`~repro.engine.spec.stable_digest`).
 
@@ -55,7 +54,6 @@ __all__ = [
     "ModelViolationError",
     "NetworkConditions",
     "PROTOCOLS",
-    "ParallelSweepBackend",
     "ProtocolRegistry",
     "ProtocolSpec",
     "RunSpec",
@@ -67,7 +65,6 @@ __all__ = [
     "UndeliverableMessageError",
     "canonical_form",
     "run_spec",
-    "run_sweep",
     "stable_digest",
     "stream_sweep",
     "sweep_rows",
@@ -80,7 +77,6 @@ _LAZY = {
     "ExecutionBackend": "repro.engine.backend",
     "IngestPipeline": "repro.engine.ingest",
     "PROTOCOLS": "repro.engine.registry",
-    "ParallelSweepBackend": "repro.engine.sweep",
     "ProtocolRegistry": "repro.engine.registry",
     "ProtocolSpec": "repro.engine.registry",
     "SimulationBackend": "repro.engine.sim_backend",
@@ -90,7 +86,6 @@ _LAZY = {
     "SweepSpec": "repro.engine.sweep",
     "canonical_form": "repro.engine.spec",
     "run_spec": "repro.engine.backend",
-    "run_sweep": "repro.engine.sweep",
     "stable_digest": "repro.engine.spec",
     "stream_sweep": "repro.engine.sweep",
     "sweep_rows": "repro.engine.sweep",

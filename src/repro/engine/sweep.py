@@ -1,7 +1,7 @@
 """Parallel experiment sweeps: grids, streaming fan-out, per-cell reducers.
 
 The engine opened n ≫ 100 runs; this module opens n ≫ 100 *runs at
-once*, and — since PR 3 — entire experiment *grids*:
+once*, and entire experiment *grids*:
 
 * :class:`SweepSpec` expands a parameter grid (cartesian axes, with
   later axes allowed to depend on earlier ones) into seeded
@@ -14,20 +14,18 @@ once*, and — since PR 3 — entire experiment *grids*:
 * A per-cell **reducer** hook runs inside the worker process, so a
   sweep ships back measurement rows instead of whole traces — the
   process boundary then carries a dict per cell, not a block tree.
-* :class:`ParallelSweepBackend` remains the backend-shaped seam
-  (``execute_many`` is now a thin collect over :func:`stream_sweep`).
-* :class:`SweepJournal` — since PR 4 — checkpoints a sweep's reduced
-  rows to an append-only JSONL file, keyed by a content-derived **cell
-  digest** (grid name + resolved params + seeded spec + backend
-  identity).  ``stream_sweep(..., journal=..., resume=True)`` skips
+* :class:`SweepJournal` checkpoints a sweep's reduced rows to an
+  append-only JSONL file, keyed by a content-derived **cell digest**
+  (grid name + resolved params + seeded spec + backend identity).
+  ``stream_sweep(..., journal=..., resume=True)`` skips
   already-journaled cells and yields their cached rows *in cell order*,
   so an interrupted multi-hour grid resumes bit-identically instead of
   re-paying finished cells — and a changed grid, seed, or backend
   configuration invalidates stale rows instead of silently reusing
   them.  Every journal opens with a one-line **manifest header**
-  (grid name, backend identity, code version); ``resume=`` rejects a
-  mismatched manifest (:class:`SweepJournalMismatch`) instead of
-  silently mixing rows written by another grid, substrate, or commit.
+  (grid name, backend identity, package version); ``resume=`` rejects
+  a mismatched manifest (:class:`SweepJournalMismatch`) instead of
+  silently mixing rows written by another grid, substrate, or release.
 
 Design points:
 
@@ -52,7 +50,6 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from typing import Literal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -227,7 +224,7 @@ def _decode_row(value: object) -> object:
 
 class SweepJournalMismatch(ValueError):
     """Raised when ``resume=`` meets a journal written by a different
-    grid, backend, or code version (see :meth:`SweepJournal.manifest`)."""
+    grid, backend, or package version (see :meth:`SweepJournal.manifest`)."""
 
 
 class SweepJournal:
@@ -235,12 +232,14 @@ class SweepJournal:
 
     The first line is a **manifest header** ``{"manifest": {"grid":
     ..., "backend": ..., "version": ...}}`` recording the grid name,
-    the executing backend's identity digest, and the code version that
-    wrote the file.  ``resume=`` refuses a journal whose manifest does
-    not match the resuming sweep (:class:`SweepJournalMismatch`)
-    instead of silently mixing rows across grids, backends, or
-    commits; an empty or missing file is always a valid (empty)
-    journal.
+    the executing backend's identity digest, and the package's static
+    ``repro.__version__``.  ``resume=`` refuses a journal whose
+    manifest does not match the resuming sweep
+    (:class:`SweepJournalMismatch`) instead of silently mixing rows
+    across grids, backends, or releases — two commits of one release
+    share a manifest, and there it is the per-cell content digest alone
+    that decides which rows are reused; an empty or missing file is
+    always a valid (empty) journal.
 
     Then one line per executed cell: ``{"key": <digest>, "index": ...,
     "params": ..., "row": ...}``.  The ``key`` is the content-derived
@@ -264,18 +263,11 @@ class SweepJournal:
             other grid's checkpoints.
         grid: the grid's name, mixed into every cell key so rows
             journaled for one named grid are never reused by another.
-        flush_every: fsync cadence override in fresh rows (default:
-            the sweep's window; every row in the serial lane).
     """
 
-    def __init__(
-        self, path: str | os.PathLike, grid: str = "", flush_every: int | None = None
-    ) -> None:
-        if flush_every is not None and flush_every <= 0:
-            raise ValueError("flush_every must be positive")
+    def __init__(self, path: str | os.PathLike, grid: str = "") -> None:
         self.path = Path(path)
         self.grid = grid
-        self.flush_every = flush_every
         self._fh = None
 
     def cell_key(
@@ -340,7 +332,7 @@ class SweepJournal:
         """Reject resuming from a journal another context wrote.
 
         A manifest that *is* present must match this sweep's grid name,
-        backend identity, and code version; readable rows under a
+        backend identity, and package version; readable rows under a
         missing/torn manifest are rows of unknown provenance and are
         rejected too.  A file with nothing reusable — missing, empty,
         or only torn/garbage lines — is a valid fresh journal: crashes
@@ -470,8 +462,7 @@ def _stream_cells(
     reducer: Reducer | None,
     backend: ExecutionBackend,
     workers: int,
-    chunksize: int,
-    window: int | None,
+    window: int,
 ) -> Iterator[SweepOutcome]:
     """The execution core: run ``cells`` and yield outcomes in order."""
     payloads = [(backend, cell, reducer) for cell in cells]
@@ -480,7 +471,6 @@ def _stream_cells(
             yield _execute_cell(payload)
         return
 
-    window = window if window is not None else max(1, 4 * workers * chunksize)
     try:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
     except (OSError, PermissionError):
@@ -495,7 +485,7 @@ def _stream_cells(
             chunk = payloads[start : start + window]
             produced = 0
             try:
-                for outcome in pool.map(_execute_cell, chunk, chunksize=chunksize):
+                for outcome in pool.map(_execute_cell, chunk):
                     yield outcome
                     produced += 1
                     pool_ever_worked = True
@@ -521,15 +511,14 @@ def stream_sweep(
     reducer: Reducer | None = None,
     backend: ExecutionBackend | None = None,
     max_workers: int | None = None,
-    chunksize: int = 1,
     window: int | None = None,
     journal: SweepJournal | str | os.PathLike | None = None,
-    resume: bool | Literal["auto"] = False,
+    resume: bool = False,
 ) -> Iterator[SweepOutcome]:
     """Execute ``grid`` and yield :class:`SweepOutcome`\\ s in cell order.
 
     Memory is bounded by the *window*: the pool executes ``window``
-    cells at a time (default ``4 × workers × chunksize``), so at most
+    cells at a time (default ``4 × workers``), so at most
     one window of results — rows, with a ``reducer`` — is ever buffered
     between the pool and the consumer.  The serial path (``max_workers=0``,
     a single cell, a non-``poolable`` backend such as the asyncio
@@ -547,15 +536,12 @@ def stream_sweep(
     position in cell order, interleaved with freshly executed cells, so
     an interrupted-then-resumed sweep is outcome-for-outcome identical
     to an uninterrupted one.  A journal whose manifest header names a
-    different grid, backend, or code version raises
-    :class:`SweepJournalMismatch`; ``resume="auto"`` instead restarts
-    such a stale journal fresh (the always-resume bench lane).  Without
-    ``resume``, an existing journal file is truncated and rewritten.
+    different grid, backend, or package version raises
+    :class:`SweepJournalMismatch`.  Without ``resume``, an existing
+    journal file is truncated and rewritten.
     Journaling requires a reducer (the journal persists rows, not full
     results); ``resume`` without a journal is ignored.
     """
-    if chunksize <= 0:
-        raise ValueError("chunksize must be positive")
     if window is not None and window <= 0:
         raise ValueError("window must be positive")
     if backend is None:
@@ -566,8 +552,10 @@ def stream_sweep(
     workers = default_worker_count() if max_workers is None else max_workers
     if not getattr(backend, "poolable", True):
         workers = 0  # real-time substrates run the serial lane
+    if window is None:
+        window = max(1, 4 * workers)
     if journal is None:
-        yield from _stream_cells(cells, reducer, backend, workers, chunksize, window)
+        yield from _stream_cells(cells, reducer, backend, workers, window)
         return
     if reducer is None:
         raise ValueError(
@@ -581,17 +569,9 @@ def stream_sweep(
     if resume:
         stored = journal.load_manifest()  # head-only read
         cached = journal.load()  # the one full-file read of the resume path
-        try:
-            journal._validate_resume(backend, stored, bool(cached))
-        except SweepJournalMismatch:
-            if resume != "auto":
-                raise
-            # resume="auto": a stale journal (other grid/backend/version)
-            # restarts fresh instead of failing — the always-resume bench
-            # lane wants best-effort reuse, never a crash.
-            stored, cached = None, {}
-        # Nothing reusable (missing, empty, torn-header, or auto-reset):
-        # truncate so the manifest is again the first line.
+        journal._validate_resume(backend, stored, bool(cached))
+        # Nothing reusable (missing, empty, or torn header): truncate
+        # so the manifest is again the first line.
         truncate = not cached and stored is None
     else:
         cached = {}
@@ -599,11 +579,8 @@ def stream_sweep(
     pending = [cell for cell, key in zip(cells, keys) if key not in cached]
     # The serial lane has a one-cell window, and its cells (real-time
     # deployments especially) are the expensive ones — fsync each.
-    if workers <= 0 or len(pending) <= 1:
-        flush_every = journal.flush_every or 1
-    else:
-        flush_every = journal.flush_every or window or max(1, 4 * workers * chunksize)
-    fresh = _stream_cells(pending, reducer, backend, workers, chunksize, window)
+    flush_every = 1 if workers <= 0 or len(pending) <= 1 else window
+    fresh = _stream_cells(pending, reducer, backend, workers, window)
     journal.open(truncate=truncate, manifest=journal.manifest(backend))
     try:
         appended = 0
@@ -627,10 +604,9 @@ def sweep_rows(
     reducer: Reducer,
     backend: ExecutionBackend | None = None,
     max_workers: int | None = None,
-    chunksize: int = 1,
     window: int | None = None,
     journal: SweepJournal | str | os.PathLike | None = None,
-    resume: bool | Literal["auto"] = False,
+    resume: bool = False,
 ) -> list[object]:
     """Collect every cell's reduced row, in cell order (one-call sweep)."""
     return [
@@ -640,73 +616,8 @@ def sweep_rows(
             reducer=reducer,
             backend=backend,
             max_workers=max_workers,
-            chunksize=chunksize,
             window=window,
             journal=journal,
             resume=resume,
         )
     ]
-
-
-class ParallelSweepBackend(ExecutionBackend):
-    """Executes :class:`RunSpec` sweeps across a process pool.
-
-    Args:
-        inner: the single-run backend each worker executes specs on
-            (default: a fresh round-simulator backend).
-        max_workers: pool size; ``0`` forces the serial in-process path
-            (useful under debuggers and in constrained CI sandboxes).
-        chunksize: specs handed to a worker per dispatch — raise it for
-            sweeps of many very short runs to amortise pickling.
-    """
-
-    name = "parallel-sweep"
-
-    def __init__(
-        self,
-        inner: ExecutionBackend | None = None,
-        max_workers: int | None = None,
-        chunksize: int = 1,
-    ) -> None:
-        if inner is None:
-            from repro.engine.sim_backend import SimulationBackend
-
-            inner = SimulationBackend()
-        if chunksize <= 0:
-            raise ValueError("chunksize must be positive")
-        self.inner = inner
-        self.max_workers = default_worker_count() if max_workers is None else max_workers
-        self.chunksize = chunksize
-
-    def execute(self, spec: RunSpec) -> EngineResult:
-        """Run one spec on the wrapped backend (no pool, extras intact)."""
-        return self.inner.execute(spec)
-
-    def execute_many(self, specs: Sequence[RunSpec]) -> list[EngineResult]:
-        """Run every spec; results in spec order, extras stripped.
-
-        Falls back to the serial path when the pool would not help
-        (zero workers, one spec) or cannot be created (sandboxes
-        without process-spawning privileges).
-        """
-        return [
-            outcome.result
-            for outcome in stream_sweep(
-                list(specs),
-                backend=self.inner,
-                max_workers=self.max_workers,
-                chunksize=self.chunksize,
-            )
-        ]
-
-
-def run_sweep(
-    specs: Sequence[RunSpec],
-    backend: ExecutionBackend | None = None,
-    max_workers: int | None = None,
-    chunksize: int = 1,
-) -> list[EngineResult]:
-    """One-call parallel sweep over ``specs`` (simulator backend default)."""
-    return ParallelSweepBackend(
-        inner=backend, max_workers=max_workers, chunksize=chunksize
-    ).execute_many(specs)

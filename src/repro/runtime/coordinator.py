@@ -17,8 +17,7 @@ One control connection per worker, framed exactly like v1 data frames
 7. coordinator → ``("shutdown",)``; the worker tears down and exits.
 
 :class:`Coordinator` is the parent's end, :class:`ControlChannel` a
-worker's.  The sharded deployment and the wire-throughput harness
-(:mod:`repro.net.wire_bench`) both run on this pair.
+worker's; the sharded deployment runs on this pair.
 """
 
 from __future__ import annotations

@@ -36,8 +36,7 @@ from collections.abc import Mapping
 
 
 #: Cumulative wire-path counters of a socket fabric — the one list the
-#: shard payload, the merged result, the wire bench and the ``wire_*``
-#: gauges all read.
+#: shard payload, the merged result and the ``wire_*`` gauges all read.
 WIRE_COUNTER_ATTRS = (
     "frames_sent",
     "frames_received",

@@ -134,6 +134,9 @@ def test_synchronous_tail_is_shared_between_caught_up_receivers():
         assert all(batch is batches[0] for batch in batches)
     assert bus.stats["tail_builds"] == 3
     assert bus.stats["tail_reuses"] == 3 * (n - 1)
+    # A per-receiver rescan would materialise rounds * n * n entries;
+    # the bus touches each published message once.
+    assert bus.stats["messages_materialised"] == bus.total_published == 3 * n
 
 
 def test_round_buckets_span_send_phases():

@@ -35,6 +35,7 @@ def test_multicast_verified_once_across_receivers(registry, pipeline, genesis):
     assert pipeline.stats["crypto_verifications"] == 5
     assert pipeline.stats["batches_built"] == 1
     assert pipeline.stats["batch_memo_hits"] == 9
+    assert pipeline.stats["rejected"] == 0
     assert all(r is results[0] for r in results)  # one shared batch object
 
 

@@ -10,14 +10,7 @@ import pytest
 from repro.engine.backend import ExecutionBackend
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
-from repro.engine.sweep import (
-    ParallelSweepBackend,
-    SweepSpec,
-    default_worker_count,
-    run_sweep,
-    stream_sweep,
-    sweep_rows,
-)
+from repro.engine.sweep import SweepSpec, default_worker_count, stream_sweep, sweep_rows
 from repro.sleepy.adversary import CrashAdversary
 from repro.sleepy.schedule import SpikeSchedule
 
@@ -57,39 +50,27 @@ def digest(result):
 @pytest.mark.slow
 def test_parallel_sweep_equals_serial_run_for_run():
     specs = sweep_specs()
-    serial = run_sweep(specs, max_workers=0)
-    parallel = run_sweep(specs, max_workers=2)
+    serial = [o.result for o in stream_sweep(specs, max_workers=0)]
+    parallel = [o.result for o in stream_sweep(specs, max_workers=2)]  # one window
     assert [digest(r) for r in parallel] == [digest(r) for r in serial]
 
 
 def test_serial_fallback_path_preserves_order_and_strips_extras():
     specs = sweep_specs()[:2]
-    results = run_sweep(specs, max_workers=0)
+    results = [o.result for o in stream_sweep(specs, max_workers=0)]
     assert [r.trace.meta["protocol"] for r in results] == ["resilient", "mmr"]
     assert all(r.extras == {} for r in results)
     assert all(r.backend == "simulator" for r in results)
 
 
 def test_single_spec_skips_the_pool():
-    (result,) = run_sweep(sweep_specs()[:1], max_workers=4)
-    assert result.trace.decisions
-    assert result.extras == {}
+    (outcome,) = stream_sweep(sweep_specs()[:1], max_workers=4)
+    assert outcome.result.trace.decisions
+    assert outcome.result.extras == {}
 
 
-def test_execute_delegates_to_inner_backend():
-    backend = ParallelSweepBackend(max_workers=0)
-    result = backend.execute(RunSpec(n=4, rounds=8, seed=0))
-    assert result.backend == "simulator"
-    # The single-run seam keeps substrate handles (sweeps strip them).
-    assert "simulation" in result.extras
-
-
-def test_worker_count_and_chunksize_validation():
+def test_worker_count_and_window_validation():
     assert default_worker_count() >= 1
-    with pytest.raises(ValueError, match="chunksize"):
-        ParallelSweepBackend(chunksize=0)
-    with pytest.raises(ValueError, match="chunksize"):
-        list(stream_sweep(sweep_specs()[:1], chunksize=0))
     with pytest.raises(ValueError, match="window"):
         list(stream_sweep(sweep_specs()[:1], window=0))
 
@@ -202,6 +183,6 @@ def test_streamed_reducer_rows_cross_the_pool():
         factory=_grid_spec_with_tag,
     )
     serial = sweep_rows(grid, _pick_protocol, max_workers=0)
-    pooled = sweep_rows(grid, _pick_protocol, max_workers=2, window=3, chunksize=2)
+    pooled = sweep_rows(grid, _pick_protocol, max_workers=2, window=3)
     assert pooled == serial
     assert [row[0] for row in pooled] == ["a", "b", "a", "b"]

@@ -14,14 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis import chain_growth_rate, check_asynchrony_resilience, check_safety
-from repro.analysis.batch import (
-    figure1_grid,
-    figure1_table,
-    pi_eta_grid,
-    pi_eta_table,
-    reduce_figure1,
-    reduce_pi_eta,
-)
+from repro.analysis.batch import GRIDS
 from repro.core.bounds import beta_tilde
 from repro.engine.sweep import stream_sweep, sweep_rows
 from repro.harness import run_tob
@@ -29,6 +22,7 @@ from repro.workloads import churn_scenario, split_vote_attack_scenario
 
 N = 6  # the actual bench grids, shrunken
 THIRD = Fraction(1, 3)
+PI_ETA, FIGURE1 = GRIDS["pi-eta"], GRIDS["figure1"]
 
 
 # ----------------------------------------------------------------------
@@ -90,19 +84,19 @@ def serial_figure1_outcomes(n: int, eta: int, rounds: int, gammas) -> list[dict]
 # ----------------------------------------------------------------------
 def test_pi_eta_grid_matches_serial_loop_cell_for_cell():
     serial = serial_pi_eta_cells(N)
-    streamed = sweep_rows(pi_eta_grid(n=N), reduce_pi_eta, max_workers=0)
+    streamed = sweep_rows(PI_ETA.build(n=N), PI_ETA.reducer, max_workers=0)
     assert streamed == serial
     # The rendered table is byte-identical too.
-    assert pi_eta_table(streamed, n=N) == pi_eta_table(serial, n=N)
+    assert PI_ETA.table(streamed, n=N) == PI_ETA.table(serial, n=N)
 
 
 @pytest.mark.slow
 def test_pi_eta_grid_is_pool_invariant():
     """The process pool changes wall-clock, never verdicts: streamed
     outcomes arrive in grid order with identical rows and params."""
-    serial = list(stream_sweep(pi_eta_grid(n=N), reducer=reduce_pi_eta, max_workers=0))
+    serial = list(stream_sweep(PI_ETA.build(n=N), reducer=PI_ETA.reducer, max_workers=0))
     pooled = list(
-        stream_sweep(pi_eta_grid(n=N), reducer=reduce_pi_eta, max_workers=2, window=7, chunksize=2)
+        stream_sweep(PI_ETA.build(n=N), reducer=PI_ETA.reducer, max_workers=2, window=7)
     )
     assert [o.row for o in pooled] == [o.row for o in serial]
     assert [o.index for o in pooled] == list(range(len(serial)))
@@ -115,10 +109,10 @@ def test_figure1_grid_matches_serial_loop_at_tiny_scale():
     n, eta, rounds, gammas = 12, 4, 24, (0.0, 0.10)  # the CI smoke scale
     serial = serial_figure1_outcomes(n, eta, rounds, gammas)
     streamed = sweep_rows(
-        figure1_grid(n=n, eta=eta, rounds=rounds, gammas=gammas), reduce_figure1, max_workers=0
+        FIGURE1.build(n=n, eta=eta, rounds=rounds, gamma_f=gammas), FIGURE1.reducer, max_workers=0
     )
     assert streamed == serial
-    assert figure1_table(streamed, n=n) == figure1_table(serial, n=n)
+    assert FIGURE1.table(streamed, n=n) == FIGURE1.table(serial, n=n)
 
 
 @pytest.mark.slow
@@ -126,6 +120,6 @@ def test_figure1_grid_is_pool_invariant():
     n, eta, rounds, gammas = 12, 4, 24, (0.0, 0.10)
     serial = serial_figure1_outcomes(n, eta, rounds, gammas)
     pooled = sweep_rows(
-        figure1_grid(n=n, eta=eta, rounds=rounds, gammas=gammas), reduce_figure1, max_workers=2
+        FIGURE1.build(n=n, eta=eta, rounds=rounds, gamma_f=gammas), FIGURE1.reducer, max_workers=2
     )
     assert pooled == serial

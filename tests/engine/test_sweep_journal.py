@@ -328,31 +328,6 @@ def test_rows_without_a_manifest_reject_the_resume(tmp_path):
         )
 
 
-def test_resume_auto_restarts_a_stale_journal_instead_of_failing(tmp_path):
-    """The always-resume bench lane: a journal from another grid (or
-    backend, or version) is truncated and rebuilt, not a crash."""
-    path = tmp_path / "sweep.jsonl"
-    grid = tiny_grid()
-    sweep_rows(grid, _reduce, max_workers=0, journal=SweepJournal(path, grid="old-grid"))
-    backend = CountingBackend()
-    rows = sweep_rows(
-        grid, _reduce, backend=backend, max_workers=0,
-        journal=SweepJournal(path, grid="new-grid"), resume="auto",
-    )
-    assert rows == sweep_rows(grid, _reduce, max_workers=0)
-    assert backend.calls == len(grid.cells())  # full fresh run
-    # The rebuilt journal carries the new grid's manifest and rows only.
-    assert SweepJournal(path, grid="new-grid").load_manifest()["grid"] == "new-grid"
-    assert len(journal_keys(path)) == len(grid.cells())
-    # And a matching journal still resumes with zero re-execution.
-    cached = CountingBackend()
-    sweep_rows(
-        grid, _reduce, backend=cached, max_workers=0,
-        journal=SweepJournal(path, grid="new-grid"), resume="auto",
-    )
-    assert cached.calls == 0
-
-
 def test_torn_manifest_with_no_rows_resumes_as_a_fresh_journal(tmp_path):
     """A crash mid-header (partial manifest bytes, zero rows) must not
     strand the resume flow: nothing is reusable, so the file restarts
@@ -478,9 +453,9 @@ def test_rows_the_journal_cannot_replay_fail_loudly(tmp_path):
 # The deployment substrate: serial lane, journaled the same way
 # ----------------------------------------------------------------------
 def deployment_grid():
-    from repro.analysis.batch import deploy_smoke_grid
+    from repro.analysis.batch import GRIDS
 
-    return deploy_smoke_grid(n=4, rounds=6, etas=(2, 3))
+    return GRIDS["deploy-smoke"].build(n=4, rounds=6, eta=(2, 3))
 
 
 def deployment_backend():
@@ -490,9 +465,9 @@ def deployment_backend():
 
 
 def deployment_reduce(result, params):
-    from repro.analysis.batch import reduce_deploy_smoke
+    from repro.analysis.batch import GRIDS
 
-    return reduce_deploy_smoke(result, params)
+    return GRIDS["deploy-smoke"].reducer(result, params)
 
 
 @pytest.mark.slow

@@ -267,14 +267,17 @@ def test_broadcast_pickles_once_and_rides_one_batch(tmp_path):
         try:
             # One send_many = one clock read, so at zero jitter both
             # frames land in one slot by construction.
-            a.send_many(0, (1, 2), ["broadcast"])
+            body = ["broadcast", bytes(4096)]
+            a.send_many(0, (1, 2), body)
             got_1 = await asyncio.wait_for(b.recv(1), timeout=2)
             got_2 = await asyncio.wait_for(b.recv(2), timeout=2)
-            assert got_1 == (0, ["broadcast"]) and got_2 == (0, ["broadcast"])
+            assert got_1 == (0, body) and got_2 == (0, body)
             # The fan-out pickled once, reused once, and both frames
             # crossed the wire in a single batch write; the receiver
             # decoded one body that both pids share.
             assert a.payload_encodes == 1 and a.payload_reuses == 1
+            # Interned body: the wire carried it once, not once per frame.
+            assert a.bytes_sent < 2 * 4096 * 3 // 4
             assert a.batches_sent == 1 and b.batches_received == 1
             assert a.frames_sent == 2 and b.frames_received == 2
             assert got_1[1] is got_2[1]

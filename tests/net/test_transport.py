@@ -261,6 +261,9 @@ def test_recv_nowait_returns_arrived_frames_without_blocking():
         transport.send(0, 1, "a")
         transport.send(0, 1, "b")
         await transport.recv(1)  # waits for the slot to fire
+        # Each send reads the clock, so "b" may sit one slot after "a".
+        while transport.wheel.pending:
+            await asyncio.sleep(transport.wheel.slot_s)
         assert transport.recv_nowait(1) == (0, "b")
         assert transport.recv_nowait(1) is None
 

@@ -38,16 +38,19 @@ def test_attack_script_runs_on_the_simulator(capsys):
     assert "no" not in resilient_line.split()
 
 
-def test_attack_script_names_match_the_library():
-    from repro.attacks import ATTACKS
-    from repro.cli import ATTACK_SCRIPT_NAMES
-
-    assert tuple(sorted(ATTACKS)) == ATTACK_SCRIPT_NAMES
-
-
 def test_attack_rejects_unknown_script():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["attack", "--script", "no-such-attack"])
+
+
+@pytest.mark.parametrize("flags", [["--backend", "deployment"], ["--processes", "2"]])
+def test_attack_rejects_substrate_flags_the_split_vote_replay_would_ignore(flags, capsys):
+    """Without --script the replay is simulator-only: refusing beats
+    printing a table as if the deployment had run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["attack", *flags])
+    assert exit_info.value.code == 2
+    assert "need --script" in capsys.readouterr().err
 
 
 def test_soak_reports_worker_death_cleanly(capsys, monkeypatch):
@@ -92,9 +95,12 @@ def test_tune_eta_table(capsys):
 
 
 def test_deploy_smoke(capsys):
-    assert main(["deploy", "--n", "4", "--rounds", "8", "--delta-ms", "10"]) == 0
+    argv = ["run", "--backend", "deployment", "--n", "4", "--rounds", "8", "--delta-ms", "10"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "Deployment summary" in out
+    assert "deployment (δ=10 ms)" in out
+    for row in ("wall-clock (s)", "messages sent", "decisions", "safety"):
+        assert row in out
 
 
 def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path):
@@ -170,18 +176,36 @@ def test_sweep_unknown_grid_rejected():
         build_parser().parse_args(["sweep", "no-such-grid"])
 
 
-def test_sweep_grid_choices_match_the_registry():
-    """The parser's static choices (kept static so ``--help`` does not
-    import the batch/engine layers) must track the grid registry."""
-    from repro.analysis.batch import GRIDS
-    from repro.cli import SWEEP_GRID_NAMES
-
-    assert tuple(sorted(GRIDS)) == tuple(sorted(SWEEP_GRID_NAMES))
-
-
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _documented_commands():
+    """Every ``python -m repro …`` command in a fenced block of the docs."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    for doc in ("README.md", ".claude/skills/verify/SKILL.md"):
+        text = (root / doc).read_text().replace("\\\n", " ")
+        for block in re.findall(r"```[a-z]*\n(.*?)```", text, flags=re.DOTALL):
+            for line in block.splitlines():
+                if "python -m repro" not in line:
+                    continue
+                tokens = shlex.split(line, comments=True)
+                if tokens[:1] == ["PYTHONPATH=src"]:
+                    tokens = tokens[1:]
+                if tokens[:3] == ["python", "-m", "repro"]:
+                    yield pytest.param(tokens[3:], id=f"{doc}: {' '.join(tokens[3:])}")
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_commands_parse(argv):
+    """Docs drift guard: an example naming a removed subcommand or flag
+    fails here (argparse exits) instead of in a reader's terminal."""
+    build_parser().parse_args(argv)
 
 
 def test_module_entry_point():
