@@ -163,7 +163,7 @@ class DeploymentBackend(ExecutionBackend):
         """Every node as one shard, in this process, over a fresh ``SimTransport``."""
         transport = SimTransport(
             spec.n,
-            # The in-process queue path rides the same delivery wheel
+            # The in-process path rides the same delivery wheel
             # as the socket fabric: one timer per slot, not per message.
             # Half the modelled jitter width, so quantization (< one
             # slot) hides inside jitter with real-time margin to spare
@@ -217,7 +217,7 @@ class DeploymentBackend(ExecutionBackend):
             shard.proxy.schedule_phases()
         started = loop.time()
         await shard.drive(drive_adversary(), report=report if collector is not None else None)
-        await shard.stop()
+        shard.stop()
         # No linger: nothing is in flight outside this process, and the
         # virtual-time bench pins wall == (rounds − 1 + receive_fraction)·Δ.
         wall = loop.time() - started

@@ -7,10 +7,12 @@ This package makes that substrate concrete:
 
 * :mod:`repro.net.transport` — point-to-point links with seeded
   latencies and configurable *surge windows* (latency × factor), the
-  physical realisation of an asynchronous period.
+  physical realisation of an asynchronous period; delivery is pushed
+  to one subscriber per pid, in slot order.
 * :mod:`repro.net.gossip` — a random regular overlay flooding
   first-seen messages; delivery is at-least-once, exactly-once per
-  content digest at each node.
+  content digest at each node, and a shard never forwards to one of
+  its own nodes that already holds the digest.
 * :mod:`repro.net.socket_transport` — the same transport surface over
   real TCP/UNIX-domain sockets, for multi-process deployments.
 * :mod:`repro.net.proxy_transport` — the adversarial proxy layer that

@@ -10,6 +10,12 @@ Topology is a random k-regular overlay (complete graph for tiny n);
 every node forwards each first-seen message to all its neighbours, which
 floods any connected graph in ``diameter`` hops.
 
+Delivery is **pushed**: each node subscribes to its pid at construction
+and the fabric calls it per frame, in slot order (see
+:mod:`repro.net.transport`) — no pump task, no queue.  A node that is
+stopped unsubscribes; frames still in flight to it are held by the
+fabric, not re-flooded.
+
 Deduplication is **digest-keyed**, exactly like the round simulator's
 message bus (:mod:`repro.engine.bus`): the "seen" key is the message's
 content digest, computed by this consumer's
@@ -20,20 +26,35 @@ junk message carrying a transplanted one censor the honest original).
 Foreign message types without signed fields (test doubles) fall back to
 their ``message_id`` attribute as the key.
 
-The seen set is also **bounded**: on a long-running service every node
-would otherwise retain one digest per message forever.  Entries are
+The **shard is the unit of dissemination**: all nodes one
+:class:`GossipNetwork` hosts share one :class:`SeenIndex` (digest → which
+hosted nodes hold it), and a node does not materialise a forward to a
+neighbour *of the same network* that already holds the digest — that
+frame could only ever be counted as a duplicate on arrival.  What
+elision may skip is exactly that: the frame.  What it may not skip: the
+link's latency draw (the k-th frame *offered* to a link still draws the
+k-th latency, so every first arrival lands in the slot it would have
+without elision), any forward to a neighbour that has not ingested the
+message yet (one in flight to it does not count — this forward may be
+the earlier one), and any forward to a pid another network hosts (its
+seen set is not ours to read: every cross-shard frame is sent).  Each
+overlay edge inside a shard therefore carries a message once, not once
+per direction.  Per-node *delivery* stays per node: sleep/wake and the
+adversarial proxy's per-frame coins see every frame that is sent.
+
+The seen index is also **bounded**: on a long-running service it would
+otherwise retain one digest per message forever.  Entries are
 round-bucketed and evicted once their message round falls behind the
-current round (read from an authoritative clock, never from message
-fields, which are attacker-controlled) by more than the configured
-horizon — the vote-expiry horizon plus slack, below which no protocol
-consumer can still use the message.  Messages already older than that
-on arrival are dropped outright (counted, never silently), which keeps
-an evicted digest from re-flooding forever.
+current round (read from an authoritative clock — once per arrival —
+never from message fields, which are attacker-controlled) by more than
+the configured horizon — the vote-expiry horizon plus slack, below
+which no protocol consumer can still use the message.  Messages already
+older than that on arrival are dropped outright (counted, never
+silently), which keeps an evicted digest from re-flooding forever.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from collections.abc import Callable
 
@@ -62,17 +83,58 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
     raise RuntimeError("could not sample a connected regular overlay")
 
 
+class SeenIndex:
+    """Which hosted nodes hold which digest: one index per shard.
+
+    ``holders`` maps a dedup key to a bitmask over pids (bit ``pid`` set
+    = that hosted node has ingested the message).  One entry per message
+    per shard, one bucket list, one eviction sweep — not one of each per
+    node.  With ``current_round`` and ``horizon_rounds`` both given the
+    index is bounded (module docstring); otherwise it keeps every digest
+    forever, which is only acceptable for bounded test runs.
+    """
+
+    __slots__ = ("holders", "current_round", "horizon", "_buckets", "_floor")
+
+    def __init__(
+        self,
+        current_round: Callable[[], int] | None = None,
+        horizon_rounds: int | None = None,
+    ) -> None:
+        if horizon_rounds is not None and horizon_rounds < 0:
+            raise ValueError("seen horizon must be non-negative")
+        self.holders: dict[str, int] = {}
+        self.current_round = current_round
+        #: ``None`` = unbounded.
+        self.horizon = horizon_rounds if current_round is not None else None
+        #: round -> keys first seen (by any hosted node) with that message round.
+        self._buckets: dict[int, list[str]] = {}
+        self._floor = 0
+
+    def __len__(self) -> int:
+        return len(self.holders)
+
+    def admit(self, key: str, message_round: int, now: int) -> None:
+        """Bucket a key no hosted node held, then evict below the horizon."""
+        # Clamp attacker-controlled future round tags so a huge tag
+        # cannot park its bucket beyond every future eviction.
+        self._buckets.setdefault(min(max(message_round, 0), now), []).append(key)
+        floor = now - self.horizon
+        while self._floor < floor:
+            for stale in self._buckets.pop(self._floor, ()):
+                self.holders.pop(stale, None)
+            self._floor += 1
+
+
 class GossipNode:
     """One node's view of the gossip overlay.
 
     ``transport`` is any :class:`~repro.net.transport.Transport` — the
     in-process :class:`~repro.net.transport.SimTransport`, the
     multi-process :class:`~repro.net.socket_transport.SocketTransport`,
-    or the adversarial proxy in front of either.
-
-    ``current_round`` / ``seen_horizon_rounds`` bound the seen set (see
-    the module docstring); with either unset the node keeps every digest
-    forever, which is only acceptable for bounded test runs.
+    or the adversarial proxy in front of either.  The node subscribes to
+    its pid here, before any frame can exist; ``seen`` and ``digests``
+    are its :class:`GossipNetwork`'s, shared by every node it hosts.
     """
 
     def __init__(
@@ -81,95 +143,75 @@ class GossipNode:
         transport: Transport,
         neighbors: tuple[int, ...],
         on_deliver: DeliveryHandler,
-        current_round: Callable[[], int] | None = None,
-        seen_horizon_rounds: int | None = None,
+        seen: SeenIndex,
+        digests: DigestMemo,
     ) -> None:
-        if seen_horizon_rounds is not None and seen_horizon_rounds < 0:
-            raise ValueError("seen horizon must be non-negative")
         self.pid = pid
         self._transport = transport
         self._neighbors = neighbors
         self._on_deliver = on_deliver
-        self._current_round = current_round
-        self._seen_horizon = seen_horizon_rounds
-        #: dedup key -> message round (for eviction accounting).
-        self._seen: dict[str, int] = {}
-        #: round -> keys first seen with that message round.
-        self._seen_buckets: dict[int, list[str]] = {}
-        self._seen_floor = 0
-        #: Replaced by the network's when one hosts this node.
-        self._digests = DigestMemo()
-        self._pump_task: asyncio.Task | None = None
+        self._seen = seen
+        self._digests = digests
+        self._bit = 1 << pid
         #: Dissemination accounting (consumed by metrics and tests).
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
+        transport.subscribe(pid, self._receive)
 
     def publish(self, message: Message) -> None:
         """Originate a message: deliver locally and push to neighbours."""
         self._ingest(None, message)
 
-    def start(self) -> None:
-        """Begin pumping incoming transport messages (call inside the loop)."""
-        self._pump_task = asyncio.get_running_loop().create_task(self._pump())
+    def stop(self) -> None:
+        """Unsubscribe: frames still in flight to this node are held, not ingested."""
+        self._transport.unsubscribe(self.pid)
 
-    async def stop(self) -> None:
-        """Cancel the pump task and wait for it to unwind."""
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-
-    def seen_count(self) -> int:
-        """Live dedup entries (bounded when a horizon is configured)."""
-        return len(self._seen)
-
-    async def _pump(self) -> None:
-        while True:
-            src, payload = await self._transport.recv(self.pid)
-            if isinstance(payload, Message):
-                self._ingest(src, payload)
+    def _receive(self, src: int, payload: object) -> None:
+        if isinstance(payload, Message):
+            self._ingest(src, payload)
 
     def _ingest(self, src: int | None, message: Message) -> None:
-        message_round = getattr(message, "round", 0)
-        expiry_floor = self._expiry_floor()
-        if expiry_floor is not None and message_round < expiry_floor:
-            # Older than anything the protocol can still consume: its
-            # votes are expired and its proposal views pruned.  Dropping
-            # (audited, never silent) also prevents a re-flood loop once
-            # the digest has been evicted below.
-            self.stats["stale_dropped"] += 1
-            return
+        seen = self._seen
+        now = None
+        if seen.horizon is not None:
+            # The one clock read of this arrival: it serves the stale
+            # check here and the bucket clamp and eviction in ``admit``.
+            now = seen.current_round()
+            message_round = getattr(message, "round", 0)
+            if message_round < now - seen.horizon:
+                # Older than anything the protocol can still consume:
+                # its votes are expired and its proposal views pruned.
+                # Dropping (audited, never silent) also prevents a
+                # re-flood loop once the digest has been evicted.
+                self.stats["stale_dropped"] += 1
+                return
         key = self._dedup_key(message)
-        if key in self._seen:
+        holders = seen.holders.get(key, 0)
+        if holders & self._bit:
             self.stats["duplicates"] += 1
             return
-        bucket_round = message_round
-        if expiry_floor is not None:
-            # Clamp attacker-controlled future round tags so a huge tag
-            # cannot park its bucket beyond every future eviction.
-            now = self._current_round()
-            bucket_round = min(max(bucket_round, 0), now)
-        self._seen[key] = bucket_round
-        self._seen_buckets.setdefault(bucket_round, []).append(key)
-        if expiry_floor is not None:
-            self._evict_seen(expiry_floor)
+        if now is not None and not holders:
+            seen.admit(key, message_round, now)
+        holders |= self._bit
+        seen.holders[key] = holders
         self.stats["delivered"] += 1
-        self._on_deliver(self.pid, message)
+        # Forward before handing over, so a consumer that raises costs
+        # its own delivery and not the flood's next hop.
+        transport = self._transport
+        forwards = []
         for neighbor in self._neighbors:
-            if neighbor != src:
-                self._transport.send(self.pid, neighbor, message)
-
-    def _expiry_floor(self) -> int | None:
-        if self._current_round is None or self._seen_horizon is None:
-            return None
-        return self._current_round() - self._seen_horizon
-
-    def _evict_seen(self, floor: int) -> None:
-        while self._seen_floor < floor:
-            for key in self._seen_buckets.pop(self._seen_floor, ()):
-                self._seen.pop(key, None)
-            self._seen_floor += 1
+            if neighbor == src:
+                continue
+            if holders >> neighbor & 1:
+                # A co-located holder: the frame could only be counted
+                # as a duplicate, so it is not built — but the link is
+                # still *offered* it, so its latency stream advances as
+                # if it had been sent (only the draw matters, not when).
+                transport.latency(self.pid, neighbor, 0.0)
+            else:
+                forwards.append(neighbor)
+        if forwards:
+            transport.send_many(self.pid, forwards, message)
+        self._on_deliver(self.pid, message)
 
     def _dedup_key(self, message: Message) -> str:
         if isinstance(message, Message):
@@ -182,7 +224,12 @@ class GossipNetwork:
 
     ``topology`` may cover a *shard* of the deployment: a multi-process
     worker builds nodes only for the pids it hosts, while the transport
-    routes forwards addressed to remote pids over sockets.
+    routes forwards addressed to remote pids over sockets.  Construct it
+    before the fabric starts listening: every node subscribes here, so
+    no frame can precede its consumer.
+
+    ``current_round`` / ``seen_horizon_rounds`` bound the shard's
+    :class:`SeenIndex`; with either unset it keeps every digest forever.
     """
 
     def __init__(
@@ -193,37 +240,25 @@ class GossipNetwork:
         current_round: Callable[[], int] | None = None,
         seen_horizon_rounds: int | None = None,
     ) -> None:
-        self.nodes = {
-            pid: GossipNode(
-                pid,
-                transport,
-                neighbors,
-                on_deliver,
-                current_round=current_round,
-                seen_horizon_rounds=seen_horizon_rounds,
-            )
-            for pid, neighbors in topology.items()
-        }
+        self.seen = SeenIndex(current_round, seen_horizon_rounds)
         # One memo for all hosted nodes: the same message object reaches
         # each of them, and its digest depends on its content alone.
         digests = DigestMemo()
-        for node in self.nodes.values():
-            node._digests = digests
+        self.nodes = {
+            pid: GossipNode(pid, transport, neighbors, on_deliver, self.seen, digests)
+            for pid, neighbors in topology.items()
+        }
 
-    def start(self) -> None:
-        """Start every node's pump."""
+    def stop(self) -> None:
+        """Unsubscribe every node (teardown flushes then reach nobody)."""
         for node in self.nodes.values():
-            node.start()
-
-    async def stop(self) -> None:
-        """Stop every node's pump."""
-        await asyncio.gather(*(node.stop() for node in self.nodes.values()))
+            node.stop()
 
     def stats_totals(self) -> dict[str, int]:
-        """Summed per-node dissemination counters."""
-        totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0, "seen_entries": 0}
+        """Summed per-node dissemination counters, plus the shard's live digests."""
+        totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         for node in self.nodes.values():
-            for key in ("delivered", "duplicates", "stale_dropped"):
+            for key in totals:
                 totals[key] += node.stats[key]
-            totals["seen_entries"] += node.seen_count()
+        totals["seen_entries"] = len(self.seen)
         return totals

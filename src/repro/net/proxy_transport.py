@@ -34,11 +34,16 @@ Every interference is audited per phase (``delayed`` / ``dropped`` /
 attack actually bit.
 
 The proxy sits **in front of** the fabric, so the batched wire path
-underneath changes nothing about attack semantics: every logical frame
-passes through :meth:`send` individually, and only the survivors reach
-the inner transport to be coalesced into frame v2 batch writes.  Drop
-coins are tossed per frame, partitions hold per frame, and surges delay
-per frame — a batch on the wire never becomes the unit of interference.
+underneath changes nothing about attack semantics: every frame gossip
+builds passes through :meth:`send` individually, and only the survivors
+reach the inner transport to be coalesced into frame v2 batch writes.
+Drop coins are tossed per frame, partitions hold per frame, and surges
+delay per frame — a batch on the wire never becomes the unit of
+interference.  (A forward gossip never builds — to a co-located node
+that already holds the digest, see :mod:`repro.net.gossip` — is not a
+frame: it tosses no coin and cannot be held, and could never have been
+more than a duplicate.)  Subscriptions pass straight through to the
+inner fabric: delivery is not the proxy's to interfere with.
 Surge re-injections ride the inner transport's delivery wheel
 (``defer``), keeping the timer budget O(slots) even while an attack
 delays a whole broadcast storm.
@@ -177,20 +182,17 @@ class ProxyTransport(Transport):
     def defer(self, delay_s: float, callback, *args) -> None:
         self.inner.defer(delay_s, callback, *args)
 
-    async def recv(self, pid: int) -> tuple[int, object]:
-        return await self.inner.recv(pid)
+    def subscribe(self, pid: int, handler) -> None:
+        self.inner.subscribe(pid, handler)
 
-    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
-        return self.inner.recv_nowait(pid)
+    def unsubscribe(self, pid: int) -> None:
+        self.inner.unsubscribe(pid)
 
     def now(self) -> float:
         return self.inner.now()
 
     def latency(self, src: int, dst: int, at_s: float) -> float:
         return self.inner.latency(src, dst, at_s)
-
-    def queue_depths(self) -> dict[int, int]:
-        return self.inner.queue_depths()
 
     @property
     def sent_count(self) -> int:

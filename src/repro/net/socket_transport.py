@@ -2,16 +2,26 @@
 
 The multi-process deployment fabric.  Each worker process hosts a
 *shard* of the deployment's nodes and one :class:`SocketTransport`:
-sends between two pids of the same shard loop back through in-process
-queues (exactly like :class:`~repro.net.transport.SimTransport`), sends
+sends between two pids of the same shard loop back through the delivery
+wheel (exactly like :class:`~repro.net.transport.SimTransport`), sends
 to a remote pid are pickled into a length-prefixed frame and written to
 the socket of the worker that owns the destination.  The surface is the
-same ``send(src, dst, payload)`` / ``await recv(pid)`` pair plus the
-seeded :class:`~repro.net.transport.LinkLatencyModel` surge model, so
-:class:`~repro.net.gossip.GossipNetwork` runs unchanged on either
+same ``send(src, dst, payload)`` / ``subscribe(pid, handler)`` pair plus
+the seeded :class:`~repro.net.transport.LinkLatencyModel` surge model,
+so :class:`~repro.net.gossip.GossipNetwork` runs unchanged on either
 substrate — and, because latency streams are per-link and content
 seeded, a sharded run draws exactly the modelled latencies the
 single-process run would (real socket hops add on top; δ absorbs them).
+
+Delivery is pushed on both paths: a wheel slot hands a local frame to
+its pid's subscriber, and the socket reader hands over each frame of a
+decoded batch, in batch order, before it reads the next blob.  The
+reader keeps a bounded **decode memo** (body bytes → decoded object), so
+a body that rides several batches — gossip offers one message to a
+worker once per overlay edge that crosses into it — is unpickled once
+per process and every later frame carries the *same object*, which is
+what lets the identity-keyed digest and verification memos downstream
+hit instead of re-hashing.
 
 Wire format: every write is a 4-byte big-endian length followed by a
 blob.  There are two blob layouts, one per channel:
@@ -36,11 +46,12 @@ only reads.  Addresses are UNIX domain socket paths (strings) or
 ``(host, port)`` TCP tuples, so the same framing crosses hosts
 unchanged.
 
-Frames are never dropped: an in-order stream plus unbounded receive
-queues preserve the model's "delayed, not lost" dissemination
-assumption, and a frame for a pid this worker does not host (a routing
-bug, not load) is counted in ``misrouted_count`` rather than silently
-discarded.
+Frames are never dropped: an in-order stream plus a hold for frames
+whose pid has no subscriber preserve the model's "delayed, not lost"
+dissemination assumption; a frame for a pid this worker does not host (a
+routing bug, not load) is counted in ``misrouted_count`` rather than
+silently discarded, and a subscriber that raises costs its own frame
+only (``handler_errors``).
 """
 
 from __future__ import annotations
@@ -50,9 +61,10 @@ import math
 import pickle
 import socket
 import struct
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.net.transport import DeliveryWheel, FrameQueue, LinkLatencyModel, SurgeWindow
+from repro.net.transport import LinkLatencyModel, PushDelivery, SurgeWindow
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
     IdentityMemo,
@@ -150,12 +162,55 @@ def encode_batch(
     return chunks
 
 
-def decode_batch(blob: bytes) -> list[tuple[int, int, object]]:
+class DecodedBodyMemo:
+    """Body bytes → decoded object, LRU-bounded: one decode per process.
+
+    The read-side mirror of :class:`EncodedPayloadCache`.  The key is
+    the body's bytes themselves — equal bytes decode to equal content,
+    so handing back the first decode is the same value at none of the
+    cost, and a body differing in one byte is a different key.  Decoded
+    payloads are immutable once published (the assumption every
+    identity memo already makes), so sharing one object across batches
+    and destinations is safe; ids are still recomputed at that first
+    decode, never believed from the bytes.  A flood of distinct bodies
+    evicts, it never grows past ``capacity`` entries.
+    """
+
+    __slots__ = ("_capacity", "_entries")
+
+    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
+        if capacity <= 0:
+            raise ValueError("memo capacity must be positive")
+        self._capacity = capacity
+        self._entries: OrderedDict[bytes, object] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def loads(self, body: bytes) -> object:
+        """``pickle.loads(body)``, performed once per distinct live body."""
+        entries = self._entries
+        try:
+            payload = entries[body]
+        except KeyError:
+            payload = entries[body] = pickle.loads(body)
+            if len(entries) > self._capacity:
+                entries.popitem(last=False)
+        else:
+            entries.move_to_end(body)
+        return payload
+
+
+def decode_batch(
+    blob: bytes, memo: DecodedBodyMemo | None = None
+) -> list[tuple[int, int, object]]:
     """Decode one frame v2 batch blob into ``(src, dst, payload)`` frames.
 
     Each distinct body is unpickled exactly once: every frame
     referencing it shares the resulting payload object, mirroring the
     in-process bus handing one canonical instance to many receivers.
+    With a ``memo`` that sharing extends across batches — a body seen in
+    an earlier blob decodes to the object it decoded to then.
     Truncated or inconsistent batches raise :class:`ValueError` — a torn
     batch is a framing error, never a silent partial delivery.
     """
@@ -172,7 +227,8 @@ def decode_batch(blob: bytes) -> list[tuple[int, int, object]]:
             offset += _U32.size
             if offset + length > len(blob):
                 raise ValueError("torn batch frame: truncated body")
-            payloads.append(pickle.loads(view[offset : offset + length]))
+            body = view[offset : offset + length]
+            payloads.append(pickle.loads(body) if memo is None else memo.loads(bytes(body)))
             offset += length
         (n_frames,) = _U32.unpack_from(view, offset)
         offset += _U32.size
@@ -243,13 +299,13 @@ def supports_unix_sockets() -> bool:
     return hasattr(socket, "AF_UNIX")
 
 
-class SocketTransport:
+class SocketTransport(PushDelivery):
     """One worker's point-to-point fabric over the socket mesh.
 
     Args:
         n: total deployment size (for parity with ``SimTransport``).
-        local_pids: the pids this worker hosts (receive queues exist
-            only for these).
+        local_pids: the pids this worker hosts (only these can be
+            subscribed to).
         owner: pid → worker id, for every pid of the deployment.
         worker_id: this worker's id.
         addresses: worker id → listen address for every worker.
@@ -273,22 +329,21 @@ class SocketTransport:
     ) -> None:
         if n <= 0:
             raise ValueError("need at least one node")
+        #: Delivery slot width: δ/8 in deployments (the base link
+        #: latency), so quantization hides inside the modelled jitter.
+        self._slot_s = slot_s if slot_s is not None else (base_latency_s or 0.0005)
+        super().__init__(local_pids, self._slot_s)
         self.n = n
         self.worker_id = worker_id
-        self._local_pids = frozenset(local_pids)
         self._owner = dict(owner)
         self._addresses = dict(addresses)
         self._latency = LinkLatencyModel(base_latency_s, jitter_s, seed, surges)
-        self._queues: dict[int, FrameQueue] = {}
         self._server: asyncio.AbstractServer | None = None
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
         self._origin: float | None = None
-        #: Delivery slot width: δ/8 in deployments (the base link
-        #: latency), so quantization hides inside the modelled jitter.
-        self._slot_s = slot_s if slot_s is not None else (base_latency_s or 0.0005)
-        self.wheel = DeliveryWheel(self._slot_s)
         self._encode_cache = EncodedPayloadCache()
+        self._decode_memo = DecodedBodyMemo()
         #: (slot, worker id) -> frames awaiting that slot's batch write.
         self._slot_batches: dict[tuple[int, int], list[tuple[int, int, object, bytes]]] = {}
         #: Sends initiated by this worker's nodes (local + remote).
@@ -314,8 +369,7 @@ class SocketTransport:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind this worker's listener and create the local queues."""
-        self._queues = {pid: FrameQueue() for pid in self._local_pids}
+        """Bind this worker's listener."""
         self._server = await serve_stream(self._addresses[self.worker_id], self._accept)
 
     async def connect(self) -> None:
@@ -341,9 +395,10 @@ class SocketTransport:
     async def close(self) -> None:
         """Tear down the listener, peer connections, and reader tasks.
 
-        Pending wheel slots are flushed first — deliveries land in local
-        queues and outstanding batches are written — so teardown never
-        loses a frame whose slot had not fired yet.
+        Pending wheel slots are flushed first — deliveries reach their
+        subscribers (or the hold, for a pid already unsubscribed) and
+        outstanding batches are written — so teardown never loses a
+        frame whose slot had not fired yet.
         """
         self.wheel.flush()
         for task in self._reader_tasks:
@@ -378,53 +433,31 @@ class SocketTransport:
     def send(self, src: int, dst: int, payload: object) -> None:
         """Send ``payload`` to ``dst`` after the modelled link latency.
 
-        Local destinations loop back through in-process queues; remote
+        A fan-out of one: see :meth:`send_many`.
+        """
+        self.send_many(src, (dst,), payload)
+
+    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
+        """Fan ``payload`` out from ``src`` to every pid in ``dsts``.
+
+        Local destinations loop back through the delivery wheel; remote
         ones ride the owning worker's connection once the modelled
         latency has elapsed (the real socket adds its own).  Deliveries
         are bucketed into wheel slots — one timer per slot — and every
         remote frame sharing a ``(slot, worker)`` bucket coalesces into
         a single frame v2 batch write whose payload bodies are pickled
         once per fan-out and referenced by offset.
+
+        Each destination draws its own link's latency and counts as one
+        send; the fan-out's fixed costs (clock read, encode-cache probe)
+        are paid once, which is where a broadcast's send-side time
+        goes.  The adversarial proxy deliberately does **not** forward
+        this method: it decomposes fan-outs into per-frame :meth:`send`
+        calls so drop coins and partition checks stay per-frame.
         """
         if self._origin is None:
             raise RuntimeError("transport not anchored")
-        # One clock read serves both the model time and the wheel slot:
-        # this runs once per (payload, destination) pair, the hottest
-        # line of a deployment, so the send path reads the loop clock
-        # once and calls the latency model directly.
-        loop_time = asyncio.get_running_loop().time()
-        delay = self._latency.latency(src, dst, loop_time - self._origin)
-        self.sent_count += 1
-        slot = math.ceil((loop_time + delay) / self._slot_s)
-        if dst in self._local_pids:
-            self.wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
-            return
-        intern_key, body, fresh = self._encode_cache.encode(payload)
-        if fresh:
-            self.payload_encodes += 1
-        else:
-            self.payload_reuses += 1
-        key = (slot, self._owner[dst])
-        pending = self._slot_batches.get(key)
-        if pending is None:
-            pending = self._slot_batches[key] = []
-            self.wheel.schedule(slot, self._flush_batch, key)
-        pending.append((src, dst, intern_key, body))
-
-    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
-        """Fan ``payload`` out from ``src`` to every pid in ``dsts``.
-
-        Semantically identical to calling :meth:`send` per destination —
-        same per-link latencies, same counters — but the fan-out's fixed
-        costs (clock read, encode-cache probe) are paid once instead of
-        once per destination, which is where a broadcast's send-side
-        time goes.  The adversarial proxy deliberately does **not**
-        forward this method: it decomposes fan-outs into per-frame
-        :meth:`send` calls so drop coins and partition checks stay
-        per-frame.
-        """
-        if self._origin is None:
-            raise RuntimeError("transport not anchored")
+        # One clock read serves the model time and every wheel slot.
         loop_time = asyncio.get_running_loop().time()
         at = loop_time - self._origin
         sample = self._latency.latency
@@ -433,8 +466,8 @@ class SocketTransport:
             delay = sample(src, dst, at)
             self.sent_count += 1
             slot = math.ceil((loop_time + delay) / self._slot_s)
-            if dst in self._local_pids:
-                self.wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
+            if dst in self._hosted:
+                self.wheel.schedule(slot, self._deliver, dst, src, payload)
                 continue
             if encoded is None:
                 intern_key, body, fresh = self._encode_cache.encode(payload)
@@ -452,31 +485,6 @@ class SocketTransport:
                 pending = self._slot_batches[key] = []
                 self.wheel.schedule(slot, self._flush_batch, key)
             pending.append((src, dst, intern_key, body))
-
-    def defer(self, delay_s: float, callback, *args) -> None:
-        """Schedule ``callback`` after ``delay_s`` on the slot wheel.
-
-        Used by the adversarial proxy's surge path so attack-delayed
-        frames share the O(slots) timer budget.
-        """
-        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
-
-    async def recv(self, pid: int) -> tuple[int, object]:
-        """Wait for the next ``(source, payload)`` addressed to local ``pid``."""
-        return await self._queues[pid].get()
-
-    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
-        """The next already-arrived frame for local ``pid``, or ``None``.
-
-        A decoded batch lands all its frames in one synchronous burst,
-        so a consumer that drains the backlog after each ``recv`` wakes
-        once per batch instead of once per frame.
-        """
-        return self._queues[pid].get_nowait()
-
-    def queue_depths(self) -> dict[int, int]:
-        """Pending (already-arrived, not yet received) messages per local pid."""
-        return {pid: queue.qsize() for pid, queue in self._queues.items()}
 
     # ------------------------------------------------------------------
     # Internals
@@ -510,7 +518,7 @@ class SocketTransport:
                 blob = await reader.readexactly(length)
                 self.bytes_received += _HEADER.size + length
                 try:
-                    frames = decode_batch(blob)
+                    frames = decode_batch(blob, self._decode_memo)
                 except ValueError:
                     # A peer's blob is untrusted input: anything that is
                     # not a well-formed batch is counted and skipped, and
@@ -521,11 +529,10 @@ class SocketTransport:
                 self.batches_received += 1
                 for src, dst, payload in frames:
                     self.frames_received += 1
-                    queue = self._queues.get(dst)
-                    if queue is None:
+                    if dst in self._hosted:
+                        self.wheel.call(self._deliver, dst, src, payload)
+                    else:
                         self.misrouted_count += 1
-                        continue
-                    queue.put_nowait((src, payload))
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
         except asyncio.CancelledError:

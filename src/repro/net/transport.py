@@ -16,24 +16,41 @@ interleaving — so two runs of the same deployment could draw different
 latencies under scheduler jitter.  With per-link streams, the k-th
 message on a link always draws the same latency no matter how sends on
 other links interleave with it.
+
+Delivery is **pushed**.  A consumer registers one handler per pid
+(:meth:`Transport.subscribe`) and the fabric calls it, synchronously,
+for every frame addressed to that pid: there is no receive call, no
+queue and no task between a :class:`DeliveryWheel` slot and the
+consumer.  **Slot order is the delivery order** — frames parked in one
+slot reach their subscribers in the order they were scheduled, whoever
+they are addressed to — so the order a consumer observes is a function
+of the sends alone, not of which task the event loop wakes first.  A
+frame for a hosted pid that has no subscriber (yet, or any more) is
+held and handed over on the next ``subscribe``; a handler that raises is
+counted (``handler_errors``), logged, and costs only its own frame.
 """
 
 from __future__ import annotations
 
 import asyncio
-import collections
+import logging
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Protocol
+
+_log = logging.getLogger(__name__)
+
+#: Called with ``(source pid, payload)`` for each frame a pid receives.
+FrameHandler = Callable[[int, object], None]
 
 
 class Transport(Protocol):
     """The data surface every fabric offers its consumers.
 
-    Implemented by :class:`SimTransport` (one process, in-memory
-    queues), :class:`~repro.net.socket_transport.SocketTransport` (one
+    Implemented by :class:`SimTransport` (one process, in memory),
+    :class:`~repro.net.socket_transport.SocketTransport` (one
     shard of a socket mesh) and
     :class:`~repro.net.proxy_transport.ProxyTransport` (attack effects
     in front of either); ``tests/net/test_transport_conformance.py``
@@ -54,20 +71,21 @@ class Transport(Protocol):
     def defer(self, delay_s: float, callback, *args) -> None:
         """Run ``callback(*args)`` after ``delay_s`` on the fabric's timer budget."""
 
-    async def recv(self, pid: int) -> tuple[int, object]:
-        """Wait for the next ``(source, payload)`` addressed to ``pid``."""
+    def subscribe(self, pid: int, handler: FrameHandler) -> None:
+        """Push every frame addressed to hosted ``pid`` to ``handler(src, payload)``.
 
-    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
-        """The next already-arrived frame for ``pid``, or ``None``."""
+        Frames that arrived while ``pid`` had no subscriber are handed
+        over first, in arrival order.
+        """
+
+    def unsubscribe(self, pid: int) -> None:
+        """Stop pushing to ``pid``'s handler; later arrivals are held."""
 
     def now(self) -> float:
         """Seconds since the fabric was started/anchored."""
 
     def latency(self, src: int, dst: int, at_s: float) -> float:
         """Sampled one-way latency for ``src → dst`` at ``at_s``."""
-
-    def queue_depths(self) -> dict[int, int]:
-        """Arrived-but-unreceived frames per hosted pid."""
 
 
 @dataclass(frozen=True)
@@ -126,58 +144,6 @@ class LinkLatencyModel:
         return delay
 
 
-class FrameQueue:
-    """A single-reader frame queue: one deque, at most one waiter.
-
-    :class:`asyncio.Queue` pays for generality this fabric never uses —
-    multi-consumer wakeup chains, put-side blocking, a future per
-    ``get`` even when items are already waiting.  Every transport queue
-    has exactly one reader (the pid's receive loop), so the fast paths
-    collapse to a deque operation, which matters at tens of thousands
-    of deliveries per second.  Concurrent ``get`` calls on one queue
-    are a programming error and raise.
-    """
-
-    __slots__ = ("_items", "_waiter")
-
-    def __init__(self) -> None:
-        self._items: collections.deque = collections.deque()
-        self._waiter: asyncio.Future | None = None
-
-    def put_nowait(self, item) -> None:
-        """Append ``item``, waking the reader if it is parked."""
-        self._items.append(item)
-        waiter = self._waiter
-        if waiter is not None:
-            self._waiter = None
-            if not waiter.done():
-                waiter.set_result(None)
-
-    async def get(self):
-        """Wait for and remove the next item."""
-        while not self._items:
-            if self._waiter is not None:
-                raise RuntimeError("FrameQueue supports a single reader")
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiter = waiter
-            try:
-                await waiter
-            finally:
-                if self._waiter is waiter:
-                    self._waiter = None
-        return self._items.popleft()
-
-    def get_nowait(self):
-        """Remove and return the next item, or ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def qsize(self) -> int:
-        """Items currently queued."""
-        return len(self._items)
-
-
 class DeliveryWheel:
     """Slot-coalesced delivery timers: one loop timer per slot, not per message.
 
@@ -187,12 +153,18 @@ class DeliveryWheel:
     with messages).  The wheel quantizes due times up to the next slot
     boundary (slots are ``slot_s`` wide on the event-loop clock) and
     arms **one** timer per non-empty slot; when it fires, every delivery
-    parked in the slot runs in scheduling order.
+    parked in the slot runs in scheduling order — which, delivery being
+    pushed, is the order consumers see the slot's frames in.
 
     Quantization delays a delivery by strictly less than ``slot_s``.
     Deployments size slots at δ/8 — the fabric's base link latency —
     which the round structure absorbs exactly like modelled jitter
     (Δ = 3δ, the receive phase sits at 0.9 Δ).
+
+    Each entry runs isolated: one that raises is counted in
+    ``handler_errors`` and logged, and the rest of the slot still runs —
+    a consumer's bug must not lose frames the model says are only ever
+    delayed.
 
     ``timers_created`` counts loop timers ever armed, so tests can pin
     the O(slots)-not-O(messages) contract.
@@ -208,6 +180,8 @@ class DeliveryWheel:
         self.timers_created = 0
         #: Deliveries ever scheduled (for the O(slots) vs O(messages) ratio).
         self.scheduled_count = 0
+        #: Entries (or :meth:`call` callbacks) that raised.
+        self.handler_errors = 0
 
     def slot_for(self, delay_s: float) -> int:
         """The slot index a delivery due ``delay_s`` from now lands in."""
@@ -225,10 +199,21 @@ class DeliveryWheel:
         entries.append((callback, args))
         self.scheduled_count += 1
 
+    def call(self, callback, *args) -> None:
+        """Run ``callback(*args)`` now, isolated exactly like a slot entry."""
+        self._run(((callback, args),))
+
     def _fire(self, slot: int) -> None:
         self._handles.pop(slot, None)
-        for callback, args in self._slots.pop(slot, ()):
-            callback(*args)
+        self._run(self._slots.pop(slot, ()))
+
+    def _run(self, entries) -> None:
+        for callback, args in entries:
+            try:
+                callback(*args)
+            except Exception:
+                self.handler_errors += 1
+                _log.exception("delivery callback %r failed; the slot carries on", callback)
 
     @property
     def pending(self) -> int:
@@ -241,9 +226,7 @@ class DeliveryWheel:
             handle.cancel()
         self._handles.clear()
         while self._slots:
-            slot = min(self._slots)
-            for callback, args in self._slots.pop(slot):
-                callback(*args)
+            self._run(self._slots.pop(min(self._slots)))
 
     def cancel(self) -> None:
         """Discard every pending delivery and timer."""
@@ -253,7 +236,59 @@ class DeliveryWheel:
         self._slots.clear()
 
 
-class SimTransport:
+class PushDelivery:
+    """The delivery side both fabrics share: a slot wheel and its subscribers.
+
+    One handler per hosted pid.  :meth:`_deliver` is what a wheel slot
+    (or a socket reader) calls per frame; a frame whose pid has no
+    subscriber is held — never dropped, never ``misrouted`` — and handed
+    over, in arrival order, by the next :meth:`subscribe`.
+    """
+
+    def __init__(self, hosted: Iterable[int], slot_s: float) -> None:
+        self.wheel = DeliveryWheel(slot_s)
+        self._hosted = frozenset(hosted)
+        self._handlers: dict[int, FrameHandler] = {}
+        #: pid -> frames that arrived while it had no subscriber.
+        self._held: dict[int, list[tuple[int, object]]] = {}
+
+    @property
+    def handler_errors(self) -> int:
+        """Handler calls that raised (each cost only its own frame)."""
+        return self.wheel.handler_errors
+
+    def subscribe(self, pid: int, handler: FrameHandler) -> None:
+        """Push ``pid``'s frames to ``handler``, held ones first."""
+        if pid not in self._hosted:
+            raise ValueError(f"pid {pid} is not hosted by this fabric")
+        if pid in self._handlers:
+            raise ValueError(f"pid {pid} already has a subscriber")
+        self._handlers[pid] = handler
+        for src, payload in self._held.pop(pid, ()):
+            self.wheel.call(handler, src, payload)
+
+    def unsubscribe(self, pid: int) -> None:
+        """Forget ``pid``'s handler; frames still in flight will be held."""
+        self._handlers.pop(pid, None)
+
+    def _deliver(self, dst: int, src: int, payload: object) -> None:
+        handler = self._handlers.get(dst)
+        if handler is None:
+            self._held.setdefault(dst, []).append((src, payload))
+        else:
+            handler(src, payload)
+
+    def defer(self, delay_s: float, callback, *args) -> None:
+        """Schedule ``callback`` after ``delay_s`` through the slot wheel.
+
+        The :class:`~repro.net.proxy_transport.ProxyTransport` surge
+        path routes its extra delays here so attack-delayed frames ride
+        the same O(slots) timer budget as ordinary deliveries.
+        """
+        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
+
+
+class SimTransport(PushDelivery):
     """Point-to-point message fabric for one deployment run.
 
     Deliveries ride a :class:`DeliveryWheel` (one timer per slot);
@@ -272,16 +307,14 @@ class SimTransport:
     ) -> None:
         if n <= 0:
             raise ValueError("need at least one node")
+        super().__init__(range(n), slot_s if slot_s is not None else (base_latency_s or 0.0005))
         self.n = n
         self._latency = LinkLatencyModel(base_latency_s, jitter_s, seed, surges)
-        self._queues: dict[int, FrameQueue] = {}
         self._origin: float | None = None
-        self.wheel = DeliveryWheel(slot_s if slot_s is not None else (base_latency_s or 0.0005))
         self.sent_count = 0
 
     def start(self) -> None:
-        """Anchor the clock and create queues; call once inside the loop."""
-        self._queues = {pid: FrameQueue() for pid in range(self.n)}
+        """Anchor the clock; call once inside the loop."""
         self._origin = asyncio.get_running_loop().time()
 
     def now(self) -> float:
@@ -296,61 +329,27 @@ class SimTransport:
 
     def send(self, src: int, dst: int, payload: object) -> None:
         """Send ``payload`` to ``dst``; it arrives after the link latency."""
-        if self._origin is None:
-            raise RuntimeError("transport not started")
-        # One clock read serves both the model time and the wheel slot
-        # (this is the hottest line of a simulated broadcast round).
-        loop_time = asyncio.get_running_loop().time()
-        delay = self._latency.latency(src, dst, loop_time - self._origin)
-        slot = math.ceil((loop_time + delay) / self.wheel.slot_s)
-        self.wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
-        self.sent_count += 1
+        self.send_many(src, (dst,), payload)
 
-    def send_many(self, src: int, dsts, payload: object) -> None:
+    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
         """Fan ``payload`` out from ``src`` to every pid in ``dsts``.
 
-        Equivalent to calling :meth:`send` per destination (same
-        per-link latencies, same counters) with the fan-out's fixed
-        costs — clock read, loop lookup — paid once.  The adversarial
-        proxy does not forward this method; it decomposes fan-outs into
-        per-frame :meth:`send` calls.
+        Each destination draws its own link's latency and counts as one
+        send; the fan-out's fixed costs — clock read, loop lookup — are
+        paid once (this loop is the hottest of a simulated broadcast
+        round).  The adversarial proxy does not forward this method; it
+        decomposes fan-outs into per-frame :meth:`send` calls.
         """
         if self._origin is None:
             raise RuntimeError("transport not started")
+        # One clock read serves the model time and every wheel slot.
         loop_time = asyncio.get_running_loop().time()
         at = loop_time - self._origin
         sample = self._latency.latency
-        wheel = self.wheel
+        schedule = self.wheel.schedule
+        slot_s = self.wheel.slot_s
+        deliver = self._deliver
         for dst in dsts:
-            delay = sample(src, dst, at)
-            slot = math.ceil((loop_time + delay) / wheel.slot_s)
-            wheel.schedule(slot, self._queues[dst].put_nowait, (src, payload))
+            slot = math.ceil((loop_time + sample(src, dst, at)) / slot_s)
+            schedule(slot, deliver, dst, src, payload)
             self.sent_count += 1
-
-    def defer(self, delay_s: float, callback, *args) -> None:
-        """Schedule ``callback`` after ``delay_s`` through the slot wheel.
-
-        The :class:`~repro.net.proxy_transport.ProxyTransport` surge
-        path routes its extra delays here so attack-delayed frames ride
-        the same O(slots) timer budget as ordinary deliveries.
-        """
-        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
-
-    async def recv(self, pid: int) -> tuple[int, object]:
-        """Wait for the next ``(source, payload)`` addressed to ``pid``."""
-        if self._origin is None:
-            raise RuntimeError("transport not started")
-        return await self._queues[pid].get()
-
-    def recv_nowait(self, pid: int) -> tuple[int, object] | None:
-        """The next already-arrived frame for ``pid``, or ``None``.
-
-        Slot-coalesced delivery lands a whole slot's frames at once, so
-        a consumer that bursts through the backlog after each ``recv``
-        wakes once per slot instead of once per frame.
-        """
-        return self._queues[pid].get_nowait()
-
-    def queue_depths(self) -> dict[int, int]:
-        """Pending (already-arrived, not yet received) messages per node."""
-        return {pid: queue.qsize() for pid, queue in self._queues.items()}

@@ -51,7 +51,7 @@ WIRE_COUNTER_ATTRS = (
 
 
 def transport_counters(transport) -> dict[str, int]:
-    """``sent``, ``misrouted`` and every wire counter of one fabric.
+    """``sent``, ``misrouted``, ``handler_errors`` and every wire counter of one fabric.
 
     Zeros where a fabric has no wire: ``SimTransport`` moves nothing
     over sockets and keeps none of the wire counters, so every
@@ -61,6 +61,7 @@ def transport_counters(transport) -> dict[str, int]:
     counters = {
         "sent": transport.sent_count,
         "misrouted": getattr(transport, "misrouted_count", 0),
+        "handler_errors": transport.handler_errors,
     }
     for attr in WIRE_COUNTER_ATTRS:
         counters[attr] = getattr(transport, attr, 0)

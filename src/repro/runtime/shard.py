@@ -190,9 +190,10 @@ class ShardRuntime:
     """The nodes of one shard, assembled over an already-built fabric.
 
     The caller built ``transport`` and owns its lifecycle
-    (start/anchor/close); the shard only sends and receives through it
-    — behind a :class:`ProxyTransport` when the spec's adversary is
-    scripted.  ``on_publish`` sees every message this shard originates
+    (start/anchor/close); the shard only sends through it and subscribes
+    its nodes to it — here, so build the shard before the fabric starts
+    listening — behind a :class:`ProxyTransport` when the spec's
+    adversary is scripted.  ``on_publish`` sees every message this shard originates
     before it enters gossip (the in-process deployment feeds its
     omniscient block tree from it).
     """
@@ -265,7 +266,7 @@ class ShardRuntime:
     async def drive(
         self, *extra_tasks: Awaitable, report: Callable[[dict], Awaitable] | None = None
     ) -> None:
-        """Start gossip and run every node through every round.
+        """Run every node through every round.
 
         The caller anchors :attr:`clock` (and the fabric) first.
         ``extra_tasks`` run alongside the node drivers; ``report`` is
@@ -274,7 +275,6 @@ class ShardRuntime:
         config = self.config
         offsets = clock_skew_offsets(config.spec, config.clock_skew_s)
         arrivals = shard_arrivals(config.spec.arrivals)
-        self.network.start()
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
             # One driver task per node keeps phase timing independent
@@ -308,20 +308,21 @@ class ShardRuntime:
             await asyncio.sleep(_REPORT_INTERVAL_S)
             await report(self.sample())
 
-    async def stop(self) -> None:
-        """Stop gossip and any self-scheduled attack-phase timers."""
+    def stop(self) -> None:
+        """Unsubscribe gossip and cancel any self-scheduled attack-phase timers."""
         if self.proxy is not None:
             self.proxy.cancel_timers()
-        await self.network.stop()
+        self.network.stop()
 
     def sample(self) -> dict:
         """Refresh the point-in-time gauges and snapshot the hub."""
         hub = self.hub
-        hub.gauge("transport_queue_depth", sum(self.transport.queue_depths().values()))
+        hub.gauge("transport_in_flight", self.transport.wheel.pending)
         # Snapshots are pushed *cumulative* and replaced per source, so
         # the fabric's running wire counters are gauges (last write
         # wins); hub-owned counters would double-count on every re-push.
         counters = transport_counters(self.transport)
+        hub.gauge("transport_handler_errors", counters["handler_errors"])
         for attr in WIRE_COUNTER_ATTRS:
             hub.gauge(f"wire_{attr}", counters[attr])
         if self.proxy is not None:

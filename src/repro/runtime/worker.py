@@ -68,9 +68,9 @@ async def _run_worker(config: WorkerConfig) -> None:
         pump = loop.create_task(channel.until_shutdown(on_frame))
         await shard.drive(report=lambda snapshot: channel.send("metrics", snapshot))
         # Linger one δ so in-flight frames from other shards drain into
-        # local queues/trees before the final snapshot is taken.
+        # local inboxes/trees before the final snapshot is taken.
         await asyncio.sleep(config.delta_s)
-        await shard.stop()
+        shard.stop()
         await channel.send("result", shard.payload())
         await pump
     finally:

@@ -6,6 +6,8 @@ from repro.attacks import AttackScript, drop, heal, partition, phase, surge
 from repro.net.proxy_transport import ProxyTransport
 from repro.runtime.metrics import MetricsHub
 
+from tests.net.conftest import Collector
+
 
 class FakeInner:
     """A transport stub that records sends and sits at time zero."""
@@ -181,8 +183,9 @@ def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
 
     async def scenario():
         inner = SimTransport(8, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
-        inner.start()
         proxy = _proxy(script, inner=inner)
+        inbox = Collector(proxy, range(1, 8))  # subscribes through to the inner fabric
+        inner.start()
         proxy.enter_phase(1)
         proxy.send_many(0, range(1, 8), "x")
         dropped = proxy.audit_totals()["dropped"]
@@ -191,8 +194,7 @@ def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
         assert 0 < dropped < 7
         assert inner.sent_count == 7 - dropped
         await asyncio.sleep(0.01)
-        delivered = sum(1 for pid in range(1, 8) if inner.recv_nowait(pid) is not None)
-        assert delivered == 7 - dropped
+        assert sum(len(frames) for frames in inbox.frames.values()) == 7 - dropped
 
     asyncio.run(scenario())
 
@@ -204,15 +206,15 @@ def test_fanout_surges_delay_every_frame_through_the_wheel():
 
     async def scenario():
         inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.001)
-        inner.start()
         proxy = _proxy(script, base_latency_s=0.001, inner=inner)
+        inbox = Collector(proxy, (1, 2, 3))
+        inner.start()
         proxy.enter_phase(1)
         proxy.send_many(0, (1, 2, 3), "x")
         # One delayed count per frame, not one per fan-out.
         assert proxy.audit_totals()["delayed"] == 3
         assert inner.sent_count == 0
         await asyncio.sleep(0.05)
-        for pid in (1, 2, 3):
-            assert inner.recv_nowait(pid) == (0, "x")
+        assert inbox.frames == {pid: [(0, "x")] for pid in (1, 2, 3)}
 
     asyncio.run(scenario())

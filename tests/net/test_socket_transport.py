@@ -8,6 +8,7 @@ import pytest
 from repro.net.socket_transport import (
     BATCH_VERSION,
     MAX_FRAME_BYTES,
+    DecodedBodyMemo,
     EncodedPayloadCache,
     SocketTransport,
     decode_batch,
@@ -17,6 +18,8 @@ from repro.net.socket_transport import (
     read_frame,
     supports_unix_sockets,
 )
+
+from tests.net.conftest import Collector
 
 
 def test_frame_roundtrip():
@@ -57,23 +60,30 @@ def _mesh_pair(tmp_path):
     return a, b
 
 
+async def _listening_pair(tmp_path):
+    """The mesh pair, subscribed (first) and listening, with its two inboxes."""
+    a, b = _mesh_pair(tmp_path)
+    inbox_a, inbox_b = Collector(a, (0,)), Collector(b, (1, 2))
+    await a.start()
+    await b.start()
+    await a.connect()
+    await b.connect()
+    a.anchor()
+    b.anchor()
+    return a, b, inbox_a, inbox_b
+
+
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_cross_worker_and_local_delivery(tmp_path):
     async def scenario():
-        a, b = _mesh_pair(tmp_path)
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
-        b.anchor()
+        a, b, inbox_a, inbox_b = await _listening_pair(tmp_path)
         try:
             a.send(0, 1, "remote")  # crosses the socket to worker b
             b.send(1, 2, "local")  # loops back inside worker b
             b.send(2, 0, "back")  # crosses the socket to worker a
-            assert await asyncio.wait_for(b.recv(1), timeout=2) == (0, "remote")
-            assert await asyncio.wait_for(b.recv(2), timeout=2) == (1, "local")
-            assert await asyncio.wait_for(a.recv(0), timeout=2) == (2, "back")
+            assert await inbox_b.until(1, 1) == [(0, "remote")]
+            assert await inbox_b.until(2, 1) == [(1, "local")]
+            assert await inbox_a.until(0, 1) == [(2, "back")]
             # Local loopback never touches the socket mesh.
             assert a.frames_sent == 1 and b.frames_sent == 1
             assert a.frames_received == 1 and b.frames_received == 1
@@ -130,7 +140,7 @@ def test_misrouted_frames_are_counted_not_dropped_silently(tmp_path):
         try:
             # Fault injection: worker a forgets it hosts pid 0 and
             # frames it to worker b, which does not host pid 0 either.
-            a._local_pids = frozenset()
+            a._hosted = frozenset()
             a._owner[0] = 1
             a.send(1, 0, "lost?")
             await asyncio.sleep(0.1)
@@ -257,20 +267,14 @@ def test_encoded_payload_cache_interns_messages_by_content_digest():
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_broadcast_pickles_once_and_rides_one_batch(tmp_path):
     async def scenario():
-        a, b = _mesh_pair(tmp_path)
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
-        b.anchor()
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
         try:
             # One send_many = one clock read, so at zero jitter both
             # frames land in one slot by construction.
             body = ["broadcast", bytes(4096)]
             a.send_many(0, (1, 2), body)
-            got_1 = await asyncio.wait_for(b.recv(1), timeout=2)
-            got_2 = await asyncio.wait_for(b.recv(2), timeout=2)
+            (got_1,) = await inbox_b.until(1, 1)
+            (got_2,) = await inbox_b.until(2, 1)
             assert got_1 == (0, body) and got_2 == (0, body)
             # The fan-out pickled once, reused once, and both frames
             # crossed the wire in a single batch write; the receiver
@@ -291,18 +295,11 @@ def test_broadcast_pickles_once_and_rides_one_batch(tmp_path):
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_send_many_matches_per_send_counters(tmp_path):
     async def scenario():
-        a, b = _mesh_pair(tmp_path)
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
-        b.anchor()
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
         try:
             a.send_many(0, (1, 2), ["fanout"])
-            got_1 = await asyncio.wait_for(b.recv(1), timeout=2)
-            got_2 = await asyncio.wait_for(b.recv(2), timeout=2)
-            assert got_1 == (0, ["fanout"]) and got_2 == (0, ["fanout"])
+            assert await inbox_b.until(1, 1) == [(0, ["fanout"])]
+            assert await inbox_b.until(2, 1) == [(0, ["fanout"])]
             assert a.sent_count == 2
             assert a.payload_encodes == 1 and a.payload_reuses == 1
         finally:
@@ -315,22 +312,15 @@ def test_send_many_matches_per_send_counters(tmp_path):
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_timer_budget_is_per_slot_not_per_message(tmp_path):
     async def scenario():
-        a, b = _mesh_pair(tmp_path)
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        a.anchor()
-        b.anchor()
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
         try:
             # 40 frames burst into the same latency envelope: the wheel
             # arms O(slots) timers, not one per message (zero jitter at
             # base latency 1 ms → every delivery shares one slot or two).
             for i in range(20):
                 a.send_many(0, (1, 2), i)
-            for _ in range(20):
-                await asyncio.wait_for(b.recv(1), timeout=2)
-                await asyncio.wait_for(b.recv(2), timeout=2)
+            await inbox_b.until(1, 20)
+            await inbox_b.until(2, 20)
             # 40 frames crossed the wire, but the wheel parked them in
             # (slot, worker) buckets: a handful of loop timers total.
             assert a.frames_sent == 40
@@ -366,14 +356,15 @@ def _deliver_raw(tmp_path, junk: bytes) -> SocketTransport:
 
     async def scenario():
         _, b = _mesh_pair(tmp_path)
+        inbox = Collector(b, (1, 2))
         await b.start()
         b.anchor()
         try:
             _, writer = await open_stream(b._addresses[1])
             writer.write(junk + valid)
             # The reader outlives the junk: the valid batch still lands.
-            assert await asyncio.wait_for(b.recv(1), timeout=2) == (0, "ok")
-            assert await asyncio.wait_for(b.recv(2), timeout=2) == (0, "ok")
+            assert await inbox.until(1, 1) == [(0, "ok")]
+            assert await inbox.until(2, 1) == [(0, "ok")]
             writer.close()
         finally:
             await b.close()
@@ -400,3 +391,140 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
     assert b.frames_rejected == 2
     assert b.batches_received == 1 and b.frames_received == 2
     assert b.misrouted_count == 0
+
+
+# ----------------------------------------------------------------------
+# The decode memo: one decode per process
+# ----------------------------------------------------------------------
+def _counting_loads(monkeypatch):
+    import repro.net.socket_transport as wire
+
+    calls = []
+    real = pickle.loads
+
+    def counting(data, *args, **kwargs):
+        calls.append(bytes(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(wire.pickle, "loads", counting)
+    return calls
+
+
+def test_one_body_in_two_batches_decodes_to_one_object_with_one_loads(monkeypatch):
+    body = _body(["gossiped", "vote"])
+    (first,) = encode_batch([(0, 1, "key", body)])
+    (second,) = encode_batch([(3, 2, "key", body), (3, 1, "other", _body("x"))])
+    calls = _counting_loads(monkeypatch)
+    memo = DecodedBodyMemo()
+    frames = decode_batch(first[4:], memo) + decode_batch(second[4:], memo)
+    assert [(src, dst) for src, dst, _ in frames] == [(0, 1), (3, 2), (3, 1)]
+    assert frames[0][2] == ["gossiped", "vote"]
+    assert frames[1][2] is frames[0][2]
+    assert calls.count(body) == 1 and len(calls) == 2
+    # Without a memo every batch decodes for itself, as before.
+    assert decode_batch(first[4:])[0][2] is not frames[0][2]
+
+
+def test_one_flipped_byte_is_a_different_object():
+    body = _body(b"payload-" + bytes(32))
+    flipped = bytearray(body)
+    flipped[-5] ^= 0x01
+    memo = DecodedBodyMemo()
+    original = memo.loads(body)
+    other = memo.loads(bytes(flipped))
+    assert other is not original and other != original
+    assert memo.loads(body) is original
+    assert len(memo) == 2
+
+
+def test_the_decode_memo_never_exceeds_its_bound():
+    memo = DecodedBodyMemo(capacity=4)
+    bodies = [_body(i) for i in range(10)]
+    for body in bodies:
+        memo.loads(body)
+        assert len(memo) <= 4
+    # Least recently used goes first: a re-read body survives the flood.
+    kept = memo.loads(bodies[6])
+    for body in bodies[:3]:
+        memo.loads(body)
+    assert memo.loads(bodies[6]) is kept
+    with pytest.raises(ValueError):
+        DecodedBodyMemo(capacity=0)
+    # The transport's own memo is bounded like every identity memo.
+    from repro.sleepy.messages import IDENTITY_MEMO_CAPACITY
+
+    assert DecodedBodyMemo()._capacity == IDENTITY_MEMO_CAPACITY
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_the_reader_hands_one_object_to_every_batch_a_body_rides(tmp_path):
+    async def scenario():
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        try:
+            body = ["flooded", bytes(512)]
+            a.send(0, 1, body)
+            await inbox_b.until(1, 1)
+            a.send(0, 2, body)  # a later slot, so a second batch
+            await inbox_b.until(2, 1)
+            assert b.batches_received == 2
+            assert inbox_b.frames[2][0][1] is inbox_b.frames[1][0][1]
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Subscriber lifecycle on the socket fabric
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_a_raising_subscriber_does_not_stop_the_reader(tmp_path):
+    async def scenario():
+        a, b = _mesh_pair(tmp_path)
+        got = []
+
+        def fragile(src, payload):
+            got.append(payload)
+            if len(got) == 1:
+                raise RuntimeError("consumer bug")
+
+        b.subscribe(1, fragile)
+        inbox = Collector(b, (2,))
+        for transport in (a, b):
+            await transport.start()
+        await a.connect()
+        a.anchor()
+        b.anchor()
+        try:
+            a.send_many(0, (1, 2, 1), "same batch")
+            await inbox.until(2, 1)
+            a.send(0, 1, "next batch")
+            async with asyncio.timeout(2):
+                while len(got) < 3:
+                    await asyncio.sleep(0.001)
+            assert got == ["same batch", "same batch", "next batch"]
+            assert b.handler_errors == 1 and b.misrouted_count == 0
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_close_after_unsubscribe_holds_in_flight_frames_quietly(tmp_path):
+    """``stop()`` unsubscribes before ``close()`` flushes the wheel: the
+    flushed frames reach nobody — no re-flood — and are not misrouted."""
+
+    async def scenario():
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        b.send(1, 2, "in flight")  # parked in a wheel slot
+        b.unsubscribe(2)
+        await a.close()
+        await b.close()
+        assert inbox_b.frames[2] == []
+        assert b.wheel.pending == 0 and b.misrouted_count == 0
+        assert Collector(b, (2,)).frames[2] == [(1, "in flight")]
+
+    asyncio.run(scenario())

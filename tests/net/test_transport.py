@@ -1,10 +1,13 @@
-"""Asyncio transport: delivery, latency, surge windows."""
+"""Asyncio transport: pushed delivery, latency, surge windows."""
 
 import asyncio
+import logging
 
 import pytest
 
-from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
+from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport, SurgeWindow
+
+from tests.net.conftest import Collector
 
 
 def run(coro):
@@ -14,11 +17,11 @@ def run(coro):
 def test_messages_arrive_in_order_per_link():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
+        inbox = Collector(transport, (1,))
         transport.start()
         for i in range(5):
             transport.send(0, 1, i)
-        received = [await transport.recv(1) for _ in range(5)]
-        return received
+        return await inbox.until(1, 5)
 
     received = run(scenario())
     assert received == [(0, i) for i in range(5)]
@@ -71,35 +74,34 @@ def test_latency_streams_are_per_link_and_order_independent():
     assert interleaved[(0, 1)] != interleaved[(1, 0)]
 
 
-def test_queue_depths_reports_arrived_unread_messages():
+def test_wheel_pending_counts_frames_in_flight():
+    """What ``ShardRuntime.sample`` exports as ``transport_in_flight``."""
+
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
+        inbox = Collector(transport, (1,))
         transport.start()
         transport.send(0, 1, "x")
         transport.send(0, 1, "y")
-        await asyncio.sleep(0.01)
-        depths = dict(transport.queue_depths())
-        await transport.recv(1)
-        depths_after = dict(transport.queue_depths())
-        return depths, depths_after
+        in_flight = transport.wheel.pending
+        await inbox.until(1, 2)
+        return in_flight, transport.wheel.pending
 
-    depths, depths_after = run(scenario())
-    assert depths[1] == 2
-    assert depths_after[1] == 1
+    assert run(scenario()) == (2, 0)
 
 
 def test_surged_message_is_delayed_not_dropped():
     async def scenario():
         surge = SurgeWindow(start_s=0.0, end_s=0.05, factor=20.0)
         transport = SimTransport(2, base_latency_s=0.005, jitter_s=0.0, seed=0, surges=(surge,))
+        inbox = Collector(transport, (1,))
         transport.start()
         transport.send(0, 1, "slow")  # 0.1 s latency under the surge
         with pytest.raises(asyncio.TimeoutError):
-            await asyncio.wait_for(transport.recv(1), timeout=0.04)
-        src, payload = await asyncio.wait_for(transport.recv(1), timeout=0.2)
-        return payload
+            await inbox.until(1, 1, timeout=0.04)
+        return await inbox.until(1, 1, timeout=0.2)
 
-    assert run(scenario()) == "slow"
+    assert run(scenario()) == [(0, "slow")]
 
 
 def test_counts_sent_messages():
@@ -121,48 +123,81 @@ def test_validation():
 
 
 # ----------------------------------------------------------------------
-# FrameQueue
+# Subscriptions: hold, hand-over, isolation
 # ----------------------------------------------------------------------
-def test_frame_queue_orders_and_wakes_single_reader():
-    from repro.net.transport import FrameQueue
-
+def test_frames_for_an_unsubscribed_pid_are_held_until_subscribe():
     async def scenario():
-        queue = FrameQueue()
-        assert queue.get_nowait() is None and queue.qsize() == 0
-        queue.put_nowait("a")
-        queue.put_nowait("b")
-        assert queue.qsize() == 2
-        assert await queue.get() == "a"
-        assert queue.get_nowait() == "b"
-        # A parked reader is woken by the next put.
-        getter = asyncio.ensure_future(queue.get())
-        await asyncio.sleep(0)
-        queue.put_nowait("c")
-        assert await asyncio.wait_for(getter, timeout=1) == "c"
+        transport = SimTransport(2, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
+        transport.start()
+        transport.send(0, 1, "a")
+        transport.send(0, 1, "b")
+        while transport.wheel.pending:
+            await asyncio.sleep(transport.wheel.slot_s)
+        # Both slots fired with nobody listening: held, in arrival order,
+        # and handed over by the subscription itself.
+        inbox = Collector(transport, (1,))
+        assert inbox.frames[1] == [(0, "a"), (0, "b")]
+        # Unsubscribing holds again; a fresh subscriber picks up from there.
+        transport.unsubscribe(1)
+        transport.send(0, 1, "c")
+        while transport.wheel.pending:
+            await asyncio.sleep(transport.wheel.slot_s)
+        assert inbox.frames[1] == [(0, "a"), (0, "b")]
+        late = Collector(transport, (1,))
+        assert late.frames[1] == [(0, "c")]
 
     run(scenario())
 
 
-def test_frame_queue_rejects_concurrent_readers():
-    from repro.net.transport import FrameQueue
+def test_subscribe_rejects_foreign_pids_and_second_subscribers():
+    transport = SimTransport(2)
+    with pytest.raises(ValueError, match="not hosted"):
+        transport.subscribe(2, print)
+    transport.subscribe(1, print)
+    with pytest.raises(ValueError, match="already has a subscriber"):
+        transport.subscribe(1, print)
+
+
+def test_a_raising_subscriber_costs_its_own_frame_only(caplog):
+    """A consumer exception must not stop dissemination: the slot carries
+    on, the failure is counted and logged, and the next frame arrives."""
 
     async def scenario():
-        queue = FrameQueue()
-        first = asyncio.ensure_future(queue.get())
-        await asyncio.sleep(0)
-        with pytest.raises(RuntimeError, match="single reader"):
-            await queue.get()
-        first.cancel()
+        transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0)
+        got = []
 
-    run(scenario())
+        def fragile(src, payload):
+            if not got:
+                got.append("raised")
+                raise RuntimeError("consumer bug")
+            got.append(payload)
+
+        transport.subscribe(1, fragile)
+        bystander = Collector(transport, (2,))
+        transport.start()
+        # One send_many = one clock read: all four frames share a slot.
+        transport.send_many(0, (1, 2, 1, 2), "x")
+        await bystander.until(2, 2)
+        assert got == ["raised", "x"]
+        assert transport.handler_errors == 1
+        # Teardown's flush isolates the same way.
+        transport.unsubscribe(1)
+        transport.subscribe(1, lambda src, payload: 1 / 0)
+        transport.send(0, 1, "y")
+        transport.send(0, 2, "z")
+        transport.wheel.flush()
+        assert transport.handler_errors == 2
+        assert bystander.frames[2][-1] == (0, "z")
+
+    with caplog.at_level(logging.ERROR, logger="repro.net.transport"):
+        run(scenario())
+    assert sum("delivery callback" in r.getMessage() for r in caplog.records) == 2
 
 
 # ----------------------------------------------------------------------
 # DeliveryWheel
 # ----------------------------------------------------------------------
 def test_wheel_coalesces_deliveries_into_slot_timers():
-    from repro.net.transport import DeliveryWheel
-
     async def scenario():
         wheel = DeliveryWheel(0.005)
         fired = []
@@ -181,8 +216,6 @@ def test_wheel_coalesces_deliveries_into_slot_timers():
 
 
 def test_wheel_flush_runs_pending_slots_earliest_first():
-    from repro.net.transport import DeliveryWheel
-
     async def scenario():
         wheel = DeliveryWheel(1.0)  # slots far in the future: nothing fires
         fired = []
@@ -197,8 +230,6 @@ def test_wheel_flush_runs_pending_slots_earliest_first():
 
 
 def test_wheel_cancel_drops_pending_deliveries():
-    from repro.net.transport import DeliveryWheel
-
     async def scenario():
         wheel = DeliveryWheel(0.001)
         fired = []
@@ -216,14 +247,13 @@ def test_wheel_cancel_drops_pending_deliveries():
 def test_sim_transport_delivers_through_the_wheel():
     async def scenario():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.002)
+        inbox = Collector(transport, (1, 2))
         transport.start()
         for i in range(10):
             transport.send(0, 1, i)
             transport.send(0, 2, i)
-        received_1 = [await asyncio.wait_for(transport.recv(1), 2) for _ in range(10)]
-        received_2 = [await asyncio.wait_for(transport.recv(2), 2) for _ in range(10)]
-        assert received_1 == [(0, i) for i in range(10)]
-        assert received_2 == [(0, i) for i in range(10)]
+        assert await inbox.until(1, 10) == [(0, i) for i in range(10)]
+        assert await inbox.until(2, 10) == [(0, i) for i in range(10)]
         # 20 deliveries shared O(slots) timers.
         assert transport.wheel.scheduled_count == 20
         assert transport.wheel.timers_created <= 3
@@ -237,6 +267,8 @@ def test_send_many_matches_per_send_semantics():
         # per-link latency streams as the equivalent send loop.
         loop_sent = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
         fanout = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
+        loop_inbox = Collector(loop_sent, (1, 2, 3))
+        fanout_inbox = Collector(fanout, (1, 2, 3))
         loop_sent.start()
         fanout.start()
         for dst in (1, 2, 3):
@@ -244,8 +276,8 @@ def test_send_many_matches_per_send_semantics():
         fanout.send_many(0, (1, 2, 3), "x")
         assert fanout.sent_count == loop_sent.sent_count == 3
         for dst in (1, 2, 3):
-            assert await asyncio.wait_for(loop_sent.recv(dst), 2) == (0, "x")
-            assert await asyncio.wait_for(fanout.recv(dst), 2) == (0, "x")
+            assert await loop_inbox.until(dst, 1) == [(0, "x")]
+            assert await fanout_inbox.until(dst, 1) == [(0, "x")]
         # Streams advanced identically: the next draw per link matches.
         for dst in (1, 2, 3):
             assert loop_sent.latency(0, dst, 0.0) == fanout.latency(0, dst, 0.0)
@@ -253,19 +285,19 @@ def test_send_many_matches_per_send_semantics():
     run(scenario())
 
 
-def test_recv_nowait_returns_arrived_frames_without_blocking():
+def test_slot_order_is_the_delivery_order_across_pids():
+    """Frames of one slot reach their subscribers in scheduling order,
+    interleaved across pids — not pid by pid."""
+
     async def scenario():
-        transport = SimTransport(2, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
+        transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0)
+        inbox = Collector(transport, (1, 2))
         transport.start()
-        assert transport.recv_nowait(1) is None
-        transport.send(0, 1, "a")
-        transport.send(0, 1, "b")
-        await transport.recv(1)  # waits for the slot to fire
-        # Each send reads the clock, so "b" may sit one slot after "a".
+        transport.send_many(0, (1, 2, 1, 2, 2, 1), "x")
+        assert transport.wheel.timers_created == 1
         while transport.wheel.pending:
             await asyncio.sleep(transport.wheel.slot_s)
-        assert transport.recv_nowait(1) == (0, "b")
-        assert transport.recv_nowait(1) is None
+        assert [pid for pid, _, _ in inbox.order] == [1, 2, 1, 2, 2, 1]
 
     run(scenario())
 

@@ -37,7 +37,7 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
         shard.transport.start()
         shard.clock.start()
         await shard.drive()
-        await shard.stop()
+        shard.stop()
         return shard.payload()
 
     payload = pickle.loads(pickle.dumps(asyncio.run(one_shard())))
