@@ -19,6 +19,7 @@ Measured, for the split-vote attack under a finality overlay (n = 20,
 
 from repro.analysis import check_safety, format_table, max_reorg_depth, reorg_events
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
 from repro.sleepy import (
     FullParticipation,
@@ -26,8 +27,6 @@ from repro.sleepy import (
     Simulation,
     SpikeSchedule,
     SplitVoteAttack,
-    SynchronousNetwork,
-    WindowedAsynchrony,
 )
 
 N = 20
@@ -43,7 +42,7 @@ def run_attack(protocol: str, eta: int) -> dict:
         registry,
         FullParticipation(N),
         SplitVoteAttack(list(range(HONEST, N)), target_round=10),
-        WindowedAsynchrony(ra=9, pi=1),
+        NetworkConditions.window(ra=9, pi=1),
         ebb_and_flow_factory(protocol, eta=eta, n=N),
     )
     trace = sim.run(24)
@@ -67,7 +66,7 @@ def run_outage() -> dict:
         registry,
         SpikeSchedule(N, drop_fraction=0.6, start=8, duration=10),
         NullAdversary(),
-        SynchronousNetwork(),
+        NetworkConditions.synchronous(),
         ebb_and_flow_factory("resilient", eta=3, n=N),
     )
     trace = sim.run(26)

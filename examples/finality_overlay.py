@@ -20,8 +20,9 @@ Run:  python examples/finality_overlay.py
 
 from repro.analysis import check_safety, format_table, max_reorg_depth, reorg_events
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
-from repro.sleepy import FullParticipation, Simulation, SplitVoteAttack, WindowedAsynchrony
+from repro.sleepy import FullParticipation, Simulation, SplitVoteAttack
 
 
 def run_pair(protocol: str, eta: int, n: int = 20):
@@ -30,7 +31,7 @@ def run_pair(protocol: str, eta: int, n: int = 20):
         registry,
         FullParticipation(n),
         SplitVoteAttack(list(range(16, 20)), target_round=10),
-        WindowedAsynchrony(ra=9, pi=1),
+        NetworkConditions.window(ra=9, pi=1),
         ebb_and_flow_factory(protocol, eta=eta, n=n),
     )
     trace = sim.run(24)

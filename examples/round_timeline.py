@@ -10,9 +10,9 @@ Run:  python examples/round_timeline.py
 """
 
 from repro.analysis import check_safety, render_depth_curve, render_timeline
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import WithholdingAdversary
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import SpikeSchedule
 
 
@@ -25,7 +25,7 @@ def main() -> None:
         eta=4,
         schedule=SpikeSchedule(n, drop_fraction=0.4, start=6, duration=6),
         adversary=WithholdingAdversary(),
-        network=WindowedAsynchrony(ra=15, pi=3),
+        conditions=NetworkConditions.window(ra=15, pi=3),
     )
     trace = run_tob(config)
 

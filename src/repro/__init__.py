@@ -31,8 +31,12 @@ from repro.core.bounds import (
     max_resilient_pi,
 )
 from repro.core.expiration import LatestVoteStore
-from repro.core.extended_ga import ExtendedGAInstance, ExtendedGAProcess, InitialVote
-from repro.core.resilient_tob import ResilientTOBProcess, resilient_factory
+from repro.core.extended_ga import (
+    ExtendedGAInstance,
+    ExtendedGAProcess,
+    GradedAgreement,
+    InitialVote,
+)
 from repro.engine.backend import EngineResult, run_spec
 from repro.engine.bus import MessageBus
 from repro.engine.conditions import AsyncPeriod, NetworkConditions
@@ -40,7 +44,7 @@ from repro.engine.registry import PROTOCOLS, ProtocolRegistry, ProtocolSpec
 from repro.engine.spec import RunSpec
 from repro.harness import TOBRunConfig, build_simulation, run_simulation, run_tob
 from repro.protocols.graded_agreement import GAOutput, tally_votes
-from repro.protocols.mmr_tob import MMRProcess, mmr_factory
+from repro.protocols.tob_base import SleepyTOBProcess, resilient_factory
 from repro.sleepy import (
     Adversary,
     AdversarialProposerAdversary,
@@ -48,16 +52,13 @@ from repro.sleepy import (
     DiurnalSchedule,
     EquivocatingVoteAdversary,
     FullParticipation,
-    MultiWindowAsynchrony,
     NullAdversary,
     RandomChurnSchedule,
     Simulation,
     SpikeSchedule,
     SplitVoteAttack,
-    SynchronousNetwork,
     TableSchedule,
     Trace,
-    WindowedAsynchrony,
     WithholdingAdversary,
 )
 from repro.analysis import (
@@ -85,14 +86,13 @@ __all__ = [
     "ExtendedGAProcess",
     "FullParticipation",
     "GAOutput",
+    "GradedAgreement",
     "InitialVote",
     "LatestVoteStore",
     "Log",
-    "MMRProcess",
     "Mempool",
     "PrefixTally",
     "MessageBus",
-    "MultiWindowAsynchrony",
     "NetworkConditions",
     "NullAdversary",
     "PROTOCOLS",
@@ -100,16 +100,14 @@ __all__ = [
     "ProtocolSpec",
     "RunSpec",
     "RandomChurnSchedule",
-    "ResilientTOBProcess",
     "Simulation",
+    "SleepyTOBProcess",
     "SpikeSchedule",
     "SplitVoteAttack",
-    "SynchronousNetwork",
     "TOBRunConfig",
     "TableSchedule",
     "Trace",
     "Transaction",
-    "WindowedAsynchrony",
     "WithholdingAdversary",
     "beta_tilde",
     "beta_tilde_one_third",
@@ -125,7 +123,6 @@ __all__ = [
     "gamma_for_beta_tilde",
     "max_churn",
     "max_resilient_pi",
-    "mmr_factory",
     "resilient_factory",
     "run_simulation",
     "run_spec",

@@ -45,12 +45,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from repro.engine.conditions import AsyncPeriod, NetworkConditions
-
-#: Latency multiplier a surge applies on the deployment substrate (the
-#: round simulator withholds surged links outright — the worst case the
-#: multiplier physically induces).
-DEFAULT_SURGE_FACTOR = 25.0
+from repro.engine.conditions import DEFAULT_SURGE_FACTOR, AsyncPeriod, NetworkConditions
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +229,6 @@ class AttackScript:
     def timeline(self) -> ScriptTimeline:
         """Resolve the phase records into per-round network/behaviour state."""
         return ScriptTimeline(self)
-
-    def has_delivery_ops(self) -> bool:
-        """Whether any phase degrades delivery (partition/surge/drop)."""
-        return any(
-            isinstance(op, (PartitionOp, SurgeOp, DropOp))
-            for p in self.phases
-            for op in p.ops
-        )
 
     def has_equivocation(self) -> bool:
         """Whether any phase turns on equivocation (needs signing power)."""
@@ -431,7 +418,7 @@ def apply_script(spec, script: AttackScript):
     script's asynchronous periods merged into the conditions, and —
     when the script sleeps processes — the participation schedule
     wrapped.  The base spec must not already carry an adversary (the
-    script owns that seam) nor a simulator-only ``network`` model.
+    script owns that seam).
     """
     import dataclasses
 
@@ -439,10 +426,9 @@ def apply_script(spec, script: AttackScript):
 
     if spec.adversary is not None:
         raise ValueError("apply_script needs a spec without an adversary (the script is one)")
-    if spec.network is not None:
-        raise ValueError("describe the base spec with conditions, not a network model")
-    base_periods = spec.conditions.periods if spec.conditions is not None else ()
-    conditions = NetworkConditions(periods=base_periods + script.conditions().periods)
+    conditions = NetworkConditions(
+        periods=spec.resolved_conditions().periods + script.conditions().periods
+    )
     schedule = spec.schedule
     if any(isinstance(op, (SleepOp, WakeOp)) for p in script.phases for op in p.ops):
         schedule = ScriptSchedule(spec.n, spec.resolved_schedule(), script)

@@ -2,17 +2,15 @@
 
 * :mod:`repro.core.expiration` — latest-unexpired-message tracking
   (the configurable message-expiration period η).
-* :mod:`repro.core.extended_ga` — the extended graded agreement with an
-  initial vote set ``M₀`` and the clique-validity property (Figure 3,
-  Lemma 1).
-* :mod:`repro.core.resilient_tob` — Algorithm 1 modified to use latest
-  unexpired messages: π-asynchrony-resilient for π < η (Theorems 1–3).
+* :mod:`repro.core.extended_ga` — the graded agreement over a window of
+  rounds: Figure 3's extended GA with an initial vote set ``M₀`` and the
+  clique-validity property (Lemma 1); Figure 2 is its empty-``M₀`` case.
 * :mod:`repro.core.bounds` — the analytic trade-off (Figure 1,
   Equations 1–5 constants): β̃ = (β − γ)/(γ(β − 2) + 1) and friends.
 
-The protocol classes are re-exported lazily (PEP 562): the protocol
-layer imports :mod:`repro.core.expiration`, and eager re-export here
-would close an import cycle.
+Algorithm 1 with expiration period η — π-asynchrony-resilient for π < η
+(Theorems 1–3) — is :class:`repro.protocols.tob_base.SleepyTOBProcess`,
+which holds one :class:`~repro.core.extended_ga.GradedAgreement`.
 """
 
 from repro.core.bounds import (
@@ -26,13 +24,19 @@ from repro.core.bounds import (
     max_resilient_pi,
 )
 from repro.core.expiration import LatestVoteStore
+from repro.core.extended_ga import (
+    ExtendedGAInstance,
+    ExtendedGAProcess,
+    GradedAgreement,
+    InitialVote,
+)
 
 __all__ = [
     "ExtendedGAInstance",
     "ExtendedGAProcess",
+    "GradedAgreement",
     "InitialVote",
     "LatestVoteStore",
-    "ResilientTOBProcess",
     "beta_tilde",
     "beta_tilde_one_third",
     "decision_threshold",
@@ -41,22 +45,4 @@ __all__ = [
     "gamma_for_beta_tilde",
     "max_churn",
     "max_resilient_pi",
-    "resilient_factory",
 ]
-
-_LAZY = {
-    "ExtendedGAInstance": "repro.core.extended_ga",
-    "ExtendedGAProcess": "repro.core.extended_ga",
-    "InitialVote": "repro.core.extended_ga",
-    "ResilientTOBProcess": "repro.core.resilient_tob",
-    "resilient_factory": "repro.core.resilient_tob",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -42,7 +42,7 @@ seeded golden traces.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from repro.chain.block import BlockId
 from repro.sleepy.messages import EQUIVOCATED_VOTE
@@ -115,11 +115,6 @@ class LatestVoteStore:
             # rather than maintaining every transition eagerly.
             self._win = None
             self._win_latest = {}
-
-    def record_batch(self, records: Iterable[tuple[int, int, BlockId | None]]) -> None:
-        """Record many ``(sender, round, tip)`` votes (delivery order)."""
-        for sender, round_number, tip in records:
-            self.record(sender, round_number, tip)
 
     def record_table(self, table: Mapping[int, Mapping[int, object]]) -> None:
         """Merge a round-resolved vote table (see ``VerifiedBatch.vote_table``).
@@ -240,10 +235,6 @@ class LatestVoteStore:
     # ------------------------------------------------------------------
     # Introspection and accountability
     # ------------------------------------------------------------------
-    def rounds_of(self, sender: int) -> tuple[int, ...]:
-        """Rounds in which ``sender``'s votes were recorded (sorted)."""
-        return tuple(sorted(r for r, bucket in self._by_round.items() if sender in bucket))
-
     def equivocators(self) -> frozenset[int]:
         """Senders caught equivocating in any (unpruned) round.
 

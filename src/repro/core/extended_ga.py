@@ -1,24 +1,18 @@
-"""The extended graded agreement with an initial vote set (paper Figure 3).
+"""The graded agreement every protocol here runs (paper Figures 2 and 3).
 
-A one-shot primitive: each process starts with an initial set ``M₀`` of
-vote messages from a set of processes ``P₀`` (in the modified
-Algorithm 1, its latest unexpired votes from rounds ``[g − η, g)``),
-multicasts its own vote in round ``g``, and at the end of the round
-tallies ``M_r`` — the round-``g`` votes plus the ``M₀`` votes of
-processes that did *not* vote in round ``g``:
+A GA instance started in round ``g`` grades, per process, its **latest
+unexpired** vote over the rounds ``[lo, g]``: round-``g`` votes plus the
+votes of an initial set ``M₀`` (rounds ``< g``) from processes silent in
+round ``g``; a process whose latest in-window vote is an equivocation
+contributes nothing, and a vote for a log the receiver cannot interpret
+is left out.  ``lo = g`` (empty ``M₀``) is Figure 2; the modified
+Algorithm 1 uses ``lo = g − η`` (§3.3).
 
-* equivocations are discarded in either set;
-* an ``M₀`` vote is discarded when its sender also voted in round ``g``
-  (fresh votes take precedence);
-* grading is the Figure 2 tally over ``M_r``.
-
-Lemma 1: under ``|H_g| > 2/3·|O_g ∪ P₀|`` this satisfies all five
-original GA properties *plus* **clique validity**, which holds even in
-asynchronous rounds and drives the asynchrony-resilience proof
-(Theorem 2).  The test suite checks all six properties directly on this
-class; the protocol integration is exercised through
-:class:`repro.core.resilient_tob.ResilientTOBProcess`, whose per-round
-GA instances are exactly instances of this primitive (paper §3.3).
+Lemma 1: under ``|H_g| > 2/3·|O_g ∪ P₀|`` the output satisfies the five
+GA properties *plus* **clique validity**, which holds even in
+asynchronous rounds and drives Theorem 2.  :class:`GradedAgreement` is
+the one implementation: ``SleepyTOBProcess`` holds one for the whole
+run, and so does each :class:`ExtendedGAInstance` the suites sample.
 """
 
 from __future__ import annotations
@@ -26,16 +20,45 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from repro.chain.block import BlockId
 from repro.chain.shared import TreeLike
-from repro.chain.tally import PrefixTally
+from repro.chain.tally import DEFAULT_BETA, GAOutput, PrefixTally
+from repro.core.expiration import LatestVoteStore
 from repro.crypto.signatures import SecretKey
-from repro.protocols.graded_agreement import DEFAULT_BETA, GAOutput
-from repro.sleepy.messages import CachedVerifier, Message, VoteMessage, make_vote
+from repro.sleepy.messages import Message, make_vote
 from repro.sleepy.process import Process
 
-_EQUIVOCATED = object()
+if TYPE_CHECKING:  # pragma: no cover - typing only (engine sits above core)
+    from repro.engine.ingest import IngestPipeline
+
+
+class GradedAgreement:
+    """Vote store + prefix tally + the rule that connects them."""
+
+    def __init__(self, tree: TreeLike, beta: Fraction = DEFAULT_BETA) -> None:
+        self.tree = tree
+        self.beta = beta
+        self.votes = LatestVoteStore()
+        # Long-lived: consecutive windows share most votes, and
+        # ``set_votes`` pays only for the (old tip → new tip) deltas.
+        self.tally = PrefixTally(tree)
+
+    def tallied_votes(self, lo: int, hi: int) -> dict[int, BlockId | None]:
+        """``M_r``: one interpretable latest vote per process over ``[lo, hi]``."""
+        votes = self.votes.latest(lo, hi)
+        # Membership is probed once per distinct tip, not per voter.
+        tree = self.tree
+        unknown = {tip for tip in set(votes.values()) if tip not in tree}
+        if unknown:
+            votes = {pid: tip for pid, tip in votes.items() if tip not in unknown}
+        return votes
+
+    def output(self, lo: int, hi: int) -> GAOutput:
+        """Grade the window's votes (Figure 2 thresholds)."""
+        self.tally.set_votes(self.tallied_votes(lo, hi))
+        return self.tally.grade(self.beta)
 
 
 @dataclass(frozen=True)
@@ -48,81 +71,37 @@ class InitialVote:
 
 
 class ExtendedGAInstance:
-    """The receive-phase bookkeeping of Figure 3 (transport-agnostic).
-
-    Feed it the initial set at construction and round-``g`` votes as
-    they arrive; read :meth:`output` at the end of the round.
-    """
+    """One GA of Figure 3: ``M₀`` up front, round-``g`` votes as they arrive
+    (``ga_round`` defaults to the round after the latest ``M₀`` vote)."""
 
     def __init__(
         self,
         tree: TreeLike,
         initial_votes: Iterable[InitialVote] = (),
         beta: Fraction = DEFAULT_BETA,
+        ga_round: int | None = None,
     ) -> None:
-        self._tree = tree
-        self._beta = beta
-        self._m0: dict[int, object] = {}
-        self._m0_rounds: dict[int, int] = {}
-        for vote in initial_votes:
-            self._record(self._m0, vote.sender, vote.tip, self._m0_rounds, vote.round)
-        self._fresh: dict[int, object] = {}
-        # Graded through a persistent prefix tally: repeated output()
-        # calls as round votes trickle in pay only for the vote deltas.
-        self._tally = PrefixTally(tree)
-
-    @staticmethod
-    def _record(
-        table: dict[int, object],
-        sender: int,
-        tip: BlockId | None,
-        rounds: dict[int, int] | None = None,
-        round_number: int | None = None,
-    ) -> None:
-        if rounds is not None and round_number is not None:
-            # Within M₀ only each sender's *latest* message matters;
-            # older rounds are superseded, same-round disagreement is an
-            # equivocation.
-            known = rounds.get(sender)
-            if known is not None and round_number < known:
-                return
-            if known is not None and round_number > known:
-                table.pop(sender, None)
-            rounds[sender] = round_number
-        existing = table.get(sender, _MISSING)
-        if existing is _MISSING:
-            table[sender] = tip
-        elif existing is not _EQUIVOCATED and existing != tip:
-            table[sender] = _EQUIVOCATED
-
-    @property
-    def p0(self) -> frozenset[int]:
-        """``P₀``: the processes with a message in the initial set."""
-        return frozenset(self._m0)
+        m0 = list(initial_votes)
+        if ga_round is None:
+            ga_round = 1 + max((vote.round for vote in m0), default=-1)
+        self.ga_round = ga_round
+        self.ga = GradedAgreement(tree, beta)
+        for vote in m0:
+            if vote.round >= ga_round:
+                raise ValueError("an M₀ vote must precede the GA round")
+            self.ga.votes.record(vote.sender, vote.round, vote.tip)
 
     def add_round_vote(self, sender: int, tip: BlockId | None) -> None:
         """Record a vote received in the GA round itself."""
-        self._record(self._fresh, sender, tip)
+        self.ga.votes.record(sender, self.ga_round, tip)
 
     def tallied_votes(self) -> dict[int, BlockId | None]:
-        """``M_r``: one vote per process after precedence and discards."""
-        merged: dict[int, BlockId | None] = {}
-        for sender, tip in self._m0.items():
-            if sender in self._fresh:
-                continue  # fresh vote (or fresh equivocation) supersedes M₀
-            if tip is _EQUIVOCATED:
-                continue
-            merged[sender] = tip  # type: ignore[assignment]
-        for sender, tip in self._fresh.items():
-            if tip is _EQUIVOCATED:
-                continue
-            merged[sender] = tip  # type: ignore[assignment]
-        return {pid: tip for pid, tip in merged.items() if tip in self._tree}
+        """``M_r`` over ``M₀`` and the round votes received so far."""
+        return self.ga.tallied_votes(0, self.ga_round)
 
     def output(self) -> GAOutput:
-        """Grade the tallied votes (Figure 2 thresholds)."""
-        self._tally.set_votes(self.tallied_votes())
-        return self._tally.grade(self._beta)
+        """The GA's output on the votes received so far."""
+        return self.ga.output(0, self.ga_round)
 
 
 class ExtendedGAProcess(Process):
@@ -131,16 +110,14 @@ class ExtendedGAProcess(Process):
     Awake processes vote for their input in round ``ga_round``; every
     receiver (including processes that were asleep in the send phase —
     the two-phase awakeness of §2.1) tallies what it got on top of its
-    initial set.  The property-test suite runs many of these under
-    random sleep schedules, adversaries, and asynchrony to check
-    Lemma 1.
+    initial set.  With no initial set this is Figure 2's participant.
     """
 
     def __init__(
         self,
         pid: int,
         key: SecretKey,
-        verifier: CachedVerifier,
+        verifier: IngestPipeline,
         tree: TreeLike,
         input_tip: BlockId | None,
         initial_votes: Iterable[InitialVote] = (),
@@ -150,26 +127,19 @@ class ExtendedGAProcess(Process):
         super().__init__(pid)
         self._key = key
         self._verifier = verifier
-        self._tree = tree
         self._input_tip = input_tip
-        self._ga_round = ga_round
-        self.instance = ExtendedGAInstance(tree, initial_votes, beta)
+        self.instance = ExtendedGAInstance(tree, initial_votes, beta, ga_round)
         self.output: GAOutput | None = None
 
     def send(self, round_number: int) -> Sequence[Message]:
-        if round_number != self._ga_round:
+        if round_number != self.instance.ga_round:
             return ()
         return [make_vote(self._verifier.registry, self._key, round_number, self._input_tip)]
 
     def receive(self, round_number: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if (
-                isinstance(message, VoteMessage)
-                and message.round == self._ga_round
-                and self._verifier.verify(message)
-            ):
-                self.instance.add_round_vote(message.sender, message.tip)
+        # Only round-g votes are of this GA; M₀ was fixed at construction.
+        g = self.instance.ga_round
+        round_votes = self._verifier.batch(messages).vote_table().get(g)
+        if round_votes:
+            self.instance.ga.votes.record_table({g: round_votes})
         self.output = self.instance.output()
-
-
-_MISSING = object()

@@ -23,6 +23,7 @@ from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message, ProposeMessage, VoteMessage
+from repro.sleepy.process import Process
 from repro.sleepy.trace import Trace
 
 
@@ -93,9 +94,9 @@ def base_meta(spec: RunSpec, registry: ProtocolRegistry = PROTOCOLS, **extra) ->
     }
 
 
-def offer_transactions(process, arrivals: Sequence[Transaction]) -> None:
+def offer_transactions(process: Process, arrivals: Sequence[Transaction]) -> None:
     """Deliver ``arrivals`` into one awake process's mempool (if it has one)."""
-    mempool = getattr(process, "mempool", None)
+    mempool = process.mempool
     if mempool is None:
         return
     for tx in arrivals:

@@ -200,14 +200,6 @@ class MessageBus:
     def total_published(self) -> int:
         return len(self._log)
 
-    def backlog_size(self, pid: int) -> int:
-        """Undelivered messages parked below ``pid``'s cursor."""
-        return len(self._backlog[pid])
-
-    def pending_count(self, pid: int) -> int:
-        """Total undelivered messages for ``pid``."""
-        return len(self._backlog[pid]) + len(self._log) - self._cursor[pid]
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

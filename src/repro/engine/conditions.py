@@ -1,14 +1,15 @@
 """Substrate-independent network conditions.
 
 The paper's model has one notion of degraded networking — a bounded
-asynchronous period ``[ra+1, ra+π]`` — but the two execution substrates
-realise it differently: the round simulator gives the adversary
-*logical* delivery control during those rounds
-(:class:`~repro.sleepy.network.WindowedAsynchrony`), while the asyncio
-deployment models the *physical* phenomenon, a latency surge past δ
-(:class:`~repro.net.transport.SurgeWindow`).  A
-:class:`NetworkConditions` value describes the periods once and maps to
-either realisation, so the same scenario runs on both substrates.
+asynchronous period ``[ra+1, ra+π]`` (§2.1) — and
+:class:`NetworkConditions` is its one description.  The two substrates
+realise it differently: in a synchronous round the round simulator
+delivers to every awake process all messages sent in rounds ``≤ r`` it
+has not received yet, and in a round :meth:`~NetworkConditions.
+is_asynchronous` covers the adversary chooses an arbitrary subset per
+receiver (messages are delayed, never lost); the asyncio deployment
+models the *physical* phenomenon, a latency surge past δ
+(:class:`~repro.net.transport.SurgeWindow`).
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.net.transport import SurgeWindow
-from repro.sleepy.network import (
-    MultiWindowAsynchrony,
-    NetworkModel,
-    SynchronousNetwork,
-    WindowedAsynchrony,
-)
 
 #: Latency multiplier that comfortably pushes one-way delays past δ
 #: (base latency is δ/8 + up to δ/8 jitter in the deployment transport).
@@ -59,9 +54,9 @@ class NetworkConditions:
     periods: tuple[AsyncPeriod, ...] = ()
 
     def __post_init__(self) -> None:
-        # Validate disjointness here so an overlapping description fails
-        # identically on every backend (the simulator's MultiWindow model
-        # would reject it; the surge realisation would silently accept).
+        # Several periods are an extension (the paper assumes one; the
+        # ablations repeat outages with healing in between); overlapping
+        # ones describe nothing and fail identically on every backend.
         spans = sorted((p.ra + 1, p.ra + p.pi) for p in self.periods if p.pi > 0)
         for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
             if start_b <= end_a:
@@ -83,17 +78,8 @@ class NetworkConditions:
         return cls(periods=(AsyncPeriod(ra, pi, surge_factor),))
 
     # ------------------------------------------------------------------
-    # Realisations
+    # Realisation
     # ------------------------------------------------------------------
-    def network_model(self) -> NetworkModel:
-        """The logical realisation for the round simulator."""
-        active = [p for p in self.periods if p.pi > 0]
-        if not active:
-            return SynchronousNetwork()
-        if len(active) == 1:
-            return WindowedAsynchrony(ra=active[0].ra, pi=active[0].pi)
-        return MultiWindowAsynchrony([(p.ra, p.pi) for p in active])
-
     def surge_windows(self, round_s: float) -> tuple[SurgeWindow, ...]:
         """The physical realisation for the deployment transport."""
         return tuple(
@@ -111,29 +97,3 @@ class NetworkConditions:
     # ------------------------------------------------------------------
     def is_asynchronous(self, round_number: int) -> bool:
         return any(p.covers(round_number) for p in self.periods)
-
-    def async_rounds(self, horizon: int) -> frozenset[int]:
-        """All asynchronous rounds below ``horizon``."""
-        return frozenset(r for r in range(horizon) if self.is_asynchronous(r))
-
-
-def conditions_from_network(network: NetworkModel) -> NetworkConditions:
-    """Best-effort translation of a simulator network model.
-
-    Lets a scenario written against the simulator's
-    :class:`~repro.sleepy.network.NetworkModel` API run on the
-    deployment backend.  Raises for custom models with no structural
-    period description to translate.
-    """
-    if isinstance(network, SynchronousNetwork):
-        return NetworkConditions.synchronous()
-    if isinstance(network, WindowedAsynchrony):
-        return NetworkConditions.window(network.ra, network.pi)
-    if isinstance(network, MultiWindowAsynchrony):
-        return NetworkConditions(
-            periods=tuple(AsyncPeriod(ra, pi) for ra, pi in network.windows)
-        )
-    raise ValueError(
-        f"cannot translate {type(network).__name__} into NetworkConditions; "
-        "describe the scenario with NetworkConditions to run it on any backend"
-    )

@@ -5,11 +5,16 @@ Every execution backend feeds delivered messages through one
 resulting :class:`~repro.sleepy.messages.VerifiedBatch`.  The pipeline
 stacks three layers, each shared run-wide:
 
-1. **Cached verification** — the digest-keyed LRU verdict cache of
-   :class:`~repro.sleepy.messages.CachedVerifier` (backed by
-   :class:`~repro.crypto.signatures.VerificationCache` and the
-   registry's ``verify_batch``), so a message multicast to n recipients
-   is verified **once**, not n times.
+1. **Cached verification** — a digest-keyed LRU verdict cache
+   (:class:`~repro.crypto.signatures.VerificationCache`) in front of the
+   registry's ``verify_batch``, so a message multicast to n recipients
+   is verified **once**, not n times.  Verification is deterministic,
+   so sharing verdicts changes no semantics; the digest is recomputed
+   here rather than read from the message
+   (:func:`~repro.sleepy.messages.verification_digest`), so a message
+   whose ``sender`` does not match the key that produced its signature
+   is rejected even when the signature is a valid tag for some *other*
+   registered process.
 2. **Interning** — the first verified instance of a logical message
    becomes canonical (:class:`~repro.sleepy.messages.MessageInterner`);
    the bus, vote stores, proposal tables, and traces then share one
@@ -23,11 +28,11 @@ stacks three layers, each shared run-wide:
    record extraction run once per delivery instead of once per
    receiver.
 
-Protocol code never imports this module at runtime: processes receive
-the pipeline through the :data:`~repro.sleepy.process.ProcessFactory`
-third argument (typed as the base ``CachedVerifier``) and call its
-``batch``/``verify`` methods duck-typed, which keeps the engine ↔
-protocol import graph acyclic.
+This is the only verifier: no backend, test fixture or example checks a
+message any other way.  Protocol code never imports this module at
+runtime — processes receive the pipeline as the third argument of a
+:data:`~repro.sleepy.process.ProcessFactory` and name it in annotations
+only — which keeps the engine ↔ protocol import graph acyclic.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from collections.abc import Sequence
 
 from repro.crypto.signatures import KeyRegistry, VerificationCache
 from repro.sleepy.messages import (
-    CachedVerifier,
     DigestMemo,
     IdentityMemo,
     Message,
     MessageInterner,
     VerifiedBatch,
+    check_payload,
 )
 
 #: How many distinct delivered tuples keep their classified batch alive.
@@ -50,13 +55,8 @@ from repro.sleepy.messages import (
 DEFAULT_BATCH_MEMO_CAPACITY = 32
 
 
-class IngestPipeline(CachedVerifier):
-    """Run-shared verification pipeline every backend feeds.
-
-    A drop-in :class:`~repro.sleepy.messages.CachedVerifier` (processes
-    are constructed against that interface) that adds interning, an
-    identity fast path, and per-delivery batch memoisation.
-    """
+class IngestPipeline:
+    """Run-shared verification pipeline every backend feeds."""
 
     def __init__(
         self,
@@ -64,7 +64,8 @@ class IngestPipeline(CachedVerifier):
         cache: VerificationCache | None = None,
         batch_memo_capacity: int = DEFAULT_BATCH_MEMO_CAPACITY,
     ) -> None:
-        super().__init__(registry, cache=cache)
+        self._registry = registry
+        self._cache = cache if cache is not None else VerificationCache()
         self._interner = MessageInterner()
         #: Digests of the objects that are not (yet) canonical: a decoded
         #: duplicate sits in several inboxes and is hashed for the first.
@@ -82,6 +83,15 @@ class IngestPipeline(CachedVerifier):
             "identity_hits": 0,
             "rejected": 0,
         }
+
+    @property
+    def registry(self) -> KeyRegistry:
+        return self._registry
+
+    @property
+    def cache(self) -> VerificationCache:
+        """The underlying digest-keyed verdict cache."""
+        return self._cache
 
     @property
     def interner(self) -> MessageInterner:
@@ -107,9 +117,6 @@ class IngestPipeline(CachedVerifier):
             interner.intern(message, digest)
         return verdict
 
-    def _note_crypto(self, count: int) -> None:
-        self.stats["crypto_verifications"] += count
-
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
@@ -134,7 +141,7 @@ class IngestPipeline(CachedVerifier):
     def _build_batch(self, messages: Sequence[Message]) -> VerifiedBatch:
         # Resolve each message to its canonical instance (or None if
         # rejected); actual crypto for the residue of cache misses goes
-        # through the base class's shared dedup + registry-batch helper.
+        # through :meth:`_resolve_misses`.
         interner = self._interner
         cache = self._cache
         resolved_messages: list[Message | None] = [None] * len(messages)
@@ -171,3 +178,31 @@ class IngestPipeline(CachedVerifier):
         self.stats["messages_ingested"] += len(messages)
         self.stats["rejected"] += rejected
         return VerifiedBatch(verified, rejected=rejected)
+
+    def _resolve_misses(
+        self, messages: Sequence[Message], digests: Sequence[str], indices: Sequence[int]
+    ) -> dict[str, bool]:
+        # The one place actual crypto happens: deduplicate the missing
+        # digests, push the distinct signature claims through the
+        # registry's batch API (VRF checks stay per proposal), and cache
+        # every verdict.
+        distinct: list[int] = []
+        seen: set[str] = set()
+        for i in indices:
+            digest = digests[i]
+            if digest not in seen:
+                seen.add(digest)
+                distinct.append(i)
+        items = [
+            (messages[i].sender, messages[i].signature, messages[i]._signed_fields())
+            for i in distinct
+        ]
+        self.stats["crypto_verifications"] += len(items)
+        tag_ok = self._registry.verify_batch(items)
+        resolved: dict[str, bool] = {}
+        cache = self._cache
+        for i, ok in zip(distinct, tag_ok):
+            verdict = bool(ok) and check_payload(self._registry, messages[i])
+            resolved[digests[i]] = verdict
+            cache.put(digests[i], verdict)
+        return resolved

@@ -1,12 +1,12 @@
 """The protocol registry: one place that knows how to build processes.
 
-Protocol dispatch used to be duplicated three times — the harness's
-``build_simulation``, the deployment runner's ``_make_process``, and the
-CLI's hard-coded ``choices=[...]`` — each with its own ``if protocol ==
-...`` ladder.  The registry replaces all three: a protocol is a named
-:class:`ProtocolSpec` whose builder turns run parameters into a
-:data:`~repro.sleepy.process.ProcessFactory`, and every backend asks
-the same registry.
+A protocol is a named :class:`ProtocolSpec` whose builder turns run
+parameters into a :data:`~repro.sleepy.process.ProcessFactory`; every
+backend, the CLI, the scenario constructors and the finality overlay
+ask the same registry, so there is no ``if protocol == ...`` ladder
+anywhere.  Both paper protocols are rows over one process class
+(:class:`~repro.protocols.tob_base.SleepyTOBProcess`): ``"resilient"``
+passes the run's η through, ``"mmr"`` pins η = 0.
 
 Registering a new protocol makes it available to the simulator, the
 deployment runner, the CLI, and every scenario constructor at once::
@@ -26,11 +26,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from repro.core.resilient_tob import resilient_factory
 from repro.protocols.graded_agreement import DEFAULT_BETA
-from repro.protocols.mmr_tob import mmr_factory
-from repro.protocols.tob_base import DEFAULT_BLOCK_CAPACITY
+from repro.protocols.tob_base import DEFAULT_BLOCK_CAPACITY, resilient_factory
 from repro.sleepy.process import ProcessFactory
 
 
@@ -106,7 +105,7 @@ PROTOCOLS = ProtocolRegistry()
 PROTOCOLS.register(
     ProtocolSpec(
         name="mmr",
-        build=mmr_factory,
+        build=partial(resilient_factory, 0),  # picklable, unlike a lambda
         uses_eta=False,
         description="original Malkhi–Momose–Ren TOB (current-round votes only)",
     )

@@ -46,7 +46,7 @@ class SimulationBackend(ExecutionBackend):
             registry,
             spec.resolved_schedule(),
             spec.resolved_adversary(),
-            spec.resolved_network(),
+            spec.resolved_conditions(),
             factory,
             meta=base_meta(spec, self._protocols, backend=self.name),
         )

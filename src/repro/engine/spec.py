@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.chain.transactions import Transaction
-from repro.engine.conditions import NetworkConditions, conditions_from_network
+from repro.engine.conditions import NetworkConditions
 from repro.protocols.graded_agreement import DEFAULT_BETA
 from repro.sleepy.adversary import Adversary, NullAdversary
-from repro.sleepy.network import NetworkModel, SynchronousNetwork
 from repro.sleepy.schedule import FullParticipation, SleepSchedule
 
 
@@ -64,13 +63,10 @@ class RunSpec:
             corruption and Byzantine messaging, while delivery control
             is realised physically as latency surges (see
             :mod:`repro.engine.conditions`).
-        network: simulator-only synchrony model override.  Prefer
-            ``conditions``, which runs on every backend; ``network``
-            remains for custom :class:`~repro.sleepy.network.NetworkModel`
-            subclasses.  At most one of the two may be set.
-        conditions: substrate-independent network conditions
-            (asynchronous periods that map to adversarial delivery in
-            the simulator and latency surges in deployments).
+        conditions: the run's asynchronous periods — the one description
+            of asynchrony, realised as adversarial delivery in the
+            simulator and as latency surges in deployments (default:
+            synchrony throughout).
         transactions: round → transactions that arrive at every awake
             process's mempool at the beginning of that round (models
             clients broadcasting transactions).
@@ -87,16 +83,11 @@ class RunSpec:
     beta: Fraction = DEFAULT_BETA
     schedule: SleepSchedule | None = None
     adversary: Adversary | None = None
-    network: NetworkModel | None = None
     transactions: Mapping[int, Sequence[Transaction]] = field(default_factory=dict)
     record_telemetry: bool = False
     seed: int = 0
     meta: dict = field(default_factory=dict)
     conditions: NetworkConditions | None = None
-
-    def __post_init__(self) -> None:
-        if self.network is not None and self.conditions is not None:
-            raise ValueError("set either network (simulator-only) or conditions, not both")
 
     # ------------------------------------------------------------------
     # Resolution (defaults applied once, identically on every backend)
@@ -107,21 +98,8 @@ class RunSpec:
     def resolved_adversary(self) -> Adversary:
         return self.adversary if self.adversary is not None else NullAdversary()
 
-    def resolved_network(self) -> NetworkModel:
-        """The logical synchrony model (for the round simulator)."""
-        if self.network is not None:
-            return self.network
-        if self.conditions is not None:
-            return self.conditions.network_model()
-        return SynchronousNetwork()
-
     def resolved_conditions(self) -> NetworkConditions:
-        """The physical conditions (for deployments and trace labelling)."""
-        if self.conditions is not None:
-            return self.conditions
-        if self.network is not None:
-            return conditions_from_network(self.network)
-        return NetworkConditions.synchronous()
+        return self.conditions if self.conditions is not None else NetworkConditions.synchronous()
 
     def arrivals(self, round_number: int) -> Sequence[Transaction]:
         """Transactions arriving at the beginning of ``round_number``."""

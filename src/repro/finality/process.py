@@ -1,7 +1,7 @@
 """The ebb-and-flow process: available chain + finality overlay in one.
 
-Wraps any :class:`~repro.protocols.tob_base.SleepyTOBProcess` (original
-MMR or the η-expiration modification).  The wrapper is transparent to
+Wraps any :class:`~repro.protocols.tob_base.SleepyTOBProcess` (any η;
+η = 0 is the original MMR protocol).  The wrapper is transparent to
 the round simulator: it forwards the inner protocol's messages and
 decisions, adds one signed acknowledgement of the inner delivered log
 per round, routes incoming acks into its :class:`FinalityGadget`, and
@@ -18,7 +18,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from repro.chain.block import BlockId
+from repro.engine.registry import PROTOCOLS
 from repro.finality.gadget import DEFAULT_FINALITY_QUORUM, FinalityGadget, FinalizationEvent
+from repro.protocols.graded_agreement import DEFAULT_BETA
 from repro.protocols.tob_base import SleepyTOBProcess
 from repro.sleepy.messages import Message, VerifiedBatch, make_ack
 from repro.sleepy.process import Process
@@ -97,26 +99,14 @@ def ebb_and_flow_factory(
     protocol: str,
     eta: int,
     n: int,
-    beta: Fraction | None = None,
+    beta: Fraction = DEFAULT_BETA,
     quorum: Fraction = DEFAULT_FINALITY_QUORUM,
 ):
     """A :data:`~repro.sleepy.process.ProcessFactory` for wrapped processes."""
-    from repro.chain.transactions import Mempool
-    from repro.protocols.graded_agreement import DEFAULT_BETA
-    from repro.protocols.mmr_tob import MMRProcess
-    from repro.core.resilient_tob import ResilientTOBProcess
-
-    beta = beta if beta is not None else DEFAULT_BETA
+    build_inner = PROTOCOLS.factory(protocol, eta=eta, beta=beta)
 
     def factory(pid, key, verifier, chain=None):
-        if protocol == "mmr":
-            inner = MMRProcess(pid, key, verifier, beta=beta, mempool=Mempool(), chain=chain)
-        elif protocol == "resilient":
-            inner = ResilientTOBProcess(
-                pid, key, verifier, eta=eta, beta=beta, mempool=Mempool(), chain=chain
-            )
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
+        inner = build_inner(pid, key, verifier, chain=chain)
         return EbbAndFlowProcess(inner, key, verifier, n=n, quorum=quorum)
 
     factory.supports_shared_chain = True

@@ -1,30 +1,14 @@
-"""Baseline protocols: MMR graded agreement and total-order broadcast.
+"""The protocol layer: graded-agreement grading and Algorithm 1.
 
-* :mod:`repro.protocols.graded_agreement` — the one-round graded
-  agreement of Malkhi, Momose, and Ren (paper Figure 2), including the
-  vote tally with prefix counting, parametric failure ratio β, and a
-  one-shot process wrapper for running GA instances standalone.
+* :mod:`repro.protocols.graded_agreement` — the Figure 2 grading rule
+  (prefix counting, parametric failure ratio β) as a one-shot function.
 * :mod:`repro.protocols.tob_base` — the view-structured total-order
-  broadcast state machine of Algorithm 1, with the vote-selection rule
-  left abstract.
-* :mod:`repro.protocols.mmr_tob` — the original MMR protocol: each GA
-  instance tallies only votes cast in its own round (and is therefore
-  *not* asynchrony resilient — see the E2 benchmark).
+  broadcast state machine of Algorithm 1 with expiration period η
+  (η = 0 is the original MMR protocol, which is *not* asynchrony
+  resilient — see the E2 benchmark).
 """
 
-from repro.protocols.graded_agreement import (
-    GAOutput,
-    GAVoteProcess,
-    tally_votes,
-)
-from repro.protocols.mmr_tob import MMRProcess, mmr_factory
-from repro.protocols.tob_base import SleepyTOBProcess
+from repro.protocols.graded_agreement import GAOutput, tally_votes
+from repro.protocols.tob_base import SleepyTOBProcess, resilient_factory
 
-__all__ = [
-    "GAOutput",
-    "GAVoteProcess",
-    "MMRProcess",
-    "SleepyTOBProcess",
-    "mmr_factory",
-    "tally_votes",
-]
+__all__ = ["GAOutput", "SleepyTOBProcess", "resilient_factory", "tally_votes"]

@@ -13,34 +13,23 @@ two different vote messages from the same process are ignored
 (equivocation discard).  Thresholds are evaluated with exact integer
 arithmetic (``den·count > (den − num)·m``), never floats.
 
-The tally is shared by every protocol in the repository: the original
-MMR TOB, the extended GA of Figure 3, and the η-expiration TOB differ
-only in *which* votes they feed it.  The counting itself lives in the
-chain layer as the incremental :class:`~repro.chain.tally.PrefixTally`;
-:func:`tally_votes` is the one-shot compatibility API over it, and
-long-lived consumers hold a tally and feed it vote *deltas* instead of
-recounting every round.
+The counting lives in the chain layer as the incremental
+:class:`~repro.chain.tally.PrefixTally`; *which* votes are counted — each
+process's latest unexpired vote over a window of rounds, Figure 3 — is
+:class:`repro.core.extended_ga.GradedAgreement`.  :func:`tally_votes` is
+the one-shot form: one vote per process in, graded logs out.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 
 from repro.chain.block import BlockId
 from repro.chain.tally import DEFAULT_BETA, GAOutput, PrefixTally, check_beta
 from repro.chain.tree import BlockTree
-from repro.crypto.signatures import SecretKey
-from repro.sleepy.messages import CachedVerifier, Message, VoteMessage, make_vote
-from repro.sleepy.process import Process
 
-__all__ = [
-    "DEFAULT_BETA",
-    "GAOutput",
-    "GAVoteProcess",
-    "select_current_round_votes",
-    "tally_votes",
-]
+__all__ = ["DEFAULT_BETA", "GAOutput", "tally_votes"]
 
 
 def tally_votes(
@@ -62,72 +51,3 @@ def tally_votes(
     """
     check_beta(beta)
     return PrefixTally(tree, votes).grade(beta)
-
-
-def select_current_round_votes(
-    tree: BlockTree,
-    vote_messages: Sequence[VoteMessage],
-    round_number: int,
-) -> dict[int, BlockId | None]:
-    """Figure 2 vote selection: round-``r`` votes, equivocators discarded.
-
-    Votes whose tip is not in ``tree`` (the receiver never learned the
-    block) are excluded — a receiver cannot count a vote for a log it
-    cannot interpret.
-    """
-    seen: dict[int, BlockId | None] = {}
-    equivocators: set[int] = set()
-    for message in vote_messages:
-        if message.round != round_number:
-            continue
-        if message.sender in equivocators:
-            continue
-        if message.sender in seen and seen[message.sender] != message.tip:
-            equivocators.add(message.sender)
-            del seen[message.sender]
-            continue
-        seen[message.sender] = message.tip
-    return {pid: tip for pid, tip in seen.items() if tip in tree}
-
-
-class GAVoteProcess(Process):
-    """A one-shot graded-agreement participant (paper Figure 2).
-
-    Used to run GA instances standalone — the property-test suite drives
-    hundreds of these through the simulator to check the GA properties
-    of Lemma 1 directly.  The process votes for its ``input_tip`` in
-    round ``ga_round`` and exposes the tally of what it received as
-    :attr:`output`.
-    """
-
-    def __init__(
-        self,
-        pid: int,
-        key: SecretKey,
-        verifier: CachedVerifier,
-        tree: BlockTree,
-        input_tip: BlockId | None,
-        ga_round: int = 0,
-        beta: Fraction = DEFAULT_BETA,
-    ) -> None:
-        super().__init__(pid)
-        self._key = key
-        self._verifier = verifier
-        self._tree = tree
-        self._input_tip = input_tip
-        self._ga_round = ga_round
-        self._beta = beta
-        self._received: list[VoteMessage] = []
-        self.output: GAOutput | None = None
-
-    def send(self, round_number: int) -> Sequence[Message]:
-        if round_number != self._ga_round:
-            return ()
-        return [make_vote(self._verifier.registry, self._key, round_number, self._input_tip)]
-
-    def receive(self, round_number: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if isinstance(message, VoteMessage) and self._verifier.verify(message):
-                self._received.append(message)
-        votes = select_current_round_votes(self._tree, self._received, self._ga_round)
-        self.output = tally_votes(self._tree, votes, self._beta)

@@ -1,10 +1,16 @@
 """The view-structured TOB state machine (paper Algorithm 1).
 
-Both the original MMR protocol and the paper's asynchrony-resilient
-modification run the *same* view structure; they differ in exactly one
-place — which votes a GA instance tallies.  This module implements the
-shared machine and leaves that one decision to
-:meth:`SleepyTOBProcess.vote_window`.
+The original MMR protocol and the paper's asynchrony-resilient
+modification are one machine with one parameter: a GA instance started
+in round ``g`` tallies each process's latest unexpired vote over rounds
+``[g − η, g]`` (§3.3).  η = 0 is the original protocol — each GA tallies
+only the votes cast in its own round, which tolerates fully dynamic
+participation but loses safety in a single asynchronous decision round
+(the §1 attack, ``benchmarks/bench_async_attack.py``).  Under the
+paper's assumptions (validated per run by :mod:`repro.analysis.
+assumptions`) η > 0 keeps it a Byzantine TOB (Theorem 1), makes it
+π-asynchrony-resilient for every π < η (Theorem 2) and healing one
+round after synchrony resumes (Theorem 3).
 
 Round/view layout (Algorithm 1):
 
@@ -62,26 +68,28 @@ from bisect import insort
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.shared import ChainView, SharedChain
 from repro.chain.store import BlockBuffer
-from repro.chain.tally import PrefixTally
 from repro.chain.transactions import Mempool
 from repro.chain.tree import BlockTree
-from repro.core.expiration import LatestVoteStore
+from repro.core.extended_ga import GradedAgreement
 from repro.crypto.signatures import SecretKey
 from repro.protocols.graded_agreement import DEFAULT_BETA, GAOutput
 from repro.sleepy.messages import (
-    CachedVerifier,
     Message,
     ProposeMessage,
     VerifiedBatch,
     make_propose,
     make_vote,
 )
-from repro.sleepy.process import Process
+from repro.sleepy.process import Process, ProcessFactory
 from repro.sleepy.trace import DecisionEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (engine sits above protocols)
+    from repro.engine.ingest import IngestPipeline
 
 #: Maximum transactions a proposer packs into one block.
 DEFAULT_BLOCK_CAPACITY = 16
@@ -110,24 +118,26 @@ class TallySample:
 
 
 class SleepyTOBProcess(Process):
-    """A well-behaved participant of Algorithm 1 (vote selection abstract)."""
+    """A well-behaved participant of Algorithm 1 with expiration period η."""
 
     def __init__(
         self,
         pid: int,
         key: SecretKey,
-        verifier: CachedVerifier,
+        verifier: IngestPipeline,
+        eta: int = 0,
         beta: Fraction = DEFAULT_BETA,
-        mempool: Mempool | None = None,
         block_capacity: int = DEFAULT_BLOCK_CAPACITY,
         record_telemetry: bool = False,
         chain: SharedChain | None = None,
     ) -> None:
+        if eta < 0:
+            raise ValueError("expiration period η must be non-negative")
         super().__init__(pid)
         self._key = key
         self._verifier = verifier
-        self._beta = beta
-        self.mempool = mempool if mempool is not None else Mempool()
+        self.eta = eta
+        self.mempool = Mempool()
         self._block_capacity = block_capacity
         self._record_telemetry = record_telemetry
         #: Per-GA quorum-race telemetry (populated when enabled).
@@ -142,12 +152,11 @@ class SleepyTOBProcess(Process):
             chain.view() if chain is not None else BlockTree([genesis_block()])
         )
         self._buffer = BlockBuffer(self.tree)
-        self._votes = LatestVoteStore()
-        # The long-lived prefix-count tally every GA instance grades
-        # through: per round it absorbs the *delta* between consecutive
-        # vote windows (most senders' latest votes carry over) instead
-        # of re-walking every vote's ancestor chain.
-        self._tally = PrefixTally(self.tree)
+        # The one long-lived graded agreement every GA instance of the
+        # run is a window query on (Figure 3; ``M₀`` is whatever the
+        # store already holds from rounds ``[g − η, g)``).
+        self._ga = GradedAgreement(self.tree, beta)
+        self._votes = self._ga.votes
         # view -> sender -> propose message (or _EQUIVOCATED marker).
         self._proposals: dict[int, dict[int, ProposeMessage | None]] = {}
         # view -> (seen senders, ascending (VRF value, sender)):
@@ -172,27 +181,6 @@ class SleepyTOBProcess(Process):
         # decision by the newly delivered segment only.
         self._delivered_ids: set[str] = set()
         self._pending_decisions: list[DecisionEvent] = []
-
-    # ------------------------------------------------------------------
-    # The one protocol-defining hook
-    # ------------------------------------------------------------------
-    def vote_window(self, ga_round: int) -> tuple[int, int]:
-        """Rounds whose votes the GA instance of ``ga_round`` tallies.
-
-        The original protocol returns ``(ga_round, ga_round)``; the
-        asynchrony-resilient protocol returns ``(ga_round − η, ga_round)``.
-        """
-        raise NotImplementedError
-
-    def vote_expiry_horizon(self, round_number: int) -> int | None:
-        """Round below which no future :meth:`vote_window` can reach.
-
-        ``receive_batch`` prunes the vote store up to this horizon after
-        every delivery; ``None`` (the base default) keeps everything.
-        The original protocol returns ``round − 1``; the η-expiration
-        protocol returns ``round − η``.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Send phase (Algorithm 1, per round kind)
@@ -262,9 +250,8 @@ class SleepyTOBProcess(Process):
         for message in batch.proposes:
             self._record_proposal(message, round_number)
         self._prune_proposals(round_number)
-        horizon = self.vote_expiry_horizon(round_number)
-        if horizon is not None:
-            self._votes.prune(horizon)
+        # Everything below the reach of any future window is expired.
+        self._votes.prune(round_number - self.eta)
 
     def _prune_proposals(self, round_number: int) -> None:
         # A view-v proposal is only ever consulted at round 2v − 1; keep a
@@ -292,15 +279,15 @@ class SleepyTOBProcess(Process):
         # unboundedly (their view keys sit above the pruning horizon).
         if message.view > round_number // 2 + 1:
             return
-        if message.view < self._proposal_floor:
-            # Below the prune floor: the old full-scan prune deleted such
-            # stragglers in the same delivery, before anything could
-            # consult them — not storing them at all is equivalent.
-            return
-        # Keyed by the verified sender: a Byzantine proposer flooding
-        # never-attachable blocks exhausts its own orphan quota, never
-        # another sender's honestly out-of-order block.
+        # Block admission does not depend on proposal bookkeeping: a
+        # process catching up on a backlog needs the blocks of views it
+        # will never vote in.  Keyed by the verified sender: a Byzantine
+        # proposer flooding never-attachable blocks exhausts its own
+        # orphan quota, never another sender's honestly out-of-order block.
         self._buffer.offer(message.block, source=message.sender)
+        if message.view < self._proposal_floor:
+            # Below the prune floor: nothing can consult the proposal.
+            return
         per_view = self._proposals.setdefault(message.view, {})
         existing = per_view.get(message.sender, _MISSING)
         if existing is _MISSING:
@@ -321,20 +308,7 @@ class SleepyTOBProcess(Process):
     # Algorithm steps
     # ------------------------------------------------------------------
     def _ga_output(self, ga_round: int) -> GAOutput:
-        lo, hi = self.vote_window(ga_round)
-        votes = self._votes.latest(lo, hi)
-        # A vote for a tip this process cannot interpret yet is left
-        # out; membership is probed once per distinct tip, not per voter.
-        tree = self.tree
-        unknown = {tip for tip in set(votes.values()) if tip not in tree}
-        if unknown:
-            votes = {pid: tip for pid, tip in votes.items() if tip not in unknown}
-        # Roll the persistent tally to this window's vote set: only the
-        # distinct (old tip, new tip) transitions cost tree walks — the
-        # unchanged majority is free, and so is the size of a camp that
-        # moves together.
-        self._tally.set_votes(votes)
-        output = self._tally.grade(self._beta)
+        output = self._ga.output(max(0, ga_round - self.eta), ga_round)
         if self._record_telemetry:
             self._sample_tally(ga_round, output)
         return output
@@ -342,8 +316,8 @@ class SleepyTOBProcess(Process):
     def _sample_tally(self, ga_round: int, output: GAOutput) -> None:
         m = output.m
         best_tip = self.tree.longest(output.grade1) if output.grade1 else GENESIS_TIP
-        best_count = self._tally.count(best_tip)
-        one_minus_beta = 1 - self._beta
+        best_count = self._ga.tally.count(best_tip)
+        one_minus_beta = 1 - self._ga.beta
         threshold = (one_minus_beta.numerator * m) // one_minus_beta.denominator
         self.telemetry.append(
             TallySample(
@@ -447,6 +421,32 @@ class SleepyTOBProcess(Process):
     def delivered_log(self):
         """The longest log this process has delivered, materialised."""
         return self.tree.log(self.delivered_tip)
+
+
+def resilient_factory(
+    eta: int,
+    beta: Fraction = DEFAULT_BETA,
+    block_capacity: int = DEFAULT_BLOCK_CAPACITY,
+    record_telemetry: bool = False,
+) -> ProcessFactory:
+    """A :data:`~repro.sleepy.process.ProcessFactory` for Algorithm 1 with this η."""
+
+    def factory(
+        pid: int, key: SecretKey, verifier: IngestPipeline, chain: SharedChain | None = None
+    ) -> SleepyTOBProcess:
+        return SleepyTOBProcess(
+            pid,
+            key,
+            verifier,
+            eta=eta,
+            beta=beta,
+            block_capacity=block_capacity,
+            record_telemetry=record_telemetry,
+            chain=chain,
+        )
+
+    factory.supports_shared_chain = True
+    return factory
 
 
 _MISSING = object()

@@ -50,12 +50,9 @@ class RoundClock:
             raise RuntimeError("clock not started")
         return asyncio.get_running_loop().time() - self._origin
 
-    def _elapsed(self) -> float:
-        return self.elapsed()
-
     def current_round(self) -> int:
         """The round the wall clock is currently in."""
-        return int(self._elapsed() / self.round_s)
+        return int(self.elapsed() / self.round_s)
 
     def start_of(self, round_number: int) -> float:
         """Elapsed-seconds timestamp of the beginning of a round."""
@@ -63,19 +60,6 @@ class RoundClock:
 
     async def sleep_until_elapsed(self, elapsed_target: float) -> None:
         """Sleep until ``elapsed_target`` seconds after round 0."""
-        remaining = elapsed_target - self._elapsed()
+        remaining = elapsed_target - self.elapsed()
         if remaining > 0:
             await asyncio.sleep(remaining)
-
-    async def sleep_until_round(self, round_number: int) -> None:
-        """Sleep until the beginning of ``round_number``."""
-        await self.sleep_until_elapsed(self.start_of(round_number))
-
-    async def sleep_until_receive_phase(self, round_number: int, fraction: float = 0.9) -> None:
-        """Sleep until late in ``round_number`` (the receive phase).
-
-        ``fraction`` of the round leaves one δ of slack for the tally
-        while guaranteeing (under the bound) that all the round's
-        messages have arrived.
-        """
-        await self.sleep_until_elapsed(self.start_of(round_number) + fraction * self.round_s)

@@ -28,7 +28,7 @@ class DeployedNode:
         mempool_capacity: int | None = None,
     ) -> None:
         self.process = process
-        if mempool_capacity is not None and getattr(process, "mempool", None) is not None:
+        if mempool_capacity is not None and process.mempool is not None:
             # Service runs bound the pool (see Mempool): swap in a
             # capacity-limited pool before any transaction is offered.
             process.mempool = Mempool(capacity=mempool_capacity)

@@ -332,7 +332,7 @@ class ShardRuntime:
         return hub.snapshot()
 
     def _mempools(self) -> list:
-        pools = (getattr(node.process, "mempool", None) for node in self.nodes.values())
+        pools = (node.process.mempool for node in self.nodes.values())
         return [pool for pool in pools if pool is not None]
 
     def payload(self, extra_trees: Iterable[BlockTree] = ()) -> dict:

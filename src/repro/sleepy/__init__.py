@@ -7,14 +7,14 @@ This package implements the system model the paper's protocols run in:
 * :mod:`repro.sleepy.schedule` — awake/asleep schedules (who is in
   ``O_r`` each round), including churn-bounded random walks, spikes,
   and diurnal patterns.
-* :mod:`repro.sleepy.network` — synchronous delivery plus bounded
-  asynchronous periods ``[ra+1, ra+π]`` with adversary-controlled
-  delivery.
 * :mod:`repro.sleepy.adversary` — the adversary interface (constant or
   growing corruption, arbitrary Byzantine messages, delivery control
   during asynchrony) and concrete attack strategies.
 * :mod:`repro.sleepy.simulator` — the round-by-round execution engine
-  (send phase / receive phase) producing a :class:`~repro.sleepy.trace.Trace`.
+  (send phase / receive phase) producing a :class:`~repro.sleepy.trace.Trace`;
+  synchronous delivery plus adversary-controlled delivery in the
+  asynchronous periods ``[ra+1, ra+π]`` that
+  :class:`repro.engine.conditions.NetworkConditions` describes.
 """
 
 from repro.sleepy.adversary import (
@@ -30,18 +30,11 @@ from repro.sleepy.adversary import (
     WithholdingAdversary,
 )
 from repro.sleepy.messages import (
-    CachedVerifier,
     Message,
     ProposeMessage,
     VerifiedBatch,
     VoteMessage,
     verify_message,
-)
-from repro.sleepy.network import (
-    MultiWindowAsynchrony,
-    NetworkModel,
-    SynchronousNetwork,
-    WindowedAsynchrony,
 )
 from repro.sleepy.process import Process, ProcessFactory
 from repro.sleepy.schedule import (
@@ -70,15 +63,12 @@ __all__ = [
     "Adversary",
     "AdversaryContext",
     "AdversarialProposerAdversary",
-    "CachedVerifier",
     "CrashAdversary",
     "DecisionEvent",
     "DiurnalSchedule",
     "EquivocatingVoteAdversary",
     "FullParticipation",
     "Message",
-    "MultiWindowAsynchrony",
-    "NetworkModel",
     "NullAdversary",
     "Process",
     "ProcessFactory",
@@ -92,11 +82,9 @@ __all__ = [
     "SplitVoteAttack",
     "StaticVoteAdversary",
     "WithholdingAdversary",
-    "SynchronousNetwork",
     "TableSchedule",
     "Trace",
     "VerifiedBatch",
     "VoteMessage",
-    "WindowedAsynchrony",
     "verify_message",
 ]

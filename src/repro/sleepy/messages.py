@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.chain.block import Block, BlockId
 from repro.crypto.hashing import hash_fields
-from repro.crypto.signatures import KeyRegistry, SecretKey, Signature, VerificationCache
+from repro.crypto.signatures import KeyRegistry, SecretKey, Signature
 from repro.crypto.vrf import VRFOutput, evaluate_vrf, verify_vrf
 
 #: Marker for a (sender, round) slot voided by two different signed
@@ -163,10 +163,17 @@ def verify_message(registry: KeyRegistry, message: Message) -> bool:
     """Signature (and, for proposals, VRF) verification.
 
     Well-behaved processes drop messages that fail this check, so a
-    Byzantine process can only ever speak *as itself*.
+    Byzantine process can only ever speak *as itself*.  The definition;
+    runs go through :class:`repro.engine.ingest.IngestPipeline`, which
+    batches and caches exactly this.
     """
-    if not registry.verify(message.sender, message.signature, *message._signed_fields()):
-        return False
+    return registry.verify(
+        message.sender, message.signature, *message._signed_fields()
+    ) and check_payload(registry, message)
+
+
+def check_payload(registry: KeyRegistry, message: Message) -> bool:
+    """The non-signature half of :func:`verify_message`: proposal VRFs."""
     if isinstance(message, ProposeMessage):
         if message.block is None or message.vrf is None:
             return False
@@ -332,8 +339,8 @@ class MessageInterner:
 class VerifiedBatch:
     """One delivery's verified messages, classified once for all consumers.
 
-    Built by a verifier's ``batch`` (and shared between receivers by the
-    engine's ingest pipeline): the messages that survived verification,
+    Built by the ingest pipeline's ``batch`` (and shared by it between
+    receivers): the messages that survived verification,
     in delivery order, pre-split by kind, with the per-vote and per-ack
     ``(sender, round, tip)`` records extracted so per-receiver loops
     touch plain tuples instead of re-reading attributes n times.
@@ -405,102 +412,3 @@ class VerifiedBatch:
 
 
 _UNSEEN = object()
-
-
-class CachedVerifier:
-    """Memoised :func:`verify_message` shared by all processes of a run.
-
-    Verification is deterministic, and in a multicast model every
-    process verifies the same messages; a shared
-    :class:`~repro.crypto.signatures.VerificationCache` keyed by
-    :func:`verification_digest` removes the redundant work without
-    changing semantics.  The digest is recomputed here rather than read
-    from the message (see :func:`verification_digest` for why); in
-    particular a message whose ``sender`` does not match the key that
-    produced its signature is rejected even when the signature is a
-    valid tag for some *other* registered process.
-
-    Subclassed by the engine's ingest pipeline, which adds interning,
-    an identity fast path, and shared per-delivery batches.
-    """
-
-    def __init__(self, registry: KeyRegistry, cache: VerificationCache | None = None) -> None:
-        self._registry = registry
-        self._cache = cache if cache is not None else VerificationCache()
-
-    @property
-    def registry(self) -> KeyRegistry:
-        return self._registry
-
-    @property
-    def cache(self) -> VerificationCache:
-        """The underlying digest-keyed verdict cache."""
-        return self._cache
-
-    def verify(self, message: Message) -> bool:
-        """Memoised :func:`verify_message` for one message."""
-        digest = verification_digest(message)
-        verdict = self._cache.get(digest)
-        if verdict is None:
-            verdict = verify_message(self._registry, message)
-            self._cache.put(digest, verdict)
-        return verdict
-
-    def batch(self, messages: Sequence[Message]) -> VerifiedBatch:
-        """Verify ``messages`` and classify the survivors in one pass.
-
-        Signature tags for cache misses go through
-        :meth:`~repro.crypto.signatures.KeyRegistry.verify_batch`; VRF
-        checks (proposals) stay per-message.  Order is preserved.
-        """
-        digests = [verification_digest(m) for m in messages]
-        cache = self._cache
-        verdicts: list[bool | None] = [cache.get(d) for d in digests]
-        miss_indices = [i for i, v in enumerate(verdicts) if v is None]
-        if miss_indices:
-            resolved = self._resolve_misses(messages, digests, miss_indices)
-            for i in miss_indices:
-                verdicts[i] = resolved[digests[i]]
-        verified = [m for m, v in zip(messages, verdicts) if v]
-        return VerifiedBatch(verified, rejected=len(messages) - len(verified))
-
-    def _resolve_misses(
-        self, messages: Sequence[Message], digests: Sequence[str], indices: Sequence[int]
-    ) -> dict[str, bool]:
-        # The one place actual crypto happens on the batch path, shared
-        # by this class and the engine's ingest pipeline: deduplicate
-        # the missing digests, push the distinct signature claims
-        # through the registry's batch API, apply payload checks, and
-        # cache every verdict.
-        distinct: list[int] = []
-        seen: set[str] = set()
-        for i in indices:
-            digest = digests[i]
-            if digest not in seen:
-                seen.add(digest)
-                distinct.append(i)
-        items = [
-            (messages[i].sender, messages[i].signature, messages[i]._signed_fields())
-            for i in distinct
-        ]
-        self._note_crypto(len(items))
-        tag_ok = self._registry.verify_batch(items)
-        resolved: dict[str, bool] = {}
-        cache = self._cache
-        for i, ok in zip(distinct, tag_ok):
-            verdict = bool(ok) and self._check_payload(messages[i])
-            resolved[digests[i]] = verdict
-            cache.put(digests[i], verdict)
-        return resolved
-
-    def _note_crypto(self, count: int) -> None:
-        # Accounting hook; the ingest pipeline overrides it for stats.
-        return None
-
-    def _check_payload(self, message: Message) -> bool:
-        # The non-signature half of verify_message: proposal VRFs.
-        if isinstance(message, ProposeMessage):
-            if message.block is None or message.vrf is None:
-                return False
-            return verify_vrf(self._registry, message.sender, message.view, message.vrf)
-        return True

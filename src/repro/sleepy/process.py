@@ -16,12 +16,23 @@ from typing import TYPE_CHECKING
 from repro.sleepy.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chain.transactions import Mempool
     from repro.crypto.signatures import SecretKey
-    from repro.sleepy.messages import CachedVerifier
+    from repro.engine.ingest import IngestPipeline
+    from repro.sleepy.trace import DecisionEvent
 
 
 class Process(ABC):
-    """A well-behaved protocol participant."""
+    """A well-behaved protocol participant.
+
+    The seam every substrate drives: ``send``/``receive`` each round,
+    :attr:`mempool` for transaction arrivals (``None`` — the default —
+    means the process takes none), and :meth:`pop_decisions` after each
+    send phase.
+    """
+
+    #: Where arriving transactions are offered; ``None`` takes none.
+    mempool: Mempool | None = None
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
@@ -39,12 +50,15 @@ class Process(ABC):
         ``≤ round_number`` not delivered to this process before.
         """
 
+    def pop_decisions(self) -> list[DecisionEvent]:
+        """Decision events since the last call (none by default)."""
+        return []
+
 
 #: Builds the honest process for ``pid``.  Receives the process id, its
-#: secret key, and the run-shared cached verifier — on the engine
-#: substrates this is the full ingest pipeline
-#: (:class:`repro.engine.ingest.IngestPipeline`), whose shared
-#: ``batch`` method processes dispatch their deliveries through.
+#: secret key, and the run-shared verifier — the
+#: :class:`repro.engine.ingest.IngestPipeline`, whose shared ``batch``
+#: method processes dispatch their deliveries through.
 #:
 #: Factories that can build processes on a run-shared
 #: :class:`~repro.chain.shared.SharedChain` (one interned tree, a
@@ -53,4 +67,4 @@ class Process(ABC):
 #: ``chain=`` keyword; the round simulator then passes its chain in.
 #: Substrates without shared memory (the asyncio deployment) simply
 #: never pass one, and the factory builds private trees as before.
-ProcessFactory = Callable[[int, "SecretKey", "CachedVerifier"], Process]
+ProcessFactory = Callable[[int, "SecretKey", "IngestPipeline"], Process]

@@ -36,11 +36,11 @@ from repro.engine.backend import (
     count_kinds,
 )
 from repro.engine.bus import MessageBus
+from repro.engine.conditions import NetworkConditions
 from repro.engine.errors import ModelViolationError, UndeliverableMessageError
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message, ProposeMessage
-from repro.sleepy.network import NetworkModel
 from repro.sleepy.process import Process, ProcessFactory
 from repro.sleepy.schedule import SleepSchedule
 from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
@@ -56,7 +56,7 @@ class Simulation:
         registry: KeyRegistry,
         schedule: SleepSchedule,
         adversary: Adversary,
-        network: NetworkModel,
+        conditions: NetworkConditions,
         process_factory: ProcessFactory,
         meta: dict | None = None,
     ) -> None:
@@ -65,7 +65,7 @@ class Simulation:
         self.registry = registry
         self.schedule = schedule
         self.adversary = adversary
-        self.network = network
+        self.conditions = conditions
         #: The run-shared ingest pipeline every process verifies through.
         self.pipeline = IngestPipeline(registry)
 
@@ -124,7 +124,7 @@ class Simulation:
             for message in process.send(r):
                 check_honest_message(message, pid, r)
                 self._publish(message)
-            decisions.extend(self._drain_decisions(process))
+            decisions.extend(process.pop_decisions())
         for message in self.adversary.send(r, self._ctx):
             check_adversary_message(message, byz)
             self._publish(message)
@@ -132,7 +132,7 @@ class Simulation:
         votes, proposes, other = count_kinds(self.bus.round_messages(r))
 
         # --- Receive phase --------------------------------------------------
-        asynchronous = self.network.is_asynchronous(r)
+        asynchronous = self.conditions.is_asynchronous(r)
         receivers = self.schedule.awake(r + 1) - self._corruption.peek(r + 1)
         for pid in sorted(receivers):
             if asynchronous:
@@ -171,10 +171,3 @@ class Simulation:
             return
         if isinstance(message, ProposeMessage) and message.block is not None:
             self._tree_buffer.offer(message.block)
-
-    @staticmethod
-    def _drain_decisions(process: Process) -> list[DecisionEvent]:
-        pop = getattr(process, "pop_decisions", None)
-        if pop is None:
-            return []
-        return list(pop())

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.viz import render_depth_curve, render_timeline
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import SpikeSchedule
 from repro.sleepy.trace import Trace
 
@@ -17,7 +17,7 @@ def sample_trace():
             protocol="resilient",
             eta=3,
             schedule=SpikeSchedule(10, drop_fraction=0.5, start=6, duration=4),
-            network=WindowedAsynchrony(ra=11, pi=2),
+            conditions=NetworkConditions.window(ra=11, pi=2),
         )
     )
 

@@ -10,7 +10,7 @@ import pytest
 from repro.chain.block import Block, genesis_block
 from repro.chain.tree import BlockTree
 from repro.crypto.signatures import KeyRegistry
-from repro.sleepy.messages import CachedVerifier
+from repro.engine.ingest import IngestPipeline
 
 
 def subprocess_env() -> dict[str, str]:
@@ -35,8 +35,9 @@ def registry() -> KeyRegistry:
 
 
 @pytest.fixture
-def verifier(registry: KeyRegistry) -> CachedVerifier:
-    return CachedVerifier(registry)
+def verifier(registry: KeyRegistry) -> IngestPipeline:
+    """The verifier every backend runs — there is no other."""
+    return IngestPipeline(registry)
 
 
 @pytest.fixture

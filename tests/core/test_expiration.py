@@ -88,8 +88,7 @@ def test_prune_drops_only_older_rounds():
     dropped = store.prune(3)
     assert dropped == 2
     assert store.latest(0, 10) == {0: "b"}
-    assert store.rounds_of(0) == (5,)
-    assert store.rounds_of(1) == ()
+    assert store.latest(0, 4) == {}
     assert len(store) == 1
 
 

@@ -1,12 +1,20 @@
-"""Extended graded agreement (Figure 3): unit semantics + Lemma 1 properties."""
+"""Extended graded agreement (Figure 3): unit semantics + Lemma 1 properties.
 
+Everything here samples :class:`ExtendedGAInstance`, which holds the
+same :class:`GradedAgreement` a running ``SleepyTOBProcess`` holds —
+the suite certifies the code the protocol runs, not a twin of it.
+"""
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ga_properties import check_clique_validity, check_ga_properties
 from repro.chain.block import GENESIS_TIP
-from repro.core.extended_ga import ExtendedGAInstance, InitialVote
+from repro.core.extended_ga import ExtendedGAInstance, GradedAgreement, InitialVote
 from repro.protocols.graded_agreement import tally_votes
+from repro.protocols.tob_base import SleepyTOBProcess
+from repro.sleepy.messages import make_vote
 
 from tests.chain.test_properties import build_random_tree
 from tests.conftest import extend
@@ -22,7 +30,6 @@ def test_empty_m0_reduces_to_figure2(tree, genesis):
     votes = {pid: chain[0].block_id for pid in range(5)}
     for pid, tip in votes.items():
         instance.add_round_vote(pid, tip)
-    assert instance.p0 == frozenset()
     assert instance.output() == tally_votes(tree, votes)
 
 
@@ -41,7 +48,6 @@ def test_m0_used_when_sender_silent_in_round(tree, genesis):
     )
     instance.add_round_vote(1, genesis.block_id)
     assert instance.tallied_votes() == {0: genesis.block_id, 1: genesis.block_id}
-    assert instance.p0 == frozenset({0})
 
 
 def test_m0_keeps_only_latest_round_per_sender(tree, genesis):
@@ -101,6 +107,47 @@ def test_m0_equivocation_at_older_round_superseded_by_later_m0(tree, genesis):
         ],
     )
     assert instance.tallied_votes() == {0: chain[0].block_id}
+
+
+def test_m0_vote_must_precede_the_ga_round(tree, genesis):
+    with pytest.raises(ValueError, match="precede"):
+        ExtendedGAInstance(
+            tree, [InitialVote(sender=0, round=3, tip=genesis.block_id)], ga_round=3
+        )
+
+
+def test_the_suite_certifies_the_ga_the_protocol_runs(registry, verifier, genesis):
+    """One class: what the samplers build is what ``SleepyTOBProcess``
+    holds, and a process fed the same ``M₀`` + round votes as signed
+    messages grades them identically."""
+    g, eta = 6, 4
+    process = SleepyTOBProcess(0, registry.secret_key(0), verifier, eta=eta)
+    assert type(process._ga) is type(ExtendedGAInstance(process.tree).ga) is GradedAgreement
+
+    chain = extend(process.tree, genesis.block_id, 2)
+    a, b = chain[0].block_id, chain[1].block_id
+    m0 = [
+        InitialVote(sender=1, round=3, tip=a),
+        InitialVote(sender=1, round=5, tip=b),  # supersedes round 3
+        InitialVote(sender=2, round=4, tip=a),
+        InitialVote(sender=3, round=4, tip=a),
+        InitialVote(sender=3, round=4, tip=b),  # equivocation inside M₀
+        InitialVote(sender=4, round=2, tip=b),  # superseded by a round vote
+        InitialVote(sender=5, round=5, tip="ff" * 32),  # uninterpretable
+    ]
+    round_votes = {4: a, 6: b, 7: genesis.block_id}
+    instance = ExtendedGAInstance(process.tree, m0, ga_round=g)
+    for sender, tip in round_votes.items():
+        instance.add_round_vote(sender, tip)
+
+    def signed(sender, round_number, tip):
+        return make_vote(registry, registry.secret_key(sender), round_number, tip)
+
+    messages = [signed(v.sender, v.round, v.tip) for v in m0]
+    messages += [signed(sender, g, tip) for sender, tip in round_votes.items()]
+    process.receive_batch(g, verifier.batch(messages))
+    assert process._ga_output(g) == instance.output()
+    assert instance.tallied_votes() == {1: b, 2: a, 4: a, 6: b, 7: genesis.block_id}
 
 
 # ----------------------------------------------------------------------

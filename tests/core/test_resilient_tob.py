@@ -8,9 +8,10 @@ from repro.analysis.checkers import (
     check_safety,
 )
 from repro.analysis.metrics import decision_gaps
+from repro.engine.conditions import NetworkConditions
+from repro.engine.registry import PROTOCOLS
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import SplitVoteAttack, WithholdingAdversary
-from repro.sleepy.network import WindowedAsynchrony
 
 
 def attack_config(protocol: str, eta: int, pi: int, target: int = 10, n: int = 20) -> TOBRunConfig:
@@ -22,15 +23,13 @@ def attack_config(protocol: str, eta: int, pi: int, target: int = 10, n: int = 2
         protocol=protocol,
         eta=eta,
         adversary=SplitVoteAttack(byz, target_round=target),
-        network=WindowedAsynchrony(ra=target - pi, pi=pi),
+        conditions=NetworkConditions.window(ra=target - pi, pi=pi),
     )
 
 
 def test_eta_must_be_nonnegative(registry, verifier):
-    from repro.core.resilient_tob import ResilientTOBProcess
-
     with pytest.raises(ValueError, match="η"):
-        ResilientTOBProcess(0, registry.secret_key(0), verifier, eta=-1)
+        PROTOCOLS.factory("resilient", eta=-1)(0, registry.secret_key(0), verifier)
 
 
 def test_synchronous_behaviour_matches_mmr_exactly():
@@ -74,7 +73,7 @@ def test_theorem3_healing_after_blackout():
             protocol="resilient",
             eta=eta,
             adversary=WithholdingAdversary(),
-            network=WindowedAsynchrony(ra=ra, pi=pi),
+            conditions=NetworkConditions.window(ra=ra, pi=pi),
         )
     )
     assert check_safety(trace).ok
@@ -91,7 +90,7 @@ def test_decisions_resume_quickly_after_asynchrony():
             protocol="resilient",
             eta=eta,
             adversary=WithholdingAdversary(),
-            network=WindowedAsynchrony(ra=ra, pi=pi),
+            conditions=NetworkConditions.window(ra=ra, pi=pi),
         )
     )
     post = [d.round for d in trace.decisions if d.round > ra + pi]
@@ -108,7 +107,7 @@ def test_resilience_with_blackout_adversary_any_pi_below_eta():
                 protocol="resilient",
                 eta=4,
                 adversary=WithholdingAdversary(),
-                network=WindowedAsynchrony(ra=9, pi=pi),
+                conditions=NetworkConditions.window(ra=9, pi=pi),
             )
         )
         assert check_safety(trace).ok

@@ -8,13 +8,13 @@ tests cannot isolate.
 import pytest
 
 from repro.chain.block import Block, genesis_block
-from repro.core.resilient_tob import ResilientTOBProcess
+from repro.protocols.tob_base import SleepyTOBProcess
 from repro.sleepy.messages import make_propose, make_vote
 
 
 @pytest.fixture
 def process(registry, verifier):
-    return ResilientTOBProcess(0, registry.secret_key(0), verifier, eta=4)
+    return SleepyTOBProcess(0, registry.secret_key(0), verifier, eta=4)
 
 
 def vote(registry, pid, round_number, tip):
@@ -74,6 +74,12 @@ def test_future_tagged_votes_invisible_until_reached(registry, process):
     assert process._ga_output(9).m == 1  # window [5, 9]: now visible
 
 
-def test_vote_window_shape(process):
-    assert process.vote_window(10) == (6, 10)
-    assert process.vote_window(2) == (0, 2)  # clamped at round 0
+def test_vote_window_shape(registry, process):
+    """The GA of round g tallies rounds [g − η, g], clamped at round 0."""
+    g = genesis_block().block_id
+    process.receive(0, [vote(registry, 1, 0, g)])
+    assert process._ga_output(2).m == 1  # window [0, 2]
+    tagged = {1: 5, 2: 6, 3: 10, 4: 11}
+    process.receive(6, [vote(registry, pid, r, g) for pid, r in tagged.items()])
+    assert process._ga.tallied_votes(6, 10) == {2: g, 3: g}
+    assert process._ga_output(10).m == 2  # window [6, 10]: tags 5 and 11 fall outside

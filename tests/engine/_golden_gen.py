@@ -31,7 +31,7 @@ def golden_scenarios():
         SplitVoteAttack,
         WithholdingAdversary,
     )
-    from repro.sleepy.network import WindowedAsynchrony
+    from repro.engine.conditions import NetworkConditions
     from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
     from repro.workloads.transactions import constant_rate_stream
 
@@ -54,7 +54,7 @@ def golden_scenarios():
             rounds=24,
             protocol="mmr",
             adversary=SplitVoteAttack([8, 9], target_round=10),
-            network=WindowedAsynchrony(ra=9, pi=1),
+            conditions=NetworkConditions.window(ra=9, pi=1),
             seed=0,
         ),
         "split-vote-attack-resilient": TOBRunConfig(
@@ -63,7 +63,7 @@ def golden_scenarios():
             protocol="resilient",
             eta=4,
             adversary=SplitVoteAttack([8, 9], target_round=10),
-            network=WindowedAsynchrony(ra=9, pi=1),
+            conditions=NetworkConditions.window(ra=9, pi=1),
             seed=0,
         ),
         "blackout": TOBRunConfig(
@@ -72,7 +72,7 @@ def golden_scenarios():
             protocol="resilient",
             eta=3,
             adversary=WithholdingAdversary(),
-            network=WindowedAsynchrony(ra=6, pi=3),
+            conditions=NetworkConditions.window(ra=6, pi=3),
             seed=4,
         ),
         "random-adversary-async": TOBRunConfig(
@@ -81,7 +81,7 @@ def golden_scenarios():
             protocol="resilient",
             eta=3,
             adversary=RandomAdversary([10, 11], seed=5),
-            network=WindowedAsynchrony(ra=10, pi=4),
+            conditions=NetworkConditions.window(ra=10, pi=4),
             seed=5,
         ),
         "churn-spike": TOBRunConfig(

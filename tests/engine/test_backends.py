@@ -6,20 +6,15 @@ periods described once and realised on both, and protocol dispatch
 through the registry everywhere.
 """
 
-import pytest
+import dataclasses
 
 from repro.analysis.checkers import check_safety
 from repro.engine.backend import run_spec
-from repro.engine.conditions import NetworkConditions, conditions_from_network
+from repro.engine.conditions import NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary
-from repro.sleepy.network import (
-    MultiWindowAsynchrony,
-    SynchronousNetwork,
-    WindowedAsynchrony,
-)
 from repro.workloads import surge_scenario, throughput_scenario
 
 FAST_DEPLOY = DeploymentBackend(delta_s=0.02)
@@ -115,25 +110,9 @@ def test_equivocating_adversary_sends_through_the_deployment():
     assert any(rec.proposes_sent > len(rec.honest) for rec in even_rounds)
 
 
-def test_conditions_translate_simulator_network_models():
-    assert conditions_from_network(SynchronousNetwork()).periods == ()
-    (p,) = conditions_from_network(WindowedAsynchrony(ra=3, pi=2)).periods
-    assert (p.ra, p.pi) == (3, 2)
-    multi = conditions_from_network(MultiWindowAsynchrony([(2, 1), (8, 2)]))
-    assert [(p.ra, p.pi) for p in multi.periods] == [(2, 1), (8, 2)]
-    with pytest.raises(ValueError, match="NetworkConditions"):
-        conditions_from_network(object())  # type: ignore[arg-type]
-
-
-def test_conditions_round_trip_through_network_model():
-    conditions = NetworkConditions.window(ra=4, pi=3)
-    model = conditions.network_model()
-    horizon = 12
-    assert {r for r in range(horizon) if model.is_asynchronous(r)} == set(
-        conditions.async_rounds(horizon)
-    )
-
-
-def test_spec_rejects_both_network_and_conditions():
-    with pytest.raises(ValueError, match="not both"):
-        RunSpec(n=2, rounds=2, network=SynchronousNetwork(), conditions=NetworkConditions())
+def test_spec_describes_asynchrony_once():
+    """``conditions`` is the only field about the network, on every backend."""
+    assert "network" not in {f.name for f in dataclasses.fields(RunSpec)}
+    assert RunSpec(n=2, rounds=2).resolved_conditions() == NetworkConditions.synchronous()
+    window = NetworkConditions.window(ra=3, pi=2)
+    assert RunSpec(n=2, rounds=2, conditions=window).resolved_conditions() is window

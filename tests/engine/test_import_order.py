@@ -30,7 +30,7 @@ ENTRY_POINTS = [
     "repro.sleepy.simulator",
     "repro.protocols.tob_base",
     "repro.protocols.graded_agreement",
-    "repro.core.resilient_tob",
+    "repro.core.extended_ga",
     "repro.core.expiration",
     "repro.finality",
     "repro.runtime",

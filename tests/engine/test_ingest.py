@@ -7,7 +7,6 @@ from repro.crypto.signatures import VerificationCache
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.messages import (
     EQUIVOCATED_VOTE,
-    CachedVerifier,
     VoteMessage,
     make_ack,
     make_propose,
@@ -103,13 +102,13 @@ def test_poisoned_message_id_cannot_inherit_cached_verdict(registry, genesis):
     """A transplanted signature with a poisoned memoised ``message_id``
     must not inherit the victim's cached True verdict — the digest is
     recomputed by the verifier from the claimed sender and content."""
-    for verifier in (CachedVerifier(registry), IngestPipeline(registry)):
-        good = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
-        assert verifier.verify(good)
-        forged = VoteMessage(sender=0, round=3, signature=good.signature, tip=genesis.block_id)
-        object.__setattr__(forged, "_message_id", good.message_id)
-        assert forged.message_id == good.message_id  # the lie is in place
-        assert not verifier.verify(forged), type(verifier).__name__
+    verifier = IngestPipeline(registry)
+    good = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
+    assert verifier.verify(good)
+    forged = VoteMessage(sender=0, round=3, signature=good.signature, tip=genesis.block_id)
+    object.__setattr__(forged, "_message_id", good.message_id)
+    assert forged.message_id == good.message_id  # the lie is in place
+    assert not verifier.verify(forged)
 
 
 def test_poisoned_id_in_batch_path_rejected(registry, pipeline, genesis):
@@ -126,7 +125,7 @@ def test_poisoned_id_in_batch_path_rejected(registry, pipeline, genesis):
 # ----------------------------------------------------------------------
 def test_verification_cache_is_lru_bounded(registry, genesis):
     cache = VerificationCache(capacity=4)
-    verifier = CachedVerifier(registry, cache=cache)
+    verifier = IngestPipeline(registry, cache=cache)
     votes = signed_votes(registry, 1, genesis.block_id, range(8))
     for vote in votes:
         assert verifier.verify(vote)

@@ -106,4 +106,4 @@ def test_equal_content_distinct_instance_is_choosable(registry, genesis):
     assert bus.publish(vote)
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
     bus.deliver_chosen(0, [clone])
-    assert bus.pending_count(0) == 0
+    assert bus.deliverable(0) == []

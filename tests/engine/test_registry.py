@@ -1,15 +1,15 @@
 """Protocol registry: one dispatch point for every backend."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from repro.crypto.signatures import KeyRegistry
+from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry, ProtocolSpec
 from repro.harness import TOBRunConfig, run_tob
-from repro.protocols.mmr_tob import MMRProcess, mmr_factory
-from repro.core.resilient_tob import ResilientTOBProcess
-from repro.crypto.signatures import KeyRegistry
-from repro.sleepy.messages import CachedVerifier
+from repro.protocols.tob_base import SleepyTOBProcess, resilient_factory
 
 
 def test_default_registry_serves_both_paper_protocols():
@@ -20,14 +20,14 @@ def test_default_registry_serves_both_paper_protocols():
 
 def test_factory_builds_parameterised_processes():
     registry = KeyRegistry(2, run_seed=0)
-    verifier = CachedVerifier(registry)
+    verifier = IngestPipeline(registry)
     beta = Fraction(1, 4)
     mmr = PROTOCOLS.factory("mmr", eta=7, beta=beta)(0, registry.secret_key(0), verifier)
-    assert isinstance(mmr, MMRProcess)
-    assert mmr.vote_window(10) == (10, 10)  # eta ignored by design
     res = PROTOCOLS.factory("resilient", eta=3)(1, registry.secret_key(1), verifier)
-    assert isinstance(res, ResilientTOBProcess)
-    assert res.vote_window(10) == (7, 10)
+    assert type(mmr) is type(res) is SleepyTOBProcess  # one process class, two rows
+    assert (mmr.eta, mmr._ga.beta) == (0, beta)  # eta ignored by design
+    assert res.eta == 3
+    pickle.dumps(PROTOCOLS.get("mmr"))  # rows cross process boundaries in sweeps
 
 
 def test_unknown_protocol_rejected_with_known_names():
@@ -44,7 +44,7 @@ def test_effective_eta_reflects_protocol_semantics():
 
 def test_duplicate_registration_refused_unless_replace():
     registry = ProtocolRegistry()
-    spec = ProtocolSpec(name="x", build=mmr_factory)
+    spec = ProtocolSpec(name="x", build=resilient_factory)
     registry.register(spec)
     with pytest.raises(ValueError, match="already registered"):
         registry.register(spec)
@@ -55,7 +55,7 @@ def test_duplicate_registration_refused_unless_replace():
 def test_registered_extension_runs_through_the_engine():
     """A new protocol name becomes runnable end to end at registration."""
     name = "mmr-alias-for-test"
-    PROTOCOLS.register(ProtocolSpec(name=name, build=mmr_factory, uses_eta=False))
+    PROTOCOLS.register(ProtocolSpec(name=name, build=PROTOCOLS.get("mmr").build, uses_eta=False))
     try:
         trace = run_tob(TOBRunConfig(n=4, rounds=8, protocol=name))
         assert trace.decisions

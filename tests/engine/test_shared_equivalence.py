@@ -16,6 +16,7 @@ front of the view).
 import pytest
 
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import NetworkConditions
 from repro.engine.registry import PROTOCOLS
 from repro.engine.sim_backend import SimulationBackend
 from repro.finality.process import ebb_and_flow_factory
@@ -25,7 +26,6 @@ from repro.sleepy.adversary import (
     RandomAdversary,
     SplitVoteAttack,
 )
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
 from repro.sleepy.simulator import Simulation
 
@@ -50,7 +50,7 @@ def _scenario(name: str) -> TOBRunConfig:
             rounds=24,
             protocol="mmr",
             adversary=SplitVoteAttack([8, 9], target_round=10),
-            network=WindowedAsynchrony(ra=8, pi=2),
+            conditions=NetworkConditions.window(ra=8, pi=2),
             seed=12,
         )
     if name == "spike-random-adversary":
@@ -61,7 +61,7 @@ def _scenario(name: str) -> TOBRunConfig:
             eta=2,
             adversary=RandomAdversary([10, 11], seed=13),
             schedule=SpikeSchedule(12, 0.5, start=9, duration=5),
-            network=WindowedAsynchrony(ra=12, pi=3),
+            conditions=NetworkConditions.window(ra=12, pi=3),
             seed=13,
         )
     if name == "ebb-and-flow-churn":
@@ -105,7 +105,7 @@ def _run(name: str, shared: bool) -> Simulation:
         KeyRegistry(config.n, run_seed=config.seed),
         config.resolved_schedule(),
         config.resolved_adversary(),
-        config.resolved_network(),
+        config.resolved_conditions(),
         factory,
     )
     SimulationBackend.drive(simulation, config)

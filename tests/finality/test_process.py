@@ -2,6 +2,7 @@
 
 from repro.analysis import check_safety, max_reorg_depth
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
 from repro.sleepy import (
     FullParticipation,
@@ -9,18 +10,16 @@ from repro.sleepy import (
     Simulation,
     SpikeSchedule,
     SplitVoteAttack,
-    SynchronousNetwork,
-    WindowedAsynchrony,
 )
 
 
-def run_ebb_and_flow(protocol, eta, n=20, rounds=24, schedule=None, adversary=None, network=None):
+def run_ebb_and_flow(protocol, eta, n=20, rounds=24, schedule=None, adversary=None, conditions=None):
     registry = KeyRegistry(n, run_seed=0)
     sim = Simulation(
         registry,
         schedule or FullParticipation(n),
         adversary or NullAdversary(),
-        network or SynchronousNetwork(),
+        conditions or NetworkConditions.synchronous(),
         ebb_and_flow_factory(protocol, eta=eta, n=n),
     )
     trace = sim.run(rounds)
@@ -64,7 +63,7 @@ def test_attack_reorgs_available_chain_but_never_finality():
     byz = list(range(16, 20))
     attack = dict(
         adversary=SplitVoteAttack(byz, target_round=10),
-        network=WindowedAsynchrony(ra=9, pi=1),
+        conditions=NetworkConditions.window(ra=9, pi=1),
     )
     sim, trace = run_ebb_and_flow("mmr", eta=0, n=n, **attack)
     assert not check_safety(trace).ok
@@ -83,7 +82,7 @@ def test_resilient_inner_eliminates_the_reorg():
         eta=3,
         n=n,
         adversary=SplitVoteAttack(byz, target_round=10),
-        network=WindowedAsynchrony(ra=9, pi=1),
+        conditions=NetworkConditions.window(ra=9, pi=1),
     )
     assert check_safety(trace).ok
     assert max_reorg_depth(trace) == 0
@@ -92,9 +91,5 @@ def test_resilient_inner_eliminates_the_reorg():
 def test_factory_rejects_unknown_protocol():
     import pytest
 
-    factory = ebb_and_flow_factory("hotstuff", eta=0, n=4)
-    registry = KeyRegistry(4, run_seed=0)
-    from repro.sleepy.messages import CachedVerifier
-
     with pytest.raises(ValueError, match="unknown protocol"):
-        factory(0, registry.secret_key(0), CachedVerifier(registry))
+        ebb_and_flow_factory("hotstuff", eta=0, n=4)

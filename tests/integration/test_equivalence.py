@@ -8,9 +8,9 @@ under every workload, adversary, and network condition.
 
 import pytest
 
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary, SplitVoteAttack
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import DiurnalSchedule, RandomChurnSchedule, SpikeSchedule
 
 
@@ -27,7 +27,7 @@ SCENARIOS = {
     "diurnal": lambda: {"schedule": DiurnalSchedule(10, period=10, min_fraction=0.6)},
     "attack": lambda: {
         "adversary": SplitVoteAttack([8, 9], target_round=10),
-        "network": WindowedAsynchrony(ra=9, pi=1),
+        "conditions": NetworkConditions.window(ra=9, pi=1),
     },
 }
 

@@ -10,10 +10,10 @@ import random
 from repro.analysis.ga_properties import check_ga_properties
 from repro.chain.block import GENESIS_TIP, Block, genesis_block
 from repro.chain.tree import BlockTree
+from repro.core.extended_ga import ExtendedGAProcess
 from repro.crypto.signatures import KeyRegistry
-from repro.protocols.graded_agreement import GAVoteProcess
+from repro.engine.conditions import NetworkConditions
 from repro.sleepy.adversary import NullAdversary, StaticVoteAdversary
-from repro.sleepy.network import SynchronousNetwork
 from repro.sleepy.schedule import TableSchedule
 from repro.sleepy.simulator import Simulation
 
@@ -40,10 +40,10 @@ def run_ga_instance(n, inputs, awake_send, awake_receive, adversary=None, seed=0
     schedule = TableSchedule(n, {0: awake_send, 1: awake_receive}, default=set(range(n)))
 
     def factory(pid, key, verifier):
-        return GAVoteProcess(pid, key, verifier, tree, inputs.get(pid, GENESIS_TIP), ga_round=0)
+        return ExtendedGAProcess(pid, key, verifier, tree, inputs.get(pid, GENESIS_TIP), ga_round=0)
 
     sim = Simulation(
-        registry, schedule, adversary or NullAdversary(), SynchronousNetwork(), factory
+        registry, schedule, adversary or NullAdversary(), NetworkConditions.synchronous(), factory
     )
     sim.run(2)
     outputs = {

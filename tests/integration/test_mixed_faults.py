@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.assumptions import check_eta_sleepiness
 from repro.analysis.checkers import check_healing, check_safety, check_transaction_liveness
 from repro.chain.transactions import Transaction
+from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import (
     Adversary,
@@ -14,7 +15,6 @@ from repro.sleepy.adversary import (
     EquivocatingVoteAdversary,
     SplitVoteAttack,
 )
-from repro.sleepy.network import MultiWindowAsynchrony, WindowedAsynchrony
 from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
 
 
@@ -61,7 +61,7 @@ def test_attack_during_spike_with_equivocation():
             eta=4,
             schedule=SpikeSchedule(n, drop_fraction=0.3, start=8, duration=8),
             adversary=SplitVoteAttack([27, 28, 29], target_round=12),
-            network=WindowedAsynchrony(ra=11, pi=1),
+            conditions=NetworkConditions.window(ra=11, pi=1),
         )
     )
     assert check_safety(trace).ok
@@ -77,7 +77,7 @@ def test_repeated_outages_with_healing_between():
             protocol="resilient",
             eta=4,
             adversary=CrashAdversary([11]),
-            network=MultiWindowAsynchrony([(9, 2), (25, 3)]),
+            conditions=NetworkConditions(periods=(AsyncPeriod(9, 2), AsyncPeriod(25, 3))),
         )
     )
     assert check_safety(trace).ok

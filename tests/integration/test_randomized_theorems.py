@@ -29,9 +29,9 @@ from repro.analysis import (
     check_reduced_failure_ratio,
     check_safety,
 )
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import RandomAdversary
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import RandomChurnSchedule
 
 THIRD = Fraction(1, 3)
@@ -62,7 +62,7 @@ def random_trial(seed: int) -> dict:
         adversary=RandomAdversary(
             list(range(n - byz_count, n)), seed=seed, drop_probability=rng.random()
         ),
-        network=WindowedAsynchrony(ra=ra, pi=pi),
+        conditions=NetworkConditions.window(ra=ra, pi=pi),
         seed=seed,
     )
     trace = run_tob(config)

@@ -18,9 +18,9 @@ from repro.analysis import (
     check_safety,
     max_reorg_depth,
 )
+from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.harness import TOBRunConfig, build_simulation, run_simulation
 from repro.sleepy.adversary import Adversary, EquivocatingVoteAdversary, SplitVoteAttack
-from repro.sleepy.network import MultiWindowAsynchrony
 from repro.sleepy.schedule import RandomChurnSchedule
 
 N = 24
@@ -65,7 +65,7 @@ def soak():
         eta=ETA,
         schedule=RandomChurnSchedule(N, churn_per_round=0.03, seed=13, min_awake=18),
         adversary=SoakAdversary(),
-        network=MultiWindowAsynchrony([WINDOW_1, WINDOW_2]),
+        conditions=NetworkConditions(periods=(AsyncPeriod(*WINDOW_1), AsyncPeriod(*WINDOW_2))),
     )
     sim = build_simulation(config)
     trace = run_simulation(sim, config)

@@ -57,9 +57,9 @@ def test_assumption_validators_flag_oversized_adversary():
     config = split_vote_attack_scenario("resilient", eta=4, pi=1, n=10)
     # n=10 gives 2 Byzantine (ok); rebuild with 4 of 10 corrupted.
     from repro.sleepy.adversary import SplitVoteAttack
-    from repro.sleepy.network import WindowedAsynchrony
+    from repro.engine.conditions import NetworkConditions
 
     config.adversary = SplitVoteAttack(list(range(6, 10)), target_round=10)
-    config.network = WindowedAsynchrony(ra=9, pi=1)
+    config.conditions = NetworkConditions.window(ra=9, pi=1)
     trace = run_tob(config)
     assert not check_reduced_failure_ratio(trace, THIRD, Fraction(0)).ok

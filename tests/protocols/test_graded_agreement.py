@@ -5,12 +5,18 @@ from fractions import Fraction
 import pytest
 
 from repro.chain.block import GENESIS_TIP, genesis_block
-from repro.protocols.graded_agreement import (
-    select_current_round_votes,
-    tally_votes,
-)
+from repro.core.extended_ga import GradedAgreement
+from repro.protocols.graded_agreement import tally_votes
+from repro.sleepy.messages import VerifiedBatch
 
 from tests.conftest import extend
+
+
+def select_current_round_votes(tree, vote_messages, round_number):
+    """Figure 2's vote selection as the running GA does it: the window ``[r, r]``."""
+    ga = GradedAgreement(tree)
+    ga.votes.record_table(VerifiedBatch(vote_messages).vote_table())
+    return ga.tallied_votes(round_number, round_number)
 
 
 def test_empty_tally():

@@ -2,9 +2,9 @@
 
 from repro.analysis.checkers import check_safety
 from repro.analysis.metrics import chain_growth_rate, decision_gaps
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
 from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary, SplitVoteAttack
-from repro.sleepy.network import WindowedAsynchrony
 from repro.sleepy.schedule import SpikeSchedule, TableSchedule
 
 
@@ -59,7 +59,7 @@ def test_asynchrony_without_adversary_is_harmless_for_safety():
     # Passive adversary: async rounds deliver everything (default deliver).
     trace = run_tob(
         TOBRunConfig(
-            n=6, rounds=20, protocol="mmr", network=WindowedAsynchrony(ra=7, pi=3)
+            n=6, rounds=20, protocol="mmr", conditions=NetworkConditions.window(ra=7, pi=3)
         )
     )
     assert check_safety(trace).ok
@@ -76,7 +76,7 @@ def test_split_vote_attack_breaks_safety_in_one_async_round():
             rounds=16,
             protocol="mmr",
             adversary=SplitVoteAttack(byz, target_round=target),
-            network=WindowedAsynchrony(ra=target - 1, pi=1),
+            conditions=NetworkConditions.window(ra=target - 1, pi=1),
         )
     )
     report = check_safety(trace)
@@ -96,7 +96,7 @@ def test_split_vote_attack_fools_both_groups():
             rounds=16,
             protocol="mmr",
             adversary=SplitVoteAttack([10, 11], target_round=target),
-            network=WindowedAsynchrony(ra=target - 1, pi=1),
+            conditions=NetworkConditions.window(ra=target - 1, pi=1),
         )
     )
     victims = {d.pid for d in trace.decisions if d.round == target + 1}

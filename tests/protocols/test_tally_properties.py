@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import GENESIS_TIP
+from repro.core.extended_ga import GradedAgreement
 from repro.protocols.graded_agreement import tally_votes
 
 from tests.chain.test_properties import build_random_tree
@@ -26,6 +27,10 @@ def test_tally_matches_brute_force_reference(structure, beta, data):
     universe = nodes + [GENESIS_TIP]
     votes = draw_votes(data, universe)
     output = tally_votes(tree, votes, beta)
+    # The running GA, fed the same votes in one round, grades identically.
+    ga = GradedAgreement(tree, beta)
+    ga.votes.record_table({0: votes})
+    assert ga.output(0, 0) == output
 
     m = len(votes)
     assert output.m == m

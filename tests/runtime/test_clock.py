@@ -31,9 +31,9 @@ def test_clock_advances_through_rounds():
         clock = RoundClock(delta_s=0.01)  # 30 ms rounds
         clock.start()
         first = clock.current_round()
-        await clock.sleep_until_round(2)
+        await clock.sleep_until_elapsed(clock.start_of(2))
         second = clock.current_round()
-        await clock.sleep_until_receive_phase(2, fraction=0.9)
+        await clock.sleep_until_elapsed(clock.start_of(2) + 0.9 * clock.round_s)
         return first, second, clock.current_round()
 
     first, second, third = asyncio.run(scenario())
@@ -46,9 +46,9 @@ def test_sleep_until_past_time_returns_immediately():
     async def scenario():
         clock = RoundClock(delta_s=0.01)
         clock.start()
-        await clock.sleep_until_round(1)
+        await clock.sleep_until_elapsed(clock.start_of(1))
         start = asyncio.get_running_loop().time()
-        await clock.sleep_until_round(0)  # already past
+        await clock.sleep_until_elapsed(clock.start_of(0))  # already past
         return asyncio.get_running_loop().time() - start
 
     assert asyncio.run(scenario()) < 0.01

@@ -4,6 +4,7 @@ import asyncio
 
 from repro.runtime.metrics import MetricsHub
 from repro.runtime.worker import drive_node, shard_arrivals
+from repro.sleepy.process import Process
 from repro.sleepy.trace import DecisionEvent
 from repro.workloads import SubmissionRateWorkload
 
@@ -28,11 +29,21 @@ class FakeClock:
         self.now = max(self.now, target)
 
 
+class SilentProcess(Process):
+    """The typed seam's defaults: no mempool, no decisions of its own."""
+
+    def send(self, round_number):
+        return ()
+
+    def receive(self, round_number, messages):
+        pass
+
+
 class DecidingNode:
     """A node whose send phase of ``at_round`` decides ``view``."""
 
     pid = 0
-    process = None
+    process = SilentProcess(0)
 
     def __init__(self, at_round: int, view: int) -> None:
         self._at_round, self._view = at_round, view

@@ -1,8 +1,8 @@
 """Signed messages: identity, verification, adversarial tampering."""
 
 from repro.chain.block import Block, genesis_block
+from repro.engine.ingest import IngestPipeline
 from repro.sleepy.messages import (
-    CachedVerifier,
     ProposeMessage,
     VoteMessage,
     make_propose,
@@ -78,12 +78,12 @@ def test_message_ids_unique(registry, genesis):
 
 
 def test_cached_verifier_matches_uncached(registry, genesis):
-    verifier = CachedVerifier(registry)
+    verifier = IngestPipeline(registry)
     vote = make_vote(registry, registry.secret_key(0), 1, genesis.block_id)
     bad = VoteMessage(sender=1, round=1, signature=vote.signature, tip=vote.tip)
     for _ in range(2):  # second pass exercises the memo
-        assert verifier.verify(vote) is True
-        assert verifier.verify(bad) is False
+        assert verifier.verify(vote) is verify_message(registry, vote) is True
+        assert verifier.verify(bad) is verify_message(registry, bad) is False
 
 
 def test_transplanted_signature_rejected_despite_poisoned_cache_key(registry, genesis):
@@ -91,7 +91,7 @@ def test_transplanted_signature_rejected_despite_poisoned_cache_key(registry, ge
     that produced its (otherwise valid) signature must be rejected even
     when its memoised ``message_id`` is transplanted from the victim —
     the verifier keys its cache by a digest it recomputes itself."""
-    verifier = CachedVerifier(registry)
+    verifier = IngestPipeline(registry)
     victim = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
     assert verifier.verify(victim)  # the True verdict is now cached
     transplant = VoteMessage(
@@ -107,7 +107,7 @@ def test_transplanted_signature_rejected_despite_poisoned_cache_key(registry, ge
 
 
 def test_batch_matches_single_message_verification(registry, genesis):
-    verifier = CachedVerifier(registry)
+    verifier = IngestPipeline(registry)
     key = registry.secret_key(4)
     block = Block(parent=genesis.block_id, proposer=4, view=1)
     good_vote = make_vote(registry, key, 2, genesis.block_id)

@@ -5,9 +5,9 @@ from collections.abc import Sequence
 import pytest
 
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import NetworkConditions
 from repro.sleepy.adversary import NullAdversary
 from repro.sleepy.messages import Message, make_vote
-from repro.sleepy.network import SynchronousNetwork, WindowedAsynchrony
 from repro.sleepy.process import Process
 from repro.sleepy.schedule import FullParticipation, TableSchedule
 from repro.sleepy.simulator import ModelViolationError, Simulation
@@ -38,13 +38,13 @@ def probe_factory(pid, key, verifier):
     return ProbeProcess(pid, key, verifier)
 
 
-def make_sim(n=4, schedule=None, adversary=None, network=None):
+def make_sim(n=4, schedule=None, adversary=None, conditions=None):
     registry = KeyRegistry(n, run_seed=1)
     return Simulation(
         registry,
         schedule or FullParticipation(n),
         adversary or NullAdversary(),
-        network or SynchronousNetwork(),
+        conditions or NetworkConditions.synchronous(),
         probe_factory,
     )
 
@@ -99,7 +99,7 @@ class SelectiveAdversary(NullAdversary):
 
 
 def test_asynchronous_round_delivery_is_adversary_controlled():
-    sim = make_sim(n=3, adversary=SelectiveAdversary(), network=WindowedAsynchrony(ra=0, pi=1))
+    sim = make_sim(n=3, adversary=SelectiveAdversary(), conditions=NetworkConditions.window(ra=0, pi=1))
     sim.run(3)
     for process in sim.processes.values():
         by_round = dict(process.received)
@@ -127,7 +127,7 @@ def test_adversary_cannot_inject_through_delivery():
         registry,
         FullParticipation(2),
         InjectingAdversary(registry),
-        WindowedAsynchrony(ra=0, pi=1),
+        NetworkConditions.window(ra=0, pi=1),
         probe_factory,
     )
     sim.run(1)  # round 0 synchronous: fine
@@ -160,7 +160,7 @@ def test_honest_process_cannot_send_as_another():
         registry,
         FullParticipation(2),
         NullAdversary(),
-        SynchronousNetwork(),
+        NetworkConditions.synchronous(),
         lambda pid, key, verifier: MisattributingProcess(pid, key, verifier),
     )
     with pytest.raises(ModelViolationError, match="signed as"):
@@ -185,7 +185,7 @@ def test_adversary_cannot_send_as_honest_process():
         registry,
         FullParticipation(3),
         ImpersonatingAdversary(registry),
-        SynchronousNetwork(),
+        NetworkConditions.synchronous(),
         probe_factory,
     )
     with pytest.raises(ModelViolationError, match="not corrupted"):
@@ -231,6 +231,6 @@ def test_schedule_registry_size_mismatch_rejected():
             registry,
             FullParticipation(4),
             NullAdversary(),
-            SynchronousNetwork(),
+            NetworkConditions.synchronous(),
             probe_factory,
         )

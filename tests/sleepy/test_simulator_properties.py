@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.sleepy.adversary import NullAdversary
 from repro.sleepy.messages import Message, make_vote
-from repro.sleepy.network import MultiWindowAsynchrony, SynchronousNetwork
 from repro.sleepy.process import Process
 from repro.sleepy.schedule import TableSchedule
 from repro.sleepy.simulator import Simulation
@@ -84,13 +84,13 @@ def build(table, windows, pattern, tail_rounds=4):
         if span and not span & occupied and max(span) < rounds:
             clean.append((ra, pi))
             occupied |= span
-    network = MultiWindowAsynchrony(clean) if clean else SynchronousNetwork()
+    conditions = NetworkConditions(periods=tuple(AsyncPeriod(ra, pi) for ra, pi in clean))
     registry = KeyRegistry(n, run_seed=1)
     sim = Simulation(
         registry,
         schedule,
         SubsetAdversary(pattern),
-        network,
+        conditions,
         lambda pid, key, verifier: LedgerProcess(pid, key, verifier),
     )
     sim.run(rounds + tail_rounds)

@@ -14,9 +14,8 @@ def test_split_vote_scenario_configuration():
     config = split_vote_attack_scenario("mmr", eta=0, pi=2, n=20, target_round=10)
     (period,) = config.conditions.periods
     assert period.ra == 8 and period.pi == 2
-    # The logical realisation the simulator runs under matches.
-    network = config.resolved_network()
-    assert network.ra == 8 and network.pi == 2
+    # The rounds the simulator hands the adversary delivery control in.
+    assert [r for r in range(20) if config.resolved_conditions().is_asynchronous(r)] == [9, 10]
     assert config.adversary.target_round == 10
     assert config.adversary.byzantine(0) == frozenset(range(16, 20))
     assert config.meta["scenario"] == "split-vote-attack"
