@@ -43,7 +43,7 @@ as an optional capability rather than a requirement.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.log import Log
@@ -68,6 +68,10 @@ class SharedChain:
     def __init__(self, blocks: Iterable[Block] = ()) -> None:
         self._index: dict[BlockId, int] = {}
         self._scratch: dict[str, dict] = {}
+        # The last delivered run asked about and where it sits (see
+        # :meth:`stretch`); holding the run keeps its identity unique.
+        self._run: Sequence[tuple[Block, object]] | None = None
+        self._run_stretch: tuple | None = None
         #: The canonical, append-only tree (also the run's omniscient
         #: trace tree in the simulator).
         self.tree = BlockTree()
@@ -89,6 +93,44 @@ class SharedChain:
     def view(self) -> ChainView:
         """A fresh receiver view with only the genesis block visible."""
         return ChainView(self)
+
+    def stretch(
+        self, run: Sequence[tuple[Block, object]]
+    ) -> tuple[int, int, tuple[BlockId, ...], dict[BlockId, None]] | None:
+        """Where a delivered run of ``(block, source)`` pairs sits in the
+        intern order: ``(lo, hi, parents, leaves)`` when its blocks are
+        exactly the interned indices ``lo .. hi − 1``, in order, and
+        every parent is interned below ``lo`` — ``parents`` the distinct
+        parents, ``leaves`` the blocks as an ordered leaf set — else
+        ``None``.
+
+        Intern indices never change, so a stretch is a fact about the
+        run, not about any view; it is worked out once per run and kept
+        for the last run asked about (by identity — every caught-up
+        receiver of a delivery presents the same immutable tuple), so n
+        receivers share one scan.
+        """
+        if run is self._run:
+            return self._run_stretch
+        index_of = self._index.get
+        stretch = None
+        lo = index_of(run[0][0].block_id) if run else None
+        if lo is not None:
+            parents: dict[BlockId, None] = {}
+            leaves: dict[BlockId, None] = {}
+            for offset, (block, _source) in enumerate(run):
+                if index_of(block.block_id) != lo + offset:
+                    break
+                parent = block.parent
+                if parent is not None:
+                    if index_of(parent, lo) >= lo:  # not interned, or not below
+                        break
+                    parents[parent] = None
+                leaves[block.block_id] = None
+            else:
+                stretch = (lo, lo + len(run), tuple(parents), leaves)
+        self._run, self._run_stretch = run, stretch
+        return stretch
 
     def scratch(self, key: str) -> dict:
         """A run-shared memo dict for ``key``, created on first request.
@@ -113,12 +155,17 @@ class ChainView:
     always visible — :meth:`add` requires the parent, like
     ``BlockTree.add`` — so structural queries can delegate to the
     canonical index once the arguments pass the visibility check.)
+
+    :meth:`add_run` accepts a whole delivery's blocks by moving the
+    watermark when — and only when — that leaves the view exactly as
+    adding them one by one would.
     """
 
-    __slots__ = ("_tree", "_index", "_floor", "_extra", "_count", "_leaves")
+    __slots__ = ("_tree", "_index", "_stretch", "_floor", "_extra", "_count", "_leaves")
 
     def __init__(self, chain: SharedChain) -> None:
         self._tree = chain.tree
+        self._stretch = chain.stretch
         # The chain's live id -> intern index map, held directly: every
         # membership probe is one dict lookup on it.
         self._index = chain._index
@@ -170,6 +217,43 @@ class ChainView:
             self._leaves.pop(parent, None)
         self._leaves[block_id] = None
         return block_id
+
+    def add_run(self, run: Sequence[tuple[Block, object]]) -> bool:
+        """Accept a delivered run of ``(block, source)`` pairs at once,
+        if that is what adding its blocks one by one would amount to.
+
+        It is when the run occupies one stretch ``lo .. hi − 1`` of the
+        intern order with every parent below it (:meth:`SharedChain.
+        stretch`), this view's watermark has reached the stretch
+        (``lo ≤ floor``, so every parent is visible) and nothing is
+        visible beyond it (so no block of the stretch has a visible
+        child): then the watermark moves to ``hi`` — swallowing the
+        overflow entries, which all lie inside the stretch — the parents
+        stop being leaves and the blocks join the leaf set in run order,
+        the ones already visible keeping their place, as :meth:`add`
+        would leave them.  A run wholly below the watermark (a
+        redelivery) is accepted as the no-op it is.  Returns ``False``
+        with nothing changed in every other case; the caller then adds
+        block by block.
+        """
+        stretch = self._stretch(run)
+        if stretch is None:
+            return False
+        lo, hi, parents, leaves = stretch
+        floor = self._floor
+        if floor >= hi:
+            return True
+        extra = self._extra
+        if floor < lo or (extra and max(extra) >= hi):
+            return False
+        self._count += hi - floor - len(extra)
+        extra.clear()
+        self._floor = hi
+        own_leaves = self._leaves
+        for parent in parents:
+            own_leaves.pop(parent, None)
+        own_leaves.update(leaves)
+        return True
 
     def _visible(self, block_id: BlockId) -> bool:
         index = self._index.get(block_id)

@@ -28,9 +28,10 @@ opt out with ``max_orphans_per_source=None``.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 
 from repro.chain.block import Block, BlockId
-from repro.chain.shared import TreeLike
+from repro.chain.shared import ChainView, TreeLike
 from repro.chain.tree import MissingParentError
 
 #: Default per-source orphan quota — far above the block or two an
@@ -54,6 +55,10 @@ class BlockBuffer:
     and a block leaves the buffer only when its last voucher is gone.
     Eviction therefore only ever sheds a flooding source's own backlog,
     and a block evicted in error is insertable again on redelivery.
+
+    ``offer_run`` takes one delivery's ``(block, source)`` pairs: a
+    shortcut for the case where offering them one by one would buffer
+    and vouch for nothing, and otherwise exactly that loop.
     """
 
     def __init__(
@@ -74,6 +79,23 @@ class BlockBuffer:
 
     def __len__(self) -> int:
         return len(self._orphans)
+
+    def offer_run(self, run: Sequence[tuple[Block, object]]) -> None:
+        """Offer the ``(block, source)`` pairs of one delivery, in order.
+
+        A :class:`~repro.chain.shared.ChainView` that the run merely
+        extends takes it whole (:meth:`~repro.chain.shared.ChainView.
+        add_run`: every parent visible, so nothing would be buffered or
+        vouched for) — provided no orphan waits here, since a block of
+        the run could be the parent its cascade needs.  In every other
+        case, and on a private tree, each pair goes through
+        :meth:`offer`.
+        """
+        tree = self._tree
+        if not self._orphans and isinstance(tree, ChainView) and tree.add_run(run):
+            return
+        for block, source in run:
+            self.offer(block, source)
 
     def offer(self, block: Block, source: object = None) -> list[BlockId]:
         """Insert ``block`` (and any unblocked orphans) into the tree."""

@@ -26,11 +26,19 @@ query:
 * block insertion needs no maintenance at all: a fresh block starts
   with count 0 until a vote reaches its subtree.
 
-:meth:`~PrefixTally.grade` reproduces the Figure 2 grading with exact
-integer arithmetic, bit-identical to the historical ``tally_votes``
-recount (which is now a thin wrapper over this class).  The golden
-traces and ``tests/chain/test_tree_index.py``'s randomized
-naive-recount oracle pin that equivalence.
+:meth:`~PrefixTally.deepest_above` is the one threshold rule every
+grading goes through.  Prefix counts never increase walking away from
+the root, and every counted node is an ancestor-or-self of a voted tip,
+so the nodes above a threshold are the ancestor closure of their
+*frontier* — per distinct voted tip, the first node on its root path
+whose count exceeds the threshold.  Algorithm 1 only ever consumes the
+*longest* log of each grade, which is the deepest frontier node: a read
+whose cost follows the handful of distinct voted tips, not the length of
+the chain they extend.  :meth:`~PrefixTally.grade` is the derived
+enumeration (the paths from the two frontiers to the root, Figure 2's
+full output) that the Lemma 1 suites and analysis use; exact integer
+arithmetic, pinned against a naive recount by
+``tests/chain/test_tree_index.py`` and the golden traces.
 """
 
 from __future__ import annotations
@@ -50,9 +58,24 @@ DEFAULT_BETA = Fraction(1, 3)
 _MISSING = object()
 
 
+#: The protocols' range of failure ratios is ``(0, 1/2]``.
+_BETA_ABOVE = Fraction(0)
+_BETA_AT_MOST = Fraction(1, 2)
+
+#: Parent steps a frontier walk takes before it bisects on depth.
+_WALK_STEPS = 8
+
+
 @dataclass(frozen=True)
 class GAOutput:
-    """Result of one graded-agreement tally.
+    """Figure 2's full output: every log a tally grades, enumerated.
+
+    Derived by :meth:`PrefixTally.grade` from the same two frontiers the
+    protocol reads its longest logs from (:meth:`PrefixTally.
+    deepest_above`): ``tree.longest(grade1)`` and
+    ``tree.longest(all_output())`` are exactly those two reads.  The
+    enumeration is as long as the chain, so it is for the Lemma 1
+    suites and analysis, not for a round's hot path.
 
     Attributes:
         grade1: tips of logs output with grade 1, sorted by depth.
@@ -77,9 +100,19 @@ class GAOutput:
 
 def check_beta(beta: Fraction) -> None:
     """Reject failure ratios outside the protocols' (0, 1/2] range."""
-    if not Fraction(0) < beta <= Fraction(1, 2):
+    if not _BETA_ABOVE < beta <= _BETA_AT_MOST:
         # β ≤ 1/2 in every protocol this repository covers; reject junk early.
         raise ValueError(f"failure ratio β must be in (0, 1/2], got {beta}")
+
+
+def grade_thresholds(beta: Fraction, m: int) -> tuple[int, int]:
+    """``(⌊(1 − β)·m⌋, ⌊β·m⌋)``: a log is output with grade 1 when its
+    count exceeds the first and with some grade when it exceeds the
+    second.  Exact: for integer counts ``count > ⌊t/den⌋`` iff
+    ``count·den > t``.
+    """
+    num, den = beta.numerator, beta.denominator
+    return ((den - num) * m) // den, (num * m) // den
 
 
 class PrefixTally:
@@ -91,6 +124,12 @@ class PrefixTally:
     must be present in the tree.  Counts stay exact under any sequence
     of :meth:`set_vote`/:meth:`remove_vote`/:meth:`set_votes` calls and
     under tree growth.
+
+    Reading is one rule, :meth:`deepest_above`: the longest log counted
+    more than a threshold — what Algorithm 1 and the finality gadget
+    consume — found from the frontier of the distinct voted tips, at a
+    cost that does not grow with the chain.  :meth:`grade` enumerates
+    the whole graded set from the same frontiers.
     """
 
     def __init__(
@@ -102,14 +141,6 @@ class PrefixTally:
         # nodes with a non-zero count are present (GENESIS_TIP carries
         # the total while any vote is tallied).
         self._counts: dict[BlockId | None, int] = {}
-        # The same counted nodes bucketed by count value (count -> node
-        # set, dict-as-set), kept in lock-step with _counts.  grade()
-        # scans *buckets*: one threshold comparison per distinct count
-        # instead of per node, and buckets below the grade-0 threshold
-        # are skipped without touching their nodes — for very wide vote
-        # windows (large η, scattered stale votes) most counted nodes
-        # are low-count and never visited at all.
-        self._by_count: dict[int, dict[BlockId | None, None]] = {}
         if votes:
             self.set_votes(votes)
 
@@ -146,8 +177,7 @@ class PrefixTally:
             raise UnknownBlockError(tip)
         self._votes[sender] = tip
         self._adjust_path(tip, GENESIS_TIP, +1)
-        total = self._counts.get(GENESIS_TIP, 0)
-        self._set_count(GENESIS_TIP, total, total + 1)
+        self._adjust_total(+1)
 
     def move_vote(self, sender: int, tip: BlockId | None) -> None:
         """Re-point ``sender``'s vote, adjusting counts only between the
@@ -170,8 +200,7 @@ class PrefixTally:
         if old is _MISSING:
             raise ValueError(f"sender {sender} has no tallied vote to remove")
         self._adjust_path(old, GENESIS_TIP, -1)
-        total = self._counts[GENESIS_TIP]
-        self._set_count(GENESIS_TIP, total, total - 1)
+        self._adjust_total(-1)
 
     def set_votes(self, votes: Mapping[int, BlockId | None]) -> None:
         """Make the tallied set equal ``votes``, by weighted diff.
@@ -226,67 +255,69 @@ class PrefixTally:
                 self._adjust_path(new, fork, weight)
                 self._adjust_path(old, fork, -weight)
         if entered:
-            total = self._counts.get(GENESIS_TIP, 0)
-            self._set_count(GENESIS_TIP, total, total + entered)
+            self._adjust_total(entered)
         current.clear()
         current.update(votes)
 
-    def _set_count(self, node: BlockId | None, old: int, new: int) -> None:
-        """Move ``node`` from count ``old`` to ``new`` (count + bucket)."""
-        buckets = self._by_count
-        if new:
-            self._counts[node] = new
-            buckets.setdefault(new, {})[node] = None
+    def _adjust_total(self, delta: int) -> None:
+        """Apply ``delta`` to the count the virtual root carries."""
+        total = self._counts.get(GENESIS_TIP, 0) + delta
+        if total:
+            self._counts[GENESIS_TIP] = total
         else:
-            del self._counts[node]
-        if old:
-            bucket = buckets[old]
-            del bucket[node]
-            if not bucket:
-                del buckets[old]
+            del self._counts[GENESIS_TIP]
 
     def _adjust_path(self, tip: BlockId | None, stop: BlockId | None, delta: int) -> None:
         """Apply ``delta`` to every node from ``tip`` up to, excluding, ``stop``."""
         counts = self._counts
+        parent = self._tree.parent
         node = tip
         while node != stop:
             assert node is not None
-            old = counts.get(node, 0)
-            self._set_count(node, old, old + delta)
-            node = self._tree.parent(node)
+            count = counts.get(node, 0) + delta
+            if count:
+                counts[node] = count
+            else:
+                del counts[node]
+            node = parent(node)
 
     # ------------------------------------------------------------------
-    # Grading (Figure 2 thresholds, exact integers)
+    # Reading (Figure 2 thresholds, exact integers)
     # ------------------------------------------------------------------
+    def deepest_above(self, threshold: int) -> tuple[int, BlockId | None] | None:
+        """``(depth, tip)`` of the longest log counted more than
+        ``threshold`` times, or ``None`` when no log is.
+
+        The deepest such node is a frontier node (it lies on some voted
+        tip's root path, and nothing deeper on that path is above the
+        threshold), so it is ``tree.longest`` of the frontier — equal
+        depths broken by tip id, as everywhere.
+        """
+        frontier = self._frontier(threshold)
+        if not frontier:
+            return None
+        tip = self._tree.longest(frontier)
+        return self._tree.depth(tip), tip
+
     def grade(self, beta: Fraction = DEFAULT_BETA, m: int | None = None) -> GAOutput:
-        """Grade every counted log against the β thresholds.
+        """Enumerate every counted log against the β thresholds.
 
         ``m`` defaults to the number of tallied votes (the GA's
         perceived participation); callers with a fixed denominator
         (e.g. a static quorum over all ``n`` processes) may override it.
 
-        The scan is batched by count value: ``count·den > threshold``
-        depends only on the count, so each bucket is classified with
-        one integer comparison (exact — ``count > ⌊t/den⌋`` iff
-        ``count·den > t`` for integer counts) and whole sub-threshold
-        buckets are skipped without visiting their nodes.
+        The graded sets are the root paths of the two frontiers: grade 1
+        from the ``(1 − β)·m`` frontier, grade 0 from the ``β·m``
+        frontier down to where grade 1 begins.
         """
         check_beta(beta)
         if m is None:
             m = len(self._votes)
         if m == 0:
             return GAOutput(grade1=(), grade0=(), m=0)
-
-        num, den = beta.numerator, beta.denominator
-        threshold1 = ((den - num) * m) // den
-        threshold0 = (num * m) // den
-        grade1: list[BlockId | None] = []
-        grade0: list[BlockId | None] = []
-        for count, nodes in self._by_count.items():
-            if count > threshold1:
-                grade1.extend(nodes)
-            elif count > threshold0:
-                grade0.extend(nodes)
+        threshold1, threshold0 = grade_thresholds(beta, m)
+        grade1 = self._root_paths(self._frontier(threshold1), stop={})
+        grade0 = self._root_paths(self._frontier(threshold0), stop=grade1)
 
         depth = self._tree.depth
 
@@ -298,3 +329,48 @@ class PrefixTally:
             grade0=tuple(sorted(grade0, key=sort_key)),
             m=m,
         )
+
+    def _frontier(self, threshold: int) -> list[BlockId | None]:
+        """Per distinct voted tip, the first node on its root path
+        counted more than ``threshold`` times (each node once); empty
+        when not even the total is."""
+        if self._counts.get(GENESIS_TIP, 0) <= threshold:
+            return []
+        # The virtual root is above the threshold, so every walk ends.
+        first = self._first_above
+        return list({first(tip, threshold) for tip in set(self._votes.values())})
+
+    def _first_above(self, tip: BlockId | None, threshold: int) -> BlockId | None:
+        count = self._counts.get
+        parent = self._tree.parent
+        node = tip
+        for _ in range(_WALK_STEPS):
+            if count(node, 0) > threshold:
+                return node
+            node = parent(node)
+        # A stale branch this deep is rare; counts are monotone along
+        # the path, so bisect on depth instead of walking it.
+        above = self._tree.ancestor_at_depth
+        lo, hi = 0, self._tree.depth(node) + 1  # above the threshold at lo, not from hi on
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if count(above(node, mid), 0) > threshold:
+                lo = mid
+            else:
+                hi = mid
+        return above(node, lo)
+
+    def _root_paths(
+        self, frontier: list[BlockId | None], stop: dict[BlockId | None, None]
+    ) -> dict[BlockId | None, None]:
+        """Every node on the root paths of ``frontier``, each once, down
+        to (excluding) the nodes of ``stop``."""
+        parent = self._tree.parent
+        found: dict[BlockId | None, None] = {}
+        for node in frontier:
+            while node not in found and node not in stop:
+                found[node] = None
+                if node is GENESIS_TIP:
+                    break
+                node = parent(node)
+        return found

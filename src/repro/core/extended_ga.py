@@ -22,9 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from repro.chain.block import BlockId
+from repro.chain.block import GENESIS_TIP, BlockId
 from repro.chain.shared import TreeLike
-from repro.chain.tally import DEFAULT_BETA, GAOutput, PrefixTally
+from repro.chain.tally import (
+    DEFAULT_BETA,
+    GAOutput,
+    PrefixTally,
+    check_beta,
+    grade_thresholds,
+)
 from repro.core.expiration import LatestVoteStore
 from repro.crypto.signatures import SecretKey
 from repro.sleepy.messages import Message, make_vote
@@ -38,6 +44,7 @@ class GradedAgreement:
     """Vote store + prefix tally + the rule that connects them."""
 
     def __init__(self, tree: TreeLike, beta: Fraction = DEFAULT_BETA) -> None:
+        check_beta(beta)
         self.tree = tree
         self.beta = beta
         self.votes = LatestVoteStore()
@@ -55,8 +62,27 @@ class GradedAgreement:
             votes = {pid: tip for pid, tip in votes.items() if tip not in unknown}
         return votes
 
+    def longest(self, lo: int, hi: int) -> tuple[int, BlockId | None, BlockId | None]:
+        """What Algorithm 1 consumes of the window's GA: ``(m, tip of the
+        longest log output with grade 1, tip of the longest log output
+        with any grade)``.  With ``m = 0`` nothing is output and both
+        tips are the empty log's.
+
+        Two frontier reads (:meth:`PrefixTally.deepest_above`); the
+        cost follows the distinct voted tips, not the chain's length.
+        """
+        tally = self.tally
+        tally.set_votes(self.tallied_votes(lo, hi))
+        m = len(tally)
+        if m == 0:
+            return 0, GENESIS_TIP, GENESIS_TIP
+        # β ∈ (0, 1/2] puts both thresholds below m, the empty log's count.
+        threshold1, threshold0 = grade_thresholds(self.beta, m)
+        return m, tally.deepest_above(threshold1)[1], tally.deepest_above(threshold0)[1]
+
     def output(self, lo: int, hi: int) -> GAOutput:
-        """Grade the window's votes (Figure 2 thresholds)."""
+        """The window's full graded output, enumerated (Figure 2) — the
+        same frontiers :meth:`longest` reads, walked to the root."""
         self.tally.set_votes(self.tallied_votes(lo, hi))
         return self.tally.grade(self.beta)
 

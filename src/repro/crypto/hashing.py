@@ -36,6 +36,11 @@ def encode_fields(*fields: Encodable) -> bytes:
     return b"".join(parts)
 
 
+def bytes_field(data: bytes) -> bytes:
+    """One ``bytes`` field exactly as :func:`encode_fields` emits it."""
+    return _pack_head(_TAG_BYTES, len(data)) + data
+
+
 def _emit_tuple(items: tuple, append) -> None:
     # The one pass: dispatch on the exact type of each field, append its
     # pieces to the caller's list (joined once at the end), recurse only

@@ -18,12 +18,13 @@ that models the PKI every BFT protocol assumes.)
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.crypto.hashing import encode_fields, sha256_hex
+from repro.crypto.hashing import bytes_field, encode_fields
 
 #: A signature is a 64-character hex tag.
 Signature = str
@@ -51,6 +52,14 @@ class KeyRegistry:
     The registry plays the role of the PKI: everyone can *verify* any
     process's signatures and VRF evaluations through it, but signing
     requires the :class:`SecretKey` object itself.
+
+    A tag is two keyed hashes whose input starts with the key's seed;
+    the registry keeps, per seed it has been presented with, the two
+    SHA-256 states already fed that constant start, and a tag copies
+    them.  The memo is keyed by the *seed bytes* — of the key handed to
+    :meth:`sign`, or of the registered key :meth:`verify` checks against
+    — never by pid, so it is a cost saving only: a ``SecretKey`` with
+    the wrong seed still produces a tag nobody verifies.
     """
 
     def __init__(self, n: int, run_seed: int = 0) -> None:
@@ -60,6 +69,8 @@ class KeyRegistry:
         self._seeds: dict[int, bytes] = {
             pid: encode_fields("key-seed", run_seed, pid) for pid in range(n)
         }
+        #: seed bytes -> the (inner, outer) keyed states of :func:`_tag`.
+        self._keyed: dict[bytes, tuple] = {}
 
     @property
     def n(self) -> int:
@@ -80,14 +91,21 @@ class KeyRegistry:
 
     def sign(self, key: SecretKey, *fields) -> Signature:
         """Sign the canonical encoding of ``fields`` with ``key``."""
-        return _tag(key.seed, encode_fields(*fields))
+        return _tag(self._states_of(key.seed), encode_fields(*fields))
+
+    def _states_of(self, seed: bytes) -> tuple:
+        states = self._keyed.get(seed)
+        if states is None:
+            states = self._keyed[seed] = _keyed_states(seed)
+        return states
 
     def verify(self, pid: int, signature: Signature, *fields) -> bool:
         """Check that ``pid`` signed ``fields``."""
         seed = self._seeds.get(pid)
         if seed is None:
             return False
-        return hmac.compare_digest(_tag(seed, encode_fields(*fields)), signature)
+        tag = _tag(self._states_of(seed), encode_fields(*fields))
+        return hmac.compare_digest(tag, signature)
 
     def verify_batch(
         self, items: Sequence[tuple[int, Signature, tuple]]
@@ -101,15 +119,15 @@ class KeyRegistry:
         and push only the distinct misses through here.
         """
         seeds = self._seeds
+        states_of = self._states_of
         verdicts: list[bool] = []
         for pid, signature, fields in items:
             seed = seeds.get(pid)
             if seed is None:
                 verdicts.append(False)
             else:
-                verdicts.append(
-                    hmac.compare_digest(_tag(seed, encode_fields(*fields)), signature)
-                )
+                tag = _tag(states_of(seed), encode_fields(*fields))
+                verdicts.append(hmac.compare_digest(tag, signature))
         return verdicts
 
 
@@ -167,8 +185,22 @@ class VerificationCache:
             self.stats["evictions"] += 1
 
 
-def _tag(seed: bytes, message: bytes) -> Signature:
-    # Standard HMAC construction over SHA-256 (inner/outer keyed hashes).
-    return sha256_hex(
-        encode_fields(b"outer", seed, bytes.fromhex(sha256_hex(encode_fields(b"inner", seed, message))))
+def _keyed_states(seed: bytes) -> tuple:
+    """The two SHA-256 states of :func:`_tag` for one key: fed
+    everything of ``encode_fields(b"inner" | b"outer", seed, x)`` that
+    precedes ``x``, which is the same for every ``x``."""
+    empty = len(bytes_field(b""))
+    return tuple(
+        hashlib.sha256(encode_fields(label, seed, b"")[:-empty]) for label in (b"inner", b"outer")
     )
+
+
+def _tag(states: tuple, message: bytes) -> Signature:
+    # Standard HMAC construction over SHA-256 (inner/outer keyed hashes):
+    # sha256(encode_fields(b"outer", seed, sha256(encode_fields(b"inner",
+    # seed, message)))), byte for byte, from the key's pre-fed states.
+    inner = states[0].copy()
+    inner.update(bytes_field(message))
+    outer = states[1].copy()
+    outer.update(bytes_field(inner.digest()))
+    return outer.hexdigest()

@@ -26,8 +26,9 @@ rounds catches up on its entire gap at its next awake receive phase.
 
 Deduplication is **digest-keyed**: like the verification layer, the bus
 computes its dedup key from a message's *content*
-(:func:`~repro.sleepy.messages.verification_digest`), once per
-log-resident object, and never reads it from the message (README,
+(:func:`~repro.sleepy.messages.verification_digest`, through the
+:class:`~repro.sleepy.messages.DigestMemo` it shares with the run's
+ingest pipeline), once per object, and never reads it from the message (README,
 "Identifiers and where they are computed"; a trusted id could suppress
 a distinct message at publish or void an honest message's delivery
 through :meth:`MessageBus.deliver_chosen`).  Foreign message types
@@ -40,16 +41,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.engine.errors import UndeliverableMessageError
-from repro.sleepy.messages import Message, verification_digest
+from repro.sleepy.messages import DigestMemo, Message
 
 
 class MessageBus:
     """Per-recipient indexed delivery state over one append-only log."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, digests: DigestMemo | None = None) -> None:
         if n <= 0:
             raise ValueError("need at least one recipient")
         self.n = n
+        #: Where verification digests come from: the run's ingest
+        #: pipeline's memo when the simulator wires one in, so a message
+        #: is hashed once for publish dedup *and* verification.
+        self._digests = digests if digests is not None else DigestMemo()
         self._log: list[Message] = []
         #: Content-derived dedup keys of every published message.
         self._keys: set[str] = set()
@@ -215,7 +220,7 @@ class MessageBus:
         if memo is not None:
             return memo
         if isinstance(message, Message):
-            return verification_digest(message)
+            return self._digests.digest(message)
         return message.message_id
 
     def _tail(self, cursor: int) -> tuple[Message, ...]:

@@ -67,9 +67,11 @@ class IngestPipeline:
         self._registry = registry
         self._cache = cache if cache is not None else VerificationCache()
         self._interner = MessageInterner()
-        #: Digests of the objects that are not (yet) canonical: a decoded
-        #: duplicate sits in several inboxes and is hashed for the first.
-        self._digests = DigestMemo()
+        #: The process's one :class:`DigestMemo`: the dissemination layer
+        #: in front of this pipeline (the simulator's bus, a shard's
+        #: gossip network) is built on it, so a message object hashed
+        #: there for dedup is not hashed again here.
+        self.digests = DigestMemo()
         #: Delivered tuple -> its classified batch.
         self._batch_memo = IdentityMemo(batch_memo_capacity)
         #: Pipeline accounting (consumed by benches and tests):
@@ -107,7 +109,7 @@ class IngestPipeline:
         if interner.is_canonical(message):
             self.stats["identity_hits"] += 1
             return True
-        digest = self._digests.digest(message)
+        digest = self.digests.digest(message)
         if interner.lookup(digest) is not None:
             return True
         verdict = self._cache.get(digest)
@@ -153,7 +155,7 @@ class IngestPipeline:
                 self.stats["identity_hits"] += 1
                 resolved_messages[i] = message
                 continue
-            digest = self._digests.digest(message)
+            digest = self.digests.digest(message)
             canonical = interner.lookup(digest)
             if canonical is not None:
                 resolved_messages[i] = canonical

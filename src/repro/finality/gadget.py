@@ -119,32 +119,19 @@ class FinalityGadget:
         restriction sound rather than merely convenient.
         """
         self._sync(round_number)
-        num, den = self._quorum.numerator, self._quorum.denominator
-        best: BlockId | None = None
-        best_depth = self._tree.depth(self.finalized_tip)
-        for candidate in set(self._tally.votes.values()):
-            # Ack-extension counts only grow walking toward the root, so
-            # the first quorum hit from the tip downward is the deepest
-            # finalisable prefix along this path.
-            node: BlockId | None = candidate
-            while node is not GENESIS_TIP:
-                depth = self._tree.depth(node)
-                if depth <= best_depth:
-                    break  # cannot improve along this path
-                if self._tree.is_prefix(self.finalized_tip, node):
-                    if self._tally.count(node) * den > num * self.n:
-                        best, best_depth = node, depth
-                        break
-                assert node is not None
-                node = self._tree.parent(node)
+        # A quorum ≥ 1/2 of all n is strict, so the logs above it form
+        # one chain: its deepest node is the only candidate.
+        quorum = self._quorum
+        best = self._tally.deepest_above(quorum.numerator * self.n // quorum.denominator)
         if best is None:
             return None
+        depth, tip = best
+        tree = self._tree
+        if depth <= tree.depth(self.finalized_tip) or not tree.is_prefix(self.finalized_tip, tip):
+            return None
         event = FinalizationEvent(
-            round=round_number,
-            tip=best,
-            depth=self._tree.depth(best),
-            acks=self.ack_count_for(best, round_number),
+            round=round_number, tip=tip, depth=depth, acks=self._tally.count(tip)
         )
-        self.finalized_tip = best
+        self.finalized_tip = tip
         self.events.append(event)
         return event

@@ -18,9 +18,10 @@ fabric, not re-flooded.
 
 Deduplication is **digest-keyed**, exactly like the round simulator's
 message bus (:mod:`repro.engine.bus`): the "seen" key is the message's
-content digest, computed by this consumer's
+content digest, computed through the process's
 :class:`~repro.sleepy.messages.DigestMemo` once per message object —
-not once per arrival — and never read from the message (README,
+not once per arrival, and not again by the ingest pipeline that shares
+the memo — and never read from the message (README,
 "Identifiers and where they are computed"; a trusted id would let a
 junk message carrying a transplanted one censor the honest original).
 Foreign message types without signed fields (test doubles) fall back to
@@ -230,6 +231,9 @@ class GossipNetwork:
 
     ``current_round`` / ``seen_horizon_rounds`` bound the shard's
     :class:`SeenIndex`; with either unset it keeps every digest forever.
+    ``digests`` is the process's :class:`~repro.sleepy.messages.
+    DigestMemo` (its ingest pipeline's); a network built without one
+    keeps its own.
     """
 
     def __init__(
@@ -239,11 +243,15 @@ class GossipNetwork:
         on_deliver: DeliveryHandler,
         current_round: Callable[[], int] | None = None,
         seen_horizon_rounds: int | None = None,
+        digests: DigestMemo | None = None,
     ) -> None:
         self.seen = SeenIndex(current_round, seen_horizon_rounds)
         # One memo for all hosted nodes: the same message object reaches
-        # each of them, and its digest depends on its content alone.
-        digests = DigestMemo()
+        # each of them, and its digest depends on its content alone.  A
+        # shard passes its ingest pipeline's, so verification does not
+        # hash the object a second time.
+        if digests is None:
+            digests = DigestMemo()
         self.nodes = {
             pid: GossipNode(pid, transport, neighbors, on_deliver, self.seen, digests)
             for pid, neighbors in topology.items()

@@ -73,6 +73,7 @@ from typing import TYPE_CHECKING
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.shared import ChainView, SharedChain
 from repro.chain.store import BlockBuffer
+from repro.chain.tally import grade_thresholds
 from repro.chain.transactions import Mempool
 from repro.chain.tree import BlockTree
 from repro.core.extended_ga import GradedAgreement
@@ -198,31 +199,22 @@ class SleepyTOBProcess(Process):
 
     def _send_round_one(self, r: int) -> Sequence[Message]:
         view = (r + 1) // 2
-        output_prev = self._ga_output(r - 1) if view >= 2 else None
-
-        if output_prev is not None and output_prev.grade1:
-            self._decide(self.tree.longest(output_prev.grade1), r, view - 1)
-        if output_prev is not None and output_prev.all_output():
-            longest_any = self.tree.longest(output_prev.all_output())
-        elif view == 1:
-            longest_any = GENESIS_TIP  # L_0: the empty log
-        else:
-            longest_any = self.delivered_tip  # m = 0 fallback (see module docs)
+        longest_any = GENESIS_TIP  # L_0: the empty log
+        if view >= 2:
+            m, longest_grade1, longest_any = self._ga_longest(r - 1)
+            if m:
+                self._decide(longest_grade1, r, view - 1)
+            else:
+                longest_any = self.delivered_tip  # m = 0 fallback (see module docs)
 
         input_tip = self._select_proposal(view, longest_any)
         return [make_vote(self._verifier.registry, self._key, r, input_tip)]
 
     def _send_round_two(self, r: int) -> Sequence[Message]:
         view = r // 2
-        output = self._ga_output(r - 1)
-        if output.grade1:
-            input_tip = self.tree.longest(output.grade1)
-        else:
-            input_tip = self.delivered_tip  # m = 0 fallback (see module docs)
-        if output.all_output():
-            c_v = self.tree.longest(output.all_output())
-        else:
-            c_v = self.delivered_tip
+        m, input_tip, c_v = self._ga_longest(r - 1)
+        if not m:
+            input_tip = c_v = self.delivered_tip  # m = 0 fallback (see module docs)
 
         block = self._make_block(parent=c_v, view=view + 1)
         return [
@@ -242,13 +234,15 @@ class SleepyTOBProcess(Process):
         The batch arrives classified and round-resolved from the shared
         ingest pipeline — under synchrony every caught-up receiver gets
         the *same* batch object, so verification, classification, and
-        vote-table resolution ran once, not once per process.  Only the
-        per-process state updates happen here.
+        the resolution of its vote and proposal tables ran once, not
+        once per process.  Only the per-process state updates happen
+        here: adopting or merging the resolved tables, and admitting
+        the delivery's blocks as one run.
         """
         if batch.votes:
             self._votes.record_table(batch.vote_table())
-        for message in batch.proposes:
-            self._record_proposal(message, round_number)
+        if batch.proposes:
+            self._record_proposals(batch, round_number)
         self._prune_proposals(round_number)
         # Everything below the reach of any future window is expired.
         self._votes.prune(round_number - self.eta)
@@ -271,61 +265,76 @@ class SleepyTOBProcess(Process):
                 self._proposal_index.pop(self._proposal_floor, None)
             self._proposal_floor += 1
 
-    def _record_proposal(self, message: ProposeMessage, round_number: int) -> None:
-        assert message.block is not None  # verified
+    def _record_proposals(self, batch: VerifiedBatch, round_number: int) -> None:
+        table = batch.proposal_table()
         # A well-behaved view-v proposal is multicast at round 2v − 2 and
         # can therefore never be received before that round; future-view
         # proposals are Byzantine chaff and would otherwise accumulate
         # unboundedly (their view keys sit above the pruning horizon).
-        if message.view > round_number // 2 + 1:
-            return
+        latest_view = round_number // 2 + 1
         # Block admission does not depend on proposal bookkeeping: a
         # process catching up on a backlog needs the blocks of views it
         # will never vote in.  Keyed by the verified sender: a Byzantine
         # proposer flooding never-attachable blocks exhausts its own
         # orphan quota, never another sender's honestly out-of-order block.
-        self._buffer.offer(message.block, source=message.sender)
-        if message.view < self._proposal_floor:
-            # Below the prune floor: nothing can consult the proposal.
-            return
-        per_view = self._proposals.setdefault(message.view, {})
-        existing = per_view.get(message.sender, _MISSING)
-        if existing is _MISSING:
-            per_view[message.sender] = message
-            assert message.vrf is not None  # verified
-            entry = self._proposal_index.get(message.view)
+        if table.max_view <= latest_view:
+            self._buffer.offer_run(table.blocks)
+        else:
+            for message in batch.proposes:
+                if message.view <= latest_view:
+                    self._buffer.offer(message.block, source=message.sender)
+
+        proposals = self._proposals
+        index = self._proposal_index
+        for view, resolved in table.by_view.items():
+            # Below the prune floor nothing can consult the proposal.
+            if view < self._proposal_floor or view > latest_view:
+                continue
+            held = proposals.get(view)
+            if held is None:
+                proposals[view] = dict(resolved)
+            else:
+                for sender, message in resolved.items():
+                    existing = held.get(sender, _MISSING)
+                    if existing is _MISSING:
+                        held[sender] = message
+                    elif existing is not None and (message is None or existing.tip != message.tip):
+                        # Equivocating proposer: all its proposals for this view are void.
+                        held[sender] = None
+            entry = index.get(view)
             if entry is None:
-                entry = self._proposal_index.setdefault(message.view, (set(), []))
+                entry = index.setdefault(view, (set(), []))
             seen, order = entry
-            if message.sender not in seen:
-                seen.add(message.sender)
-                insort(order, (message.vrf.value_num, message.sender))
-        elif existing is not None and existing.tip != message.tip:
-            # Equivocating proposer: all its proposals for this view are void.
-            per_view[message.sender] = None
+            if not seen.issuperset(resolved):
+                for row in table.order_rows[view]:
+                    if row[1] not in seen:
+                        seen.add(row[1])
+                        insort(order, row)
 
     # ------------------------------------------------------------------
     # Algorithm steps
     # ------------------------------------------------------------------
-    def _ga_output(self, ga_round: int) -> GAOutput:
-        output = self._ga.output(max(0, ga_round - self.eta), ga_round)
+    def _ga_longest(self, ga_round: int) -> tuple[int, BlockId | None, BlockId | None]:
+        """``(m, longest grade-1 log, longest graded log)`` of the GA started
+        in ``ga_round`` — all Algorithm 1 reads of it."""
+        read = self._ga.longest(max(0, ga_round - self.eta), ga_round)
         if self._record_telemetry:
-            self._sample_tally(ga_round, output)
-        return output
+            self._sample_tally(ga_round, *read[:2])
+        return read
 
-    def _sample_tally(self, ga_round: int, output: GAOutput) -> None:
-        m = output.m
-        best_tip = self.tree.longest(output.grade1) if output.grade1 else GENESIS_TIP
+    def _ga_output(self, ga_round: int) -> GAOutput:
+        """The same GA's full output, enumerated (what the suites inspect)."""
+        return self._ga.output(max(0, ga_round - self.eta), ga_round)
+
+    def _sample_tally(self, ga_round: int, m: int, best_tip: BlockId | None) -> None:
         best_count = self._ga.tally.count(best_tip)
-        one_minus_beta = 1 - self._ga.beta
-        threshold = (one_minus_beta.numerator * m) // one_minus_beta.denominator
         self.telemetry.append(
             TallySample(
                 ga_round=ga_round,
                 m=m,
                 best_count=best_count,
                 best_depth=self.tree.depth(best_tip),
-                margin=best_count - threshold,
+                margin=best_count - grade_thresholds(self._ga.beta, m)[0],
             )
         )
 

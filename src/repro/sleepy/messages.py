@@ -251,8 +251,9 @@ class DigestMemo(IdentityMemo):
     The digest is always computed from content on the first sight of an
     object and never read from the instance; a miss (or an eviction)
     falls back to hashing, so the memo changes cost, never behaviour.
-    Consumer-owned: gossip (one per hosted ``GossipNetwork``) and the
-    ingest pipeline each keep their own.
+    One per process: the ingest pipeline owns it and the dissemination
+    layer in front of the pipeline (the simulator's ``MessageBus``, a
+    shard's ``GossipNetwork``) is constructed on the same one.
     """
 
     __slots__ = ()
@@ -336,6 +337,23 @@ class MessageInterner:
         return message
 
 
+@dataclass(frozen=True)
+class ProposalTable:
+    """One delivery's proposals, resolved once for all its receivers
+    (see :meth:`VerifiedBatch.proposal_table`)."""
+
+    #: view -> sender -> the sender's first proposal for the view in
+    #: this delivery, or ``None`` when it carried two with different
+    #: tips (an equivocating proposer's proposals for a view are void).
+    by_view: dict[int, dict[int, ProposeMessage | None]]
+    #: view -> ``(VRF value, sender)`` of each sender's first sighting.
+    order_rows: dict[int, list[tuple[int, int]]]
+    #: ``(block, carrying sender)`` of every proposal, in delivery order.
+    blocks: tuple[tuple[Block, int], ...]
+    #: The largest view proposed for (-1 with no proposals).
+    max_view: int
+
+
 class VerifiedBatch:
     """One delivery's verified messages, classified once for all consumers.
 
@@ -344,9 +362,22 @@ class VerifiedBatch:
     in delivery order, pre-split by kind, with the per-vote and per-ack
     ``(sender, round, tip)`` records extracted so per-receiver loops
     touch plain tuples instead of re-reading attributes n times.
+    :meth:`vote_table` and :meth:`proposal_table` resolve the two kinds
+    Algorithm 1 consumes — equivocations inside the delivery collapsed —
+    once per delivery, so a receiver that holds nothing for a round or
+    view adopts the resolved table instead of replaying its messages.
     """
 
-    __slots__ = ("messages", "votes", "proposes", "acks", "others", "rejected", "_vote_table")
+    __slots__ = (
+        "messages",
+        "votes",
+        "proposes",
+        "acks",
+        "others",
+        "rejected",
+        "_vote_table",
+        "_proposal_table",
+    )
 
     def __init__(self, messages: Sequence[Message], rejected: int = 0) -> None:
         votes: list[VoteMessage] = []
@@ -377,6 +408,7 @@ class VerifiedBatch:
         #: How many delivered messages failed verification.
         self.rejected = rejected
         self._vote_table: dict[int, dict[int, object]] | None = None
+        self._proposal_table: ProposalTable | None = None
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -408,6 +440,39 @@ class VerifiedBatch:
                 elif existing is not EQUIVOCATED_VOTE and existing != message.tip:
                     bucket[message.sender] = EQUIVOCATED_VOTE
             self._vote_table = table
+        return table
+
+    def proposal_table(self) -> ProposalTable:
+        """The delivery's proposals resolved per ``(view, sender)``.
+
+        The proposal-side twin of :meth:`vote_table`: computed once and
+        memoised, so every receiver of a shared delivery merges whole
+        per-view tables and offers the blocks as one run instead of
+        walking the proposals itself.  What depends on the receiver —
+        its round (future-view chaff), its prune floor, what it already
+        holds — is left to the receiver.
+        """
+        table = self._proposal_table
+        if table is None:
+            by_view: dict[int, dict[int, ProposeMessage | None]] = {}
+            order_rows: dict[int, list[tuple[int, int]]] = {}
+            blocks = []
+            for message in self.proposes:
+                sender = message.sender
+                blocks.append((message.block, sender))
+                resolved = by_view.get(message.view)
+                if resolved is None:
+                    resolved = by_view[message.view] = {}
+                    order_rows[message.view] = []
+                first = resolved.get(sender, _UNSEEN)
+                if first is _UNSEEN:
+                    resolved[sender] = message
+                    order_rows[message.view].append((message.vrf.value_num, sender))
+                elif first is not None and first.tip != message.tip:
+                    resolved[sender] = None
+            table = self._proposal_table = ProposalTable(
+                by_view, order_rows, tuple(blocks), max(by_view, default=-1)
+            )
         return table
 
 

@@ -201,3 +201,114 @@ def test_add_is_idempotent_and_indexes_every_insertion_path():
     assert direct.block_id not in view
     view.add(direct)
     assert view.depth(direct.block_id) == chain.tree.depth(direct.block_id)
+
+
+# ----------------------------------------------------------------------
+# Run admission: a delivery's blocks taken whole, or not at all
+# ----------------------------------------------------------------------
+def _siblings(parent: str, count: int, view: int) -> list[Block]:
+    return [Block(parent=parent, proposer=p, view=view) for p in range(count)]
+
+
+def _offer_both_ways(chain: SharedChain, prepare, run):
+    """Two views prepared alike: one is offered ``run`` whole, the other
+    block by block.  Returns ``(taken whole?, run view, per-block view)``."""
+    whole, single = chain.view(), chain.view()
+    for view in (whole, single):
+        prepare(view)
+    buffer = BlockBuffer(whole)
+    size = len(whole)
+    taken = whole.add_run(run)
+    if not taken:
+        assert len(whole) == size  # refused: nothing changed
+        buffer.offer_run(run)
+    for block, _source in run:
+        single.add(block)
+    assert whole.tips() == single.tips()
+    assert len(whole) == len(single)
+    assert (whole._floor, whole._extra) == (single._floor, single._extra)
+    return taken, whole, single
+
+
+def test_a_caught_up_view_takes_a_contiguous_run_by_moving_its_watermark():
+    chain = SharedChain()
+    genesis_id = genesis_block().block_id
+    round_one = _siblings(genesis_id, 5, view=1)
+    round_two = _siblings(round_one[0].block_id, 5, view=2)
+    for block in round_one + round_two:
+        chain.tree.add(block)
+    first = tuple((block, block.proposer) for block in round_one)
+    second = tuple((block, block.proposer) for block in round_two)
+
+    taken, view, _ = _offer_both_ways(chain, lambda v: None, first)
+    assert taken and not view._extra and view._floor == 6
+    assert view.tips() == tuple(b.block_id for b in round_one)
+
+    # The receiver proposed round_two[3] itself: it sits in the overflow
+    # set, keeps its place among the leaves, and is swallowed by the run.
+    def caught_up_and_proposed(v):
+        v.add_run(first)
+        v.add(round_two[3])
+
+    taken, view, _ = _offer_both_ways(chain, caught_up_and_proposed, second)
+    assert taken and not view._extra and view._floor == 11
+    assert view.tips()[:2] == (round_one[1].block_id, round_one[2].block_id)
+    assert view.tips()[4] == round_two[3].block_id  # where its own add put it
+
+    # A redelivery of a run wholly below the watermark is the no-op it is.
+    taken, _, _ = _offer_both_ways(chain, caught_up_and_proposed, first)
+    assert taken
+
+
+def test_a_run_is_refused_whenever_block_by_block_could_differ():
+    chain = SharedChain()
+    genesis_id = genesis_block().block_id
+    round_one = _siblings(genesis_id, 4, view=1)
+    child = Block(parent=round_one[1].block_id, proposer=9, view=2)
+    for block in [*round_one, child]:
+        chain.tree.add(block)
+    run = tuple((block, block.proposer) for block in round_one)
+
+    # A visible block beyond the stretch (a child of one of its blocks):
+    # that block is no leaf, which a wholesale leaf update would not know.
+    def holds_a_child(v):
+        v.add(round_one[1])
+        v.add(child)
+
+    taken, view, _ = _offer_both_ways(chain, holds_a_child, run)
+    assert not taken and round_one[1].block_id not in view.tips()
+
+    # A lagging view (watermark below the stretch) cannot vouch for the parents.
+    later = tuple((b, b.proposer) for b in _siblings(round_one[0].block_id, 3, view=3))
+    for block, _source in later:
+        chain.tree.add(block)
+    taken, _, _ = _offer_both_ways(chain, lambda v: v.add(round_one[0]), later)
+    assert not taken
+
+    # Out of intern order, a repeated block, a parent inside the run, a
+    # block nobody interned: no stretch.
+    for broken in (
+        run[::-1],
+        run + run[:1],
+        (run[1], (child, 9)),
+        ((Block(parent=genesis_id, proposer=7, view=9), 7),),
+    ):
+        assert chain.stretch(broken) is None
+        taken, _, _ = _offer_both_ways(chain, lambda v: None, broken)
+        assert not taken
+
+
+def test_a_waiting_orphan_keeps_the_buffer_on_the_per_block_path():
+    """A block of the run may be the parent a buffered orphan waits for:
+    only ``offer`` cascades, so a buffer holding orphans never skips it."""
+    chain = SharedChain()
+    parent = Block(parent=genesis_block().block_id, proposer=0, view=1)
+    orphan = Block(parent=parent.block_id, proposer=1, view=2)
+    chain.tree.add(parent)
+    chain.tree.add(orphan)
+    view = chain.view()
+    buffer = BlockBuffer(view)
+    assert buffer.offer(orphan, source=1) == []
+    buffer.offer_run(((parent, 0),))
+    assert not buffer.orphan_ids()
+    assert orphan.block_id in view and view.tips() == (orphan.block_id,)

@@ -1,8 +1,11 @@
 """Simulated signatures: sign/verify, attribution, unforgeability."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.crypto.signatures import KeyRegistry
+from repro.crypto.hashing import encode_fields, sha256_hex
+from repro.crypto.signatures import KeyRegistry, SecretKey, _keyed_states, _tag
 
 
 def test_sign_verify_roundtrip(registry):
@@ -58,3 +61,26 @@ def test_registry_requires_processes():
 def test_secret_repr_does_not_leak_seed(registry):
     key = registry.secret_key(1)
     assert key.seed.hex() not in repr(key)
+
+
+@given(seed=st.binary(max_size=48), message=st.binary(max_size=200))
+def test_tag_is_the_two_keyed_hashes_it_always_was(seed, message):
+    """The pre-fed states change the cost of a tag, not one byte of it:
+    every signature, VRF value and proposer choice stays what the
+    literal definition gives."""
+    inner = bytes.fromhex(sha256_hex(encode_fields(b"inner", seed, message)))
+    assert _tag(_keyed_states(seed), message) == sha256_hex(encode_fields(b"outer", seed, inner))
+
+
+def test_states_are_keyed_by_the_seed_presented_not_by_pid(registry):
+    """Holding the ``SecretKey`` is still the only way to sign: a key
+    object naming pid 3 with another seed gets another seed's tag —
+    also after the registry has memoised pid 3's real states."""
+    real = registry.secret_key(3)
+    signature = registry.sign(real, "vote", 7)
+    assert registry.verify(3, signature, "vote", 7)
+    for wrong_seed in (b"", b"guess", registry.secret_key(4).seed):
+        forged = registry.sign(SecretKey(3, wrong_seed), "vote", 7)
+        assert forged != signature
+        assert not registry.verify(3, forged, "vote", 7)
+    assert registry.sign(real, "vote", 7) == signature

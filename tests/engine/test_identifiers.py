@@ -14,6 +14,7 @@ import repro.crypto.hashing as hashing
 from repro.chain.block import Block
 from repro.chain.transactions import Transaction
 from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import EncodedPayloadCache, decode_batch, encode_batch
 from repro.sleepy.messages import (
@@ -195,11 +196,26 @@ def test_deployment_hashing_grows_with_objects_not_with_arrivals(hash_calls):
     transactions = rate * rounds
     blocks = len(trace.tree)
     arrivals = result.extras["gossip"]["delivered"] + result.extras["gossip"]["duplicates"]
-    # One digest per message in each consumer's memo (gossip, ingest);
-    # checksum + id per created transaction and one validity check per
-    # mempool; one id per created block.  The constant covers the
-    # genesis block every tree starts from.
-    budget = 2 * messages + transactions * (2 + n) + blocks + 4 * n + 16
+    # One digest per message in the process's one memo (gossip and
+    # ingest share it — a second memo would make it two); checksum, id
+    # and one memoised validity check per created transaction; one id
+    # per created block.  The rest covers the genesis block every tree
+    # starts from.
+    budget = messages + 3 * transactions + blocks + 4 * n + 16
     assert spent <= budget, (spent, budget)
     # The run is one where the old per-arrival hashing alone would not fit.
     assert arrivals > budget
+
+
+def test_simulator_hashes_a_message_once_for_dedup_and_verification(hash_calls):
+    """The bus and the ingest pipeline of one run draw digests from one
+    memo: publish dedup hashes a message, verification finds it there."""
+    spec = RunSpec(n=6, rounds=10, protocol="resilient", eta=4, seed=3)
+    simulation = SimulationBackend().build(spec)
+    assert simulation.bus._digests is simulation.pipeline.digests
+    hash_calls[0] = 0
+    simulation.run(10)
+    messages, blocks = simulation.bus.total_published, len(simulation.chain.tree)
+    assert simulation.trace.decisions
+    # One digest per message, one id per block (plus the genesis ids).
+    assert hash_calls[0] <= messages + blocks + 8, (hash_calls[0], messages, blocks)
