@@ -31,21 +31,13 @@ from repro.engine.sweep import sweep_rows
 JOB = GRIDS["ablation-beta"]
 #: ``sleep_at``: a third of the honest population sleeps after this round.
 SETTINGS = {"n": 30, "rounds": 40, "eta": 6, "sleep_at": 14, "sleepers": 9}
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {
-    "n": SETTINGS["n"],
-    "rounds": SETTINGS["rounds"],
-    "eta": SETTINGS["eta"],
-    "sleep_at": SETTINGS["sleep_at"],
-    "streamed": True,
-}
 
 
-def test_ablation_beta(benchmark, record):
+def test_ablation_beta(record):
     def experiment():
         return sweep_rows(JOB.build(**SETTINGS), JOB.reducer)
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(JOB.table(rows, **SETTINGS))
 
     under, over, gamma = ablation_beta_sizings(SETTINGS["n"], SETTINGS["sleepers"])

@@ -25,16 +25,14 @@ from repro.engine.sweep import sweep_rows
 JOB = GRIDS["sleepiness"]
 N, ROUNDS, ETA = 24, 30, 4
 SAMPLES = 12
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "eta": ETA, "samples": SAMPLES, "streamed": True}
 
 
-def test_ablation_sleepiness(benchmark, record):
+def test_ablation_sleepiness(record):
     def experiment():
         grid = JOB.build(draw=sleepiness_draws(SAMPLES), n=N, rounds=ROUNDS, eta=ETA)
         return sweep_rows(grid, JOB.reducer)
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(JOB.table(rows, n=N, eta=ETA))
     agg = aggregate_sleepiness(rows)
 

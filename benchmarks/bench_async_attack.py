@@ -15,9 +15,6 @@ from repro.workloads import split_vote_attack_scenario
 
 TARGET = 10
 N = 20
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "target_round": TARGET}
-
 
 
 def run_one(protocol: str, eta: int, pi: int) -> dict:
@@ -40,7 +37,7 @@ def run_one(protocol: str, eta: int, pi: int) -> dict:
     }
 
 
-def test_async_attack(benchmark, record):
+def test_async_attack(record):
     def experiment():
         rows = []
         for protocol, eta, pi in (
@@ -53,7 +50,7 @@ def test_async_attack(benchmark, record):
             rows.append(run_one(protocol, eta, pi))
         return rows
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(
         format_table(
             ["protocol", "π", "safe", "Def.5 resilient", "forks", "honest fooled"],

@@ -23,9 +23,6 @@ from repro.workloads import RampSchedule
 
 N, ROUNDS = 60, 44
 DROP_START = 10
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "drop_start": DROP_START}
-
 
 
 def run_decline(protocol: str, eta: int, length: int) -> dict:
@@ -45,7 +42,7 @@ def run_decline(protocol: str, eta: int, length: int) -> dict:
     }
 
 
-def test_churn_stall(benchmark, record):
+def test_churn_stall(record):
     def experiment():
         rows = []
         for protocol, eta in (("mmr", 0), ("resilient", 4), ("resilient", 8)):
@@ -54,7 +51,7 @@ def test_churn_stall(benchmark, record):
             rows.append(run_decline(protocol, eta, length=30))  # gentle: below the curve
         return rows
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(
         format_table(
             ["protocol", "decline 60→15 over", "longest stall (rounds)", "decisions", "safe"],

@@ -15,9 +15,6 @@ from repro.workloads import ethereum_outage_scenario
 N, ROUNDS = 100, 36
 
 
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "eta": 3}
-
 def sustained_level(level: float) -> dict:
     keep = max(1, int(level * N))
     # Drop to `keep` processes from round 8 onwards.
@@ -35,14 +32,14 @@ def sustained_level(level: float) -> dict:
     }
 
 
-def test_dynamic_availability(benchmark, record):
+def test_dynamic_availability(record):
     def experiment():
         rows = [sustained_level(level) for level in (1.0, 0.5, 0.25, 0.10, 0.01)]
         outage = run_tob(ethereum_outage_scenario(n=50, start=10, duration=20, rounds=50))
         outage_growth = chain_growth_rate(outage, start=12, end=29)
         return rows, outage_growth, check_safety(outage).ok
 
-    rows, outage_growth, outage_safe = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows, outage_growth, outage_safe = experiment()
     table_rows = [[f"{r['level']:.0%}", r["awake"], r["growth"], r["safe"]] for r in rows]
     table_rows.append(["Ethereum outage (60% off)", 20, outage_growth, outage_safe])
     record(

@@ -22,9 +22,6 @@ from repro.workloads import churn_walk
 
 N, ROUNDS = 30, 50
 PER_ROUND_CHURN = Fraction(2, 100)
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "churn_per_round": str(PER_ROUND_CHURN)}
-
 
 
 def run_eta(eta: int) -> dict:
@@ -55,11 +52,11 @@ def run_eta(eta: int) -> dict:
     }
 
 
-def test_eta_tradeoff(benchmark, record):
+def test_eta_tradeoff(record):
     def experiment():
         return [run_eta(eta) for eta in (1, 2, 4, 8, 12, 16)]
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(
         format_table(
             ["η", "π tolerated", "γ per window", "β̃", "Byz run", "growth", "longest stall", "safe"],

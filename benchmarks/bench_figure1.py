@@ -17,7 +17,6 @@ parallel sweep — one worker per churn point, each reducing its run to a
 by ``tests/engine/test_sweep_equivalence.py``.
 """
 
-import os
 from fractions import Fraction
 
 from repro.analysis import format_table
@@ -27,13 +26,6 @@ from repro.engine.sweep import sweep_rows
 
 THIRD = Fraction(1, 3)
 JOB = GRIDS["figure1"]
-
-#: CI smoke mode: shrink the empirical probe so the bench finishes in
-#: seconds while still executing the full code path.
-TINY = os.environ.get("REPRO_BENCH_TINY", "0").strip() in ("1", "true", "yes")
-
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"tiny": TINY, "beta": str(THIRD)}
 
 
 def analytic_tables() -> str:
@@ -52,18 +44,17 @@ def analytic_tables() -> str:
 def empirical_probe() -> tuple[str, list[dict]]:
     """Runs below the curve: growth and safety must hold (streamed sweep)."""
     # The grid's own defaults are the paper scale.
-    shrink = {"n": 12, "rounds": 24, "gamma_f": (0.0, 0.10)} if TINY else {}
-    outcomes = sweep_rows(JOB.build(**shrink), JOB.reducer)
-    return JOB.table(outcomes, **shrink), outcomes
+    outcomes = sweep_rows(JOB.build(), JOB.reducer)
+    return JOB.table(outcomes), outcomes
 
 
-def test_figure1(benchmark, record):
+def test_figure1(record):
     def experiment():
         table_a = analytic_tables()
         table_e, outcomes = empirical_probe()
         return table_a + "\n\n" + table_e, outcomes
 
-    text, outcomes = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    text, outcomes = experiment()
     record(text)
 
     # Shape assertions (the paper's claims, not absolute numbers):

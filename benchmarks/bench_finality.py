@@ -31,9 +31,6 @@ from repro.sleepy import (
 
 N = 20
 HONEST = 16
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "honest": HONEST}
-
 
 
 def run_attack(protocol: str, eta: int) -> dict:
@@ -81,13 +78,13 @@ def run_outage() -> dict:
     }
 
 
-def test_finality(benchmark, record):
+def test_finality(record):
     def experiment():
         rows = [run_attack("mmr", 0), run_attack("resilient", 3)]
         outage = run_outage()
         return rows, outage
 
-    rows, outage = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows, outage = experiment()
     table = format_table(
         ["inner protocol", "available safe", "reorg events", "max reorg depth", "finality consistent", "finalized depth"],
         [

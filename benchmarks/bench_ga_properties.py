@@ -14,8 +14,6 @@ from repro.chain.block import GENESIS_TIP, Block, genesis_block
 from repro.chain.tree import BlockTree
 from repro.core.extended_ga import ExtendedGAInstance, InitialVote
 
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"instances": "property-suite"}
 
 PROPERTIES = (
     "graded_consistency",
@@ -99,7 +97,7 @@ def sample_clique_instance(rng: random.Random) -> bool:
     return check_clique_validity(tree, lam, frozenset(clique), outputs)
 
 
-def test_ga_properties(benchmark, record):
+def test_ga_properties(record):
     def experiment():
         rng = random.Random(2024)
         tallies = {prop: 0 for prop in PROPERTIES}
@@ -112,9 +110,7 @@ def test_ga_properties(benchmark, record):
         clique_ok = sum(sample_clique_instance(rng) for _ in range(clique_samples))
         return tallies, samples, clique_ok, clique_samples
 
-    tallies, samples, clique_ok, clique_samples = benchmark.pedantic(
-        experiment, rounds=1, iterations=1
-    )
+    tallies, samples, clique_ok, clique_samples = experiment()
     rows = [[prop.replace("_", " "), f"{tallies[prop]}/{samples}", "synchronous"] for prop in PROPERTIES]
     rows.append(["clique validity", f"{clique_ok}/{clique_samples}", "asynchronous"])
     record(

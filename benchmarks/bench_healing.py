@@ -12,10 +12,7 @@ from repro.harness import run_tob
 from repro.workloads import blackout_scenario, split_vote_attack_scenario
 
 
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": 20, "ra": 9, "rounds": 32, "target_round": 10}
-
-def test_healing(benchmark, record):
+def test_healing(record):
     def experiment():
         rows = []
         for pi in (1, 2, 3):
@@ -32,7 +29,7 @@ def test_healing(benchmark, record):
             rows.append(["split-vote", eta, pi, report.rounds_to_decision, report.safety_ok, report.ok])
         return rows
 
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows = experiment()
     record(
         format_table(
             ["asynchrony", "η", "π", "rounds to next decision", "post-healing safety", "healed"],

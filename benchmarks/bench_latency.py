@@ -24,9 +24,6 @@ from repro.workloads import churn_walk
 
 SEEDS = range(20)
 N, ROUNDS = 20, 40
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "rounds": ROUNDS, "seeds": len(SEEDS)}
-
 
 
 def measure(protocol: str, eta: int, churn: bool) -> dict:
@@ -79,7 +76,7 @@ def measure_sortition(byz_count: int) -> dict:
     }
 
 
-def test_latency(benchmark, record):
+def test_latency(record):
     def experiment():
         rows = []
         for protocol, eta in (("mmr", 0), ("resilient", 2), ("resilient", 8)):
@@ -98,7 +95,7 @@ def test_latency(benchmark, record):
         sortition = [measure_sortition(byz) for byz in (0, 3, 6)]
         return rows, sortition
 
-    rows, sortition = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    rows, sortition = experiment()
     table = format_table(
         ["protocol", "workload", "block latency mean", "max", "decision gap mean", "gap p95"],
         rows,

@@ -27,15 +27,12 @@ from repro.engine.sweep import sweep_rows
 JOB = GRIDS["pi-eta"]
 N = 20
 
-#: Machine-readable run configuration (recorded in BENCH_*.json).
-BENCH_CONFIG = {"n": N, "target_round": 10, "streamed": True}
 
-
-def test_pi_eta_sweep(benchmark, record):
+def test_pi_eta_sweep(record):
     def experiment():
         return sweep_rows(JOB.build(n=N), JOB.reducer)
 
-    cells = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    cells = experiment()
     record(JOB.table(cells, n=N))
 
     for cell in cells:

@@ -26,8 +26,8 @@ With window width 0 (``lo == hi == g``) the store reproduces the
 original protocol's behaviour — η = 0 *is* the unmodified MMR vote
 rule, which the equivalence tests in ``tests/integration`` exploit.
 
-**Representation.**  Since the batched-ingest refactor the store is
-*round-bucketed and incremental*: votes live in per-round tables
+**Representation.**  The store is *round-bucketed and incremental*:
+votes live in per-round tables
 (``round -> sender -> tip | EQUIVOCATED_VOTE``, the same shape a
 :meth:`~repro.sleepy.messages.VerifiedBatch.vote_table` delivers, so a
 synchronous round's votes merge as one table adoption instead of
@@ -96,25 +96,7 @@ class LatestVoteStore:
     # ------------------------------------------------------------------
     def record(self, sender: int, round_number: int, tip: BlockId | None) -> None:
         """Record one vote.  A second, different tip marks an equivocation."""
-        self._version += 1
-        bucket = self._by_round.get(round_number)
-        if bucket is None:
-            bucket = self._by_round[round_number] = {}
-        existing = bucket.get(sender, self._MISSING)
-        if existing is self._MISSING:
-            bucket[sender] = tip
-            self._size += 1
-        elif existing is EQUIVOCATED_VOTE or existing == tip:
-            return
-        else:
-            bucket[sender] = EQUIVOCATED_VOTE
-            self._mark_equivocation(sender, round_number)
-        win = self._win
-        if win is not None and win[0] <= round_number <= win[1]:
-            # A late in-window arrival; rebuild lazily on the next query
-            # rather than maintaining every transition eagerly.
-            self._win = None
-            self._win_latest = {}
+        self.record_table({round_number: {sender: tip}})
 
     def record_table(self, table: Mapping[int, Mapping[int, object]]) -> None:
         """Merge a round-resolved vote table (see ``VerifiedBatch.vote_table``).

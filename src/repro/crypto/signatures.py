@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,11 +27,6 @@ from repro.crypto.hashing import bytes_field, encode_fields
 
 #: A signature is a 64-character hex tag.
 Signature = str
-
-#: Default capacity of a :class:`VerificationCache` (per run; one entry
-#: per *logical* message, so this comfortably covers n·rounds of votes
-#: and proposals for the experiment scales this repository targets).
-DEFAULT_VERIFICATION_CACHE_CAPACITY = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,9 @@ class KeyRegistry:
         Returns one verdict per item, in order.  This is the batch seam
         the shared ingest pipeline feeds: a multicast message reaches
         every recipient, but its tag only needs to be recomputed once —
-        callers deduplicate by digest (see :class:`VerificationCache`)
-        and push only the distinct misses through here.
+        callers deduplicate by digest (see
+        :class:`~repro.sleepy.messages.MessageInterner`) and push only
+        the distinct misses through here.
         """
         seeds = self._seeds
         states_of = self._states_of
@@ -129,60 +124,6 @@ class KeyRegistry:
                 tag = _tag(states_of(seed), encode_fields(*fields))
                 verdicts.append(hmac.compare_digest(tag, signature))
         return verdicts
-
-
-class VerificationCache:
-    """Run-shared LRU of verification verdicts, keyed by message digest.
-
-    The digest is computed *by the verifier* from a message's canonical
-    content (kind, claimed sender, signed fields, signature) — never
-    taken from the message object itself, whose memoised ``message_id``
-    is attacker-supplied state (see the transplanted-signature
-    regression test).  In a multicast model every process verifies the
-    same messages, so one shared cache turns n·messages verifications
-    into one per logical message.
-
-    Bounded: the least-recently-used verdict is evicted past
-    ``capacity``, so adversarial message floods cannot grow the cache
-    without bound (an evicted verdict is merely re-verified on next
-    sight).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_VERIFICATION_CACHE_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self._capacity = capacity
-        self._verdicts: OrderedDict[str, bool] = OrderedDict()
-        #: Hit/miss/eviction accounting (consumed by benches and tests).
-        self.stats = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def __len__(self) -> int:
-        return len(self._verdicts)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached verdicts."""
-        return self._capacity
-
-    def get(self, digest: str) -> bool | None:
-        """The cached verdict for ``digest``, or ``None`` if unknown."""
-        verdict = self._verdicts.get(digest)
-        if verdict is None:
-            self.stats["misses"] += 1
-            return None
-        self._verdicts.move_to_end(digest)
-        self.stats["hits"] += 1
-        return verdict
-
-    def put(self, digest: str, verdict: bool) -> None:
-        """Record ``verdict`` for ``digest`` (evicting the LRU entry if full)."""
-        verdicts = self._verdicts
-        if digest in verdicts:
-            verdicts.move_to_end(digest)
-        verdicts[digest] = verdict
-        while len(verdicts) > self._capacity:
-            verdicts.popitem(last=False)
-            self.stats["evictions"] += 1
 
 
 def _keyed_states(seed: bytes) -> tuple:

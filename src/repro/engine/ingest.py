@@ -3,10 +3,10 @@
 Every execution backend feeds delivered messages through one
 :class:`IngestPipeline` per run, and every protocol consumes the
 resulting :class:`~repro.sleepy.messages.VerifiedBatch`.  The pipeline
-stacks three layers, each shared run-wide:
+stacks two layers, each shared run-wide:
 
-1. **Cached verification** — a digest-keyed LRU verdict cache
-   (:class:`~repro.crypto.signatures.VerificationCache`) in front of the
+1. **One verdict table** — a digest-keyed LRU
+   (:class:`~repro.sleepy.messages.MessageInterner`) in front of the
    registry's ``verify_batch``, so a message multicast to n recipients
    is verified **once**, not n times.  Verification is deterministic,
    so sharing verdicts changes no semantics; the digest is recomputed
@@ -14,13 +14,12 @@ stacks three layers, each shared run-wide:
    (:func:`~repro.sleepy.messages.verification_digest`), so a message
    whose ``sender`` does not match the key that produced its signature
    is rejected even when the signature is a valid tag for some *other*
-   registered process.
-2. **Interning** — the first verified instance of a logical message
-   becomes canonical (:class:`~repro.sleepy.messages.MessageInterner`);
-   the bus, vote stores, proposal tables, and traces then share one
-   object per logical message, and re-verification of a canonical
-   instance is an O(1) identity check with no hashing at all.
-3. **Batch sharing** — the round simulator's bus hands the *same* tail
+   registered process.  An accepted verdict is the first verified
+   instance of the logical message, which becomes canonical: the bus,
+   vote stores, proposal tables, and traces share one object per
+   logical message, and re-verification of a canonical instance is an
+   O(1) identity check with no hashing at all.
+2. **Batch sharing** — the round simulator's bus hands the *same* tail
    tuple to every caught-up receiver; the pipeline memoises the
    classified :class:`~repro.sleepy.messages.VerifiedBatch` per
    delivered tuple (by identity, holding the tuple alive so the key can
@@ -39,8 +38,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.crypto.signatures import KeyRegistry, VerificationCache
+from repro.crypto.signatures import KeyRegistry
 from repro.sleepy.messages import (
+    IDENTITY_MEMO_CAPACITY,
+    REJECTED,
     DigestMemo,
     IdentityMemo,
     Message,
@@ -61,17 +62,17 @@ class IngestPipeline:
     def __init__(
         self,
         registry: KeyRegistry,
-        cache: VerificationCache | None = None,
         batch_memo_capacity: int = DEFAULT_BATCH_MEMO_CAPACITY,
     ) -> None:
         self._registry = registry
-        self._cache = cache if cache is not None else VerificationCache()
         self._interner = MessageInterner()
         #: The process's one :class:`DigestMemo`: the dissemination layer
         #: in front of this pipeline (the simulator's bus, a shard's
         #: gossip network) is built on it, so a message object hashed
-        #: there for dedup is not hashed again here.
-        self.digests = DigestMemo()
+        #: there for dedup is not hashed again here.  It has to hold a
+        #: round's messages between the two: a vote, a proposal and an
+        #: ack per process, with room for an adversary's.
+        self.digests = DigestMemo(max(IDENTITY_MEMO_CAPACITY, 4 * registry.n))
         #: Delivered tuple -> its classified batch.
         self._batch_memo = IdentityMemo(batch_memo_capacity)
         #: Pipeline accounting (consumed by benches and tests):
@@ -91,13 +92,8 @@ class IngestPipeline:
         return self._registry
 
     @property
-    def cache(self) -> VerificationCache:
-        """The underlying digest-keyed verdict cache."""
-        return self._cache
-
-    @property
     def interner(self) -> MessageInterner:
-        """The run's canonical-instance table."""
+        """The run's verdict table."""
         return self._interner
 
     # ------------------------------------------------------------------
@@ -110,14 +106,10 @@ class IngestPipeline:
             self.stats["identity_hits"] += 1
             return True
         digest = self.digests.digest(message)
-        if interner.lookup(digest) is not None:
-            return True
-        verdict = self._cache.get(digest)
-        if verdict is None:
-            verdict = self._resolve_misses((message,), (digest,), (0,))[digest]
-        if verdict:
-            interner.intern(message, digest)
-        return verdict
+        known = interner.lookup(digest)
+        if known is None:
+            known = self._resolve_misses((message,), (digest,), (0,))[digest]
+        return known is not REJECTED
 
     # ------------------------------------------------------------------
     # Batch path
@@ -141,53 +133,44 @@ class IngestPipeline:
         return self._build_batch(messages)
 
     def _build_batch(self, messages: Sequence[Message]) -> VerifiedBatch:
-        # Resolve each message to its canonical instance (or None if
-        # rejected); actual crypto for the residue of cache misses goes
-        # through :meth:`_resolve_misses`.
+        # Resolve each message to its canonical instance or REJECTED;
+        # actual crypto for the residue of table misses goes through
+        # :meth:`_resolve_misses`.
         interner = self._interner
-        cache = self._cache
-        resolved_messages: list[Message | None] = [None] * len(messages)
+        resolved_messages: list[object] = [None] * len(messages)
         digests: list[str | None] = [None] * len(messages)
         pending: list[int] = []
-        rejected = 0
         for i, message in enumerate(messages):
             if interner.is_canonical(message):
                 self.stats["identity_hits"] += 1
                 resolved_messages[i] = message
                 continue
             digest = self.digests.digest(message)
-            canonical = interner.lookup(digest)
-            if canonical is not None:
-                resolved_messages[i] = canonical
-                continue
-            digests[i] = digest
-            verdict = cache.get(digest)
-            if verdict is None:
+            known = interner.lookup(digest)
+            if known is None:
+                digests[i] = digest
                 pending.append(i)
-            elif verdict:
-                resolved_messages[i] = interner.intern(message, digest)
             else:
-                rejected += 1
+                resolved_messages[i] = known
         if pending:
-            verdicts = self._resolve_misses(messages, digests, pending)  # type: ignore[arg-type]
+            resolved = self._resolve_misses(messages, digests, pending)  # type: ignore[arg-type]
             for i in pending:
-                if verdicts[digests[i]]:
-                    resolved_messages[i] = interner.intern(messages[i], digests[i])
-                else:
-                    rejected += 1
-        verified = [m for m in resolved_messages if m is not None]
+                resolved_messages[i] = resolved[digests[i]]
+        verified = [m for m in resolved_messages if m is not REJECTED]
+        rejected = len(messages) - len(verified)
         self.stats["batches_built"] += 1
         self.stats["messages_ingested"] += len(messages)
         self.stats["rejected"] += rejected
-        return VerifiedBatch(verified, rejected=rejected)
+        return VerifiedBatch(verified, rejected=rejected)  # type: ignore[arg-type]
 
     def _resolve_misses(
         self, messages: Sequence[Message], digests: Sequence[str], indices: Sequence[int]
-    ) -> dict[str, bool]:
+    ) -> dict[str, object]:
         # The one place actual crypto happens: deduplicate the missing
         # digests, push the distinct signature claims through the
-        # registry's batch API (VRF checks stay per proposal), and cache
-        # every verdict.
+        # registry's batch API (VRF checks stay per proposal), and enter
+        # every verdict in the table.  Returns digest -> canonical
+        # message | REJECTED.
         distinct: list[int] = []
         seen: set[str] = set()
         for i in indices:
@@ -201,10 +184,13 @@ class IngestPipeline:
         ]
         self.stats["crypto_verifications"] += len(items)
         tag_ok = self._registry.verify_batch(items)
-        resolved: dict[str, bool] = {}
-        cache = self._cache
+        resolved: dict[str, object] = {}
+        interner = self._interner
         for i, ok in zip(distinct, tag_ok):
-            verdict = bool(ok) and check_payload(self._registry, messages[i])
-            resolved[digests[i]] = verdict
-            cache.put(digests[i], verdict)
+            digest = digests[i]
+            if ok and check_payload(self._registry, messages[i]):
+                resolved[digest] = interner.intern(messages[i], digest)
+            else:
+                interner.reject(digest)
+                resolved[digest] = REJECTED
         return resolved

@@ -182,7 +182,7 @@ def check_payload(registry: KeyRegistry, message: Message) -> bool:
 
 
 def verification_digest(message: Message) -> str:
-    """Canonical digest a verifier keys its caches by.
+    """Canonical digest a verifier keys its verdict table by.
 
     Recomputed from the message's content — kind, claimed sender, signed
     fields, signature — and **never** read from ``message.message_id``
@@ -258,8 +258,8 @@ class DigestMemo(IdentityMemo):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        super().__init__(IDENTITY_MEMO_CAPACITY)
+    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
+        super().__init__(capacity)
 
     def digest(self, message: Message) -> str:
         """``verification_digest(message)``, hashed at most once per object."""
@@ -270,36 +270,44 @@ class DigestMemo(IdentityMemo):
         return digest
 
 
-#: Default capacity of a :class:`MessageInterner` — matches the verdict
-#: cache's sizing rationale (one entry per logical message at the
-#: repository's experiment scales) and, like it, bounds what a
-#: Byzantine flood of distinct valid messages can pin in memory.
+#: Default capacity of a :class:`MessageInterner`: one entry per
+#: *logical* message, which covers n·rounds of votes and proposals at
+#: the repository's experiment scales, and bounds what a Byzantine flood
+#: of distinct messages can pin in memory.
 DEFAULT_INTERNER_CAPACITY = 1 << 17
+
+#: A digest's entry in a :class:`MessageInterner` when verification
+#: rejected the message: known junk is not verified again.
+REJECTED = object()
 
 
 class MessageInterner:
-    """One canonical instance per logical message, keyed by digest.
+    """The verifier's one verdict table: ``digest -> canonical message | REJECTED``.
 
-    The bus already deduplicates *publishes*; the interner deduplicates
-    *objects* on the verification path, so the bus, vote stores, traces,
-    and every process's proposal table share a single instance per
-    logical message.  Membership of the canonical set doubles as an
-    O(1) "already verified" check (the table holds strong references,
-    so an ``id`` can never be recycled while it is a member — eviction
-    removes the id in the same step, keeping the check sound).
+    The digest is computed *by the verifier* from a message's canonical
+    content (kind, claimed sender, signed fields, signature) and never
+    taken from the message object, whose memoised ``message_id`` is
+    attacker-supplied state.  In a multicast model every process
+    verifies the same messages, so one shared table turns n·messages
+    verifications into one per logical message, and an accepted verdict
+    *is* the first verified instance: the bus, vote stores, traces and
+    every process's proposal table share a single object per logical
+    message.  Membership of the canonical set doubles as an O(1)
+    "already verified" check (the table holds strong references, so an
+    ``id`` can never be recycled while it is a member — eviction removes
+    the id in the same step, keeping the check sound).
 
-    LRU-bounded for the same reason the verdict cache is: corrupted
-    keys can sign unlimited distinct valid messages, and on the
-    long-running deployment substrate nothing else retains messages
-    run-wide.  An evicted message merely falls back to the digest path
-    on next sight and is re-interned.
+    LRU-bounded: corrupted keys can sign unlimited distinct valid
+    messages, anyone can send unlimited junk, and on the long-running
+    deployment substrate nothing else retains messages run-wide.  An
+    evicted entry is merely verified again on next sight.
     """
 
     def __init__(self, capacity: int = DEFAULT_INTERNER_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("interner capacity must be positive")
         self._capacity = capacity
-        self._by_digest: OrderedDict[str, Message] = OrderedDict()
+        self._by_digest: OrderedDict[str, object] = OrderedDict()
         # Not an IdentityMemo: membership follows ``_by_digest``'s LRU
         # (evicted in the same step) and there is no value to hold.
         self._canonical_ids: set[int] = set()
@@ -309,32 +317,41 @@ class MessageInterner:
 
     @property
     def capacity(self) -> int:
-        """Maximum number of canonical instances held."""
+        """Maximum number of verdicts held."""
         return self._capacity
 
     def is_canonical(self, message: Message) -> bool:
         """Whether ``message`` *is* (identically) an interned instance."""
         return id(message) in self._canonical_ids
 
-    def lookup(self, digest: str) -> Message | None:
-        """The canonical instance for ``digest``, if one was interned."""
-        message = self._by_digest.get(digest)
-        if message is not None:
+    def lookup(self, digest: str) -> object:
+        """The canonical instance for ``digest``, :data:`REJECTED`, or
+        ``None`` when the digest has no verdict yet."""
+        known = self._by_digest.get(digest)
+        if known is not None:
             self._by_digest.move_to_end(digest)
-        return message
+        return known
 
     def intern(self, message: Message, digest: str) -> Message:
         """Make ``message`` canonical for ``digest`` (first instance wins)."""
         existing = self._by_digest.get(digest)
-        if existing is not None:
+        if existing is not None and existing is not REJECTED:
             self._by_digest.move_to_end(digest)
-            return existing
+            return existing  # type: ignore[return-value]
         self._by_digest[digest] = message
         self._canonical_ids.add(id(message))
+        self._evict()
+        return message
+
+    def reject(self, digest: str) -> None:
+        """Record that the message with ``digest`` failed verification."""
+        self._by_digest[digest] = REJECTED
+        self._evict()
+
+    def _evict(self) -> None:
         while len(self._by_digest) > self._capacity:
             _, evicted = self._by_digest.popitem(last=False)
             self._canonical_ids.discard(id(evicted))
-        return message
 
 
 @dataclass(frozen=True)

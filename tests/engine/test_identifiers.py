@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import repro.crypto.hashing as hashing
+import repro.sleepy.messages as sleepy_messages
 from repro.chain.block import Block
 from repro.chain.transactions import Transaction
 from repro.engine.deploy_backend import DeploymentBackend
@@ -219,3 +220,23 @@ def test_simulator_hashes_a_message_once_for_dedup_and_verification(hash_calls):
     assert simulation.trace.decisions
     # One digest per message, one id per block (plus the genesis ids).
     assert hash_calls[0] <= messages + blocks + 8, (hash_calls[0], messages, blocks)
+
+
+def test_simulator_hashes_a_message_once_at_any_n(monkeypatch):
+    """The shared memo holds a whole round's messages between publish
+    and ingest, however many processes send one: n = 200 publishes 400
+    a round, more than the memo's floor."""
+    digested = [0]
+    original = sleepy_messages.verification_digest
+
+    def counted(message):
+        digested[0] += 1
+        return original(message)
+
+    monkeypatch.setattr(sleepy_messages, "verification_digest", counted)
+    spec = RunSpec(n=200, rounds=8, protocol="resilient", eta=2, seed=3)
+    simulation = SimulationBackend().build(spec)
+    simulation.run(8)
+    assert simulation.bus.total_published > IDENTITY_MEMO_CAPACITY * 8
+    assert digested[0] == simulation.bus.total_published
+    assert simulation.pipeline.stats["crypto_verifications"] == simulation.bus.total_published

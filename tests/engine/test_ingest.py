@@ -1,12 +1,13 @@
-"""The shared ingest pipeline: caching, interning, batch sharing, safety."""
+"""The shared ingest pipeline: the verdict table, batch sharing, safety."""
 
 import pytest
 
 from repro.chain.block import Block
-from repro.crypto.signatures import VerificationCache
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.messages import (
     EQUIVOCATED_VOTE,
+    REJECTED,
+    MessageInterner,
     VoteMessage,
     make_ack,
     make_propose,
@@ -124,13 +125,24 @@ def test_poisoned_id_in_batch_path_rejected(registry, pipeline, genesis):
 # Bounded caches
 # ----------------------------------------------------------------------
 def test_verification_cache_is_lru_bounded(registry, genesis):
-    cache = VerificationCache(capacity=4)
-    verifier = IngestPipeline(registry, cache=cache)
+    """Accepted and rejected verdicts share the one table's bound."""
+    verifier = IngestPipeline(registry)
+    table = verifier._interner = MessageInterner(capacity=4)
     votes = signed_votes(registry, 1, genesis.block_id, range(8))
-    for vote in votes:
+    forged = [
+        VoteMessage(sender=(v.sender + 1) % 8, round=1, signature=v.signature, tip=v.tip)
+        for v in votes
+    ]
+    for vote, junk in zip(votes, forged):
         assert verifier.verify(vote)
-    assert len(cache) == 4
-    assert cache.stats["evictions"] == 4
+        assert not verifier.verify(junk)
+    assert len(table) == 4
+    assert table.lookup(verifier.digests.digest(forged[-1])) is REJECTED
+    assert table.lookup(verifier.digests.digest(votes[-1])) is votes[-1]
+    assert table.lookup(verifier.digests.digest(votes[0])) is None
+    # An evicted rejection is merely checked again, to the same verdict.
+    assert not verifier.verify(forged[0])
+    assert verifier.stats["crypto_verifications"] == 17
 
 
 def test_batch_memo_eviction_keeps_identity_keys_sound(registry, genesis):
@@ -150,8 +162,6 @@ def test_interner_is_lru_bounded_and_eviction_is_sound(registry, genesis):
     """A Byzantine flood of distinct valid messages cannot grow the
     canonical table without bound, and an evicted instance loses its
     identity fast path (no stale-id false positives) but stays valid."""
-    from repro.sleepy.messages import MessageInterner
-
     interner = MessageInterner(capacity=3)
     pipeline = IngestPipeline(registry)
     pipeline._interner = interner
@@ -161,11 +171,11 @@ def test_interner_is_lru_bounded_and_eviction_is_sound(registry, genesis):
     assert len(interner) == 3
     evicted = votes[0]
     assert not interner.is_canonical(evicted)
-    # Re-presenting the evicted message re-verifies via the digest path
-    # (cached verdict — no fresh crypto) and re-interns it.
+    # Re-presenting the evicted message verifies it again (its verdict
+    # left with it) and re-interns it.
     crypto_before = pipeline.stats["crypto_verifications"]
     assert pipeline.verify(evicted)
-    assert pipeline.stats["crypto_verifications"] == crypto_before
+    assert pipeline.stats["crypto_verifications"] == crypto_before + 1
     assert interner.is_canonical(evicted)
 
 
