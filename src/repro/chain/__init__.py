@@ -14,9 +14,10 @@ repository builds on:
 * :mod:`repro.chain.store` — a bounded orphan-block buffer used by
   processes whose view of the tree is built incrementally from
   received messages.
-* :mod:`repro.chain.tally` — the incremental prefix-count tally
-  (:class:`PrefixTally`) and the exact-integer :class:`GAOutput`
-  grading that every protocol's GA instances share.
+* :mod:`repro.chain.tally` — votes as sets (:class:`VoteSet`, ``tip ->
+  bitmask of senders``), the incremental prefix-count tally
+  (:class:`PrefixTally`) that holds one, and the exact-integer
+  :class:`GAOutput` grading that every protocol's GA instances share.
 * :mod:`repro.chain.shared` — the run-shared interned tree
   (:class:`SharedChain`) and per-receiver visibility views
   (:class:`ChainView`) behind the simulator's large-n lane.
@@ -26,7 +27,7 @@ from repro.chain.block import Block, BlockId, GENESIS_TIP, genesis_block
 from repro.chain.log import Log
 from repro.chain.shared import ChainView, SharedChain, TreeLike
 from repro.chain.store import BlockBuffer
-from repro.chain.tally import GAOutput, PrefixTally
+from repro.chain.tally import GAOutput, PrefixTally, VoteSet
 from repro.chain.transactions import Mempool, Transaction, is_valid_transaction
 from repro.chain.tree import BlockTree
 
@@ -44,6 +45,7 @@ __all__ = [
     "SharedChain",
     "Transaction",
     "TreeLike",
+    "VoteSet",
     "genesis_block",
     "is_valid_transaction",
 ]

@@ -12,17 +12,19 @@ differ only in *which* votes they feed it.
 under vote churn instead of re-walking every vote's ancestor chain per
 query:
 
+* votes are held as a :class:`VoteSet` — ``tip -> bitmask of senders``
+  — so the voters who moved from one tip to another are the
+  intersection of two masks and their number a popcount;
 * :meth:`~PrefixTally.set_votes` — the call every GA instance makes —
-  diffs the new vote set against the tallied one, groups the changed
-  senders by ``(old tip, new tip)`` and applies each *distinct*
-  transition once, weighted by its voter count: one O(log d) LCA and
-  one ``±weight`` adjustment of the path between the two tips.  In the
+  derives each *distinct* ``(old tip → new tip)`` transition from the
+  handful of tip pairs and applies it once, weighted by its voter
+  count: one ``±weight`` walk of the path between the two tips.  In the
   protocol's steady state all but a few senders move from the same old
-  tip to the same new tip, so a GA pays for one or two transitions, not
-  for n voters;
+  tip to the same new tip, so a GA pays for one or two transitions and
+  never looks at a single voter;
 * :meth:`~PrefixTally.add_vote` / :meth:`~PrefixTally.remove_vote` /
-  :meth:`~PrefixTally.move_vote` are the single-voter forms: one root
-  path, or the path between the old and new tip;
+  :meth:`~PrefixTally.move_vote` are the single-voter forms: the same
+  call with one bit changed;
 * block insertion needs no maintenance at all: a fresh block starts
   with count 0 until a vote reaches its subtree.
 
@@ -43,10 +45,11 @@ arithmetic, pinned against a naive recount by
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
+from functools import reduce
+from operator import or_
 
 from repro.chain.block import GENESIS_TIP, BlockId
 from repro.chain.shared import TreeLike
@@ -55,7 +58,9 @@ from repro.chain.tree import UnknownBlockError
 #: The paper's default failure ratio (1/3-resilient MMR).
 DEFAULT_BETA = Fraction(1, 3)
 
-_MISSING = object()
+#: What a (sender, round) slot voided by two different signed votes
+#: reads as in a :class:`VoteSet`.
+EQUIVOCATED_VOTE = object()
 
 
 #: The protocols' range of failure ratios is ``(0, 1/2]``.
@@ -64,6 +69,120 @@ _BETA_AT_MOST = Fraction(1, 2)
 
 #: Parent steps a frontier walk takes before it bisects on depth.
 _WALK_STEPS = 8
+
+
+def _union(masks: Iterable[int]) -> int:
+    return reduce(or_, masks, 0)
+
+
+def mask_pids(mask: int) -> Iterator[int]:
+    """The bit positions set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class VoteSet(Mapping):
+    """The votes of one round, or of one window: ``tip -> senders``.
+
+    ``tips`` maps each voted tip to the bitmask of the senders voting
+    it (bit ``pid`` set = ``pid`` votes that tip; a sender is in at most
+    one mask), and ``senders`` is the mask of everyone with an entry —
+    so ``senders & ~OR(tips)`` are the senders whose slot two different
+    signed votes voided (:attr:`voided`), and equivocation needs no
+    table of its own.  Honest voters of a round vote one or two tips, so
+    a round is one or two machine integers whatever ``n`` is, and every
+    question the vote store and the tally ask of it — who is new, who
+    moved from which tip to which, how many — is mask algebra plus a
+    popcount.
+
+    An immutable value: nothing mutates ``tips`` after construction, so
+    one instance is shared by reference between a delivered batch and
+    every store that adopts it.  It still *reads* as
+    ``Mapping[sender, tip | EQUIVOCATED_VOTE]`` (ascending sender
+    order) and compares equal to the dict it was built from; those
+    per-sender reads are for tests and analysis, not for a round's hot
+    path.  The one assumption it adds: a sender is a bit position, so
+    sender ids are small non-negative integers — the stores only ever
+    see verified pids ``< n``.
+    """
+
+    __slots__ = ("tips", "senders")
+
+    def __init__(self, tips: Mapping[BlockId | None, int], senders: int | None = None) -> None:
+        self.tips = tips
+        self.senders = _union(tips.values()) if senders is None else senders
+
+    @classmethod
+    def of(cls, votes: Mapping[int, object]) -> VoteSet:
+        """Normalise ``{sender: tip | EQUIVOCATED_VOTE}`` (a
+        :class:`VoteSet` passes through).  A negative sender id raises
+        :class:`ValueError`."""
+        if type(votes) is cls:
+            return votes
+        tips: dict[object, int] = {}
+        senders = 0
+        for sender, tip in votes.items():
+            bit = 1 << sender
+            senders |= bit
+            if tip is not EQUIVOCATED_VOTE:
+                tips[tip] = tips.get(tip, 0) | bit
+        return cls(tips, senders)
+
+    @property
+    def voided(self) -> int:
+        """Mask of the senders whose entry is an equivocation."""
+        return self.senders & ~_union(self.tips.values())
+
+    def merge(self, other: VoteSet) -> VoteSet:
+        """Both tables of one round: a sender they disagree on — two
+        different tips, or voided in either — is voided."""
+        mine, theirs = self.tips, other.tips
+        agree = 0
+        for tip, mask in theirs.items():
+            agree |= mask & mine.get(tip, 0)
+        keep = ~(self.senders & other.senders & ~agree)
+        tips: dict[BlockId | None, int] = {}
+        for side in (mine, theirs):
+            for tip, mask in side.items():
+                mask &= keep
+                if mask:
+                    tips[tip] = tips.get(tip, 0) | mask
+        return VoteSet(tips, self.senders | other.senders)
+
+    def drop(self, senders: int) -> VoteSet:
+        """This set without the entries of ``senders`` (a mask)."""
+        keep = ~senders
+        tips = {tip: mask & keep for tip, mask in self.tips.items() if mask & keep}
+        return VoteSet(tips, self.senders & keep)
+
+    def known_to(self, tree: Container[BlockId | None]) -> VoteSet:
+        """This set without the votes for tips ``tree`` does not contain
+        — membership is probed once per distinct tip."""
+        unknown = [mask for tip, mask in self.tips.items() if tip not in tree]
+        return self.drop(_union(unknown)) if unknown else self
+
+    # Mapping[sender, tip | EQUIVOCATED_VOTE]
+    def __getitem__(self, sender: int) -> object:
+        if sender < 0 or not self.senders >> sender & 1:
+            raise KeyError(sender)
+        for tip, mask in self.tips.items():
+            if mask >> sender & 1:
+                return tip
+        return EQUIVOCATED_VOTE
+
+    def __iter__(self) -> Iterator[int]:
+        return mask_pids(self.senders)
+
+    def __len__(self) -> int:
+        return self.senders.bit_count()
+
+    def __repr__(self) -> str:
+        return f"VoteSet({dict(self)!r})"
+
+
+_NO_VOTES = VoteSet({})
 
 
 @dataclass(frozen=True)
@@ -118,8 +237,8 @@ def grade_thresholds(beta: Fraction, m: int) -> tuple[int, int]:
 class PrefixTally:
     """Per-node prefix-vote counts, maintained incrementally.
 
-    Holds one vote per sender (the caller resolves equivocations and
-    window membership — e.g. via
+    Holds one vote per sender as a :class:`VoteSet` (the caller
+    resolves equivocations and window membership — e.g. via
     :class:`~repro.core.expiration.LatestVoteStore`); every vote's tip
     must be present in the tree.  Counts stay exact under any sequence
     of :meth:`set_vote`/:meth:`remove_vote`/:meth:`set_votes` calls and
@@ -136,7 +255,7 @@ class PrefixTally:
         self, tree: TreeLike, votes: Mapping[int, BlockId | None] | None = None
     ) -> None:
         self._tree = tree
-        self._votes: dict[int, BlockId | None] = {}
+        self._votes = _NO_VOTES
         # node -> number of tallied votes for tips in its subtree; only
         # nodes with a non-zero count are present (GENESIS_TIP carries
         # the total while any vote is tallied).
@@ -148,9 +267,9 @@ class PrefixTally:
         return len(self._votes)
 
     @property
-    def votes(self) -> Mapping[int, BlockId | None]:
-        """Read-only view of the tallied vote per sender."""
-        return MappingProxyType(self._votes)
+    def votes(self) -> VoteSet:
+        """The tallied vote per sender."""
+        return self._votes
 
     def count(self, tip: BlockId | None) -> int:
         """Votes for logs extending ``tip`` (the paper's prefix count)."""
@@ -163,123 +282,125 @@ class PrefixTally:
     # ------------------------------------------------------------------
     def set_vote(self, sender: int, tip: BlockId | None) -> None:
         """Upsert ``sender``'s vote (add when new, move when changed)."""
-        existing = self._votes.get(sender, _MISSING)
-        if existing is _MISSING:
-            self.add_vote(sender, tip)
-        elif existing != tip:
-            self.move_vote(sender, tip)
+        bit = 1 << sender
+        self.set_votes(self._votes.drop(bit).merge(VoteSet({tip: bit})))
 
     def add_vote(self, sender: int, tip: BlockId | None) -> None:
         """Tally a new sender's vote — O(depth) count updates."""
         if sender in self._votes:
             raise ValueError(f"sender {sender} already has a tallied vote")
-        if tip not in self._tree:
-            raise UnknownBlockError(tip)
-        self._votes[sender] = tip
-        self._adjust_path(tip, GENESIS_TIP, +1)
-        self._adjust_total(+1)
+        self.set_vote(sender, tip)
 
     def move_vote(self, sender: int, tip: BlockId | None) -> None:
         """Re-point ``sender``'s vote, adjusting counts only between the
-        old and new tip (their LCA path) — not along the whole chain."""
-        old = self._votes.get(sender, _MISSING)
-        if old is _MISSING:
+        old and new tip — not along the whole chain."""
+        if sender not in self._votes:
             raise ValueError(f"sender {sender} has no tallied vote to move")
-        if tip not in self._tree:
-            raise UnknownBlockError(tip)
-        if old == tip:
-            return
-        self._votes[sender] = tip
-        fork = self._tree.common_prefix([old, tip])
-        self._adjust_path(tip, fork, +1)
-        self._adjust_path(old, fork, -1)
+        self.set_vote(sender, tip)
 
     def remove_vote(self, sender: int) -> None:
         """Untally ``sender``'s vote — O(depth) count updates."""
-        old = self._votes.pop(sender, _MISSING)
-        if old is _MISSING:
+        if sender not in self._votes:
             raise ValueError(f"sender {sender} has no tallied vote to remove")
-        self._adjust_path(old, GENESIS_TIP, -1)
-        self._adjust_total(-1)
+        self.set_votes(self._votes.drop(1 << sender))
 
     def set_votes(self, votes: Mapping[int, BlockId | None]) -> None:
-        """Make the tallied set equal ``votes``, by weighted diff.
+        """Make the tallied set equal ``votes`` (a :class:`VoteSet`, or
+        a ``{sender: tip}`` mapping normalised to one), by weighted diff.
 
-        One dict scan finds the senders whose vote changed and groups
-        them by ``(old tip, new tip)`` — "no vote" on either side for a
-        sender entering or leaving.  Each *distinct* transition is then
-        applied once with its voter count as the weight: one LCA and one
-        ``±weight`` adjustment of the path between the two tips.  The
-        protocol's steady state moves almost every sender from the same
-        old tip to the same new tip, so a GA costs O(distinct
-        transitions · log d) — one or two — not O(voters); building from
-        empty costs O(distinct tips · depth), as the historical recount
-        did.
+        The voters who move from tip ``a`` to tip ``b`` are
+        ``old[a] & new[b]``; who leaves, ``old[a] & ~new.senders``; who
+        enters, ``new[b] & ~old.senders``.  Each *distinct* transition
+        is applied once with its popcount as the weight
+        (:meth:`_adjust_path`).  The protocol's steady state moves
+        almost every sender from the same old tip to the same new tip,
+        so a GA costs one or two transitions of one block each, whatever
+        the number of voters; building from empty costs O(distinct tips
+        · depth).
 
         Every new tip is validated before any count moves: a call that
         raises :class:`UnknownBlockError` leaves the tally untouched.
         """
-        current = self._votes
-        transitions: dict[tuple[object, object], int] = {}
-        lookup = votes.get
-        for sender, old in current.items():
-            new = lookup(sender, _MISSING)
-            if new != old:
-                key = (old, new)
-                transitions[key] = transitions.get(key, 0) + 1
-        leaving = sum(w for (_, new), w in transitions.items() if new is _MISSING)
-        if len(current) - leaving != len(votes):  # some senders are new
-            for sender, new in votes.items():
-                if sender not in current:
-                    key = (_MISSING, new)
-                    transitions[key] = transitions.get(key, 0) + 1
-        if not transitions:
-            return
+        new = VoteSet.of(votes)
+        old = self._votes
+        held, cast = old.tips, new.tips
+        if cast == held and new.senders == old.senders:
+            return  # nobody moved: every other round of a steady run
         tree = self._tree
-        for _old, new in transitions:
-            if new is not _MISSING and new not in tree:
-                raise UnknownBlockError(new)
+        voting = 0
+        for tip, mask in cast.items():
+            if tip not in held and tip not in tree:
+                raise UnknownBlockError(tip)
+            voting |= mask
+        if voting != new.senders:  # an unresolved equivocation is a vote for no log
+            raise UnknownBlockError(EQUIVOCATED_VOTE)
 
         # No count can dip below zero whatever the order: the decrements
         # a node receives are distinct tallied voters leaving its subtree.
-        entered = 0
-        for (old, new), weight in transitions.items():
-            if old is _MISSING:
-                self._adjust_path(new, GENESIS_TIP, weight)
-                entered += weight
-            elif new is _MISSING:
-                self._adjust_path(old, GENESIS_TIP, -weight)
-                entered -= weight
-            else:
-                fork = tree.common_prefix((old, new))
-                self._adjust_path(new, fork, weight)
-                self._adjust_path(old, fork, -weight)
-        if entered:
-            self._adjust_total(entered)
-        current.clear()
-        current.update(votes)
-
-    def _adjust_total(self, delta: int) -> None:
-        """Apply ``delta`` to the count the virtual root carries."""
-        total = self._counts.get(GENESIS_TIP, 0) + delta
+        move = self._adjust_path
+        for tip, mask in held.items():
+            moved = mask & ~cast.get(tip, 0)
+            if not moved:
+                continue
+            left = moved & ~voting
+            if left:
+                move(tip, GENESIS_TIP, left.bit_count())
+                moved ^= left
+            for target, joined in cast.items():
+                if not moved:
+                    break
+                hit = moved & joined
+                if hit:
+                    move(tip, target, hit.bit_count())
+                    moved ^= hit
+        outside = ~old.senders
+        for tip, mask in cast.items():
+            entered = mask & outside
+            if entered:
+                move(GENESIS_TIP, tip, entered.bit_count())
+        total = voting.bit_count() - old.senders.bit_count()
         if total:
-            self._counts[GENESIS_TIP] = total
-        else:
-            del self._counts[GENESIS_TIP]
+            counts = self._counts
+            total += counts.pop(GENESIS_TIP, 0)
+            if total:
+                counts[GENESIS_TIP] = total
+        self._votes = new
 
-    def _adjust_path(self, tip: BlockId | None, stop: BlockId | None, delta: int) -> None:
-        """Apply ``delta`` to every node from ``tip`` up to, excluding, ``stop``."""
+    def _adjust_path(self, old: BlockId | None, new: BlockId | None, weight: int) -> None:
+        """Move ``weight`` votes from ``old``'s log to ``new``'s.
+
+        ``−weight`` on every node from ``old`` up to where the two root
+        paths meet, ``+weight`` on every node from ``new`` up to there;
+        the node where they meet keeps its count.  The empty log is a
+        tip like any other — entering the tally is a move from it,
+        leaving a move to it (its own count, the total, is the
+        caller's).  The two legs are found by walking them: every node
+        on them is touched anyway, so no ancestor query is spent.
+        """
+        tree = self._tree
+        parent = tree.parent
+        legs: list[tuple[BlockId | None, int]] = []
+        lead = tree.depth(new) - tree.depth(old)
+        while lead > 0:
+            legs.append((new, weight))
+            new = parent(new)
+            lead -= 1
+        while lead < 0:
+            legs.append((old, -weight))
+            old = parent(old)
+            lead += 1
+        while new != old:
+            legs.append((new, weight))
+            legs.append((old, -weight))
+            new = parent(new)
+            old = parent(old)
         counts = self._counts
-        parent = self._tree.parent
-        node = tip
-        while node != stop:
-            assert node is not None
+        for node, delta in legs:
             count = counts.get(node, 0) + delta
             if count:
                 counts[node] = count
             else:
                 del counts[node]
-            node = parent(node)
 
     # ------------------------------------------------------------------
     # Reading (Figure 2 thresholds, exact integers)
@@ -312,7 +433,7 @@ class PrefixTally:
         """
         check_beta(beta)
         if m is None:
-            m = len(self._votes)
+            m = len(self)
         if m == 0:
             return GAOutput(grade1=(), grade0=(), m=0)
         threshold1, threshold0 = grade_thresholds(beta, m)
@@ -338,7 +459,7 @@ class PrefixTally:
             return []
         # The virtual root is above the threshold, so every walk ends.
         first = self._first_above
-        return list({first(tip, threshold) for tip in set(self._votes.values())})
+        return list({first(tip, threshold) for tip in self._votes.tips})
 
     def _first_above(self, tip: BlockId | None, threshold: int) -> BlockId | None:
         count = self._counts.get

@@ -26,18 +26,23 @@ With window width 0 (``lo == hi == g``) the store reproduces the
 original protocol's behaviour — η = 0 *is* the unmodified MMR vote
 rule, which the equivalence tests in ``tests/integration`` exploit.
 
-**Representation.**  The store is *round-bucketed and incremental*:
-votes live in per-round tables
-(``round -> sender -> tip | EQUIVOCATED_VOTE``, the same shape a
-:meth:`~repro.sleepy.messages.VerifiedBatch.vote_table` delivers, so a
-synchronous round's votes merge as one table adoption instead of
-per-vote calls), :meth:`prune` drops whole buckets in O(dropped), and
-the per-window latest-vote aggregate is maintained incrementally: a GA
-query for ``[g − η, g]`` *rolls* the previous query's window forward by
-merging only the newly visible buckets instead of rescanning every
-sender's history.  Every query path is pinned bit-identical to the
-brute-force recount by ``tests/core/test_incremental_votes.py`` and the
-seeded golden traces.
+**Representation.**  Votes live in one :class:`~repro.chain.tally.
+VoteSet` per round (``tip -> bitmask of senders``, the same object a
+:meth:`~repro.sleepy.messages.VerifiedBatch.vote_table` delivers): a
+synchronous round's votes are adopted *by reference* — every receiver
+of a shared delivery holds the one instance — and a round delivered in
+pieces merges with mask algebra.  :meth:`LatestVoteStore.latest` is a
+newest-first fold over the at most η + 1 buckets inside the window:
+a bucket contributes the senders no newer bucket has an entry for
+(``mask & ~seen``), and then marks *all* its senders seen — so the
+latest round wins and an equivocating latest round contributes nothing
+without falling back, in that one line — and stops as soon as it has
+seen every sender the store holds an entry for (under full
+participation, after the newest bucket).  The fold costs the distinct
+tips voted in the window, not the number of voters, so nothing about a
+window is cached: there is no aggregate to roll, invalidate or prune.
+Every query path is pinned bit-identical to the brute-force recount by
+``tests/core/test_incremental_votes.py`` and the seeded golden traces.
 """
 
 from __future__ import annotations
@@ -45,38 +50,22 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.chain.block import BlockId
-from repro.sleepy.messages import EQUIVOCATED_VOTE
+from repro.chain.tally import VoteSet, mask_pids
 
 
 class LatestVoteStore:
-    """Per-sender vote history with incremental expiration-window queries."""
-
-    _EQUIVOCATED = EQUIVOCATED_VOTE
-    _MISSING = object()
+    """Per-round vote sets with expiration-window queries."""
 
     def __init__(self) -> None:
         # Mutation counter (see :attr:`version`).
         self._version = 0
-        # round -> sender -> tip of the unique vote, or EQUIVOCATED_VOTE.
-        self._by_round: dict[int, dict[int, object]] = {}
-        # round -> senders equivocating in that round (only rounds that
-        # have any; lets prune update equivocator counts in O(evidence)).
-        self._round_eq: dict[int, set[int]] = {}
-        # sender -> number of unpruned rounds it equivocated in.
-        self._eq_rounds: dict[int, int] = {}
-        self._size = 0
-        # The incremental window aggregate: the (lo, hi) of the last
-        # query and, per sender, its latest in-window (round, value).
-        self._win: tuple[int, int] | None = None
-        self._win_latest: dict[int, tuple[int, object]] = {}
-        # Smallest round referenced by the aggregate — lets prune skip
-        # the aggregate entirely when it only drops older rounds (the
-        # steady-state case: the protocol prunes exactly up to the
-        # window's lower edge).
-        self._win_min = 0
+        self._by_round: dict[int, VoteSet] = {}
+        # Everyone with an entry in some held round: once a window fold
+        # has seen them all, no older bucket can add anything.
+        self._senders = 0
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(bucket) for bucket in self._by_round.values())
 
     @property
     def version(self) -> int:
@@ -101,118 +90,48 @@ class LatestVoteStore:
     def record_table(self, table: Mapping[int, Mapping[int, object]]) -> None:
         """Merge a round-resolved vote table (see ``VerifiedBatch.vote_table``).
 
-        ``table`` maps ``round -> sender -> tip | EQUIVOCATED_VOTE``
-        with within-batch equivocations already collapsed.  When this
-        store has no prior entries for a round — the steady synchronous
-        case, where each round's votes arrive exactly once — the whole
-        per-round table is adopted as one dict copy; otherwise entries
-        merge one by one with the usual equivocation transitions.
+        ``table`` maps ``round -> VoteSet`` (a plain ``{sender: tip |
+        EQUIVOCATED_VOTE}`` mapping is normalised to one) with
+        within-batch equivocations already collapsed.  When this store
+        holds nothing for a round — the steady synchronous case, where
+        each round's votes arrive exactly once — the round's set is
+        adopted by reference; otherwise the two merge, a sender they
+        disagree on voided.
         """
         self._version += 1
         by_round = self._by_round
-        for round_number, delta in table.items():
-            bucket = by_round.get(round_number)
-            if bucket is None:
-                adopted = dict(delta)
-                by_round[round_number] = adopted
-                self._size += len(adopted)
-                for sender, value in adopted.items():
-                    if value is EQUIVOCATED_VOTE:
-                        self._mark_equivocation(sender, round_number)
-            else:
-                for sender, value in delta.items():
-                    existing = bucket.get(sender, self._MISSING)
-                    if existing is self._MISSING:
-                        bucket[sender] = value
-                        self._size += 1
-                        if value is EQUIVOCATED_VOTE:
-                            self._mark_equivocation(sender, round_number)
-                    elif existing is EQUIVOCATED_VOTE or existing == value:
-                        continue
-                    else:
-                        # Either the delta proves a fresh conflict, or it
-                        # is itself an equivocation marker: void the slot.
-                        bucket[sender] = EQUIVOCATED_VOTE
-                        self._mark_equivocation(sender, round_number)
-            win = self._win
-            if win is not None and win[0] <= round_number <= win[1]:
-                self._win = None
-                self._win_latest = {}
-
-    def _mark_equivocation(self, sender: int, round_number: int) -> None:
-        eq = self._round_eq.get(round_number)
-        if eq is None:
-            eq = self._round_eq[round_number] = set()
-        if sender not in eq:
-            eq.add(sender)
-            self._eq_rounds[sender] = self._eq_rounds.get(sender, 0) + 1
+        for round_number, votes in table.items():
+            votes = VoteSet.of(votes)
+            held = by_round.get(round_number)
+            by_round[round_number] = votes if held is None else held.merge(votes)
+            self._senders |= votes.senders
 
     # ------------------------------------------------------------------
     # Window queries
     # ------------------------------------------------------------------
-    def latest(self, window_lo: int, window_hi: int) -> dict[int, BlockId | None]:
+    def latest(self, window_lo: int, window_hi: int) -> VoteSet:
         """Latest unexpired vote per sender over rounds ``[window_lo, window_hi]``.
 
         Senders whose latest in-window vote is an equivocation are
-        excluded entirely.  Consecutive queries with advancing windows
-        (the protocol's access pattern: ``[g − η, g]`` then
-        ``[g + 1 − η, g + 1]``) are served incrementally by rolling the
-        aggregate forward; arbitrary windows fall back to a rebuild
-        over the buckets in range.
+        excluded entirely.  A newest-first fold over the buckets in
+        range; the result reads as ``{sender: tip}``.
         """
-        if window_lo > window_hi:
-            return {}
-        if self._win != (window_lo, window_hi):
-            self._advance_window(window_lo, window_hi)
-        return {
-            sender: value  # type: ignore[misc]
-            for sender, (_, value) in self._win_latest.items()
-            if value is not EQUIVOCATED_VOTE
-        }
-
-    def _advance_window(self, lo: int, hi: int) -> None:
-        win = self._win
-        if win is not None and win[0] <= lo and win[1] <= hi:
-            lo0, hi0 = win
-            aggregate = self._win_latest
-            # Merge the newly visible buckets (ascending: latest wins).
-            fresh = sorted(r for r in self._by_round if hi0 < r <= hi)
-            for r in fresh:
-                for sender, value in self._by_round[r].items():
-                    aggregate[sender] = (r, value)
-            # Re-derive senders whose cached round fell off the left
-            # edge, and track the new minimum as we go.
-            new_min = hi
-            if lo > lo0 or self._win_min < lo:
-                for sender in [s for s, (r, _) in aggregate.items() if r < lo]:
-                    refreshed = self._scan_latest(sender, lo, hi)
-                    if refreshed is None:
-                        del aggregate[sender]
-                    else:
-                        aggregate[sender] = refreshed
-            for _, (r, _value) in aggregate.items():
-                if r < new_min:
-                    new_min = r
-            self._win_min = new_min
-        else:
-            aggregate = {}
-            for r in sorted(r for r in self._by_round if lo <= r <= hi):
-                for sender, value in self._by_round[r].items():
-                    aggregate[sender] = (r, value)
-            self._win_latest = aggregate
-            self._win_min = min((r for r, _ in aggregate.values()), default=hi)
-        self._win = (lo, hi)
-
-    def _scan_latest(self, sender: int, lo: int, hi: int) -> tuple[int, object] | None:
-        best = -1
-        value: object = None
-        for r, bucket in self._by_round.items():
-            if lo <= r <= hi and r > best and sender in bucket:
-                best = r
-                value = bucket[sender]
-        if best < 0:
-            return None
-        return (best, value)
+        by_round = self._by_round
+        everyone = self._senders
+        tips: dict[BlockId | None, int] = {}
+        seen = voting = 0
+        for r in sorted([r for r in by_round if window_lo <= r <= window_hi], reverse=True):
+            bucket = by_round[r]
+            unseen = ~seen
+            for tip, mask in bucket.tips.items():
+                fresh = mask & unseen
+                if fresh:
+                    tips[tip] = tips.get(tip, 0) | fresh
+                    voting |= fresh
+            seen |= bucket.senders
+            if seen == everyone:
+                break
+        return VoteSet(tips, voting)
 
     # ------------------------------------------------------------------
     # Introspection and accountability
@@ -224,7 +143,10 @@ class LatestVoteStore:
         conflicting votes for the same round — so this set is the
         accountability output a deployment would feed into slashing.
         """
-        return frozenset(self._eq_rounds)
+        caught = 0
+        for bucket in self._by_round.values():
+            caught |= bucket.voided
+        return frozenset(mask_pids(caught))
 
     # ------------------------------------------------------------------
     # Expiration
@@ -233,35 +155,16 @@ class LatestVoteStore:
         """Drop all votes from rounds ``< before_round``; returns how many.
 
         Long-running processes call this with ``r − 1 − η`` so memory
-        stays proportional to the expiration window.  Round-bucketed
-        storage makes this O(dropped votes): whole buckets are popped,
-        and the window aggregate is only touched when the cut reaches
-        into rounds it still references.
+        stays proportional to the expiration window: whole buckets are
+        popped, O(rounds dropped).
         """
-        dropped = 0
-        stale = [r for r in self._by_round if r < before_round]
-        if stale:
-            self._version += 1
-        for r in stale:
-            bucket = self._by_round.pop(r)
-            dropped += len(bucket)
-            for sender in self._round_eq.pop(r, ()):
-                remaining = self._eq_rounds[sender] - 1
-                if remaining:
-                    self._eq_rounds[sender] = remaining
-                else:
-                    del self._eq_rounds[sender]
-        self._size -= dropped
-        win = self._win
-        if win is not None and before_round > self._win_min:
-            if before_round > win[0]:
-                # The cut reaches into the cached window: evict stale
-                # aggregate entries so repeat queries of this same
-                # window reflect the pruned state exactly.
-                aggregate = self._win_latest
-                for sender in [s for s, (r, _) in aggregate.items() if r < before_round]:
-                    del aggregate[sender]
-            self._win_min = min(
-                (r for r, _ in self._win_latest.values()), default=win[1]
-            )
+        by_round = self._by_round
+        stale = [r for r in by_round if r < before_round]
+        if not stale:
+            return 0
+        self._version += 1
+        dropped = sum(len(by_round.pop(r)) for r in stale)
+        self._senders = 0
+        for bucket in by_round.values():
+            self._senders |= bucket.senders
         return dropped

@@ -28,6 +28,7 @@ from repro.chain.tally import (
     DEFAULT_BETA,
     GAOutput,
     PrefixTally,
+    VoteSet,
     check_beta,
     grade_thresholds,
 )
@@ -52,15 +53,9 @@ class GradedAgreement:
         # ``set_votes`` pays only for the (old tip → new tip) deltas.
         self.tally = PrefixTally(tree)
 
-    def tallied_votes(self, lo: int, hi: int) -> dict[int, BlockId | None]:
+    def tallied_votes(self, lo: int, hi: int) -> VoteSet:
         """``M_r``: one interpretable latest vote per process over ``[lo, hi]``."""
-        votes = self.votes.latest(lo, hi)
-        # Membership is probed once per distinct tip, not per voter.
-        tree = self.tree
-        unknown = {tip for tip in set(votes.values()) if tip not in tree}
-        if unknown:
-            votes = {pid: tip for pid, tip in votes.items() if tip not in unknown}
-        return votes
+        return self.votes.latest(lo, hi).known_to(self.tree)
 
     def longest(self, lo: int, hi: int) -> tuple[int, BlockId | None, BlockId | None]:
         """What Algorithm 1 consumes of the window's GA: ``(m, tip of the
@@ -121,7 +116,7 @@ class ExtendedGAInstance:
         """Record a vote received in the GA round itself."""
         self.ga.votes.record(sender, self.ga_round, tip)
 
-    def tallied_votes(self) -> dict[int, BlockId | None]:
+    def tallied_votes(self) -> VoteSet:
         """``M_r`` over ``M₀`` and the round votes received so far."""
         return self.ga.tallied_votes(0, self.ga_round)
 

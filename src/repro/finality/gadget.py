@@ -98,10 +98,7 @@ class FinalityGadget:
         key = (up_to_round, self._acks.version, len(self._tree))
         if key == self._synced:
             return
-        latest = self._acks.latest(0, up_to_round)
-        self._tally.set_votes(
-            {pid: tip for pid, tip in latest.items() if tip in self._tree}
-        )
+        self._tally.set_votes(self._acks.latest(0, up_to_round).known_to(self._tree))
         self._synced = key
 
     def ack_count_for(self, tip: BlockId | None, up_to_round: int) -> int:

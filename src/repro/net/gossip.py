@@ -59,13 +59,72 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-import networkx as nx
-
 from repro.net.transport import Transport
 from repro.sleepy.messages import DigestMemo, Message
 
 #: Called on each node's behalf when a new message first reaches it.
 DeliveryHandler = Callable[[int, Message], None]
+
+
+def _random_regular_edges(degree: int, n: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Steger–Wormald pairing: the edge set of a random ``degree``-regular
+    graph on ``n`` nodes (``n * degree`` even, ``0 < degree < n``).
+
+    Draw for draw what ``networkx.random_regular_graph(degree, n, rng)``
+    does with the same generator — overlays are part of a run's seeded
+    identity, so the port keeps that function's shuffles, its retry
+    rule and the quirk noted below (``tests/net/test_gossip.py`` compares
+    the two wherever networkx is installed).
+    """
+
+    def suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+        # Whether some pair of nodes with unmatched stubs is not an edge yet.
+        if not leftover:
+            return True
+        for s1 in leftover:
+            for s2 in leftover:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    # Rebinds the outer node for the rest of this inner
+                    # loop, as networkx's ``_suitable`` does: which dense
+                    # attempts are retried depends on it.
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    while True:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            leftover: dict[int, int] = {}
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    leftover[s1] = leftover.get(s1, 0) + 1
+                    leftover[s2] = leftover.get(s2, 0) + 1
+            if not suitable(edges, leftover):
+                break  # this attempt cannot be completed: start over
+            stubs = [node for node, count in leftover.items() for _ in range(count)]
+        else:
+            return edges
+
+
+def _is_connected(neighbours: dict[int, list[int]]) -> bool:
+    reached = {0}
+    stack = [0]
+    while stack:
+        for peer in neighbours[stack.pop()]:
+            if peer not in reached:
+                reached.add(peer)
+                stack.append(peer)
+    return len(reached) == len(neighbours)
 
 
 def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int, ...]]:
@@ -78,9 +137,12 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
         return {pid: tuple(q for q in range(n) if q != pid) for pid in range(n)}
     rng = random.Random(seed)
     for attempt in range(32):
-        graph = nx.random_regular_graph(degree, n, seed=rng.randrange(1 << 30))
-        if nx.is_connected(graph):
-            return {pid: tuple(sorted(graph.neighbors(pid))) for pid in range(n)}
+        neighbours: dict[int, list[int]] = {pid: [] for pid in range(n)}
+        for a, b in _random_regular_edges(degree, n, random.Random(rng.randrange(1 << 30))):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        if _is_connected(neighbours):
+            return {pid: tuple(sorted(peers)) for pid, peers in neighbours.items()}
     raise RuntimeError("could not sample a connected regular overlay")
 
 

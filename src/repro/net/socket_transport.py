@@ -211,8 +211,10 @@ def decode_batch(
     in-process bus handing one canonical instance to many receivers.
     With a ``memo`` that sharing extends across batches — a body seen in
     an earlier blob decodes to the object it decoded to then.
-    Truncated or inconsistent batches raise :class:`ValueError` — a torn
-    batch is a framing error, never a silent partial delivery.
+    Truncated or inconsistent batches, and batches carrying a body that
+    does not decode, raise :class:`ValueError` — whatever the decode
+    itself raised — so a reader has one exception to count; a bad batch
+    is never a silent partial delivery.
     """
     if not blob or blob[0] != BATCH_VERSION:
         raise ValueError("not a frame v2 batch blob")
@@ -228,7 +230,14 @@ def decode_batch(
             if offset + length > len(blob):
                 raise ValueError("torn batch frame: truncated body")
             body = view[offset : offset + length]
-            payloads.append(pickle.loads(body) if memo is None else memo.loads(bytes(body)))
+            try:
+                payloads.append(pickle.loads(body) if memo is None else memo.loads(bytes(body)))
+            except Exception as exc:
+                # Unpickling runs constructors and imports the peer named:
+                # a well-framed body can raise anything (ModuleNotFoundError,
+                # AttributeError, a TypeError from ``__init__``…), and all
+                # of it is the peer's malformed input, not our failure.
+                raise ValueError(f"undecodable batch body: {exc!r}") from None
             offset += length
         (n_frames,) = _U32.unpack_from(view, offset)
         offset += _U32.size
@@ -237,7 +246,7 @@ def decode_batch(
             src, dst, body_index = _FRAME_REF.unpack_from(view, offset)
             offset += _FRAME_REF.size
             frames.append((src, dst, payloads[body_index]))
-    except (struct.error, IndexError, pickle.UnpicklingError, EOFError) as exc:
+    except (struct.error, IndexError) as exc:
         raise ValueError(f"torn batch frame: {exc!r}") from None
     if offset != len(blob):
         raise ValueError("torn batch frame: trailing bytes")

@@ -21,16 +21,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.chain.block import Block, BlockId
+from repro.chain.tally import EQUIVOCATED_VOTE, VoteSet
 from repro.crypto.hashing import hash_fields
 from repro.crypto.signatures import KeyRegistry, SecretKey, Signature
 from repro.crypto.vrf import VRFOutput, evaluate_vrf, verify_vrf
-
-#: Marker for a (sender, round) slot voided by two different signed
-#: votes — shared by :meth:`VerifiedBatch.vote_table` and the vote
-#: stores that consume it, so resolved tables merge without
-#: re-translation.
-EQUIVOCATED_VOTE = object()
-
 
 @dataclass(frozen=True)
 class Message:
@@ -424,7 +418,7 @@ class VerifiedBatch:
         self.others: tuple[Message, ...] = tuple(others)
         #: How many delivered messages failed verification.
         self.rejected = rejected
-        self._vote_table: dict[int, dict[int, object]] | None = None
+        self._vote_table: dict[int, VoteSet] | None = None
         self._proposal_table: ProposalTable | None = None
 
     def __len__(self) -> int:
@@ -434,29 +428,29 @@ class VerifiedBatch:
         """``(sender, round, tip)`` per verified ack, in delivery order."""
         return ((m.sender, m.round, m.tip) for m in self.acks)
 
-    def vote_table(self) -> dict[int, dict[int, object]]:
-        """Round-resolved vote table: ``round -> {sender: tip | EQUIVOCATED_VOTE}``.
+    def vote_table(self) -> dict[int, VoteSet]:
+        """Round-resolved vote table: ``round -> VoteSet``.
 
         Within-batch equivocations (two different votes by one sender
-        for one round) are already collapsed to :data:`EQUIVOCATED_VOTE`,
-        so a vote store can merge whole per-round tables — and, when it
-        has no prior entries for a round, adopt a copy wholesale.
-        Computed once and memoised; the pipeline shares one batch between
-        all receivers of the same delivery.
+        for one round) are already voided, so a vote store can merge
+        whole per-round sets — and, when it holds nothing for a round,
+        adopt the set itself.  Computed once and memoised; the pipeline
+        shares one batch between all receivers of the same delivery, so
+        they all hold the same :class:`~repro.chain.tally.VoteSet`.
         """
         table = self._vote_table
         if table is None:
-            table = {}
+            rows: dict[int, dict[int, object]] = {}
             for message in self.votes:
-                bucket = table.get(message.round)
-                if bucket is None:
-                    bucket = table[message.round] = {}
-                existing = bucket.get(message.sender, _UNSEEN)
+                row = rows.get(message.round)
+                if row is None:
+                    row = rows[message.round] = {}
+                existing = row.get(message.sender, _UNSEEN)
                 if existing is _UNSEEN:
-                    bucket[message.sender] = message.tip
+                    row[message.sender] = message.tip
                 elif existing is not EQUIVOCATED_VOTE and existing != message.tip:
-                    bucket[message.sender] = EQUIVOCATED_VOTE
-            self._vote_table = table
+                    row[message.sender] = EQUIVOCATED_VOTE
+            table = self._vote_table = {r: VoteSet.of(row) for r, row in rows.items()}
         return table
 
     def proposal_table(self) -> ProposalTable:

@@ -2,6 +2,9 @@
 
 import asyncio
 import math
+import random
+
+import pytest
 
 from repro.crypto.signatures import KeyRegistry
 from repro.net.gossip import GossipNetwork, regular_topology
@@ -19,6 +22,46 @@ def test_regular_topology_is_connected_and_regular():
         assert pid not in neighbors
         for q in neighbors:
             assert pid in topology[q]  # undirected
+
+
+def test_an_overlay_is_part_of_a_seeded_runs_identity():
+    """The seeded draw itself, pinned where networkx is not installed."""
+    assert regular_topology(8, degree=5, seed=0) == {
+        0: (2, 3, 4, 5, 6),
+        1: (2, 4, 5, 6, 7),
+        2: (0, 1, 3, 4, 7),
+        3: (0, 2, 5, 6, 7),
+        4: (0, 1, 2, 6, 7),
+        5: (0, 1, 3, 6, 7),
+        6: (0, 1, 3, 4, 5),
+        7: (1, 2, 3, 4, 5),
+    }
+    assert regular_topology(12, degree=4, seed=1)[0] == (1, 5, 7, 11)
+
+
+def test_regular_topology_draws_what_networkx_draws():
+    """The in-tree pairing is networkx's, draw for draw from the same
+    seed — dense cases (where attempts fail and retry) included."""
+    nx = pytest.importorskip("networkx")
+
+    def reference(n, degree, seed):
+        rng = random.Random(seed)
+        for _ in range(32):
+            graph = nx.random_regular_graph(degree, n, seed=rng.randrange(1 << 30))
+            if nx.is_connected(graph):
+                return {pid: tuple(sorted(graph.neighbors(pid))) for pid in range(n)}
+        raise AssertionError("no connected overlay in 32 draws")
+
+    for n in (6, 7, 8, 9, 10, 12, 16, 50, 400):
+        for degree in (3, 4, 5, 8):
+            if n <= degree + 1 or (n * degree) % 2 == 1:
+                continue  # the complete-graph fallback draws nothing
+            for seed in range(25):
+                assert regular_topology(n, degree, seed) == reference(n, degree, seed), (
+                    n,
+                    degree,
+                    seed,
+                )
 
 
 def test_tiny_networks_fall_back_to_complete_graph():

@@ -384,11 +384,31 @@ def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
     assert b.batches_received == 1 and b.frames_received == 2
 
 
+#: Well-formed pickles whose *load* raises something other than an
+#: unpickling error: a module nobody has, a name its module lacks, a
+#: constructor called with arguments it rejects.
+_POISONED_BODIES = {
+    ModuleNotFoundError: b"cno_such_module_on_this_host\nThing\n.",
+    AttributeError: b"cbuiltins\nno_such_name_in_builtins\n.",
+    TypeError: b"cbuiltins\nint\n(S'a'\nS'b'\nS'c'\ntR.",
+}
+
+
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
     (chunk,) = encode_batch([(0, 1, "key", _body("lost"))])
-    b = _deliver_raw(tmp_path, _blob(chunk[4:-3]) + _blob(b"\x02garbage"))
-    assert b.frames_rejected == 2
+    junk = _blob(chunk[4:-3]) + _blob(b"\x02garbage")
+    # A batch can also be framed perfectly and carry a body whose load
+    # raises whatever it likes: still one rejected batch, not a dead reader.
+    for raised, body in _POISONED_BODIES.items():
+        with pytest.raises(raised):
+            pickle.loads(body)
+        (poisoned,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
+        with pytest.raises(ValueError, match="undecodable batch body"):
+            decode_batch(poisoned[4:], DecodedBodyMemo())
+        junk += poisoned
+    b = _deliver_raw(tmp_path, junk)
+    assert b.frames_rejected == 2 + len(_POISONED_BODIES)
     assert b.batches_received == 1 and b.frames_received == 2
     assert b.misrouted_count == 0
 

@@ -6,7 +6,11 @@ broken top-level namespace; these tests make that a regression.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import repro
 
@@ -91,3 +95,23 @@ def test_top_level_namespace_is_curated():
 
 def test_version_is_exposed():
     assert repro.__version__
+
+
+def test_the_runtime_does_not_import_networkx():
+    """Every sample and every spawned worker pays the import bill, and
+    networkx was 180 ms and 24 MiB of it per interpreter: it is a test
+    dependency (the overlay parity test), never a runtime one."""
+    probe = (
+        "import sys; import repro; import repro.runtime.worker; "
+        "print('networkx' in sys.modules)"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False", result.stdout
