@@ -17,7 +17,7 @@ accounting! — keeps the fresh votes pinned below the 2/3 quorum and the
 chain limps at a fraction of its cadence indefinitely.
 
 Both sizings are the ``ablation-beta`` row of
-:data:`repro.analysis.batch.GRIDS` (a :class:`StaleTipChooser` adversary per
+:data:`repro.analysis.batch.GRIDS` (the ``stale-votes`` attack script per
 cell), executed side by side through the engine's streamed parallel
 sweep with in-worker reduction to cadence rows.
 """

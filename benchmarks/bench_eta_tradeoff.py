@@ -15,9 +15,9 @@ adversary) shrinks to nothing around η ≈ 16 (where γ → 1/3).
 from fractions import Fraction
 
 from repro.analysis import chain_growth_rate, check_safety, decision_rounds, format_table
+from repro.attacks import apply_script, get_script
 from repro.core.bounds import beta_tilde, max_resilient_pi
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import CrashAdversary
 from repro.workloads import churn_walk
 
 N, ROUNDS = 30, 50
@@ -28,16 +28,16 @@ def run_eta(eta: int) -> dict:
     gamma = min(PER_ROUND_CHURN * eta, Fraction(32, 100))
     allowed = beta_tilde(Fraction(1, 3), gamma)
     byz = max(0, int(allowed * N) - 1)
-    trace = run_tob(
-        TOBRunConfig(
-            n=N,
-            rounds=ROUNDS,
-            protocol="resilient",
-            eta=eta,
-            schedule=churn_walk(N, eta=eta, gamma=float(gamma), seed=eta),
-            adversary=CrashAdversary(list(range(N - byz, N))) if byz else None,
-        )
+    config = TOBRunConfig(
+        n=N,
+        rounds=ROUNDS,
+        protocol="resilient",
+        eta=eta,
+        schedule=churn_walk(N, eta=eta, gamma=float(gamma), seed=eta),
     )
+    if byz:
+        config = apply_script(config, get_script("crash", N, byz=range(N - byz, N), from_round=0))
+    trace = run_tob(config)
     rounds = decision_rounds(trace)
     gaps = [b - a for a, b in zip(rounds, rounds[1:])]
     return {

@@ -18,16 +18,11 @@ Measured, for the split-vote attack under a finality overlay (n = 20,
 """
 
 from repro.analysis import check_safety, format_table, max_reorg_depth, reorg_events
+from repro.attacks import ScriptedAdversary, get_script
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
-from repro.sleepy import (
-    FullParticipation,
-    NullAdversary,
-    Simulation,
-    SpikeSchedule,
-    SplitVoteAttack,
-)
+from repro.sleepy import FullParticipation, NullAdversary, Simulation, SpikeSchedule
 
 N = 20
 HONEST = 16
@@ -35,11 +30,12 @@ HONEST = 16
 
 def run_attack(protocol: str, eta: int) -> dict:
     registry = KeyRegistry(N, run_seed=0)
+    attack = get_script("split-vote", N)  # corrupts HONEST..N-1, splits round 10
     sim = Simulation(
         registry,
         FullParticipation(N),
-        SplitVoteAttack(list(range(HONEST, N)), target_round=10),
-        NetworkConditions.window(ra=9, pi=1),
+        ScriptedAdversary(attack),
+        attack.conditions(),
         ebb_and_flow_factory(protocol, eta=eta, n=N),
     )
     trace = sim.run(24)

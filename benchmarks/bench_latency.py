@@ -18,8 +18,8 @@ proposals, giving the expected rounds per chain extension
 import statistics
 
 from repro.analysis import block_decision_latencies, decision_gaps, decision_rounds, format_table
+from repro.attacks import apply_script, get_script
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import AdversarialProposerAdversary, CrashAdversary
 from repro.workloads import churn_walk
 
 SEEDS = range(20)
@@ -36,9 +36,10 @@ def measure(protocol: str, eta: int, churn: bool) -> dict:
             protocol=protocol,
             eta=eta,
             schedule=churn_walk(N, eta=max(eta, 1), gamma=0.15, seed=seed) if churn else None,
-            adversary=CrashAdversary([N - 2, N - 1]) if churn else None,
             seed=seed,
         )
+        if churn:
+            config = apply_script(config, get_script("crash", N, byz=[N - 2, N - 1], from_round=0))
         trace = run_tob(config)
         latencies.extend(block_decision_latencies(trace))
         gaps.extend(decision_gaps(trace))
@@ -55,14 +56,9 @@ def measure_sortition(byz_count: int) -> dict:
     productive = views = 0
     for seed in range(10):
         trace = run_tob(
-            TOBRunConfig(
-                n=N,
-                rounds=ROUNDS,
-                protocol="mmr",
-                seed=seed,
-                adversary=AdversarialProposerAdversary(
-                    list(range(N - byz_count, N)), mode="stale"
-                ),
+            apply_script(
+                TOBRunConfig(n=N, rounds=ROUNDS, protocol="mmr", seed=seed),
+                get_script("stale-proposer", N, byz=range(N - byz_count, N), rounds=ROUNDS),
             )
         )
         views += (trace.horizon - 1) // 2

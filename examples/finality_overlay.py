@@ -19,19 +19,20 @@ Run:  python examples/finality_overlay.py
 """
 
 from repro.analysis import check_safety, format_table, max_reorg_depth, reorg_events
+from repro.attacks import ScriptedAdversary, get_script
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
-from repro.sleepy import FullParticipation, Simulation, SplitVoteAttack
+from repro.sleepy import FullParticipation, Simulation
 
 
 def run_pair(protocol: str, eta: int, n: int = 20):
     registry = KeyRegistry(n, run_seed=0)
+    attack = get_script("split-vote", n)  # corrupts 16..19; the split vote is round 10
     sim = Simulation(
         registry,
         FullParticipation(n),
-        SplitVoteAttack(list(range(16, 20)), target_round=10),
-        NetworkConditions.window(ra=9, pi=1),
+        ScriptedAdversary(attack),
+        attack.conditions(),
         ebb_and_flow_factory(protocol, eta=eta, n=n),
     )
     trace = sim.run(24)

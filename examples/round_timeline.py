@@ -10,22 +10,22 @@ Run:  python examples/round_timeline.py
 """
 
 from repro.analysis import check_safety, render_depth_curve, render_timeline
-from repro.engine.conditions import NetworkConditions
+from repro.attacks import apply_script, get_script
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import WithholdingAdversary
 from repro.sleepy.schedule import SpikeSchedule
 
 
 def main() -> None:
     n = 16
-    config = TOBRunConfig(
-        n=n,
-        rounds=28,
-        protocol="resilient",
-        eta=4,
-        schedule=SpikeSchedule(n, drop_fraction=0.4, start=6, duration=6),
-        adversary=WithholdingAdversary(),
-        conditions=NetworkConditions.window(ra=15, pi=3),
+    config = apply_script(
+        TOBRunConfig(
+            n=n,
+            rounds=28,
+            protocol="resilient",
+            eta=4,
+            schedule=SpikeSchedule(n, drop_fraction=0.4, start=6, duration=6),
+        ),
+        get_script("blackout", n, pi=3, ra=15),
     )
     trace = run_tob(config)
 

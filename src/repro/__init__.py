@@ -47,19 +47,14 @@ from repro.protocols.graded_agreement import GAOutput, tally_votes
 from repro.protocols.tob_base import SleepyTOBProcess, resilient_factory
 from repro.sleepy import (
     Adversary,
-    AdversarialProposerAdversary,
-    CrashAdversary,
     DiurnalSchedule,
-    EquivocatingVoteAdversary,
     FullParticipation,
     NullAdversary,
     RandomChurnSchedule,
     Simulation,
     SpikeSchedule,
-    SplitVoteAttack,
     TableSchedule,
     Trace,
-    WithholdingAdversary,
 )
 from repro.analysis import (
     check_asynchrony_resilience,
@@ -74,14 +69,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Adversary",
-    "AdversarialProposerAdversary",
     "AsyncPeriod",
     "Block",
     "BlockTree",
-    "CrashAdversary",
     "DiurnalSchedule",
     "EngineResult",
-    "EquivocatingVoteAdversary",
     "ExtendedGAInstance",
     "ExtendedGAProcess",
     "FullParticipation",
@@ -103,12 +95,10 @@ __all__ = [
     "Simulation",
     "SleepyTOBProcess",
     "SpikeSchedule",
-    "SplitVoteAttack",
     "TOBRunConfig",
     "TableSchedule",
     "Trace",
     "Transaction",
-    "WithholdingAdversary",
     "beta_tilde",
     "beta_tilde_one_third",
     "build_simulation",

@@ -39,7 +39,6 @@ from repro.core.bounds import beta_tilde
 from repro.engine.backend import EngineResult, ExecutionBackend
 from repro.engine.spec import RunSpec
 from repro.engine.sweep import Reducer, SweepSpec
-from repro.sleepy.adversary import CrashAdversary, StaleTipChooser, StaticVoteAdversary
 from repro.sleepy.schedule import RandomChurnSchedule, TableSchedule
 from repro.workloads.scenarios import churn_scenario, split_vote_attack_scenario
 
@@ -167,13 +166,9 @@ def ablation_beta_spec(
     schedule = TableSchedule(
         n, {r: awake_after for r in range(sleep_at, rounds + 1)}, default=set(range(n)) - set(byz)
     )
-    return RunSpec(
-        n=n,
-        rounds=rounds,
-        protocol="resilient",
-        eta=eta,
-        schedule=schedule,
-        adversary=StaticVoteAdversary(byz, choose_tip=StaleTipChooser(sleep_at)),
+    return apply_script(
+        RunSpec(n=n, rounds=rounds, protocol="resilient", eta=eta, schedule=schedule),
+        get_script("stale-votes", n, byz=byz, from_round=sleep_at, rounds=rounds),
     )
 
 
@@ -219,15 +214,16 @@ def sleepiness_draws(samples: int = 12, master_seed: int = 99) -> tuple[tuple[in
 def sleepiness_spec(*, draw: tuple[int, float, int], n: int, rounds: int, eta: int, **_) -> RunSpec:
     """One A2 cell: a seeded random-churn run with an optional crash adversary."""
     seed, churn, byz_count = draw
-    byz = list(range(n - byz_count, n)) if byz_count else []
-    return RunSpec(
+    spec = RunSpec(
         n=n,
         rounds=rounds,
         protocol="resilient",
         eta=eta,
         schedule=RandomChurnSchedule(n, churn_per_round=churn, seed=seed, min_awake=n // 3),
-        adversary=CrashAdversary(byz) if byz else None,
     )
+    if not byz_count:
+        return spec
+    return apply_script(spec, get_script("crash", n, byz=range(n - byz_count, n), from_round=0))
 
 
 def reduce_sleepiness(result: EngineResult, params: dict) -> dict:
@@ -326,6 +322,11 @@ def attack_spec(
         n=n, rounds=script.total_rounds + tail, protocol=protocol, eta=eta, seed=seed
     )
     return apply_script(base, script)
+
+
+def _fabric_scripts(params: dict) -> tuple[str, ...]:
+    """The library scripts every fabric realises as written (``requires()`` empty)."""
+    return tuple(name for name in ATTACKS if not get_script(name, params["n"]).requires())
 
 
 def reduce_attack(result: EngineResult, params: dict) -> dict:
@@ -549,14 +550,15 @@ GRIDS: dict[str, GridJob] = {
         ),
         GridJob(
             name="attacks-deploy",
-            description="AD: delay-only scripted attacks on the real asyncio deployment",
-            # The delay-only scripts: the proxy transport realises exactly
-            # the partitions and surges the simulator's scripted adversary
-            # realises (drops, corruption and equivocation are simulator
-            # powers or need in-process keys; see ``repro.attacks.library``),
-            # so this grid is the substrate-equivalence smoke.
+            description="AD: the scripts every fabric realises, on the real asyncio deployment",
+            # The proxy transport realises exactly the partitions, surges
+            # and blackouts the simulator's scripted adversary realises,
+            # and silence and sleep need no fabric at all (drops really
+            # lose frames there and Byzantine sends need in-process keys;
+            # see ``AttackScript.requires``), so this grid is the
+            # substrate-equivalence smoke.
             axes={
-                "script_name": ("partition-heal", "surge-recover", "partition-surge"),
+                "script_name": _fabric_scripts,
                 "protocol": ("mmr", "resilient"),
                 "seed": (0,),
             },

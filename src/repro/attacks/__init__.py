@@ -2,9 +2,10 @@
 
 An :class:`~repro.attacks.script.AttackScript` is a list of *phases* —
 ``phase(rounds, *ops)`` records — whose composable ops (``partition``,
-``heal``, ``surge``, ``drop``, ``corrupt``, ``equivocate``, ``sleep``,
-``wake``) describe what the adversary and the network do to the run,
-round by round.  Scripts are plain frozen dataclasses: picklable,
+``heal``, ``surge``, ``drop``, ``withhold``, ``corrupt``, ``equivocate``,
+``vote_for``, ``propose``, ``split_vote``, ``sleep``, ``wake``) describe
+what the adversary and the network do to the run, round by round.
+Scripts are plain frozen dataclasses: picklable,
 :func:`~repro.engine.spec.stable_digest`-able, and executable on every
 substrate —
 
@@ -23,7 +24,7 @@ names the canonical scripts the attack grid and CI sweep.
 """
 
 from repro.attacks.adversary import ScriptedAdversary, ScriptSchedule
-from repro.attacks.library import ATTACKS, delay_only, get_script
+from repro.attacks.library import ATTACKS, get_script
 from repro.attacks.script import (
     AttackScript,
     Phase,
@@ -35,9 +36,13 @@ from repro.attacks.script import (
     heal,
     partition,
     phase,
+    propose,
     sleep,
+    split_vote,
     surge,
+    vote_for,
     wake,
+    withhold,
 )
 
 __all__ = [
@@ -49,14 +54,17 @@ __all__ = [
     "ScriptedAdversary",
     "apply_script",
     "corrupt",
-    "delay_only",
     "drop",
     "equivocate",
     "get_script",
     "heal",
     "partition",
     "phase",
+    "propose",
     "sleep",
+    "split_vote",
     "surge",
+    "vote_for",
     "wake",
+    "withhold",
 ]

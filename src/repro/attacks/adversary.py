@@ -6,15 +6,19 @@ model's adversary (:mod:`repro.sleepy.adversary`):
 
 * **corruption** — the timeline's cumulative ``corrupt`` sets (monotone,
   i.e. the growing-adversary model);
-* **arbitrary messages** — while ``equivocate`` is active, the corrupted
-  processes fork the deepest tip and double-vote each round (the
-  :class:`~repro.sleepy.adversary.EquivocatingVoteAdversary` move);
-  otherwise corrupted processes stay silent — crash faults;
+* **arbitrary messages** — what the phase's behaviour op says the
+  corrupted processes send (``equivocate``/``split_vote`` fork a tip and
+  double-vote, ``vote_for`` votes one tip, ``propose`` enters sortition
+  with an adversarial log); with none they stay silent — crash faults;
 * **delivery control** — during the script's asynchronous rounds the
-  adversary withholds messages crossing a partition or a surged link
-  (they flow again when the effect lifts — delayed, never forged) and
-  flips seeded per-link coins for ``drop`` rules.
+  adversary withholds everything (``withhold``) or what crosses a
+  partition or a surged link (it flows again when the effect lifts —
+  delayed, never forged), flips seeded per-link coins for ``drop``
+  rules, and in a ``split_vote`` round hands each receiver group its
+  side of the fork and nothing else.
 
+The interpreter holds no run state: what a run makes it remember lives
+in :attr:`~repro.sleepy.adversary.AdversaryContext.memory`.
 :class:`ScriptSchedule` applies the script's ``sleep``/``wake`` ops on
 top of the run's base participation schedule.
 """
@@ -23,48 +27,80 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.attacks.script import AttackScript, drop_rng
-from repro.chain.block import Block
+from repro.attacks.script import (
+    AttackScript,
+    EquivocateOp,
+    ProposeOp,
+    SplitVoteOp,
+    VoteForOp,
+    drop_rng,
+)
+from repro.chain.block import GENESIS_TIP, BlockId, genesis_block
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message
 from repro.sleepy.schedule import SleepSchedule
 
 
+def _double_vote(
+    ctx: AdversaryContext, r: int, byz: Sequence[int], view: int, parent: BlockId | None
+) -> tuple[tuple[BlockId, ...], list[Message]]:
+    """Fork ``parent``; every corrupted pid proposes both sides, then votes both.
+
+    Returns the two fork tips (none when nobody is corrupted) and the messages.
+    """
+    if not byz:
+        return (), []
+    forks = [ctx.craft_block(byz[0], view=view, parent=parent, salt=salt) for salt in (1, 2)]
+    messages: list[Message] = []
+    for pid in byz:
+        messages += [ctx.craft_propose(pid, r, view, block) for block in forks]
+        messages += [ctx.craft_vote(pid, r, block.block_id) for block in forks]
+    return tuple(block.block_id for block in forks), messages
+
+
 class ScriptedAdversary(Adversary):
     """Interpret an :class:`~repro.attacks.script.AttackScript` on the simulator."""
-
-    growing = True
 
     def __init__(self, script: AttackScript, seed: int = 0) -> None:
         self.script = script
         self.seed = seed
         self.timeline = script.timeline()
-        self._forks: dict[int, tuple[Block, Block]] = {}
 
     def byzantine(self, round_number: int) -> frozenset[int]:
         return self.timeline.corrupted_at(round_number)
 
     def send(self, round_number: int, ctx: AdversaryContext) -> Sequence[Message]:
-        state = self.timeline.state_at(round_number)
-        if not state.equivocating or not state.corrupted:
-            return ()
-        fork = self._forks.get(round_number)
-        if fork is None:
-            leader = min(state.corrupted)
-            parent = ctx.deepest_tip()
-            fork = (
-                ctx.craft_block(leader, view=round_number + 1, parent=parent, salt=1),
-                ctx.craft_block(leader, view=round_number + 1, parent=parent, salt=2),
+        r, memory = round_number, ctx.memory
+        ahead = self.timeline.state_at(r + 1)
+        if isinstance(ahead.behaviour, SplitVoteOp) and ahead.start == r + 1:
+            memory["split_parent"] = ctx.deepest_tip()
+        state = self.timeline.state_at(r)
+        behaviour, byz = state.behaviour, sorted(state.corrupted)
+        if isinstance(behaviour, EquivocateOp):
+            return _double_vote(ctx, r, byz, view=r + 1, parent=ctx.deepest_tip())[1]
+        if isinstance(behaviour, SplitVoteOp):
+            memory["split_sides"], messages = _double_vote(
+                ctx, r, byz, view=r // 2, parent=memory["split_parent"]
             )
-            self._forks[round_number] = fork
-        left, right = fork
-        messages: list[Message] = []
-        for pid in sorted(state.corrupted):
-            messages.append(ctx.craft_propose(pid, round_number, round_number + 1, left))
-            messages.append(ctx.craft_propose(pid, round_number, round_number + 1, right))
-            messages.append(ctx.craft_vote(pid, round_number, left.block_id))
-            messages.append(ctx.craft_vote(pid, round_number, right.block_id))
-        return messages
+            return messages
+        if isinstance(behaviour, VoteForOp):
+            tip = behaviour.target
+            if tip == "stale":
+                if "stale_tip" not in memory:
+                    memory["stale_tip"] = ctx.deepest_tip()
+                tip = memory["stale_tip"]
+            elif tip == "deepest":
+                tip = ctx.deepest_tip()
+            return [ctx.craft_vote(pid, r, tip) for pid in byz]
+        if isinstance(behaviour, ProposeOp) and r % 2 == 0:  # round 2 of a view
+            view, messages = r // 2 + 1, []
+            for pid in byz:
+                block = genesis_block()
+                if behaviour.mode == "conflicting":
+                    block = ctx.craft_block(pid, view, GENESIS_TIP, salt=r)
+                messages.append(ctx.craft_propose(pid, r, view, block))
+            return messages
+        return ()
 
     def deliver(
         self,
@@ -76,6 +112,11 @@ class ScriptedAdversary(Adversary):
         state = self.timeline.state_at(round_number)
         if not state.delivery_active:
             return deliverable
+        if isinstance(state.behaviour, SplitVoteOp):
+            for group, fork in zip(state.behaviour.groups, ctx.memory["split_sides"]):
+                if receiver in group:
+                    return [m for m in deliverable if m.tip == fork]
+            return ()
         rng = drop_rng(self.seed, round_number, receiver)
         kept: list[Message] = []
         for message in deliverable:

@@ -14,18 +14,24 @@ A script is a sequence of phases::
 Each :func:`phase` lasts a fixed number of rounds and applies its ops on
 entry.  Ops compose a small state machine:
 
-* **Delivery ops** — :func:`partition`, :func:`surge`, :func:`drop` —
-  degrade the network and *persist until* :func:`heal`.  Rounds in which
-  any delivery op is active are the script's asynchronous rounds: the
-  round simulator consults the adversary's delivery choice there
+* **Delivery ops** — :func:`partition`, :func:`surge`, :func:`drop`,
+  :func:`withhold` — degrade the network and *persist until*
+  :func:`heal`.  Rounds in which any delivery op is active are the
+  script's asynchronous rounds: the round simulator consults the
+  adversary's delivery choice there
   (:class:`~repro.attacks.adversary.ScriptedAdversary`), and the
   deployment's :class:`~repro.net.proxy_transport.ProxyTransport`
   delays, drops, or holds the affected frames physically.
-* **Behaviour ops** — :func:`corrupt` (cumulative: the growing-adversary
-  model), :func:`equivocate` (corrupted processes fork and double-vote
-  until heal), :func:`sleep`/:func:`wake` (honest participation).
-  Corruption and sleepiness persist beyond the script's end; delivery
-  effects and equivocation end with the last phase (an implicit heal).
+* **Behaviour ops** — what the corrupted processes *send*, one at a time
+  (the latest wins) until heal: :func:`equivocate` (fork the deepest tip
+  and double-vote every round), :func:`vote_for` (vote one chosen tip
+  every round), :func:`propose` (abuse proposer sortition); without one
+  they stay silent — crash faults.  :func:`split_vote` is both kinds at
+  once and owns exactly one round: the paper's agreement attack.
+* **Participation ops** — :func:`corrupt` (cumulative: the
+  growing-adversary model) and :func:`sleep`/:func:`wake` (honest
+  participation).  Corruption and sleepiness persist beyond the script's
+  end; delivery and behaviour end with the last phase (an implicit heal).
 
 Everything is a frozen dataclass: scripts pickle across process
 boundaries unchanged and :func:`~repro.engine.spec.stable_digest`
@@ -51,34 +57,51 @@ from repro.engine.conditions import DEFAULT_SURGE_FACTOR, AsyncPeriod, NetworkCo
 # ----------------------------------------------------------------------
 # Ops (frozen records; the lowercase constructors below are the grammar)
 # ----------------------------------------------------------------------
+def _disjoint(groups: tuple[tuple[int, ...], ...], what: str) -> None:
+    seen: set[int] = set()
+    for group in groups:
+        for pid in group:
+            if pid in seen:
+                raise ValueError(f"{what} groups overlap on pid {pid}")
+            seen.add(pid)
+
+
+class _Op:
+    """Class-level facts about an op record (not fields: they stay out of digests)."""
+
+    #: The grammar word; errors name an op by it.
+    op = ""
+    #: What realising the op takes of a substrate (:meth:`AttackScript.requires`).
+    needs: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
-class PartitionOp:
+class PartitionOp(_Op):
     """Split the network: messages cross group boundaries only on heal."""
 
     groups: tuple[tuple[int, ...], ...]
+    op = "partition"
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for group in self.groups:
-            for pid in group:
-                if pid in seen:
-                    raise ValueError(f"partition groups overlap on pid {pid}")
-                seen.add(pid)
+        _disjoint(self.groups, "partition")
         if len(self.groups) < 2:
             raise ValueError("a partition needs at least two groups")
 
 
 @dataclass(frozen=True)
-class HealOp:
-    """Clear every delivery effect (partition, surge, drop) and equivocation."""
+class HealOp(_Op):
+    """Clear every delivery effect and the corrupted processes' behaviour."""
+
+    op = "heal"
 
 
 @dataclass(frozen=True)
-class SurgeOp:
+class SurgeOp(_Op):
     """Delay traffic: all links, or only the ``(src, dst)`` pairs listed."""
 
     factor: float = DEFAULT_SURGE_FACTOR
     links: tuple[tuple[int, int], ...] | None = None
+    op = "surge"
 
     def __post_init__(self) -> None:
         if self.factor < 1.0:
@@ -86,7 +109,7 @@ class SurgeOp:
 
 
 @dataclass(frozen=True)
-class DropOp:
+class DropOp(_Op):
     """Drop each frame on matching links with probability ``p``.
 
     ``None`` for ``src``/``dst`` is a wildcard.  The deployment's proxy
@@ -100,6 +123,8 @@ class DropOp:
     src: int | None
     dst: int | None
     p: float
+    op = "drop"
+    needs = frozenset({"frame-loss"})
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
@@ -107,42 +132,121 @@ class DropOp:
 
 
 @dataclass(frozen=True)
-class CorruptOp:
+class WithholdOp(_Op):
+    """A blackout: nothing reaches anyone until heal (then all of it does)."""
+
+    op = "withhold"
+
+
+@dataclass(frozen=True)
+class CorruptOp(_Op):
     """Hand the listed pids to the adversary (cumulative: never undone)."""
 
     pids: tuple[int, ...]
+    op = "corrupt"
 
 
 @dataclass(frozen=True)
-class EquivocateOp:
+class EquivocateOp(_Op):
     """Corrupted processes fork and double-vote each round until heal."""
 
+    op = "equivocate"
+    needs = frozenset({"signing"})
+
 
 @dataclass(frozen=True)
-class SleepOp:
+class VoteForOp(_Op):
+    """Corrupted processes vote for ``target`` every round until heal.
+
+    ``"deepest"``: the deepest block anyone has created, read each round;
+    ``"stale"``: that block as of the first round the op holds, pinned
+    for the rest of the run; anything else is the tip itself (``None``:
+    the empty log — a valid, if useless, vote).
+    """
+
+    target: str | None
+    op = "vote_for"
+    needs = frozenset({"signing"})
+
+
+@dataclass(frozen=True)
+class ProposeOp(_Op):
+    """Corrupted processes propose an adversarial log each view until heal.
+
+    Under their honest, verifiable VRF — proposer power is the only
+    lever.  ``"conflicting"``: a fresh root block (Algorithm 1's "not
+    conflicting with ``L_{v−1}``" filter must reject it whatever its
+    VRF); ``"stale"``: the log ``[b0]``, a prefix of every honest chain
+    (valid, but a view it wins decides nothing new).
+    """
+
+    mode: str
+    op = "propose"
+    needs = frozenset({"signing"})
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("stale", "conflicting"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class SplitVoteOp(_Op):
+    """The paper's agreement attack on the original protocol, in one round.
+
+    In a decision round (round 2 of a view) the corrupted processes fork
+    the deepest block as of the round *before* (one minted in the attack
+    round would reach the victims as an orphan), propose and vote
+    **both** sides, and receiver group ``g`` is delivered side ``g``'s
+    Byzantine messages and nothing else.  With current-round votes only,
+    each group's perceived participation is the Byzantine vote count, so
+    the groups decide conflicting logs whatever the corrupted share;
+    under η-expiration they still hold unexpired honest votes (Theorem
+    2) — unless the rounds before were withheld for longer than η.
+
+    The op owns its round: it replaces the delivery rule and behaviour
+    in force and ends with its phase.
+    """
+
+    groups: tuple[tuple[int, ...], tuple[int, ...]]
+    op = "split_vote"
+    needs = frozenset({"signing", "per-receiver-delivery"})
+
+    def __post_init__(self) -> None:
+        if len(self.groups) != 2:
+            raise ValueError("a split vote has exactly two sides")
+        _disjoint(self.groups, "split_vote")
+
+
+@dataclass(frozen=True)
+class SleepOp(_Op):
     """Put the listed pids to sleep (until a later ``wake``)."""
 
     pids: tuple[int, ...]
+    op = "sleep"
 
 
 @dataclass(frozen=True)
-class WakeOp:
+class WakeOp(_Op):
     """Wake the listed pids (undoes ``sleep``)."""
 
     pids: tuple[int, ...]
+    op = "wake"
 
 
-Op = PartitionOp | HealOp | SurgeOp | DropOp | CorruptOp | EquivocateOp | SleepOp | WakeOp
+DeliveryOp = PartitionOp | SurgeOp | DropOp | WithholdOp | SplitVoteOp
+BehaviourOp = EquivocateOp | VoteForOp | ProposeOp | SplitVoteOp
+Op = DeliveryOp | BehaviourOp | HealOp | CorruptOp | SleepOp | WakeOp
+
+
+# Ops whose fields are written as they are stored need no constructor:
+# ``heal()``, ``drop(src, dst, p)``, ``vote_for("stale")``, ``propose("conflicting")``.
+heal, withhold, equivocate = HealOp, WithholdOp, EquivocateOp
+drop, vote_for, propose = DropOp, VoteForOp, ProposeOp
 
 
 def partition(*groups: Sequence[int]) -> PartitionOp:
     """``partition((0,1,2), (3,4,5))`` — pids absent from every group form one implicit group."""
     return PartitionOp(groups=tuple(tuple(group) for group in groups))
-
-
-def heal() -> HealOp:
-    """Restore normal delivery (and stop equivocating)."""
-    return HealOp()
 
 
 def surge(
@@ -153,19 +257,14 @@ def surge(
     return SurgeOp(factor=factor, links=resolved)
 
 
-def drop(src: int | None, dst: int | None, p: float) -> DropOp:
-    """Probabilistic loss on one link (``None`` = any sender/receiver)."""
-    return DropOp(src=src, dst=dst, p=p)
-
-
 def corrupt(*pids: int) -> CorruptOp:
     """Corrupt processes (growing adversary: corruption accumulates)."""
     return CorruptOp(pids=tuple(pids))
 
 
-def equivocate() -> EquivocateOp:
-    """Have the corrupted processes equivocate until the next heal."""
-    return EquivocateOp()
+def split_vote(*groups: Sequence[int]) -> SplitVoteOp:
+    """One decision round: receivers in ``groups[g]`` see only fork ``g``'s votes."""
+    return SplitVoteOp(groups=tuple(tuple(group) for group in groups))
 
 
 def sleep(*pids: int) -> SleepOp:
@@ -176,6 +275,19 @@ def sleep(*pids: int) -> SleepOp:
 def wake(*pids: int) -> WakeOp:
     """Wake previously slept processes."""
     return WakeOp(pids=tuple(pids))
+
+
+def _named_pids(op: Op) -> Sequence[int]:
+    """Every process id ``op`` spells out."""
+    if isinstance(op, (CorruptOp, SleepOp, WakeOp)):
+        return op.pids
+    if isinstance(op, (PartitionOp, SplitVoteOp)):
+        return [pid for group in op.groups for pid in group]
+    if isinstance(op, DropOp):
+        return [pid for pid in (op.src, op.dst) if pid is not None]
+    if isinstance(op, SurgeOp):
+        return [pid for link in op.links or () for pid in link]
+    return ()
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +321,7 @@ class AttackScript:
         if not self.phases:
             raise ValueError("a script needs at least one phase")
         first = self.phases[0]
-        if any(isinstance(op, (PartitionOp, SurgeOp, DropOp)) for op in first.ops):
+        if any(isinstance(op, DeliveryOp) for op in first.ops):
             raise ValueError(
                 "the first phase must be benign in delivery (asynchronous "
                 "periods start at round 1 at the earliest — add a warm-up phase)"
@@ -230,9 +342,29 @@ class AttackScript:
         """Resolve the phase records into per-round network/behaviour state."""
         return ScriptTimeline(self)
 
-    def has_equivocation(self) -> bool:
-        """Whether any phase turns on equivocation (needs signing power)."""
-        return any(isinstance(op, EquivocateOp) for p in self.phases for op in p.ops)
+    def requires(self) -> frozenset[str]:
+        """What the script asks of a substrate beyond delaying frames.
+
+        A subset of ``{"signing", "per-receiver-delivery", "frame-loss"}``
+        (the union of its ops' ``needs``); empty means every fabric
+        realises the script as written.
+        """
+        return frozenset().union(*(op.needs for p in self.phases for op in p.ops))
+
+    def validate(self, n: int) -> None:
+        """Every pid named exists, and a ``split_vote`` phase is one even round."""
+        start = 0
+        for record in self.phases:
+            for op in record.ops:
+                for pid in _named_pids(op):
+                    if not 0 <= pid < n:
+                        raise ValueError(f"{op.op} names pid {pid}, but the run has n={n}")
+                if isinstance(op, SplitVoteOp) and (record.rounds != 1 or start % 2):
+                    raise ValueError(
+                        "split_vote owns one decision round (an even one), "
+                        f"not rounds {start}..{start + record.rounds - 1}"
+                    )
+            start += record.rounds
 
     def conditions(self) -> NetworkConditions:
         """The script's asynchronous periods as substrate-neutral conditions.
@@ -272,16 +404,26 @@ class PhaseState:
     #: Links the surge covers; ``None`` = every link (when surging).
     surge_links: frozenset[tuple[int, int]] | None
     drops: tuple[DropOp, ...]
+    withheld: bool
+    #: What the corrupted processes send (``None``: nothing — crash faults).
+    behaviour: BehaviourOp | None
     corrupted: frozenset[int]
     sleeping: frozenset[int]
-    equivocating: bool
 
     @property
     def delivery_active(self) -> bool:
-        return self.group_of is not None or self.surge_factor > 1.0 or bool(self.drops)
+        return (
+            self.group_of is not None
+            or self.surge_factor > 1.0
+            or bool(self.drops)
+            or self.withheld
+            or isinstance(self.behaviour, SplitVoteOp)
+        )
 
     def blocks(self, src: int, dst: int) -> bool:
-        """Whether the current partition separates ``src`` from ``dst``."""
+        """Whether a blackout or the current partition keeps ``src`` from ``dst``."""
+        if self.withheld:
+            return True
         if self.group_of is None:
             return False
         return self.group_of.get(src, -1) != self.group_of.get(dst, -1)
@@ -306,7 +448,8 @@ _QUIESCENT = {
     "surge_factor": 1.0,
     "surge_links": None,
     "drops": (),
-    "equivocating": False,
+    "withheld": False,
+    "behaviour": None,
 }
 
 
@@ -314,7 +457,7 @@ class ScriptTimeline:
     """Per-round resolution of an :class:`AttackScript`.
 
     One :class:`PhaseState` per phase, plus a trailing quiescent state
-    for rounds past the script's end: delivery effects and equivocation
+    for rounds past the script's end: delivery effects and behaviour
     cease (an implicit heal), corruption and sleepiness persist.
     """
 
@@ -344,9 +487,13 @@ class ScriptTimeline:
     @staticmethod
     def _apply(state: PhaseState, ops: tuple[Op, ...], index: int, start: int) -> PhaseState:
         updates: dict = {"index": index, "start": start}
+        if isinstance(state.behaviour, SplitVoteOp):
+            updates.update(_QUIESCENT)  # the split vote ended with its phase
         for op in ops:
-            if isinstance(op, HealOp):
+            if isinstance(op, (HealOp, SplitVoteOp)):
                 updates.update(_QUIESCENT)
+                if isinstance(op, SplitVoteOp):
+                    updates["behaviour"] = op
             elif isinstance(op, PartitionOp):
                 updates["group_of"] = {
                     pid: g for g, group in enumerate(op.groups) for pid in group
@@ -362,8 +509,10 @@ class ScriptTimeline:
                 updates["corrupted"] = (
                     updates.get("corrupted", state.corrupted) | frozenset(op.pids)
                 )
-            elif isinstance(op, EquivocateOp):
-                updates["equivocating"] = True
+            elif isinstance(op, WithholdOp):
+                updates["withheld"] = True
+            elif isinstance(op, (EquivocateOp, VoteForOp, ProposeOp)):
+                updates["behaviour"] = op
             elif isinstance(op, SleepOp):
                 updates["sleeping"] = (
                     updates.get("sleeping", state.sleeping) | frozenset(op.pids)
@@ -418,7 +567,8 @@ def apply_script(spec, script: AttackScript):
     script's asynchronous periods merged into the conditions, and —
     when the script sleeps processes — the participation schedule
     wrapped.  The base spec must not already carry an adversary (the
-    script owns that seam).
+    script owns that seam), and the script must make sense at the spec's
+    ``n`` (:meth:`AttackScript.validate`).
     """
     import dataclasses
 
@@ -426,6 +576,7 @@ def apply_script(spec, script: AttackScript):
 
     if spec.adversary is not None:
         raise ValueError("apply_script needs a spec without an adversary (the script is one)")
+    script.validate(spec.n)
     conditions = NetworkConditions(
         periods=spec.resolved_conditions().periods + script.conditions().periods
     )

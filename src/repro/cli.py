@@ -7,11 +7,11 @@ library is explorable without writing a script:
 * ``run``      — one protocol run with a summary, on the round
   simulator or (``--backend deployment``) as a real-time asyncio gossip
   deployment;
-* ``attack``   — the §1 split-vote attack, baseline vs η-expiration;
-  with ``--script`` a named scheduled-attack script from
-  :mod:`repro.attacks` instead, on either backend (``--backend
-  deployment --processes 2`` exercises the coordinator-broadcast
-  phase path of the adversarial proxy transport);
+* ``attack``   — a named attack script from :mod:`repro.attacks`,
+  baseline vs η-expiration (default: ``split-vote``, the paper's
+  agreement attack), on either backend where the fabric can realise it
+  (``--backend deployment --processes 2`` exercises the
+  coordinator-broadcast phase path of the adversarial proxy transport);
 * ``outage``   — a correlated participation outage replay;
 * ``tune-eta`` — the operator's η menu for a given per-round churn;
 * ``soak``     — the deployment run as a *service*: a wall-clock
@@ -45,7 +45,7 @@ from repro.attacks import ATTACKS
 from repro.core.bounds import beta_tilde, figure1_curve, max_resilient_pi
 from repro.engine.registry import PROTOCOLS
 from repro.harness import TOBRunConfig, run_tob
-from repro.workloads import ethereum_outage_scenario, split_vote_attack_scenario
+from repro.workloads import ethereum_outage_scenario
 
 
 def _add_substrate_flags(
@@ -83,6 +83,8 @@ def _add_substrate_flags(
 def _backend_from(args, **deployment_options):
     """The backend the substrate flags select (``None``: the default simulator)."""
     if args.backend != "deployment":
+        if args.processes != 1:
+            raise SystemExit("--processes shards a deployment: it needs --backend deployment")
         return None
     from repro.engine.deploy_backend import DeploymentBackend
 
@@ -119,24 +121,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeline", action="store_true", help="print the round-by-round strip chart")
     p.add_argument("--save", metavar="PATH", default=None, help="save the trace as JSON")
 
-    p = sub.add_parser(
-        "attack", help="replay the §1 split-vote attack or run a scheduled attack script"
-    )
+    p = sub.add_parser("attack", help="run a named attack script against both protocols")
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--pi", type=int, default=1)
+    p.add_argument(
+        "--pi",
+        type=int,
+        default=None,
+        help="asynchronous rounds, for the scripts built around one period (split-vote, blackout)",
+    )
     p.add_argument("--eta", type=int, default=2)
     p.add_argument(
         "--script",
         choices=sorted(ATTACKS),
-        default=None,
-        help="run this named script from repro.attacks instead of the split-vote replay",
+        default="split-vote",
+        help="the named script from repro.attacks to run (default: the paper's split-vote attack)",
     )
     _add_substrate_flags(p, delta_ms=20.0)
     p.add_argument(
         "--rounds",
         type=int,
         default=None,
-        help="total rounds for --script (default: script length + 4 recovery rounds)",
+        help="total rounds (default: script length + 4 recovery rounds)",
     )
     p.add_argument("--seed", type=int, default=0)
 
@@ -212,12 +217,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` (default: ``sys.argv``) and run the subcommand."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    replay = args.command == "attack" and args.script is None
-    if replay and (args.backend != "simulator" or args.processes != 1):
-        parser.error(
-            "--backend deployment and --processes need --script "
-            "(the split-vote replay is simulator-only)"
-        )
     command = args.command.replace("-", "_")
     return globals()[f"_cmd_{command}"](args)
 
@@ -295,35 +294,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    if args.script is not None:
-        return _cmd_attack_script(args)
-    rows = []
-    for protocol, eta in (("mmr", 0), ("resilient", args.eta)):
-        config = split_vote_attack_scenario(protocol, eta=eta, pi=args.pi, n=args.n)
-        trace = run_tob(config)
-        safety = check_safety(trace)
-        resilience = check_asynchrony_resilience(trace, ra=config.meta["ra"], pi=args.pi)
-        rows.append(
-            [f"{protocol} (η={eta})", safety.ok, resilience.ok, max_reorg_depth(trace)]
-        )
-    print(
-        format_table(
-            ["protocol", "safe", "Def.5 resilient", "max reorg depth"],
-            rows,
-            title=f"Split-vote attack, π={args.pi} asynchronous rounds, n={args.n}",
-        )
-    )
-    return 0
-
-
-def _cmd_attack_script(args) -> int:
     from repro.attacks import apply_script, get_script
     from repro.engine.backend import run_spec
     from repro.engine.spec import RunSpec
 
-    script = get_script(args.script, args.n)
+    try:
+        script = get_script(args.script, args.n, **({} if args.pi is None else {"pi": args.pi}))
+    except TypeError:
+        raise SystemExit(f"repro attack: script {args.script!r} has no --pi to set") from None
     rounds = args.rounds if args.rounds is not None else script.total_rounds + 4
     backend = _backend_from(args)
+    periods = script.conditions().periods
     rows = []
     resilient_safe = True
     for protocol, eta in (("mmr", 0), ("resilient", args.eta)):
@@ -331,9 +312,13 @@ def _cmd_attack_script(args) -> int:
             RunSpec(n=args.n, rounds=rounds, protocol=protocol, eta=eta, seed=args.seed),
             script,
         )
-        result = run_spec(spec, backend)
+        try:
+            result = run_spec(spec, backend)
+        except ValueError as refusal:  # the fabric cannot realise the script
+            raise SystemExit(f"repro attack: {refusal}") from None
         trace = result.trace
         safety = check_safety(trace)
+        resilient = all(check_asynchrony_resilience(trace, ra=p.ra, pi=p.pi).ok for p in periods)
         audit = (result.extras.get("attack") or {}).get("totals") if backend else None
         audit_text = (
             " ".join(f"{key}={audit[key]}" for key in sorted(audit)) if audit else "—"
@@ -342,6 +327,7 @@ def _cmd_attack_script(args) -> int:
             [
                 f"{protocol} (η={eta})",
                 safety.ok,
+                resilient if periods else "—",
                 len(trace.decisions),
                 max_reorg_depth(trace),
                 audit_text,
@@ -351,7 +337,7 @@ def _cmd_attack_script(args) -> int:
             resilient_safe = safety.ok
     print(
         format_table(
-            ["protocol", "safe", "decisions", "max reorg depth", "proxy audit"],
+            ["protocol", "safe", "Def.5 resilient", "decisions", "max reorg depth", "proxy audit"],
             rows,
             title=(
                 f"Scripted attack '{script.name}' "

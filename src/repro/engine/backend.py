@@ -119,8 +119,8 @@ def count_kinds(messages: Iterable[Message]) -> tuple[int, int, int]:
 class CorruptionTracker:
     """Adversary corruption bookkeeping, identical on every substrate.
 
-    Enforces monotonicity for a growing adversary and hands the
-    adversary the keys of newly corrupted processes.
+    Enforces the growing-adversary model (corruption is monotone) and
+    hands the adversary the keys of newly corrupted processes.
     """
 
     def __init__(self, adversary: Adversary, ctx: AdversaryContext) -> None:
@@ -131,7 +131,7 @@ class CorruptionTracker:
     def corrupted(self, round_number: int) -> frozenset[int]:
         """``B_r``, with model enforcement and key hand-over."""
         byz = self._adversary.byzantine(round_number)
-        if self._adversary.growing and not byz >= self._prev:
+        if not byz >= self._prev:
             raise ModelViolationError("growing adversary shrank its corrupted set")
         self._prev = byz
         for pid in byz:

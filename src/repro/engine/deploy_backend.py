@@ -12,9 +12,18 @@ Substrate differences (inherent, not incidental):
 * **Delivery control.**  The simulator grants the adversary *logical*
   per-receiver delivery choice during asynchronous rounds.  The
   deployment realises asynchrony *physically*: latencies surge past δ
-  (:class:`~repro.net.transport.SurgeWindow`), so round-``r`` messages
-  arrive rounds late but are never lost.  An adversary's ``deliver``
-  hook is therefore not consulted here.
+  (:class:`~repro.net.transport.SurgeWindow`), or — under an attack
+  script — the :class:`~repro.net.proxy_transport.ProxyTransport` holds,
+  delays or drops frames per link, so round-``r`` messages arrive rounds
+  late.  An adversary's ``deliver`` hook is not consulted here, which is
+  why a script is checked against the fabric before anything runs
+  (:meth:`~repro.attacks.script.AttackScript.requires`): ``split_vote``
+  chooses per receiver and is refused on every process count; the ops
+  that sign as corrupted processes (``equivocate``, ``vote_for``,
+  ``propose``) need the in-process driver and are refused at
+  ``processes > 1``; ``partition``, ``surge``, ``withhold``, ``corrupt``
+  and ``sleep``/``wake`` run as written everywhere, and ``drop`` really
+  loses frames.
 * **Corruption schedule.**  ``Adversary.byzantine`` is treated as a
   schedule and resolved round by round before the run starts (it may
   not depend on execution state — none of the model's adversaries do);
@@ -120,6 +129,7 @@ class DeploymentBackend(ExecutionBackend):
         """Run one deployment inside a running event loop."""
         if self.processes < 1:
             raise ValueError("processes must be >= 1")
+        self._check_realisable(spec)
         run = self._run_workers if self.processes > 1 else self._run_in_process
         payloads, wall, extras = await run(spec)
         collector = getattr(self, "_metrics_collector", None)
@@ -141,6 +151,24 @@ class DeploymentBackend(ExecutionBackend):
             messages_sent=merged["transport"]["sent"],
             extras={**merged, **extras},
         )
+
+    def _check_realisable(self, spec: RunSpec) -> None:
+        """Refuse, before anything runs, an adversary this fabric cannot be."""
+        adversary = spec.adversary
+        if isinstance(adversary, ScriptedAdversary):
+            granted = {"frame-loss"} | ({"signing"} if self.processes == 1 else set())
+            for record in adversary.script.phases:
+                for op in record.ops:
+                    if op.needs - granted:
+                        raise ValueError(
+                            f"{op.op} needs {' and '.join(sorted(op.needs - granted))}, which a "
+                            f"deployment on {self.processes} process(es) does not grant"
+                        )
+        elif adversary is not None and self.processes > 1:
+            raise ValueError(
+                f"{type(adversary).__name__} needs processes=1: a live adversary "
+                "reads the omniscient block tree, which cannot span processes"
+            )
 
     def _shard_config(self, spec, worker_id, shards, addresses, control_address) -> WorkerConfig:
         """This backend's knobs as the config of shard ``worker_id``."""
@@ -227,18 +255,6 @@ class DeploymentBackend(ExecutionBackend):
     async def _run_workers(self, spec: RunSpec) -> tuple[list, float, dict]:
         """Run k shards in spawned workers over the socket mesh."""
         scripted = isinstance(spec.adversary, ScriptedAdversary)
-        if spec.adversary is not None and not scripted:
-            raise ValueError(
-                "multi-process deployments do not support bespoke adversaries: "
-                "the adversary's send power needs the omniscient shared tree, "
-                "which cannot span processes — script the attack "
-                "(repro.attacks) or run with processes=1"
-            )
-        if scripted and spec.adversary.script.has_equivocation():
-            raise ValueError(
-                "equivocation needs in-process signing power, which no "
-                "worker holds — run equivocating scripts with processes=1"
-            )
         if self.protocols is not PROTOCOLS:
             raise ValueError(
                 "multi-process deployments resolve protocols by name from "

@@ -110,11 +110,12 @@ class RunSpec:
 
         Two specs digest equal iff they describe the same run —
         protocol, parameters, schedule, adversary, workload, and seed —
-        regardless of object identity or the process that computed it.
-        Compute digests on *freshly built* specs (grid expansion does):
-        stateful strategy objects (e.g. an adversary's captured tip)
-        mutate during execution, and a mid-run digest would reflect
-        that transient state.
+        regardless of object identity or the process that computed it,
+        and regardless of whether the spec has been executed: what a
+        scripted adversary learns during a run lives on the run
+        (:attr:`~repro.sleepy.adversary.AdversaryContext.memory`).  The
+        one exception is :class:`~repro.sleepy.adversary.RandomAdversary`,
+        whose RNG walk is its state — digest such a spec before running it.
         """
         return stable_digest(self)
 

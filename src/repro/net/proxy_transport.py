@@ -6,9 +6,10 @@ deployment, :class:`~repro.net.socket_transport.SocketTransport` on a
 sharded one — and applies the *delivery* effects of an
 :class:`~repro.attacks.script.AttackScript` to every ``send``:
 
-* **partition** — frames crossing group boundaries are held, then
-  flushed in send order the moment a later phase stops blocking the
-  link (delayed, not lost: the model's asynchrony);
+* **partition** / **withhold** — frames crossing group boundaries (in
+  a blackout: every frame) are held, then flushed in send order the
+  moment a later phase stops blocking the link (delayed, not lost: the
+  model's asynchrony);
 * **surge** — frames on surged links are forwarded after an extra fixed
   delay of ``(factor − 1) × base_latency_s`` on top of the modelled
   link latency (with the default factor that is Δ: a full round late);

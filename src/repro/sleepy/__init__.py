@@ -7,9 +7,10 @@ This package implements the system model the paper's protocols run in:
 * :mod:`repro.sleepy.schedule` — awake/asleep schedules (who is in
   ``O_r`` each round), including churn-bounded random walks, spikes,
   and diurnal patterns.
-* :mod:`repro.sleepy.adversary` — the adversary interface (constant or
-  growing corruption, arbitrary Byzantine messages, delivery control
-  during asynchrony) and concrete attack strategies.
+* :mod:`repro.sleepy.adversary` — the adversary interface (growing
+  corruption, arbitrary Byzantine messages, delivery control during
+  asynchrony) and the random fuzzer; the scheduled strategies are attack
+  scripts (:mod:`repro.attacks`).
 * :mod:`repro.sleepy.simulator` — the round-by-round execution engine
   (send phase / receive phase) producing a :class:`~repro.sleepy.trace.Trace`;
   synchronous delivery plus adversary-controlled delivery in the
@@ -20,14 +21,8 @@ This package implements the system model the paper's protocols run in:
 from repro.sleepy.adversary import (
     Adversary,
     AdversaryContext,
-    AdversarialProposerAdversary,
-    CrashAdversary,
-    EquivocatingVoteAdversary,
     NullAdversary,
     RandomAdversary,
-    SplitVoteAttack,
-    StaticVoteAdversary,
-    WithholdingAdversary,
 )
 from repro.sleepy.messages import (
     Message,
@@ -62,11 +57,8 @@ def __getattr__(name: str):
 __all__ = [
     "Adversary",
     "AdversaryContext",
-    "AdversarialProposerAdversary",
-    "CrashAdversary",
     "DecisionEvent",
     "DiurnalSchedule",
-    "EquivocatingVoteAdversary",
     "FullParticipation",
     "Message",
     "NullAdversary",
@@ -79,9 +71,6 @@ __all__ = [
     "Simulation",
     "SleepSchedule",
     "SpikeSchedule",
-    "SplitVoteAttack",
-    "StaticVoteAdversary",
-    "WithholdingAdversary",
     "TableSchedule",
     "Trace",
     "VerifiedBatch",

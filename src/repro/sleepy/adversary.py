@@ -4,9 +4,9 @@ The model (paper §2.1, §2.3) grants the adversary exactly three powers,
 and the simulator exposes exactly these three hooks:
 
 1. **Corruption** — :meth:`Adversary.byzantine` names the corrupted set
-   ``B_r`` each round.  Byzantine processes never sleep, and under the
-   *growing* adversary ``B_r ⊆ B_{r+1}`` (the simulator enforces
-   monotonicity when ``growing=True``).
+   ``B_r`` each round.  Byzantine processes never sleep, and the
+   adversary is *growing*: ``B_r ⊆ B_{r+1}`` (every substrate enforces
+   it, :class:`~repro.engine.backend.CorruptionTracker`).
 2. **Arbitrary messages** — :meth:`Adversary.send` crafts the messages
    Byzantine processes multicast in round ``r``.  The adversary holds
    only corrupted processes' keys, so everything it sends is signed as
@@ -16,17 +16,22 @@ and the simulator exposes exactly these three hooks:
    messages in asynchronous rounds (the simulator enforces the subset
    property; the adversary cannot inject through this hook).
 
-Concrete strategies used by the experiments live here too, most notably
-:class:`SplitVoteAttack` — the §1 attack that breaks the original MMR
-protocol in a single asynchronous decision round.
+This module holds the interface (:class:`Adversary`,
+:class:`AdversaryContext`, :class:`NullAdversary`) and the one strategy
+that is not a schedule: :class:`RandomAdversary`, the fuzzer, whose
+moves come from an RNG walk.  Every *scheduled* strategy — crash faults,
+equivocation, stale votes, malicious proposers, blackouts, the paper's
+split-vote attack — is an attack script (:mod:`repro.attacks`, builders
+in :mod:`repro.attacks.library`) interpreted by the one
+:class:`~repro.attacks.adversary.ScriptedAdversary`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
+from repro.chain.block import GENESIS_TIP, Block, BlockId
 from repro.chain.tree import BlockTree
 from repro.crypto.signatures import KeyRegistry, SecretKey
 from repro.sleepy.messages import Message, ProposeMessage, VoteMessage, make_propose, make_vote
@@ -49,6 +54,10 @@ class AdversaryContext:
         self.all_messages: list[Message] = []
         #: Current round number (set by the simulator each phase).
         self.round: int = 0
+        #: The strategy's scratch for this execution: what it remembers
+        #: between hooks lives here, not on the :class:`Adversary` object
+        #: (a spec must digest the same before and after it is executed).
+        self.memory: dict = {}
 
     @property
     def registry(self) -> KeyRegistry:
@@ -95,51 +104,13 @@ class AdversaryContext:
         return self.tree.longest(tips)
 
 
-def deepest_tip_choice(round_number: int, ctx: AdversaryContext) -> BlockId | None:
-    """Default tip choice: the deepest block anyone has created so far.
-
-    A module-level function (not a lambda) so adversaries that default
-    to it stay picklable — parallel sweeps ship :class:`RunSpec`\\ s,
-    adversaries included, across process boundaries.
-    """
-    return ctx.deepest_tip()
-
-
-def parity_group(pid: int) -> int:
-    """Default receiver grouping for :class:`SplitVoteAttack` (pid parity)."""
-    return pid % 2
-
-
-class StaleTipChooser:
-    """A picklable tip chooser that pins the pre-``from_round`` deepest tip.
-
-    Votes for the empty log (``None``) while ``round < from_round``;
-    at the first call from ``from_round`` on it captures the deepest
-    tip anyone has created and votes for that same stale branch forever.
-    The building block of the stale-vote amplification ablation
-    (:mod:`repro.analysis.batch`): honest sleepers leave, their votes
-    linger, and the adversary keeps re-animating the branch they left.
-    """
-
-    def __init__(self, from_round: int) -> None:
-        self.from_round = from_round
-        self._tip: BlockId | None = None
-        self._captured = False
-
-    def __call__(self, round_number: int, ctx: AdversaryContext) -> BlockId | None:
-        if round_number < self.from_round:
-            return None
-        if not self._captured:
-            self._tip = ctx.deepest_tip()
-            self._captured = True
-        return self._tip
-
-
 class Adversary(ABC):
-    """Base class for adversary strategies."""
+    """Base class for adversary strategies.
 
-    #: Growing adversary model (paper §2.1): corruption is monotone.
-    growing: bool = True
+    An instance describes a strategy and sits on a
+    :class:`~repro.engine.spec.RunSpec`; what it learns while a run
+    executes goes to :attr:`AdversaryContext.memory`.
+    """
 
     @abstractmethod
     def byzantine(self, round_number: int) -> frozenset[int]:
@@ -172,151 +143,6 @@ class NullAdversary(Adversary):
         return frozenset()
 
 
-class CrashAdversary(Adversary):
-    """Corrupted processes that simply stay silent (crash faults).
-
-    With ``from_round > 0`` this models a growing adversary that crashes
-    processes mid-run.
-    """
-
-    def __init__(self, pids: Sequence[int], from_round: int = 0) -> None:
-        self._pids = frozenset(pids)
-        self._from_round = from_round
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids if round_number >= self._from_round else frozenset()
-
-
-class StaticVoteAdversary(Adversary):
-    """Byzantine processes vote every round for an attacker-chosen tip.
-
-    ``choose_tip`` receives ``(round, ctx)`` and returns the tip to vote
-    for; returning :data:`GENESIS_TIP` votes for the empty log (a valid,
-    if useless, vote).  A generic building block for stale-vote and
-    vote-stuffing experiments.  Silence is modelled with
-    :class:`CrashAdversary` instead.
-    """
-
-    def __init__(
-        self,
-        pids: Sequence[int],
-        choose_tip: Callable[[int, AdversaryContext], BlockId | None] | None = None,
-    ) -> None:
-        self._pids = frozenset(pids)
-        self._choose_tip = choose_tip or deepest_tip_choice
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids
-
-    def send(self, round_number: int, ctx: AdversaryContext) -> Sequence[Message]:
-        tip = self._choose_tip(round_number, ctx)
-        return [ctx.craft_vote(pid, round_number, tip) for pid in sorted(self._pids)]
-
-
-class EquivocatingVoteAdversary(Adversary):
-    """Every Byzantine process sends two conflicting votes each round.
-
-    Exercises the equivocation-discard rule of Figures 2 and 3: under
-    synchrony all well-behaved processes see both votes and ignore the
-    sender entirely.
-    """
-
-    def __init__(self, pids: Sequence[int]) -> None:
-        self._pids = frozenset(pids)
-        self._forks: dict[int, tuple[Block, Block]] = {}
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids
-
-    def send(self, round_number: int, ctx: AdversaryContext) -> Sequence[Message]:
-        if not self._pids:
-            return ()
-        leader = min(self._pids)
-        fork = self._forks.get(round_number)
-        if fork is None:
-            parent = ctx.deepest_tip()
-            fork = (
-                ctx.craft_block(leader, view=round_number + 1, parent=parent, salt=1),
-                ctx.craft_block(leader, view=round_number + 1, parent=parent, salt=2),
-            )
-            self._forks[round_number] = fork
-        left, right = fork
-        messages: list[Message] = []
-        for pid in sorted(self._pids):
-            messages.append(ctx.craft_propose(pid, round_number, round_number + 1, left))
-            messages.append(ctx.craft_propose(pid, round_number, round_number + 1, right))
-            messages.append(ctx.craft_vote(pid, round_number, left.block_id))
-            messages.append(ctx.craft_vote(pid, round_number, right.block_id))
-        return messages
-
-
-class AdversarialProposerAdversary(Adversary):
-    """Byzantine processes participate in proposer sortition maliciously.
-
-    Each view, every corrupted process submits a proposal with its
-    (honest, verifiable) VRF — but the proposed log is adversarial:
-
-    * ``mode="conflicting"`` — a fresh root block conflicting with the
-      chain the honest processes are extending (exercises Algorithm 1's
-      "not conflicting with ``L_{v−1}``" filter: honest processes must
-      reject it no matter how large its VRF is);
-    * ``mode="stale"`` — the log ``[b0]`` (a prefix of every honest
-      chain: valid, passes the filter, but advances nothing — when the
-      adversary wins sortition the view decides nothing new).
-
-    Votes are cast honestly-shaped (for the adversary's own proposal),
-    so the only lever is proposer power — this isolates the sortition
-    term of MMR's *expected* latency: a view advances the chain roughly
-    whenever the highest VRF belongs to a well-behaved process.
-    """
-
-    def __init__(self, pids: Sequence[int], mode: str = "stale") -> None:
-        if mode not in ("stale", "conflicting"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self._pids = frozenset(pids)
-        self._mode = mode
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids
-
-    def send(self, round_number: int, ctx: AdversaryContext) -> Sequence[Message]:
-        if round_number % 2 != 0 or not self._pids:
-            return ()  # proposals travel in even rounds (round 2 of a view)
-        view = round_number // 2 + 1
-        messages: list[Message] = []
-        for pid in sorted(self._pids):
-            if self._mode == "conflicting":
-                block = ctx.craft_block(pid, view=view, parent=GENESIS_TIP, salt=round_number)
-            else:
-                block = genesis_block()
-            messages.append(ctx.craft_propose(pid, round_number, view, block))
-        return messages
-
-
-class WithholdingAdversary(Adversary):
-    """Delivers *nothing* to anyone during asynchronous rounds.
-
-    The simplest liveness attack the model allows: a blackout.  Safety
-    must still hold throughout (nobody can be tricked into deciding by
-    an empty tally — and the resilient protocol retains old votes).
-    """
-
-    def __init__(self, pids: Sequence[int] = ()) -> None:
-        self._pids = frozenset(pids)
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids
-
-    def deliver(
-        self,
-        round_number: int,
-        receiver: int,
-        deliverable: Sequence[Message],
-        ctx: AdversaryContext,
-    ) -> Sequence[Message]:
-        return ()
-
-
 class RandomAdversary(Adversary):
     """A seeded, fully randomized adversary for fuzzing.
 
@@ -330,6 +156,10 @@ class RandomAdversary(Adversary):
     action space, which is exactly what the randomized theorem checks
     want: whenever the executed trace happens to satisfy the paper's
     assumptions, the theorems must hold, no matter what this thing did.
+
+    The walk *is* the object's state: its RNG advances as a run executes,
+    so a spec holding one digests differently after the run than before
+    (build a fresh one per run, as every grid does).
     """
 
     def __init__(self, pids: Sequence[int], seed: int = 0, drop_probability: float = 0.5) -> None:
@@ -382,99 +212,3 @@ class RandomAdversary(Adversary):
         ctx: AdversaryContext,
     ) -> Sequence[Message]:
         return [m for m in deliverable if self._rng.random() > self._drop]
-
-
-class SplitVoteAttack(Adversary):
-    """The §1 agreement-violation attack on the original MMR protocol.
-
-    In the asynchronous decision round ``target_round`` (round 2 of some
-    view, where ``GA_{v,2}`` votes are cast) the adversary:
-
-    * crafts two conflicting blocks ``b`` and ``b'`` extending the
-      deepest log seen so far,
-    * has every Byzantine process vote for **both** (equivocation that
-      synchrony would expose, but asynchrony hides), and
-    * delivers to each well-behaved receiver **only** the Byzantine
-      votes for one of the two blocks — group A sees unanimous votes for
-      ``b``, group B unanimous votes for ``b'``.
-
-    Against the original protocol (votes from the current round only)
-    each group's perceived participation ``m`` equals the Byzantine vote
-    count, so both groups decide conflicting logs — safety is violated
-    with *any* number of Byzantine processes.  Against the
-    η-expiration protocol the groups still hold unexpired honest votes
-    from earlier rounds, the Byzantine votes stay below the 2/3 quorum,
-    and no conflicting decision occurs (Theorem 2).
-
-    ``group_of`` maps a receiver pid to 0 (sees ``b``) or 1 (sees
-    ``b'``); the default splits by pid parity.  In asynchronous rounds
-    *before* the attack round the adversary delivers nothing at all, so
-    honest votes age out of the expiration window — this is what makes
-    the attack effective exactly when the asynchronous period outlasts
-    the expiration period (Theorem 2's boundary).  After the attack
-    round, delivery is unrestricted.
-    """
-
-    def __init__(
-        self,
-        pids: Sequence[int],
-        target_round: int,
-        group_of: Callable[[int], int] | None = None,
-    ) -> None:
-        if target_round < 1 or target_round % 2 != 0:
-            raise ValueError("target_round must be a decision round (round 2 of a view)")
-        self._pids = frozenset(pids)
-        self.target_round = target_round
-        self._group_of = group_of or parity_group
-        self._fork: tuple[Block, Block] | None = None
-        self._parent: BlockId | None = GENESIS_TIP
-        self._parent_captured = False
-        self._attack_ids: dict[int, set[str]] = {}
-
-    def byzantine(self, round_number: int) -> frozenset[int]:
-        return self._pids
-
-    def _view(self) -> int:
-        return self.target_round // 2
-
-    def send(self, round_number: int, ctx: AdversaryContext) -> Sequence[Message]:
-        if round_number == self.target_round - 1:
-            # Fork from the deepest block every honest process already
-            # holds: blocks from rounds ≤ target − 2 were delivered under
-            # synchrony, whereas blocks minted in the attack round itself
-            # would be uninterpretable orphans for the victims.
-            self._parent = ctx.deepest_tip()
-            self._parent_captured = True
-        if round_number != self.target_round or not self._pids:
-            return ()
-        leader = min(self._pids)
-        parent = self._parent if self._parent_captured else ctx.deepest_tip()
-        view = self._view()
-        left = ctx.craft_block(leader, view=view, parent=parent, salt=1)
-        right = ctx.craft_block(leader, view=view, parent=parent, salt=2)
-        self._fork = (left, right)
-        messages: list[Message] = []
-        self._attack_ids = {0: set(), 1: set()}
-        for pid in sorted(self._pids):
-            propose_left = ctx.craft_propose(pid, round_number, view, left)
-            propose_right = ctx.craft_propose(pid, round_number, view, right)
-            vote_left = ctx.craft_vote(pid, round_number, left.block_id)
-            vote_right = ctx.craft_vote(pid, round_number, right.block_id)
-            messages += [propose_left, propose_right, vote_left, vote_right]
-            self._attack_ids[0] |= {propose_left.message_id, vote_left.message_id}
-            self._attack_ids[1] |= {propose_right.message_id, vote_right.message_id}
-        return messages
-
-    def deliver(
-        self,
-        round_number: int,
-        receiver: int,
-        deliverable: Sequence[Message],
-        ctx: AdversaryContext,
-    ) -> Sequence[Message]:
-        if round_number < self.target_round:
-            return ()  # starve the window: honest votes must expire
-        if round_number != self.target_round or self._fork is None:
-            return deliverable
-        wanted = self._attack_ids[self._group_of(receiver) % 2]
-        return [m for m in deliverable if m.message_id in wanted]

@@ -10,16 +10,18 @@ substrate-independent run description, public as
 expressed as :class:`~repro.engine.conditions.NetworkConditions`, so
 the same scenario runs on the deterministic round simulator *and* —
 where its powers exist physically — on the asyncio deployment backend.
+Adversarial scenarios are attack scripts (:mod:`repro.attacks.library`)
+applied to a benign spec; a script brings its own asynchronous periods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from repro.attacks import apply_script, get_script
 from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig
 from repro.protocols.graded_agreement import DEFAULT_BETA
-from repro.sleepy.adversary import CrashAdversary, SplitVoteAttack, WithholdingAdversary
 from repro.workloads.participation import churn_walk, ethereum_may_2023
 from repro.workloads.transactions import constant_rate_stream
 
@@ -43,17 +45,17 @@ def split_vote_attack_scenario(
     the original protocol is attributable to asynchrony, not to an
     oversized adversary.
     """
-    byz = list(range(n - n // 5, n))
-    return TOBRunConfig(
-        n=n,
-        rounds=target_round + tail_rounds,
-        protocol=protocol,
-        eta=eta,
-        beta=beta,
-        adversary=SplitVoteAttack(byz, target_round=target_round),
-        conditions=NetworkConditions.window(ra=target_round - pi, pi=pi),
-        seed=seed,
-        meta={"scenario": "split-vote-attack", "pi": pi, "ra": target_round - pi},
+    return apply_script(
+        TOBRunConfig(
+            n=n,
+            rounds=target_round + tail_rounds,
+            protocol=protocol,
+            eta=eta,
+            beta=beta,
+            seed=seed,
+            meta={"scenario": "split-vote-attack", "pi": pi, "ra": target_round - pi},
+        ),
+        get_script("split-vote", n, pi=pi, target_round=target_round),
     )
 
 
@@ -67,15 +69,16 @@ def blackout_scenario(
     seed: int = 0,
 ) -> TOBRunConfig:
     """A π-round delivery blackout (liveness attack, Theorem 3 healing)."""
-    return TOBRunConfig(
-        n=n,
-        rounds=rounds,
-        protocol=protocol,
-        eta=eta,
-        adversary=WithholdingAdversary(),
-        conditions=NetworkConditions.window(ra=ra, pi=pi),
-        seed=seed,
-        meta={"scenario": "blackout", "pi": pi, "ra": ra},
+    return apply_script(
+        TOBRunConfig(
+            n=n,
+            rounds=rounds,
+            protocol=protocol,
+            eta=eta,
+            seed=seed,
+            meta={"scenario": "blackout", "pi": pi, "ra": ra},
+        ),
+        get_script("blackout", n, pi=pi, ra=ra),
     )
 
 
@@ -117,18 +120,18 @@ def churn_scenario(
     # The walk covers all pids; corrupted pids are simply carved out of
     # H_r by the simulator (and kept permanently awake, as the model
     # requires).
-    adversary = CrashAdversary(list(range(n - byzantine, n))) if byzantine else None
-    schedule = churn_walk(n, eta, gamma, seed=seed)
-    return TOBRunConfig(
+    config = TOBRunConfig(
         n=n,
         rounds=rounds,
         protocol=protocol,
         eta=eta,
-        schedule=schedule,
-        adversary=adversary,
+        schedule=churn_walk(n, eta, gamma, seed=seed),
         seed=seed,
         meta={"scenario": "churn", "gamma": gamma, "byzantine": byzantine},
     )
+    if not byzantine:
+        return config
+    return apply_script(config, get_script("crash", n, byz=range(n - byzantine, n), from_round=0))
 
 
 def surge_scenario(

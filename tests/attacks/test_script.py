@@ -13,18 +13,24 @@ from repro.attacks import (
     ScriptSchedule,
     apply_script,
     corrupt,
-    delay_only,
     drop,
     equivocate,
     get_script,
     heal,
     partition,
     phase,
+    propose,
     sleep,
+    split_vote,
     surge,
+    vote_for,
     wake,
+    withhold,
 )
+from repro.engine.backend import run_spec
 from repro.engine.spec import RunSpec
+
+from tests.engine._golden_gen import trace_digest
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +58,8 @@ def test_phase_and_script_validate_shape():
 
 
 def test_first_phase_must_be_delivery_benign():
-    for op in (partition((0,), (1,)), surge(), drop(None, None, 0.1)):
+    delivery = (partition((0,), (1,)), surge(), drop(None, None, 0.1), withhold())
+    for op in (*delivery, split_vote((0,), (1,))):
         with pytest.raises(ValueError, match="first phase"):
             AttackScript(name="x", phases=(phase(2, op),))
     # Behaviour ops are fine in the first phase.
@@ -100,9 +107,52 @@ def test_sleep_accumulates_and_wake_undoes_it():
 
 def test_equivocation_ends_with_heal():
     timeline = _timeline(phase(2, corrupt(3)), phase(2, equivocate()), phase(2, heal()))
-    assert not timeline.state_at(0).equivocating
-    assert timeline.state_at(2).equivocating
-    assert not timeline.state_at(4).equivocating
+    assert timeline.state_at(0).behaviour is None
+    assert timeline.state_at(2).behaviour == equivocate()
+    assert timeline.state_at(4).behaviour is None
+
+
+def test_one_behaviour_at_a_time_and_the_latest_wins():
+    timeline = _timeline(
+        phase(2, corrupt(3), vote_for("deepest")), phase(2, propose("stale")), phase(2)
+    )
+    assert timeline.state_at(0).behaviour == vote_for("deepest")
+    assert timeline.state_at(2).behaviour == propose("stale")
+    assert timeline.state_at(4).behaviour == propose("stale")  # persists until heal
+    assert timeline.state_at(1000).behaviour is None  # the implicit trailing heal
+    with pytest.raises(ValueError, match="mode"):
+        propose("weird")
+
+
+def test_withhold_blocks_every_link_until_heal():
+    timeline = _timeline(phase(2), phase(2, withhold()), phase(2, heal()))
+    assert timeline.state_at(2).delivery_active
+    assert timeline.state_at(2).blocks(0, 1) and timeline.state_at(2).blocks(3, 3)
+    assert not timeline.state_at(4).delivery_active
+
+
+def test_split_vote_owns_its_round():
+    """It replaces the delivery rule in force and ends with its phase."""
+    script = AttackScript(
+        name="t",
+        phases=(
+            phase(3, corrupt(4)),
+            phase(1, withhold(), equivocate()),
+            phase(1, split_vote((0, 2), (1, 3))),
+            phase(3),
+        ),
+    )
+    timeline = script.timeline()
+    attack = timeline.state_at(4)
+    assert attack.delivery_active and not attack.withheld
+    assert attack.behaviour == split_vote((0, 2), (1, 3))
+    after = timeline.state_at(5)
+    assert after.behaviour is None and not after.delivery_active
+    assert [(p.ra, p.pi) for p in script.conditions().periods] == [(2, 2)]
+    with pytest.raises(ValueError, match="two sides"):
+        split_vote((0,), (1,), (2,))
+    with pytest.raises(ValueError, match="overlap"):
+        split_vote((0, 1), (1, 2))
 
 
 def test_drop_rules_combine_independently():
@@ -192,6 +242,40 @@ def test_apply_script_wraps_the_schedule_only_for_sleep_scripts():
     assert awake == frozenset(range(3, 9))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        corrupt(6),
+        sleep(99),
+        wake(6),
+        partition((0, 1), (2, 77)),
+        drop(0, 6, 0.5),
+        surge(links=[(0, 1), (9, 2)]),
+        split_vote((0, 2), (1, 7)),
+    ],
+    ids=lambda op: op.op,
+)
+def test_apply_script_rejects_pids_the_run_does_not_have(op):
+    """A mistyped pid must not be a silently different experiment."""
+    script = AttackScript(name="typo", phases=(phase(4), phase(1, op), phase(4, heal())))
+    with pytest.raises(ValueError, match=rf"{op.op} names pid \d+, but the run has n=6"):
+        apply_script(RunSpec(n=6, rounds=12, eta=6), script)
+    apply_script(RunSpec(n=100, rounds=12, eta=6), script)  # the same script fits a larger run
+
+
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_running_a_spec_does_not_change_its_digest(name):
+    """What a run teaches the interpreter lives on the run, not on the spec."""
+    spec = apply_script(
+        RunSpec(n=10, rounds=20, protocol="resilient", eta=6), get_script(name, 10)
+    )
+    before = spec.digest()
+    first = run_spec(spec)
+    assert spec.digest() == before
+    # ... so one spec object can be executed twice, to the same trace.
+    assert trace_digest(run_spec(spec).trace) == trace_digest(first.trace)
+
+
 def test_apply_script_rejects_conflicting_specs():
     from repro.sleepy.adversary import NullAdversary
 
@@ -201,11 +285,19 @@ def test_apply_script_rejects_conflicting_specs():
 
 
 def test_delay_only_classification():
-    assert delay_only(get_script("partition-heal", 8))
-    assert delay_only(get_script("surge-recover", 8))
-    assert delay_only(get_script("partition-surge", 8))
-    # Sleep rides the participation schedule, not the fabric, so a
-    # sleep script still runs unchanged on every substrate.
-    assert delay_only(get_script("sleep-storm", 9))
-    assert not delay_only(get_script("lossy-links", 8))
-    assert not delay_only(get_script("equivocation-storm", 10))
+    """``requires()`` is empty exactly for what every fabric realises as written."""
+    needs = {name: get_script(name, 10).requires() for name in ATTACKS}
+    # Sleep rides the participation schedule, silence needs no keys, and
+    # a blackout is frames held back like a partition's.
+    assert {name for name, need in needs.items() if not need} == {
+        "partition-heal",
+        "surge-recover",
+        "partition-surge",
+        "sleep-storm",
+        "blackout",
+        "crash",
+    }
+    assert needs["lossy-links"] == {"frame-loss"}
+    for name in ("equivocation-storm", "stale-votes", "stale-proposer", "conflicting-proposer"):
+        assert needs[name] == {"signing"}
+    assert needs["split-vote"] == {"signing", "per-receiver-delivery"}

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, phase
 from repro.core.expiration import LatestVoteStore
 from repro.harness import TOBRunConfig
-from repro.sleepy.adversary import EquivocatingVoteAdversary
 from repro.sleepy.messages import EQUIVOCATED_VOTE
 from repro.sleepy.schedule import RandomChurnSchedule
 
@@ -194,14 +194,16 @@ def test_detected_equivocators_end_to_end_under_churn():
     """End to end: an equivocating adversary under a random sleep/wake
     schedule is caught by every honest process that saw the evidence,
     and nobody honest is ever accused."""
-    trace_config = TOBRunConfig(
-        n=10,
-        rounds=24,
-        protocol="resilient",
-        eta=3,
-        adversary=EquivocatingVoteAdversary([9]),
-        schedule=RandomChurnSchedule(10, 0.15, seed=3, min_awake=6),
-        seed=3,
+    trace_config = apply_script(
+        TOBRunConfig(
+            n=10,
+            rounds=24,
+            protocol="resilient",
+            eta=3,
+            schedule=RandomChurnSchedule(10, 0.15, seed=3, min_awake=6),
+            seed=3,
+        ),
+        AttackScript("equivocation", (phase(24, corrupt(9), equivocate()),)),
     )
     from repro.harness import build_simulation
     from repro.engine.sim_backend import SimulationBackend

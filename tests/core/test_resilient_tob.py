@@ -8,22 +8,24 @@ from repro.analysis.checkers import (
     check_safety,
 )
 from repro.analysis.metrics import decision_gaps
-from repro.engine.conditions import NetworkConditions
+from repro.attacks import apply_script, get_script
 from repro.engine.registry import PROTOCOLS
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import SplitVoteAttack, WithholdingAdversary
 
 
 def attack_config(protocol: str, eta: int, pi: int, target: int = 10, n: int = 20) -> TOBRunConfig:
     """Split-vote attack inside a π-round asynchronous window ending at ``target``."""
-    byz = list(range(n - n // 5, n))
-    return TOBRunConfig(
-        n=n,
-        rounds=target + 14,
-        protocol=protocol,
-        eta=eta,
-        adversary=SplitVoteAttack(byz, target_round=target),
-        conditions=NetworkConditions.window(ra=target - pi, pi=pi),
+    return apply_script(
+        TOBRunConfig(n=n, rounds=target + 14, protocol=protocol, eta=eta),
+        get_script("split-vote", n, pi=pi, target_round=target),
+    )
+
+
+def blackout_config(eta: int, pi: int, ra: int = 9, n: int = 12, rounds: int = 30) -> TOBRunConfig:
+    """Nothing delivered during ``[ra + 1, ra + π]`` against the resilient protocol."""
+    return apply_script(
+        TOBRunConfig(n=n, rounds=rounds, protocol="resilient", eta=eta),
+        get_script("blackout", n, pi=pi, ra=ra),
     )
 
 
@@ -66,16 +68,7 @@ def test_mmr_breaks_where_resilient_survives():
 def test_theorem3_healing_after_blackout():
     """A π-round total blackout: no decisions during it, prompt recovery after."""
     eta, pi, ra = 4, 3, 9
-    trace = run_tob(
-        TOBRunConfig(
-            n=12,
-            rounds=30,
-            protocol="resilient",
-            eta=eta,
-            adversary=WithholdingAdversary(),
-            conditions=NetworkConditions.window(ra=ra, pi=pi),
-        )
-    )
+    trace = run_tob(blackout_config(eta, pi, ra))
     assert check_safety(trace).ok
     report = check_healing(trace, last_async_round=ra + pi, k=1)
     assert report.ok, (report.first_decision_after, report.rounds_to_decision)
@@ -83,16 +76,7 @@ def test_theorem3_healing_after_blackout():
 
 def test_decisions_resume_quickly_after_asynchrony():
     eta, pi, ra = 4, 2, 9
-    trace = run_tob(
-        TOBRunConfig(
-            n=12,
-            rounds=26,
-            protocol="resilient",
-            eta=eta,
-            adversary=WithholdingAdversary(),
-            conditions=NetworkConditions.window(ra=ra, pi=pi),
-        )
-    )
+    trace = run_tob(blackout_config(eta, pi, ra, rounds=26))
     post = [d.round for d in trace.decisions if d.round > ra + pi]
     assert post and min(post) <= ra + pi + 4  # within ~1 view of healing
 
@@ -100,16 +84,7 @@ def test_decisions_resume_quickly_after_asynchrony():
 def test_resilience_with_blackout_adversary_any_pi_below_eta():
     """Withholding everything for π < η rounds can never cause a fork."""
     for pi in (1, 2, 3):
-        trace = run_tob(
-            TOBRunConfig(
-                n=10,
-                rounds=28,
-                protocol="resilient",
-                eta=4,
-                adversary=WithholdingAdversary(),
-                conditions=NetworkConditions.window(ra=9, pi=pi),
-            )
-        )
+        trace = run_tob(blackout_config(4, pi, n=10, rounds=28))
         assert check_safety(trace).ok
         assert check_asynchrony_resilience(trace, ra=9, pi=pi).ok
 

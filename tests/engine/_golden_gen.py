@@ -23,57 +23,34 @@ GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 
 def golden_scenarios():
     """name -> TOBRunConfig for every pinned seeded execution."""
-    from repro.harness import TOBRunConfig
-    from repro.sleepy.adversary import (
-        CrashAdversary,
-        EquivocatingVoteAdversary,
-        RandomAdversary,
-        SplitVoteAttack,
-        WithholdingAdversary,
-    )
+    from repro.attacks import AttackScript, apply_script, corrupt, equivocate, get_script, phase
     from repro.engine.conditions import NetworkConditions
+    from repro.harness import TOBRunConfig
+    from repro.sleepy.adversary import RandomAdversary
     from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
     from repro.workloads.transactions import constant_rate_stream
 
     return {
         "steady-resilient": TOBRunConfig(n=10, rounds=24, protocol="resilient", eta=2, seed=0),
         "steady-mmr": TOBRunConfig(n=10, rounds=24, protocol="mmr", seed=1),
-        "crash": TOBRunConfig(
-            n=10, rounds=24, protocol="resilient", eta=2, adversary=CrashAdversary([8, 9]), seed=2
+        "crash": apply_script(
+            TOBRunConfig(n=10, rounds=24, protocol="resilient", eta=2, seed=2),
+            get_script("crash", 10, from_round=0),
         ),
-        "equivocation": TOBRunConfig(
-            n=10,
-            rounds=24,
-            protocol="resilient",
-            eta=2,
-            adversary=EquivocatingVoteAdversary([9]),
-            seed=3,
+        "equivocation": apply_script(
+            TOBRunConfig(n=10, rounds=24, protocol="resilient", eta=2, seed=3),
+            AttackScript("equivocation", (phase(24, corrupt(9), equivocate()),)),
         ),
-        "split-vote-attack-mmr": TOBRunConfig(
-            n=10,
-            rounds=24,
-            protocol="mmr",
-            adversary=SplitVoteAttack([8, 9], target_round=10),
-            conditions=NetworkConditions.window(ra=9, pi=1),
-            seed=0,
+        "split-vote-attack-mmr": apply_script(
+            TOBRunConfig(n=10, rounds=24, protocol="mmr", seed=0), get_script("split-vote", 10)
         ),
-        "split-vote-attack-resilient": TOBRunConfig(
-            n=10,
-            rounds=24,
-            protocol="resilient",
-            eta=4,
-            adversary=SplitVoteAttack([8, 9], target_round=10),
-            conditions=NetworkConditions.window(ra=9, pi=1),
-            seed=0,
+        "split-vote-attack-resilient": apply_script(
+            TOBRunConfig(n=10, rounds=24, protocol="resilient", eta=4, seed=0),
+            get_script("split-vote", 10),
         ),
-        "blackout": TOBRunConfig(
-            n=8,
-            rounds=20,
-            protocol="resilient",
-            eta=3,
-            adversary=WithholdingAdversary(),
-            conditions=NetworkConditions.window(ra=6, pi=3),
-            seed=4,
+        "blackout": apply_script(
+            TOBRunConfig(n=8, rounds=20, protocol="resilient", eta=3, seed=4),
+            get_script("blackout", 8, ra=6),
         ),
         "random-adversary-async": TOBRunConfig(
             n=12,

@@ -8,13 +8,17 @@ through the registry everywhere.
 
 import dataclasses
 
+import pytest
+
 from repro.analysis.checkers import check_safety
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, get_script, phase
 from repro.engine.backend import run_spec
 from repro.engine.conditions import NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.errors import ModelViolationError
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
-from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary
+from repro.sleepy.adversary import Adversary
 from repro.workloads import surge_scenario, throughput_scenario
 
 FAST_DEPLOY = DeploymentBackend(delta_s=0.02)
@@ -60,7 +64,10 @@ def test_surge_scenario_realised_on_both_substrates():
 
 
 def test_crash_adversary_carves_corrupted_nodes_out_of_deployments():
-    spec = RunSpec(n=5, rounds=12, protocol="resilient", eta=2, adversary=CrashAdversary([4]), seed=1)
+    spec = apply_script(
+        RunSpec(n=5, rounds=12, protocol="resilient", eta=2, seed=1),
+        get_script("crash", 5, byz=[4], from_round=0),
+    )
     result = run_spec(spec, FAST_DEPLOY)
     trace = result.trace
     assert check_safety(trace).ok
@@ -73,32 +80,23 @@ def test_crash_adversary_carves_corrupted_nodes_out_of_deployments():
     assert all(d.pid != 4 for d in trace.decisions)
 
 
-def test_non_growing_adversary_releases_nodes_mid_deployment():
-    """A node corrupted for a prefix of the run must resume the honest
-    protocol — including the receive phase of its last corrupted round
-    (receivers are ``O_{r+1} \\ B_{r+1}``, exactly as in the simulator)."""
+def test_shrinking_adversary_is_a_model_violation_on_the_deployment():
+    """Corruption is for good on every substrate: the deployment's live
+    driver enforces the growing-adversary model like the simulator does."""
 
-    class TemporaryCrash(CrashAdversary):
-        growing = False
-
+    class TemporaryCrash(Adversary):
         def byzantine(self, round_number):
             return frozenset({4}) if round_number < 5 else frozenset()
 
-    spec = RunSpec(n=5, rounds=14, protocol="resilient", eta=2, adversary=TemporaryCrash([4]), seed=6)
-    result = run_spec(spec, FAST_DEPLOY)
-    trace = result.trace
-    assert check_safety(trace).ok
-    assert all(rec.byzantine == (frozenset({4}) if rec.round < 5 else frozenset()) for rec in trace.rounds)
-    node = result.extras["nodes"][4]
-    # Honest again from round 5 on: sends every round, and its round-4
-    # receive phase (it is in O_5 \ B_5) caught it up on the backlog.
-    assert node.rounds_participated == list(range(5, 14))
-    assert any(d.pid == 4 for d in trace.decisions)
+    spec = RunSpec(n=5, rounds=14, protocol="resilient", eta=2, adversary=TemporaryCrash(), seed=6)
+    with pytest.raises(ModelViolationError, match="shrank"):
+        run_spec(spec, FAST_DEPLOY)
 
 
 def test_equivocating_adversary_sends_through_the_deployment():
-    spec = RunSpec(
-        n=6, rounds=12, protocol="resilient", eta=2, adversary=EquivocatingVoteAdversary([5]), seed=4
+    spec = apply_script(
+        RunSpec(n=6, rounds=12, protocol="resilient", eta=2, seed=4),
+        AttackScript("equivocation", (phase(12, corrupt(5), equivocate()),)),
     )
     result = run_spec(spec, FAST_DEPLOY)
     trace = result.trace

@@ -15,17 +15,14 @@ front of the view).
 
 import pytest
 
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, get_script, phase
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import NetworkConditions
 from repro.engine.registry import PROTOCOLS
 from repro.engine.sim_backend import SimulationBackend
 from repro.finality.process import ebb_and_flow_factory
 from repro.harness import TOBRunConfig
-from repro.sleepy.adversary import (
-    EquivocatingVoteAdversary,
-    RandomAdversary,
-    SplitVoteAttack,
-)
+from repro.sleepy.adversary import RandomAdversary
 from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
 from repro.sleepy.simulator import Simulation
 
@@ -35,23 +32,21 @@ from tests.engine._golden_gen import trace_digest
 def _scenario(name: str) -> TOBRunConfig:
     """A fresh config per call — adversaries and schedules are stateful."""
     if name == "churn-equivocation":
-        return TOBRunConfig(
-            n=10,
-            rounds=22,
-            protocol="resilient",
-            eta=3,
-            adversary=EquivocatingVoteAdversary([9]),
-            schedule=RandomChurnSchedule(10, 0.15, seed=11, min_awake=6),
-            seed=11,
+        return apply_script(
+            TOBRunConfig(
+                n=10,
+                rounds=22,
+                protocol="resilient",
+                eta=3,
+                schedule=RandomChurnSchedule(10, 0.15, seed=11, min_awake=6),
+                seed=11,
+            ),
+            AttackScript("equivocation", (phase(22, corrupt(9), equivocate()),)),
         )
     if name == "async-split-vote-mmr":
-        return TOBRunConfig(
-            n=10,
-            rounds=24,
-            protocol="mmr",
-            adversary=SplitVoteAttack([8, 9], target_round=10),
-            conditions=NetworkConditions.window(ra=8, pi=2),
-            seed=12,
+        return apply_script(
+            TOBRunConfig(n=10, rounds=24, protocol="mmr", seed=12),
+            get_script("split-vote", 10, pi=2),
         )
     if name == "spike-random-adversary":
         return TOBRunConfig(

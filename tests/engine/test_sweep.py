@@ -7,11 +7,11 @@ memory) and yield identical outcomes on every path.
 
 import pytest
 
+from repro.attacks import apply_script, get_script
 from repro.engine.backend import ExecutionBackend
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.engine.sweep import SweepSpec, default_worker_count, stream_sweep, sweep_rows
-from repro.sleepy.adversary import CrashAdversary
 from repro.sleepy.schedule import SpikeSchedule
 
 
@@ -19,13 +19,9 @@ def sweep_specs():
     return [
         RunSpec(n=6, rounds=12, protocol="resilient", eta=2, seed=0),
         RunSpec(n=6, rounds=12, protocol="mmr", seed=1),
-        RunSpec(
-            n=8,
-            rounds=14,
-            protocol="resilient",
-            eta=3,
-            adversary=CrashAdversary([6, 7]),
-            seed=2,
+        apply_script(
+            RunSpec(n=8, rounds=14, protocol="resilient", eta=3, seed=2),
+            get_script("crash", 8, byz=[6, 7], from_round=0),
         ),
         RunSpec(
             n=8,

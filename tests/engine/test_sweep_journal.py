@@ -518,19 +518,19 @@ def test_deployment_sweep_resumes_bit_identically(tmp_path):
 # Stable digests (the keys under all of the above)
 # ----------------------------------------------------------------------
 def test_run_spec_digest_is_content_derived():
-    from repro.sleepy.adversary import CrashAdversary
+    from repro.attacks import apply_script, get_script
     from repro.sleepy.schedule import RandomChurnSchedule
 
     def build(seed):
-        return RunSpec(
+        spec = RunSpec(
             n=6,
             rounds=10,
             eta=3,
             beta=Fraction(1, 3),
-            adversary=CrashAdversary([4, 5]),
             schedule=RandomChurnSchedule(6, 0.1, seed=7),
             seed=seed,
         )
+        return apply_script(spec, get_script("crash", 6, byz=[4, 5], from_round=0))
 
     assert build(0).digest() == build(0).digest()  # fresh objects, equal content
     assert build(0).digest() != build(1).digest()

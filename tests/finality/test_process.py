@@ -1,25 +1,20 @@
 """End-to-end ebb-and-flow runs through the simulator."""
 
 from repro.analysis import check_safety, max_reorg_depth
+from repro.attacks import ScriptedAdversary, get_script
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import NetworkConditions
 from repro.finality import ebb_and_flow_factory
-from repro.sleepy import (
-    FullParticipation,
-    NullAdversary,
-    Simulation,
-    SpikeSchedule,
-    SplitVoteAttack,
-)
+from repro.sleepy import FullParticipation, NullAdversary, Simulation, SpikeSchedule
 
 
-def run_ebb_and_flow(protocol, eta, n=20, rounds=24, schedule=None, adversary=None, conditions=None):
+def run_ebb_and_flow(protocol, eta, n=20, rounds=24, schedule=None, script=None):
     registry = KeyRegistry(n, run_seed=0)
     sim = Simulation(
         registry,
         schedule or FullParticipation(n),
-        adversary or NullAdversary(),
-        conditions or NetworkConditions.synchronous(),
+        ScriptedAdversary(script) if script else NullAdversary(),
+        script.conditions() if script else NetworkConditions.synchronous(),
         ebb_and_flow_factory(protocol, eta=eta, n=n),
     )
     trace = sim.run(rounds)
@@ -59,13 +54,8 @@ def test_finality_stalls_below_quorum_participation():
 
 
 def test_attack_reorgs_available_chain_but_never_finality():
-    n = 20
-    byz = list(range(16, 20))
-    attack = dict(
-        adversary=SplitVoteAttack(byz, target_round=10),
-        conditions=NetworkConditions.window(ra=9, pi=1),
-    )
-    sim, trace = run_ebb_and_flow("mmr", eta=0, n=n, **attack)
+    n = 20  # the split vote corrupts 16..19
+    sim, trace = run_ebb_and_flow("mmr", eta=0, n=n, script=get_script("split-vote", n))
     assert not check_safety(trace).ok
     assert max_reorg_depth(trace) >= 1  # the user-facing chain rewrote itself
     finalized = [sim.processes[pid].finalized_tip for pid in range(16)]
@@ -76,14 +66,7 @@ def test_attack_reorgs_available_chain_but_never_finality():
 
 def test_resilient_inner_eliminates_the_reorg():
     n = 20
-    byz = list(range(16, 20))
-    sim, trace = run_ebb_and_flow(
-        "resilient",
-        eta=3,
-        n=n,
-        adversary=SplitVoteAttack(byz, target_round=10),
-        conditions=NetworkConditions.window(ra=9, pi=1),
-    )
+    sim, trace = run_ebb_and_flow("resilient", eta=3, n=n, script=get_script("split-vote", n))
     assert check_safety(trace).ok
     assert max_reorg_depth(trace) == 0
 

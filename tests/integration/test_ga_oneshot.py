@@ -8,12 +8,13 @@ checks Definition 4 on the outputs.
 import random
 
 from repro.analysis.ga_properties import check_ga_properties
+from repro.attacks import AttackScript, ScriptedAdversary, corrupt, phase, vote_for
 from repro.chain.block import GENESIS_TIP, Block, genesis_block
 from repro.chain.tree import BlockTree
 from repro.core.extended_ga import ExtendedGAProcess
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import NetworkConditions
-from repro.sleepy.adversary import NullAdversary, StaticVoteAdversary
+from repro.sleepy.adversary import NullAdversary
 from repro.sleepy.schedule import TableSchedule
 from repro.sleepy.simulator import Simulation
 
@@ -80,7 +81,9 @@ def test_ga_definition4_with_byzantine_voters():
         byz = set(range(n - byz_count, n))
         inputs = {pid: rng.choice(tips) for pid in range(n)}
         target = rng.choice(tips)
-        adversary = StaticVoteAdversary(sorted(byz), choose_tip=lambda r, ctx: target)
+        adversary = ScriptedAdversary(
+            AttackScript("one-tip", (phase(2, corrupt(*sorted(byz)), vote_for(target)),))
+        )
         awake = set(range(n))
         tree_t, outputs = run_ga_instance(
             n, inputs, awake, awake, adversary=adversary, seed=100 + trial

@@ -7,43 +7,31 @@ import pytest
 from repro.analysis.assumptions import check_eta_sleepiness
 from repro.analysis.checkers import check_healing, check_safety, check_transaction_liveness
 from repro.chain.transactions import Transaction
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, get_script, phase
 from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import (
-    Adversary,
-    CrashAdversary,
-    EquivocatingVoteAdversary,
-    SplitVoteAttack,
-)
+from repro.sleepy.adversary import Adversary
 from repro.sleepy.schedule import RandomChurnSchedule, SpikeSchedule
 
 
 def test_churn_plus_crash_plus_equivocation_stays_safe_and_live():
     n, eta = 24, 4
-
-    class MixedAdversary(Adversary):
-        """Two crashed processes and one equivocator, growing at round 12."""
-
-        def __init__(self):
-            self._equivocator = EquivocatingVoteAdversary([23])
-
-        def byzantine(self, r):
-            grown = frozenset({21, 22}) if r >= 12 else frozenset()
-            return frozenset({23}) | grown
-
-        def send(self, r, ctx):
-            return self._equivocator.send(r, ctx)
-
+    # One equivocator; two more processes fall to the adversary at round 12.
+    mixed = AttackScript(
+        "mixed", (phase(12, corrupt(23), equivocate()), phase(38, corrupt(21, 22)))
+    )
     tx = Transaction.create(5, 1)
     trace = run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=50,
-            protocol="resilient",
-            eta=eta,
-            schedule=RandomChurnSchedule(n, churn_per_round=0.04, seed=9, min_awake=18),
-            adversary=MixedAdversary(),
-            transactions={6: [tx]},
+        apply_script(
+            TOBRunConfig(
+                n=n,
+                rounds=50,
+                protocol="resilient",
+                eta=eta,
+                schedule=RandomChurnSchedule(n, churn_per_round=0.04, seed=9, min_awake=18),
+                transactions={6: [tx]},
+            ),
+            mixed,
         )
     )
     assert check_safety(trace).ok
@@ -54,14 +42,15 @@ def test_attack_during_spike_with_equivocation():
     """Participation spike + asynchronous split-vote attack simultaneously."""
     n = 30
     trace = run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=30,
-            protocol="resilient",
-            eta=4,
-            schedule=SpikeSchedule(n, drop_fraction=0.3, start=8, duration=8),
-            adversary=SplitVoteAttack([27, 28, 29], target_round=12),
-            conditions=NetworkConditions.window(ra=11, pi=1),
+        apply_script(
+            TOBRunConfig(
+                n=n,
+                rounds=30,
+                protocol="resilient",
+                eta=4,
+                schedule=SpikeSchedule(n, drop_fraction=0.3, start=8, duration=8),
+            ),
+            get_script("split-vote", n, target_round=12, byz=[27, 28, 29]),
         )
     )
     assert check_safety(trace).ok
@@ -71,13 +60,15 @@ def test_repeated_outages_with_healing_between():
     """Two separate asynchronous windows (beyond the paper's single-period
     model, flagged as an extension): heal after each."""
     trace = run_tob(
-        TOBRunConfig(
-            n=12,
-            rounds=44,
-            protocol="resilient",
-            eta=4,
-            adversary=CrashAdversary([11]),
-            conditions=NetworkConditions(periods=(AsyncPeriod(9, 2), AsyncPeriod(25, 3))),
+        apply_script(
+            TOBRunConfig(
+                n=12,
+                rounds=44,
+                protocol="resilient",
+                eta=4,
+                conditions=NetworkConditions(periods=(AsyncPeriod(9, 2), AsyncPeriod(25, 3))),
+            ),
+            get_script("crash", 12, byz=[11], from_round=0),
         )
     )
     assert check_safety(trace).ok

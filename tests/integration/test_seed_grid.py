@@ -8,8 +8,8 @@ the invariants that must hold at *every* grid point.
 import pytest
 
 from repro.analysis import chain_growth_rate, check_safety
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, phase
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary
 from repro.sleepy.schedule import RandomChurnSchedule
 
 GRID = [
@@ -23,17 +23,19 @@ GRID = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grid_point_safety_and_progress(protocol, eta, seed):
     n = 15
+    # The last process is corrupted: silent on even seeds, equivocating on odd ones.
+    behaviour = () if seed % 2 == 0 else (equivocate(),)
     trace = run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=30,
-            protocol=protocol,
-            eta=eta,
-            schedule=RandomChurnSchedule(n, churn_per_round=0.05, seed=seed, min_awake=10),
-            adversary=(
-                CrashAdversary([n - 1]) if seed % 2 == 0 else EquivocatingVoteAdversary([n - 1])
+        apply_script(
+            TOBRunConfig(
+                n=n,
+                rounds=30,
+                protocol=protocol,
+                eta=eta,
+                schedule=RandomChurnSchedule(n, churn_per_round=0.05, seed=seed, min_awake=10),
+                seed=seed,
             ),
-            seed=seed,
+            AttackScript("one-faulty", (phase(30, corrupt(n - 1), *behaviour),)),
         )
     )
     assert check_safety(trace).ok

@@ -18,55 +18,53 @@ from repro.analysis import (
     check_safety,
     max_reorg_depth,
 )
-from repro.engine.conditions import AsyncPeriod, NetworkConditions
+from repro.attacks import (
+    AttackScript,
+    apply_script,
+    corrupt,
+    equivocate,
+    phase,
+    split_vote,
+    withhold,
+)
+from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, build_simulation, run_simulation
-from repro.sleepy.adversary import Adversary, EquivocatingVoteAdversary, SplitVoteAttack
 from repro.sleepy.schedule import RandomChurnSchedule
 
 N = 24
 ROUNDS = 500
 ETA = 4
-WINDOW_1 = (99, 2)  # blackout-ish window (attack passive here)
-WINDOW_2 = (299, 3)  # split-vote attack window, target round 302
+WINDOW_1 = (99, 2)  # an asynchronous window the adversary leaves alone (the spec's)
+WINDOW_2 = (299, 3)  # the script's: two withheld rounds, then the split vote at 302
 
-
-class SoakAdversary(Adversary):
-    """Equivocates throughout; corruption grows at round 250; runs the
-    split-vote attack inside the second asynchronous window."""
-
-    def __init__(self):
-        self._equivocator = EquivocatingVoteAdversary([23])
-        self._attack = SplitVoteAttack([21, 22, 23], target_round=302)
-
-    def byzantine(self, r):
-        base = frozenset({23})
-        if r >= 250:
-            base |= {21, 22}
-        return base
-
-    def send(self, r, ctx):
-        messages = list(self._equivocator.send(r, ctx))
-        if r >= 250:
-            messages += list(self._attack.send(r, ctx))
-        return messages
-
-    def deliver(self, r, receiver, deliverable, ctx):
-        if 300 <= r <= 302:
-            return self._attack.deliver(r, receiver, deliverable, ctx)
-        return deliverable
+#: Equivocation throughout; corruption grows at round 250; the
+#: split-vote attack fills the second asynchronous window.
+SOAK_SCRIPT = AttackScript(
+    name="soak",
+    phases=(
+        phase(250, corrupt(23), equivocate()),
+        phase(50, corrupt(21, 22)),
+        phase(2, withhold()),
+        phase(1, split_vote(range(0, N, 2), range(1, N, 2))),
+        phase(ROUNDS - 303, equivocate()),
+    ),
+)
 
 
 @pytest.fixture(scope="module")
 def soak():
-    config = TOBRunConfig(
-        n=N,
-        rounds=ROUNDS,
-        protocol="resilient",
-        eta=ETA,
-        schedule=RandomChurnSchedule(N, churn_per_round=0.03, seed=13, min_awake=18),
-        adversary=SoakAdversary(),
-        conditions=NetworkConditions(periods=(AsyncPeriod(*WINDOW_1), AsyncPeriod(*WINDOW_2))),
+    config = apply_script(
+        TOBRunConfig(
+            n=N,
+            rounds=ROUNDS,
+            protocol="resilient",
+            eta=ETA,
+            schedule=RandomChurnSchedule(N, churn_per_round=0.03, seed=13, min_awake=18),
+            conditions=NetworkConditions.window(*WINDOW_1),
+        ),
+        SOAK_SCRIPT,
     )
+    assert [(p.ra, p.pi) for p in config.conditions.periods] == [WINDOW_1, WINDOW_2]
     sim = build_simulation(config)
     trace = run_simulation(sim, config)
     return sim, trace

@@ -18,7 +18,8 @@ from repro.analysis.assumptions import (
     check_reduced_failure_ratio,
 )
 from repro.analysis.checkers import check_asynchrony_resilience, check_healing, check_safety
-from repro.harness import run_tob
+from repro.attacks import apply_script, get_script
+from repro.harness import TOBRunConfig, run_tob
 from repro.workloads.scenarios import blackout_scenario, split_vote_attack_scenario
 
 THIRD = Fraction(1, 3)
@@ -54,12 +55,10 @@ def test_theorem3_pipeline_blackout(pi, eta):
 def test_assumption_validators_flag_oversized_adversary():
     """Sanity: the pipeline is not vacuous — an oversized adversary is
     caught by the Equation 2 validator."""
-    config = split_vote_attack_scenario("resilient", eta=4, pi=1, n=10)
-    # n=10 gives 2 Byzantine (ok); rebuild with 4 of 10 corrupted.
-    from repro.sleepy.adversary import SplitVoteAttack
-    from repro.engine.conditions import NetworkConditions
-
-    config.adversary = SplitVoteAttack(list(range(6, 10)), target_round=10)
-    config.conditions = NetworkConditions.window(ra=9, pi=1)
+    # The scenario corrupts 2 of 10 (ok); the same attack with 4 of 10 is not.
+    config = apply_script(
+        TOBRunConfig(n=10, rounds=24, protocol="resilient", eta=4),
+        get_script("split-vote", 10, byz=range(6, 10)),
+    )
     trace = run_tob(config)
     assert not check_reduced_failure_ratio(trace, THIRD, Fraction(0)).ok

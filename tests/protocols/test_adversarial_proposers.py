@@ -10,20 +10,20 @@ import pytest
 
 from repro.analysis import chain_growth_rate, check_safety, decision_rounds
 from repro.chain.block import GENESIS_TIP, genesis_block
+from repro.attacks import apply_script, get_script, propose
 from repro.harness import TOBRunConfig, build_simulation, run_simulation, run_tob
-from repro.sleepy.adversary import AdversarialProposerAdversary
+
+
+def proposers(config: TOBRunConfig, mode: str, byz: list[int]) -> TOBRunConfig:
+    """``config`` with ``byz`` proposing ``mode`` logs every view of the run."""
+    return apply_script(
+        config, get_script(f"{mode}-proposer", config.n, byz=byz, rounds=config.rounds)
+    )
 
 
 def run_with_proposers(mode: str, n=12, byz=3, rounds=60, protocol="resilient", eta=3):
-    return run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=rounds,
-            protocol=protocol,
-            eta=eta,
-            adversary=AdversarialProposerAdversary(list(range(n - byz, n)), mode=mode),
-        )
-    )
+    config = TOBRunConfig(n=n, rounds=rounds, protocol=protocol, eta=eta)
+    return run_tob(proposers(config, mode, list(range(n - byz, n))))
 
 
 def test_conflicting_proposals_are_filtered_out():
@@ -59,7 +59,7 @@ def test_stale_proposer_behaviour_identical_for_mmr():
 
 def test_adversarial_proposer_validation():
     with pytest.raises(ValueError, match="mode"):
-        AdversarialProposerAdversary([0], mode="weird")
+        propose("weird")
 
 
 @pytest.mark.xfail(
@@ -73,12 +73,8 @@ def test_adversarial_proposer_validation():
     strict=True,
 )
 def test_literal_proposal_rule_is_unsafe_under_stale_sortition():
-    config = TOBRunConfig(
-        n=12,
-        rounds=60,
-        protocol="resilient",
-        eta=3,
-        adversary=AdversarialProposerAdversary([9, 10, 11], mode="stale"),
+    config = proposers(
+        TOBRunConfig(n=12, rounds=60, protocol="resilient", eta=3), "stale", [9, 10, 11]
     )
     sim = build_simulation(config)
     for process in sim.processes.values():
@@ -112,14 +108,8 @@ def test_sortition_is_unbiasable():
     rate stays near its population share."""
     wins = trials = 0
     for seed in range(8):
-        config = TOBRunConfig(
-            n=10,
-            rounds=40,
-            protocol="mmr",
-            seed=seed,
-            adversary=AdversarialProposerAdversary([8, 9], mode="stale"),
-        )
-        trace = run_tob(config)
+        config = TOBRunConfig(n=10, rounds=40, protocol="mmr", seed=seed)
+        trace = run_tob(proposers(config, "stale", [8, 9]))
         views = (trace.horizon - 1) // 2
         productive = len(decision_rounds(trace))
         trials += views

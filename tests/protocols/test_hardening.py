@@ -1,8 +1,8 @@
 """Production hardening: bounded memory, accountability, telemetry."""
 
 from repro.analysis import check_safety
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, phase
 from repro.harness import TOBRunConfig, build_simulation, run_simulation, run_tob
-from repro.sleepy.adversary import EquivocatingVoteAdversary
 
 
 def test_proposal_store_is_memory_bounded():
@@ -24,8 +24,9 @@ def test_vote_store_is_memory_bounded():
 
 
 def test_equivocating_voters_are_detected_by_all():
-    config = TOBRunConfig(
-        n=8, rounds=16, protocol="resilient", eta=8, adversary=EquivocatingVoteAdversary([7])
+    config = apply_script(
+        TOBRunConfig(n=8, rounds=16, protocol="resilient", eta=8),
+        AttackScript("equivocation", (phase(16, corrupt(7), equivocate()),)),
     )
     sim = build_simulation(config)
     run_simulation(sim, config)

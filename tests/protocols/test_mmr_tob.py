@@ -2,9 +2,9 @@
 
 from repro.analysis.checkers import check_safety
 from repro.analysis.metrics import chain_growth_rate, decision_gaps
+from repro.attacks import AttackScript, apply_script, corrupt, equivocate, get_script, phase
 from repro.engine.conditions import NetworkConditions
 from repro.harness import TOBRunConfig, run_tob
-from repro.sleepy.adversary import CrashAdversary, EquivocatingVoteAdversary, SplitVoteAttack
 from repro.sleepy.schedule import SpikeSchedule, TableSchedule
 
 
@@ -18,7 +18,10 @@ def test_steady_state_decides_every_view():
 def test_tolerates_crash_faults_below_threshold():
     # 3 of 10 silent: |B_r| = 3 < 10/3 fails... 3 < 3.33 holds.
     trace = run_tob(
-        TOBRunConfig(n=10, rounds=30, protocol="mmr", adversary=CrashAdversary([7, 8, 9]))
+        apply_script(
+            TOBRunConfig(n=10, rounds=30, protocol="mmr"),
+            get_script("crash", 10, byz=[7, 8, 9], from_round=0),
+        )
     )
     assert check_safety(trace).ok
     assert chain_growth_rate(trace) > 0.3
@@ -26,7 +29,10 @@ def test_tolerates_crash_faults_below_threshold():
 
 def test_tolerates_equivocation_below_threshold():
     trace = run_tob(
-        TOBRunConfig(n=10, rounds=30, protocol="mmr", adversary=EquivocatingVoteAdversary([8, 9]))
+        apply_script(
+            TOBRunConfig(n=10, rounds=30, protocol="mmr"),
+            AttackScript("equivocation", (phase(30, corrupt(8, 9), equivocate()),)),
+        )
     )
     assert check_safety(trace).ok
     assert chain_growth_rate(trace) > 0.3
@@ -68,15 +74,11 @@ def test_asynchrony_without_adversary_is_harmless_for_safety():
 def test_split_vote_attack_breaks_safety_in_one_async_round():
     """The §1 attack: a single adversarial decision round forks the chain."""
     n = 12
-    byz = [10, 11]
     target = 8
     trace = run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=16,
-            protocol="mmr",
-            adversary=SplitVoteAttack(byz, target_round=target),
-            conditions=NetworkConditions.window(ra=target - 1, pi=1),
+        apply_script(
+            TOBRunConfig(n=n, rounds=16, protocol="mmr"),
+            get_script("split-vote", n, target_round=target),  # corrupts 10 and 11
         )
     )
     report = check_safety(trace)
@@ -91,12 +93,9 @@ def test_split_vote_attack_fools_both_groups():
     n = 12
     target = 8
     trace = run_tob(
-        TOBRunConfig(
-            n=n,
-            rounds=16,
-            protocol="mmr",
-            adversary=SplitVoteAttack([10, 11], target_round=target),
-            conditions=NetworkConditions.window(ra=target - 1, pi=1),
+        apply_script(
+            TOBRunConfig(n=n, rounds=16, protocol="mmr"),
+            get_script("split-vote", n, target_round=target),
         )
     )
     victims = {d.pid for d in trace.decisions if d.round == target + 1}

@@ -1,19 +1,28 @@
-"""Adversary strategies and context permissions."""
+"""Adversary context permissions, and each strategy through the script interpreter."""
 
 import pytest
 
+from repro.attacks import (
+    AttackScript,
+    ScriptedAdversary,
+    apply_script,
+    corrupt,
+    equivocate,
+    get_script,
+    phase,
+    split_vote,
+    vote_for,
+    withhold,
+)
 from repro.chain.block import genesis_block
 from repro.chain.tree import BlockTree
-from repro.sleepy.adversary import (
-    AdversaryContext,
-    CrashAdversary,
-    EquivocatingVoteAdversary,
-    NullAdversary,
-    SplitVoteAttack,
-    StaticVoteAdversary,
-    WithholdingAdversary,
-)
+from repro.engine.spec import RunSpec
+from repro.sleepy.adversary import AdversaryContext, NullAdversary
 from repro.sleepy.messages import ProposeMessage, VoteMessage, verify_message
+
+
+def scripted(*phases):
+    return ScriptedAdversary(AttackScript(name="t", phases=tuple(phases)))
 
 
 @pytest.fixture
@@ -44,24 +53,34 @@ def test_deepest_tip_tracks_tree(ctx):
     assert ctx.deepest_tip() == block.block_id
 
 
-def test_null_and_crash_adversaries():
+def test_null_and_crash_adversaries(ctx):
     assert NullAdversary().byzantine(5) == frozenset()
-    crash = CrashAdversary([1, 2], from_round=3)
+    crash = ScriptedAdversary(get_script("crash", 4, byz=[1, 2], from_round=3))
     assert crash.byzantine(2) == frozenset()
     assert crash.byzantine(3) == frozenset({1, 2})
-    assert crash.send(3, None) == ()
+    assert crash.send(3, ctx) == ()
 
 
 def test_static_vote_adversary_votes_every_round(ctx):
-    adversary = StaticVoteAdversary([0, 1])
+    adversary = scripted(phase(8, corrupt(0, 1), vote_for("deepest")))
     messages = adversary.send(4, ctx)
     assert len(messages) == 2
     assert all(isinstance(m, VoteMessage) and m.round == 4 for m in messages)
     assert {m.sender for m in messages} == {0, 1}
+    assert {m.tip for m in messages} == {ctx.deepest_tip()}
+
+
+def test_stale_votes_pin_one_tip_for_the_rest_of_the_run(ctx):
+    adversary = ScriptedAdversary(get_script("stale-votes", 4, byz=[0, 1], from_round=2, rounds=8))
+    assert {m.tip for m in adversary.send(1, ctx)} == {None}  # the empty log, before
+    pinned = ctx.craft_block(0, view=1, parent=genesis_block().block_id).block_id
+    assert {m.tip for m in adversary.send(2, ctx)} == {pinned}
+    ctx.craft_block(1, view=2, parent=pinned)  # the chain moves on; the vote does not
+    assert {m.tip for m in adversary.send(3, ctx)} == {pinned}
 
 
 def test_equivocating_adversary_sends_two_conflicting_votes(ctx):
-    adversary = EquivocatingVoteAdversary([0, 1])
+    adversary = scripted(phase(8, corrupt(0, 1), equivocate()))
     messages = adversary.send(2, ctx)
     votes = [m for m in messages if isinstance(m, VoteMessage)]
     proposes = [m for m in messages if isinstance(m, ProposeMessage)]
@@ -76,24 +95,34 @@ def test_equivocating_adversary_sends_two_conflicting_votes(ctx):
 
 
 def test_withholding_adversary_blacks_out(ctx):
-    adversary = WithholdingAdversary()
-    assert adversary.deliver(3, 0, ["anything"], ctx) == ()
+    adversary = scripted(phase(3), phase(2, withhold()))
+    vote = ctx.craft_vote(0, 2, None)
+    assert adversary.deliver(2, 0, [vote], ctx) == [vote]  # before the blackout
+    assert adversary.deliver(3, 0, [vote], ctx) == []
+    assert adversary.deliver(5, 0, [vote], ctx) == [vote]  # the implicit heal
 
 
 def test_split_vote_attack_requires_decision_round():
-    with pytest.raises(ValueError):
-        SplitVoteAttack([0], target_round=3)  # odd round
-    with pytest.raises(ValueError):
-        SplitVoteAttack([0], target_round=0)
+    spec = RunSpec(n=4, rounds=8)
+    for warm_up, rounds in ((3, 1), (4, 2)):  # an odd round; two rounds
+        script = AttackScript("t", (phase(warm_up), phase(rounds, split_vote((0,), (1,)))))
+        with pytest.raises(ValueError, match="split_vote owns one decision round"):
+            apply_script(spec, script)
+    with pytest.raises(ValueError, match="first phase"):  # round 0
+        AttackScript("t", (phase(1, split_vote((0,), (1,))),))
 
 
 def test_split_vote_attack_partitions_delivery(ctx):
-    adversary = SplitVoteAttack([0, 1], target_round=4)
+    adversary = scripted(phase(4, corrupt(0, 1)), phase(1, split_vote((2,), (3,))), phase(4))
     assert adversary.send(2, ctx) == ()  # silent outside the attack round
+    parent = ctx.deepest_tip()
+    assert adversary.send(3, ctx) == ()  # ... where it notes the tip to fork
+    ctx.craft_block(0, view=9, parent=parent)  # a block the victims will not hold yet
     messages = list(adversary.send(4, ctx))
     votes = [m for m in messages if isinstance(m, VoteMessage)]
     tips = {v.tip for v in votes}
     assert len(tips) == 2
+    assert {ctx.tree.get(tip).parent for tip in tips} == {parent}
 
     group0 = adversary.deliver(4, receiver=2, deliverable=messages, ctx=ctx)
     group1 = adversary.deliver(4, receiver=3, deliverable=messages, ctx=ctx)
@@ -103,5 +132,7 @@ def test_split_vote_attack_partitions_delivery(ctx):
     assert tips0 != tips1
     # Each group also gets the propose carrying its block.
     assert any(isinstance(m, ProposeMessage) for m in group0)
+    # A receiver on neither side gets nothing that round.
+    assert adversary.deliver(4, receiver=1, deliverable=messages, ctx=ctx) == ()
     # Outside the attack round delivery is unrestricted.
     assert adversary.deliver(6, receiver=2, deliverable=messages, ctx=ctx) == messages

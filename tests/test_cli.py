@@ -22,6 +22,7 @@ def test_run_reports_safety(capsys):
 def test_attack_compares_protocols(capsys):
     assert main(["attack", "--n", "20", "--pi", "1", "--eta", "2"]) == 0
     out = capsys.readouterr().out
+    assert "Scripted attack 'split-vote'" in out and "Def.5 resilient" in out
     assert "mmr (η=0)" in out and "resilient (η=2)" in out
     # The baseline forks; the modified protocol does not.
     mmr_line = next(line for line in out.splitlines() if line.startswith("mmr"))
@@ -45,12 +46,23 @@ def test_attack_rejects_unknown_script():
 
 @pytest.mark.parametrize("flags", [["--backend", "deployment"], ["--processes", "2"]])
 def test_attack_rejects_substrate_flags_the_split_vote_replay_would_ignore(flags, capsys):
-    """Without --script the replay is simulator-only: refusing beats
+    """No fabric realises the default script's per-receiver delivery, and
+    --processes means nothing to the simulator: refusing — in the
+    backend's own words, the CLI knows no script by name — beats
     printing a table as if the deployment had run."""
     with pytest.raises(SystemExit) as exit_info:
         main(["attack", *flags])
-    assert exit_info.value.code == 2
-    assert "need --script" in capsys.readouterr().err
+    reason = "split_vote needs per-receiver-delivery" if "--backend" in flags else "--processes"
+    assert reason in str(exit_info.value.code)
+    assert "protocol" not in capsys.readouterr().out  # no table
+
+
+def test_attack_pi_reaches_the_scripts_built_around_one_period(capsys):
+    assert main(["attack", "--pi", "4", "--eta", "2"]) == 1  # π > η: the resilient fork
+    assert main(["attack", "--script", "blackout", "--pi", "2", "--n", "8", "--eta", "4"]) == 0
+    assert "(17+4 rounds" in capsys.readouterr().out  # 6 + π + 9 scripted rounds, then 4
+    with pytest.raises(SystemExit, match="has no --pi"):
+        main(["attack", "--script", "crash", "--pi", "2"])
 
 
 def test_soak_reports_worker_death_cleanly(capsys, monkeypatch):

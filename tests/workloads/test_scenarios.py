@@ -16,7 +16,9 @@ def test_split_vote_scenario_configuration():
     assert period.ra == 8 and period.pi == 2
     # The rounds the simulator hands the adversary delivery control in.
     assert [r for r in range(20) if config.resolved_conditions().is_asynchronous(r)] == [9, 10]
-    assert config.adversary.target_round == 10
+    # ... and the one it splits the vote in, having starved the one before.
+    assert config.adversary.timeline.state_at(9).withheld
+    assert config.adversary.timeline.state_at(10).behaviour.op == "split_vote"
     assert config.adversary.byzantine(0) == frozenset(range(16, 20))
     assert config.meta["scenario"] == "split-vote-attack"
 
