@@ -14,8 +14,8 @@ trees decide identically is pinned bit-for-bit by
 ``tests/chain/test_shared_chain.py``.
 
 What is gated is what repeats exactly: the allocation peak against an
-absolute cap, and one signature check and one content hash per
-published message.  The seconds are printed, not gated; ``bench/``
+absolute cap, one signature check per published message, and no
+content hash per message at all — a run hashes one id per block built.  The seconds are printed, not gated; ``bench/``
 compares time.
 
 Run it directly with::
@@ -25,10 +25,11 @@ Run it directly with::
 
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
 
-import repro.sleepy.messages as messages
+import repro.crypto.hashing as hashing
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.sleepy.schedule import RandomChurnSchedule
@@ -60,7 +61,7 @@ def _spec() -> RunSpec:
 
 def _run() -> tuple[float, int, tuple[int, int, int, int]]:
     """One full run under tracemalloc; returns (wall seconds, peak bytes,
-    (blocks, decisions, messages published, signature checks))."""
+    (blocks, decisions, messages published, signature checks, proposals))."""
     tracemalloc.start()
     try:
         started = time.perf_counter()
@@ -76,29 +77,35 @@ def _run() -> tuple[float, int, tuple[int, int, int, int]]:
         len(simulation.trace.decisions),
         simulation.bus.total_published,
         simulation.pipeline.stats["crypto_verifications"],
+        sum(row.proposes_sent for row in simulation.trace.rounds),
     )
 
 
 def test_large_n_interned_tree(record, monkeypatch):
-    digested = [0]
-    original = messages.verification_digest
+    hashed = [0]
+    original = hashing.hash_fields
 
-    def counted(message):
-        digested[0] += 1
-        return original(message)
+    def counted(*fields):
+        hashed[0] += 1
+        return original(*fields)
 
-    monkeypatch.setattr(messages, "verification_digest", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     runs = [_run() for _ in range(REPEATS)]
     walls = [wall for wall, _, _ in runs]
     peak = max(peak for _, peak, _ in runs)
     # Seeded: every repeat builds the same chain and decides the same.
     assert len({counts for _, _, counts in runs}) == 1
-    n_blocks, n_decisions, published, verified = runs[0][2]
+    n_blocks, n_decisions, published, verified, proposals = runs[0][2]
     assert n_decisions > 0
-    # A published message is verified once and hashed once, by the memo
-    # the bus and the pipeline share, however many processes receive it.
-    assert verified == published
-    assert digested[0] == REPEATS * published
+    # A published message is verified once, however many processes
+    # receive it, and never hashed: it is keyed by its content.  What a
+    # run hashes is the id of the block each proposal built, and genesis.
+    assert verified == published > 2 * proposals
+    assert hashed[0] == REPEATS * (proposals + 1)
 
     record(
         "large-n lane (n=%d, rounds=%d, %s, churning sleepy schedule)\n"

@@ -91,6 +91,18 @@ def _encode_one(field: Encodable) -> bytes:
     raise TypeError(f"unsupported field type for canonical encoding: {type(field)!r}")
 
 
+def require_exact_types(obj: object, spec: tuple[tuple[str, tuple[type, ...]], ...]) -> None:
+    """Raise :class:`TypeError` unless each named attribute of ``obj`` has
+    *exactly* one of its listed types (``5 == 5.0 == True`` in a tuple, so
+    field tuples compare as content only between exact encoder types)."""
+    for name, kinds in spec:
+        got = type(getattr(obj, name))
+        if got not in kinds:
+            wanted = " | ".join(kind.__name__ for kind in kinds)
+            owner = type(obj).__name__
+            raise TypeError(f"{owner}.{name} must be exactly {wanted}, not {got.__name__}")
+
+
 def sha256_hex(data: bytes) -> str:
     """SHA-256 of ``data`` as a 64-character hex string."""
     return hashlib.sha256(data).hexdigest()

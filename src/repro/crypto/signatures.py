@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class KeyRegistry:
         }
         #: seed bytes -> the (inner, outer) keyed states of :func:`_tag`.
         self._keyed: dict[bytes, tuple] = {}
+        #: (pid, view) -> canonical VRF evaluation (:mod:`repro.crypto.vrf`'s).
+        self.vrf_memo: OrderedDict[tuple[int, int], object] = OrderedDict()
 
     @property
     def n(self) -> int:
@@ -83,6 +86,10 @@ class KeyRegistry:
         except KeyError:
             raise ValueError(f"unknown process id {pid}") from None
 
+    def is_registered(self, key: SecretKey) -> bool:
+        """Whether ``key`` is the key this registry verifies ``key.pid`` against."""
+        return self._seeds.get(key.pid) == key.seed
+
     def sign(self, key: SecretKey, *fields) -> Signature:
         """Sign the canonical encoding of ``fields`` with ``key``."""
         return _tag(self._states_of(key.seed), encode_fields(*fields))
@@ -98,8 +105,7 @@ class KeyRegistry:
         seed = self._seeds.get(pid)
         if seed is None:
             return False
-        tag = _tag(self._states_of(seed), encode_fields(*fields))
-        return hmac.compare_digest(tag, signature)
+        return _same_tag(_tag(self._states_of(seed), encode_fields(*fields)), signature)
 
     def verify_batch(
         self, items: Sequence[tuple[int, Signature, tuple]]
@@ -109,7 +115,7 @@ class KeyRegistry:
         Returns one verdict per item, in order.  This is the batch seam
         the shared ingest pipeline feeds: a multicast message reaches
         every recipient, but its tag only needs to be recomputed once —
-        callers deduplicate by digest (see
+        callers deduplicate by content key (see
         :class:`~repro.sleepy.messages.MessageInterner`) and push only
         the distinct misses through here.
         """
@@ -121,8 +127,7 @@ class KeyRegistry:
             if seed is None:
                 verdicts.append(False)
             else:
-                tag = _tag(states_of(seed), encode_fields(*fields))
-                verdicts.append(hmac.compare_digest(tag, signature))
+                verdicts.append(_same_tag(_tag(states_of(seed), encode_fields(*fields)), signature))
         return verdicts
 
 
@@ -134,6 +139,11 @@ def _keyed_states(seed: bytes) -> tuple:
     return tuple(
         hashlib.sha256(encode_fields(label, seed, b"")[:-empty]) for label in (b"inner", b"outer")
     )
+
+
+def _same_tag(tag: Signature, claimed: Signature) -> bool:
+    # ``compare_digest`` raises on non-ASCII; a sender's claim is rejected.
+    return claimed.isascii() and hmac.compare_digest(tag, claimed)
 
 
 def _tag(states: tuple, message: bytes) -> Signature:

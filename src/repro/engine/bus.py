@@ -1,11 +1,7 @@
 """The indexed message bus: the dissemination layer of the round model.
 
-Replaces the simulator's original flat message pool.  The old design
-kept one global ``list`` plus, per process, a cursor into it and a set
-of "extra" message ids delivered ahead of the cursor during
-asynchronous rounds; computing a receiver's deliverable set rescanned
-``pool[cursor:]`` and filtered it through the extras set — per process,
-per round.  The bus indexes the same state the other way around:
+Delivery state is indexed per recipient, not rescanned from one flat
+pool per process per round:
 
 * a global append-only **log** in publish order with **round buckets**
   (which span of the log was published in which round), and
@@ -24,16 +20,16 @@ seeded traces across the refactor): publish order is delivery order,
 duplicate publishes are suppressed, and a process that slept through
 rounds catches up on its entire gap at its next awake receive phase.
 
-Deduplication is **digest-keyed**: like the verification layer, the bus
-computes its dedup key from a message's *content*
-(:func:`~repro.sleepy.messages.verification_digest`, through the
-:class:`~repro.sleepy.messages.DigestMemo` it shares with the run's
-ingest pipeline), once per object, and never reads it from the message (README,
-"Identifiers and where they are computed"; a trusted id could suppress
-a distinct message at publish or void an honest message's delivery
-through :meth:`MessageBus.deliver_chosen`).  Foreign message types
-without signed fields (test doubles, custom transports) fall back to
-their ``message_id`` attribute as the key.
+Deduplication is **content-keyed**: like the verification layer, the
+bus keys a message by its
+:attr:`~repro.sleepy.messages.Message.content_key` — kind, claimed
+sender, signed fields and signature, compared exactly; built per use,
+nothing hashed, nothing memoised — and never by an id read from the
+message (README, "Identifiers and where they are computed"; a trusted
+id could suppress a distinct message at publish or void an honest
+message's delivery through :meth:`MessageBus.deliver_chosen`).  Foreign
+message types without a content key (test doubles, custom transports)
+fall back to their ``message_id`` attribute as the key.
 """
 
 from __future__ import annotations
@@ -41,29 +37,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.engine.errors import UndeliverableMessageError
-from repro.sleepy.messages import DigestMemo, Message
+from repro.sleepy.messages import Message, dedup_key
 
 
 class MessageBus:
     """Per-recipient indexed delivery state over one append-only log."""
 
-    def __init__(self, n: int, digests: DigestMemo | None = None) -> None:
+    def __init__(self, n: int) -> None:
         if n <= 0:
             raise ValueError("need at least one recipient")
         self.n = n
-        #: Where verification digests come from: the run's ingest
-        #: pipeline's memo when the simulator wires one in, so a message
-        #: is hashed once for publish dedup *and* verification.
-        self._digests = digests if digests is not None else DigestMemo()
         self._log: list[Message] = []
-        #: Content-derived dedup keys of every published message.
-        self._keys: set[str] = set()
-        #: id(message) -> dedup key for log-resident messages (the bus
-        #: holds a strong reference to everything it memoises, so the
-        #: ``id`` cannot be recycled while the entry exists).  Not a
-        #: bounded ``DigestMemo``: the log never shrinks, and
-        #: ``deliver_chosen`` keys a whole backlog three times over.
-        self._key_memo: dict[int, str] = {}
+        #: Content keys of every published message.
+        self._keys: set[object] = set()
         #: round -> (start, end) span of ``_log``; the current round's
         #: end is resolved lazily (it is still growing).
         self._buckets: dict[int, tuple[int, int]] = {}
@@ -99,19 +85,13 @@ class MessageBus:
         self._open_start = len(self._log)
 
     def publish(self, message: Message) -> bool:
-        """Add ``message`` to the log; ``False`` if its content was already seen.
-
-        The dedup key is recomputed from the message's content (see the
-        module docstring) — a poisoned ``message_id`` can neither
-        suppress a distinct message nor republish an already-seen one.
-        """
-        key = self._dedup_key(message)
+        """Add ``message`` to the log; ``False`` if its content was already seen."""
+        key = dedup_key(message)
         if key in self._keys:
             self.stats["duplicates"] += 1
             return False
         self._keys.add(key)
         self._log.append(message)
-        self._key_memo[id(message)] = key
         self.stats["published"] += 1
         if self._tail_memo:
             self._tail_memo.clear()
@@ -168,9 +148,10 @@ class MessageBus:
         Raises :class:`UndeliverableMessageError` if the choice strays
         outside the deliverable view (injection through the delivery
         hook is impossible by construction).  Matching is by the same
-        content-derived key as publish dedup, so a Byzantine message
-        carrying a transplanted ``message_id`` cannot impersonate an
-        honest pending message and void its delivery.
+        content key as publish dedup, so a Byzantine message carrying a
+        transplanted ``message_id`` cannot impersonate an honest pending
+        message and void its delivery.  The pending set is keyed once, and
+        only when a chosen object is not itself one of the pending ones.
         """
         if pending is None:
             pending = self.deliverable(pid)
@@ -178,16 +159,22 @@ class MessageBus:
             self._backlog[pid] = list(pending)
             self._cursor[pid] = len(self._log)
             return
-        allowed = {self._dedup_key(m) for m in pending}
-        chosen_keys: set[str] = set()
-        for message in chosen:
-            key = self._dedup_key(message)
-            if key not in allowed:
-                raise UndeliverableMessageError(
-                    f"message {message.message_id} is not deliverable to process {pid}"
-                )
-            chosen_keys.add(key)
-        self._backlog[pid] = [m for m in pending if self._dedup_key(m) not in chosen_keys]
+        # An adversary chooses among the objects it was shown, and
+        # identity cannot be forged: no key is needed to take those out.
+        chosen_ids = {id(m) for m in chosen}
+        backlog = [m for m in pending if id(m) not in chosen_ids]
+        if len(backlog) + len(chosen_ids) != len(pending):
+            # Some chosen object is not itself pending: match by content.
+            pending_keys = [dedup_key(m) for m in pending]
+            remaining = dict(zip(pending_keys, pending))
+            for message in chosen:
+                key = dedup_key(message)
+                if remaining.pop(key, None) is None and key not in pending_keys:
+                    raise UndeliverableMessageError(
+                        f"message {key} is not deliverable to process {pid}"
+                    )
+            backlog = list(remaining.values())
+        self._backlog[pid] = backlog
         self._cursor[pid] = len(self._log)
 
     # ------------------------------------------------------------------
@@ -196,8 +183,8 @@ class MessageBus:
     def __len__(self) -> int:
         return len(self._log)
 
-    def __contains__(self, key: str) -> bool:
-        """Whether a dedup key (content digest; ``message_id`` for
+    def __contains__(self, key: object) -> bool:
+        """Whether a dedup key (``content_key``; ``message_id`` for
         foreign message types) has been published."""
         return key in self._keys
 
@@ -208,21 +195,6 @@ class MessageBus:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _dedup_key(self, message: Message) -> str:
-        """Content-derived dedup key (memoised for log-resident messages).
-
-        Real protocol messages are keyed by their verification digest —
-        recomputed from kind, claimed sender, signed fields, and
-        signature, never read from the instance.  Foreign message types
-        (test doubles) are keyed by their ``message_id`` attribute.
-        """
-        memo = self._key_memo.get(id(message))
-        if memo is not None:
-            return memo
-        if isinstance(message, Message):
-            return self._digests.digest(message)
-        return message.message_id
-
     def _tail(self, cursor: int) -> tuple[Message, ...]:
         if cursor >= len(self._log):
             return ()

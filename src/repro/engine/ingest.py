@@ -5,20 +5,22 @@ Every execution backend feeds delivered messages through one
 resulting :class:`~repro.sleepy.messages.VerifiedBatch`.  The pipeline
 stacks two layers, each shared run-wide:
 
-1. **One verdict table** — a digest-keyed LRU
+1. **One verdict table** — an LRU
    (:class:`~repro.sleepy.messages.MessageInterner`) in front of the
    registry's ``verify_batch``, so a message multicast to n recipients
    is verified **once**, not n times.  Verification is deterministic,
-   so sharing verdicts changes no semantics; the digest is recomputed
-   here rather than read from the message
-   (:func:`~repro.sleepy.messages.verification_digest`), so a message
-   whose ``sender`` does not match the key that produced its signature
-   is rejected even when the signature is a valid tag for some *other*
-   registered process.  An accepted verdict is the first verified
+   so sharing verdicts changes no semantics.  The table is keyed by
+   :attr:`~repro.sleepy.messages.Message.content_key` — kind, claimed
+   sender, signed fields and signature, compared exactly; no hash, no
+   memo, never ``message_id`` — so a message whose ``sender`` does not
+   match the key that produced its signature is rejected even when the
+   signature is a valid tag for some *other* registered process; and
+   messages are well-typed by construction, so the verifier rejects
+   and never raises.  An accepted verdict is the first verified
    instance of the logical message, which becomes canonical: the bus,
    vote stores, proposal tables, and traces share one object per
    logical message, and re-verification of a canonical instance is an
-   O(1) identity check with no hashing at all.
+   O(1) identity check.
 2. **Batch sharing** — the round simulator's bus hands the *same* tail
    tuple to every caught-up receiver; the pipeline memoises the
    classified :class:`~repro.sleepy.messages.VerifiedBatch` per
@@ -40,9 +42,7 @@ from collections.abc import Sequence
 
 from repro.crypto.signatures import KeyRegistry
 from repro.sleepy.messages import (
-    IDENTITY_MEMO_CAPACITY,
     REJECTED,
-    DigestMemo,
     IdentityMemo,
     Message,
     MessageInterner,
@@ -66,13 +66,6 @@ class IngestPipeline:
     ) -> None:
         self._registry = registry
         self._interner = MessageInterner()
-        #: The process's one :class:`DigestMemo`: the dissemination layer
-        #: in front of this pipeline (the simulator's bus, a shard's
-        #: gossip network) is built on it, so a message object hashed
-        #: there for dedup is not hashed again here.  It has to hold a
-        #: round's messages between the two: a vote, a proposal and an
-        #: ack per process, with room for an adversary's.
-        self.digests = DigestMemo(max(IDENTITY_MEMO_CAPACITY, 4 * registry.n))
         #: Delivered tuple -> its classified batch.
         self._batch_memo = IdentityMemo(batch_memo_capacity)
         #: Pipeline accounting (consumed by benches and tests):
@@ -105,10 +98,10 @@ class IngestPipeline:
         if interner.is_canonical(message):
             self.stats["identity_hits"] += 1
             return True
-        digest = self.digests.digest(message)
-        known = interner.lookup(digest)
+        key = message.content_key
+        known = interner.lookup(key)
         if known is None:
-            known = self._resolve_misses((message,), (digest,), (0,))[digest]
+            known = self._resolve_misses({key: message})[key]
         return known is not REJECTED
 
     # ------------------------------------------------------------------
@@ -137,60 +130,46 @@ class IngestPipeline:
         # actual crypto for the residue of table misses goes through
         # :meth:`_resolve_misses`.
         interner = self._interner
-        resolved_messages: list[object] = [None] * len(messages)
-        digests: list[str | None] = [None] * len(messages)
-        pending: list[int] = []
-        for i, message in enumerate(messages):
+        resolved: list[object] = []
+        #: First instance per missing key; where each miss sits in ``resolved``.
+        misses: dict[tuple, Message] = {}
+        pending: list[tuple[int, tuple]] = []
+        for message in messages:
             if interner.is_canonical(message):
                 self.stats["identity_hits"] += 1
-                resolved_messages[i] = message
+                resolved.append(message)
                 continue
-            digest = self.digests.digest(message)
-            known = interner.lookup(digest)
+            key = message.content_key
+            known = interner.lookup(key)
             if known is None:
-                digests[i] = digest
-                pending.append(i)
-            else:
-                resolved_messages[i] = known
-        if pending:
-            resolved = self._resolve_misses(messages, digests, pending)  # type: ignore[arg-type]
-            for i in pending:
-                resolved_messages[i] = resolved[digests[i]]
-        verified = [m for m in resolved_messages if m is not REJECTED]
+                misses.setdefault(key, message)
+                pending.append((len(resolved), key))
+            resolved.append(known)
+        if misses:
+            verdicts = self._resolve_misses(misses)
+            for i, key in pending:
+                resolved[i] = verdicts[key]
+        verified = [m for m in resolved if m is not REJECTED]
         rejected = len(messages) - len(verified)
         self.stats["batches_built"] += 1
         self.stats["messages_ingested"] += len(messages)
         self.stats["rejected"] += rejected
         return VerifiedBatch(verified, rejected=rejected)  # type: ignore[arg-type]
 
-    def _resolve_misses(
-        self, messages: Sequence[Message], digests: Sequence[str], indices: Sequence[int]
-    ) -> dict[str, object]:
-        # The one place actual crypto happens: deduplicate the missing
-        # digests, push the distinct signature claims through the
-        # registry's batch API (VRF checks stay per proposal), and enter
-        # every verdict in the table.  Returns digest -> canonical
-        # message | REJECTED.
-        distinct: list[int] = []
-        seen: set[str] = set()
-        for i in indices:
-            digest = digests[i]
-            if digest not in seen:
-                seen.add(digest)
-                distinct.append(i)
-        items = [
-            (messages[i].sender, messages[i].signature, messages[i]._signed_fields())
-            for i in distinct
-        ]
+    def _resolve_misses(self, misses: dict[tuple, Message]) -> dict[tuple, object]:
+        # The one place actual crypto happens: push the distinct missing
+        # signature claims through the registry's batch API (VRF checks
+        # stay per proposal) and enter every verdict in the table.
+        # Returns key -> canonical message | REJECTED.
+        items = [(m.sender, m.signature, m._signed_fields()) for m in misses.values()]
         self.stats["crypto_verifications"] += len(items)
         tag_ok = self._registry.verify_batch(items)
-        resolved: dict[str, object] = {}
+        verdicts: dict[tuple, object] = {}
         interner = self._interner
-        for i, ok in zip(distinct, tag_ok):
-            digest = digests[i]
-            if ok and check_payload(self._registry, messages[i]):
-                resolved[digest] = interner.intern(messages[i], digest)
+        for (key, message), ok in zip(misses.items(), tag_ok):
+            if ok and check_payload(self._registry, message):
+                verdicts[key] = interner.intern(message, key)
             else:
-                interner.reject(digest)
-                resolved[digest] = REJECTED
-        return resolved
+                interner.reject(key)
+                verdicts[key] = REJECTED
+        return verdicts

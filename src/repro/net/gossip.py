@@ -16,21 +16,21 @@ and the fabric calls it per frame, in slot order (see
 stopped unsubscribes; frames still in flight to it are held by the
 fabric, not re-flooded.
 
-Deduplication is **digest-keyed**, exactly like the round simulator's
+Deduplication is **content-keyed**, exactly like the round simulator's
 message bus (:mod:`repro.engine.bus`): the "seen" key is the message's
-content digest, computed through the process's
-:class:`~repro.sleepy.messages.DigestMemo` once per message object —
-not once per arrival, and not again by the ingest pipeline that shares
-the memo — and never read from the message (README,
+:attr:`~repro.sleepy.messages.Message.content_key` — a flat tuple of
+fields its constructor type-checked, built per arrival, compared
+exactly, with no encoding, no hash and no memo behind it — and never an
+id read from the message (README,
 "Identifiers and where they are computed"; a trusted id would let a
 junk message carrying a transplanted one censor the honest original).
-Foreign message types without signed fields (test doubles) fall back to
+Foreign message types without a content key (test doubles) fall back to
 their ``message_id`` attribute as the key.
 
 The **shard is the unit of dissemination**: all nodes one
-:class:`GossipNetwork` hosts share one :class:`SeenIndex` (digest → which
+:class:`GossipNetwork` hosts share one :class:`SeenIndex` (key → which
 hosted nodes hold it), and a node does not materialise a forward to a
-neighbour *of the same network* that already holds the digest — that
+neighbour *of the same network* that already holds the message — that
 frame could only ever be counted as a duplicate on arrival.  What
 elision may skip is exactly that: the frame.  What it may not skip: the
 link's latency draw (the k-th frame *offered* to a link still draws the
@@ -44,14 +44,14 @@ per direction.  Per-node *delivery* stays per node: sleep/wake and the
 adversarial proxy's per-frame coins see every frame that is sent.
 
 The seen index is also **bounded**: on a long-running service it would
-otherwise retain one digest per message forever.  Entries are
+otherwise retain one key per message forever.  Entries are
 round-bucketed and evicted once their message round falls behind the
 current round (read from an authoritative clock — once per arrival —
 never from message fields, which are attacker-controlled) by more than
 the configured horizon — the vote-expiry horizon plus slack, below
 which no protocol consumer can still use the message.  Messages already
 older than that on arrival are dropped outright (counted, never
-silently), which keeps an evicted digest from re-flooding forever.
+silently), which keeps an evicted key from re-flooding forever.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import random
 from collections.abc import Callable
 
 from repro.net.transport import Transport
-from repro.sleepy.messages import DigestMemo, Message
+from repro.sleepy.messages import Message, dedup_key
 
 #: Called on each node's behalf when a new message first reaches it.
 DeliveryHandler = Callable[[int, Message], None]
@@ -147,13 +147,13 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
 
 
 class SeenIndex:
-    """Which hosted nodes hold which digest: one index per shard.
+    """Which hosted nodes hold which message: one index per shard.
 
     ``holders`` maps a dedup key to a bitmask over pids (bit ``pid`` set
     = that hosted node has ingested the message).  One entry per message
     per shard, one bucket list, one eviction sweep — not one of each per
     node.  With ``current_round`` and ``horizon_rounds`` both given the
-    index is bounded (module docstring); otherwise it keeps every digest
+    index is bounded (module docstring); otherwise it keeps every key
     forever, which is only acceptable for bounded test runs.
     """
 
@@ -166,18 +166,18 @@ class SeenIndex:
     ) -> None:
         if horizon_rounds is not None and horizon_rounds < 0:
             raise ValueError("seen horizon must be non-negative")
-        self.holders: dict[str, int] = {}
+        self.holders: dict[object, int] = {}
         self.current_round = current_round
         #: ``None`` = unbounded.
         self.horizon = horizon_rounds if current_round is not None else None
         #: round -> keys first seen (by any hosted node) with that message round.
-        self._buckets: dict[int, list[str]] = {}
+        self._buckets: dict[int, list[object]] = {}
         self._floor = 0
 
     def __len__(self) -> int:
         return len(self.holders)
 
-    def admit(self, key: str, message_round: int, now: int) -> None:
+    def admit(self, key: object, message_round: int, now: int) -> None:
         """Bucket a key no hosted node held, then evict below the horizon."""
         # Clamp attacker-controlled future round tags so a huge tag
         # cannot park its bucket beyond every future eviction.
@@ -196,8 +196,8 @@ class GossipNode:
     in-process :class:`~repro.net.transport.SimTransport`, the
     multi-process :class:`~repro.net.socket_transport.SocketTransport`,
     or the adversarial proxy in front of either.  The node subscribes to
-    its pid here, before any frame can exist; ``seen`` and ``digests``
-    are its :class:`GossipNetwork`'s, shared by every node it hosts.
+    its pid here, before any frame can exist; ``seen`` is its
+    :class:`GossipNetwork`'s, shared by every node it hosts.
     """
 
     def __init__(
@@ -207,14 +207,12 @@ class GossipNode:
         neighbors: tuple[int, ...],
         on_deliver: DeliveryHandler,
         seen: SeenIndex,
-        digests: DigestMemo,
     ) -> None:
         self.pid = pid
         self._transport = transport
         self._neighbors = neighbors
         self._on_deliver = on_deliver
         self._seen = seen
-        self._digests = digests
         self._bit = 1 << pid
         #: Dissemination accounting (consumed by metrics and tests).
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
@@ -244,10 +242,10 @@ class GossipNode:
                 # Older than anything the protocol can still consume:
                 # its votes are expired and its proposal views pruned.
                 # Dropping (audited, never silent) also prevents a
-                # re-flood loop once the digest has been evicted.
+                # re-flood loop once the key has been evicted.
                 self.stats["stale_dropped"] += 1
                 return
-        key = self._dedup_key(message)
+        key = dedup_key(message)
         holders = seen.holders.get(key, 0)
         if holders & self._bit:
             self.stats["duplicates"] += 1
@@ -276,11 +274,6 @@ class GossipNode:
             transport.send_many(self.pid, forwards, message)
         self._on_deliver(self.pid, message)
 
-    def _dedup_key(self, message: Message) -> str:
-        if isinstance(message, Message):
-            return self._digests.digest(message)
-        return message.message_id
-
 
 class GossipNetwork:
     """All gossip nodes one process hosts.
@@ -292,10 +285,7 @@ class GossipNetwork:
     no frame can precede its consumer.
 
     ``current_round`` / ``seen_horizon_rounds`` bound the shard's
-    :class:`SeenIndex`; with either unset it keeps every digest forever.
-    ``digests`` is the process's :class:`~repro.sleepy.messages.
-    DigestMemo` (its ingest pipeline's); a network built without one
-    keeps its own.
+    :class:`SeenIndex`; with either unset it keeps every key forever.
     """
 
     def __init__(
@@ -305,17 +295,10 @@ class GossipNetwork:
         on_deliver: DeliveryHandler,
         current_round: Callable[[], int] | None = None,
         seen_horizon_rounds: int | None = None,
-        digests: DigestMemo | None = None,
     ) -> None:
         self.seen = SeenIndex(current_round, seen_horizon_rounds)
-        # One memo for all hosted nodes: the same message object reaches
-        # each of them, and its digest depends on its content alone.  A
-        # shard passes its ingest pipeline's, so verification does not
-        # hash the object a second time.
-        if digests is None:
-            digests = DigestMemo()
         self.nodes = {
-            pid: GossipNode(pid, transport, neighbors, on_deliver, self.seen, digests)
+            pid: GossipNode(pid, transport, neighbors, on_deliver, self.seen)
             for pid, neighbors in topology.items()
         }
 
@@ -325,7 +308,7 @@ class GossipNetwork:
             node.stop()
 
     def stats_totals(self) -> dict[str, int]:
-        """Summed per-node dissemination counters, plus the shard's live digests."""
+        """Summed per-node dissemination counters, plus the shard's live seen keys."""
         totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         for node in self.nodes.values():
             for key in totals:

@@ -19,9 +19,9 @@ decoded batch, in batch order, before it reads the next blob.  The
 reader keeps a bounded **decode memo** (body bytes → decoded object), so
 a body that rides several batches — gossip offers one message to a
 worker once per overlay edge that crosses into it — is unpickled once
-per process and every later frame carries the *same object*, which is
-what lets the identity-keyed digest and verification memos downstream
-hit instead of re-hashing.
+per process and every later frame carries the *same object*.  A body
+that would decode to an ill-typed message (a ``float`` round: its
+``__setstate__`` raises) is an undecodable body like any other.
 
 Wire format: every write is a 4-byte big-endian length followed by a
 blob.  There are two blob layouts, one per channel:
@@ -65,12 +65,7 @@ from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.net.transport import LinkLatencyModel, PushDelivery, SurgeWindow
-from repro.sleepy.messages import (
-    IDENTITY_MEMO_CAPACITY,
-    IdentityMemo,
-    Message,
-    verification_digest,
-)
+from repro.sleepy.messages import IDENTITY_MEMO_CAPACITY, IdentityMemo, Message
 
 #: ``str`` → UNIX domain socket path, ``(host, port)`` → TCP.
 Address = str | tuple[str, int]
@@ -116,7 +111,7 @@ def encode_batch(
 
     Each frame is ``(src, dst, intern_key, body)`` where ``body`` is the
     payload's pickle and ``intern_key`` groups equal bodies (the encode
-    cache supplies the payload's verification digest, or a body-identity
+    cache supplies a message's ``content_key``, or a body-identity
     fallback for foreign payloads).  Bodies are written once per batch
     and referenced by offset.  A batch that would exceed ``max_bytes``
     splits cleanly at a frame boundary (bodies are re-emitted in the
@@ -254,7 +249,7 @@ def decode_batch(
 
 
 class EncodedPayloadCache:
-    """Digest-interned encoded payload bodies for send fan-outs.
+    """Encoded payload bodies for send fan-outs, one pickle per object.
 
     A broadcast hands the *same* payload object to ``send`` once per
     destination; this cache pickles it on first sight and reuses the
@@ -262,29 +257,25 @@ class EncodedPayloadCache:
     one pickle, not ~1000.  Entries live in an
     :class:`~repro.sleepy.messages.IdentityMemo` (keyed by the payload
     object, LRU-bounded: a flood of distinct payloads evicts, it never
-    grows without bound).  For protocol messages the entry also carries
-    the **verification digest**, computed from message content at that
-    first encode and never read from the instance (README, "Identifiers
-    and where they are computed").  The digest keys the batch intern
-    table, so two distinct instances of one logical message still share
-    a single body on the wire.
+    grows without bound).  The batch intern table is keyed by a
+    message's ``content_key`` (README, "Identifiers and where they are
+    computed"), so two distinct instances of one logical message still
+    share a single body on the wire.
     """
 
     def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
-        #: payload -> (intern key, encoded body).
-        self._entries = IdentityMemo(capacity)
+        #: payload -> encoded body.
+        self._bodies = IdentityMemo(capacity)
 
     def encode(self, payload: object) -> tuple[object, bytes, bool]:
         """``(intern_key, body, freshly_encoded)`` for ``payload``."""
-        entry = self._entries.get(payload)
-        if entry is not None:
-            return entry[0], entry[1], False
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        intern_key: object = (
-            verification_digest(payload) if isinstance(payload, Message) else ("raw", body)
-        )
-        self._entries.put(payload, (intern_key, body))
-        return intern_key, body, True
+        body = self._bodies.get(payload)
+        fresh = body is None
+        if fresh:
+            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            self._bodies.put(payload, body)
+        key = payload.content_key if isinstance(payload, Message) else ("raw", body)
+        return key, body, fresh
 
 
 async def open_stream(address) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:

@@ -252,7 +252,6 @@ class ShardRuntime:
             on_deliver=lambda pid, message: self.nodes[pid].on_gossip(message),
             current_round=self.clock.current_round if bounded else None,
             seen_horizon_rounds=config.seen_horizon_rounds,
-            digests=verifier.digests,
         )
 
     def publish(self, pid: int, r: int, message: Message) -> None:

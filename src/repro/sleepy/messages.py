@@ -22,17 +22,45 @@ from dataclasses import dataclass, field
 
 from repro.chain.block import Block, BlockId
 from repro.chain.tally import EQUIVOCATED_VOTE, VoteSet
-from repro.crypto.hashing import hash_fields
+from repro.crypto.hashing import hash_fields, require_exact_types
 from repro.crypto.signatures import KeyRegistry, SecretKey, Signature
 from repro.crypto.vrf import VRFOutput, evaluate_vrf, verify_vrf
 
+_INT, _STR, _TIP = (int,), (str,), (str, type(None))
+
+
 @dataclass(frozen=True)
 class Message:
-    """Base class for signed, round-tagged messages."""
+    """Base class for signed, round-tagged messages.
+
+    **Well-typed by construction**: the constructor and ``__setstate__``
+    (the path pickle takes) accept exactly ``int`` / ``str`` / ``None`` in
+    every keyed field — what the canonical encoder signs, subclasses
+    refused — and raise :class:`TypeError` otherwise, so equal
+    :attr:`content_key` means equal content (``5 == 5.0 == True``).
+    """
 
     sender: int
     round: int
     signature: Signature = field(compare=False)
+
+    #: ``(field, exact types)`` per keyed field; kinds extend it.
+    _KEYED = (("sender", _INT), ("round", _INT), ("signature", _STR))
+
+    def __post_init__(self) -> None:
+        require_exact_types(self, self._KEYED)
+
+    @property
+    def content_key(self) -> tuple:
+        """The message's identity: its content, compared, not hashed.
+
+        A flat tuple — kind, claimed sender, signed fields, signature —
+        built per use from type-checked fields, **never** from
+        ``message_id`` (README, "Identifiers and where they are
+        computed").  Verdict tables, dedup and the wire's intern table
+        key by it; the kinds spell theirs out, this is the fallback.
+        """
+        return (type(self).__name__, self.sender, *self._signed_fields(), self.signature)
 
     @property
     def message_id(self) -> str:
@@ -50,10 +78,13 @@ class Message:
         return cached
 
     def __getstate__(self) -> dict:
-        state = self.__dict__
-        if "_message_id" in state:
-            state = {k: v for k, v in state.items() if k != "_message_id"}
-        return state
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __setstate__(self, state: dict) -> None:
+        # Declared fields only (no id a peer put in the state), type-checked.
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, state[name])
+        self.__post_init__()
 
     def _signed_fields(self) -> tuple:
         raise NotImplementedError
@@ -64,6 +95,12 @@ class VoteMessage(Message):
     """``[vote, Λ]_p`` sent in round ``round`` for the log with tip ``tip``."""
 
     tip: BlockId | None = None
+
+    _KEYED = (*Message._KEYED, ("tip", _TIP))
+
+    @property
+    def content_key(self) -> tuple:
+        return ("vote", self.sender, self.round, self.tip, self.signature)
 
     def _signed_fields(self) -> tuple:
         return ("vote", self.sender, self.round, self.tip)
@@ -80,6 +117,12 @@ class AckMessage(Message):
 
     tip: BlockId | None = None
 
+    _KEYED = VoteMessage._KEYED
+
+    @property
+    def content_key(self) -> tuple:
+        return ("ack", self.sender, self.round, self.tip, self.signature)
+
     def _signed_fields(self) -> tuple:
         return ("ack", self.sender, self.round, self.tip)
 
@@ -92,40 +135,56 @@ class ProposeMessage(Message):
     block: Block | None = None
     vrf: VRFOutput | None = None
 
+    _KEYED = (
+        *Message._KEYED,
+        ("view", _INT),
+        ("block", (Block, type(None))),
+        ("vrf", (VRFOutput, type(None))),
+    )
+
     @property
     def tip(self) -> BlockId | None:
         """Tip of the proposed log."""
         return self.block.block_id if self.block is not None else None
+
+    @property
+    def content_key(self) -> tuple:
+        block, vrf = self.block, self.vrf
+        if block is None or vrf is None:
+            return (*self._signed_fields(), self.signature)
+        return (
+            "propose", self.sender, self.round, self.view,
+            block.block_id, vrf.value_num, vrf.proof, self.signature,
+        )  # fmt: skip
 
     def _signed_fields(self) -> tuple:
         vrf_fields = (self.vrf.value_num, self.vrf.proof) if self.vrf else (0, "")
         return ("propose", self.sender, self.round, self.view, self.tip, *vrf_fields)
 
 
+def dedup_key(message: Message) -> object:
+    """What dissemination dedups by: ``message.content_key``, or a foreign
+    message type's (a test double's) ``message_id``."""
+    try:
+        return message.content_key
+    except AttributeError:
+        return message.message_id
+
+
 def make_vote(
     registry: KeyRegistry, key: SecretKey, round_number: int, tip: BlockId | None
 ) -> VoteMessage:
     """Create a signed vote message from ``key``'s holder."""
-    unsigned = VoteMessage(sender=key.pid, round=round_number, signature="", tip=tip)
-    return VoteMessage(
-        sender=key.pid,
-        round=round_number,
-        signature=registry.sign(key, *unsigned._signed_fields()),
-        tip=tip,
-    )
+    signature = registry.sign(key, "vote", key.pid, round_number, tip)
+    return VoteMessage(sender=key.pid, round=round_number, signature=signature, tip=tip)
 
 
 def make_ack(
     registry: KeyRegistry, key: SecretKey, round_number: int, tip: BlockId | None
 ) -> AckMessage:
     """Create a signed finality acknowledgement from ``key``'s holder."""
-    unsigned = AckMessage(sender=key.pid, round=round_number, signature="", tip=tip)
-    return AckMessage(
-        sender=key.pid,
-        round=round_number,
-        signature=registry.sign(key, *unsigned._signed_fields()),
-        tip=tip,
-    )
+    signature = registry.sign(key, "ack", key.pid, round_number, tip)
+    return AckMessage(sender=key.pid, round=round_number, signature=signature, tip=tip)
 
 
 def make_propose(
@@ -140,16 +199,11 @@ def make_propose(
     The VRF is evaluated on the view number, as in Algorithm 1.
     """
     vrf = evaluate_vrf(registry, key, view)
-    unsigned = ProposeMessage(
-        sender=key.pid, round=round_number, signature="", view=view, block=block, vrf=vrf
+    signature = registry.sign(
+        key, "propose", key.pid, round_number, view, block.block_id, vrf.value_num, vrf.proof
     )
     return ProposeMessage(
-        sender=key.pid,
-        round=round_number,
-        signature=registry.sign(key, *unsigned._signed_fields()),
-        view=view,
-        block=block,
-        vrf=vrf,
+        sender=key.pid, round=round_number, signature=signature, view=view, block=block, vrf=vrf
     )
 
 
@@ -169,27 +223,13 @@ def verify_message(registry: KeyRegistry, message: Message) -> bool:
 def check_payload(registry: KeyRegistry, message: Message) -> bool:
     """The non-signature half of :func:`verify_message`: proposal VRFs."""
     if isinstance(message, ProposeMessage):
-        if message.block is None or message.vrf is None:
-            return False
-        return verify_vrf(registry, message.sender, message.view, message.vrf)
+        return message.block is not None and verify_vrf(
+            registry, message.sender, message.view, message.vrf
+        )
     return True
 
 
-def verification_digest(message: Message) -> str:
-    """Canonical digest a verifier keys its verdict table by.
-
-    Recomputed from the message's content — kind, claimed sender, signed
-    fields, signature — and **never** read from ``message.message_id``
-    (README, "Identifiers and where they are computed").  Per-arrival
-    callers go through a :class:`DigestMemo`, which pays this hash once
-    per object.
-    """
-    return hash_fields(
-        "verified", type(message).__name__, message.sender, *message._signed_fields(), message.signature
-    )
-
-
-#: Entries a :class:`DigestMemo` or an encoded-payload cache keeps.
+#: Entries an identity-keyed memo (the encoded-payload cache) keeps.
 #: Every entry pins its object — a decoded proposal owns its block and
 #: transactions — so it is a few rounds' worth, not a run's.
 IDENTITY_MEMO_CAPACITY = 256
@@ -198,9 +238,9 @@ IDENTITY_MEMO_CAPACITY = 256
 class IdentityMemo:
     """LRU memo of one value per *object*, keyed by ``id``.
 
-    The one implementation behind :class:`DigestMemo`, the ingest
-    pipeline's batch memo and the wire's encoded-payload cache.  An
-    entry holds a strong reference to its key object, so the ``id``
+    The one implementation behind the ingest pipeline's batch memo and
+    the wire's encoded-payload cache.  An entry holds a strong
+    reference to its key object, so the ``id``
     cannot be recycled while the entry lives, and lookups compare with
     ``is``, so an ``id`` recycled after eviction cannot alias.  Identity
     is unforgeable: an adversary-constructed object is a different
@@ -239,49 +279,24 @@ class IdentityMemo:
             entries.popitem(last=False)
 
 
-class DigestMemo(IdentityMemo):
-    """:func:`verification_digest` once per message *object*.
-
-    The digest is always computed from content on the first sight of an
-    object and never read from the instance; a miss (or an eviction)
-    falls back to hashing, so the memo changes cost, never behaviour.
-    One per process: the ingest pipeline owns it and the dissemination
-    layer in front of the pipeline (the simulator's ``MessageBus``, a
-    shard's ``GossipNetwork``) is constructed on the same one.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
-        super().__init__(capacity)
-
-    def digest(self, message: Message) -> str:
-        """``verification_digest(message)``, hashed at most once per object."""
-        digest = self.get(message)
-        if digest is None:
-            digest = verification_digest(message)
-            self.put(message, digest)
-        return digest
-
-
 #: Default capacity of a :class:`MessageInterner`: one entry per
 #: *logical* message, which covers n·rounds of votes and proposals at
 #: the repository's experiment scales, and bounds what a Byzantine flood
 #: of distinct messages can pin in memory.
 DEFAULT_INTERNER_CAPACITY = 1 << 17
 
-#: A digest's entry in a :class:`MessageInterner` when verification
+#: A key's entry in a :class:`MessageInterner` when verification
 #: rejected the message: known junk is not verified again.
 REJECTED = object()
 
 
 class MessageInterner:
-    """The verifier's one verdict table: ``digest -> canonical message | REJECTED``.
+    """The verifier's one verdict table: ``content key -> canonical message | REJECTED``.
 
-    The digest is computed *by the verifier* from a message's canonical
-    content (kind, claimed sender, signed fields, signature) and never
-    taken from the message object, whose memoised ``message_id`` is
-    attacker-supplied state.  In a multicast model every process
+    The key is a message's :attr:`~Message.content_key` — kind, claimed
+    sender, signed fields, signature, compared exactly — never its
+    memoised ``message_id``, which is attacker-supplied state.  In a
+    multicast model every process
     verifies the same messages, so one shared table turns n·messages
     verifications into one per logical message, and an accepted verdict
     *is* the first verified instance: the bus, vote stores, traces and
@@ -301,13 +316,13 @@ class MessageInterner:
         if capacity <= 0:
             raise ValueError("interner capacity must be positive")
         self._capacity = capacity
-        self._by_digest: OrderedDict[str, object] = OrderedDict()
-        # Not an IdentityMemo: membership follows ``_by_digest``'s LRU
+        self._by_key: OrderedDict[tuple, object] = OrderedDict()
+        # Not an IdentityMemo: membership follows ``_by_key``'s LRU
         # (evicted in the same step) and there is no value to hold.
         self._canonical_ids: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._by_digest)
+        return len(self._by_key)
 
     @property
     def capacity(self) -> int:
@@ -318,33 +333,33 @@ class MessageInterner:
         """Whether ``message`` *is* (identically) an interned instance."""
         return id(message) in self._canonical_ids
 
-    def lookup(self, digest: str) -> object:
-        """The canonical instance for ``digest``, :data:`REJECTED`, or
-        ``None`` when the digest has no verdict yet."""
-        known = self._by_digest.get(digest)
+    def lookup(self, key: tuple) -> object:
+        """The canonical instance for ``key``, :data:`REJECTED`, or
+        ``None`` when the key has no verdict yet."""
+        known = self._by_key.get(key)
         if known is not None:
-            self._by_digest.move_to_end(digest)
+            self._by_key.move_to_end(key)
         return known
 
-    def intern(self, message: Message, digest: str) -> Message:
-        """Make ``message`` canonical for ``digest`` (first instance wins)."""
-        existing = self._by_digest.get(digest)
+    def intern(self, message: Message, key: tuple) -> Message:
+        """Make ``message`` canonical for ``key`` (first instance wins)."""
+        existing = self._by_key.get(key)
         if existing is not None and existing is not REJECTED:
-            self._by_digest.move_to_end(digest)
+            self._by_key.move_to_end(key)
             return existing  # type: ignore[return-value]
-        self._by_digest[digest] = message
+        self._by_key[key] = message
         self._canonical_ids.add(id(message))
         self._evict()
         return message
 
-    def reject(self, digest: str) -> None:
-        """Record that the message with ``digest`` failed verification."""
-        self._by_digest[digest] = REJECTED
+    def reject(self, key: tuple) -> None:
+        """Record that the message with ``key`` failed verification."""
+        self._by_key[key] = REJECTED
         self._evict()
 
     def _evict(self) -> None:
-        while len(self._by_digest) > self._capacity:
-            _, evicted = self._by_digest.popitem(last=False)
+        while len(self._by_key) > self._capacity:
+            _, evicted = self._by_key.popitem(last=False)
             self._canonical_ids.discard(id(evicted))
 
 

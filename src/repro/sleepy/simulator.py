@@ -97,7 +97,7 @@ class Simulation:
         }
 
         #: The dissemination layer (indexed per-recipient delivery state).
-        self.bus = MessageBus(registry.n, self.pipeline.digests)
+        self.bus = MessageBus(registry.n)
         self.trace = Trace(n=registry.n, tree=self._tree, meta=dict(meta or {}))
 
     # ------------------------------------------------------------------

@@ -30,6 +30,12 @@ def test_verification_binds_to_message(registry):
 def test_garbage_signature_rejected(registry):
     assert not registry.verify(3, "00" * 32, "vote", 7)
     assert not registry.verify(99, "00" * 32, "vote", 7)  # unknown pid
+    # A claimed signature is the sender's to choose: one ``compare_digest``
+    # cannot take is rejected, by both doors, and costs nobody else's verdict.
+    assert not registry.verify(3, "é" * 64, "vote", 7)
+    good = registry.sign(registry.secret_key(3), "vote", 7)
+    claims = [(3, "é" * 64, ("vote", 7)), (3, good, ("vote", 7)), (3, "", ("vote", 7))]
+    assert registry.verify_batch(claims) == [False, True, False]
 
 
 def test_keys_are_deterministic_per_run_seed():

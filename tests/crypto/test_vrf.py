@@ -1,7 +1,13 @@
 """Simulated VRF: determinism, verifiability, uniformity, unforgeability."""
 
-from repro.crypto.signatures import KeyRegistry
-from repro.crypto.vrf import VRFOutput, evaluate_vrf, sortition_value, verify_vrf
+from repro.crypto.signatures import KeyRegistry, SecretKey
+from repro.crypto.vrf import (
+    VRF_MEMO_PER_PROCESS,
+    VRFOutput,
+    evaluate_vrf,
+    sortition_value,
+    verify_vrf,
+)
 
 
 def test_vrf_is_deterministic(registry):
@@ -61,3 +67,56 @@ def test_sortition_ranking_is_exact(registry):
     a = evaluate_vrf(registry, registry.secret_key(0), 1)
     b = evaluate_vrf(registry, registry.secret_key(1), 1)
     assert (sortition_value(a) > sortition_value(b)) == (a.value_num > b.value_num)
+
+
+# ----------------------------------------------------------------------
+# One canonical evaluation per (pid, view), memoised on the registry
+# ----------------------------------------------------------------------
+def test_verify_rejects_everything_but_the_canonical_evaluation(registry):
+    output = evaluate_vrf(registry, registry.secret_key(5), 3)
+    assert verify_vrf(registry, 5, 3, output)
+    assert not verify_vrf(registry, 5, 3, VRFOutput(output.value_num + 1, output.proof))
+    assert not verify_vrf(registry, 5, 3, VRFOutput(output.value_num, output.proof[::-1]))
+    assert not verify_vrf(registry, 5, 3, VRFOutput(output.value_num, "é" * 64))
+    assert not verify_vrf(registry, 5, 3, None)
+    # An unknown pid, and inputs that merely compare equal to a real one.
+    for pid in (registry.n, -1, True, 5.0, None):
+        assert not verify_vrf(registry, pid, 3, output)
+    for view in (3.0, True, "3", None):
+        assert not verify_vrf(registry, 5, view, output)
+    assert list(registry.vrf_memo) == [(5, 3)]
+
+
+def test_verification_reads_the_proposers_evaluation_and_signs_nothing(registry, monkeypatch):
+    output = evaluate_vrf(registry, registry.secret_key(5), 3)
+    monkeypatch.setattr(registry, "sign", None)  # any tag computation would raise
+    assert verify_vrf(registry, 5, 3, output)
+    assert evaluate_vrf(registry, registry.secret_key(5), 3) is output
+
+
+def test_memo_stays_bounded_under_chaff_views_and_honest_views_still_verify(registry):
+    capacity = VRF_MEMO_PER_PROCESS * registry.n
+    honest = evaluate_vrf(registry, registry.secret_key(2), 7)
+    chaff = VRFOutput(value_num=1, proof="00" * 32)
+    for view in range(100, 100 + 10 * capacity):
+        assert not verify_vrf(registry, 9, view, chaff)
+        assert len(registry.vrf_memo) <= capacity
+    assert (2, 7) not in registry.vrf_memo  # evicted, and merely evaluated again:
+    assert verify_vrf(registry, 2, 7, honest)
+    assert evaluate_vrf(registry, registry.secret_key(2), 7) == honest
+
+
+def test_a_wrong_seed_key_neither_reads_nor_enters_the_memo(registry):
+    honest = evaluate_vrf(registry, registry.secret_key(4), 1)
+    impostor = SecretKey(pid=4, seed=b"not the registered seed")
+    forged = evaluate_vrf(registry, impostor, 1)
+    assert forged != honest and not verify_vrf(registry, 4, 1, forged)
+    assert registry.vrf_memo[4, 1] is honest
+    # Nor when the impostor comes first.
+    forged = evaluate_vrf(registry, SecretKey(pid=6, seed=b"x"), 1)
+    assert (6, 1) not in registry.vrf_memo
+    assert not verify_vrf(registry, 6, 1, forged)
+    assert verify_vrf(registry, 6, 1, evaluate_vrf(registry, registry.secret_key(6), 1))
+    # A key for a pid the registry never registered is evaluated as presented.
+    stranger = evaluate_vrf(registry, SecretKey(pid=registry.n + 3, seed=b"y"), 1)
+    assert not verify_vrf(registry, registry.n + 3, 1, stranger)

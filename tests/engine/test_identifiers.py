@@ -1,39 +1,44 @@
 """Identifiers and where they are computed (README, *Architecture*).
 
-Ids are computed at construction or by the consumer's ``DigestMemo``,
-never carried by a pickle, never read from a sender-writable slot — and
-each is hashed once, which the last test pins for a whole deployment.
+Ids are computed at construction, never carried by a pickle, never read
+from a sender-writable slot.  A message's identity is its content key —
+compared, not hashed, nothing memoised — so hashing grows with the
+blocks and transactions a run creates and with nothing per message,
+which the last tests count for whole runs.
 """
 
+import gc
 import pickle
 import sys
+import weakref
 
 import pytest
 
 import repro.crypto.hashing as hashing
-import repro.sleepy.messages as sleepy_messages
 from repro.chain.block import Block
 from repro.chain.transactions import Transaction
+from repro.engine.bus import MessageBus
 from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.ingest import IngestPipeline
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
+from repro.net.gossip import GossipNetwork
 from repro.net.socket_transport import EncodedPayloadCache, decode_batch, encode_batch
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
-    DigestMemo,
+    IdentityMemo,
+    ProposeMessage,
     make_propose,
     make_vote,
-    verification_digest,
 )
 from repro.workloads import SubmissionRateWorkload
+from tests.net.conftest import NoLinks
 
 FORGED = "f0" * 32
 
 
-@pytest.fixture
-def hash_calls(monkeypatch) -> list[int]:
-    """``calls[0]`` counts ``hash_fields`` calls through every ``repro`` binding."""
-    original = hashing.hash_fields
+def _counted(monkeypatch, original) -> list[int]:
+    """``calls[0]`` counts calls of ``original`` through every ``repro`` binding."""
     calls = [0]
 
     def counted(*fields):
@@ -46,6 +51,18 @@ def hash_calls(monkeypatch) -> list[int]:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def hash_calls(monkeypatch) -> list[int]:
+    """``hash_fields`` calls (each is also one ``encode_fields`` call)."""
+    return _counted(monkeypatch, hashing.hash_fields)
+
+
+@pytest.fixture
+def encode_calls(monkeypatch) -> list[int]:
+    """``encode_fields`` calls: every signature, tag check, VRF label and hash."""
+    return _counted(monkeypatch, hashing.encode_fields)
 
 
 def _proposal(registry, genesis, txs=2):
@@ -124,60 +141,77 @@ def test_blocks_of_one_pickle_share_their_transactions(genesis):
 
 
 # ----------------------------------------------------------------------
-# (b) DigestMemo
+# (b) Content keys: identity without a hash or a memo
 # ----------------------------------------------------------------------
-def test_digest_memo_hashes_an_object_once(registry, genesis, hash_calls):
+def test_content_key_costs_no_hash_and_no_encoding(registry, genesis, encode_calls):
+    """Keying a message, and keying it again, encodes and hashes nothing —
+    nor does publishing it, deduplicating it or choosing it for delivery."""
     vote = make_vote(registry, registry.secret_key(2), 5, genesis.block_id)
-    memo = DigestMemo()
-    hash_calls[0] = 0
-    first = memo.digest(vote)
-    assert hash_calls[0] == 1 and first == verification_digest(vote)
-    hash_calls[0] = 0
-    assert memo.digest(vote) is first
-    assert hash_calls[0] == 0
+    propose = _proposal(registry, genesis)
+    encode_calls[0] = 0
+    for message in (vote, propose):
+        first = message.content_key
+        assert message.content_key == first and {first: 1}[message.content_key] == 1
+    bus = MessageBus(4)
+    assert bus.publish(vote) and not bus.publish(vote)
+    bus.deliver_chosen(0, [vote])
+    assert encode_calls[0] == 0
 
 
-def test_digest_memo_rehashes_an_equal_but_distinct_object(registry, genesis, hash_calls):
+def test_content_key_of_an_equal_but_distinct_object_is_equal(registry, genesis, encode_calls):
+    """An equal twin carries an equal key and finds the first's verdict
+    without a hash; an id on the instance is never believed."""
     key = registry.secret_key(2)
     vote, twin = (make_vote(registry, key, 5, genesis.block_id) for _ in range(2))
     assert vote == twin and vote is not twin
-    memo = DigestMemo()
-    first = memo.digest(vote)
-    hash_calls[0] = 0
-    assert memo.digest(twin) == first
-    assert hash_calls[0] == 1
-    # Nor does it believe a slot on the instance: a transplanted id on a
-    # different message is a different object with its own digest.
+    pipeline = IngestPipeline(registry)
+    assert pipeline.verify(vote)
+    encode_calls[0] = 0
+    assert twin.content_key == vote.content_key
+    assert pipeline.verify(twin) and pipeline.interner.lookup(twin.content_key) is vote
+    assert encode_calls[0] == 0  # a table hit: no second signature check either
+    # A transplanted id on a different message does not transplant the key.
     other = make_vote(registry, registry.secret_key(3), 5, genesis.block_id)
     object.__setattr__(other, "_message_id", vote.message_id)
-    assert memo.digest(other) == verification_digest(other) != first
+    assert other.content_key != vote.content_key
 
 
-def test_digest_memo_is_bounded_and_cannot_alias_a_recycled_id(registry, hash_calls):
+def test_a_seen_key_pins_no_message(registry):
+    """A seen index holds keys, and a key holds field values only: no
+    message object stays alive because it was once disseminated."""
     key = registry.secret_key(0)
-    memo = DigestMemo()
+    network = GossipNetwork(NoLinks(), {0: ()}, on_deliver=lambda pid, message: None)
     votes = [make_vote(registry, key, r, None) for r in range(IDENTITY_MEMO_CAPACITY + 10)]
-    digests = [memo.digest(vote) for vote in votes]
-    assert len(memo) == IDENTITY_MEMO_CAPACITY
-    # The oldest entries are gone: they hash again, to the same digest.
-    hash_calls[0] = 0
-    assert memo.digest(votes[0]) == digests[0]
-    assert hash_calls[0] == 1
-    # The newest are still there.
-    hash_calls[0] = 0
-    assert memo.digest(votes[-1]) == digests[-1]
-    assert hash_calls[0] == 0
+    for vote in votes:
+        network.nodes[0].publish(vote)
+    assert set(network.seen.holders) == {vote.content_key for vote in votes}
+    watched = [weakref.ref(vote) for vote in votes]
+    del votes, vote
+    gc.collect()
+    assert len(network.seen) == len(watched) and not any(ref() for ref in watched)
+
+
+def test_identity_memo_is_bounded_and_cannot_alias_a_recycled_id(registry):
+    """What is keyed by ``id`` — the batch memo, the encoded-payload
+    cache — is bounded and answers only for the object it holds."""
+    key = registry.secret_key(0)
+    memo = IdentityMemo(4)
+    votes = [make_vote(registry, key, r, None) for r in range(10)]
+    for r, vote in enumerate(votes):
+        memo.put(vote, r)
+    assert len(memo) == 4
+    assert memo.get(votes[0]) is None and memo.get(votes[-1]) == 9
     # An entry is only ever answered for the very object it holds: plant
     # a stale entry under a live object's id, as a recycled id would.
     live = make_vote(registry, key, 999, None)
-    memo._entries[id(live)] = (votes[-1], digests[-1])
-    assert memo.digest(live) == verification_digest(live) != digests[-1]
+    memo._entries[id(live)] = (votes[-1], 9)
+    assert memo.get(live) is None
 
 
 # ----------------------------------------------------------------------
-# (c) A deployment hashes each thing once
+# (c) Hashing grows with blocks and transactions, never with messages
 # ----------------------------------------------------------------------
-def test_deployment_hashing_grows_with_objects_not_with_arrivals(hash_calls):
+def test_deployment_hashing_grows_with_objects_not_with_arrivals(hash_calls, encode_calls):
     n, rounds, rate = 6, 12, 4
     spec = RunSpec(
         n=n,
@@ -187,56 +221,58 @@ def test_deployment_hashing_grows_with_objects_not_with_arrivals(hash_calls):
         seed=3,
         transactions=SubmissionRateWorkload(rate_per_round=rate, seed=3),
     )
-    hash_calls[0] = 0
+    hash_calls[0] = encode_calls[0] = 0
     result = DeploymentBackend(delta_s=0.01).execute(spec)
-    spent = hash_calls[0]
+    hashed, encoded = hash_calls[0], encode_calls[0]
 
     trace = result.trace
     assert trace.decisions
-    messages = sum(r.votes_sent + r.proposes_sent + r.other_sent for r in trace.rounds)
+    proposals = sum(r.proposes_sent for r in trace.rounds)
+    messages = proposals + sum(r.votes_sent + r.other_sent for r in trace.rounds)
     transactions = rate * rounds
     blocks = len(trace.tree)
     arrivals = result.extras["gossip"]["delivered"] + result.extras["gossip"]["duplicates"]
-    # One digest per message in the process's one memo (gossip and
-    # ingest share it — a second memo would make it two); checksum, id
-    # and one memoised validity check per created transaction; one id
-    # per created block.  The rest covers the genesis block every tree
-    # starts from.
-    budget = messages + 3 * transactions + blocks + 4 * n + 16
-    assert spent <= budget, (spent, budget)
-    # The run is one where the old per-arrival hashing alone would not fit.
-    assert arrivals > budget
+    # Checksum, id and one memoised validity check per created
+    # transaction; one id per created block.  The rest covers the
+    # genesis block every tree starts from.  Nothing per message.
+    budget = 3 * transactions + blocks + 4 * n + 16
+    assert hashed <= budget, (hashed, budget)
+    # Beyond the hashes: a signature and a tag check per message, two VRF
+    # labels per proposal, the registry's n seeds and 2n keyed states —
+    # and zero per gossip arrival, of which there are far more.
+    assert encoded <= hashed + 2 * messages + 2 * proposals + 3 * n, (encoded, hashed, messages)
+    assert arrivals > encoded
 
 
 def test_simulator_hashes_a_message_once_for_dedup_and_verification(hash_calls):
-    """The bus and the ingest pipeline of one run draw digests from one
-    memo: publish dedup hashes a message, verification finds it there."""
+    """Publish dedup and verification key a message by content: what is
+    left to hash in a run is one id per block built."""
     spec = RunSpec(n=6, rounds=10, protocol="resilient", eta=4, seed=3)
     simulation = SimulationBackend().build(spec)
-    assert simulation.bus._digests is simulation.pipeline.digests
     hash_calls[0] = 0
     simulation.run(10)
-    messages, blocks = simulation.bus.total_published, len(simulation.chain.tree)
-    assert simulation.trace.decisions
-    # One digest per message, one id per block (plus the genesis ids).
-    assert hash_calls[0] <= messages + blocks + 8, (hash_calls[0], messages, blocks)
+    blocks = len(simulation.chain.tree)
+    assert simulation.trace.decisions and simulation.bus.total_published > 2 * blocks
+    # One id per block (plus the genesis ids), and nothing per message.
+    assert hash_calls[0] <= blocks + 8, (hash_calls[0], blocks)
 
 
-def test_simulator_hashes_a_message_once_at_any_n(monkeypatch):
-    """The shared memo holds a whole round's messages between publish
-    and ingest, however many processes send one: n = 200 publishes 400
-    a round, more than the memo's floor."""
-    digested = [0]
-    original = sleepy_messages.verification_digest
-
-    def counted(message):
-        digested[0] += 1
-        return original(message)
-
-    monkeypatch.setattr(sleepy_messages, "verification_digest", counted)
-    spec = RunSpec(n=200, rounds=8, protocol="resilient", eta=2, seed=3)
-    simulation = SimulationBackend().build(spec)
-    simulation.run(8)
-    assert simulation.bus.total_published > IDENTITY_MEMO_CAPACITY * 8
-    assert digested[0] == simulation.bus.total_published
-    assert simulation.pipeline.stats["crypto_verifications"] == simulation.bus.total_published
+def test_simulator_hashes_nothing_per_message_at_any_n(hash_calls, encode_calls):
+    """The counts a run's crypto comes to, exactly, at a small n and at
+    one that publishes 400 messages a round."""
+    for n in (50, 200):
+        spec = RunSpec(n=n, rounds=8, protocol="resilient", eta=2, seed=3)
+        simulation = SimulationBackend().build(spec)
+        hash_calls[0] = encode_calls[0] = 0
+        simulation.run(8)
+        published = simulation.bus.round_messages
+        proposals = sum(type(m) is ProposeMessage for r in range(8) for m in published(r))
+        votes = simulation.bus.total_published - proposals
+        assert proposals and votes > IDENTITY_MEMO_CAPACITY
+        assert simulation.pipeline.stats["crypto_verifications"] == votes + proposals
+        # ``hash_fields``: the id of the block each proposal built, nothing else.
+        assert hash_calls[0] == proposals
+        # ``encode_fields``: sign + verify per vote; per proposal two VRF
+        # labels (once: the verifier reads the proposer's evaluation), sign,
+        # verify and the block id; the 2n keyed states, fed on first use.
+        assert encode_calls[0] == 2 * votes + 5 * proposals + 2 * n

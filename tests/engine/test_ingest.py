@@ -137,9 +137,9 @@ def test_verification_cache_is_lru_bounded(registry, genesis):
         assert verifier.verify(vote)
         assert not verifier.verify(junk)
     assert len(table) == 4
-    assert table.lookup(verifier.digests.digest(forged[-1])) is REJECTED
-    assert table.lookup(verifier.digests.digest(votes[-1])) is votes[-1]
-    assert table.lookup(verifier.digests.digest(votes[0])) is None
+    assert table.lookup(forged[-1].content_key) is REJECTED
+    assert table.lookup(votes[-1].content_key) is votes[-1]
+    assert table.lookup(votes[0].content_key) is None
     # An evicted rejection is merely checked again, to the same verdict.
     assert not verifier.verify(forged[0])
     assert verifier.stats["crypto_verifications"] == 17

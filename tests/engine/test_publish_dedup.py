@@ -107,3 +107,25 @@ def test_equal_content_distinct_instance_is_choosable(registry, genesis):
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
     bus.deliver_chosen(0, [clone])
     assert bus.deliverable(0) == []
+
+
+def test_a_choice_mixing_pending_objects_twins_and_repeats(registry, genesis, monkeypatch):
+    """Pending objects are taken out by identity; one twin among the
+    chosen sends the whole choice down the content path, which keys the
+    backlog once, tolerates a repeat, and names a stray by its key —
+    never by a ``message_id`` it would have to hash."""
+    bus = MessageBus(1)
+    bus.begin_round(0)
+    votes = [make_vote(registry, registry.secret_key(pid), 0, genesis.block_id) for pid in range(6)]
+    for vote in votes:
+        assert bus.publish(vote)
+    bus.deliver_chosen(0, [votes[4], votes[1], votes[4]])
+    assert [m.sender for m in bus.deliverable(0)] == [0, 2, 3, 5]
+    twin = VoteMessage(sender=2, round=0, signature=votes[2].signature, tip=genesis.block_id)
+    bus.deliver_chosen(0, [votes[0], twin, twin])
+    assert [m.sender for m in bus.deliverable(0)] == [3, 5]
+    monkeypatch.setattr(VoteMessage, "message_id", property(lambda self: 1 / 0))
+    stray = make_vote(registry, registry.secret_key(7), 0, genesis.block_id)
+    with pytest.raises(UndeliverableMessageError, match=stray.signature):
+        bus.deliver_chosen(0, [votes[3], stray])
+    assert [m.sender for m in bus.deliverable(0)] == [3, 5]

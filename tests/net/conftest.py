@@ -1,4 +1,5 @@
-"""What the transport tests share: a collecting subscriber and a virtual clock."""
+"""What the transport tests share: a collecting subscriber, a fabric with no
+links, and a virtual clock."""
 
 from __future__ import annotations
 
@@ -33,6 +34,14 @@ class Collector:
             while len(self.frames[pid]) < count:
                 await asyncio.sleep(0.0005)
         return self.frames[pid][:count]
+
+
+class NoLinks:
+    """A fabric for gossip nodes without neighbours: what a node ingests
+    is exactly what it was handed."""
+
+    def subscribe(self, pid: int, handler) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from repro.crypto.signatures import KeyRegistry
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
-from repro.sleepy.messages import make_vote, verification_digest
+from repro.sleepy.messages import make_vote
 
 from tests.net.conftest import run_virtual
 
@@ -138,7 +138,7 @@ def test_transplanted_id_cannot_censor_honest_message():
     The adversary floods a junk message whose memoised ``_message_id``
     slot is overwritten with the honest message's id.  Under the old
     id-keyed dedup every node marked that id seen and refused to flood
-    the honest message; under content-digest dedup the two messages have
+    the honest message; under content-keyed dedup the two messages have
     different keys and both flood.
     """
 
@@ -150,7 +150,7 @@ def test_transplanted_id_cannot_censor_honest_message():
         network = GossipNetwork(
             transport,
             regular_topology(n, 3, seed=0),
-            on_deliver=lambda pid, m: delivered[pid].append(verification_digest(m)),
+            on_deliver=lambda pid, m: delivered[pid].append(m.content_key),
         )
         transport.start()
         honest = make_vote(registry, registry.secret_key(0), 0, None)
@@ -167,9 +167,9 @@ def test_transplanted_id_cannot_censor_honest_message():
         return delivered, honest
 
     delivered, honest = asyncio.run(scenario())
-    honest_digest = verification_digest(honest)
+    honest_key = honest.content_key
     for pid in range(10):
-        assert honest_digest in delivered[pid], f"node {pid} censored the honest message"
+        assert honest_key in delivered[pid], f"node {pid} censored the honest message"
 
 
 def test_dissemination_survives_sleeping_originator_during_surge():
@@ -377,7 +377,7 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
         key: make_vote(registry, registry.secret_key(sender), round_number, None)
         for key, (sender, round_number) in {"m1": (0, 0), "m2": (5, 0), "m3": (9, 1)}.items()
     }
-    keys = {verification_digest(vote): key for key, vote in votes.items()}
+    keys = {vote.content_key: key for key, vote in votes.items()}
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -387,7 +387,7 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
             transport,
             topology,
             on_deliver=lambda pid, m: arrivals.setdefault(
-                (pid, keys[verification_digest(m)]), loop.time()
+                (pid, keys[m.content_key]), loop.time()
             ),
         )
         transport.start()

@@ -20,6 +20,7 @@ from repro.net.socket_transport import (
 )
 
 from tests.net.conftest import Collector
+from tests.sleepy.test_content_key import ill_typed_bodies
 
 
 def test_frame_roundtrip():
@@ -407,8 +408,17 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
         with pytest.raises(ValueError, match="undecodable batch body"):
             decode_batch(poisoned[4:], DecodedBodyMemo())
         junk += poisoned
+    # So does a body that would decode to an ill-typed message — a float
+    # round, a bool sender, a str subclass for a tip: its ``__setstate__``
+    # raises, and no such object ever reaches gossip or the verifier.
+    ill_typed = ill_typed_bodies()
+    for body in ill_typed:
+        (poisoned,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
+        with pytest.raises(ValueError, match="undecodable batch body: TypeError"):
+            decode_batch(poisoned[4:], DecodedBodyMemo())
+        junk += poisoned
     b = _deliver_raw(tmp_path, junk)
-    assert b.frames_rejected == 2 + len(_POISONED_BODIES)
+    assert b.frames_rejected == 2 + len(_POISONED_BODIES) + len(ill_typed)
     assert b.batches_received == 1 and b.frames_received == 2
     assert b.misrouted_count == 0
 
