@@ -137,7 +137,8 @@ class SharedChain:
 
         For structures that are *content-derived* from verified message
         fields — identical no matter which receiver computes them (e.g.
-        the per-view max-VRF proposal order) — so n receivers can intern
+        the per-view max-VRF proposal order, or a graded agreement's
+        reads keyed by the window tallied) — so n receivers can intern
         one copy instead of each maintaining its own.  Callers must only
         store data every receiver would reconstruct identically; nothing
         receiver-local belongs here.
@@ -161,9 +162,11 @@ class ChainView:
     adding them one by one would.
     """
 
-    __slots__ = ("_tree", "_index", "_stretch", "_floor", "_extra", "_count", "_leaves")
+    __slots__ = ("chain", "_tree", "_index", "_stretch", "_floor", "_extra", "_count", "_leaves")
 
     def __init__(self, chain: SharedChain) -> None:
+        #: The chain this view filters (its run-shared structures hang off it).
+        self.chain = chain
         self._tree = chain.tree
         self._stretch = chain.stretch
         # The chain's live id -> intern index map, held directly: every

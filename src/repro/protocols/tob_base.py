@@ -76,7 +76,7 @@ from repro.chain.store import BlockBuffer
 from repro.chain.tally import grade_thresholds
 from repro.chain.transactions import Mempool
 from repro.chain.tree import BlockTree
-from repro.core.extended_ga import GradedAgreement
+from repro.core.extended_ga import GARead, GradedAgreement
 from repro.crypto.signatures import SecretKey
 from repro.protocols.graded_agreement import DEFAULT_BETA, GAOutput
 from repro.sleepy.messages import (
@@ -201,7 +201,7 @@ class SleepyTOBProcess(Process):
         view = (r + 1) // 2
         longest_any = GENESIS_TIP  # L_0: the empty log
         if view >= 2:
-            m, longest_grade1, longest_any = self._ga_longest(r - 1)
+            m, longest_grade1, longest_any, _ = self._ga_longest(r - 1)
             if m:
                 self._decide(longest_grade1, r, view - 1)
             else:
@@ -212,7 +212,7 @@ class SleepyTOBProcess(Process):
 
     def _send_round_two(self, r: int) -> Sequence[Message]:
         view = r // 2
-        m, input_tip, c_v = self._ga_longest(r - 1)
+        m, input_tip, c_v, _ = self._ga_longest(r - 1)
         if not m:
             input_tip = c_v = self.delivered_tip  # m = 0 fallback (see module docs)
 
@@ -314,20 +314,22 @@ class SleepyTOBProcess(Process):
     # ------------------------------------------------------------------
     # Algorithm steps
     # ------------------------------------------------------------------
-    def _ga_longest(self, ga_round: int) -> tuple[int, BlockId | None, BlockId | None]:
-        """``(m, longest grade-1 log, longest graded log)`` of the GA started
-        in ``ga_round`` — all Algorithm 1 reads of it."""
+    def _ga_longest(self, ga_round: int) -> GARead:
+        """``(m, longest grade-1 log, longest graded log, its count)`` of
+        the GA started in ``ga_round`` — all Algorithm 1 reads of it."""
         read = self._ga.longest(max(0, ga_round - self.eta), ga_round)
         if self._record_telemetry:
-            self._sample_tally(ga_round, *read[:2])
+            self._sample_tally(ga_round, read)
         return read
 
     def _ga_output(self, ga_round: int) -> GAOutput:
         """The same GA's full output, enumerated (what the suites inspect)."""
         return self._ga.output(max(0, ga_round - self.eta), ga_round)
 
-    def _sample_tally(self, ga_round: int, m: int, best_tip: BlockId | None) -> None:
-        best_count = self._ga.tally.count(best_tip)
+    def _sample_tally(self, ga_round: int, read: GARead) -> None:
+        # From the read itself: a shared tally holds whichever window was
+        # tallied last, not necessarily this receiver's.
+        m, best_tip, _, best_count = read
         self.telemetry.append(
             TallySample(
                 ga_round=ga_round,

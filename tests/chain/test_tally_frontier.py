@@ -71,9 +71,11 @@ def test_the_frontier_reads_equal_the_enumeration_of_a_recount(kind, shape, data
     ga = GradedAgreement(tree, beta)
     for pid, tip in cast.items():
         ga.votes.record(pid, 0, tip)
-    m, longest_grade1, longest_any = ga.longest(0, 0)
-    assert dict(ga.tally.votes) == votes  # the unknown tip is left out, not counted
+    m, longest_grade1, longest_any, grade1_count = ga.longest(0, 0)
+    tally = ga.reads.tally
+    assert dict(tally.votes) == votes  # the unknown tip is left out, not counted
     assert m == len(votes)
+    assert grade1_count == tally.count(longest_grade1)
 
     grade1, grade0 = recount(plain, votes, beta)
     output = ga.output(0, 0)
@@ -81,21 +83,21 @@ def test_the_frontier_reads_equal_the_enumeration_of_a_recount(kind, shape, data
     threshold1, threshold0 = grade_thresholds(beta, m)
     if m == 0:
         assert grade1 == grade0 == ()
-        assert (longest_grade1, longest_any) == (GENESIS_TIP, GENESIS_TIP)
-        assert ga.tally.deepest_above(threshold1) is None
-        assert ga.tally.deepest_above(threshold0) is None
+        assert (longest_grade1, longest_any, grade1_count) == (GENESIS_TIP, GENESIS_TIP, 0)
+        assert tally.deepest_above(threshold1) is None
+        assert tally.deepest_above(threshold0) is None
         return
     assert longest_grade1 == plain.longest(grade1)
     assert longest_any == plain.longest(grade1 + grade0)
-    depth, tip = ga.tally.deepest_above(threshold1)
+    depth, tip = tally.deepest_above(threshold1)
     assert (depth, tip) == (plain.depth(longest_grade1), longest_grade1)
 
     # A set_votes that fails moves neither the reads nor the enumeration.
     with pytest.raises(UnknownBlockError):
-        ga.tally.set_votes({**votes, 99: UNKNOWN_TIP, 0: GENESIS_TIP})
-    assert ga.tally.deepest_above(threshold1) == (depth, tip)
-    assert ga.tally.deepest_above(threshold0)[1] == longest_any
-    assert ga.tally.grade(beta) == output
+        tally.set_votes({**votes, 99: UNKNOWN_TIP, 0: GENESIS_TIP})
+    assert tally.deepest_above(threshold1) == (depth, tip)
+    assert tally.deepest_above(threshold0)[1] == longest_any
+    assert tally.grade(beta) == output
 
 
 def test_a_stale_vote_deep_down_a_dead_branch_is_bisected_to_the_same_answer():
@@ -170,8 +172,9 @@ class CountingCounts(dict):
 
 
 def steady_state_read_cost(depth):
-    """Node reads of one GA query when 30 voters sit on the newest block
-    of a ``depth``-long chain, two lag a block behind and one two."""
+    """Node reads of one computed GA query when 30 voters sit on the
+    newest block of a ``depth``-long chain, two lag a block behind and
+    one two — and then moves up a block."""
     tree = BlockTree([genesis_block()])
     chain = [genesis_block().block_id]
     for i in range(depth - 1):
@@ -182,12 +185,16 @@ def steady_state_read_cost(depth):
     ga = GradedAgreement(counting)
     for pid in range(33):
         ga.votes.record(pid, 0, chain[-1] if pid < 30 else chain[-2] if pid < 32 else chain[-3])
-    ga.longest(0, 0)  # builds the counts: O(depth), paid once
-    ga.tally._counts = CountingCounts(ga.tally._counts)
+    ga.longest(0, 1)  # builds the counts: O(depth), paid once
+    tally = ga.reads.tally
+    tally._counts = CountingCounts(tally._counts)
     counting.reads = 0
-    m, longest_grade1, longest_any = ga.longest(0, 0)
+    # A new window (an already-read one would cost no reads at all).
+    ga.votes.record(32, 1, chain[-2])
+    m, longest_grade1, longest_any, _ = ga.longest(0, 1)
     assert (m, longest_grade1, longest_any) == (33, chain[-1], chain[-1])
-    return counting.reads + ga.tally._counts.probes
+    assert ga.reads.stats == {"computed": 2, "shared": 0}
+    return counting.reads + tally._counts.probes
 
 
 def test_a_ga_read_costs_the_same_on_a_chain_ten_times_as_long():

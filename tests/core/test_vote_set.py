@@ -6,7 +6,8 @@ what the per-sender dictionaries it replaced answered.  The oracle is
 ``NaiveLatestVoteStore`` (``tests/core/test_incremental_votes.py``,
 unchanged), driven here at sender ids on both sides of a machine word,
 and the cost side is *counted*: what a graded agreement touches follows
-the distinct tips voted, not the number of voters.
+the distinct tips voted, not the number of voters, and a GA round is
+tallied once for every receiver holding the same window.
 """
 
 import pytest
@@ -116,8 +117,9 @@ STEADY_FROM = 4  # count the last 20 rounds
 
 
 def counted_steady_run(n, monkeypatch):
-    """Per-GA counts over 20 steady rounds of an n-process run on the
-    shared chain: path adjustments, and (bucket, tip) steps folded."""
+    """Counts over 20 steady GA rounds of an n-process run on the shared
+    chain: per GA round, reads computed and shared and path adjustments;
+    per receiver's GA, (bucket, tip) steps folded."""
     counts = {"gas": 0, "adjust_path": 0, "fold_steps": 0}
     live = {"on": False}
     adjust, latest = PrefixTally._adjust_path, LatestVoteStore.latest
@@ -156,22 +158,36 @@ def counted_steady_run(n, monkeypatch):
             RunSpec(n=n, rounds=ROUNDS, protocol="resilient", eta=ETA, seed=5)
         )
         simulation.run(STEADY_FROM)
+        reads = simulation.processes[0]._ga.reads
+        before = dict(reads.stats)
         live["on"] = True
         patch.setattr(VoteSet, "__getitem__", per_sender_read)
         patch.setattr(VoteSet, "__iter__", per_sender_read)
         simulation.run(ROUNDS - STEADY_FROM)
     assert simulation.trace.decisions
-    assert counts["gas"] == n * (ROUNDS - STEADY_FROM)
-    gas = counts.pop("gas")
-    return {key: value / gas for key, value in counts.items()}, simulation
+    assert all(process._ga.reads is reads for process in simulation.processes.values())
+    ga_rounds = ROUNDS - STEADY_FROM  # every round reads the previous round's GA
+    assert counts["gas"] == n * ga_rounds
+    per_round = {key: (reads.stats[key] - before[key]) / ga_rounds for key in before}
+    per_round["adjust_path"] = counts["adjust_path"] / ga_rounds
+    return per_round, counts["fold_steps"] / counts["gas"], simulation
 
 
 def test_a_graded_agreement_costs_the_tips_voted_not_the_voters(monkeypatch):
-    small, _ = counted_steady_run(50, monkeypatch)
-    large, simulation = counted_steady_run(400, monkeypatch)
-    assert small == large
-    # Everyone voted in the newest round: the fold stops after its bucket.
-    assert small["adjust_path"] <= 1 and small["fold_steps"] <= 2
+    small, small_fold, _ = counted_steady_run(50, monkeypatch)
+    large, large_fold, simulation = counted_steady_run(400, monkeypatch)
+    # At most one read is computed per GA round, whatever n is; everyone
+    # else holds the same window and borrows it.  (Half a read: a view's
+    # second vote repeats its first, so every other window is one the
+    # previous round already read.)
+    for n, per_round in ((50, small), (400, large)):
+        assert per_round["computed"] <= 1 and per_round["computed"] + per_round["shared"] == n
+        assert per_round["adjust_path"] <= 1
+    assert small["computed"] == large["computed"]
+    assert small["adjust_path"] == large["adjust_path"]
+    # Each receiver still folds its own window; everyone voted in the
+    # newest round, so the fold stops after its bucket.
+    assert small_fold == large_fold <= 2
     # Every receiver of a shared delivery holds the delivery's own sets.
     stores = [process._votes._by_round for process in simulation.processes.values()]
     for r, held in stores[0].items():

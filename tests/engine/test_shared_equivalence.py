@@ -84,11 +84,10 @@ def _run(name: str, shared: bool) -> Simulation:
     if config.protocol == "ebb-and-flow":
         factory = ebb_and_flow_factory("resilient", eta=config.eta, n=config.n)
     else:
+        # Telemetry samples each GA read: a shared read must sample what
+        # the receiver's own private tally would have.
         factory = PROTOCOLS.factory(
-            config.protocol,
-            eta=config.eta,
-            beta=config.beta,
-            record_telemetry=config.record_telemetry,
+            config.protocol, eta=config.eta, beta=config.beta, record_telemetry=True
         )
     if not shared:
         marked = factory
@@ -112,24 +111,32 @@ def test_shared_run_replays_private_tree_run_bit_for_bit(name):
     shared = _run(name, shared=True)
     private = _run(name, shared=False)
     assert trace_digest(shared.trace) == trace_digest(private.trace)
-    # Beyond the digest: every receiver's local tree answers the same.
-    def local_tree(process):
-        return process.tree if hasattr(process, "tree") else process.inner.tree
+    # Beyond the digest: every receiver's local tree answers the same,
+    # and every GA read it sampled is the one its private tally made.
+    def tob(process):
+        return process if hasattr(process, "tree") else process.inner
 
+    sampled = 0
     for pid, process in shared.processes.items():
-        mine = local_tree(process)
-        twin = local_tree(private.processes[pid])
-        assert len(mine) == len(twin)
-        assert mine.tips() == twin.tips()
-        tips = list(mine.tips())
-        assert mine.longest(tips) == twin.longest(tips)
+        mine, twin = tob(process), tob(private.processes[pid])
+        assert len(mine.tree) == len(twin.tree)
+        assert mine.tree.tips() == twin.tree.tips()
+        tips = list(mine.tree.tips())
+        assert mine.tree.longest(tips) == twin.tree.longest(tips)
+        assert mine.telemetry == twin.telemetry
+        sampled += len(mine.telemetry)
+    assert bool(sampled) == (name != "ebb-and-flow-churn")
 
 
 def test_shared_run_actually_interns_one_tree():
-    """The capability wiring: views over one chain, not private trees."""
+    """The capability wiring: views over one chain, not private trees —
+    and one graded-agreement reads object per run, not one per process."""
     shared = _run("churn-equivocation", shared=True)
     for process in shared.processes.values():
         assert process.tree._tree is shared.chain.tree
+    assert len({id(process._ga.reads) for process in shared.processes.values()}) == 1
     private = _run("churn-equivocation", shared=False)
     trees = {id(process.tree) for process in private.processes.values()}
     assert len(trees) == private.registry.n
+    reads = {id(process._ga.reads) for process in private.processes.values()}
+    assert len(reads) == private.registry.n
