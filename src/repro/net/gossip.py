@@ -24,24 +24,29 @@ exactly, with no encoding, no hash and no memo behind it — and never an
 id read from the message (README,
 "Identifiers and where they are computed"; a trusted id would let a
 junk message carrying a transplanted one censor the honest original).
-Foreign message types without a content key (test doubles) fall back to
-their ``message_id`` attribute as the key.
+Gossip carries :class:`~repro.sleepy.messages.Message` objects only: a
+frame with any other payload is ignored on arrival.
 
 The **shard is the unit of dissemination**: all nodes one
 :class:`GossipNetwork` hosts share one :class:`SeenIndex` (key → which
-hosted nodes hold it), and a node does not materialise a forward to a
-neighbour *of the same network* that already holds the message — that
-frame could only ever be counted as a duplicate on arrival.  What
-elision may skip is exactly that: the frame.  What it may not skip: the
-link's latency draw (the k-th frame *offered* to a link still draws the
-k-th latency, so every first arrival lands in the slot it would have
-without elision), any forward to a neighbour that has not ingested the
-message yet (one in flight to it does not count — this forward may be
-the earlier one), and any forward to a pid another network hosts (its
-seen set is not ours to read: every cross-shard frame is sent).  Each
-overlay edge inside a shard therefore carries a message once, not once
-per direction.  Per-node *delivery* stays per node: sleep/wake and the
-adversarial proxy's per-frame coins see every frame that is sent.
+hosted nodes hold it).  A node offers a first-seen message to every
+neighbour but its source in one ``send_many`` call, with the shard's
+holders as ``skip``.  The fabric (:mod:`repro.net.transport`) decides
+which frames exist:
+
+* every offered link draws its latency, so every first arrival lands in
+  the slot it would have under full flooding;
+* a co-located holder gets no frame — it could only count a duplicate;
+* a frame behind a copy of the same message object already in flight
+  to its pid is superseded: sent and counted, never parked.
+
+A neighbour that has not ingested the message is always sent a frame,
+and so is every pid another network hosts (its seen set is not ours to
+read).  In one process supersession removes nearly every remaining
+duplicate; what is left — a copy from another process, or one that lands
+before the copy in flight — arrives and is counted as a duplicate.
+Per-node *delivery* stays per node: sleep/wake and the adversarial
+proxy's per-frame coins see every frame that is sent.
 
 The seen index is also **bounded**: on a long-running service it would
 otherwise retain one key per message forever.  Entries are
@@ -57,13 +62,13 @@ silently), which keeps an evicted key from re-flooding forever.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 from repro.net.transport import Transport
-from repro.sleepy.messages import Message, dedup_key
+from repro.sleepy.messages import Message
 
-#: Called on each node's behalf when a new message first reaches it.
-DeliveryHandler = Callable[[int, Message], None]
+#: A hosted node's consumer: called when a new message first reaches it.
+DeliveryHandler = Callable[[Message], None]
 
 
 def _random_regular_edges(degree: int, n: int, rng: random.Random) -> set[tuple[int, int]]:
@@ -211,12 +216,16 @@ class GossipNode:
         self.pid = pid
         self._transport = transport
         self._neighbors = neighbors
+        #: Source -> the neighbours a message from it is offered to.  A
+        #: source comes from the peer, so any other value (a publish's
+        #: ``None`` included) falls back to every neighbour.
+        self._forwards = {q: tuple(p for p in neighbors if p != q) for q in neighbors}
         self._on_deliver = on_deliver
         self._seen = seen
         self._bit = 1 << pid
         #: Dissemination accounting (consumed by metrics and tests).
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
-        transport.subscribe(pid, self._receive)
+        transport.subscribe(pid, self._ingest)
 
     def publish(self, message: Message) -> None:
         """Originate a message: deliver locally and push to neighbours."""
@@ -226,18 +235,17 @@ class GossipNode:
         """Unsubscribe: frames still in flight to this node are held, not ingested."""
         self._transport.unsubscribe(self.pid)
 
-    def _receive(self, src: int, payload: object) -> None:
-        if isinstance(payload, Message):
-            self._ingest(src, payload)
-
-    def _ingest(self, src: int | None, message: Message) -> None:
+    def _ingest(self, src: int | None, message: object) -> None:
+        """One arrival from ``src`` (``None``: published here); the fabric's handler."""
+        if not isinstance(message, Message):
+            return
         seen = self._seen
         now = None
         if seen.horizon is not None:
             # The one clock read of this arrival: it serves the stale
             # check here and the bucket clamp and eviction in ``admit``.
             now = seen.current_round()
-            message_round = getattr(message, "round", 0)
+            message_round = message.round
             if message_round < now - seen.horizon:
                 # Older than anything the protocol can still consume:
                 # its votes are expired and its proposal views pruned.
@@ -245,7 +253,7 @@ class GossipNode:
                 # re-flood loop once the key has been evicted.
                 self.stats["stale_dropped"] += 1
                 return
-        key = dedup_key(message)
+        key = message.content_key
         holders = seen.holders.get(key, 0)
         if holders & self._bit:
             self.stats["duplicates"] += 1
@@ -256,23 +264,12 @@ class GossipNode:
         seen.holders[key] = holders
         self.stats["delivered"] += 1
         # Forward before handing over, so a consumer that raises costs
-        # its own delivery and not the flood's next hop.
-        transport = self._transport
-        forwards = []
-        for neighbor in self._neighbors:
-            if neighbor == src:
-                continue
-            if holders >> neighbor & 1:
-                # A co-located holder: the frame could only be counted
-                # as a duplicate, so it is not built — but the link is
-                # still *offered* it, so its latency stream advances as
-                # if it had been sent (only the draw matters, not when).
-                transport.latency(self.pid, neighbor, 0.0)
-            else:
-                forwards.append(neighbor)
-        if forwards:
-            transport.send_many(self.pid, forwards, message)
-        self._on_deliver(self.pid, message)
+        # its own delivery and not the flood's next hop.  Co-located
+        # holders are offered the message (their links draw) and skipped.
+        self._transport.send_many(
+            self.pid, self._forwards.get(src, self._neighbors), message, holders
+        )
+        self._on_deliver(message)
 
 
 class GossipNetwork:
@@ -284,21 +281,23 @@ class GossipNetwork:
     before the fabric starts listening: every node subscribes here, so
     no frame can precede its consumer.
 
-    ``current_round`` / ``seen_horizon_rounds`` bound the shard's
-    :class:`SeenIndex`; with either unset it keeps every key forever.
+    ``on_deliver`` maps every pid of ``topology`` to that node's
+    consumer.  ``current_round`` / ``seen_horizon_rounds`` bound the
+    shard's :class:`SeenIndex`; with either unset it keeps every key
+    forever.
     """
 
     def __init__(
         self,
         transport: Transport,
         topology: dict[int, tuple[int, ...]],
-        on_deliver: DeliveryHandler,
+        on_deliver: Mapping[int, DeliveryHandler],
         current_round: Callable[[], int] | None = None,
         seen_horizon_rounds: int | None = None,
     ) -> None:
         self.seen = SeenIndex(current_round, seen_horizon_rounds)
         self.nodes = {
-            pid: GossipNode(pid, transport, neighbors, on_deliver, self.seen)
+            pid: GossipNode(pid, transport, neighbors, on_deliver[pid], self.seen)
             for pid, neighbors in topology.items()
         }
 

@@ -40,11 +40,15 @@ builds passes through :meth:`send` individually, and only the survivors
 reach the inner transport to be coalesced into frame v2 batch writes.
 Drop coins are tossed per frame, partitions hold per frame, and surges
 delay per frame — a batch on the wire never becomes the unit of
-interference.  (A forward gossip never builds — to a co-located node
-that already holds the digest, see :mod:`repro.net.gossip` — is not a
-frame: it tosses no coin and cannot be held, and could never have been
-more than a duplicate.)  Subscriptions pass straight through to the
-inner fabric: delivery is not the proxy's to interfere with.
+interference.  (A destination in ``send_many``'s ``skip`` mask — a
+co-located node that already holds the message, see
+:mod:`repro.net.gossip` — is not sent a frame: it tosses no coin and
+cannot be held, and could never have been more than a duplicate; its
+link still draws.)  A frame that survives the proxy may still be
+superseded by the inner fabric (:mod:`repro.net.transport`): only by a
+copy that already passed every coin and is parked for delivery.
+Subscriptions pass straight through to the inner fabric: delivery is
+not the proxy's to interfere with.
 Surge re-injections ride the inner transport's delivery wheel
 (``defer``), keeping the timer budget O(slots) even while an attack
 delays a whole broadcast storm.
@@ -167,15 +171,22 @@ class ProxyTransport(Transport):
             return
         self.inner.send(src, dst, payload)
 
-    def send_many(self, src: int, dsts, payload: object) -> None:
+    def send_many(self, src: int, dsts, payload: object, skip: int = 0) -> None:
         """Decompose a fan-out into per-frame :meth:`send` calls.
 
         Never forwarded to the inner transport's bulk path: drop coins,
         partition checks, and surge delays are defined *per frame*, and
         they must stay that way even when the caller batches its sends.
+        A pid in ``skip`` gets no frame — it tosses no coin and cannot
+        be held — but its link still draws, through the inner fabric.
         """
+        inner = self.inner
         for dst in dsts:
-            self.send(src, dst, payload)
+            if skip >> dst & 1:
+                # Only the draw matters, not when it is drawn.
+                inner.latency(src, dst, 0.0)
+            else:
+                self.send(src, dst, payload)
 
     # The rest of the data surface is the inner fabric's, untouched.
     # (Lifecycle and wire counters are not forwarded: whoever built the

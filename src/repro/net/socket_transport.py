@@ -57,7 +57,6 @@ only (``handler_errors``).
 from __future__ import annotations
 
 import asyncio
-import math
 import pickle
 import socket
 import struct
@@ -311,7 +310,14 @@ class SocketTransport(PushDelivery):
         addresses: worker id → listen address for every worker.
         base_latency_s / jitter_s / seed / surges: the modelled latency
             layer, identical to ``SimTransport``'s.
+
+    Sends are :class:`~repro.net.transport.PushDelivery`'s one pass:
+    local destinations loop back through the delivery wheel, remote ones
+    ride the owning worker's connection once the modelled latency has
+    elapsed (:meth:`_send_remote`).
     """
+
+    _UNANCHORED = "transport not anchored"
 
     def __init__(
         self,
@@ -329,25 +335,29 @@ class SocketTransport(PushDelivery):
     ) -> None:
         if n <= 0:
             raise ValueError("need at least one node")
-        #: Delivery slot width: δ/8 in deployments (the base link
-        #: latency), so quantization hides inside the modelled jitter.
-        self._slot_s = slot_s if slot_s is not None else (base_latency_s or 0.0005)
-        super().__init__(local_pids, self._slot_s)
+        # Delivery slot width: δ/8 in deployments (the base link
+        # latency), so quantization hides inside the modelled jitter.
+        super().__init__(
+            n,
+            local_pids,
+            slot_s if slot_s is not None else (base_latency_s or 0.0005),
+            LinkLatencyModel(base_latency_s, jitter_s, seed, surges),
+        )
         self.n = n
         self.worker_id = worker_id
         self._owner = dict(owner)
         self._addresses = dict(addresses)
-        self._latency = LinkLatencyModel(base_latency_s, jitter_s, seed, surges)
         self._server: asyncio.AbstractServer | None = None
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
-        self._origin: float | None = None
         self._encode_cache = EncodedPayloadCache()
         self._decode_memo = DecodedBodyMemo()
-        #: (slot, worker id) -> frames awaiting that slot's batch write.
-        self._slot_batches: dict[tuple[int, int], list[tuple[int, int, object, bytes]]] = {}
-        #: Sends initiated by this worker's nodes (local + remote).
-        self.sent_count = 0
+        #: (slot, worker id) -> frames awaiting that slot's batch write,
+        #: and each frame's ``(dst, payload)``: the batch pins the payload
+        #: and pops its supersession entry when it is written.
+        self._slot_batches: dict[
+            tuple[int, int], tuple[list[tuple[int, int, object, bytes]], list[tuple[int, object]]]
+        ] = {}
         #: Logical frames written to / read from the socket mesh.
         self.frames_sent = 0
         self.frames_received = 0
@@ -400,7 +410,7 @@ class SocketTransport(PushDelivery):
         outstanding batches are written — so teardown never loses a
         frame whose slot had not fired yet.
         """
-        self.wheel.flush()
+        self.flush()
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
@@ -417,83 +427,45 @@ class SocketTransport(PushDelivery):
             await self._server.wait_closed()
             self._server = None
 
-    # ------------------------------------------------------------------
-    # The transport surface (same as SimTransport)
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Seconds since :meth:`anchor`."""
-        if self._origin is None:
-            raise RuntimeError("transport not anchored")
-        return asyncio.get_running_loop().time() - self._origin
-
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        """Sampled one-way latency for ``src → dst`` at ``at_s`` (per-link stream)."""
-        return self._latency.latency(src, dst, at_s)
-
-    def send(self, src: int, dst: int, payload: object) -> None:
-        """Send ``payload`` to ``dst`` after the modelled link latency.
-
-        A fan-out of one: see :meth:`send_many`.
-        """
-        self.send_many(src, (dst,), payload)
-
-    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
-        """Fan ``payload`` out from ``src`` to every pid in ``dsts``.
-
-        Local destinations loop back through the delivery wheel; remote
-        ones ride the owning worker's connection once the modelled
-        latency has elapsed (the real socket adds its own).  Deliveries
-        are bucketed into wheel slots — one timer per slot — and every
-        remote frame sharing a ``(slot, worker)`` bucket coalesces into
-        a single frame v2 batch write whose payload bodies are pickled
-        once per fan-out and referenced by offset.
-
-        Each destination draws its own link's latency and counts as one
-        send; the fan-out's fixed costs (clock read, encode-cache probe)
-        are paid once, which is where a broadcast's send-side time
-        goes.  The adversarial proxy deliberately does **not** forward
-        this method: it decomposes fan-outs into per-frame :meth:`send`
-        calls so drop coins and partition checks stay per-frame.
-        """
-        if self._origin is None:
-            raise RuntimeError("transport not anchored")
-        # One clock read serves the model time and every wheel slot.
-        loop_time = asyncio.get_running_loop().time()
-        at = loop_time - self._origin
-        sample = self._latency.latency
-        encoded: tuple[object, bytes] | None = None
-        for dst in dsts:
-            delay = sample(src, dst, at)
-            self.sent_count += 1
-            slot = math.ceil((loop_time + delay) / self._slot_s)
-            if dst in self._hosted:
-                self.wheel.schedule(slot, self._deliver, dst, src, payload)
-                continue
-            if encoded is None:
-                intern_key, body, fresh = self._encode_cache.encode(payload)
-                encoded = (intern_key, body)
-                if fresh:
-                    self.payload_encodes += 1
-                else:
-                    self.payload_reuses += 1
-            else:
-                intern_key, body = encoded
-                self.payload_reuses += 1
-            key = (slot, self._owner[dst])
-            pending = self._slot_batches.get(key)
-            if pending is None:
-                pending = self._slot_batches[key] = []
-                self.wheel.schedule(slot, self._flush_batch, key)
-            pending.append((src, dst, intern_key, body))
+    def cancel(self) -> None:
+        """Discard every pending delivery and every batch not yet written."""
+        super().cancel()
+        self._slot_batches.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _send_remote(self, src: int, payload: object, frames: list[tuple[int, int]]) -> None:
+        """Park one fan-out's remote frames, each in its ``(slot, worker)`` batch.
+
+        Every remote frame sharing a bucket coalesces into one frame v2
+        batch write whose payload bodies are pickled once per fan-out
+        and referenced by offset; the real socket adds its own latency
+        on top of the modelled one.  A remote frame is superseded
+        exactly like a local one: one worker's batches to a peer go out
+        in slot order over one FIFO connection.
+        """
+        intern_key, body, fresh = self._encode_cache.encode(payload)
+        self.payload_encodes += fresh
+        self.payload_reuses += len(frames) - fresh
+        for dst, slot in frames:
+            key = (slot, self._owner[dst])
+            pending = self._slot_batches.get(key)
+            if pending is None:
+                pending = self._slot_batches[key] = ([], [])
+                self.wheel.schedule(slot, self._flush_batch, key)
+            pending[0].append((src, dst, intern_key, body))
+            pending[1].append((dst, payload))
+
     def _flush_batch(self, key: tuple[int, int]) -> None:
         """Write every frame parked under ``(slot, worker)`` as v2 batches."""
-        frames = self._slot_batches.pop(key, None)
-        if not frames:
+        pending = self._slot_batches.pop(key, None)
+        if pending is None:
             return
+        frames, payloads = pending
+        for dst, payload in payloads:
+            # The frame leaves: it no longer supersedes a later copy.
+            self._parked[dst].pop(id(payload), None)
         writer = self._peer_writers.get(key[1])
         if writer is None or writer.is_closing():
             # Peer already gone (shutdown race): nothing to deliver to.

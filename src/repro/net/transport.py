@@ -28,6 +28,24 @@ of the sends alone, not of which task the event loop wakes first.  A
 frame for a hosted pid that has no subscriber (yet, or any more) is
 held and handed over on the next ``subscribe``; a handler that raises is
 counted (``handler_errors``), logged, and costs only its own frame.
+
+A frame that can only arrive **second** is never parked.  Two kinds
+exist, and the fabric is the one place that elides both:
+
+* a pid set in ``send_many``'s ``skip`` bitmask already holds the
+  payload (gossip passes a shard's co-located holders): it is offered
+  the frame — its link draws its latency — and gets none;
+* a pid that already has *the same payload object* parked for it at a
+  slot no later than this frame's: the new frame is *superseded*.  It
+  draws, counts as a send and in ``superseded``, and is not parked —
+  but its slot is still armed as if it had been, so the fabric's timer
+  schedule is exactly the one without the rule.
+
+Slot order is delivery order, so the frame already parked is delivered
+first: every first arrival, its source, its order and every per-link
+draw are what they would have been, and only frames a deduplicating
+consumer would have thrown away are removed.  The rule has no off
+switch; a consumer that needs every copy must send distinct objects.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ import asyncio
 import logging
 import math
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -65,8 +83,12 @@ class Transport(Protocol):
     def send(self, src: int, dst: int, payload: object) -> None:
         """Send ``payload`` to ``dst``; it arrives after the link latency."""
 
-    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
-        """:meth:`send` to every pid in ``dsts`` (same latencies, same counters)."""
+    def send_many(self, src: int, dsts: Sequence[int], payload: object, skip: int = 0) -> None:
+        """Offer ``payload`` to every pid in ``dsts``; each link draws once.
+
+        A pid whose bit is set in ``skip`` already holds the payload and
+        gets no frame; every other pid is sent one, as by :meth:`send`.
+        """
 
     def defer(self, delay_s: float, callback, *args) -> None:
         """Run ``callback(*args)`` after ``delay_s`` on the fabric's timer budget."""
@@ -99,6 +121,14 @@ class SurgeWindow:
     end_s: float
     factor: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise ValueError("surge window bounds must be finite")
+        if self.end_s <= self.start_s:
+            raise ValueError("a surge window must end after it starts")
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
+            raise ValueError("surge factor must be finite and >= 1 (a surge only slows links)")
+
 
 class LinkLatencyModel:
     """Seeded per-link latency streams shared by every transport flavour.
@@ -123,25 +153,46 @@ class LinkLatencyModel:
         self._jitter = jitter_s
         self._seed = seed
         self._surges = surges
-        self._link_rngs: dict[tuple[int, int], random.Random] = {}
+        #: src -> dst -> that link's stream.
+        self._link_rngs: dict[int, dict[int, random.Random]] = {}
 
     def latency(self, src: int, dst: int, at_s: float) -> float:
         """Sampled one-way latency for the ``src → dst`` link at ``at_s``."""
-        if self._jitter == 0.0 and not self._surges:
-            # Zero-jitter links are deterministic: every draw is the
-            # base latency regardless of stream state, so skip the
-            # per-link stream entirely on this hot path.
-            return self._base
-        rng = self._link_rngs.get((src, dst))
-        if rng is None:
-            rng = self._link_rngs[(src, dst)] = random.Random(
-                f"link:{self._seed}:{src}:{dst}"
-            )
-        delay = self._base + rng.random() * self._jitter
+        return self.draws(src, (dst,), at_s)[0]
+
+    def draws(self, src: int, dsts: Sequence[int], at_s: float) -> list[float]:
+        """The next latency of each ``src → dst`` link at ``at_s``, in ``dsts`` order.
+
+        One pass per fan-out: the source's streams and the surges active
+        at ``at_s`` are looked up once, and each surge factor is applied
+        in window order, exactly as a draw per link would.
+        """
+        factors = ()
         for surge in self._surges:
             if surge.start_s <= at_s < surge.end_s:
-                delay *= surge.factor
-        return delay
+                factors += (surge.factor,)
+        base, jitter = self._base, self._jitter
+        if jitter == 0.0:
+            # Zero-jitter links are deterministic: every draw is the
+            # base latency regardless of stream state, so skip the
+            # per-link streams entirely on this hot path.
+            for factor in factors:
+                base *= factor
+            return [base] * len(dsts)
+        streams = self._link_rngs.get(src)
+        if streams is None:
+            streams = self._link_rngs[src] = {}
+        # Explicit loops: at a fan-out's few links they beat comprehensions.
+        delays = []
+        for dst in dsts:
+            rng = streams.get(dst)
+            if rng is None:
+                rng = streams[dst] = random.Random(f"link:{self._seed}:{src}:{dst}")
+            delays.append(base + rng.random() * jitter)
+        for factor in factors:
+            for i, delay in enumerate(delays):
+                delays[i] = delay * factor
+        return delays
 
 
 class DeliveryWheel:
@@ -188,14 +239,21 @@ class DeliveryWheel:
         due = asyncio.get_running_loop().time() + delay_s
         return math.ceil(due / self.slot_s)
 
-    def schedule(self, slot: int, callback, *args) -> None:
-        """Park ``callback(*args)`` in ``slot``, arming its timer if new."""
+    def arm(self, slot: int) -> list[tuple]:
+        """Arm ``slot``'s timer if it is not armed yet; its entry list."""
         entries = self._slots.get(slot)
         if entries is None:
             entries = self._slots[slot] = []
             loop = asyncio.get_running_loop()
             self._handles[slot] = loop.call_at(slot * self.slot_s, self._fire, slot)
             self.timers_created += 1
+        return entries
+
+    def schedule(self, slot: int, callback, *args) -> None:
+        """Park ``callback(*args)`` in ``slot``, arming its timer if new."""
+        entries = self._slots.get(slot)
+        if entries is None:
+            entries = self.arm(slot)
         entries.append((callback, args))
         self.scheduled_count += 1
 
@@ -237,25 +295,112 @@ class DeliveryWheel:
 
 
 class PushDelivery:
-    """The delivery side both fabrics share: a slot wheel and its subscribers.
+    """What both fabrics share: the link model, the send pass, a slot wheel
+    and its subscribers.
 
-    One handler per hosted pid.  :meth:`_deliver` is what a wheel slot
-    (or a socket reader) calls per frame; a frame whose pid has no
-    subscriber is held — never dropped, never ``misrouted`` — and handed
-    over, in arrival order, by the next :meth:`subscribe`.
+    :meth:`send_many` is every send's one pass: it draws each offered
+    link, applies ``skip`` and the supersession rule (module docstring),
+    parks each local frame left and hands each remote one to
+    :meth:`_send_remote`.  One handler per hosted pid: :meth:`_deliver`
+    is what a wheel slot (or a socket reader) calls per frame; a frame
+    whose pid has no subscriber is held — never dropped, never
+    ``misrouted`` — and handed over, in arrival order, by the next
+    :meth:`subscribe`.
     """
 
-    def __init__(self, hosted: Iterable[int], slot_s: float) -> None:
+    #: What a send or clock read before the origin is set raises with.
+    _UNANCHORED = "transport not started"
+
+    def __init__(
+        self, n: int, hosted: Iterable[int], slot_s: float, latency: LinkLatencyModel
+    ) -> None:
         self.wheel = DeliveryWheel(slot_s)
         self._hosted = frozenset(hosted)
+        self._latency = latency
+        #: Loop time of the fabric's ``now() == 0`` (set by the subclass).
+        self._origin: float | None = None
         self._handlers: dict[int, FrameHandler] = {}
         #: pid -> frames that arrived while it had no subscriber.
         self._held: dict[int, list[tuple[int, object]]] = {}
+        #: dst -> ``{id(payload): slot}`` of the earliest frame parked for
+        #: dst with that payload object.  A parked frame pins its payload,
+        #: and the entry goes when a frame of it fires, so an ``id`` is
+        #: never reused while its entry lives.
+        self._parked: list[dict[int, int]] = [{} for _ in range(n)]
+        #: Sends initiated through this fabric (local + remote).
+        self.sent_count = 0
+        #: Frames not parked: the same object was parked for their pid
+        #: at a slot no later than theirs, so they could only arrive second.
+        self.superseded = 0
 
     @property
     def handler_errors(self) -> int:
         """Handler calls that raised (each cost only its own frame)."""
         return self.wheel.handler_errors
+
+    def now(self) -> float:
+        """Seconds since the fabric's origin."""
+        if self._origin is None:
+            raise RuntimeError(self._UNANCHORED)
+        return asyncio.get_running_loop().time() - self._origin
+
+    def latency(self, src: int, dst: int, at_s: float) -> float:
+        """Sampled one-way latency for ``src → dst`` at ``at_s`` (per-link stream)."""
+        return self._latency.latency(src, dst, at_s)
+
+    def send(self, src: int, dst: int, payload: object) -> None:
+        """Send ``payload`` to ``dst``: a fan-out of one (see :meth:`send_many`)."""
+        self.send_many(src, (dst,), payload)
+
+    def send_many(self, src: int, dsts: Sequence[int], payload: object, skip: int = 0) -> None:
+        """Offer ``payload`` from ``src`` to every pid in ``dsts``.
+
+        Every link draws (one :meth:`LinkLatencyModel.draws` pass); a
+        pid in ``skip`` gets no frame; every other one counts as a send.
+        A frame behind the same object parked for its pid at a slot no
+        later is superseded — counted, not parked, its slot armed all the
+        same, so the wheel keeps exactly the timers it would have had and
+        a loop clock that advances timer by timer (a virtual one)
+        accumulates the same instants.  The fan-out's fixed costs — clock
+        read, stream and surge lookups — are paid once: this is the
+        hottest loop of a deployment's broadcast round.  The adversarial
+        proxy does not forward this method; it decomposes fan-outs into
+        per-frame :meth:`send` calls.
+        """
+        origin = self._origin
+        if origin is None:
+            raise RuntimeError(self._UNANCHORED)
+        # One clock read serves the model time and every wheel slot.
+        loop_time = asyncio.get_running_loop().time()
+        delays = self._latency.draws(src, dsts, loop_time - origin)
+        wheel = self.wheel
+        slot_s, ceil = wheel.slot_s, math.ceil
+        parked = self._parked
+        key = id(payload)
+        sent = 0
+        remote = None
+        for dst, delay in zip(dsts, delays):
+            if skip >> dst & 1:
+                continue
+            sent += 1
+            slot = ceil((loop_time + delay) / slot_s)
+            table = parked[dst]
+            first = table.get(key)
+            if first is not None and first <= slot:
+                self.superseded += 1
+                if slot not in wheel._slots:  # the common case needs no call
+                    wheel.arm(slot)
+                continue
+            table[key] = slot
+            if dst in self._hosted:
+                wheel.schedule(slot, self._deliver, dst, src, payload)
+            elif remote is None:
+                remote = [(dst, slot)]
+            else:
+                remote.append((dst, slot))
+        self.sent_count += sent
+        if remote is not None:
+            self._send_remote(src, payload, remote)
 
     def subscribe(self, pid: int, handler: FrameHandler) -> None:
         """Push ``pid``'s frames to ``handler``, held ones first."""
@@ -271,12 +416,15 @@ class PushDelivery:
         """Forget ``pid``'s handler; frames still in flight will be held."""
         self._handlers.pop(pid, None)
 
-    def _deliver(self, dst: int, src: int, payload: object) -> None:
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self._held.setdefault(dst, []).append((src, payload))
-        else:
-            handler(src, payload)
+    def flush(self) -> None:
+        """Run every pending delivery now, earliest slot first (teardown)."""
+        self.wheel.flush()
+        self._forget_parked()
+
+    def cancel(self) -> None:
+        """Discard every pending delivery: nothing parked supersedes any more."""
+        self.wheel.cancel()
+        self._forget_parked()
 
     def defer(self, delay_s: float, callback, *args) -> None:
         """Schedule ``callback`` after ``delay_s`` through the slot wheel.
@@ -286,6 +434,34 @@ class PushDelivery:
         the same O(slots) timer budget as ordinary deliveries.
         """
         self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
+
+    def _send_remote(self, src: int, payload: object, frames: list[tuple[int, int]]) -> None:
+        """Route one fan-out's frames for pids other processes host.
+
+        ``frames`` is ``[(dst, slot)]``.  Each frame's supersession entry
+        is already recorded; whoever sends it pops the entry
+        (``self._parked[dst]``) when the frame leaves.
+        """
+        raise ValueError(f"pids {[dst for dst, _ in frames]} are not hosted by this fabric")
+
+    def _forget_parked(self) -> None:
+        for table in self._parked:
+            table.clear()
+
+    def _deliver(self, dst: int, src: int, payload: object) -> None:
+        """A frame reaches hosted ``dst``: it is handed over (or held).
+
+        Called when a wheel slot fires a parked frame, and per frame a
+        socket reader decodes.  Either way a copy of ``payload`` parked
+        for ``dst`` stops superseding — exact for the frame firing, and
+        only ever conservative for a frame read off the wire.
+        """
+        self._parked[dst].pop(id(payload), None)
+        handler = self._handlers.get(dst)
+        if handler is None:
+            self._held.setdefault(dst, []).append((src, payload))
+        else:
+            handler(src, payload)
 
 
 class SimTransport(PushDelivery):
@@ -307,49 +483,14 @@ class SimTransport(PushDelivery):
     ) -> None:
         if n <= 0:
             raise ValueError("need at least one node")
-        super().__init__(range(n), slot_s if slot_s is not None else (base_latency_s or 0.0005))
+        super().__init__(
+            n,
+            range(n),
+            slot_s if slot_s is not None else (base_latency_s or 0.0005),
+            LinkLatencyModel(base_latency_s, jitter_s, seed, surges),
+        )
         self.n = n
-        self._latency = LinkLatencyModel(base_latency_s, jitter_s, seed, surges)
-        self._origin: float | None = None
-        self.sent_count = 0
 
     def start(self) -> None:
         """Anchor the clock; call once inside the loop."""
         self._origin = asyncio.get_running_loop().time()
-
-    def now(self) -> float:
-        """Seconds since :meth:`start`."""
-        if self._origin is None:
-            raise RuntimeError("transport not started")
-        return asyncio.get_running_loop().time() - self._origin
-
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        """Sampled one-way latency for ``src → dst`` at ``at_s`` (per-link stream)."""
-        return self._latency.latency(src, dst, at_s)
-
-    def send(self, src: int, dst: int, payload: object) -> None:
-        """Send ``payload`` to ``dst``; it arrives after the link latency."""
-        self.send_many(src, (dst,), payload)
-
-    def send_many(self, src: int, dsts: Iterable[int], payload: object) -> None:
-        """Fan ``payload`` out from ``src`` to every pid in ``dsts``.
-
-        Each destination draws its own link's latency and counts as one
-        send; the fan-out's fixed costs — clock read, loop lookup — are
-        paid once (this loop is the hottest of a simulated broadcast
-        round).  The adversarial proxy does not forward this method; it
-        decomposes fan-outs into per-frame :meth:`send` calls.
-        """
-        if self._origin is None:
-            raise RuntimeError("transport not started")
-        # One clock read serves the model time and every wheel slot.
-        loop_time = asyncio.get_running_loop().time()
-        at = loop_time - self._origin
-        sample = self._latency.latency
-        schedule = self.wheel.schedule
-        slot_s = self.wheel.slot_s
-        deliver = self._deliver
-        for dst in dsts:
-            slot = math.ceil((loop_time + sample(src, dst, at)) / slot_s)
-            schedule(slot, deliver, dst, src, payload)
-            self.sent_count += 1

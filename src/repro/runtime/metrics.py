@@ -35,9 +35,11 @@ import json
 from collections.abc import Mapping
 
 
-#: Cumulative wire-path counters of a socket fabric — the one list the
-#: shard payload, the merged result and the ``wire_*`` gauges all read.
+#: Cumulative wire-path counters of a fabric — the one list the shard
+#: payload, the merged result and the ``wire_*`` gauges all read.
+#: ``superseded`` is kept by every fabric; the rest by a socket fabric.
 WIRE_COUNTER_ATTRS = (
+    "superseded",
     "frames_sent",
     "frames_received",
     "batches_sent",

@@ -249,7 +249,7 @@ class ShardRuntime:
         self.network = GossipNetwork(
             self.proxy if self.proxy is not None else transport,
             {pid: topology[pid] for pid in config.shard},
-            on_deliver=lambda pid, message: self.nodes[pid].on_gossip(message),
+            on_deliver={pid: node.on_gossip for pid, node in self.nodes.items()},
             current_round=self.clock.current_round if bounded else None,
             seen_horizon_rounds=config.seen_horizon_rounds,
         )

@@ -43,6 +43,14 @@ class NoLinks:
     def subscribe(self, pid: int, handler) -> None:
         pass
 
+    def send_many(self, src: int, dsts, payload, skip: int = 0) -> None:
+        pass
+
+
+def per_pid(pids: Iterable[int], handler):
+    """``{pid: handler(pid, ·)}``: one gossip consumer per node from one function."""
+    return {pid: functools.partial(handler, pid) for pid in pids}
+
 
 # ----------------------------------------------------------------------
 # A virtual clock, so a test can predict delivery slots exactly

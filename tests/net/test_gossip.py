@@ -1,17 +1,24 @@
 """Gossip overlay: flooding, deduplication, elision, sender-sleep survival."""
 
 import asyncio
+import hashlib
 import math
 import random
 
 import pytest
 
+from repro.attacks import AttackScript, drop, heal, partition, phase
 from repro.crypto.signatures import KeyRegistry
+from repro.engine.conditions import AsyncPeriod, NetworkConditions
+from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
+from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
 from repro.sleepy.messages import make_vote
+from repro.workloads.transactions import SubmissionRateWorkload
 
-from tests.net.conftest import run_virtual
+from tests.net.conftest import per_pid, run_virtual
 
 
 def test_regular_topology_is_connected_and_regular():
@@ -78,7 +85,7 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
         network = GossipNetwork(
             transport,
             regular_topology(n, degree, seed=0),
-            on_deliver=lambda pid, m: delivered[pid].append(m.message_id),
+            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
         transport.start()
         vote = make_vote(registry, registry.secret_key(publisher), 0, None)
@@ -114,7 +121,7 @@ def test_dissemination_survives_publisher_silence():
         network = GossipNetwork(
             transport,
             regular_topology(n, 3, seed=0),
-            on_deliver=lambda pid, m: delivered[pid].append(m.message_id),
+            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
         transport.start()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -150,7 +157,7 @@ def test_transplanted_id_cannot_censor_honest_message():
         network = GossipNetwork(
             transport,
             regular_topology(n, 3, seed=0),
-            on_deliver=lambda pid, m: delivered[pid].append(m.content_key),
+            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.content_key)),
         )
         transport.start()
         honest = make_vote(registry, registry.secret_key(0), 0, None)
@@ -186,7 +193,7 @@ def test_dissemination_survives_sleeping_originator_during_surge():
         network = GossipNetwork(
             transport,
             regular_topology(n, 3, seed=0),
-            on_deliver=lambda pid, m: delivered[pid].append(m.message_id),
+            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
         transport.start()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -218,7 +225,7 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
         network = GossipNetwork(
             transport,
             {0: ()},
-            on_deliver=lambda pid, m: None,
+            on_deliver={0: lambda m: None},
             current_round=lambda: current[0],
             seen_horizon_rounds=horizon,
         )
@@ -261,7 +268,7 @@ def test_one_clock_read_per_arrival_with_a_bounded_horizon():
             return now[0]
 
         network = GossipNetwork(
-            transport, {0: ()}, lambda pid, m: None, current_round=clock, seen_horizon_rounds=2
+            transport, {0: ()}, {0: lambda m: None}, current_round=clock, seen_horizon_rounds=2
         )
         node = network.nodes[0]
         fresh = make_vote(registry, registry.secret_key(0), 5, None)
@@ -293,7 +300,7 @@ def test_a_raising_consumer_does_not_stop_the_flood():
                 raise RuntimeError("consumer bug")
             delivered[pid].append(message.message_id)
 
-        network = GossipNetwork(transport, regular_topology(n, 3, seed=0), on_deliver)
+        network = GossipNetwork(transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver))
         transport.start()
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
@@ -331,23 +338,22 @@ def _reference_flood(topology, publishes, asleep_from):
     arrival's time; frames park in wheel slots and a slot's frames are
     processed in the order they were offered.  ``publishes`` is
     ``[(time, pid, key)]``; a pid in ``asleep_from`` ingests nothing
-    sent to it from that time on.  Returns the predicted
-    ``{(pid, key): first-arrival time}`` and the number of frames offered.
+    sent to it from that time on.  Returns each pid's predicted first
+    arrivals, ``[(src, key, time)]`` in delivery order (``src`` is
+    ``None`` for a publish), and the number of frames offered.
     """
     model = LinkLatencyModel(**FLOOD_MODEL)
     slots: dict[int, list[tuple[int, int, object]]] = {}
-    seen = {pid: set() for pid in topology}
-    first: dict[tuple[int, object], float] = {}
+    sequences: dict[int, list[tuple[int | None, object, float]]] = {pid: [] for pid in topology}
     offered = 0
 
     def arrive(at, dst, src, key):
         nonlocal offered
         if src is not None and at >= asleep_from.get(dst, math.inf):
             return
-        if key in seen[dst]:
+        if any(seen == key for _, seen, _ in sequences[dst]):
             return
-        seen[dst].add(key)
-        first[(dst, key)] = at
+        sequences[dst].append((src, key, at))
         for neighbor in topology[dst]:
             if neighbor != src:
                 slot = math.ceil((at + model.latency(dst, neighbor, at)) / SLOT_S)
@@ -363,15 +369,56 @@ def _reference_flood(topology, publishes, asleep_from):
         else:
             for dst, src, key in slots.pop(slot):
                 arrive(slot * SLOT_S, dst, src, key)
-    return first, offered
+    return sequences, offered
 
 
-def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
-    """Elision removes frames, never a first arrival and never a draw: the
-    real network on a virtual clock matches a reference flood written
-    here — jitter on, through a surge, with the originator asleep."""
-    n, degree = 12, 4
-    topology = regular_topology(n, degree, seed=3)
+class _Tapped(SimTransport):
+    """Lets a consumer read the source of the frame it is handling."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: pid -> source of the frame being handed over (``None``: none is).
+        self.source: dict[int, int | None] = {}
+
+    def subscribe(self, pid, handler):
+        def tapped(src, payload):
+            self.source[pid] = src
+            try:
+                handler(src, payload)
+            finally:
+                self.source[pid] = None
+
+        super().subscribe(pid, tapped)
+
+
+class _NeverSupersedes(_Tapped):
+    """The fabric without the supersession rule: every frame sent is parked.
+
+    Forgetting what is parked before each fan-out leaves nothing to be
+    superseded by (gossip never offers one fan-out the same pid twice).
+    """
+
+    def send_many(self, src, dsts, payload, skip=0):
+        self._forget_parked()
+        super().send_many(src, dsts, payload, skip)
+        assert self.superseded == 0
+
+
+FLOOD_N, FLOOD_DEGREE = 12, 4
+#: Round length of a proxied flood's attack script.
+ROUND_S = 0.025
+
+
+def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = None):
+    """Publish three votes into a 12-node overlay on a virtual clock —
+    jitter on, through a surge, with the originator of the first asleep
+    — optionally through a :class:`ProxyTransport` running ``script``.
+
+    Returns each pid's deliveries ``[(src, key, time)]``, the publishes,
+    the fabric, and the proxy's audit totals (``None`` without one).
+    """
+    n = FLOOD_N
+    topology = regular_topology(n, FLOOD_DEGREE, seed=3)
     registry = KeyRegistry(n, run_seed=0)
     votes = {
         key: make_vote(registry, registry.secret_key(sender), round_number, None)
@@ -381,16 +428,23 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        transport = SimTransport(n, slot_s=SLOT_S, **FLOOD_MODEL)
-        arrivals: dict[tuple[int, str], float] = {}
-        network = GossipNetwork(
-            transport,
-            topology,
-            on_deliver=lambda pid, m: arrivals.setdefault(
-                (pid, keys[m.content_key]), loop.time()
-            ),
-        )
+        transport = fabric(n, slot_s=SLOT_S, **FLOOD_MODEL)
+        proxy = None
+        if script is not None:
+            proxy = ProxyTransport(
+                transport, script.timeline(), seed=5, round_s=ROUND_S, base_latency_s=SLOT_S
+            )
+        sequences: dict[int, list[tuple[int | None, str, float]]] = {pid: [] for pid in range(n)}
+
+        def on_deliver(pid, message):
+            sequences[pid].append(
+                (transport.source.get(pid), keys[message.content_key], loop.time())
+            )
+
+        network = GossipNetwork(proxy or transport, topology, per_pid(range(n), on_deliver))
         transport.start()
+        if proxy is not None:
+            proxy.schedule_phases()
         publishes = []
 
         def publish(pid, key):
@@ -406,17 +460,50 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
         await asyncio.sleep(1.0)
         assert transport.wheel.pending == 0
         network.stop()
-        return arrivals, publishes, transport.sent_count
+        return sequences, publishes, transport, proxy and proxy.audit_totals()
 
-    arrivals, publishes, sent = run_virtual(scenario())
+    return run_virtual(scenario())
+
+
+def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts():
+    """Elision removes frames, never a first arrival, its source, its
+    order or a draw: every pid's deliveries on the real network match a
+    reference flood written here."""
+    sequences, publishes, transport, _ = _flood()
+    topology = regular_topology(FLOOD_N, FLOOD_DEGREE, seed=3)
     predicted, offered = _reference_flood(topology, publishes, asleep_from={0: publishes[0][0]})
-    assert arrivals == predicted
+    assert sequences == predicted
     # Everyone but the sleeping originator got everything, some of it late.
-    assert len(arrivals) == 1 + 2 * (n - 1) + (n - 1)
-    assert max(arrivals.values()) > 0.040
+    arrivals = [at for sequence in sequences.values() for _, _, at in sequence]
+    assert len(arrivals) == 1 + 2 * (FLOOD_N - 1) + (FLOOD_N - 1)
+    assert max(arrivals) > 0.040
     # And the saving is real: the reference offered every frame, the
-    # network built only those that could still be a first arrival.
-    assert sent < offered
+    # network sent only those that could still be a first arrival, and
+    # parked fewer still.
+    assert transport.sent_count < offered
+    assert transport.superseded > 0
+
+
+def test_through_drops_and_a_partition_supersession_changes_no_delivery():
+    """The same flood behind a proxy that drops frames, partitions the
+    overlay and heals: the fabric with the rule delivers exactly what the
+    fabric without it does — every source, key, order and instant."""
+    script = AttackScript(
+        name="lossy-split-heal",
+        phases=(
+            phase(2),  # m1 floods unhindered
+            phase(1, partition(range(6), range(6, 12)), drop(None, None, 0.3)),  # m2, m3
+            phase(1, heal()),
+        ),
+    )
+    sequences, _, transport, audit = _flood(_Tapped, script)
+    full, _, _, full_audit = _flood(_NeverSupersedes, script)
+    assert sequences == full
+    assert audit == full_audit
+    assert audit["dropped"] > 0 and audit["partitioned"] > 0
+    assert transport.superseded > 0
+    # Some pid was reached through a held frame, after the heal.
+    assert any(at > 3 * ROUND_S for sequence in sequences.values() for _, _, at in sequence)
 
 
 def test_one_shard_sends_each_message_once_per_overlay_edge():
@@ -427,21 +514,24 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
 
     async def scenario():
         transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
-        network = GossipNetwork(transport, topology, on_deliver=lambda pid, m: None)
+        network = GossipNetwork(transport, topology, on_deliver=dict.fromkeys(topology, lambda m: None))
         transport.start()
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)
             )
         await asyncio.sleep(1.0)
-        return transport.sent_count, network.stats_totals()
+        return transport.sent_count, transport.superseded, network.stats_totals()
 
-    sent, stats = run_virtual(scenario())
+    sent, superseded, stats = run_virtual(scenario())
     assert sent == messages * edges
     assert stats["delivered"] == messages * n
-    # A frame already in flight when its receiver hears the message
-    # elsewhere still arrives, as the only duplicates left.
-    assert stats["duplicates"] == messages * (edges - (n - 1))
+    # Of the edges' frames, n - 1 per message are first arrivals.  Every
+    # other one was sent while a copy of the same object was in flight to
+    # its receiver, and here none of them would have landed first: all
+    # are superseded, and none is ingested as a duplicate.
+    assert superseded == messages * (edges - (n - 1))
+    assert stats["duplicates"] == 0
     assert stats["seen_entries"] == messages
 
 
@@ -453,10 +543,9 @@ class _LoggedSim(SimTransport):
         self.built: list[tuple[int, int, object]] = []
         self.handed: list[tuple[int, int, object]] = []
 
-    def send_many(self, src, dsts, payload):
-        dsts = tuple(dsts)
-        self.built.extend((src, dst, payload) for dst in dsts)
-        super().send_many(src, dsts, payload)
+    def send_many(self, src, dsts, payload, skip=0):
+        self.built.extend((src, dst, payload) for dst in dsts if not skip >> dst & 1)
+        super().send_many(src, dsts, payload, skip)
 
     def _deliver(self, dst, src, payload):
         self.handed.append((dst, src, payload))
@@ -483,7 +572,7 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
             GossipNetwork(
                 transport,
                 {pid: ring[pid] for pid in shard},
-                on_deliver=lambda pid, m: None,
+                on_deliver=dict.fromkeys(shard, lambda m: None),
                 current_round=lambda clock=clock: clock[0],
                 seen_horizon_rounds=3,
             )
@@ -503,13 +592,14 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
         return transport, flood_of_new, {pid: dict(node.stats) for pid, node in nodes.items()}
 
     transport, flood_of_new, stats = run_virtual(scenario())
-    # ``new``: 0 publishes to 1 and 3; 1 offers 2 (other shard: built);
-    # 3 offers 2 (co-located, but 2 has not ingested yet: built); 2 then
-    # hears it from one of them and owes the other a forward — to 1 it is
-    # built (another shard's pid), to 3 it is skipped (a co-located holder).
-    assert sorted(flood_of_new[:4]) == [(0, 1), (0, 3), (1, 2), (3, 2)]
-    first_src_at_2 = next(src for dst, src, p in transport.handed if dst == 2 and p is new)
-    assert flood_of_new[4:] == ([(2, 1)] if first_src_at_2 == 3 else [])
+    # ``new``: 0 publishes to 1 and 3, which both offer it to 2 in one
+    # slot (another shard's pid, and a co-located pid that has not
+    # ingested it yet: both built).  1's frame is parked first, so 3's is
+    # superseded; 2 hears it from 1 and owes a forward only to 3, a
+    # co-located holder: skipped.
+    assert flood_of_new == [(0, 1), (0, 3), (1, 2), (3, 2)]
+    assert [src for dst, src, p in transport.handed if dst == 2 and p is new] == [1]
+    assert transport.superseded == 1
     # ``old``: its crawling frames arrive after shard A evicted it.  Node
     # 1 drops it as stale (the stale check precedes the seen index); in
     # shard B, whose clock lags, it is news — and 2's forward to 1 is
@@ -517,5 +607,49 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
     built_old = [(src, dst) for src, dst, payload in transport.built if payload is old]
     assert built_old == [(0, 1), (0, 3), (3, 2), (2, 1)]
     assert stats[1]["stale_dropped"] == 2
-    assert stats[2]["delivered"] == stats[3]["delivered"] == 2
+    assert stats[2] == stats[3] == {"delivered": 2, "duplicates": 0, "stale_dropped": 0}
     assert stats[0] == {"delivered": 2, "duplicates": 0, "stale_dropped": 0}
+
+
+class _KeepsFabric(DeploymentBackend):
+    """The one-process deployment, keeping a handle on its fabric."""
+
+    def _in_process_shard(self, spec, on_publish=None):
+        shard = super()._in_process_shard(spec, on_publish)
+        self.fabric = shard.transport
+        return shard
+
+
+@pytest.mark.parametrize(
+    "seed, digest, timers",
+    [
+        (0, "e0f7730be9c9b7d5bea08b307ca924e4e2a2c5833c4047da909ae3ef94d22bd1", 219),
+        (1, "fb89caea863a10a2b7c3565cf253d3e6dc5667171a7d0fb16c73dede3552fb59", 231),
+    ],
+)
+def test_a_superseded_frame_keeps_its_slot_armed(seed, digest, timers):
+    """A deployment with jitter and a surge decides what it decided before
+    supersession existed, on exactly the loop timers it armed then (both
+    recorded without the rule): a frame not parked still arms its slot,
+    so a loop clock that advances timer by timer reads the same instants."""
+    spec = RunSpec(
+        n=8,
+        rounds=20,
+        eta=4,
+        seed=seed,
+        conditions=NetworkConditions(periods=(AsyncPeriod(8, 2),)),
+        transactions=SubmissionRateWorkload(3, seed=seed),
+    )
+    backend = _KeepsFabric(processes=1, delta_s=0.04)
+    result = run_virtual(backend.execute_async(spec))
+    rows = sorted((d.pid, d.round, d.view, d.tip or "") for d in result.trace.decisions)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    assert backend.fabric.wheel.timers_created == timers
+    # Also recorded without the rule: 3,712 frames sent, 1,856 first
+    # arrivals and 2,088 duplicates.  The rule turns most duplicates into
+    # superseded frames and adds no other kind.
+    gossip, superseded = result.extras["gossip"], result.extras["transport"]["superseded"]
+    assert backend.fabric.sent_count == 3712
+    assert gossip["delivered"] == 1856
+    assert gossip["duplicates"] + superseded == 2088
+    assert superseded > 10 * gossip["duplicates"]

@@ -311,6 +311,31 @@ def test_send_many_matches_per_send_counters(tmp_path):
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_a_remote_copy_behind_one_in_flight_is_never_written(tmp_path):
+    """One worker's batches to a peer leave in slot order over one FIFO
+    connection, so a remote frame is superseded exactly like a local
+    one — until its batch is written, after which a copy goes out again."""
+
+    async def scenario():
+        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        try:
+            body = ["remote"]
+            a.send_many(0, (1, 2, 1), body)
+            assert a.sent_count == 3 and a.superseded == 1
+            await inbox_b.until(2, 1)
+            assert await inbox_b.until(1, 1) == [(0, body)]
+            assert a.frames_sent == 2
+            a.send(0, 1, body)  # the first copy's batch is gone: written again
+            assert len(await inbox_b.until(1, 2)) == 2
+            assert a.superseded == 1 and a.frames_sent == 3
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_timer_budget_is_per_slot_not_per_message(tmp_path):
     async def scenario():
         a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
@@ -527,13 +552,14 @@ def test_a_raising_subscriber_does_not_stop_the_reader(tmp_path):
         a.anchor()
         b.anchor()
         try:
-            a.send_many(0, (1, 2, 1), "same batch")
+            a.send_many(0, (1, 2), "first")
+            a.send(0, 1, "second")
             await inbox.until(2, 1)
             a.send(0, 1, "next batch")
             async with asyncio.timeout(2):
                 while len(got) < 3:
                     await asyncio.sleep(0.001)
-            assert got == ["same batch", "same batch", "next batch"]
+            assert got == ["first", "second", "next batch"]
             assert b.handler_errors == 1 and b.misrouted_count == 0
         finally:
             await a.close()

@@ -2,6 +2,8 @@
 
 import asyncio
 import logging
+import math
+import random
 
 import pytest
 
@@ -175,10 +177,11 @@ def test_a_raising_subscriber_costs_its_own_frame_only(caplog):
         transport.subscribe(1, fragile)
         bystander = Collector(transport, (2,))
         transport.start()
-        # One send_many = one clock read: all four frames share a slot.
-        transport.send_many(0, (1, 2, 1, 2), "x")
+        # No await between the sends: all four frames share a slot.
+        transport.send_many(0, (1, 2), "x")
+        transport.send_many(0, (1, 2), "y")
         await bystander.until(2, 2)
-        assert got == ["raised", "x"]
+        assert got == ["raised", "y"]
         assert transport.handler_errors == 1
         # Teardown's flush isolates the same way.
         transport.unsubscribe(1)
@@ -293,11 +296,19 @@ def test_slot_order_is_the_delivery_order_across_pids():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1, 2))
         transport.start()
-        transport.send_many(0, (1, 2, 1, 2, 2, 1), "x")
+        for payload, dst in enumerate((1, 2, 1, 2, 2, 1)):
+            transport.send(0, dst, payload)
         assert transport.wheel.timers_created == 1
         while transport.wheel.pending:
             await asyncio.sleep(transport.wheel.slot_s)
-        assert [pid for pid, _, _ in inbox.order] == [1, 2, 1, 2, 2, 1]
+        assert [(pid, payload) for pid, _, payload in inbox.order] == [
+            (1, 0),
+            (2, 1),
+            (1, 2),
+            (2, 3),
+            (2, 4),
+            (1, 5),
+        ]
 
     run(scenario())
 
@@ -312,3 +323,44 @@ def test_zero_jitter_latency_skips_the_stream_but_matches_it():
     # Surge windows still apply on the fast path.
     surged = LinkLatencyModel(0.003, 0.0, seed=1, surges=(SurgeWindow(0.0, 1.0, 10.0),))
     assert surged.latency(0, 1, 0.5) == 0.03
+
+
+@pytest.mark.parametrize(
+    "start_s, end_s, factor",
+    [
+        (1.0, 1.0, 2.0),  # empty
+        (2.0, 1.0, 2.0),  # backwards
+        (0.0, math.inf, 2.0),
+        (math.nan, 1.0, 2.0),
+        (0.0, 1.0, 0.5),  # would speed links up; a factor < 0 would turn delays negative
+        (0.0, 1.0, -3.0),
+        (0.0, 1.0, math.nan),
+    ],
+)
+def test_a_surge_window_that_could_schedule_a_frame_before_its_send_is_refused(
+    start_s, end_s, factor
+):
+    with pytest.raises(ValueError, match="surge"):
+        SurgeWindow(start_s=start_s, end_s=end_s, factor=factor)
+
+
+def test_a_fan_out_draws_what_one_draw_per_link_would_to_the_bit():
+    """One pass per fan-out: each link's k-th draw, and every overlapping
+    surge factor applied in window order, exactly as drawn one by one."""
+    surges = (SurgeWindow(0.0, 2.0, 3.0), SurgeWindow(1.0, 3.0, 1.7), SurgeWindow(1.5, 4.0, 1.3))
+    model = LinkLatencyModel(0.001, 0.004, seed=9, surges=surges)
+    streams = {dst: random.Random(f"link:9:2:{dst}") for dst in (0, 1, 3, 5)}
+    for at in (0.5, 1.25, 1.75, 2.5, 5.0):
+        expected = []
+        for dst in (0, 1, 3, 5):
+            delay = 0.001 + streams[dst].random() * 0.004
+            for surge in surges:
+                if surge.start_s <= at < surge.end_s:
+                    delay *= surge.factor
+            expected.append(delay)
+        assert model.draws(2, (0, 1, 3, 5), at) == expected
+    # ``latency`` is the one-destination case, on the same streams.
+    delay = 0.001 + streams[3].random() * 0.004
+    for factor in (3.0, 1.7, 1.3):
+        delay *= factor
+    assert model.latency(2, 3, 1.75) == delay

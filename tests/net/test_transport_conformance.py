@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import AttackScript, drop, heal, partition, phase
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.socket_transport import SocketTransport, supports_unix_sockets
-from repro.net.transport import SimTransport
+from repro.net.transport import SimTransport, SurgeWindow
 
 from tests.net.conftest import Collector
 
@@ -17,20 +17,21 @@ LATENCY_S = 0.001
 MODEL = {"base_latency_s": LATENCY_S, "jitter_s": 0.0, "seed": 1}
 
 
-def _sim():
-    return SimTransport(N, slot_s=LATENCY_S / 2, **MODEL)
+def _sim(**model):
+    return SimTransport(N, slot_s=LATENCY_S / 2, **{**MODEL, **model})
 
 
 # Every builder subscribes first and listens second: no frame can
-# precede its consumer.
-async def _sim_fabric(_tmp_path):
-    transport = _sim()
+# precede its consumer.  Each returns the fabric under test, its inbox,
+# its teardown, and the fabric that parks frames (the proxy's inner one).
+async def _sim_fabric(_tmp_path, **model):
+    transport = _sim(**model)
     inbox = Collector(transport, range(N))
     transport.start()
-    return transport, inbox, None
+    return transport, inbox, None, transport
 
 
-async def _loopback_socket(tmp_path):
+async def _loopback_socket(tmp_path, **model):
     """One worker hosting every pid: the whole mesh is its own loopback."""
     transport = SocketTransport(
         N,
@@ -38,22 +39,22 @@ async def _loopback_socket(tmp_path):
         owner={pid: 0 for pid in range(N)},
         worker_id=0,
         addresses={0: str(tmp_path / "w0.sock")},
-        **MODEL,
+        **{**MODEL, **model},
     )
     inbox = Collector(transport, range(N))
     await transport.start()
     await transport.connect()
     transport.anchor()
-    return transport, inbox, transport.close
+    return transport, inbox, transport.close, transport
 
 
-async def _quiescent_proxy(_tmp_path):
-    inner = _sim()
+async def _quiescent_proxy(_tmp_path, **model):
+    inner = _sim(**model)
     timeline = AttackScript(name="quiet", phases=(phase(4),)).timeline()
     proxy = ProxyTransport(inner, timeline, seed=1, round_s=0.03, base_latency_s=LATENCY_S)
     inbox = Collector(proxy, range(N))  # subscribes through to the inner fabric
     inner.start()
-    return proxy, inbox, None
+    return proxy, inbox, None, inner
 
 
 FABRICS = {
@@ -69,7 +70,7 @@ FABRICS = {
 @pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
 def test_same_sends_same_arrivals_on_every_fabric(build, tmp_path):
     async def scenario():
-        transport, inbox, close = await build(tmp_path)
+        transport, inbox, close, _fabric = await build(tmp_path)
         try:
             deferred = []
             assert transport.now() >= 0.0
@@ -107,6 +108,102 @@ def test_same_sends_same_arrivals_on_every_fabric(build, tmp_path):
                 await close()
 
     asyncio.run(scenario())
+
+
+def _on_every_fabric(build, tmp_path, check, **model):
+    async def scenario():
+        transport, inbox, close, fabric = await build(tmp_path, **model)
+        try:
+            await check(transport, inbox, fabric)
+        finally:
+            if close is not None:
+                await close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
+def test_a_copy_that_can_only_arrive_second_is_delivered_once(build, tmp_path):
+    """The same object offered again to a pid, due no earlier than the
+    copy already parked for it, is sent and counted — never delivered."""
+
+    async def check(transport, inbox, fabric):
+        payload = ["m"]
+        transport.send(0, 1, payload)
+        transport.send(2, 1, payload)  # another source: still the same object
+        transport.send_many(3, (1, 2), payload)
+        assert transport.sent_count == 4
+        assert fabric.superseded == 2
+        await inbox.until(2, 1)
+        await asyncio.sleep(10 * LATENCY_S)
+        # The first copy offered is the one delivered, source included.
+        assert inbox.frames[1] == [(0, payload)]
+        assert inbox.frames[2] == [(3, payload)]
+        # Once it has fired, nothing is in flight to supersede by.
+        transport.send(3, 1, payload)
+        await inbox.until(1, 2)
+        assert inbox.frames[1][-1] == (3, payload)
+        assert fabric.superseded == 2
+
+    _on_every_fabric(build, tmp_path, check)
+
+
+@pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
+def test_a_later_copy_that_lands_earlier_is_parked(build, tmp_path):
+    """A copy sent after a surge lands before the one sent into it: both
+    are parked, and they arrive in landing order."""
+
+    async def check(transport, inbox, fabric):
+        payload = ["m"]
+        transport.send(0, 1, payload)  # surged: lands after ~200 ms
+        while transport.now() < 0.010:
+            await asyncio.sleep(0.001)
+        transport.send(2, 1, payload)  # after the surge: lands in ~1 ms
+        assert fabric.superseded == 0
+        assert await inbox.until(1, 2) == [(2, payload), (0, payload)]
+
+    _on_every_fabric(
+        build, tmp_path, check, surges=(SurgeWindow(start_s=0.0, end_s=0.010, factor=200.0),)
+    )
+
+
+@pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
+def test_equal_content_in_distinct_objects_is_never_superseded(build, tmp_path):
+    """Supersession is by object, not content: deduplicating is the
+    consumer's business."""
+
+    async def check(transport, inbox, fabric):
+        first, twin = ["m"], ["m"]
+        transport.send(0, 1, first)
+        transport.send(0, 1, twin)
+        assert fabric.superseded == 0
+        frames = await inbox.until(1, 2)
+        assert frames == [(0, first), (0, twin)]
+        assert frames[0][1] is first and frames[1][1] is twin
+
+    _on_every_fabric(build, tmp_path, check)
+
+
+@pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
+def test_nothing_supersedes_after_flush_or_cancel(build, tmp_path):
+    async def check(transport, inbox, fabric):
+        flushed, cancelled = ["flushed"], ["cancelled"]
+        transport.send(0, 1, flushed)
+        fabric.flush()
+        assert inbox.frames[1] == [(0, flushed)]
+        transport.send(0, 1, flushed)
+        transport.send(0, 2, cancelled)
+        fabric.cancel()
+        assert fabric.wheel.pending == 0
+        transport.send(0, 2, cancelled)
+        assert fabric.superseded == 0
+        assert await inbox.until(2, 1) == [(0, cancelled)]
+        await asyncio.sleep(10 * LATENCY_S)
+        # The copy re-sent after the flush was cancelled with the wheel.
+        assert inbox.frames[1] == [(0, flushed)]
+        assert inbox.frames[2] == [(0, cancelled)]
+
+    _on_every_fabric(build, tmp_path, check)
 
 
 def test_send_many_through_the_proxy_is_per_frame_send_with_coins_and_partitions():

@@ -107,6 +107,9 @@ def test_extras_have_one_shape_on_both_substrates():
         for key, total in attack["totals"].items():
             assert total == sum(row[key] for row in attack["per_phase"])
         assert attack["totals"]["partitioned"] > 0
+        # Every fabric supersedes, and the count rides the wire gauges.
+        assert extras["transport"]["superseded"] > 0
+        assert extras["metrics"]["gauges"]["wire_superseded"] == extras["transport"]["superseded"]
     # Zeros where the fabric has no wire, counts where it has one.
     assert single.extras["transport"]["frames_sent"] == 0
     assert multi.extras["transport"]["frames_sent"] > 0
