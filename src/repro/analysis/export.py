@@ -4,66 +4,42 @@ Long parameter sweeps are cheaper to analyse offline: run once, save the
 trace, and run every checker/metric later (all of
 :mod:`repro.analysis` operates on the reloaded object identically).
 The format is self-contained — blocks, transactions, participation
-records, decisions, and metadata all round-trip exactly.  A metadata
-value round-trips if it is built from JSON scalars, lists, tuples,
-fractions and dicts with string keys; anything else is saved as its
-``repr``.
+records, decisions, and metadata all round-trip exactly.  Metadata is
+written in the repository's one storage form,
+:func:`~repro.engine.spec.json_form`, so a ``meta`` value reads back
+type for type, and a value with no such form is refused at save time.
+
+Format version 2 drops each round's derived ``honest`` set
+(``O_r \\ B_r``); the loader reads versions 1 and 2 alike.  It refuses a
+file the checkers would crash on, naming the bad record: blocks that do
+not form a tree, rounds not numbered ``0, 1, 2, …``, a pid outside
+``range(n)``, or a decision whose tip is not in the tree.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from repro.chain.block import Block
 from repro.chain.transactions import Transaction
-from repro.chain.tree import BlockTree
+from repro.chain.tree import BlockTree, MissingParentError
+from repro.engine.spec import from_json_form, json_form
 from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def trace_to_dict(trace: Trace) -> dict:
     """A JSON-safe dictionary capturing the whole trace."""
-    blocks = []
-    seen: set[str] = set()
-    # Serialise in depth order so parents always precede children.
-    pending = sorted(
-        (trace.tree.depth(tip), tip) for tip in trace.tree.tips()
-    )
-    for _, tip in pending:
-        for block_id in trace.tree.path(tip):
-            if block_id in seen:
-                continue
-            seen.add(block_id)
-            block = trace.tree.get(block_id)
-            blocks.append(
-                {
-                    "parent": block.parent,
-                    "proposer": block.proposer,
-                    "view": block.view,
-                    "salt": block.salt,
-                    "payload": [
-                        {
-                            "sender": tx.sender,
-                            "nonce": tx.nonce,
-                            "payload": tx.payload.hex(),
-                            "checksum": tx.checksum,
-                        }
-                        for tx in block.payload
-                    ],
-                }
-            )
     return {
         "version": FORMAT_VERSION,
         "n": trace.n,
-        "meta": {key: _encode_meta(value) for key, value in trace.meta.items()},
+        "meta": json_form(trace.meta),
         "rounds": [
             {
                 "round": rec.round,
                 "awake": sorted(rec.awake),
-                "honest": sorted(rec.honest),
                 "byzantine": sorted(rec.byzantine),
                 "asynchronous": rec.asynchronous,
                 "votes_sent": rec.votes_sent,
@@ -76,67 +52,85 @@ def trace_to_dict(trace: Trace) -> dict:
             {"pid": d.pid, "round": d.round, "view": d.view, "tip": d.tip}
             for d in trace.decisions
         ],
-        "blocks": blocks,
+        # Insertion order, which lists every parent before its children.
+        "blocks": [
+            {
+                "parent": block.parent,
+                "proposer": block.proposer,
+                "view": block.view,
+                "salt": block.salt,
+                "payload": [
+                    {
+                        "sender": tx.sender,
+                        "nonce": tx.nonce,
+                        "payload": tx.payload.hex(),
+                        "checksum": tx.checksum,
+                    }
+                    for tx in block.payload
+                ],
+            }
+            for block in trace.tree.blocks()
+        ],
     }
 
 
 def trace_from_dict(data: dict) -> Trace:
     """Rebuild a :class:`Trace` from :func:`trace_to_dict` output."""
-    if data.get("version") != FORMAT_VERSION:
+    if data.get("version") not in (1, 2):
         raise ValueError(f"unsupported trace format version: {data.get('version')!r}")
-    tree = BlockTree()
-    pending = [
-        Block(
-            parent=raw["parent"],
-            proposer=raw["proposer"],
-            view=raw["view"],
-            salt=raw["salt"],
-            payload=tuple(
-                Transaction(
-                    sender=tx["sender"],
-                    nonce=tx["nonce"],
-                    payload=bytes.fromhex(tx["payload"]),
-                    checksum=tx["checksum"],
-                )
-                for tx in raw["payload"]
-            ),
+    try:
+        tree = BlockTree(
+            Block(
+                parent=raw["parent"],
+                proposer=raw["proposer"],
+                view=raw["view"],
+                salt=raw["salt"],
+                payload=tuple(
+                    Transaction(
+                        sender=tx["sender"],
+                        nonce=tx["nonce"],
+                        payload=bytes.fromhex(tx["payload"]),
+                        checksum=tx["checksum"],
+                    )
+                    for tx in raw["payload"]
+                ),
+            )
+            for raw in data["blocks"]
         )
-        for raw in data["blocks"]
-    ]
-    # Insert respecting parent order (a bounded number of passes).
-    remaining = pending
-    while remaining:
-        progressed = []
-        deferred = []
-        for block in remaining:
-            if block.parent is None or block.parent in tree:
-                tree.add(block)
-                progressed.append(block)
-            else:
-                deferred.append(block)
-        if not progressed:
-            raise ValueError("trace blocks do not form a tree")
-        remaining = deferred
+    except MissingParentError as exc:
+        raise ValueError(f"trace blocks do not form a tree, parents first: {exc}") from None
 
-    trace = Trace(
-        n=data["n"],
-        tree=tree,
-        meta={key: _decode_meta(value) for key, value in data["meta"].items()},
-    )
-    for rec in data["rounds"]:
+    n = data["n"]
+    everyone = frozenset(range(n))
+
+    def pids(values, where: str) -> frozenset[int]:
+        found = frozenset(values)
+        if not found <= everyone:
+            strays = sorted(found - everyone, key=repr)
+            raise ValueError(f"{where} names pids {strays} outside range({n})")
+        return found
+
+    trace = Trace(n=n, tree=tree, meta=from_json_form(data["meta"]))
+    for index, rec in enumerate(data["rounds"]):
+        where = f"round record {index}"
+        if rec["round"] != index:
+            raise ValueError(f"{where} is round {rec['round']!r}: rounds must run 0, 1, 2, ...")
         trace.rounds.append(
             RoundRecord(
-                round=rec["round"],
-                awake=frozenset(rec["awake"]),
-                honest=frozenset(rec["honest"]),
-                byzantine=frozenset(rec["byzantine"]),
+                round=index,
+                awake=pids(rec["awake"], where),
+                byzantine=pids(rec["byzantine"], where),
                 asynchronous=rec["asynchronous"],
                 votes_sent=rec["votes_sent"],
                 proposes_sent=rec["proposes_sent"],
                 other_sent=rec["other_sent"],
             )
         )
-    for d in data["decisions"]:
+    for index, d in enumerate(data["decisions"]):
+        where = f"decision {index} (pid {d['pid']!r}, round {d['round']!r})"
+        pids([d["pid"]], where)
+        if d["tip"] not in tree:
+            raise ValueError(f"{where} names tip {d['tip']!r}, which is not in the block tree")
         trace.decisions.append(
             DecisionEvent(pid=d["pid"], round=d["round"], view=d["view"], tip=d["tip"])
         )
@@ -151,42 +145,3 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> Trace:
     """Read a trace previously written by :func:`save_trace`."""
     return trace_from_dict(json.loads(Path(path).read_text()))
-
-
-#: Keys that mark an encoded meta value; a meta dict may not use them.
-_TAGS = ("__fraction__", "__tuple__", "__repr__")
-
-
-def _encode_meta(value):
-    if isinstance(value, Fraction):
-        return {"__fraction__": [value.numerator, value.denominator]}
-    if isinstance(value, tuple):
-        return {"__tuple__": [_encode_meta(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode_meta(v) for v in value]
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str) or key in _TAGS:
-                raise ValueError(
-                    f"meta dict key {key!r} cannot round-trip: "
-                    f"keys must be strings other than {', '.join(_TAGS)}"
-                )
-        return {key: _encode_meta(v) for key, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return {"__repr__": repr(value)}
-
-
-def _decode_meta(value):
-    if isinstance(value, list):
-        return [_decode_meta(v) for v in value]
-    if isinstance(value, dict):
-        if "__fraction__" in value:
-            num, den = value["__fraction__"]
-            return Fraction(num, den)
-        if "__tuple__" in value:
-            return tuple(_decode_meta(v) for v in value["__tuple__"])
-        if "__repr__" in value:
-            return value["__repr__"]
-        return {key: _decode_meta(v) for key, v in value.items()}
-    return value

@@ -48,7 +48,7 @@ from repro.attacks import ATTACKS, apply_script, get_script
 from repro.core.bounds import beta_tilde, figure1_curve, max_resilient_pi
 from repro.engine.backend import run_spec
 from repro.engine.registry import PROTOCOLS
-from repro.engine.spec import RunSpec
+from repro.engine.spec import RunSpec, json_form
 from repro.engine.sweep import SweepJournal, SweepJournalMismatch, sweep_rows
 from repro.workloads import (
     SubmissionRateWorkload,
@@ -389,19 +389,6 @@ def _cmd_tune_eta(args) -> int:
     return 0
 
 
-def _json_safe(value):
-    """Reduced rows may carry Fractions and round-sets; make them JSON."""
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _cmd_sweep(args) -> int:
     job = GRIDS[args.grid]
     overrides = {}
@@ -428,7 +415,7 @@ def _cmd_sweep(args) -> int:
     print(job.table(rows, **overrides))
     if args.save:
         with open(args.save, "w") as fh:
-            json.dump({"grid": job.name, "rows": [_json_safe(r) for r in rows]}, fh, indent=2)
+            json.dump(json_form({"grid": job.name, "rows": rows}), fh, indent=2)
         print(f"\nrows saved to {args.save}")
     return 0
 
@@ -508,7 +495,7 @@ def _cmd_soak(args) -> int:
         "shed_transactions": extras["mempool"]["shed"],
         "admitted_transactions": extras["mempool"]["admitted"],
         "shed_protocol_messages": shed_protocol,
-        "gossip": _json_safe(extras["gossip"]),
+        "gossip": extras["gossip"],
     }
     print(
         format_table(
@@ -519,7 +506,7 @@ def _cmd_soak(args) -> int:
     )
     if args.dump:
         with open(args.dump, "w") as fh:
-            json.dump({"summary": summary, "metrics": _json_safe(scraped)}, fh, indent=2)
+            json.dump(json_form({"summary": summary, "metrics": scraped}), fh, indent=2)
         print(f"\nsoak dump saved to {args.dump}")
     return 0 if (safety.ok and trace.decisions and shed_protocol == 0) else 1
 

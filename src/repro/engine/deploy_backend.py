@@ -335,7 +335,6 @@ class DeploymentBackend(ExecutionBackend):
                 RoundRecord(
                     round=r,
                     awake=awake,
-                    honest=awake - byz,
                     byzantine=byz,
                     asynchronous=conditions.is_asynchronous(r),
                     votes_sent=votes,

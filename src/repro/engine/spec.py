@@ -9,15 +9,21 @@ the deterministic round simulator or the wall-clock asyncio deployment.
 backend, so every scenario, bench, and example config runs on either
 substrate unchanged.
 
-This module also defines the **stable content digest** of a run:
-:func:`canonical_form` normalises an arbitrary model object (specs,
-schedules, adversaries, fractions, seeded RNGs, …) into a
-JSON-serialisable structure that depends only on *content* — never on
-memory addresses, hash seeds, or iteration order — and
-:func:`stable_digest` hashes that form.  The sweep checkpoint journal
-(:mod:`repro.engine.sweep`) keys each grid cell by this digest, so a
-changed parameter, seed, or backend configuration invalidates stale
-journal rows instead of silently reusing them.
+This module also defines the two JSON forms a value can take:
+
+* The **digest form**, :func:`canonical_form`, is one-way.  It
+  normalises an arbitrary model object (specs, schedules, adversaries,
+  fractions, seeded RNGs, …) into a JSON-serialisable structure that
+  depends only on *content* — never on memory addresses, hash seeds, or
+  iteration order — and :func:`stable_digest` hashes it.  The sweep
+  checkpoint journal (:mod:`repro.engine.sweep`) keys each grid cell by
+  this digest, so a changed parameter, seed, or backend configuration
+  invalidates stale journal rows instead of silently reusing them.
+* The **storage form**, :func:`json_form` / :func:`from_json_form`, is
+  reversible and covers plain data only.  Everything the repository
+  writes down goes through it: a trace file's ``meta``
+  (:mod:`repro.analysis.export`), the sweep journal's rows, and the
+  CLI's ``--save`` / ``--dump`` files.  It reads back type-exactly.
 """
 
 from __future__ import annotations
@@ -190,3 +196,97 @@ def stable_digest(value: object) -> str:
     """SHA-256 hex digest of :func:`canonical_form`\\ ``(value)``."""
     blob = json.dumps(canonical_form(value), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The storage form
+# ----------------------------------------------------------------------
+def _is_tag(key: object) -> bool:
+    return isinstance(key, str) and key.startswith("__") and key.endswith("__")
+
+
+def json_form(value: object) -> object:
+    """``value`` as JSON that :func:`from_json_form` reads back type for type.
+
+    ``None``, bools, ints, floats, strings, lists and str-keyed dicts are
+    written as themselves.  Fractions, bytes, sets, frozensets, tuples
+    and every other dict — a str-keyed one whose one key looks like a
+    tag included — become one-key tagged objects such as ``{"__tuple__":
+    [...]}``, set members sorted by their encoding.  Types match exactly
+    (a subclass would not read back as itself), and anything else raises
+    :class:`TypeError` here, at write time.
+    """
+    kind = type(value)
+    if value is None or kind in (bool, int, float, str):
+        return value
+    if kind is list:
+        return [json_form(v) for v in value]
+    if kind is dict:
+        if all(type(k) is str for k in value) and not (len(value) == 1 and _is_tag(*value)):
+            return {k: json_form(v) for k, v in value.items()}
+        return {"__dict__": [[json_form(k), json_form(v)] for k, v in value.items()]}
+    if kind is tuple:
+        return {"__tuple__": [json_form(v) for v in value]}
+    if kind is Fraction:
+        return {"__fraction__": [value.numerator, value.denominator]}
+    if kind is bytes:
+        return {"__bytes__": value.hex()}
+    if kind in (set, frozenset):
+        return {f"__{kind.__name__}__": sorted((json_form(v) for v in value), key=_sort_key)}
+    raise TypeError(
+        f"{kind.__name__!r} has no JSON form: write plain data (None, bool, int, "
+        "float, str, list, dict, tuple, set, frozenset, Fraction, bytes)"
+    )
+
+
+def _members(payload: object) -> list:
+    if type(payload) is not list:
+        raise ValueError(f"expected a list, got {type(payload).__name__!r}")
+    return [from_json_form(v) for v in payload]
+
+
+def _fraction(payload: object) -> Fraction:
+    if type(payload) is not list or [type(x) for x in payload] != [int, int] or not payload[1]:
+        raise ValueError(f"expected [numerator, nonzero denominator], got {payload!r}")
+    return Fraction(*payload)
+
+
+def _pairs(payload: object) -> dict:
+    pairs = _members(payload)
+    if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
+        raise ValueError("expected a list of [key, value] pairs")
+    return dict(pairs)
+
+
+_DECODERS = {
+    "__fraction__": _fraction,
+    "__bytes__": bytes.fromhex,
+    "__set__": lambda payload: set(_members(payload)),
+    "__frozenset__": lambda payload: frozenset(_members(payload)),
+    "__tuple__": lambda payload: tuple(_members(payload)),
+    "__dict__": _pairs,
+}
+
+
+def from_json_form(form: object) -> object:
+    """Invert :func:`json_form` on a ``json.loads`` result.
+
+    Raises :class:`ValueError` — never anything else — for an unknown
+    tag (an old writer's ``__float__`` or ``__repr__`` included) and
+    for a malformed tagged payload: wrong arity, a zero denominator,
+    bad hex, unhashable set members or dict keys.
+    """
+    if type(form) is list:
+        return [from_json_form(v) for v in form]
+    if type(form) is not dict:
+        return form
+    if len(form) != 1 or not _is_tag(*form):
+        return {k: from_json_form(v) for k, v in form.items()}
+    ((tag, payload),) = form.items()
+    decode = _DECODERS.get(tag)
+    if decode is None:
+        raise ValueError(f"unknown JSON-form tag {tag!r}")
+    try:
+        return decode(payload)
+    except (TypeError, ValueError) as exc:  # TypeError: non-str hex, unhashable members
+        raise ValueError(f"malformed {tag} payload: {exc}") from None

@@ -15,8 +15,10 @@ once*, and entire experiment *grids*:
   sweep ships back measurement rows instead of whole traces — the
   process boundary then carries a dict per cell, not a block tree.
 * :class:`SweepJournal` checkpoints a sweep's reduced rows to an
-  append-only JSONL file, keyed by a content-derived **cell digest**
-  (grid name + resolved params + seeded spec + backend identity).
+  append-only JSONL file, written in the repository's one reversible
+  storage form (:func:`~repro.engine.spec.json_form`) and keyed by a
+  content-derived **cell digest** (grid name + resolved params +
+  seeded spec + backend identity).
   ``stream_sweep(..., journal=..., resume=True)`` skips
   already-journaled cells and yields their cached rows *in cell order*,
   so an interrupted multi-hour grid resumes bit-identically instead of
@@ -53,12 +55,11 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from repro.engine.backend import EngineResult, ExecutionBackend
 from repro.engine.sim_backend import SimulationBackend
-from repro.engine.spec import RunSpec, canonical_form, stable_digest
+from repro.engine.spec import RunSpec, canonical_form, from_json_form, json_form, stable_digest
 
 #: A per-cell reducer: ``(result, params) -> row``.  Runs in the worker
 #: process; whatever it returns crosses the process boundary *instead
@@ -162,67 +163,6 @@ def _as_cells(grid: SweepSpec | Sequence[SweepCell] | Sequence[RunSpec]) -> list
 # ----------------------------------------------------------------------
 # The sweep checkpoint journal
 # ----------------------------------------------------------------------
-def _encode_row(value: object) -> object:
-    """Encode a reduced row as tagged JSON that round-trips *exactly*.
-
-    Resume equivalence demands bit-identical rows, so every container
-    the reducers emit keeps its type across the journal: fractions,
-    sets/frozensets (content-sorted — set equality is order-free),
-    tuples, bytes, and dicts (insertion order preserved).  Anything
-    else is a loud :class:`TypeError` — a row the journal cannot
-    faithfully replay must never be silently approximated.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return {"__float__": repr(value)}
-    if isinstance(value, Fraction):
-        return {"__fraction__": [value.numerator, value.denominator]}
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    if isinstance(value, (set, frozenset)):
-        tag = "__set__" if isinstance(value, set) else "__frozenset__"
-        encoded = [_encode_row(v) for v in value]
-        return {tag: sorted(encoded, key=lambda e: json.dumps(e, sort_keys=True))}
-    if isinstance(value, tuple):
-        return {"__tuple__": [_encode_row(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode_row(v) for v in value]
-    if isinstance(value, dict):
-        return {"__dict__": [[_encode_row(k), _encode_row(v)] for k, v in value.items()]}
-    raise TypeError(
-        f"journaled sweep rows must be plain data (dict/list/tuple/set/"
-        f"Fraction/scalars), got {type(value).__name__!r}"
-    )
-
-
-def _decode_row(value: object) -> object:
-    """Invert :func:`_encode_row` (raises on malformed entries)."""
-    if isinstance(value, list):
-        return [_decode_row(v) for v in value]
-    if isinstance(value, dict):
-        if len(value) != 1:
-            raise ValueError("malformed journal entry: untagged object")
-        (tag, payload), = value.items()
-        if tag == "__float__":
-            return float(payload)
-        if tag == "__fraction__":
-            numerator, denominator = payload
-            return Fraction(numerator, denominator)
-        if tag == "__bytes__":
-            return bytes.fromhex(payload)
-        if tag == "__set__":
-            return {_decode_row(v) for v in payload}
-        if tag == "__frozenset__":
-            return frozenset(_decode_row(v) for v in payload)
-        if tag == "__tuple__":
-            return tuple(_decode_row(v) for v in payload)
-        if tag == "__dict__":
-            return {_decode_row(k): _decode_row(v) for k, v in payload}
-        raise ValueError(f"malformed journal entry: unknown tag {tag!r}")
-    return value
-
-
 class SweepJournalMismatch(ValueError):
     """Raised when ``resume=`` meets a journal written by a different
     grid, backend, or package version (see :meth:`SweepJournal.manifest`)."""
@@ -243,7 +183,9 @@ class SweepJournal:
     always a valid (empty) journal.
 
     Then one line per executed cell: ``{"key": <digest>, "index": ...,
-    "params": ..., "row": ...}``.  The ``key`` is the content-derived
+    "params": ..., "row": ...}``, with ``params`` and ``row`` in
+    :func:`~repro.engine.spec.json_form`, so a resumed row is the
+    reducer's row type for type.  The ``key`` is the content-derived
     cell digest (:meth:`cell_key`) — grid name, resolved cell params,
     the seeded :class:`RunSpec` itself, and the executing backend's
     identity — so a resumed sweep reuses a row only when the cell would
@@ -254,8 +196,9 @@ class SweepJournal:
     Durability: appends are buffered and fsync'd once per window
     (:func:`stream_sweep` drives the cadence) plus once at close, so a
     crash loses at most the current window.  :meth:`load` tolerates a
-    torn final line — and any other undecodable line — by discarding
-    it: those cells simply re-run.
+    torn final line — and any other undecodable line, such as an older
+    writer's ``__float__`` row or a corrupt tagged payload — by
+    discarding it: those cells simply re-run.
 
     Args:
         path: the JSONL file (parent directories are created lazily).
@@ -380,8 +323,8 @@ class SweepJournal:
             try:
                 entry = json.loads(line)
                 key = entry["key"]
-                row = _decode_row(entry["row"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                row = from_json_form(entry["row"])
+            except (KeyError, TypeError, ValueError):
                 continue
             if isinstance(key, str):
                 rows[key] = row
@@ -420,8 +363,8 @@ class SweepJournal:
         entry = {
             "key": key,
             "index": outcome.index,
-            "params": _encode_row(outcome.params),
-            "row": _encode_row(outcome.row),
+            "params": json_form(outcome.params),
+            "row": json_form(outcome.row),
         }
         self._fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
 

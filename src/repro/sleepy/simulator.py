@@ -153,7 +153,6 @@ class Simulation:
             RoundRecord(
                 round=r,
                 awake=frozenset(awake),
-                honest=frozenset(honest),
                 byzantine=frozenset(byz),
                 asynchronous=asynchronous,
                 votes_sent=votes,

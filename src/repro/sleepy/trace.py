@@ -28,16 +28,23 @@ class DecisionEvent:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Participation and activity of one round."""
+    """Participation and activity of one round.
+
+    ``honest`` is derived, not passed: ``H_r = O_r \\ B_r``, because
+    Byzantine processes never sleep (§2.1).
+    """
 
     round: int
     awake: frozenset[int]  # O_r
-    honest: frozenset[int]  # H_r
+    honest: frozenset[int] = field(init=False)  # H_r
     byzantine: frozenset[int]  # B_r
     asynchronous: bool
     votes_sent: int
     proposes_sent: int
     other_sent: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "honest", frozenset(self.awake - self.byzantine))
 
 
 @dataclass

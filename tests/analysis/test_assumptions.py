@@ -25,7 +25,6 @@ def build_trace(rows: list[tuple[set[int], set[int]]]) -> Trace:
             RoundRecord(
                 round=r,
                 awake=frozenset(honest | byz),
-                honest=frozenset(honest),
                 byzantine=frozenset(byz),
                 asynchronous=False,
                 votes_sent=0,

@@ -23,7 +23,6 @@ def trace_with_rounds(n=4, rounds=12, honest=None) -> Trace:
             RoundRecord(
                 round=r,
                 awake=honest,
-                honest=honest,
                 byzantine=frozenset(),
                 asynchronous=False,
                 votes_sent=0,

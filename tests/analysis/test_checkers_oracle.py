@@ -181,7 +181,6 @@ def random_trace(rng: random.Random, n: int = 6, rounds: int = 16) -> Trace:
             RoundRecord(
                 round=r,
                 awake=awake,
-                honest=awake - byz,
                 byzantine=byz,
                 asynchronous=rng.random() < 0.3,
                 votes_sent=0,

@@ -412,6 +412,66 @@ def test_foreign_garbage_lines_are_skipped(tmp_path):
     assert rows == reference
 
 
+def test_a_corrupt_tagged_payload_is_discarded_and_only_that_cell_reruns(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    grid = tiny_grid()
+    reference = sweep_rows(grid, _reduce, max_workers=0, journal=SweepJournal(path, grid="g"))
+    lines = path.read_text().splitlines()
+    key = json.loads(lines[2])["key"]
+    lines[2] = json.dumps({"key": key, "row": {"__fraction__": [1, 0]}})
+    path.write_text("\n".join(lines) + "\n")
+
+    backend = CountingBackend()
+    rows = sweep_rows(
+        grid, _reduce, backend=backend, max_workers=0,
+        journal=SweepJournal(path, grid="g"), resume=True,
+    )
+    assert backend.calls == 1
+    assert rows == reference
+
+
+def _reduce_legacy(result, params):
+    row = {
+        "protocol": params["protocol"],
+        "shape": (result.trace.n, result.trace.horizon),
+        "beta": Fraction(1, 3),
+        "seeds": frozenset({params["seed"]}),
+    }
+    if params["protocol"] == "mmr":
+        row["share"] = params["seed"] / 4
+    return row
+
+
+#: ``tiny_grid()`` journaled with ``_reduce_legacy`` by the previous
+#: writer, which wrapped every dict in ``__dict__`` and every float in
+#: ``__float__``.  The keys are the cell digests, unchanged since.
+LEGACY_ROWS = """\
+{"key":"b842e8dcee011072436d685ddeb1a400cc6cbfce1ba20137630c4e4d0aa18de0","index":0,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",0]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}],["share",{"__float__":"0.0"}]]}}
+{"key":"1a4dafcf948c8e097d9e4493929456ad13290a813d84ca4586a9b09933503bff","index":1,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",1]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}],["share",{"__float__":"0.25"}]]}}
+{"key":"5a1179e637abebcf198975e754f46bdcb369d39eadfe688abd35863498f80f30","index":2,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",0]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}]]}}
+{"key":"df5917514e26746890ef98e50051283a684b9022875a324466b8279acbc9e697","index":3,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",1]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}]]}}
+"""
+
+
+def test_a_legacy_journal_reruns_its_float_rows_and_reuses_the_rest(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    journal = SweepJournal(path, grid="g")
+    manifest = json.dumps({"manifest": journal.manifest(SimulationBackend())})
+    path.write_text(manifest + "\n" + LEGACY_ROWS)
+    grid = tiny_grid()
+    assert journal_keys(path) == [
+        journal.cell_key(cell, SimulationBackend()) for cell in grid.cells()
+    ]
+
+    backend = CountingBackend()
+    rows = sweep_rows(
+        grid, _reduce_legacy, backend=backend, max_workers=0, journal=journal, resume=True
+    )
+    assert backend.calls == 2  # the two mmr rows, whose "share" was a __float__
+    assert rows == sweep_rows(grid, _reduce_legacy, max_workers=0)
+    assert [type(row["share"]) for row in rows[:2]] == [float, float]
+
+
 def test_without_resume_an_existing_journal_is_truncated(tmp_path):
     path = tmp_path / "sweep.jsonl"
     grid = tiny_grid()
@@ -438,7 +498,7 @@ def test_rows_the_journal_cannot_replay_fail_loudly(tmp_path):
     def bad_reducer(result, params):
         return {"simulation": object()}
 
-    with pytest.raises(TypeError, match="journal"):
+    with pytest.raises(TypeError, match="'object' has no JSON form"):
         list(
             stream_sweep(
                 tiny_grid(),

@@ -18,7 +18,6 @@ def make_trace() -> Trace:
             RoundRecord(
                 round=r,
                 awake=honest | {3},
-                honest=honest,
                 byzantine=frozenset({3}) - honest,
                 asynchronous=False,
                 votes_sent=0,

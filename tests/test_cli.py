@@ -158,6 +158,27 @@ def test_sweep_runs_named_grid_and_saves_rows(capsys, tmp_path):
     assert all(row["safe"] for row in payload["rows"] if row["guaranteed"])
 
 
+@pytest.mark.parametrize("grid, n", [("sleepiness", None), ("figure1", 20)])
+def test_saved_sweep_rows_decode_to_the_reducers_rows(capsys, tmp_path, grid, n):
+    import json
+
+    from repro.analysis.batch import GRIDS
+    from repro.engine.spec import from_json_form
+    from repro.engine.sweep import sweep_rows
+
+    target = tmp_path / "rows.json"
+    sized = ["--n", str(n)] if n else []
+    assert main(["sweep", grid, *sized, "--workers", "0", "--save", str(target)]) == 0
+    job = GRIDS[grid]
+    expected = sweep_rows(job.build(**({"n": n} if n else {})), job.reducer, max_workers=0)
+    saved = from_json_form(json.loads(target.read_text()))
+    assert saved == {"grid": grid, "rows": expected}
+    # Sets stay sets and fractions stay fractions, not lists.
+    assert [type(v) for row in saved["rows"] for v in row.values()] == [
+        type(v) for row in expected for v in row.values()
+    ]
+
+
 def test_sweep_journal_roundtrip_and_resume(capsys, tmp_path):
     """A journaled deploy-smoke sweep resumes to a byte-identical table
     without re-running any cell (the journal holds every row)."""
