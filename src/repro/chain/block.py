@@ -9,6 +9,7 @@ identified by :data:`GENESIS_TIP` (``None``).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 from repro.chain.transactions import Transaction
@@ -40,9 +41,10 @@ class Block:
         block_id: the unique identifier, derived from all other fields.
             Computed automatically; never pass it explicitly.
 
-    Pickles as its constructor arguments without ``block_id``, so a
-    decoded block's id is recomputed from the content that arrived
-    (README, "Identifiers and where they are computed").
+    Pickles as its constructor arguments without ``block_id``, and
+    refuses a pickle that writes state onto it, so a decoded block's id
+    is recomputed from the content that arrived (README, "Identifiers
+    and where they are computed").
     """
 
     parent: BlockId | None
@@ -67,6 +69,11 @@ class Block:
 
     def __reduce__(self):
         return (type(self), (self.parent, self.proposer, self.view, self.payload, self.salt))
+
+    def __setstate__(self, state) -> None:
+        # Its own pickle carries no state: a BUILD is a peer writing a
+        # block id or a field onto a constructed block.
+        raise pickle.UnpicklingError("a Block takes no pickled state")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parent = self.parent[:8] if self.parent else "root"

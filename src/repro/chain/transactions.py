@@ -10,6 +10,7 @@ appear in a delivered log.
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Set
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ class Transaction:
     (:func:`is_valid_transaction`) verifies.
 
     The id is hashed once, at construction, and the validity verdict
-    once, on first ask; neither crosses a pickle, so a peer can ship
+    once, on first ask; neither crosses a pickle, and a pickle that
+    writes state onto a transaction is refused, so a peer can ship
     neither an id nor a "valid" verdict (README, "Identifiers and where
     they are computed").
     """
@@ -46,6 +48,11 @@ class Transaction:
 
     def __reduce__(self):
         return (type(self), (self.sender, self.nonce, self.payload, self.checksum))
+
+    def __setstate__(self, state) -> None:
+        # Its own pickle carries no state: a BUILD is a peer writing an
+        # id, a verdict or a field onto a constructed transaction.
+        raise pickle.UnpicklingError("a Transaction takes no pickled state")
 
     @staticmethod
     def create(sender: int, nonce: int, payload: bytes = b"") -> "Transaction":

@@ -15,20 +15,34 @@ single-process run would (real socket hops add on top; δ absorbs them).
 
 Delivery is pushed on both paths: a wheel slot hands a local frame to
 its pid's subscriber, and the socket reader hands over each frame of a
-decoded batch, in batch order, before it reads the next blob.  The
-reader keeps a bounded **decode memo** (body bytes → decoded object), so
-a body that rides several batches — gossip offers one message to a
-worker once per overlay edge that crosses into it — is unpickled once
-per process and every later frame carries the *same object*.  A body
-that would decode to an ill-typed message (a ``float`` round: its
-``__setstate__`` raises) is an undecodable body like any other.
+decoded batch, in batch order, before it reads the next blob.  Each
+transport keeps one bounded **body table** (:class:`DecodedBodyMemo`:
+body bytes → object) for both directions.  Every body this worker
+pickles is entered in it as the object it was pickled from, and every
+body it decodes as the object decoded.  So a body that rides several
+batches — gossip offers one message to a worker once per overlay edge
+that crosses into it, and floods every message back across the cut it
+came over — is unpickled at most once per process, and a body this
+worker sent comes back as the very object it sent.
+
+A miss decodes through the table's own unpickler, whose ``find_class``
+opens onto the wire's six types and nothing else: a body naming any
+other global (a bomb's ``__reduce__`` target, ``builtins.getattr``, a
+module nobody has) is refused before anything is imported or called.
+A decoded :class:`~repro.chain.transactions.Transaction` equal to one
+the table holds *is* that object, so the transactions of the proposals
+of one view are constructed and hashed once per process.  A body that
+would decode to an ill-typed message (a ``float`` round: its
+``__setstate__`` raises), or that rewrites the state of a transaction
+or block it built, is an undecodable body like any other.
 
 Wire format: every write is a 4-byte big-endian length followed by a
 blob.  There are two blob layouts, one per channel:
 
 * **v1 single frame** — a pickle of one object (pickles at protocol
   ≥ 2 always start with the ``0x80`` PROTO opcode).  This is the
-  control channel's format only; the data mesh never reads it.
+  control channel's format only — its other end is the coordinator,
+  the run's own parent process — and the data mesh never reads it.
 * **frame v2 batch** — version byte ``0x02``, then an **intern table**
   of distinct encoded payload bodies (u16 count, each body
   length-prefixed u32), then a frame list (u32 count, each frame
@@ -38,7 +52,9 @@ blob.  There are two blob layouts, one per channel:
   referenced by offset — the per-destination cost is ten bytes of
   header.  It is the only layout the data mesh accepts: a data blob
   that does not decode as a batch is counted in ``frames_rejected`` and
-  skipped (the outer length prefix keeps the stream in sync).
+  skipped (the outer length prefix keeps the stream in sync).  A length
+  prefix over ``MAX_FRAME_BYTES`` is counted too, and ends that
+  connection: nothing can resync past a bogus length.
 
 Workers form a full mesh — every worker dials every other worker once
 and uses that connection for its outgoing frames; the accepting side
@@ -57,14 +73,25 @@ only (``handler_errors``).
 from __future__ import annotations
 
 import asyncio
+import io
 import pickle
 import socket
 import struct
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
+from repro.chain.block import Block
+from repro.chain.transactions import Transaction
+from repro.crypto.vrf import VRFOutput
 from repro.net.transport import LinkLatencyModel, PushDelivery, SurgeWindow
-from repro.sleepy.messages import IDENTITY_MEMO_CAPACITY, IdentityMemo, Message
+from repro.sleepy.messages import (
+    IDENTITY_MEMO_CAPACITY,
+    AckMessage,
+    IdentityMemo,
+    Message,
+    ProposeMessage,
+    VoteMessage,
+)
 
 #: ``str`` → UNIX domain socket path, ``(host, port)`` → TCP.
 Address = str | tuple[str, int]
@@ -156,59 +183,141 @@ def encode_batch(
     return chunks
 
 
-class DecodedBodyMemo:
-    """Body bytes → decoded object, LRU-bounded: one decode per process.
+#: The only globals a data body may name: the wire's message kinds and
+#: what a proposal carries.
+_WIRE_TYPES = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in (VoteMessage, AckMessage, ProposeMessage, Block, VRFOutput, Transaction)
+}
 
-    The read-side mirror of :class:`EncodedPayloadCache`.  The key is
-    the body's bytes themselves — equal bytes decode to equal content,
-    so handing back the first decode is the same value at none of the
-    cost, and a body differing in one byte is a different key.  Decoded
-    payloads are immutable once published (the assumption every
-    identity memo already makes), so sharing one object across batches
-    and destinations is safe; ids are still recomputed at that first
-    decode, never believed from the bytes.  A flood of distinct bodies
-    evicts, it never grows past ``capacity`` entries.
+#: Field types a transaction must have, exactly, to be held for sharing.
+_TX_FIELD_TYPES = (int, int, bytes, str)
+
+#: Transactions a body table holds for later bodies to resolve to: a few
+#: views' proposals, and all a flood of distinct ones can pin.
+TRANSACTION_INTERN_CAPACITY = 4 * IDENTITY_MEMO_CAPACITY
+
+
+def _new_block(*args) -> Block:
+    return Block(*args)
+
+
+class _BodyUnpickler(pickle.Unpickler):
+    """One body's decode, in its table's context.
+
+    ``find_class`` is the only door to a global.  Message kinds and
+    :class:`VRFOutput` come back as themselves: their constructor and
+    ``__setstate__`` type-check.  :class:`Block` and :class:`Transaction`
+    come back as constructor calls only, so ``NEWOBJ`` cannot build one
+    without running its constructor, and the transaction call resolves
+    through the table.  Neither takes a ``BUILD`` (their ``__setstate__``
+    raises), so no body writes onto a transaction the table shares.
     """
 
-    __slots__ = ("_capacity", "_entries")
+    def __init__(self, body: bytes, table: DecodedBodyMemo) -> None:
+        super().__init__(io.BytesIO(body))
+        self._transaction = table.transaction
+
+    def find_class(self, module: str, name: str):
+        cls = _WIRE_TYPES.get((module, name))
+        if cls is None:
+            raise pickle.UnpicklingError(f"{module}.{name} is not a wire type")
+        if cls is Transaction:
+            return self._transaction
+        if cls is Block:
+            return _new_block
+        return cls
+
+
+class DecodedBodyMemo:
+    """The process's one body table: body bytes → object, LRU-bounded.
+
+    Both directions enter it.  :meth:`enter` records a body this process
+    pickled as the object it was pickled from; :meth:`loads` decodes a
+    body on its first sight and hands back that object on every later
+    one.  The key is the body's bytes themselves — equal bytes decode to
+    equal content, so handing back the held object is the same value at
+    none of the cost, and a body differing in one byte is a different
+    key.  Payloads are immutable once published (the assumption every
+    identity memo already makes), so sharing one object across batches,
+    destinations and directions is safe; ids are recomputed at a decode,
+    never believed from the bytes.
+
+    A miss decodes through :class:`_BodyUnpickler`, and :meth:`transaction`
+    is where it builds a transaction: one whose four fields are exactly
+    ``int, int, bytes, str`` and equal to a held one's *is* the held one,
+    and a new one is held from then on.  A flood of distinct bodies or
+    transactions evicts; neither table grows past its capacity.
+    """
+
+    __slots__ = ("_capacity", "_entries", "_transactions", "decodes")
 
     def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("memo capacity must be positive")
         self._capacity = capacity
         self._entries: OrderedDict[bytes, object] = OrderedDict()
+        #: exact-typed transaction fields -> the one object for them.
+        self._transactions: OrderedDict[tuple, Transaction] = OrderedDict()
+        #: Bodies actually unpickled (misses), refused ones included.
+        self.decodes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def enter(self, body: bytes, payload: object) -> None:
+        """Record that ``body`` is ``payload``'s pickle: it resolves to ``payload``."""
+        entries = self._entries
+        entries[body] = payload
+        if len(entries) > self._capacity:
+            entries.popitem(last=False)
+
     def loads(self, body: bytes) -> object:
-        """``pickle.loads(body)``, performed once per distinct live body."""
+        """The object ``body`` is: held, else decoded once and held."""
         entries = self._entries
         try:
             payload = entries[body]
         except KeyError:
-            payload = entries[body] = pickle.loads(body)
-            if len(entries) > self._capacity:
-                entries.popitem(last=False)
+            self.decodes += 1
+            payload = _BodyUnpickler(body, self).load()
+            self.enter(body, payload)
         else:
             entries.move_to_end(body)
         return payload
 
+    def transaction(self, *fields) -> Transaction:
+        """The held transaction with exactly ``fields``, else a new one.
 
-def decode_batch(
-    blob: bytes, memo: DecodedBodyMemo | None = None
-) -> list[tuple[int, int, object]]:
+        Only exactly typed fields are looked up or held: for them equal
+        means the same content (``1 == True`` cannot alias a held
+        transaction), hence the same ``tx_id`` and validity verdict.
+        """
+        if tuple(map(type, fields)) != _TX_FIELD_TYPES:
+            return Transaction(*fields)
+        held = self._transactions
+        tx = held.get(fields)
+        if tx is not None:
+            held.move_to_end(fields)
+            return tx
+        tx = held[fields] = Transaction(*fields)
+        if len(held) > TRANSACTION_INTERN_CAPACITY:
+            held.popitem(last=False)
+        return tx
+
+
+def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, object]]:
     """Decode one frame v2 batch blob into ``(src, dst, payload)`` frames.
 
-    Each distinct body is unpickled exactly once: every frame
-    referencing it shares the resulting payload object, mirroring the
-    in-process bus handing one canonical instance to many receivers.
-    With a ``memo`` that sharing extends across batches — a body seen in
-    an earlier blob decodes to the object it decoded to then.
-    Truncated or inconsistent batches, and batches carrying a body that
-    does not decode, raise :class:`ValueError` — whatever the decode
-    itself raised — so a reader has one exception to count; a bad batch
-    is never a silent partial delivery.
+    Bodies resolve through ``memo``: every frame referencing a body
+    shares one payload object, mirroring the in-process bus handing one
+    canonical instance to many receivers, and with the transport's table
+    that sharing extends across batches and to the bodies this process
+    sent.  Truncated or inconsistent batches, and batches carrying a body
+    that does not decode — a global that is not a wire type, an
+    ill-typed message, state written onto a block or transaction — raise
+    :class:`ValueError`, whatever the decode itself raised, so a reader
+    has one exception to count; a bad batch is never a silent partial
+    delivery.
     """
     if not blob or blob[0] != BATCH_VERSION:
         raise ValueError("not a frame v2 batch blob")
@@ -225,12 +334,12 @@ def decode_batch(
                 raise ValueError("torn batch frame: truncated body")
             body = view[offset : offset + length]
             try:
-                payloads.append(pickle.loads(body) if memo is None else memo.loads(bytes(body)))
+                payloads.append(memo.loads(bytes(body)))
             except Exception as exc:
-                # Unpickling runs constructors and imports the peer named:
-                # a well-framed body can raise anything (ModuleNotFoundError,
-                # AttributeError, a TypeError from ``__init__``…), and all
-                # of it is the peer's malformed input, not our failure.
+                # Unpickling runs the wire types' constructors on what the
+                # peer wrote: a well-framed body can raise (UnpicklingError
+                # from a refused global, a TypeError from ``__setstate__``…),
+                # and all of it is the peer's malformed input, not our failure.
                 raise ValueError(f"undecodable batch body: {exc!r}") from None
             offset += length
         (n_frames,) = _U32.unpack_from(view, offset)
@@ -351,6 +460,7 @@ class SocketTransport(PushDelivery):
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
         self._encode_cache = EncodedPayloadCache()
+        #: The one body table: bodies sent and bodies read, all connections.
         self._decode_memo = DecodedBodyMemo()
         #: (slot, worker id) -> frames awaiting that slot's batch write,
         #: and each frame's ``(dst, payload)``: the batch pins the payload
@@ -364,7 +474,8 @@ class SocketTransport(PushDelivery):
         #: Batch writes issued / batch blobs decoded.
         self.batches_sent = 0
         self.batches_received = 0
-        #: Data blobs that did not decode as a frame v2 batch.
+        #: Data blobs that did not decode as a frame v2 batch, and length
+        #: prefixes over ``MAX_FRAME_BYTES`` (each ends its connection).
         self.frames_rejected = 0
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
@@ -443,9 +554,13 @@ class SocketTransport(PushDelivery):
         and referenced by offset; the real socket adds its own latency
         on top of the modelled one.  A remote frame is superseded
         exactly like a local one: one worker's batches to a peer go out
-        in slot order over one FIFO connection.
+        in slot order over one FIFO connection.  A freshly pickled body
+        enters the body table, so when gossip floods it back it is
+        ``payload`` again, not a second decode.
         """
         intern_key, body, fresh = self._encode_cache.encode(payload)
+        if fresh:
+            self._decode_memo.enter(body, payload)
         self.payload_encodes += fresh
         self.payload_reuses += len(frames) - fresh
         for dst, slot in frames:
@@ -484,9 +599,10 @@ class SocketTransport(PushDelivery):
                 header = await reader.readexactly(_HEADER.size)
                 (length,) = _HEADER.unpack(header)
                 if length > MAX_FRAME_BYTES:
-                    raise ValueError(
-                        f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap"
-                    )
+                    # Nothing can resync past a bogus length: count it and
+                    # end this connection; the others keep serving.
+                    self.frames_rejected += 1
+                    break
                 blob = await reader.readexactly(length)
                 self.bytes_received += _HEADER.size + length
                 try:

@@ -23,7 +23,12 @@ from repro.engine.ingest import IngestPipeline
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork
-from repro.net.socket_transport import EncodedPayloadCache, decode_batch, encode_batch
+from repro.net.socket_transport import (
+    DecodedBodyMemo,
+    EncodedPayloadCache,
+    decode_batch,
+    encode_batch,
+)
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
     IdentityMemo,
@@ -117,7 +122,7 @@ def test_wire_batch_yields_blocks_with_recomputed_ids(registry, genesis):
     object.__setattr__(propose.block, "block_id", FORGED)
     key, body, _ = EncodedPayloadCache().encode(propose)
     (chunk,) = encode_batch([(1, 4, key, body), (1, 5, key, body)])
-    frames = decode_batch(chunk[4:])
+    frames = decode_batch(chunk[4:], DecodedBodyMemo())
     assert [frame[:2] for frame in frames] == [(1, 4), (1, 5)]
     decoded = frames[0][2]
     assert decoded is frames[1][2]

@@ -4,7 +4,13 @@ import asyncio
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chain.block import Block
+from repro.chain.transactions import Transaction
+from repro.crypto.signatures import KeyRegistry
+from repro.crypto.vrf import VRFOutput
 from repro.net.socket_transport import (
     BATCH_VERSION,
     MAX_FRAME_BYTES,
@@ -18,9 +24,16 @@ from repro.net.socket_transport import (
     read_frame,
     supports_unix_sockets,
 )
+from repro.sleepy.messages import (
+    AckMessage,
+    ProposeMessage,
+    VoteMessage,
+    make_propose,
+    make_vote,
+)
 
 from tests.net.conftest import Collector
-from tests.sleepy.test_content_key import ill_typed_bodies
+from tests.sleepy.test_content_key import ill_typed_bodies, wire_form_ill_typed_bodies
 
 
 def test_frame_roundtrip():
@@ -176,7 +189,7 @@ def test_batch_roundtrip_shares_one_decoded_body():
     assert len(chunks) == 1
     blob = chunks[0][4:]
     assert blob[0] == BATCH_VERSION
-    frames = decode_batch(blob)
+    frames = decode_batch(blob, DecodedBodyMemo())
     assert frames == [(0, dst, ["shared"]) for dst in range(1, 6)]
     # One body on the wire, one unpickle: every frame shares the object.
     first = frames[0][2]
@@ -191,7 +204,7 @@ def test_batch_splits_cleanly_at_the_byte_cap():
     decoded = []
     for chunk in chunks:
         assert len(chunk) - 4 <= 180
-        decoded.extend(decode_batch(chunk[4:]))
+        decoded.extend(decode_batch(chunk[4:], DecodedBodyMemo()))
     # Bodies are re-emitted per chunk; no frame is lost or reordered.
     assert [(src, dst) for src, dst, _ in decoded] == [(0, dst) for dst in range(10)]
     assert all(payload == b"x" * 100 for _, _, payload in decoded)
@@ -208,11 +221,11 @@ def test_torn_batch_blobs_raise_value_error():
     # Truncations at any depth are a framing error, not a partial delivery.
     for cut in (1, 2, 5, len(blob) - 3):
         with pytest.raises(ValueError, match="torn batch"):
-            decode_batch(blob[:cut])
+            decode_batch(blob[:cut], DecodedBodyMemo())
     with pytest.raises(ValueError, match="torn batch"):
-        decode_batch(blob + b"junk")
+        decode_batch(blob + b"junk", DecodedBodyMemo())
     with pytest.raises(ValueError, match="not a frame v2"):
-        decode_batch(b"\x80rest")
+        decode_batch(b"\x80rest", DecodedBodyMemo())
 
 
 def test_partial_batch_frame_at_eof_raises_incomplete_read():
@@ -410,9 +423,31 @@ def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
     assert b.batches_received == 1 and b.frames_received == 2
 
 
-#: Well-formed pickles whose *load* raises something other than an
-#: unpickling error: a module nobody has, a name its module lacks, a
-#: constructor called with arguments it rejects.
+def _riding_along(body: bytes) -> bytes:
+    """A well-formed batch: one good frame, then one carrying ``body``."""
+    (chunk,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
+    return chunk
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_a_bomb_inside_a_well_formed_batch_never_runs(tmp_path):
+    body = _body(_Bomb())
+    pickle.loads(body)
+    assert _TRIPPED.pop()  # the bomb is live: loading it runs code
+    poisoned = _riding_along(body)
+    with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
+        decode_batch(poisoned[4:], DecodedBodyMemo())
+    assert not _TRIPPED
+    b = _deliver_raw(tmp_path, poisoned)
+    assert not _TRIPPED
+    assert b.frames_rejected == 1
+    assert b.batches_received == 1 and b.frames_received == 2
+
+
+#: Well-formed pickles whose plain *load* raises something other than an
+#: unpickling error — a module nobody has, a name its module lacks, a
+#: constructor called with arguments it rejects — and which the wire
+#: refuses before looking anything up: none of them names a wire type.
 _POISONED_BODIES = {
     ModuleNotFoundError: b"cno_such_module_on_this_host\nThing\n.",
     AttributeError: b"cbuiltins\nno_such_name_in_builtins\n.",
@@ -429,55 +464,81 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
     for raised, body in _POISONED_BODIES.items():
         with pytest.raises(raised):
             pickle.loads(body)
-        (poisoned,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
-        with pytest.raises(ValueError, match="undecodable batch body"):
+        poisoned = _riding_along(body)
+        with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
             decode_batch(poisoned[4:], DecodedBodyMemo())
         junk += poisoned
-    # So does a body that would decode to an ill-typed message — a float
-    # round, a bool sender, a str subclass for a tip: its ``__setstate__``
-    # raises, and no such object ever reaches gossip or the verifier.
-    ill_typed = ill_typed_bodies()
+    # Hand-built ill-typed messages reach ``object.__new__`` through
+    # ``builtins.getattr``: refused at the global, like any non-wire name.
+    refused = ill_typed_bodies()
+    for body in refused:
+        poisoned = _riding_along(body)
+        with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
+            decode_batch(poisoned[4:], DecodedBodyMemo())
+        junk += poisoned
+    # The same states in a message's own form name only wire types — a
+    # float round, a bool sender, bytes for a signature — and still decode
+    # to nothing: ``__setstate__`` raises, and no such object ever
+    # reaches gossip or the verifier.
+    ill_typed = wire_form_ill_typed_bodies()
     for body in ill_typed:
-        (poisoned,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
+        poisoned = _riding_along(body)
         with pytest.raises(ValueError, match="undecodable batch body: TypeError"):
             decode_batch(poisoned[4:], DecodedBodyMemo())
         junk += poisoned
     b = _deliver_raw(tmp_path, junk)
-    assert b.frames_rejected == 2 + len(_POISONED_BODIES) + len(ill_typed)
+    assert b.frames_rejected == 2 + len(_POISONED_BODIES) + len(refused) + len(ill_typed)
     assert b.batches_received == 1 and b.frames_received == 2
     assert b.misrouted_count == 0
 
 
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_an_oversized_length_prefix_is_counted_and_ends_only_its_connection(tmp_path):
+    (valid,) = encode_batch([(0, dst, "key", _body("ok")) for dst in (1, 2)])
+
+    async def scenario():
+        _, b = _mesh_pair(tmp_path)
+        inbox = Collector(b, (1, 2))
+        await b.start()
+        b.anchor()
+        try:
+            hung_up, bogus = await open_stream(b._addresses[1])
+            bogus.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + valid)
+            # Nothing can resync past a bogus length: b ends this connection.
+            assert await asyncio.wait_for(hung_up.read(), 2) == b""
+            (ended,) = [task for task in b._reader_tasks if task.done()]
+            assert ended.exception() is None
+            # Another connection is served as before.
+            _, honest = await open_stream(b._addresses[1])
+            honest.write(valid)
+            assert await inbox.until(1, 1) == [(0, "ok")]
+            assert await inbox.until(2, 1) == [(0, "ok")]
+            bogus.close()
+            honest.close()
+        finally:
+            await b.close()
+        return b
+
+    b = asyncio.run(scenario())
+    assert b.frames_rejected == 1
+    assert b.batches_received == 1 and b.frames_received == 2
+
+
 # ----------------------------------------------------------------------
-# The decode memo: one decode per process
+# The body table: one decode per process, counting the bodies it sent
 # ----------------------------------------------------------------------
-def _counting_loads(monkeypatch):
-    import repro.net.socket_transport as wire
-
-    calls = []
-    real = pickle.loads
-
-    def counting(data, *args, **kwargs):
-        calls.append(bytes(data))
-        return real(data, *args, **kwargs)
-
-    monkeypatch.setattr(wire.pickle, "loads", counting)
-    return calls
-
-
-def test_one_body_in_two_batches_decodes_to_one_object_with_one_loads(monkeypatch):
+def test_one_body_in_two_batches_decodes_to_one_object_with_one_loads():
     body = _body(["gossiped", "vote"])
     (first,) = encode_batch([(0, 1, "key", body)])
     (second,) = encode_batch([(3, 2, "key", body), (3, 1, "other", _body("x"))])
-    calls = _counting_loads(monkeypatch)
     memo = DecodedBodyMemo()
     frames = decode_batch(first[4:], memo) + decode_batch(second[4:], memo)
     assert [(src, dst) for src, dst, _ in frames] == [(0, 1), (3, 2), (3, 1)]
     assert frames[0][2] == ["gossiped", "vote"]
     assert frames[1][2] is frames[0][2]
-    assert calls.count(body) == 1 and len(calls) == 2
-    # Without a memo every batch decodes for itself, as before.
-    assert decode_batch(first[4:])[0][2] is not frames[0][2]
+    assert memo.decodes == 2  # three frames, two distinct bodies
+    # Another table decodes for itself.
+    assert decode_batch(first[4:], DecodedBodyMemo())[0][2] is not frames[0][2]
 
 
 def test_one_flipped_byte_is_a_different_object():
@@ -528,6 +589,224 @@ def test_the_reader_hands_one_object_to_every_batch_a_body_rides(tmp_path):
             await b.close()
 
     asyncio.run(scenario())
+
+
+REGISTRY = KeyRegistry(4, run_seed=3)
+
+
+def _proposal(pid: int, txs, view: int = 1) -> ProposeMessage:
+    block = Block(parent=None, proposer=pid, view=view, payload=tuple(txs))
+    return make_propose(REGISTRY, REGISTRY.secret_key(pid), 2 * view, view, block)
+
+
+def _transactions(count: int, sender: int = 2) -> list[Transaction]:
+    return [Transaction.create(sender, nonce, nonce.to_bytes(8, "big")) for nonce in range(count)]
+
+
+def _copies(txs) -> list[Transaction]:
+    """Equal transactions that are other objects: what another process holds."""
+    return [Transaction(tx.sender, tx.nonce, tx.payload, tx.checksum) for tx in txs]
+
+
+def _counting_hashes(monkeypatch) -> list[str]:
+    """The domain tag of every id hashed from now on ("tx" or "block")."""
+    import repro.chain.block as block_module
+    import repro.chain.transactions as tx_module
+
+    calls = []
+    for module in (block_module, tx_module):
+
+        def counting(*fields, _real=module.hash_fields):
+            calls.append(fields[0])
+            return _real(*fields)
+
+        monkeypatch.setattr(module, "hash_fields", counting)
+    return calls
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_a_body_flooded_back_is_the_object_its_sender_sent(tmp_path):
+    """Gossip forwards a first-seen message to every neighbour, so what
+    crossed the cut floods back: the sender resolves it, unpickling nothing."""
+    vote = make_vote(REGISTRY, REGISTRY.secret_key(0), 3, None)
+    proposal = _proposal(0, _transactions(3))
+
+    async def scenario():
+        a, b, inbox_a, inbox_b = await _listening_pair(tmp_path)
+        try:
+            for count, message in enumerate((vote, proposal), start=1):
+                a.send(0, 1, message)
+                _, there = (await inbox_b.until(1, count))[-1]
+                b.send(1, 0, there)  # the forward, back across the cut
+                _, back = (await inbox_a.until(0, count))[-1]
+                assert there == message and there is not message
+                assert back is message
+            assert a._decode_memo.decodes == 0
+            assert b._decode_memo.decodes == 2
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_proposal_of_held_transactions_hashes_only_its_block(monkeypatch):
+    txs = _transactions(5)
+    first_body = _body(_proposal(1, _copies(txs)))
+    second_body = _body(_proposal(2, _copies(txs)))
+    memo = DecodedBodyMemo()
+    first = memo.loads(first_body)
+    calls = _counting_hashes(monkeypatch)
+    second = memo.loads(second_body)
+    assert calls == ["block"]
+    assert all(a is b for a, b in zip(second.block.payload, first.block.payload, strict=True))
+    assert second == pickle.loads(second_body)
+
+
+def test_the_transaction_table_stays_within_its_bound_under_a_flood():
+    from repro.net.socket_transport import TRANSACTION_INTERN_CAPACITY
+
+    flood = _transactions(TRANSACTION_INTERN_CAPACITY + 50, sender=3)
+    memo = DecodedBodyMemo(capacity=4)
+    for view, start in enumerate(range(0, len(flood), 100), start=1):
+        memo.loads(_body(_proposal(1, flood[start : start + 100], view=view)))
+        assert len(memo._transactions) <= TRANSACTION_INTERN_CAPACITY and len(memo) <= 4
+    assert len(memo._transactions) == TRANSACTION_INTERN_CAPACITY
+    # The oldest went first; an evicted transaction decodes again, equal.
+    (again,) = memo.loads(_body(_proposal(1, flood[:1], view=99))).block.payload
+    assert again == flood[0] and again.tx_id == flood[0].tx_id
+
+
+class _Rewritten:
+    """Pickles as ``cls(*args)`` then ``BUILD state``: a body that writes
+    onto the object its constructor call returned."""
+
+    def __init__(self, cls: type, args: tuple, state: dict) -> None:
+        self.cls, self.args, self.state = cls, args, state
+
+    def __reduce__(self):
+        return (self.cls, self.args, self.state)
+
+
+def _text(value: str) -> bytes:
+    data = value.encode()
+    return b"X" + len(data).to_bytes(4, "little") + data
+
+
+def test_a_body_cannot_rewrite_a_held_transaction_or_build_a_block_around_its_id():
+    (tx,) = _transactions(1)  # nonce 0: every sender's first transaction
+    memo = DecodedBodyMemo()
+    memo.loads(_body(_proposal(1, _copies([tx]))))
+    fields = (tx.sender, tx.nonce, tx.payload, tx.checksum)
+    held = memo.transaction(*fields)
+    before = dict(vars(held))
+    # Forged ids and verdicts, and fields equal to the held ones but of
+    # another type (0 == False == 0.0, 2 == 2.0).
+    for state in (
+        {"_tx_id": "f0" * 32},
+        {"_valid": False},
+        {"payload": b"other"},
+        {"nonce": False},
+        {"nonce": 0.0},
+        {"sender": float(tx.sender)},
+    ):
+        rewrite = _Rewritten(Transaction, fields, state)
+        with pytest.raises(pickle.UnpicklingError, match="no pickled state"):
+            pickle.loads(_body(rewrite))  # refused before it writes, anywhere
+        # Alone, and followed by the same transaction resolved again.
+        for body in (_body(rewrite), _body((rewrite, *_copies([tx])))):
+            with pytest.raises(pickle.UnpicklingError, match="no pickled state"):
+                memo.loads(body)
+            assert memo.transaction(*fields) is held
+            assert {k: (type(v), v) for k, v in vars(held).items()} == {
+                k: (type(v), v) for k, v in before.items()
+            }
+    rewritten = _body(_Rewritten(Block, (None, 1, 1, (), 0), {"block_id": "f0" * 32}))
+    for load in (pickle.loads, memo.loads):
+        with pytest.raises(pickle.UnpicklingError, match="no pickled state"):
+            load(rewritten)
+    # NEWOBJ: a block that never ran its constructor, with no fields at
+    # all, or (with a BUILD) a forged id.
+    newobj = b"\x80\x02crepro.chain.block\nBlock\n)\x81"
+    assert not hasattr(pickle.loads(newobj + b"."), "parent")
+    forged = newobj + b"}" + _text("block_id") + _text("f0" * 32) + b"sb."
+    for body in (newobj + b".", forged):
+        with pytest.raises(pickle.UnpicklingError, match="NEWOBJ"):
+            memo.loads(body)
+
+
+# A differential against plain ``pickle.loads``: exact and non-exact field
+# types, one-byte-apart payloads and checksums, bodies sent and received.
+_SENDERS = (0, 1, "1", None)
+_PAYLOADS = (b"", b"x", b"y", "x", None)
+_CHECKSUMS = ("c0", "c1", None)
+
+
+def _typed(tx: Transaction) -> tuple:
+    return tuple((type(v), v) for v in (tx.sender, tx.nonce, tx.payload, tx.checksum))
+
+
+def _exact(tx: Transaction) -> bool:
+    return tuple(kind for kind, _ in _typed(tx)) == (int, int, bytes, str)
+
+
+@st.composite
+def _wire_transactions(draw) -> Transaction:
+    return Transaction(
+        draw(st.sampled_from(_SENDERS)),
+        draw(st.integers(0, 2)),
+        draw(st.sampled_from(_PAYLOADS)),
+        draw(st.sampled_from(_CHECKSUMS)),
+    )
+
+
+@st.composite
+def _wire_messages(draw):
+    sender, round_number = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(("vote", "ack", "propose")))
+    if kind != "propose":
+        cls = VoteMessage if kind == "vote" else AckMessage
+        tip = draw(st.sampled_from((None, "t0", "t1")))
+        return cls(sender=sender, round=round_number, signature="s", tip=tip)
+    txs = draw(st.lists(_wire_transactions(), max_size=4))
+    block = Block(parent=None, proposer=sender, view=1, payload=tuple(txs))
+    vrf = VRFOutput(draw(st.integers(0, 1)), "p")
+    return ProposeMessage(
+        sender=sender, round=round_number, signature="s", view=1, block=block, vrf=vrf
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _wire_messages()), min_size=1, max_size=16))
+def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
+    memo = DecodedBodyMemo()
+    resolves_to: dict[bytes, object] = {}
+    #: id -> (typed fields, first decode that handed it out).  Every
+    #: message stays in ``resolves_to``, so no id is recycled.
+    seen: dict[int, tuple[tuple, int]] = {}
+    for step, (sent, message) in enumerate(steps):
+        body = _body(message)
+        if sent:
+            memo.enter(body, message)
+            resolves_to[body] = message
+            continue
+        decoded, plain = memo.loads(body), pickle.loads(body)
+        assert type(decoded) is type(plain) and decoded == plain
+        assert decoded.content_key == plain.content_key
+        if body in resolves_to:  # a body seen before is the object it was
+            assert decoded is resolves_to[body]
+            continue
+        resolves_to[body] = decoded
+        if type(plain) is not ProposeMessage:
+            continue
+        for tx, twin in zip(decoded.block.payload, plain.block.payload, strict=True):
+            assert _typed(tx) == _typed(twin) and tx.tx_id == twin.tx_id
+            # One object is one content, exactly typed: nothing aliases.
+            typed, first = seen.setdefault(id(tx), (_typed(tx), step))
+            assert typed == _typed(tx)
+            if not _exact(tx):  # never held, never shared with another body
+                assert first == step
+                assert all(held is not tx for held in memo._transactions.values())
 
 
 # ----------------------------------------------------------------------

@@ -202,13 +202,34 @@ def ill_typed_bodies() -> list[bytes]:
     return bodies
 
 
+def _built_around(cls: type, state: dict) -> object:
+    """An instance of ``cls`` holding ``state``, its checks stepped around."""
+    obj = object.__new__(cls)
+    vars(obj).update(state)
+    return obj
+
+
+def wire_form_ill_typed_bodies() -> list[bytes]:
+    """The same states in the form a message's own pickle takes — the
+    class, ``NEWOBJ``, then ``BUILD state`` — for every state whose values
+    need no global beyond the message types: a body that names nothing
+    but wire types and still decodes to nothing (``__setstate__`` raises)."""
+    local = (_Str, _Int, _BlockTwin, _VRFTwin)
+    states = [*_ill_typed_states(), (VRFOutput, {"value_num": 5.0, "proof": "p"})]
+    return [
+        pickle.dumps(_built_around(cls, state), protocol=pickle.HIGHEST_PROTOCOL)
+        for cls, state in states
+        if not any(isinstance(value, local) for value in state.values())
+    ]
+
+
 @pytest.mark.parametrize(("cls", "state"), _ill_typed_states())
 def test_an_ill_typed_message_cannot_be_constructed(cls, state):
     with pytest.raises(TypeError, match="must be exactly"):
         cls(**state)
 
 
-@pytest.mark.parametrize("body", ill_typed_bodies())
+@pytest.mark.parametrize("body", ill_typed_bodies() + wire_form_ill_typed_bodies())
 def test_an_ill_typed_message_cannot_come_out_of_a_pickle(body):
     with pytest.raises(TypeError, match="must be exactly"):
         pickle.loads(body)
