@@ -81,7 +81,8 @@ def _add_substrate_flags(
             "--processes",
             type=int,
             default=1,
-            help="worker processes to shard a deployment's nodes across (1 = in-process)",
+            help="shards to split a deployment's nodes across: 1 = in-process; "
+            "k > 1 runs shard 0 in this process and spawns k - 1 workers",
         )
     else:
         p.set_defaults(processes=1)

@@ -36,10 +36,14 @@ payloads :func:`~repro.runtime.shard.merge_payloads` folds into one
 :class:`~repro.sleepy.trace.Trace` and one ``extras`` shape.
 ``processes=1`` (the default) is one shard covering every node, in this
 process, over a :class:`~repro.net.transport.SimTransport`; it alone
-hosts a live (non-scripted) adversary.  ``processes=k`` is k shards in
-spawned :mod:`repro.runtime.worker` processes joined by a socket mesh
-and sequenced by a :class:`~repro.runtime.coordinator.Coordinator`,
-with all round clocks anchored at one shared wall-clock instant.
+hosts a live (non-scripted) adversary.  ``processes=k`` is k
+:mod:`repro.runtime.worker` shards joined by a socket mesh and sequenced
+by a :class:`~repro.runtime.coordinator.Coordinator`, with all round
+clocks anchored at one shared wall-clock instant: shard 0 runs in this
+process, on the caller's event loop, and shards 1..k−1 in k − 1 spawned
+processes, so a k-shard run starts k − 1 interpreters.  Shard 0's
+payload reaches the merge in memory; only the spawned shards' payloads
+are pickled.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from repro.runtime.shard import (
     merge_payloads,
     shard_pids,
 )
-from repro.runtime.worker import worker_main
+from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.messages import Message, ProposeMessage
 from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
@@ -93,7 +97,8 @@ class DeploymentBackend(ExecutionBackend):
     clock_skew_s: float = 0.0
     receive_fraction: float = 0.9
     #: Shards to split the nodes across.  ``1`` = one shard in this
-    #: process; ``> 1`` = that many socket-mesh worker processes.
+    #: process; ``k > 1`` = k socket-mesh workers, shard 0 in this
+    #: process and k − 1 spawned.
     processes: int = 1
     #: Per-node mempool bound (transactions shed-and-counted past it);
     #: ``None`` = unbounded, the historical behaviour.
@@ -253,7 +258,7 @@ class DeploymentBackend(ExecutionBackend):
         return [shard.payload(extra_trees=(tree,))], wall, extras
 
     async def _run_workers(self, spec: RunSpec) -> tuple[list, float, dict]:
-        """Run k shards in spawned workers over the socket mesh."""
+        """Run k shards over the socket mesh: shard 0 here, the rest spawned."""
         scripted = isinstance(spec.adversary, ScriptedAdversary)
         if self.protocols is not PROTOCOLS:
             raise ValueError(
@@ -291,6 +296,7 @@ class DeploymentBackend(ExecutionBackend):
         started = loop.time()
         mesh = (coordinator.addresses, coordinator.control_address)
         payloads = await coordinator.run(
+            run_worker,
             worker_main,
             [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
             # Far enough ahead that every worker has the frame in hand

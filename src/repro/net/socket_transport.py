@@ -1,7 +1,8 @@
 """Real socket transport: length-prefixed frames over TCP or UDS.
 
-The multi-process deployment fabric.  Each worker process hosts a
-*shard* of the deployment's nodes and one :class:`SocketTransport`:
+The multi-process deployment fabric.  Each worker (worker 0 in the
+coordinator's process, the others spawned) hosts a *shard* of the
+deployment's nodes and one :class:`SocketTransport`:
 sends between two pids of the same shard loop back through the delivery
 wheel (exactly like :class:`~repro.net.transport.SimTransport`), sends
 to a remote pid are pickled into a length-prefixed frame and written to
@@ -42,7 +43,7 @@ blob.  There are two blob layouts, one per channel:
 * **v1 single frame** — a pickle of one object (pickles at protocol
   ≥ 2 always start with the ``0x80`` PROTO opcode).  This is the
   control channel's format only — its other end is the coordinator,
-  the run's own parent process — and the data mesh never reads it.
+  in the run's own parent process — and the data mesh never reads it.
 * **frame v2 batch** — version byte ``0x02``, then an **intern table**
   of distinct encoded payload bodies (u16 count, each body
   length-prefixed u32), then a frame list (u32 count, each frame
@@ -51,10 +52,13 @@ blob.  There are two blob layouts, one per channel:
   a payload broadcast to many destinations is pickled once and
   referenced by offset — the per-destination cost is ten bytes of
   header.  It is the only layout the data mesh accepts: a data blob
-  that does not decode as a batch is counted in ``frames_rejected`` and
-  skipped (the outer length prefix keeps the stream in sync).  A length
-  prefix over ``MAX_FRAME_BYTES`` is counted too, and ends that
-  connection: nothing can resync past a bogus length.
+  that does not decode as a batch is counted by reason — torn framing
+  in ``frames_rejected_torn``, a body that is not a wire object in
+  ``frames_rejected_refused`` — and skipped (the outer length prefix
+  keeps the stream in sync).  A length prefix over ``MAX_FRAME_BYTES``
+  is counted in ``frames_rejected_oversized`` and ends that connection:
+  nothing can resync past a bogus length.  ``frames_rejected`` is the
+  sum of the three.
 
 Workers form a full mesh — every worker dials every other worker once
 and uses that connection for its outgoing frames; the accepting side
@@ -305,6 +309,21 @@ class DecodedBodyMemo:
         return tx
 
 
+class FrameError(ValueError):
+    """A data blob the wire rejects, and why (:attr:`reason`).
+
+    ``torn``: the framing is wrong — a bad version byte, counts that do
+    not fit, a truncated body, a body index past the table, trailing
+    bytes.  ``refused``: the framing is sound but a body is not a wire
+    object — it names a non-wire global, carries an ill-typed field, or
+    writes state onto a block or transaction.
+    """
+
+    def __init__(self, reason: str, detail: str) -> None:
+        super().__init__(detail)
+        self.reason = reason
+
+
 def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, object]]:
     """Decode one frame v2 batch blob into ``(src, dst, payload)`` frames.
 
@@ -312,15 +331,13 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
     shares one payload object, mirroring the in-process bus handing one
     canonical instance to many receivers, and with the transport's table
     that sharing extends across batches and to the bodies this process
-    sent.  Truncated or inconsistent batches, and batches carrying a body
-    that does not decode — a global that is not a wire type, an
-    ill-typed message, state written onto a block or transaction — raise
-    :class:`ValueError`, whatever the decode itself raised, so a reader
-    has one exception to count; a bad batch is never a silent partial
-    delivery.
+    sent.  A torn batch, or one carrying a body that does not decode,
+    raises :class:`FrameError` — whatever the decode itself raised — so
+    a reader has one exception to count, by reason; a bad batch is never
+    a silent partial delivery.
     """
     if not blob or blob[0] != BATCH_VERSION:
-        raise ValueError("not a frame v2 batch blob")
+        raise FrameError("torn", "not a frame v2 batch blob")
     view = memoryview(blob)
     try:
         offset = 1
@@ -331,7 +348,7 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
             (length,) = _U32.unpack_from(view, offset)
             offset += _U32.size
             if offset + length > len(blob):
-                raise ValueError("torn batch frame: truncated body")
+                raise FrameError("torn", "torn batch frame: truncated body")
             body = view[offset : offset + length]
             try:
                 payloads.append(memo.loads(bytes(body)))
@@ -340,7 +357,7 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
                 # peer wrote: a well-framed body can raise (UnpicklingError
                 # from a refused global, a TypeError from ``__setstate__``…),
                 # and all of it is the peer's malformed input, not our failure.
-                raise ValueError(f"undecodable batch body: {exc!r}") from None
+                raise FrameError("refused", f"undecodable batch body: {exc!r}") from None
             offset += length
         (n_frames,) = _U32.unpack_from(view, offset)
         offset += _U32.size
@@ -350,9 +367,9 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
             offset += _FRAME_REF.size
             frames.append((src, dst, payloads[body_index]))
     except (struct.error, IndexError) as exc:
-        raise ValueError(f"torn batch frame: {exc!r}") from None
+        raise FrameError("torn", f"torn batch frame: {exc!r}") from None
     if offset != len(blob):
-        raise ValueError("torn batch frame: trailing bytes")
+        raise FrameError("torn", "torn batch frame: trailing bytes")
     return frames
 
 
@@ -474,9 +491,12 @@ class SocketTransport(PushDelivery):
         #: Batch writes issued / batch blobs decoded.
         self.batches_sent = 0
         self.batches_received = 0
-        #: Data blobs that did not decode as a frame v2 batch, and length
-        #: prefixes over ``MAX_FRAME_BYTES`` (each ends its connection).
-        self.frames_rejected = 0
+        #: Data blobs that did not decode as a frame v2 batch, by
+        #: :class:`FrameError` reason, and length prefixes over
+        #: ``MAX_FRAME_BYTES`` (``oversized``: each ends its connection).
+        self.frames_rejected_torn = 0
+        self.frames_rejected_refused = 0
+        self.frames_rejected_oversized = 0
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -485,6 +505,15 @@ class SocketTransport(PushDelivery):
         self.payload_reuses = 0
         #: Frames that arrived for a pid this worker does not host.
         self.misrouted_count = 0
+
+    @property
+    def frames_rejected(self) -> int:
+        """Every rejected data blob, whatever the reason."""
+        return (
+            self.frames_rejected_torn
+            + self.frames_rejected_refused
+            + self.frames_rejected_oversized
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -601,18 +630,21 @@ class SocketTransport(PushDelivery):
                 if length > MAX_FRAME_BYTES:
                     # Nothing can resync past a bogus length: count it and
                     # end this connection; the others keep serving.
-                    self.frames_rejected += 1
+                    self.frames_rejected_oversized += 1
                     break
                 blob = await reader.readexactly(length)
                 self.bytes_received += _HEADER.size + length
                 try:
                     frames = decode_batch(blob, self._decode_memo)
-                except ValueError:
+                except FrameError as exc:
                     # A peer's blob is untrusted input: anything that is
                     # not a well-formed batch is counted and skipped, and
                     # the length prefix already consumed keeps the stream
                     # in sync for the next blob.
-                    self.frames_rejected += 1
+                    if exc.reason == "torn":
+                        self.frames_rejected_torn += 1
+                    else:
+                        self.frames_rejected_refused += 1
                     continue
                 self.batches_received += 1
                 for src, dst, payload in frames:

@@ -1,7 +1,10 @@
 """The control protocol of every multi-process run, both ends of it.
 
-One control connection per worker, framed exactly like v1 data frames
-(:func:`~repro.net.socket_transport.encode_frame`):
+A run of k workers spawns k − 1 processes: worker 0 runs on the
+coordinator's own event loop, as a task beside it, and workers 1..k−1
+in ``spawn``-context processes.  Every worker, worker 0 included, holds
+one control connection to the coordinator, framed exactly like v1 data
+frames (:func:`~repro.net.socket_transport.encode_frame`):
 
 1. worker → ``("ready", wid)`` once its listener is bound;
 2. coordinator → ``("dial",)`` once *every* listener is bound;
@@ -13,7 +16,9 @@ One control connection per worker, framed exactly like v1 data frames
 5. mid-run traffic either way (``("metrics", wid, snapshot)`` up,
    ``("attack_phase", index)`` down): carried here, given meaning by
    the callers' hooks;
-6. worker → ``("result", wid, payload)`` when its share finishes;
+6. worker → ``("result", wid, payload)`` when its share finishes.
+   Worker 0's frame is bare ``("result", 0)``: its result is its task's
+   return value, handed over in memory, never pickled;
 7. coordinator → ``("shutdown",)``; the worker tears down and exits.
 
 :class:`Coordinator` is the parent's end, :class:`ControlChannel` a
@@ -53,13 +58,13 @@ def _free_tcp_address() -> tuple[str, int]:
 
 
 class Coordinator:
-    """Spawns ``n_workers`` processes and sequences them to a result.
+    """Sequences ``n_workers`` workers to a result: worker 0 here, the rest spawned.
 
     ``budget_s`` bounds each phase (listener setup, mesh dialing, the
-    run).  ``on_frame`` receives every inbound frame that is not one of
-    the protocol's own milestones.  ``addresses`` (worker id → mesh
-    listen address) and ``control_address`` exist from construction on,
-    for the caller to put into its workers' arguments.
+    run, shutdown).  ``on_frame`` receives every inbound frame that is
+    not one of the protocol's own milestones.  ``addresses`` (worker id
+    → mesh listen address) and ``control_address`` exist from
+    construction on, for the caller to put into its workers' arguments.
     """
 
     def __init__(
@@ -85,34 +90,47 @@ class Coordinator:
         self._arrived: dict[str, dict[int, object]] = {tag: {} for tag in _MILESTONES}
         self._reached = {tag: asyncio.Event() for tag in _MILESTONES}
         self._failures: list[str] = []
-        self._procs: list = []
+        #: worker id → spawned process (workers 1..k−1).
+        self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
 
     async def run(
         self,
+        body: Callable[..., Awaitable],
         target: Callable,
         worker_args: Sequence[tuple],
         *,
         start_delay_s: float = 0.0,
         mid_run: Callable[[float], Awaitable] | None = None,
     ) -> list:
-        """Spawn ``target(*worker_args[wid])`` per worker; return their results.
+        """Run every worker; return their results in worker order.
 
-        ``mid_run(start_wall)`` runs as a task from the start barrier
-        until the results are in.  A worker exiting non-zero, a torn or
+        Worker 0 is ``body(*worker_args[0])``, a task on this loop whose
+        return value is its result; worker ``wid > 0`` is
+        ``target(*worker_args[wid])`` in a spawned process, whose result
+        is the payload of its ``result`` frame.  ``mid_run(start_wall)``
+        runs as a task from the start barrier until the results are in.
+        Worker 0 raising, a spawned worker exiting non-zero, a torn or
         garbled control frame, or a phase over budget raises
-        :class:`RuntimeError`; either way the workers and the temp dir
-        are gone when this returns.
+        :class:`RuntimeError`; either way worker 0's task is finished,
+        the spawned workers are reaped and the temp dir is gone when
+        this returns.
         """
         loop = asyncio.get_running_loop()
-        server = await serve_stream(self.control_address, self._handle)
-        ctx = multiprocessing.get_context("spawn")
         tasks = [loop.create_task(self._watch())]
+        server: asyncio.AbstractServer | None = None
         clean = False
         try:
-            for args in worker_args:
-                proc = ctx.Process(target=target, args=args, daemon=True)
+            server = await serve_stream(self.control_address, self._handle)
+            ctx = multiprocessing.get_context("spawn")
+            # Spawn first: the children's interpreter start-up overlaps
+            # with worker 0 building its shard on this loop.
+            for wid in range(1, self.n_workers):
+                proc = ctx.Process(target=target, args=worker_args[wid], daemon=True)
                 proc.start()
-                self._procs.append(proc)
+                self._procs[wid] = proc
+            local = loop.create_task(body(*worker_args[0]))
+            local.add_done_callback(self._local_done)
+            tasks.append(local)
             await self._wait("ready", "listener setup")
             await self.broadcast(("dial",))
             await self._wait("dialed", "mesh dialing")
@@ -122,14 +140,22 @@ class Coordinator:
                 tasks.append(loop.create_task(mid_run(start_wall)))
             await self._wait("result", "the run")
             await self.broadcast(("shutdown",))
+            await asyncio.wait((local,), timeout=self.budget_s)
+            if self._failures:
+                raise RuntimeError("; ".join(self._failures))
+            if not local.done():
+                raise RuntimeError("worker 0 timed out during shutdown")
+            results = [local.result()]
+            results += [self._arrived["result"][wid] for wid in range(1, self.n_workers)]
             clean = True
         finally:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            server.close()
-            await server.wait_closed()
-            for proc in self._procs:
+            if server is not None:
+                server.close()
+                await server.wait_closed()
+            for proc in self._procs.values():
                 if not clean:
                     # No shutdown frame will reach it: don't sit out the
                     # grace period on a worker that is still mid-run.
@@ -138,7 +164,7 @@ class Coordinator:
                 if proc.is_alive():
                     proc.terminate()
             shutil.rmtree(self._tmpdir, ignore_errors=True)
-        return [self._arrived["result"][wid] for wid in range(self.n_workers)]
+        return results
 
     async def broadcast(self, frame: tuple) -> None:
         """Send ``frame`` to every worker that has reported ready."""
@@ -160,9 +186,13 @@ class Coordinator:
         if self._failures:
             raise RuntimeError("; ".join(self._failures))
 
+    def _local_done(self, task: asyncio.Task) -> None:
+        if not task.cancelled() and task.exception() is not None:
+            self._fail(f"worker 0 raised {task.exception()!r}")
+
     async def _watch(self) -> None:
         while not self._reached["result"].is_set():
-            for wid, proc in enumerate(self._procs):
+            for wid, proc in self._procs.items():
                 if proc.exitcode not in (None, 0):
                     self._fail(f"worker {wid} exited with code {proc.exitcode}")
                     return
@@ -191,6 +221,8 @@ class Coordinator:
             # until the budget timeout instead of failing it promptly.
             if not self._reached["result"].is_set():
                 self._fail(f"control channel failure: {exc!r}")
+        finally:
+            writer.close()
 
 
 class ControlChannel:

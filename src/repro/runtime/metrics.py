@@ -38,6 +38,8 @@ from collections.abc import Mapping
 #: Cumulative wire-path counters of a fabric — the one list the shard
 #: payload, the merged result and the ``wire_*`` gauges all read.
 #: ``superseded`` is kept by every fabric; the rest by a socket fabric.
+#: ``frames_rejected`` is the sum of its three ``frames_rejected_*``
+#: reasons (``torn``, ``refused``, ``oversized``).
 WIRE_COUNTER_ATTRS = (
     "superseded",
     "frames_sent",
@@ -49,6 +51,9 @@ WIRE_COUNTER_ATTRS = (
     "payload_encodes",
     "payload_reuses",
     "frames_rejected",
+    "frames_rejected_torn",
+    "frames_rejected_refused",
+    "frames_rejected_oversized",
 )
 
 

@@ -2,14 +2,15 @@
 
 A deployment is k *shards* of nodes joined by a fabric.  ``processes=1``
 is one shard covering ``range(n)`` over a
-:class:`~repro.net.transport.SimTransport`; ``processes=k`` is k shards,
-one per worker process, over a
-:class:`~repro.net.socket_transport.SocketTransport` mesh.  Either way
-the shard is a :class:`ShardRuntime`, and its contribution to the result
-is one :meth:`ShardRuntime.payload`, folded by :func:`merge_payloads`
-whether it is a single in-memory payload or k unpickled ones.  The
-substrates differ only in what their callers hand in: which fabric, who
-flips attack phases, and (in process) a live adversary task.
+:class:`~repro.net.transport.SimTransport`; ``processes=k`` is k shards
+over a :class:`~repro.net.socket_transport.SocketTransport` mesh, shard
+0 in the coordinator's process and shards 1..k−1 one per spawned worker
+process.  Either way the shard is a :class:`ShardRuntime`, and its
+contribution to the result is one :meth:`ShardRuntime.payload`, folded
+by :func:`merge_payloads` — the one shard's payload in memory, or shard
+0's in memory and k − 1 unpickled ones.  The substrates differ only in
+what their callers hand in: which fabric, who flips attack phases, and
+(in process) a live adversary task.
 
 Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology, clock-skew

@@ -1,10 +1,14 @@
-"""Worker process of a multi-process deployment: one shard over sockets.
+"""A worker of a multi-process deployment: one shard over sockets.
 
 A worker is a :class:`~repro.runtime.shard.ShardRuntime` — the assembly
-the in-process deployment runs too — in its own process and event loop,
-over a :class:`~repro.net.socket_transport.SocketTransport` whose remote
-sends cross real sockets to the workers owning the other shards.  This
-module holds only what the socket substrate adds: the mesh fabric, the
+the in-process deployment runs too — over a
+:class:`~repro.net.socket_transport.SocketTransport` whose remote sends
+cross real sockets to the workers owning the other shards.  Worker 0
+runs :func:`run_worker` as a task on the coordinator's own event loop;
+workers 1..k−1 run it in spawned processes through :func:`worker_main`.
+Both speak the same control protocol over a real socket; they differ
+only in how the final payload reaches the coordinator.  This module
+holds only what the socket substrate adds: the mesh fabric, the
 coordinator's handshake, anchoring at the shared start instant,
 attack-phase transitions from control frames, live metric pushes, and
 the one-δ linger before the final snapshot.
@@ -27,16 +31,30 @@ from repro.runtime.shard import (
 )
 
 #: The shard helpers keep their long-standing import path here.
-__all__ = ["WorkerConfig", "drive_node", "shard_arrivals", "shard_pids", "worker_main"]
+__all__ = [
+    "WorkerConfig",
+    "drive_node",
+    "run_worker",
+    "shard_arrivals",
+    "shard_pids",
+    "worker_main",
+]
 
 
 def worker_main(config: WorkerConfig) -> None:
-    """Process entrypoint: run one worker to completion (spawn target)."""
-    asyncio.run(_run_worker(config))
+    """Spawn target of workers 1..k−1: run one to completion, shipping its payload."""
+    asyncio.run(run_worker(config, ship_payload=True))
 
 
-async def _run_worker(config: WorkerConfig) -> None:
-    """The worker's async body: handshake, drive the shard, report."""
+async def run_worker(config: WorkerConfig, *, ship_payload: bool = False) -> dict:
+    """A worker's async body: handshake, drive the shard, report; returns the payload.
+
+    A spawned worker ships its payload in its ``result`` frame
+    (``ship_payload``).  Worker 0 shares the coordinator's process, so
+    its ``result`` frame is bare and the payload is this coroutine's
+    return value, never pickled.  The shard is released as soon as its
+    payload is taken; the transport serves until ``shutdown``.
+    """
     spec = config.spec
     transport = SocketTransport(
         spec.n,
@@ -48,12 +66,13 @@ async def _run_worker(config: WorkerConfig) -> None:
         **link_model(spec, config.delta_s),
     )
     shard = ShardRuntime(config, transport)
+    proxy = shard.proxy
 
     def on_frame(frame: tuple) -> None:
         # The coordinator owns the script's phase schedule and
         # broadcasts each transition at its wall-clock instant.
-        if frame[0] == "attack_phase" and shard.proxy is not None:
-            shard.proxy.enter_phase(frame[1])
+        if frame[0] == "attack_phase" and proxy is not None:
+            proxy.enter_phase(frame[1])
 
     channel: ControlChannel | None = None
     pump: asyncio.Task | None = None
@@ -71,7 +90,12 @@ async def _run_worker(config: WorkerConfig) -> None:
         # local inboxes/trees before the final snapshot is taken.
         await asyncio.sleep(config.delta_s)
         shard.stop()
-        await channel.send("result", shard.payload())
+        payload = shard.payload()
+        # The payload is all that is left of the shard: its nodes and
+        # trees go now, not at shutdown, so worker 0's memory is free
+        # again while the coordinator decodes the spawned payloads.
+        del shard
+        await channel.send("result", *((payload,) if ship_payload else ()))
         await pump
     finally:
         if pump is not None:
@@ -79,3 +103,4 @@ async def _run_worker(config: WorkerConfig) -> None:
         await transport.close()
         if channel is not None:
             channel.close()
+    return payload

@@ -2,6 +2,8 @@
 
 import asyncio
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.net.socket_transport import (
     MAX_FRAME_BYTES,
     DecodedBodyMemo,
     EncodedPayloadCache,
+    FrameError,
     SocketTransport,
     decode_batch,
     encode_batch,
@@ -419,7 +422,7 @@ def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
     assert _TRIPPED.pop()  # the bomb is live: loading it runs code
     b = _deliver_raw(tmp_path, bomb)
     assert not _TRIPPED
-    assert b.frames_rejected == 1
+    assert b.frames_rejected == b.frames_rejected_torn == 1
     assert b.batches_received == 1 and b.frames_received == 2
 
 
@@ -440,7 +443,7 @@ def test_a_bomb_inside_a_well_formed_batch_never_runs(tmp_path):
     assert not _TRIPPED
     b = _deliver_raw(tmp_path, poisoned)
     assert not _TRIPPED
-    assert b.frames_rejected == 1
+    assert b.frames_rejected == b.frames_rejected_refused == 1
     assert b.batches_received == 1 and b.frames_received == 2
 
 
@@ -487,6 +490,11 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
             decode_batch(poisoned[4:], DecodedBodyMemo())
         junk += poisoned
     b = _deliver_raw(tmp_path, junk)
+    # Two torn blobs (a truncated batch, garbage after the version byte);
+    # every poisoned body is refused; nothing oversized.
+    assert b.frames_rejected_torn == 2
+    assert b.frames_rejected_refused == len(_POISONED_BODIES) + len(refused) + len(ill_typed)
+    assert b.frames_rejected_oversized == 0
     assert b.frames_rejected == 2 + len(_POISONED_BODIES) + len(refused) + len(ill_typed)
     assert b.batches_received == 1 and b.frames_received == 2
     assert b.misrouted_count == 0
@@ -520,8 +528,81 @@ def test_an_oversized_length_prefix_is_counted_and_ends_only_its_connection(tmp_
         return b
 
     b = asyncio.run(scenario())
-    assert b.frames_rejected == 1
+    assert b.frames_rejected_oversized == b.frames_rejected == 1
+    assert b.frames_rejected_torn == b.frames_rejected_refused == 0
     assert b.batches_received == 1 and b.frames_received == 2
+
+
+# ----------------------------------------------------------------------
+# Mutation suite: mangled batches are one FrameError, never a dead reader
+# ----------------------------------------------------------------------
+@st.composite
+def _mangled_batches(draw) -> tuple[str, bytes]:
+    """``(how, blob)``: a random blob, or a real batch with bits flipped or its tail cut."""
+    how = draw(st.sampled_from(("random", "flip", "cut")))
+    if how == "random":
+        # Half of them past the version byte, into the counts and bodies.
+        prefix = draw(st.sampled_from((b"", bytes([BATCH_VERSION]))))
+        return how, prefix + draw(st.binary(max_size=96))
+    messages = draw(st.lists(_wire_messages(), min_size=1, max_size=4))
+    frames = [(m.sender, 1 + i % 2, m.content_key, _body(m)) for i, m in enumerate(messages)]
+    (chunk,) = encode_batch(frames)
+    blob = bytearray(chunk[4:])
+    if how == "cut":
+        return how, bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    # Framing is a few bytes among the bodies': aim a third of the flips
+    # at the head (version, counts, the first body's length), a third at
+    # the frame table (count, src, dst, body index), a third anywhere.
+    table = len(blob) - 4 - 10 * len(frames)
+    start, stop = draw(st.sampled_from(((0, 7), (table, len(blob)), (0, len(blob)))))
+    for bit in draw(st.lists(st.integers(8 * start, 8 * stop - 1), min_size=1, max_size=4)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    return how, bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_batches())
+def test_only_a_frame_error_escapes_decode_batch(mangled):
+    how, blob = mangled
+    try:
+        decode_batch(blob, DecodedBodyMemo())
+    except FrameError as exc:
+        assert exc.reason in ("torn", "refused")
+        # A cut is torn whatever it cuts: a body's length is checked
+        # against the blob before the body is decoded.
+        assert how != "cut" or exc.reason == "torn"
+    else:
+        assert how != "cut"
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_mangled_batches(), min_size=1, max_size=4))
+def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
+    async def scenario(directory):
+        _, b = _mesh_pair(directory)
+        inbox = Collector(b, (1, 2))
+        await b.start()
+        b.anchor()
+        try:
+            _, writer = await open_stream(b._addresses[1])
+            for i, (_how, blob) in enumerate(mangled):
+                marker = ("next", i)
+                (valid,) = encode_batch([(0, 1, marker, _body(marker))])
+                writer.write(_blob(blob) + valid)
+                async with asyncio.timeout(2):
+                    while (0, marker) not in inbox.frames[1]:
+                        await asyncio.sleep(0.0005)
+            writer.close()
+        finally:
+            await b.close()
+        return b
+
+    with tempfile.TemporaryDirectory() as directory:
+        b = asyncio.run(scenario(Path(directory)))
+    # Every mangled blob was either rejected, by reason, or decoded.
+    assert b.frames_rejected + b.batches_received == 2 * len(mangled)
+    assert b.frames_rejected_oversized == 0
 
 
 # ----------------------------------------------------------------------

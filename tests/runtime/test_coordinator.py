@@ -1,8 +1,10 @@
 """The control protocol's two ends: fail fast, never hang, carry hooks."""
 
 import asyncio
+import multiprocessing
 import socket
 import struct
+import tempfile
 import time
 
 import pytest
@@ -22,7 +24,8 @@ class _NoMesh:
         pass
 
 
-# Spawn targets: module-level so the spawn context can import them.
+# Spawn targets (workers 1..k−1): module-level so the spawn context can
+# import them.  Worker 0 runs an ``async`` body on the coordinator's loop.
 def _exits_nonzero(_control_address, _worker_id):
     raise SystemExit(3)
 
@@ -34,27 +37,41 @@ def _writes_garbage(control_address, _worker_id):
         time.sleep(30)  # alive and silent: only the garbage can fail the run
 
 
+async def _behaves(control_address, worker_id, ship=False):
+    channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
+    start_wall = await channel.join(_NoMesh())
+    nudges = []
+    pump = asyncio.ensure_future(channel.until_shutdown(nudges.append))
+    await channel.send("note", "hello")
+    while not nudges:
+        await asyncio.sleep(0.01)
+    result = {"worker": worker_id, "start_wall": start_wall, "nudges": nudges}
+    # A spawned worker ships its result; worker 0's is its return value.
+    await channel.send("result", *((result,) if ship else ()))
+    await pump
+    channel.close()
+    return result
+
+
 def _well_behaved(control_address, worker_id):
-    async def body():
-        channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
-        start_wall = await channel.join(_NoMesh())
-        nudges = []
-        pump = asyncio.ensure_future(channel.until_shutdown(nudges.append))
-        await channel.send("note", "hello")
-        while not nudges:
-            await asyncio.sleep(0.01)
-        await channel.send("result", {"start_wall": start_wall, "nudges": nudges})
-        await pump
+    asyncio.run(_behaves(control_address, worker_id, ship=True))
+
+
+async def _raises_mid_run(control_address, worker_id):
+    channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
+    try:
+        await channel.join(_NoMesh())
+        raise ValueError("the local shard broke")
+    finally:
         channel.close()
 
-    asyncio.run(body())
 
-
-def _run(target, n_workers=1, **hooks):
+def _run(body, target, n_workers=2, **hooks):
     async def scenario():
         coordinator = Coordinator(n_workers, budget_s=30.0, on_frame=hooks.get("on_frame"))
         mid_run = hooks.get("mid_run")
         return await coordinator.run(
+            body,
             target,
             [(coordinator.control_address, wid) for wid in range(n_workers)],
             mid_run=(lambda wall: mid_run(coordinator, wall)) if mid_run else None,
@@ -64,14 +81,20 @@ def _run(target, n_workers=1, **hooks):
 
 
 @pytest.mark.parametrize(
-    "target, reason",
-    [(_exits_nonzero, "exited with code 3"), (_writes_garbage, "control channel failure")],
+    "body, target, reason",
+    [
+        (_behaves, _exits_nonzero, "worker 1 exited with code 3"),
+        (_behaves, _writes_garbage, "control channel failure"),
+        (_raises_mid_run, _well_behaved, r"worker 0 raised ValueError\('the local shard broke'\)"),
+    ],
 )
-def test_a_broken_worker_fails_the_run_promptly(target, reason):
+def test_a_broken_worker_fails_the_run_promptly(body, target, reason):
+    """At wid 0 (a task on the coordinator's loop) as at wid 1 (spawned)."""
     started = time.monotonic()
     with pytest.raises(RuntimeError, match=reason):
-        _run(target)
+        _run(body, target)
     assert time.monotonic() - started < 3.0
+    assert multiprocessing.active_children() == []
 
 
 def test_handshake_result_and_both_hooks_round_trip():
@@ -81,14 +104,29 @@ def test_handshake_result_and_both_hooks_round_trip():
         await coordinator.broadcast(("nudge", start_wall))
 
     before = time.time()
-    results = _run(_well_behaved, n_workers=2, on_frame=notes.append, mid_run=nudge)
-    assert sorted(notes) == [("note", 0, "hello"), ("note", 1, "hello")]
-    assert len(results) == 2
+    results = _run(_behaves, _well_behaved, n_workers=3, on_frame=notes.append, mid_run=nudge)
+    assert sorted(notes) == [("note", wid, "hello") for wid in range(3)]
+    # Worker order, whichever way each result arrived.
+    assert [result["worker"] for result in results] == [0, 1, 2]
     for result in results:
         # Every worker was handed the same start instant, and the
         # mid-run task's broadcast reached it after the barrier.
         assert result["start_wall"] == results[0]["start_wall"] >= before
         assert result["nudges"] == [("nudge", result["start_wall"])]
+
+
+def test_a_control_listener_that_cannot_bind_leaks_no_temp_dir(tmp_path, monkeypatch):
+    """The bind is inside the cleanup: the error propagates, the dir goes."""
+    # 90 characters and more: ".../repro-deploy-XXXXXXXX/control.sock"
+    # no longer fits a sockaddr_un path.
+    long_tmp = tmp_path / ("x" * max(1, 90 - len(str(tmp_path)) - 1))
+    long_tmp.mkdir()
+    assert len(str(long_tmp)) >= 90
+    monkeypatch.setattr(tempfile, "tempdir", str(long_tmp))
+    with pytest.raises(OSError, match="too long"):
+        _run(_behaves, _well_behaved)
+    assert list(long_tmp.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Multi-process deployment substrate: sharding, equivalence, backpressure."""
 
+import asyncio
+import multiprocessing
+import time
+
 import pytest
 
 from repro.engine.deploy_backend import DeploymentBackend
@@ -22,19 +26,21 @@ def test_shard_pids_contiguous_and_exhaustive():
         shard_pids(2, 0)
 
 
-def test_multiprocess_decides_the_same_chain_as_single_process():
+@pytest.mark.parametrize("processes", [2, 3])
+def test_multiprocess_decides_the_same_chain_as_single_process(processes):
     """The deploy-smoke equivalence: sharding across processes changes
-    where nodes run, not what they decide."""
+    where nodes run, not what they decide.  At 3, two spawned workers
+    dial each other and the coordinator's own shard."""
     spec = RunSpec(n=4, rounds=6, protocol="resilient", eta=2, seed=0)
     single = DeploymentBackend(delta_s=0.01).execute(spec)
-    multi = DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
+    multi = DeploymentBackend(delta_s=0.01, processes=processes).execute(spec)
 
     def decision_set(result):
         return sorted((d.pid, d.round, d.view, d.tip) for d in result.trace.decisions)
 
     assert decision_set(multi) == decision_set(single)
     assert sorted(multi.trace.tree.tips()) == sorted(single.trace.tree.tips())
-    assert multi.extras["processes"] == 2
+    assert multi.extras["processes"] == processes
     assert multi.extras["transport"]["misrouted"] == 0
     # Frames crossed real sockets (the run was actually sharded).
     assert multi.extras["transport"]["frames_sent"] > 0
@@ -88,13 +94,63 @@ def test_multiprocess_run_with_workload_churn_and_telemetry():
     assert metrics["histograms"]["decision_latency_s"]["count"] > 0
 
 
+def test_k_shards_spawn_k_minus_one_processes():
+    """Shard 0 runs on the caller's loop: only workers 1..k−1 are children."""
+    spec = RunSpec(n=6, rounds=8, protocol="resilient", eta=2, seed=0)
+    backend = DeploymentBackend(delta_s=0.01, processes=3)
+
+    async def scenario():
+        run = asyncio.ensure_future(backend.execute_async(spec))
+        seen = set()
+        while not run.done():
+            seen.add(len(multiprocessing.active_children()))
+            await asyncio.sleep(0.02)
+        return seen, await run
+
+    seen, result = asyncio.run(scenario())
+    assert max(seen) == 2
+    assert result.extras["processes"] == 3 and result.trace.decisions
+    assert multiprocessing.active_children() == []
+
+
+def test_shard_zero_hands_its_payload_over_and_is_released_before_the_merge(monkeypatch):
+    """Shard 0's payload reaches the merge in memory; the shard itself is
+    gone by then, by reference counting alone (no collector pass)."""
+    import gc
+    import weakref
+
+    from repro.engine import deploy_backend
+    from repro.runtime.shard import ShardRuntime
+
+    shards, alive_at_merge, merged = [], [], []
+    payload, merge = ShardRuntime.payload, deploy_backend.merge_payloads
+
+    def recording_payload(self, *args, **kwargs):
+        shards.append(weakref.ref(self))
+        return payload(self, *args, **kwargs)
+
+    def checking_merge(payloads):
+        alive_at_merge.extend(ref() is not None for ref in shards)
+        merged.extend(payloads)
+        return merge(payloads)
+
+    # Both patches reach shard 0 only: a spawned worker imports its own.
+    monkeypatch.setattr(ShardRuntime, "payload", recording_payload)
+    monkeypatch.setattr(deploy_backend, "merge_payloads", checking_merge)
+    spec = RunSpec(n=4, rounds=4, protocol="resilient", eta=2, seed=0)
+    gc.disable()
+    try:
+        DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
+    finally:
+        gc.enable()
+    assert alive_at_merge == [False]
+    assert [payload["worker_id"] for payload in merged] == [0, 1]
+
+
 def test_worker_death_fails_the_run_instead_of_hanging():
-    """Kill one worker mid-run: the coordinator must surface a
+    """Kill the spawned worker mid-run: the coordinator must surface a
     RuntimeError (which ``repro soak`` turns into exit code 1), not
     hang on the control channel or report a partial result as success."""
-    import asyncio
-    import multiprocessing
-
     spec = RunSpec(n=4, rounds=120, protocol="resilient", eta=2, seed=0)
     backend = DeploymentBackend(delta_s=0.05, processes=2)
 
@@ -103,17 +159,37 @@ def test_worker_death_fails_the_run_instead_of_hanging():
         run = asyncio.ensure_future(backend.execute_async(spec))
         for _ in range(200):
             workers = [p for p in multiprocessing.active_children() if p not in before]
-            if len(workers) == 2 and all(p.pid for p in workers):
+            if len(workers) == 1 and workers[0].pid:
                 break
             await asyncio.sleep(0.05)
         else:
             run.cancel()
-            pytest.fail("workers never spawned")
+            pytest.fail("worker 1 never spawned")
         workers[0].kill()
-        with pytest.raises(RuntimeError, match="exited"):
+        with pytest.raises(RuntimeError, match="worker 1 exited"):
             await run
 
     asyncio.run(scenario())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failure_in_the_local_shard_fails_the_run_promptly(monkeypatch):
+    """Shard 0 shares the coordinator's loop: its failure is the run's,
+    as promptly as a spawned worker's non-zero exit, and reaps the rest."""
+    from repro.runtime.shard import ShardRuntime
+
+    async def broken_drive(self, *extra_tasks, report=None):
+        await asyncio.sleep(0.1)
+        raise ValueError("drive broke")
+
+    # Spawned workers import their own, unpatched, ShardRuntime.
+    monkeypatch.setattr(ShardRuntime, "drive", broken_drive)
+    spec = RunSpec(n=6, rounds=120, protocol="resilient", eta=2, seed=0)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"worker 0 raised ValueError\('drive broke'\)"):
+        DeploymentBackend(delta_s=0.05, processes=3).execute(spec)
+    assert time.monotonic() - started < 5.0
+    assert multiprocessing.active_children() == []
 
 
 def test_single_process_metrics_collector_receives_snapshots():
