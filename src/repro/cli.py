@@ -483,6 +483,8 @@ def _cmd_soak(args) -> int:
     # vanish in the socket substrate is a routing bug, which the
     # transports audit as ``misrouted``.
     shed_protocol = extras["transport"]["misrouted"]
+    # One shard in process starts on its own clock, never late.
+    lateness_s = extras.get("lifecycle", {}).get("start_lateness_s", [0.0])
     summary = {
         "n": args.n,
         "processes": args.processes,
@@ -490,6 +492,7 @@ def _cmd_soak(args) -> int:
         "protocol": args.protocol,
         "eta": args.eta,
         "wall_seconds": result.wall_seconds,
+        "start_lateness_ms": max(lateness_s) * 1e3,
         "decisions": len(trace.decisions),
         "safe": safety.ok,
         "messages_sent": result.messages_sent,

@@ -39,7 +39,9 @@ process, over a :class:`~repro.net.transport.SimTransport`; it alone
 hosts a live (non-scripted) adversary.  ``processes=k`` is k
 :mod:`repro.runtime.worker` shards joined by a socket mesh and sequenced
 by a :class:`~repro.runtime.coordinator.Coordinator`, with all round
-clocks anchored at one shared wall-clock instant: shard 0 runs in this
+clocks anchored at one shared wall-clock instant, which the coordinator
+puts a few handshake legs ahead (``extras["lifecycle"]`` records the
+handshake and each worker's start lateness): shard 0 runs in this
 process, on the caller's event loop, and shards 1..k−1 in k − 1 spawned
 processes, so a k-shard run starts k − 1 interpreters.  Shard 0's
 payload reaches the merge in memory; only the spawned shards' payloads
@@ -292,19 +294,22 @@ class DeploymentBackend(ExecutionBackend):
                 await asyncio.sleep(max(0.0, start_wall + start_round * round_s - time.time()))
                 await coordinator.broadcast(("attack_phase", index))
 
-        loop = asyncio.get_running_loop()
-        started = loop.time()
         mesh = (coordinator.addresses, coordinator.control_address)
         payloads = await coordinator.run(
             run_worker,
             worker_main,
             [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
-            # Far enough ahead that every worker has the frame in hand
-            # before round 0 begins.
-            start_delay_s=0.5,
             mid_run=drive_attack_phases if scripted else None,
         )
-        return payloads, loop.time() - started, {"processes": len(shards), "shards": shards}
+        # The coordinator picked the start instant from its handshake;
+        # each worker says how late it anchored there and how long it
+        # drove.  The wall is the rounds' span, as in process: spawn and
+        # handshake are ``setup_s``.
+        lifecycle = dict(coordinator.lifecycle)
+        for key in ("start_lateness_s", "span_s"):
+            lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
+        extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
+        return payloads, max(lifecycle["span_s"]), extras
 
     def _assemble_trace(
         self,

@@ -9,10 +9,14 @@ frames (:func:`~repro.net.socket_transport.encode_frame`):
 1. worker → ``("ready", wid)`` once its listener is bound;
 2. coordinator → ``("dial",)`` once *every* listener is bound;
 3. worker → ``("dialed", wid)`` once its full mesh is connected;
-4. coordinator → ``("start", wall_time)``.  Each worker translates the
-   instant into its own loop time, so whatever it anchors there — round
-   boundaries, the model's synchronized clocks — agrees across
-   processes to wall-clock precision;
+4. coordinator → ``("start", wall_time)``.  The instant is chosen from
+   this run's own handshake: a few times the slowest dial → dialed leg
+   just timed, so it waits for the workers, not for a guess.  Each
+   worker translates the instant into its own loop time, so whatever it
+   anchors there — round boundaries, the model's synchronized clocks —
+   agrees across processes to wall-clock precision.  A worker that
+   reads the frame after the instant has passed anchors there anyway
+   and reports how late it was; it is not padded against;
 5. mid-run traffic either way (``("metrics", wid, snapshot)`` up,
    ``("attack_phase", index)`` down): carried here, given meaning by
    the callers' hooks;
@@ -46,6 +50,10 @@ from repro.net.socket_transport import (
 
 #: Frames every worker sends exactly once, in this order.
 _MILESTONES = ("ready", "dialed", "result")
+#: The start instant lies this many slowest dial → dialed legs ahead.  A
+#: leg is a round trip plus a mesh connect; the start frame needs one
+#: way and a few lines of anchoring, so the multiple is the slack.
+_START_MARGIN_LEGS = 4
 
 
 def _free_tcp_address() -> tuple[str, int]:
@@ -88,6 +96,12 @@ class Coordinator:
         self._writers: dict[int, asyncio.StreamWriter] = {}
         #: milestone → worker id → the frame's payload (if it has one).
         self._arrived: dict[str, dict[int, object]] = {tag: {} for tag in _MILESTONES}
+        #: milestone → worker id → loop time the frame arrived.
+        self._arrived_at: dict[str, dict[int, float]] = {tag: {} for tag in _MILESTONES}
+        #: How this run started, in seconds since :meth:`run` began:
+        #: ``ready_s`` / ``dialed_s`` per worker, the ``margin_s`` the
+        #: start instant was put ahead by, and that instant, ``setup_s``.
+        self.lifecycle: dict[str, object] = {}
         self._reached = {tag: asyncio.Event() for tag in _MILESTONES}
         self._failures: list[str] = []
         #: worker id → spawned process (workers 1..k−1).
@@ -99,7 +113,6 @@ class Coordinator:
         target: Callable,
         worker_args: Sequence[tuple],
         *,
-        start_delay_s: float = 0.0,
         mid_run: Callable[[float], Awaitable] | None = None,
     ) -> list:
         """Run every worker; return their results in worker order.
@@ -109,6 +122,8 @@ class Coordinator:
         ``target(*worker_args[wid])`` in a spawned process, whose result
         is the payload of its ``result`` frame.  ``mid_run(start_wall)``
         runs as a task from the start barrier until the results are in.
+        :attr:`lifecycle` holds the handshake's timings from the start
+        barrier on.
         Worker 0 raising, a spawned worker exiting non-zero, a torn or
         garbled control frame, or a phase over budget raises
         :class:`RuntimeError`; either way worker 0's task is finished,
@@ -116,6 +131,7 @@ class Coordinator:
         this returns.
         """
         loop = asyncio.get_running_loop()
+        began = loop.time()
         tasks = [loop.create_task(self._watch())]
         server: asyncio.AbstractServer | None = None
         clean = False
@@ -132,9 +148,21 @@ class Coordinator:
             local.add_done_callback(self._local_done)
             tasks.append(local)
             await self._wait("ready", "listener setup")
+            dial_sent = loop.time()
             await self.broadcast(("dial",))
             await self._wait("dialed", "mesh dialing")
-            start_wall = time.time() + start_delay_s
+            ready, dialed = (
+                [self._arrived_at[tag][wid] - began for wid in range(self.n_workers)]
+                for tag in ("ready", "dialed")
+            )
+            margin = _START_MARGIN_LEGS * (max(dialed) - (dial_sent - began))
+            start_wall = time.time() + margin
+            self.lifecycle = {
+                "ready_s": ready,
+                "dialed_s": dialed,
+                "margin_s": margin,
+                "setup_s": loop.time() - began + margin,
+            }
             await self.broadcast(("start", start_wall))
             if mid_run is not None:
                 tasks.append(loop.create_task(mid_run(start_wall)))
@@ -209,6 +237,7 @@ class Coordinator:
                     continue
                 if frame[0] == "ready":
                     self._writers[frame[1]] = writer
+                self._arrived_at[frame[0]][frame[1]] = asyncio.get_running_loop().time()
                 arrived[frame[1]] = frame[2] if len(frame) > 2 else None
                 if len(arrived) == self.n_workers:
                     self._reached[frame[0]].set()

@@ -336,12 +336,16 @@ class ShardRuntime:
         pools = (node.process.mempool for node in self.nodes.values())
         return [pool for pool in pools if pool is not None]
 
-    def payload(self, extra_trees: Iterable[BlockTree] = ()) -> dict:
+    def payload(
+        self, extra_trees: Iterable[BlockTree] = (), lifecycle: Mapping[str, float] | None = None
+    ) -> dict:
         """This shard's picklable contribution to the deployment result.
 
         Every tree is enumerated once, parents first, and a block
         several trees hold is kept once — so the merge offers each block
-        once per shard, never before its parent.
+        once per shard, never before its parent.  ``lifecycle`` is what
+        a sharded worker measured of its own start and end
+        (``start_lateness_s``, ``span_s``); the merge leaves it alone.
         """
         nodes = self.nodes.values()
         blocks = {}
@@ -364,6 +368,7 @@ class ShardRuntime:
             },
             # Per-phase audit rows of the proxy (``None``: no script ran).
             "attack": None if self.proxy is None else [dict(row) for row in self.proxy.audit],
+            "lifecycle": dict(lifecycle or {}),
             "metrics": self.sample(),
         }
 

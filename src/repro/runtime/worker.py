@@ -9,9 +9,12 @@ workers 1..k−1 run it in spawned processes through :func:`worker_main`.
 Both speak the same control protocol over a real socket; they differ
 only in how the final payload reaches the coordinator.  This module
 holds only what the socket substrate adds: the mesh fabric, the
-coordinator's handshake, anchoring at the shared start instant,
-attack-phase transitions from control frames, live metric pushes, and
-the one-δ linger before the final snapshot.
+coordinator's handshake, anchoring at the shared start instant (and
+reporting how late that was), attack-phase transitions from control
+frames, and live metric pushes.  The payload is taken the moment the
+drive returns: after a node's last receive phase nothing that arrives
+can reach its tree, vote store or decisions, and frames still parked
+are written at their slots or by the transport's closing flush.
 """
 
 from __future__ import annotations
@@ -84,13 +87,15 @@ async def run_worker(config: WorkerConfig, *, ship_payload: bool = False) -> dic
         origin = loop.time() + (start_wall - time.time())
         shard.clock.start_at(origin)
         transport.anchor(origin)
+        # A start frame read after its instant is reported, not padded
+        # against: round 0 still holds while this stays under ~1.9 δ.
+        start_lateness_s = max(0.0, loop.time() - origin)
+        shard.hub.gauge("start_lateness_ms", start_lateness_s * 1e3)
         pump = loop.create_task(channel.until_shutdown(on_frame))
         await shard.drive(report=lambda snapshot: channel.send("metrics", snapshot))
-        # Linger one δ so in-flight frames from other shards drain into
-        # local inboxes/trees before the final snapshot is taken.
-        await asyncio.sleep(config.delta_s)
+        lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()
-        payload = shard.payload()
+        payload = shard.payload(lifecycle=lifecycle)
         # The payload is all that is left of the shard: its nodes and
         # trees go now, not at shutdown, so worker 0's memory is free
         # again while the coordinator decodes the spawned payloads.

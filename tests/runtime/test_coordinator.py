@@ -18,34 +18,45 @@ pytestmark = pytest.mark.skipif(
 
 
 class _NoMesh:
-    """A transport with nobody to dial."""
+    """A transport with nobody to dial, taking ``dial_delay_s`` to do it."""
+
+    def __init__(self, dial_delay_s=0.0):
+        self.dial_delay_s = dial_delay_s
+        self.dialed_wall = None
 
     async def connect(self):
-        pass
+        await asyncio.sleep(self.dial_delay_s)
+        self.dialed_wall = time.time()
 
 
 # Spawn targets (workers 1..k−1): module-level so the spawn context can
 # import them.  Worker 0 runs an ``async`` body on the coordinator's loop.
-def _exits_nonzero(_control_address, _worker_id):
+def _exits_nonzero(_control_address, _worker_id, _dial_delay_s):
     raise SystemExit(3)
 
 
-def _writes_garbage(control_address, _worker_id):
+def _writes_garbage(control_address, _worker_id, _dial_delay_s):
     with socket.socket(socket.AF_UNIX) as sock:
         sock.connect(control_address)
         sock.sendall(struct.pack(">I", 5) + b"junk!")
         time.sleep(30)  # alive and silent: only the garbage can fail the run
 
 
-async def _behaves(control_address, worker_id, ship=False):
+async def _behaves(control_address, worker_id, dial_delay_s=0.0, ship=False):
     channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
-    start_wall = await channel.join(_NoMesh())
+    mesh = _NoMesh(dial_delay_s)
+    start_wall = await channel.join(mesh)
     nudges = []
     pump = asyncio.ensure_future(channel.until_shutdown(nudges.append))
     await channel.send("note", "hello")
     while not nudges:
         await asyncio.sleep(0.01)
-    result = {"worker": worker_id, "start_wall": start_wall, "nudges": nudges}
+    result = {
+        "worker": worker_id,
+        "dialed_wall": mesh.dialed_wall,
+        "start_wall": start_wall,
+        "nudges": nudges,
+    }
     # A spawned worker ships its result; worker 0's is its return value.
     await channel.send("result", *((result,) if ship else ()))
     await pump
@@ -53,11 +64,11 @@ async def _behaves(control_address, worker_id, ship=False):
     return result
 
 
-def _well_behaved(control_address, worker_id):
-    asyncio.run(_behaves(control_address, worker_id, ship=True))
+def _well_behaved(control_address, worker_id, dial_delay_s=0.0):
+    asyncio.run(_behaves(control_address, worker_id, dial_delay_s, ship=True))
 
 
-async def _raises_mid_run(control_address, worker_id):
+async def _raises_mid_run(control_address, worker_id, _dial_delay_s):
     channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
     try:
         await channel.join(_NoMesh())
@@ -66,14 +77,17 @@ async def _raises_mid_run(control_address, worker_id):
         channel.close()
 
 
-def _run(body, target, n_workers=2, **hooks):
+def _run(body, target, n_workers=2, dial_delays=(), **hooks):
+    """Run the stubs; worker ``wid`` dials for ``dial_delays[wid]`` s (default 0)."""
+
     async def scenario():
         coordinator = Coordinator(n_workers, budget_s=30.0, on_frame=hooks.get("on_frame"))
         mid_run = hooks.get("mid_run")
+        delays = dict(enumerate(dial_delays))
         return await coordinator.run(
             body,
             target,
-            [(coordinator.control_address, wid) for wid in range(n_workers)],
+            [(coordinator.control_address, wid, delays.get(wid, 0.0)) for wid in range(n_workers)],
             mid_run=(lambda wall: mid_run(coordinator, wall)) if mid_run else None,
         )
 
@@ -97,14 +111,14 @@ def test_a_broken_worker_fails_the_run_promptly(body, target, reason):
     assert multiprocessing.active_children() == []
 
 
+async def _nudge(coordinator, start_wall):
+    await coordinator.broadcast(("nudge", start_wall))
+
+
 def test_handshake_result_and_both_hooks_round_trip():
     notes = []
-
-    async def nudge(coordinator, start_wall):
-        await coordinator.broadcast(("nudge", start_wall))
-
     before = time.time()
-    results = _run(_behaves, _well_behaved, n_workers=3, on_frame=notes.append, mid_run=nudge)
+    results = _run(_behaves, _well_behaved, n_workers=3, on_frame=notes.append, mid_run=_nudge)
     assert sorted(notes) == [("note", wid, "hello") for wid in range(3)]
     # Worker order, whichever way each result arrived.
     assert [result["worker"] for result in results] == [0, 1, 2]
@@ -113,6 +127,46 @@ def test_handshake_result_and_both_hooks_round_trip():
         # mid-run task's broadcast reached it after the barrier.
         assert result["start_wall"] == results[0]["start_wall"] >= before
         assert result["nudges"] == [("nudge", result["start_wall"])]
+
+
+@pytest.mark.parametrize("slow_wid", [0, 1])
+def test_the_start_instant_follows_the_handshake_it_timed(slow_wid):
+    """A few slowest legs ahead: a worker that dials d late moves the start
+    at least d past its ``dialed``; prompt workers start within ms of theirs."""
+    dial_delay_s = 0.1
+    prompt = _run(_behaves, _well_behaved, mid_run=_nudge)
+    assert 0.0 <= prompt[0]["start_wall"] - max(r["dialed_wall"] for r in prompt) < 0.05
+    delays = [0.0, 0.0]
+    delays[slow_wid] = dial_delay_s
+    slow = _run(_behaves, _well_behaved, dial_delays=delays, mid_run=_nudge)
+    assert slow[0]["start_wall"] - slow[slow_wid]["dialed_wall"] >= dial_delay_s
+
+
+def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
+    """Lateness is measured where the worker anchors, not padded against,
+    and reaches ``extras["lifecycle"]`` and the ``start_lateness_ms`` gauge."""
+    from repro.engine.deploy_backend import DeploymentBackend
+    from repro.engine.spec import RunSpec
+
+    late_s = 0.05
+    join = ControlChannel.join
+
+    async def late_join(self, transport):
+        start_wall = await join(self, transport)
+        await asyncio.sleep(late_s)
+        return start_wall
+
+    # Reaches worker 0 only: a spawned worker imports its own.
+    monkeypatch.setattr(ControlChannel, "join", late_join)
+    spec = RunSpec(n=4, rounds=4, protocol="resilient", eta=2, seed=0)
+    result = DeploymentBackend(delta_s=0.05, processes=2).execute(spec)
+    lifecycle = result.extras["lifecycle"]
+    late, prompt = lifecycle["start_lateness_s"]
+    assert late_s - lifecycle["margin_s"] <= late < late_s + 0.05
+    assert prompt < late
+    gauges = result.extras["metrics"]["gauges"]
+    assert gauges["worker0.start_lateness_ms"] == late * 1e3
+    assert result.trace.decisions
 
 
 def test_a_control_listener_that_cannot_bind_leaks_no_temp_dir(tmp_path, monkeypatch):

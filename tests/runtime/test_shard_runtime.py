@@ -94,7 +94,7 @@ def test_extras_have_one_shape_on_both_substrates():
     multi = DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
 
     assert set(single.extras) - set(multi.extras) == {"nodes", "adversary_tree"}
-    assert set(multi.extras) - set(single.extras) == {"processes", "shards"}
+    assert set(multi.extras) - set(single.extras) == {"processes", "shards", "lifecycle"}
     for result in (single, multi):
         extras = result.extras
         # The hub is always on: no collector was attached to either run.

@@ -38,12 +38,28 @@ def test_multiprocess_decides_the_same_chain_as_single_process(processes):
     def decision_set(result):
         return sorted((d.pid, d.round, d.view, d.tip) for d in result.trace.decisions)
 
-    assert decision_set(multi) == decision_set(single)
-    assert sorted(multi.trace.tree.tips()) == sorted(single.trace.tree.tips())
+    # A worker that anchored late says so: the lifecycle is the first clue.
+    clue = multi.extras["lifecycle"]
+    assert decision_set(multi) == decision_set(single), clue
+    assert sorted(multi.trace.tree.tips()) == sorted(single.trace.tree.tips()), clue
     assert multi.extras["processes"] == processes
     assert multi.extras["transport"]["misrouted"] == 0
     # Frames crossed real sockets (the run was actually sharded).
     assert multi.extras["transport"]["frames_sent"] > 0
+
+
+def test_a_sharded_runs_wall_is_its_rounds_not_its_setup():
+    """``wall_seconds`` is the longest shard's span from the shared start
+    to the end of its drive, as in process; spawn and handshake are
+    ``extras["lifecycle"]["setup_s"]``."""
+    rounds, backend = 6, DeploymentBackend(delta_s=0.01, processes=2)
+    result = backend.execute(RunSpec(n=4, rounds=rounds, protocol="resilient", eta=2, seed=0))
+    round_s = 3 * backend.delta_s
+    expected = (rounds - 1 + backend.receive_fraction) * round_s
+    assert abs(result.wall_seconds - expected) < round_s
+    lifecycle = result.extras["lifecycle"]
+    assert result.wall_seconds == max(lifecycle["span_s"])
+    assert max(lifecycle["dialed_s"]) < lifecycle["setup_s"]
 
 
 def test_multiprocess_rejects_adversaries_and_bad_process_counts():

@@ -115,7 +115,8 @@ def test_deploy_smoke(capsys):
         assert row in out
 
 
-def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path):
+@pytest.mark.parametrize("processes", [1, 2])
+def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path, processes):
     import json
 
     dump = tmp_path / "soak.json"
@@ -125,6 +126,7 @@ def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path):
                 "soak",
                 "--duration", "1",
                 "--n", "4",
+                "--processes", str(processes),
                 "--delta-ms", "15",
                 "--rate", "4",
                 "--churn", "0",
@@ -141,6 +143,8 @@ def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path):
     assert payload["summary"]["decisions"] > 0
     assert payload["summary"]["safe"] is True
     assert payload["summary"]["shed_protocol_messages"] == 0
+    # The soak-smoke gate: no worker anchored a δ past the start instant.
+    assert 0.0 <= payload["summary"]["start_lateness_ms"] < 15
     # The dump's metrics section came over a real HTTP scrape.
     assert payload["metrics"]["counters"]["decisions"] == payload["summary"]["decisions"]
 
