@@ -81,8 +81,8 @@ def _add_substrate_flags(
             "--processes",
             type=int,
             default=1,
-            help="shards to split a deployment's nodes across: 1 = in-process; "
-            "k > 1 runs shard 0 in this process and spawns k - 1 workers",
+            help="shards to split a deployment's nodes across: shard 0 runs in "
+            "this process and k - 1 workers are spawned (1 = none, no socket)",
         )
     else:
         p.set_defaults(processes=1)
@@ -483,8 +483,6 @@ def _cmd_soak(args) -> int:
     # vanish in the socket substrate is a routing bug, which the
     # transports audit as ``misrouted``.
     shed_protocol = extras["transport"]["misrouted"]
-    # One shard in process starts on its own clock, never late.
-    lateness_s = extras.get("lifecycle", {}).get("start_lateness_s", [0.0])
     summary = {
         "n": args.n,
         "processes": args.processes,
@@ -492,7 +490,7 @@ def _cmd_soak(args) -> int:
         "protocol": args.protocol,
         "eta": args.eta,
         "wall_seconds": result.wall_seconds,
-        "start_lateness_ms": max(lateness_s) * 1e3,
+        "start_lateness_ms": max(extras["lifecycle"]["start_lateness_s"]) * 1e3,
         "decisions": len(trace.decisions),
         "safe": safety.ok,
         "messages_sent": result.messages_sent,

@@ -20,7 +20,7 @@ Substrate differences (inherent, not incidental):
   (:meth:`~repro.attacks.script.AttackScript.requires`): ``split_vote``
   chooses per receiver and is refused on every process count; the ops
   that sign as corrupted processes (``equivocate``, ``vote_for``,
-  ``propose``) need the in-process driver and are refused at
+  ``propose``) need the live adversary and are refused at
   ``processes > 1``; ``partition``, ``surge``, ``withhold``, ``corrupt``
   and ``sleep``/``wake`` run as written everywhere, and ``drop`` really
   loses frames.
@@ -30,28 +30,31 @@ Substrate differences (inherent, not incidental):
   the adversary's ``send`` power runs live, in round, against the
   omniscient block tree exactly as in the simulator.
 
-There is one deployment runtime over two fabrics.  Every run is k
-shards, each a :class:`~repro.runtime.shard.ShardRuntime`, whose
-payloads :func:`~repro.runtime.shard.merge_payloads` folds into one
-:class:`~repro.sleepy.trace.Trace` and one ``extras`` shape.
-``processes=1`` (the default) is one shard covering every node, in this
-process, over a :class:`~repro.net.transport.SimTransport`; it alone
-hosts a live (non-scripted) adversary.  ``processes=k`` is k
-:mod:`repro.runtime.worker` shards joined by a socket mesh and sequenced
-by a :class:`~repro.runtime.coordinator.Coordinator`, with all round
-clocks anchored at one shared wall-clock instant, which the coordinator
-puts a few handshake legs ahead (``extras["lifecycle"]`` records the
-handshake and each worker's start lateness): shard 0 runs in this
-process, on the caller's event loop, and shards 1..k−1 in k − 1 spawned
-processes, so a k-shard run starts k − 1 interpreters.  Shard 0's
-payload reaches the merge in memory; only the spawned shards' payloads
-are pickled.
+One runner, one phase driver.  Every run is k shards, each a
+:class:`~repro.runtime.shard.ShardRuntime` driven by
+:func:`~repro.runtime.worker.run_worker` and sequenced by a
+:class:`~repro.runtime.coordinator.Coordinator`, whose payloads
+:func:`~repro.runtime.shard.merge_payloads` folds into one
+:class:`~repro.sleepy.trace.Trace` and one ``extras`` shape.  Shard 0
+runs in this process, on the caller's event loop, over an in-memory
+control channel; shards 1..k−1 run in k − 1 spawned processes, so a
+k-shard run starts k − 1 interpreters and ``processes=1`` (the default)
+spawns nothing and opens no socket.  The fabric is the only choice
+that depends on k: a :class:`~repro.net.transport.SimTransport` at
+k = 1, a socket mesh beyond.  Every shard anchors its round clock, its
+fabric and its attack proxy's phase schedule at one start instant,
+which the coordinator puts a few handshake legs ahead
+(``extras["lifecycle"]`` records the handshake and each shard's start
+lateness).  Shard 0's payload reaches the merge in memory; only the
+spawned shards' payloads are pickled.  The adversary's live ``send``
+power runs beside shard 0 when that shard holds every node, the only
+one that can feed its omniscient block tree.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -68,7 +71,6 @@ from repro.engine.backend import (
 )
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec
-from repro.net.transport import SimTransport
 from repro.runtime.clock import ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics
@@ -76,7 +78,6 @@ from repro.runtime.shard import (
     ShardRuntime,
     WorkerConfig,
     corruption_schedule,
-    link_model,
     merge_payloads,
     shard_pids,
 )
@@ -84,6 +85,40 @@ from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.messages import Message, ProposeMessage
 from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
+
+
+class _LiveAdversary:
+    """The adversary's ``send`` power, beside the one shard holding every node.
+
+    It reads an omniscient block tree fed by every message the shard
+    originates, which cannot span processes.  Keys are handed over and
+    monotonicity enforced round by round, as in the simulator; the
+    resolved corruption schedule only peeked.
+    """
+
+    def __init__(self, spec: RunSpec) -> None:
+        self.adversary = spec.resolved_adversary()
+        self.tree = BlockTree([genesis_block()])
+        # Omniscient adversary/trace tree: lossless, never evicts.
+        self._buffer = BlockBuffer(self.tree, max_orphans_per_source=None)
+        self.nodes: dict = {}
+
+    def on_publish(self, message: Message) -> None:
+        if isinstance(message, ProposeMessage) and message.block is not None:
+            self._buffer.offer(message.block)
+
+    async def run(self, shard: ShardRuntime) -> None:
+        self.nodes = shard.nodes
+        clock, adversary = shard.clock, self.adversary
+        ctx = AdversaryContext(shard.registry, self.tree)
+        tracker = CorruptionTracker(adversary, ctx)
+        for r in range(shard.config.spec.rounds):
+            await clock.sleep_until_elapsed(clock.start_of(r))
+            ctx.round = r
+            byz = tracker.corrupted(r)
+            for message in adversary.send(r, ctx):
+                check_adversary_message(message, byz)
+                shard.publish(message.sender, r, message)
 
 
 @dataclass
@@ -119,8 +154,9 @@ class DeploymentBackend(ExecutionBackend):
     def attach_metrics(self, collector: SourcedMetrics) -> None:
         """Attach a live telemetry collector for the next run(s).
 
-        Workers (or the single process) push cumulative metric
-        snapshots into it while the run is in flight, so a
+        Every shard pushes cumulative metric snapshots over its control
+        channel while the run is in flight, and the coordinator hands
+        them to the collector, so a
         :class:`~repro.runtime.metrics.MetricsServer` scraping
         ``collector.merged`` serves live state.  Stored outside the
         dataclass fields on purpose: telemetry wiring must not enter
@@ -137,9 +173,35 @@ class DeploymentBackend(ExecutionBackend):
         if self.processes < 1:
             raise ValueError("processes must be >= 1")
         self._check_realisable(spec)
-        run = self._run_workers if self.processes > 1 else self._run_in_process
-        payloads, wall, extras = await run(spec)
+        shards = shard_pids(spec.n, self.processes)
         collector = getattr(self, "_metrics_collector", None)
+
+        def on_frame(frame: tuple) -> None:
+            if frame[0] == "metrics":
+                collector.push(f"worker{frame[1]}", frame[2])
+
+        coordinator = Coordinator(
+            len(shards),
+            budget_s=60.0 + 2.0 * spec.rounds * ROUND_FACTOR * self.delta_s + 5.0 * len(shards),
+            # Shards push live snapshots only to a coordinator listening.
+            on_frame=None if collector is None else on_frame,
+        )
+        beside = _LiveAdversary(spec) if len(shards) == 1 else None
+        mesh = (coordinator.addresses, coordinator.control_address)
+        payloads = await coordinator.run(
+            functools.partial(run_worker, protocols=self.protocols, beside=beside),
+            worker_main,
+            [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
+        )
+        # The coordinator picked the start instant from its handshake;
+        # each shard says how late it anchored there and how long it
+        # drove.  The wall is the rounds' span: set-up is ``setup_s``.
+        lifecycle = dict(coordinator.lifecycle)
+        for key in ("start_lateness_s", "span_s"):
+            lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
+        extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
+        if beside is not None:
+            extras.update(nodes=beside.nodes, adversary_tree=beside.tree)
         if collector is not None:
             for payload in payloads:
                 collector.push(f"worker{payload['worker_id']}", payload["metrics"])
@@ -154,7 +216,7 @@ class DeploymentBackend(ExecutionBackend):
         return EngineResult(
             trace=trace,
             backend=self.name,
-            wall_seconds=wall,
+            wall_seconds=max(lifecycle["span_s"]),
             messages_sent=merged["transport"]["sent"],
             extras={**merged, **extras},
         )
@@ -176,6 +238,12 @@ class DeploymentBackend(ExecutionBackend):
                 f"{type(adversary).__name__} needs processes=1: a live adversary "
                 "reads the omniscient block tree, which cannot span processes"
             )
+        if self.processes > 1 and self.protocols is not PROTOCOLS:
+            raise ValueError(
+                "multi-process deployments resolve protocols by name from "
+                "the default registry inside each worker; custom registries "
+                "need processes=1"
+            )
 
     def _shard_config(self, spec, worker_id, shards, addresses, control_address) -> WorkerConfig:
         """This backend's knobs as the config of shard ``worker_id``."""
@@ -194,123 +262,6 @@ class DeploymentBackend(ExecutionBackend):
             mempool_capacity=self.mempool_capacity,
         )
 
-    def _in_process_shard(self, spec: RunSpec, on_publish=None) -> ShardRuntime:
-        """Every node as one shard, in this process, over a fresh ``SimTransport``."""
-        transport = SimTransport(
-            spec.n,
-            # The in-process path rides the same delivery wheel
-            # as the socket fabric: one timer per slot, not per message.
-            # Half the modelled jitter width, so quantization (< one
-            # slot) hides inside jitter with real-time margin to spare
-            # before the 0.9 Δ receive phase even when the host stalls.
-            slot_s=self.delta_s / 16,
-            **link_model(spec, self.delta_s),
-        )
-        config = self._shard_config(spec, 0, shard_pids(spec.n, 1), {}, None)
-        return ShardRuntime(config, transport, protocols=self.protocols, on_publish=on_publish)
-
-    async def _run_in_process(self, spec: RunSpec) -> tuple[list, float, dict]:
-        """Drive the one shard, plus the live adversary only it can host.
-
-        The adversary's send power needs the omniscient block tree,
-        which cannot span processes.  Attack phases flip on loop timers.
-        """
-        adversary = spec.resolved_adversary()
-        tree = BlockTree([genesis_block()])
-        # Omniscient adversary/trace tree: lossless, never evicts.
-        tree_buffer = BlockBuffer(tree, max_orphans_per_source=None)
-
-        def on_publish(message: Message) -> None:
-            if isinstance(message, ProposeMessage) and message.block is not None:
-                tree_buffer.offer(message.block)
-
-        shard = self._in_process_shard(spec, on_publish)
-        clock = shard.clock
-        ctx = AdversaryContext(shard.registry, tree)
-        # Keys are handed over and monotonicity enforced round by round
-        # here, as in the simulator; the resolved schedule only peeked.
-        tracker = CorruptionTracker(adversary, ctx)
-
-        async def drive_adversary() -> None:
-            for r in range(spec.rounds):
-                await clock.sleep_until_elapsed(clock.start_of(r))
-                ctx.round = r
-                byz = tracker.corrupted(r)
-                for message in adversary.send(r, ctx):
-                    check_adversary_message(message, byz)
-                    shard.publish(message.sender, r, message)
-
-        collector = getattr(self, "_metrics_collector", None)
-
-        async def report(snapshot: dict) -> None:
-            collector.push("worker0", snapshot)
-
-        loop = asyncio.get_running_loop()
-        shard.transport.start()
-        clock.start()
-        if shard.proxy is not None:
-            shard.proxy.schedule_phases()
-        started = loop.time()
-        await shard.drive(drive_adversary(), report=report if collector is not None else None)
-        shard.stop()
-        # No linger: nothing is in flight outside this process, and the
-        # virtual-time bench pins wall == (rounds − 1 + receive_fraction)·Δ.
-        wall = loop.time() - started
-        extras = {"nodes": shard.nodes, "adversary_tree": tree}
-        return [shard.payload(extra_trees=(tree,))], wall, extras
-
-    async def _run_workers(self, spec: RunSpec) -> tuple[list, float, dict]:
-        """Run k shards over the socket mesh: shard 0 here, the rest spawned."""
-        scripted = isinstance(spec.adversary, ScriptedAdversary)
-        if self.protocols is not PROTOCOLS:
-            raise ValueError(
-                "multi-process deployments resolve protocols by name from "
-                "the default registry inside each worker; custom registries "
-                "need processes=1"
-            )
-        shards = shard_pids(spec.n, self.processes)
-        round_s = ROUND_FACTOR * self.delta_s
-        collector = getattr(self, "_metrics_collector", None)
-
-        def on_frame(frame: tuple) -> None:
-            if frame[0] == "metrics" and collector is not None:
-                collector.push(f"worker{frame[1]}", frame[2])
-
-        coordinator = Coordinator(
-            len(shards),
-            budget_s=60.0 + 2.0 * spec.rounds * round_s + 5.0 * len(shards),
-            on_frame=on_frame,
-        )
-
-        async def drive_attack_phases(start_wall: float) -> None:
-            # The coordinator owns the script's phase schedule: each
-            # transition is broadcast over the control channel at its
-            # wall-clock instant, and every worker's proxy flips within
-            # socket latency of the same moment (all round clocks are
-            # anchored to the same origin, so "round k" is one instant).
-            for index, start_round in enumerate(spec.adversary.timeline.phase_starts()):
-                if index == 0:
-                    continue
-                await asyncio.sleep(max(0.0, start_wall + start_round * round_s - time.time()))
-                await coordinator.broadcast(("attack_phase", index))
-
-        mesh = (coordinator.addresses, coordinator.control_address)
-        payloads = await coordinator.run(
-            run_worker,
-            worker_main,
-            [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
-            mid_run=drive_attack_phases if scripted else None,
-        )
-        # The coordinator picked the start instant from its handshake;
-        # each worker says how late it anchored there and how long it
-        # drove.  The wall is the rounds' span, as in process: spawn and
-        # handshake are ``setup_s``.
-        lifecycle = dict(coordinator.lifecycle)
-        for key in ("start_lateness_s", "span_s"):
-            lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
-        extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
-        return payloads, max(lifecycle["span_s"]), extras
-
     def _assemble_trace(
         self,
         spec: RunSpec,
@@ -319,8 +270,8 @@ class DeploymentBackend(ExecutionBackend):
         decisions: Iterable[DecisionEvent],
         pending_blocks: Iterable[Block],
     ) -> Trace:
-        # Merge every shard's block views (plus adversary-minted blocks
-        # on the in-process path) into one omniscient analysis tree.
+        # Merge every shard's block views (plus the live adversary's
+        # tree at k = 1) into one omniscient analysis tree.
         # Each payload lists parents before children, so no sort is
         # needed; a block two shards both hold is offered twice.
         tree = BlockTree([genesis_block()])

@@ -198,8 +198,8 @@ class GossipNode:
     """One node's view of the gossip overlay.
 
     ``transport`` is any :class:`~repro.net.transport.Transport` — the
-    in-process :class:`~repro.net.transport.SimTransport`, the
-    multi-process :class:`~repro.net.socket_transport.SocketTransport`,
+    one-shard :class:`~repro.net.transport.SimTransport`, a shard's
+    :class:`~repro.net.socket_transport.SocketTransport`,
     or the adversarial proxy in front of either.  The node subscribes to
     its pid here, before any frame can exist; ``seen`` is its
     :class:`GossipNetwork`'s, shared by every node it hosts.

@@ -21,13 +21,12 @@ sharded one — and applies the *delivery* effects of an
 The proxy interprets the same resolved
 :class:`~repro.attacks.script.ScriptTimeline` the simulator's
 :class:`~repro.attacks.adversary.ScriptedAdversary` interprets, so one
-script means one thing on every substrate.  Phase changes come from one
-of two drivers: :meth:`schedule_phases` self-schedules them on the
-event loop from the shared round clock (single process), or the
-deployment coordinator broadcasts ``("attack_phase", index)`` control
-frames and the worker calls :meth:`enter_phase` (multi-process) — the
-transitions then land within socket latency of the same wall-clock
-instant on every worker.
+script means one thing on every substrate.  Phase changes have one
+driver: :meth:`schedule_phases` self-schedules them on the event loop
+from the fabric's origin.  Every shard of a deployment anchors its
+fabric at one shared start instant, so every proxy, on one process or
+many, flips phase ``i`` at the same instant with nothing sent between
+them.
 
 Every interference is audited per phase (``delayed`` / ``dropped`` /
 ``partitioned`` frame counts) and exported through the run's
@@ -109,14 +108,15 @@ class ProxyTransport(Transport):
         ]
 
     # ------------------------------------------------------------------
-    # Phase drivers
+    # The phase driver
     # ------------------------------------------------------------------
     def schedule_phases(self) -> None:
-        """Self-drive transitions from the loop clock (single process).
+        """Self-drive transitions from the loop clock.
 
-        Call once the inner transport is started/anchored: phase ``i``
-        begins ``phase_starts()[i] × Δ`` seconds after the transport
-        origin, which coincides with round-clock time zero.
+        Call once the inner transport is anchored: phase ``i`` begins
+        ``phase_starts()[i] × Δ`` seconds after the transport origin,
+        which coincides with round-clock time zero (an origin still
+        ahead only lengthens every delay).
         """
         loop = asyncio.get_running_loop()
         now = self.inner.now()
@@ -135,8 +135,8 @@ class ProxyTransport(Transport):
     def enter_phase(self, index: int) -> None:
         """Switch to phase ``index`` and flush frames it no longer blocks.
 
-        Idempotent and monotone: stale or repeated transitions (a late
-        control frame after a self-scheduled switch) are ignored.
+        Idempotent and monotone: a stale, repeated or out-of-range
+        index is ignored.
         """
         if index <= self._state.index or index >= len(self.timeline.states):
             return

@@ -443,8 +443,6 @@ class SocketTransport(PushDelivery):
     elapsed (:meth:`_send_remote`).
     """
 
-    _UNANCHORED = "transport not anchored"
-
     def __init__(
         self,
         n: int,
@@ -529,18 +527,6 @@ class SocketTransport(PushDelivery):
                 continue
             _, writer = await open_stream(address)
             self._peer_writers[wid] = writer
-
-    def anchor(self, origin_loop_time: float | None = None) -> None:
-        """Anchor ``now()`` (default: the current loop time).
-
-        Workers of one deployment anchor at the *shared* round-clock
-        origin so surge windows open and close simultaneously everywhere.
-        """
-        self._origin = (
-            origin_loop_time
-            if origin_loop_time is not None
-            else asyncio.get_running_loop().time()
-        )
 
     async def close(self) -> None:
         """Tear down the listener, peer connections, and reader tasks.

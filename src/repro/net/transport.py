@@ -72,9 +72,10 @@ class Transport(Protocol):
     shard of a socket mesh) and
     :class:`~repro.net.proxy_transport.ProxyTransport` (attack effects
     in front of either); ``tests/net/test_transport_conformance.py``
-    holds all three to it.  Lifecycle (start/anchor/connect/close) is
-    deliberately not part of it: that is where the fabrics genuinely
-    differ, and only whoever builds a fabric calls it.
+    holds all three to it.  Lifecycle (start/connect/anchor/close) is
+    deliberately not part of it: only whoever builds a fabric calls it,
+    through :class:`PushDelivery`'s one surface (in memory, there is
+    nothing to bind or dial).
     """
 
     #: Sends initiated through this fabric so far.
@@ -114,7 +115,7 @@ class Transport(Protocol):
 class SurgeWindow:
     """Latency multiplier ``factor`` applied during ``[start_s, end_s)``.
 
-    Times are seconds since :meth:`SimTransport.start`.
+    Times are seconds since the fabric's anchor (:meth:`PushDelivery.anchor`).
     """
 
     start_s: float
@@ -305,11 +306,13 @@ class PushDelivery:
     is what a wheel slot (or a socket reader) calls per frame; a frame
     whose pid has no subscriber is held — never dropped, never
     ``misrouted`` — and handed over, in arrival order, by the next
-    :meth:`subscribe`.
+    :meth:`subscribe`.  The lifecycle is one too: :meth:`start` binds,
+    :meth:`connect` dials, :meth:`anchor` sets the origin and
+    :meth:`close` tears down; in memory only the anchor does anything.
     """
 
     #: What a send or clock read before the origin is set raises with.
-    _UNANCHORED = "transport not started"
+    _UNANCHORED = "transport not anchored"
 
     def __init__(
         self, n: int, hosted: Iterable[int], slot_s: float, latency: LinkLatencyModel
@@ -317,7 +320,7 @@ class PushDelivery:
         self.wheel = DeliveryWheel(slot_s)
         self._hosted = frozenset(hosted)
         self._latency = latency
-        #: Loop time of the fabric's ``now() == 0`` (set by the subclass).
+        #: Loop time of the fabric's ``now() == 0`` (set by :meth:`anchor`).
         self._origin: float | None = None
         self._handlers: dict[int, FrameHandler] = {}
         #: pid -> frames that arrived while it had no subscriber.
@@ -337,6 +340,29 @@ class PushDelivery:
     def handler_errors(self) -> int:
         """Handler calls that raised (each cost only its own frame)."""
         return self.wheel.handler_errors
+
+    def anchor(self, origin_loop_time: float | None = None) -> None:
+        """Anchor ``now()`` (default: the current loop time).
+
+        A deployment anchors every fabric of a run at the *shared*
+        round-clock origin, so surge windows open and close at one
+        instant everywhere.
+        """
+        self._origin = (
+            origin_loop_time
+            if origin_loop_time is not None
+            else asyncio.get_running_loop().time()
+        )
+
+    async def start(self) -> None:
+        """Bind what the fabric listens on: nothing, in memory."""
+
+    async def connect(self) -> None:
+        """Dial the fabric's peers: none, in memory."""
+
+    async def close(self) -> None:
+        """Tear down: what is still parked is discarded, nobody else awaits it."""
+        self.cancel()
 
     def now(self) -> float:
         """Seconds since the fabric's origin."""
@@ -490,7 +516,3 @@ class SimTransport(PushDelivery):
             LinkLatencyModel(base_latency_s, jitter_s, seed, surges),
         )
         self.n = n
-
-    def start(self) -> None:
-        """Anchor the clock; call once inside the loop."""
-        self._origin = asyncio.get_running_loop().time()

@@ -6,9 +6,9 @@
   assembly every deployment substrate runs, and its payload merge.
 * :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
   :class:`ControlChannel`, the two ends of the control handshake.
-* :mod:`repro.runtime.worker` — a multi-process run's worker body
+* :mod:`repro.runtime.worker` — every deployment's one worker body
   (shard 0 on the coordinator's loop, one spawned process per other
-  shard, joined over sockets).
+  shard, joined over sockets when there are several).
 * :mod:`repro.runtime.metrics` — live service telemetry (counters,
   histograms, an HTTP JSON scrape endpoint).
 """

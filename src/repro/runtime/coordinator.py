@@ -1,32 +1,38 @@
-"""The control protocol of every multi-process run, both ends of it.
+"""The control protocol of every deployment run, both ends of it.
 
 A run of k workers spawns k − 1 processes: worker 0 runs on the
 coordinator's own event loop, as a task beside it, and workers 1..k−1
-in ``spawn``-context processes.  Every worker, worker 0 included, holds
-one control connection to the coordinator, framed exactly like v1 data
-frames (:func:`~repro.net.socket_transport.encode_frame`):
+in ``spawn``-context processes.  Every worker holds one control
+connection to the coordinator, framed exactly like v1 data frames
+(:func:`~repro.net.socket_transport.encode_frame`).  Worker 0's is a
+pair of in-memory streams; the spawned workers' are real sockets, so a
+run of one worker binds no listener, makes no temp dir and spawns
+nothing.
 
 1. worker → ``("ready", wid)`` once its listener is bound;
 2. coordinator → ``("dial",)`` once *every* listener is bound;
 3. worker → ``("dialed", wid)`` once its full mesh is connected;
-4. coordinator → ``("start", wall_time)``.  The instant is chosen from
-   this run's own handshake: a few times the slowest dial → dialed leg
-   just timed, so it waits for the workers, not for a guess.  Each
-   worker translates the instant into its own loop time, so whatever it
-   anchors there — round boundaries, the model's synchronized clocks —
-   agrees across processes to wall-clock precision.  A worker that
-   reads the frame after the instant has passed anchors there anyway
-   and reports how late it was; it is not padded against;
-5. mid-run traffic either way (``("metrics", wid, snapshot)`` up,
-   ``("attack_phase", index)`` down): carried here, given meaning by
-   the callers' hooks;
+4. coordinator → ``("start", wall_time, loop_time, listening)``: one
+   instant on the wall clock and on the coordinator's loop clock, and
+   whether the coordinator takes mid-run frames.  The instant is
+   chosen from this run's own handshake: a few times the slowest
+   dial → dialed leg just timed, so it waits for the workers, not for a
+   guess.  Worker 0 shares the coordinator's loop and anchors at the
+   loop time itself; a spawned worker translates the wall time into its
+   own loop time, so whatever it anchors there — round boundaries,
+   attack phases, the model's synchronized clocks — agrees across
+   processes to wall-clock precision.  A worker that reads the frame
+   after the instant has passed anchors there anyway and reports how
+   late it was; it is not padded against;
+5. worker → ``("metrics", wid, snapshot)`` while it runs, if the
+   coordinator is listening: the frames go to its ``on_frame`` hook;
 6. worker → ``("result", wid, payload)`` when its share finishes.
    Worker 0's frame is bare ``("result", 0)``: its result is its task's
    return value, handed over in memory, never pickled;
 7. coordinator → ``("shutdown",)``; the worker tears down and exits.
 
 :class:`Coordinator` is the parent's end, :class:`ControlChannel` a
-worker's; the sharded deployment runs on this pair.
+worker's; every deployment runs on this pair.
 """
 
 from __future__ import annotations
@@ -65,14 +71,39 @@ def _free_tcp_address() -> tuple[str, int]:
     return ("127.0.0.1", address[1])
 
 
+class _Pipe:
+    """One direction of an in-memory control connection.
+
+    The writer surface a control end uses (``write``, ``drain``,
+    ``close``) over the :attr:`reader` the other end reads.
+    """
+
+    def __init__(self) -> None:
+        self.reader = asyncio.StreamReader()
+        self._closed = False
+
+    def write(self, data: bytes) -> None:
+        if not self._closed:
+            self.reader.feed_data(data)
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self._closed = True
+        self.reader.feed_eof()
+
+
 class Coordinator:
     """Sequences ``n_workers`` workers to a result: worker 0 here, the rest spawned.
 
     ``budget_s`` bounds each phase (listener setup, mesh dialing, the
-    run, shutdown).  ``on_frame`` receives every inbound frame that is
+    run, shutdown) while a spawned worker exists.  ``on_frame`` receives every inbound frame that is
     not one of the protocol's own milestones.  ``addresses`` (worker id
     → mesh listen address) and ``control_address`` exist from
-    construction on, for the caller to put into its workers' arguments.
+    construction on, for the caller to put into its workers' arguments;
+    with one worker there is no mesh and no socket: they are ``{}`` and
+    ``None``.
     """
 
     def __init__(
@@ -84,16 +115,19 @@ class Coordinator:
         self.n_workers = n_workers
         self.budget_s = budget_s
         self._on_frame = on_frame
-        self._tmpdir = tempfile.mkdtemp(prefix="repro-deploy-")
-        if supports_unix_sockets():
-            self.addresses: dict[int, object] = {
+        self._tmpdir: str | None = None
+        self.addresses: dict[int, object] = {}
+        self.control_address: object = None
+        if n_workers > 1 and supports_unix_sockets():
+            self._tmpdir = tempfile.mkdtemp(prefix="repro-deploy-")
+            self.addresses = {
                 wid: os.path.join(self._tmpdir, f"w{wid}.sock") for wid in range(n_workers)
             }
-            self.control_address: object = os.path.join(self._tmpdir, "control.sock")
-        else:
+            self.control_address = os.path.join(self._tmpdir, "control.sock")
+        elif n_workers > 1:
             self.addresses = {wid: _free_tcp_address() for wid in range(n_workers)}
             self.control_address = _free_tcp_address()
-        self._writers: dict[int, asyncio.StreamWriter] = {}
+        self._writers: dict[int, object] = {}
         #: milestone → worker id → the frame's payload (if it has one).
         self._arrived: dict[str, dict[int, object]] = {tag: {} for tag in _MILESTONES}
         #: milestone → worker id → loop time the frame arrived.
@@ -104,39 +138,37 @@ class Coordinator:
         self.lifecycle: dict[str, object] = {}
         self._reached = {tag: asyncio.Event() for tag in _MILESTONES}
         self._failures: list[str] = []
+        self._local_error: BaseException | None = None
         #: worker id → spawned process (workers 1..k−1).
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
 
     async def run(
-        self,
-        body: Callable[..., Awaitable],
-        target: Callable,
-        worker_args: Sequence[tuple],
-        *,
-        mid_run: Callable[[float], Awaitable] | None = None,
+        self, body: Callable[..., Awaitable], target: Callable, worker_args: Sequence[tuple]
     ) -> list:
         """Run every worker; return their results in worker order.
 
-        Worker 0 is ``body(*worker_args[0])``, a task on this loop whose
-        return value is its result; worker ``wid > 0`` is
-        ``target(*worker_args[wid])`` in a spawned process, whose result
-        is the payload of its ``result`` frame.  ``mid_run(start_wall)``
-        runs as a task from the start barrier until the results are in.
-        :attr:`lifecycle` holds the handshake's timings from the start
-        barrier on.
-        Worker 0 raising, a spawned worker exiting non-zero, a torn or
-        garbled control frame, or a phase over budget raises
-        :class:`RuntimeError`; either way worker 0's task is finished,
-        the spawned workers are reaped and the temp dir is gone when
-        this returns.
+        Worker 0 is ``body(*worker_args[0], channel=...)``, a task on
+        this loop handed its end of an in-memory control connection,
+        whose return value is its result; worker ``wid > 0`` is
+        ``target(*worker_args[wid])`` in a spawned process, which dials
+        :attr:`control_address` and whose result is the payload of its
+        ``result`` frame.  :attr:`lifecycle` holds the handshake's
+        timings from the start barrier on.
+        Worker 0 raising re-raises its own exception here; a spawned
+        worker exiting non-zero, a torn or garbled control frame, or a
+        phase over budget raises :class:`RuntimeError`.  Either way
+        worker 0's task is finished, the spawned workers are reaped and
+        the temp dir is gone when this returns.
         """
         loop = asyncio.get_running_loop()
         began = loop.time()
-        tasks = [loop.create_task(self._watch())]
+        tasks: list[asyncio.Task] = []
         server: asyncio.AbstractServer | None = None
         clean = False
         try:
-            server = await serve_stream(self.control_address, self._handle)
+            if self.n_workers > 1:
+                server = await serve_stream(self.control_address, self._handle)
+                tasks.append(loop.create_task(self._watch()))
             ctx = multiprocessing.get_context("spawn")
             # Spawn first: the children's interpreter start-up overlaps
             # with worker 0 building its shard on this loop.
@@ -144,33 +176,34 @@ class Coordinator:
                 proc = ctx.Process(target=target, args=worker_args[wid], daemon=True)
                 proc.start()
                 self._procs[wid] = proc
-            local = loop.create_task(body(*worker_args[0]))
+            up, down = _Pipe(), _Pipe()
+            tasks.append(loop.create_task(self._handle(up.reader, down)))
+            channel = _LocalChannel(down.reader, up, 0, None)
+            local = loop.create_task(body(*worker_args[0], channel=channel))
             local.add_done_callback(self._local_done)
             tasks.append(local)
             await self._wait("ready", "listener setup")
             dial_sent = loop.time()
-            await self.broadcast(("dial",))
+            await self._broadcast(("dial",))
             await self._wait("dialed", "mesh dialing")
             ready, dialed = (
                 [self._arrived_at[tag][wid] - began for wid in range(self.n_workers)]
                 for tag in ("ready", "dialed")
             )
             margin = _START_MARGIN_LEGS * (max(dialed) - (dial_sent - began))
-            start_wall = time.time() + margin
             self.lifecycle = {
                 "ready_s": ready,
                 "dialed_s": dialed,
                 "margin_s": margin,
                 "setup_s": loop.time() - began + margin,
             }
-            await self.broadcast(("start", start_wall))
-            if mid_run is not None:
-                tasks.append(loop.create_task(mid_run(start_wall)))
+            listening = self._on_frame is not None
+            await self._broadcast(("start", time.time() + margin, loop.time() + margin, listening))
             await self._wait("result", "the run")
-            await self.broadcast(("shutdown",))
+            await self._broadcast(("shutdown",))
             await asyncio.wait((local,), timeout=self.budget_s)
             if self._failures:
-                raise RuntimeError("; ".join(self._failures))
+                self._raise_failures()
             if not local.done():
                 raise RuntimeError("worker 0 timed out during shutdown")
             results = [local.result()]
@@ -191,10 +224,11 @@ class Coordinator:
                 await loop.run_in_executor(None, proc.join, 10)
                 if proc.is_alive():
                     proc.terminate()
-            shutil.rmtree(self._tmpdir, ignore_errors=True)
+            if self._tmpdir is not None:
+                shutil.rmtree(self._tmpdir, ignore_errors=True)
         return results
 
-    async def broadcast(self, frame: tuple) -> None:
+    async def _broadcast(self, frame: tuple) -> None:
         """Send ``frame`` to every worker that has reported ready."""
         blob = encode_frame(frame)
         for wid in sorted(self._writers):
@@ -207,15 +241,27 @@ class Coordinator:
             event.set()
 
     async def _wait(self, milestone: str, phase: str) -> None:
+        # Only a spawned worker can go silent unseen: worker 0's failure
+        # is its task's exception.  So a run of one worker arms no timer,
+        # and its loop's timer heap is the drive's alone.
+        timeout = self.budget_s if self._procs else None
         try:
-            await asyncio.wait_for(self._reached[milestone].wait(), timeout=self.budget_s)
+            await asyncio.wait_for(self._reached[milestone].wait(), timeout=timeout)
         except asyncio.TimeoutError:
             raise RuntimeError(f"workers timed out during {phase}") from None
         if self._failures:
-            raise RuntimeError("; ".join(self._failures))
+            self._raise_failures()
+
+    def _raise_failures(self) -> None:
+        # Worker 0 closes its channel as it dies, so the EOF is noted
+        # first; its exception, raised in this process, is the cause.
+        if self._local_error is not None:
+            raise self._local_error
+        raise RuntimeError("; ".join(self._failures))
 
     def _local_done(self, task: asyncio.Task) -> None:
         if not task.cancelled() and task.exception() is not None:
+            self._local_error = task.exception()
             self._fail(f"worker 0 raised {task.exception()!r}")
 
     async def _watch(self) -> None:
@@ -257,7 +303,10 @@ class Coordinator:
 class ControlChannel:
     """One worker's end of the control connection."""
 
-    def __init__(self, reader, writer, worker_id: int, timeout_s: float) -> None:
+    #: Whether this end shares the coordinator's process and loop (worker 0).
+    in_memory = False
+
+    def __init__(self, reader, writer, worker_id: int, timeout_s: float | None) -> None:
         self._reader: asyncio.StreamReader = reader
         self._writer: asyncio.StreamWriter = writer
         self._worker_id = worker_id
@@ -265,7 +314,11 @@ class ControlChannel:
 
     @classmethod
     async def open(cls, address, worker_id: int, timeout_s: float = 120.0) -> ControlChannel:
-        """Dial the coordinator; ``timeout_s`` bounds each handshake read."""
+        """Dial the coordinator; ``timeout_s`` bounds each handshake read.
+
+        (Worker 0's in-memory end has no bound: it shares the
+        coordinator's loop, which sees it fail.)
+        """
         return cls(*await open_stream(address), worker_id, timeout_s)
 
     async def send(self, tag: str, *payload) -> None:
@@ -284,35 +337,37 @@ class ControlChannel:
             raise RuntimeError(f"worker {self._worker_id}: expected {tag!r}, got {frame[0]!r}")
         return frame
 
-    async def join(self, transport) -> float:
-        """Handshake up to the start barrier; returns its wall-clock instant.
+    async def join(self, transport) -> tuple[float, bool]:
+        """Handshake up to the start barrier.
 
         ``transport`` must already be listening: ready → (dial) →
-        connect the mesh → dialed → (start).
+        connect the mesh → dialed → (start).  Returns the start instant
+        as this loop's time, and whether the coordinator is listening
+        for mid-run frames.
         """
         await self.send("ready")
         await self._expect("dial")
         await transport.connect()
         await self.send("dialed")
-        return (await self._expect("start"))[1]
+        _, start_wall, start_loop, listening = await self._expect("start")
+        if self.in_memory:
+            return start_loop, listening
+        return asyncio.get_running_loop().time() + (start_wall - time.time()), listening
 
-    async def until_shutdown(self, on_frame: Callable[[tuple], None] | None = None) -> None:
-        """Read mid-run frames into ``on_frame`` until ``shutdown`` (or EOF).
-
-        Mid-run frames arrive while the worker is busy, so a worker
-        that expects any runs this as its own task from the start
-        barrier on.
-        """
+    async def until_shutdown(self) -> None:
+        """Wait for ``shutdown`` (or EOF), however long the run takes."""
         try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame[0] == "shutdown":
-                    return
-                if on_frame is not None:
-                    on_frame(frame)
+            while (await read_frame(self._reader))[0] != "shutdown":
+                pass
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
 
     def close(self) -> None:
         """Close the connection (the coordinator reads EOF)."""
         self._writer.close()
+
+
+class _LocalChannel(ControlChannel):
+    """Worker 0's end: in-memory streams on the coordinator's own loop."""
+
+    in_memory = True

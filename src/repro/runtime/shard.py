@@ -7,10 +7,11 @@ over a :class:`~repro.net.socket_transport.SocketTransport` mesh, shard
 0 in the coordinator's process and shards 1..k−1 one per spawned worker
 process.  Either way the shard is a :class:`ShardRuntime`, and its
 contribution to the result is one :meth:`ShardRuntime.payload`, folded
-by :func:`merge_payloads` — the one shard's payload in memory, or shard
-0's in memory and k − 1 unpickled ones.  The substrates differ only in
-what their callers hand in: which fabric, who flips attack phases, and
-(in process) a live adversary task.
+by :func:`merge_payloads` — shard 0's in memory and k − 1 unpickled
+ones.  Every shard runs under the one runner,
+:func:`~repro.runtime.worker.run_worker`; the substrates differ only in
+the fabric it builds and, when one shard holds every node, the live
+adversary task beside it.
 
 Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology, clock-skew
@@ -169,8 +170,8 @@ class WorkerConfig:
 
     ``owner`` and ``addresses`` cover the whole deployment so sends to
     any pid route to the right worker; ``shard`` is the slice this
-    worker hosts.  The in-process deployment is the one-shard case:
-    ``shard`` is ``range(n)`` and there is nothing to address.
+    worker hosts.  ``processes=1`` is the one-shard case: ``shard`` is
+    ``range(n)`` and there is nothing to address.
     """
 
     worker_id: int
@@ -194,8 +195,8 @@ class ShardRuntime:
     (start/anchor/close); the shard only sends through it and subscribes
     its nodes to it — here, so build the shard before the fabric starts
     listening — behind a :class:`ProxyTransport` when the spec's
-    adversary is scripted.  ``on_publish`` sees every message this shard originates
-    before it enters gossip (the in-process deployment feeds its
+    adversary is scripted.  ``on_publish`` sees every message this shard
+    originates before it enters gossip (the live adversary feeds its
     omniscient block tree from it).
     """
 

@@ -1,106 +1,119 @@
-"""A worker of a multi-process deployment: one shard over sockets.
+"""A worker of a deployment: one shard over its fabric.
 
-A worker is a :class:`~repro.runtime.shard.ShardRuntime` — the assembly
-the in-process deployment runs too — over a
-:class:`~repro.net.socket_transport.SocketTransport` whose remote sends
-cross real sockets to the workers owning the other shards.  Worker 0
-runs :func:`run_worker` as a task on the coordinator's own event loop;
-workers 1..k−1 run it in spawned processes through :func:`worker_main`.
-Both speak the same control protocol over a real socket; they differ
-only in how the final payload reaches the coordinator.  This module
-holds only what the socket substrate adds: the mesh fabric, the
-coordinator's handshake, anchoring at the shared start instant (and
-reporting how late that was), attack-phase transitions from control
-frames, and live metric pushes.  The payload is taken the moment the
-drive returns: after a node's last receive phase nothing that arrives
-can reach its tree, vote store or decisions, and frames still parked
-are written at their slots or by the transport's closing flush.
+A worker is a :class:`~repro.runtime.shard.ShardRuntime` over the one
+choice that depends on the number of workers, its fabric: a
+:class:`~repro.net.transport.SimTransport` when its shard hosts every
+pid (one worker, nothing remote), else its share of a
+:class:`~repro.net.socket_transport.SocketTransport` mesh whose remote
+sends cross real sockets to the workers owning the other shards.
+
+One runner, one phase driver.  For every k, worker 0 runs
+:func:`run_worker` as a task on the coordinator's own event loop, over
+an in-memory control channel; workers 1..k−1 run it in spawned
+processes through :func:`worker_main`, over a control socket.  Every
+worker handshakes, anchors its round clock, its fabric and its attack
+proxy's phase schedule at the shared start instant (reporting how late
+that was), pushes live metrics over its channel while the coordinator
+listens for them, and takes its payload the moment the drive returns:
+after a node's last receive phase nothing that arrives can reach its
+tree, vote store or decisions, and frames still parked are written at
+their slots or by the transport's closing flush.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
+from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.net.socket_transport import SocketTransport
+from repro.net.transport import PushDelivery, SimTransport
 from repro.runtime.coordinator import ControlChannel
-from repro.runtime.shard import (
-    ShardRuntime,
-    WorkerConfig,
-    drive_node,
-    link_model,
-    shard_arrivals,
-    shard_pids,
-)
-
-#: The shard helpers keep their long-standing import path here.
-__all__ = [
-    "WorkerConfig",
-    "drive_node",
-    "run_worker",
-    "shard_arrivals",
-    "shard_pids",
-    "worker_main",
-]
+from repro.runtime.shard import ShardRuntime, WorkerConfig, link_model
 
 
 def worker_main(config: WorkerConfig) -> None:
     """Spawn target of workers 1..k−1: run one to completion, shipping its payload."""
-    asyncio.run(run_worker(config, ship_payload=True))
+    asyncio.run(run_worker(config))
 
 
-async def run_worker(config: WorkerConfig, *, ship_payload: bool = False) -> dict:
-    """A worker's async body: handshake, drive the shard, report; returns the payload.
-
-    A spawned worker ships its payload in its ``result`` frame
-    (``ship_payload``).  Worker 0 shares the coordinator's process, so
-    its ``result`` frame is bare and the payload is this coroutine's
-    return value, never pickled.  The shard is released as soon as its
-    payload is taken; the transport serves until ``shutdown``.
-    """
+def _fabric(config: WorkerConfig) -> PushDelivery:
+    """The shard's fabric: in memory if it hosts every pid, else a mesh share."""
     spec = config.spec
-    transport = SocketTransport(
+    links = link_model(spec, config.delta_s)
+    if len(config.shard) == spec.n:
+        # The in-memory fabric rides the same delivery wheel as the
+        # socket one, at half the modelled jitter width: quantization
+        # (< one slot) hides inside jitter with real-time margin to
+        # spare before the 0.9 Δ receive phase even when the host stalls.
+        return SimTransport(spec.n, slot_s=config.delta_s / 16, **links)
+    return SocketTransport(
         spec.n,
         local_pids=config.shard,
         owner=config.owner,
         worker_id=config.worker_id,
         addresses=config.addresses,
         slot_s=config.delta_s / 8,
-        **link_model(spec, config.delta_s),
+        **links,
     )
-    shard = ShardRuntime(config, transport)
-    proxy = shard.proxy
 
-    def on_frame(frame: tuple) -> None:
-        # The coordinator owns the script's phase schedule and
-        # broadcasts each transition at its wall-clock instant.
-        if frame[0] == "attack_phase" and proxy is not None:
-            proxy.enter_phase(frame[1])
 
-    channel: ControlChannel | None = None
+async def run_worker(
+    config: WorkerConfig,
+    channel: ControlChannel | None = None,
+    *,
+    protocols: ProtocolRegistry = PROTOCOLS,
+    beside=None,
+) -> dict:
+    """A worker's async body: handshake, drive the shard, report; returns the payload.
+
+    A spawned worker is handed no ``channel``: it dials the
+    coordinator's control socket and ships its payload in its
+    ``result`` frame.  Worker 0 is handed its in-memory channel, so its
+    ``result`` frame is bare and the payload is this coroutine's return
+    value, never pickled.  ``beside`` is what runs next to the shard's
+    nodes when one shard holds them all (the live adversary): its
+    ``on_publish`` sees every message the shard originates, its
+    ``run(shard)`` is driven with the nodes and its ``tree`` joins the
+    payload.  The shard is released as soon as its payload is taken;
+    the transport serves until ``shutdown``.
+    """
+    transport = _fabric(config)
+    shard = ShardRuntime(
+        config,
+        transport,
+        protocols=protocols,
+        on_publish=None if beside is None else beside.on_publish,
+    )
     pump: asyncio.Task | None = None
     try:
         await transport.start()
-        channel = await ControlChannel.open(config.control_address, config.worker_id)
-        start_wall = await channel.join(transport)
+        if channel is None:
+            channel = await ControlChannel.open(config.control_address, config.worker_id)
+        origin, listening = await channel.join(transport)
         loop = asyncio.get_running_loop()
-        origin = loop.time() + (start_wall - time.time())
         shard.clock.start_at(origin)
         transport.anchor(origin)
+        if shard.proxy is not None:
+            shard.proxy.schedule_phases()
         # A start frame read after its instant is reported, not padded
         # against: round 0 still holds while this stays under ~1.9 δ.
         start_lateness_s = max(0.0, loop.time() - origin)
         shard.hub.gauge("start_lateness_ms", start_lateness_s * 1e3)
-        pump = loop.create_task(channel.until_shutdown(on_frame))
-        await shard.drive(report=lambda snapshot: channel.send("metrics", snapshot))
+        pump = loop.create_task(channel.until_shutdown())
+        await shard.drive(
+            *(() if beside is None else (beside.run(shard),)),
+            report=(lambda snapshot: channel.send("metrics", snapshot)) if listening else None,
+        )
         lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()
-        payload = shard.payload(lifecycle=lifecycle)
+        payload = shard.payload(
+            extra_trees=() if beside is None else (beside.tree,), lifecycle=lifecycle
+        )
         # The payload is all that is left of the shard: its nodes and
         # trees go now, not at shutdown, so worker 0's memory is free
         # again while the coordinator decodes the spawned payloads.
         del shard
-        await channel.send("result", *((payload,) if ship_payload else ()))
+        await channel.send("result", *(() if channel.in_memory else (payload,)))
         await pump
     finally:
         if pump is not None:

@@ -3,10 +3,10 @@
 The acceptance spine of the attack subsystem: the same
 :class:`~repro.attacks.script.AttackScript` must run on the round
 simulator (via :class:`~repro.attacks.adversary.ScriptedAdversary`), the
-single-process deployment, and a ``processes=2`` deployment (via
-:class:`~repro.net.proxy_transport.ProxyTransport` with
-coordinator-broadcast phase frames) — with the resilient protocol safe
-in every case and the attack observably biting (audit counters).
+single-process deployment, and a sharded deployment (via
+:class:`~repro.net.proxy_transport.ProxyTransport`, every shard's proxy
+flipping its own phases) — with the resilient protocol safe in every
+case and the attack observably biting, phase by phase (audit counters).
 """
 
 import pytest
@@ -120,7 +120,18 @@ def test_delay_only_scripts_are_bit_identical_on_the_simulator(name):
 # ----------------------------------------------------------------------
 # Deployment substrates
 # ----------------------------------------------------------------------
-def test_acceptance_script_runs_on_all_three_substrates():
+def _assert_interference_stays_in_its_phases(result):
+    totals = result.extras["attack"]["totals"]
+    assert totals["partitioned"] > 0 and totals["delayed"] > 0
+    # Per-phase audit rows: interference lands only in its own phases.
+    per_phase = result.extras["attack"]["per_phase"]
+    assert per_phase[0] == {"partitioned": 0, "delayed": 0, "dropped": 0}
+    assert per_phase[1]["partitioned"] > 0 and per_phase[1]["delayed"] == 0
+    assert per_phase[3]["delayed"] > 0 and per_phase[3]["partitioned"] == 0
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_acceptance_script_runs_on_all_three_substrates(processes):
     spec = _scripted_spec("partition-surge", 6)
 
     sim = run_spec(spec)
@@ -128,20 +139,14 @@ def test_acceptance_script_runs_on_all_three_substrates():
 
     single = DeploymentBackend(delta_s=0.01).execute(spec)
     assert check_safety(single.trace).ok and single.trace.decisions
-    totals = single.extras["attack"]["totals"]
-    assert totals["partitioned"] > 0 and totals["delayed"] > 0
-    # Per-phase audit rows: interference lands only in its own phases.
-    per_phase = single.extras["attack"]["per_phase"]
-    assert per_phase[0] == {"partitioned": 0, "delayed": 0, "dropped": 0}
-    assert per_phase[1]["partitioned"] > 0 and per_phase[1]["delayed"] == 0
-    assert per_phase[3]["delayed"] > 0 and per_phase[3]["partitioned"] == 0
+    _assert_interference_stays_in_its_phases(single)
 
     if not supports_unix_sockets():
         pytest.skip("sharded deployment needs AF_UNIX")
-    multi = DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
+    # Every shard's proxy flips its own phases from the shared origin.
+    multi = DeploymentBackend(delta_s=0.01, processes=processes).execute(spec)
     assert check_safety(multi.trace).ok and multi.trace.decisions
-    totals = multi.extras["attack"]["totals"]
-    assert totals["partitioned"] > 0 and totals["delayed"] > 0
+    _assert_interference_stays_in_its_phases(multi)
 
 
 def test_blackout_holds_every_frame_and_heals_on_every_substrate():
@@ -182,7 +187,7 @@ def test_equivocation_scripts_are_rejected_on_sharded_deployments():
 
 @pytest.mark.parametrize("processes", [1, 2])
 def test_split_vote_is_rejected_on_every_deployment(processes):
-    """A physical fabric grants no per-receiver choice (yet: ROADMAP item 5)."""
+    """A physical fabric grants no per-receiver choice (yet: ROADMAP item 6)."""
     backend = DeploymentBackend(delta_s=0.01, processes=processes)
     with pytest.raises(ValueError, match="split_vote needs per-receiver-delivery"):
         backend.execute(_scripted_spec("split-vote", 10))

@@ -15,6 +15,7 @@ from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
+from repro.runtime import worker
 from repro.sleepy.messages import make_vote
 from repro.workloads.transactions import SubmissionRateWorkload
 
@@ -87,7 +88,7 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
             regular_topology(n, degree, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
-        transport.start()
+        transport.anchor()
         vote = make_vote(registry, registry.secret_key(publisher), 0, None)
         network.nodes[publisher].publish(vote)
         await asyncio.sleep(0.1)  # >> diameter · latency
@@ -123,7 +124,7 @@ def test_dissemination_survives_publisher_silence():
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
-        transport.start()
+        transport.anchor()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
         network.nodes[0].publish(vote)
         # Unsubscribe the publisher immediately: its own forwards were
@@ -159,7 +160,7 @@ def test_transplanted_id_cannot_censor_honest_message():
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.content_key)),
         )
-        transport.start()
+        transport.anchor()
         honest = make_vote(registry, registry.secret_key(0), 0, None)
         junk = make_vote(registry, registry.secret_key(1), 0, None)
         # Transplant the honest id into the junk message's memo slot —
@@ -195,7 +196,7 @@ def test_dissemination_survives_sleeping_originator_during_surge():
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
         )
-        transport.start()
+        transport.anchor()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
         network.nodes[0].publish(vote)
         # The originator sleeps mid-flood, while every hop is surged.
@@ -220,7 +221,7 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
         rounds = 50
         registry = KeyRegistry(senders, run_seed=0)
         transport = SimTransport(1, base_latency_s=0.001, jitter_s=0.0, seed=0)
-        transport.start()
+        transport.anchor()
         current = [0]
         network = GossipNetwork(
             transport,
@@ -259,7 +260,7 @@ def test_one_clock_read_per_arrival_with_a_bounded_horizon():
     async def scenario():
         registry = KeyRegistry(2, run_seed=0)
         transport = SimTransport(1)
-        transport.start()
+        transport.anchor()
         reads = []
         now = [5]
 
@@ -301,7 +302,7 @@ def test_a_raising_consumer_does_not_stop_the_flood():
             delivered[pid].append(message.message_id)
 
         network = GossipNetwork(transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver))
-        transport.start()
+        transport.anchor()
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
         network.nodes[0].publish(first)
@@ -442,7 +443,7 @@ def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = N
             )
 
         network = GossipNetwork(proxy or transport, topology, per_pid(range(n), on_deliver))
-        transport.start()
+        transport.anchor()
         if proxy is not None:
             proxy.schedule_phases()
         publishes = []
@@ -515,7 +516,7 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
     async def scenario():
         transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
         network = GossipNetwork(transport, topology, on_deliver=dict.fromkeys(topology, lambda m: None))
-        transport.start()
+        transport.anchor()
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)
@@ -579,7 +580,7 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
             for shard, clock in ((shard_a, clock_a), (shard_b, clock_b))
         ]
         nodes = {pid: node for network in networks for pid, node in network.nodes.items()}
-        transport.start()
+        transport.anchor()
         nodes[0].publish(old)  # 0→1 and 0→3 crawl for 200 ms
         await asyncio.sleep(0.010)
         # Shard A's clock moves on; its next admission evicts ``old``.
@@ -611,15 +612,6 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
     assert stats[0] == {"delivered": 2, "duplicates": 0, "stale_dropped": 0}
 
 
-class _KeepsFabric(DeploymentBackend):
-    """The one-process deployment, keeping a handle on its fabric."""
-
-    def _in_process_shard(self, spec, on_publish=None):
-        shard = super()._in_process_shard(spec, on_publish)
-        self.fabric = shard.transport
-        return shard
-
-
 @pytest.mark.parametrize(
     "seed, digest, timers",
     [
@@ -627,7 +619,7 @@ class _KeepsFabric(DeploymentBackend):
         (1, "fb89caea863a10a2b7c3565cf253d3e6dc5667171a7d0fb16c73dede3552fb59", 231),
     ],
 )
-def test_a_superseded_frame_keeps_its_slot_armed(seed, digest, timers):
+def test_a_superseded_frame_keeps_its_slot_armed(seed, digest, timers, monkeypatch):
     """A deployment with jitter and a surge decides what it decided before
     supersession existed, on exactly the loop timers it armed then (both
     recorded without the rule): a frame not parked still arms its slot,
@@ -640,16 +632,26 @@ def test_a_superseded_frame_keeps_its_slot_armed(seed, digest, timers):
         conditions=NetworkConditions(periods=(AsyncPeriod(8, 2),)),
         transactions=SubmissionRateWorkload(3, seed=seed),
     )
-    backend = _KeepsFabric(processes=1, delta_s=0.04)
-    result = run_virtual(backend.execute_async(spec))
+    fabrics = []
+    build = worker._fabric
+
+    def keeping(config):
+        fabrics.append(build(config))
+        return fabrics[-1]
+
+    # The one-process deployment, keeping a handle on its fabric.
+    monkeypatch.setattr(worker, "_fabric", keeping)
+    result = run_virtual(DeploymentBackend(processes=1, delta_s=0.04).execute_async(spec))
+    [fabric] = fabrics
+    assert isinstance(fabric, SimTransport)
     rows = sorted((d.pid, d.round, d.view, d.tip or "") for d in result.trace.decisions)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
-    assert backend.fabric.wheel.timers_created == timers
+    assert fabric.wheel.timers_created == timers
     # Also recorded without the rule: 3,712 frames sent, 1,856 first
     # arrivals and 2,088 duplicates.  The rule turns most duplicates into
     # superseded frames and adds no other kind.
     gossip, superseded = result.extras["gossip"], result.extras["transport"]["superseded"]
-    assert backend.fabric.sent_count == 3712
+    assert fabric.sent_count == 3712
     assert gossip["delivered"] == 1856
     assert gossip["duplicates"] + superseded == 2088
     assert superseded > 10 * gossip["duplicates"]

@@ -2,11 +2,14 @@
 
 import asyncio
 
+import pytest
+
 from repro.attacks import AttackScript, drop, heal, partition, phase, surge
 from repro.net.proxy_transport import ProxyTransport
+from repro.net.transport import SimTransport
 from repro.runtime.metrics import MetricsHub
 
-from tests.net.conftest import Collector
+from tests.net.conftest import Collector, run_virtual
 
 
 class FakeInner:
@@ -92,7 +95,7 @@ def test_audit_counters_are_exact_per_phase():
 def test_phase_transitions_are_monotone_and_idempotent():
     proxy = _proxy(SCRIPT)
     proxy.enter_phase(2)
-    proxy.enter_phase(1)  # stale control frame: ignored
+    proxy.enter_phase(1)  # stale: ignored
     proxy.enter_phase(99)  # out of range: ignored
     proxy.send(0, 2, "x")  # phase 2 has no partition — forwards
     assert proxy.inner.sent == [(0, 2, "x")]
@@ -113,6 +116,27 @@ def test_drop_coins_are_seeded_per_link():
     assert survivors(7) == survivors(7)
     assert 0 < len(survivors(7)) < 40
     assert survivors(7) != survivors(8)
+
+
+def test_schedule_phases_waits_out_an_origin_still_ahead():
+    """A shard schedules its phases at a start instant a few handshake
+    legs ahead: phase ``i`` still begins ``phase_starts()[i] × Δ`` after
+    that origin, never earlier."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0)
+        proxy = _proxy(SCRIPT, round_s=0.01, inner=inner)
+        origin = loop.time() + 0.5
+        inner.anchor(origin)
+        flips, enter = [], proxy.enter_phase
+        proxy.enter_phase = lambda index: (flips.append(loop.time() - origin), enter(index))
+        proxy.schedule_phases()
+        await asyncio.sleep(1.0)
+        return flips
+
+    starts = SCRIPT.timeline().phase_starts()[1:]
+    assert run_virtual(scenario()) == pytest.approx([start * 0.01 for start in starts])
 
 
 def test_schedule_phases_self_drives_from_the_loop_clock():
@@ -185,7 +209,7 @@ def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
         inner = SimTransport(8, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
         proxy = _proxy(script, inner=inner)
         inbox = Collector(proxy, range(1, 8))  # subscribes through to the inner fabric
-        inner.start()
+        inner.anchor()
         proxy.enter_phase(1)
         proxy.send_many(0, range(1, 8), "x")
         dropped = proxy.audit_totals()["dropped"]
@@ -208,7 +232,7 @@ def test_fanout_surges_delay_every_frame_through_the_wheel():
         inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.001)
         proxy = _proxy(script, base_latency_s=0.001, inner=inner)
         inbox = Collector(proxy, (1, 2, 3))
-        inner.start()
+        inner.anchor()
         proxy.enter_phase(1)
         proxy.send_many(0, (1, 2, 3), "x")
         # One delayed count per frame, not one per fan-out.

@@ -20,7 +20,7 @@ def test_messages_arrive_in_order_per_link():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1,))
-        transport.start()
+        transport.anchor()
         for i in range(5):
             transport.send(0, 1, i)
         return await inbox.until(1, 5)
@@ -29,9 +29,9 @@ def test_messages_arrive_in_order_per_link():
     assert received == [(0, i) for i in range(5)]
 
 
-def test_send_before_start_rejected():
+def test_send_before_anchor_rejected():
     transport = SimTransport(2)
-    with pytest.raises(RuntimeError, match="not started"):
+    with pytest.raises(RuntimeError, match="not anchored"):
         transport.send(0, 1, "x")
 
 
@@ -82,7 +82,7 @@ def test_wheel_pending_counts_frames_in_flight():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1,))
-        transport.start()
+        transport.anchor()
         transport.send(0, 1, "x")
         transport.send(0, 1, "y")
         in_flight = transport.wheel.pending
@@ -97,7 +97,7 @@ def test_surged_message_is_delayed_not_dropped():
         surge = SurgeWindow(start_s=0.0, end_s=0.05, factor=20.0)
         transport = SimTransport(2, base_latency_s=0.005, jitter_s=0.0, seed=0, surges=(surge,))
         inbox = Collector(transport, (1,))
-        transport.start()
+        transport.anchor()
         transport.send(0, 1, "slow")  # 0.1 s latency under the surge
         with pytest.raises(asyncio.TimeoutError):
             await inbox.until(1, 1, timeout=0.04)
@@ -109,7 +109,7 @@ def test_surged_message_is_delayed_not_dropped():
 def test_counts_sent_messages():
     async def scenario():
         transport = SimTransport(3)
-        transport.start()
+        transport.anchor()
         transport.send(0, 1, "a")
         transport.send(0, 2, "b")
         return transport.sent_count
@@ -130,7 +130,7 @@ def test_validation():
 def test_frames_for_an_unsubscribed_pid_are_held_until_subscribe():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
-        transport.start()
+        transport.anchor()
         transport.send(0, 1, "a")
         transport.send(0, 1, "b")
         while transport.wheel.pending:
@@ -176,7 +176,7 @@ def test_a_raising_subscriber_costs_its_own_frame_only(caplog):
 
         transport.subscribe(1, fragile)
         bystander = Collector(transport, (2,))
-        transport.start()
+        transport.anchor()
         # No await between the sends: all four frames share a slot.
         transport.send_many(0, (1, 2), "x")
         transport.send_many(0, (1, 2), "y")
@@ -251,7 +251,7 @@ def test_sim_transport_delivers_through_the_wheel():
     async def scenario():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.002)
         inbox = Collector(transport, (1, 2))
-        transport.start()
+        transport.anchor()
         for i in range(10):
             transport.send(0, 1, i)
             transport.send(0, 2, i)
@@ -272,8 +272,8 @@ def test_send_many_matches_per_send_semantics():
         fanout = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
         loop_inbox = Collector(loop_sent, (1, 2, 3))
         fanout_inbox = Collector(fanout, (1, 2, 3))
-        loop_sent.start()
-        fanout.start()
+        loop_sent.anchor()
+        fanout.anchor()
         for dst in (1, 2, 3):
             loop_sent.send(0, dst, "x")
         fanout.send_many(0, (1, 2, 3), "x")
@@ -296,7 +296,7 @@ def test_slot_order_is_the_delivery_order_across_pids():
     async def scenario():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1, 2))
-        transport.start()
+        transport.anchor()
         for payload, dst in enumerate((1, 2, 1, 2, 2, 1)):
             transport.send(0, dst, payload)
         assert transport.wheel.timers_created == 1

@@ -27,7 +27,7 @@ def _sim(**model):
 async def _sim_fabric(_tmp_path, **model):
     transport = _sim(**model)
     inbox = Collector(transport, range(N))
-    transport.start()
+    transport.anchor()
     return transport, inbox, None, transport
 
 
@@ -53,7 +53,7 @@ async def _quiescent_proxy(_tmp_path, **model):
     timeline = AttackScript(name="quiet", phases=(phase(4),)).timeline()
     proxy = ProxyTransport(inner, timeline, seed=1, round_s=0.03, base_latency_s=LATENCY_S)
     inbox = Collector(proxy, range(N))  # subscribes through to the inner fabric
-    inner.start()
+    inner.anchor()
     return proxy, inbox, None, inner
 
 
@@ -220,7 +220,7 @@ def test_send_many_through_the_proxy_is_per_frame_send_with_coins_and_partitions
             inner, script.timeline(), seed=3, round_s=0.03, base_latency_s=LATENCY_S
         )
         inbox = Collector(proxy, range(N))
-        inner.start()
+        inner.anchor()
         proxy.enter_phase(1)
         for payload in range(12):
             if fan_out:

@@ -30,7 +30,8 @@ class _NoMesh:
 
 
 # Spawn targets (workers 1..k−1): module-level so the spawn context can
-# import them.  Worker 0 runs an ``async`` body on the coordinator's loop.
+# import them.  Worker 0 runs an ``async`` body on the coordinator's
+# loop, handed its in-memory end of the control connection.
 def _exits_nonzero(_control_address, _worker_id, _dial_delay_s):
     raise SystemExit(3)
 
@@ -42,34 +43,33 @@ def _writes_garbage(control_address, _worker_id, _dial_delay_s):
         time.sleep(30)  # alive and silent: only the garbage can fail the run
 
 
-async def _behaves(control_address, worker_id, dial_delay_s=0.0, ship=False):
-    channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
+async def _behaves(control_address, worker_id, dial_delay_s=0.0, *, channel=None):
+    # A spawned worker dials and ships its result; worker 0's is its return value.
+    ship = channel is None
+    if ship:
+        channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
     mesh = _NoMesh(dial_delay_s)
-    start_wall = await channel.join(mesh)
-    nudges = []
-    pump = asyncio.ensure_future(channel.until_shutdown(nudges.append))
+    origin, listening = await channel.join(mesh)
     await channel.send("note", "hello")
-    while not nudges:
-        await asyncio.sleep(0.01)
     result = {
         "worker": worker_id,
+        "in_memory": channel.in_memory,
         "dialed_wall": mesh.dialed_wall,
-        "start_wall": start_wall,
-        "nudges": nudges,
+        # This loop's start instant, back on the wall clock to compare.
+        "start_wall": origin - asyncio.get_running_loop().time() + time.time(),
+        "listening": listening,
     }
-    # A spawned worker ships its result; worker 0's is its return value.
     await channel.send("result", *((result,) if ship else ()))
-    await pump
+    await channel.until_shutdown()
     channel.close()
     return result
 
 
 def _well_behaved(control_address, worker_id, dial_delay_s=0.0):
-    asyncio.run(_behaves(control_address, worker_id, dial_delay_s, ship=True))
+    asyncio.run(_behaves(control_address, worker_id, dial_delay_s))
 
 
-async def _raises_mid_run(control_address, worker_id, _dial_delay_s):
-    channel = await ControlChannel.open(control_address, worker_id, timeout_s=20.0)
+async def _raises_mid_run(control_address, worker_id, _dial_delay_s, *, channel):
     try:
         await channel.join(_NoMesh())
         raise ValueError("the local shard broke")
@@ -77,56 +77,52 @@ async def _raises_mid_run(control_address, worker_id, _dial_delay_s):
         channel.close()
 
 
-def _run(body, target, n_workers=2, dial_delays=(), **hooks):
+def _run(body, target, n_workers=2, dial_delays=(), on_frame=None):
     """Run the stubs; worker ``wid`` dials for ``dial_delays[wid]`` s (default 0)."""
 
     async def scenario():
-        coordinator = Coordinator(n_workers, budget_s=30.0, on_frame=hooks.get("on_frame"))
-        mid_run = hooks.get("mid_run")
+        coordinator = Coordinator(n_workers, budget_s=30.0, on_frame=on_frame)
         delays = dict(enumerate(dial_delays))
         return await coordinator.run(
             body,
             target,
             [(coordinator.control_address, wid, delays.get(wid, 0.0)) for wid in range(n_workers)],
-            mid_run=(lambda wall: mid_run(coordinator, wall)) if mid_run else None,
         )
 
     return asyncio.run(scenario())
 
 
 @pytest.mark.parametrize(
-    "body, target, reason",
+    "body, target, error, reason",
     [
-        (_behaves, _exits_nonzero, "worker 1 exited with code 3"),
-        (_behaves, _writes_garbage, "control channel failure"),
-        (_raises_mid_run, _well_behaved, r"worker 0 raised ValueError\('the local shard broke'\)"),
+        (_behaves, _exits_nonzero, RuntimeError, "worker 1 exited with code 3"),
+        (_behaves, _writes_garbage, RuntimeError, "control channel failure"),
+        # Worker 0's own exception, raised in this process, is the cause.
+        (_raises_mid_run, _well_behaved, ValueError, "^the local shard broke$"),
     ],
 )
-def test_a_broken_worker_fails_the_run_promptly(body, target, reason):
+def test_a_broken_worker_fails_the_run_promptly(body, target, error, reason):
     """At wid 0 (a task on the coordinator's loop) as at wid 1 (spawned)."""
     started = time.monotonic()
-    with pytest.raises(RuntimeError, match=reason):
+    with pytest.raises(error, match=reason):
         _run(body, target)
     assert time.monotonic() - started < 3.0
     assert multiprocessing.active_children() == []
 
 
-async def _nudge(coordinator, start_wall):
-    await coordinator.broadcast(("nudge", start_wall))
-
-
-def test_handshake_result_and_both_hooks_round_trip():
+def test_handshake_result_and_the_frame_hook_round_trip():
     notes = []
-    before = time.time()
-    results = _run(_behaves, _well_behaved, n_workers=3, on_frame=notes.append, mid_run=_nudge)
+    results = _run(_behaves, _well_behaved, n_workers=3, on_frame=notes.append)
     assert sorted(notes) == [("note", wid, "hello") for wid in range(3)]
     # Worker order, whichever way each result arrived.
     assert [result["worker"] for result in results] == [0, 1, 2]
+    assert [result["in_memory"] for result in results] == [True, False, False]
     for result in results:
-        # Every worker was handed the same start instant, and the
-        # mid-run task's broadcast reached it after the barrier.
-        assert result["start_wall"] == results[0]["start_wall"] >= before
-        assert result["nudges"] == [("nudge", result["start_wall"])]
+        # Every worker anchored at the same instant: worker 0 on the
+        # coordinator's loop clock, the spawned ones through the wall
+        # clock.  A coordinator with a hook is listening.
+        assert result["start_wall"] == pytest.approx(results[0]["start_wall"], abs=1e-3)
+        assert result["listening"] is True
 
 
 @pytest.mark.parametrize("slow_wid", [0, 1])
@@ -134,12 +130,40 @@ def test_the_start_instant_follows_the_handshake_it_timed(slow_wid):
     """A few slowest legs ahead: a worker that dials d late moves the start
     at least d past its ``dialed``; prompt workers start within ms of theirs."""
     dial_delay_s = 0.1
-    prompt = _run(_behaves, _well_behaved, mid_run=_nudge)
+    prompt = _run(_behaves, _well_behaved)
     assert 0.0 <= prompt[0]["start_wall"] - max(r["dialed_wall"] for r in prompt) < 0.05
+    # Nobody takes mid-run frames: no worker is told to send any.
+    assert [result["listening"] for result in prompt] == [False, False]
     delays = [0.0, 0.0]
     delays[slow_wid] = dial_delay_s
-    slow = _run(_behaves, _well_behaved, dial_delays=delays, mid_run=_nudge)
+    slow = _run(_behaves, _well_behaved, dial_delays=delays)
     assert slow[0]["start_wall"] - slow[slow_wid]["dialed_wall"] >= dial_delay_s
+
+
+def test_one_worker_is_a_task_with_no_socket_and_no_timer():
+    """Worker 0 alone: no listener, no temp dir, no child, and nothing on
+    the loop's timer heap, which is the drive's alone."""
+    timers = []
+
+    async def scenario():
+        coordinator = Coordinator(1, budget_s=30.0)
+        assert (coordinator.addresses, coordinator.control_address) == ({}, None)
+
+        async def body(*_args, channel):
+            origin, listening = await channel.join(_NoMesh())
+            loop = asyncio.get_running_loop()
+            timers.append(len(loop._scheduled))
+            await channel.send("result")
+            await channel.until_shutdown()
+            channel.close()
+            return origin, loop.time(), listening
+
+        return await coordinator.run(body, _exits_nonzero, [()])
+
+    [(origin, now, listening)] = asyncio.run(scenario())
+    assert 0.0 <= origin - now < 0.05 and listening is False
+    assert timers == [0]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
@@ -152,9 +176,9 @@ def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
     join = ControlChannel.join
 
     async def late_join(self, transport):
-        start_wall = await join(self, transport)
+        joined = await join(self, transport)
         await asyncio.sleep(late_s)
-        return start_wall
+        return joined
 
     # Reaches worker 0 only: a spawned worker imports its own.
     monkeypatch.setattr(ControlChannel, "join", late_join)

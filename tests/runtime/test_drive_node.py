@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.runtime.metrics import MetricsHub
-from repro.runtime.worker import drive_node, shard_arrivals
+from repro.runtime.shard import drive_node, shard_arrivals
 from repro.sleepy.process import Process
 from repro.sleepy.trace import DecisionEvent
 from repro.workloads import SubmissionRateWorkload

@@ -10,7 +10,9 @@ from repro.chain.store import BlockBuffer
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
-from repro.runtime.shard import corruption_schedule, merge_payloads
+from repro.runtime.coordinator import Coordinator
+from repro.runtime.shard import corruption_schedule, merge_payloads, shard_pids
+from repro.runtime.worker import run_worker, worker_main
 from repro.workloads import SubmissionRateWorkload
 
 
@@ -33,12 +35,11 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
     reported = backend.execute(spec).trace
 
     async def one_shard():
-        shard = backend._in_process_shard(spec)
-        shard.transport.start()
-        shard.clock.start()
-        await shard.drive()
-        shard.stop()
-        return shard.payload()
+        # The backend's own runner, minus the live adversary beside it.
+        coordinator = Coordinator(1, budget_s=30.0)
+        config = backend._shard_config(spec, 0, shard_pids(spec.n, 1), {}, None)
+        [payload] = await coordinator.run(run_worker, worker_main, [(config,)])
+        return payload
 
     payload = pickle.loads(pickle.dumps(asyncio.run(one_shard())))
     assert payload["shard"] == (0, 1, 2, 3)
@@ -93,10 +94,23 @@ def test_extras_have_one_shape_on_both_substrates():
     single = DeploymentBackend(delta_s=0.01).execute(spec)
     multi = DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
 
+    # Only the live adversary beside the one shard holding every node adds keys.
     assert set(single.extras) - set(multi.extras) == {"nodes", "adversary_tree"}
-    assert set(multi.extras) - set(single.extras) == {"processes", "shards", "lifecycle"}
+    assert set(multi.extras) - set(single.extras) == set()
+    assert (single.extras["processes"], multi.extras["processes"]) == (1, 2)
     for result in (single, multi):
         extras = result.extras
+        lifecycle = extras["lifecycle"]
+        assert set(lifecycle) == {
+            "ready_s",
+            "dialed_s",
+            "margin_s",
+            "setup_s",
+            "start_lateness_s",
+            "span_s",
+        }
+        assert len(lifecycle["span_s"]) == extras["processes"]
+        assert result.wall_seconds == max(lifecycle["span_s"])
         # The hub is always on: no collector was attached to either run.
         assert extras["metrics"]["counters"]["decisions"] == len(result.trace.decisions)
         assert set(extras["transport"]) == set(multi.extras["transport"])
@@ -113,3 +127,51 @@ def test_extras_have_one_shape_on_both_substrates():
     # Zeros where the fabric has no wire, counts where it has one.
     assert single.extras["transport"]["frames_sent"] == 0
     assert multi.extras["transport"]["frames_sent"] > 0
+
+
+def test_one_shard_is_one_process_with_no_socket(monkeypatch):
+    """``processes=1``: worker 0 alone, on this loop, over in-memory
+    control streams — a scripted run decides and feeds the collector
+    live although no listener, dial, temp dir or child can exist."""
+    import multiprocessing
+
+    from repro.runtime import coordinator
+    from repro.runtime.metrics import SourcedMetrics
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a one-shard run opened a socket or a temp dir")
+
+    monkeypatch.setattr(coordinator, "serve_stream", refuse)
+    monkeypatch.setattr(coordinator, "open_stream", refuse)
+    monkeypatch.setattr(coordinator.tempfile, "mkdtemp", refuse)
+    script = get_script("partition-surge", 6)
+    base = RunSpec(n=6, rounds=script.total_rounds + 4, protocol="resilient", eta=6, seed=0)
+    spec = apply_script(base, script)
+    pushes = []
+
+    class Recording(SourcedMetrics):
+        def push(self, source, snapshot):
+            pushes.append(source)
+            super().push(source, snapshot)
+
+    backend = DeploymentBackend(delta_s=0.01)
+    collector = Recording()
+    backend.attach_metrics(collector)
+
+    async def scenario():
+        run = asyncio.ensure_future(backend.execute_async(spec))
+        children = set()
+        while not run.done():
+            children.add(len(multiprocessing.active_children()))
+            await asyncio.sleep(0.02)
+        return children, await run
+
+    children, result = asyncio.run(scenario())
+    assert children == {0}
+    assert result.trace.decisions and result.extras["processes"] == 1
+    assert result.extras["attack"]["totals"]["partitioned"] > 0
+    # Live snapshots during the run, then the final payload's.
+    assert len(pushes) > 1 and set(pushes) == {"worker0"}
+    merged = collector.merged()
+    assert merged["counters"]["decisions"] == len(result.trace.decisions)
+    assert merged["gauges"]["attack_phase"] == len(spec.adversary.timeline.states) - 1
