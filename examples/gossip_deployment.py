@@ -26,7 +26,7 @@ def main() -> None:
         conditions=NetworkConditions.window(ra, pi, surge_factor=factor),
         seed=11,
     )
-    result = DeploymentBackend(delta_s=delta_s, gossip_degree=4).execute(config)
+    result = DeploymentBackend(delta_s=delta_s).execute(config)
     trace = result.trace
     safety = check_safety(trace)
 

@@ -7,14 +7,15 @@ Two implementations exist: the deterministic round simulator
 (:mod:`repro.engine.sim_backend`) and the wall-clock asyncio deployment
 (:mod:`repro.engine.deploy_backend`).  Everything a backend must agree
 on — protocol construction, transaction arrival, corruption
-bookkeeping, trace metadata, message-kind accounting — lives here or in
-the registry, written once.
+bookkeeping, trace metadata — lives here or in the registry, written
+once; both build their trace with one
+:class:`~repro.sleepy.trace.TraceRecorder`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.chain.transactions import Transaction
@@ -22,7 +23,7 @@ from repro.engine.errors import ModelViolationError
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec, canonical_form
 from repro.sleepy.adversary import Adversary, AdversaryContext
-from repro.sleepy.messages import Message, ProposeMessage, VoteMessage
+from repro.sleepy.messages import Message
 from repro.sleepy.process import Process
 from repro.sleepy.trace import Trace
 
@@ -100,19 +101,6 @@ def offer_transactions(process: Process, arrivals: Sequence[Transaction]) -> Non
         return
     for tx in arrivals:
         mempool.add(tx)
-
-
-def count_kinds(messages: Iterable[Message]) -> tuple[int, int, int]:
-    """``(votes, proposes, other)`` over ``messages``."""
-    votes = proposes = other = 0
-    for message in messages:
-        if isinstance(message, VoteMessage):
-            votes += 1
-        elif isinstance(message, ProposeMessage):
-            proposes += 1
-        else:
-            other += 1
-    return votes, proposes, other
 
 
 class CorruptionTracker:

@@ -3,8 +3,7 @@
 Delivery state is indexed per recipient, not rescanned from one flat
 pool per process per round:
 
-* a global append-only **log** in publish order with **round buckets**
-  (which span of the log was published in which round), and
+* a global append-only **log** in publish order, and
 * per recipient, a **cursor** (everything below it has been either
   delivered or parked in the backlog) plus an ordered **backlog** of
   the messages below the cursor that are still undelivered.
@@ -19,6 +18,9 @@ Semantics are identical to the flat pool (the equivalence suite pins
 seeded traces across the refactor): publish order is delivery order,
 duplicate publishes are suppressed, and a process that slept through
 rounds catches up on its entire gap at its next awake receive phase.
+The bus keeps no per-round view of its log: what a round published is
+counted by the simulator's :class:`~repro.sleepy.trace.TraceRecorder`
+as each :meth:`MessageBus.publish` succeeds.
 
 Deduplication is **content-keyed**: like the verification layer, the
 bus keys a message by its
@@ -50,11 +52,6 @@ class MessageBus:
         self._log: list[Message] = []
         #: Content keys of every published message.
         self._keys: set[object] = set()
-        #: round -> (start, end) span of ``_log``; the current round's
-        #: end is resolved lazily (it is still growing).
-        self._buckets: dict[int, tuple[int, int]] = {}
-        self._open_round: int | None = None
-        self._open_start: int = 0
         self._cursor: list[int] = [0] * n
         self._backlog: list[list[Message]] = [[] for _ in range(n)]
         # One tail slice per distinct cursor position per send phase —
@@ -77,13 +74,6 @@ class MessageBus:
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def begin_round(self, round_number: int) -> None:
-        """Open the bucket for ``round_number``'s send phase."""
-        if self._open_round is not None:
-            self._buckets[self._open_round] = (self._open_start, len(self._log))
-        self._open_round = round_number
-        self._open_start = len(self._log)
-
     def publish(self, message: Message) -> bool:
         """Add ``message`` to the log; ``False`` if its content was already seen."""
         key = dedup_key(message)
@@ -96,16 +86,6 @@ class MessageBus:
         if self._tail_memo:
             self._tail_memo.clear()
         return True
-
-    def round_messages(self, round_number: int) -> Sequence[Message]:
-        """Messages published during ``round_number``'s send phase."""
-        if round_number == self._open_round:
-            return self._log[self._open_start :]
-        span = self._buckets.get(round_number)
-        if span is None:
-            return ()
-        start, end = span
-        return self._log[start:end]
 
     # ------------------------------------------------------------------
     # Delivery

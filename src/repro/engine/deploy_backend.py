@@ -46,22 +46,25 @@ fabric and its attack proxy's phase schedule at one start instant,
 which the coordinator puts a few handshake legs ahead
 (``extras["lifecycle"]`` records the handshake and each shard's start
 lateness).  Shard 0's payload reaches the merge in memory; only the
-spawned shards' payloads are pickled.  The adversary's live ``send``
-power runs beside shard 0 when that shard holds every node, the only
-one that can feed its omniscient block tree.
+spawned shards' payloads are pickled.
+
+One trace recorder.  Each shard's
+:class:`~repro.sleepy.trace.TraceRecorder` records what the shard
+publishes, as the simulator's records what its bus accepts, and
+:meth:`DeploymentBackend._assemble_trace` folds the k records into the
+trace, offering each block once.  The adversary's live ``send`` power
+runs beside shard 0 when that shard holds every node, reading that
+shard recorder's tree.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-from collections.abc import Iterable
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.attacks.adversary import ScriptedAdversary
-from repro.chain.block import Block, genesis_block
-from repro.chain.store import BlockBuffer
-from repro.chain.tree import BlockTree
 from repro.engine.backend import (
     CorruptionTracker,
     EngineResult,
@@ -71,7 +74,7 @@ from repro.engine.backend import (
 )
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec
-from repro.runtime.clock import ROUND_FACTOR
+from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics
 from repro.runtime.shard import (
@@ -83,14 +86,13 @@ from repro.runtime.shard import (
 )
 from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.adversary import AdversaryContext
-from repro.sleepy.messages import Message, ProposeMessage
-from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
+from repro.sleepy.trace import Trace, TraceRecorder
 
 
 class _LiveAdversary:
     """The adversary's ``send`` power, beside the one shard holding every node.
 
-    It reads an omniscient block tree fed by every message the shard
+    It reads the shard recorder's tree, fed by every message the shard
     originates, which cannot span processes.  Keys are handed over and
     monotonicity enforced round by round, as in the simulator; the
     resolved corruption schedule only peeked.
@@ -98,19 +100,12 @@ class _LiveAdversary:
 
     def __init__(self, spec: RunSpec) -> None:
         self.adversary = spec.resolved_adversary()
-        self.tree = BlockTree([genesis_block()])
-        # Omniscient adversary/trace tree: lossless, never evicts.
-        self._buffer = BlockBuffer(self.tree, max_orphans_per_source=None)
         self.nodes: dict = {}
-
-    def on_publish(self, message: Message) -> None:
-        if isinstance(message, ProposeMessage) and message.block is not None:
-            self._buffer.offer(message.block)
 
     async def run(self, shard: ShardRuntime) -> None:
         self.nodes = shard.nodes
         clock, adversary = shard.clock, self.adversary
-        ctx = AdversaryContext(shard.registry, self.tree)
+        ctx = AdversaryContext(shard.registry, shard.record.trace.tree)
         tracker = CorruptionTracker(adversary, ctx)
         for r in range(shard.config.spec.rounds):
             await clock.sleep_until_elapsed(clock.start_of(r))
@@ -126,13 +121,11 @@ class DeploymentBackend(ExecutionBackend):
     """Executes a :class:`RunSpec` over real time, gossip, and latency."""
 
     delta_s: float = 0.02
-    gossip_degree: int = 4
     #: Maximum absolute clock offset per node, in seconds.  The paper
     #: assumes synchronized clocks; in practice δ must absorb small
     #: skews, which this knob injects (each node's phase boundaries are
     #: shifted by a seeded offset in ``[-clock_skew_s, +clock_skew_s]``).
     clock_skew_s: float = 0.0
-    receive_fraction: float = 0.9
     #: Shards to split the nodes across.  ``1`` = one shard in this
     #: process; ``k > 1`` = k socket-mesh workers, shard 0 in this
     #: process and k − 1 spawned.
@@ -147,6 +140,8 @@ class DeploymentBackend(ExecutionBackend):
     protocols: ProtocolRegistry = field(repr=False, default_factory=lambda: PROTOCOLS)
 
     name = "deployment"
+    #: Where in its round every node receives (not a knob: the clock's constant).
+    receive_fraction = RECEIVE_FRACTION
     #: Real-time substrate: sweeps run it in the serial lane (one
     #: asyncio deployment at a time), never across a process pool.
     poolable = False
@@ -201,20 +196,13 @@ class DeploymentBackend(ExecutionBackend):
             lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
         extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
         if beside is not None:
-            extras.update(nodes=beside.nodes, adversary_tree=beside.tree)
+            extras["nodes"] = beside.nodes
         if collector is not None:
             for payload in payloads:
                 collector.push(f"worker{payload['worker_id']}", payload["metrics"])
         merged = merge_payloads(payloads)
-        trace = self._assemble_trace(
-            spec,
-            corruption_schedule(spec),
-            merged.pop("sent_by_round"),
-            merged.pop("decisions"),
-            merged.pop("blocks"),
-        )
         return EngineResult(
-            trace=trace,
+            trace=self._assemble_trace(spec, [payload["record"] for payload in payloads]),
             backend=self.name,
             wall_seconds=max(lifecycle["span_s"]),
             messages_sent=merged["transport"]["sent"],
@@ -255,55 +243,29 @@ class DeploymentBackend(ExecutionBackend):
             control_address=control_address,
             spec=spec,
             delta_s=self.delta_s,
-            gossip_degree=self.gossip_degree,
-            receive_fraction=self.receive_fraction,
             clock_skew_s=self.clock_skew_s,
             seen_horizon_rounds=self.gossip_seen_horizon,
             mempool_capacity=self.mempool_capacity,
         )
 
-    def _assemble_trace(
-        self,
-        spec: RunSpec,
-        byz_by_round: dict[int, frozenset[int]],
-        sent_by_round: list[list[int]],
-        decisions: Iterable[DecisionEvent],
-        pending_blocks: Iterable[Block],
-    ) -> Trace:
-        # Merge every shard's block views (plus the live adversary's
-        # tree at k = 1) into one omniscient analysis tree.
-        # Each payload lists parents before children, so no sort is
-        # needed; a block two shards both hold is offered twice.
-        tree = BlockTree([genesis_block()])
-        # Merging already-validated local trees: lossless, never evicts.
-        buffer = BlockBuffer(tree, max_orphans_per_source=None)
-        for block in pending_blocks:
-            buffer.offer(block)
-
-        trace = Trace(
-            n=spec.n,
-            tree=tree,
+    def _assemble_trace(self, spec: RunSpec, records: Sequence[Mapping]) -> Trace:
+        """Fold the k shard records (payload ``record``s, in worker
+        order) into one trace, offering each block once."""
+        recorder = TraceRecorder(
+            spec.n,
             meta=base_meta(
                 spec, self.protocols, delta_s=self.delta_s, deployment=True, backend=self.name
             ),
         )
+        for record in records:
+            recorder.fold(record)
         schedule = spec.resolved_schedule()
         conditions = spec.resolved_conditions()
+        byz_by_round = corruption_schedule(spec)
         for r in range(spec.rounds):
-            byz = byz_by_round[r]
-            awake = schedule.awake(r) | byz  # Byzantine processes never sleep.
-            votes, proposes, other = sent_by_round[r]
-            trace.rounds.append(
-                RoundRecord(
-                    round=r,
-                    awake=awake,
-                    byzantine=byz,
-                    asynchronous=conditions.is_asynchronous(r),
-                    votes_sent=votes,
-                    proposes_sent=proposes,
-                    other_sent=other,
-                )
+            recorder.close_round(
+                r, schedule.awake(r), byz_by_round[r], conditions.is_asynchronous(r)
             )
-        trace.decisions.extend(decisions)
+        trace = recorder.trace
         trace.decisions.sort(key=lambda d: (d.round, d.pid))
         return trace

@@ -14,6 +14,8 @@ import asyncio
 
 #: The paper's rounds-per-δ factor (Δ = 3δ, after [17] §2.1).
 ROUND_FACTOR = 3
+#: Where in its round a node runs its receive phase, as a fraction of Δ.
+RECEIVE_FRACTION = 0.9
 
 
 class RoundClock:

@@ -11,7 +11,9 @@ by :func:`merge_payloads` — shard 0's in memory and k − 1 unpickled
 ones.  Every shard runs under the one runner,
 :func:`~repro.runtime.worker.run_worker`; the substrates differ only in
 the fabric it builds and, when one shard holds every node, the live
-adversary task beside it.
+adversary task beside it.  A shard's part of the trace is what its
+:class:`~repro.sleepy.trace.TraceRecorder` saw at
+:meth:`ShardRuntime.publish`; no node's private tree is read for it.
 
 Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology, clock-skew
@@ -31,9 +33,8 @@ from typing import Callable
 
 from repro.attacks.adversary import ScriptedAdversary
 from repro.chain.transactions import Transaction
-from repro.chain.tree import BlockTree
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import count_kinds, offer_transactions
+from repro.engine.backend import offer_transactions
 from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec
@@ -41,7 +42,7 @@ from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import Transport
 from repro.protocols.tob_base import first_round_of_view
-from repro.runtime.clock import ROUND_FACTOR, RoundClock
+from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR, RoundClock
 from repro.runtime.metrics import (
     WIRE_COUNTER_ATTRS,
     MetricsHub,
@@ -50,6 +51,7 @@ from repro.runtime.metrics import (
 )
 from repro.runtime.node import DeployedNode
 from repro.sleepy.messages import Message
+from repro.sleepy.trace import TraceRecorder
 
 
 def shard_pids(n: int, processes: int) -> tuple[tuple[int, ...], ...]:
@@ -100,6 +102,8 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
     }
 
 
+#: Overlay degree: each node gossips with this many neighbours.
+GOSSIP_DEGREE = 4
 #: Rounds of arrivals a shard keeps: skewed nodes are at most a round apart.
 _ARRIVAL_ROUNDS_KEPT = 4
 #: Seconds between the live metric snapshots a driving shard reports.
@@ -126,7 +130,6 @@ async def drive_node(
     clock: RoundClock,
     rounds: int,
     offset: float,
-    receive_fraction: float,
     byz_by_round: Mapping[int, frozenset[int]],
     arrivals: Callable[[int], Sequence[Transaction]],
     publish: Callable[[int, int, Message], None],
@@ -157,7 +160,7 @@ async def drive_node(
                 latency = clock.elapsed() - view_start
                 metrics.observe("decision_latency_s", max(latency, 0.0))
         await clock.sleep_until_elapsed(
-            clock.start_of(r) + receive_fraction * clock.round_s + offset
+            clock.start_of(r) + RECEIVE_FRACTION * clock.round_s + offset
         )
         if node.pid not in byz_by_round[r + 1]:
             node.run_receive_phase(r)
@@ -181,8 +184,6 @@ class WorkerConfig:
     control_address: object
     spec: RunSpec
     delta_s: float
-    gossip_degree: int = 4
-    receive_fraction: float = 0.9
     clock_skew_s: float = 0.0
     seen_horizon_rounds: int | None = None
     mempool_capacity: int | None = None
@@ -195,9 +196,9 @@ class ShardRuntime:
     (start/anchor/close); the shard only sends through it and subscribes
     its nodes to it — here, so build the shard before the fabric starts
     listening — behind a :class:`ProxyTransport` when the spec's
-    adversary is scripted.  ``on_publish`` sees every message this shard
-    originates before it enters gossip (the live adversary feeds its
-    omniscient block tree from it).
+    adversary is scripted.  :attr:`record` sees every message this shard
+    originates before it enters gossip; its tree is the omniscient one
+    the live adversary reads when this shard holds every node.
     """
 
     def __init__(
@@ -206,17 +207,15 @@ class ShardRuntime:
         transport: Transport,
         *,
         protocols: ProtocolRegistry = PROTOCOLS,
-        on_publish: Callable[[Message], None] | None = None,
     ) -> None:
         spec = config.spec
         self.config = config
         self.transport = transport
         self.byz_by_round = corruption_schedule(spec)
-        self._on_publish = on_publish
+        self.record = TraceRecorder(spec.n)
         self.registry = KeyRegistry(spec.n, run_seed=spec.seed)
         self.clock = RoundClock(config.delta_s)
         self.hub = MetricsHub()
-        self.sent_by_round = [[0, 0, 0] for _ in range(spec.rounds)]
         # A scripted adversary's delivery effects (partition/surge/drop)
         # are realised physically by the proxy layer in front of the
         # fabric; its corruption and send powers flow through
@@ -246,7 +245,7 @@ class ShardRuntime:
             )
             for pid in config.shard
         }
-        topology = regular_topology(spec.n, config.gossip_degree, seed=spec.seed)
+        topology = regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
         bounded = config.seen_horizon_rounds is not None
         self.network = GossipNetwork(
             self.proxy if self.proxy is not None else transport,
@@ -258,11 +257,8 @@ class ShardRuntime:
 
     def publish(self, pid: int, r: int, message: Message) -> None:
         """Originate ``message`` from local ``pid`` in round ``r``."""
-        for kind, count in enumerate(count_kinds((message,))):
-            self.sent_by_round[r][kind] += count
         self.hub.inc("messages_published")
-        if self._on_publish is not None:
-            self._on_publish(message)
+        self.record.published(r, message)
         self.network.nodes[pid].publish(message)
 
     async def drive(
@@ -289,7 +285,6 @@ class ShardRuntime:
                         clock=self.clock,
                         rounds=config.spec.rounds,
                         offset=offsets[node.pid],
-                        receive_fraction=config.receive_fraction,
                         byz_by_round=self.byz_by_round,
                         arrivals=arrivals,
                         publish=self.publish,
@@ -337,29 +332,23 @@ class ShardRuntime:
         pools = (node.process.mempool for node in self.nodes.values())
         return [pool for pool in pools if pool is not None]
 
-    def payload(
-        self, extra_trees: Iterable[BlockTree] = (), lifecycle: Mapping[str, float] | None = None
-    ) -> dict:
+    def payload(self, lifecycle: Mapping[str, float] | None = None) -> dict:
         """This shard's picklable contribution to the deployment result.
 
-        Every tree is enumerated once, parents first, and a block
-        several trees hold is kept once — so the merge offers each block
-        once per shard, never before its parent.  ``lifecycle`` is what
-        a sharded worker measured of its own start and end
-        (``start_lateness_s``, ``span_s``); the merge leaves it alone.
+        ``record`` is the shard recorder's shipment, its nodes'
+        decisions appended: the blocks this shard published (once each,
+        in publish order) and its per-round message counts, which
+        :meth:`~repro.engine.deploy_backend.DeploymentBackend._assemble_trace`
+        folds into the trace.  ``lifecycle`` is what a worker measured
+        of its own start and end (``start_lateness_s``, ``span_s``); the
+        merge leaves it alone.
         """
-        nodes = self.nodes.values()
-        blocks = {}
-        for tree in (*(node.process.tree for node in nodes), *extra_trees):
-            for block in tree.blocks():
-                blocks.setdefault(block.block_id, block)
+        self.record.decided(d for node in self.nodes.values() for d in node.decisions)
         pools = self._mempools()
         return {
             "worker_id": self.config.worker_id,
             "shard": self.config.shard,
-            "blocks": tuple(blocks.values()),
-            "decisions": [decision for node in nodes for decision in node.decisions],
-            "sent_by_round": self.sent_by_round,
+            "record": self.record.shipment(),
             "transport": transport_counters(self.transport),
             "gossip": self.network.stats_totals(),
             "mempool": {
@@ -383,19 +372,12 @@ def _summed(rows: Iterable[Mapping[str, int]]) -> dict[str, int]:
 
 
 def merge_payloads(payloads: Sequence[Mapping]) -> dict:
-    """Fold shard payloads (in worker order) into one deployment-wide view.
-
-    ``blocks`` / ``decisions`` / ``sent_by_round`` feed the trace; the
-    other keys are the result's ``extras``, one shape for any k.
-    """
+    """Fold shard payloads (in worker order) into the result's ``extras``,
+    one shape for any k (each ``record`` feeds the trace instead)."""
     metrics = SourcedMetrics()
     for payload in payloads:
         metrics.push(f"worker{payload['worker_id']}", payload["metrics"])
-    by_round = zip(*(payload["sent_by_round"] for payload in payloads))
     merged = {
-        "blocks": [block for payload in payloads for block in payload["blocks"]],
-        "decisions": [decision for payload in payloads for decision in payload["decisions"]],
-        "sent_by_round": [[sum(kind) for kind in zip(*rows)] for rows in by_round],
         "transport": _summed(payload["transport"] for payload in payloads),
         "gossip": _summed(payload["gossip"] for payload in payloads),
         "mempool": _summed(payload["mempool"] for payload in payloads),

@@ -17,7 +17,10 @@ that was), pushes live metrics over its channel while the coordinator
 listens for them, and takes its payload the moment the drive returns:
 after a node's last receive phase nothing that arrives can reach its
 tree, vote store or decisions, and frames still parked are written at
-their slots or by the transport's closing flush.
+their slots or by the transport's closing flush.  The payload's trace
+part is what the shard recorded at publish (the blocks it published,
+its per-round counts, its nodes' decisions), so a block reaches the
+coordinator once, from the shard that published it.
 """
 
 from __future__ import annotations
@@ -72,18 +75,12 @@ async def run_worker(
     ``result`` frame is bare and the payload is this coroutine's return
     value, never pickled.  ``beside`` is what runs next to the shard's
     nodes when one shard holds them all (the live adversary): its
-    ``on_publish`` sees every message the shard originates, its
-    ``run(shard)`` is driven with the nodes and its ``tree`` joins the
-    payload.  The shard is released as soon as its payload is taken;
-    the transport serves until ``shutdown``.
+    ``run(shard)`` is driven with the nodes and reads the shard
+    recorder's tree.  The shard is released as soon as its payload is
+    taken; the transport serves until ``shutdown``.
     """
     transport = _fabric(config)
-    shard = ShardRuntime(
-        config,
-        transport,
-        protocols=protocols,
-        on_publish=None if beside is None else beside.on_publish,
-    )
+    shard = ShardRuntime(config, transport, protocols=protocols)
     pump: asyncio.Task | None = None
     try:
         await transport.start()
@@ -106,9 +103,7 @@ async def run_worker(
         )
         lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()
-        payload = shard.payload(
-            extra_trees=() if beside is None else (beside.tree,), lifecycle=lifecycle
-        )
+        payload = shard.payload(lifecycle)
         # The payload is all that is left of the shard: its nodes and
         # trees go now, not at shutdown, so worker 0's memory is free
         # again while the coordinator decodes the spawned payloads.

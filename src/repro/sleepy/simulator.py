@@ -19,31 +19,27 @@ monotone for a growing adversary, Byzantine processes never sleep, and
 asleep processes are never consulted.
 
 This module is the simulator half of the unified execution engine; the
-shared pieces (message bus, corruption tracking, message accounting)
-live in :mod:`repro.engine` and are also used by the asyncio deployment
-runner.
+shared pieces (message bus, corruption tracking) live in
+:mod:`repro.engine`, and the trace is recorded by the same
+:class:`~repro.sleepy.trace.TraceRecorder` each deployment shard feeds:
+every message the bus accepts is recorded into its round, and each round
+is closed once its receive phase is done.
 """
 
 from __future__ import annotations
 
 from repro.chain.shared import SharedChain
-from repro.chain.store import BlockBuffer
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import (
-    CorruptionTracker,
-    check_adversary_message,
-    check_honest_message,
-    count_kinds,
-)
+from repro.engine.backend import CorruptionTracker, check_adversary_message, check_honest_message
 from repro.engine.bus import MessageBus
 from repro.engine.conditions import NetworkConditions
 from repro.engine.errors import ModelViolationError, UndeliverableMessageError
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.adversary import Adversary, AdversaryContext
-from repro.sleepy.messages import Message, ProposeMessage
+from repro.sleepy.messages import Message
 from repro.sleepy.process import Process, ProcessFactory
 from repro.sleepy.schedule import SleepSchedule
-from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace
+from repro.sleepy.trace import Trace, TraceRecorder
 
 __all__ = ["ModelViolationError", "ProcessFactory", "Simulation"]
 
@@ -75,11 +71,10 @@ class Simulation:
         #: it so each receiver holds a visibility view instead of a
         #: private copy — one tree per run, not n + 1.
         self.chain = SharedChain()
-        self._tree = self.chain.tree
-        # The omniscient trace tree must be lossless (analysis depends
-        # on resolving every decided tip), so its buffer never evicts.
-        self._tree_buffer = BlockBuffer(self._tree, max_orphans_per_source=None)
-        self._ctx = AdversaryContext(registry, self._tree)
+        #: Records the trace as the run goes, into the canonical tree.
+        self.recorder = TraceRecorder(registry.n, tree=self.chain.tree, meta=meta)
+        self.trace: Trace = self.recorder.trace
+        self._ctx = AdversaryContext(registry, self.chain.tree)
         self._corruption = CorruptionTracker(adversary, self._ctx)
 
         # Factories advertise view support via ``supports_shared_chain``;
@@ -98,7 +93,6 @@ class Simulation:
 
         #: The dissemination layer (indexed per-recipient delivery state).
         self.bus = MessageBus(registry.n)
-        self.trace = Trace(n=registry.n, tree=self._tree, meta=dict(meta or {}))
 
     # ------------------------------------------------------------------
     # Execution
@@ -112,24 +106,19 @@ class Simulation:
 
     def _run_round(self, r: int) -> None:
         byz = self._corruption.corrupted(r)
-        honest = self.schedule.awake(r) - byz
-        awake = honest | byz  # Byzantine processes never sleep (§2.1).
+        scheduled = self.schedule.awake(r)
         self._ctx.round = r
-        self.bus.begin_round(r)
-        decisions: list[DecisionEvent] = []
 
         # --- Send phase ---------------------------------------------------
-        for pid in sorted(honest):
+        for pid in sorted(scheduled - byz):
             process = self.processes[pid]
             for message in process.send(r):
                 check_honest_message(message, pid, r)
-                self._publish(message)
-            decisions.extend(process.pop_decisions())
+                self._publish(r, message)
+            self.recorder.decided(process.pop_decisions())
         for message in self.adversary.send(r, self._ctx):
             check_adversary_message(message, byz)
-            self._publish(message)
-
-        votes, proposes, other = count_kinds(self.bus.round_messages(r))
+            self._publish(r, message)
 
         # --- Receive phase --------------------------------------------------
         asynchronous = self.conditions.is_asynchronous(r)
@@ -149,24 +138,11 @@ class Simulation:
             if delivered:
                 self.processes[pid].receive(r, delivered)
 
-        self.trace.rounds.append(
-            RoundRecord(
-                round=r,
-                awake=frozenset(awake),
-                byzantine=frozenset(byz),
-                asynchronous=asynchronous,
-                votes_sent=votes,
-                proposes_sent=proposes,
-                other_sent=other,
-            )
-        )
-        self.trace.decisions.extend(decisions)
+        self.recorder.close_round(r, scheduled, byz, asynchronous)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _publish(self, message: Message) -> None:
-        if not self.bus.publish(message):
-            return
-        if isinstance(message, ProposeMessage) and message.block is not None:
-            self._tree_buffer.offer(message.block)
+    def _publish(self, r: int, message: Message) -> None:
+        if self.bus.publish(message):
+            self.recorder.published(r, message)

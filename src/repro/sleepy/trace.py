@@ -1,19 +1,26 @@
 """Execution traces: everything the analysis layer needs from a run.
 
-The simulator records, per round, the participation sets (``O_r``,
-``H_r``, ``B_r``), whether the round was asynchronous, message counts,
-and every decision event.  The trace also carries an *omniscient* block
-tree containing every block created during the run (honest or
-adversarial), which the safety checkers use to test log compatibility
-across processes.
+A trace holds, per round, the participation sets (``O_r``, ``H_r``,
+``B_r``), whether the round was asynchronous, message counts, and every
+decision event.  It also carries an *omniscient* block tree containing
+every block anyone published during the run (honest or adversarial),
+which the safety checkers use to test log compatibility across
+processes.
+
+Every substrate builds its trace the same way, with a
+:class:`TraceRecorder` fed as the run goes: each message at publish,
+each decision, and each round once its participation is known.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.chain.block import BlockId
+from repro.chain.block import Block, BlockId, genesis_block
+from repro.chain.store import BlockBuffer
 from repro.chain.tree import BlockTree
+from repro.sleepy.messages import Message, ProposeMessage, VoteMessage
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class RoundRecord:
 
 @dataclass
 class Trace:
-    """Full record of one simulated execution."""
+    """Full record of one execution, on either substrate."""
 
     n: int
     rounds: list[RoundRecord] = field(default_factory=list)
@@ -114,3 +121,98 @@ class Trace:
     def last_decision_round(self) -> int | None:
         """Round of the last decision in the trace, or ``None``."""
         return max((d.round for d in self.decisions), default=None)
+
+
+class TraceRecorder:
+    """The one way a :class:`Trace` is built: a fold over what a run records.
+
+    :meth:`published` takes every message at the point it enters
+    dissemination, counting its kind into its round and offering a
+    proposal's block into the omniscient tree (through a lossless
+    buffer: analysis must resolve every decided tip, so nothing is ever
+    evicted).  :meth:`decided` appends decision events, and
+    :meth:`close_round` turns a round's counts into its
+    :class:`RoundRecord` once its participation is known.
+
+    The simulator passes its run's canonical tree and closes each round
+    as it ends.  A deployment shard records only what it publishes and
+    ships :meth:`shipment`; the backend folds the k shipments into one
+    recorder with :meth:`fold` and closes every round there.
+    """
+
+    def __init__(self, n: int, tree: BlockTree | None = None, meta: dict | None = None) -> None:
+        if tree is None:
+            tree = BlockTree([genesis_block()])
+        self.trace = Trace(n=n, tree=tree, meta=dict(meta or {}))
+        self._buffer = BlockBuffer(tree, max_orphans_per_source=None)
+        #: Every block offered, once each, in first-offer order.
+        self._blocks: dict[BlockId, Block] = {}
+        #: round -> ``[votes, proposes, other]`` published in it, until closed.
+        self._sent: dict[int, list[int]] = {}
+
+    def published(self, round_number: int, message: Message) -> None:
+        """Record ``message``, published in round ``round_number``."""
+        counts = self._sent.get(round_number)
+        if counts is None:
+            counts = self._sent[round_number] = [0, 0, 0]
+        if isinstance(message, VoteMessage):
+            counts[0] += 1
+        elif isinstance(message, ProposeMessage):
+            counts[1] += 1
+            if message.block is not None:
+                self._offer(message.block)
+        else:
+            counts[2] += 1
+
+    def decided(self, events: Iterable[DecisionEvent]) -> None:
+        """Append decision events."""
+        self.trace.decisions.extend(events)
+
+    def close_round(
+        self,
+        round_number: int,
+        scheduled: frozenset[int],
+        byzantine: frozenset[int],
+        asynchronous: bool,
+    ) -> None:
+        """Append round ``round_number``'s record.
+
+        ``scheduled`` is the schedule's awake set; ``O_r`` adds ``B_r``
+        to it, because Byzantine processes never sleep (§2.1).
+        """
+        votes, proposes, other = self._sent.pop(round_number, (0, 0, 0))
+        self.trace.rounds.append(
+            RoundRecord(
+                round=round_number,
+                awake=frozenset(scheduled | byzantine),
+                byzantine=frozenset(byzantine),
+                asynchronous=asynchronous,
+                votes_sent=votes,
+                proposes_sent=proposes,
+                other_sent=other,
+            )
+        )
+
+    def shipment(self) -> dict:
+        """Picklable: every block offered (once each, in first-offer
+        order), the counts of the rounds not yet closed, the decisions."""
+        return {
+            "blocks": tuple(self._blocks.values()),
+            "sent": {r: tuple(counts) for r, counts in self._sent.items()},
+            "decisions": list(self.trace.decisions),
+        }
+
+    def fold(self, shipment: Mapping) -> None:
+        """Add another recorder's :meth:`shipment`, offering each of its blocks once."""
+        for block in shipment["blocks"]:
+            if block.block_id not in self._blocks:
+                self._offer(block)
+        for round_number, counts in shipment["sent"].items():
+            mine = self._sent.setdefault(round_number, [0, 0, 0])
+            for kind, count in enumerate(counts):
+                mine[kind] += count
+        self.decided(shipment["decisions"])
+
+    def _offer(self, block: Block) -> None:
+        self._blocks.setdefault(block.block_id, block)
+        self._buffer.offer(block)

@@ -69,7 +69,6 @@ def test_catch_up_on_wake_equals_flat_pool():
     publish order — exactly what the flat pool's lagging cursor gave."""
     bus, pool = MessageBus(2), FlatPool(2)
     for r in range(3):
-        bus.begin_round(r)
         for s in range(3):
             message = FakeMessage(f"r{r}s{s}", r)
             bus.publish(message)
@@ -84,18 +83,15 @@ def test_catch_up_on_wake_equals_flat_pool():
 
 def test_duplicate_message_id_suppressed():
     bus = MessageBus(1)
-    bus.begin_round(0)
     assert bus.publish(FakeMessage("a"))
     assert not bus.publish(FakeMessage("a"))
     assert len(bus) == 1
     assert bus.stats["duplicates"] == 1
-    assert ids(bus.round_messages(0)) == ["a"]
     assert "a" in bus and "b" not in bus
 
 
 def test_adversarial_delivery_stays_within_deliverable_set():
     bus = MessageBus(1)
-    bus.begin_round(0)
     bus.publish(FakeMessage("a"))
     with pytest.raises(UndeliverableMessageError):
         bus.deliver_chosen(0, [FakeMessage("forged")])
@@ -109,12 +105,10 @@ def test_adversarial_delivery_stays_within_deliverable_set():
 
 def test_partial_delivery_parks_backlog_in_publish_order():
     bus = MessageBus(1)
-    bus.begin_round(0)
     for name in "abcde":
         bus.publish(FakeMessage(name))
     bus.deliver_chosen(0, [FakeMessage("b"), FakeMessage("d")])
     assert ids(bus.deliverable(0)) == ["a", "c", "e"]
-    bus.begin_round(1)
     bus.publish(FakeMessage("f"))
     # Catch-up: withheld messages first (publish order), then the new tail.
     assert ids(bus.deliver_all(0)) == ["a", "c", "e", "f"]
@@ -126,7 +120,6 @@ def test_synchronous_tail_is_shared_between_caught_up_receivers():
     n = 8
     bus = MessageBus(n)
     for r in range(3):
-        bus.begin_round(r)
         for s in range(n):
             bus.publish(FakeMessage(f"r{r}s{s}", r))
         batches = [bus.deliver_all(pid) for pid in range(n)]
@@ -136,18 +129,6 @@ def test_synchronous_tail_is_shared_between_caught_up_receivers():
     # A per-receiver rescan would materialise rounds * n * n entries;
     # the bus touches each published message once.
     assert bus.stats["messages_materialised"] == bus.total_published == 3 * n
-
-
-def test_round_buckets_span_send_phases():
-    bus = MessageBus(1)
-    bus.begin_round(0)
-    bus.publish(FakeMessage("a0"))
-    bus.begin_round(1)
-    bus.publish(FakeMessage("a1"))
-    bus.publish(FakeMessage("b1"))
-    assert ids(bus.round_messages(0)) == ["a0"]
-    assert ids(bus.round_messages(1)) == ["a1", "b1"]
-    assert ids(bus.round_messages(7)) == []
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +141,6 @@ def test_fuzzed_schedule_matches_flat_pool(seed):
     bus, pool = MessageBus(n), FlatPool(n)
     counter = 0
     for r in range(40):
-        bus.begin_round(r)
         for _ in range(rng.randrange(0, 6)):
             # Occasionally replay an old id to exercise dedup.
             if counter and rng.random() < 0.1:

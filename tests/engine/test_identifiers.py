@@ -32,7 +32,6 @@ from repro.net.socket_transport import (
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
     IdentityMemo,
-    ProposeMessage,
     make_propose,
     make_vote,
 )
@@ -270,8 +269,7 @@ def test_simulator_hashes_nothing_per_message_at_any_n(hash_calls, encode_calls)
         simulation = SimulationBackend().build(spec)
         hash_calls[0] = encode_calls[0] = 0
         simulation.run(8)
-        published = simulation.bus.round_messages
-        proposals = sum(type(m) is ProposeMessage for r in range(8) for m in published(r))
+        proposals = sum(record.proposes_sent for record in simulation.trace.rounds)
         votes = simulation.bus.total_published - proposals
         assert proposals and votes > IDENTITY_MEMO_CAPACITY
         assert simulation.pipeline.stats["crypto_verifications"] == votes + proposals

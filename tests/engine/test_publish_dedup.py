@@ -29,7 +29,6 @@ def test_transplanted_id_cannot_suppress_a_distinct_message(registry, genesis):
     distinct, so it must still be published (it is junk for the ingest
     layer to reject, not a duplicate for the bus to swallow)."""
     bus = MessageBus(2)
-    bus.begin_round(0)
     honest = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     other = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
     poisoned(other, honest.message_id)
@@ -44,7 +43,6 @@ def test_forged_fresh_id_cannot_republish_seen_content(registry, genesis):
     """The reverse lie — same content, fabricated 'fresh' id — must
     still be deduplicated."""
     bus = MessageBus(1)
-    bus.begin_round(0)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
     poisoned(clone, "totally-new-id")
@@ -56,7 +54,6 @@ def test_forged_fresh_id_cannot_republish_seen_content(registry, genesis):
 
 def test_honest_republish_still_deduplicated(registry, genesis):
     bus = MessageBus(1)
-    bus.begin_round(0)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     assert not bus.publish(vote)
@@ -71,7 +68,6 @@ def test_transplanted_id_cannot_void_honest_delivery(registry, genesis):
     then 'chooses' it during an asynchronous round, the honest message
     must stay pending — id-keyed matching would have dropped it."""
     bus = MessageBus(1)
-    bus.begin_round(0)
     honest = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     byz = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
     poisoned(byz, honest.message_id)
@@ -86,7 +82,6 @@ def test_transplanted_id_cannot_void_honest_delivery(registry, genesis):
 
 def test_delivery_choice_outside_pending_content_rejected(registry, genesis):
     bus = MessageBus(1)
-    bus.begin_round(0)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     outsider = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
@@ -101,7 +96,6 @@ def test_equal_content_distinct_instance_is_choosable(registry, genesis):
     """Choosing by value (a re-built but content-identical instance)
     keeps working — the key is content, not object identity."""
     bus = MessageBus(1)
-    bus.begin_round(0)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
@@ -115,7 +109,6 @@ def test_a_choice_mixing_pending_objects_twins_and_repeats(registry, genesis, mo
     backlog once, tolerates a repeat, and names a stray by its key —
     never by a ``message_id`` it would have to hash."""
     bus = MessageBus(1)
-    bus.begin_round(0)
     votes = [make_vote(registry, registry.secret_key(pid), 0, genesis.block_id) for pid in range(6)]
     for vote in votes:
         assert bus.publish(vote)

@@ -2,6 +2,7 @@
 
 import asyncio
 
+from repro.runtime.clock import RECEIVE_FRACTION
 from repro.runtime.metrics import MetricsHub
 from repro.runtime.shard import drive_node, shard_arrivals
 from repro.sleepy.process import Process
@@ -71,7 +72,6 @@ def _observed_latency_s(at_round: int, view: int) -> float:
             clock=FakeClock(),
             rounds=at_round + 1,
             offset=0.0,
-            receive_fraction=0.9,
             byz_by_round={r: frozenset() for r in range(at_round + 2)},
             arrivals=lambda _r: (),
             publish=lambda *_: None,
@@ -90,6 +90,29 @@ def test_decision_latency_counts_from_the_views_first_round():
     assert _observed_latency_s(at_round=7, view=3) == 2 * ROUND_S
     # View 0 starts at round 0.
     assert _observed_latency_s(at_round=1, view=0) == 1 * ROUND_S
+
+
+def test_every_receive_phase_runs_at_the_clocks_receive_fraction():
+    clock, receives = FakeClock(), []
+
+    class Receiving(DecidingNode):
+        def run_receive_phase(self, round_number: int) -> int:
+            receives.append((round_number, clock.now))
+            return 0
+
+    asyncio.run(
+        drive_node(
+            Receiving(at_round=-1, view=0),
+            clock=clock,
+            rounds=3,
+            offset=0.0,
+            byz_by_round={r: frozenset() for r in range(4)},
+            arrivals=lambda _r: (),
+            publish=lambda *_: None,
+            metrics=MetricsHub(),
+        )
+    )
+    assert receives == [(r, r * ROUND_S + RECEIVE_FRACTION * ROUND_S) for r in range(3)]
 
 
 def test_shard_arrivals_generates_each_round_once_and_shares_the_objects():

@@ -11,8 +11,10 @@ from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
 from repro.runtime.coordinator import Coordinator
-from repro.runtime.shard import corruption_schedule, merge_payloads, shard_pids
+from repro.runtime.shard import merge_payloads, shard_pids
 from repro.runtime.worker import run_worker, worker_main
+from repro.sleepy.adversary import RandomAdversary
+from repro.sleepy.messages import ProposeMessage
 from repro.workloads import SubmissionRateWorkload
 
 
@@ -44,14 +46,8 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
     payload = pickle.loads(pickle.dumps(asyncio.run(one_shard())))
     assert payload["shard"] == (0, 1, 2, 3)
     assert payload["attack"] is None
-    merged = merge_payloads([payload])
-    trace = backend._assemble_trace(
-        spec,
-        corruption_schedule(spec),
-        merged["sent_by_round"],
-        merged["decisions"],
-        merged["blocks"],
-    )
+    assert set(merge_payloads([payload])) == {"transport", "gossip", "mempool", "metrics"}
+    trace = backend._assemble_trace(spec, [payload["record"]])
     assert trace.decisions == reported.decisions
     assert sorted(trace.tree.tips()) == sorted(reported.tree.tips())
     assert [(r.votes_sent, r.proposes_sent, r.other_sent) for r in trace.rounds] == [
@@ -60,8 +56,8 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
 
 
 def test_trace_assembly_offers_each_block_a_bounded_number_of_times(monkeypatch):
-    """The teardown enumerates each tree once: it used to offer every
-    tip's full path from each of the n + 1 trees."""
+    """The assembly folds what each shard published, so it offers each
+    block of the trace tree exactly once."""
     offers = []
     assembling = []
     offer = BlockBuffer.offer
@@ -83,7 +79,30 @@ def test_trace_assembly_offers_each_block_a_bounded_number_of_times(monkeypatch)
     monkeypatch.setattr(DeploymentBackend, "_assemble_trace", flagged_assemble)
     result = DeploymentBackend(delta_s=0.01).execute(_spec(n=6, rounds=12))
     assert result.trace.decisions
-    assert 0 < len(offers) <= 2 * len(result.trace.tree)
+    assert offers and len(offers) == len(set(offers))
+    # Each block of the trace tree was offered once, and nothing else.
+    assert len(offers) == len(result.trace.tree)
+    assert all(block_id in result.trace.tree for block_id in offers)
+
+
+def test_every_block_a_live_adversary_mints_is_in_the_trace_tree(monkeypatch):
+    """At ``processes=1`` the adversary reads, and the trace holds, the
+    shard recorder's tree: everything any node or the adversary published."""
+    minted = []
+    send = RandomAdversary.send
+
+    def minting(self, round_number, ctx):
+        messages = send(self, round_number, ctx)
+        minted.extend(m.block for m in messages if isinstance(m, ProposeMessage))
+        return messages
+
+    monkeypatch.setattr(RandomAdversary, "send", minting)
+    # Two corrupted pids over 16 rounds: the fuzzer mints in some round.
+    adversary = RandomAdversary([4, 5], seed=3)
+    spec = RunSpec(n=6, rounds=16, protocol="resilient", eta=2, seed=1, adversary=adversary)
+    trace = DeploymentBackend(delta_s=0.01).execute(spec).trace
+    assert minted
+    assert all(block.block_id in trace.tree for block in minted)
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="sharded deployment needs AF_UNIX")
@@ -94,8 +113,8 @@ def test_extras_have_one_shape_on_both_substrates():
     single = DeploymentBackend(delta_s=0.01).execute(spec)
     multi = DeploymentBackend(delta_s=0.01, processes=2).execute(spec)
 
-    # Only the live adversary beside the one shard holding every node adds keys.
-    assert set(single.extras) - set(multi.extras) == {"nodes", "adversary_tree"}
+    # Only the one shard holding every node adds a key: its nodes.
+    assert set(single.extras) - set(multi.extras) == {"nodes"}
     assert set(multi.extras) - set(single.extras) == set()
     assert (single.extras["processes"], multi.extras["processes"]) == (1, 2)
     for result in (single, multi):

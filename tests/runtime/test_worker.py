@@ -9,6 +9,7 @@ import pytest
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
+from repro.runtime.clock import RECEIVE_FRACTION
 from repro.runtime.shard import shard_pids
 
 pytestmark = pytest.mark.skipif(
@@ -38,10 +39,23 @@ def test_multiprocess_decides_the_same_chain_as_single_process(processes):
     def decision_set(result):
         return sorted((d.pid, d.round, d.view, d.tip) for d in result.trace.decisions)
 
+    def block_ids(result):
+        return {block.block_id for block in result.trace.tree.blocks()}
+
+    def rounds(result):
+        return [
+            (r.awake, r.byzantine, r.votes_sent, r.proposes_sent, r.other_sent)
+            for r in result.trace.rounds
+        ]
+
     # A worker that anchored late says so: the lifecycle is the first clue.
     clue = multi.extras["lifecycle"]
     assert decision_set(multi) == decision_set(single), clue
     assert sorted(multi.trace.tree.tips()) == sorted(single.trace.tree.tips()), clue
+    # The checkers get the same input: every block, and every round's
+    # participation and message counts.
+    assert block_ids(multi) == block_ids(single), clue
+    assert rounds(multi) == rounds(single), clue
     assert multi.extras["processes"] == processes
     assert multi.extras["transport"]["misrouted"] == 0
     # Frames crossed real sockets (the run was actually sharded).
@@ -55,7 +69,7 @@ def test_a_sharded_runs_wall_is_its_rounds_not_its_setup():
     rounds, backend = 6, DeploymentBackend(delta_s=0.01, processes=2)
     result = backend.execute(RunSpec(n=4, rounds=rounds, protocol="resilient", eta=2, seed=0))
     round_s = 3 * backend.delta_s
-    expected = (rounds - 1 + backend.receive_fraction) * round_s
+    expected = (rounds - 1 + RECEIVE_FRACTION) * round_s
     assert abs(result.wall_seconds - expected) < round_s
     lifecycle = result.extras["lifecycle"]
     assert result.wall_seconds == max(lifecycle["span_s"])
