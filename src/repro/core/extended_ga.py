@@ -71,8 +71,14 @@ class GARead(NamedTuple):
     grade1: BlockId | None
     #: Tip of the longest log output with any grade.
     graded: BlockId | None
-    #: Votes counted for ``grade1``'s log (telemetry's quorum margin).
+    #: Votes counted for ``grade1``'s log.
     grade1_count: int
+
+    def margin(self, beta: Fraction) -> int:
+        """Votes past (positive) or short of (non-positive) the grade-1
+        quorum ``⌊(1 − β)·m⌋``: falling margins are churn or stale votes
+        eating the quorum (the Equation 2 story)."""
+        return self.grade1_count - grade_thresholds(beta, self.m)[0]
 
 
 class GAReads:

@@ -6,7 +6,9 @@ backend, the CLI, the scenario constructors and the finality overlay
 ask the same registry, so there is no ``if protocol == ...`` ladder
 anywhere.  Both paper protocols are rows over one process class
 (:class:`~repro.protocols.tob_base.SleepyTOBProcess`): ``"resilient"``
-passes the run's η through, ``"mmr"`` pins η = 0.
+passes the run's η through, ``"mmr"`` pins η = 0.  A run parameterises
+a protocol by β and η alone; block capacity is a constant and every
+process keeps the GA reads it makes.
 
 Registering a new protocol makes it available to the simulator, the
 deployment runner, the CLI, and every scenario constructor at once::
@@ -15,7 +17,7 @@ deployment runner, the CLI, and every scenario constructor at once::
 
     PROTOCOLS.register(ProtocolSpec(
         name="my-variant",
-        build=my_factory_builder,   # (eta=..., beta=..., ...) -> ProcessFactory
+        build=my_factory_builder,   # (beta=..., eta=...) -> ProcessFactory
         uses_eta=True,
         description="my experimental vote rule",
     ))
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 
 from repro.protocols.graded_agreement import DEFAULT_BETA
-from repro.protocols.tob_base import DEFAULT_BLOCK_CAPACITY, resilient_factory
+from repro.protocols.tob_base import resilient_factory
 from repro.sleepy.process import ProcessFactory
 
 
@@ -37,9 +39,9 @@ from repro.sleepy.process import ProcessFactory
 class ProtocolSpec:
     """One registered protocol.
 
-    ``build`` receives keyword arguments ``beta``, ``block_capacity``
-    and ``record_telemetry`` — plus ``eta`` when ``uses_eta`` is set —
-    and returns the process factory for one run.
+    ``build`` receives the keyword argument ``beta`` — plus ``eta``
+    when ``uses_eta`` is set — and returns the process factory for one
+    run.
     """
 
     name: str
@@ -75,21 +77,10 @@ class ProtocolRegistry:
         """Registered protocol names, in registration order."""
         return tuple(self._specs)
 
-    def factory(
-        self,
-        name: str,
-        eta: int = 0,
-        beta: Fraction = DEFAULT_BETA,
-        block_capacity: int = DEFAULT_BLOCK_CAPACITY,
-        record_telemetry: bool = False,
-    ) -> ProcessFactory:
+    def factory(self, name: str, eta: int = 0, beta: Fraction = DEFAULT_BETA) -> ProcessFactory:
         """The process factory for protocol ``name`` with these parameters."""
         spec = self.get(name)
-        kwargs: dict = {
-            "beta": beta,
-            "block_capacity": block_capacity,
-            "record_telemetry": record_telemetry,
-        }
+        kwargs: dict = {"beta": beta}
         if spec.uses_eta:
             kwargs["eta"] = eta
         return spec.build(**kwargs)

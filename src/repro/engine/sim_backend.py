@@ -35,12 +35,7 @@ class SimulationBackend(ExecutionBackend):
         factories, so every receiver holds a visibility view over one
         canonical tree (the n≥1000 lane) instead of a private copy.
         """
-        factory = self._protocols.factory(
-            spec.protocol,
-            eta=spec.eta,
-            beta=spec.beta,
-            record_telemetry=spec.record_telemetry,
-        )
+        factory = self._protocols.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         registry = KeyRegistry(spec.n, run_seed=spec.seed)
         return Simulation(
             registry,

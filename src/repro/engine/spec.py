@@ -49,6 +49,10 @@ from repro.sleepy.schedule import FullParticipation, SleepSchedule
 class RunSpec:
     """Declarative description of one protocol run.
 
+    Every field is part of the run's identity (:meth:`digest`), so none
+    switches recording alone: every process keeps its GA reads
+    (:attr:`~repro.protocols.tob_base.SleepyTOBProcess.ga_reads`).
+
     Attributes:
         n: number of processes.
         rounds: rounds to execute.
@@ -76,8 +80,6 @@ class RunSpec:
         transactions: round → transactions that arrive at every awake
             process's mempool at the beginning of that round (models
             clients broadcasting transactions).
-        record_telemetry: collect per-GA quorum-race telemetry on every
-            process (:class:`~repro.protocols.tob_base.TallySample`).
         seed: run seed for key derivation.
         meta: free-form metadata copied into the trace.
     """
@@ -90,7 +92,6 @@ class RunSpec:
     schedule: SleepSchedule | None = None
     adversary: Adversary | None = None
     transactions: Mapping[int, Sequence[Transaction]] = field(default_factory=dict)
-    record_telemetry: bool = False
     seed: int = 0
     meta: dict = field(default_factory=dict)
     conditions: NetworkConditions | None = None

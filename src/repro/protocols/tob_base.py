@@ -66,14 +66,12 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Sequence, Set
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.shared import ChainView, SharedChain
 from repro.chain.store import BlockBuffer
-from repro.chain.tally import grade_thresholds
 from repro.chain.transactions import Mempool
 from repro.chain.tree import BlockTree
 from repro.core.extended_ga import GARead, GradedAgreement
@@ -93,29 +91,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (engine sits above protocols
     from repro.engine.ingest import IngestPipeline
 
 #: Maximum transactions a proposer packs into one block.
-DEFAULT_BLOCK_CAPACITY = 16
+BLOCK_CAPACITY = 16
 
 
 def first_round_of_view(view: int) -> int:
     """The round in which ``view`` starts (layout above): ``2v − 1``, view 0 at round 0."""
     return max(2 * view - 1, 0)
-
-
-@dataclass(frozen=True)
-class TallySample:
-    """Telemetry of one GA tally: how close the quorum race was.
-
-    ``margin`` is ``best_count − ⌊(1 − β)·m⌋`` — how many votes past
-    (positive) or short of (non-positive) the grade-1 threshold the
-    leading log was.  Falling margins are the early-warning signal that
-    churn or stale votes are eating the quorum (the Equation 2 story).
-    """
-
-    ga_round: int
-    m: int
-    best_count: int
-    best_depth: int
-    margin: int
 
 
 class SleepyTOBProcess(Process):
@@ -128,8 +109,6 @@ class SleepyTOBProcess(Process):
         verifier: IngestPipeline,
         eta: int = 0,
         beta: Fraction = DEFAULT_BETA,
-        block_capacity: int = DEFAULT_BLOCK_CAPACITY,
-        record_telemetry: bool = False,
         chain: SharedChain | None = None,
     ) -> None:
         if eta < 0:
@@ -139,10 +118,10 @@ class SleepyTOBProcess(Process):
         self._verifier = verifier
         self.eta = eta
         self.mempool = Mempool()
-        self._block_capacity = block_capacity
-        self._record_telemetry = record_telemetry
-        #: Per-GA quorum-race telemetry (populated when enabled).
-        self.telemetry: list[TallySample] = []
+        #: ``(ga_round, read)`` for every GA this process read, in order;
+        #: each read is the object the GA returned, never a copy (a shared
+        #: chain's receivers reference one read per distinct window).
+        self.ga_reads: list[tuple[int, GARead]] = []
 
         # With a run-shared chain the process holds a visibility *view*
         # over the one interned tree (identical query semantics, O(1)
@@ -316,29 +295,15 @@ class SleepyTOBProcess(Process):
     # ------------------------------------------------------------------
     def _ga_longest(self, ga_round: int) -> GARead:
         """``(m, longest grade-1 log, longest graded log, its count)`` of
-        the GA started in ``ga_round`` — all Algorithm 1 reads of it."""
+        the GA started in ``ga_round`` — all Algorithm 1 reads of it —
+        kept in :attr:`ga_reads`."""
         read = self._ga.longest(max(0, ga_round - self.eta), ga_round)
-        if self._record_telemetry:
-            self._sample_tally(ga_round, read)
+        self.ga_reads.append((ga_round, read))
         return read
 
     def _ga_output(self, ga_round: int) -> GAOutput:
         """The same GA's full output, enumerated (what the suites inspect)."""
         return self._ga.output(max(0, ga_round - self.eta), ga_round)
-
-    def _sample_tally(self, ga_round: int, read: GARead) -> None:
-        # From the read itself: a shared tally holds whichever window was
-        # tallied last, not necessarily this receiver's.
-        m, best_tip, _, best_count = read
-        self.telemetry.append(
-            TallySample(
-                ga_round=ga_round,
-                m=m,
-                best_count=best_count,
-                best_depth=self.tree.depth(best_tip),
-                margin=best_count - grade_thresholds(self._ga.beta, m)[0],
-            )
-        )
 
     def _select_proposal(self, view: int, longest_any: BlockId | None) -> BlockId | None:
         # Walk the view's (VRF value, sender) index from the top: the
@@ -381,7 +346,7 @@ class SleepyTOBProcess(Process):
                 exclude = (self._delivered_ids, segment)
             else:
                 exclude = (tree.payload_ids(parent),)
-        payload = self.mempool.take(self._block_capacity, *exclude)
+        payload = self.mempool.take(BLOCK_CAPACITY, *exclude)
         block = Block(parent=parent, proposer=self.pid, view=view, payload=payload)
         self._buffer.offer(block)
         return block
@@ -434,27 +399,13 @@ class SleepyTOBProcess(Process):
         return self.tree.log(self.delivered_tip)
 
 
-def resilient_factory(
-    eta: int,
-    beta: Fraction = DEFAULT_BETA,
-    block_capacity: int = DEFAULT_BLOCK_CAPACITY,
-    record_telemetry: bool = False,
-) -> ProcessFactory:
+def resilient_factory(eta: int, beta: Fraction = DEFAULT_BETA) -> ProcessFactory:
     """A :data:`~repro.sleepy.process.ProcessFactory` for Algorithm 1 with this η."""
 
     def factory(
         pid: int, key: SecretKey, verifier: IngestPipeline, chain: SharedChain | None = None
     ) -> SleepyTOBProcess:
-        return SleepyTOBProcess(
-            pid,
-            key,
-            verifier,
-            eta=eta,
-            beta=beta,
-            block_capacity=block_capacity,
-            record_telemetry=record_telemetry,
-            chain=chain,
-        )
+        return SleepyTOBProcess(pid, key, verifier, eta=eta, beta=beta, chain=chain)
 
     factory.supports_shared_chain = True
     return factory

@@ -35,7 +35,6 @@ class DeployedNode:
         self._schedule = schedule
         self._inbox: list[Message] = []
         self.decisions: list[DecisionEvent] = []
-        self.rounds_participated: list[int] = []
 
     @property
     def pid(self) -> int:
@@ -55,7 +54,6 @@ class DeployedNode:
         """Protocol send phase; returns the messages to publish."""
         if not self.awake(round_number):
             return []
-        self.rounds_participated.append(round_number)
         messages = list(self.process.send(round_number))
         self.decisions.extend(self.process.pop_decisions())
         return messages

@@ -230,9 +230,7 @@ class ShardRuntime:
                 base_latency_s=config.delta_s / 8,
             )
         verifier = IngestPipeline(self.registry)
-        factory = protocols.factory(
-            spec.protocol, eta=spec.eta, beta=spec.beta, record_telemetry=spec.record_telemetry
-        )
+        factory = protocols.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         # Each node owns a private tree: the deployment models real
         # processes, which cannot intern each other's memory, so the
         # simulator's shared-chain views are deliberately not used here

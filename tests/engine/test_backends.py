@@ -21,6 +21,8 @@ from repro.engine.spec import RunSpec
 from repro.sleepy.adversary import Adversary
 from repro.workloads import surge_scenario, throughput_scenario
 
+from tests.net.conftest import run_virtual
+
 FAST_DEPLOY = DeploymentBackend(delta_s=0.02)
 
 
@@ -51,6 +53,27 @@ def test_throughput_scenario_runs_on_both_substrates():
     assert deploy.trace.meta["deployment"] is True
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        throughput_scenario(n=5, rounds=12, rate_per_round=4, seed=3),
+        RunSpec(n=7, rounds=16, eta=3, seed=4),
+    ],
+    ids=["throughput", "steady"],
+)
+def test_every_ga_reads_the_same_on_both_substrates_under_synchrony(spec):
+    """Under synchrony a process's GA input is the same on both
+    substrates, so every read it keeps is equal in value.  A latency
+    surge is deliberately not a case: under a surge, which round a
+    message lands in is protocol-visible, and the reads may differ."""
+    sim = SimulationBackend().build(spec)
+    SimulationBackend.drive(sim, spec)
+    nodes = run_virtual(FAST_DEPLOY.execute_async(spec)).extras["nodes"]
+    for pid, process in sim.processes.items():
+        assert process.ga_reads
+        assert process.ga_reads == nodes[pid].process.ga_reads, pid
+
+
 def test_surge_scenario_realised_on_both_substrates():
     spec = surge_scenario(n=5, rounds=14, ra=5, pi=2, eta=4, seed=2)
     sim = run_spec(spec, SimulationBackend())
@@ -76,7 +99,7 @@ def test_crash_adversary_carves_corrupted_nodes_out_of_deployments():
         assert rec.byzantine == frozenset({4})
         assert 4 not in rec.honest and 4 in rec.awake
     # The corrupted node never executed the honest protocol.
-    assert result.extras["nodes"][4].rounds_participated == []
+    assert result.extras["nodes"][4].process.ga_reads == []
     assert all(d.pid != 4 for d in trace.decisions)
 
 

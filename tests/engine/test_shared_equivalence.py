@@ -84,11 +84,7 @@ def _run(name: str, shared: bool) -> Simulation:
     if config.protocol == "ebb-and-flow":
         factory = ebb_and_flow_factory("resilient", eta=config.eta, n=config.n)
     else:
-        # Telemetry samples each GA read: a shared read must sample what
-        # the receiver's own private tally would have.
-        factory = PROTOCOLS.factory(
-            config.protocol, eta=config.eta, beta=config.beta, record_telemetry=True
-        )
+        factory = PROTOCOLS.factory(config.protocol, eta=config.eta, beta=config.beta)
     if not shared:
         marked = factory
 
@@ -112,7 +108,7 @@ def test_shared_run_replays_private_tree_run_bit_for_bit(name):
     private = _run(name, shared=False)
     assert trace_digest(shared.trace) == trace_digest(private.trace)
     # Beyond the digest: every receiver's local tree answers the same,
-    # and every GA read it sampled is the one its private tally made.
+    # and every GA read it kept is the one its private tally made.
     def tob(process):
         return process if hasattr(process, "tree") else process.inner
 
@@ -123,9 +119,11 @@ def test_shared_run_replays_private_tree_run_bit_for_bit(name):
         assert mine.tree.tips() == twin.tree.tips()
         tips = list(mine.tree.tips())
         assert mine.tree.longest(tips) == twin.tree.longest(tips)
-        assert mine.telemetry == twin.telemetry
-        sampled += len(mine.telemetry)
-    assert bool(sampled) == (name != "ebb-and-flow-churn")
+        assert mine.ga_reads == twin.ga_reads
+        for (_, read), (_, twin_read) in zip(mine.ga_reads, twin.ga_reads):
+            assert mine.tree.depth(read.grade1) == twin.tree.depth(twin_read.grade1)
+        sampled += len(mine.ga_reads)
+    assert sampled > 0
 
 
 def test_shared_run_actually_interns_one_tree():
@@ -135,6 +133,10 @@ def test_shared_run_actually_interns_one_tree():
     for process in shared.processes.values():
         assert process.tree._tree is shared.chain.tree
     assert len({id(process._ga.reads) for process in shared.processes.values()}) == 1
+    # Each process keeps its reads by reference: no more distinct read
+    # objects than the run's one reads object computed.
+    kept = {id(read) for process in shared.processes.values() for _, read in process.ga_reads}
+    assert len(kept) <= next(iter(shared.processes.values()))._ga.reads.stats["computed"]
     private = _run("churn-equivocation", shared=False)
     trees = {id(process.tree) for process in private.processes.values()}
     assert len(trees) == private.registry.n

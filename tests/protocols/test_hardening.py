@@ -1,8 +1,7 @@
-"""Production hardening: bounded memory, accountability, telemetry."""
+"""Production hardening: bounded memory, accountability, quorum margins."""
 
 from repro.analysis import check_safety
 from repro.attacks import AttackScript, apply_script, corrupt, equivocate, phase
-from repro.engine.backend import run_spec
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 
@@ -47,22 +46,18 @@ def test_no_equivocators_detected_in_clean_runs():
 
 
 def test_telemetry_records_quorum_margins():
-    config = RunSpec(n=9, rounds=20, protocol="resilient", eta=2, record_telemetry=True)
+    config = RunSpec(n=9, rounds=20, protocol="resilient", eta=2)
     sim = SimulationBackend().build(config)
     SimulationBackend.drive(sim, config)
     assert check_safety(sim.trace).ok
     process = sim.processes[0]
-    assert process.telemetry, "telemetry must be collected when enabled"
-    for sample in process.telemetry:
-        assert 0 < sample.m <= 9
-        assert 0 <= sample.best_count <= sample.m
+    reads = [read for _, read in process.ga_reads]
+    assert reads, "every GA a process reads is kept"
+    for read in reads:
+        assert 0 < read.m <= 9
+        assert 0 <= read.grade1_count <= read.m
     # Unanimous fault-free rounds: margin = m − floor(2m/3) = 3 for m = 9.
-    steady = [s for s in process.telemetry if s.m == 9]
-    assert steady and all(s.margin == 3 and s.best_count == 9 for s in steady)
-
-
-def test_telemetry_off_by_default():
-    trace = run_spec(RunSpec(n=4, rounds=8, protocol="mmr")).trace
-    assert check_safety(trace).ok
-    sim = SimulationBackend().build(RunSpec(n=4, rounds=8, protocol="mmr"))
-    assert sim.processes[0].telemetry == []
+    steady = [read for read in reads if read.m == 9]
+    assert steady and all(
+        read.margin(config.beta) == 3 and read.grade1_count == 9 for read in steady
+    )

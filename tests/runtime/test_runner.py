@@ -49,9 +49,10 @@ def test_deployment_with_sleep_schedule():
         RunSpec(n=5, rounds=14, protocol="resilient", eta=3, schedule=schedule, seed=2)
     )
     assert check_safety(result.trace).ok
-    sleeper = result.extras["nodes"][4]
-    assert 5 not in sleeper.rounds_participated
-    assert 9 in sleeper.rounds_participated
+    # Rounds 5 and 9 each read the GA started the round before.
+    ga_rounds = [ga_round for ga_round, _ in result.extras["nodes"][4].process.ga_reads]
+    assert 4 not in ga_rounds  # asleep at round 5
+    assert 8 in ga_rounds  # awake at round 9
 
 
 @pytest.mark.slow
