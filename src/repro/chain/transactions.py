@@ -87,6 +87,12 @@ def is_valid_transaction(tx: Transaction) -> bool:
         return valid
 
 
+#: Pending transactions a mempool holds before it sheds new ones: far
+#: above what any experiment queues, and the bound a long-running
+#: service needs.
+MEMPOOL_CAPACITY = 4096
+
+
 class Mempool:
     """A FIFO pool of pending transactions held by one process.
 
@@ -96,18 +102,16 @@ class Mempool:
     and leaving the pool unchanged — transactions are only removed once
     observed on-chain via :meth:`mark_included`.
 
-    ``capacity`` bounds occupancy for long-running services: once full,
-    new *transactions* are shed (and counted in ``shed_count``) rather
-    than queued without bound.  Shedding user load is the mempool's
-    explicit backpressure contract — transactions are client-retryable,
-    unlike protocol messages, which are never shed anywhere in the
-    stack.  The default (``capacity=None``) keeps the historical
-    unbounded behaviour for bounded experiments.
+    ``capacity`` bounds occupancy: once full, new *transactions* are
+    shed (and counted in ``shed_count``) rather than queued without
+    bound.  Shedding user load is the mempool's explicit backpressure
+    contract — transactions are client-retryable, unlike protocol
+    messages, which are never shed anywhere in the stack.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("mempool capacity must be positive")
+    def __init__(self, capacity: int = MEMPOOL_CAPACITY) -> None:
+        if not isinstance(capacity, int) or capacity <= 0:
+            raise ValueError("mempool capacity must be a positive int")
         self.capacity = capacity
         self._pending: dict[str, Transaction] = {}
         #: Valid, novel transactions rejected because the pool was full.
@@ -128,7 +132,7 @@ class Mempool:
             return False
         if tx.tx_id in self._pending:
             return False
-        if self.capacity is not None and len(self._pending) >= self.capacity:
+        if len(self._pending) >= self.capacity:
             self.shed_count += 1
             return False
         self._pending[tx.tx_id] = tx

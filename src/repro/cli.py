@@ -176,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=int, default=16, help="client transaction submissions per round"
     )
     p.add_argument(
-        "--mempool-capacity",
-        type=int,
-        default=4096,
-        help="per-node mempool bound (overflow transactions are shed and counted)",
-    )
-    p.add_argument(
         "--churn",
         type=float,
         default=0.1,
@@ -442,9 +436,7 @@ def _cmd_soak(args) -> int:
         schedule=schedule,
         transactions=SubmissionRateWorkload(args.rate, seed=args.seed),
     )
-    backend = _backend_from(
-        args, mempool_capacity=args.mempool_capacity, gossip_seen_horizon=args.eta + 8
-    )
+    backend = _backend_from(args, gossip_seen_horizon=args.eta + 8)
     collector = SourcedMetrics()
     backend.attach_metrics(collector)
 

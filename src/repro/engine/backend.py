@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.chain.transactions import Transaction
 from repro.engine.errors import ModelViolationError
-from repro.engine.registry import PROTOCOLS, ProtocolRegistry
+from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec, canonical_form
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message
@@ -82,11 +82,11 @@ def run_spec(spec: RunSpec, backend: ExecutionBackend | None = None) -> EngineRe
 # ----------------------------------------------------------------------
 # Shared model logic
 # ----------------------------------------------------------------------
-def base_meta(spec: RunSpec, registry: ProtocolRegistry = PROTOCOLS, **extra) -> dict:
+def base_meta(spec: RunSpec, **extra) -> dict:
     """The trace metadata every backend records for a run."""
     return {
         "protocol": spec.protocol,
-        "eta": registry.effective_eta(spec.protocol, spec.eta),
+        "eta": PROTOCOLS.effective_eta(spec.protocol, spec.eta),
         "beta": spec.beta,
         "seed": spec.seed,
         **extra,

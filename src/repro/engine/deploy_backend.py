@@ -55,6 +55,13 @@ publishes, as the simulator's records what its bus accepts, and
 trace, offering each block once.  The adversary's live ``send`` power
 runs beside shard 0 when that shard holds every node, reading that
 shard recorder's tree.
+
+Three fields configure a run: δ, the shard count and the gossip
+horizon.  Everything else is a fact of the code, the same in every
+shard: protocols resolve by name through the one
+:data:`~repro.engine.registry.PROTOCOLS`, every node's phases start on
+one round clock (the model's synchronized clocks), and every mempool is
+bounded at :data:`~repro.chain.transactions.MEMPOOL_CAPACITY`.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from __future__ import annotations
 import asyncio
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.attacks.adversary import ScriptedAdversary
 from repro.engine.backend import (
@@ -72,7 +79,6 @@ from repro.engine.backend import (
     base_meta,
     check_adversary_message,
 )
-from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.engine.spec import RunSpec
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
@@ -121,23 +127,14 @@ class DeploymentBackend(ExecutionBackend):
     """Executes a :class:`RunSpec` over real time, gossip, and latency."""
 
     delta_s: float = 0.02
-    #: Maximum absolute clock offset per node, in seconds.  The paper
-    #: assumes synchronized clocks; in practice δ must absorb small
-    #: skews, which this knob injects (each node's phase boundaries are
-    #: shifted by a seeded offset in ``[-clock_skew_s, +clock_skew_s]``).
-    clock_skew_s: float = 0.0
     #: Shards to split the nodes across.  ``1`` = one shard in this
     #: process; ``k > 1`` = k socket-mesh workers, shard 0 in this
     #: process and k − 1 spawned.
     processes: int = 1
-    #: Per-node mempool bound (transactions shed-and-counted past it);
-    #: ``None`` = unbounded, the historical behaviour.
-    mempool_capacity: int | None = None
     #: Gossip dedup-entry retention, in rounds behind the live round
     #: (see :class:`~repro.net.gossip.GossipNode`); ``None`` = retain
     #: forever, the historical behaviour for bounded experiments.
     gossip_seen_horizon: int | None = None
-    protocols: ProtocolRegistry = field(repr=False, default_factory=lambda: PROTOCOLS)
 
     name = "deployment"
     #: Where in its round every node receives (not a knob: the clock's constant).
@@ -184,7 +181,7 @@ class DeploymentBackend(ExecutionBackend):
         beside = _LiveAdversary(spec) if len(shards) == 1 else None
         mesh = (coordinator.addresses, coordinator.control_address)
         payloads = await coordinator.run(
-            functools.partial(run_worker, protocols=self.protocols, beside=beside),
+            functools.partial(run_worker, beside=beside),
             worker_main,
             [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
         )
@@ -226,12 +223,6 @@ class DeploymentBackend(ExecutionBackend):
                 f"{type(adversary).__name__} needs processes=1: a live adversary "
                 "reads the omniscient block tree, which cannot span processes"
             )
-        if self.processes > 1 and self.protocols is not PROTOCOLS:
-            raise ValueError(
-                "multi-process deployments resolve protocols by name from "
-                "the default registry inside each worker; custom registries "
-                "need processes=1"
-            )
 
     def _shard_config(self, spec, worker_id, shards, addresses, control_address) -> WorkerConfig:
         """This backend's knobs as the config of shard ``worker_id``."""
@@ -243,9 +234,7 @@ class DeploymentBackend(ExecutionBackend):
             control_address=control_address,
             spec=spec,
             delta_s=self.delta_s,
-            clock_skew_s=self.clock_skew_s,
             seen_horizon_rounds=self.gossip_seen_horizon,
-            mempool_capacity=self.mempool_capacity,
         )
 
     def _assemble_trace(self, spec: RunSpec, records: Sequence[Mapping]) -> Trace:
@@ -253,9 +242,7 @@ class DeploymentBackend(ExecutionBackend):
         order) into one trace, offering each block once."""
         recorder = TraceRecorder(
             spec.n,
-            meta=base_meta(
-                spec, self.protocols, delta_s=self.delta_s, deployment=True, backend=self.name
-            ),
+            meta=base_meta(spec, delta_s=self.delta_s, deployment=True, backend=self.name),
         )
         for record in records:
             recorder.fold(record)

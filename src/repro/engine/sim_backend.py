@@ -11,7 +11,7 @@ from repro.engine.backend import (
     base_meta,
     offer_transactions,
 )
-from repro.engine.registry import PROTOCOLS, ProtocolRegistry
+from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.sleepy.simulator import Simulation
 
@@ -20,9 +20,6 @@ class SimulationBackend(ExecutionBackend):
     """Executes a :class:`RunSpec` in the sleepy round model."""
 
     name = "simulator"
-
-    def __init__(self, protocols: ProtocolRegistry = PROTOCOLS) -> None:
-        self._protocols = protocols
 
     # ------------------------------------------------------------------
     # Construction
@@ -35,7 +32,7 @@ class SimulationBackend(ExecutionBackend):
         factories, so every receiver holds a visibility view over one
         canonical tree (the n≥1000 lane) instead of a private copy.
         """
-        factory = self._protocols.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
+        factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         registry = KeyRegistry(spec.n, run_seed=spec.seed)
         return Simulation(
             registry,
@@ -43,7 +40,7 @@ class SimulationBackend(ExecutionBackend):
             spec.resolved_adversary(),
             spec.resolved_conditions(),
             factory,
-            meta=base_meta(spec, self._protocols, backend=self.name),
+            meta=base_meta(spec, backend=self.name),
         )
 
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ phase, exactly like the queue-on-sleep rule of §2.1.
 
 from __future__ import annotations
 
-from repro.chain.transactions import Mempool
 from repro.protocols.tob_base import SleepyTOBProcess
 from repro.sleepy.messages import Message
 from repro.sleepy.schedule import SleepSchedule
@@ -21,17 +20,8 @@ from repro.sleepy.trace import DecisionEvent
 class DeployedNode:
     """One process plus its gossip-facing buffers."""
 
-    def __init__(
-        self,
-        process: SleepyTOBProcess,
-        schedule: SleepSchedule | None = None,
-        mempool_capacity: int | None = None,
-    ) -> None:
+    def __init__(self, process: SleepyTOBProcess, schedule: SleepSchedule | None = None) -> None:
         self.process = process
-        if mempool_capacity is not None and process.mempool is not None:
-            # Service runs bound the pool (see Mempool): swap in a
-            # capacity-limited pool before any transaction is offered.
-            process.mempool = Mempool(capacity=mempool_capacity)
         self._schedule = schedule
         self._inbox: list[Message] = []
         self.decisions: list[DecisionEvent] = []

@@ -16,9 +16,11 @@ adversary task beside it.  A shard's part of the trace is what its
 :meth:`ShardRuntime.publish`; no node's private tree is read for it.
 
 Everything a shard needs is a pure function of the picklable
-:class:`WorkerConfig` (latency streams, overlay topology, clock-skew
-offsets and the corruption schedule are seeded from the spec), so any
-two shards agree on all shared randomness without communicating.
+:class:`WorkerConfig` (latency streams, overlay topology and the
+corruption schedule are seeded from the spec), so any two shards agree
+on all shared randomness without communicating.  Every node reads one
+clock: its phases start at ``clock.start_of(r)``, the synchronized
+clocks of the paper's model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import random
 from collections.abc import Awaitable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +37,7 @@ from repro.chain.transactions import Transaction
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.backend import offer_transactions
 from repro.engine.ingest import IngestPipeline
-from repro.engine.registry import PROTOCOLS, ProtocolRegistry
+from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
@@ -70,12 +71,6 @@ def shard_pids(n: int, processes: int) -> tuple[tuple[int, ...], ...]:
     return tuple(shards)
 
 
-def clock_skew_offsets(spec: RunSpec, clock_skew_s: float) -> dict[int, float]:
-    """Seeded per-node phase offsets, identical on every substrate."""
-    skew_rng = random.Random(spec.seed ^ 0x5CE3)
-    return {pid: skew_rng.uniform(-clock_skew_s, clock_skew_s) for pid in range(spec.n)}
-
-
 def corruption_schedule(spec: RunSpec) -> dict[int, frozenset[int]]:
     """``B_r`` for every round, resolved before the run starts.
 
@@ -104,7 +99,8 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
-#: Rounds of arrivals a shard keeps: skewed nodes are at most a round apart.
+#: Rounds of arrivals a shard keeps: its nodes share one clock and ask
+#: for the same round; the rest is slack for a task that runs late.
 _ARRIVAL_ROUNDS_KEPT = 4
 #: Seconds between the live metric snapshots a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
@@ -129,7 +125,6 @@ async def drive_node(
     *,
     clock: RoundClock,
     rounds: int,
-    offset: float,
     byz_by_round: Mapping[int, frozenset[int]],
     arrivals: Callable[[int], Sequence[Transaction]],
     publish: Callable[[int, int, Message], None],
@@ -147,7 +142,7 @@ async def drive_node(
     round/decision counters; it never alters protocol behaviour.
     """
     for r in range(rounds):
-        await clock.sleep_until_elapsed(clock.start_of(r) + offset)
+        await clock.sleep_until_elapsed(clock.start_of(r))
         if node.awake(r):
             offer_transactions(node.process, arrivals(r))
         if node.pid not in byz_by_round[r]:
@@ -159,9 +154,7 @@ async def drive_node(
                 view_start = clock.start_of(first_round_of_view(decision.view))
                 latency = clock.elapsed() - view_start
                 metrics.observe("decision_latency_s", max(latency, 0.0))
-        await clock.sleep_until_elapsed(
-            clock.start_of(r) + RECEIVE_FRACTION * clock.round_s + offset
-        )
+        await clock.sleep_until_elapsed(clock.start_of(r) + RECEIVE_FRACTION * clock.round_s)
         if node.pid not in byz_by_round[r + 1]:
             node.run_receive_phase(r)
     metrics.inc("nodes_finished")
@@ -184,9 +177,7 @@ class WorkerConfig:
     control_address: object
     spec: RunSpec
     delta_s: float
-    clock_skew_s: float = 0.0
     seen_horizon_rounds: int | None = None
-    mempool_capacity: int | None = None
 
 
 class ShardRuntime:
@@ -201,13 +192,7 @@ class ShardRuntime:
     the live adversary reads when this shard holds every node.
     """
 
-    def __init__(
-        self,
-        config: WorkerConfig,
-        transport: Transport,
-        *,
-        protocols: ProtocolRegistry = PROTOCOLS,
-    ) -> None:
+    def __init__(self, config: WorkerConfig, transport: Transport) -> None:
         spec = config.spec
         self.config = config
         self.transport = transport
@@ -230,16 +215,14 @@ class ShardRuntime:
                 base_latency_s=config.delta_s / 8,
             )
         verifier = IngestPipeline(self.registry)
-        factory = protocols.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
+        factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         # Each node owns a private tree: the deployment models real
         # processes, which cannot intern each other's memory, so the
         # simulator's shared-chain views are deliberately not used here
         # (the factory is called without ``chain=``).
         self.nodes = {
             pid: DeployedNode(
-                factory(pid, self.registry.secret_key(pid), verifier),
-                schedule=spec.schedule,
-                mempool_capacity=config.mempool_capacity,
+                factory(pid, self.registry.secret_key(pid), verifier), schedule=spec.schedule
             )
             for pid in config.shard
         }
@@ -269,20 +252,17 @@ class ShardRuntime:
         awaited with a fresh :meth:`sample` four times a second.
         """
         config = self.config
-        offsets = clock_skew_offsets(config.spec, config.clock_skew_s)
         arrivals = shard_arrivals(config.spec.arrivals)
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
             # One driver task per node keeps phase timing independent
-            # per node; each node reads the shared clock through its own
-            # (skewed) lens.
+            # per node; every node reads the one shared clock.
             await asyncio.gather(
                 *(
                     drive_node(
                         node,
                         clock=self.clock,
                         rounds=config.spec.rounds,
-                        offset=offsets[node.pid],
                         byz_by_round=self.byz_by_round,
                         arrivals=arrivals,
                         publish=self.publish,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.engine.registry import PROTOCOLS, ProtocolRegistry
 from repro.net.socket_transport import SocketTransport
 from repro.net.transport import PushDelivery, SimTransport
 from repro.runtime.coordinator import ControlChannel
@@ -64,7 +63,6 @@ async def run_worker(
     config: WorkerConfig,
     channel: ControlChannel | None = None,
     *,
-    protocols: ProtocolRegistry = PROTOCOLS,
     beside=None,
 ) -> dict:
     """A worker's async body: handshake, drive the shard, report; returns the payload.
@@ -80,7 +78,7 @@ async def run_worker(
     taken; the transport serves until ``shutdown``.
     """
     transport = _fabric(config)
-    shard = ShardRuntime(config, transport, protocols=protocols)
+    shard = ShardRuntime(config, transport)
     pump: asyncio.Task | None = None
     try:
         await transport.start()

@@ -1,6 +1,11 @@
 """Transactions, the validity predicate, and the mempool."""
 
-from repro.chain.transactions import Mempool, Transaction, is_valid_transaction
+from repro.chain.transactions import (
+    MEMPOOL_CAPACITY,
+    Mempool,
+    Transaction,
+    is_valid_transaction,
+)
 
 
 def test_created_transactions_are_valid():
@@ -103,12 +108,15 @@ def test_mempool_capacity_sheds_and_counts():
     assert pool.admitted_count == 3
 
 
-def test_mempool_capacity_validation_and_default_unbounded():
+def test_mempool_capacity_validation_and_default_bound():
     import pytest
 
-    with pytest.raises(ValueError):
-        Mempool(capacity=0)
+    for capacity in (None, 0):
+        with pytest.raises(ValueError):
+            Mempool(capacity=capacity)
     pool = Mempool()
-    for i in range(100):
+    assert pool.capacity == MEMPOOL_CAPACITY
+    for i in range(MEMPOOL_CAPACITY):
         assert pool.add(Transaction.create(1, i))
-    assert pool.shed_count == 0
+    assert not pool.add(Transaction.create(1, MEMPOOL_CAPACITY))
+    assert (pool.admitted_count, pool.shed_count) == (MEMPOOL_CAPACITY, 1)

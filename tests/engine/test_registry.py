@@ -7,9 +7,11 @@ import pytest
 
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.backend import run_spec
+from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS, ProtocolRegistry, ProtocolSpec
-from repro.engine.spec import RunSpec
+from repro.engine.sim_backend import SimulationBackend
+from repro.engine.spec import RunSpec, stable_digest
 from repro.protocols.tob_base import SleepyTOBProcess, resilient_factory
 
 
@@ -64,3 +66,16 @@ def test_registered_extension_runs_through_the_engine():
         assert trace.meta["eta"] == 0
     finally:
         PROTOCOLS._specs.pop(name)  # keep the shared registry clean
+
+
+def test_registering_a_protocol_leaves_every_backends_identity_alone():
+    """A backend's journal digest is its configuration, not the registry's
+    contents: registering a protocol must not re-run every journaled cell."""
+    backends = (SimulationBackend(), DeploymentBackend())
+    before = [stable_digest(backend.identity()) for backend in backends]
+    name = "identity-probe-for-test"
+    PROTOCOLS.register(ProtocolSpec(name=name, build=resilient_factory, uses_eta=True))
+    try:
+        assert [stable_digest(backend.identity()) for backend in backends] == before
+    finally:
+        PROTOCOLS._specs.pop(name)

@@ -444,13 +444,14 @@ def _reduce_legacy(result, params):
 
 #: ``tiny_grid()`` journaled with ``_reduce_legacy`` by the previous
 #: writer, which wrapped every dict in ``__dict__`` and every float in
-#: ``__float__``.  The keys are today's cell digests: a ``RunSpec``
-#: field removed since moves them, and only them.
+#: ``__float__``.  The keys are today's cell digests: they follow the
+#: ``RunSpec`` *and the backend's fields*, so a field removed from
+#: either since moves them, and only them.
 LEGACY_ROWS = """\
-{"key":"45a523d12177a2ba840061e188023d849a9f7aaa6cc40edbab99b7d1fa613dab","index":0,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",0]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}],["share",{"__float__":"0.0"}]]}}
-{"key":"081542ce49ad20786933c68f97c0f2bcf7e09ac666e1a9b619f843b8ee0d123a","index":1,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",1]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}],["share",{"__float__":"0.25"}]]}}
-{"key":"af6f1663a4f3715dc85684c9efd39b1fc360d597845fbf3473b6ba33095b38b6","index":2,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",0]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}]]}}
-{"key":"07b48a19497b858af14ec76a945ba1b86742ff7a07cc4e97fa56a4854c5fd813","index":3,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",1]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}]]}}
+{"key":"92e9c0f8ede0486a677fa6324f87e4d046860774c23d538a1e5f4ea1ac92fb76","index":0,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",0]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}],["share",{"__float__":"0.0"}]]}}
+{"key":"ad8c790d7d3a10de69fea5ae41d9ba6564755ef5482244f804d85eaa53b32e55","index":1,"params":{"__dict__":[["n",4],["rounds",8],["protocol","mmr"],["seed",1]]},"row":{"__dict__":[["protocol","mmr"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}],["share",{"__float__":"0.25"}]]}}
+{"key":"df78b4eba082a7ee3d070e0fe6c2c3fd2c899f28f9a0c1857d7f226650b1b7f5","index":2,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",0]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[0]}]]}}
+{"key":"a6bbc08adf7d333c2a4cc6863d402391a9d34a6539e73871094e4e9ca769ac7b","index":3,"params":{"__dict__":[["n",4],["rounds",8],["protocol","resilient"],["seed",1]]},"row":{"__dict__":[["protocol","resilient"],["shape",{"__tuple__":[4,8]}],["beta",{"__fraction__":[1,3]}],["seeds",{"__frozenset__":[1]}]]}}
 """
 
 

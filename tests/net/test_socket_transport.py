@@ -863,8 +863,10 @@ def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
     memo = DecodedBodyMemo()
     resolves_to: dict[bytes, object] = {}
     #: id -> (typed fields, first decode that handed it out).  Every
-    #: message stays in ``resolves_to``, so no id is recycled.
+    #: decoded message stays in ``held`` (a later send of its body
+    #: replaces it in ``resolves_to``), so no id is recycled.
     seen: dict[int, tuple[tuple, int]] = {}
+    held: list[object] = []
     for step, (sent, message) in enumerate(steps):
         body = _body(message)
         if sent:
@@ -872,6 +874,7 @@ def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
             resolves_to[body] = message
             continue
         decoded, plain = memo.loads(body), pickle.loads(body)
+        held.append(decoded)
         assert type(decoded) is type(plain) and decoded == plain
         assert decoded.content_key == plain.content_key
         if body in resolves_to:  # a body seen before is the object it was

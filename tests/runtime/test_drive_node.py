@@ -71,7 +71,6 @@ def _observed_latency_s(at_round: int, view: int) -> float:
             DecidingNode(at_round, view),
             clock=FakeClock(),
             rounds=at_round + 1,
-            offset=0.0,
             byz_by_round={r: frozenset() for r in range(at_round + 2)},
             arrivals=lambda _r: (),
             publish=lambda *_: None,
@@ -105,7 +104,6 @@ def test_every_receive_phase_runs_at_the_clocks_receive_fraction():
             Receiving(at_round=-1, view=0),
             clock=clock,
             rounds=3,
-            offset=0.0,
             byz_by_round={r: frozenset() for r in range(4)},
             arrivals=lambda _r: (),
             publish=lambda *_: None,

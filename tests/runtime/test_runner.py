@@ -77,20 +77,3 @@ def test_deployment_latency_surge_preserves_safety_with_eta():
 def test_deployment_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="unknown protocol"):
         DeploymentBackend().execute(RunSpec(n=3, rounds=2, protocol="tendermint"))
-
-
-def test_deployment_tolerates_small_clock_skew():
-    """Skew well inside the δ budget: full cadence, full safety.
-
-    Rounds are Δ = 3δ wide precisely so that one δ of slack absorbs
-    clock offsets plus propagation — a skew of δ/4 must be invisible.
-    """
-    delta = 0.02
-    result = DeploymentBackend(delta_s=delta, clock_skew_s=delta / 4).execute(
-        RunSpec(n=5, rounds=12, protocol="resilient", eta=3, seed=4)
-    )
-    trace = result.trace
-    assert check_safety(trace).ok
-    rounds = decision_rounds(trace)
-    assert rounds and rounds[0] == 3
-    assert all(b - a == 2 for a, b in zip(rounds, rounds[1:]))

@@ -130,7 +130,6 @@ def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path, processes):
                 "--delta-ms", "15",
                 "--rate", "4",
                 "--churn", "0",
-                "--mempool-capacity", "32",
                 "--dump", str(dump),
             ]
         )
@@ -143,6 +142,9 @@ def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path, processes):
     assert payload["summary"]["decisions"] > 0
     assert payload["summary"]["safe"] is True
     assert payload["summary"]["shed_protocol_messages"] == 0
+    # Every pool is bounded at MEMPOOL_CAPACITY; this load never fills one.
+    assert payload["summary"]["admitted_transactions"] > 0
+    assert payload["summary"]["shed_transactions"] == 0
     # The soak-smoke gate: no worker anchored a δ past the start instant.
     assert 0.0 <= payload["summary"]["start_lateness_ms"] < 15
     # The dump's metrics section came over a real HTTP scrape.
