@@ -1,5 +1,7 @@
-"""Analysis: correctness checkers, assumption validators, metrics.
+"""Analysis: the run verdict, correctness checkers, assumption validators, metrics.
 
+* :mod:`repro.analysis.verdict` — :func:`judge`, the one code that decides
+  whether a run failed; every CLI command, sweep reducer and CI gate reads it.
 * :mod:`repro.analysis.checkers` — safety (Def. 2), asynchrony
   resilience (Def. 5), healing (Def. 6), per-transaction liveness.
 * :mod:`repro.analysis.assumptions` — the model inequalities
@@ -16,7 +18,6 @@
 from repro.analysis.assumptions import (
     AssumptionFailure,
     AssumptionReport,
-    check_all_synchrony_assumptions,
     check_asynchrony_conditions,
     check_churn,
     check_eta_sleepiness,
@@ -68,7 +69,6 @@ __all__ = [
     "SafetyReport",
     "block_decision_latencies",
     "chain_growth_rate",
-    "check_all_synchrony_assumptions",
     "check_asynchrony_conditions",
     "check_asynchrony_resilience",
     "check_churn",

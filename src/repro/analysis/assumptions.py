@@ -157,17 +157,3 @@ def check_asynchrony_conditions(
             )
     return _report("asynchrony-conditions", failures)
 
-
-def check_all_synchrony_assumptions(
-    trace: Trace,
-    eta: int,
-    beta: Fraction,
-    gamma: Fraction,
-    start: int = 0,
-) -> list[AssumptionReport]:
-    """Equations 1, 2, and 3 in one call (the synchronous-operation bundle)."""
-    return [
-        check_churn(trace, eta, gamma, start=start),
-        check_reduced_failure_ratio(trace, beta, gamma, start=start),
-        check_eta_sleepiness(trace, eta, beta, start=start),
-    ]

@@ -31,15 +31,16 @@ from repro.analysis.assumptions import (
     check_eta_sleepiness,
     check_reduced_failure_ratio,
 )
-from repro.analysis.checkers import check_asynchrony_resilience, check_safety
 from repro.analysis.metrics import chain_growth_rate, decision_rounds
 from repro.analysis.tables import format_table
+from repro.analysis.verdict import judge
 from repro.attacks import ATTACKS, apply_script, get_script
 from repro.core.bounds import beta_tilde
 from repro.engine.backend import EngineResult, ExecutionBackend
 from repro.engine.spec import RunSpec
 from repro.engine.sweep import Reducer, SweepSpec
 from repro.sleepy.schedule import RandomChurnSchedule, TableSchedule
+from repro.sleepy.trace import Trace
 from repro.workloads.scenarios import churn_scenario, split_vote_attack_scenario
 
 THIRD = Fraction(1, 3)
@@ -52,6 +53,12 @@ __all__ = [
     "figure1_sizing",
     "sleepiness_draws",
 ]
+
+
+def _verdict_columns(trace: Trace) -> dict:
+    """Every reducer's ``verdict`` (:func:`~repro.analysis.verdict.judge`) and ``safe`` columns."""
+    verdict = judge(trace)
+    return {"verdict": str(verdict), "safe": not verdict.forked}
 
 
 # ----------------------------------------------------------------------
@@ -78,16 +85,8 @@ def pi_eta_spec(*, eta: int, pi: int, n: int, base_target: int, seed: int, **_) 
 
 
 def reduce_pi_eta(result: EngineResult, params: dict) -> dict:
-    """Reduce one (η, π) run to its safety/resilience verdict row."""
-    trace = result.trace
-    pi = params["pi"]
-    return {
-        "eta": params["eta"],
-        "pi": pi,
-        "guaranteed": pi < params["eta"],
-        "safe": check_safety(trace).ok,
-        "resilient": check_asynchrony_resilience(trace, ra=trace.meta["ra"], pi=pi).ok,
-    }
+    """Reduce one (η, π) run to its verdict row."""
+    return {"eta": params["eta"], "pi": params["pi"], **_verdict_columns(result.trace)}
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +123,7 @@ def reduce_figure1(result: EngineResult, params: dict) -> dict:
         "allowed": allowed,
         "byz": byz,
         "growth": chain_growth_rate(trace, start=8),
-        "safe": check_safety(trace).ok,
+        **_verdict_columns(trace),
     }
 
 
@@ -182,7 +181,7 @@ def reduce_ablation_beta(result: EngineResult, params: dict) -> dict:
         "byz": params["byz_count"],
         "post_decisions": len(post),
         "longest_stall": max(gaps, default=params["rounds"] - params["sleep_at"] if not post else 0),
-        "safe": check_safety(trace).ok,
+        **_verdict_columns(trace),
     }
 
 
@@ -238,6 +237,7 @@ def reduce_sleepiness(result: EngineResult, params: dict) -> dict:
         "eq12": all_rounds - failures_1 - failures_2,
         "eq3": all_rounds - failures_3,
         "total": trace.horizon,
+        **_verdict_columns(trace),
     }
 
 
@@ -303,7 +303,7 @@ def reduce_deploy_smoke(result: EngineResult, params: dict) -> dict:
     return {
         "eta": params["eta"],
         "decided": bool(trace.decisions),
-        "safe": check_safety(trace).ok,
+        **_verdict_columns(trace),
     }
 
 
@@ -347,7 +347,7 @@ def reduce_attack(result: EngineResult, params: dict) -> dict:
         "script": params["script_name"],
         "protocol": params["protocol"],
         "seed": params["seed"],
-        "safe": check_safety(trace).ok,
+        **_verdict_columns(trace),
         "decided": bool(rounds),
         "recovered": bool(post),
         "first_decision": rounds[0] if rounds else None,
@@ -368,7 +368,7 @@ def reduce_attack_deploy(result: EngineResult, params: dict) -> dict:
         "script": params["script_name"],
         "protocol": params["protocol"],
         "seed": params["seed"],
-        "safe": check_safety(trace).ok,
+        **_verdict_columns(trace),
         "decided": bool(trace.decisions),
     }
 
@@ -451,9 +451,8 @@ GRIDS: dict[str, GridJob] = {
             columns=(
                 ("η", "eta"),
                 ("π", "pi"),
-                ("π < η (guaranteed)", "guaranteed"),
+                ("verdict", "verdict"),
                 ("safe", "safe"),
-                ("Def.5 resilient", "resilient"),
             ),
         ),
         GridJob(
@@ -469,6 +468,7 @@ GRIDS: dict[str, GridJob] = {
                 ("β̃ (analytic)", "allowed"),
                 ("Byzantine (of {n})", "byz"),
                 ("growth blocks/round", "growth"),
+                ("verdict", "verdict"),
                 ("safe", "safe"),
             ),
             view=_figure1_view,
@@ -489,6 +489,7 @@ GRIDS: dict[str, GridJob] = {
                 ("sized by", "sized_by"),
                 ("decisions after sleep", "post_decisions"),
                 ("longest stall", "longest_stall"),
+                ("verdict", "verdict"),
                 ("safe", "safe"),
             ),
             view=_ablation_beta_view,
@@ -517,7 +518,7 @@ GRIDS: dict[str, GridJob] = {
             factory=deploy_smoke_spec,
             reducer=reduce_deploy_smoke,
             title="D0: deployment-substrate sweep smoke (n={n}, real asyncio rounds)",
-            columns=(("η", "eta"), ("decided", "decided"), ("safe", "safe")),
+            columns=(("η", "eta"), ("decided", "decided"), ("verdict", "verdict"), ("safe", "safe")),
             backend=deployment_backend,
         ),
         GridJob(
@@ -528,11 +529,11 @@ GRIDS: dict[str, GridJob] = {
                 "protocol": ("mmr", "resilient"),
                 "seed": (0, 1),
             },
-            # η = 6 exceeds every scripted asynchronous stretch (π ≤ 5), so
-            # Theorem 2 *guarantees* safety for the resilient protocol in
-            # every cell — the CI gate asserts exactly that, while MMR's
-            # violations under partition + surge are the paper's expected
-            # headline and are reported, not gated.
+            # η = 6 exceeds every scripted asynchronous stretch (π ≤ 5), yet
+            # Theorem 2 covers every resilient cell only at n = 8: at n = 6
+            # and 12 sleep-storm's wakers break Equation 4 at round 8.  MMR
+            # (η = 0) is outside the theorem wherever there is a period.
+            # The CI gate: no cell is `unsafe`.
             base={"n": 12, "eta": 6, "tail": 4},
             factory=attack_spec,
             reducer=reduce_attack,
@@ -541,6 +542,7 @@ GRIDS: dict[str, GridJob] = {
                 ("script", "script"),
                 ("protocol", "protocol"),
                 ("seed", "seed"),
+                ("verdict", "verdict"),
                 ("safe", "safe"),
                 ("decided", "decided"),
                 ("recovered", "recovered"),
@@ -571,6 +573,7 @@ GRIDS: dict[str, GridJob] = {
                 ("script", "script"),
                 ("protocol", "protocol"),
                 ("seed", "seed"),
+                ("verdict", "verdict"),
                 ("safe", "safe"),
                 ("decided", "decided"),
             ),

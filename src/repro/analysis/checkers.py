@@ -46,20 +46,26 @@ class SafetyReport:
         return self.ok
 
 
+def _conflicts(trace: Trace, events: list[DecisionEvent], limit: int = 0) -> list[Conflict]:
+    """Pairs of ``events`` on conflicting logs, each tip witnessed by its
+    earliest decision, in order of the later witness's round (``limit`` > 0 caps them)."""
+    by_tip: dict[BlockId | None, DecisionEvent] = {}
+    for event in sorted(events, key=lambda event: event.round):
+        by_tip.setdefault(event.tip, event)
+    witnesses = list(by_tip.values())
+    conflicts: list[Conflict] = []
+    for j, b in enumerate(witnesses):
+        for a in witnesses[:j]:
+            if trace.tree.conflict(a.tip, b.tip):
+                conflicts.append(Conflict(a, b))
+                if len(conflicts) == limit:
+                    return conflicts
+    return conflicts
+
+
 def check_safety(trace: Trace, max_conflicts: int = 16) -> SafetyReport:
     """Definition 2 safety over every decision in the trace."""
-    # Group by tip: pairwise compatibility only depends on distinct tips.
-    by_tip: dict[BlockId | None, DecisionEvent] = {}
-    for event in trace.decisions:
-        by_tip.setdefault(event.tip, event)
-    tips = list(by_tip)
-    conflicts: list[Conflict] = []
-    for i, a in enumerate(tips):
-        for b in tips[i + 1:]:
-            if trace.tree.conflict(a, b):
-                conflicts.append(Conflict(by_tip[a], by_tip[b]))
-                if len(conflicts) >= max_conflicts:
-                    return SafetyReport(False, conflicts, len(trace.decisions))
+    conflicts = _conflicts(trace, trace.decisions, limit=max_conflicts)
     return SafetyReport(not conflicts, conflicts, len(trace.decisions))
 
 
@@ -133,15 +139,7 @@ def check_healing(
     healed_from = last_async_round + k
     post = [d for d in trace.decisions if d.round > healed_from]
 
-    by_tip: dict[BlockId | None, DecisionEvent] = {}
-    for event in post:
-        by_tip.setdefault(event.tip, event)
-    tips = list(by_tip)
-    conflicts: list[Conflict] = []
-    for i, a in enumerate(tips):
-        for b in tips[i + 1:]:
-            if trace.tree.conflict(a, b):
-                conflicts.append(Conflict(by_tip[a], by_tip[b]))
+    conflicts = _conflicts(trace, post)
     safety_ok = not conflicts
 
     first_after = min((d.round for d in post), default=None)

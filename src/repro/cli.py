@@ -34,8 +34,6 @@ from typing import Sequence
 
 from repro.analysis import (
     chain_growth_rate,
-    check_asynchrony_resilience,
-    check_safety,
     decided_depth_timeline,
     format_table,
     max_reorg_depth,
@@ -44,6 +42,7 @@ from repro.analysis import (
     save_trace,
 )
 from repro.analysis.batch import GRIDS
+from repro.analysis.verdict import judge
 from repro.attacks import ATTACKS, apply_script, get_script
 from repro.core.bounds import beta_tilde, figure1_curve, max_resilient_pi
 from repro.engine.backend import run_spec
@@ -260,7 +259,7 @@ def _cmd_run(args) -> int:
     backend = _backend_from(args)
     result = run_spec(spec, backend)
     trace = result.trace
-    safety = check_safety(trace)
+    verdict = judge(trace)
     totals = message_totals(trace)
     depth = decided_depth_timeline(trace)[-1].depth if trace.rounds else 0
     eta = trace.meta.get("eta", 0)
@@ -276,7 +275,8 @@ def _cmd_run(args) -> int:
                 ["decisions", len(trace.decisions)],
                 ["decided depth", depth],
                 ["growth (blocks/round)", chain_growth_rate(trace)],
-                ["safety", safety.ok],
+                ["verdict", str(verdict)],
+                ["safety", not verdict.forked],
                 ["votes / proposals sent", f"{totals['votes']} / {totals['proposes']}"],
             ],
             title="Run summary",
@@ -288,7 +288,7 @@ def _cmd_run(args) -> int:
     if args.save:
         save_trace(trace, args.save)
         print(f"\ntrace saved to {args.save}")
-    return 0 if safety.ok else 1
+    return 1 if verdict.unsafe else 0
 
 
 def _cmd_attack(args) -> int:
@@ -298,9 +298,8 @@ def _cmd_attack(args) -> int:
         raise SystemExit(f"repro attack: script {args.script!r} has no --pi to set") from None
     rounds = args.rounds if args.rounds is not None else script.total_rounds + 4
     backend = _backend_from(args)
-    periods = script.conditions().periods
     rows = []
-    resilient_safe = True
+    unsafe = False
     for protocol, eta in (("mmr", 0), ("resilient", args.eta)):
         spec = apply_script(
             RunSpec(n=args.n, rounds=rounds, protocol=protocol, eta=eta, seed=args.seed),
@@ -311,8 +310,8 @@ def _cmd_attack(args) -> int:
         except ValueError as refusal:  # the fabric cannot realise the script
             raise SystemExit(f"repro attack: {refusal}") from None
         trace = result.trace
-        safety = check_safety(trace)
-        resilient = all(check_asynchrony_resilience(trace, ra=p.ra, pi=p.pi).ok for p in periods)
+        verdict = judge(trace)
+        unsafe |= verdict.unsafe
         audit = (result.extras.get("attack") or {}).get("totals") if backend else None
         audit_text = (
             " ".join(f"{key}={audit[key]}" for key in sorted(audit)) if audit else "—"
@@ -320,18 +319,16 @@ def _cmd_attack(args) -> int:
         rows.append(
             [
                 f"{protocol} (η={eta})",
-                safety.ok,
-                resilient if periods else "—",
+                str(verdict),
+                not verdict.forked,
                 len(trace.decisions),
                 max_reorg_depth(trace),
                 audit_text,
             ]
         )
-        if protocol == "resilient":
-            resilient_safe = safety.ok
     print(
         format_table(
-            ["protocol", "safe", "Def.5 resilient", "decisions", "max reorg depth", "proxy audit"],
+            ["protocol", "verdict", "safe", "decisions", "max reorg depth", "proxy audit"],
             rows,
             title=(
                 f"Scripted attack '{script.name}' "
@@ -340,14 +337,13 @@ def _cmd_attack(args) -> int:
             ),
         )
     )
-    # MMR breaking is the paper's headline; the resilient protocol
-    # breaking is a bug — only the latter fails the command.
-    return 0 if resilient_safe else 1
+    return 1 if unsafe else 0
 
 
 def _cmd_outage(args) -> int:
     config = ethereum_outage_scenario(n=args.n, duration=args.duration, eta=args.eta)
     trace = run_spec(config).trace
+    verdict = judge(trace)
     during = chain_growth_rate(trace, start=12, end=10 + args.duration - 1)
     print(
         format_table(
@@ -357,12 +353,13 @@ def _cmd_outage(args) -> int:
                 ["offline", "60%"],
                 ["outage rounds", args.duration],
                 ["growth during outage", during],
-                ["safety", check_safety(trace).ok],
+                ["verdict", str(verdict)],
+                ["safety", not verdict.forked],
             ],
             title="Correlated outage replay (May-2023 shape)",
         )
     )
-    return 0
+    return 1 if verdict.unsafe else 0
 
 
 def _cmd_tune_eta(args) -> int:
@@ -469,7 +466,7 @@ def _cmd_soak(args) -> int:
         print(f"soak: FAILED — {exc}")
         return 1
     trace = result.trace
-    safety = check_safety(trace)
+    verdict = judge(trace)
     extras = result.extras
     # Protocol messages are never shed by design; the only way one could
     # vanish in the socket substrate is a routing bug, which the
@@ -484,7 +481,8 @@ def _cmd_soak(args) -> int:
         "wall_seconds": result.wall_seconds,
         "start_lateness_ms": max(extras["lifecycle"]["start_lateness_s"]) * 1e3,
         "decisions": len(trace.decisions),
-        "safe": safety.ok,
+        "verdict": str(verdict),
+        "safe": not verdict.forked,
         "messages_sent": result.messages_sent,
         "shed_transactions": extras["mempool"]["shed"],
         "admitted_transactions": extras["mempool"]["admitted"],
@@ -502,7 +500,7 @@ def _cmd_soak(args) -> int:
         with open(args.dump, "w") as fh:
             json.dump(json_form({"summary": summary, "metrics": scraped}), fh, indent=2)
         print(f"\nsoak dump saved to {args.dump}")
-    return 0 if (safety.ok and trace.decisions and shed_protocol == 0) else 1
+    return 1 if (verdict.unsafe or not trace.decisions or shed_protocol) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

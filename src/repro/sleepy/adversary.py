@@ -50,8 +50,6 @@ class AdversaryContext:
         self._keys: dict[int, SecretKey] = {}
         #: The omniscient block tree: all blocks created so far by anyone.
         self.tree = tree
-        #: Every message multicast so far, in send order.
-        self.all_messages: list[Message] = []
         #: Current round number (set by the simulator each phase).
         self.round: int = 0
         #: The strategy's scratch for this execution: what it remembers

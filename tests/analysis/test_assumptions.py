@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis.assumptions import (
-    check_all_synchrony_assumptions,
     check_asynchrony_conditions,
     check_churn,
     check_eta_sleepiness,
@@ -17,8 +16,8 @@ from repro.sleepy.trace import RoundRecord, Trace
 THIRD = Fraction(1, 3)
 
 
-def build_trace(rows: list[tuple[set[int], set[int]]]) -> Trace:
-    """Rows of (honest, byzantine) per round."""
+def build_trace(rows: list[tuple[set[int], set[int]]], asynchronous=frozenset()) -> Trace:
+    """Rows of (honest, byzantine) per round; the rounds in ``asynchronous`` are."""
     trace = Trace(n=16)
     for r, (honest, byz) in enumerate(rows):
         trace.rounds.append(
@@ -26,7 +25,7 @@ def build_trace(rows: list[tuple[set[int], set[int]]]) -> Trace:
                 round=r,
                 awake=frozenset(honest | byz),
                 byzantine=frozenset(byz),
-                asynchronous=False,
+                asynchronous=r in asynchronous,
                 votes_sent=0,
                 proposes_sent=0,
                 other_sent=0,
@@ -112,11 +111,3 @@ def test_asynchrony_conditions_require_executed_ra():
     with pytest.raises(ValueError, match="horizon"):
         check_asynchrony_conditions(trace, ra=5, pi=1, eta=1, beta=THIRD)
 
-
-def test_bundle_runs_all_three():
-    rows = [(set(range(12)), set())] * 4
-    reports = check_all_synchrony_assumptions(
-        build_trace(rows), eta=2, beta=THIRD, gamma=Fraction(1, 10)
-    )
-    assert [r.name for r in reports] == ["churn", "failure-ratio", "eta-sleepiness"]
-    assert all(r.ok for r in reports)

@@ -4,37 +4,26 @@ A script is data (it pickles, and digests the same in another process),
 it owns its asynchronous periods, the interpreter never steps outside
 the model's adversary (the simulator raises if it signs as an honest
 process or delivers what is not deliverable), and the resilient protocol
-with η above the longest scripted asynchronous stretch keeps what the
-theorems promise whenever the executed trace satisfies their
-assumptions: Definition 5 and post-heal safety around the script's one
-asynchronous period, plain safety when it has none.
+with η above the longest scripted asynchronous stretch is never
+``unsafe``: :func:`~repro.analysis.verdict.judge` finds no promise
+broken while every hypothesis held, with one period, several or none.
 
-Plain ``check_safety`` is *not* promised through a period and a drawn
+Plain Definition 2 is *not* promised through a period and a drawn
 script falsifies it with no corruption at all — ``phase(1), phase(3,
 withhold()), phase(3, heal(), partition(range(9), (9,)))`` at any η:
 asynchrony from round 1 leaves the expiration window nothing to retain,
-so the lone process decides its own chain.  Definition 5 protects the
-logs decided *before* the period, and with two periods the first may
-already have split them, so scripts with several only exercise the
-model checks.
+so the lone process decides its own chain.  ``judge`` promises it only
+up to the first period.
 """
 
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    check_asynchrony_conditions,
-    check_asynchrony_resilience,
-    check_eta_sleepiness,
-    check_healing,
-    check_reduced_failure_ratio,
-    check_safety,
-)
+from repro.analysis.verdict import judge
 from repro.attacks import apply_script
 from repro.engine.backend import run_spec
 from repro.engine.spec import RunSpec
@@ -42,7 +31,6 @@ from repro.engine.spec import RunSpec
 from tests.attacks.strategies import attack_scripts
 
 N = 10
-THIRD = Fraction(1, 3)
 RELAXED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -91,16 +79,5 @@ def test_the_interpreter_stays_inside_the_model_and_the_theorems_hold(script, se
     assert spec.digest() == apply_script(
         RunSpec(n=N, rounds=spec.rounds, protocol="resilient", eta=eta, seed=seed), script
     ).digest()
-    assumptions = [
-        check_reduced_failure_ratio(trace, THIRD, Fraction(0)),
-        check_eta_sleepiness(trace, eta=eta, beta=THIRD),
-        *(check_asynchrony_conditions(trace, p.ra, p.pi, eta, THIRD) for p in periods),
-    ]
-    if len(periods) > 1 or not all(report.ok for report in assumptions):
-        return
-    if not periods:
-        assert check_safety(trace).ok
-        return
-    (period,) = periods
-    assert check_asynchrony_resilience(trace, period.ra, period.pi).ok
-    assert check_healing(trace, last_async_round=period.ra + period.pi, k=1).safety_ok
+    verdict = judge(trace)
+    assert not verdict.unsafe, verdict

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import chain_growth_rate, check_asynchrony_resilience, check_safety
+from repro.analysis import chain_growth_rate, check_safety
 from repro.analysis.batch import GRIDS
+from repro.analysis.verdict import judge
 from repro.core.bounds import beta_tilde
 from repro.engine.backend import run_spec
 from repro.engine.sweep import stream_sweep, sweep_rows
@@ -29,7 +30,7 @@ PI_ETA, FIGURE1 = GRIDS["pi-eta"], GRIDS["figure1"]
 # The pre-PR serial loops, verbatim (modulo scale)
 # ----------------------------------------------------------------------
 def serial_pi_eta_cells(n: int) -> list[dict]:
-    """The old ``bench_pi_eta_sweep`` experiment loop, as it was."""
+    """The old ``bench_pi_eta_sweep`` experiment loop, its row now the run's verdict."""
     cells = []
     for eta in (2, 4, 6):
         for pi in range(1, eta + 3):
@@ -46,11 +47,8 @@ def serial_pi_eta_cells(n: int) -> list[dict]:
                 {
                     "eta": eta,
                     "pi": pi,
-                    "guaranteed": pi < eta,
+                    "verdict": str(judge(trace)),
                     "safe": check_safety(trace).ok,
-                    "resilient": check_asynchrony_resilience(
-                        trace, ra=config.meta["ra"], pi=pi
-                    ).ok,
                 }
             )
     return cells
@@ -73,6 +71,7 @@ def serial_figure1_outcomes(n: int, eta: int, rounds: int, gammas) -> list[dict]
                 "allowed": allowed,
                 "byz": byz,
                 "growth": chain_growth_rate(trace, start=8),
+                "verdict": str(judge(trace)),
                 "safe": check_safety(trace).ok,
             }
         )

@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.analysis.checkers import check_asynchrony_resilience, check_healing, check_safety
+from repro.analysis.verdict import judge
 from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
@@ -44,8 +45,8 @@ class HeldThroughWindows(SleepSchedule):
         return awake if ra is None else awake | self._base.awake(ra)
 
 
-def verdict(seed: int) -> dict[str, bool]:
-    """Definitions 2, 5 and 6 on one seed of the unfrozen walk."""
+def verdict(seed: int) -> dict[str, bool | str]:
+    """Definitions 2, 5 and 6 and the run's verdict on one seed of the unfrozen walk."""
     spec = RunSpec(
         n=N,
         rounds=ROUNDS,
@@ -64,12 +65,13 @@ def verdict(seed: int) -> dict[str, bool]:
         "healed": all(
             check_healing(trace, last_async_round=ra + PI, k=1).ok for ra in WINDOW_STARTS
         ),
+        "verdict": str(judge(trace)),
     }
 
 
 @pytest.mark.parametrize("seed", [15, 38])
 def test_waking_inside_a_window_keeps_defs_2_5_6(seed):
-    assert verdict(seed) == {"safe": True, "resilient": True, "healed": True}
+    assert verdict(seed) == {"safe": True, "resilient": True, "healed": True, "verdict": "ok"}
 
 
 @pytest.mark.slow
@@ -81,5 +83,7 @@ def test_no_unsafe_seed_in_two_hundred():
     verdicts = {seed: verdict(seed) for seed in range(200)}
     with open(os.environ["SAFETY_SEEDS_OUT"], "w") as handle:
         json.dump(verdicts, handle, indent=1)
-    unsafe = [seed for seed, v in verdicts.items() if not v["safe"]]
+    forked = [seed for seed, v in verdicts.items() if not v["safe"]]
+    assert not forked, f"forked seeds: {forked}"
+    unsafe = [seed for seed, v in verdicts.items() if v["verdict"].startswith("unsafe")]
     assert not unsafe, f"unsafe seeds: {unsafe}"

@@ -9,6 +9,7 @@ the convention note in ``repro/protocols/tob_base.py``.
 import pytest
 
 from repro.analysis import chain_growth_rate, check_safety, decision_rounds
+from repro.analysis.verdict import judge
 from repro.chain.block import GENESIS_TIP, genesis_block
 from repro.attacks import apply_script, get_script, propose
 from repro.engine.backend import run_spec
@@ -75,6 +76,18 @@ def test_adversarial_proposer_validation():
     strict=True,
 )
 def test_literal_proposal_rule_is_unsafe_under_stale_sortition():
+    assert check_safety(_literal_rule_trace()).ok  # xfail: the literal rule forks the chain
+
+
+def test_the_literal_rule_fork_is_a_bug_inside_the_theorem():
+    """Full synchrony, a legal adversary: every hypothesis holds, so the
+    fork is ``unsafe``, not ``outside-theorem``."""
+    verdict = judge(_literal_rule_trace())
+    assert str(verdict) == "unsafe(def2, 11)" and verdict.forked
+
+
+def _literal_rule_trace():
+    """Stale proposers against processes that follow the literal rule."""
     config = proposers(
         RunSpec(n=12, rounds=60, protocol="resilient", eta=3), "stale", [9, 10, 11]
     )
@@ -82,7 +95,7 @@ def test_literal_proposal_rule_is_unsafe_under_stale_sortition():
     for process in sim.processes.values():
         _patch_to_literal_rule(process)
     SimulationBackend.drive(sim, config)
-    assert check_safety(sim.trace).ok  # xfail: the literal rule forks the chain
+    return sim.trace
 
 
 def _patch_to_literal_rule(process):

@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import repro
@@ -97,6 +98,13 @@ def test_top_level_namespace_is_curated():
 
 def test_version_is_exposed():
     assert repro.__version__
+
+
+def test_version_is_the_packaged_one():
+    """A sweep journal's manifest pins ``repro.__version__``: a release that
+    bumps ``pyproject.toml`` alone would resume journals of the old rows."""
+    pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
+    assert repro.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 def test_the_runtime_does_not_import_networkx():

@@ -22,13 +22,13 @@ def test_run_reports_safety(capsys):
 def test_attack_compares_protocols(capsys):
     assert main(["attack", "--n", "20", "--pi", "1", "--eta", "2"]) == 0
     out = capsys.readouterr().out
-    assert "Scripted attack 'split-vote'" in out and "Def.5 resilient" in out
+    assert "Scripted attack 'split-vote'" in out and "verdict" in out
     assert "mmr (η=0)" in out and "resilient (η=2)" in out
-    # The baseline forks; the modified protocol does not.
+    # The baseline forks outside the theorem (π > 0 = η); the modified protocol does not fork.
     mmr_line = next(line for line in out.splitlines() if line.startswith("mmr"))
     resilient_line = next(line for line in out.splitlines() if line.startswith("resilient"))
-    assert "no" in mmr_line.split()
-    assert "no" not in resilient_line.split()
+    assert "no" in mmr_line.split() and "outside-theorem(pi, 10)" in mmr_line
+    assert "no" not in resilient_line.split() and " ok " in resilient_line
 
 
 def test_attack_script_runs_on_the_simulator(capsys):
@@ -58,11 +58,34 @@ def test_attack_rejects_substrate_flags_the_split_vote_replay_would_ignore(flags
 
 
 def test_attack_pi_reaches_the_scripts_built_around_one_period(capsys):
-    assert main(["attack", "--pi", "4", "--eta", "2"]) == 1  # π > η: the resilient fork
+    # π > η: the resilient protocol forks, outside the theorem, which is no bug.
+    assert main(["attack", "--pi", "4", "--eta", "2"]) == 0
+    resilient_line = next(
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("resilient")
+    )
+    assert "outside-theorem(pi" in resilient_line and "no" in resilient_line.split()
     assert main(["attack", "--script", "blackout", "--pi", "2", "--n", "8", "--eta", "4"]) == 0
     assert "(17+4 rounds" in capsys.readouterr().out  # 6 + π + 9 scripted rounds, then 4
     with pytest.raises(SystemExit, match="has no --pi"):
         main(["attack", "--script", "crash", "--pi", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "6", "--rounds", "8"],
+        ["attack", "--n", "8", "--pi", "1"],
+        ["outage", "--n", "20", "--duration", "8"],
+    ],
+)
+def test_an_unsafe_verdict_fails_the_command(argv, capsys, monkeypatch):
+    """Exit 1 iff ``judge`` says ``unsafe``: the command keeps no policy of its own."""
+    import repro.cli
+    from repro.analysis.verdict import Verdict
+
+    monkeypatch.setattr(repro.cli, "judge", lambda trace: Verdict("unsafe", "def5", 7, True))
+    assert main(argv) == 1
+    assert "unsafe(def5, 7)" in capsys.readouterr().out
 
 
 def test_soak_reports_worker_death_cleanly(capsys, monkeypatch):
@@ -141,6 +164,7 @@ def test_soak_runs_as_a_service_and_dumps_metrics(capsys, tmp_path, processes):
     payload = json.loads(dump.read_text())
     assert payload["summary"]["decisions"] > 0
     assert payload["summary"]["safe"] is True
+    assert payload["summary"]["verdict"] == "ok"
     assert payload["summary"]["shed_protocol_messages"] == 0
     # Every pool is bounded at MEMPOOL_CAPACITY; this load never fills one.
     assert payload["summary"]["admitted_transactions"] > 0
@@ -161,7 +185,9 @@ def test_sweep_runs_named_grid_and_saves_rows(capsys, tmp_path):
     payload = json.loads(target.read_text())
     assert payload["grid"] == "pi-eta"
     assert len(payload["rows"]) == 18  # η ∈ {2,4,6}, π ∈ 1..η+2
-    assert all(row["safe"] for row in payload["rows"] if row["guaranteed"])
+    assert all(
+        row["verdict"] == "ok" and row["safe"] for row in payload["rows"] if row["pi"] < row["eta"]
+    )
 
 
 @pytest.mark.parametrize("grid, n", [("sleepiness", None), ("figure1", 20)])
