@@ -30,9 +30,10 @@ Substrate differences (inherent, not incidental):
   the adversary's ``send`` power runs live, in round, against the
   omniscient block tree exactly as in the simulator.
 
-One runner, one phase driver.  Every run is k shards, each a
-:class:`~repro.runtime.shard.ShardRuntime` driven by
-:func:`~repro.runtime.worker.run_worker` and sequenced by a
+One runner, one phase loop per shard.  Every run is k shards, each a
+:class:`~repro.runtime.shard.ShardRuntime` stepped round by round by
+its own :meth:`~repro.runtime.shard.ShardRuntime.drive` under
+:func:`~repro.runtime.worker.run_worker`, and sequenced by a
 :class:`~repro.runtime.coordinator.Coordinator`, whose payloads
 :func:`~repro.runtime.shard.merge_payloads` folds into one
 :class:`~repro.sleepy.trace.Trace` and one ``extras`` shape.  Shard 0
@@ -53,8 +54,9 @@ One trace recorder.  Each shard's
 publishes, as the simulator's records what its bus accepts, and
 :meth:`DeploymentBackend._assemble_trace` folds the k records into the
 trace, offering each block once.  The adversary's live ``send`` power
-runs beside shard 0 when that shard holds every node, reading that
-shard recorder's tree.
+runs in shard 0's phase loop, after the round's honest sends, when that
+shard holds every node, reading that shard recorder's tree; the run's
+``extras["nodes"]`` are then that shard's nodes.
 
 Three fields configure a run: δ, the shard count and the gossip
 horizon.  Everything else is a fact of the code, the same in every
@@ -67,59 +69,18 @@ bounded at :data:`~repro.chain.transactions.MEMPOOL_CAPACITY`.
 from __future__ import annotations
 
 import asyncio
-import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.attacks.adversary import ScriptedAdversary
-from repro.engine.backend import (
-    CorruptionTracker,
-    EngineResult,
-    ExecutionBackend,
-    base_meta,
-    check_adversary_message,
-)
+from repro.engine.backend import EngineResult, ExecutionBackend, base_meta
 from repro.engine.spec import RunSpec
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics
-from repro.runtime.shard import (
-    ShardRuntime,
-    WorkerConfig,
-    corruption_schedule,
-    merge_payloads,
-    shard_pids,
-)
+from repro.runtime.shard import WorkerConfig, corruption_schedule, merge_payloads, shard_pids
 from repro.runtime.worker import run_worker, worker_main
-from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.trace import Trace, TraceRecorder
-
-
-class _LiveAdversary:
-    """The adversary's ``send`` power, beside the one shard holding every node.
-
-    It reads the shard recorder's tree, fed by every message the shard
-    originates, which cannot span processes.  Keys are handed over and
-    monotonicity enforced round by round, as in the simulator; the
-    resolved corruption schedule only peeked.
-    """
-
-    def __init__(self, spec: RunSpec) -> None:
-        self.adversary = spec.resolved_adversary()
-        self.nodes: dict = {}
-
-    async def run(self, shard: ShardRuntime) -> None:
-        self.nodes = shard.nodes
-        clock, adversary = shard.clock, self.adversary
-        ctx = AdversaryContext(shard.registry, shard.record.trace.tree)
-        tracker = CorruptionTracker(adversary, ctx)
-        for r in range(shard.config.spec.rounds):
-            await clock.sleep_until_elapsed(clock.start_of(r))
-            ctx.round = r
-            byz = tracker.corrupted(r)
-            for message in adversary.send(r, ctx):
-                check_adversary_message(message, byz)
-                shard.publish(message.sender, r, message)
 
 
 @dataclass
@@ -178,13 +139,12 @@ class DeploymentBackend(ExecutionBackend):
             # Shards push live snapshots only to a coordinator listening.
             on_frame=None if collector is None else on_frame,
         )
-        beside = _LiveAdversary(spec) if len(shards) == 1 else None
         mesh = (coordinator.addresses, coordinator.control_address)
-        payloads = await coordinator.run(
-            functools.partial(run_worker, beside=beside),
-            worker_main,
-            [(self._shard_config(spec, wid, shards, *mesh),) for wid in range(len(shards))],
-        )
+        configs = [self._shard_config(spec, wid, shards, *mesh) for wid in range(len(shards))]
+        # Shard 0 fills ``nodes`` when it holds every node (k = 1).
+        nodes: dict | None = {} if len(shards) == 1 else None
+        worker_args = [(configs[0], nodes), *((config,) for config in configs[1:])]
+        payloads = await coordinator.run(run_worker, worker_main, worker_args)
         # The coordinator picked the start instant from its handshake;
         # each shard says how late it anchored there and how long it
         # drove.  The wall is the rounds' span: set-up is ``setup_s``.
@@ -192,8 +152,8 @@ class DeploymentBackend(ExecutionBackend):
         for key in ("start_lateness_s", "span_s"):
             lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
         extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
-        if beside is not None:
-            extras["nodes"] = beside.nodes
+        if nodes is not None:
+            extras["nodes"] = nodes
         if collector is not None:
             for payload in payloads:
                 collector.push(f"worker{payload['worker_id']}", payload["metrics"])

@@ -3,7 +3,8 @@
 * :mod:`repro.runtime.clock` — the round clock.
 * :mod:`repro.runtime.node` — a protocol process bridged onto gossip.
 * :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
-  assembly every deployment substrate runs, and its payload merge.
+  assembly every deployment substrate runs (one phase loop steps its
+  nodes round by round), and its payload merge.
 * :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
   :class:`ControlChannel`, the two ends of the control handshake.
 * :mod:`repro.runtime.worker` — every deployment's one worker body
@@ -17,7 +18,7 @@ from repro.runtime.clock import ROUND_FACTOR, RoundClock
 from repro.runtime.coordinator import ControlChannel, Coordinator
 from repro.runtime.metrics import Histogram, MetricsHub, MetricsServer, SourcedMetrics
 from repro.runtime.node import DeployedNode
-from repro.runtime.shard import ShardRuntime, WorkerConfig, drive_node, shard_pids
+from repro.runtime.shard import ShardRuntime, WorkerConfig, shard_pids
 from repro.runtime.worker import worker_main
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "ShardRuntime",
     "SourcedMetrics",
     "WorkerConfig",
-    "drive_node",
     "shard_pids",
     "worker_main",
 ]

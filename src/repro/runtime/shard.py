@@ -10,8 +10,7 @@ contribution to the result is one :meth:`ShardRuntime.payload`, folded
 by :func:`merge_payloads` — shard 0's in memory and k − 1 unpickled
 ones.  Every shard runs under the one runner,
 :func:`~repro.runtime.worker.run_worker`; the substrates differ only in
-the fabric it builds and, when one shard holds every node, the live
-adversary task beside it.  A shard's part of the trace is what its
+the fabric it builds.  A shard's part of the trace is what its
 :class:`~repro.sleepy.trace.TraceRecorder` saw at
 :meth:`ShardRuntime.publish`; no node's private tree is read for it.
 
@@ -19,23 +18,24 @@ Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology and the
 corruption schedule are seeded from the spec), so any two shards agree
 on all shared randomness without communicating.  Every node reads one
-clock: its phases start at ``clock.start_of(r)``, the synchronized
-clocks of the paper's model.
+clock, the synchronized clocks of the paper's lock-step round, so one
+loop steps a round's phases for every node of the shard
+(:meth:`ShardRuntime.drive`): the send phases at ``clock.start_of(r)``
+in pid order, then the adversary's when the shard holds every node, and
+the receive phases at ``RECEIVE_FRACTION`` of the round.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 from collections.abc import Awaitable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.attacks.adversary import ScriptedAdversary
-from repro.chain.transactions import Transaction
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import offer_transactions
+from repro.engine.backend import CorruptionTracker, check_adversary_message, offer_transactions
 from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
@@ -51,6 +51,7 @@ from repro.runtime.metrics import (
     transport_counters,
 )
 from repro.runtime.node import DeployedNode
+from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.messages import Message
 from repro.sleepy.trace import TraceRecorder
 
@@ -99,65 +100,8 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
-#: Rounds of arrivals a shard keeps: its nodes share one clock and ask
-#: for the same round; the rest is slack for a task that runs late.
-_ARRIVAL_ROUNDS_KEPT = 4
 #: Seconds between the live metric snapshots a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
-
-
-def shard_arrivals(
-    arrivals: Callable[[int], Sequence[Transaction]],
-) -> Callable[[int], Sequence[Transaction]]:
-    """``arrivals``, generated once per round for all nodes of a shard.
-
-    A lazy workload builds (and hashes) a round's transactions on every
-    call; every node of a shard asks for the same rounds, so the shard
-    keeps the last few and its nodes share the ``Transaction`` objects.
-    The workload itself stays unmemoised (see
-    :class:`~repro.workloads.transactions.SubmissionRateWorkload`).
-    """
-    return functools.lru_cache(maxsize=_ARRIVAL_ROUNDS_KEPT)(arrivals)
-
-
-async def drive_node(
-    node: DeployedNode,
-    *,
-    clock: RoundClock,
-    rounds: int,
-    byz_by_round: Mapping[int, frozenset[int]],
-    arrivals: Callable[[int], Sequence[Transaction]],
-    publish: Callable[[int, int, Message], None],
-    metrics: MetricsHub,
-) -> None:
-    """Drive one node through every round (the substrate-shared loop).
-
-    Transactions arrive at every awake node's mempool; the send phase
-    belongs to ``H_r`` and the receive phase to ``O_{r+1} \\ B_{r+1}``,
-    gated independently exactly like the simulator.  Corrupted nodes
-    stop executing the honest protocol (the adversary speaks for them)
-    but keep relaying gossip — dissemination is a model assumption, not
-    a courtesy.  ``metrics`` observes per-decision latency (decision
-    time minus the start of the decided view's first round) and
-    round/decision counters; it never alters protocol behaviour.
-    """
-    for r in range(rounds):
-        await clock.sleep_until_elapsed(clock.start_of(r))
-        if node.awake(r):
-            offer_transactions(node.process, arrivals(r))
-        if node.pid not in byz_by_round[r]:
-            decisions_before = len(node.decisions)
-            for message in node.run_send_phase(r):
-                publish(node.pid, r, message)
-            for decision in node.decisions[decisions_before:]:
-                metrics.inc("decisions")
-                view_start = clock.start_of(first_round_of_view(decision.view))
-                latency = clock.elapsed() - view_start
-                metrics.observe("decision_latency_s", max(latency, 0.0))
-        await clock.sleep_until_elapsed(clock.start_of(r) + RECEIVE_FRACTION * clock.round_s)
-        if node.pid not in byz_by_round[r + 1]:
-            node.run_receive_phase(r)
-    metrics.inc("nodes_finished")
 
 
 @dataclass(frozen=True)
@@ -189,7 +133,7 @@ class ShardRuntime:
     listening — behind a :class:`ProxyTransport` when the spec's
     adversary is scripted.  :attr:`record` sees every message this shard
     originates before it enters gossip; its tree is the omniscient one
-    the live adversary reads when this shard holds every node.
+    the adversary's ``send`` reads when this shard holds every node.
     """
 
     def __init__(self, config: WorkerConfig, transport: Transport) -> None:
@@ -242,36 +186,56 @@ class ShardRuntime:
         self.record.published(r, message)
         self.network.nodes[pid].publish(message)
 
-    async def drive(
-        self, *extra_tasks: Awaitable, report: Callable[[dict], Awaitable] | None = None
-    ) -> None:
-        """Run every node through every round.
+    async def drive(self, report: Callable[[dict], Awaitable] | None = None) -> None:
+        """Step every node of the shard through every round, on one loop.
 
-        The caller anchors :attr:`clock` (and the fabric) first.
-        ``extra_tasks`` run alongside the node drivers; ``report`` is
-        awaited with a fresh :meth:`sample` four times a second.
+        The caller anchors :attr:`clock` (and the fabric) first.  At
+        ``clock.start_of(r)`` the round's arrivals are fetched once; in
+        pid order every awake node takes them and every node outside
+        ``B_r`` runs its send phase.  When this shard holds every node
+        the adversary's ``send`` follows, over the recorder's tree, with
+        keys handed over and monotonicity enforced as in the simulator.
+        At ``RECEIVE_FRACTION`` of the round every node outside
+        ``B_{r+1}`` runs its receive phase.  Corrupted nodes keep
+        relaying gossip.  :attr:`hub` observes each decision's latency
+        from the start of its view's first round; ``report`` is awaited
+        with a fresh :meth:`sample` four times a second.
         """
-        config = self.config
-        arrivals = shard_arrivals(config.spec.arrivals)
+        spec, clock, hub = self.config.spec, self.clock, self.hub
+        adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
+        if adversary is not None:
+            ctx = AdversaryContext(self.registry, self.record.trace.tree)
+            tracker = CorruptionTracker(adversary, ctx)
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
-            # One driver task per node keeps phase timing independent
-            # per node; every node reads the one shared clock.
-            await asyncio.gather(
-                *(
-                    drive_node(
-                        node,
-                        clock=self.clock,
-                        rounds=config.spec.rounds,
-                        byz_by_round=self.byz_by_round,
-                        arrivals=arrivals,
-                        publish=self.publish,
-                        metrics=self.hub,
-                    )
-                    for node in self.nodes.values()
-                ),
-                *extra_tasks,
-            )
+            for r in range(spec.rounds):
+                await clock.sleep_until_elapsed(clock.start_of(r))
+                arrivals = spec.arrivals(r)
+                # ``nodes`` is keyed in ``config.shard`` order: pid order.
+                for pid, node in self.nodes.items():
+                    if node.awake(r):
+                        offer_transactions(node.process, arrivals)
+                    if pid in self.byz_by_round[r]:
+                        continue
+                    decisions_before = len(node.decisions)
+                    for message in node.run_send_phase(r):
+                        self.publish(pid, r, message)
+                    for decision in node.decisions[decisions_before:]:
+                        hub.inc("decisions")
+                        view_start = clock.start_of(first_round_of_view(decision.view))
+                        hub.observe("decision_latency_s", max(clock.elapsed() - view_start, 0.0))
+                if adversary is not None:
+                    ctx.round = r
+                    byz = tracker.corrupted(r)
+                    for message in adversary.send(r, ctx):
+                        check_adversary_message(message, byz)
+                        self.publish(message.sender, r, message)
+                receive_at = clock.start_of(r) + RECEIVE_FRACTION * clock.round_s
+                await clock.sleep_until_elapsed(receive_at)
+                for pid, node in self.nodes.items():
+                    if pid not in self.byz_by_round[r + 1]:
+                        node.run_receive_phase(r)
+            hub.inc("nodes_finished", len(self.nodes))
         finally:
             if reporter is not None:
                 reporter.cancel()

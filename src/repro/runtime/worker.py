@@ -7,20 +7,22 @@ pid (one worker, nothing remote), else its share of a
 :class:`~repro.net.socket_transport.SocketTransport` mesh whose remote
 sends cross real sockets to the workers owning the other shards.
 
-One runner, one phase driver.  For every k, worker 0 runs
-:func:`run_worker` as a task on the coordinator's own event loop, over
-an in-memory control channel; workers 1..k−1 run it in spawned
-processes through :func:`worker_main`, over a control socket.  Every
-worker handshakes, anchors its round clock, its fabric and its attack
-proxy's phase schedule at the shared start instant (reporting how late
-that was), pushes live metrics over its channel while the coordinator
-listens for them, and takes its payload the moment the drive returns:
-after a node's last receive phase nothing that arrives can reach its
-tree, vote store or decisions, and frames still parked are written at
-their slots or by the transport's closing flush.  The payload's trace
-part is what the shard recorded at publish (the blocks it published,
-its per-round counts, its nodes' decisions), so a block reaches the
-coordinator once, from the shard that published it.
+One runner, one phase loop per shard
+(:meth:`~repro.runtime.shard.ShardRuntime.drive`).  For every k,
+worker 0 runs :func:`run_worker` as a task on the coordinator's own
+event loop, over an in-memory control channel; workers 1..k−1 run it
+in spawned processes through :func:`worker_main`, over a control
+socket.  Every worker handshakes, anchors its round clock, its fabric
+and its attack proxy's phase schedule at the shared start instant
+(reporting how late that was), pushes live metrics over its channel
+while the coordinator listens for them, and takes its payload the
+moment the drive returns: after a node's last receive phase nothing
+that arrives can reach its tree, vote store or decisions, and frames
+still parked are written at their slots or by the transport's closing
+flush.  The payload's trace part is what the shard recorded at publish
+(the blocks it published, its per-round counts, its nodes' decisions),
+so a block reaches the coordinator once, from the shard that published
+it.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ def _fabric(config: WorkerConfig) -> PushDelivery:
 
 async def run_worker(
     config: WorkerConfig,
+    nodes: dict | None = None,
     channel: ControlChannel | None = None,
-    *,
-    beside=None,
 ) -> dict:
     """A worker's async body: handshake, drive the shard, report; returns the payload.
 
@@ -71,11 +72,11 @@ async def run_worker(
     coordinator's control socket and ships its payload in its
     ``result`` frame.  Worker 0 is handed its in-memory channel, so its
     ``result`` frame is bare and the payload is this coroutine's return
-    value, never pickled.  ``beside`` is what runs next to the shard's
-    nodes when one shard holds them all (the live adversary): its
-    ``run(shard)`` is driven with the nodes and reads the shard
-    recorder's tree.  The shard is released as soon as its payload is
-    taken; the transport serves until ``shutdown``.
+    value, never pickled.  A caller that wants the shard's nodes after
+    the run hands an empty ``nodes`` dict, which is filled with them
+    (pid → :class:`~repro.runtime.node.DeployedNode`); otherwise the
+    shard is released as soon as its payload is taken.  The transport
+    serves until ``shutdown``.
     """
     transport = _fabric(config)
     shard = ShardRuntime(config, transport)
@@ -96,15 +97,17 @@ async def run_worker(
         shard.hub.gauge("start_lateness_ms", start_lateness_s * 1e3)
         pump = loop.create_task(channel.until_shutdown())
         await shard.drive(
-            *(() if beside is None else (beside.run(shard),)),
             report=(lambda snapshot: channel.send("metrics", snapshot)) if listening else None,
         )
         lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()
         payload = shard.payload(lifecycle)
+        if nodes is not None:
+            nodes.update(shard.nodes)
         # The payload is all that is left of the shard: its nodes and
-        # trees go now, not at shutdown, so worker 0's memory is free
-        # again while the coordinator decodes the spawned payloads.
+        # trees go now (unless handed out), not at shutdown, so worker
+        # 0's memory is free again while the coordinator decodes the
+        # spawned payloads.
         del shard
         await channel.send("result", *(() if channel.in_memory else (payload,)))
         await pump

@@ -615,8 +615,8 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
 @pytest.mark.parametrize(
     "seed, digest, timers",
     [
-        (0, "e0f7730be9c9b7d5bea08b307ca924e4e2a2c5833c4047da909ae3ef94d22bd1", 219),
-        (1, "fb89caea863a10a2b7c3565cf253d3e6dc5667171a7d0fb16c73dede3552fb59", 231),
+        (0, "e0f7730be9c9b7d5bea08b307ca924e4e2a2c5833c4047da909ae3ef94d22bd1", 217),
+        (1, "fb89caea863a10a2b7c3565cf253d3e6dc5667171a7d0fb16c73dede3552fb59", 229),
     ],
 )
 def test_a_superseded_frame_keeps_its_slot_armed(seed, digest, timers, monkeypatch):

@@ -37,7 +37,7 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
     reported = backend.execute(spec).trace
 
     async def one_shard():
-        # The backend's own runner, minus the live adversary beside it.
+        # The backend's own runner and arguments, bar the ``nodes`` it fills.
         coordinator = Coordinator(1, budget_s=30.0)
         config = backend._shard_config(spec, 0, shard_pids(spec.n, 1), {}, None)
         [payload] = await coordinator.run(run_worker, worker_main, [(config,)])

@@ -205,7 +205,7 @@ def test_a_failure_in_the_local_shard_fails_the_run_promptly(monkeypatch):
     as promptly as a spawned worker's non-zero exit, and reaps the rest."""
     from repro.runtime.shard import ShardRuntime
 
-    async def broken_drive(self, *extra_tasks, report=None):
+    async def broken_drive(self, report=None):
         await asyncio.sleep(0.1)
         raise ValueError("drive broke")
 
