@@ -1,4 +1,4 @@
-"""One interned block tree per run, with per-receiver visibility views.
+"""One interned block tree per run or shard, with per-receiver visibility views.
 
 Every receiver in a simulation used to own a private
 :class:`~repro.chain.tree.BlockTree`: n copies of the same blocks, the
@@ -19,8 +19,9 @@ This module interns the structure once:
   :class:`~repro.chain.tree.BlockTree` query surface (``add``,
   membership, ``depth``, ``longest``, ``is_prefix``, ``conflict``,
   ``common_prefix``, ``payload_ids``, ``tips``, ``path``, ``log``, …)
-  with *exactly* the semantics of a private tree holding only the
-  blocks this receiver has accepted — so protocol state machines,
+  with the semantics of a private tree holding only the blocks this
+  receiver has accepted (``children`` and ``tips`` list them in
+  canonical intern order) — so protocol state machines,
   :class:`~repro.chain.tally.PrefixTally`,
   :class:`~repro.chain.store.BlockBuffer`, and the finality gadget run
   on a view unchanged, bit for bit.
@@ -28,17 +29,19 @@ This module interns the structure once:
 The visible set is watermark-compressed: under synchrony every
 receiver learns blocks in (nearly) intern order, so visibility is "all
 indices below a watermark" plus a small overflow set that drains as the
-contiguous prefix closes.  A caught-up view therefore costs O(1) steady
-memory instead of O(chain), and a freshly woken process catches up by
+contiguous prefix closes.  A view keeps nothing else (its leaves are
+derived on demand), so a caught-up view costs O(1) steady memory
+instead of O(chain), and a freshly woken process catches up by
 advancing an integer.
 
 Views never share mutable state with each other — only with the
 canonical tree, which is append-only — so they are safe to drive from
 any single-threaded scheduler.  They do assume one shared address
-space: the asyncio deployment backend keeps per-process trees (real
-nodes cannot intern each other's memory), which is why
-:class:`~repro.sleepy.process.ProcessFactory` treats the shared chain
-as an optional capability rather than a requirement.
+space: a simulation holds one chain per run and a deployment one per
+shard (the nodes one worker process hosts); shards in different
+processes cannot intern each other's memory.  A
+:class:`~repro.sleepy.process.ProcessFactory` offers views as an
+optional capability, not a requirement.
 """
 
 from __future__ import annotations
@@ -49,14 +52,11 @@ from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.log import Log
 from repro.chain.tree import BlockTree, MissingParentError, UnknownBlockError
 
-#: Cached id of the canonical genesis block (hashing it once, not per view).
-_GENESIS_ID = genesis_block().block_id
-
 __all__ = ["ChainView", "SharedChain", "TreeLike"]
 
 
 class SharedChain:
-    """The canonical interned tree of one run, plus its view factory.
+    """The canonical interned tree of one run (or deployment shard), plus its view factory.
 
     The chain always contains the genesis block (index 0): every view
     starts with exactly the genesis visible, mirroring how private
@@ -94,15 +94,11 @@ class SharedChain:
         """A fresh receiver view with only the genesis block visible."""
         return ChainView(self)
 
-    def stretch(
-        self, run: Sequence[tuple[Block, object]]
-    ) -> tuple[int, int, tuple[BlockId, ...], dict[BlockId, None]] | None:
+    def stretch(self, run: Sequence[tuple[Block, object]]) -> tuple[int, int] | None:
         """Where a delivered run of ``(block, source)`` pairs sits in the
-        intern order: ``(lo, hi, parents, leaves)`` when its blocks are
-        exactly the interned indices ``lo .. hi − 1``, in order, and
-        every parent is interned below ``lo`` — ``parents`` the distinct
-        parents, ``leaves`` the blocks as an ordered leaf set — else
-        ``None``.
+        intern order: ``(lo, hi)`` when its blocks are exactly the
+        interned indices ``lo .. hi − 1``, in order, and every parent is
+        interned below ``lo``, else ``None``.
 
         Intern indices never change, so a stretch is a fact about the
         run, not about any view; it is worked out once per run and kept
@@ -116,19 +112,14 @@ class SharedChain:
         stretch = None
         lo = index_of(run[0][0].block_id) if run else None
         if lo is not None:
-            parents: dict[BlockId, None] = {}
-            leaves: dict[BlockId, None] = {}
             for offset, (block, _source) in enumerate(run):
                 if index_of(block.block_id) != lo + offset:
                     break
                 parent = block.parent
-                if parent is not None:
-                    if index_of(parent, lo) >= lo:  # not interned, or not below
-                        break
-                    parents[parent] = None
-                leaves[block.block_id] = None
+                if parent is not None and index_of(parent, lo) >= lo:  # not interned, or not below
+                    break
             else:
-                stretch = (lo, lo + len(run), tuple(parents), leaves)
+                stretch = (lo, lo + len(run))
         self._run, self._run_stretch = run, stretch
         return stretch
 
@@ -151,8 +142,9 @@ class ChainView:
 
     Drop-in for the :class:`~repro.chain.tree.BlockTree` query surface:
     a block is "in the tree" iff this view has accepted it via
-    :meth:`add`, and every query answers exactly as a private tree
-    holding those blocks would.  (Ancestors of a visible block are
+    :meth:`add`, and every query answers as a private tree holding
+    those blocks would, listing blocks (:meth:`children`, :meth:`tips`)
+    in canonical intern order.  (Ancestors of a visible block are
     always visible — :meth:`add` requires the parent, like
     ``BlockTree.add`` — so structural queries can delegate to the
     canonical index once the arguments pass the visibility check.)
@@ -162,7 +154,7 @@ class ChainView:
     adding them one by one would.
     """
 
-    __slots__ = ("chain", "_tree", "_index", "_stretch", "_floor", "_extra", "_count", "_leaves")
+    __slots__ = ("chain", "_tree", "_index", "_stretch", "_floor", "_extra", "_count")
 
     def __init__(self, chain: SharedChain) -> None:
         #: The chain this view filters (its run-shared structures hang off it).
@@ -177,8 +169,6 @@ class ChainView:
         self._floor = 1
         self._extra: set[int] = set()
         self._count = 1
-        # Insertion-ordered visible-leaf set, mirroring BlockTree._leaves.
-        self._leaves: dict[BlockId, None] = {_GENESIS_ID: None}
 
     # ------------------------------------------------------------------
     # Construction
@@ -216,9 +206,6 @@ class ChainView:
         else:
             extra.add(index)
         self._count += 1
-        if parent is not None:
-            self._leaves.pop(parent, None)
-        self._leaves[block_id] = None
         return block_id
 
     def add_run(self, run: Sequence[tuple[Block, object]]) -> bool:
@@ -230,19 +217,16 @@ class ChainView:
         stretch`), this view's watermark has reached the stretch
         (``lo ≤ floor``, so every parent is visible) and nothing is
         visible beyond it (so no block of the stretch has a visible
-        child): then the watermark moves to ``hi`` — swallowing the
-        overflow entries, which all lie inside the stretch — the parents
-        stop being leaves and the blocks join the leaf set in run order,
-        the ones already visible keeping their place, as :meth:`add`
-        would leave them.  A run wholly below the watermark (a
-        redelivery) is accepted as the no-op it is.  Returns ``False``
-        with nothing changed in every other case; the caller then adds
-        block by block.
+        child): then the watermark moves to ``hi``, swallowing the
+        overflow entries, which all lie inside the stretch.  A run
+        wholly below the watermark (a redelivery) is accepted as the
+        no-op it is.  Returns ``False`` with nothing changed in every
+        other case; the caller then adds block by block.
         """
         stretch = self._stretch(run)
         if stretch is None:
             return False
-        lo, hi, parents, leaves = stretch
+        lo, hi = stretch
         floor = self._floor
         if floor >= hi:
             return True
@@ -252,10 +236,6 @@ class ChainView:
         self._count += hi - floor - len(extra)
         extra.clear()
         self._floor = hi
-        own_leaves = self._leaves
-        for parent in parents:
-            own_leaves.pop(parent, None)
-        own_leaves.update(leaves)
         return True
 
     def _visible(self, block_id: BlockId) -> bool:
@@ -296,8 +276,17 @@ class ChainView:
         return tuple(c for c in self._tree.children(tip) if self._visible(c))
 
     def tips(self) -> tuple[BlockId, ...]:
-        """Visible leaves (no visible children), in acceptance order."""
-        return tuple(self._leaves)
+        """Visible leaves (no visible children), in canonical intern order.
+
+        Derived on demand by a scan of the chain: no protocol path asks
+        for a view's leaves, so the view keeps no leaf set.
+        """
+        visible, children = self._visible, self._tree.children
+        return tuple(
+            block_id
+            for block_id in self._index
+            if visible(block_id) and not any(visible(child) for child in children(block_id))
+        )
 
     def ancestor_at_depth(self, tip: BlockId | None, depth: int) -> BlockId | None:
         """The prefix of ``tip``'s log with length ``depth`` (O(log d))."""

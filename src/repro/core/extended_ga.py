@@ -18,10 +18,11 @@ A read is a pure function of the window it tallies, so two receivers
 holding the same window read the same thing: a :class:`GAReads` is a
 tally plus the reads it has made, keyed by the window's content.  A GA
 over a :class:`~repro.chain.shared.ChainView` reads through its chain's
-one instance (one tally per run and β, over the canonical tree); a GA
-over a private tree owns its own.  Each receiver still folds and
-filters its own window (:meth:`GradedAgreement.tallied_votes`), so a
-read is borrowed only between receivers that tally the same votes.
+one instance (one tally per run or per shard and β, over the canonical
+tree); a GA over a private tree owns its own.  Each receiver still
+folds and filters its own window (:meth:`GradedAgreement.
+tallied_votes`), so a read is borrowed only between receivers that
+tally the same votes.
 """
 
 from __future__ import annotations

@@ -55,7 +55,8 @@ publishes, as the simulator's records what its bus accepts, and
 :meth:`DeploymentBackend._assemble_trace` folds the k records into the
 trace, offering each block once.  The adversary's live ``send`` power
 runs in shard 0's phase loop, after the round's honest sends, when that
-shard holds every node, reading that shard recorder's tree; the run's
+shard holds every node, reading the canonical tree of that shard's one
+chain, which its recorder and its nodes' views share; the run's
 ``extras["nodes"]`` are then that shard's nodes.
 
 Three fields configure a run: δ, the shard count and the gossip

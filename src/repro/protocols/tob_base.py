@@ -123,11 +123,10 @@ class SleepyTOBProcess(Process):
         #: chain's receivers reference one read per distinct window).
         self.ga_reads: list[tuple[int, GARead]] = []
 
-        # With a run-shared chain the process holds a visibility *view*
-        # over the one interned tree (identical query semantics, O(1)
-        # steady memory when caught up); without one — the deployment
-        # substrate, where processes cannot share memory — it owns a
-        # private tree exactly as before.
+        # With a shared chain (one per simulation, one per deployment
+        # shard) the process holds a visibility *view* over the one
+        # interned tree (the same query semantics, O(1) steady memory
+        # when caught up); without one it owns a private tree.
         self.tree: BlockTree | ChainView = (
             chain.view() if chain is not None else BlockTree([genesis_block()])
         )
@@ -143,8 +142,8 @@ class SleepyTOBProcess(Process):
         # _select_proposal takes the max-VRF admissible entry by
         # scanning from the top instead of a full per-call scan.  The
         # order is content-derived (a proposer's VRF value for a view is
-        # deterministic and verified), so with a run-shared chain the
-        # sorted list is interned once per run rather than once per
+        # deterministic and verified), so with a shared chain the sorted
+        # list is interned once per run or shard rather than once per
         # receiver; selection skips senders this receiver hasn't stored.
         self._proposal_index: dict[int, tuple[set[int], list[tuple[int, int]]]] = (
             chain.scratch("proposal_order") if chain is not None else {}

@@ -10,9 +10,11 @@ contribution to the result is one :meth:`ShardRuntime.payload`, folded
 by :func:`merge_payloads` — shard 0's in memory and k − 1 unpickled
 ones.  Every shard runs under the one runner,
 :func:`~repro.runtime.worker.run_worker`; the substrates differ only in
-the fabric it builds.  A shard's part of the trace is what its
-:class:`~repro.sleepy.trace.TraceRecorder` saw at
-:meth:`ShardRuntime.publish`; no node's private tree is read for it.
+the fabric it builds.  A shard is assembled as a simulation is, around
+one :class:`~repro.chain.shared.SharedChain`: its nodes read views of
+it, and its :class:`~repro.sleepy.trace.TraceRecorder` records into its
+tree what the shard publishes (:meth:`ShardRuntime.publish`), which is
+the shard's part of the trace; no node's view is read for it.
 
 Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology and the
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.attacks.adversary import ScriptedAdversary
+from repro.chain.shared import SharedChain
 from repro.crypto.signatures import KeyRegistry
 from repro.engine.backend import CorruptionTracker, check_adversary_message, offer_transactions
 from repro.engine.ingest import IngestPipeline
@@ -53,6 +56,7 @@ from repro.runtime.metrics import (
 from repro.runtime.node import DeployedNode
 from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.messages import Message
+from repro.sleepy.process import build_process
 from repro.sleepy.trace import TraceRecorder
 
 
@@ -132,8 +136,9 @@ class ShardRuntime:
     its nodes to it — here, so build the shard before the fabric starts
     listening — behind a :class:`ProxyTransport` when the spec's
     adversary is scripted.  :attr:`record` sees every message this shard
-    originates before it enters gossip; its tree is the omniscient one
-    the adversary's ``send`` reads when this shard holds every node.
+    originates before it enters gossip; its tree is :attr:`chain`'s
+    canonical tree, the omniscient one the adversary's ``send`` reads
+    when this shard holds every node.
     """
 
     def __init__(self, config: WorkerConfig, transport: Transport) -> None:
@@ -141,7 +146,10 @@ class ShardRuntime:
         self.config = config
         self.transport = transport
         self.byz_by_round = corruption_schedule(spec)
-        self.record = TraceRecorder(spec.n)
+        #: The shard's one interned chain (a simulation holds one per run);
+        #: nodes of a marked factory read it through views.
+        self.chain = SharedChain()
+        self.record = TraceRecorder(spec.n, tree=self.chain.tree)
         self.registry = KeyRegistry(spec.n, run_seed=spec.seed)
         self.clock = RoundClock(config.delta_s)
         self.hub = MetricsHub()
@@ -160,13 +168,10 @@ class ShardRuntime:
             )
         verifier = IngestPipeline(self.registry)
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
-        # Each node owns a private tree: the deployment models real
-        # processes, which cannot intern each other's memory, so the
-        # simulator's shared-chain views are deliberately not used here
-        # (the factory is called without ``chain=``).
         self.nodes = {
             pid: DeployedNode(
-                factory(pid, self.registry.secret_key(pid), verifier), schedule=spec.schedule
+                build_process(factory, pid, self.registry.secret_key(pid), verifier, self.chain),
+                schedule=spec.schedule,
             )
             for pid in config.shard
         }

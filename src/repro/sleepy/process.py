@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 from repro.sleepy.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chain.shared import SharedChain
     from repro.chain.transactions import Mempool
     from repro.crypto.signatures import SecretKey
     from repro.engine.ingest import IngestPipeline
@@ -64,7 +65,16 @@ class Process(ABC):
 #: :class:`~repro.chain.shared.SharedChain` (one interned tree, a
 #: visibility view per receiver) advertise it by setting
 #: ``factory.supports_shared_chain = True`` and accepting an optional
-#: ``chain=`` keyword; the round simulator then passes its chain in.
-#: Substrates without shared memory (the asyncio deployment) simply
-#: never pass one, and the factory builds private trees as before.
+#: ``chain=`` keyword; :func:`build_process` passes them a simulation's
+#: or a deployment shard's chain.  Unmarked factories (bespoke test
+#: processes, an equivalence oracle's wrapper) build private trees.
 ProcessFactory = Callable[[int, "SecretKey", "IngestPipeline"], Process]
+
+
+def build_process(
+    factory: ProcessFactory, pid: int, key: SecretKey, verifier: IngestPipeline, chain: SharedChain
+) -> Process:
+    """``factory``'s process for ``pid``, on ``chain`` if the factory is marked."""
+    if getattr(factory, "supports_shared_chain", False):
+        return factory(pid, key, verifier, chain=chain)
+    return factory(pid, key, verifier)

@@ -37,7 +37,7 @@ from repro.engine.errors import ModelViolationError, UndeliverableMessageError
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message
-from repro.sleepy.process import Process, ProcessFactory
+from repro.sleepy.process import Process, ProcessFactory, build_process
 from repro.sleepy.schedule import SleepSchedule
 from repro.sleepy.trace import Trace, TraceRecorder
 
@@ -77,16 +77,9 @@ class Simulation:
         self._ctx = AdversaryContext(registry, self.chain.tree)
         self._corruption = CorruptionTracker(adversary, self._ctx)
 
-        # Factories advertise view support via ``supports_shared_chain``;
-        # unmarked factories — e.g. bespoke test processes, or a plain
-        # wrapper an equivalence oracle puts around a marked one — keep
-        # building private trees.
-        use_chain = getattr(process_factory, "supports_shared_chain", False)
         self.processes: dict[int, Process] = {
-            pid: (
-                process_factory(pid, registry.secret_key(pid), self.pipeline, chain=self.chain)
-                if use_chain
-                else process_factory(pid, registry.secret_key(pid), self.pipeline)
+            pid: build_process(
+                process_factory, pid, registry.secret_key(pid), self.pipeline, self.chain
             )
             for pid in range(registry.n)
         }

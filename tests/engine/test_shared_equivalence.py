@@ -116,7 +116,7 @@ def test_shared_run_replays_private_tree_run_bit_for_bit(name):
     for pid, process in shared.processes.items():
         mine, twin = tob(process), tob(private.processes[pid])
         assert len(mine.tree) == len(twin.tree)
-        assert mine.tree.tips() == twin.tree.tips()
+        assert set(mine.tree.tips()) == set(twin.tree.tips())
         tips = list(mine.tree.tips())
         assert mine.tree.longest(tips) == twin.tree.longest(tips)
         assert mine.ga_reads == twin.ga_reads

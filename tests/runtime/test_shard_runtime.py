@@ -6,16 +6,21 @@ import pickle
 import pytest
 
 from repro.attacks import apply_script, get_script
+from repro.chain.shared import ChainView
 from repro.chain.store import BlockBuffer
+from repro.chain.tree import BlockTree
 from repro.engine.deploy_backend import DeploymentBackend
+from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
 from repro.runtime.coordinator import Coordinator
-from repro.runtime.shard import merge_payloads, shard_pids
-from repro.runtime.worker import run_worker, worker_main
+from repro.runtime.shard import ShardRuntime, merge_payloads, shard_pids
+from repro.runtime.worker import _fabric, run_worker, worker_main
 from repro.sleepy.adversary import RandomAdversary
 from repro.sleepy.messages import ProposeMessage
-from repro.workloads import SubmissionRateWorkload
+from repro.workloads import SubmissionRateWorkload, surge_scenario
+
+from tests.net.conftest import run_virtual
 
 
 def _spec(n=4, rounds=6):
@@ -194,3 +199,71 @@ def test_one_shard_is_one_process_with_no_socket(monkeypatch):
     merged = collector.merged()
     assert merged["counters"]["decisions"] == len(result.trace.decisions)
     assert merged["gauges"]["attack_phase"] == len(spec.adversary.timeline.states) - 1
+
+
+def test_a_shards_nodes_read_one_interned_chain():
+    """A shard is assembled as a simulation is: every node of a marked
+    factory holds a view of the shard's one chain and reads its GAs
+    through one tally, and the recorder records into that chain's tree."""
+    backend = DeploymentBackend(delta_s=0.01)
+    spec = _spec(n=6, rounds=10)
+    nodes = run_virtual(backend.execute_async(spec)).extras["nodes"]
+    processes = [node.process for node in nodes.values()]
+    assert all(isinstance(process.tree, ChainView) for process in processes)
+    assert len({id(process.tree.chain) for process in processes}) == 1
+    assert len({id(process._ga.reads) for process in processes}) == 1
+    assert all(process.ga_reads for process in processes)
+
+    config = backend._shard_config(spec, 0, shard_pids(spec.n, 1), {}, None)
+    shard = ShardRuntime(config, _fabric(config))
+    assert shard.record.trace.tree is shard.chain.tree
+    assert all(node.process.tree.chain is shard.chain for node in shard.nodes.values())
+    shard.stop()
+
+
+def _private_tree_twin(monkeypatch):
+    """Have the shard build every node from an unmarked wrapper of its
+    factory, so each node owns a private tree (the simulator's rule)."""
+    marked_factory = PROTOCOLS.factory
+
+    def factory(*args, **kwargs):
+        marked = marked_factory(*args, **kwargs)
+
+        def unmarked(pid, secret_key, verifier):
+            return marked(pid, secret_key, verifier)
+
+        return unmarked
+
+    monkeypatch.setattr(PROTOCOLS, "factory", factory)
+
+
+def _decisions(trace) -> list:
+    return sorted((d.pid, d.round, d.view, d.tip or "") for d in trace.decisions)
+
+
+def _blackout_spec() -> RunSpec:
+    script = get_script("blackout", 6)
+    base = RunSpec(n=6, rounds=script.total_rounds + 4, protocol="resilient", eta=6, seed=0)
+    return apply_script(base, script)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [lambda: surge_scenario(n=8, rounds=20, ra=6, pi=2, seed=1), _blackout_spec],
+    ids=["surge", "blackout"],
+)
+def test_a_shared_chain_shard_replays_its_private_tree_twin(make_spec, monkeypatch):
+    """The chain is a memory layout, not a semantic change: views over
+    one chain decide and read every GA exactly as private trees do."""
+    backend = DeploymentBackend(delta_s=0.01)
+    shared = run_virtual(backend.execute_async(make_spec()))
+    with monkeypatch.context() as patch:
+        _private_tree_twin(patch)
+        private = run_virtual(backend.execute_async(make_spec()))
+    mine, twins = shared.extras["nodes"], private.extras["nodes"]
+    assert all(isinstance(node.process.tree, ChainView) for node in mine.values())
+    assert all(isinstance(node.process.tree, BlockTree) for node in twins.values())
+    assert shared.trace.decisions
+    assert _decisions(shared.trace) == _decisions(private.trace)
+    for pid, node in mine.items():
+        assert node.process.ga_reads == twins[pid].process.ga_reads, pid
