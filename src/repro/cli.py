@@ -90,7 +90,7 @@ def _add_substrate_flags(
     )
 
 
-def _backend_from(args, **deployment_options):
+def _backend_from(args):
     """The backend the substrate flags select (``None``: the default simulator)."""
     if args.backend != "deployment":
         if args.processes != 1:
@@ -99,9 +99,7 @@ def _backend_from(args, **deployment_options):
     # Local: keeps asyncio and the runtime out of simulator-only commands.
     from repro.engine.deploy_backend import DeploymentBackend
 
-    return DeploymentBackend(
-        delta_s=args.delta_ms / 1000.0, processes=args.processes, **deployment_options
-    )
+    return DeploymentBackend(delta_s=args.delta_ms / 1000.0, processes=args.processes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +431,7 @@ def _cmd_soak(args) -> int:
         schedule=schedule,
         transactions=SubmissionRateWorkload(args.rate, seed=args.seed),
     )
-    backend = _backend_from(args, gossip_seen_horizon=args.eta + 8)
+    backend = _backend_from(args)
     collector = SourcedMetrics()
     backend.attach_metrics(collector)
 

@@ -59,12 +59,14 @@ shard holds every node, reading the canonical tree of that shard's one
 chain, which its recorder and its nodes' views share; the run's
 ``extras["nodes"]`` are then that shard's nodes.
 
-Three fields configure a run: δ, the shard count and the gossip
-horizon.  Everything else is a fact of the code, the same in every
-shard: protocols resolve by name through the one
-:data:`~repro.engine.registry.PROTOCOLS`, every node's phases start on
-one round clock (the model's synchronized clocks), and every mempool is
-bounded at :data:`~repro.chain.transactions.MEMPOOL_CAPACITY`.
+Two fields configure a run: δ and the shard count.  Everything else is
+a fact of the code, the same in every shard: protocols resolve by name
+through the one :data:`~repro.engine.registry.PROTOCOLS`, every node's
+phases start on one round clock (the model's synchronized clocks),
+every gossip dedup index forgets keys η +
+:data:`~repro.runtime.shard.SEEN_SLACK_ROUNDS` rounds behind the
+shard's round, and every mempool is bounded at
+:data:`~repro.chain.transactions.MEMPOOL_CAPACITY`.
 """
 
 from __future__ import annotations
@@ -93,10 +95,6 @@ class DeploymentBackend(ExecutionBackend):
     #: process; ``k > 1`` = k socket-mesh workers, shard 0 in this
     #: process and k − 1 spawned.
     processes: int = 1
-    #: Gossip dedup-entry retention, in rounds behind the live round
-    #: (see :class:`~repro.net.gossip.GossipNode`); ``None`` = retain
-    #: forever, the historical behaviour for bounded experiments.
-    gossip_seen_horizon: int | None = None
 
     name = "deployment"
     #: Where in its round every node receives (not a knob: the clock's constant).
@@ -195,7 +193,6 @@ class DeploymentBackend(ExecutionBackend):
             control_address=control_address,
             spec=spec,
             delta_s=self.delta_s,
-            seen_horizon_rounds=self.gossip_seen_horizon,
         )
 
     def _assemble_trace(self, spec: RunSpec, records: Sequence[Mapping]) -> Trace:

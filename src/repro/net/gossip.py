@@ -50,13 +50,14 @@ proxy's per-frame coins see every frame that is sent.
 
 The seen index is also **bounded**: on a long-running service it would
 otherwise retain one key per message forever.  Entries are
-round-bucketed and evicted once their message round falls behind the
-current round (read from an authoritative clock — once per arrival —
-never from message fields, which are attacker-controlled) by more than
-the configured horizon — the vote-expiry horizon plus slack, below
-which no protocol consumer can still use the message.  Messages already
-older than that on arrival are dropped outright (counted, never
-silently), which keeps an evicted key from re-flooding forever.
+round-bucketed and evicted once their message round falls more than the
+horizon behind the current round — the vote-expiry horizon plus slack,
+below which no protocol consumer can still use the message.  The
+current round comes from the shard's phase loop, which advances the
+index once per round (:meth:`SeenIndex.advance`), never from message
+fields, which are attacker-controlled.  Messages already older than the
+horizon on arrival are dropped outright (counted, never silently),
+which keeps an evicted key from re-flooding forever.
 """
 
 from __future__ import annotations
@@ -157,41 +158,40 @@ class SeenIndex:
     ``holders`` maps a dedup key to a bitmask over pids (bit ``pid`` set
     = that hosted node has ingested the message).  One entry per message
     per shard, one bucket list, one eviction sweep — not one of each per
-    node.  With ``current_round`` and ``horizon_rounds`` both given the
-    index is bounded (module docstring); otherwise it keeps every key
-    forever, which is only acceptable for bounded test runs.
+    node.  Keys are bucketed by message round and forgotten once that
+    round falls below :attr:`floor`, ``horizon_rounds`` behind the
+    round :meth:`advance` last set (module docstring).
     """
 
-    __slots__ = ("holders", "current_round", "horizon", "_buckets", "_floor")
+    __slots__ = ("holders", "horizon", "now", "floor", "_buckets")
 
-    def __init__(
-        self,
-        current_round: Callable[[], int] | None = None,
-        horizon_rounds: int | None = None,
-    ) -> None:
-        if horizon_rounds is not None and horizon_rounds < 0:
+    def __init__(self, horizon_rounds: int) -> None:
+        if horizon_rounds < 0:
             raise ValueError("seen horizon must be non-negative")
         self.holders: dict[object, int] = {}
-        self.current_round = current_round
-        #: ``None`` = unbounded.
-        self.horizon = horizon_rounds if current_round is not None else None
+        self.horizon = horizon_rounds
+        #: The shard's current round, and the oldest message round still kept.
+        self.now = 0
+        self.floor = -horizon_rounds
         #: round -> keys first seen (by any hosted node) with that message round.
         self._buckets: dict[int, list[object]] = {}
-        self._floor = 0
 
     def __len__(self) -> int:
         return len(self.holders)
 
-    def admit(self, key: object, message_round: int, now: int) -> None:
-        """Bucket a key no hosted node held, then evict below the horizon."""
+    def advance(self, now: int) -> None:
+        """Enter round ``now``: forget every key bucketed below the new floor."""
+        floor = now - self.horizon
+        for stale_round in range(self.floor, floor):
+            for stale in self._buckets.pop(stale_round, ()):
+                self.holders.pop(stale, None)
+        self.now, self.floor = now, floor
+
+    def admit(self, key: object, message_round: int) -> None:
+        """Bucket a key no hosted node held."""
         # Clamp attacker-controlled future round tags so a huge tag
         # cannot park its bucket beyond every future eviction.
-        self._buckets.setdefault(min(max(message_round, 0), now), []).append(key)
-        floor = now - self.horizon
-        while self._floor < floor:
-            for stale in self._buckets.pop(self._floor, ()):
-                self.holders.pop(stale, None)
-            self._floor += 1
+        self._buckets.setdefault(min(message_round, self.now), []).append(key)
 
 
 class GossipNode:
@@ -240,26 +240,20 @@ class GossipNode:
         if not isinstance(message, Message):
             return
         seen = self._seen
-        now = None
-        if seen.horizon is not None:
-            # The one clock read of this arrival: it serves the stale
-            # check here and the bucket clamp and eviction in ``admit``.
-            now = seen.current_round()
-            message_round = message.round
-            if message_round < now - seen.horizon:
-                # Older than anything the protocol can still consume:
-                # its votes are expired and its proposal views pruned.
-                # Dropping (audited, never silent) also prevents a
-                # re-flood loop once the key has been evicted.
-                self.stats["stale_dropped"] += 1
-                return
+        if message.round < seen.floor:
+            # Older than anything the protocol can still consume: its
+            # votes are expired and its proposal views pruned.  Dropping
+            # (audited, never silent) also prevents a re-flood loop once
+            # the key has been evicted.
+            self.stats["stale_dropped"] += 1
+            return
         key = message.content_key
         holders = seen.holders.get(key, 0)
         if holders & self._bit:
             self.stats["duplicates"] += 1
             return
-        if now is not None and not holders:
-            seen.admit(key, message_round, now)
+        if not holders:
+            seen.admit(key, message.round)
         holders |= self._bit
         seen.holders[key] = holders
         self.stats["delivered"] += 1
@@ -282,9 +276,8 @@ class GossipNetwork:
     no frame can precede its consumer.
 
     ``on_deliver`` maps every pid of ``topology`` to that node's
-    consumer.  ``current_round`` / ``seen_horizon_rounds`` bound the
-    shard's :class:`SeenIndex`; with either unset it keeps every key
-    forever.
+    consumer.  ``horizon_rounds`` bounds the shard's :class:`SeenIndex`
+    (:attr:`seen`), which the caller advances once per round.
     """
 
     def __init__(
@@ -292,10 +285,9 @@ class GossipNetwork:
         transport: Transport,
         topology: dict[int, tuple[int, ...]],
         on_deliver: Mapping[int, DeliveryHandler],
-        current_round: Callable[[], int] | None = None,
-        seen_horizon_rounds: int | None = None,
+        horizon_rounds: int,
     ) -> None:
-        self.seen = SeenIndex(current_round, seen_horizon_rounds)
+        self.seen = SeenIndex(horizon_rounds)
         self.nodes = {
             pid: GossipNode(pid, transport, neighbors, on_deliver[pid], self.seen)
             for pid, neighbors in topology.items()

@@ -42,19 +42,11 @@ class RoundClock:
         """
         self._origin = origin_loop_time
 
-    @property
-    def started(self) -> bool:
-        return self._origin is not None
-
     def elapsed(self) -> float:
         """Seconds since round 0 began."""
         if self._origin is None:
             raise RuntimeError("clock not started")
         return asyncio.get_running_loop().time() - self._origin
-
-    def current_round(self) -> int:
-        """The round the wall clock is currently in."""
-        return int(self.elapsed() / self.round_s)
 
     def start_of(self, round_number: int) -> float:
         """Elapsed-seconds timestamp of the beginning of a round."""

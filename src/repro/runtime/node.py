@@ -20,7 +20,7 @@ from repro.sleepy.trace import DecisionEvent
 class DeployedNode:
     """One process plus its gossip-facing buffers."""
 
-    def __init__(self, process: SleepyTOBProcess, schedule: SleepSchedule | None = None) -> None:
+    def __init__(self, process: SleepyTOBProcess, schedule: SleepSchedule) -> None:
         self.process = process
         self._schedule = schedule
         self._inbox: list[Message] = []
@@ -32,8 +32,6 @@ class DeployedNode:
 
     def awake(self, round_number: int) -> bool:
         """Whether this node participates in ``round_number`` (``O_r``)."""
-        if self._schedule is None:
-            return True
         return self.pid in self._schedule.awake(round_number)
 
     def on_gossip(self, message: Message) -> None:

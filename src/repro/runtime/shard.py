@@ -104,6 +104,8 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
+#: Rounds past the vote-expiry horizon η a shard's gossip dedup index keeps a key.
+SEEN_SLACK_ROUNDS = 8
 #: Seconds between the live metric snapshots a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
 
@@ -115,7 +117,8 @@ class WorkerConfig:
     ``owner`` and ``addresses`` cover the whole deployment so sends to
     any pid route to the right worker; ``shard`` is the slice this
     worker hosts.  ``processes=1`` is the one-shard case: ``shard`` is
-    ``range(n)`` and there is nothing to address.
+    ``range(n)`` and there is nothing to address.  The gossip seen
+    horizon is no field: every shard derives it from ``spec``'s η.
     """
 
     worker_id: int
@@ -125,7 +128,6 @@ class WorkerConfig:
     control_address: object
     spec: RunSpec
     delta_s: float
-    seen_horizon_rounds: int | None = None
 
 
 class ShardRuntime:
@@ -171,18 +173,16 @@ class ShardRuntime:
         self.nodes = {
             pid: DeployedNode(
                 build_process(factory, pid, self.registry.secret_key(pid), verifier, self.chain),
-                schedule=spec.schedule,
+                schedule=spec.resolved_schedule(),
             )
             for pid in config.shard
         }
         topology = regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
-        bounded = config.seen_horizon_rounds is not None
         self.network = GossipNetwork(
             self.proxy if self.proxy is not None else transport,
             {pid: topology[pid] for pid in config.shard},
             on_deliver={pid: node.on_gossip for pid, node in self.nodes.items()},
-            current_round=self.clock.current_round if bounded else None,
-            seen_horizon_rounds=config.seen_horizon_rounds,
+            horizon_rounds=PROTOCOLS.effective_eta(spec.protocol, spec.eta) + SEEN_SLACK_ROUNDS,
         )
 
     def publish(self, pid: int, r: int, message: Message) -> None:
@@ -195,16 +195,18 @@ class ShardRuntime:
         """Step every node of the shard through every round, on one loop.
 
         The caller anchors :attr:`clock` (and the fabric) first.  At
-        ``clock.start_of(r)`` the round's arrivals are fetched once; in
-        pid order every awake node takes them and every node outside
-        ``B_r`` runs its send phase.  When this shard holds every node
-        the adversary's ``send`` follows, over the recorder's tree, with
-        keys handed over and monotonicity enforced as in the simulator.
-        At ``RECEIVE_FRACTION`` of the round every node outside
-        ``B_{r+1}`` runs its receive phase.  Corrupted nodes keep
-        relaying gossip.  :attr:`hub` observes each decision's latency
-        from the start of its view's first round; ``report`` is awaited
-        with a fresh :meth:`sample` four times a second.
+        ``clock.start_of(r)`` the gossip seen index enters round ``r``,
+        forgetting keys older than η + :data:`SEEN_SLACK_ROUNDS`, and
+        the round's arrivals are fetched once; in pid order every awake
+        node takes them and every node outside ``B_r`` runs its send
+        phase.  When this shard holds every node the adversary's
+        ``send`` follows, over the recorder's tree, with keys handed
+        over and monotonicity enforced as in the simulator.  At
+        ``RECEIVE_FRACTION`` of the round every node outside ``B_{r+1}``
+        runs its receive phase.  Corrupted nodes keep relaying gossip.
+        :attr:`hub` observes each decision's latency from the start of
+        its view's first round; ``report`` is awaited with a fresh
+        :meth:`sample` four times a second.
         """
         spec, clock, hub = self.config.spec, self.clock, self.hub
         adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
@@ -215,6 +217,7 @@ class ShardRuntime:
         try:
             for r in range(spec.rounds):
                 await clock.sleep_until_elapsed(clock.start_of(r))
+                self.network.seen.advance(r)
                 arrivals = spec.arrivals(r)
                 # ``nodes`` is keyed in ``config.shard`` order: pid order.
                 for pid, node in self.nodes.items():

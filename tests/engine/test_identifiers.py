@@ -184,7 +184,7 @@ def test_a_seen_key_pins_no_message(registry):
     """A seen index holds keys, and a key holds field values only: no
     message object stays alive because it was once disseminated."""
     key = registry.secret_key(0)
-    network = GossipNetwork(NoLinks(), {0: ()}, on_deliver={0: lambda message: None})
+    network = GossipNetwork(NoLinks(), {0: ()}, {0: lambda message: None}, horizon_rounds=10)
     votes = [make_vote(registry, key, r, None) for r in range(IDENTITY_MEMO_CAPACITY + 10)]
     for vote in votes:
         network.nodes[0].publish(vote)

@@ -21,6 +21,9 @@ from repro.workloads.transactions import SubmissionRateWorkload
 
 from tests.net.conftest import per_pid, run_virtual
 
+#: The seen horizon of the tests here that never advance their round.
+HORIZON = 10
+
 
 def test_regular_topology_is_connected_and_regular():
     topology = regular_topology(12, degree=4, seed=1)
@@ -87,6 +90,7 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
             transport,
             regular_topology(n, degree, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
+            horizon_rounds=HORIZON,
         )
         transport.anchor()
         vote = make_vote(registry, registry.secret_key(publisher), 0, None)
@@ -123,6 +127,7 @@ def test_dissemination_survives_publisher_silence():
             transport,
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
+            horizon_rounds=HORIZON,
         )
         transport.anchor()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -159,6 +164,7 @@ def test_transplanted_id_cannot_censor_honest_message():
             transport,
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.content_key)),
+            horizon_rounds=HORIZON,
         )
         transport.anchor()
         honest = make_vote(registry, registry.secret_key(0), 0, None)
@@ -195,6 +201,7 @@ def test_dissemination_survives_sleeping_originator_during_surge():
             transport,
             regular_topology(n, 3, seed=0),
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
+            horizon_rounds=HORIZON,
         )
         transport.anchor()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -222,18 +229,13 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
         registry = KeyRegistry(senders, run_seed=0)
         transport = SimTransport(1, base_latency_s=0.001, jitter_s=0.0, seed=0)
         transport.anchor()
-        current = [0]
         network = GossipNetwork(
-            transport,
-            {0: ()},
-            on_deliver={0: lambda m: None},
-            current_round=lambda: current[0],
-            seen_horizon_rounds=horizon,
+            transport, {0: ()}, on_deliver={0: lambda m: None}, horizon_rounds=horizon
         )
         node = network.nodes[0]
         votes = {}
         for r in range(rounds):
-            current[0] = r
+            network.seen.advance(r)
             for sender in range(senders):
                 vote = make_vote(registry, registry.secret_key(sender), r, None)
                 votes[(r, sender)] = vote
@@ -254,37 +256,6 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
     assert asyncio.run(scenario())
 
 
-def test_one_clock_read_per_arrival_with_a_bounded_horizon():
-    """First arrivals, duplicates and stale drops each read the round clock once."""
-
-    async def scenario():
-        registry = KeyRegistry(2, run_seed=0)
-        transport = SimTransport(1)
-        transport.anchor()
-        reads = []
-        now = [5]
-
-        def clock():
-            reads.append(now[0])
-            return now[0]
-
-        network = GossipNetwork(
-            transport, {0: ()}, {0: lambda m: None}, current_round=clock, seen_horizon_rounds=2
-        )
-        node = network.nodes[0]
-        fresh = make_vote(registry, registry.secret_key(0), 5, None)
-        stale = make_vote(registry, registry.secret_key(1), 2, None)
-        node.publish(fresh)  # first arrival: stale check, bucket clamp, eviction
-        assert len(reads) == 1
-        node.publish(fresh)  # duplicate
-        assert len(reads) == 2
-        node.publish(stale)  # stale: dropped before the seen index is consulted
-        assert len(reads) == 3
-        assert node.stats == {"delivered": 1, "duplicates": 1, "stale_dropped": 1}
-
-    asyncio.run(scenario())
-
-
 def test_a_raising_consumer_does_not_stop_the_flood():
     """``on_deliver`` raising at one node costs that node's delivery only:
     its forwards were already offered, and its next frame still arrives."""
@@ -301,7 +272,9 @@ def test_a_raising_consumer_does_not_stop_the_flood():
                 raise RuntimeError("consumer bug")
             delivered[pid].append(message.message_id)
 
-        network = GossipNetwork(transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver))
+        network = GossipNetwork(
+            transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver), HORIZON
+        )
         transport.anchor()
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
@@ -442,7 +415,9 @@ def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = N
                 (transport.source.get(pid), keys[message.content_key], loop.time())
             )
 
-        network = GossipNetwork(proxy or transport, topology, per_pid(range(n), on_deliver))
+        network = GossipNetwork(
+            proxy or transport, topology, per_pid(range(n), on_deliver), HORIZON
+        )
         transport.anchor()
         if proxy is not None:
             proxy.schedule_phases()
@@ -515,7 +490,9 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
 
     async def scenario():
         transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
-        network = GossipNetwork(transport, topology, on_deliver=dict.fromkeys(topology, lambda m: None))
+        network = GossipNetwork(
+            transport, topology, dict.fromkeys(topology, lambda m: None), HORIZON
+        )
         transport.anchor()
         for sender in range(messages):
             network.nodes[sender].publish(
@@ -568,23 +545,23 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
         # Frames sent in the first 5 ms crawl (×100); later ones do not.
         crawl = SurgeWindow(start_s=0.0, end_s=0.005, factor=100.0)
         transport = _LoggedSim(4, base_latency_s=0.002, jitter_s=0.0, seed=0, surges=(crawl,))
-        clock_a, clock_b = [2], [2]
         networks = [
             GossipNetwork(
                 transport,
                 {pid: ring[pid] for pid in shard},
                 on_deliver=dict.fromkeys(shard, lambda m: None),
-                current_round=lambda clock=clock: clock[0],
-                seen_horizon_rounds=3,
+                horizon_rounds=3,
             )
-            for shard, clock in ((shard_a, clock_a), (shard_b, clock_b))
+            for shard in (shard_a, shard_b)
         ]
+        for network in networks:
+            network.seen.advance(2)
         nodes = {pid: node for network in networks for pid, node in network.nodes.items()}
         transport.anchor()
         nodes[0].publish(old)  # 0→1 and 0→3 crawl for 200 ms
         await asyncio.sleep(0.010)
-        # Shard A's clock moves on; its next admission evicts ``old``.
-        clock_a[0] = 6
+        # Shard A moves on to round 6, which evicts ``old``.
+        networks[0].seen.advance(6)
         nodes[0].publish(new)
         await asyncio.sleep(0.050)
         flood_of_new = [(src, dst) for src, dst, payload in transport.built if payload is new]
@@ -603,7 +580,7 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
     assert transport.superseded == 1
     # ``old``: its crawling frames arrive after shard A evicted it.  Node
     # 1 drops it as stale (the stale check precedes the seen index); in
-    # shard B, whose clock lags, it is news — and 2's forward to 1 is
+    # shard B, whose round lags, it is news — and 2's forward to 1 is
     # built although shard A once held the digest, then dropped there.
     built_old = [(src, dst) for src, dst, payload in transport.built if payload is old]
     assert built_old == [(0, 1), (0, 3), (3, 2), (2, 1)]

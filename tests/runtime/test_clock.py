@@ -21,29 +21,29 @@ def test_delta_must_be_positive():
 
 def test_unstarted_clock_rejects_queries():
     clock = RoundClock(0.01)
-    assert not clock.started
     with pytest.raises(RuntimeError, match="not started"):
-        clock.current_round()
+        clock.elapsed()
 
 
 def test_clock_advances_through_rounds():
     """On a virtual clock the loop time *is* the timer that fired, so the
-    round read after each sleep is arithmetic, not scheduling."""
+    time read after each sleep is arithmetic, not scheduling."""
 
     async def scenario():
         clock = RoundClock(delta_s=0.01)  # 30 ms rounds
         clock.start()
-        first = clock.current_round()
+        first = clock.elapsed()
         await clock.sleep_until_elapsed(clock.start_of(2))
-        second = clock.current_round(), clock.elapsed()
+        second = clock.elapsed()
         await clock.sleep_until_elapsed(clock.start_of(2) + 0.9 * clock.round_s)
-        return first, second, (clock.current_round(), clock.elapsed()), clock
+        return first, second, clock.elapsed(), clock
 
     first, second, third, clock = run_virtual(scenario())
-    assert first == 0
-    assert second == (2, pytest.approx(clock.start_of(2)))
+    assert first == 0.0
+    assert second == pytest.approx(clock.start_of(2))
     # Still inside round 2, late phase — however loaded the host.
-    assert third == (2, pytest.approx(clock.start_of(2) + 0.9 * clock.round_s))
+    assert third == pytest.approx(clock.start_of(2) + 0.9 * clock.round_s)
+    assert clock.start_of(2) <= third < clock.start_of(3)
 
 
 def test_sleep_until_past_time_returns_immediately():

@@ -5,7 +5,9 @@ import pickle
 
 import pytest
 
+from repro.analysis.verdict import judge
 from repro.attacks import apply_script, get_script
+from repro.attacks.library import blackout_script
 from repro.chain.shared import ChainView
 from repro.chain.store import BlockBuffer
 from repro.chain.tree import BlockTree
@@ -219,6 +221,30 @@ def test_a_shards_nodes_read_one_interned_chain():
     assert shard.record.trace.tree is shard.chain.tree
     assert all(node.process.tree.chain is shard.chain for node in shard.nodes.values())
     shard.stop()
+
+
+def test_every_deployment_bounds_its_seen_index_at_the_expiry_horizon():
+    """With no knob set, a shard forgets a dedup key η + 8 rounds after
+    its message round: what is left is at most η + 9 rounds of keys, two
+    messages per honest pid each, and no in-theorem frame went stale."""
+    n, eta = 6, 2
+    spec = RunSpec(n=n, rounds=120, protocol="resilient", eta=eta, seed=0)
+    gossip = run_virtual(DeploymentBackend(delta_s=0.01).execute_async(spec)).extras["gossip"]
+    assert 0 < gossip["seen_entries"] <= (eta + 9) * 2 * n
+    assert gossip["stale_dropped"] == 0
+
+
+def test_a_frame_held_past_the_seen_horizon_is_counted_stale():
+    """A blackout of π = 12 > η + 8 rounds holds frames beyond the
+    horizon (outside the theorem): they are dropped and counted, and the
+    run still completes without an unsafe verdict."""
+    script = blackout_script(6, pi=12, ra=5)
+    base = RunSpec(n=6, rounds=script.total_rounds + 4, protocol="resilient", eta=2, seed=0)
+    spec = apply_script(base, script)
+    result = run_virtual(DeploymentBackend(delta_s=0.01).execute_async(spec))
+    assert result.extras["gossip"]["stale_dropped"] > 0
+    assert len(result.trace.rounds) == spec.rounds
+    assert not judge(result.trace).unsafe
 
 
 def _private_tree_twin(monkeypatch):

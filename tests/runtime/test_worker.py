@@ -102,7 +102,7 @@ def test_multiprocess_run_with_workload_churn_and_telemetry():
         schedule=churn_walk(6, 2, 0.1, seed=1),
         transactions=SubmissionRateWorkload(rate_per_round=4, seed=1),
     )
-    backend = DeploymentBackend(delta_s=0.01, processes=2, gossip_seen_horizon=10)
+    backend = DeploymentBackend(delta_s=0.01, processes=2)
     result = backend.execute(spec)
     assert check_safety(result.trace).ok
     assert result.trace.decisions

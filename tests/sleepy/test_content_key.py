@@ -302,7 +302,7 @@ def test_a_junk_twin_gossiped_first_cannot_mark_the_original_seen(registry, gene
     good = make_vote(registry, registry.secret_key(1), 5, genesis.block_id)
     delivered: list[Message] = []
 
-    network = GossipNetwork(NoLinks(), {0: ()}, on_deliver={0: delivered.append})
+    network = GossipNetwork(NoLinks(), {0: ()}, {0: delivered.append}, horizon_rounds=10)
     for junk in _junk_twins(good):
         network.nodes[0].publish(junk)
     assert good.content_key not in network.seen.holders
