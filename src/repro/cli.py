@@ -415,7 +415,7 @@ def _cmd_soak(args) -> int:
     import urllib.request
 
     # Local: keeps asyncio and the runtime out of simulator-only commands.
-    from repro.runtime.metrics import MetricsHub, MetricsServer, SourcedMetrics
+    from repro.runtime.metrics import MetricsServer, SourcedMetrics
 
     round_s = 3 * (args.delta_ms / 1000.0)
     rounds = max(2, int(args.duration / round_s))
@@ -433,23 +433,22 @@ def _cmd_soak(args) -> int:
     )
     backend = _backend_from(args)
     collector = SourcedMetrics()
-    backend.attach_metrics(collector)
 
     async def run_service():
-        server = MetricsServer(MetricsHub(), port=args.metrics_port, provider=collector.merged)
+        server = MetricsServer(collector.merged, port=args.metrics_port)
         await server.start()
         print(
             f"soak: n={args.n} processes={args.processes} rounds={rounds} "
             f"(~{rounds * round_s:.0f}s at delta={args.delta_ms}ms); metrics at {server.url}"
         )
         try:
-            result = await backend.execute_async(spec)
+            result = await backend.execute_async(spec, collector=collector)
 
             def scrape():
                 with urllib.request.urlopen(server.url, timeout=10) as response:
                     return json.loads(response.read().decode("utf-8"))
 
-            # Scraping over real HTTP (not reading the hub directly)
+            # Scraping over real HTTP (not reading the collector directly)
             # proves the endpoint a production scraper would hit works.
             scraped = await asyncio.get_running_loop().run_in_executor(None, scrape)
         finally:

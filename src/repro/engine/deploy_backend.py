@@ -34,9 +34,10 @@ One runner, one phase loop per shard.  Every run is k shards, each a
 :class:`~repro.runtime.shard.ShardRuntime` stepped round by round by
 its own :meth:`~repro.runtime.shard.ShardRuntime.drive` under
 :func:`~repro.runtime.worker.run_worker`, and sequenced by a
-:class:`~repro.runtime.coordinator.Coordinator`, whose payloads
-:func:`~repro.runtime.shard.merge_payloads` folds into one
-:class:`~repro.sleepy.trace.Trace` and one ``extras`` shape.  Shard 0
+:class:`~repro.runtime.coordinator.Coordinator`, whose payloads fold
+into one :class:`~repro.sleepy.trace.Trace` and one ``extras`` shape:
+their samples through :func:`~repro.runtime.metrics.merge_samples`, the
+one merge ``/metrics`` serves too.  Shard 0
 runs in this process, on the caller's event loop, over an in-memory
 control channel; shards 1..k−1 run in k − 1 spawned processes, so a
 k-shard run starts k − 1 interpreters and ``processes=1`` (the default)
@@ -80,8 +81,8 @@ from repro.engine.backend import EngineResult, ExecutionBackend, base_meta
 from repro.engine.spec import RunSpec
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
-from repro.runtime.metrics import SourcedMetrics
-from repro.runtime.shard import WorkerConfig, corruption_schedule, merge_payloads, shard_pids
+from repro.runtime.metrics import SourcedMetrics, merge_samples
+from repro.runtime.shard import WorkerConfig, corruption_schedule, shard_pids
 from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.trace import Trace, TraceRecorder
 
@@ -103,39 +104,35 @@ class DeploymentBackend(ExecutionBackend):
     #: asyncio deployment at a time), never across a process pool.
     poolable = False
 
-    def attach_metrics(self, collector: SourcedMetrics) -> None:
-        """Attach a live telemetry collector for the next run(s).
-
-        Every shard pushes cumulative metric snapshots over its control
-        channel while the run is in flight, and the coordinator hands
-        them to the collector, so a
-        :class:`~repro.runtime.metrics.MetricsServer` scraping
-        ``collector.merged`` serves live state.  Stored outside the
-        dataclass fields on purpose: telemetry wiring must not enter
-        ``identity()`` / sweep-journal digests.
-        """
-        self._metrics_collector = collector
-
     def execute(self, spec: RunSpec) -> EngineResult:
         """Synchronous entry point (creates its own event loop)."""
         return asyncio.run(self.execute_async(spec))
 
-    async def execute_async(self, spec: RunSpec) -> EngineResult:
-        """Run one deployment inside a running event loop."""
+    async def execute_async(
+        self, spec: RunSpec, collector: SourcedMetrics | None = None
+    ) -> EngineResult:
+        """Run one deployment inside a running event loop.
+
+        A ``collector`` receives every shard's live sample while the run
+        is in flight and its final one after, so a
+        :class:`~repro.runtime.metrics.MetricsServer` serving
+        ``collector.merged`` serves live state.  It belongs to the run
+        it watches, not to the backend: telemetry wiring never enters
+        ``identity()`` or a sweep-journal digest.
+        """
         if self.processes < 1:
             raise ValueError("processes must be >= 1")
         self._check_realisable(spec)
         shards = shard_pids(spec.n, self.processes)
-        collector = getattr(self, "_metrics_collector", None)
 
         def on_frame(frame: tuple) -> None:
             if frame[0] == "metrics":
-                collector.push(f"worker{frame[1]}", frame[2])
+                collector.push(frame[1], frame[2])
 
         coordinator = Coordinator(
             len(shards),
             budget_s=60.0 + 2.0 * spec.rounds * ROUND_FACTOR * self.delta_s + 5.0 * len(shards),
-            # Shards push live snapshots only to a coordinator listening.
+            # Shards push live samples only to a coordinator listening.
             on_frame=None if collector is None else on_frame,
         )
         mesh = (coordinator.addresses, coordinator.control_address)
@@ -155,8 +152,8 @@ class DeploymentBackend(ExecutionBackend):
             extras["nodes"] = nodes
         if collector is not None:
             for payload in payloads:
-                collector.push(f"worker{payload['worker_id']}", payload["metrics"])
-        merged = merge_payloads(payloads)
+                collector.push(payload["worker_id"], payload["sample"])
+        merged = merge_samples([payload["sample"] for payload in payloads])
         return EngineResult(
             trace=self._assemble_trace(spec, [payload["record"] for payload in payloads]),
             backend=self.name,

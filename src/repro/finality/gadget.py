@@ -101,11 +101,6 @@ class FinalityGadget:
         self._tally.set_votes(self._acks.latest(0, up_to_round).known_to(self._tree))
         self._synced = key
 
-    def ack_count_for(self, tip: BlockId | None, up_to_round: int) -> int:
-        """Processes whose latest ack (≤ ``up_to_round``) extends ``tip``."""
-        self._sync(up_to_round)
-        return self._tally.count(tip)
-
     def advance(self, round_number: int) -> FinalizationEvent | None:
         """Finalise the deepest quorum-acknowledged extension, if any.
 

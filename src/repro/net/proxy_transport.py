@@ -29,9 +29,10 @@ many, flips phase ``i`` at the same instant with nothing sent between
 them.
 
 Every interference is audited per phase (``delayed`` / ``dropped`` /
-``partitioned`` frame counts) and exported through the run's
-:class:`~repro.runtime.metrics.MetricsHub`, so a run can *prove* its
-attack actually bit.
+``partitioned`` frame counts) and read, with the phase in force and
+the frames held, into its shard's sample
+(:meth:`~repro.runtime.shard.ShardRuntime.sample`), so a run can
+*prove* its attack actually bit.
 
 The proxy sits **in front of** the fabric, so the batched wire path
 underneath changes nothing about attack semantics: every frame gossip
@@ -222,12 +223,10 @@ class ProxyTransport(Transport):
         """Frames currently held behind a partition."""
         return len(self._held)
 
-    def export_metrics(self, hub) -> None:
-        """Publish the audit counters as gauges on a metrics hub."""
-        for key, value in self.audit_totals().items():
-            hub.gauge(f"attack_{key}_frames", value)
-        hub.gauge("attack_held_frames", self.held_count)
-        hub.gauge("attack_phase", self._state.index)
+    @property
+    def phase(self) -> int:
+        """Index of the script phase in force."""
+        return self._state.index
 
     # ------------------------------------------------------------------
     # Internals

@@ -392,11 +392,6 @@ class SleepyTOBProcess(Process):
         events, self._pending_decisions = self._pending_decisions, []
         return events
 
-    @property
-    def delivered_log(self):
-        """The longest log this process has delivered, materialised."""
-        return self.tree.log(self.delivered_tip)
-
 
 def resilient_factory(eta: int, beta: Fraction = DEFAULT_BETA) -> ProcessFactory:
     """A :data:`~repro.sleepy.process.ProcessFactory` for Algorithm 1 with this η."""

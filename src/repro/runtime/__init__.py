@@ -4,14 +4,16 @@
 * :mod:`repro.runtime.node` — a protocol process bridged onto gossip.
 * :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
   assembly every deployment substrate runs (one phase loop steps its
-  nodes round by round), and its payload merge.
+  nodes round by round) and the one sample it reports.
 * :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
   :class:`ControlChannel`, the two ends of the control handshake.
 * :mod:`repro.runtime.worker` — every deployment's one worker body
   (shard 0 on the coordinator's loop, one spawned process per other
   shard, joined over sockets when there are several).
-* :mod:`repro.runtime.metrics` — live service telemetry (counters,
-  histograms, an HTTP JSON scrape endpoint).
+* :mod:`repro.runtime.metrics` — live service telemetry (the hub's
+  counters and histograms, ``merge_samples`` — the one fold of shard
+  samples, for ``extras`` and ``/metrics`` alike — and an HTTP JSON
+  scrape endpoint).
 """
 
 from repro.runtime.clock import ROUND_FACTOR, RoundClock

@@ -24,7 +24,7 @@ nothing.
    processes to wall-clock precision.  A worker that reads the frame
    after the instant has passed anchors there anyway and reports how
    late it was; it is not padded against;
-5. worker → ``("metrics", wid, snapshot)`` while it runs, if the
+5. worker → ``("metrics", wid, sample)`` while it runs, if the
    coordinator is listening: the frames go to its ``on_frame`` hook;
 6. worker → ``("result", wid, payload)`` when its share finishes.
    Worker 0's frame is bare ``("result", 0)``: its result is its task's

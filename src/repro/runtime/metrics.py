@@ -1,30 +1,40 @@
-"""Live deployment telemetry: counters, gauges, histograms, HTTP scrape.
+"""Live deployment telemetry: shard samples, their one merge, HTTP scrape.
 
-A :class:`MetricsHub` is the one mutable metrics surface of a running
-deployment — workers increment counters, set gauges (queue depths,
-mempool occupancy), and observe latency samples into fixed-bucket
-histograms.  Snapshots are plain JSON-safe dicts, and — crucially for
-the multi-process substrate — snapshots **merge**: each worker pushes
-its local snapshot to the coordinator over the control socket, and the
-coordinator folds them into one service-wide view.  Histograms use a
-fixed geometric bucket ladder so merging is exact (bucket counts add),
-unlike quantile sketches.
+A :class:`MetricsHub` holds what a shard's phase loop alone observes:
+monotonic counters (``messages_published``, ``decisions``,
+``nodes_finished``) and fixed-bucket histograms
+(``decision_latency_s``).  State that has an owner — the fabric's wire
+counters, the gossip layer's dissemination counts, the mempools, an
+attack proxy's audit — is read from that owner once, when the shard
+takes its *sample* (:meth:`~repro.runtime.shard.ShardRuntime.sample`),
+never mirrored into the hub.  A sample is the one thing a shard
+reports: its live ``("metrics", wid, sample)`` frames and its
+end-of-run payload carry the same shape, and :func:`merge_samples` is
+the one function that folds samples, for the result's ``extras`` and
+for the scrape alike.  Histograms use a fixed geometric bucket ladder
+so merging is exact (bucket counts add), unlike quantile sketches.
 
-:class:`MetricsServer` exposes the hub over HTTP as JSON (a minimal
-``GET``-only endpoint on asyncio streams — no framework, no thread):
-point any scraper at ``http://host:port/metrics`` while the service
-runs.  The ``repro soak`` CLI lane starts one next to the coordinator
-and scrapes it itself at the end of the run, so a passing soak proves
-the endpoint was reachable.
+:class:`MetricsServer` serves a provider's sample over HTTP as JSON (a
+minimal ``GET``-only endpoint on asyncio streams — no framework, no
+thread): point any scraper at ``http://host:port/metrics`` while the
+service runs.  The ``repro soak`` CLI lane starts one over a
+:class:`SourcedMetrics` and scrapes it itself at the end of the run, so
+a passing soak proves the endpoint was reachable.
 
-Snapshot schema (all keys optional until first touched)::
+Sample schema (a merged sample has the same keys; every section is
+empty, and ``attack`` ``None``, before the first sample arrives)::
 
     {
-      "counters":   {name: number},          # monotonic, merge = sum
-      "gauges":     {name: number},          # last write wins per source
+      "counters":   {name: number},             # merge = sum
       "histograms": {name: {"count": int, "sum": float,
                             "min": float, "max": float,
+                            "p50": float, "p95": float,
                             "buckets": {upper_bound_repr: count}}},
+      "transport":  {counter: int},             # transport_counters + in_flight
+      "gossip":     {counter: int},             # GossipNetwork.stats_totals
+      "mempool":    {"shed": int, "admitted": int, "occupancy": int},
+      "attack":     None | {"per_phase": [audit row, ...], "phase": int,
+                            "held": int},       # merged: + "totals"
     }
 """
 
@@ -32,11 +42,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 
-#: Cumulative wire-path counters of a fabric — the one list the shard
-#: payload, the merged result and the ``wire_*`` gauges all read.
+#: Cumulative wire-path counters of a fabric, read into every shard
+#: sample's ``transport`` section.
 #: ``superseded`` is kept by every fabric; the rest by a socket fabric.
 #: ``frames_rejected`` is the sum of its three ``frames_rejected_*``
 #: reasons (``torn``, ``refused``, ``oversized``).
@@ -152,23 +162,15 @@ class Histogram:
 
 
 class MetricsHub:
-    """The mutable metrics surface of one deployment (or one worker)."""
+    """What one shard's phase loop alone observes: counters and histograms."""
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
         """Add ``amount`` to the monotonic counter ``name``."""
         self._counters[name] = self._counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into the histogram ``name``."""
@@ -177,87 +179,88 @@ class MetricsHub:
             histogram = self._histograms[name] = Histogram()
         histogram.observe(value)
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-safe snapshot of every metric."""
+        """JSON-safe ``counters`` and ``histograms`` sections of a sample."""
         return {
             "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "histograms": {name: h.summary() for name, h in self._histograms.items()},
         }
 
-    def merge_snapshot(self, snapshot: Mapping, source: str | None = None) -> None:
-        """Fold a worker's :meth:`snapshot` into this hub.
 
-        Counters add; gauges are namespaced per ``source`` (two workers'
-        queue depths are different facts, not one) and also summed into
-        the un-namespaced name; histogram buckets add exactly.
+def _summed(rows: Iterable[Mapping[str, int]]) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for row in rows:
+        for key, value in row.items():
+            total[key] = total.get(key, 0) + value
+    return total
 
-        Merging the *same* worker's snapshot twice would double-count —
-        push deltas or replace per-source state upstream.  The
-        deployment coordinator replaces: each worker pushes cumulative
-        snapshots and the coordinator keeps only the latest per worker
-        (:class:`SourcedMetrics` handles that bookkeeping).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.inc(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            if source is not None:
-                self._gauges[f"{source}.{name}"] = value
-            self._gauges[name] = self._gauges.get(name, 0) + value if source else value
-        for name, summary in snapshot.get("histograms", {}).items():
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.merge_summary(summary)
+
+def merge_samples(samples: Sequence[Mapping]) -> dict:
+    """Fold shard samples (in worker order) into one of the same shape.
+
+    Counters, ``transport``, ``gossip`` and ``mempool`` add key by key;
+    histograms merge exactly; attack audit rows add phase by phase,
+    with their ``totals`` beside them, the furthest ``phase`` any shard
+    has entered and the frames ``held`` across shards.  No samples
+    merge to empty sections.
+    """
+    histograms: dict[str, Histogram] = {}
+    for sample in samples:
+        for name, summary in sample["histograms"].items():
+            histograms.setdefault(name, Histogram()).merge_summary(summary)
+    merged = {
+        "counters": _summed(sample["counters"] for sample in samples),
+        "histograms": {name: h.summary() for name, h in histograms.items()},
+    }
+    for section in ("transport", "gossip", "mempool"):
+        merged[section] = _summed(sample[section] for sample in samples)
+    attacks = [sample["attack"] for sample in samples if sample["attack"] is not None]
+    merged["attack"] = None
+    if attacks:
+        per_phase = [_summed(rows) for rows in zip(*(attack["per_phase"] for attack in attacks))]
+        merged["attack"] = {
+            "totals": _summed(per_phase),
+            "per_phase": per_phase,
+            "phase": max(attack["phase"] for attack in attacks),
+            "held": sum(attack["held"] for attack in attacks),
+        }
+    return merged
 
 
 class SourcedMetrics:
-    """Latest-snapshot-per-source aggregation for the coordinator.
+    """The latest sample of each shard, merged on demand.
 
-    Workers push *cumulative* snapshots; this keeps the latest per
-    worker and materialises the merged service-wide view on demand, so
-    re-pushes replace rather than double-count.
+    Shards push *cumulative* samples; this keeps the latest per worker,
+    so a re-push replaces rather than double-counts, and
+    :meth:`merged` folds them with :func:`merge_samples`.
     """
 
     def __init__(self) -> None:
-        self._by_source: dict[str, Mapping] = {}
+        self._by_source: dict[int, Mapping] = {}
 
-    def push(self, source: str, snapshot: Mapping) -> None:
-        """Replace ``source``'s latest cumulative snapshot."""
-        self._by_source[source] = snapshot
+    def push(self, source: int, sample: Mapping) -> None:
+        """Replace worker ``source``'s latest cumulative sample."""
+        self._by_source[source] = sample
 
-    def merged(self, base: Mapping | None = None) -> dict:
-        """One service-wide snapshot over all sources (plus ``base``)."""
-        hub = MetricsHub()
-        if base is not None:
-            hub.merge_snapshot(base)
-        for source, snapshot in sorted(self._by_source.items()):
-            hub.merge_snapshot(snapshot, source=source)
-        return hub.snapshot()
+    def merged(self) -> dict:
+        """One service-wide sample over every worker's latest."""
+        return merge_samples([self._by_source[source] for source in sorted(self._by_source)])
 
 
 class MetricsServer:
-    """A minimal asyncio HTTP endpoint serving one hub as JSON.
+    """A minimal asyncio HTTP endpoint serving ``provider()`` as JSON.
 
-    ``GET /metrics`` (or ``/``) returns the hub's current snapshot; any
-    other path is a 404.  ``provider`` overrides what gets served (the
-    coordinator passes a :meth:`SourcedMetrics.merged` thunk).
+    ``GET /metrics`` (or ``/``) returns what ``provider`` returns now
+    (``repro soak`` passes a :meth:`SourcedMetrics.merged`); any other
+    path is a 404.
     """
 
     def __init__(
-        self,
-        hub: MetricsHub,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        provider=None,
+        self, provider: Callable[[], Mapping], host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self._hub = hub
         self._host = host
         self._requested_port = port
-        self._provider = provider if provider is not None else hub.snapshot
+        self._provider = provider
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
 

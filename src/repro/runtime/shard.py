@@ -6,9 +6,11 @@ is one shard covering ``range(n)`` over a
 over a :class:`~repro.net.socket_transport.SocketTransport` mesh, shard
 0 in the coordinator's process and shards 1..k−1 one per spawned worker
 process.  Either way the shard is a :class:`ShardRuntime`, and its
-contribution to the result is one :meth:`ShardRuntime.payload`, folded
-by :func:`merge_payloads` — shard 0's in memory and k − 1 unpickled
-ones.  Every shard runs under the one runner,
+contribution to the result is one :meth:`ShardRuntime.payload` — shard
+0's in memory and k − 1 unpickled ones — whose counts are one
+:meth:`ShardRuntime.sample`, the shape its live metric reports take
+too, folded by :func:`~repro.runtime.metrics.merge_samples`.  Every
+shard runs under the one runner,
 :func:`~repro.runtime.worker.run_worker`; the substrates differ only in
 the fabric it builds.  A shard is assembled as a simulation is, around
 one :class:`~repro.chain.shared.SharedChain`: its nodes read views of
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections.abc import Awaitable, Iterable, Mapping, Sequence
+from collections.abc import Awaitable, Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,12 +49,7 @@ from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import Transport
 from repro.protocols.tob_base import first_round_of_view
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR, RoundClock
-from repro.runtime.metrics import (
-    WIRE_COUNTER_ATTRS,
-    MetricsHub,
-    SourcedMetrics,
-    transport_counters,
-)
+from repro.runtime.metrics import MetricsHub, transport_counters
 from repro.runtime.node import DeployedNode
 from repro.sleepy.adversary import AdversaryContext
 from repro.sleepy.messages import Message
@@ -106,7 +103,7 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 GOSSIP_DEGREE = 4
 #: Rounds past the vote-expiry horizon η a shard's gossip dedup index keeps a key.
 SEEN_SLACK_ROUNDS = 8
-#: Seconds between the live metric snapshots a driving shard reports.
+#: Seconds between the live samples a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
 
 
@@ -262,25 +259,38 @@ class ShardRuntime:
         self.network.stop()
 
     def sample(self) -> dict:
-        """Refresh the point-in-time gauges and snapshot the hub."""
-        hub = self.hub
-        hub.gauge("transport_in_flight", self.transport.wheel.pending)
-        # Snapshots are pushed *cumulative* and replaced per source, so
-        # the fabric's running wire counters are gauges (last write
-        # wins); hub-owned counters would double-count on every re-push.
-        counters = transport_counters(self.transport)
-        hub.gauge("transport_handler_errors", counters["handler_errors"])
-        for attr in WIRE_COUNTER_ATTRS:
-            hub.gauge(f"wire_{attr}", counters[attr])
-        if self.proxy is not None:
-            self.proxy.export_metrics(hub)
-        hub.gauge("gossip_seen_entries", self.network.stats_totals()["seen_entries"])
-        hub.gauge("mempool_occupancy", sum(len(pool) for pool in self._mempools()))
-        return hub.snapshot()
+        """Everything this shard counts, in the one shape
+        :func:`~repro.runtime.metrics.merge_samples` folds.
 
-    def _mempools(self) -> list:
-        pools = (node.process.mempool for node in self.nodes.values())
-        return [pool for pool in pools if pool is not None]
+        The hub's counters and histograms, then what each owner holds,
+        read now: the fabric's counters and the frames its wheel still
+        parks (``in_flight``), the gossip layer's totals, the mempools
+        and, under a script, the proxy's per-phase audit, its phase and
+        the frames it holds.
+        """
+        pools = [node.process.mempool for node in self.nodes.values()]
+        pools = [pool for pool in pools if pool is not None]
+        attack = None
+        if self.proxy is not None:
+            attack = {
+                "per_phase": [dict(row) for row in self.proxy.audit],
+                "phase": self.proxy.phase,
+                "held": self.proxy.held_count,
+            }
+        return {
+            **self.hub.snapshot(),
+            "transport": {
+                **transport_counters(self.transport),
+                "in_flight": self.transport.wheel.pending,
+            },
+            "gossip": self.network.stats_totals(),
+            "mempool": {
+                "shed": sum(pool.shed_count for pool in pools),
+                "admitted": sum(pool.admitted_count for pool in pools),
+                "occupancy": sum(len(pool) for pool in pools),
+            },
+            "attack": attack,
+        }
 
     def payload(self, lifecycle: Mapping[str, float] | None = None) -> dict:
         """This shard's picklable contribution to the deployment result.
@@ -290,50 +300,14 @@ class ShardRuntime:
         in publish order) and its per-round message counts, which
         :meth:`~repro.engine.deploy_backend.DeploymentBackend._assemble_trace`
         folds into the trace.  ``lifecycle`` is what a worker measured
-        of its own start and end (``start_lateness_s``, ``span_s``); the
-        merge leaves it alone.
+        of its own start and end (``start_lateness_s``, ``span_s``);
+        ``sample`` is its final :meth:`sample`.
         """
         self.record.decided(d for node in self.nodes.values() for d in node.decisions)
-        pools = self._mempools()
         return {
             "worker_id": self.config.worker_id,
             "shard": self.config.shard,
             "record": self.record.shipment(),
-            "transport": transport_counters(self.transport),
-            "gossip": self.network.stats_totals(),
-            "mempool": {
-                "shed": sum(pool.shed_count for pool in pools),
-                "admitted": sum(pool.admitted_count for pool in pools),
-                "occupancy": sum(len(pool) for pool in pools),
-            },
-            # Per-phase audit rows of the proxy (``None``: no script ran).
-            "attack": None if self.proxy is None else [dict(row) for row in self.proxy.audit],
             "lifecycle": dict(lifecycle or {}),
-            "metrics": self.sample(),
+            "sample": self.sample(),
         }
-
-
-def _summed(rows: Iterable[Mapping[str, int]]) -> dict[str, int]:
-    total: dict[str, int] = {}
-    for row in rows:
-        for key, value in row.items():
-            total[key] = total.get(key, 0) + value
-    return total
-
-
-def merge_payloads(payloads: Sequence[Mapping]) -> dict:
-    """Fold shard payloads (in worker order) into the result's ``extras``,
-    one shape for any k (each ``record`` feeds the trace instead)."""
-    metrics = SourcedMetrics()
-    for payload in payloads:
-        metrics.push(f"worker{payload['worker_id']}", payload["metrics"])
-    merged = {
-        "transport": _summed(payload["transport"] for payload in payloads),
-        "gossip": _summed(payload["gossip"] for payload in payloads),
-        "mempool": _summed(payload["mempool"] for payload in payloads),
-        "metrics": metrics.merged(),
-    }
-    if payloads[0]["attack"] is not None:
-        per_phase = [_summed(rows) for rows in zip(*(payload["attack"] for payload in payloads))]
-        merged["attack"] = {"totals": _summed(per_phase), "per_phase": per_phase}
-    return merged

@@ -14,7 +14,7 @@ event loop, over an in-memory control channel; workers 1..k−1 run it
 in spawned processes through :func:`worker_main`, over a control
 socket.  Every worker handshakes, anchors its round clock, its fabric
 and its attack proxy's phase schedule at the shared start instant
-(reporting how late that was), pushes live metrics over its channel
+(reporting how late that was), pushes live samples over its channel
 while the coordinator listens for them, and takes its payload the
 moment the drive returns: after a node's last receive phase nothing
 that arrives can reach its tree, vote store or decisions, and frames
@@ -94,10 +94,9 @@ async def run_worker(
         # A start frame read after its instant is reported, not padded
         # against: round 0 still holds while this stays under ~1.9 δ.
         start_lateness_s = max(0.0, loop.time() - origin)
-        shard.hub.gauge("start_lateness_ms", start_lateness_s * 1e3)
         pump = loop.create_task(channel.until_shutdown())
         await shard.drive(
-            report=(lambda snapshot: channel.send("metrics", snapshot)) if listening else None,
+            report=(lambda sample: channel.send("metrics", sample)) if listening else None,
         )
         lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()

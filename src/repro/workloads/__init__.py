@@ -13,7 +13,6 @@
 
 from repro.workloads.participation import (
     RampSchedule,
-    RotatingSchedule,
     churn_walk,
     diurnal,
     ethereum_may_2023,
@@ -36,7 +35,6 @@ from repro.workloads.transactions import (
 
 __all__ = [
     "RampSchedule",
-    "RotatingSchedule",
     "SubmissionRateWorkload",
     "blackout_scenario",
     "burst_stream",

@@ -74,30 +74,6 @@ def diurnal(n: int, period: int = 48, min_fraction: float = 0.3) -> SleepSchedul
     return DiurnalSchedule(n, period=period, min_fraction=min_fraction)
 
 
-class RotatingSchedule(SleepSchedule):
-    """A fixed-size awake window sliding by ``shift`` ids per round.
-
-    Every round exactly ``shift`` processes go to sleep and ``shift``
-    fresh ones wake, so the per-round drop-off rate is ``shift/size``
-    and the rate per η rounds approaches ``min(1, η·shift/size)``.
-    This is the cleanest instrument for locating the Figure 1 stall
-    threshold (γ ≥ β): rotation is churn with no participation dip.
-    """
-
-    def __init__(self, n: int, size: int, shift: int) -> None:
-        super().__init__(n)
-        if not 1 <= size <= n:
-            raise ValueError("size must be in [1, n]")
-        if shift < 0:
-            raise ValueError("shift must be non-negative")
-        self._size = size
-        self._shift = shift
-
-    def awake(self, round_number: int) -> frozenset[int]:
-        offset = (round_number * self._shift) % self.n
-        return frozenset((offset + i) % self.n for i in range(self._size))
-
-
 class RampSchedule(SleepSchedule):
     """Linear participation decline from 100% to ``floor_fraction``.
 

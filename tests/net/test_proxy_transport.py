@@ -7,7 +7,6 @@ import pytest
 from repro.attacks import AttackScript, drop, heal, partition, phase, surge
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import SimTransport
-from repro.runtime.metrics import MetricsHub
 
 from tests.net.conftest import Collector, run_virtual
 
@@ -158,16 +157,14 @@ def test_schedule_phases_self_drives_from_the_loop_clock():
     asyncio.run(scenario())
 
 
-def test_metrics_export_and_delegation():
+def test_audit_phase_and_delegation():
     proxy = _proxy(SCRIPT)
-    hub = MetricsHub()
+    assert proxy.phase == 0
     proxy.enter_phase(1)
     proxy.send(0, 2, "x")
-    proxy.export_metrics(hub)
-    gauges = hub.snapshot()["gauges"]
-    assert gauges["attack_partitioned_frames"] == 1
-    assert gauges["attack_held_frames"] == 1
-    assert gauges["attack_phase"] == 1
+    assert proxy.audit_totals()["partitioned"] == 1
+    assert proxy.held_count == 1
+    assert proxy.phase == 1
     # Only the data surface is forwarded: lifecycle stays with whoever
     # built the inner transport.
     assert not hasattr(proxy, "close")

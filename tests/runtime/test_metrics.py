@@ -1,23 +1,41 @@
-"""Telemetry: hub counters/gauges/histograms, merging, HTTP scrape."""
+"""Telemetry: hub counters/histograms, the one sample merge, HTTP scrape."""
 
 import asyncio
 import json
 import urllib.error
 import urllib.request
 
-from repro.runtime.metrics import Histogram, MetricsHub, MetricsServer, SourcedMetrics
+from repro.runtime.metrics import (
+    Histogram,
+    MetricsHub,
+    MetricsServer,
+    SourcedMetrics,
+    merge_samples,
+)
+
+SECTIONS = {"counters", "histograms", "transport", "gossip", "mempool", "attack"}
 
 
-def test_hub_counters_gauges_histograms():
+def _sample(hub, sent=0, attack=None):
+    """A shard sample around ``hub``, as ``ShardRuntime.sample`` shapes it."""
+    return {
+        **hub.snapshot(),
+        "transport": {"sent": sent, "in_flight": 1},
+        "gossip": {"delivered": 2 * sent, "seen_entries": 3},
+        "mempool": {"shed": 0, "admitted": sent, "occupancy": 1},
+        "attack": attack,
+    }
+
+
+def test_hub_counters_histograms():
     hub = MetricsHub()
     hub.inc("sent")
     hub.inc("sent", 4)
-    hub.gauge("depth", 7)
     hub.observe("latency", 0.010)
     hub.observe("latency", 0.020)
     snapshot = hub.snapshot()
+    assert set(snapshot) == {"counters", "histograms"}
     assert snapshot["counters"]["sent"] == 5
-    assert snapshot["gauges"]["depth"] == 7
     latency = snapshot["histograms"]["latency"]
     assert latency["count"] == 2
     assert latency["min"] == 0.010 and latency["max"] == 0.020
@@ -40,81 +58,86 @@ def test_histogram_merge_is_exact():
     assert merged.summary() == direct.summary()
 
 
-def test_hub_merge_sums_counters_and_namespaces_gauges():
+def test_merge_sums_counters_and_sections():
     worker = MetricsHub()
     worker.inc("decisions", 3)
-    worker.gauge("queue", 2)
+    worker.observe("decision_latency_s", 0.5)
+    merged = merge_samples([_sample(worker, sent=4), _sample(worker, sent=6)])
+    assert set(merged) == SECTIONS
+    assert merged["counters"] == {"decisions": 6}
+    assert merged["histograms"]["decision_latency_s"]["count"] == 2
+    assert merged["transport"] == {"sent": 10, "in_flight": 2}
+    assert merged["gossip"] == {"delivered": 20, "seen_entries": 6}
+    assert merged["mempool"] == {"shed": 0, "admitted": 10, "occupancy": 2}
+    assert merged["attack"] is None
+
+
+def test_merge_adds_attack_rows_by_phase_and_takes_the_furthest_phase():
+    """Two shards in the same phase are one phase, not the sum of two."""
     hub = MetricsHub()
-    hub.merge_snapshot(worker.snapshot(), source="worker0")
-    hub.merge_snapshot(worker.snapshot(), source="worker1")
-    snapshot = hub.snapshot()
-    assert snapshot["counters"]["decisions"] == 6
-    assert snapshot["gauges"]["worker0.queue"] == 2
-    assert snapshot["gauges"]["worker1.queue"] == 2
-    assert snapshot["gauges"]["queue"] == 4  # service-wide sum
+    rows = [{"partitioned": 1, "dropped": 0}, {"partitioned": 2, "dropped": 1}]
+    attack = _sample(hub, attack={"per_phase": rows, "phase": 1, "held": 2})
+    behind = _sample(hub, attack={"per_phase": rows, "phase": 0, "held": 1})
+    merged = merge_samples([attack, behind])["attack"]
+    assert merged["per_phase"] == [
+        {"partitioned": 2, "dropped": 0},
+        {"partitioned": 4, "dropped": 2},
+    ]
+    assert merged["totals"] == {"partitioned": 6, "dropped": 2}
+    assert (merged["phase"], merged["held"]) == (1, 3)
 
 
 def test_sourced_metrics_replaces_per_source():
     sourced = SourcedMetrics()
     hub = MetricsHub()
     hub.inc("decisions", 3)
-    sourced.push("worker0", hub.snapshot())
-    hub.inc("decisions", 2)  # cumulative snapshot re-pushed
-    sourced.push("worker0", hub.snapshot())
+    sourced.push(0, _sample(hub, sent=1))
+    hub.inc("decisions", 2)  # cumulative sample re-pushed
+    sourced.push(0, _sample(hub, sent=2))
     merged = sourced.merged()
     assert merged["counters"]["decisions"] == 5  # replaced, not doubled
+    assert merged["transport"]["sent"] == 2
 
 
-def test_metrics_server_serves_snapshot_over_http():
+def _serve(sourced, *paths):
+    """Start a server over ``sourced.merged``, GET each path, stop it."""
+
     async def scenario():
-        hub = MetricsHub()
-        hub.inc("decisions", 9)
-        server = MetricsServer(hub)
+        server = MetricsServer(sourced.merged)
         await server.start()
-        url = server.url
         loop = asyncio.get_running_loop()
 
         def scrape(path):
-            with urllib.request.urlopen(f"http://127.0.0.1:{server.port}{path}", timeout=5) as r:
-                return json.loads(r.read().decode("utf-8"))
-
-        body = await loop.run_in_executor(None, scrape, "/metrics")
-        root = await loop.run_in_executor(None, scrape, "/")
-
-        def missing():
+            url = f"http://127.0.0.1:{server.port}{path}"
             try:
-                scrape("/nope")
+                with urllib.request.urlopen(url, timeout=5) as r:
+                    return r.status, json.loads(r.read().decode("utf-8"))
             except urllib.error.HTTPError as exc:
-                return exc.code
-            return None
+                return exc.code, None
 
-        status = await loop.run_in_executor(None, missing)
-        await server.stop()
-        return url, body, root, status
+        try:
+            return server.url, [await loop.run_in_executor(None, scrape, p) for p in paths]
+        finally:
+            await server.stop()
 
-    url, body, root, status = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def test_metrics_server_serves_the_merged_sample_over_http():
+    sourced = SourcedMetrics()
+    hub = MetricsHub()
+    hub.inc("decisions", 9)
+    sourced.push(0, _sample(hub))
+    url, [(status, body), (_, root), (missing, _)] = _serve(sourced, "/metrics", "/", "/nope")
     assert url.endswith("/metrics")
-    assert body["counters"]["decisions"] == 9
+    assert status == 200 and body["counters"]["decisions"] == 9
     assert root == body
-    assert status == 404
+    assert missing == 404
 
 
-def test_metrics_server_provider_override():
-    async def scenario():
-        sourced = SourcedMetrics()
-        hub = MetricsHub()
-        hub.inc("x", 1)
-        sourced.push("worker0", hub.snapshot())
-        server = MetricsServer(MetricsHub(), provider=sourced.merged)
-        await server.start()
-        loop = asyncio.get_running_loop()
-
-        def scrape():
-            with urllib.request.urlopen(server.url, timeout=5) as r:
-                return json.loads(r.read().decode("utf-8"))
-
-        body = await loop.run_in_executor(None, scrape)
-        await server.stop()
-        return body
-
-    assert asyncio.run(scenario())["counters"]["x"] == 1
+def test_metrics_server_answers_before_the_first_sample():
+    """A scrape before any shard pushed is a 200 with empty sections."""
+    _, [(status, body)] = _serve(SourcedMetrics(), "/metrics")
+    assert status == 200
+    assert set(body) == SECTIONS and body["attack"] is None
+    assert all(body[section] == {} for section in SECTIONS - {"attack"})

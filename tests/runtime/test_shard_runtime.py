@@ -16,7 +16,8 @@ from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
 from repro.runtime.coordinator import Coordinator
-from repro.runtime.shard import ShardRuntime, merge_payloads, shard_pids
+from repro.runtime.metrics import SourcedMetrics, merge_samples
+from repro.runtime.shard import ShardRuntime, shard_pids
 from repro.runtime.worker import _fabric, run_worker, worker_main
 from repro.sleepy.adversary import RandomAdversary
 from repro.sleepy.messages import ProposeMessage
@@ -52,8 +53,16 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
 
     payload = pickle.loads(pickle.dumps(asyncio.run(one_shard())))
     assert payload["shard"] == (0, 1, 2, 3)
-    assert payload["attack"] is None
-    assert set(merge_payloads([payload])) == {"transport", "gossip", "mempool", "metrics"}
+    assert set(payload) == {"worker_id", "shard", "record", "lifecycle", "sample"}
+    assert payload["sample"]["attack"] is None
+    assert set(merge_samples([payload["sample"]])) == {
+        "counters",
+        "histograms",
+        "transport",
+        "gossip",
+        "mempool",
+        "attack",
+    }
     trace = backend._assemble_trace(spec, [payload["record"]])
     assert trace.decisions == reported.decisions
     assert sorted(trace.tree.tips()) == sorted(reported.tree.tips())
@@ -138,7 +147,7 @@ def test_extras_have_one_shape_on_both_substrates():
         assert len(lifecycle["span_s"]) == extras["processes"]
         assert result.wall_seconds == max(lifecycle["span_s"])
         # The hub is always on: no collector was attached to either run.
-        assert extras["metrics"]["counters"]["decisions"] == len(result.trace.decisions)
+        assert extras["counters"]["decisions"] == len(result.trace.decisions)
         assert set(extras["transport"]) == set(multi.extras["transport"])
         assert extras["transport"]["sent"] == result.messages_sent
         assert set(extras["mempool"]) == {"shed", "admitted", "occupancy"}
@@ -147,9 +156,9 @@ def test_extras_have_one_shape_on_both_substrates():
         for key, total in attack["totals"].items():
             assert total == sum(row[key] for row in attack["per_phase"])
         assert attack["totals"]["partitioned"] > 0
-        # Every fabric supersedes, and the count rides the wire gauges.
+        assert attack["phase"] == len(spec.adversary.timeline.states) - 1
+        # Every fabric supersedes.
         assert extras["transport"]["superseded"] > 0
-        assert extras["metrics"]["gauges"]["wire_superseded"] == extras["transport"]["superseded"]
     # Zeros where the fabric has no wire, counts where it has one.
     assert single.extras["transport"]["frames_sent"] == 0
     assert multi.extras["transport"]["frames_sent"] > 0
@@ -162,7 +171,6 @@ def test_one_shard_is_one_process_with_no_socket(monkeypatch):
     import multiprocessing
 
     from repro.runtime import coordinator
-    from repro.runtime.metrics import SourcedMetrics
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a one-shard run opened a socket or a temp dir")
@@ -182,10 +190,9 @@ def test_one_shard_is_one_process_with_no_socket(monkeypatch):
 
     backend = DeploymentBackend(delta_s=0.01)
     collector = Recording()
-    backend.attach_metrics(collector)
 
     async def scenario():
-        run = asyncio.ensure_future(backend.execute_async(spec))
+        run = asyncio.ensure_future(backend.execute_async(spec, collector=collector))
         children = set()
         while not run.done():
             children.add(len(multiprocessing.active_children()))
@@ -196,11 +203,25 @@ def test_one_shard_is_one_process_with_no_socket(monkeypatch):
     assert children == {0}
     assert result.trace.decisions and result.extras["processes"] == 1
     assert result.extras["attack"]["totals"]["partitioned"] > 0
-    # Live snapshots during the run, then the final payload's.
-    assert len(pushes) > 1 and set(pushes) == {"worker0"}
+    # Live samples during the run, then the final payload's.
+    assert len(pushes) > 1 and set(pushes) == {0}
     merged = collector.merged()
     assert merged["counters"]["decisions"] == len(result.trace.decisions)
-    assert merged["gauges"]["attack_phase"] == len(spec.adversary.timeline.states) - 1
+    assert merged["attack"]["phase"] == len(spec.adversary.timeline.states) - 1
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="sharded deployment needs AF_UNIX")
+def test_two_shards_in_one_attack_phase_report_that_phase():
+    """Each shard's proxy is in the script's last phase at the end: the
+    merge takes the furthest phase, so two shards do not report the sum."""
+    script = get_script("partition-surge", 6)
+    base = RunSpec(n=6, rounds=script.total_rounds + 4, protocol="resilient", eta=6, seed=0)
+    spec = apply_script(base, script)
+    collector = SourcedMetrics()
+    backend = DeploymentBackend(delta_s=0.01, processes=2)
+    result = asyncio.run(backend.execute_async(spec, collector=collector))
+    last = len(spec.adversary.timeline.states) - 1
+    assert result.extras["attack"]["phase"] == collector.merged()["attack"]["phase"] == last
 
 
 def test_a_shards_nodes_read_one_interned_chain():

@@ -116,9 +116,8 @@ def test_multiprocess_run_with_workload_churn_and_telemetry():
     assert wire["batches_received"] > 0
     assert wire["payload_reuses"] > 0
     assert wire["bytes_sent"] > 0
-    metrics = result.extras["metrics"]
-    assert metrics["counters"]["decisions"] == len(result.trace.decisions)
-    assert metrics["histograms"]["decision_latency_s"]["count"] > 0
+    assert result.extras["counters"]["decisions"] == len(result.trace.decisions)
+    assert result.extras["histograms"]["decision_latency_s"]["count"] > 0
 
 
 def test_k_shards_spawn_k_minus_one_processes():
@@ -149,21 +148,22 @@ def test_shard_zero_hands_its_payload_over_and_is_released_before_the_merge(monk
     from repro.engine import deploy_backend
     from repro.runtime.shard import ShardRuntime
 
-    shards, alive_at_merge, merged = [], [], []
-    payload, merge = ShardRuntime.payload, deploy_backend.merge_payloads
+    shards, local, alive_at_merge, merged = [], [], [], []
+    payload, merge = ShardRuntime.payload, deploy_backend.merge_samples
 
     def recording_payload(self, *args, **kwargs):
         shards.append(weakref.ref(self))
-        return payload(self, *args, **kwargs)
+        local.append(payload(self, *args, **kwargs))
+        return local[-1]
 
-    def checking_merge(payloads):
+    def checking_merge(samples):
         alive_at_merge.extend(ref() is not None for ref in shards)
-        merged.extend(payloads)
-        return merge(payloads)
+        merged.extend(samples)
+        return merge(samples)
 
     # Both patches reach shard 0 only: a spawned worker imports its own.
     monkeypatch.setattr(ShardRuntime, "payload", recording_payload)
-    monkeypatch.setattr(deploy_backend, "merge_payloads", checking_merge)
+    monkeypatch.setattr(deploy_backend, "merge_samples", checking_merge)
     spec = RunSpec(n=4, rounds=4, protocol="resilient", eta=2, seed=0)
     gc.disable()
     try:
@@ -171,7 +171,8 @@ def test_shard_zero_hands_its_payload_over_and_is_released_before_the_merge(monk
     finally:
         gc.enable()
     assert alive_at_merge == [False]
-    assert [payload["worker_id"] for payload in merged] == [0, 1]
+    # Worker order, and shard 0's sample is the very object it took.
+    assert len(merged) == 2 and merged[0] is local[0]["sample"]
 
 
 def test_worker_death_fails_the_run_instead_of_hanging():
@@ -219,14 +220,30 @@ def test_a_failure_in_the_local_shard_fails_the_run_promptly(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_single_process_metrics_collector_receives_snapshots():
+@pytest.mark.parametrize("processes", [1, 2])
+def test_the_collector_merges_what_extras_hold(processes):
+    """Live samples and the final payloads go through one merge: after
+    the run, ``/metrics``'s provider and the result agree section by section."""
     from repro.runtime.metrics import SourcedMetrics
+    from repro.workloads import SubmissionRateWorkload
 
-    spec = RunSpec(n=4, rounds=6, protocol="resilient", eta=2, seed=0)
-    backend = DeploymentBackend(delta_s=0.01)
+    if processes > 1 and not supports_unix_sockets():
+        pytest.skip("sharded deployment needs AF_UNIX")
+    spec = RunSpec(
+        n=4,
+        rounds=6,
+        protocol="resilient",
+        eta=2,
+        seed=0,
+        transactions=SubmissionRateWorkload(rate_per_round=2, seed=0),
+    )
     collector = SourcedMetrics()
-    backend.attach_metrics(collector)
-    result = backend.execute(spec)
+    backend = DeploymentBackend(delta_s=0.01, processes=processes)
+    result = asyncio.run(backend.execute_async(spec, collector=collector))
     merged = collector.merged()
+    assert set(merged) == {"counters", "histograms", "transport", "gossip", "mempool", "attack"}
+    assert merged == {section: result.extras[section] for section in merged}
     assert merged["counters"]["decisions"] == len(result.trace.decisions)
-    assert "metrics" in result.extras
+    assert merged["mempool"]["admitted"] > 0
+    assert "metrics" not in result.extras
+

@@ -94,7 +94,7 @@ def test_soak_reports_worker_death_cleanly(capsys, monkeypatch):
     kill itself is pinned in tests/runtime/test_worker.py)."""
     from repro.engine.deploy_backend import DeploymentBackend
 
-    async def doomed(self, spec):
+    async def doomed(self, spec, collector=None):
         raise RuntimeError("worker 1 exited with code -9")
 
     monkeypatch.setattr(DeploymentBackend, "execute_async", doomed)
