@@ -3,10 +3,10 @@
 Delivery state is indexed per recipient, not rescanned from one flat
 pool per process per round:
 
-* a global append-only **log** in publish order, and
+* a global **log** in publish order, and
 * per recipient, a **cursor** (everything below it has been either
   delivered or parked in the backlog) plus an ordered **backlog** of
-  the messages below the cursor that are still undelivered.
+  the log positions below the cursor that are still undelivered.
 
 Synchronous delivery is then ``backlog + log[cursor:]`` — O(new
 messages), with the tail slice shared between all caught-up receivers
@@ -22,6 +22,26 @@ The bus keeps no per-round view of its log: what a round published is
 counted by the simulator's :class:`~repro.sleepy.trace.TraceRecorder`
 as each :meth:`MessageBus.publish` succeeds.
 
+The log is **compacted**, not append-only.  Once per round
+(:meth:`MessageBus.advance`) the bus drops the prefix that every
+receiver still able to receive has passed — its cursor and its oldest
+parked message both lie beyond it.  A receiver in ``B_r`` is not able
+to: corruption is monotone (:class:`~repro.engine.backend.
+CorruptionTracker`), so it is never delivered to again.  Positions
+stay absolute: ``len(bus)``, :attr:`MessageBus.total_published` and
+every cursor count from the first message ever published.  A process
+that sleeps keeps everything published since it fell asleep, as the
+model requires, so its nap is what the log retains.
+
+Dedup keys are **forgotten** at the retention horizon
+(:func:`~repro.sleepy.horizon.seen_horizon`): a key accepted in round
+``r`` is dropped when round ``r + η + 9`` begins, after which the same
+content may be published again — it is past every consumer's
+expiration period.  :attr:`MessageBus.floor` is the round the oldest
+still-deliverable message was published in; the run's verdict table
+forgets what is older (:meth:`~repro.sleepy.messages.MessageInterner.
+advance`), so a message is verified once per publication.
+
 Deduplication is **content-keyed**: like the verification layer, the
 bus keys a message by its
 :attr:`~repro.sleepy.messages.Message.content_key` — kind, claimed
@@ -36,24 +56,44 @@ fall back to their ``message_id`` attribute as the key.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Collection, Sequence
 
 from repro.engine.errors import UndeliverableMessageError
+from repro.sleepy.horizon import RoundBuckets
 from repro.sleepy.messages import Message, dedup_key
 
 
 class MessageBus:
-    """Per-recipient indexed delivery state over one append-only log."""
+    """Per-recipient indexed delivery state over one compacted log.
 
-    def __init__(self, n: int) -> None:
+    ``horizon_rounds`` is how many rounds a dedup key outlives the round
+    the bus accepted its message in; the owner enters each round with
+    :meth:`advance`.
+    """
+
+    def __init__(self, n: int, horizon_rounds: int) -> None:
         if n <= 0:
             raise ValueError("need at least one recipient")
+        if horizon_rounds < 0:
+            raise ValueError("key horizon must be non-negative")
         self.n = n
+        self.horizon = horizon_rounds
+        #: Publish round of the oldest message still deliverable to anyone.
+        self.floor = 0
+        #: The retained suffix of the log; ``_base`` is its first position.
         self._log: list[Message] = []
-        #: Content keys of every published message.
+        self._base = 0
+        #: Content keys of the messages accepted in the last horizon rounds,
+        #: filed by the round they were accepted in (this round's: ``_accepted``).
         self._keys: set[object] = set()
+        self._key_rounds = RoundBuckets()
+        self._accepted = self._key_rounds.bucket(0)
+        #: (round, position of its first message) for every round entered
+        #: since the one the oldest retained message was published in.
+        self._round_starts: deque[tuple[int, int]] = deque([(0, 0)])
         self._cursor: list[int] = [0] * n
-        self._backlog: list[list[Message]] = [[] for _ in range(n)]
+        self._backlog: list[list[int]] = [[] for _ in range(n)]
         # One tail slice per distinct cursor position per send phase —
         # all caught-up receivers share the same tuple.  Immutable on
         # purpose: a third-party Process.receive that mutated its batch
@@ -72,15 +112,49 @@ class MessageBus:
         }
 
     # ------------------------------------------------------------------
+    # Rounds
+    # ------------------------------------------------------------------
+    def advance(self, now: int, retired: Collection[int] = ()) -> None:
+        """Enter round ``now``: forget stale keys and compact the log.
+
+        ``retired`` are the receivers that will never be delivered to
+        again (``B_now``): their delivery state is dropped, as if they
+        had been handed everything.  Every other receiver pins the log
+        from its oldest parked message, or else its cursor, on.
+        """
+        keys = self._keys
+        for key in self._key_rounds.release(now - self.horizon):
+            keys.discard(key)
+        end = len(self)
+        for pid in retired:
+            self._cursor[pid] = end
+            self._backlog[pid] = []
+        low = min(self._cursor)
+        for backlog in self._backlog:
+            if backlog and backlog[0] < low:
+                low = backlog[0]
+        if low > self._base:
+            del self._log[: low - self._base]
+            self._base = low
+        starts = self._round_starts
+        while len(starts) > 1 and starts[1][1] <= low:
+            starts.popleft()
+        self.floor = starts[0][0] if low < end else now
+        starts.append((now, end))
+        self._accepted = self._key_rounds.bucket(now)
+
+    # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def publish(self, message: Message) -> bool:
-        """Add ``message`` to the log; ``False`` if its content was already seen."""
+        """Add ``message`` to the log; ``False`` if its content was seen
+        within the key horizon."""
         key = dedup_key(message)
         if key in self._keys:
             self.stats["duplicates"] += 1
             return False
         self._keys.add(key)
+        self._accepted.append(key)
         self._log.append(message)
         self.stats["published"] += 1
         if self._tail_memo:
@@ -95,7 +169,8 @@ class MessageBus:
 
         Always a fresh list — safe to hand to an adversary.
         """
-        return self._backlog[pid] + self._log[self._cursor[pid] :]
+        log, base = self._log, self._base
+        return [log[i - base] for i in self._backlog[pid]] + log[self._cursor[pid] - base :]
 
     def deliver_all(self, pid: int) -> Sequence[Message]:
         """Synchronous delivery: hand over everything pending, mark it done.
@@ -107,12 +182,13 @@ class MessageBus:
         tail = self._tail(self._cursor[pid])
         backlog = self._backlog[pid]
         if backlog:
-            batch: Sequence[Message] = backlog + list(tail)
+            log, base = self._log, self._base
+            batch: Sequence[Message] = [log[i - base] for i in backlog] + list(tail)
             self._backlog[pid] = []
             self.stats["messages_materialised"] += len(batch)
         else:
             batch = tail
-        self._cursor[pid] = len(self._log)
+        self._cursor[pid] = self._base + len(self._log)
         return batch
 
     def deliver_chosen(
@@ -135,52 +211,72 @@ class MessageBus:
         """
         if pending is None:
             pending = self.deliverable(pid)
+        end = len(self)
+        # The log position of each pending message, in the same order.
+        at = self._backlog[pid] + list(range(self._cursor[pid], end))
         if not chosen:
-            self._backlog[pid] = list(pending)
-            self._cursor[pid] = len(self._log)
+            self._backlog[pid] = at
+            self._cursor[pid] = end
             return
         # An adversary chooses among the objects it was shown, and
         # identity cannot be forged: no key is needed to take those out.
         chosen_ids = {id(m) for m in chosen}
-        backlog = [m for m in pending if id(m) not in chosen_ids]
+        backlog = [i for i, m in zip(at, pending) if id(m) not in chosen_ids]
         if len(backlog) + len(chosen_ids) != len(pending):
             # Some chosen object is not itself pending: match by content.
+            # A key past the horizon may be pending twice (published,
+            # forgotten, published again); each choice takes the oldest.
             pending_keys = [dedup_key(m) for m in pending]
-            remaining = dict(zip(pending_keys, pending))
+            remaining: dict[object, list[int]] = {}
+            for key, i in zip(pending_keys, at):
+                remaining.setdefault(key, []).append(i)
             for message in chosen:
                 key = dedup_key(message)
-                if remaining.pop(key, None) is None and key not in pending_keys:
+                positions = remaining.get(key)
+                if positions:
+                    positions.pop(0)
+                elif key not in pending_keys:
                     raise UndeliverableMessageError(
                         f"message {key} is not deliverable to process {pid}"
                     )
-            backlog = list(remaining.values())
+            backlog = sorted(i for positions in remaining.values() for i in positions)
         self._backlog[pid] = backlog
-        self._cursor[pid] = len(self._log)
+        self._cursor[pid] = end
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._log)
+        return self._base + len(self._log)
 
     def __contains__(self, key: object) -> bool:
         """Whether a dedup key (``content_key``; ``message_id`` for
-        foreign message types) has been published."""
+        foreign message types) was published within the key horizon."""
         return key in self._keys
 
     @property
     def total_published(self) -> int:
+        return len(self)
+
+    @property
+    def retained(self) -> int:
+        """Messages the log still holds (published minus compacted)."""
         return len(self._log)
+
+    @property
+    def key_count(self) -> int:
+        """Dedup keys still held."""
+        return len(self._keys)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _tail(self, cursor: int) -> tuple[Message, ...]:
-        if cursor >= len(self._log):
+        if cursor >= self._base + len(self._log):
             return ()
         cached = self._tail_memo.get(cursor)
         if cached is None:
-            cached = tuple(self._log[cursor:])
+            cached = tuple(self._log[cursor - self._base :])
             self._tail_memo[cursor] = cached
             self.stats["tail_builds"] += 1
             self.stats["messages_materialised"] += len(cached)

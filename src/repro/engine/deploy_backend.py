@@ -65,8 +65,9 @@ a fact of the code, the same in every shard: protocols resolve by name
 through the one :data:`~repro.engine.registry.PROTOCOLS`, every node's
 phases start on one round clock (the model's synchronized clocks),
 every gossip dedup index forgets keys η +
-:data:`~repro.runtime.shard.SEEN_SLACK_ROUNDS` rounds behind the
-shard's round, and every mempool is bounded at
+:data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS` rounds behind the
+shard's round and every verifier the verdicts below that floor, and
+every mempool is bounded at
 :data:`~repro.chain.transactions.MEMPOOL_CAPACITY`.
 """
 

@@ -41,6 +41,7 @@ class SimulationBackend(ExecutionBackend):
             spec.resolved_conditions(),
             factory,
             meta=base_meta(spec, backend=self.name),
+            eta=PROTOCOLS.effective_eta(spec.protocol, spec.eta),
         )
 
     # ------------------------------------------------------------------

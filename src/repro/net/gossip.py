@@ -51,8 +51,9 @@ proxy's per-frame coins see every frame that is sent.
 The seen index is also **bounded**: on a long-running service it would
 otherwise retain one key per message forever.  Entries are
 round-bucketed and evicted once their message round falls more than the
-horizon behind the current round — the vote-expiry horizon plus slack,
-below which no protocol consumer can still use the message.  The
+horizon behind the current round — η +
+:data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, below which no
+protocol consumer can still use the message.  The
 current round comes from the shard's phase loop, which advances the
 index once per round (:meth:`SeenIndex.advance`), never from message
 fields, which are attacker-controlled.  Messages already older than the
@@ -66,6 +67,7 @@ import random
 from collections.abc import Callable, Mapping
 
 from repro.net.transport import Transport
+from repro.sleepy.horizon import RoundBuckets
 from repro.sleepy.messages import Message
 
 #: A hosted node's consumer: called when a new message first reaches it.
@@ -158,12 +160,13 @@ class SeenIndex:
     ``holders`` maps a dedup key to a bitmask over pids (bit ``pid`` set
     = that hosted node has ingested the message).  One entry per message
     per shard, one bucket list, one eviction sweep — not one of each per
-    node.  Keys are bucketed by message round and forgotten once that
-    round falls below :attr:`floor`, ``horizon_rounds`` behind the
-    round :meth:`advance` last set (module docstring).
+    node.  Keys are filed by message round in a
+    :class:`~repro.sleepy.horizon.RoundBuckets` and forgotten once that
+    round falls below :attr:`floor`, ``horizon_rounds`` behind the round
+    :meth:`advance` last set (module docstring).
     """
 
-    __slots__ = ("holders", "horizon", "now", "floor", "_buckets")
+    __slots__ = ("holders", "horizon", "now", "floor", "_rounds")
 
     def __init__(self, horizon_rounds: int) -> None:
         if horizon_rounds < 0:
@@ -173,25 +176,23 @@ class SeenIndex:
         #: The shard's current round, and the oldest message round still kept.
         self.now = 0
         self.floor = -horizon_rounds
-        #: round -> keys first seen (by any hosted node) with that message round.
-        self._buckets: dict[int, list[object]] = {}
+        self._rounds = RoundBuckets(self.floor)
 
     def __len__(self) -> int:
         return len(self.holders)
 
     def advance(self, now: int) -> None:
-        """Enter round ``now``: forget every key bucketed below the new floor."""
-        floor = now - self.horizon
-        for stale_round in range(self.floor, floor):
-            for stale in self._buckets.pop(stale_round, ()):
-                self.holders.pop(stale, None)
-        self.now, self.floor = now, floor
+        """Enter round ``now``: forget every key filed below the new floor."""
+        self.now, self.floor = now, now - self.horizon
+        holders = self.holders
+        for stale in self._rounds.release(self.floor):
+            holders.pop(stale, None)
 
     def admit(self, key: object, message_round: int) -> None:
-        """Bucket a key no hosted node held."""
+        """File a key no hosted node held."""
         # Clamp attacker-controlled future round tags so a huge tag
         # cannot park its bucket beyond every future eviction.
-        self._buckets.setdefault(min(message_round, self.now), []).append(key)
+        self._rounds.bucket(min(message_round, self.now)).append(key)
 
 
 class GossipNode:

@@ -52,6 +52,7 @@ from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR, RoundClock
 from repro.runtime.metrics import MetricsHub, transport_counters
 from repro.runtime.node import DeployedNode
 from repro.sleepy.adversary import AdversaryContext
+from repro.sleepy.horizon import seen_horizon
 from repro.sleepy.messages import Message
 from repro.sleepy.process import build_process
 from repro.sleepy.trace import TraceRecorder
@@ -101,8 +102,6 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
-#: Rounds past the vote-expiry horizon η a shard's gossip dedup index keeps a key.
-SEEN_SLACK_ROUNDS = 8
 #: Seconds between the live samples a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
 
@@ -165,11 +164,14 @@ class ShardRuntime:
                 round_s=self.clock.round_s,
                 base_latency_s=config.delta_s / 8,
             )
-        verifier = IngestPipeline(self.registry)
+        #: The shard's one verifier; its verdicts follow the seen index.
+        self.verifier = IngestPipeline(self.registry)
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         self.nodes = {
             pid: DeployedNode(
-                build_process(factory, pid, self.registry.secret_key(pid), verifier, self.chain),
+                build_process(
+                    factory, pid, self.registry.secret_key(pid), self.verifier, self.chain
+                ),
                 schedule=spec.resolved_schedule(),
             )
             for pid in config.shard
@@ -179,7 +181,7 @@ class ShardRuntime:
             self.proxy if self.proxy is not None else transport,
             {pid: topology[pid] for pid in config.shard},
             on_deliver={pid: node.on_gossip for pid, node in self.nodes.items()},
-            horizon_rounds=PROTOCOLS.effective_eta(spec.protocol, spec.eta) + SEEN_SLACK_ROUNDS,
+            horizon_rounds=seen_horizon(PROTOCOLS.effective_eta(spec.protocol, spec.eta)),
         )
 
     def publish(self, pid: int, r: int, message: Message) -> None:
@@ -193,8 +195,10 @@ class ShardRuntime:
 
         The caller anchors :attr:`clock` (and the fabric) first.  At
         ``clock.start_of(r)`` the gossip seen index enters round ``r``,
-        forgetting keys older than η + :data:`SEEN_SLACK_ROUNDS`, and
-        the round's arrivals are fetched once; in pid order every awake
+        forgetting keys older than η +
+        :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, the verifier
+        forgets verdicts entered below the index's floor, and the
+        round's arrivals are fetched once; in pid order every awake
         node takes them and every node outside ``B_r`` runs its send
         phase.  When this shard holds every node the adversary's
         ``send`` follows, over the recorder's tree, with keys handed
@@ -214,7 +218,9 @@ class ShardRuntime:
         try:
             for r in range(spec.rounds):
                 await clock.sleep_until_elapsed(clock.start_of(r))
-                self.network.seen.advance(r)
+                seen = self.network.seen
+                seen.advance(r)
+                self.verifier.interner.advance(r, seen.floor)
                 arrivals = spec.arrivals(r)
                 # ``nodes`` is keyed in ``config.shard`` order: pid order.
                 for pid, node in self.nodes.items():

@@ -25,6 +25,7 @@ from repro.chain.tally import EQUIVOCATED_VOTE, VoteSet
 from repro.crypto.hashing import hash_fields, require_exact_types
 from repro.crypto.signatures import KeyRegistry, SecretKey, Signature
 from repro.crypto.vrf import VRFOutput, evaluate_vrf, verify_vrf
+from repro.sleepy.horizon import RoundBuckets
 
 _INT, _STR, _TIP = (int,), (str,), (str, type(None))
 
@@ -279,10 +280,9 @@ class IdentityMemo:
             entries.popitem(last=False)
 
 
-#: Default capacity of a :class:`MessageInterner`: one entry per
-#: *logical* message, which covers n·rounds of votes and proposals at
-#: the repository's experiment scales, and bounds what a Byzantine flood
-#: of distinct messages can pin in memory.
+#: Capacity of a :class:`MessageInterner`: far above the verdicts an
+#: honest run keeps alive (its deliverable messages), so only a flood of
+#: distinct messages inside the horizon ever reaches it.
 DEFAULT_INTERNER_CAPACITY = 1 << 17
 
 #: A key's entry in a :class:`MessageInterner` when verification
@@ -306,10 +306,19 @@ class MessageInterner:
     ``id`` can never be recycled while it is a member — eviction removes
     the id in the same step, keeping the check sound).
 
-    LRU-bounded: corrupted keys can sign unlimited distinct valid
-    messages, anyone can send unlimited junk, and on the long-running
-    deployment substrate nothing else retains messages run-wide.  An
-    evicted entry is merely verified again on next sight.
+    A verdict lives as long as its message can still be delivered.  The
+    dissemination layer enters each round with :meth:`advance`, saying
+    which round's verdicts it can no longer need: the simulator's bus
+    passes the publish round of its oldest deliverable message, a
+    shard its seen index's floor.  A verdict is filed under the round
+    it was entered in, which is never earlier than its message's
+    publication, so the simulator still verifies each published message
+    exactly once.
+
+    The LRU capacity is a flood bound only: corrupted keys can sign
+    unlimited distinct valid messages and anyone can send unlimited
+    junk within one horizon.  An evicted entry is merely verified again
+    on next sight.
     """
 
     def __init__(self, capacity: int = DEFAULT_INTERNER_CAPACITY) -> None:
@@ -320,6 +329,10 @@ class MessageInterner:
         # Not an IdentityMemo: membership follows ``_by_key``'s LRU
         # (evicted in the same step) and there is no value to hold.
         self._canonical_ids: set[int] = set()
+        #: Keys filed by the round their verdict was entered in (the
+        #: round in progress: ``_entering``).
+        self._rounds = RoundBuckets()
+        self._entering = self._rounds.bucket(0)
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -328,6 +341,22 @@ class MessageInterner:
     def capacity(self) -> int:
         """Maximum number of verdicts held."""
         return self._capacity
+
+    def advance(self, now: int, floor: int) -> None:
+        """Enter round ``now``; forget every verdict entered before round ``floor``."""
+        by_key, canonical = self._by_key, self._canonical_ids
+        released = self._rounds.release(floor)
+        if self._rounds.empty():
+            # Every verdict was filed and none is left: drop the tables
+            # whole rather than hash each cold key once more.
+            by_key.clear()
+            canonical.clear()
+        else:
+            for key in released:
+                verdict = by_key.pop(key, None)
+                if verdict is not None:
+                    canonical.discard(id(verdict))
+        self._entering = self._rounds.bucket(now)
 
     def is_canonical(self, message: Message) -> bool:
         """Whether ``message`` *is* (identically) an interned instance."""
@@ -347,17 +376,17 @@ class MessageInterner:
         if existing is not None and existing is not REJECTED:
             self._by_key.move_to_end(key)
             return existing  # type: ignore[return-value]
-        self._by_key[key] = message
+        self._enter(key, message)
         self._canonical_ids.add(id(message))
-        self._evict()
         return message
 
     def reject(self, key: tuple) -> None:
         """Record that the message with ``key`` failed verification."""
-        self._by_key[key] = REJECTED
-        self._evict()
+        self._enter(key, REJECTED)
 
-    def _evict(self) -> None:
+    def _enter(self, key: tuple, verdict: object) -> None:
+        self._by_key[key] = verdict
+        self._entering.append(key)
         while len(self._by_key) > self._capacity:
             _, evicted = self._by_key.popitem(last=False)
             self._canonical_ids.discard(id(evicted))

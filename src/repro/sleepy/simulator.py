@@ -18,6 +18,12 @@ choice must be a subset of what is deliverable, corruption must be
 monotone for a growing adversary, Byzantine processes never sleep, and
 asleep processes are never consulted.
 
+A message is kept while it can still be delivered: each round starts by
+compacting the bus (:meth:`~repro.engine.bus.MessageBus.advance`) and
+releasing the verdicts of what it dropped.  ``eta`` is the protocol's
+expiration period, which sets how long the bus keeps a dedup key
+(:func:`~repro.sleepy.horizon.seen_horizon`).
+
 This module is the simulator half of the unified execution engine; the
 shared pieces (message bus, corruption tracking) live in
 :mod:`repro.engine`, and the trace is recorded by the same
@@ -36,6 +42,7 @@ from repro.engine.conditions import NetworkConditions
 from repro.engine.errors import ModelViolationError, UndeliverableMessageError
 from repro.engine.ingest import IngestPipeline
 from repro.sleepy.adversary import Adversary, AdversaryContext
+from repro.sleepy.horizon import seen_horizon
 from repro.sleepy.messages import Message
 from repro.sleepy.process import Process, ProcessFactory, build_process
 from repro.sleepy.schedule import SleepSchedule
@@ -55,6 +62,7 @@ class Simulation:
         conditions: NetworkConditions,
         process_factory: ProcessFactory,
         meta: dict | None = None,
+        eta: int = 0,
     ) -> None:
         if schedule.n != registry.n:
             raise ValueError("schedule and registry disagree on the number of processes")
@@ -84,8 +92,9 @@ class Simulation:
             for pid in range(registry.n)
         }
 
-        #: The dissemination layer (indexed per-recipient delivery state).
-        self.bus = MessageBus(registry.n)
+        #: The dissemination layer (indexed per-recipient delivery state);
+        #: it forgets a dedup key η + 8 rounds after accepting it.
+        self.bus = MessageBus(registry.n, seen_horizon(eta))
 
     # ------------------------------------------------------------------
     # Execution
@@ -101,6 +110,11 @@ class Simulation:
         byz = self._corruption.corrupted(r)
         scheduled = self.schedule.awake(r)
         self._ctx.round = r
+        # What no receiver outside ``B_r`` can still be delivered is
+        # freed: the bus's log prefix and stale keys, then every verdict
+        # older than the bus's oldest deliverable message.
+        self.bus.advance(r, byz)
+        self.pipeline.interner.advance(r, self.bus.floor)
 
         # --- Send phase ---------------------------------------------------
         for pid in sorted(scheduled - byz):

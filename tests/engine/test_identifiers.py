@@ -156,7 +156,7 @@ def test_content_key_costs_no_hash_and_no_encoding(registry, genesis, encode_cal
     for message in (vote, propose):
         first = message.content_key
         assert message.content_key == first and {first: 1}[message.content_key] == 1
-    bus = MessageBus(4)
+    bus = MessageBus(4, horizon_rounds=8)
     assert bus.publish(vote) and not bus.publish(vote)
     bus.deliver_chosen(0, [vote])
     assert encode_calls[0] == 0

@@ -179,6 +179,25 @@ def test_interner_is_lru_bounded_and_eviction_is_sound(registry, genesis):
     assert interner.is_canonical(evicted)
 
 
+def test_a_verdict_is_forgotten_below_the_floor_and_kept_at_it(registry, genesis):
+    """``advance(now, floor)`` files what is entered from then on under
+    ``now`` and forgets what was entered before ``floor``: the identity
+    fast path goes with the verdict, and the message is verified again."""
+    pipeline = IngestPipeline(registry)
+    interner = pipeline.interner
+    early, late = signed_votes(registry, 1, genesis.block_id, range(2))
+    assert pipeline.verify(early)
+    interner.advance(1, floor=0)
+    assert pipeline.verify(late)
+    interner.advance(2, floor=1)  # round 0's verdicts go, round 1's stay
+    assert len(interner) == 1
+    assert not interner.is_canonical(early) and interner.is_canonical(late)
+    assert pipeline.verify(early) and pipeline.verify(late)
+    assert pipeline.stats["crypto_verifications"] == 3
+    interner.advance(3, floor=3)  # everything entered is released at once
+    assert len(interner) == 0 and not interner.is_canonical(late)
+
+
 def test_registry_verify_batch_matches_single_verify(registry, genesis):
     key = registry.secret_key(5)
     vote = make_vote(registry, key, 2, genesis.block_id)

@@ -28,7 +28,7 @@ def test_transplanted_id_cannot_suppress_a_distinct_message(registry, genesis):
     """A Byzantine message wearing an honest message's id is *content*
     distinct, so it must still be published (it is junk for the ingest
     layer to reject, not a duplicate for the bus to swallow)."""
-    bus = MessageBus(2)
+    bus = MessageBus(2, horizon_rounds=8)
     honest = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     other = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
     poisoned(other, honest.message_id)
@@ -42,7 +42,7 @@ def test_transplanted_id_cannot_suppress_a_distinct_message(registry, genesis):
 def test_forged_fresh_id_cannot_republish_seen_content(registry, genesis):
     """The reverse lie — same content, fabricated 'fresh' id — must
     still be deduplicated."""
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
     poisoned(clone, "totally-new-id")
@@ -53,7 +53,7 @@ def test_forged_fresh_id_cannot_republish_seen_content(registry, genesis):
 
 
 def test_honest_republish_still_deduplicated(registry, genesis):
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     assert not bus.publish(vote)
@@ -67,7 +67,7 @@ def test_transplanted_id_cannot_void_honest_delivery(registry, genesis):
     """If the adversary publishes a message wearing an honest id and
     then 'chooses' it during an asynchronous round, the honest message
     must stay pending — id-keyed matching would have dropped it."""
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     honest = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     byz = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
     poisoned(byz, honest.message_id)
@@ -81,7 +81,7 @@ def test_transplanted_id_cannot_void_honest_delivery(registry, genesis):
 
 
 def test_delivery_choice_outside_pending_content_rejected(registry, genesis):
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     outsider = make_vote(registry, registry.secret_key(1), 0, genesis.block_id)
@@ -95,7 +95,7 @@ def test_delivery_choice_outside_pending_content_rejected(registry, genesis):
 def test_equal_content_distinct_instance_is_choosable(registry, genesis):
     """Choosing by value (a re-built but content-identical instance)
     keeps working — the key is content, not object identity."""
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     vote = make_vote(registry, registry.secret_key(0), 0, genesis.block_id)
     assert bus.publish(vote)
     clone = VoteMessage(sender=0, round=0, signature=vote.signature, tip=genesis.block_id)
@@ -108,7 +108,7 @@ def test_a_choice_mixing_pending_objects_twins_and_repeats(registry, genesis, mo
     chosen sends the whole choice down the content path, which keys the
     backlog once, tolerates a repeat, and names a stray by its key —
     never by a ``message_id`` it would have to hash."""
-    bus = MessageBus(1)
+    bus = MessageBus(1, horizon_rounds=8)
     votes = [make_vote(registry, registry.secret_key(pid), 0, genesis.block_id) for pid in range(6)]
     for vote in votes:
         assert bus.publish(vote)

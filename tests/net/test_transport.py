@@ -77,7 +77,7 @@ def test_latency_streams_are_per_link_and_order_independent():
 
 
 def test_wheel_pending_counts_frames_in_flight():
-    """What ``ShardRuntime.sample`` exports as ``transport_in_flight``."""
+    """What ``ShardRuntime.sample()["transport"]["in_flight"]`` reads."""
 
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)

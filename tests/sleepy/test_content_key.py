@@ -287,7 +287,7 @@ def _junk_twins(good: VoteMessage) -> list[VoteMessage]:
 
 def test_a_junk_twin_published_first_cannot_censor_on_the_bus(registry, genesis):
     good = make_vote(registry, registry.secret_key(1), 5, genesis.block_id)
-    bus = MessageBus(4)
+    bus = MessageBus(4, horizon_rounds=8)
     for junk in _junk_twins(good):
         object.__setattr__(junk, "_message_id", good.message_id)
         assert bus.publish(junk)
