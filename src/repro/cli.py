@@ -476,7 +476,7 @@ def _cmd_soak(args) -> int:
         "protocol": args.protocol,
         "eta": args.eta,
         "wall_seconds": result.wall_seconds,
-        "start_lateness_ms": max(extras["lifecycle"]["start_lateness_s"]) * 1e3,
+        "phase_lateness_max_ms": extras["histograms"]["phase_lateness_s"]["max"] * 1e3,
         "decisions": len(trace.decisions),
         "verdict": str(verdict),
         "safe": not verdict.forked,

@@ -46,9 +46,9 @@ that depends on k: a :class:`~repro.net.transport.SimTransport` at
 k = 1, a socket mesh beyond.  Every shard anchors its round clock, its
 fabric and its attack proxy's phase schedule at one start instant,
 which the coordinator puts a few handshake legs ahead
-(``extras["lifecycle"]`` records the handshake and each shard's start
-lateness).  Shard 0's payload reaches the merge in memory; only the
-spawned shards' payloads are pickled.
+(``extras["lifecycle"]`` records the handshake and each shard's span,
+the ``phase_lateness_s`` histogram how late each phase woke).  Shard
+0's payload reaches the merge in memory; only the spawned ones are pickled.
 
 One trace recorder.  Each shard's
 :class:`~repro.sleepy.trace.TraceRecorder` records what the shard
@@ -143,11 +143,10 @@ class DeploymentBackend(ExecutionBackend):
         worker_args = [(configs[0], nodes), *((config,) for config in configs[1:])]
         payloads = await coordinator.run(run_worker, worker_main, worker_args)
         # The coordinator picked the start instant from its handshake;
-        # each shard says how late it anchored there and how long it
-        # drove.  The wall is the rounds' span: set-up is ``setup_s``.
-        lifecycle = dict(coordinator.lifecycle)
-        for key in ("start_lateness_s", "span_s"):
-            lifecycle[key] = [payload["lifecycle"][key] for payload in payloads]
+        # each shard says how long it drove from there.  The wall is the
+        # rounds' span: set-up is ``setup_s``.
+        spans = [payload["span_s"] for payload in payloads]
+        lifecycle = {**coordinator.lifecycle, "span_s": spans}
         extras = {"processes": len(shards), "shards": shards, "lifecycle": lifecycle}
         if nodes is not None:
             extras["nodes"] = nodes

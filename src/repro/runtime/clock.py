@@ -52,8 +52,10 @@ class RoundClock:
         """Elapsed-seconds timestamp of the beginning of a round."""
         return round_number * self.round_s
 
-    async def sleep_until_elapsed(self, elapsed_target: float) -> None:
-        """Sleep until ``elapsed_target`` seconds after round 0."""
+    async def sleep_until_elapsed(self, elapsed_target: float) -> float:
+        """Sleep until ``elapsed_target`` seconds after round 0; return how
+        many seconds past it this clock woke (all of it if already past)."""
         remaining = elapsed_target - self.elapsed()
         if remaining > 0:
             await asyncio.sleep(remaining)
+        return self.elapsed() - elapsed_target

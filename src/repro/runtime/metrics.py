@@ -2,12 +2,13 @@
 
 A :class:`MetricsHub` holds what a shard's phase loop alone observes:
 monotonic counters (``messages_published``, ``decisions``,
-``nodes_finished``) and fixed-bucket histograms
-(``decision_latency_s``).  State that has an owner — the fabric's wire
-counters, the gossip layer's dissemination counts, the mempools, an
-attack proxy's audit — is read from that owner once, when the shard
-takes its *sample* (:meth:`~repro.runtime.shard.ShardRuntime.sample`),
-never mirrored into the hub.  A sample is the one thing a shard
+``nodes_finished``) and fixed-bucket histograms (``decision_latency_s``;
+``phase_lateness_s``, how late the loop woke for each of a round's two
+phases).  State that has an owner — the fabric's wire counters, the
+gossip layer's dissemination counts, the mempools, an attack proxy's
+audit — is read from that owner once, when the shard takes its
+*sample* (:meth:`~repro.runtime.shard.ShardRuntime.sample`), never
+mirrored into the hub.  A sample is the one thing a shard
 reports: its live ``("metrics", wid, sample)`` frames and its
 end-of-run payload carry the same shape, and :func:`merge_samples` is
 the one function that folds samples, for the result's ``extras`` and
@@ -86,8 +87,9 @@ def transport_counters(transport) -> dict[str, int]:
 
 
 def _bucket_ladder() -> tuple[float, ...]:
-    # 0.1 ms .. ~1677 s in exact powers of two: merge-stable and wide
-    # enough for decision latencies at any δ this repository runs.
+    # 0.1 ms .. ~838.9 s (0.0001 · 2²³) in exact powers of two: merge-
+    # stable, wide enough for decision latencies at any δ run here; the
+    # first bucket (≤ 0.1 ms) holds every virtual-clock phase lateness.
     return tuple(0.0001 * (2**k) for k in range(24))
 
 

@@ -205,9 +205,9 @@ class ShardRuntime:
         over and monotonicity enforced as in the simulator.  At
         ``RECEIVE_FRACTION`` of the round every node outside ``B_{r+1}``
         runs its receive phase.  Corrupted nodes keep relaying gossip.
-        :attr:`hub` observes each decision's latency from the start of
-        its view's first round; ``report`` is awaited with a fresh
-        :meth:`sample` four times a second.
+        :attr:`hub` observes how late each phase woke (``phase_lateness_s``)
+        and each decision's latency from its view's first round;
+        ``report`` is awaited with a fresh :meth:`sample` four times a second.
         """
         spec, clock, hub = self.config.spec, self.clock, self.hub
         adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
@@ -217,7 +217,7 @@ class ShardRuntime:
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
             for r in range(spec.rounds):
-                await clock.sleep_until_elapsed(clock.start_of(r))
+                hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(clock.start_of(r)))
                 seen = self.network.seen
                 seen.advance(r)
                 self.verifier.interner.advance(r, seen.floor)
@@ -242,7 +242,7 @@ class ShardRuntime:
                         check_adversary_message(message, byz)
                         self.publish(message.sender, r, message)
                 receive_at = clock.start_of(r) + RECEIVE_FRACTION * clock.round_s
-                await clock.sleep_until_elapsed(receive_at)
+                hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(receive_at))
                 for pid, node in self.nodes.items():
                     if pid not in self.byz_by_round[r + 1]:
                         node.run_receive_phase(r)
@@ -298,22 +298,22 @@ class ShardRuntime:
             "attack": attack,
         }
 
-    def payload(self, lifecycle: Mapping[str, float] | None = None) -> dict:
-        """This shard's picklable contribution to the deployment result.
+    def payload(self) -> dict:
+        """This shard's picklable contribution, taken once the drive returns.
 
-        ``record`` is the shard recorder's shipment, its nodes'
-        decisions appended: the blocks this shard published (once each,
-        in publish order) and its per-round message counts, which
+        ``span_s`` is the drive's length on :attr:`clock`, from the shared
+        start instant.  ``record`` is the shard recorder's shipment, its
+        nodes' decisions appended: the blocks this shard published (once
+        each, in publish order) and its per-round message counts, which
         :meth:`~repro.engine.deploy_backend.DeploymentBackend._assemble_trace`
-        folds into the trace.  ``lifecycle`` is what a worker measured
-        of its own start and end (``start_lateness_s``, ``span_s``);
-        ``sample`` is its final :meth:`sample`.
+        folds into the trace; ``sample`` is its final :meth:`sample`.
         """
+        span_s = self.clock.elapsed()
         self.record.decided(d for node in self.nodes.values() for d in node.decisions)
         return {
             "worker_id": self.config.worker_id,
             "shard": self.config.shard,
             "record": self.record.shipment(),
-            "lifecycle": dict(lifecycle or {}),
+            "span_s": span_s,
             "sample": self.sample(),
         }

@@ -14,15 +14,15 @@ event loop, over an in-memory control channel; workers 1..k−1 run it
 in spawned processes through :func:`worker_main`, over a control
 socket.  Every worker handshakes, anchors its round clock, its fabric
 and its attack proxy's phase schedule at the shared start instant
-(reporting how late that was), pushes live samples over its channel
-while the coordinator listens for them, and takes its payload the
-moment the drive returns: after a node's last receive phase nothing
-that arrives can reach its tree, vote store or decisions, and frames
-still parked are written at their slots or by the transport's closing
-flush.  The payload's trace part is what the shard recorded at publish
-(the blocks it published, its per-round counts, its nodes' decisions),
-so a block reaches the coordinator once, from the shard that published
-it.
+(a late anchor is the loop's first ``phase_lateness_s``), pushes live
+samples over its channel while the coordinator listens for them, and
+takes its payload the moment the drive returns: after a node's last
+receive phase nothing that arrives can reach its tree, vote store or
+decisions, and frames still parked are written at their slots or by
+the transport's closing flush.  The payload's trace part is what the
+shard recorded at publish (the blocks it published, its per-round
+counts, its nodes' decisions), so a block reaches the coordinator
+once, from the shard that published it.
 """
 
 from __future__ import annotations
@@ -86,21 +86,16 @@ async def run_worker(
         if channel is None:
             channel = await ControlChannel.open(config.control_address, config.worker_id)
         origin, listening = await channel.join(transport)
-        loop = asyncio.get_running_loop()
         shard.clock.start_at(origin)
         transport.anchor(origin)
         if shard.proxy is not None:
             shard.proxy.schedule_phases()
-        # A start frame read after its instant is reported, not padded
-        # against: round 0 still holds while this stays under ~1.9 δ.
-        start_lateness_s = max(0.0, loop.time() - origin)
-        pump = loop.create_task(channel.until_shutdown())
+        pump = asyncio.create_task(channel.until_shutdown())
         await shard.drive(
             report=(lambda sample: channel.send("metrics", sample)) if listening else None,
         )
-        lifecycle = {"start_lateness_s": start_lateness_s, "span_s": loop.time() - origin}
         shard.stop()
-        payload = shard.payload(lifecycle)
+        payload = shard.payload()
         if nodes is not None:
             nodes.update(shard.nodes)
         # The payload is all that is left of the shard: its nodes and

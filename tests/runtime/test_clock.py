@@ -52,8 +52,11 @@ def test_sleep_until_past_time_returns_immediately():
         clock.start()
         await clock.sleep_until_elapsed(clock.start_of(1))
         before = clock.elapsed()
-        await clock.sleep_until_elapsed(clock.start_of(0))  # already past
-        return clock.elapsed() - before
+        lateness = await clock.sleep_until_elapsed(clock.start_of(0))  # already past
+        return clock.elapsed() - before, lateness, clock
 
+    moved, lateness, clock = run_virtual(scenario())
     # No timer was armed, so the virtual clock did not move at all.
-    assert run_virtual(scenario()) == 0.0
+    assert moved == 0.0
+    # The whole overshoot is the lateness: round 1's start, measured from 0.
+    assert lateness == clock.start_of(1)

@@ -1,7 +1,10 @@
-"""A shard's one phase loop: decision latency, phase instants, the order
-of a round's phases, and one workload fetch per round."""
+"""A shard's one phase loop: decision latency, phase lateness, phase
+instants, the order of a round's phases, and one workload fetch per round."""
 
 import asyncio
+import time
+
+import pytest
 
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
@@ -21,7 +24,8 @@ ROUND_S = 3.0
 
 
 class FakeClock:
-    """A round clock whose sleeps jump straight to their target."""
+    """A round clock whose sleeps jump straight to their target and
+    return how far past it ``now`` already was (their lateness)."""
 
     round_s = ROUND_S
 
@@ -34,8 +38,9 @@ class FakeClock:
     def start_of(self, round_number: int) -> float:
         return round_number * ROUND_S
 
-    async def sleep_until_elapsed(self, target: float) -> None:
+    async def sleep_until_elapsed(self, target: float) -> float:
         self.now = max(self.now, target)
+        return self.now - target
 
 
 class SilentProcess(Process):
@@ -95,6 +100,72 @@ def test_decision_latency_counts_from_the_views_first_round():
     assert _observed_latency_s(at_round=7, view=3) == 2 * ROUND_S
     # View 0 starts at round 0.
     assert _observed_latency_s(at_round=1, view=0) == 1 * ROUND_S
+
+
+def test_a_slow_send_phase_makes_the_next_two_phases_late():
+    """A send phase of round 2 that takes 1.2 Δ wakes round 2's receive
+    phase 0.3 Δ late and round 3's start 0.2 Δ late; every other phase
+    of the loop is on time."""
+
+    class Slow(DecidingNode):
+        def run_send_phase(self, round_number: int) -> list:
+            if round_number == 2:
+                shard.clock.now += 1.2 * ROUND_S
+            return []
+
+    rounds = 5
+    shard = _fake_shard([Slow(0)], rounds=rounds)
+    observed = []
+    observe = shard.hub.observe
+
+    def recording(name, value):
+        if name == "phase_lateness_s":
+            observed.append(value)
+        observe(name, value)
+
+    shard.hub.observe = recording
+    asyncio.run(shard.drive())
+    # Two observations a round: its start, then its receive phase.
+    late = {(2, "receive"): 0.3 * ROUND_S, (3, "start"): 0.2 * ROUND_S}
+    expected = [late.get((r, phase), 0.0) for r in range(rounds) for phase in ("start", "receive")]
+    assert observed == pytest.approx(expected)
+    lateness = shard.hub.snapshot()["histograms"]["phase_lateness_s"]
+    assert lateness["count"] == 2 * rounds
+    assert lateness["max"] == pytest.approx(0.3 * ROUND_S)
+
+
+def test_a_virtual_clock_run_wakes_every_phase_on_time():
+    """On the virtual clock every sleep ends at its timer: each of the
+    2 × rounds observations is exactly 0."""
+    rounds = 12
+    spec = RunSpec(n=6, rounds=rounds, protocol="resilient", eta=2, seed=0)
+    result = run_virtual(DeploymentBackend(delta_s=0.02).execute_async(spec))
+    lateness = result.extras["histograms"]["phase_lateness_s"]
+    assert lateness["count"] == 2 * rounds
+    assert lateness["max"] == 0.0
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_send_phase_that_overruns_its_window_shows_in_the_lateness(monkeypatch, processes):
+    """On the real clock, pid 0's send phase of round 5 sleeping 1.2 Δ
+    wakes its shard's receive phase at least 0.3 Δ late, whichever
+    shard count.  pid 0 is in shard 0, which the patch reaches."""
+    delta_s = 0.01
+    round_s = 3 * delta_s
+    send = DeployedNode.run_send_phase
+
+    def stalling(node, round_number):
+        if node.pid == 0 and round_number == 5:
+            time.sleep(1.2 * round_s)
+        return send(node, round_number)
+
+    monkeypatch.setattr(DeployedNode, "run_send_phase", stalling)
+    rounds = 10
+    spec = RunSpec(n=4, rounds=rounds, protocol="resilient", eta=2, seed=0)
+    result = DeploymentBackend(delta_s=delta_s, processes=processes).execute(spec)
+    lateness = result.extras["histograms"]["phase_lateness_s"]
+    assert lateness["count"] == 2 * rounds * processes
+    assert lateness["max"] >= 0.3 * round_s
 
 
 def test_every_receive_phase_runs_at_the_clocks_receive_fraction():

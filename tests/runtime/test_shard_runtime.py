@@ -53,7 +53,7 @@ def test_a_single_shards_payload_pickles_and_merges_to_what_the_backend_reports(
 
     payload = pickle.loads(pickle.dumps(asyncio.run(one_shard())))
     assert payload["shard"] == (0, 1, 2, 3)
-    assert set(payload) == {"worker_id", "shard", "record", "lifecycle", "sample"}
+    assert set(payload) == {"worker_id", "shard", "record", "span_s", "sample"}
     assert payload["sample"]["attack"] is None
     assert set(merge_samples([payload["sample"]])) == {
         "counters",
@@ -141,11 +141,13 @@ def test_extras_have_one_shape_on_both_substrates():
             "dialed_s",
             "margin_s",
             "setup_s",
-            "start_lateness_s",
             "span_s",
         }
         assert len(lifecycle["span_s"]) == extras["processes"]
         assert result.wall_seconds == max(lifecycle["span_s"])
+        # Every shard observes both phases of every round.
+        lateness = extras["histograms"]["phase_lateness_s"]
+        assert lateness["count"] == 2 * spec.rounds * extras["processes"]
         # The hub is always on: no collector was attached to either run.
         assert extras["counters"]["decisions"] == len(result.trace.decisions)
         assert set(extras["transport"]) == set(multi.extras["transport"])

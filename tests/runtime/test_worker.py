@@ -48,8 +48,8 @@ def test_multiprocess_decides_the_same_chain_as_single_process(processes):
             for r in result.trace.rounds
         ]
 
-    # A worker that anchored late says so: the lifecycle is the first clue.
-    clue = multi.extras["lifecycle"]
+    # A shard whose loop woke late says so: its phase lateness is the first clue.
+    clue = multi.extras["histograms"]["phase_lateness_s"]
     assert decision_set(multi) == decision_set(single), clue
     assert sorted(multi.trace.tree.tips()) == sorted(single.trace.tree.tips()), clue
     # The checkers get the same input: every block, and every round's
