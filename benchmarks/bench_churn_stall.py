@@ -17,7 +17,7 @@ no Byzantine processes at all):
 This is the trade-off the paper asks operators to price in (§3 step 1).
 """
 
-from repro.analysis import check_safety, decision_rounds, format_table
+from repro.analysis import check_safety, decision_rounds, format_table, stalls
 from repro.engine.backend import run_spec
 from repro.engine.spec import RunSpec
 from repro.workloads import RampSchedule
@@ -31,14 +31,11 @@ def run_decline(protocol: str, eta: int, length: int) -> dict:
     trace = run_spec(
         RunSpec(n=N, rounds=ROUNDS, protocol=protocol, eta=eta, schedule=schedule)
     ).trace
-    rounds = decision_rounds(trace)
-    gaps = [b - a for a, b in zip(rounds, rounds[1:])]
-    stall = max(gaps) if gaps else ROUNDS
     return {
         "protocol": f"{protocol} (η={eta})",
         "decline": f"{length} rounds",
-        "longest stall": stall,
-        "decisions": len(rounds),
+        "longest stall": max(map(len, stalls(trace))),
+        "decisions": len(decision_rounds(trace)),
         "safe": check_safety(trace).ok,
     }
 

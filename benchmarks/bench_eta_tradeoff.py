@@ -14,7 +14,7 @@ adversary) shrinks to nothing around η ≈ 16 (where γ → 1/3).
 
 from fractions import Fraction
 
-from repro.analysis import chain_growth_rate, check_safety, decision_rounds, format_table
+from repro.analysis import chain_growth_rate, check_safety, format_table, stalls
 from repro.attacks import apply_script, get_script
 from repro.core.bounds import beta_tilde, max_resilient_pi
 from repro.engine.backend import run_spec
@@ -39,8 +39,6 @@ def run_eta(eta: int) -> dict:
     if byz:
         config = apply_script(config, get_script("crash", N, byz=range(N - byz, N), from_round=0))
     trace = run_spec(config).trace
-    rounds = decision_rounds(trace)
-    gaps = [b - a for a, b in zip(rounds, rounds[1:])]
     return {
         "eta": eta,
         "pi": max_resilient_pi(eta),
@@ -48,7 +46,7 @@ def run_eta(eta: int) -> dict:
         "beta_tilde": float(allowed),
         "byz": byz,
         "growth": chain_growth_rate(trace, start=8),
-        "stall": max(gaps) if gaps else ROUNDS,
+        "stall": max(map(len, stalls(trace))),
         "safe": check_safety(trace).ok,
     }
 

@@ -68,7 +68,7 @@ from repro.analysis import (
     check_safety,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Adversary",

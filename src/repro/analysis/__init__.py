@@ -51,6 +51,7 @@ from repro.analysis.metrics import (
     message_totals,
     participation_timeline,
     reorg_events,
+    stalls,
     transactions_decided,
 )
 from repro.analysis.export import load_trace, save_trace, trace_from_dict, trace_to_dict
@@ -92,6 +93,7 @@ __all__ = [
     "render_timeline",
     "reorg_events",
     "save_trace",
+    "stalls",
     "trace_from_dict",
     "trace_to_dict",
     "transactions_decided",

@@ -31,7 +31,7 @@ from repro.analysis.assumptions import (
     check_eta_sleepiness,
     check_reduced_failure_ratio,
 )
-from repro.analysis.metrics import chain_growth_rate, decision_rounds
+from repro.analysis.metrics import chain_growth_rate, decision_rounds, stalls
 from repro.analysis.tables import format_table
 from repro.analysis.verdict import judge
 from repro.attacks import ATTACKS, apply_script, get_script
@@ -172,15 +172,13 @@ def ablation_beta_spec(
 
 
 def reduce_ablation_beta(result: EngineResult, params: dict) -> dict:
-    """Reduce one A1 run to its post-sleep cadence/stall/safety row."""
+    """Reduce one A1 run to its post-sleep decisions, longest stall and verdict."""
     trace = result.trace
-    rounds = decision_rounds(trace)
-    post = [r for r in rounds if r > params["sleep_at"]]
-    gaps = [b - a for a, b in zip(post, post[1:])]
+    post = [r for r in decision_rounds(trace) if r > params["sleep_at"]]
     return {
         "byz": params["byz_count"],
         "post_decisions": len(post),
-        "longest_stall": max(gaps, default=params["rounds"] - params["sleep_at"] if not post else 0),
+        "longest_stall": max(map(len, stalls(trace))),
         **_verdict_columns(trace),
     }
 
@@ -339,10 +337,8 @@ def reduce_attack(result: EngineResult, params: dict) -> dict:
         r for r in range(script.total_rounds) if timeline.state_at(r).delivery_active
     ]
     recover_from = (disrupted[-1] + 1) if disrupted else 0
-    rounds = sorted(decision_rounds(trace))
-    gaps = [b - a for a, b in zip(rounds, rounds[1:])]
+    rounds = decision_rounds(trace)
     post = [r for r in rounds if r >= recover_from]
-    horizon = script.total_rounds + params["tail"]
     return {
         "script": params["script_name"],
         "protocol": params["protocol"],
@@ -351,7 +347,7 @@ def reduce_attack(result: EngineResult, params: dict) -> dict:
         "decided": bool(rounds),
         "recovered": bool(post),
         "first_decision": rounds[0] if rounds else None,
-        "longest_stall": max(gaps, default=0) if rounds else horizon,
+        "longest_stall": max(map(len, stalls(trace))),
         "recovery_latency": (post[0] - recover_from) if post else None,
     }
 

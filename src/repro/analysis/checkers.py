@@ -135,6 +135,12 @@ def check_healing(
     liveness requires a *new* decision within ``liveness_margin`` rounds
     of the healing point (Theorem 3 promises ~1 view under the paper's
     assumptions; the margin accommodates proposer luck).
+
+    Next to the verdict this is the stricter, per-window check the
+    benchmarks apply.  :func:`~repro.analysis.verdict.judge` takes only its
+    safety half: its liveness is ``stalled``, whose bound grows with the
+    run's Byzantine share, where this margin is fixed and proposer luck
+    under a β-share adversary outlasts it now and then.
     """
     healed_from = last_async_round + k
     post = [d for d in trace.decisions if d.round > healed_from]

@@ -59,10 +59,23 @@ def decision_rounds(trace: Trace) -> list[int]:
     return rounds
 
 
+def stalls(trace: Trace) -> list[range]:
+    """Every stretch between growths of the decided chain, first to last.
+
+    Each is ``range(a, b)``: the chain grew at round ``a`` and next at round
+    ``b`` (the horizon for the last stretch), so it stood still in rounds
+    ``a+1 .. b-1`` and ``len`` is the gap a longest-stall column shows.  The
+    first stretch starts at round 1: a run whose 3-round pipeline first
+    decides at round 3 opens with its 2-round cadence, not a stall.  It is
+    empty iff the chain grew by round 1.
+    """
+    points = [1, *decision_rounds(trace), trace.horizon]
+    return [range(a, b) for a, b in zip(points, points[1:])]
+
+
 def decision_gaps(trace: Trace) -> list[int]:
     """Rounds between successive growth events (protocol cadence)."""
-    rounds = decision_rounds(trace)
-    return [b - a for a, b in zip(rounds, rounds[1:])]
+    return [len(stretch) for stretch in stalls(trace)[1:-1]]
 
 
 def block_decision_latencies(trace: Trace) -> list[int]:

@@ -286,7 +286,7 @@ def _cmd_run(args) -> int:
     if args.save:
         save_trace(trace, args.save)
         print(f"\ntrace saved to {args.save}")
-    return 1 if verdict.unsafe else 0
+    return 1 if verdict.failed else 0
 
 
 def _cmd_attack(args) -> int:
@@ -297,7 +297,7 @@ def _cmd_attack(args) -> int:
     rounds = args.rounds if args.rounds is not None else script.total_rounds + 4
     backend = _backend_from(args)
     rows = []
-    unsafe = False
+    failed = False
     for protocol, eta in (("mmr", 0), ("resilient", args.eta)):
         spec = apply_script(
             RunSpec(n=args.n, rounds=rounds, protocol=protocol, eta=eta, seed=args.seed),
@@ -309,7 +309,7 @@ def _cmd_attack(args) -> int:
             raise SystemExit(f"repro attack: {refusal}") from None
         trace = result.trace
         verdict = judge(trace)
-        unsafe |= verdict.unsafe
+        failed |= verdict.failed
         audit = (result.extras.get("attack") or {}).get("totals") if backend else None
         audit_text = (
             " ".join(f"{key}={audit[key]}" for key in sorted(audit)) if audit else "—"
@@ -335,7 +335,7 @@ def _cmd_attack(args) -> int:
             ),
         )
     )
-    return 1 if unsafe else 0
+    return 1 if failed else 0
 
 
 def _cmd_outage(args) -> int:
@@ -357,7 +357,7 @@ def _cmd_outage(args) -> int:
             title="Correlated outage replay (May-2023 shape)",
         )
     )
-    return 1 if verdict.unsafe else 0
+    return 1 if verdict.failed else 0
 
 
 def _cmd_tune_eta(args) -> int:
@@ -497,7 +497,7 @@ def _cmd_soak(args) -> int:
         with open(args.dump, "w") as fh:
             json.dump(json_form({"summary": summary, "metrics": scraped}), fh, indent=2)
         print(f"\nsoak dump saved to {args.dump}")
-    return 1 if (verdict.unsafe or not trace.decisions or shed_protocol) else 0
+    return 1 if (verdict.failed or shed_protocol) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

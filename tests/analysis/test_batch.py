@@ -42,3 +42,15 @@ def test_overrides_name_an_axis_or_a_base_constant_and_nothing_else():
         job.build(etas=(2,))
     with pytest.raises(TypeError, match="no setting"):
         job.table([], rounds=3)
+
+
+def test_the_longest_stall_counts_the_stretch_after_the_last_growth():
+    """A1's over-sized adversary decides last at round 23 of 40: the chain
+    stands still to the horizon, a 17-round stall, longer than the 8 between
+    its post-sleep decisions at 15 and 23."""
+    job = GRIDS["ablation-beta"]
+    rows = sweep_rows(job.build().cells(), job.reducer, max_workers=0)
+    assert [(row["byz"], row["post_decisions"], row["longest_stall"]) for row in rows] == [
+        (1, 10, 8),
+        (9, 2, 17),
+    ]

@@ -8,6 +8,7 @@ from repro.analysis.metrics import (
     decision_rounds,
     message_totals,
     participation_timeline,
+    stalls,
     transactions_decided,
 )
 from repro.chain.transactions import Transaction
@@ -33,6 +34,17 @@ def test_decision_rounds_and_gaps():
     rounds = decision_rounds(trace)
     assert rounds[0] == 3
     assert decision_gaps(trace) == [2] * (len(rounds) - 1)
+
+
+def test_stalls_run_from_round_one_to_the_horizon():
+    trace = steady_trace()
+    rounds = decision_rounds(trace)
+    walk = stalls(trace)
+    assert walk[0] == range(1, rounds[0]) and walk[-1] == range(rounds[-1], 20)
+    assert [len(stretch) for stretch in walk[1:-1]] == decision_gaps(trace)
+    assert [r for stretch in walk for r in stretch] == list(range(1, 20))
+    assert max(map(len, walk)) == 2  # the pipeline's fill is not a stall
+    assert stalls(steady_trace(rounds=3)) == [range(1, 3)]  # nothing decided yet
 
 
 def test_chain_growth_rate():

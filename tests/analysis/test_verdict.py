@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import load_trace, save_trace
-from repro.analysis.verdict import Verdict, judge
+from repro.analysis.verdict import Verdict, judge, stall_bound
 from repro.attacks import apply_script, get_script
 from repro.chain.block import genesis_block
 from repro.chain.tree import BlockTree
@@ -23,6 +23,7 @@ from tests.net.conftest import run_virtual
 THIRD = Fraction(1, 3)
 HORIZON = 40
 STABLE = frozenset(range(12))
+STEADY = [(set(STABLE), set())] * HORIZON
 
 
 def hand_built(rows, eta, asynchronous=()):
@@ -74,6 +75,16 @@ def one_broken_hypothesis(draw):
     return with_decisions(hand_built(rows, eta, asynchronous), decisions), equation, at
 
 
+def growing(trace, rounds):
+    """``trace`` whose decided chain grows by one block at each of ``rounds``."""
+    trace.tree = BlockTree([genesis_block()])
+    blocks = extend(trace.tree, genesis_block().block_id, len(rounds))
+    trace.decisions += [
+        DecisionEvent(0, r, block.view, block.block_id) for r, block in zip(rounds, blocks)
+    ]
+    return trace
+
+
 def with_decisions(trace, decisions):
     """``trace`` with ``(pid, round, salt)`` decisions, one fork off genesis per salt."""
     trace.tree = BlockTree([genesis_block()])
@@ -93,27 +104,68 @@ def test_judge_names_the_one_broken_hypothesis_and_its_round(case):
 
 
 def test_periods_are_maximal_runs_of_asynchronous_rounds():
-    rows = [(set(STABLE), set())] * HORIZON
-    assert judge(hand_built(rows, eta=4, asynchronous={3, 4, 5, 9})) == Verdict("ok")
-    merged = judge(hand_built(rows, eta=4, asynchronous={3, 4, 5, 6}))
-    assert str(merged) == "outside-theorem(pi, 6)"
+    # Nothing is ever decided: in theorem, the seventh synchronous round
+    # without growth (2, 6, 7, 8, 10, 11, 12) is a stall.
+    split = judge(hand_built(STEADY, eta=4, asynchronous={3, 4, 5, 9}))
+    assert split == Verdict("ok", stalled=12)
+    merged = judge(hand_built(STEADY, eta=4, asynchronous={3, 4, 5, 6}))
+    assert str(merged) == "outside-theorem(pi, 6)" and merged.stalled is None
 
 
 @pytest.mark.parametrize(
     "decisions, expected",
     [
         # Definition 2 is not promised through the period [6, 8]...
-        ([(0, 6, 1), (1, 7, 2)], "ok"),
+        ([(0, 6, 1), (1, 7, 2)], "ok stalled(15)"),
         # ...but before it, and after it Definitions 5 and 6 are.
-        ([(0, 3, 1), (1, 5, 2)], "unsafe(def2, 5)"),
-        ([(0, 5, 1), (1, 10, 2)], "unsafe(def5, 10)"),
-        ([(0, 10, 1), (1, 12, 2)], "unsafe(def6, 12)"),
+        ([(0, 3, 1), (1, 5, 2)], "unsafe(def2, 5) stalled(13)"),
+        ([(0, 5, 1), (1, 10, 2)], "unsafe(def5, 10) stalled(15)"),
+        ([(0, 10, 1), (1, 12, 2)], "unsafe(def6, 12) stalled(17)"),
     ],
 )
 def test_what_the_hypotheses_promise(decisions, expected):
-    trace = hand_built([(set(STABLE), set())] * HORIZON, eta=4, asynchronous={6, 7, 8})
+    """Each chain grows once, to depth 1, then stands still: liveness fails
+    beside safety, seven synchronous rounds after its one growth."""
+    trace = hand_built(STEADY, eta=4, asynchronous={6, 7, 8})
     verdict = judge(with_decisions(trace, decisions))
     assert str(verdict) == expected and verdict.forked
+
+
+@pytest.mark.parametrize(
+    "rows, grows, asynchronous, stalled",
+    [
+        (STEADY, range(3, HORIZON, 2), (), None),  # every view decides
+        (STEADY, range(3, 13, 2), (), 18),  # last growth at 11: G(0) = 7 rounds later
+        (STEADY, range(3, 13, 2), {14, 15, 16}, 21),  # the period's rounds are not counted
+        ([(set(STABLE - {11}), {11})] * HORIZON, range(3, 13, 2), (), 34),  # ρ = 1/12: G = 23
+    ],
+)
+def test_a_chain_that_stops_growing_stalls_g_synchronous_rounds_later(
+    rows, grows, asynchronous, stalled
+):
+    trace = growing(hand_built(rows, eta=4, asynchronous=asynchronous), grows)
+    verdict = judge(trace)
+    assert verdict == Verdict("ok", stalled=stalled) and not verdict.unsafe
+    assert verdict.failed is (stalled is not None)
+    assert str(verdict) == ("ok" if stalled is None else f"ok stalled({stalled})")
+
+
+def test_a_stall_outside_the_theorem_is_not_judged():
+    """Blackout past ``max_resilient_pi(4) = 3``: the chain never grows again,
+    and the run is outside the theorem, not stalled."""
+    trace = growing(hand_built(STEADY, eta=4, asynchronous=range(5, 10)), [3])
+    assert judge(trace) == Verdict("outside-theorem", "pi", 8)
+
+
+@pytest.mark.parametrize(
+    "honest, byzantine, bound",
+    [(12, 0, 7), (11, 1, 23), (39, 5, 25), (33, 16, 43)],  # ρ = 0, 1/12, 0.114, 0.327
+)
+def test_g_grows_with_the_byzantine_share_of_the_awake(honest, byzantine, bound):
+    rows = [(set(range(honest)), set(range(honest, honest + byzantine)))] * HORIZON
+    assert stall_bound(build_trace(rows)) == bound
+    # An asynchronous round's share does not count: G is ρ's over synchronous rounds.
+    assert stall_bound(build_trace([(set(STABLE), set()), *rows[:1]], {1})) == 7
 
 
 def scripted(name: str, **params) -> RunSpec:

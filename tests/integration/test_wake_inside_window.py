@@ -87,3 +87,5 @@ def test_no_unsafe_seed_in_two_hundred():
     assert not forked, f"forked seeds: {forked}"
     unsafe = [seed for seed, v in verdicts.items() if v["verdict"].startswith("unsafe")]
     assert not unsafe, f"unsafe seeds: {unsafe}"
+    stalled = [seed for seed, v in verdicts.items() if "stalled" in v["verdict"]]
+    assert not stalled, f"stalled seeds: {stalled}"

@@ -8,7 +8,7 @@ the convention note in ``repro/protocols/tob_base.py``.
 
 import pytest
 
-from repro.analysis import chain_growth_rate, check_safety, decision_rounds
+from repro.analysis import chain_growth_rate, check_safety, decision_gaps, decision_rounds
 from repro.analysis.verdict import judge
 from repro.chain.block import GENESIS_TIP, genesis_block
 from repro.attacks import apply_script, get_script, propose
@@ -34,7 +34,7 @@ def test_conflicting_proposals_are_filtered_out():
     VRF rank, so every view stays productive."""
     trace = run_with_proposers("conflicting")
     assert check_safety(trace).ok
-    gaps = [b - a for a, b in zip(decision_rounds(trace), decision_rounds(trace)[1:])]
+    gaps = decision_gaps(trace)
     assert gaps and all(gap == 2 for gap in gaps)
 
 

@@ -70,22 +70,34 @@ def test_attack_pi_reaches_the_scripts_built_around_one_period(capsys):
         main(["attack", "--script", "crash", "--pi", "2"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--n", "6", "--rounds", "8"],
-        ["attack", "--n", "8", "--pi", "1"],
-        ["outage", "--n", "20", "--duration", "8"],
-    ],
-)
+JUDGED_COMMANDS = [
+    ["run", "--n", "6", "--rounds", "8"],
+    ["attack", "--n", "8", "--pi", "1"],
+    ["outage", "--n", "20", "--duration", "8"],
+    ["soak", "--duration", "1", "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", JUDGED_COMMANDS)
 def test_an_unsafe_verdict_fails_the_command(argv, capsys, monkeypatch):
-    """Exit 1 iff ``judge`` says ``unsafe``: the command keeps no policy of its own."""
+    """Exit 1 when ``judge`` says ``unsafe``: the command keeps no policy of its own."""
     import repro.cli
     from repro.analysis.verdict import Verdict
 
     monkeypatch.setattr(repro.cli, "judge", lambda trace: Verdict("unsafe", "def5", 7, True))
     assert main(argv) == 1
     assert "unsafe(def5, 7)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", JUDGED_COMMANDS)
+def test_a_stalled_verdict_fails_the_command(argv, capsys, monkeypatch):
+    """Exit 1 when ``judge`` says ``stalled`` too, on a safe run."""
+    import repro.cli
+    from repro.analysis.verdict import Verdict
+
+    monkeypatch.setattr(repro.cli, "judge", lambda trace: Verdict("ok", stalled=9))
+    assert main(argv) == 1
+    assert "ok stalled(9)" in capsys.readouterr().out
 
 
 def test_soak_reports_worker_death_cleanly(capsys, monkeypatch):
