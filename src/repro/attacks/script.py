@@ -51,7 +51,12 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from repro.engine.conditions import DEFAULT_SURGE_FACTOR, AsyncPeriod, NetworkConditions
+from repro.engine.conditions import (
+    DEFAULT_SURGE_FACTOR,
+    AsyncPeriod,
+    NetworkConditions,
+    check_surge_factor,
+)
 from repro.engine.spec import stable_digest
 
 
@@ -105,8 +110,7 @@ class SurgeOp(_Op):
     op = "surge"
 
     def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError("surge factor must be >= 1 (a surge slows the network)")
+        check_surge_factor(self.factor)
 
 
 @dataclass(frozen=True)
@@ -543,10 +547,6 @@ class ScriptTimeline:
 
     def sleeping_at(self, round_number: int) -> frozenset[int]:
         return self.state_at(round_number).sleeping
-
-    def phase_starts(self) -> tuple[int, ...]:
-        """First round of each phase (trailing quiescent phase included)."""
-        return self._starts
 
 
 def drop_rng(seed: int, round_number: int, receiver: int) -> random.Random:

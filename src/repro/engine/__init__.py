@@ -10,8 +10,8 @@ One protocol/adversary/schedule stack over both execution substrates:
   backlogs over one round-bucketed log).
 * :mod:`repro.engine.conditions` — substrate-independent
   :class:`NetworkConditions` (asynchronous periods that map to
-  adversarial delivery in the simulator and latency surges in
-  deployments).
+  adversarial delivery in the simulator and, round by round, latency
+  surges in deployments).
 * :mod:`repro.engine.spec` — the :class:`RunSpec` describing one run
   independently of where it executes.
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend`

@@ -8,19 +8,30 @@ delivers to every awake process all messages sent in rounds ``≤ r`` it
 has not received yet, and in a round :meth:`~NetworkConditions.
 is_asynchronous` covers the adversary chooses an arbitrary subset per
 receiver (messages are delayed, never lost); the asyncio deployment
-models the *physical* phenomenon, a latency surge past δ
-(:class:`~repro.net.transport.SurgeWindow`).
+models the *physical* phenomenon, a latency surge past δ: a shard's
+round loop sets its fabric's factor to :meth:`~NetworkConditions.
+surge_factor` of each round it wakes for
+(:meth:`~repro.net.transport.PushDelivery.surge`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from repro.net.transport import SurgeWindow
 
 #: Latency multiplier that comfortably pushes one-way delays past δ
 #: (base latency is δ/8 + up to δ/8 jitter in the deployment transport).
 DEFAULT_SURGE_FACTOR = 25.0
+
+
+def check_surge_factor(factor: float) -> None:
+    """Refuse a latency multiplier a fabric cannot apply.
+
+    A surge only slows links, and a delay must stay a number: NaN or
+    inf would reach the delivery wheel's slot arithmetic mid-run.
+    """
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValueError("surge factor must be finite and >= 1 (a surge only slows the network)")
 
 
 @dataclass(frozen=True)
@@ -40,8 +51,7 @@ class AsyncPeriod:
             raise ValueError("ra must be non-negative")
         if self.pi < 0:
             raise ValueError("pi must be non-negative")
-        if self.surge_factor < 1.0:
-            raise ValueError("surge_factor must be >= 1 (asynchrony slows the network)")
+        check_surge_factor(self.surge_factor)
 
     def covers(self, round_number: int) -> bool:
         return self.ra + 1 <= round_number <= self.ra + self.pi
@@ -78,22 +88,15 @@ class NetworkConditions:
         return cls(periods=(AsyncPeriod(ra, pi, surge_factor),))
 
     # ------------------------------------------------------------------
-    # Realisation
-    # ------------------------------------------------------------------
-    def surge_windows(self, round_s: float) -> tuple[SurgeWindow, ...]:
-        """The physical realisation for the deployment transport."""
-        return tuple(
-            SurgeWindow(
-                start_s=(p.ra + 1) * round_s,
-                end_s=(p.ra + p.pi + 1) * round_s,
-                factor=p.surge_factor,
-            )
-            for p in self.periods
-            if p.pi > 0
-        )
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def is_asynchronous(self, round_number: int) -> bool:
         return any(p.covers(round_number) for p in self.periods)
+
+    def surge_factor(self, round_number: int) -> float:
+        """The latency multiplier a deployment applies in ``round_number``
+        (1.0 outside every period; periods never overlap)."""
+        for p in self.periods:
+            if p.covers(round_number):
+                return p.surge_factor
+        return 1.0

@@ -12,7 +12,8 @@ Substrate differences (inherent, not incidental):
 * **Delivery control.**  The simulator grants the adversary *logical*
   per-receiver delivery choice during asynchronous rounds.  The
   deployment realises asynchrony *physically*: latencies surge past δ
-  (:class:`~repro.net.transport.SurgeWindow`), or — under an attack
+  in exactly the rounds the period covers
+  (:meth:`~repro.net.transport.PushDelivery.surge`), or — under an attack
   script — the :class:`~repro.net.proxy_transport.ProxyTransport` holds,
   delays or drops frames per link, so round-``r`` messages arrive rounds
   late.  An adversary's ``deliver`` hook is not consulted here, which is
@@ -43,9 +44,8 @@ control channel; shards 1..k−1 run in k − 1 spawned processes, so a
 k-shard run starts k − 1 interpreters and ``processes=1`` (the default)
 spawns nothing and opens no socket.  The fabric is the only choice
 that depends on k: a :class:`~repro.net.transport.SimTransport` at
-k = 1, a socket mesh beyond.  Every shard anchors its round clock, its
-fabric and its attack proxy's phase schedule at one start instant,
-which the coordinator puts a few handshake legs ahead
+k = 1, a socket mesh beyond.  Every shard starts its round clock at one
+start instant, which the coordinator puts a few handshake legs ahead
 (``extras["lifecycle"]`` records the handshake and each shard's span,
 the ``phase_lateness_s`` histogram how late each phase woke).  Shard
 0's payload reaches the merge in memory; only the spawned ones are pickled.

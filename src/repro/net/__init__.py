@@ -6,9 +6,9 @@ even if the sender goes offline, and survive transient asynchrony.
 This package makes that substrate concrete:
 
 * :mod:`repro.net.transport` — point-to-point links with seeded
-  latencies and configurable *surge windows* (latency × factor), the
-  physical realisation of an asynchronous period; delivery is pushed
-  to one subscriber per pid, in slot order.
+  latencies times a *surge factor* the shard's round loop sets each
+  round, the physical realisation of an asynchronous period; delivery
+  is pushed to one subscriber per pid, in slot order.
 * :mod:`repro.net.gossip` — a random regular overlay flooding
   first-seen messages; delivery is at-least-once, exactly-once per
   content digest at each node, and a shard never forwards to one of
@@ -28,7 +28,7 @@ from repro.net.socket_transport import (
     read_frame,
     supports_unix_sockets,
 )
-from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow, Transport
+from repro.net.transport import LinkLatencyModel, SimTransport, Transport
 
 __all__ = [
     "GossipNetwork",
@@ -37,7 +37,6 @@ __all__ = [
     "ProxyTransport",
     "SimTransport",
     "SocketTransport",
-    "SurgeWindow",
     "Transport",
     "encode_frame",
     "read_frame",

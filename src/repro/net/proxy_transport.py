@@ -22,11 +22,12 @@ The proxy interprets the same resolved
 :class:`~repro.attacks.script.ScriptTimeline` the simulator's
 :class:`~repro.attacks.adversary.ScriptedAdversary` interprets, so one
 script means one thing on every substrate.  Phase changes have one
-driver: :meth:`schedule_phases` self-schedules them on the event loop
-from the fabric's origin.  Every shard of a deployment anchors its
-fabric at one shared start instant, so every proxy, on one process or
-many, flips phase ``i`` at the same instant with nothing sent between
-them.
+driver, the shard's round loop: on waking for round ``r``, before any
+send, it calls :meth:`enter_phase` with ``timeline.state_at(r).index``
+(:meth:`~repro.runtime.shard.ShardRuntime.drive`).  Every shard of a
+deployment starts its round clock at one shared instant, so every
+proxy, on one process or many, holds the phase of the round its sends
+belong to, exactly as the simulator's adversary does.
 
 Every interference is audited per phase (``delayed`` / ``dropped`` /
 ``partitioned`` frame counts) and read, with the phase in force and
@@ -56,7 +57,6 @@ delays a whole broadcast storm.
 
 from __future__ import annotations
 
-import asyncio
 import random
 from typing import TYPE_CHECKING
 
@@ -78,8 +78,6 @@ class ProxyTransport(Transport):
         seed: run seed for the drop-coin streams (per-link, content
             seeded — identical across processes, independent of send
             interleaving on other links).
-        round_s: round length Δ in seconds (phase boundaries are round
-            numbers; the clock maps them to instants).
         base_latency_s: the fabric's base link latency; a surge of
             factor ``f`` adds ``(f − 1) × base_latency_s`` of delay.
     """
@@ -90,18 +88,15 @@ class ProxyTransport(Transport):
         timeline: ScriptTimeline,
         *,
         seed: int,
-        round_s: float,
         base_latency_s: float,
     ) -> None:
         self.inner = inner
         self.timeline = timeline
-        self.round_s = round_s
         self.base_latency_s = base_latency_s
         self._seed = seed
         self._state = timeline.states[0]
         self._held: list[tuple[int, int, object]] = []
         self._drop_rngs: dict[tuple[int, int], random.Random] = {}
-        self._timers: list[asyncio.TimerHandle] = []
         #: Per-phase audit rows (one per timeline state, trailing
         #: quiescent phase included): phase index → counter dict.
         self.audit: list[dict[str, int]] = [
@@ -109,30 +104,8 @@ class ProxyTransport(Transport):
         ]
 
     # ------------------------------------------------------------------
-    # The phase driver
+    # The phase
     # ------------------------------------------------------------------
-    def schedule_phases(self) -> None:
-        """Self-drive transitions from the loop clock.
-
-        Call once the inner transport is anchored: phase ``i`` begins
-        ``phase_starts()[i] × Δ`` seconds after the transport origin,
-        which coincides with round-clock time zero (an origin still
-        ahead only lengthens every delay).
-        """
-        loop = asyncio.get_running_loop()
-        now = self.inner.now()
-        for index, start_round in enumerate(self.timeline.phase_starts()):
-            if index == 0:
-                continue
-            delay = max(0.0, start_round * self.round_s - now)
-            self._timers.append(loop.call_later(delay, self.enter_phase, index))
-
-    def cancel_timers(self) -> None:
-        """Cancel any pending self-scheduled transitions."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-
     def enter_phase(self, index: int) -> None:
         """Switch to phase ``index`` and flush frames it no longer blocks.
 
@@ -184,8 +157,8 @@ class ProxyTransport(Transport):
         inner = self.inner
         for dst in dsts:
             if skip >> dst & 1:
-                # Only the draw matters, not when it is drawn.
-                inner.latency(src, dst, 0.0)
+                # Only the draw matters, not its value.
+                inner.latency(src, dst)
             else:
                 self.send(src, dst, payload)
 
@@ -201,11 +174,8 @@ class ProxyTransport(Transport):
     def unsubscribe(self, pid: int) -> None:
         self.inner.unsubscribe(pid)
 
-    def now(self) -> float:
-        return self.inner.now()
-
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        return self.inner.latency(src, dst, at_s)
+    def latency(self, src: int, dst: int) -> float:
+        return self.inner.latency(src, dst)
 
     @property
     def sent_count(self) -> int:

@@ -87,7 +87,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.chain.block import Block
 from repro.chain.transactions import Transaction
 from repro.crypto.vrf import VRFOutput
-from repro.net.transport import LinkLatencyModel, PushDelivery, SurgeWindow
+from repro.net.transport import LinkLatencyModel, PushDelivery
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
     AckMessage,
@@ -434,7 +434,7 @@ class SocketTransport(PushDelivery):
         owner: pid → worker id, for every pid of the deployment.
         worker_id: this worker's id.
         addresses: worker id → listen address for every worker.
-        base_latency_s / jitter_s / seed / surges: the modelled latency
+        base_latency_s / jitter_s / seed: the modelled latency
             layer, identical to ``SimTransport``'s.
 
     Sends are :class:`~repro.net.transport.PushDelivery`'s one pass:
@@ -454,7 +454,6 @@ class SocketTransport(PushDelivery):
         base_latency_s: float = 0.002,
         jitter_s: float = 0.001,
         seed: int = 0,
-        surges: tuple[SurgeWindow, ...] = (),
         slot_s: float | None = None,
     ) -> None:
         if n <= 0:
@@ -465,7 +464,7 @@ class SocketTransport(PushDelivery):
             n,
             local_pids,
             slot_s if slot_s is not None else (base_latency_s or 0.0005),
-            LinkLatencyModel(base_latency_s, jitter_s, seed, surges),
+            LinkLatencyModel(base_latency_s, jitter_s, seed),
         )
         self.n = n
         self.worker_id = worker_id

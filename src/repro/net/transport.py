@@ -3,10 +3,12 @@
 The round simulator in :mod:`repro.sleepy` gives the adversary *logical*
 control over delivery; this transport models the physical phenomenon
 behind it — latency.  Each link has a seeded base latency plus jitter,
-and the transport can be configured with **surge windows** during which
-latencies are multiplied (a real-world asynchronous period: the network
-is slow, not lossy).  Messages are never dropped, matching the paper's
-assumption that gossip survives transient asynchrony.
+times the fabric's **surge factor** (a real-world asynchronous period:
+the network is slow, not lossy).  The fabric keeps no clock of its own:
+a shard's round loop sets the factor of each round it wakes for
+(:meth:`PushDelivery.surge`), so a declared period surges exactly its
+rounds.  Messages are never dropped, matching the paper's assumption
+that gossip survives transient asynchrony.
 
 Latency sampling is **per-link**: every ordered ``(src, dst)`` pair owns
 its own seeded random stream, derived from the transport seed and the
@@ -55,7 +57,6 @@ import logging
 import math
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from typing import Protocol
 
 _log = logging.getLogger(__name__)
@@ -72,10 +73,10 @@ class Transport(Protocol):
     shard of a socket mesh) and
     :class:`~repro.net.proxy_transport.ProxyTransport` (attack effects
     in front of either); ``tests/net/test_transport_conformance.py``
-    holds all three to it.  Lifecycle (start/connect/anchor/close) is
-    deliberately not part of it: only whoever builds a fabric calls it,
-    through :class:`PushDelivery`'s one surface (in memory, there is
-    nothing to bind or dial).
+    holds all three to it.  Lifecycle (start/connect/close) and the
+    surge factor are deliberately not part of it: only whoever builds a
+    fabric calls them, through :class:`PushDelivery`'s one surface (in
+    memory, there is nothing to bind or dial).
     """
 
     #: Sends initiated through this fabric so far.
@@ -104,31 +105,8 @@ class Transport(Protocol):
     def unsubscribe(self, pid: int) -> None:
         """Stop pushing to ``pid``'s handler; later arrivals are held."""
 
-    def now(self) -> float:
-        """Seconds since the fabric was started/anchored."""
-
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        """Sampled one-way latency for ``src → dst`` at ``at_s``."""
-
-
-@dataclass(frozen=True)
-class SurgeWindow:
-    """Latency multiplier ``factor`` applied during ``[start_s, end_s)``.
-
-    Times are seconds since the fabric's anchor (:meth:`PushDelivery.anchor`).
-    """
-
-    start_s: float
-    end_s: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ValueError("surge window bounds must be finite")
-        if self.end_s <= self.start_s:
-            raise ValueError("a surge window must end after it starts")
-        if not (math.isfinite(self.factor) and self.factor >= 1.0):
-            raise ValueError("surge factor must be finite and >= 1 (a surge only slows links)")
+    def latency(self, src: int, dst: int) -> float:
+        """Sampled one-way latency for ``src → dst`` now."""
 
 
 class LinkLatencyModel:
@@ -138,46 +116,38 @@ class LinkLatencyModel:
     seeded from ``(seed, src, dst)`` content (string seeding hashes via
     SHA-512, so streams are identical across processes and hash seeds —
     a sharded multi-process deployment draws exactly the latencies the
-    single-process run would).
+    single-process run would).  Every draw is multiplied by
+    :attr:`factor`, the surge in force (1.0: none).
     """
 
-    def __init__(
-        self,
-        base_latency_s: float,
-        jitter_s: float,
-        seed: int,
-        surges: tuple[SurgeWindow, ...] = (),
-    ) -> None:
+    def __init__(self, base_latency_s: float, jitter_s: float, seed: int) -> None:
         if base_latency_s < 0 or jitter_s < 0:
             raise ValueError("latencies must be non-negative")
         self._base = base_latency_s
         self._jitter = jitter_s
         self._seed = seed
-        self._surges = surges
+        #: The latency multiplier in force (set by :meth:`PushDelivery.surge`).
+        self.factor = 1.0
         #: src -> dst -> that link's stream.
         self._link_rngs: dict[int, dict[int, random.Random]] = {}
 
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        """Sampled one-way latency for the ``src → dst`` link at ``at_s``."""
-        return self.draws(src, (dst,), at_s)[0]
+    def latency(self, src: int, dst: int) -> float:
+        """Sampled one-way latency for the ``src → dst`` link."""
+        return self.draws(src, (dst,))[0]
 
-    def draws(self, src: int, dsts: Sequence[int], at_s: float) -> list[float]:
-        """The next latency of each ``src → dst`` link at ``at_s``, in ``dsts`` order.
+    def draws(self, src: int, dsts: Sequence[int]) -> list[float]:
+        """The next latency of each ``src → dst`` link, in ``dsts`` order.
 
-        One pass per fan-out: the source's streams and the surges active
-        at ``at_s`` are looked up once, and each surge factor is applied
-        in window order, exactly as a draw per link would.
+        One pass per fan-out: the source's streams are looked up once,
+        and the surge factor is applied exactly as a draw per link would.
         """
-        factors = ()
-        for surge in self._surges:
-            if surge.start_s <= at_s < surge.end_s:
-                factors += (surge.factor,)
+        factor = self.factor
         base, jitter = self._base, self._jitter
         if jitter == 0.0:
             # Zero-jitter links are deterministic: every draw is the
             # base latency regardless of stream state, so skip the
             # per-link streams entirely on this hot path.
-            for factor in factors:
+            if factor != 1.0:
                 base *= factor
             return [base] * len(dsts)
         streams = self._link_rngs.get(src)
@@ -190,7 +160,7 @@ class LinkLatencyModel:
             if rng is None:
                 rng = streams[dst] = random.Random(f"link:{self._seed}:{src}:{dst}")
             delays.append(base + rng.random() * jitter)
-        for factor in factors:
+        if factor != 1.0:
             for i, delay in enumerate(delays):
                 delays[i] = delay * factor
         return delays
@@ -307,12 +277,10 @@ class PushDelivery:
     whose pid has no subscriber is held — never dropped, never
     ``misrouted`` — and handed over, in arrival order, by the next
     :meth:`subscribe`.  The lifecycle is one too: :meth:`start` binds,
-    :meth:`connect` dials, :meth:`anchor` sets the origin and
-    :meth:`close` tears down; in memory only the anchor does anything.
+    :meth:`connect` dials and :meth:`close` tears down; in memory none
+    of them has anything to do.  :meth:`surge` is the fabric's one
+    setting, driven by its shard's round loop.
     """
-
-    #: What a send or clock read before the origin is set raises with.
-    _UNANCHORED = "transport not anchored"
 
     def __init__(
         self, n: int, hosted: Iterable[int], slot_s: float, latency: LinkLatencyModel
@@ -320,8 +288,6 @@ class PushDelivery:
         self.wheel = DeliveryWheel(slot_s)
         self._hosted = frozenset(hosted)
         self._latency = latency
-        #: Loop time of the fabric's ``now() == 0`` (set by :meth:`anchor`).
-        self._origin: float | None = None
         self._handlers: dict[int, FrameHandler] = {}
         #: pid -> frames that arrived while it had no subscriber.
         self._held: dict[int, list[tuple[int, object]]] = {}
@@ -341,18 +307,13 @@ class PushDelivery:
         """Handler calls that raised (each cost only its own frame)."""
         return self.wheel.handler_errors
 
-    def anchor(self, origin_loop_time: float | None = None) -> None:
-        """Anchor ``now()`` (default: the current loop time).
+    def surge(self, factor: float) -> None:
+        """Multiply every latency drawn from now on by ``factor`` (1.0: none).
 
-        A deployment anchors every fabric of a run at the *shared*
-        round-clock origin, so surge windows open and close at one
-        instant everywhere.
+        A shard's round loop sets it on waking for each round, before
+        any send, so every shard of a run surges the same rounds.
         """
-        self._origin = (
-            origin_loop_time
-            if origin_loop_time is not None
-            else asyncio.get_running_loop().time()
-        )
+        self._latency.factor = factor
 
     async def start(self) -> None:
         """Bind what the fabric listens on: nothing, in memory."""
@@ -364,15 +325,9 @@ class PushDelivery:
         """Tear down: what is still parked is discarded, nobody else awaits it."""
         self.cancel()
 
-    def now(self) -> float:
-        """Seconds since the fabric's origin."""
-        if self._origin is None:
-            raise RuntimeError(self._UNANCHORED)
-        return asyncio.get_running_loop().time() - self._origin
-
-    def latency(self, src: int, dst: int, at_s: float) -> float:
-        """Sampled one-way latency for ``src → dst`` at ``at_s`` (per-link stream)."""
-        return self._latency.latency(src, dst, at_s)
+    def latency(self, src: int, dst: int) -> float:
+        """Sampled one-way latency for ``src → dst`` now (per-link stream)."""
+        return self._latency.latency(src, dst)
 
     def send(self, src: int, dst: int, payload: object) -> None:
         """Send ``payload`` to ``dst``: a fan-out of one (see :meth:`send_many`)."""
@@ -388,17 +343,14 @@ class PushDelivery:
         same, so the wheel keeps exactly the timers it would have had and
         a loop clock that advances timer by timer (a virtual one)
         accumulates the same instants.  The fan-out's fixed costs — clock
-        read, stream and surge lookups — are paid once: this is the
-        hottest loop of a deployment's broadcast round.  The adversarial
-        proxy does not forward this method; it decomposes fan-outs into
-        per-frame :meth:`send` calls.
+        read and stream lookup — are paid once: this is the hottest loop
+        of a deployment's broadcast round.  The adversarial proxy does
+        not forward this method; it decomposes fan-outs into per-frame
+        :meth:`send` calls.
         """
-        origin = self._origin
-        if origin is None:
-            raise RuntimeError(self._UNANCHORED)
-        # One clock read serves the model time and every wheel slot.
+        # One clock read serves every wheel slot.
         loop_time = asyncio.get_running_loop().time()
-        delays = self._latency.draws(src, dsts, loop_time - origin)
+        delays = self._latency.draws(src, dsts)
         wheel = self.wheel
         slot_s, ceil = wheel.slot_s, math.ceil
         parked = self._parked
@@ -504,7 +456,6 @@ class SimTransport(PushDelivery):
         base_latency_s: float = 0.002,
         jitter_s: float = 0.001,
         seed: int = 0,
-        surges: tuple[SurgeWindow, ...] = (),
         slot_s: float | None = None,
     ) -> None:
         if n <= 0:
@@ -513,6 +464,6 @@ class SimTransport(PushDelivery):
             n,
             range(n),
             slot_s if slot_s is not None else (base_latency_s or 0.0005),
-            LinkLatencyModel(base_latency_s, jitter_s, seed, surges),
+            LinkLatencyModel(base_latency_s, jitter_s, seed),
         )
         self.n = n

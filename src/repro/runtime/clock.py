@@ -29,13 +29,13 @@ class RoundClock:
         self._origin: float | None = None
 
     def start(self) -> None:
-        """Anchor round 0 at the current loop time."""
+        """Start round 0 at the current loop time."""
         self._origin = asyncio.get_running_loop().time()
 
     def start_at(self, origin_loop_time: float) -> None:
-        """Anchor round 0 at an explicit loop time.
+        """Start round 0 at an explicit loop time.
 
-        Multi-process workers anchor at a *shared* origin (a wall-clock
+        Multi-process workers start at a *shared* origin (a wall-clock
         instant translated into each worker's loop time) so every
         process agrees on round boundaries — the synchronized-clocks
         model assumption, realised across processes.

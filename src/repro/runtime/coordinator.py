@@ -17,13 +17,13 @@ nothing.
    whether the coordinator takes mid-run frames.  The instant is
    chosen from this run's own handshake: a few times the slowest
    dial → dialed leg just timed, so it waits for the workers, not for a
-   guess.  Worker 0 shares the coordinator's loop and anchors at the
-   loop time itself; a spawned worker translates the wall time into its
-   own loop time, so whatever it anchors there — round boundaries,
-   attack phases, the model's synchronized clocks — agrees across
-   processes to wall-clock precision.  A worker that reads the frame
-   after the instant has passed anchors there anyway and reports how
-   late it was; it is not padded against;
+   guess.  Worker 0 shares the coordinator's loop and starts its round
+   clock at the loop time itself; a spawned worker translates the wall
+   time into its own loop time, so its round boundaries — the model's
+   synchronized clocks, and with them every surge and attack phase —
+   agree across processes to wall-clock precision.  A worker that reads
+   the frame after the instant has passed starts there anyway and
+   reports how late it was; it is not padded against;
 5. worker → ``("metrics", wid, sample)`` while it runs, if the
    coordinator is listening: the frames go to its ``on_frame`` hook;
 6. worker → ``("result", wid, payload)`` when its share finishes.
@@ -58,7 +58,7 @@ from repro.net.socket_transport import (
 _MILESTONES = ("ready", "dialed", "result")
 #: The start instant lies this many slowest dial → dialed legs ahead.  A
 #: leg is a round trip plus a mesh connect; the start frame needs one
-#: way and a few lines of anchoring, so the multiple is the slack.
+#: way and a clock start, so the multiple is the slack.
 _START_MARGIN_LEGS = 4
 
 

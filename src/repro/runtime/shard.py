@@ -26,7 +26,10 @@ clock, the synchronized clocks of the paper's lock-step round, so one
 loop steps a round's phases for every node of the shard
 (:meth:`ShardRuntime.drive`): the send phases at ``clock.start_of(r)``
 in pid order, then the adversary's when the shard holds every node, and
-the receive phases at ``RECEIVE_FRACTION`` of the round.
+the receive phases at ``RECEIVE_FRACTION`` of the round.  That loop is
+the shard's only clock: the fabric's surge factor and the attack
+proxy's phase are set from the round it wakes for, never from a timer
+of their own.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
-from repro.net.transport import Transport
+from repro.net.transport import PushDelivery
 from repro.protocols.tob_base import first_round_of_view
-from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR, RoundClock
+from repro.runtime.clock import RECEIVE_FRACTION, RoundClock
 from repro.runtime.metrics import MetricsHub, transport_counters
 from repro.runtime.node import DeployedNode
 from repro.sleepy.adversary import AdversaryContext
@@ -96,7 +99,6 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
         "base_latency_s": delta_s / 8,
         "jitter_s": delta_s / 8,
         "seed": spec.seed,
-        "surges": spec.resolved_conditions().surge_windows(ROUND_FACTOR * delta_s),
     }
 
 
@@ -130,16 +132,16 @@ class ShardRuntime:
     """The nodes of one shard, assembled over an already-built fabric.
 
     The caller built ``transport`` and owns its lifecycle
-    (start/anchor/close); the shard only sends through it and subscribes
-    its nodes to it — here, so build the shard before the fabric starts
-    listening — behind a :class:`ProxyTransport` when the spec's
-    adversary is scripted.  :attr:`record` sees every message this shard
-    originates before it enters gossip; its tree is :attr:`chain`'s
-    canonical tree, the omniscient one the adversary's ``send`` reads
-    when this shard holds every node.
+    (start/close); the shard sends through it, sets its surge factor
+    each round and subscribes its nodes to it — here, so build the shard
+    before the fabric starts listening — behind a :class:`ProxyTransport`
+    when the spec's adversary is scripted.  :attr:`record` sees every
+    message this shard originates before it enters gossip; its tree is
+    :attr:`chain`'s canonical tree, the omniscient one the adversary's
+    ``send`` reads when this shard holds every node.
     """
 
-    def __init__(self, config: WorkerConfig, transport: Transport) -> None:
+    def __init__(self, config: WorkerConfig, transport: PushDelivery) -> None:
         spec = config.spec
         self.config = config
         self.transport = transport
@@ -161,7 +163,6 @@ class ShardRuntime:
                 transport,
                 spec.adversary.timeline,
                 seed=spec.seed,
-                round_s=self.clock.round_s,
                 base_latency_s=config.delta_s / 8,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
@@ -193,10 +194,12 @@ class ShardRuntime:
     async def drive(self, report: Callable[[dict], Awaitable] | None = None) -> None:
         """Step every node of the shard through every round, on one loop.
 
-        The caller anchors :attr:`clock` (and the fabric) first.  At
-        ``clock.start_of(r)`` the gossip seen index enters round ``r``,
-        forgetting keys older than η +
-        :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, the verifier
+        The caller starts :attr:`clock` first.  At ``clock.start_of(r)``,
+        before any send, the fabric takes round ``r``'s surge factor
+        (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`)
+        and the attack proxy, if any, the phase holding in ``r``; the
+        gossip seen index enters round ``r``, forgetting keys older than
+        η + :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, the verifier
         forgets verdicts entered below the index's floor, and the
         round's arrivals are fetched once; in pid order every awake
         node takes them and every node outside ``B_r`` runs its send
@@ -210,6 +213,7 @@ class ShardRuntime:
         ``report`` is awaited with a fresh :meth:`sample` four times a second.
         """
         spec, clock, hub = self.config.spec, self.clock, self.hub
+        conditions, proxy = spec.resolved_conditions(), self.proxy
         adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
         if adversary is not None:
             ctx = AdversaryContext(self.registry, self.record.trace.tree)
@@ -218,6 +222,9 @@ class ShardRuntime:
         try:
             for r in range(spec.rounds):
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(clock.start_of(r)))
+                self.transport.surge(conditions.surge_factor(r))
+                if proxy is not None:
+                    proxy.enter_phase(proxy.timeline.state_at(r).index)
                 seen = self.network.seen
                 seen.advance(r)
                 self.verifier.interner.advance(r, seen.floor)
@@ -259,9 +266,7 @@ class ShardRuntime:
             await report(self.sample())
 
     def stop(self) -> None:
-        """Unsubscribe gossip and cancel any self-scheduled attack-phase timers."""
-        if self.proxy is not None:
-            self.proxy.cancel_timers()
+        """Unsubscribe gossip."""
         self.network.stop()
 
     def sample(self) -> dict:

@@ -12,9 +12,9 @@ One runner, one phase loop per shard
 worker 0 runs :func:`run_worker` as a task on the coordinator's own
 event loop, over an in-memory control channel; workers 1..k−1 run it
 in spawned processes through :func:`worker_main`, over a control
-socket.  Every worker handshakes, anchors its round clock, its fabric
-and its attack proxy's phase schedule at the shared start instant
-(a late anchor is the loop's first ``phase_lateness_s``), pushes live
+socket.  Every worker handshakes, starts its round clock at the shared
+start instant (a late start is the loop's first ``phase_lateness_s``;
+the clock alone sets the fabric's surge and the proxy's phase), pushes live
 samples over its channel while the coordinator listens for them, and
 takes its payload the moment the drive returns: after a node's last
 receive phase nothing that arrives can reach its tree, vote store or
@@ -87,9 +87,6 @@ async def run_worker(
             channel = await ControlChannel.open(config.control_address, config.worker_id)
         origin, listening = await channel.join(transport)
         shard.clock.start_at(origin)
-        transport.anchor(origin)
-        if shard.proxy is not None:
-            shard.proxy.schedule_phases()
         pump = asyncio.create_task(channel.until_shutdown())
         await shard.drive(
             report=(lambda sample: channel.send("metrics", sample)) if listening else None,

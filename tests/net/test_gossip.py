@@ -14,7 +14,7 @@ from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, regular_topology
 from repro.net.proxy_transport import ProxyTransport
-from repro.net.transport import LinkLatencyModel, SimTransport, SurgeWindow
+from repro.net.transport import LinkLatencyModel, SimTransport
 from repro.runtime import worker
 from repro.sleepy.messages import make_vote
 from repro.workloads.transactions import SubmissionRateWorkload
@@ -92,7 +92,6 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
             horizon_rounds=HORIZON,
         )
-        transport.anchor()
         vote = make_vote(registry, registry.secret_key(publisher), 0, None)
         network.nodes[publisher].publish(vote)
         await asyncio.sleep(0.1)  # >> diameter · latency
@@ -129,7 +128,6 @@ def test_dissemination_survives_publisher_silence():
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
             horizon_rounds=HORIZON,
         )
-        transport.anchor()
         vote = make_vote(registry, registry.secret_key(0), 0, None)
         network.nodes[0].publish(vote)
         # Unsubscribe the publisher immediately: its own forwards were
@@ -166,7 +164,6 @@ def test_transplanted_id_cannot_censor_honest_message():
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.content_key)),
             horizon_rounds=HORIZON,
         )
-        transport.anchor()
         honest = make_vote(registry, registry.secret_key(0), 0, None)
         junk = make_vote(registry, registry.secret_key(1), 0, None)
         # Transplant the honest id into the junk message's memo slot —
@@ -194,8 +191,7 @@ def test_dissemination_survives_sleeping_originator_during_surge():
     async def scenario():
         n = 10
         registry = KeyRegistry(n, run_seed=0)
-        surge = SurgeWindow(start_s=0.0, end_s=0.25, factor=10.0)
-        transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.0, seed=0, surges=(surge,))
+        transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.0, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
         network = GossipNetwork(
             transport,
@@ -203,7 +199,8 @@ def test_dissemination_survives_sleeping_originator_during_surge():
             on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
             horizon_rounds=HORIZON,
         )
-        transport.anchor()
+        transport.surge(10.0)
+        asyncio.get_running_loop().call_later(0.25, transport.surge, 1.0)
         vote = make_vote(registry, registry.secret_key(0), 0, None)
         network.nodes[0].publish(vote)
         # The originator sleeps mid-flood, while every hop is surged.
@@ -228,7 +225,6 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
         rounds = 50
         registry = KeyRegistry(senders, run_seed=0)
         transport = SimTransport(1, base_latency_s=0.001, jitter_s=0.0, seed=0)
-        transport.anchor()
         network = GossipNetwork(
             transport, {0: ()}, on_deliver={0: lambda m: None}, horizon_rounds=horizon
         )
@@ -275,7 +271,6 @@ def test_a_raising_consumer_does_not_stop_the_flood():
         network = GossipNetwork(
             transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver), HORIZON
         )
-        transport.anchor()
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
         network.nodes[0].publish(first)
@@ -295,13 +290,13 @@ def test_a_raising_consumer_does_not_stop_the_flood():
 # The flood is the same flood
 # ----------------------------------------------------------------------
 SLOT_S = 0.0025
-#: Jitter on, one surge window: every link's stream is drawn from.
-FLOOD_MODEL = {
-    "base_latency_s": 2 * SLOT_S,
-    "jitter_s": 2 * SLOT_S,
-    "seed": 11,
-    "surges": (SurgeWindow(start_s=0.010, end_s=0.040, factor=6.0),),
-}
+#: Jitter on: every link's stream is drawn from.
+FLOOD_MODEL = {"base_latency_s": 2 * SLOT_S, "jitter_s": 2 * SLOT_S, "seed": 11}
+#: One surge, ``(start, end, factor)``: the flood sets the factor at
+#: ``start`` and lifts it at ``end``.  Both instants lie off the slot grid
+#: and off every publish, so no send shares an instant with an edge (a
+#: tie the model leaves open: it is whichever timer the loop fires first).
+FLOOD_SURGE = (0.0110, 0.0410, 6.0)
 
 
 def _reference_flood(topology, publishes, asleep_from):
@@ -317,6 +312,7 @@ def _reference_flood(topology, publishes, asleep_from):
     ``None`` for a publish), and the number of frames offered.
     """
     model = LinkLatencyModel(**FLOOD_MODEL)
+    surge_start, surge_end, surge_factor = FLOOD_SURGE
     slots: dict[int, list[tuple[int, int, object]]] = {}
     sequences: dict[int, list[tuple[int | None, object, float]]] = {pid: [] for pid in topology}
     offered = 0
@@ -330,7 +326,8 @@ def _reference_flood(topology, publishes, asleep_from):
         sequences[dst].append((src, key, at))
         for neighbor in topology[dst]:
             if neighbor != src:
-                slot = math.ceil((at + model.latency(dst, neighbor, at)) / SLOT_S)
+                model.factor = surge_factor if surge_start <= at < surge_end else 1.0
+                slot = math.ceil((at + model.latency(dst, neighbor)) / SLOT_S)
                 slots.setdefault(slot, []).append((neighbor, dst, key))
                 offered += 1
 
@@ -405,9 +402,7 @@ def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = N
         transport = fabric(n, slot_s=SLOT_S, **FLOOD_MODEL)
         proxy = None
         if script is not None:
-            proxy = ProxyTransport(
-                transport, script.timeline(), seed=5, round_s=ROUND_S, base_latency_s=SLOT_S
-            )
+            proxy = ProxyTransport(transport, script.timeline(), seed=5, base_latency_s=SLOT_S)
         sequences: dict[int, list[tuple[int | None, str, float]]] = {pid: [] for pid in range(n)}
 
         def on_deliver(pid, message):
@@ -418,9 +413,14 @@ def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = N
         network = GossipNetwork(
             proxy or transport, topology, per_pid(range(n), on_deliver), HORIZON
         )
-        transport.anchor()
+        # The flood's round loop: the script's phases and the surge are
+        # set at their instants, as a shard's drive sets them.
         if proxy is not None:
-            proxy.schedule_phases()
+            for state in proxy.timeline.states[1:]:
+                loop.call_at(state.start * ROUND_S, proxy.enter_phase, state.index)
+        start, end, factor = FLOOD_SURGE
+        loop.call_at(start, transport.surge, factor)
+        loop.call_at(end, transport.surge, 1.0)
         publishes = []
 
         def publish(pid, key):
@@ -493,7 +493,6 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
         network = GossipNetwork(
             transport, topology, dict.fromkeys(topology, lambda m: None), HORIZON
         )
-        transport.anchor()
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)
@@ -542,9 +541,7 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
     new = make_vote(registry, registry.secret_key(0), 6, None)
 
     async def scenario():
-        # Frames sent in the first 5 ms crawl (×100); later ones do not.
-        crawl = SurgeWindow(start_s=0.0, end_s=0.005, factor=100.0)
-        transport = _LoggedSim(4, base_latency_s=0.002, jitter_s=0.0, seed=0, surges=(crawl,))
+        transport = _LoggedSim(4, base_latency_s=0.002, jitter_s=0.0, seed=0)
         networks = [
             GossipNetwork(
                 transport,
@@ -557,7 +554,9 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
         for network in networks:
             network.seen.advance(2)
         nodes = {pid: node for network in networks for pid, node in network.nodes.items()}
-        transport.anchor()
+        # Frames sent in the first 5 ms crawl (×100); later ones do not.
+        transport.surge(100.0)
+        asyncio.get_running_loop().call_later(0.005, transport.surge, 1.0)
         nodes[0].publish(old)  # 0→1 and 0→3 crawl for 200 ms
         await asyncio.sleep(0.010)
         # Shard A moves on to round 6, which evicts ``old``.

@@ -1,18 +1,16 @@
-"""The adversarial proxy: exact audit counters, flush order, phase drive."""
+"""The adversarial proxy: exact audit counters, flush order, phase entry."""
 
 import asyncio
-
-import pytest
 
 from repro.attacks import AttackScript, drop, heal, partition, phase, surge
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import SimTransport
 
-from tests.net.conftest import Collector, run_virtual
+from tests.net.conftest import Collector
 
 
 class FakeInner:
-    """A transport stub that records sends and sits at time zero."""
+    """A transport stub that records sends."""
 
     def __init__(self):
         self.sent = []
@@ -20,19 +18,15 @@ class FakeInner:
     def send(self, src, dst, payload):
         self.sent.append((src, dst, payload))
 
-    def now(self):
-        return 0.0
-
     def defer(self, delay_s, callback, *args):
         asyncio.get_running_loop().call_later(delay_s, callback, *args)
 
 
-def _proxy(script, *, seed=0, round_s=0.02, base_latency_s=0.01, inner=None):
+def _proxy(script, *, seed=0, base_latency_s=0.01, inner=None):
     return ProxyTransport(
         inner if inner is not None else FakeInner(),
         script.timeline(),
         seed=seed,
-        round_s=round_s,
         base_latency_s=base_latency_s,
     )
 
@@ -86,8 +80,6 @@ def test_audit_counters_are_exact_per_phase():
         assert proxy.audit[2] == {"partitioned": 0, "dropped": 1, "delayed": 0}
         assert proxy.audit[3] == {"partitioned": 0, "dropped": 0, "delayed": 1}
 
-        proxy.cancel_timers()
-
     asyncio.run(scenario())
 
 
@@ -115,46 +107,6 @@ def test_drop_coins_are_seeded_per_link():
     assert survivors(7) == survivors(7)
     assert 0 < len(survivors(7)) < 40
     assert survivors(7) != survivors(8)
-
-
-def test_schedule_phases_waits_out_an_origin_still_ahead():
-    """A shard schedules its phases at a start instant a few handshake
-    legs ahead: phase ``i`` still begins ``phase_starts()[i] × Δ`` after
-    that origin, never earlier."""
-
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0)
-        proxy = _proxy(SCRIPT, round_s=0.01, inner=inner)
-        origin = loop.time() + 0.5
-        inner.anchor(origin)
-        flips, enter = [], proxy.enter_phase
-        proxy.enter_phase = lambda index: (flips.append(loop.time() - origin), enter(index))
-        proxy.schedule_phases()
-        await asyncio.sleep(1.0)
-        return flips
-
-    starts = SCRIPT.timeline().phase_starts()[1:]
-    assert run_virtual(scenario()) == pytest.approx([start * 0.01 for start in starts])
-
-
-def test_schedule_phases_self_drives_from_the_loop_clock():
-    async def scenario():
-        proxy = _proxy(SCRIPT, round_s=0.01)
-        proxy.schedule_phases()
-        proxy.send(0, 2, "early")
-        # Mid-partition (rounds 2-3), as a loop timer: the loop runs due
-        # timers in deadline order, so this send falls between the two
-        # phase flips however late a loaded host runs them.
-        asyncio.get_running_loop().call_later(0.025, proxy.send, 0, 2, "blocked")
-        async with asyncio.timeout(2):
-            while proxy.inner.sent[-1] != (0, 2, "blocked"):  # healed, frame flushed
-                await asyncio.sleep(0.001)
-        assert proxy.audit[1]["partitioned"] == 1  # it was held, not forwarded
-        assert proxy.held_count == 0
-        proxy.cancel_timers()
-
-    asyncio.run(scenario())
 
 
 def test_audit_phase_and_delegation():
@@ -198,15 +150,12 @@ def test_send_many_decomposes_and_never_uses_the_inner_bulk_path():
 
 
 def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
-    from repro.net.transport import SimTransport
-
     script = AttackScript(name="lossy", phases=(phase(1), phase(1, drop(None, None, 0.5))))
 
     async def scenario():
         inner = SimTransport(8, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
         proxy = _proxy(script, inner=inner)
         inbox = Collector(proxy, range(1, 8))  # subscribes through to the inner fabric
-        inner.anchor()
         proxy.enter_phase(1)
         proxy.send_many(0, range(1, 8), "x")
         dropped = proxy.audit_totals()["dropped"]
@@ -221,15 +170,12 @@ def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
 
 
 def test_fanout_surges_delay_every_frame_through_the_wheel():
-    from repro.net.transport import SimTransport
-
     script = AttackScript(name="slow", phases=(phase(1), phase(1, surge(5.0))))
 
     async def scenario():
         inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.001)
         proxy = _proxy(script, base_latency_s=0.001, inner=inner)
         inbox = Collector(proxy, (1, 2, 3))
-        inner.anchor()
         proxy.enter_phase(1)
         proxy.send_many(0, (1, 2, 3), "x")
         # One delayed count per frame, not one per fan-out.

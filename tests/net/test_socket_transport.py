@@ -85,8 +85,6 @@ async def _listening_pair(tmp_path):
     await b.start()
     await a.connect()
     await b.connect()
-    a.anchor()
-    b.anchor()
     return a, b, inbox_a, inbox_b
 
 
@@ -133,7 +131,7 @@ def test_modelled_latencies_match_sim_transport(tmp_path):
             seed=0,
         )
         return [
-            (sim.latency(src, dst, 0.0), socketed.latency(src, dst, 0.0))
+            (sim.latency(src, dst), socketed.latency(src, dst))
             for src in range(3)
             for dst in range(3)
             if src != dst
@@ -152,8 +150,6 @@ def test_misrouted_frames_are_counted_not_dropped_silently(tmp_path):
         await b.start()
         await a.connect()
         await b.connect()
-        a.anchor()
-        b.anchor()
         try:
             # Fault injection: worker a forgets it hosts pid 0 and
             # frames it to worker b, which does not host pid 0 either.
@@ -167,16 +163,6 @@ def test_misrouted_frames_are_counted_not_dropped_silently(tmp_path):
             await b.close()
 
     asyncio.run(scenario())
-
-
-def test_send_requires_anchor():
-    transport = SocketTransport(
-        2, local_pids=(0, 1), owner={0: 0, 1: 0}, worker_id=0, addresses={}
-    )
-    with pytest.raises(RuntimeError, match="not anchored"):
-        transport.send(0, 1, "x")
-    with pytest.raises(RuntimeError, match="not anchored"):
-        transport.send_many(0, (1,), "x")
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +386,6 @@ def _deliver_raw(tmp_path, junk: bytes) -> SocketTransport:
         _, b = _mesh_pair(tmp_path)
         inbox = Collector(b, (1, 2))
         await b.start()
-        b.anchor()
         try:
             _, writer = await open_stream(b._addresses[1])
             writer.write(junk + valid)
@@ -508,7 +493,6 @@ def test_an_oversized_length_prefix_is_counted_and_ends_only_its_connection(tmp_
         _, b = _mesh_pair(tmp_path)
         inbox = Collector(b, (1, 2))
         await b.start()
-        b.anchor()
         try:
             hung_up, bogus = await open_stream(b._addresses[1])
             bogus.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + valid)
@@ -583,7 +567,6 @@ def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
         _, b = _mesh_pair(directory)
         inbox = Collector(b, (1, 2))
         await b.start()
-        b.anchor()
         try:
             _, writer = await open_stream(b._addresses[1])
             for i, (_how, blob) in enumerate(mangled):
@@ -912,8 +895,6 @@ def test_a_raising_subscriber_does_not_stop_the_reader(tmp_path):
         for transport in (a, b):
             await transport.start()
         await a.connect()
-        a.anchor()
-        b.anchor()
         try:
             a.send_many(0, (1, 2), "first")
             a.send(0, 1, "second")

@@ -1,13 +1,12 @@
-"""Asyncio transport: pushed delivery, latency, surge windows."""
+"""Asyncio transport: pushed delivery, latency, the surge factor."""
 
 import asyncio
 import logging
-import math
 import random
 
 import pytest
 
-from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport, SurgeWindow
+from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport
 
 from tests.net.conftest import Collector, run_virtual
 
@@ -20,7 +19,6 @@ def test_messages_arrive_in_order_per_link():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1,))
-        transport.anchor()
         for i in range(5):
             transport.send(0, 1, i)
         return await inbox.until(1, 5)
@@ -29,24 +27,40 @@ def test_messages_arrive_in_order_per_link():
     assert received == [(0, i) for i in range(5)]
 
 
-def test_send_before_anchor_rejected():
-    transport = SimTransport(2)
-    with pytest.raises(RuntimeError, match="not anchored"):
-        transport.send(0, 1, "x")
+def test_latency_follows_the_surge_factor_in_force():
+    transport = SimTransport(2, base_latency_s=0.010, jitter_s=0.0, seed=0)
+    assert transport.latency(0, 1) == pytest.approx(0.010)
+    transport.surge(10.0)
+    assert transport.latency(0, 1) == pytest.approx(0.100)
+    transport.surge(1.0)
+    assert transport.latency(0, 1) == pytest.approx(0.010)
 
 
-def test_latency_respects_surge_windows():
-    surge = SurgeWindow(start_s=1.0, end_s=2.0, factor=10.0)
-    transport = SimTransport(2, base_latency_s=0.010, jitter_s=0.0, seed=0, surges=(surge,))
-    assert transport.latency(0, 1, 0.5) == pytest.approx(0.010)
-    assert transport.latency(0, 1, 1.5) == pytest.approx(0.100)
-    assert transport.latency(0, 1, 2.5) == pytest.approx(0.010)
+def test_a_surge_slows_later_sends_not_frames_already_parked():
+    """The factor is read at send: a frame parked before the surge keeps
+    its slot, one sent after it waits ``factor`` times as long."""
+
+    async def scenario():
+        transport = SimTransport(2, base_latency_s=0.004, jitter_s=0.0, seed=0, slot_s=0.001)
+        loop = asyncio.get_running_loop()
+        arrivals = []
+        transport.subscribe(1, lambda src, payload: arrivals.append((payload, loop.time())))
+        transport.send(0, 1, "before")
+        transport.surge(5.0)
+        transport.send(0, 1, "after")
+        while transport.wheel.pending:
+            await asyncio.sleep(transport.wheel.slot_s)
+        return arrivals
+
+    (first, at_first), (second, at_second) = run_virtual(scenario())
+    assert (first, second) == ("before", "after")
+    assert (at_first, at_second) == pytest.approx((0.004, 0.020))
 
 
 def test_jitter_is_seeded():
     a = SimTransport(2, base_latency_s=0.001, jitter_s=0.005, seed=3)
     b = SimTransport(2, base_latency_s=0.001, jitter_s=0.005, seed=3)
-    assert [a.latency(0, 1, 0) for _ in range(5)] == [b.latency(0, 1, 0) for _ in range(5)]
+    assert [a.latency(0, 1) for _ in range(5)] == [b.latency(0, 1) for _ in range(5)]
 
 
 def test_latency_streams_are_per_link_and_order_independent():
@@ -63,12 +77,12 @@ def test_latency_streams_are_per_link_and_order_independent():
     interleaved: dict[tuple[int, int], list[float]] = {link: [] for link in links}
     for k in range(6):  # round-robin across links
         for link in links:
-            interleaved[link].append(a.latency(*link, at_s=0.0))
+            interleaved[link].append(a.latency(*link))
 
     grouped: dict[tuple[int, int], list[float]] = {link: [] for link in links}
     for link in reversed(links):  # one link at a time, opposite order
         for k in range(6):
-            grouped[link].append(b.latency(*link, at_s=0.0))
+            grouped[link].append(b.latency(*link))
 
     assert interleaved == grouped
     # Distinct links (including the two directions of a pair) draw
@@ -82,7 +96,6 @@ def test_wheel_pending_counts_frames_in_flight():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1,))
-        transport.anchor()
         transport.send(0, 1, "x")
         transport.send(0, 1, "y")
         in_flight = transport.wheel.pending
@@ -94,10 +107,9 @@ def test_wheel_pending_counts_frames_in_flight():
 
 def test_surged_message_is_delayed_not_dropped():
     async def scenario():
-        surge = SurgeWindow(start_s=0.0, end_s=0.05, factor=20.0)
-        transport = SimTransport(2, base_latency_s=0.005, jitter_s=0.0, seed=0, surges=(surge,))
+        transport = SimTransport(2, base_latency_s=0.005, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1,))
-        transport.anchor()
+        transport.surge(20.0)
         transport.send(0, 1, "slow")  # 0.1 s latency under the surge
         with pytest.raises(asyncio.TimeoutError):
             await inbox.until(1, 1, timeout=0.04)
@@ -109,7 +121,6 @@ def test_surged_message_is_delayed_not_dropped():
 def test_counts_sent_messages():
     async def scenario():
         transport = SimTransport(3)
-        transport.anchor()
         transport.send(0, 1, "a")
         transport.send(0, 2, "b")
         return transport.sent_count
@@ -130,7 +141,6 @@ def test_validation():
 def test_frames_for_an_unsubscribed_pid_are_held_until_subscribe():
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
-        transport.anchor()
         transport.send(0, 1, "a")
         transport.send(0, 1, "b")
         while transport.wheel.pending:
@@ -176,7 +186,6 @@ def test_a_raising_subscriber_costs_its_own_frame_only(caplog):
 
         transport.subscribe(1, fragile)
         bystander = Collector(transport, (2,))
-        transport.anchor()
         # No await between the sends: all four frames share a slot.
         transport.send_many(0, (1, 2), "x")
         transport.send_many(0, (1, 2), "y")
@@ -251,7 +260,6 @@ def test_sim_transport_delivers_through_the_wheel():
     async def scenario():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.002)
         inbox = Collector(transport, (1, 2))
-        transport.anchor()
         for i in range(10):
             transport.send(0, 1, i)
             transport.send(0, 2, i)
@@ -272,8 +280,6 @@ def test_send_many_matches_per_send_semantics():
         fanout = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
         loop_inbox = Collector(loop_sent, (1, 2, 3))
         fanout_inbox = Collector(fanout, (1, 2, 3))
-        loop_sent.anchor()
-        fanout.anchor()
         for dst in (1, 2, 3):
             loop_sent.send(0, dst, "x")
         fanout.send_many(0, (1, 2, 3), "x")
@@ -283,7 +289,7 @@ def test_send_many_matches_per_send_semantics():
             assert await fanout_inbox.until(dst, 1) == [(0, "x")]
         # Streams advanced identically: the next draw per link matches.
         for dst in (1, 2, 3):
-            assert loop_sent.latency(0, dst, 0.0) == fanout.latency(0, dst, 0.0)
+            assert loop_sent.latency(0, dst) == fanout.latency(0, dst)
 
     run(scenario())
 
@@ -296,7 +302,6 @@ def test_slot_order_is_the_delivery_order_across_pids():
     async def scenario():
         transport = SimTransport(3, base_latency_s=0.001, jitter_s=0.0, seed=0)
         inbox = Collector(transport, (1, 2))
-        transport.anchor()
         for payload, dst in enumerate((1, 2, 1, 2, 2, 1)):
             transport.send(0, dst, payload)
         assert transport.wheel.timers_created == 1
@@ -319,49 +324,22 @@ def test_zero_jitter_latency_skips_the_stream_but_matches_it():
     fast = LinkLatencyModel(0.003, 0.0, seed=1)
     slow = LinkLatencyModel(0.003, 1e-12, seed=1)
     for _ in range(3):
-        assert fast.latency(0, 1, 0.0) == 0.003
-        assert abs(slow.latency(0, 1, 0.0) - 0.003) < 1e-9
-    # Surge windows still apply on the fast path.
-    surged = LinkLatencyModel(0.003, 0.0, seed=1, surges=(SurgeWindow(0.0, 1.0, 10.0),))
-    assert surged.latency(0, 1, 0.5) == 0.03
-
-
-@pytest.mark.parametrize(
-    "start_s, end_s, factor",
-    [
-        (1.0, 1.0, 2.0),  # empty
-        (2.0, 1.0, 2.0),  # backwards
-        (0.0, math.inf, 2.0),
-        (math.nan, 1.0, 2.0),
-        (0.0, 1.0, 0.5),  # would speed links up; a factor < 0 would turn delays negative
-        (0.0, 1.0, -3.0),
-        (0.0, 1.0, math.nan),
-    ],
-)
-def test_a_surge_window_that_could_schedule_a_frame_before_its_send_is_refused(
-    start_s, end_s, factor
-):
-    with pytest.raises(ValueError, match="surge"):
-        SurgeWindow(start_s=start_s, end_s=end_s, factor=factor)
+        assert fast.latency(0, 1) == 0.003
+        assert abs(slow.latency(0, 1) - 0.003) < 1e-9
+    # The surge factor still applies on the fast path.
+    surged = LinkLatencyModel(0.003, 0.0, seed=1)
+    surged.factor = 10.0
+    assert surged.latency(0, 1) == 0.03
 
 
 def test_a_fan_out_draws_what_one_draw_per_link_would_to_the_bit():
-    """One pass per fan-out: each link's k-th draw, and every overlapping
-    surge factor applied in window order, exactly as drawn one by one."""
-    surges = (SurgeWindow(0.0, 2.0, 3.0), SurgeWindow(1.0, 3.0, 1.7), SurgeWindow(1.5, 4.0, 1.3))
-    model = LinkLatencyModel(0.001, 0.004, seed=9, surges=surges)
+    """One pass per fan-out: each link's k-th draw, times the surge factor
+    in force, exactly as drawn one by one."""
+    model = LinkLatencyModel(0.001, 0.004, seed=9)
     streams = {dst: random.Random(f"link:9:2:{dst}") for dst in (0, 1, 3, 5)}
-    for at in (0.5, 1.25, 1.75, 2.5, 5.0):
-        expected = []
-        for dst in (0, 1, 3, 5):
-            delay = 0.001 + streams[dst].random() * 0.004
-            for surge in surges:
-                if surge.start_s <= at < surge.end_s:
-                    delay *= surge.factor
-            expected.append(delay)
-        assert model.draws(2, (0, 1, 3, 5), at) == expected
+    for factor in (1.0, 3.0, 1.7, 1.0):
+        model.factor = factor
+        expected = [(0.001 + streams[dst].random() * 0.004) * factor for dst in (0, 1, 3, 5)]
+        assert model.draws(2, (0, 1, 3, 5)) == expected
     # ``latency`` is the one-destination case, on the same streams.
-    delay = 0.001 + streams[3].random() * 0.004
-    for factor in (3.0, 1.7, 1.3):
-        delay *= factor
-    assert model.latency(2, 3, 1.75) == delay
+    assert model.latency(2, 3) == (0.001 + streams[3].random() * 0.004) * 1.0

@@ -7,7 +7,7 @@ import pytest
 from repro.attacks import AttackScript, drop, heal, partition, phase
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.socket_transport import SocketTransport, supports_unix_sockets
-from repro.net.transport import SimTransport, SurgeWindow
+from repro.net.transport import SimTransport
 
 from tests.net.conftest import Collector
 
@@ -17,21 +17,20 @@ LATENCY_S = 0.001
 MODEL = {"base_latency_s": LATENCY_S, "jitter_s": 0.0, "seed": 1}
 
 
-def _sim(**model):
-    return SimTransport(N, slot_s=LATENCY_S / 2, **{**MODEL, **model})
+def _sim():
+    return SimTransport(N, slot_s=LATENCY_S / 2, **MODEL)
 
 
 # Every builder subscribes first and listens second: no frame can
 # precede its consumer.  Each returns the fabric under test, its inbox,
 # its teardown, and the fabric that parks frames (the proxy's inner one).
-async def _sim_fabric(_tmp_path, **model):
-    transport = _sim(**model)
+async def _sim_fabric(_tmp_path):
+    transport = _sim()
     inbox = Collector(transport, range(N))
-    transport.anchor()
     return transport, inbox, None, transport
 
 
-async def _loopback_socket(tmp_path, **model):
+async def _loopback_socket(tmp_path):
     """One worker hosting every pid: the whole mesh is its own loopback."""
     transport = SocketTransport(
         N,
@@ -39,21 +38,19 @@ async def _loopback_socket(tmp_path, **model):
         owner={pid: 0 for pid in range(N)},
         worker_id=0,
         addresses={0: str(tmp_path / "w0.sock")},
-        **{**MODEL, **model},
+        **MODEL,
     )
     inbox = Collector(transport, range(N))
     await transport.start()
     await transport.connect()
-    transport.anchor()
     return transport, inbox, transport.close, transport
 
 
-async def _quiescent_proxy(_tmp_path, **model):
-    inner = _sim(**model)
+async def _quiescent_proxy(_tmp_path):
+    inner = _sim()
     timeline = AttackScript(name="quiet", phases=(phase(4),)).timeline()
-    proxy = ProxyTransport(inner, timeline, seed=1, round_s=0.03, base_latency_s=LATENCY_S)
+    proxy = ProxyTransport(inner, timeline, seed=1, base_latency_s=LATENCY_S)
     inbox = Collector(proxy, range(N))  # subscribes through to the inner fabric
-    inner.anchor()
     return proxy, inbox, None, inner
 
 
@@ -73,8 +70,7 @@ def test_same_sends_same_arrivals_on_every_fabric(build, tmp_path):
         transport, inbox, close, _fabric = await build(tmp_path)
         try:
             deferred = []
-            assert transport.now() >= 0.0
-            assert transport.latency(0, 1, 0.0) == LATENCY_S
+            assert transport.latency(0, 1) == LATENCY_S
             transport.send(0, 1, "a")
             transport.send(2, 1, "b")
             transport.send_many(3, (0, 1, 2), "c")
@@ -110,9 +106,9 @@ def test_same_sends_same_arrivals_on_every_fabric(build, tmp_path):
     asyncio.run(scenario())
 
 
-def _on_every_fabric(build, tmp_path, check, **model):
+def _on_every_fabric(build, tmp_path, check):
     async def scenario():
-        transport, inbox, close, fabric = await build(tmp_path, **model)
+        transport, inbox, close, fabric = await build(tmp_path)
         try:
             await check(transport, inbox, fabric)
         finally:
@@ -155,16 +151,14 @@ def test_a_later_copy_that_lands_earlier_is_parked(build, tmp_path):
 
     async def check(transport, inbox, fabric):
         payload = ["m"]
+        fabric.surge(200.0)
         transport.send(0, 1, payload)  # surged: lands after ~200 ms
-        while transport.now() < 0.010:
-            await asyncio.sleep(0.001)
+        fabric.surge(1.0)
         transport.send(2, 1, payload)  # after the surge: lands in ~1 ms
         assert fabric.superseded == 0
         assert await inbox.until(1, 2) == [(2, payload), (0, payload)]
 
-    _on_every_fabric(
-        build, tmp_path, check, surges=(SurgeWindow(start_s=0.0, end_s=0.010, factor=200.0),)
-    )
+    _on_every_fabric(build, tmp_path, check)
 
 
 @pytest.mark.parametrize("build", FABRICS.values(), ids=FABRICS.keys())
@@ -216,11 +210,8 @@ def test_send_many_through_the_proxy_is_per_frame_send_with_coins_and_partitions
 
     async def scenario(fan_out: bool):
         inner = _sim()
-        proxy = ProxyTransport(
-            inner, script.timeline(), seed=3, round_s=0.03, base_latency_s=LATENCY_S
-        )
+        proxy = ProxyTransport(inner, script.timeline(), seed=3, base_latency_s=LATENCY_S)
         inbox = Collector(proxy, range(N))
-        inner.anchor()
         proxy.enter_phase(1)
         for payload in range(12):
             if fan_out:

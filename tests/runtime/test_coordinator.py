@@ -118,7 +118,7 @@ def test_handshake_result_and_the_frame_hook_round_trip():
     assert [result["worker"] for result in results] == [0, 1, 2]
     assert [result["in_memory"] for result in results] == [True, False, False]
     for result in results:
-        # Every worker anchored at the same instant: worker 0 on the
+        # Every worker started at the same instant: worker 0 on the
         # coordinator's loop clock, the spawned ones through the wall
         # clock.  A coordinator with a hook is listening.
         assert result["start_wall"] == pytest.approx(results[0]["start_wall"], abs=1e-3)
@@ -167,7 +167,7 @@ def test_one_worker_is_a_task_with_no_socket_and_no_timer():
 
 
 def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
-    """A late anchor is not padded against: it is the loop's round-0
+    """A late start is not padded against: it is the loop's round-0
     start lateness, merged into ``extras["histograms"]``."""
     from repro.engine.deploy_backend import DeploymentBackend
     from repro.engine.spec import RunSpec

@@ -11,12 +11,15 @@ from repro.attacks.library import blackout_script
 from repro.chain.shared import ChainView
 from repro.chain.store import BlockBuffer
 from repro.chain.tree import BlockTree
+from repro.engine.conditions import NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
+from repro.net.transport import LinkLatencyModel
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics, merge_samples
+from repro.runtime.node import DeployedNode
 from repro.runtime.shard import ShardRuntime, shard_pids
 from repro.runtime.worker import _fabric, run_worker, worker_main
 from repro.sleepy.adversary import RandomAdversary
@@ -224,6 +227,76 @@ def test_two_shards_in_one_attack_phase_report_that_phase():
     result = asyncio.run(backend.execute_async(spec, collector=collector))
     last = len(spec.adversary.timeline.states) - 1
     assert result.extras["attack"]["phase"] == collector.merged()["attack"]["phase"] == last
+
+
+@pytest.mark.parametrize(
+    "processes",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                not supports_unix_sockets(), reason="sharded deployment needs AF_UNIX"
+            ),
+        ),
+    ],
+)
+def test_the_proxy_holds_round_rs_phase_at_round_rs_sends(processes, monkeypatch):
+    """The round loop is the proxy's only phase driver: whenever a node
+    of the shard runs round ``r``'s send phase, the proxy is in
+    ``timeline.state_at(r)``, as the simulator's scripted adversary is.
+    At ``processes=2`` the patch reaches shard 0, in this process."""
+    script = get_script("partition-surge", 6)
+    base = RunSpec(n=6, rounds=script.total_rounds + 2, protocol="resilient", eta=6, seed=0)
+    spec = apply_script(base, script)
+    shards, seen = [], []
+    init, send_phase = ShardRuntime.__init__, DeployedNode.run_send_phase
+
+    def remembering(self, *args):
+        init(self, *args)
+        shards.append(self)
+
+    def observed(self, round_number):
+        seen.append((round_number, shards[0].proxy.phase))
+        return send_phase(self, round_number)
+
+    monkeypatch.setattr(ShardRuntime, "__init__", remembering)
+    monkeypatch.setattr(DeployedNode, "run_send_phase", observed)
+    run = asyncio.run if processes > 1 else run_virtual
+    run(DeploymentBackend(delta_s=0.01, processes=processes).execute_async(spec))
+    timeline = spec.adversary.timeline
+    assert {r for r, _ in seen} == set(range(spec.rounds))
+    assert [phase for _, phase in seen] == [timeline.state_at(r).index for r, _ in seen]
+    assert seen[-1][1] == len(timeline.states) - 1
+
+
+def test_a_send_phase_draws_its_rounds_surge_factor(monkeypatch):
+    """On the virtual clock, every frame round ``r``'s send phases publish
+    draws ``conditions.surge_factor(r)``: surged on rounds ra+1..ra+π
+    exactly, and on no other."""
+    conditions = NetworkConditions.window(ra=3, pi=2, surge_factor=7.0)
+    spec = RunSpec(n=4, rounds=10, protocol="resilient", eta=2, seed=0, conditions=conditions)
+    publishing, drawn = [], []
+    publish, draws = ShardRuntime.publish, LinkLatencyModel.draws
+
+    def tagged(self, pid, r, message):
+        publishing.append(r)
+        try:
+            publish(self, pid, r, message)
+        finally:
+            publishing.pop()
+
+    def recorded(self, src, dsts):
+        if publishing:
+            drawn.append((publishing[-1], self.factor))
+        return draws(self, src, dsts)
+
+    monkeypatch.setattr(ShardRuntime, "publish", tagged)
+    monkeypatch.setattr(LinkLatencyModel, "draws", recorded)
+    run_virtual(DeploymentBackend(delta_s=0.01).execute_async(spec))
+    assert {r for r, _ in drawn} == set(range(spec.rounds))
+    assert all(factor == conditions.surge_factor(r) for r, factor in drawn)
+    assert {r for r, factor in drawn if factor != 1.0} == {4, 5}
 
 
 def test_a_shards_nodes_read_one_interned_chain():

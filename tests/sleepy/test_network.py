@@ -1,8 +1,11 @@
-"""The one description of asynchrony: window arithmetic (paper §2.1)."""
+"""The one description of asynchrony: window arithmetic (paper §2.1) and its surge factor."""
+
+import math
 
 import pytest
 
-from repro.engine.conditions import AsyncPeriod, NetworkConditions
+from repro.attacks import surge
+from repro.engine.conditions import DEFAULT_SURGE_FACTOR, AsyncPeriod, NetworkConditions
 
 
 def asynchronous_rounds(conditions, horizon):
@@ -44,3 +47,34 @@ def test_multi_window_rejects_overlap():
         NetworkConditions(periods=(AsyncPeriod(2, 3), AsyncPeriod(4, 2)))
     # Adjacent-but-disjoint windows are fine.
     NetworkConditions(periods=(AsyncPeriod(2, 2), AsyncPeriod(4, 2)))
+
+
+def test_surge_factor_is_the_covering_periods_and_one_elsewhere():
+    conditions = NetworkConditions(
+        periods=(AsyncPeriod(2, 2, surge_factor=4.0), AsyncPeriod(10, 1), AsyncPeriod(15, 0, 9.0))
+    )
+    factors = {r: conditions.surge_factor(r) for r in range(20)}
+    assert {r for r, f in factors.items() if f != 1.0} == set(asynchronous_rounds(conditions, 20))
+    assert (factors[3], factors[4], factors[11]) == (4.0, 4.0, DEFAULT_SURGE_FACTOR)
+    assert NetworkConditions.synchronous().surge_factor(0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "declare",
+    [lambda factor: AsyncPeriod(2, 2, surge_factor=factor), surge],
+    ids=["period", "script-op"],
+)
+@pytest.mark.parametrize(
+    "factor",
+    [
+        0.5,  # would speed links up
+        -3.0,  # would turn delays negative
+        math.nan,  # would reach the wheel's slot arithmetic as NaN
+        math.inf,
+    ],
+)
+def test_a_surge_factor_a_fabric_cannot_apply_is_refused_at_construction(declare, factor):
+    """One check for both ways to declare a surge: a period's physical
+    factor and a script's ``surge`` op must be finite and at least 1."""
+    with pytest.raises(ValueError, match="surge factor must be finite and >= 1"):
+        declare(factor)
