@@ -5,9 +5,9 @@ One protocol/adversary/schedule stack over both execution substrates:
 * :mod:`repro.engine.registry` — named protocol constructors
   (:data:`PROTOCOLS`) shared by the simulator, the deployment runner,
   the CLI, and the scenario library.
-* :mod:`repro.engine.bus` — the indexed :class:`MessageBus` behind the
-  round simulator's dissemination layer (per-recipient cursors +
-  backlogs over one round-bucketed log).
+* :mod:`repro.engine.bus` — the indexed :class:`MessageBus` every
+  receiver reads, in the round simulator and in a deployment shard
+  (per-recipient cursors + backlogs over one compacted log).
 * :mod:`repro.engine.conditions` — substrate-independent
   :class:`NetworkConditions` (asynchronous periods that map to
   adversarial delivery in the simulator and, round by round, latency

@@ -1,7 +1,10 @@
-"""The indexed message bus: the dissemination layer of the round model.
+"""The indexed message bus: the delivery index of both substrates.
 
-Delivery state is indexed per recipient, not rescanned from one flat
-pool per process per round:
+The round simulator publishes every message it disseminates into one
+bus; a deployment shard publishes every message its gossip layer admits
+(:class:`~repro.runtime.delivery.ShardDelivery`), once, when it first
+reaches any node of the shard.  Either way delivery state is indexed per
+recipient, not rescanned from one flat pool per process per round:
 
 * a global **log** in publish order, and
 * per recipient, a **cursor** (everything below it has been either
@@ -12,7 +15,9 @@ Synchronous delivery is then ``backlog + log[cursor:]`` — O(new
 messages), with the tail slice shared between all caught-up receivers
 instead of being rebuilt per process — and adversarial delivery removes
 the chosen subset from an indexed deliverable view, so messages that
-were already delivered are never rescanned again.
+were already delivered are never rescanned again.  In a shard the
+"adversary" of :meth:`MessageBus.deliver_chosen` is the network: a node
+is handed what has reached it, and the rest is parked until it does.
 
 Semantics are identical to the flat pool (the equivalence suite pins
 seeded traces across the refactor): publish order is delivery order,
@@ -27,11 +32,14 @@ The log is **compacted**, not append-only.  Once per round
 receiver still able to receive has passed — its cursor and its oldest
 parked message both lie beyond it.  A receiver in ``B_r`` is not able
 to: corruption is monotone (:class:`~repro.engine.backend.
-CorruptionTracker`), so it is never delivered to again.  Positions
-stay absolute: ``len(bus)``, :attr:`MessageBus.total_published` and
-every cursor count from the first message ever published.  A process
-that sleeps keeps everything published since it fell asleep, as the
-model requires, so its nap is what the log retains.
+CorruptionTracker`), so it is never delivered to again; nor is a pid a
+shard does not host.  A message one receiver can never get (a shard
+saw it lost) is withdrawn from that receiver alone
+(:meth:`MessageBus.withdraw`).  Positions stay absolute: ``len(bus)``,
+:attr:`MessageBus.total_published` and every cursor count from the
+first message ever published.  A process that sleeps keeps everything
+published since it fell asleep, as the model requires, so its nap is
+what the log retains.
 
 Dedup keys are **forgotten** at the retention horizon
 (:func:`~repro.sleepy.horizon.seen_horizon`): a key accepted in round
@@ -212,8 +220,7 @@ class MessageBus:
         if pending is None:
             pending = self.deliverable(pid)
         end = len(self)
-        # The log position of each pending message, in the same order.
-        at = self._backlog[pid] + list(range(self._cursor[pid], end))
+        at = self.positions(pid)
         if not chosen:
             self._backlog[pid] = at
             self._cursor[pid] = end
@@ -243,9 +250,33 @@ class MessageBus:
         self._backlog[pid] = backlog
         self._cursor[pid] = end
 
+    def withdraw(self, pid: int, position: int) -> None:
+        """``pid`` can never receive the message at log ``position``: stop
+        holding it for ``pid``, undelivered.
+
+        A position that is not pending for ``pid`` is left alone.  One
+        past the cursor parks the positions before it in the backlog, so
+        everything else pending stays pending, in publish order.
+        """
+        cursor = self._cursor[pid]
+        backlog = self._backlog[pid]
+        if position >= cursor:
+            backlog.extend(range(cursor, position))
+            self._cursor[pid] = position + 1
+        elif position in backlog:
+            backlog.remove(position)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def pending_count(self, pid: int) -> int:
+        """How many messages :meth:`deliverable` would hand ``pid``, counted."""
+        return len(self._backlog[pid]) + len(self) - self._cursor[pid]
+
+    def positions(self, pid: int) -> list[int]:
+        """The log position of each message :meth:`deliverable` hands ``pid``, in order."""
+        return self._backlog[pid] + list(range(self._cursor[pid], len(self)))
+
     def __len__(self) -> int:
         return self._base + len(self._log)
 

@@ -21,13 +21,13 @@ stacks two layers, each shared run-wide:
    vote stores, proposal tables, and traces share one object per
    logical message, and re-verification of a canonical instance is an
    O(1) identity check.
-2. **Batch sharing** — the round simulator's bus hands the *same* tail
-   tuple to every caught-up receiver; the pipeline memoises the
-   classified :class:`~repro.sleepy.messages.VerifiedBatch` per
-   delivered tuple (by identity, holding the tuple alive so the key can
-   never be recycled), so verification, classification, and per-vote
-   record extraction run once per delivery instead of once per
-   receiver.
+2. **Batch sharing** — the message bus (the round simulator's, and each
+   deployment shard's) hands the *same* tail tuple to every caught-up
+   receiver; the pipeline memoises the classified
+   :class:`~repro.sleepy.messages.VerifiedBatch` per delivered tuple
+   (by identity, holding the tuple alive so the key can never be
+   recycled), so verification, classification, and per-vote record
+   extraction run once per delivery instead of once per receiver.
 
 This is the only verifier: no backend, test fixture or example checks a
 message any other way.  Protocol code never imports this module at
@@ -110,10 +110,11 @@ class IngestPipeline:
     def batch(self, messages: Sequence[Message]) -> VerifiedBatch:
         """The shared :class:`VerifiedBatch` for one delivery.
 
-        Tuple deliveries (the bus's shared synchronous tails) are
-        memoised by identity; list deliveries (per-receiver backlog
-        catch-ups, deployment inboxes) are classified per call but still
-        hit the interner's identity path per message.
+        Tuple deliveries (the bus's shared synchronous tails, in the
+        simulator and in a deployment shard alike) are memoised by
+        identity; list deliveries (per-receiver backlog catch-ups, and a
+        shard node's share of what has reached it) are classified per
+        call but still hit the interner's identity path per message.
         """
         if type(messages) is tuple:
             built = self._batch_memo.get(messages)

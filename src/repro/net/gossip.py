@@ -45,8 +45,17 @@ and so is every pid another network hosts (its seen set is not ours to
 read).  In one process supersession removes nearly every remaining
 duplicate; what is left — a copy from another process, or one that lands
 before the copy in flight — arrives and is counted as a duplicate.
-Per-node *delivery* stays per node: sleep/wake and the adversarial
+Per-node *arrival* stays per node: sleep/wake and the adversarial
 proxy's per-frame coins see every frame that is sent.
+
+**Admission is per shard**, too.  A message is handed to the network's
+one admission callback once, when it first reaches any node the network
+hosts (the seen index held no bit for its key) — a deployment shard
+publishes it into its :class:`~repro.engine.bus.MessageBus` there
+(:class:`~repro.runtime.delivery.ShardDelivery`).  Which hosted nodes
+have it since is the key's bitmask in the seen index, and how many
+first arrivals each node had is its ``stats["delivered"]``; no node
+keeps a list of what reached it.
 
 The seen index is also **bounded**: on a long-running service it would
 otherwise retain one key per message forever.  Entries are
@@ -64,14 +73,15 @@ which keeps an evicted key from re-flooding forever.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 from repro.net.transport import Transport
 from repro.sleepy.horizon import RoundBuckets
 from repro.sleepy.messages import Message
 
-#: A hosted node's consumer: called when a new message first reaches it.
-DeliveryHandler = Callable[[Message], None]
+#: A network's consumer: called with a message and its dedup key when the
+#: message first reaches any node the network hosts.
+AdmissionHandler = Callable[[Message, tuple], None]
 
 
 def _random_regular_edges(degree: int, n: int, rng: random.Random) -> set[tuple[int, int]]:
@@ -202,8 +212,8 @@ class GossipNode:
     one-shard :class:`~repro.net.transport.SimTransport`, a shard's
     :class:`~repro.net.socket_transport.SocketTransport`,
     or the adversarial proxy in front of either.  The node subscribes to
-    its pid here, before any frame can exist; ``seen`` is its
-    :class:`GossipNetwork`'s, shared by every node it hosts.
+    its pid here, before any frame can exist; ``seen`` and ``on_admit``
+    are its :class:`GossipNetwork`'s, shared by every node it hosts.
     """
 
     def __init__(
@@ -211,7 +221,7 @@ class GossipNode:
         pid: int,
         transport: Transport,
         neighbors: tuple[int, ...],
-        on_deliver: DeliveryHandler,
+        on_admit: AdmissionHandler,
         seen: SeenIndex,
     ) -> None:
         self.pid = pid
@@ -221,10 +231,11 @@ class GossipNode:
         #: source comes from the peer, so any other value (a publish's
         #: ``None`` included) falls back to every neighbour.
         self._forwards = {q: tuple(p for p in neighbors if p != q) for q in neighbors}
-        self._on_deliver = on_deliver
+        self._on_admit = on_admit
         self._seen = seen
         self._bit = 1 << pid
-        #: Dissemination accounting (consumed by metrics and tests).
+        #: Dissemination accounting (consumed by metrics, tests and the
+        #: shard's receive phase: ``delivered`` counts first arrivals).
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         transport.subscribe(pid, self._ingest)
 
@@ -253,18 +264,21 @@ class GossipNode:
         if holders & self._bit:
             self.stats["duplicates"] += 1
             return
-        if not holders:
+        first = not holders
+        if first:
             seen.admit(key, message.round)
         holders |= self._bit
         seen.holders[key] = holders
         self.stats["delivered"] += 1
         # Forward before handing over, so a consumer that raises costs
-        # its own delivery and not the flood's next hop.  Co-located
-        # holders are offered the message (their links draw) and skipped.
+        # the shard its admission and not the flood's next hop.
+        # Co-located holders are offered the message (their links draw)
+        # and skipped.
         self._transport.send_many(
             self.pid, self._forwards.get(src, self._neighbors), message, holders
         )
-        self._on_deliver(message)
+        if first:
+            self._on_admit(message, key)
 
 
 class GossipNetwork:
@@ -276,21 +290,21 @@ class GossipNetwork:
     before the fabric starts listening: every node subscribes here, so
     no frame can precede its consumer.
 
-    ``on_deliver`` maps every pid of ``topology`` to that node's
-    consumer.  ``horizon_rounds`` bounds the shard's :class:`SeenIndex`
-    (:attr:`seen`), which the caller advances once per round.
+    ``on_admit`` is the shard's one consumer, called once per message
+    (module docstring).  ``seen`` is the shard's :class:`SeenIndex`,
+    which its owner advances once per round.
     """
 
     def __init__(
         self,
         transport: Transport,
         topology: dict[int, tuple[int, ...]],
-        on_deliver: Mapping[int, DeliveryHandler],
-        horizon_rounds: int,
+        on_admit: AdmissionHandler,
+        seen: SeenIndex,
     ) -> None:
-        self.seen = SeenIndex(horizon_rounds)
+        self.seen = seen
         self.nodes = {
-            pid: GossipNode(pid, transport, neighbors, on_deliver[pid], self.seen)
+            pid: GossipNode(pid, transport, neighbors, on_admit, seen)
             for pid, neighbors in topology.items()
         }
 

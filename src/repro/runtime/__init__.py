@@ -2,6 +2,8 @@
 
 * :mod:`repro.runtime.clock` — the round clock.
 * :mod:`repro.runtime.node` — a protocol process bridged onto gossip.
+* :mod:`repro.runtime.delivery` — a shard's receive side: one
+  message bus its nodes read with a cursor each.
 * :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
   assembly every deployment substrate runs (one phase loop steps its
   nodes round by round) and the one sample it reports.

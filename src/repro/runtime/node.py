@@ -3,27 +3,41 @@
 Bridges the round-by-round protocol abstraction and the real-time
 substrate: at the beginning of each round the node runs the protocol's
 send phase and publishes the messages into the gossip overlay; late in
-the round (the receive phase) it hands everything that arrived since the
-last receive phase to the protocol.  Messages that arrive while the node
-is asleep stay buffered and are delivered at its next awake receive
-phase, exactly like the queue-on-sleep rule of §2.1.
+the round (the receive phase) it hands the protocol everything pending
+for it in the shard's message bus that has reached it
+(:meth:`~repro.runtime.delivery.ShardDelivery.take`).  Messages that
+arrive while the node is asleep stay pending on the bus and are
+delivered at its next awake receive phase, exactly like the
+queue-on-sleep rule of §2.1.  The node keeps no inbox of its own.
 """
 
 from __future__ import annotations
 
 from repro.protocols.tob_base import SleepyTOBProcess
+from repro.runtime.delivery import ShardDelivery
 from repro.sleepy.messages import Message
 from repro.sleepy.schedule import SleepSchedule
 from repro.sleepy.trace import DecisionEvent
 
 
 class DeployedNode:
-    """One process plus its gossip-facing buffers."""
+    """One process, reading its shard's delivery.
 
-    def __init__(self, process: SleepyTOBProcess, schedule: SleepSchedule) -> None:
+    ``gossip_stats`` is the node's gossip counters, whose ``delivered``
+    counts the messages that first reached it.
+    """
+
+    def __init__(
+        self,
+        process: SleepyTOBProcess,
+        schedule: SleepSchedule,
+        delivery: ShardDelivery,
+        gossip_stats: dict[str, int],
+    ) -> None:
         self.process = process
         self._schedule = schedule
-        self._inbox: list[Message] = []
+        self._delivery = delivery
+        self._gossip_stats = gossip_stats
         self.decisions: list[DecisionEvent] = []
 
     @property
@@ -33,10 +47,6 @@ class DeployedNode:
     def awake(self, round_number: int) -> bool:
         """Whether this node participates in ``round_number`` (``O_r``)."""
         return self.pid in self._schedule.awake(round_number)
-
-    def on_gossip(self, message: Message) -> None:
-        """Gossip delivery: buffer until the next awake receive phase."""
-        self._inbox.append(message)
 
     def run_send_phase(self, round_number: int) -> list[Message]:
         """Protocol send phase; returns the messages to publish."""
@@ -54,7 +64,7 @@ class DeployedNode:
         """
         if not self.awake(round_number + 1):
             return 0
-        batch, self._inbox = self._inbox, []
+        batch = self._delivery.take(self.pid, self._gossip_stats["delivered"])
         if batch:
             self.process.receive(round_number, batch)
         return len(batch)

@@ -16,7 +16,10 @@ the fabric it builds.  A shard is assembled as a simulation is, around
 one :class:`~repro.chain.shared.SharedChain`: its nodes read views of
 it, and its :class:`~repro.sleepy.trace.TraceRecorder` records into its
 tree what the shard publishes (:meth:`ShardRuntime.publish`), which is
-the shard's part of the trace; no node's view is read for it.
+the shard's part of the trace; no node's view is read for it.  And as
+a simulation's processes read one message bus, a shard's nodes read
+one too (:class:`~repro.runtime.delivery.ShardDelivery`), fed by what
+its gossip admits.
 
 Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (latency streams, overlay topology and the
@@ -47,11 +50,12 @@ from repro.engine.backend import CorruptionTracker, check_adversary_message, off
 from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
-from repro.net.gossip import GossipNetwork, regular_topology
+from repro.net.gossip import GossipNetwork, SeenIndex, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import PushDelivery
 from repro.protocols.tob_base import first_round_of_view
 from repro.runtime.clock import RECEIVE_FRACTION, RoundClock
+from repro.runtime.delivery import ShardDelivery
 from repro.runtime.metrics import MetricsHub, transport_counters
 from repro.runtime.node import DeployedNode
 from repro.sleepy.adversary import AdversaryContext
@@ -104,6 +108,10 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
+#: Delivered tuples whose verified batch a shard keeps.  A tuple is shared
+#: within its round only (the caught-up nodes' one, and one per sleeper
+#: waking in it), and a slot keeps its round's messages alive.
+_BATCH_MEMO_CAPACITY = 4
 #: Seconds between the live samples a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
 
@@ -166,7 +174,21 @@ class ShardRuntime:
                 base_latency_s=config.delta_s / 8,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
-        self.verifier = IngestPipeline(self.registry)
+        self.verifier = IngestPipeline(self.registry, batch_memo_capacity=_BATCH_MEMO_CAPACITY)
+        #: The shard's receive side: one bus over what its gossip admits,
+        #: on the seen index's horizon.
+        self.delivery = ShardDelivery(
+            spec.n,
+            config.shard,
+            SeenIndex(seen_horizon(PROTOCOLS.effective_eta(spec.protocol, spec.eta))),
+        )
+        topology = regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
+        self.network = GossipNetwork(
+            self.proxy if self.proxy is not None else transport,
+            {pid: topology[pid] for pid in config.shard},
+            on_admit=self.delivery.admit,
+            seen=self.delivery.seen,
+        )
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         self.nodes = {
             pid: DeployedNode(
@@ -174,16 +196,11 @@ class ShardRuntime:
                     factory, pid, self.registry.secret_key(pid), self.verifier, self.chain
                 ),
                 schedule=spec.resolved_schedule(),
+                delivery=self.delivery,
+                gossip_stats=self.network.nodes[pid].stats,
             )
             for pid in config.shard
         }
-        topology = regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
-        self.network = GossipNetwork(
-            self.proxy if self.proxy is not None else transport,
-            {pid: topology[pid] for pid in config.shard},
-            on_deliver={pid: node.on_gossip for pid, node in self.nodes.items()},
-            horizon_rounds=seen_horizon(PROTOCOLS.effective_eta(spec.protocol, spec.eta)),
-        )
 
     def publish(self, pid: int, r: int, message: Message) -> None:
         """Originate ``message`` from local ``pid`` in round ``r``."""
@@ -198,16 +215,22 @@ class ShardRuntime:
         before any send, the fabric takes round ``r``'s surge factor
         (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`)
         and the attack proxy, if any, the phase holding in ``r``; the
-        gossip seen index enters round ``r``, forgetting keys older than
-        η + :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, the verifier
-        forgets verdicts entered below the index's floor, and the
-        round's arrivals are fetched once; in pid order every awake
+        shard's delivery enters round ``r``
+        (:meth:`~repro.runtime.delivery.ShardDelivery.advance`): the
+        gossip seen index forgets keys older than
+        η + :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, each node
+        stops waiting for what it lacked of them, and the bus compacts
+        with the pids this shard does not host and ``B_r`` retired.  The
+        verifier forgets verdicts entered below the index's floor, and
+        the round's arrivals are fetched once; in pid order every awake
         node takes them and every node outside ``B_r`` runs its send
         phase.  When this shard holds every node the adversary's
         ``send`` follows, over the recorder's tree, with keys handed
         over and monotonicity enforced as in the simulator.  At
         ``RECEIVE_FRACTION`` of the round every node outside ``B_{r+1}``
-        runs its receive phase.  Corrupted nodes keep relaying gossip.
+        runs its receive phase, taking from the bus what has reached it
+        — the caught-up ones one shared tuple.  Corrupted nodes keep
+        relaying gossip; nothing is kept for them to receive.
         :attr:`hub` observes how late each phase woke (``phase_lateness_s``)
         and each decision's latency from its view's first round;
         ``report`` is awaited with a fresh :meth:`sample` four times a second.
@@ -225,9 +248,8 @@ class ShardRuntime:
                 self.transport.surge(conditions.surge_factor(r))
                 if proxy is not None:
                     proxy.enter_phase(proxy.timeline.state_at(r).index)
-                seen = self.network.seen
-                seen.advance(r)
-                self.verifier.interner.advance(r, seen.floor)
+                self.delivery.advance(r, self.byz_by_round[r])
+                self.verifier.interner.advance(r, self.delivery.seen.floor)
                 arrivals = spec.arrivals(r)
                 # ``nodes`` is keyed in ``config.shard`` order: pid order.
                 for pid, node in self.nodes.items():

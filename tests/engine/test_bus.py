@@ -244,3 +244,28 @@ def test_a_key_pending_twice_is_matched_oldest_first():
     assert bus.deliverable(0) == [first, again]
     bus.deliver_chosen(0, [FakeMessage("a", 5)])  # a content twin of both
     assert bus.deliverable(0) == [again]
+
+
+def test_a_withdrawn_message_stops_pinning_one_receiver_only():
+    """A receiver that can never get a message lets it go, from its
+    backlog or from past its cursor; what else is pending for it stays
+    pending in publish order, and every other receiver is untouched."""
+    bus = MessageBus(2, horizon_rounds=8)
+    bus.advance(0)
+    for name in "abcd":
+        bus.publish(FakeMessage(name))
+    bus.deliver_chosen(0, [FakeMessage("b")])  # "a", "c", "d" parked
+    bus.publish(FakeMessage("e"))
+    assert bus.positions(0) == [0, 2, 3, 4] and bus.pending_count(0) == 4
+    bus.withdraw(0, 2)  # from the backlog
+    bus.withdraw(0, 4)  # past the cursor
+    bus.withdraw(0, 1)  # delivered already: left alone
+    assert ids(bus.deliverable(0)) == ["a", "d"] and bus.pending_count(0) == 2
+    assert ids(bus.deliverable(1)) == ["a", "b", "c", "d", "e"]
+    bus.withdraw(1, 2)  # one past the cursor: the positions before it park
+    assert bus.positions(1) == [0, 1, 3, 4]
+    assert ids(bus.deliver_all(1)) == ["a", "b", "d", "e"]
+    bus.withdraw(0, 0)
+    bus.withdraw(0, 3)
+    bus.advance(1)
+    assert bus.retained == 0 and len(bus) == 5

@@ -22,7 +22,7 @@ from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.ingest import IngestPipeline
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
-from repro.net.gossip import GossipNetwork
+from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.net.socket_transport import (
     DecodedBodyMemo,
     EncodedPayloadCache,
@@ -36,7 +36,7 @@ from repro.sleepy.messages import (
     make_vote,
 )
 from repro.workloads import SubmissionRateWorkload
-from tests.net.conftest import NoLinks
+from tests.net.conftest import NoLinks, ignore
 
 FORGED = "f0" * 32
 
@@ -184,7 +184,7 @@ def test_a_seen_key_pins_no_message(registry):
     """A seen index holds keys, and a key holds field values only: no
     message object stays alive because it was once disseminated."""
     key = registry.secret_key(0)
-    network = GossipNetwork(NoLinks(), {0: ()}, {0: lambda message: None}, horizon_rounds=10)
+    network = GossipNetwork(NoLinks(), {0: ()}, ignore, SeenIndex(10))
     votes = [make_vote(registry, key, r, None) for r in range(IDENTITY_MEMO_CAPACITY + 10)]
     for vote in votes:
         network.nodes[0].publish(vote)

@@ -4,7 +4,10 @@ Two properties, on both substrates:
 
 * **bounded** — past the first η + 10 rounds, the bus log, the bus's
   dedup keys, the verdict table and a shard's seen index each hold at
-  most a constant number of rounds' messages, however long the run;
+  most a constant number of rounds' messages, however long the run, and
+  a shard's bus holds more only for a sleeper's nap, never for a
+  corrupted node or for what a node behind a dropping partition can
+  never receive;
 * **exact** — forgetting never costs a second verification: the
   simulator still checks every published message exactly once, for a
   process that sleeps past the horizon, under adversarial withholding,
@@ -22,11 +25,14 @@ import hashlib
 
 import pytest
 
+from repro.attacks import AttackScript, apply_script, drop, heal, phase
 from repro.engine.conditions import NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.net.gossip import SeenIndex
+from repro.protocols.tob_base import SleepyTOBProcess
+from repro.runtime.delivery import ShardDelivery
 from repro.sleepy.adversary import Adversary, RandomAdversary
 from repro.sleepy.horizon import RoundBuckets, seen_horizon
 from repro.sleepy.messages import MessageInterner, VoteMessage
@@ -105,6 +111,66 @@ def test_a_shard_retains_a_constant_number_of_rounds_messages(monkeypatch):
         assert [now for now, _ in sizes] == list(range(ROUNDS))
         late = [size for now, size in sizes if now >= ETA + 10]
         assert max(late) <= BOUND_ROUNDS * per_round
+
+
+def _shard_bus_retained(spec: RunSpec, monkeypatch) -> tuple[list[int], float, dict]:
+    """What a one-shard deployment's bus holds once each round is entered,
+    the messages published per round, and the run's gossip totals."""
+    retained = []
+    advance = ShardDelivery.advance
+
+    def recording(self, r, corrupted):
+        advance(self, r, corrupted)
+        retained.append(self.bus.retained)
+        assert self.bus.stats["duplicates"] == 0  # the seen index admits once
+
+    monkeypatch.setattr(ShardDelivery, "advance", recording)
+    result = run_virtual(DeploymentBackend(delta_s=0.02).execute_async(spec))
+    assert result.trace.decisions and len(retained) == spec.rounds
+    published = sum(r.votes_sent + r.proposes_sent + r.other_sent for r in result.trace.rounds)
+    return retained, published / spec.rounds, result.extras["gossip"]
+
+
+def test_a_shards_bus_keeps_a_sleepers_nap_and_releases_it_on_waking(monkeypatch):
+    n = 12
+    nap = range(100, 126)  # pid 0 sleeps 26 rounds, past the key horizon
+    schedule = TableSchedule(n, {r: frozenset(range(1, n)) for r in nap})
+    retained, per_round, _ = _shard_bus_retained(_spec(schedule=schedule), monkeypatch)
+    assert max(retained[ETA + 10 : nap.start]) <= 2 * per_round
+    assert seen_horizon(ETA) * per_round < max(retained) <= (len(nap) + 2) * per_round
+    assert max(retained[nap.stop + 1 :]) <= 2 * per_round
+
+
+def test_a_corrupted_node_pins_nothing_in_its_shards_bus(monkeypatch):
+    spec = _spec(adversary=RandomAdversary([11], seed=1))
+    retained, per_round, _ = _shard_bus_retained(spec, monkeypatch)
+    assert max(retained[ETA + 10 :]) <= 2 * per_round
+
+
+def test_a_node_behind_a_dropping_partition_releases_what_it_can_never_receive(monkeypatch):
+    """Every frame to pid 11 is lost for most of the run: what it lacks
+    stays pending only until the seen index forgets it."""
+    script = AttackScript(
+        name="cut-off",
+        phases=(phase(4), phase(ROUNDS - 20, drop(None, 11, 1.0)), phase(16, heal())),
+    )
+    spec = apply_script(_spec(), script)
+    handed: list[tuple[int, int]] = []  # (round, sender) of all pid 11 receives
+    receive = SleepyTOBProcess.receive
+
+    def recording(self, round_number, messages):
+        if self.pid == 11:
+            handed.extend((round_number, m.sender) for m in messages)
+        receive(self, round_number, messages)
+
+    monkeypatch.setattr(SleepyTOBProcess, "receive", recording)
+    retained, per_round, gossip = _shard_bus_retained(spec, monkeypatch)
+    cut_off = range(6, ROUNDS - 16)
+    assert {sender for r, sender in handed if r in cut_off} == {11}
+    late = retained[ETA + 10 :]
+    assert 2 * per_round < max(late) <= BOUND_ROUNDS * per_round
+    assert retained[-1] <= 2 * per_round  # healed: caught up again
+    assert gossip["stale_dropped"] == 0
 
 
 # ----------------------------------------------------------------------

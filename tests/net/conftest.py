@@ -47,9 +47,33 @@ class NoLinks:
         pass
 
 
-def per_pid(pids: Iterable[int], handler):
-    """``{pid: handler(pid, ·)}``: one gossip consumer per node from one function."""
-    return {pid: functools.partial(handler, pid) for pid in pids}
+def tap_arrivals(network, record) -> None:
+    """Call ``record(pid, src, message)`` at every first arrival at a node of
+    ``network``, publishes (``src`` ``None``) included, after the node
+    ingested it.
+
+    A network hands its consumer a message once per shard; a test that
+    follows each node re-subscribes the node's ingest behind a counter
+    check.  The nodes' own accounting is untouched.
+    """
+    for node in network.nodes.values():
+        ingest = node._ingest
+
+        def tapped(src, message, node=node, ingest=ingest):
+            before = node.stats["delivered"]
+            try:
+                ingest(src, message)
+            finally:
+                if node.stats["delivered"] > before:
+                    record(node.pid, src, message)
+
+        node._ingest = tapped
+        node._transport.unsubscribe(node.pid)
+        node._transport.subscribe(node.pid, tapped)
+
+
+def ignore(message, key) -> None:
+    """A gossip admission callback that keeps nothing."""
 
 
 # ----------------------------------------------------------------------

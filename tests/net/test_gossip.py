@@ -12,17 +12,30 @@ from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
-from repro.net.gossip import GossipNetwork, regular_topology
+from repro.net.gossip import GossipNetwork, SeenIndex, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel, SimTransport
 from repro.runtime import worker
 from repro.sleepy.messages import make_vote
 from repro.workloads.transactions import SubmissionRateWorkload
 
-from tests.net.conftest import per_pid, run_virtual
+from tests.net.conftest import ignore, run_virtual, tap_arrivals
 
 #: The seen horizon of the tests here that never advance their round.
 HORIZON = 10
+
+
+def _network(transport, topology, horizon=HORIZON, on_admit=ignore):
+    """A gossip network over ``topology`` with a fresh seen index."""
+    return GossipNetwork(transport, topology, on_admit, SeenIndex(horizon))
+
+
+def _tapped_network(transport, topology, delivered, field="message_id"):
+    """A network whose nodes' first arrivals append ``message.<field>``
+    to ``delivered[pid]``."""
+    network = _network(transport, topology)
+    tap_arrivals(network, lambda pid, src, m: delivered[pid].append(getattr(m, field)))
+    return network
 
 
 def test_regular_topology_is_connected_and_regular():
@@ -86,12 +99,7 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
         registry = KeyRegistry(n, run_seed=0)
         transport = SimTransport(n, base_latency_s=0.001, jitter_s=0.001, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
-        network = GossipNetwork(
-            transport,
-            regular_topology(n, degree, seed=0),
-            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
-            horizon_rounds=HORIZON,
-        )
+        network = _tapped_network(transport, regular_topology(n, degree, seed=0), delivered)
         vote = make_vote(registry, registry.secret_key(publisher), 0, None)
         network.nodes[publisher].publish(vote)
         await asyncio.sleep(0.1)  # >> diameter · latency
@@ -122,12 +130,7 @@ def test_dissemination_survives_publisher_silence():
         registry = KeyRegistry(n, run_seed=0)
         transport = SimTransport(n, base_latency_s=0.001, jitter_s=0.0, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
-        network = GossipNetwork(
-            transport,
-            regular_topology(n, 3, seed=0),
-            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
-            horizon_rounds=HORIZON,
-        )
+        network = _tapped_network(transport, regular_topology(n, 3, seed=0), delivered)
         vote = make_vote(registry, registry.secret_key(0), 0, None)
         network.nodes[0].publish(vote)
         # Unsubscribe the publisher immediately: its own forwards were
@@ -158,12 +161,8 @@ def test_transplanted_id_cannot_censor_honest_message():
         registry = KeyRegistry(n, run_seed=0)
         transport = SimTransport(n, base_latency_s=0.001, jitter_s=0.0, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
-        network = GossipNetwork(
-            transport,
-            regular_topology(n, 3, seed=0),
-            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.content_key)),
-            horizon_rounds=HORIZON,
-        )
+        topology = regular_topology(n, 3, seed=0)
+        network = _tapped_network(transport, topology, delivered, "content_key")
         honest = make_vote(registry, registry.secret_key(0), 0, None)
         junk = make_vote(registry, registry.secret_key(1), 0, None)
         # Transplant the honest id into the junk message's memo slot —
@@ -193,12 +192,7 @@ def test_dissemination_survives_sleeping_originator_during_surge():
         registry = KeyRegistry(n, run_seed=0)
         transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.0, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
-        network = GossipNetwork(
-            transport,
-            regular_topology(n, 3, seed=0),
-            on_deliver=per_pid(range(n), lambda pid, m: delivered[pid].append(m.message_id)),
-            horizon_rounds=HORIZON,
-        )
+        network = _tapped_network(transport, regular_topology(n, 3, seed=0), delivered)
         transport.surge(10.0)
         asyncio.get_running_loop().call_later(0.25, transport.surge, 1.0)
         vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -225,9 +219,7 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
         rounds = 50
         registry = KeyRegistry(senders, run_seed=0)
         transport = SimTransport(1, base_latency_s=0.001, jitter_s=0.0, seed=0)
-        network = GossipNetwork(
-            transport, {0: ()}, on_deliver={0: lambda m: None}, horizon_rounds=horizon
-        )
+        network = _network(transport, {0: ()}, horizon)
         node = network.nodes[0]
         votes = {}
         for r in range(rounds):
@@ -252,36 +244,42 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
     assert asyncio.run(scenario())
 
 
-def test_a_raising_consumer_does_not_stop_the_flood():
-    """``on_deliver`` raising at one node costs that node's delivery only:
-    its forwards were already offered, and its next frame still arrives."""
+def test_a_raising_admission_does_not_stop_the_flood():
+    """The admission callback raising costs its shard that message's
+    admission only: the node's forwards were already offered, every node
+    still gets the message, and the next message is admitted.  Two
+    shards over one fabric, so the raise happens in a frame's handler."""
 
     async def scenario():
         n = 8
         registry = KeyRegistry(n, run_seed=0)
         transport = SimTransport(n, base_latency_s=0.001, jitter_s=0.0, seed=0)
-        delivered: dict[int, list] = {pid: [] for pid in range(n)}
+        topology = regular_topology(n, 3, seed=0)
+        admitted: list = []
 
-        def on_deliver(pid, message):
-            if pid == 3 and not delivered[3]:
-                delivered[3].append("raised")
+        def on_admit(message, key):
+            if not admitted:
+                admitted.append("raised")
                 raise RuntimeError("consumer bug")
-            delivered[pid].append(message.message_id)
+            admitted.append(message.message_id)
 
-        network = GossipNetwork(
-            transport, regular_topology(n, 3, seed=0), per_pid(range(n), on_deliver), HORIZON
-        )
+        near = _network(transport, {pid: topology[pid] for pid in range(4)})
+        far = _network(transport, {pid: topology[pid] for pid in range(4, n)}, on_admit=on_admit)
+        delivered: dict[int, list] = {pid: [] for pid in range(n)}
+        for network in (near, far):
+            tap_arrivals(network, lambda pid, src, m: delivered[pid].append(m.message_id))
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
-        network.nodes[0].publish(first)
+        near.nodes[0].publish(first)
         await asyncio.sleep(0.05)
-        network.nodes[1].publish(second)
+        near.nodes[1].publish(second)
         await asyncio.sleep(0.05)
-        network.stop()
+        near.stop()
+        far.stop()
         assert transport.handler_errors == 1
-        for pid in set(range(n)) - {3}:
+        assert admitted == ["raised", second.message_id]
+        for pid in range(n):
             assert sorted(delivered[pid]) == sorted([first.message_id, second.message_id])
-        assert delivered[3] == ["raised", second.message_id]
 
     asyncio.run(scenario())
 
@@ -405,14 +403,13 @@ def _flood(fabric: type[SimTransport] = _Tapped, script: AttackScript | None = N
             proxy = ProxyTransport(transport, script.timeline(), seed=5, base_latency_s=SLOT_S)
         sequences: dict[int, list[tuple[int | None, str, float]]] = {pid: [] for pid in range(n)}
 
-        def on_deliver(pid, message):
+        def arrived(pid, _src, message):
             sequences[pid].append(
                 (transport.source.get(pid), keys[message.content_key], loop.time())
             )
 
-        network = GossipNetwork(
-            proxy or transport, topology, per_pid(range(n), on_deliver), HORIZON
-        )
+        network = _network(proxy or transport, topology)
+        tap_arrivals(network, arrived)
         # The flood's round loop: the script's phases and the surge are
         # set at their instants, as a shard's drive sets them.
         if proxy is not None:
@@ -490,9 +487,7 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
 
     async def scenario():
         transport = SimTransport(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
-        network = GossipNetwork(
-            transport, topology, dict.fromkeys(topology, lambda m: None), HORIZON
-        )
+        network = _network(transport, topology)
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)
@@ -543,12 +538,7 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
     async def scenario():
         transport = _LoggedSim(4, base_latency_s=0.002, jitter_s=0.0, seed=0)
         networks = [
-            GossipNetwork(
-                transport,
-                {pid: ring[pid] for pid in shard},
-                on_deliver=dict.fromkeys(shard, lambda m: None),
-                horizon_rounds=3,
-            )
+            _network(transport, {pid: ring[pid] for pid in shard}, horizon=3)
             for shard in (shard_a, shard_b)
         ]
         for network in networks:

@@ -28,7 +28,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.crypto.vrf import VRFOutput
 from repro.engine.bus import MessageBus
 from repro.engine.ingest import IngestPipeline
-from repro.net.gossip import GossipNetwork
+from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.sleepy.messages import (
     REJECTED,
     AckMessage,
@@ -302,7 +302,9 @@ def test_a_junk_twin_gossiped_first_cannot_mark_the_original_seen(registry, gene
     good = make_vote(registry, registry.secret_key(1), 5, genesis.block_id)
     delivered: list[Message] = []
 
-    network = GossipNetwork(NoLinks(), {0: ()}, {0: delivered.append}, horizon_rounds=10)
+    network = GossipNetwork(
+        NoLinks(), {0: ()}, lambda message, key: delivered.append(message), SeenIndex(10)
+    )
     for junk in _junk_twins(good):
         network.nodes[0].publish(junk)
     assert good.content_key not in network.seen.holders
