@@ -40,7 +40,7 @@ def main() -> None:
                 ["rounds run", config.rounds],
                 ["latency surge", f"rounds {ra + 1}-{ra + pi} ×{factor:.0f}"],
                 ["wall-clock (s)", result.wall_seconds],
-                ["gossip messages", result.messages_sent],
+                ["gossip first arrivals", result.extras["gossip"]["delivered"]],
                 ["decisions", len(trace.decisions)],
                 ["safety", safety.ok],
             ],

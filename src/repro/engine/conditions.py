@@ -9,9 +9,9 @@ has not received yet, and in a round :meth:`~NetworkConditions.
 is_asynchronous` covers the adversary chooses an arbitrary subset per
 receiver (messages are delayed, never lost); the asyncio deployment
 models the *physical* phenomenon, a latency surge past δ: a shard's
-round loop sets its fabric's factor to :meth:`~NetworkConditions.
-surge_factor` of each round it wakes for
-(:meth:`~repro.net.transport.PushDelivery.surge`).
+flood multiplies every link draw by :meth:`~NetworkConditions.
+surge_factor` of the round the frame is sent in
+(:class:`~repro.net.gossip.GossipNetwork`).
 """
 
 from __future__ import annotations

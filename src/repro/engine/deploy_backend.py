@@ -12,9 +12,10 @@ Substrate differences (inherent, not incidental):
 * **Delivery control.**  The simulator grants the adversary *logical*
   per-receiver delivery choice during asynchronous rounds.  The
   deployment realises asynchrony *physically*: latencies surge past δ
-  in exactly the rounds the period covers
-  (:meth:`~repro.net.transport.PushDelivery.surge`), or — under an attack
-  script — the :class:`~repro.net.proxy_transport.ProxyTransport` holds,
+  in exactly the rounds the period covers (the flood multiplies a
+  link's draw by the surge factor of the round it is sent in,
+  :mod:`repro.net.gossip`), or — under an attack script — the
+  :class:`~repro.net.proxy_transport.ProxyTransport`'s ``fate`` holds,
   delays or drops frames per link, so round-``r`` messages arrive rounds
   late.  An adversary's ``deliver`` hook is not consulted here, which is
   why a script is checked against the fabric before anything runs

@@ -1,86 +1,116 @@
-"""Gossip dissemination over an asyncio transport.
+"""Gossip dissemination, computed: when each node first holds each message.
 
 The paper assumes "an underlying peer-to-peer dissemination protocol
 (e.g., a gossip protocol)" (§2.1) with two crucial properties exercised
 here: messages reach everyone even if the original sender goes to sleep
 mid-dissemination, and messages survive asynchronous periods (they are
-delayed, not lost).
+delayed, not lost).  The model asks one thing of it: each process
+eventually holds every message, within δ while the network is
+synchronous.
 
 Topology is a random k-regular overlay (complete graph for tiny n);
-every node forwards each first-seen message to all its neighbours, which
-floods any connected graph in ``diameter`` hops.
+every node forwards each message once, at its first arrival, to all its
+neighbours but the one it came from, which floods any connected graph
+in ``diameter`` hops.
 
-Delivery is **pushed**: each node subscribes to its pid at construction
-and the fabric calls it per frame, in slot order (see
-:mod:`repro.net.transport`) — no pump task, no queue.  A node that is
-stopped unsubscribes; frames still in flight to it are held by the
-fabric, not re-flooded.
+**The flood is a function.**  A shard does not replay that flood frame
+by frame.  It settles its nodes in instant order, Dijkstra's way, on one
+heap of computed frames (:meth:`GossipNetwork.catch_up`): a message
+enters at a node it hosts — published there, or a frame from another
+process reaching it — and each node it settles offers the message to
+its neighbours under the hop law the delivery wheel realises: a node
+``u`` first holding the message at loop instant ``T_u`` offers it to
+neighbour ``v``, and the frame arrives at
+
+    ``ceil((T_u + d_uv) / slot_s) · slot_s``,
+
+``d_uv`` being the link's draw for this message
+(:class:`~repro.net.transport.LinkLatencyModel`) times the surge factor
+of the round holding ``T_u`` (:meth:`~repro.runtime.clock.RoundClock.
+round_at`: an instant on a round's edge is in the round that begins
+there).  Under an attack script the proxy's
+:meth:`~repro.net.proxy_transport.ProxyTransport.fate` moves ``T_u``
+first — to a partition's release, past a surge's extra delay — or drops
+the frame.  No delay is negative and a node forwards exactly once, at
+its first arrival, so settling nodes in instant order *is* the frame-by-
+frame flood's event order: every first arrival lands in the slot full
+flooding would give it, though a surge ending mid-flight is not FIFO.
+
+The shard settles a frame once its clock has reached the frame's
+instant, and files the node's first arrival in its seen index then
+(:class:`Arrivals`): whoever reads the clock for the shard catches the
+flood up first — a publish, a frame from another process, and the
+shard's round loop before a round's deliveries and before its receive
+phases.  A node's receive phase is handed what the node holds by its
+instant (:meth:`~repro.runtime.delivery.ShardDelivery.take`), however
+late the host woke it.  A frame for a pid another process hosts is
+parked on the fabric when its forwarder is settled, at the slot it
+arrives in (:meth:`~repro.net.transport.Transport.park`); in such a
+shard the wheel also wakes the flood when its earliest computed frame
+falls due, so a forward leaves at its forwarder's instant.  A frame from
+another process is one more entry: it settles its node at once unless
+the node holds the message already (a duplicate, counted), and it
+pre-empts every computed frame due later.  A shard hosting every pid
+arms no timer at all.
+
+Two more rules match the frame-by-frame flood at its edges:
+
+* a **stopped** node (:meth:`GossipNode.stop`) neither receives nor
+  relays;
+* an instant in a round whose seen floor is above the message's round
+  (or of a message the seen index has forgotten) is no arrival: the
+  node drops the message, counted in ``stale_dropped``, and does not
+  relay it.
 
 Deduplication is **content-keyed**, exactly like the round simulator's
 message bus (:mod:`repro.engine.bus`): the "seen" key is the message's
 :attr:`~repro.sleepy.messages.Message.content_key` — a flat tuple of
 fields its constructor type-checked, built per arrival, compared
 exactly, with no encoding, no hash and no memo behind it — and never an
-id read from the message (README,
-"Identifiers and where they are computed"; a trusted id would let a
-junk message carrying a transplanted one censor the honest original).
-Gossip carries :class:`~repro.sleepy.messages.Message` objects only: a
-frame with any other payload is ignored on arrival.
+id read from the message (README, "Identifiers and where they are
+computed"; a trusted id would let a junk message carrying a transplanted
+one censor the honest original).  The link draws are keyed by the same
+content (:func:`~repro.net.transport.draw_key`); nothing dedups by the
+draw digest.  Gossip carries :class:`~repro.sleepy.messages.Message`
+objects only: a frame with any other payload is ignored on arrival.
 
-The **shard is the unit of dissemination**: all nodes one
-:class:`GossipNetwork` hosts share one :class:`SeenIndex` (key → which
-hosted nodes hold it).  A node offers a first-seen message to every
-neighbour but its source in one ``send_many`` call, with the shard's
-holders as ``skip``.  The fabric (:mod:`repro.net.transport`) decides
-which frames exist:
-
-* every offered link draws its latency, so every first arrival lands in
-  the slot it would have under full flooding;
-* a co-located holder gets no frame — it could only count a duplicate;
-* a frame behind a copy of the same message object already in flight
-  to its pid is superseded: sent and counted, never parked.
-
-A neighbour that has not ingested the message is always sent a frame,
-and so is every pid another network hosts (its seen set is not ours to
-read).  In one process supersession removes nearly every remaining
-duplicate; what is left — a copy from another process, or one that lands
-before the copy in flight — arrives and is counted as a duplicate.
-Per-node *arrival* stays per node: sleep/wake and the adversarial
-proxy's per-frame coins see every frame that is sent.
-
-**Admission is per shard**, too.  A message is handed to the network's
-one admission callback once, when it first reaches any node the network
-hosts (the seen index held no bit for its key) — a deployment shard
-publishes it into its :class:`~repro.engine.bus.MessageBus` there
-(:class:`~repro.runtime.delivery.ShardDelivery`).  Which hosted nodes
-have it since is the key's bitmask in the seen index, and how many
-first arrivals each node had is its ``stats["delivered"]``; no node
-keeps a list of what reached it.
+**Admission is per shard.**  A message is handed to the network's one
+admission callback once, when it first enters the shard, after its
+entry node is settled — a deployment shard publishes it into its
+:class:`~repro.engine.bus.MessageBus` there
+(:class:`~repro.runtime.delivery.ShardDelivery`).
 
 The seen index is also **bounded**: on a long-running service it would
 otherwise retain one key per message forever.  Entries are
 round-bucketed and evicted once their message round falls more than the
 horizon behind the current round — η +
 :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, below which no
-protocol consumer can still use the message.  The
-current round comes from the shard's phase loop, which advances the
-index once per round (:meth:`SeenIndex.advance`), never from message
-fields, which are attacker-controlled.  Messages already older than the
-horizon on arrival are dropped outright (counted, never silently),
-which keeps an evicted key from re-flooding forever.
+protocol consumer can still use the message.  The current round comes
+from the shard's phase loop, which advances the index once per round
+(:meth:`SeenIndex.advance`), never from message fields, which are
+attacker-controlled.  Messages already older than the horizon on
+arrival are dropped outright (counted, never silently), which keeps an
+evicted key from re-flooding forever.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
-from repro.net.transport import Transport
+from repro.net.transport import WORD, Transport, draw_key
 from repro.sleepy.horizon import RoundBuckets
 from repro.sleepy.messages import Message
 
+if TYPE_CHECKING:  # import at runtime would cycle through repro.runtime
+    from repro.runtime.clock import RoundClock
+
 #: A network's consumer: called with a message and its dedup key when the
-#: message first reaches any node the network hosts.
+#: message first enters the shard.
 AdmissionHandler = Callable[[Message, tuple], None]
 
 
@@ -164,24 +194,46 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
     raise RuntimeError("could not sample a connected regular overlay")
 
 
-class SeenIndex:
-    """Which hosted nodes hold which message: one index per shard.
+class Arrivals:
+    """One message's arrivals in one shard.
 
-    ``holders`` maps a dedup key to a bitmask over pids (bit ``pid`` set
-    = that hosted node has ingested the message).  One entry per message
-    per shard, one bucket list, one eviction sweep — not one of each per
-    node.  Keys are filed by message round in a
+    :attr:`held` is a bitmask over pids: bit ``pid`` is set once the
+    shard's clock has reached the hosted node's first arrival
+    (:meth:`GossipNetwork.catch_up`), from when on the node holds the
+    message.  :attr:`best` maps a pid not reached yet to the earliest
+    instant a frame computed so far reaches it — its first arrival,
+    unless an earlier frame is computed before the clock gets there, or
+    a stale one.  :attr:`drawn` is the message's link draws
+    (:meth:`~repro.net.transport.LinkLatencyModel.draw`), computed once
+    per message per shard, when it enters, and ``None`` once the seen
+    index has forgotten the message: a frame pending then is stale.
+    """
+
+    __slots__ = ("held", "best", "drawn")
+
+    def __init__(self, drawn: bytes) -> None:
+        self.held = 0
+        self.best: dict[int, float] = {}
+        self.drawn: bytes | None = drawn
+
+
+class SeenIndex:
+    """What a shard's nodes hold: one index per shard.
+
+    ``arrivals`` maps a dedup key to its :class:`Arrivals`.  One entry
+    per message per shard, one bucket list, one eviction sweep — not one
+    of each per node.  Keys are filed by message round in a
     :class:`~repro.sleepy.horizon.RoundBuckets` and forgotten once that
     round falls below :attr:`floor`, ``horizon_rounds`` behind the round
     :meth:`advance` last set (module docstring).
     """
 
-    __slots__ = ("holders", "horizon", "now", "floor", "_rounds")
+    __slots__ = ("arrivals", "horizon", "now", "floor", "_rounds")
 
     def __init__(self, horizon_rounds: int) -> None:
         if horizon_rounds < 0:
             raise ValueError("seen horizon must be non-negative")
-        self.holders: dict[object, int] = {}
+        self.arrivals: dict[object, Arrivals] = {}
         self.horizon = horizon_rounds
         #: The shard's current round, and the oldest message round still kept.
         self.now = 0
@@ -189,69 +241,55 @@ class SeenIndex:
         self._rounds = RoundBuckets(self.floor)
 
     def __len__(self) -> int:
-        return len(self.holders)
+        return len(self.arrivals)
 
     def advance(self, now: int) -> None:
         """Enter round ``now``: forget every key filed below the new floor."""
         self.now, self.floor = now, now - self.horizon
-        holders = self.holders
+        arrivals = self.arrivals
         for stale in self._rounds.release(self.floor):
-            holders.pop(stale, None)
+            forgotten = arrivals.pop(stale, None)
+            if forgotten is not None:
+                forgotten.drawn = None
 
     def admit(self, key: object, message_round: int) -> None:
-        """File a key no hosted node held."""
+        """File a key the shard did not hold."""
         # Clamp attacker-controlled future round tags so a huge tag
         # cannot park its bucket beyond every future eviction.
         self._rounds.bucket(min(message_round, self.now)).append(key)
 
 
 class GossipNode:
-    """One node's view of the gossip overlay.
+    """One hosted node's door into the flood.
 
-    ``transport`` is any :class:`~repro.net.transport.Transport` — the
-    one-shard :class:`~repro.net.transport.SimTransport`, a shard's
-    :class:`~repro.net.socket_transport.SocketTransport`,
-    or the adversarial proxy in front of either.  The node subscribes to
-    its pid here, before any frame can exist; ``seen`` and ``on_admit``
-    are its :class:`GossipNetwork`'s, shared by every node it hosts.
+    The node subscribes to its pid here, before any frame can exist:
+    frames from other processes and its own publishes enter the shard's
+    flood through :meth:`_ingest`.  ``stats`` counts its first arrivals
+    (``delivered``), frames that reached it holding the message already
+    (``duplicates``) and arrivals too old to use (``stale_dropped``).
     """
 
-    def __init__(
-        self,
-        pid: int,
-        transport: Transport,
-        neighbors: tuple[int, ...],
-        on_admit: AdmissionHandler,
-        seen: SeenIndex,
-    ) -> None:
+    def __init__(self, pid: int, network: GossipNetwork) -> None:
         self.pid = pid
-        self._transport = transport
-        self._neighbors = neighbors
-        #: Source -> the neighbours a message from it is offered to.  A
-        #: source comes from the peer, so any other value (a publish's
-        #: ``None`` included) falls back to every neighbour.
-        self._forwards = {q: tuple(p for p in neighbors if p != q) for q in neighbors}
-        self._on_admit = on_admit
-        self._seen = seen
-        self._bit = 1 << pid
-        #: Dissemination accounting (consumed by metrics, tests and the
-        #: shard's receive phase: ``delivered`` counts first arrivals).
+        self._network = network
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
-        transport.subscribe(pid, self._ingest)
+        network.transport.subscribe(pid, self._ingest)
 
     def publish(self, message: Message) -> None:
-        """Originate a message: deliver locally and push to neighbours."""
+        """Originate a message: it holds it now and the flood starts here."""
         self._ingest(None, message)
 
     def stop(self) -> None:
-        """Unsubscribe: frames still in flight to this node are held, not ingested."""
-        self._transport.unsubscribe(self.pid)
+        """Stop receiving and relaying: frames still in flight to this node are held."""
+        self._network.stopped.add(self.pid)
+        self._network.transport.unsubscribe(self.pid)
 
     def _ingest(self, src: int | None, message: object) -> None:
-        """One arrival from ``src`` (``None``: published here); the fabric's handler."""
+        """A frame from ``src`` (``None``: published here) reaches this node now."""
         if not isinstance(message, Message):
             return
-        seen = self._seen
+        network = self._network
+        seen = network.seen
         if message.round < seen.floor:
             # Older than anything the protocol can still consume: its
             # votes are expired and its proposal views pruned.  Dropping
@@ -260,64 +298,225 @@ class GossipNode:
             self.stats["stale_dropped"] += 1
             return
         key = message.content_key
-        holders = seen.holders.get(key, 0)
-        if holders & self._bit:
+        arrivals = seen.arrivals.get(key)
+        if arrivals is not None and arrivals.held >> self.pid & 1:
             self.stats["duplicates"] += 1
             return
-        first = not holders
+        first = arrivals is None
         if first:
+            drawn = network.transport.links.draw(draw_key(message))
+            arrivals = seen.arrivals[key] = Arrivals(drawn)
             seen.admit(key, message.round)
-        holders |= self._bit
-        seen.holders[key] = holders
-        self.stats["delivered"] += 1
-        # Forward before handing over, so a consumer that raises costs
-        # the shard its admission and not the flood's next hop.
-        # Co-located holders are offered the message (their links draw)
-        # and skipped.
-        self._transport.send_many(
-            self.pid, self._forwards.get(src, self._neighbors), message, holders
-        )
+        # The frame is pending at its instant, now, behind every computed
+        # frame due before it: one catch-up settles them in order.
+        pid, now = self.pid, network.clock.now()
+        if not network._reach(pid, -1 if src is None else src, now, arrivals, message):
+            self.stats["duplicates"] += 1  # a computed frame reaches it no later
+        network.catch_up()
         if first:
-            self._on_admit(message, key)
+            # Flood before handing over, so a consumer that raises costs
+            # the shard its admission and not the flood's next hop.
+            network.on_admit(message, key)
 
 
 class GossipNetwork:
-    """All gossip nodes one process hosts.
+    """The gossip overlay as one shard computes it.
 
-    ``topology`` may cover a *shard* of the deployment: a multi-process
-    worker builds nodes only for the pids it hosts, while the transport
-    routes forwards addressed to remote pids over sockets.  Construct it
-    before the fabric starts listening: every node subscribes here, so
-    no frame can precede its consumer.
+    ``topology`` is the whole overlay; the network hosts the pids its
+    fabric hosts (``transport.hosted``) and numbers every directed edge
+    of the overlay in the fabric's link model
+    (:meth:`~repro.net.transport.LinkLatencyModel.enumerate`), the same
+    numbering in every shard.  Construct it before the fabric starts
+    listening: every node subscribes here, so no frame can precede its
+    consumer.
 
     ``on_admit`` is the shard's one consumer, called once per message
     (module docstring).  ``seen`` is the shard's :class:`SeenIndex`,
-    which its owner advances once per round.
+    which its owner advances once per round.  ``clock`` is the shard's
+    round clock and ``surge_factor(r)`` the latency multiplier of round
+    ``r`` (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`).
+    A fabric with a ``fate`` (the attack proxy) has it asked for every
+    out-link of every node the flood settles.
     """
 
     def __init__(
         self,
         transport: Transport,
-        topology: dict[int, tuple[int, ...]],
+        topology: Mapping[int, Sequence[int]],
         on_admit: AdmissionHandler,
         seen: SeenIndex,
+        clock: RoundClock,
+        surge_factor: Callable[[int], float],
     ) -> None:
+        self.transport = transport
         self.seen = seen
-        self.nodes = {
-            pid: GossipNode(pid, transport, neighbors, on_admit, seen)
-            for pid, neighbors in topology.items()
-        }
+        self.clock = clock
+        self.on_admit = on_admit
+        self._surge_factor = surge_factor
+        #: Round -> its surge factor, as the flood asks for them.
+        self._factors: dict[int, float] = {}
+        self._fate = getattr(transport, "fate", None)
+        links = transport.links
+        links.enumerate(topology)
+        hosted = transport.hosted
+        #: Hosted pid -> ``(neighbour, offset of the link's word in a
+        #: draw)`` of each neighbour it hosts, and of each one another
+        #: process hosts (pids with any).
+        self._links: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._remote_links: dict[int, tuple[tuple[int, int], ...]] = {}
+        for pid, peers in sorted(topology.items()):
+            if pid in hosted:
+                out = [(peer, 4 * links.edges[(pid, peer)]) for peer in peers]
+                self._links[pid] = tuple(link for link in out if link[0] in hosted)
+                remote = tuple(link for link in out if link[0] not in hosted)
+                if remote:
+                    self._remote_links[pid] = remote
+        #: Computed frames not yet reached by the clock, as a heap of
+        #: ``(instant, order, pid, source, arrivals, message)``.
+        self._pending: list[tuple] = []
+        self._order = itertools.count()
+        #: Where frames from other processes enter, the flood must catch
+        #: up as its frames fall due: the wheel slots armed to (``None``:
+        #: no frame enters, so a reader of the clock catches up for itself).
+        self._armed: set[int] | None = None if hosted >= topology.keys() else set()
+        #: Hosted pids that neither receive nor relay any more.
+        self.stopped: set[int] = set()
+        self.nodes = {pid: GossipNode(pid, self) for pid in self._links}
+        self._stats = {pid: node.stats for pid, node in self.nodes.items()}
+
+    def _reach(
+        self, pid: int, came_from: int, t: float, arrivals: Arrivals, message: Message
+    ) -> bool:
+        """A frame from ``came_from`` reaches hosted ``pid`` at ``t``:
+        pending, unless ``pid`` is already reached no later."""
+        best = arrivals.best
+        if t >= best.get(pid, math.inf) or pid in self.stopped:
+            return False
+        best[pid] = t
+        heappush(self._pending, (t, next(self._order), pid, came_from, arrivals, message))
+        return True
+
+    def _slot_due(self, slot: int) -> None:
+        self._armed.discard(slot)
+        self.catch_up()
+
+    def catch_up(self) -> float:
+        """Settle every pending frame due by now, in instant order; the
+        loop instant caught up to.
+
+        A frame that is its pid's earliest files the pid's first arrival
+        (module docstring) and offers the message on, under the hop law,
+        to the pid's neighbours: a neighbour this shard hosts is reached
+        by a pending frame, one another process hosts by a frame parked
+        on the fabric now.  Whoever reads the clock for the shard calls
+        this first: a publish or a frame reaching a node, the shard's
+        round loop before a round's deliveries and receive phases, and,
+        where frames from other processes enter, the wheel when the
+        earliest pending frame falls due (:meth:`_arm`), so that a
+        forward leaves at its forwarder's instant.
+        """
+        now = self.clock.now()
+        pending = self._pending
+        if not pending or pending[0][0] > now:
+            self._arm()
+            return now
+        clock, factors, stats = self.clock, self._factors, self._stats
+        round_at = clock.round_at
+        # ``round_at`` inlined: ``floor((t - origin) / round_s + edge)``.
+        origin, round_s, edge = clock.origin, clock.round_s, clock.edge_tolerance
+        fate, links, remote = self._fate, self._links, self._remote_links
+        stopped, order = self.stopped, self._order.__next__
+        transport, horizon = self.transport, self.seen.horizon
+        slot_s, park = transport.slot_s, transport.park
+        base, scale = transport.links.base, transport.links.jitter / 2**32
+        word = WORD.unpack_from
+        ceil, floor, inf = math.ceil, math.floor, math.inf
+        while pending and pending[0][0] <= now:
+            t, _, pid, came_from, arrivals, message = heappop(pending)
+            best = arrivals.best
+            if best.get(pid) != t:
+                continue  # reached earlier
+            drawn = arrivals.drawn
+            r = floor((t - origin) / round_s + edge)
+            if drawn is None or r > message.round + horizon:
+                # The seen floor of ``r`` is above the message's round
+                # (or the index has forgotten it since).
+                stats[pid]["stale_dropped"] += 1
+                continue
+            del best[pid]
+            held = arrivals.held = arrivals.held | 1 << pid
+            stats[pid]["delivered"] += 1
+            factor = factors.get(r) or self._factor(r)
+            for peer, at_word in links[pid]:
+                sent, surge = t, factor
+                if fate is not None and peer != came_from:
+                    # Full flooding offers every link but the source's:
+                    # the proxy audits the offer, held peer or not.
+                    sent = fate(pid, peer, t, message)
+                    if sent is None:
+                        continue
+                    if sent != t:
+                        surge = self._factor(round_at(sent))
+                if held >> peer & 1:
+                    continue  # holds it already (where it came from, too)
+                delay = base + word(drawn, at_word)[0] * scale
+                slot = ceil((sent + delay * surge) / slot_s)
+                at = slot * slot_s
+                if at < best.get(peer, inf) and peer not in stopped:
+                    best[peer] = at
+                    heappush(pending, (at, order(), peer, pid, arrivals, message))
+            if not best:
+                arrivals.best = {}  # a dict keeps the table it grew
+            if pid not in remote:
+                continue
+            frames = []
+            for peer, at_word in remote[pid]:
+                if peer == came_from:
+                    continue
+                sent, surge = t, factor
+                if fate is not None:
+                    sent = fate(pid, peer, t, message)
+                    if sent is None:
+                        continue
+                    if sent != t:
+                        surge = self._factor(round_at(sent))
+                delay = base + word(drawn, at_word)[0] * scale
+                frames.append((peer, ceil((sent + delay * surge) / slot_s)))
+            if frames:
+                park(pid, message, frames)
+        self._arm()
+        return now
+
+    def _arm(self) -> None:
+        """Where frames from other processes enter, have the wheel catch
+        the flood up when the earliest pending frame falls due."""
+        armed, pending = self._armed, self._pending
+        if armed is None or not pending:
+            return
+        slot = round(pending[0][0] / self.transport.slot_s)
+        if slot not in armed:
+            armed.add(slot)
+            self.transport.wheel.schedule(slot, self._slot_due, slot)
+
+    def _factor(self, r: int) -> float:
+        """Round ``r``'s surge factor, asked of the schedule once."""
+        factor = self._factors.get(r)
+        if factor is None:
+            factor = self._factors[r] = self._surge_factor(r)
+        return factor
 
     def stop(self) -> None:
-        """Unsubscribe every node (teardown flushes then reach nobody)."""
+        """Stop every node (teardown flushes then reach nobody)."""
         for node in self.nodes.values():
             node.stop()
 
     def stats_totals(self) -> dict[str, int]:
-        """Summed per-node dissemination counters, plus the shard's live seen keys."""
+        """Summed per-node dissemination counters, the shard's live seen
+        keys and the link-draw digests its fabric computed."""
         totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         for node in self.nodes.values():
             for key in totals:
                 totals[key] += node.stats[key]
         totals["seen_entries"] = len(self.seen)
+        totals["draw_digests"] = self.transport.links.digests
         return totals

@@ -7,12 +7,13 @@ sends between two pids of the same shard loop back through the delivery
 wheel (exactly like :class:`~repro.net.transport.SimTransport`), sends
 to a remote pid are pickled into a length-prefixed frame and written to
 the socket of the worker that owns the destination.  The surface is the
-same ``send(src, dst, payload)`` / ``subscribe(pid, handler)`` pair plus
-the seeded :class:`~repro.net.transport.LinkLatencyModel` surge model,
+same ``park(src, payload, frames)`` / ``subscribe(pid, handler)``
+pair, carrying the run's :class:`~repro.net.transport.LinkLatencyModel`,
 so :class:`~repro.net.gossip.GossipNetwork` runs unchanged on either
-substrate — and, because latency streams are per-link and content
-seeded, a sharded run draws exactly the modelled latencies the
-single-process run would (real socket hops add on top; δ absorbs them).
+substrate — and, because a link's draw is a pure function of the seed,
+the link and the message, a sharded run draws exactly the modelled
+latencies the single-process run would (real socket hops add on top;
+δ absorbs them).
 
 Delivery is pushed on both paths: a wheel slot hands a local frame to
 its pid's subscriber, and the socket reader hands over each frame of a
@@ -437,10 +438,10 @@ class SocketTransport(PushDelivery):
         base_latency_s / jitter_s / seed: the modelled latency
             layer, identical to ``SimTransport``'s.
 
-    Sends are :class:`~repro.net.transport.PushDelivery`'s one pass:
-    local destinations loop back through the delivery wheel, remote ones
-    ride the owning worker's connection once the modelled latency has
-    elapsed (:meth:`_send_remote`).
+    Frames go through :class:`~repro.net.transport.PushDelivery`'s one
+    door, :meth:`park`: local destinations loop back through the
+    delivery wheel, remote ones ride the owning worker's connection at
+    their slot (:meth:`_send_remote`).
     """
 
     def __init__(
@@ -634,7 +635,7 @@ class SocketTransport(PushDelivery):
                 self.batches_received += 1
                 for src, dst, payload in frames:
                     self.frames_received += 1
-                    if dst in self._hosted:
+                    if dst in self.hosted:
                         self.wheel.call(self._deliver, dst, src, payload)
                     else:
                         self.misrouted_count += 1

@@ -1,63 +1,65 @@
-"""In-memory asyncio transport with per-link latencies and delay surges.
+"""The fabric: slot-wheel delivery, push subscribers, and the link law's draws.
 
 The round simulator in :mod:`repro.sleepy` gives the adversary *logical*
-control over delivery; this transport models the physical phenomenon
-behind it — latency.  Each link has a seeded base latency plus jitter,
-times the fabric's **surge factor** (a real-world asynchronous period:
-the network is slow, not lossy).  The fabric keeps no clock of its own:
-a shard's round loop sets the factor of each round it wakes for
-(:meth:`PushDelivery.surge`), so a declared period surges exactly its
-rounds.  Messages are never dropped, matching the paper's assumption
-that gossip survives transient asynchrony.
+control over delivery; a deployment models the physical phenomenon
+behind it — latency.  Two pieces live here:
 
-Latency sampling is **per-link**: every ordered ``(src, dst)`` pair owns
-its own seeded random stream, derived from the transport seed and the
-pair alone.  A single shared stream would make each sampled latency
-depend on the *global order* of ``send`` calls — i.e. on asyncio task
-interleaving — so two runs of the same deployment could draw different
-latencies under scheduler jitter.  With per-link streams, the k-th
-message on a link always draws the same latency no matter how sends on
-other links interleave with it.
+* :class:`LinkLatencyModel`, the **draws**.  A link's delay for a
+  message is a pure function of the run seed, the link and the message:
+  one keyed ``shake_128`` digest per message, read as one uniform per
+  link of a fixed enumeration of the overlay's directed edges (every
+  shard builds the same one from the seeded topology,
+  :meth:`LinkLatencyModel.enumerate`).  No stream advances, so a draw
+  does not depend on which message crossed a link before it, on send
+  order, or on which process computes it — a sharded run draws exactly
+  what the one-shard run draws.  The digest is not an identity: nothing
+  dedups or keys on it.
+* :class:`PushDelivery`, the **fabric**.  A frame is parked at the wheel
+  slot it arrives in (:meth:`PushDelivery.park`) and handed to its pid's
+  subscriber when the slot fires, or, for a pid another process hosts,
+  written to that process at the slot.  Messages are never dropped by
+  the fabric, matching the paper's assumption that gossip survives
+  transient asynchrony.
+
+Which slot a gossip frame arrives in is the flood's to compute
+(:mod:`repro.net.gossip`): the hop law ``ceil((t + d) / slot_s)``, with
+``d`` the link's draw times the surge factor of the round holding ``t``.
+A shard computes its own nodes' arrivals and parks only the frames that
+leave it.  The fabric's own :meth:`PushDelivery.send` is the plain
+case: a frame sent now arrives after the link's base latency.
 
 Delivery is **pushed**.  A consumer registers one handler per pid
 (:meth:`Transport.subscribe`) and the fabric calls it, synchronously,
 for every frame addressed to that pid: there is no receive call, no
 queue and no task between a :class:`DeliveryWheel` slot and the
 consumer.  **Slot order is the delivery order** — frames parked in one
-slot reach their subscribers in the order they were scheduled, whoever
+slot reach their subscribers in the order they were parked, whoever
 they are addressed to — so the order a consumer observes is a function
 of the sends alone, not of which task the event loop wakes first.  A
 frame for a hosted pid that has no subscriber (yet, or any more) is
 held and handed over on the next ``subscribe``; a handler that raises is
 counted (``handler_errors``), logged, and costs only its own frame.
 
-A frame that can only arrive **second** is never parked.  Two kinds
-exist, and the fabric is the one place that elides both:
-
-* a pid set in ``send_many``'s ``skip`` bitmask already holds the
-  payload (gossip passes a shard's co-located holders): it is offered
-  the frame — its link draws its latency — and gets none;
-* a pid that already has *the same payload object* parked for it at a
-  slot no later than this frame's: the new frame is *superseded*.  It
-  draws, counts as a send and in ``superseded``, and is not parked —
-  but its slot is still armed as if it had been, so the fabric's timer
-  schedule is exactly the one without the rule.
-
-Slot order is delivery order, so the frame already parked is delivered
-first: every first arrival, its source, its order and every per-link
-draw are what they would have been, and only frames a deduplicating
-consumer would have thrown away are removed.  The rule has no off
-switch; a consumer that needs every copy must send distinct objects.
+A frame that can only arrive **second** is never parked: a pid that
+already has *the same payload object* parked for it at a slot no later
+than this frame's gets a *superseded* frame.  It counts as a send and in
+``superseded``, and is not parked — but its slot is still armed as if it
+had been, so the fabric's timer schedule is exactly the one without the
+rule.  The rule has no off switch; a consumer that needs every copy must
+send distinct objects.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import logging
 import math
-import random
-from collections.abc import Callable, Iterable, Sequence
+import struct
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Protocol
+
+from repro.sleepy.messages import Message
 
 _log = logging.getLogger(__name__)
 
@@ -66,34 +68,33 @@ FrameHandler = Callable[[int, object], None]
 
 
 class Transport(Protocol):
-    """The data surface every fabric offers its consumers.
+    """What the flood needs of a fabric.
 
-    Implemented by :class:`SimTransport` (one process, in memory),
-    :class:`~repro.net.socket_transport.SocketTransport` (one
-    shard of a socket mesh) and
-    :class:`~repro.net.proxy_transport.ProxyTransport` (attack effects
-    in front of either); ``tests/net/test_transport_conformance.py``
-    holds all three to it.  Lifecycle (start/connect/close) and the
-    surge factor are deliberately not part of it: only whoever builds a
-    fabric calls them, through :class:`PushDelivery`'s one surface (in
-    memory, there is nothing to bind or dial).
+    Implemented by :class:`SimTransport` (one process, in memory) and
+    :class:`~repro.net.socket_transport.SocketTransport` (one shard of a
+    socket mesh), and forwarded by
+    :class:`~repro.net.proxy_transport.ProxyTransport`, which adds the
+    attack script's ``fate``; ``tests/net/test_transport_conformance.py``
+    holds the fabrics to it.  Lifecycle (start/connect/close) is
+    deliberately not part of it: only whoever builds a fabric calls it.
     """
 
-    #: Sends initiated through this fabric so far.
+    #: The pids whose frames this fabric hands to subscribers.
+    hosted: frozenset[int]
+    #: The run's link draws.
+    links: LinkLatencyModel
+    #: Frames parked through this fabric so far.
     sent_count: int
+    #: The slot wheel frames wait on.
+    wheel: DeliveryWheel
 
-    def send(self, src: int, dst: int, payload: object) -> None:
-        """Send ``payload`` to ``dst``; it arrives after the link latency."""
+    @property
+    def slot_s(self) -> float:
+        """Width of a delivery slot, in loop seconds."""
 
-    def send_many(self, src: int, dsts: Sequence[int], payload: object, skip: int = 0) -> None:
-        """Offer ``payload`` to every pid in ``dsts``; each link draws once.
-
-        A pid whose bit is set in ``skip`` already holds the payload and
-        gets no frame; every other pid is sent one, as by :meth:`send`.
-        """
-
-    def defer(self, delay_s: float, callback, *args) -> None:
-        """Run ``callback(*args)`` after ``delay_s`` on the fabric's timer budget."""
+    def park(self, src: int, payload: object, frames: Sequence[tuple[int, int]]) -> None:
+        """Deliver ``payload`` from ``src`` to each ``dst`` of ``frames``,
+        ``[(dst, slot)]``, at loop time ``slot × slot_s``."""
 
     def subscribe(self, pid: int, handler: FrameHandler) -> None:
         """Push every frame addressed to hosted ``pid`` to ``handler(src, payload)``.
@@ -105,65 +106,81 @@ class Transport(Protocol):
     def unsubscribe(self, pid: int) -> None:
         """Stop pushing to ``pid``'s handler; later arrivals are held."""
 
-    def latency(self, src: int, dst: int) -> float:
-        """Sampled one-way latency for ``src → dst`` now."""
+
+def draw_key(message: Message) -> bytes:
+    """The bytes a message's link draws are keyed by: its content key, spelled out.
+
+    A content key is a flat tuple of ``int`` / ``str`` / ``None`` fields
+    (:attr:`~repro.sleepy.messages.Message.content_key`), so its ``repr``
+    is the same in every process and under every hash seed.
+    """
+    return repr(message.content_key).encode()
 
 
 class LinkLatencyModel:
-    """Seeded per-link latency streams shared by every transport flavour.
+    """The run's link draws: keyed by message, indexed by link.
 
-    One ordered ``(src, dst)`` pair → one :class:`random.Random` stream,
-    seeded from ``(seed, src, dst)`` content (string seeding hashes via
-    SHA-512, so streams are identical across processes and hash seeds —
-    a sharded multi-process deployment draws exactly the latencies the
-    single-process run would).  Every draw is multiplied by
-    :attr:`factor`, the surge in force (1.0: none).
+    :meth:`draw` is one message's draws, ``shake_128("link:<seed>:" +
+    key)`` read as one little-endian 4-byte word per link of the
+    enumeration; :meth:`delays` turns them into ``base + u × jitter``
+    for every link, ``u`` the word over 2³² (uniform on ``[0, 1)``).
+    The caller multiplies a delay by the surge in force.  :meth:`coins`
+    are every link's drop coins, from a second digest under
+    ``"coin:<seed>:"``.  Zero jitter hashes nothing: every word is zero
+    and every delay the base latency.  :attr:`digests` counts the
+    digests computed.
     """
 
     def __init__(self, base_latency_s: float, jitter_s: float, seed: int) -> None:
         if base_latency_s < 0 or jitter_s < 0:
             raise ValueError("latencies must be non-negative")
-        self._base = base_latency_s
-        self._jitter = jitter_s
-        self._seed = seed
-        #: The latency multiplier in force (set by :meth:`PushDelivery.surge`).
-        self.factor = 1.0
-        #: src -> dst -> that link's stream.
-        self._link_rngs: dict[int, dict[int, random.Random]] = {}
+        self.base = base_latency_s
+        self.jitter = jitter_s
+        self._delay_prefix = hashlib.shake_128(f"link:{seed}:".encode())
+        self._coin_prefix = hashlib.shake_128(f"coin:{seed}:".encode())
+        #: ``(src, dst)`` -> the link's index (:meth:`enumerate`).
+        self.edges: Mapping[tuple[int, int], int] = {}
+        self._words = struct.Struct("<0I")
+        self._still = b""
+        #: Digests computed (one per message per shard for the delays).
+        self.digests = 0
 
-    def latency(self, src: int, dst: int) -> float:
-        """Sampled one-way latency for the ``src → dst`` link."""
-        return self.draws(src, (dst,))[0]
+    def enumerate(self, topology: Mapping[int, Sequence[int]]) -> None:
+        """Index the directed edges of ``topology``: ``(src, dst)`` in
+        ascending order of ``src``, then ``dst``.
 
-    def draws(self, src: int, dsts: Sequence[int]) -> list[float]:
-        """The next latency of each ``src → dst`` link, in ``dsts`` order.
-
-        One pass per fan-out: the source's streams are looked up once,
-        and the surge factor is applied exactly as a draw per link would.
+        ``topology`` is the whole overlay, so every shard of a run
+        numbers every link alike.
         """
-        factor = self.factor
-        base, jitter = self._base, self._jitter
-        if jitter == 0.0:
-            # Zero-jitter links are deterministic: every draw is the
-            # base latency regardless of stream state, so skip the
-            # per-link streams entirely on this hot path.
-            if factor != 1.0:
-                base *= factor
-            return [base] * len(dsts)
-        streams = self._link_rngs.get(src)
-        if streams is None:
-            streams = self._link_rngs[src] = {}
-        # Explicit loops: at a fan-out's few links they beat comprehensions.
-        delays = []
-        for dst in dsts:
-            rng = streams.get(dst)
-            if rng is None:
-                rng = streams[dst] = random.Random(f"link:{self._seed}:{src}:{dst}")
-            delays.append(base + rng.random() * jitter)
-        if factor != 1.0:
-            for i, delay in enumerate(delays):
-                delays[i] = delay * factor
-        return delays
+        links = [(src, dst) for src in sorted(topology) for dst in sorted(topology[src])]
+        self.edges = {link: index for index, link in enumerate(links)}
+        self._words = struct.Struct(f"<{len(links)}I")
+        self._still = bytes(self._words.size)
+
+    def draw(self, key: bytes) -> bytes:
+        """The draws of the message keyed ``key``: 4 bytes per link."""
+        if self.jitter == 0.0:
+            return self._still
+        return self._digest(self._delay_prefix, key)
+
+    def delays(self, drawn: bytes) -> list[float]:
+        """The unscaled delay of every link, from a message's :meth:`draw`."""
+        base, scale = self.base, self.jitter / 2**32
+        return [base + word * scale for word in self._words.unpack(drawn)]
+
+    def coins(self, key: bytes) -> list[float]:
+        """Every link's drop coin, uniform on ``[0, 1)``, for the message keyed ``key``."""
+        return [word / 2**32 for word in self._words.unpack(self._digest(self._coin_prefix, key))]
+
+    def _digest(self, prefix, key: bytes) -> bytes:
+        digest = prefix.copy()
+        digest.update(key)
+        self.digests += 1
+        return digest.digest(self._words.size)
+
+
+#: One link's word in a draw (at byte ``4 × link``), for a reader of one link.
+WORD = struct.Struct("<I")
 
 
 class DeliveryWheel:
@@ -266,28 +283,26 @@ class DeliveryWheel:
 
 
 class PushDelivery:
-    """What both fabrics share: the link model, the send pass, a slot wheel
-    and its subscribers.
+    """What both fabrics share: a slot wheel, its subscribers and the run's draws.
 
-    :meth:`send_many` is every send's one pass: it draws each offered
-    link, applies ``skip`` and the supersession rule (module docstring),
-    parks each local frame left and hands each remote one to
-    :meth:`_send_remote`.  One handler per hosted pid: :meth:`_deliver`
-    is what a wheel slot (or a socket reader) calls per frame; a frame
-    whose pid has no subscriber is held — never dropped, never
-    ``misrouted`` — and handed over, in arrival order, by the next
-    :meth:`subscribe`.  The lifecycle is one too: :meth:`start` binds,
-    :meth:`connect` dials and :meth:`close` tears down; in memory none
-    of them has anything to do.  :meth:`surge` is the fabric's one
-    setting, driven by its shard's round loop.
+    :meth:`park` is every frame's one door: it applies the supersession
+    rule (module docstring), then schedules a hosted pid's frame on the
+    wheel or hands a remote one to :meth:`_send_remote`.  One handler
+    per hosted pid: :meth:`_deliver` is what a wheel slot (or a socket
+    reader) calls per frame; a frame whose pid has no subscriber is held
+    — never dropped, never ``misrouted`` — and handed over, in arrival
+    order, by the next :meth:`subscribe`.  The lifecycle is one too:
+    :meth:`start` binds, :meth:`connect` dials and :meth:`close` tears
+    down; in memory none of them has anything to do.  :attr:`links` is
+    the run's :class:`LinkLatencyModel`, which the flood draws from.
     """
 
     def __init__(
-        self, n: int, hosted: Iterable[int], slot_s: float, latency: LinkLatencyModel
+        self, n: int, hosted: Iterable[int], slot_s: float, links: LinkLatencyModel
     ) -> None:
         self.wheel = DeliveryWheel(slot_s)
-        self._hosted = frozenset(hosted)
-        self._latency = latency
+        self.hosted = frozenset(hosted)
+        self.links = links
         self._handlers: dict[int, FrameHandler] = {}
         #: pid -> frames that arrived while it had no subscriber.
         self._held: dict[int, list[tuple[int, object]]] = {}
@@ -296,24 +311,21 @@ class PushDelivery:
         #: and the entry goes when a frame of it fires, so an ``id`` is
         #: never reused while its entry lives.
         self._parked: list[dict[int, int]] = [{} for _ in range(n)]
-        #: Sends initiated through this fabric (local + remote).
+        #: Frames parked through this fabric (local + remote).
         self.sent_count = 0
         #: Frames not parked: the same object was parked for their pid
         #: at a slot no later than theirs, so they could only arrive second.
         self.superseded = 0
 
     @property
+    def slot_s(self) -> float:
+        """Width of a delivery slot, in loop seconds."""
+        return self.wheel.slot_s
+
+    @property
     def handler_errors(self) -> int:
         """Handler calls that raised (each cost only its own frame)."""
         return self.wheel.handler_errors
-
-    def surge(self, factor: float) -> None:
-        """Multiply every latency drawn from now on by ``factor`` (1.0: none).
-
-        A shard's round loop sets it on waking for each round, before
-        any send, so every shard of a run surges the same rounds.
-        """
-        self._latency.factor = factor
 
     async def start(self) -> None:
         """Bind what the fabric listens on: nothing, in memory."""
@@ -325,43 +337,36 @@ class PushDelivery:
         """Tear down: what is still parked is discarded, nobody else awaits it."""
         self.cancel()
 
-    def latency(self, src: int, dst: int) -> float:
-        """Sampled one-way latency for ``src → dst`` now (per-link stream)."""
-        return self._latency.latency(src, dst)
-
     def send(self, src: int, dst: int, payload: object) -> None:
-        """Send ``payload`` to ``dst``: a fan-out of one (see :meth:`send_many`)."""
+        """Send ``payload`` to ``dst`` now: a fan-out of one (see :meth:`send_many`)."""
         self.send_many(src, (dst,), payload)
 
-    def send_many(self, src: int, dsts: Sequence[int], payload: object, skip: int = 0) -> None:
-        """Offer ``payload`` from ``src`` to every pid in ``dsts``.
+    def send_many(self, src: int, dsts: Sequence[int], payload: object) -> None:
+        """Send ``payload`` from ``src`` to every pid in ``dsts`` now.
 
-        Every link draws (one :meth:`LinkLatencyModel.draws` pass); a
-        pid in ``skip`` gets no frame; every other one counts as a send.
+        Each frame arrives in the slot the link's base latency reaches
+        (:meth:`park`).  Jitter, surges and attack effects are the
+        flood's, which computes its frames' slots itself.
+        """
+        slot = math.ceil((asyncio.get_running_loop().time() + self.links.base) / self.wheel.slot_s)
+        self.park(src, payload, [(dst, slot) for dst in dsts])
+
+    def park(self, src: int, payload: object, frames: Sequence[tuple[int, int]]) -> None:
+        """Deliver ``payload`` from ``src`` to each ``dst`` of ``frames``,
+        ``[(dst, slot)]``, at loop time ``slot × slot_s``.
+
         A frame behind the same object parked for its pid at a slot no
         later is superseded — counted, not parked, its slot armed all the
         same, so the wheel keeps exactly the timers it would have had and
         a loop clock that advances timer by timer (a virtual one)
-        accumulates the same instants.  The fan-out's fixed costs — clock
-        read and stream lookup — are paid once: this is the hottest loop
-        of a deployment's broadcast round.  The adversarial proxy does
-        not forward this method; it decomposes fan-outs into per-frame
-        :meth:`send` calls.
+        accumulates the same instants.  The frames for pids other
+        processes host leave in one :meth:`_send_remote` call.
         """
-        # One clock read serves every wheel slot.
-        loop_time = asyncio.get_running_loop().time()
-        delays = self._latency.draws(src, dsts)
         wheel = self.wheel
-        slot_s, ceil = wheel.slot_s, math.ceil
         parked = self._parked
         key = id(payload)
-        sent = 0
         remote = None
-        for dst, delay in zip(dsts, delays):
-            if skip >> dst & 1:
-                continue
-            sent += 1
-            slot = ceil((loop_time + delay) / slot_s)
+        for dst, slot in frames:
             table = parked[dst]
             first = table.get(key)
             if first is not None and first <= slot:
@@ -370,19 +375,19 @@ class PushDelivery:
                     wheel.arm(slot)
                 continue
             table[key] = slot
-            if dst in self._hosted:
+            if dst in self.hosted:
                 wheel.schedule(slot, self._deliver, dst, src, payload)
             elif remote is None:
                 remote = [(dst, slot)]
             else:
                 remote.append((dst, slot))
-        self.sent_count += sent
+        self.sent_count += len(frames)
         if remote is not None:
             self._send_remote(src, payload, remote)
 
     def subscribe(self, pid: int, handler: FrameHandler) -> None:
         """Push ``pid``'s frames to ``handler``, held ones first."""
-        if pid not in self._hosted:
+        if pid not in self.hosted:
             raise ValueError(f"pid {pid} is not hosted by this fabric")
         if pid in self._handlers:
             raise ValueError(f"pid {pid} already has a subscriber")
@@ -403,15 +408,6 @@ class PushDelivery:
         """Discard every pending delivery: nothing parked supersedes any more."""
         self.wheel.cancel()
         self._forget_parked()
-
-    def defer(self, delay_s: float, callback, *args) -> None:
-        """Schedule ``callback`` after ``delay_s`` through the slot wheel.
-
-        The :class:`~repro.net.proxy_transport.ProxyTransport` surge
-        path routes its extra delays here so attack-delayed frames ride
-        the same O(slots) timer budget as ordinary deliveries.
-        """
-        self.wheel.schedule(self.wheel.slot_for(delay_s), callback, *args)
 
     def _send_remote(self, src: int, payload: object, frames: list[tuple[int, int]]) -> None:
         """Route one fan-out's frames for pids other processes host.

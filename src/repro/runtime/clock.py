@@ -11,6 +11,7 @@ nodes reading the same event-loop clock.
 from __future__ import annotations
 
 import asyncio
+import math
 
 #: The paper's rounds-per-δ factor (Δ = 3δ, after [17] §2.1).
 ROUND_FACTOR = 3
@@ -20,6 +21,10 @@ RECEIVE_FRACTION = 0.9
 
 class RoundClock:
     """Maps event-loop time to protocol rounds for one deployment."""
+
+    #: How close (as a fraction of Δ) below a round's start an instant may
+    #: fall and still count as in that round: float residue, not time.
+    edge_tolerance = 1e-6
 
     def __init__(self, delta_s: float) -> None:
         if delta_s <= 0:
@@ -42,11 +47,36 @@ class RoundClock:
         """
         self._origin = origin_loop_time
 
-    def elapsed(self) -> float:
-        """Seconds since round 0 began."""
+    @property
+    def origin(self) -> float:
+        """The loop time round 0 began at."""
         if self._origin is None:
             raise RuntimeError("clock not started")
-        return asyncio.get_running_loop().time() - self._origin
+        return self._origin
+
+    def now(self) -> float:
+        """The loop time now."""
+        return asyncio.get_running_loop().time()
+
+    def elapsed(self) -> float:
+        """Seconds since round 0 began."""
+        origin = self.origin
+        return self.now() - origin
+
+    def round_at(self, t: float) -> int:
+        """The round holding loop instant ``t``.
+
+        A round holds the instants from its start up to, not including,
+        the next one's: an instant exactly on an edge is in the round
+        that begins there.  "Exactly" allows :attr:`edge_tolerance` of a
+        round, so a phase woken on its edge, whose loop time carries the
+        residue of a float sum, is in its own round.
+        """
+        return math.floor((t - self.origin) / self.round_s + self.edge_tolerance)
+
+    def instant(self, round_number: int) -> float:
+        """The loop time a round begins at."""
+        return self.origin + round_number * self.round_s
 
     def start_of(self, round_number: int) -> float:
         """Elapsed-seconds timestamp of the beginning of a round."""

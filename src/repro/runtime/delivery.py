@@ -11,11 +11,13 @@ class, fed by its gossip layer rather than by its senders:
   :class:`~repro.net.gossip.GossipNetwork`'s admission callback), so
   the log is in shard arrival order.
 * **Deliver.**  A node's receive phase (:meth:`ShardDelivery.take`)
-  hands it what is pending for it that has reached it.  When its first
-  arrivals since its last receive phase number exactly what is pending,
-  that is everything: :meth:`~repro.engine.bus.MessageBus.deliver_all`,
-  the tail tuple every caught-up node of the round shares, and with it
-  one verified batch.  Otherwise the pending entries it holds, in log
+  hands it what is pending for it that has reached it — what the
+  flood, caught up to the phase's instant, has filed as the node's
+  first arrivals.  When its first arrivals since its last receive
+  phase number exactly what is pending, that is everything:
+  :meth:`~repro.engine.bus.MessageBus.deliver_all`, the tail tuple
+  every caught-up node of the round shares, and with it one verified
+  batch.  Otherwise the pending entries it holds, in log
   order, go through :meth:`~repro.engine.bus.MessageBus.deliver_chosen`
   and the rest stay parked until they arrive.
 * **Advance.**  Once per round (:meth:`ShardDelivery.advance`) the bus
@@ -30,13 +32,17 @@ its admission round plus the horizon.  So a key the seen index has
 forgotten but the bus still holds has a message round below the seen
 floor, and any copy of it that arrives is dropped as stale.
 
-Whether a node holds an entry is its bit in the seen index while the
-index keeps the key.  When the index forgets it (:meth:`advance`,
-before the index does), every hosted node that does not hold it can
-never receive it — any later copy is stale, or admitted as a new entry
-— so the entry is withdrawn from those nodes' pending sets; a node that
-does hold it keeps it pending until its next awake receive phase, as a
-sleeper keeps its nap.  Nothing a node can never receive pins the log.
+Whether a node holds an entry is its bit in the seen index
+(:attr:`~repro.net.gossip.Arrivals.held`) while the index keeps the
+key; the flood sets it once the shard's clock has reached the node's
+first arrival, so the round loop catches the flood up before entering
+a round and before its receive phases.  When the index forgets a key
+(:meth:`advance`, before the index does), every hosted node that does
+not hold it can never receive it — any later copy is stale, or
+admitted as a new entry — so the entry is withdrawn from those nodes'
+pending sets; a node that does hold it keeps it pending until its next
+awake receive phase, as a sleeper keeps its nap.  Nothing a node can
+never receive pins the log.
 """
 
 from __future__ import annotations
@@ -82,13 +88,13 @@ class ShardDelivery:
         """Enter round ``r`` (before any send): withdraw what can never
         arrive, then move the seen index and the bus to ``r``."""
         seen, bus = self.seen, self.bus
-        holders = seen.holders
+        index = seen.arrivals
         live = 0
         for pid in self._hosted:
             if pid not in corrupted:
                 live |= 1 << pid
         for position, key in self._filed.release(r - seen.horizon):
-            lacking = live & ~holders[key]
+            lacking = live & ~index[key].held
             while lacking:
                 bit = lacking & -lacking
                 bus.withdraw(bit.bit_length() - 1, position)
@@ -109,12 +115,14 @@ class ShardDelivery:
         # ``pid`` held it: it was admitted before the oldest round whose
         # keys are live (``cut``), or its round is below the floor.
         seen = self.seen
-        holders, floor, cut, bit = seen.holders, seen.floor, self._starts[0], 1 << pid
+        index, floor, cut, bit = seen.arrivals, seen.floor, self._starts[0], 1 << pid
         pending = bus.deliverable(pid)
         held = [
             message
             for position, message in zip(bus.positions(pid), pending)
-            if position < cut or message.round < floor or holders.get(message.content_key, 0) & bit
+            if position < cut
+            or message.round < floor
+            or (arrivals := index.get(message.content_key)) is not None and arrivals.held & bit
         ]
         bus.deliver_chosen(pid, held, pending=pending)
         return held

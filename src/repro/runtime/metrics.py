@@ -34,8 +34,8 @@ empty, and ``attack`` ``None``, before the first sample arrives)::
       "transport":  {counter: int},             # transport_counters + in_flight
       "gossip":     {counter: int},             # GossipNetwork.stats_totals
       "mempool":    {"shed": int, "admitted": int, "occupancy": int},
-      "attack":     None | {"per_phase": [audit row, ...], "phase": int,
-                            "held": int},       # merged: + "totals"
+      "attack":     None | {"per_phase": [audit row, ...],
+                            "phase": int},      # merged: + "totals"
     }
 """
 
@@ -202,9 +202,8 @@ def merge_samples(samples: Sequence[Mapping]) -> dict:
 
     Counters, ``transport``, ``gossip`` and ``mempool`` add key by key;
     histograms merge exactly; attack audit rows add phase by phase,
-    with their ``totals`` beside them, the furthest ``phase`` any shard
-    has entered and the frames ``held`` across shards.  No samples
-    merge to empty sections.
+    with their ``totals`` beside them, and the furthest ``phase`` any
+    shard has entered.  No samples merge to empty sections.
     """
     histograms: dict[str, Histogram] = {}
     for sample in samples:
@@ -224,7 +223,6 @@ def merge_samples(samples: Sequence[Mapping]) -> dict:
             "totals": _summed(per_phase),
             "per_phase": per_phase,
             "phase": max(attack["phase"] for attack in attacks),
-            "held": sum(attack["held"] for attack in attacks),
         }
     return merged
 

@@ -22,17 +22,18 @@ one too (:class:`~repro.runtime.delivery.ShardDelivery`), fed by what
 its gossip admits.
 
 Everything a shard needs is a pure function of the picklable
-:class:`WorkerConfig` (latency streams, overlay topology and the
-corruption schedule are seeded from the spec), so any two shards agree
-on all shared randomness without communicating.  Every node reads one
+:class:`WorkerConfig` (link draws, overlay topology and the corruption
+schedule are seeded from the spec), so any two shards agree on all
+shared randomness without communicating.  Every node reads one
 clock, the synchronized clocks of the paper's lock-step round, so one
 loop steps a round's phases for every node of the shard
 (:meth:`ShardRuntime.drive`): the send phases at ``clock.start_of(r)``
 in pid order, then the adversary's when the shard holds every node, and
-the receive phases at ``RECEIVE_FRACTION`` of the round.  That loop is
-the shard's only clock: the fabric's surge factor and the attack
-proxy's phase are set from the round it wakes for, never from a timer
-of their own.
+the receive phases at ``RECEIVE_FRACTION`` of the round.  The shard's
+:class:`~repro.runtime.clock.RoundClock` is its only clock: the flood
+reads each round's surge factor and attack phase off it for the
+instants it computes, and the loop enters each round's phase into the
+attack proxy as it wakes for it.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def corruption_schedule(spec: RunSpec) -> dict[int, frozenset[int]]:
 def link_model(spec: RunSpec, delta_s: float) -> dict:
     """The modelled-latency arguments every fabric of one run shares.
 
-    Per-link streams seeded from the spec, so a sharded run draws
-    exactly the latencies the one-shard run would.
+    Draws keyed by the spec's seed, so a sharded run draws exactly the
+    latencies the one-shard run would.
     """
     return {
         "base_latency_s": delta_s / 8,
@@ -140,13 +141,14 @@ class ShardRuntime:
     """The nodes of one shard, assembled over an already-built fabric.
 
     The caller built ``transport`` and owns its lifecycle
-    (start/close); the shard sends through it, sets its surge factor
-    each round and subscribes its nodes to it — here, so build the shard
-    before the fabric starts listening — behind a :class:`ProxyTransport`
-    when the spec's adversary is scripted.  :attr:`record` sees every
-    message this shard originates before it enters gossip; its tree is
-    :attr:`chain`'s canonical tree, the omniscient one the adversary's
-    ``send`` reads when this shard holds every node.
+    (start/close); the shard's gossip parks the frames that leave the
+    shard on it and subscribes its nodes to it — here, so build the
+    shard before the fabric starts listening — behind a
+    :class:`ProxyTransport` when the spec's adversary is scripted.
+    :attr:`record` sees every message this shard originates before it
+    enters gossip; its tree is :attr:`chain`'s canonical tree, the
+    omniscient one the adversary's ``send`` reads when this shard holds
+    every node.
     """
 
     def __init__(self, config: WorkerConfig, transport: PushDelivery) -> None:
@@ -162,15 +164,15 @@ class ShardRuntime:
         self.clock = RoundClock(config.delta_s)
         self.hub = MetricsHub()
         # A scripted adversary's delivery effects (partition/surge/drop)
-        # are realised physically by the proxy layer in front of the
-        # fabric; its corruption and send powers flow through
+        # are the proxy's ``fate``, asked by the flood for every link;
+        # its corruption and send powers flow through
         # :attr:`byz_by_round` and :meth:`publish`.
         self.proxy: ProxyTransport | None = None
         if isinstance(spec.adversary, ScriptedAdversary):
             self.proxy = ProxyTransport(
                 transport,
                 spec.adversary.timeline,
-                seed=spec.seed,
+                clock=self.clock,
                 base_latency_s=config.delta_s / 8,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
@@ -182,12 +184,13 @@ class ShardRuntime:
             config.shard,
             SeenIndex(seen_horizon(PROTOCOLS.effective_eta(spec.protocol, spec.eta))),
         )
-        topology = regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
         self.network = GossipNetwork(
             self.proxy if self.proxy is not None else transport,
-            {pid: topology[pid] for pid in config.shard},
+            regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed),
             on_admit=self.delivery.admit,
             seen=self.delivery.seen,
+            clock=self.clock,
+            surge_factor=spec.resolved_conditions().surge_factor,
         )
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         self.nodes = {
@@ -212,9 +215,9 @@ class ShardRuntime:
         """Step every node of the shard through every round, on one loop.
 
         The caller starts :attr:`clock` first.  At ``clock.start_of(r)``,
-        before any send, the fabric takes round ``r``'s surge factor
-        (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`)
-        and the attack proxy, if any, the phase holding in ``r``; the
+        before any send, the attack proxy, if any, enters the phase
+        holding in ``r``, the gossip flood catches up to the clock
+        (:meth:`~repro.net.gossip.GossipNetwork.catch_up`) and the
         shard's delivery enters round ``r``
         (:meth:`~repro.runtime.delivery.ShardDelivery.advance`): the
         gossip seen index forgets keys older than
@@ -227,16 +230,17 @@ class ShardRuntime:
         phase.  When this shard holds every node the adversary's
         ``send`` follows, over the recorder's tree, with keys handed
         over and monotonicity enforced as in the simulator.  At
-        ``RECEIVE_FRACTION`` of the round every node outside ``B_{r+1}``
-        runs its receive phase, taking from the bus what has reached it
-        — the caught-up ones one shared tuple.  Corrupted nodes keep
-        relaying gossip; nothing is kept for them to receive.
+        ``RECEIVE_FRACTION`` of the round the flood catches up again and
+        every node outside ``B_{r+1}`` runs its receive phase, taking
+        from the bus what has reached it by then — the caught-up ones one
+        shared tuple.  Corrupted nodes keep relaying gossip; nothing is
+        kept for them to receive.
         :attr:`hub` observes how late each phase woke (``phase_lateness_s``)
         and each decision's latency from its view's first round;
         ``report`` is awaited with a fresh :meth:`sample` four times a second.
         """
-        spec, clock, hub = self.config.spec, self.clock, self.hub
-        conditions, proxy = spec.resolved_conditions(), self.proxy
+        spec, clock, hub, proxy = self.config.spec, self.clock, self.hub, self.proxy
+        network = self.network
         adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
         if adversary is not None:
             ctx = AdversaryContext(self.registry, self.record.trace.tree)
@@ -245,9 +249,9 @@ class ShardRuntime:
         try:
             for r in range(spec.rounds):
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(clock.start_of(r)))
-                self.transport.surge(conditions.surge_factor(r))
                 if proxy is not None:
                     proxy.enter_phase(proxy.timeline.state_at(r).index)
+                network.catch_up()
                 self.delivery.advance(r, self.byz_by_round[r])
                 self.verifier.interner.advance(r, self.delivery.seen.floor)
                 arrivals = spec.arrivals(r)
@@ -272,6 +276,7 @@ class ShardRuntime:
                         self.publish(message.sender, r, message)
                 receive_at = clock.start_of(r) + RECEIVE_FRACTION * clock.round_s
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(receive_at))
+                network.catch_up()
                 for pid, node in self.nodes.items():
                     if pid not in self.byz_by_round[r + 1]:
                         node.run_receive_phase(r)
@@ -308,7 +313,6 @@ class ShardRuntime:
             attack = {
                 "per_phase": [dict(row) for row in self.proxy.audit],
                 "phase": self.proxy.phase,
-                "held": self.proxy.held_count,
             }
         return {
             **self.hub.snapshot(),

@@ -14,7 +14,7 @@ event loop, over an in-memory control channel; workers 1..k−1 run it
 in spawned processes through :func:`worker_main`, over a control
 socket.  Every worker handshakes, starts its round clock at the shared
 start instant (a late start is the loop's first ``phase_lateness_s``;
-the clock alone sets the fabric's surge and the proxy's phase), pushes live
+the flood reads each round's surge and attack phase off that clock), pushes live
 samples over its channel while the coordinator listens for them, and
 takes its payload the moment the drive returns: after a node's last
 receive phase nothing that arrives can reach its tree, vote store or

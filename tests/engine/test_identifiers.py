@@ -36,7 +36,7 @@ from repro.sleepy.messages import (
     make_vote,
 )
 from repro.workloads import SubmissionRateWorkload
-from tests.net.conftest import NoLinks, ignore
+from tests.net.conftest import NoLinks, StillClock, ignore, no_surge
 
 FORGED = "f0" * 32
 
@@ -184,11 +184,11 @@ def test_a_seen_key_pins_no_message(registry):
     """A seen index holds keys, and a key holds field values only: no
     message object stays alive because it was once disseminated."""
     key = registry.secret_key(0)
-    network = GossipNetwork(NoLinks(), {0: ()}, ignore, SeenIndex(10))
+    network = GossipNetwork(NoLinks((0,)), {0: ()}, ignore, SeenIndex(10), StillClock(), no_surge)
     votes = [make_vote(registry, key, r, None) for r in range(IDENTITY_MEMO_CAPACITY + 10)]
     for vote in votes:
         network.nodes[0].publish(vote)
-    assert set(network.seen.holders) == {vote.content_key for vote in votes}
+    assert set(network.seen.arrivals) == {vote.content_key for vote in votes}
     watched = [weakref.ref(vote) for vote in votes]
     del votes, vote
     gc.collect()

@@ -1,5 +1,5 @@
 """What the transport tests share: a collecting subscriber, a fabric with no
-links, and a virtual clock."""
+links, a clock that stands still, and a virtual clock."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ import asyncio
 import functools
 import selectors
 from collections.abc import Iterable
+
+from repro.net.transport import DeliveryWheel, LinkLatencyModel
+from repro.runtime.clock import RoundClock
 
 
 class Collector:
@@ -40,36 +43,96 @@ class NoLinks:
     """A fabric for gossip nodes without neighbours: what a node ingests
     is exactly what it was handed."""
 
+    def __init__(self, hosted: Iterable[int]) -> None:
+        self.hosted = frozenset(hosted)
+        self.links = LinkLatencyModel(0.001, 0.0, seed=0)
+        self.slot_s = 0.001
+        self.wheel = DeliveryWheel(self.slot_s)
+
     def subscribe(self, pid: int, handler) -> None:
         pass
 
-    def send_many(self, src: int, dsts, payload, skip: int = 0) -> None:
+    def unsubscribe(self, pid: int) -> None:
+        pass
+
+    def park(self, src: int, payload, frames) -> None:
         pass
 
 
-def tap_arrivals(network, record) -> None:
-    """Call ``record(pid, src, message)`` at every first arrival at a node of
-    ``network``, publishes (``src`` ``None``) included, after the node
-    ingested it.
+class StillClock(RoundClock):
+    """A round clock whose loop time is :attr:`time`, set by the test: no
+    event loop needed."""
 
-    A network hands its consumer a message once per shard; a test that
-    follows each node re-subscribes the node's ingest behind a counter
-    check.  The nodes' own accounting is untouched.
+    def __init__(self, delta_s: float = 0.01) -> None:
+        super().__init__(delta_s)
+        self.start_at(0.0)
+        self.time = 0.0
+
+    def now(self) -> float:
+        return self.time
+
+
+def no_surge(_round: int) -> float:
+    """A flood's surge schedule with no surge."""
+    return 1.0
+
+
+class _StoppedAt:
+    """A network's round clock, read as if it stood at one instant."""
+
+    def __init__(self, clock, at: float) -> None:
+        self._clock, self._at = clock, at
+
+    def now(self) -> float:
+        return self._at
+
+    def __getattr__(self, name):
+        return getattr(self._clock, name)
+
+
+def tap_arrivals(network, record) -> None:
+    """Call ``record(pid, message, at)`` for every first arrival ``at`` that
+    ``network`` files at one of its nodes, in instant order, as it files
+    them (publishes included).
+
+    A shard settles computed frames in instant order once its clock has
+    reached them (:meth:`~repro.net.gossip.GossipNetwork.catch_up`) and
+    keeps only whom they reached; the tap catches the network up one
+    instant at a time, so that what each step settles arrived at that
+    instant.  The nodes' own accounting is untouched.
     """
+    index = network.seen.arrivals
+    messages: dict = {}
     for node in network.nodes.values():
         ingest = node._ingest
 
-        def tapped(src, message, node=node, ingest=ingest):
-            before = node.stats["delivered"]
-            try:
-                ingest(src, message)
-            finally:
-                if node.stats["delivered"] > before:
-                    record(node.pid, src, message)
+        def tapped_ingest(src, message, ingest=ingest):
+            messages.setdefault(getattr(message, "content_key", None), message)
+            ingest(src, message)
 
-        node._ingest = tapped
-        node._transport.unsubscribe(node.pid)
-        node._transport.subscribe(node.pid, tapped)
+        node._ingest = tapped_ingest
+        network.transport.unsubscribe(node.pid)
+        network.transport.subscribe(node.pid, tapped_ingest)
+    catch_up, clock, pending = network.catch_up, network.clock, network._pending
+
+    def tapped_catch_up():
+        now = clock.now()
+        while pending and pending[0][0] <= now:
+            at = pending[0][0]
+            held = {key: arrivals.held for key, arrivals in index.items()}
+            network.clock = _StoppedAt(clock, at)
+            try:
+                catch_up()
+            finally:
+                network.clock = clock
+            for key, arrivals in index.items():
+                new = arrivals.held & ~held.get(key, 0)
+                for pid in range(new.bit_length()):
+                    if new >> pid & 1:
+                        record(pid, messages[key], at)
+        return now
+
+    network.catch_up = tapped_catch_up
 
 
 def ignore(message, key) -> None:

@@ -1,34 +1,39 @@
-"""The adversarial proxy: exact audit counters, flush order, phase entry."""
+"""The adversarial proxy: ``fate`` per phase, exact audit counters, keyed coins."""
 
-import asyncio
+import pytest
 
-from repro.attacks import AttackScript, drop, heal, partition, phase, surge
+from repro.attacks import AttackScript, drop, heal, partition, phase, surge, withhold
+from repro.crypto.signatures import KeyRegistry
+from repro.net.gossip import regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import SimTransport
+from repro.sleepy.messages import make_vote
 
-from tests.net.conftest import Collector
+from tests.net.conftest import StillClock
 
-
-class FakeInner:
-    """A transport stub that records sends."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, src, dst, payload):
-        self.sent.append((src, dst, payload))
-
-    def defer(self, delay_s, callback, *args):
-        asyncio.get_running_loop().call_later(delay_s, callback, *args)
+#: δ = 10 ms: rounds of 30 ms.
+CLOCK_DELTA_S = 0.01
+ROUND_S = 3 * CLOCK_DELTA_S
+_REGISTRY = KeyRegistry(4, run_seed=0)
 
 
-def _proxy(script, *, seed=0, base_latency_s=0.01, inner=None):
-    return ProxyTransport(
-        inner if inner is not None else FakeInner(),
-        script.timeline(),
-        seed=seed,
-        base_latency_s=base_latency_s,
+def _vote(i: int = 0):
+    return make_vote(_REGISTRY, _REGISTRY.secret_key(i % 4), i // 4, None)
+
+
+def _proxy(script, *, seed=0, base_latency_s=0.01, n=4, topology=None):
+    inner = SimTransport(n, base_latency_s=base_latency_s, jitter_s=0.0, seed=seed)
+    inner.links.enumerate(
+        topology or {src: tuple(dst for dst in range(n) if dst != src) for src in range(n)}
     )
+    return ProxyTransport(
+        inner, script.timeline(), clock=StillClock(CLOCK_DELTA_S), base_latency_s=base_latency_s
+    )
+
+
+def _in_round(r: int, offset: float = 0.25) -> float:
+    """A loop instant inside round ``r``."""
+    return (r + offset) * ROUND_S
 
 
 SCRIPT = AttackScript(
@@ -43,145 +48,114 @@ SCRIPT = AttackScript(
 
 
 def test_audit_counters_are_exact_per_phase():
-    async def scenario():
-        proxy = _proxy(SCRIPT)
-        inner = proxy.inner
+    proxy = _proxy(SCRIPT)
+    message = _vote()
+    t = _in_round(0)
+    # Phase 0: benign — every frame crosses when it is sent.
+    assert proxy.fate(0, 2, t, message) == t
+    # Phase 1 (rounds 2-3): the partition holds cross-group frames until
+    # the phase that stops blocking them starts; in-group frames pass.
+    t = _in_round(2)
+    assert proxy.fate(0, 1, t, message) == t
+    assert proxy.fate(0, 2, t, message) == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(3, 1, _in_round(3), message) == pytest.approx(4 * ROUND_S)
+    # Phase 2 (rounds 4-5): the p = 1 drop rule discards 0 → 1 only.
+    t = _in_round(4)
+    assert proxy.fate(0, 1, t, message) is None
+    assert proxy.fate(1, 0, t, message) == t
+    # Phase 3 (rounds 6-7): the surge adds (factor − 1) × base latency.
+    t = _in_round(6)
+    assert proxy.fate(2, 3, t, message) == pytest.approx(t + 4 * 0.01)
+    # After the script: the trailing heal.
+    t = _in_round(9)
+    assert proxy.fate(2, 3, t, message) == t
 
-        # Phase 0: benign — everything forwards untouched.
-        proxy.send(0, 2, "a")
-        assert inner.sent == [(0, 2, "a")]
+    assert proxy.audit_totals() == {"partitioned": 2, "dropped": 1, "delayed": 1}
+    assert proxy.audit[1] == {"partitioned": 2, "dropped": 0, "delayed": 0}
+    assert proxy.audit[2] == {"partitioned": 0, "dropped": 1, "delayed": 0}
+    assert proxy.audit[3] == {"partitioned": 0, "dropped": 0, "delayed": 1}
 
-        # Phase 1: the partition holds cross-group frames, in-group pass.
-        proxy.enter_phase(1)
-        proxy.send(0, 1, "b")
-        proxy.send(0, 2, "c")
-        proxy.send(3, 1, "d")
-        assert inner.sent == [(0, 2, "a"), (0, 1, "b")]
-        assert proxy.held_count == 2
 
-        # Phase 2: heal flushes held frames in send order; the p=1 drop
-        # rule then really discards 0→1 frames.
-        proxy.enter_phase(2)
-        assert inner.sent[-2:] == [(0, 2, "c"), (3, 1, "d")]
-        assert proxy.held_count == 0
-        proxy.send(0, 1, "e")
-        proxy.send(1, 0, "f")
-        assert inner.sent[-1] == (1, 0, "f")
-
-        # Phase 3: the surge forwards after (factor − 1) × base latency.
-        proxy.enter_phase(3)
-        proxy.send(2, 3, "g")
-        assert (2, 3, "g") not in inner.sent
-        await asyncio.sleep(0.08)
-        assert inner.sent[-1] == (2, 3, "g")
-
-        assert proxy.audit_totals() == {"partitioned": 2, "dropped": 1, "delayed": 1}
-        assert proxy.audit[1] == {"partitioned": 2, "dropped": 0, "delayed": 0}
-        assert proxy.audit[2] == {"partitioned": 0, "dropped": 1, "delayed": 0}
-        assert proxy.audit[3] == {"partitioned": 0, "dropped": 0, "delayed": 1}
-
-    asyncio.run(scenario())
+def test_an_instant_on_a_round_edge_is_in_the_round_that_begins_there():
+    proxy = _proxy(SCRIPT)
+    message = _vote()
+    # Round 2 begins the partition, round 4 ends it.
+    assert proxy.fate(0, 2, 2 * ROUND_S, message) == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(0, 2, 4 * ROUND_S, message) == 4 * ROUND_S
+    assert proxy.fate(0, 2, 2 * ROUND_S - 1e-4, message) == 2 * ROUND_S - 1e-4
 
 
 def test_phase_transitions_are_monotone_and_idempotent():
     proxy = _proxy(SCRIPT)
+    assert proxy.phase == 0
     proxy.enter_phase(2)
     proxy.enter_phase(1)  # stale: ignored
     proxy.enter_phase(99)  # out of range: ignored
-    proxy.send(0, 2, "x")  # phase 2 has no partition — forwards
-    assert proxy.inner.sent == [(0, 2, "x")]
-    assert proxy.audit_totals()["partitioned"] == 0
+    assert proxy.phase == 2
+    # The phase entered is what a sample reports; fate reads the clock.
+    assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
 
 
-def test_drop_coins_are_seeded_per_link():
-    script = AttackScript(name="lossy", phases=(phase(1), phase(1, drop(0, 1, 0.5))))
+def test_drop_coin_frequency_matches_p():
+    """One coin per link per message, keyed by the run seed: over 3,000
+    messages a p = 0.3 link drops within 3 σ of 30 %, a second seed
+    tosses other coins, and the same seed the same ones."""
+    script = AttackScript(name="lossy", phases=(phase(1), phase(1, drop(0, 1, 0.3))))
+    messages = [make_vote(_REGISTRY, _REGISTRY.secret_key(i % 4), i, None) for i in range(3000)]
 
-    def survivors(seed):
+    def dropped(seed):
         proxy = _proxy(script, seed=seed)
-        proxy.enter_phase(1)
-        for i in range(40):
-            proxy.send(0, 1, i)
-        return [payload for (_, _, payload) in proxy.inner.sent]
+        return [proxy.fate(0, 1, _in_round(1), m) is None for m in messages]
 
-    # Same seed → the identical coin sequence; a drop actually happened.
-    assert survivors(7) == survivors(7)
-    assert 0 < len(survivors(7)) < 40
-    assert survivors(7) != survivors(8)
+    first = dropped(7)
+    share = sum(first) / len(first)
+    sigma = (0.3 * 0.7 / len(first)) ** 0.5
+    assert abs(share - 0.3) < 3 * sigma
+    assert dropped(7) == first
+    assert dropped(8) != first
 
 
-def test_audit_phase_and_delegation():
-    proxy = _proxy(SCRIPT)
-    assert proxy.phase == 0
-    proxy.enter_phase(1)
-    proxy.send(0, 2, "x")
-    assert proxy.audit_totals()["partitioned"] == 1
-    assert proxy.held_count == 1
-    assert proxy.phase == 1
-    # Only the data surface is forwarded: lifecycle stays with whoever
-    # built the inner transport.
-    assert not hasattr(proxy, "close")
+def test_a_messages_coins_split_its_fan_out():
+    """Coins are tossed per link, not per message: under a wildcard
+    p = 0.5 drop the out-links of one message do not all share a fate."""
+    n = 12
+    topology = regular_topology(n, 4, seed=1)
+    script = AttackScript(name="lossy", phases=(phase(1), phase(1, drop(None, None, 0.5))))
+    proxy = _proxy(script, n=n, topology=topology)
+    message = _vote()
+    t = _in_round(1)
+    fates = [proxy.fate(src, dst, t, message) for src in range(n) for dst in topology[src]]
+    dropped = sum(f is None for f in fates)
+    assert 0 < dropped < len(fates)
+    assert proxy.audit_totals()["dropped"] == dropped
 
 
 def test_drop_wildcards_match_any_link():
     script = AttackScript(name="wild", phases=(phase(1), phase(1, drop(None, None, 1.0))))
     proxy = _proxy(script)
-    proxy.enter_phase(1)
-    proxy.send(0, 1, "a")
-    proxy.send(3, 2, "b")
-    assert proxy.inner.sent == []
+    t = _in_round(1)
+    assert proxy.fate(0, 1, t, _vote()) is None
+    assert proxy.fate(3, 2, t, _vote()) is None
     assert proxy.audit_totals()["dropped"] == 2
 
 
-def test_send_many_decomposes_and_never_uses_the_inner_bulk_path():
-    class BulkInner(FakeInner):
-        def send_many(self, src, dsts, payload):
-            raise AssertionError("fan-outs must not bypass per-frame interception")
-
-    proxy = _proxy(SCRIPT, inner=BulkInner())
-    proxy.send_many(0, (1, 2, 3), "x")
-    assert proxy.inner.sent == [(0, 1, "x"), (0, 2, "x"), (0, 3, "x")]
-    # Under a wildcard p=1 drop every frame of the fan-out is discarded.
-    lossy = AttackScript(name="all", phases=(phase(1), phase(1, drop(None, None, 1.0))))
-    proxy = _proxy(lossy, inner=BulkInner())
-    proxy.enter_phase(1)
-    proxy.send_many(0, (1, 2, 3), "y")
-    assert proxy.inner.sent == []
-    assert proxy.audit_totals()["dropped"] == 3
+def test_a_blackout_holds_every_link_until_the_heal():
+    script = AttackScript(name="dark", phases=(phase(1), phase(3, withhold()), phase(1, heal())))
+    timeline = script.timeline()
+    assert timeline.state_at(1).blocks(0, 1)
+    proxy = _proxy(script)
+    t = _in_round(2)
+    for src, dst in ((0, 1), (1, 0), (2, 3)):
+        assert proxy.fate(src, dst, t, _vote()) == pytest.approx(4 * ROUND_S)
+    assert proxy.audit_totals()["partitioned"] == 3
 
 
-def test_fanout_drop_coins_are_tossed_per_frame_on_a_batched_inner():
-    script = AttackScript(name="lossy", phases=(phase(1), phase(1, drop(None, None, 0.5))))
-
-    async def scenario():
-        inner = SimTransport(8, base_latency_s=0.0, jitter_s=0.0, seed=0, slot_s=0.001)
-        proxy = _proxy(script, inner=inner)
-        inbox = Collector(proxy, range(1, 8))  # subscribes through to the inner fabric
-        proxy.enter_phase(1)
-        proxy.send_many(0, range(1, 8), "x")
-        dropped = proxy.audit_totals()["dropped"]
-        # A batch-level coin would kill all seven frames or none; the
-        # per-link streams split the fan-out.
-        assert 0 < dropped < 7
-        assert inner.sent_count == 7 - dropped
-        await asyncio.sleep(0.01)
-        assert sum(len(frames) for frames in inbox.frames.values()) == 7 - dropped
-
-    asyncio.run(scenario())
-
-
-def test_fanout_surges_delay_every_frame_through_the_wheel():
-    script = AttackScript(name="slow", phases=(phase(1), phase(1, surge(5.0))))
-
-    async def scenario():
-        inner = SimTransport(4, base_latency_s=0.001, jitter_s=0.0, seed=0, slot_s=0.001)
-        proxy = _proxy(script, base_latency_s=0.001, inner=inner)
-        inbox = Collector(proxy, (1, 2, 3))
-        proxy.enter_phase(1)
-        proxy.send_many(0, (1, 2, 3), "x")
-        # One delayed count per frame, not one per fan-out.
-        assert proxy.audit_totals()["delayed"] == 3
-        assert inner.sent_count == 0
-        await asyncio.sleep(0.05)
-        assert inbox.frames == {pid: [(0, "x")] for pid in (1, 2, 3)}
-
-    asyncio.run(scenario())
+def test_the_proxy_forwards_the_inner_fabrics_surface():
+    proxy = _proxy(SCRIPT)
+    inner = proxy.inner
+    assert proxy.hosted == inner.hosted
+    assert proxy.links is inner.links
+    assert proxy.slot_s == inner.slot_s
+    # Only the data surface is forwarded: lifecycle stays with whoever
+    # built the inner transport.
+    assert not hasattr(proxy, "close")

@@ -115,31 +115,29 @@ def test_modelled_latencies_match_sim_transport(tmp_path):
     """A sharded transport draws exactly the per-link latencies the
     single-process SimTransport would — the reproducibility contract
     that keeps multi-process runs equivalent."""
-    from repro.net.transport import SimTransport
+    from repro.crypto.signatures import KeyRegistry
+    from repro.net.transport import SimTransport, draw_key
+    from repro.sleepy.messages import make_vote
 
-    async def scenario():
-        a, _b = _mesh_pair(tmp_path)
-        sim = SimTransport(3, base_latency_s=0.001, jitter_s=0.004, seed=0)
-        socketed = SocketTransport(
-            3,
-            local_pids=(0,),
-            owner={0: 0, 1: 1, 2: 1},
-            worker_id=0,
-            addresses={},
-            base_latency_s=0.001,
-            jitter_s=0.004,
-            seed=0,
-        )
-        return [
-            (sim.latency(src, dst), socketed.latency(src, dst))
-            for src in range(3)
-            for dst in range(3)
-            if src != dst
-            for _ in range(3)
-        ]
-
-    for sim_sample, socket_sample in asyncio.run(scenario()):
-        assert sim_sample == socket_sample
+    sim = SimTransport(3, base_latency_s=0.001, jitter_s=0.004, seed=0)
+    socketed = SocketTransport(
+        3,
+        local_pids=(0,),
+        owner={0: 0, 1: 1, 2: 1},
+        worker_id=0,
+        addresses={},
+        base_latency_s=0.001,
+        jitter_s=0.004,
+        seed=0,
+    )
+    overlay = {src: tuple(dst for dst in range(3) if dst != src) for src in range(3)}
+    registry = KeyRegistry(3, run_seed=0)
+    for fabric in (sim, socketed):
+        fabric.links.enumerate(overlay)
+    for r in range(3):
+        key = draw_key(make_vote(registry, registry.secret_key(r), r, None))
+        assert sim.links.draw(key) == socketed.links.draw(key)
+        assert sim.links.coins(key) == socketed.links.coins(key)
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
@@ -153,7 +151,7 @@ def test_misrouted_frames_are_counted_not_dropped_silently(tmp_path):
         try:
             # Fault injection: worker a forgets it hosts pid 0 and
             # frames it to worker b, which does not host pid 0 either.
-            a._hosted = frozenset()
+            a.hosted = frozenset()
             a._owner[0] = 1
             a.send(1, 0, "lost?")
             await asyncio.sleep(0.1)

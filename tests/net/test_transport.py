@@ -1,12 +1,16 @@
-"""Asyncio transport: pushed delivery, latency, the surge factor."""
+"""Asyncio transport: pushed delivery, the slot wheel, the link draws."""
 
 import asyncio
 import logging
-import random
+import math
+import statistics
 
 import pytest
 
-from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport
+from repro.crypto.signatures import KeyRegistry
+from repro.net.gossip import regular_topology
+from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport, draw_key
+from repro.sleepy.messages import make_vote
 
 from tests.net.conftest import Collector, run_virtual
 
@@ -27,69 +31,6 @@ def test_messages_arrive_in_order_per_link():
     assert received == [(0, i) for i in range(5)]
 
 
-def test_latency_follows_the_surge_factor_in_force():
-    transport = SimTransport(2, base_latency_s=0.010, jitter_s=0.0, seed=0)
-    assert transport.latency(0, 1) == pytest.approx(0.010)
-    transport.surge(10.0)
-    assert transport.latency(0, 1) == pytest.approx(0.100)
-    transport.surge(1.0)
-    assert transport.latency(0, 1) == pytest.approx(0.010)
-
-
-def test_a_surge_slows_later_sends_not_frames_already_parked():
-    """The factor is read at send: a frame parked before the surge keeps
-    its slot, one sent after it waits ``factor`` times as long."""
-
-    async def scenario():
-        transport = SimTransport(2, base_latency_s=0.004, jitter_s=0.0, seed=0, slot_s=0.001)
-        loop = asyncio.get_running_loop()
-        arrivals = []
-        transport.subscribe(1, lambda src, payload: arrivals.append((payload, loop.time())))
-        transport.send(0, 1, "before")
-        transport.surge(5.0)
-        transport.send(0, 1, "after")
-        while transport.wheel.pending:
-            await asyncio.sleep(transport.wheel.slot_s)
-        return arrivals
-
-    (first, at_first), (second, at_second) = run_virtual(scenario())
-    assert (first, second) == ("before", "after")
-    assert (at_first, at_second) == pytest.approx((0.004, 0.020))
-
-
-def test_jitter_is_seeded():
-    a = SimTransport(2, base_latency_s=0.001, jitter_s=0.005, seed=3)
-    b = SimTransport(2, base_latency_s=0.001, jitter_s=0.005, seed=3)
-    assert [a.latency(0, 1) for _ in range(5)] == [b.latency(0, 1) for _ in range(5)]
-
-
-def test_latency_streams_are_per_link_and_order_independent():
-    """Regression: a shared RNG made latencies depend on global send order.
-
-    The k-th sample on a link must be identical no matter how sends on
-    *other* links interleave with it — otherwise asyncio scheduler
-    jitter changes the sampled latencies between runs of one deployment.
-    """
-    links = [(0, 1), (1, 0), (0, 2), (2, 1)]
-    a = LinkLatencyModel(0.001, 0.005, seed=7)
-    b = LinkLatencyModel(0.001, 0.005, seed=7)
-
-    interleaved: dict[tuple[int, int], list[float]] = {link: [] for link in links}
-    for k in range(6):  # round-robin across links
-        for link in links:
-            interleaved[link].append(a.latency(*link))
-
-    grouped: dict[tuple[int, int], list[float]] = {link: [] for link in links}
-    for link in reversed(links):  # one link at a time, opposite order
-        for k in range(6):
-            grouped[link].append(b.latency(*link))
-
-    assert interleaved == grouped
-    # Distinct links (including the two directions of a pair) draw
-    # distinct streams rather than aliasing one sequence.
-    assert interleaved[(0, 1)] != interleaved[(1, 0)]
-
-
 def test_wheel_pending_counts_frames_in_flight():
     """What ``ShardRuntime.sample()["transport"]["in_flight"]`` reads."""
 
@@ -103,19 +44,6 @@ def test_wheel_pending_counts_frames_in_flight():
         return in_flight, transport.wheel.pending
 
     assert run(scenario()) == (2, 0)
-
-
-def test_surged_message_is_delayed_not_dropped():
-    async def scenario():
-        transport = SimTransport(2, base_latency_s=0.005, jitter_s=0.0, seed=0)
-        inbox = Collector(transport, (1,))
-        transport.surge(20.0)
-        transport.send(0, 1, "slow")  # 0.1 s latency under the surge
-        with pytest.raises(asyncio.TimeoutError):
-            await inbox.until(1, 1, timeout=0.04)
-        return await inbox.until(1, 1, timeout=0.2)
-
-    assert run(scenario()) == [(0, "slow")]
 
 
 def test_counts_sent_messages():
@@ -274,8 +202,6 @@ def test_sim_transport_delivers_through_the_wheel():
 
 def test_send_many_matches_per_send_semantics():
     async def scenario():
-        # Same seed and jitter: a fan-out must consume the same
-        # per-link latency streams as the equivalent send loop.
         loop_sent = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
         fanout = SimTransport(4, base_latency_s=0.001, jitter_s=0.002, seed=7)
         loop_inbox = Collector(loop_sent, (1, 2, 3))
@@ -287,9 +213,6 @@ def test_send_many_matches_per_send_semantics():
         for dst in (1, 2, 3):
             assert await loop_inbox.until(dst, 1) == [(0, "x")]
             assert await fanout_inbox.until(dst, 1) == [(0, "x")]
-        # Streams advanced identically: the next draw per link matches.
-        for dst in (1, 2, 3):
-            assert loop_sent.latency(0, dst) == fanout.latency(0, dst)
 
     run(scenario())
 
@@ -319,27 +242,88 @@ def test_slot_order_is_the_delivery_order_across_pids():
     run_virtual(scenario())
 
 
-def test_zero_jitter_latency_skips_the_stream_but_matches_it():
-    # The fast path must return exactly what the stream would have.
-    fast = LinkLatencyModel(0.003, 0.0, seed=1)
-    slow = LinkLatencyModel(0.003, 1e-12, seed=1)
-    for _ in range(3):
-        assert fast.latency(0, 1) == 0.003
-        assert abs(slow.latency(0, 1) - 0.003) < 1e-9
-    # The surge factor still applies on the fast path.
-    surged = LinkLatencyModel(0.003, 0.0, seed=1)
-    surged.factor = 10.0
-    assert surged.latency(0, 1) == 0.03
+# ----------------------------------------------------------------------
+# The link draws: keyed by message, indexed by link
+# ----------------------------------------------------------------------
+_REGISTRY = KeyRegistry(12, run_seed=0)
+_TOPOLOGY = regular_topology(12, 4, seed=1)
 
 
-def test_a_fan_out_draws_what_one_draw_per_link_would_to_the_bit():
-    """One pass per fan-out: each link's k-th draw, times the surge factor
-    in force, exactly as drawn one by one."""
-    model = LinkLatencyModel(0.001, 0.004, seed=9)
-    streams = {dst: random.Random(f"link:9:2:{dst}") for dst in (0, 1, 3, 5)}
-    for factor in (1.0, 3.0, 1.7, 1.0):
-        model.factor = factor
-        expected = [(0.001 + streams[dst].random() * 0.004) * factor for dst in (0, 1, 3, 5)]
-        assert model.draws(2, (0, 1, 3, 5)) == expected
-    # ``latency`` is the one-destination case, on the same streams.
-    assert model.latency(2, 3) == (0.001 + streams[3].random() * 0.004) * 1.0
+def _model(seed=9, base=0.001, jitter=0.004):
+    model = LinkLatencyModel(base, jitter, seed=seed)
+    model.enumerate(_TOPOLOGY)
+    return model
+
+
+def _keys(count):
+    """Draw keys of ``count`` distinct votes."""
+    return [
+        draw_key(make_vote(_REGISTRY, _REGISTRY.secret_key(i % 12), i // 12, None))
+        for i in range(count)
+    ]
+
+
+def test_the_overlay_enumeration_numbers_directed_edges_in_order():
+    model = _model()
+    links = [(src, dst) for src in range(12) for dst in _TOPOLOGY[src]]
+    assert model.edges == {link: index for index, link in enumerate(links)}
+    assert len(model.edges) == 12 * 4
+
+
+def test_link_draws_are_uniform_on_base_plus_jitter():
+    """Binned χ² over 12,000 draws (250 messages × 48 links) at a fixed
+    seed: ten equal bins of ``[base, base + jitter)``, nine degrees of
+    freedom, below the 0.999 quantile (27.88)."""
+    base, jitter = 0.001, 0.004
+    model = _model(base=base, jitter=jitter)
+    draws = [d for key in _keys(250) for d in model.delays(model.draw(key))]
+    assert len(draws) == 12_000
+    assert all(base <= d < base + jitter for d in draws)
+    counts = [0] * 10
+    for d in draws:
+        counts[int((d - base) / jitter * 10)] += 1
+    expected = len(draws) / 10
+    chi2 = sum((c - expected) ** 2 / expected for c in counts)
+    assert chi2 < 27.88, counts
+    assert model.digests == 250
+
+
+def test_one_messages_links_are_independent_and_order_free():
+    """Across messages, no two links of the overlay draw alike (their
+    correlation is noise), and a draw is the same whatever was drawn
+    before it, in whichever model instance."""
+    keys = _keys(400)
+    model = _model()
+    table = [model.delays(model.draw(key)) for key in keys]
+    columns = list(zip(*table))
+    for i in range(len(columns)):
+        for j in range(i + 1, len(columns)):
+            assert abs(statistics.correlation(columns[i], columns[j])) < 0.2, (i, j)
+    # Reversed order, a fresh model: the very same values.
+    fresh = _model()
+    assert [fresh.delays(fresh.draw(key)) for key in reversed(keys)] == table[::-1]
+    # Another seed draws otherwise.
+    other = _model(seed=10)
+    assert other.delays(other.draw(keys[0])) != table[0]
+
+
+def test_zero_jitter_draws_the_base_latency_and_computes_no_digest():
+    fast = _model(base=0.003, jitter=0.0)
+    slow = _model(base=0.003, jitter=1e-12)
+    key = _keys(1)[0]
+    assert fast.draw(key) == bytes(4 * 48)
+    assert fast.delays(fast.draw(key)) == [0.003] * 48
+    assert all(abs(d - 0.003) < 1e-9 for d in slow.delays(slow.draw(key)))
+    assert (fast.digests, slow.digests) == (0, 1)
+
+
+def test_drop_coins_are_a_second_uniform_per_link():
+    model = _model()
+    keys = _keys(250)
+    coins = [c for key in keys for c in model.coins(key)]
+    assert all(0.0 <= c < 1.0 for c in coins)
+    assert abs(statistics.fmean(coins) - 0.5) < 0.01
+    # Coins and delays are different digests of the same message.
+    delays = model.delays(model.draw(keys[0]))
+    assert [(d - 0.001) / 0.004 for d in delays] != pytest.approx(model.coins(keys[0]))
+    assert not math.isnan(statistics.correlation(delays, model.coins(keys[0])))

@@ -150,18 +150,21 @@ def test_one_worker_is_a_task_with_no_socket_and_no_timer():
         assert (coordinator.addresses, coordinator.control_address) == ({}, None)
 
         async def body(*_args, channel):
-            origin, listening = await channel.join(_NoMesh())
             loop = asyncio.get_running_loop()
+            joining = loop.time()
+            origin, listening = await channel.join(_NoMesh())
             timers.append(len(loop._scheduled))
             await channel.send("result")
             await channel.until_shutdown()
             channel.close()
-            return origin, loop.time(), listening
+            return origin, joining, listening
 
         return await coordinator.run(body, _exits_nonzero, [()])
 
-    [(origin, now, listening)] = asyncio.run(scenario())
-    assert 0.0 <= origin - now < 0.05 and listening is False
+    # The start instant is a few in-memory legs after the join began:
+    # never before it, and soon after it.
+    [(origin, joining, listening)] = asyncio.run(scenario())
+    assert 0.0 <= origin - joining < 0.05 and listening is False
     assert timers == [0]
     assert multiprocessing.active_children() == []
 

@@ -76,15 +76,15 @@ def test_merge_adds_attack_rows_by_phase_and_takes_the_furthest_phase():
     """Two shards in the same phase are one phase, not the sum of two."""
     hub = MetricsHub()
     rows = [{"partitioned": 1, "dropped": 0}, {"partitioned": 2, "dropped": 1}]
-    attack = _sample(hub, attack={"per_phase": rows, "phase": 1, "held": 2})
-    behind = _sample(hub, attack={"per_phase": rows, "phase": 0, "held": 1})
+    attack = _sample(hub, attack={"per_phase": rows, "phase": 1})
+    behind = _sample(hub, attack={"per_phase": rows, "phase": 0})
     merged = merge_samples([attack, behind])["attack"]
     assert merged["per_phase"] == [
         {"partitioned": 2, "dropped": 0},
         {"partitioned": 4, "dropped": 2},
     ]
     assert merged["totals"] == {"partitioned": 6, "dropped": 2}
-    assert (merged["phase"], merged["held"]) == (1, 3)
+    assert merged["phase"] == 1
 
 
 def test_sourced_metrics_replaces_per_source():

@@ -34,7 +34,7 @@ from repro.sleepy.adversary import RandomAdversary
 from repro.sleepy.messages import ProposeMessage, VoteMessage, make_vote
 from repro.workloads import SubmissionRateWorkload, surge_scenario
 
-from tests.net.conftest import NoLinks, run_virtual, tap_arrivals
+from tests.net.conftest import NoLinks, StillClock, no_surge, run_virtual, tap_arrivals
 
 HORIZON = 3
 
@@ -73,7 +73,9 @@ def test_a_receive_phase_hands_a_node_exactly_what_reached_it(steps):
     last one — kept while it does not receive, withdrawn never."""
     seen = SeenIndex(HORIZON)
     delivery = ShardDelivery(2, (0, 1), seen)
-    network = GossipNetwork(NoLinks(), {0: (), 1: ()}, delivery.admit, seen)
+    network = GossipNetwork(
+        NoLinks((0, 1)), {0: (), 1: ()}, delivery.admit, seen, StillClock(), no_surge
+    )
     reached: dict[int, list] = {0: [], 1: []}
     now = 0
     delivery.advance(now, frozenset())
@@ -104,12 +106,14 @@ def test_what_one_node_lacks_when_its_key_is_forgotten_is_withdrawn_from_it():
     received since, still receives it."""
     seen = SeenIndex(HORIZON)
     delivery = ShardDelivery(2, (0, 1), seen)
-    network = GossipNetwork(NoLinks(), {0: (), 1: ()}, delivery.admit, seen)
+    network = GossipNetwork(
+        NoLinks((0, 1)), {0: (), 1: ()}, delivery.admit, seen, StillClock(), no_surge
+    )
     delivery.advance(0, frozenset())
     network.nodes[0].publish(_VOTES[0])
     for r in range(1, HORIZON + 2):
         delivery.advance(r, frozenset())
-    assert _VOTES[0].content_key not in seen.holders
+    assert _VOTES[0].content_key not in seen.arrivals
     assert delivery.bus.pending_count(1) == 0
     assert delivery.take(1, network.nodes[1].stats["delivered"]) == ()
     assert list(delivery.take(0, network.nodes[0].stats["delivered"])) == [_VOTES[0]]
@@ -216,7 +220,7 @@ def _per_node_list_twin(patch) -> None:
     def init_with_lists(self, *args):
         init(self, *args)
         lists.update((pid, []) for pid in self.nodes)
-        tap_arrivals(self.network, lambda pid, _src, message: lists[pid].append(message))
+        tap_arrivals(self.network, lambda pid, message, _at: lists[pid].append(message))
 
     def drain(self, round_number):
         if not self.awake(round_number + 1):

@@ -16,7 +16,6 @@ from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.net.socket_transport import supports_unix_sockets
-from repro.net.transport import LinkLatencyModel
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics, merge_samples
 from repro.runtime.node import DeployedNode
@@ -26,7 +25,7 @@ from repro.sleepy.adversary import RandomAdversary
 from repro.sleepy.messages import ProposeMessage
 from repro.workloads import SubmissionRateWorkload, surge_scenario
 
-from tests.net.conftest import run_virtual
+from tests.net.conftest import run_virtual, tap_arrivals
 
 
 def _spec(n=4, rounds=6):
@@ -162,8 +161,10 @@ def test_extras_have_one_shape_on_both_substrates():
             assert total == sum(row[key] for row in attack["per_phase"])
         assert attack["totals"]["partitioned"] > 0
         assert attack["phase"] == len(spec.adversary.timeline.states) - 1
-        # Every fabric supersedes.
-        assert extras["transport"]["superseded"] > 0
+    # One shard computes its arrivals and parks no frame; frames crossing
+    # between shards are parked, and a copy behind one is superseded.
+    assert single.extras["transport"]["sent"] == single.extras["transport"]["superseded"] == 0
+    assert multi.extras["transport"]["superseded"] > 0
     # Zeros where the fabric has no wire, counts where it has one.
     assert single.extras["transport"]["frames_sent"] == 0
     assert multi.extras["transport"]["frames_sent"] > 0
@@ -271,32 +272,34 @@ def test_the_proxy_holds_round_rs_phase_at_round_rs_sends(processes, monkeypatch
 
 
 def test_a_send_phase_draws_its_rounds_surge_factor(monkeypatch):
-    """On the virtual clock, every frame round ``r``'s send phases publish
-    draws ``conditions.surge_factor(r)``: surged on rounds ra+1..ra+π
-    exactly, and on no other."""
+    """On the virtual clock, the first hop of every message round ``r``'s
+    send phases publish is its draw times ``conditions.surge_factor(r)``:
+    surged on rounds ra+1..ra+π exactly, and on no other."""
     conditions = NetworkConditions.window(ra=3, pi=2, surge_factor=7.0)
     spec = RunSpec(n=4, rounds=10, protocol="resilient", eta=2, seed=0, conditions=conditions)
-    publishing, drawn = [], []
-    publish, draws = ShardRuntime.publish, LinkLatencyModel.draws
+    first_hops: dict[int, list[float]] = {}
+    init = ShardRuntime.__init__
 
-    def tagged(self, pid, r, message):
-        publishing.append(r)
-        try:
-            publish(self, pid, r, message)
-        finally:
-            publishing.pop()
+    def tapping(self, *args):
+        init(self, *args)
+        published: dict[tuple, float] = {}
 
-    def recorded(self, src, dsts):
-        if publishing:
-            drawn.append((publishing[-1], self.factor))
-        return draws(self, src, dsts)
+        def record(pid, message, at):
+            key = message.content_key
+            if key not in published:
+                published[key] = at
+            else:
+                first_hops.setdefault(message.round, []).append(at - published[key])
 
-    monkeypatch.setattr(ShardRuntime, "publish", tagged)
-    monkeypatch.setattr(LinkLatencyModel, "draws", recorded)
+        tap_arrivals(self.network, record)
+
+    monkeypatch.setattr(ShardRuntime, "__init__", tapping)
     run_virtual(DeploymentBackend(delta_s=0.01).execute_async(spec))
-    assert {r for r, _ in drawn} == set(range(spec.rounds))
-    assert all(factor == conditions.surge_factor(r) for r, factor in drawn)
-    assert {r for r, factor in drawn if factor != 1.0} == {4, 5}
+    base = 0.01 / 8  # the link's base latency; jitter adds at most as much
+    assert set(first_hops) == set(range(spec.rounds))
+    fastest = {r: min(hops) for r, hops in first_hops.items()}
+    assert {r for r, hop in fastest.items() if hop >= 7 * base} == {4, 5}
+    assert all(hop <= 2 * base + 0.01 / 16 for r, hop in fastest.items() if r not in (4, 5))
 
 
 def test_a_shards_nodes_read_one_interned_chain():

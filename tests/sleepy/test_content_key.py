@@ -40,7 +40,7 @@ from repro.sleepy.messages import (
     make_vote,
     verify_message,
 )
-from tests.net.conftest import NoLinks
+from tests.net.conftest import NoLinks, StillClock, no_surge
 
 REGISTRY = KeyRegistry(4, run_seed=11)
 GENESIS = genesis_block()
@@ -303,13 +303,18 @@ def test_a_junk_twin_gossiped_first_cannot_mark_the_original_seen(registry, gene
     delivered: list[Message] = []
 
     network = GossipNetwork(
-        NoLinks(), {0: ()}, lambda message, key: delivered.append(message), SeenIndex(10)
+        NoLinks((0,)),
+        {0: ()},
+        lambda message, key: delivered.append(message),
+        SeenIndex(10),
+        StillClock(),
+        no_surge,
     )
     for junk in _junk_twins(good):
         network.nodes[0].publish(junk)
-    assert good.content_key not in network.seen.holders
+    assert good.content_key not in network.seen.arrivals
     network.nodes[0].publish(good)
-    assert delivered[-1] is good and network.seen.holders[good.content_key] == 1
+    assert delivered[-1] is good and network.seen.arrivals[good.content_key].held == 1
     assert network.nodes[0].stats == {"delivered": 5, "duplicates": 0, "stale_dropped": 0}
 
 
