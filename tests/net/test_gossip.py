@@ -288,10 +288,18 @@ class _MeshShard(PushDelivery):
         self.peer.wheel.call(self.peer._deliver, dst, src, payload)
 
 
-def _mesh(n, shards, slot_s, model):
-    """One :class:`_MeshShard` per pid tuple of ``shards``, each with its
-    own link model built from ``model``, wired to one another."""
-    fabrics = [_MeshShard(n, hosted, slot_s, LinkLatencyModel(**model)) for hosted in shards]
+class _NeverSupersedes(_MeshShard):
+    """A mesh shard that parks every frame, even one that can only arrive second."""
+
+    def park(self, src, payload, frames):
+        self._forget_parked()
+        super().park(src, payload, frames)
+
+
+def _mesh(n, shards, slot_s, model, shard_class=_MeshShard):
+    """One ``shard_class`` per pid tuple of ``shards``, each with its own
+    link model built from ``model``, wired to one another."""
+    fabrics = [shard_class(n, hosted, slot_s, LinkLatencyModel(**model)) for hosted in shards]
     for fabric, peer in zip(fabrics, fabrics[1:] + fabrics[:1]):
         fabric.peer = peer
     return fabrics
@@ -463,15 +471,16 @@ def _reference_flood(surge_factor, script, stopped):
     return first
 
 
-def _computed_flood(shards, surge_factor, script, stopped):
+def _computed_flood(shards, surge_factor, script, stopped, shard_class=_MeshShard):
     """The flood on ``shards`` (pid tuples) of one virtual-clock process,
-    each shard a network over its own fabric, link model and round clock:
-    ``{content key: {pid: first-arrival instant}}`` as the shards filed
-    it, the frames that crossed between shards and the audit totals."""
+    each shard a network over its own ``shard_class`` fabric, link model
+    and round clock: ``{content key: {pid: first-arrival instant}}`` as
+    the shards filed it, the frames that crossed between shards and the
+    audit totals."""
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        fabrics = _mesh(FLOOD_N, shards, SLOT_S, FLOOD_MODEL)
+        fabrics = _mesh(FLOOD_N, shards, SLOT_S, FLOOD_MODEL, shard_class)
         filed: dict[tuple, dict[int, float]] = {}
 
         def file_arrival(pid, message, at):
@@ -559,6 +568,33 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
         assert reached == [FLOOD_N] * len(FLOOD_PUBLISHES)
 
 
+def test_through_drops_and_a_partition_supersession_changes_no_delivery():
+    """Two shards behind a proxy that drops frames, partitions the overlay
+    and heals: the fabrics that supersede frames which can only arrive
+    second file exactly the first arrivals that fabrics parking every
+    frame do, and audit the same offers."""
+    made: list[_MeshShard] = []
+
+    class Kept(_MeshShard):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self)
+
+    surge_factor, script, stopped = FLOOD_CASES["partition-and-drops"]
+    halves = (tuple(range(FLOOD_N // 2)), tuple(range(FLOOD_N // 2, FLOOD_N)))
+    filed, crossed, audit = _computed_flood(halves, surge_factor, script, stopped, Kept)
+    full, full_crossed, full_audit = _computed_flood(
+        halves, surge_factor, script, stopped, _NeverSupersedes
+    )
+    assert filed == full
+    assert audit == full_audit
+    assert audit["dropped"] > 0 and audit["partitioned"] > 0
+    # Superseded frames never cross: the ones that do are full flooding's.
+    assert sum(fabric.superseded for fabric in made) > 0
+    assert set(crossed) < set(full_crossed)
+    assert len(full_crossed) - len(crossed) == sum(fabric.superseded for fabric in made)
+
+
 def test_one_shard_parks_no_frame_and_arms_no_timer():
     """A shard hosting every pid computes its nodes' arrivals: nothing is
     sent, nothing waits on the wheel, and every node is reached once."""
@@ -584,6 +620,80 @@ def test_one_shard_parks_no_frame_and_arms_no_timer():
     assert stats["seen_entries"] == messages
     # One digest per message per shard.
     assert stats["draw_digests"] == messages
+
+
+class _Offers(SimTransport):
+    """A fabric with a ``fate`` that passes every frame and records each
+    offer as ``(src, dst, content key)``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.offers: list[tuple[int, int, tuple]] = []
+
+    def fate(self, src, dst, t, message):
+        self.offers.append((src, dst, message.content_key))
+        return t
+
+
+def test_one_shard_sends_each_message_once_per_overlay_edge():
+    """Full flooding offers a message once on every directed overlay edge
+    but the one each node heard it on: n·d − (n − 1) offers per message,
+    none twice, all asked of ``fate`` at one shard as at any."""
+    n, degree, messages = 12, 4, 5
+    topology = regular_topology(n, degree, seed=1)
+    registry = KeyRegistry(n, run_seed=0)
+
+    async def scenario():
+        transport = _Offers(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
+        network = _network(transport, topology, _started_clock())
+        for sender in range(messages):
+            network.nodes[sender].publish(
+                make_vote(registry, registry.secret_key(sender), 0, None)
+            )
+        await asyncio.sleep(1.0)
+        network.catch_up()
+        return transport, network.stats_totals()
+
+    transport, stats = run_virtual(scenario())
+    offers = transport.offers
+    assert len(offers) == len(set(offers)) == messages * (n * degree - (n - 1))
+    assert {(src, dst) for src, dst, _ in offers} <= set(transport.links.edges)
+    assert transport.sent_count == 0
+    assert stats["delivered"] == messages * n
+    assert stats["duplicates"] == 0
+
+
+def test_across_two_shards_only_co_located_holders_are_skipped():
+    """K4 split into A = {0, 1, 2} and B = {3}, no jitter, 2 ms links.
+    0 publishes at 0: A reaches 1 and 2 at 2 ms and never offers either a
+    frame once it holds; a frame to 3 is always sent — B's holdings are
+    not A's to read — so 1 sends one at 2 ms, when 3 already holds it
+    (2's, parked behind 1's in the same slot, is superseded).  B's own
+    forwards come back to 1 and 2 as duplicates."""
+    k4 = {pid: tuple(peer for peer in range(4) if peer != pid) for pid in range(4)}
+    registry = KeyRegistry(4, run_seed=0)
+    vote = make_vote(registry, registry.secret_key(0), 0, None)
+    model = {"base_latency_s": 0.002, "jitter_s": 0.0, "seed": 0}
+
+    async def scenario():
+        shard_a, shard_b = _mesh(4, ((0, 1, 2), (3,)), 0.001, model)
+        clock = _started_clock()
+        networks = [_network(fabric, k4, clock) for fabric in (shard_a, shard_b)]
+        filed: dict[int, list[float]] = {pid: [] for pid in range(4)}
+        for network in networks:
+            tap_arrivals(network, lambda pid, _m, at: filed[pid].append(round(at, 6)))
+        networks[0].nodes[0].publish(vote)
+        await asyncio.sleep(0.1)
+        stats = {pid: dict(n.nodes[pid].stats) for n in networks for pid in n.nodes}
+        return filed, shard_a, shard_b, stats
+
+    filed, shard_a, shard_b, stats = run_virtual(scenario())
+    assert filed == {0: [0.0], 1: [0.002], 2: [0.002], 3: [0.002]}
+    assert [(src, dst, slot) for src, dst, slot in shard_a.crossed] == [(0, 3, 2), (1, 3, 4)]
+    assert shard_a.superseded == 1
+    assert sorted((src, dst) for src, dst, _ in shard_b.crossed) == [(3, 1), (3, 2)]
+    assert {pid: s["delivered"] for pid, s in stats.items()} == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert {pid: s["duplicates"] for pid, s in stats.items()} == {0: 0, 1: 1, 2: 1, 3: 1}
 
 
 def test_a_frame_from_another_shard_lowers_only_future_instants():

@@ -9,7 +9,7 @@ from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import SimTransport
 from repro.sleepy.messages import make_vote
 
-from tests.net.conftest import StillClock
+from tests.net.conftest import Collector, StillClock, run_virtual
 
 #: δ = 10 ms: rounds of 30 ms.
 CLOCK_DELTA_S = 0.01
@@ -148,6 +148,25 @@ def test_a_blackout_holds_every_link_until_the_heal():
     for src, dst in ((0, 1), (1, 0), (2, 3)):
         assert proxy.fate(src, dst, t, _vote()) == pytest.approx(4 * ROUND_S)
     assert proxy.audit_totals()["partitioned"] == 3
+
+
+def test_audit_phase_and_delegation():
+    """The phase entered, the audit of a held frame, and frames the flood
+    parks and subscriptions passing straight through to the inner fabric."""
+
+    async def scenario():
+        proxy = _proxy(SCRIPT)
+        inbox = Collector(proxy, (2,))  # subscribes through to the inner fabric
+        assert proxy.phase == 0
+        proxy.enter_phase(1)
+        assert proxy.phase == 1
+        assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
+        assert proxy.audit_totals()["partitioned"] == 1
+        proxy.park(0, "x", [(2, 3)])
+        assert proxy.sent_count == proxy.inner.sent_count == 1
+        return await inbox.until(2, 1)
+
+    assert run_virtual(scenario()) == [(0, "x")]
 
 
 def test_the_proxy_forwards_the_inner_fabrics_surface():

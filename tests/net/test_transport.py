@@ -8,11 +8,11 @@ import statistics
 import pytest
 
 from repro.crypto.signatures import KeyRegistry
-from repro.net.gossip import regular_topology
+from repro.net.gossip import GossipNetwork, SeenIndex, regular_topology
 from repro.net.transport import DeliveryWheel, LinkLatencyModel, SimTransport, draw_key
 from repro.sleepy.messages import make_vote
 
-from tests.net.conftest import Collector, run_virtual
+from tests.net.conftest import Collector, StillClock, ignore, run_virtual, tap_arrivals
 
 
 def run(coro):
@@ -288,6 +288,20 @@ def test_link_draws_are_uniform_on_base_plus_jitter():
     assert model.digests == 250
 
 
+def test_jitter_is_seeded():
+    """Two fabrics of one seed draw one message's delays alike; a fabric
+    of another seed draws them otherwise."""
+    key = _keys(1)[0]
+    drawn = []
+    for seed in (3, 3, 4):
+        links = SimTransport(12, base_latency_s=0.001, jitter_s=0.005, seed=seed).links
+        links.enumerate(_TOPOLOGY)
+        drawn.append(links.delays(links.draw(key)))
+    assert drawn[0] == drawn[1]
+    assert drawn[2] != drawn[0]
+    assert len(set(drawn[0])) > 1  # jitter on: the links differ
+
+
 def test_one_messages_links_are_independent_and_order_free():
     """Across messages, no two links of the overlay draw alike (their
     correlation is noise), and a draw is the same whatever was drawn
@@ -327,3 +341,82 @@ def test_drop_coins_are_a_second_uniform_per_link():
     delays = model.delays(model.draw(keys[0]))
     assert [(d - 0.001) / 0.004 for d in delays] != pytest.approx(model.coins(keys[0]))
     assert not math.isnan(statistics.correlation(delays, model.coins(keys[0])))
+
+
+# ----------------------------------------------------------------------
+# The surge: a hop's draw times the factor of the round its sender holds
+# the message in
+# ----------------------------------------------------------------------
+#: Rounds of 30 ms (δ = 10 ms), slots of 1 ms.
+_CLOCK_DELTA_S = 0.01
+_SLOT_S = 0.001
+_PAIR = {0: (1,), 1: (0,)}
+
+
+def _hop(t: float, delay: float) -> float:
+    """The hop law: the slot edge at or after ``t + delay``."""
+    return math.ceil((t + delay) / _SLOT_S) * _SLOT_S
+
+
+def _pair(base_latency_s, surge_factor):
+    """Two linked nodes on one fabric with no jitter, a still clock, and
+    the first arrivals at pid 1 as ``[(message round, instant)]``."""
+    transport = SimTransport(
+        2, base_latency_s=base_latency_s, jitter_s=0.0, seed=0, slot_s=_SLOT_S
+    )
+    clock = StillClock(_CLOCK_DELTA_S)
+    network = GossipNetwork(transport, _PAIR, ignore, SeenIndex(10), clock, surge_factor)
+    arrivals = []
+    tap_arrivals(network, lambda pid, m, at: pid == 1 and arrivals.append((m.round, at)))
+    return transport, clock, network, arrivals
+
+
+def _publish_at(network, clock, t, message_round):
+    clock.time = t
+    network.nodes[0].publish(make_vote(_REGISTRY, _REGISTRY.secret_key(0), message_round, None))
+
+
+def test_latency_follows_the_surge_factor_in_force():
+    """Round 1 surges ×10: a hop sent in it waits ten base latencies, one
+    sent in round 0 or 2 waits one."""
+    transport, clock, network, arrivals = _pair(0.010, lambda r: 10.0 if r == 1 else 1.0)
+    for r in range(3):
+        _publish_at(network, clock, r * 3 * _CLOCK_DELTA_S + 0.005, r)
+    clock.time = 1.0
+    network.catch_up()
+    assert arrivals == [
+        (0, _hop(0.005, 0.010)),
+        (2, _hop(0.065, 0.010)),
+        (1, _hop(0.035, 0.100)),
+    ]
+    assert transport.sent_count == 0
+
+
+def test_a_surge_slows_later_sends_not_frames_already_parked():
+    """The factor is the one of the round holding the send: a frame sent
+    just before a ×5 round keeps its unsurged slot though it lands in
+    that round, and one sent on the round's edge waits five times as
+    long."""
+    _, clock, network, arrivals = _pair(0.004, lambda r: 5.0 if r == 1 else 1.0)
+    _publish_at(network, clock, 0.029, 0)  # round 0
+    _publish_at(network, clock, 0.030, 1)  # round 1 begins here
+    clock.time = 1.0
+    network.catch_up()
+    assert arrivals == [(0, _hop(0.029, 0.004)), (1, _hop(0.030, 0.020))]
+    assert arrivals[0][1] == pytest.approx(0.033)
+    assert arrivals[1][1] == pytest.approx(0.050)
+
+
+def test_surged_message_is_delayed_not_dropped():
+    """Under a ×20 surge the hop takes 100 ms: not there at 40 ms, there
+    by 200 ms, and nothing is counted stale."""
+    _, clock, network, arrivals = _pair(0.005, lambda r: 20.0)
+    _publish_at(network, clock, 0.0, 0)
+    clock.time = 0.04
+    network.catch_up()
+    assert arrivals == []
+    assert network.nodes[1].stats["delivered"] == 0
+    clock.time = 0.2
+    network.catch_up()
+    assert arrivals == [(0, pytest.approx(0.1))]
+    assert network.nodes[1].stats == {"delivered": 1, "duplicates": 0, "stale_dropped": 0}
