@@ -53,6 +53,34 @@ the node holds the message already (a duplicate, counted), and it
 pre-empts every computed frame due later.  A shard hosting every pid
 arms no timer at all.
 
+**A calm flood is filed whole.**  Where nothing but the clock can look
+inside a flood — the shard hosts every pid, its fabric has no ``fate``
+and no node is stopped — a message entering at ``pid`` at ``t0`` is
+not computed node by node (:meth:`GossipNetwork._summarise`).  A hop
+moves a frame at most ``H = ceil((base + jitter) · f / slot_s) + 1``
+slots past the slot its forwarder's instant rounds up to, ``f`` being
+the surge factor of ``t0``'s round (the ``+ 1`` absorbs rounding at a
+slot's edge), so the flood's last first arrival is no later than
+``done = (ceil(t0 / slot_s) + ecc · H) · slot_s``, ``ecc`` being
+``pid``'s eccentricity over the overlay (a BFS the first time a flood
+enters there).  If
+``done`` is in ``t0``'s round, and that round is no more than the
+horizon past the message's, every instant of the flood is in one round
+with one surge factor and none is stale: ``pid`` holds the message at
+once, and while the clock is before the earliest second arrival,
+``ceil((t0 + base · f) / slot_s) · slot_s``, nothing else has arrived.
+A catch-up at or past ``done`` files every other node's first arrival
+in one step; one before it, past the earliest second arrival, first
+has ``pid`` offer the message on at ``t0``, as the flood computed node
+by node did then, and the heap takes it from there.  So does a frame
+or publish of the message reaching another node meanwhile, and a
+node's stop.  Either way, what a catch-up files — ``held``,
+``delivered``, ``stale_dropped`` — is bit for bit what the flood
+computed node by node files; at one shard with no ``fate`` nothing
+else reads its instants.  A flood entering a surged round whose hops
+outlast the round, and every flood of a shard with neighbours in other
+processes or under an attack script, is computed node by node.
+
 Two more rules match the frame-by-frame flood at its edges:
 
 * a **stopped** node (:meth:`GossipNode.stop`) neither receives nor
@@ -100,7 +128,7 @@ import math
 import random
 from collections.abc import Callable, Mapping, Sequence
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.net.transport import WORD, Transport, draw_key
 from repro.sleepy.horizon import RoundBuckets
@@ -207,14 +235,33 @@ class Arrivals:
     (:meth:`~repro.net.transport.LinkLatencyModel.draw`), computed once
     per message per shard, when it enters, and ``None`` once the seen
     index has forgotten the message: a frame pending then is stale.
+    :attr:`summary` is the message's flood while it is filed whole and
+    not yet settled (:meth:`GossipNetwork._summarise`), else ``None``.
     """
 
-    __slots__ = ("held", "best", "drawn")
+    __slots__ = ("held", "best", "drawn", "summary")
 
     def __init__(self, drawn: bytes) -> None:
         self.held = 0
         self.best: dict[int, float] = {}
         self.drawn: bytes | None = drawn
+        self.summary: Summary | None = None
+
+
+class Summary(NamedTuple):
+    """A flood filed whole, until it is settled or computed node by node
+    (:meth:`GossipNetwork._summarise`)."""
+
+    #: No first arrival of the flood is later than this instant.
+    done: float
+    #: The node it entered at, and when.
+    entry: int
+    t0: float
+    #: The surge factor of ``t0``'s round.
+    factor: float
+    message: Message
+    #: The message's link draws.
+    drawn: bytes
 
 
 class SeenIndex:
@@ -281,6 +328,7 @@ class GossipNode:
 
     def stop(self) -> None:
         """Stop receiving and relaying: frames still in flight to this node are held."""
+        self._network._expand_summaries()
         self._network.stopped.add(self.pid)
         self._network.transport.unsubscribe(self.pid)
 
@@ -310,7 +358,10 @@ class GossipNode:
         # The frame is pending at its instant, now, behind every computed
         # frame due before it: one catch-up settles them in order.
         pid, now = self.pid, network.clock.now()
-        if not network._reach(pid, -1 if src is None else src, now, arrivals, message):
+        # A flood filed whole has its entry settled already.
+        whole = first and network._summarise(pid, now, arrivals, message)
+        came_from = -1 if src is None else src
+        if not whole and not network._reach(pid, came_from, now, arrivals, message):
             self.stats["duplicates"] += 1  # a computed frame reaches it no later
         network.catch_up()
         if first:
@@ -359,22 +410,30 @@ class GossipNetwork:
         links = transport.links
         links.enumerate(topology)
         hosted = transport.hosted
+        #: The hop law's constants: base latency, a draw word's scale and
+        #: the slot width.
+        self._hop = (links.base, links.jitter / 2**32, transport.slot_s)
         #: Hosted pid -> ``(neighbour, offset of the link's word in a
-        #: draw)`` of each neighbour it hosts, and of each one another
-        #: process hosts (pids with any).
-        self._links: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._remote_links: dict[int, tuple[tuple[int, int], ...]] = {}
+        #: draw, whether another process hosts the neighbour)`` of each
+        #: neighbour, the hosted ones first.
+        self._links: dict[int, tuple[tuple[int, int, bool], ...]] = {}
         for pid, peers in sorted(topology.items()):
             if pid in hosted:
-                out = [(peer, 4 * links.edges[(pid, peer)]) for peer in peers]
-                self._links[pid] = tuple(link for link in out if link[0] in hosted)
-                remote = tuple(link for link in out if link[0] not in hosted)
-                if remote:
-                    self._remote_links[pid] = remote
+                out = [(peer, 4 * links.edges[(pid, peer)], peer not in hosted) for peer in peers]
+                self._links[pid] = tuple(sorted(out, key=lambda link: link[2]))
         #: Computed frames not yet reached by the clock, as a heap of
         #: ``(instant, order, pid, source, arrivals, message)``.
         self._pending: list[tuple] = []
         self._order = itertools.count()
+        #: Floods filed whole and not yet settled, as a heap of
+        #: ``(earliest second arrival, order, arrivals)``.
+        self._summaries: list[tuple] = []
+        #: Hosted pid -> its eccentricity over the overlay (−1: some pid is
+        #: out of its reach), computed when a flood first enters there.
+        self._eccentricity: dict[int, int] = {}
+        self._everyone = sum(1 << pid for pid in self._links)
+        #: Floods filed whole (module docstring).
+        self.summarised = 0
         #: Where frames from other processes enter, the flood must catch
         #: up as its frames fall due: the wheel slots armed to (``None``:
         #: no frame enters, so a reader of the clock catches up for itself).
@@ -389,6 +448,8 @@ class GossipNetwork:
     ) -> bool:
         """A frame from ``came_from`` reaches hosted ``pid`` at ``t``:
         pending, unless ``pid`` is already reached no later."""
+        if arrivals.summary is not None:
+            self._expand(arrivals)
         best = arrivals.best
         if t >= best.get(pid, math.inf) or pid in self.stopped:
             return False
@@ -405,32 +466,40 @@ class GossipNetwork:
         loop instant caught up to.
 
         A frame that is its pid's earliest files the pid's first arrival
-        (module docstring) and offers the message on, under the hop law,
-        to the pid's neighbours: a neighbour this shard hosts is reached
-        by a pending frame, one another process hosts by a frame parked
-        on the fabric now.  Whoever reads the clock for the shard calls
-        this first: a publish or a frame reaching a node, the shard's
-        round loop before a round's deliveries and receive phases, and,
-        where frames from other processes enter, the wheel when the
-        earliest pending frame falls due (:meth:`_arm`), so that a
-        forward leaves at its forwarder's instant.
+        (module docstring) and offers the message on (:meth:`_offer`).
+        A flood filed whole is settled at once if the clock has passed
+        its bound, and computed node by node from its entry if the clock
+        is inside it.  Whoever reads the clock for the shard calls this
+        first: a publish or a frame reaching a node, the shard's round
+        loop before a round's deliveries and receive phases, and, where
+        frames from other processes enter, the wheel when the earliest
+        pending frame falls due (:meth:`_arm`), so that a forward leaves
+        at its forwarder's instant.
         """
         now = self.clock.now()
+        summaries = self._summaries
+        while summaries and summaries[0][0] <= now:
+            arrivals = heappop(summaries)[2]
+            summary = arrivals.summary
+            if summary is None:
+                continue  # expanded already
+            if now < summary.done or arrivals.drawn is None:
+                self._expand(arrivals)
+                continue
+            arrivals.summary = None
+            arrivals.held = self._everyone
+            for pid, stats in self._stats.items():
+                if pid != summary.entry:
+                    stats["delivered"] += 1
+            self.summarised += 1
         pending = self._pending
         if not pending or pending[0][0] > now:
             self._arm()
             return now
         clock, factors, stats = self.clock, self._factors, self._stats
-        round_at = clock.round_at
         # ``round_at`` inlined: ``floor((t - origin) / round_s + edge)``.
         origin, round_s, edge = clock.origin, clock.round_s, clock.edge_tolerance
-        fate, links, remote = self._fate, self._links, self._remote_links
-        stopped, order = self.stopped, self._order.__next__
-        transport, horizon = self.transport, self.seen.horizon
-        slot_s, park = transport.slot_s, transport.park
-        base, scale = transport.links.base, transport.links.jitter / 2**32
-        word = WORD.unpack_from
-        ceil, floor, inf = math.ceil, math.floor, math.inf
+        horizon, offer, floor = self.seen.horizon, self._offer, math.floor
         while pending and pending[0][0] <= now:
             t, _, pid, came_from, arrivals, message = heappop(pending)
             best = arrivals.best
@@ -444,48 +513,122 @@ class GossipNetwork:
                 stats[pid]["stale_dropped"] += 1
                 continue
             del best[pid]
-            held = arrivals.held = arrivals.held | 1 << pid
+            arrivals.held |= 1 << pid
             stats[pid]["delivered"] += 1
-            factor = factors.get(r) or self._factor(r)
-            for peer, at_word in links[pid]:
-                sent, surge = t, factor
-                if fate is not None and peer != came_from:
-                    # Full flooding offers every link but the source's:
-                    # the proxy audits the offer, held peer or not.
-                    sent = fate(pid, peer, t, message)
-                    if sent is None:
-                        continue
-                    if sent != t:
-                        surge = self._factor(round_at(sent))
-                if held >> peer & 1:
-                    continue  # holds it already (where it came from, too)
-                delay = base + word(drawn, at_word)[0] * scale
-                slot = ceil((sent + delay * surge) / slot_s)
-                at = slot * slot_s
-                if at < best.get(peer, inf) and peer not in stopped:
-                    best[peer] = at
-                    heappush(pending, (at, order(), peer, pid, arrivals, message))
+            offer(pid, came_from, t, factors.get(r) or self._factor(r), arrivals, message, drawn)
             if not best:
                 arrivals.best = {}  # a dict keeps the table it grew
-            if pid not in remote:
-                continue
-            frames = []
-            for peer, at_word in remote[pid]:
-                if peer == came_from:
-                    continue
-                sent, surge = t, factor
-                if fate is not None:
-                    sent = fate(pid, peer, t, message)
-                    if sent is None:
-                        continue
-                    if sent != t:
-                        surge = self._factor(round_at(sent))
-                delay = base + word(drawn, at_word)[0] * scale
-                frames.append((peer, ceil((sent + delay * surge) / slot_s)))
-            if frames:
-                park(pid, message, frames)
         self._arm()
         return now
+
+    def _offer(
+        self,
+        pid: int,
+        came_from: int,
+        t: float,
+        factor: float,
+        arrivals: Arrivals,
+        message: Message,
+        drawn: bytes,
+    ) -> None:
+        """``pid``, first holding ``message`` at ``t`` (from ``came_from``),
+        offers it to its neighbours under the hop law, ``factor`` being
+        the surge of the round holding ``t``: a neighbour this shard
+        hosts is reached by a pending frame, one another process hosts
+        by a frame parked on the fabric now."""
+        fate, best, held = self._fate, arrivals.best, arrivals.held
+        base, scale, slot_s = self._hop
+        stopped, pending = self.stopped, self._pending
+        word, ceil = WORD.unpack_from, math.ceil
+        frames = []
+        for peer, at_word, remote in self._links[pid]:
+            if peer == came_from:
+                continue  # where the message came from
+            sent, surge = t, factor
+            if fate is not None:
+                # Full flooding offers every link but the source's: the
+                # proxy audits the offer, held peer or not.
+                sent = fate(pid, peer, t, message)
+                if sent is None:
+                    continue
+                if sent != t:
+                    surge = self._factor(self.clock.round_at(sent))
+            if held >> peer & 1:
+                continue  # holds it already
+            slot = ceil((sent + (base + word(drawn, at_word)[0] * scale) * surge) / slot_s)
+            if remote:
+                frames.append((peer, slot))
+                continue
+            at = slot * slot_s
+            if at < best.get(peer, math.inf) and peer not in stopped:
+                best[peer] = at
+                heappush(pending, (at, next(self._order), peer, pid, arrivals, message))
+        if frames:
+            self.transport.park(pid, message, frames)
+
+    def _summarise(self, pid: int, t0: float, arrivals: Arrivals, message: Message) -> bool:
+        """File ``message``'s flood, entering the shard at ``pid`` at
+        ``t0``, whole if its bound allows (module docstring): ``pid``
+        holds it now and every other node once the clock passes the
+        bound.  Whether it was."""
+        if self._fate is not None or self._armed is not None or self.stopped:
+            return False
+        clock = self.clock
+        r = clock.round_at(t0)
+        if r > message.round + self.seen.horizon:
+            return False
+        base, _, slot_s = self._hop
+        factor = self._factor(r)
+        first = math.ceil((t0 + base * factor) / slot_s) * slot_s
+        hops = self._eccentricity.get(pid)
+        if hops is None:
+            hops = self._eccentricity[pid] = self._hops_to_everyone(pid)
+        if first <= t0 or hops < 0:
+            return False
+        if hops == 0:
+            self.summarised += 1  # nobody else to reach
+        else:
+            hop = math.ceil((base + self.transport.links.jitter) * factor / slot_s) + 1
+            done = (math.ceil(t0 / slot_s) + hops * hop) * slot_s
+            if clock.round_at(done) != r:
+                return False
+            arrivals.summary = Summary(done, pid, t0, factor, message, arrivals.drawn)
+            heappush(self._summaries, (first, next(self._order), arrivals))
+        arrivals.held |= 1 << pid
+        self._stats[pid]["delivered"] += 1
+        return True
+
+    def _expand(self, arrivals: Arrivals) -> None:
+        """Compute a flood filed whole node by node from here on: its
+        entry offers the message on at its entry instant, as the flood
+        computed node by node did then."""
+        summary, arrivals.summary = arrivals.summary, None
+        self._offer(
+            summary.entry, -1, summary.t0, summary.factor, arrivals, summary.message, summary.drawn
+        )
+
+    def _expand_summaries(self) -> None:
+        """Compute every flood filed whole node by node from here on."""
+        summaries = self._summaries
+        while summaries:
+            arrivals = heappop(summaries)[2]
+            if arrivals.summary is not None:
+                self._expand(arrivals)
+
+    def _hops_to_everyone(self, pid: int) -> int:
+        """``pid``'s eccentricity in hops over an overlay this shard hosts
+        whole, or −1 if some pid is out of its reach."""
+        reached, frontier, hops = {pid}, [pid], 0
+        while True:
+            nearer, frontier = frontier, []
+            for node in nearer:
+                for peer, _, _ in self._links[node]:
+                    if peer not in reached:
+                        reached.add(peer)
+                        frontier.append(peer)
+            if not frontier:
+                return hops if len(reached) == len(self._links) else -1
+            hops += 1
 
     def _arm(self) -> None:
         """Where frames from other processes enter, have the wheel catch
@@ -512,11 +655,13 @@ class GossipNetwork:
 
     def stats_totals(self) -> dict[str, int]:
         """Summed per-node dissemination counters, the shard's live seen
-        keys and the link-draw digests its fabric computed."""
+        keys, the link-draw digests its fabric computed and the floods
+        it filed whole."""
         totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         for node in self.nodes.values():
             for key in totals:
                 totals[key] += node.stats[key]
         totals["seen_entries"] = len(self.seen)
         totals["draw_digests"] = self.transport.links.digests
+        totals["summarised"] = self.summarised
         return totals

@@ -99,7 +99,11 @@ def tap_arrivals(network, record) -> None:
     reached them (:meth:`~repro.net.gossip.GossipNetwork.catch_up`) and
     keeps only whom they reached; the tap catches the network up one
     instant at a time, so that what each step settles arrived at that
-    instant.  The nodes' own accounting is untouched.
+    instant.  A flood the network filed whole is one the tap must look
+    inside: it steps to the flood's earliest second arrival, which has
+    the network compute it node by node from there (the entry node,
+    holding the message from its entry on, is filed at its entry).  The
+    nodes' own accounting is untouched.
     """
     index = network.seen.arrivals
     messages: dict = {}
@@ -113,24 +117,41 @@ def tap_arrivals(network, record) -> None:
         node._ingest = tapped_ingest
         network.transport.unsubscribe(node.pid)
         network.transport.subscribe(node.pid, tapped_ingest)
-    catch_up, clock, pending = network.catch_up, network.clock, network._pending
+    catch_up, clock = network.catch_up, network.clock
+    pending, summaries = network._pending, network._summaries
+    #: key -> ``(arrivals, held bits)`` as of the last look.
+    looked: dict = {}
+
+    def newly_held():
+        new = []
+        for key, arrivals in index.items():
+            known, bits = looked.get(key, (None, 0))
+            fresh = arrivals.held & ~bits if known is arrivals else arrivals.held
+            looked[key] = (arrivals, arrivals.held)
+            new += [(pid, key) for pid in range(fresh.bit_length()) if fresh >> pid & 1]
+        return new
 
     def tapped_catch_up():
         now = clock.now()
-        while pending and pending[0][0] <= now:
-            at = pending[0][0]
-            held = {key: arrivals.held for key, arrivals in index.items()}
+        # Only a flood filed whole sets a bit outside a catch-up: its
+        # entry's, at the instant it entered, which is now.
+        entered = newly_held()
+        while True:
+            due = [heap[0][0] for heap in (pending, summaries) if heap and heap[0][0] <= now]
+            if entered and (not due or min(due) >= now):
+                for pid, key in entered:
+                    record(pid, messages[key], now)
+                entered = []
+            if not due:
+                return now
+            at = min(due)
             network.clock = _StoppedAt(clock, at)
             try:
                 catch_up()
             finally:
                 network.clock = clock
-            for key, arrivals in index.items():
-                new = arrivals.held & ~held.get(key, 0)
-                for pid in range(new.bit_length()):
-                    if new >> pid & 1:
-                        record(pid, messages[key], at)
-        return now
+            for pid, key in newly_held():
+                record(pid, messages[key], at)
 
     network.catch_up = tapped_catch_up
 

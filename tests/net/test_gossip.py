@@ -367,23 +367,22 @@ _FLOOD_REGISTRY = KeyRegistry(FLOOD_N, run_seed=0)
 FLOOD_PUBLISHES = ((0, 0.0011, 0, 0), (1, 0.0013, 5, 1), (3, 0.0021, 9, 3), (3, 0.0151, 2, 3))
 
 
-def _flood_round_at(t: float) -> int:
-    clock = RoundClock(FLOOD_DELTA_S)
+def _flood_clock(delta_s: float = FLOOD_DELTA_S) -> RoundClock:
+    clock = RoundClock(delta_s)
     clock.start_at(FLOOD_ORIGIN)
-    return clock.round_at(t)
+    return clock
 
 
-def _flood_publishes():
+def _flood_publishes(publishes=FLOOD_PUBLISHES, delta_s=FLOOD_DELTA_S):
     """``[(instant, pid, message)]`` of the flood's publishes, in time order."""
-    clock = RoundClock(FLOOD_DELTA_S)
-    clock.start_at(FLOOD_ORIGIN)
+    clock = _flood_clock(delta_s)
     return [
         (
             clock.instant(r) + offset,
             pid,
             make_vote(_FLOOD_REGISTRY, _FLOOD_REGISTRY.secret_key(pid), message_round, None),
         )
-        for r, offset, pid, message_round in FLOOD_PUBLISHES
+        for r, offset, pid, message_round in publishes
     ]
 
 
@@ -418,7 +417,7 @@ FLOOD_CASES = {
 }
 
 
-def _reference_flood(surge_factor, script, stopped):
+def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publishes=None):
     """Full flooding, frame by frame, from the same stateless draws.
 
     Every first arrival at a live node offers the message to every
@@ -426,26 +425,32 @@ def _reference_flood(surge_factor, script, stopped):
     ``fate`` when there is one; frames park in slots and a slot's frames
     are processed in the order they were offered.  An arrival in a round
     whose seen floor is above the message's round is no arrival.
+    ``stopped`` holds the pids stopped from the start, or maps each
+    stopped pid to the instant it stops at.  Rounds are ``3 · delta_s``
+    long, and ``publishes`` defaults to :func:`_flood_publishes`'s.
     Returns ``{content key: {pid: first-arrival instant}}``.
     """
+    round_at = _flood_clock(delta_s).round_at
+    stops = stopped if isinstance(stopped, dict) else dict.fromkeys(stopped, -math.inf)
     fabric = SimTransport(FLOOD_N, slot_s=SLOT_S, **FLOOD_MODEL)
     model = fabric.links
     model.enumerate(FLOOD_TOPOLOGY)
     fate = None
     if script is not None:
-        clock = RoundClock(FLOOD_DELTA_S)
-        clock.start_at(FLOOD_ORIGIN)
         fate = ProxyTransport(
-            fabric, script.timeline(), clock=clock, base_latency_s=FLOOD_MODEL["base_latency_s"]
+            fabric,
+            script.timeline(),
+            clock=_flood_clock(delta_s),
+            base_latency_s=FLOOD_MODEL["base_latency_s"],
         ).fate
     slots: dict[int, list] = {}
     first: dict[tuple, dict[int, float]] = {}
 
     def arrive(at, dst, src, message):
         key = message.content_key
-        if dst in stopped or dst in first.setdefault(key, {}):
+        if at >= stops.get(dst, math.inf) or dst in first.setdefault(key, {}):
             return
-        if _flood_round_at(at) > message.round + FLOOD_HORIZON:
+        if round_at(at) > message.round + FLOOD_HORIZON:
             return
         first[key][dst] = at
         draws = model.delays(model.draw(draw_key(message)))
@@ -455,11 +460,11 @@ def _reference_flood(surge_factor, script, stopped):
             sent = at if fate is None else fate(dst, peer, at, message)
             if sent is None:
                 continue
-            scale = surge_factor(_flood_round_at(sent))
+            scale = surge_factor(round_at(sent))
             slot = math.ceil((sent + draws[model.edges[(dst, peer)]] * scale) / SLOT_S)
             slots.setdefault(slot, []).append((peer, dst, message))
 
-    publishes = _flood_publishes()
+    publishes = publishes if publishes is not None else _flood_publishes()
     while publishes or slots:
         slot = min(slots, default=None)
         if publishes and (slot is None or publishes[0][0] < slot * SLOT_S):
@@ -566,6 +571,117 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
         assert one_audit["delayed"] > 0
         # Redundant paths route around the lost frames.
         assert reached == [FLOOD_N] * len(FLOOD_PUBLISHES)
+
+
+#: δ = 40 ms, so Δ = 120 ms: a calm flood (hops of at most 12.5 ms) ends
+#: well inside the round it enters, while a hop of round 1 or 2's surge
+#: (× 6) takes longer than a round.
+SUMMARY_DELTA_S = 0.04
+#: A calm round; a surged one; a calm round in which the second publish
+#: falls inside the first one's flood; a publish that another node
+#: publishes again inside its flood (:data:`SUMMARY_REPUBLISH`); a
+#: publish whose flood a node's stop falls inside.
+SUMMARY_PUBLISHES = (
+    (0, 0.0011, 0, 0),
+    (1, 0.0013, 5, 1),
+    (3, 0.0021, 9, 3),
+    (3, 0.0151, 2, 3),
+    (4, 0.0011, 6, 4),
+    (5, 0.0011, 4, 5),
+)
+#: Round 4's message is published again at pid 8, 2 ms after it entered.
+SUMMARY_REPUBLISH = (0.002, 8)
+#: The node stopped in round 5, 1 ms after its publish, before that
+#: flood's second arrival.
+SUMMARY_STOP_OFFSET = 0.0021
+
+
+def test_a_flood_filed_whole_shows_every_reader_what_full_flooding_files():
+    """One shard read at round starts and receive instants, as a
+    deployment's round loop reads it, and after each publish and the
+    stop, against full flooding frame by frame: at each of those
+    instants every node holds what the twin has reached it by then and
+    has counted as many first arrivals.  The calm floods are filed
+    whole; the surged one is computed node by node; a publish inside a
+    flood filed whole, a second entry of its message and a stop inside
+    it have it computed node by node from its entry."""
+    clock = _flood_clock(SUMMARY_DELTA_S)
+    publishes = _flood_publishes(SUMMARY_PUBLISHES, SUMMARY_DELTA_S)
+    keys = [message.content_key for _, _, message in publishes]
+    stop_round, _, entry, _ = SUMMARY_PUBLISHES[5]
+    stopped = min(set(range(FLOOD_N)) - {entry, *FLOOD_TOPOLOGY[entry]})
+    stop_at = clock.instant(stop_round) + SUMMARY_STOP_OFFSET
+    after, again = SUMMARY_REPUBLISH
+    at, _, message = publishes[4]
+    publishes.insert(5, (at + after, again, message))
+    predicted = _reference_flood(
+        _surge_rounds_1_to_2,
+        None,
+        {stopped: stop_at},
+        delta_s=SUMMARY_DELTA_S,
+        publishes=list(publishes),
+    )
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        fabric = SimTransport(FLOOD_N, slot_s=SLOT_S, **FLOOD_MODEL)
+        network = _network(
+            fabric,
+            FLOOD_TOPOLOGY,
+            _flood_clock(SUMMARY_DELTA_S),
+            FLOOD_HORIZON,
+            surge_factor=_surge_rounds_1_to_2,
+        )
+        index = network.seen.arrivals
+        readings = []
+
+        def read():
+            at = network.catch_up()
+            held = {key: index[key].held for key in keys if key in index}
+            delivered = {pid: node.stats["delivered"] for pid, node in network.nodes.items()}
+            readings.append((at, held, delivered, network.summarised))
+
+        def publish(pid, message):
+            network.nodes[pid].publish(message)
+            read()
+
+        def stop():
+            # Round 5's flood is filed whole and still pending.
+            assert index[keys[5]].summary is not None
+            network.nodes[stopped].stop()
+            read()
+
+        for at, pid, message in publishes:
+            loop.call_at(at, publish, pid, message)
+        loop.call_at(stop_at, stop)
+        for r in range(7):
+            loop.call_at(clock.instant(r), read)
+            loop.call_at(clock.instant(r) + 0.9 * clock.round_s, read)
+        await asyncio.sleep(clock.instant(7))
+        return readings, network.stats_totals()
+
+    readings, totals = run_virtual(scenario())
+    for at, held, delivered, _ in readings:
+        expected_held = {
+            key: sum(1 << pid for pid, first in predicted[key].items() if first <= at)
+            for key in held
+        }
+        assert held == expected_held, at
+        expected_delivered = {
+            pid: sum(1 for key in keys if predicted[key].get(pid, math.inf) <= at)
+            for pid in range(FLOOD_N)
+        }
+        assert delivered == expected_delivered, at
+    # Round 0's flood is filed whole, and settled by its receive instant.
+    assert [summarised for *_, summarised in readings[:3]] == [0, 0, 1]
+    # Round 3's first flood is computed from its entry once the second
+    # publish falls inside it, which is filed whole; round 4's is
+    # computed from its entry at its second entry, round 5's at the stop.
+    assert totals["summarised"] == 2
+    assert totals["delivered"] == 6 * FLOOD_N - 1 and totals["stale_dropped"] == 0
+    assert len(predicted[keys[5]]) == FLOOD_N - 1
+    # The surged round's flood runs past the round it entered.
+    assert max(predicted[keys[1]].values()) > clock.instant(2)
 
 
 def test_through_drops_and_a_partition_supersession_changes_no_delivery():
@@ -775,3 +891,36 @@ def test_a_one_shard_deployment_arms_no_delivery_timer(seed, digest, monkeypatch
     assert gossip["delivered"] == 1856
     assert gossip["duplicates"] == 0
     assert gossip["draw_digests"] == 1856 // 8
+
+
+def test_a_one_shard_deployment_files_its_calm_floods_whole(monkeypatch):
+    """``summarised`` counts the floods a shard filed whole: in a
+    one-process deployment on a virtual clock, with one surge period,
+    every flood entering a calm round is filed whole and settled so,
+    and no flood entering a surged round is filed whole."""
+    conditions = NetworkConditions(periods=(AsyncPeriod(8, 2),))
+    spec = RunSpec(
+        n=8,
+        rounds=20,
+        eta=4,
+        seed=1,
+        conditions=conditions,
+        transactions=SubmissionRateWorkload(3, seed=1),
+    )
+    entered: dict[bool, set[int]] = {True: set(), False: set()}
+    summarise = GossipNetwork._summarise
+
+    def watched(network, pid, t0, arrivals, message):
+        whole = summarise(network, pid, t0, arrivals, message)
+        entered[whole].add(network.clock.round_at(t0))
+        return whole
+
+    monkeypatch.setattr(GossipNetwork, "_summarise", watched)
+    result = run_virtual(DeploymentBackend(processes=1, delta_s=0.04).execute_async(spec))
+    surged = {r for r in range(spec.rounds) if conditions.surge_factor(r) != 1.0}
+    sent = {r.round: r.votes_sent + r.proposes_sent + r.other_sent for r in result.trace.rounds}
+    gossip = result.extras["gossip"]
+    assert surged and entered[False] == surged
+    assert entered[True] == set(range(spec.rounds)) - surged
+    assert gossip["summarised"] == sum(sent[r] for r in entered[True])
+    assert gossip["draw_digests"] == sum(sent.values())

@@ -171,9 +171,12 @@ def test_one_worker_is_a_task_with_no_socket_and_no_timer():
 
 def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
     """A late start is not padded against: it is the loop's round-0
-    start lateness, merged into ``extras["histograms"]``."""
+    start lateness, merged into ``extras["histograms"]``.  A loaded host
+    may wake other phases late too, so only the injected lateness is
+    asserted exactly."""
     from repro.engine.deploy_backend import DeploymentBackend
     from repro.engine.spec import RunSpec
+    from repro.runtime.metrics import MetricsHub
 
     late_s = 0.05
     join = ControlChannel.join
@@ -183,15 +186,26 @@ def test_a_worker_that_reads_start_late_reports_it(monkeypatch):
         await asyncio.sleep(late_s)
         return joined
 
-    # Reaches worker 0 only: a spawned worker imports its own.
+    observed: list[float] = []
+    observe = MetricsHub.observe
+
+    def watched(self, name, value):
+        if name == "phase_lateness_s":
+            observed.append(value)
+        observe(self, name, value)
+
+    # Both reach worker 0 only: a spawned worker imports its own.
     monkeypatch.setattr(ControlChannel, "join", late_join)
+    monkeypatch.setattr(MetricsHub, "observe", watched)
     spec = RunSpec(n=4, rounds=4, protocol="resilient", eta=2, seed=0)
     result = DeploymentBackend(delta_s=0.05, processes=2).execute(spec)
+    margin_s = result.extras["lifecycle"]["margin_s"]
+    # Worker 0's round-0 start is the injected lateness.
+    assert late_s - margin_s <= observed[0] < late_s + 0.05
     lateness = result.extras["histograms"]["phase_lateness_s"]
-    assert late_s - result.extras["lifecycle"]["margin_s"] <= lateness["max"] < late_s + 0.05
-    # Only worker 0's round-0 start came late: one observation past 25.6 ms.
+    assert lateness["max"] >= late_s - margin_s
     buckets = lateness["buckets"]
-    assert sum(count for bound, count in buckets.items() if float(bound) > 0.0256) == 1
+    assert sum(count for bound, count in buckets.items() if float(bound) > 0.0256) >= 1
     assert result.trace.decisions
 
 
