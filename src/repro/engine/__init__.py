@@ -17,12 +17,12 @@ One protocol/adversary/schedule stack over both execution substrates:
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend`
   interface, :class:`EngineResult`, :func:`run_spec` (the one way to run
   a spec), and the model logic every backend shares (corruption
-  tracking, honest/adversary message checks, transaction arrival, trace
-  metadata).
+  tracking, honest/adversary message checks, trace metadata).
 * :mod:`repro.engine.ingest` — the shared message-ingestion pipeline
   (:class:`IngestPipeline`): run-wide cached verification, message
   interning, and per-delivery :class:`~repro.sleepy.messages.VerifiedBatch`
   sharing between receivers.
+* :mod:`repro.engine.round` — the one round step both substrates run.
 * :mod:`repro.engine.sim_backend` / :mod:`repro.engine.deploy_backend`
   — the two substrates.
 * :mod:`repro.engine.sweep` — the sweep harness: :class:`SweepSpec`

@@ -6,25 +6,22 @@ and produces an :class:`EngineResult` — a standard
 Two implementations exist: the deterministic round simulator
 (:mod:`repro.engine.sim_backend`) and the wall-clock asyncio deployment
 (:mod:`repro.engine.deploy_backend`).  Everything a backend must agree
-on — protocol construction, transaction arrival, corruption
-bookkeeping, trace metadata — lives here or in the registry, written
-once; both build their trace with one
-:class:`~repro.sleepy.trace.TraceRecorder`.
+on — protocol construction, corruption bookkeeping, message checks,
+trace metadata — lives here or in the registry, written once; both run
+one round step (:func:`~repro.engine.round.step`) and build their trace
+with one :class:`~repro.sleepy.trace.TraceRecorder`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.chain.transactions import Transaction
 from repro.engine.errors import ModelViolationError
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec, canonical_form
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.messages import Message
-from repro.sleepy.process import Process
 from repro.sleepy.trace import Trace
 
 
@@ -94,15 +91,6 @@ def base_meta(spec: RunSpec, **extra) -> dict:
     }
 
 
-def offer_transactions(process: Process, arrivals: Sequence[Transaction]) -> None:
-    """Deliver ``arrivals`` into one awake process's mempool (if it has one)."""
-    mempool = process.mempool
-    if mempool is None:
-        return
-    for tx in arrivals:
-        mempool.add(tx)
-
-
 class CorruptionTracker:
     """Adversary corruption bookkeeping, identical on every substrate.
 
@@ -112,7 +100,8 @@ class CorruptionTracker:
 
     def __init__(self, adversary: Adversary, ctx: AdversaryContext) -> None:
         self._adversary = adversary
-        self._ctx = ctx
+        #: What the adversary may see and sign with.
+        self.ctx = ctx
         self._prev: frozenset[int] = frozenset()
 
     def corrupted(self, round_number: int) -> frozenset[int]:
@@ -122,7 +111,7 @@ class CorruptionTracker:
             raise ModelViolationError("growing adversary shrank its corrupted set")
         self._prev = byz
         for pid in byz:
-            self._ctx.grant_key(pid)
+            self.ctx.grant_key(pid)
         return byz
 
     def peek(self, round_number: int) -> frozenset[int]:

@@ -26,15 +26,11 @@ Substrate differences (inherent, not incidental):
   ``processes > 1``; ``partition``, ``surge``, ``withhold``, ``corrupt``
   and ``sleep``/``wake`` run as written everywhere, and ``drop`` really
   loses frames.
-* **Corruption schedule.**  ``Adversary.byzantine`` is treated as a
-  schedule and resolved round by round before the run starts (it may
-  not depend on execution state — none of the model's adversaries do);
-  the adversary's ``send`` power runs live, in round, against the
-  omniscient block tree exactly as in the simulator.
 
-One runner, one phase loop per shard.  Every run is k shards, each a
-:class:`~repro.runtime.shard.ShardRuntime` stepped round by round by
-its own :meth:`~repro.runtime.shard.ShardRuntime.drive` under
+One runner, one round step.  Every run is k shards, each a
+:class:`~repro.runtime.shard.ShardRuntime` running the round step the
+simulator runs (:func:`~repro.engine.round.step`) on its clock
+(:meth:`~repro.runtime.shard.ShardRuntime.drive`) under
 :func:`~repro.runtime.worker.run_worker`, and sequenced by a
 :class:`~repro.runtime.coordinator.Coordinator`, whose payloads fold
 into one :class:`~repro.sleepy.trace.Trace` and one ``extras`` shape:
@@ -52,14 +48,13 @@ the ``phase_lateness_s`` histogram how late each phase woke).  Shard
 0's payload reaches the merge in memory; only the spawned ones are pickled.
 
 One trace recorder.  Each shard's
-:class:`~repro.sleepy.trace.TraceRecorder` records what the shard
-publishes, as the simulator's records what its bus accepts, and
+:class:`~repro.sleepy.trace.TraceRecorder` records every publish of the
+shard's round steps, as the simulator's does, and
 :meth:`DeploymentBackend._assemble_trace` folds the k records into the
-trace, offering each block once.  The adversary's live ``send`` power
-runs in shard 0's phase loop, after the round's honest sends, when that
-shard holds every node, reading the canonical tree of that shard's one
-chain, which its recorder and its nodes' views share; the run's
-``extras["nodes"]`` are then that shard's nodes.
+trace, offering each block once.  The adversary's ``send`` runs live,
+in the round step, only where one shard holds every node, reading the
+canonical tree of that shard's one chain; the run's ``extras["nodes"]``
+are then that shard's nodes.
 
 Two fields configure a run: δ and the shard count.  Everything else is
 a fact of the code, the same in every shard: protocols resolve by name
@@ -84,7 +79,7 @@ from repro.engine.spec import RunSpec
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics, merge_samples
-from repro.runtime.shard import WorkerConfig, corruption_schedule, shard_pids
+from repro.runtime.shard import WorkerConfig, shard_pids
 from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.trace import Trace, TraceRecorder
 
@@ -204,10 +199,10 @@ class DeploymentBackend(ExecutionBackend):
             recorder.fold(record)
         schedule = spec.resolved_schedule()
         conditions = spec.resolved_conditions()
-        byz_by_round = corruption_schedule(spec)
+        adversary = spec.resolved_adversary()
         for r in range(spec.rounds):
             recorder.close_round(
-                r, schedule.awake(r), byz_by_round[r], conditions.is_asynchronous(r)
+                r, schedule.awake(r), adversary.byzantine(r), conditions.is_asynchronous(r)
             )
         trace = recorder.trace
         trace.decisions.sort(key=lambda d: (d.round, d.pid))

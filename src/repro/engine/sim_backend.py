@@ -1,16 +1,13 @@
-"""The deterministic round simulator as an execution backend."""
+"""The deterministic round simulator as an execution backend: one
+:meth:`~repro.sleepy.simulator.Simulation.run` call per round, each one
+pass of the round step both substrates share (:mod:`repro.engine.round`)."""
 
 from __future__ import annotations
 
 import time
 
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import (
-    EngineResult,
-    ExecutionBackend,
-    base_meta,
-    offer_transactions,
-)
+from repro.engine.backend import EngineResult, ExecutionBackend, base_meta
 from repro.engine.registry import PROTOCOLS
 from repro.engine.spec import RunSpec
 from repro.sleepy.simulator import Simulation
@@ -42,6 +39,7 @@ class SimulationBackend(ExecutionBackend):
             factory,
             meta=base_meta(spec, backend=self.name),
             eta=PROTOCOLS.effective_eta(spec.protocol, spec.eta),
+            arrivals=spec.arrivals,
         )
 
     # ------------------------------------------------------------------
@@ -61,17 +59,11 @@ class SimulationBackend(ExecutionBackend):
 
     @staticmethod
     def drive(simulation: Simulation, spec: RunSpec) -> None:
-        """Run ``spec.rounds`` rounds, feeding the transaction workload.
+        """Run ``spec.rounds`` rounds, one ``simulation.run(1)`` call each.
 
         :meth:`execute` calls it after :meth:`build`; code that steps a
-        simulation itself (tests poking at internals, benches running
-        round by round) calls the same pair, then reads
-        ``simulation.trace``, so every run shares one arrival logic.
+        simulation itself calls the same pair, then reads
+        ``simulation.trace``.
         """
-        for r in range(spec.rounds):
-            arrivals = spec.arrivals(r)
-            if arrivals:
-                awake = simulation.schedule.awake(r)
-                for pid in sorted(awake):
-                    offer_transactions(simulation.processes[pid], arrivals)
+        for _ in range(spec.rounds):
             simulation.run(1)

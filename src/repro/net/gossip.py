@@ -327,10 +327,14 @@ class GossipNode:
         self._ingest(None, message)
 
     def stop(self) -> None:
-        """Stop receiving and relaying: frames still in flight to this node are held."""
-        self._network._expand_summaries()
-        self._network.stopped.add(self.pid)
-        self._network.transport.unsubscribe(self.pid)
+        """Stop receiving and relaying: what is due by now still lands, and
+        frames still in flight to this node never do."""
+        network = self._network
+        if network._pending or network._summaries:
+            network.catch_up()
+        network._expand_summaries()
+        network.stopped.add(self.pid)
+        network.transport.unsubscribe(self.pid)
 
     def _ingest(self, src: int | None, message: object) -> None:
         """A frame from ``src`` (``None``: published here) reaches this node now."""
@@ -499,12 +503,12 @@ class GossipNetwork:
         clock, factors, stats = self.clock, self._factors, self._stats
         # ``round_at`` inlined: ``floor((t - origin) / round_s + edge)``.
         origin, round_s, edge = clock.origin, clock.round_s, clock.edge_tolerance
-        horizon, offer, floor = self.seen.horizon, self._offer, math.floor
+        horizon, offer, floor, stopped = self.seen.horizon, self._offer, math.floor, self.stopped
         while pending and pending[0][0] <= now:
             t, _, pid, came_from, arrivals, message = heappop(pending)
             best = arrivals.best
-            if best.get(pid) != t:
-                continue  # reached earlier
+            if best.get(pid) != t or pid in stopped:
+                continue  # reached earlier, or stopped since it was computed
             drawn = arrivals.drawn
             r = floor((t - origin) / round_s + edge)
             if drawn is None or r > message.round + horizon:

@@ -5,8 +5,8 @@
 * :mod:`repro.runtime.delivery` — a shard's receive side: one
   message bus its nodes read with a cursor each.
 * :mod:`repro.runtime.shard` — :class:`ShardRuntime`, the one node
-  assembly every deployment substrate runs (one phase loop steps its
-  nodes round by round) and the one sample it reports.
+  assembly every deployment substrate runs (the round step on its
+  clock) and the one sample it reports.
 * :mod:`repro.runtime.coordinator` — :class:`Coordinator` and
   :class:`ControlChannel`, the two ends of the control handshake.
 * :mod:`repro.runtime.worker` — every deployment's one worker body

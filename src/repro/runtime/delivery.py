@@ -78,6 +78,11 @@ class ShardDelivery:
         #: pid -> its gossip node's first-arrival count at its last receive.
         self._arrivals_taken = dict.fromkeys(self._hosted, 0)
 
+    @property
+    def floor(self) -> int:
+        """The seen index's floor: no verdict below it is needed again."""
+        return self.seen.floor
+
     def admit(self, message: Message, key: tuple) -> None:
         """A message reached the shard: publish it, once (module docstring)."""
         bus = self.bus

@@ -1,10 +1,8 @@
-"""A deployed node: a TOB process driven by the round clock over gossip.
+"""A deployed node: a TOB process as a shard's round step runs it
+(:func:`~repro.engine.round.step`).
 
-Bridges the round-by-round protocol abstraction and the real-time
-substrate: at the beginning of each round the node runs the protocol's
-send phase and publishes the messages into the gossip overlay; late in
-the round (the receive phase) it hands the protocol everything pending
-for it in the shard's message bus that has reached it
+Its receive phase hands the protocol everything pending for it in the
+shard's message bus that has reached it
 (:meth:`~repro.runtime.delivery.ShardDelivery.take`).  Messages that
 arrive while the node is asleep stay pending on the bus and are
 delivered at its next awake receive phase, exactly like the
@@ -50,20 +48,12 @@ class DeployedNode:
 
     def run_send_phase(self, round_number: int) -> list[Message]:
         """Protocol send phase; returns the messages to publish."""
-        if not self.awake(round_number):
-            return []
         messages = list(self.process.send(round_number))
         self.decisions.extend(self.process.pop_decisions())
         return messages
 
     def run_receive_phase(self, round_number: int) -> int:
-        """Protocol receive phase; returns how many messages were ingested.
-
-        Receive phases belong to processes awake at the *end* of the
-        round (``O_{r+1}``).
-        """
-        if not self.awake(round_number + 1):
-            return 0
+        """Protocol receive phase; returns how many messages were ingested."""
         batch = self._delivery.take(self.pid, self._gossip_stats["delivered"])
         if batch:
             self.process.receive(round_number, batch)

@@ -15,8 +15,8 @@ shard runs under the one runner,
 the fabric it builds.  A shard is assembled as a simulation is, around
 one :class:`~repro.chain.shared.SharedChain`: its nodes read views of
 it, and its :class:`~repro.sleepy.trace.TraceRecorder` records into its
-tree what the shard publishes (:meth:`ShardRuntime.publish`), which is
-the shard's part of the trace; no node's view is read for it.  And as
+tree what the shard's round steps publish, which is the shard's part of
+the trace; no node's view is read for it.  And as
 a simulation's processes read one message bus, a shard's nodes read
 one too (:class:`~repro.runtime.delivery.ShardDelivery`), fed by what
 its gossip admits.
@@ -25,13 +25,13 @@ Everything a shard needs is a pure function of the picklable
 :class:`WorkerConfig` (link draws, overlay topology and the corruption
 schedule are seeded from the spec), so any two shards agree on all
 shared randomness without communicating.  Every node reads one
-clock, the synchronized clocks of the paper's lock-step round, so one
-loop steps a round's phases for every node of the shard
-(:meth:`ShardRuntime.drive`): the send phases at ``clock.start_of(r)``
-in pid order, then the adversary's when the shard holds every node, and
-the receive phases at ``RECEIVE_FRACTION`` of the round.  The shard's
-:class:`~repro.runtime.clock.RoundClock` is its only clock: the flood
-reads each round's surge factor and attack phase off it for the
+clock, the synchronized clocks of the paper's lock-step round, so the
+shard runs each round as the simulator does, with the one round step
+(:func:`~repro.engine.round.step`; the adversary's ``send`` only when
+the shard holds every node), waking at ``clock.start_of(r)`` and again
+at ``RECEIVE_FRACTION`` of the round (:meth:`ShardRuntime.drive`).  The
+shard's :class:`~repro.runtime.clock.RoundClock` is its only clock: the
+flood reads each round's surge factor and attack phase off it for the
 instants it computes, and the loop enters each round's phase into the
 attack proxy as it wakes for it.
 """
@@ -47,9 +47,10 @@ from typing import Callable
 from repro.attacks.adversary import ScriptedAdversary
 from repro.chain.shared import SharedChain
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import CorruptionTracker, check_adversary_message, offer_transactions
+from repro.engine.backend import CorruptionTracker
 from repro.engine.ingest import IngestPipeline
 from repro.engine.registry import PROTOCOLS
+from repro.engine.round import step
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, SeenIndex, regular_topology
 from repro.net.proxy_transport import ProxyTransport
@@ -80,18 +81,6 @@ def shard_pids(n: int, processes: int) -> tuple[tuple[int, ...], ...]:
         shards.append(tuple(range(start, start + size)))
         start += size
     return tuple(shards)
-
-
-def corruption_schedule(spec: RunSpec) -> dict[int, frozenset[int]]:
-    """``B_r`` for every round, resolved before the run starts.
-
-    ``Adversary.byzantine`` is a schedule (it may not depend on
-    execution state — none of the model's adversaries do), so every
-    shard and the coordinator resolve the same sets without
-    communicating.
-    """
-    adversary = spec.resolved_adversary()
-    return {r: adversary.byzantine(r) for r in range(spec.rounds + 1)}
 
 
 def link_model(spec: RunSpec, delta_s: float) -> dict:
@@ -155,18 +144,27 @@ class ShardRuntime:
         spec = config.spec
         self.config = config
         self.transport = transport
-        self.byz_by_round = corruption_schedule(spec)
+        self.schedule = spec.resolved_schedule()
+        self.arrivals = spec.arrivals
         #: The shard's one interned chain (a simulation holds one per run);
         #: nodes of a marked factory read it through views.
         self.chain = SharedChain()
         self.record = TraceRecorder(spec.n, tree=self.chain.tree)
         self.registry = KeyRegistry(spec.n, run_seed=spec.seed)
+        # ``Adversary.byzantine`` is a schedule (none of the model's
+        # adversaries reads execution state), so every shard resolves
+        # ``B_r`` alike; its ``send`` runs only where the shard holds
+        # every node.
+        adversary = spec.resolved_adversary()
+        ctx = AdversaryContext(self.registry, self.chain.tree)
+        self.corruption = CorruptionTracker(adversary, ctx)
+        self.adversary = adversary if len(config.shard) == spec.n else None
         self.clock = RoundClock(config.delta_s)
         self.hub = MetricsHub()
         # A scripted adversary's delivery effects (partition/surge/drop)
         # are the proxy's ``fate``, asked by the flood for every link;
         # its corruption and send powers flow through
-        # :attr:`byz_by_round` and :meth:`publish`.
+        # :attr:`corruption` and :meth:`publish`.
         self.proxy: ProxyTransport | None = None
         if isinstance(spec.adversary, ScriptedAdversary):
             self.proxy = ProxyTransport(
@@ -176,7 +174,7 @@ class ShardRuntime:
                 base_latency_s=config.delta_s / 8,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
-        self.verifier = IngestPipeline(self.registry, batch_memo_capacity=_BATCH_MEMO_CAPACITY)
+        self.pipeline = IngestPipeline(self.registry, batch_memo_capacity=_BATCH_MEMO_CAPACITY)
         #: The shard's receive side: one bus over what its gossip admits,
         #: on the seen index's horizon.
         self.delivery = ShardDelivery(
@@ -196,90 +194,54 @@ class ShardRuntime:
         self.nodes = {
             pid: DeployedNode(
                 build_process(
-                    factory, pid, self.registry.secret_key(pid), self.verifier, self.chain
+                    factory, pid, self.registry.secret_key(pid), self.pipeline, self.chain
                 ),
-                schedule=spec.resolved_schedule(),
+                schedule=self.schedule,
                 delivery=self.delivery,
                 gossip_stats=self.network.nodes[pid].stats,
             )
             for pid in config.shard
         }
 
-    def publish(self, pid: int, r: int, message: Message) -> None:
-        """Originate ``message`` from local ``pid`` in round ``r``."""
+    def publish(self, message: Message) -> None:
+        """Originate ``message`` into the shard's gossip at its sender."""
         self.hub.inc("messages_published")
-        self.record.published(r, message)
-        self.network.nodes[pid].publish(message)
+        self.network.nodes[message.sender].publish(message)
 
     async def drive(self, report: Callable[[dict], Awaitable] | None = None) -> None:
-        """Step every node of the shard through every round, on one loop.
+        """Run every round's step (:func:`~repro.engine.round.step`) on
+        :attr:`clock`, which the caller starts first.
 
-        The caller starts :attr:`clock` first.  At ``clock.start_of(r)``,
-        before any send, the attack proxy, if any, enters the phase
-        holding in ``r``, the gossip flood catches up to the clock
-        (:meth:`~repro.net.gossip.GossipNetwork.catch_up`) and the
-        shard's delivery enters round ``r``
-        (:meth:`~repro.runtime.delivery.ShardDelivery.advance`): the
-        gossip seen index forgets keys older than
-        η + :data:`~repro.sleepy.horizon.SEEN_SLACK_ROUNDS`, each node
-        stops waiting for what it lacked of them, and the bus compacts
-        with the pids this shard does not host and ``B_r`` retired.  The
-        verifier forgets verdicts entered below the index's floor, and
-        the round's arrivals are fetched once; in pid order every awake
-        node takes them and every node outside ``B_r`` runs its send
-        phase.  When this shard holds every node the adversary's
-        ``send`` follows, over the recorder's tree, with keys handed
-        over and monotonicity enforced as in the simulator.  At
-        ``RECEIVE_FRACTION`` of the round the flood catches up again and
-        every node outside ``B_{r+1}`` runs its receive phase, taking
-        from the bus what has reached it by then — the caught-up ones one
-        shared tuple.  Corrupted nodes keep relaying gossip; nothing is
-        kept for them to receive.
-        :attr:`hub` observes how late each phase woke (``phase_lateness_s``)
-        and each decision's latency from its view's first round;
-        ``report`` is awaited with a fresh :meth:`sample` four times a second.
+        At ``clock.start_of(r)`` the attack proxy enters ``r``'s phase
+        and the flood catches up (:meth:`~repro.net.gossip.GossipNetwork.
+        catch_up`) before the step's sends; at ``RECEIVE_FRACTION`` of
+        the round it catches up again before the step's receive phases.
+        Corrupted nodes keep relaying gossip; nothing is kept for them to
+        receive.  :attr:`hub` observes how late each phase woke
+        (``phase_lateness_s``) and each decision's latency from its
+        view's first round; ``report`` is awaited with a fresh
+        :meth:`sample` four times a second.
         """
-        spec, clock, hub, proxy = self.config.spec, self.clock, self.hub, self.proxy
-        network = self.network
-        adversary = spec.resolved_adversary() if len(self.nodes) == spec.n else None
-        if adversary is not None:
-            ctx = AdversaryContext(self.registry, self.record.trace.tree)
-            tracker = CorruptionTracker(adversary, ctx)
+        clock, hub, proxy, network = self.clock, self.hub, self.proxy, self.network
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
-            for r in range(spec.rounds):
+            for r in range(self.config.spec.rounds):
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(clock.start_of(r)))
                 if proxy is not None:
                     proxy.enter_phase(proxy.timeline.state_at(r).index)
                 network.catch_up()
-                self.delivery.advance(r, self.byz_by_round[r])
-                self.verifier.interner.advance(r, self.delivery.seen.floor)
-                arrivals = spec.arrivals(r)
-                # ``nodes`` is keyed in ``config.shard`` order: pid order.
+                made = {pid: len(node.decisions) for pid, node in self.nodes.items()}
+                rounds = step(self, r)
+                next(rounds)
                 for pid, node in self.nodes.items():
-                    if node.awake(r):
-                        offer_transactions(node.process, arrivals)
-                    if pid in self.byz_by_round[r]:
-                        continue
-                    decisions_before = len(node.decisions)
-                    for message in node.run_send_phase(r):
-                        self.publish(pid, r, message)
-                    for decision in node.decisions[decisions_before:]:
+                    for decision in node.decisions[made[pid] :]:
                         hub.inc("decisions")
                         view_start = clock.start_of(first_round_of_view(decision.view))
                         hub.observe("decision_latency_s", max(clock.elapsed() - view_start, 0.0))
-                if adversary is not None:
-                    ctx.round = r
-                    byz = tracker.corrupted(r)
-                    for message in adversary.send(r, ctx):
-                        check_adversary_message(message, byz)
-                        self.publish(message.sender, r, message)
                 receive_at = clock.start_of(r) + RECEIVE_FRACTION * clock.round_s
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(receive_at))
                 network.catch_up()
-                for pid, node in self.nodes.items():
-                    if pid not in self.byz_by_round[r + 1]:
-                        node.run_receive_phase(r)
+                next(rounds, None)
             hub.inc("nodes_finished", len(self.nodes))
         finally:
             if reporter is not None:

@@ -7,7 +7,7 @@ pid (one worker, nothing remote), else its share of a
 :class:`~repro.net.socket_transport.SocketTransport` mesh whose remote
 sends cross real sockets to the workers owning the other shards.
 
-One runner, one phase loop per shard
+One runner, one round step per shard
 (:meth:`~repro.runtime.shard.ShardRuntime.drive`).  For every k,
 worker 0 runs :func:`run_worker` as a task on the coordinator's own
 event loop, over an in-memory control channel; workers 1..k−1 run it

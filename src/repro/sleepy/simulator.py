@@ -1,46 +1,34 @@
 """The round-by-round execution engine (paper §2.1, "Round structure").
 
-Each round ``r``:
-
-1. **Send phase** — every well-behaved process in ``H_r`` multicasts the
-   messages its protocol dictates; Byzantine processes multicast
-   whatever the adversary crafts.  All messages enter the
-   :class:`~repro.engine.bus.MessageBus` (the peer-to-peer dissemination
-   layer, which keeps messages alive even if the sender goes to sleep).
-2. **Receive phase** — every well-behaved process in ``H_{r+1}``
-   receives messages: in a synchronous round, *all* messages sent in
-   rounds ``≤ r`` it has not yet received (which realises queue-on-sleep
-   and catch-up-on-wake); in an asynchronous round, the subset chosen by
-   the adversary.
-
-The engine enforces the model's fine print: the adversary's delivery
-choice must be a subset of what is deliverable, corruption must be
-monotone for a growing adversary, Byzantine processes never sleep, and
-asleep processes are never consulted.
-
-A message is kept while it can still be delivered: each round starts by
-compacting the bus (:meth:`~repro.engine.bus.MessageBus.advance`) and
-releasing the verdicts of what it dropped.  ``eta`` is the protocol's
-expiration period, which sets how long the bus keeps a dedup key
-(:func:`~repro.sleepy.horizon.seen_horizon`).
-
-This module is the simulator half of the unified execution engine; the
-shared pieces (message bus, corruption tracking) live in
-:mod:`repro.engine`, and the trace is recorded by the same
-:class:`~repro.sleepy.trace.TraceRecorder` each deployment shard feeds:
-every message the bus accepts is recorded into its round, and each round
-is closed once its receive phase is done.
+A simulation runs the round step both substrates share
+(:func:`~repro.engine.round.step`) without waiting between its sends
+and its receive phases.  Its dissemination layer is one
+:class:`~repro.engine.bus.MessageBus`, which keeps messages alive even
+if the sender goes to sleep; a receiver takes from it, in a synchronous
+round, *all* messages sent in rounds ``≤ r`` it has not yet received
+(queue-on-sleep and catch-up-on-wake) and in an asynchronous round the
+subset the adversary chooses, which must be deliverable.  Each round
+starts by compacting the bus and releasing the verdicts of what it
+dropped; ``eta``, the protocol's expiration period, sets how long the
+bus keeps a dedup key (:func:`~repro.sleepy.horizon.seen_horizon`).
+The trace is recorded by the same :class:`~repro.sleepy.trace.
+TraceRecorder` each deployment shard feeds, and each round is closed
+once its receive phases are done.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 from repro.chain.shared import SharedChain
+from repro.chain.transactions import Transaction
 from repro.crypto.signatures import KeyRegistry
-from repro.engine.backend import CorruptionTracker, check_adversary_message, check_honest_message
+from repro.engine.backend import CorruptionTracker
 from repro.engine.bus import MessageBus
 from repro.engine.conditions import NetworkConditions
 from repro.engine.errors import ModelViolationError, UndeliverableMessageError
 from repro.engine.ingest import IngestPipeline
+from repro.engine.round import step
 from repro.sleepy.adversary import Adversary, AdversaryContext
 from repro.sleepy.horizon import seen_horizon
 from repro.sleepy.messages import Message
@@ -52,7 +40,11 @@ __all__ = ["ModelViolationError", "ProcessFactory", "Simulation"]
 
 
 class Simulation:
-    """Drives one execution of a protocol in the sleepy round model."""
+    """Drives one execution of a protocol in the sleepy round model.
+
+    ``arrivals(r)`` are the transactions due at the start of round ``r``
+    (:meth:`~repro.engine.spec.RunSpec.arrivals`); none by default.
+    """
 
     def __init__(
         self,
@@ -63,6 +55,7 @@ class Simulation:
         process_factory: ProcessFactory,
         meta: dict | None = None,
         eta: int = 0,
+        arrivals: Callable[[int], Sequence[Transaction]] = lambda _round: (),
     ) -> None:
         if schedule.n != registry.n:
             raise ValueError("schedule and registry disagree on the number of processes")
@@ -70,6 +63,7 @@ class Simulation:
         self.schedule = schedule
         self.adversary = adversary
         self.conditions = conditions
+        self.arrivals = arrivals
         #: The run-shared ingest pipeline every process verifies through.
         self.pipeline = IngestPipeline(registry)
 
@@ -80,10 +74,17 @@ class Simulation:
         #: private copy — one tree per run, not n + 1.
         self.chain = SharedChain()
         #: Records the trace as the run goes, into the canonical tree.
-        self.recorder = TraceRecorder(registry.n, tree=self.chain.tree, meta=meta)
-        self.trace: Trace = self.recorder.trace
-        self._ctx = AdversaryContext(registry, self.chain.tree)
-        self._corruption = CorruptionTracker(adversary, self._ctx)
+        self.record = TraceRecorder(registry.n, tree=self.chain.tree, meta=meta)
+        self.trace: Trace = self.record.trace
+        self.corruption = CorruptionTracker(adversary, AdversaryContext(registry, self.chain.tree))
+
+        #: The dissemination layer (indexed per-recipient delivery state);
+        #: it forgets a dedup key η + 8 rounds after accepting it.
+        self.bus = MessageBus(registry.n, seen_horizon(eta))
+        #: Dissemination of a publish: the bus takes each content once.
+        self.publish = self.bus.publish
+        #: Whether the round being run is asynchronous.
+        self._asynchronous = False
 
         self.processes: dict[int, Process] = {
             pid: build_process(
@@ -91,10 +92,12 @@ class Simulation:
             )
             for pid in range(registry.n)
         }
+        self.nodes = {pid: _Node(process, self) for pid, process in self.processes.items()}
 
-        #: The dissemination layer (indexed per-recipient delivery state);
-        #: it forgets a dedup key η + 8 rounds after accepting it.
-        self.bus = MessageBus(registry.n, seen_horizon(eta))
+    @property
+    def delivery(self) -> MessageBus:
+        """What the round step enters each round: the bus itself."""
+        return self.bus
 
     # ------------------------------------------------------------------
     # Execution
@@ -103,53 +106,40 @@ class Simulation:
         """Execute ``num_rounds`` rounds (continuing from where we stopped)."""
         start = self.trace.horizon
         for r in range(start, start + num_rounds):
-            self._run_round(r)
+            self._asynchronous = self.conditions.is_asynchronous(r)
+            for _ in step(self, r):
+                pass  # the receive instant: nothing to wait for
+            byz = self.corruption.peek(r)
+            self.record.close_round(r, self.schedule.awake(r), byz, self._asynchronous)
         return self.trace
 
-    def _run_round(self, r: int) -> None:
-        byz = self._corruption.corrupted(r)
-        scheduled = self.schedule.awake(r)
-        self._ctx.round = r
-        # What no receiver outside ``B_r`` can still be delivered is
-        # freed: the bus's log prefix and stale keys, then every verdict
-        # older than the bus's oldest deliverable message.
-        self.bus.advance(r, byz)
-        self.pipeline.interner.advance(r, self.bus.floor)
 
-        # --- Send phase ---------------------------------------------------
-        for pid in sorted(scheduled - byz):
-            process = self.processes[pid]
-            for message in process.send(r):
-                check_honest_message(message, pid, r)
-                self._publish(r, message)
-            self.recorder.decided(process.pop_decisions())
-        for message in self.adversary.send(r, self._ctx):
-            check_adversary_message(message, byz)
-            self._publish(r, message)
+class _Node:
+    """A simulated process as the round step runs it: its decisions go to
+    the trace, and it takes what is pending for it on the bus or, in an
+    asynchronous round, what the adversary chooses of it."""
 
-        # --- Receive phase --------------------------------------------------
-        asynchronous = self.conditions.is_asynchronous(r)
-        receivers = self.schedule.awake(r + 1) - self._corruption.peek(r + 1)
-        for pid in sorted(receivers):
-            if asynchronous:
-                deliverable = self.bus.deliverable(pid)
-                delivered = list(self.adversary.deliver(r, pid, deliverable, self._ctx))
-                try:
-                    self.bus.deliver_chosen(pid, delivered, pending=deliverable)
-                except UndeliverableMessageError:
-                    raise ModelViolationError(
-                        "adversary delivered a message outside the deliverable set"
-                    ) from None
-            else:
-                delivered = self.bus.deliver_all(pid)
-            if delivered:
-                self.processes[pid].receive(r, delivered)
+    def __init__(self, process: Process, simulation: Simulation) -> None:
+        self.process, self._simulation = process, simulation
 
-        self.recorder.close_round(r, scheduled, byz, asynchronous)
+    def run_send_phase(self, round_number: int) -> list[Message]:
+        messages = list(self.process.send(round_number))
+        self._simulation.record.decided(self.process.pop_decisions())
+        return messages
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _publish(self, r: int, message: Message) -> None:
-        if self.bus.publish(message):
-            self.recorder.published(r, message)
+    def run_receive_phase(self, round_number: int) -> None:
+        sim, pid = self._simulation, self.process.pid
+        bus = sim.bus
+        if sim._asynchronous:
+            pending = bus.deliverable(pid)
+            batch = list(sim.adversary.deliver(round_number, pid, pending, sim.corruption.ctx))
+            try:
+                bus.deliver_chosen(pid, batch, pending=pending)
+            except UndeliverableMessageError:
+                raise ModelViolationError(
+                    "adversary delivered a message outside the deliverable set"
+                ) from None
+        else:
+            batch = bus.deliver_all(pid)
+        if batch:
+            self.process.receive(round_number, batch)

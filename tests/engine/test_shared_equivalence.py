@@ -97,6 +97,7 @@ def _run(name: str, shared: bool) -> Simulation:
         config.resolved_adversary(),
         config.resolved_conditions(),
         factory,
+        arrivals=config.arrivals,
     )
     SimulationBackend.drive(simulation, config)
     return simulation

@@ -390,7 +390,13 @@ def _surge_rounds_1_to_2(r: int) -> float:
     return 6.0 if r in (1, 2) else 1.0
 
 
-#: name -> (surge schedule, attack script or None, stopped pids).
+#: A neighbour of round 0's publisher, stopped 1 ms after that publish:
+#: after the frame to it is computed, before it arrives (a hop takes at
+#: least the 5 ms base latency).
+_STOPPED_MID_FLIGHT = {min(FLOOD_TOPOLOGY[0]): FLOOD_ORIGIN + 0.0011 + 0.001}
+
+#: name -> (surge schedule, attack script or None, stopped pids, or
+#: stopped pid -> the instant it stops at).
 FLOOD_CASES = {
     "surge": (_surge_rounds_1_to_2, None, ()),
     "partition-and-drops": (
@@ -414,6 +420,7 @@ FLOOD_CASES = {
         (),
     ),
     "stopped-node": (_surge_rounds_1_to_2, None, (3,)),
+    "stopped-mid-flight": (_surge_rounds_1_to_2, None, _STOPPED_MID_FLIGHT),
 }
 
 
@@ -510,8 +517,12 @@ def _computed_flood(shards, surge_factor, script, stopped, shard_class=_MeshShar
             tap_arrivals(network, file_arrival)
             networks.append(network)
             owner.update(network.nodes)
-        for pid in stopped:
-            owner[pid].stop()
+        stops = stopped if isinstance(stopped, dict) else dict.fromkeys(stopped)
+        for pid, at in stops.items():
+            if at is None:
+                owner[pid].stop()
+            else:
+                loop.call_at(at, owner[pid].stop)
         for at, pid, message in _flood_publishes():
             loop.call_at(at, owner[pid].publish, message)
         await asyncio.sleep(FLOOD_ORIGIN + FLOOD_ROUNDS * 3 * FLOOD_DELTA_S)
@@ -556,9 +567,9 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
         assert max(at for pids in predicted.values() for at in pids.values()) > (
             FLOOD_ORIGIN + 3 * 3 * FLOOD_DELTA_S
         )
-    elif case == "stopped-node":
+    elif case.startswith("stopped"):
         assert reached == [live] * len(FLOOD_PUBLISHES)
-        assert all(3 not in pids for pids in predicted.values())
+        assert all(pid not in pids for pid in stopped for pids in predicted.values())
     elif case == "partition-past-the-horizon":
         # Published in rounds 1 and 3, held until round 7, past their
         # horizons (rounds 4 and 6): the far side drops them as stale,
