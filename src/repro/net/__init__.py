@@ -5,13 +5,15 @@ messages entering the peer-to-peer layer are disseminated to everyone
 even if the sender goes offline, and survive transient asynchrony.
 This package makes that substrate concrete:
 
-* :mod:`repro.net.transport` — the fabric: a slot wheel that pushes
-  each frame to one subscriber per pid, in slot order, and the run's
-  link draws, a pure function of the seed, the link and the message.
+* :mod:`repro.net.transport` — the fabric: the run's link draws, a
+  pure function of the seed, the link and the message; what the flood
+  asks of a fabric (where a message entered, announced to the other
+  processes); and a slot wheel that pushes each point-to-point frame to
+  one subscriber per hosted pid, in slot order.
 * :mod:`repro.net.gossip` — a random regular overlay and the flood over
-  it, computed: a shard settles when each of its nodes first holds a
-  message, in instant order, and sends frames only to pids another
-  process hosts; dedup is by content, once per node.
+  it, computed: every shard settles when each pid first holds a
+  message, in instant order, files its own nodes' arrivals and
+  announces what enters at them; dedup is by content, once per node.
 * :mod:`repro.net.socket_transport` — the same transport surface over
   real TCP/UNIX-domain sockets, for multi-process deployments.
 * :mod:`repro.net.proxy_transport` — the adversarial proxy that gives

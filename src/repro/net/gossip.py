@@ -14,13 +14,13 @@ neighbours but the one it came from, which floods any connected graph
 in ``diameter`` hops.
 
 **The flood is a function.**  A shard does not replay that flood frame
-by frame.  It settles its nodes in instant order, Dijkstra's way, on one
-heap of computed frames (:meth:`GossipNetwork.catch_up`): a message
-enters at a node it hosts — published there, or a frame from another
-process reaching it — and each node it settles offers the message to
-its neighbours under the hop law the delivery wheel realises: a node
-``u`` first holding the message at loop instant ``T_u`` offers it to
-neighbour ``v``, and the frame arrives at
+by frame.  It settles the overlay's nodes in instant order, Dijkstra's
+way, on one heap of computed frames (:meth:`GossipNetwork.catch_up`): a
+message enters at a node — published there, or announced by another
+process as published there — and each node it settles offers the
+message to its neighbours under the hop law the delivery wheel
+realises: a node ``u`` first holding the message at loop instant
+``T_u`` offers it to neighbour ``v``, and the frame arrives at
 
     ``ceil((T_u + d_uv) / slot_s) · slot_s``,
 
@@ -36,31 +36,41 @@ its first arrival, so settling nodes in instant order *is* the frame-by-
 frame flood's event order: every first arrival lands in the slot full
 flooding would give it, though a surge ending mid-flight is not FIFO.
 
+**Every shard computes the whole flood.**  The draws, the surge factors
+and ``fate`` are pure functions of the run seed, the link, the message
+and the instant, so a shard needs nothing of another process but where
+and when each message entered the flood.  It computes over every pid of
+the overlay; a pid another process hosts is settled as a relay only —
+no ``held`` bit, no ``delivered`` count, no admission, no audit — and
+its own process files its arrivals.  A message leaves its origin shard
+once per peer process, at publish, as an announcement (the entry pid,
+the instant as seconds since the run's shared start, and the body:
+:meth:`~repro.net.transport.Transport.announce`); the receiving shard
+enters it at that pid and instant (an instant ahead of its own clock is
+taken as now) and computes its own nodes' first arrivals from the same
+draws.  A node's stop is announced the same way, with no body, and the
+stopped pid then neither receives nor relays in any shard's flood.  An
+announcement lowers only instants not settled yet: one that arrives
+after its shard has settled past the entry's consequences changes
+nothing already filed.
+
 The shard settles a frame once its clock has reached the frame's
 instant, and files the node's first arrival in its seen index then
 (:class:`Arrivals`): whoever reads the clock for the shard catches the
-flood up first — a publish, a frame from another process, and the
-shard's round loop before a round's deliveries and before its receive
-phases.  A node's receive phase is handed what the node holds by its
-instant (:meth:`~repro.runtime.delivery.ShardDelivery.take`), however
-late the host woke it.  A frame for a pid another process hosts is
-parked on the fabric when its forwarder is settled, at the slot it
-arrives in (:meth:`~repro.net.transport.Transport.park`); in such a
-shard the wheel also wakes the flood when its earliest computed frame
-falls due, so a forward leaves at its forwarder's instant.  A frame from
-another process is one more entry: it settles its node at once unless
-the node holds the message already (a duplicate, counted), and it
-pre-empts every computed frame due later.  A shard hosting every pid
-arms no timer at all.
+flood up first — a publish, an announcement, and the shard's round loop
+before a round's deliveries and before its receive phases.  A node's
+receive phase is handed what the node holds by its instant
+(:meth:`~repro.runtime.delivery.ShardDelivery.take`), however late the
+host woke it.  No shard arms a timer for the flood.
 
 **A calm flood is filed whole.**  Where nothing but the clock can look
-inside a flood — the shard hosts every pid, its fabric has no ``fate``
-and no node is stopped — a message entering at ``pid`` at ``t0`` is
-not computed node by node (:meth:`GossipNetwork._summarise`).  A hop
-moves a frame at most ``H = ceil((base + jitter) · f / slot_s) + 1``
-slots past the slot its forwarder's instant rounds up to, ``f`` being
-the surge factor of ``t0``'s round (the ``+ 1`` absorbs rounding at a
-slot's edge), so the flood's last first arrival is no later than
+inside a flood — its fabric has no ``fate`` and no node is stopped — a
+message entering at ``pid`` at ``t0`` is not computed node by node
+(:meth:`GossipNetwork._summarise`).  A hop moves a frame at most
+``H = ceil((base + jitter) · f / slot_s) + 1`` slots past the slot its
+forwarder's instant rounds up to, ``f`` being the surge factor of
+``t0``'s round (the ``+ 1`` absorbs rounding at a slot's edge), so the
+flood's last first arrival is no later than
 ``done = (ceil(t0 / slot_s) + ecc · H) · slot_s``, ``ecc`` being
 ``pid``'s eccentricity over the overlay (a BFS the first time a flood
 enters there).  If
@@ -72,14 +82,13 @@ once, and while the clock is before the earliest second arrival,
 A catch-up at or past ``done`` files every other node's first arrival
 in one step; one before it, past the earliest second arrival, first
 has ``pid`` offer the message on at ``t0``, as the flood computed node
-by node did then, and the heap takes it from there.  So does a frame
-or publish of the message reaching another node meanwhile, and a
-node's stop.  Either way, what a catch-up files — ``held``,
-``delivered``, ``stale_dropped`` — is bit for bit what the flood
-computed node by node files; at one shard with no ``fate`` nothing
-else reads its instants.  A flood entering a surged round whose hops
-outlast the round, and every flood of a shard with neighbours in other
-processes or under an attack script, is computed node by node.
+by node did then, and the heap takes it from there.  So does another
+entry of the message meanwhile, and a node's stop.  Either way, what a
+catch-up files — ``held``, ``delivered``, ``stale_dropped`` — is bit
+for bit what the flood computed node by node files; with no ``fate``
+nothing else reads its instants.  A flood entering a surged round whose
+hops outlast the round, and every flood under an attack script, is
+computed node by node.
 
 Two more rules match the frame-by-frame flood at its edges:
 
@@ -100,11 +109,12 @@ computed"; a trusted id would let a junk message carrying a transplanted
 one censor the honest original).  The link draws are keyed by the same
 content (:func:`~repro.net.transport.draw_key`); nothing dedups by the
 draw digest.  Gossip carries :class:`~repro.sleepy.messages.Message`
-objects only: a frame with any other payload is ignored on arrival.
+objects only: an entry with any other payload is ignored.
 
 **Admission is per shard.**  A message is handed to the network's one
-admission callback once, when it first enters the shard, after its
-entry node is settled — a deployment shard publishes it into its
+admission callback once, when it first enters the shard (published at
+one of its nodes or announced by another process), after its entry is
+computed; a deployment shard publishes it into its
 :class:`~repro.engine.bus.MessageBus` there
 (:class:`~repro.runtime.delivery.ShardDelivery`).
 
@@ -225,13 +235,15 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
 class Arrivals:
     """One message's arrivals in one shard.
 
-    :attr:`held` is a bitmask over pids: bit ``pid`` is set once the
-    shard's clock has reached the hosted node's first arrival
+    :attr:`held` is a bitmask over the pids the shard hosts: bit ``pid``
+    is set once the shard's clock has reached the node's first arrival
     (:meth:`GossipNetwork.catch_up`), from when on the node holds the
-    message.  :attr:`best` maps a pid not reached yet to the earliest
-    instant a frame computed so far reaches it — its first arrival,
-    unless an earlier frame is computed before the clock gets there, or
-    a stale one.  :attr:`drawn` is the message's link draws
+    message.  :attr:`relayed` is the same for the pids other processes
+    host, which the shard settles as relays only.  :attr:`best` maps a
+    pid not reached yet to the earliest instant a frame computed so far
+    reaches it — its first arrival, unless an earlier frame is computed
+    before the clock gets there, or a stale one.  :attr:`drawn` is the
+    message's link draws
     (:meth:`~repro.net.transport.LinkLatencyModel.draw`), computed once
     per message per shard, when it enters, and ``None`` once the seen
     index has forgotten the message: a frame pending then is stale.
@@ -239,10 +251,11 @@ class Arrivals:
     not yet settled (:meth:`GossipNetwork._summarise`), else ``None``.
     """
 
-    __slots__ = ("held", "best", "drawn", "summary")
+    __slots__ = ("held", "relayed", "best", "drawn", "summary")
 
     def __init__(self, drawn: bytes) -> None:
         self.held = 0
+        self.relayed = 0
         self.best: dict[int, float] = {}
         self.drawn: bytes | None = drawn
         self.summary: Summary | None = None
@@ -309,81 +322,48 @@ class SeenIndex:
 class GossipNode:
     """One hosted node's door into the flood.
 
-    The node subscribes to its pid here, before any frame can exist:
-    frames from other processes and its own publishes enter the shard's
-    flood through :meth:`_ingest`.  ``stats`` counts its first arrivals
-    (``delivered``), frames that reached it holding the message already
-    (``duplicates``) and arrivals too old to use (``stale_dropped``).
+    A message its node publishes enters the shard's flood here
+    (:meth:`_ingest`).  ``stats`` counts its first arrivals
+    (``delivered``), publishes of a message it held already or that a
+    computed frame reaches no later (``duplicates``) and messages too old
+    to use (``stale_dropped``).
     """
 
     def __init__(self, pid: int, network: GossipNetwork) -> None:
         self.pid = pid
         self._network = network
         self.stats = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
-        network.transport.subscribe(pid, self._ingest)
 
     def publish(self, message: Message) -> None:
         """Originate a message: it holds it now and the flood starts here."""
-        self._ingest(None, message)
+        self._ingest(message)
 
     def stop(self) -> None:
-        """Stop receiving and relaying: what is due by now still lands, and
-        frames still in flight to this node never do."""
+        """Stop receiving and relaying, in every shard's flood: what is due
+        by now still lands, and frames still in flight to this node never
+        do."""
         network = self._network
-        if network._pending or network._summaries:
-            network.catch_up()
-        network._expand_summaries()
-        network.stopped.add(self.pid)
-        network.transport.unsubscribe(self.pid)
+        network._stop(self.pid)
+        network._announce(self.pid, None, None)
 
-    def _ingest(self, src: int | None, message: object) -> None:
-        """A frame from ``src`` (``None``: published here) reaches this node now."""
-        if not isinstance(message, Message):
-            return
-        network = self._network
-        seen = network.seen
-        if message.round < seen.floor:
-            # Older than anything the protocol can still consume: its
-            # votes are expired and its proposal views pruned.  Dropping
-            # (audited, never silent) also prevents a re-flood loop once
-            # the key has been evicted.
-            self.stats["stale_dropped"] += 1
-            return
-        key = message.content_key
-        arrivals = seen.arrivals.get(key)
-        if arrivals is not None and arrivals.held >> self.pid & 1:
-            self.stats["duplicates"] += 1
-            return
-        first = arrivals is None
-        if first:
-            drawn = network.transport.links.draw(draw_key(message))
-            arrivals = seen.arrivals[key] = Arrivals(drawn)
-            seen.admit(key, message.round)
-        # The frame is pending at its instant, now, behind every computed
-        # frame due before it: one catch-up settles them in order.
-        pid, now = self.pid, network.clock.now()
-        # A flood filed whole has its entry settled already.
-        whole = first and network._summarise(pid, now, arrivals, message)
-        came_from = -1 if src is None else src
-        if not whole and not network._reach(pid, came_from, now, arrivals, message):
-            self.stats["duplicates"] += 1  # a computed frame reaches it no later
-        network.catch_up()
-        if first:
-            # Flood before handing over, so a consumer that raises costs
-            # the shard its admission and not the flood's next hop.
-            network.on_admit(message, key)
+    def _ingest(self, message: object) -> None:
+        """``message`` enters the flood at this node, now."""
+        if isinstance(message, Message):
+            network = self._network
+            network._entry(self.pid, network.clock.now(), message)
 
 
 class GossipNetwork:
     """The gossip overlay as one shard computes it.
 
-    ``topology`` is the whole overlay; the network hosts the pids its
-    fabric hosts (``transport.hosted``) and numbers every directed edge
-    of the overlay in the fabric's link model
-    (:meth:`~repro.net.transport.LinkLatencyModel.enumerate`), the same
-    numbering in every shard.  Construct it before the fabric starts
-    listening: every node subscribes here, so no frame can precede its
-    consumer.
+    ``topology`` is the whole overlay, and the network computes the
+    flood over all of it: it hosts the pids its fabric hosts
+    (``transport.hosted``) and settles every other pid as a relay only,
+    and numbers every directed edge of the overlay in the fabric's link
+    model (:meth:`~repro.net.transport.LinkLatencyModel.enumerate`), the
+    same numbering in every shard.  Construct it before the fabric
+    starts listening: the network listens for its peers' announcements
+    here, so none can precede its consumer.
 
     ``on_admit`` is the shard's one consumer, called once per message
     (module docstring).  ``seen`` is the shard's :class:`SeenIndex`,
@@ -417,14 +397,12 @@ class GossipNetwork:
         #: The hop law's constants: base latency, a draw word's scale and
         #: the slot width.
         self._hop = (links.base, links.jitter / 2**32, transport.slot_s)
-        #: Hosted pid -> ``(neighbour, offset of the link's word in a
-        #: draw, whether another process hosts the neighbour)`` of each
-        #: neighbour, the hosted ones first.
-        self._links: dict[int, tuple[tuple[int, int, bool], ...]] = {}
-        for pid, peers in sorted(topology.items()):
-            if pid in hosted:
-                out = [(peer, 4 * links.edges[(pid, peer)], peer not in hosted) for peer in peers]
-                self._links[pid] = tuple(sorted(out, key=lambda link: link[2]))
+        #: Pid -> ``(neighbour, offset of the link's word in a draw)`` of
+        #: each neighbour, for every pid of the overlay.
+        self._links: dict[int, tuple[tuple[int, int], ...]] = {
+            pid: tuple((peer, 4 * links.edges[(pid, peer)]) for peer in peers)
+            for pid, peers in sorted(topology.items())
+        }
         #: Computed frames not yet reached by the clock, as a heap of
         #: ``(instant, order, pid, source, arrivals, message)``.
         self._pending: list[tuple] = []
@@ -432,55 +410,123 @@ class GossipNetwork:
         #: Floods filed whole and not yet settled, as a heap of
         #: ``(earliest second arrival, order, arrivals)``.
         self._summaries: list[tuple] = []
-        #: Hosted pid -> its eccentricity over the overlay (−1: some pid is
-        #: out of its reach), computed when a flood first enters there.
+        #: Pid -> its eccentricity over the overlay (−1: some pid is out of
+        #: its reach), computed when a flood first enters there.
         self._eccentricity: dict[int, int] = {}
-        self._everyone = sum(1 << pid for pid in self._links)
+        #: The hosted pids, and the relays, as bitmasks.
+        self._everyone = sum(1 << pid for pid in self._links if pid in hosted)
+        self._relays = sum(1 << pid for pid in self._links if pid not in hosted)
         #: Floods filed whole (module docstring).
         self.summarised = 0
-        #: Where frames from other processes enter, the flood must catch
-        #: up as its frames fall due: the wheel slots armed to (``None``:
-        #: no frame enters, so a reader of the clock catches up for itself).
-        self._armed: set[int] | None = None if hosted >= topology.keys() else set()
-        #: Hosted pids that neither receive nor relay any more.
+        #: Pids that neither receive nor relay any more, hosted or not.
         self.stopped: set[int] = set()
-        self.nodes = {pid: GossipNode(pid, self) for pid in self._links}
+        self.nodes = {pid: GossipNode(pid, self) for pid in self._links if pid in hosted}
         self._stats = {pid: node.stats for pid, node in self.nodes.items()}
+        transport.listen(self._enter)
 
-    def _reach(
-        self, pid: int, came_from: int, t: float, arrivals: Arrivals, message: Message
-    ) -> bool:
-        """A frame from ``came_from`` reaches hosted ``pid`` at ``t``:
-        pending, unless ``pid`` is already reached no later."""
+    def _announce(self, pid: int, t: float | None, message: Message | None) -> None:
+        """Tell the other processes, if any, of an entry (or a stop) at
+        hosted ``pid`` at loop instant ``t`` (``None``: now)."""
+        if self._relays:
+            clock = self.clock
+            elapsed = (clock.now() if t is None else t) - clock.origin
+            self.transport.announce(pid, max(elapsed, 0.0), message)
+
+    def _enter(self, pid: int, elapsed: float, message: object) -> None:
+        """A peer process announces that ``message`` entered the flood at
+        its ``pid``, ``elapsed`` seconds after the run's start (``None``:
+        that ``pid`` stopped then).  An instant ahead of this shard's
+        clock is taken as now."""
+        clock = self.clock
+        t = min(clock.origin + elapsed, clock.now())
+        if message is None:
+            self._stop(pid, t)
+        elif isinstance(message, Message):
+            self._entry(pid, t, message)
+
+    def _entry(self, pid: int, t: float, message: Message) -> None:
+        """``message`` enters the flood at ``pid`` at loop instant ``t``:
+        published at a hosted node, or announced by the process hosting
+        ``pid``.
+
+        The entry lowers only instants not settled yet.  A hosted node
+        counts an entry it cannot use (``stale_dropped``, ``duplicates``)
+        and has one that enters announced to the other processes; a
+        message new to the shard is admitted once its entry is computed.
+        """
+        node = self._stats.get(pid)
+        seen = self.seen
+        if message.round < seen.floor:
+            # Older than anything the protocol can still consume: its
+            # votes are expired and its proposal views pruned.  Dropping
+            # (audited, never silent) also prevents a re-flood loop once
+            # the key has been evicted.
+            if node is not None:
+                node["stale_dropped"] += 1
+            return
+        key = message.content_key
+        arrivals = seen.arrivals.get(key)
+        first = arrivals is None
+        if first:
+            arrivals = seen.arrivals[key] = Arrivals(self.transport.links.draw(draw_key(message)))
+            seen.admit(key, message.round)
+        elif (arrivals.held | arrivals.relayed) >> pid & 1:
+            if node is not None:
+                node["duplicates"] += 1
+            return
+        # The entry is pending at its instant, behind every computed frame
+        # due before it: one catch-up settles them in order.  A flood
+        # filed whole has its entry settled already.
+        entered = (first and self._summarise(pid, t, arrivals, message)) or self._reach(
+            pid, t, arrivals, message
+        )
+        if not entered and node is not None:
+            node["duplicates"] += 1  # a computed frame reaches it no later
+        self.catch_up()
+        if entered and node is not None:
+            self._announce(pid, t, message)
+        if first:
+            # Flood before handing over, so a consumer that raises costs
+            # the shard its admission and not the flood's next hop.
+            self.on_admit(message, key)
+
+    def _stop(self, pid: int, t: float | None = None) -> None:
+        """``pid`` stops at loop instant ``t`` (``None``: now): what is due
+        by then still lands, and nothing computed from here on reaches it
+        or leaves it."""
+        if self._pending or self._summaries:
+            self.catch_up(t)
+        self._expand_summaries()
+        self.stopped.add(pid)
+
+    def _reach(self, pid: int, t: float, arrivals: Arrivals, message: Message) -> bool:
+        """An entry reaches ``pid`` at ``t``: pending, unless ``pid`` is
+        already reached no later."""
         if arrivals.summary is not None:
             self._expand(arrivals)
         best = arrivals.best
         if t >= best.get(pid, math.inf) or pid in self.stopped:
             return False
         best[pid] = t
-        heappush(self._pending, (t, next(self._order), pid, came_from, arrivals, message))
+        heappush(self._pending, (t, next(self._order), pid, -1, arrivals, message))
         return True
 
-    def _slot_due(self, slot: int) -> None:
-        self._armed.discard(slot)
-        self.catch_up()
-
-    def catch_up(self) -> float:
-        """Settle every pending frame due by now, in instant order; the
-        loop instant caught up to.
+    def catch_up(self, until: float | None = None) -> float:
+        """Settle every pending frame due by now (or by ``until``, if
+        earlier), in instant order; the loop instant caught up to.
 
         A frame that is its pid's earliest files the pid's first arrival
-        (module docstring) and offers the message on (:meth:`_offer`).
-        A flood filed whole is settled at once if the clock has passed
-        its bound, and computed node by node from its entry if the clock
-        is inside it.  Whoever reads the clock for the shard calls this
-        first: a publish or a frame reaching a node, the shard's round
-        loop before a round's deliveries and receive phases, and, where
-        frames from other processes enter, the wheel when the earliest
-        pending frame falls due (:meth:`_arm`), so that a forward leaves
-        at its forwarder's instant.
+        (module docstring) — a relay's only as settled — and offers the
+        message on (:meth:`_offer`).  A flood filed whole is settled at
+        once if the clock has passed its bound, and computed node by node
+        from its entry if the clock is inside it.  Whoever reads the
+        clock for the shard calls this first: a publish or an
+        announcement, and the shard's round loop before a round's
+        deliveries and receive phases.
         """
         now = self.clock.now()
+        if until is not None and until < now:
+            now = until
         summaries = self._summaries
         while summaries and summaries[0][0] <= now:
             arrivals = heappop(summaries)[2]
@@ -492,13 +538,13 @@ class GossipNetwork:
                 continue
             arrivals.summary = None
             arrivals.held = self._everyone
+            arrivals.relayed = self._relays
             for pid, stats in self._stats.items():
                 if pid != summary.entry:
                     stats["delivered"] += 1
             self.summarised += 1
         pending = self._pending
         if not pending or pending[0][0] > now:
-            self._arm()
             return now
         clock, factors, stats = self.clock, self._factors, self._stats
         # ``round_at`` inlined: ``floor((t - origin) / round_s + edge)``.
@@ -511,18 +557,22 @@ class GossipNetwork:
                 continue  # reached earlier, or stopped since it was computed
             drawn = arrivals.drawn
             r = floor((t - origin) / round_s + edge)
+            node = stats.get(pid)
             if drawn is None or r > message.round + horizon:
                 # The seen floor of ``r`` is above the message's round
                 # (or the index has forgotten it since).
-                stats[pid]["stale_dropped"] += 1
+                if node is not None:
+                    node["stale_dropped"] += 1
                 continue
             del best[pid]
-            arrivals.held |= 1 << pid
-            stats[pid]["delivered"] += 1
+            if node is None:
+                arrivals.relayed |= 1 << pid
+            else:
+                arrivals.held |= 1 << pid
+                node["delivered"] += 1
             offer(pid, came_from, t, factors.get(r) or self._factor(r), arrivals, message, drawn)
             if not best:
                 arrivals.best = {}  # a dict keeps the table it grew
-        self._arm()
         return now
 
     def _offer(
@@ -537,15 +587,14 @@ class GossipNetwork:
     ) -> None:
         """``pid``, first holding ``message`` at ``t`` (from ``came_from``),
         offers it to its neighbours under the hop law, ``factor`` being
-        the surge of the round holding ``t``: a neighbour this shard
-        hosts is reached by a pending frame, one another process hosts
-        by a frame parked on the fabric now."""
-        fate, best, held = self._fate, arrivals.best, arrivals.held
+        the surge of the round holding ``t``: a neighbour not settled yet
+        is reached by a pending frame."""
+        fate, best = self._fate, arrivals.best
+        settled = arrivals.held | arrivals.relayed
         base, scale, slot_s = self._hop
         stopped, pending = self.stopped, self._pending
         word, ceil = WORD.unpack_from, math.ceil
-        frames = []
-        for peer, at_word, remote in self._links[pid]:
+        for peer, at_word in self._links[pid]:
             if peer == came_from:
                 continue  # where the message came from
             sent, surge = t, factor
@@ -557,25 +606,19 @@ class GossipNetwork:
                     continue
                 if sent != t:
                     surge = self._factor(self.clock.round_at(sent))
-            if held >> peer & 1:
+            if settled >> peer & 1:
                 continue  # holds it already
-            slot = ceil((sent + (base + word(drawn, at_word)[0] * scale) * surge) / slot_s)
-            if remote:
-                frames.append((peer, slot))
-                continue
-            at = slot * slot_s
+            at = ceil((sent + (base + word(drawn, at_word)[0] * scale) * surge) / slot_s) * slot_s
             if at < best.get(peer, math.inf) and peer not in stopped:
                 best[peer] = at
                 heappush(pending, (at, next(self._order), peer, pid, arrivals, message))
-        if frames:
-            self.transport.park(pid, message, frames)
 
     def _summarise(self, pid: int, t0: float, arrivals: Arrivals, message: Message) -> bool:
         """File ``message``'s flood, entering the shard at ``pid`` at
         ``t0``, whole if its bound allows (module docstring): ``pid``
-        holds it now and every other node once the clock passes the
-        bound.  Whether it was."""
-        if self._fate is not None or self._armed is not None or self.stopped:
+        holds it (or relays it) now and every other node once the clock
+        passes the bound.  Whether it was."""
+        if self._fate is not None or self.stopped:
             return False
         clock = self.clock
         r = clock.round_at(t0)
@@ -598,8 +641,12 @@ class GossipNetwork:
                 return False
             arrivals.summary = Summary(done, pid, t0, factor, message, arrivals.drawn)
             heappush(self._summaries, (first, next(self._order), arrivals))
-        arrivals.held |= 1 << pid
-        self._stats[pid]["delivered"] += 1
+        node = self._stats.get(pid)
+        if node is None:
+            arrivals.relayed |= 1 << pid
+        else:
+            arrivals.held |= 1 << pid
+            node["delivered"] += 1
         return True
 
     def _expand(self, arrivals: Arrivals) -> None:
@@ -620,30 +667,19 @@ class GossipNetwork:
                 self._expand(arrivals)
 
     def _hops_to_everyone(self, pid: int) -> int:
-        """``pid``'s eccentricity in hops over an overlay this shard hosts
-        whole, or −1 if some pid is out of its reach."""
+        """``pid``'s eccentricity in hops over the overlay, or −1 if some
+        pid is out of its reach."""
         reached, frontier, hops = {pid}, [pid], 0
         while True:
             nearer, frontier = frontier, []
             for node in nearer:
-                for peer, _, _ in self._links[node]:
+                for peer, _ in self._links[node]:
                     if peer not in reached:
                         reached.add(peer)
                         frontier.append(peer)
             if not frontier:
                 return hops if len(reached) == len(self._links) else -1
             hops += 1
-
-    def _arm(self) -> None:
-        """Where frames from other processes enter, have the wheel catch
-        the flood up when the earliest pending frame falls due."""
-        armed, pending = self._armed, self._pending
-        if armed is None or not pending:
-            return
-        slot = round(pending[0][0] / self.transport.slot_s)
-        if slot not in armed:
-            armed.add(slot)
-            self.transport.wheel.schedule(slot, self._slot_due, slot)
 
     def _factor(self, r: int) -> float:
         """Round ``r``'s surge factor, asked of the schedule once."""
@@ -653,7 +689,7 @@ class GossipNetwork:
         return factor
 
     def stop(self) -> None:
-        """Stop every node (teardown flushes then reach nobody)."""
+        """Stop every hosted node (teardown)."""
         for node in self.nodes.values():
             node.stop()
 

@@ -27,9 +27,8 @@ The phase holding in ``t``'s round decides
 resolved :class:`~repro.attacks.script.ScriptTimeline` the simulator's
 :class:`~repro.attacks.adversary.ScriptedAdversary` interprets, so one
 script means one thing on every substrate.  ``fate`` is a pure function
-of its arguments, so a shard asks it for a link whose frame it computes
-in advance exactly as for one that leaves now: the flood calls it for
-every out-link of every node it settles, in-shard or remote, and it
+of its arguments, so every shard asks it alike: the flood calls it for
+every out-link of every node it settles, hosted or a relay, and it
 never holds a frame.  Every shard of a deployment starts its round
 clock at one shared instant, so every proxy, on one process or many,
 reads the same phase for the same instant.  The shard's round loop
@@ -40,9 +39,11 @@ Every interference is audited per phase (``delayed`` / ``dropped`` /
 ``partitioned`` counts of the out-links full flooding would offer) and
 read, with the phase in force, into its shard's sample
 (:meth:`~repro.runtime.shard.ShardRuntime.sample`), so a run can
-*prove* its attack actually bit.  Coins are tossed per link and per
-message, never per wire batch.  Frames the flood parks and
-subscriptions pass straight through to the inner fabric.
+*prove* its attack actually bit.  An out-link is audited by the shard
+hosting its sender only: every shard computes the whole flood, and the
+audits summed over the shards are the one-shard audit.  Coins are
+tossed per link and per message, never per wire batch.  Announcements
+pass straight through to the inner fabric.
 """
 
 from __future__ import annotations
@@ -120,22 +121,26 @@ class ProxyTransport:
         Blocked: the start of the first later phase that does not block
         the link.  Dropped: ``None``.  Surged: ``t`` plus the surge's
         extra delay.  Otherwise ``t``.  Each outcome but the last is
-        counted in the audit row of the phase holding ``t``.
+        counted in the audit row of the phase holding ``t``, if this
+        shard hosts ``src``.
         """
         clock = self.clock
         state = self.timeline.state_at(max(clock.round_at(t), 0))
-        counters = self.audit[state.index]
+        counters = self.audit[state.index] if src in self.inner.hosted else None
         if state.blocks(src, dst):
-            counters["partitioned"] += 1
+            if counters is not None:
+                counters["partitioned"] += 1
             for later in self.timeline.states[state.index + 1 :]:
                 if not later.blocks(src, dst):
                     return clock.instant(later.start)
         p = state.drop_probability(src, dst)
         if p > 0.0 and self._coin(src, dst, message) < p:
-            counters["dropped"] += 1
+            if counters is not None:
+                counters["dropped"] += 1
             return None
         if state.surged(src, dst):
-            counters["delayed"] += 1
+            if counters is not None:
+                counters["delayed"] += 1
             return t + (state.surge_factor - 1.0) * self.base_latency_s
         return t
 
@@ -148,9 +153,9 @@ class ProxyTransport:
         return coins[links.edges[(src, dst)]]
 
     # ------------------------------------------------------------------
-    # The inner fabric's surface, untouched.  (Lifecycle and wire
-    # counters are not forwarded: whoever built the inner transport
-    # holds it and asks it directly.)
+    # The inner fabric's surface, untouched.  (Lifecycle, the
+    # point-to-point surface and wire counters are not forwarded:
+    # whoever built the inner transport holds it and asks it directly.)
     # ------------------------------------------------------------------
     @property
     def hosted(self) -> frozenset[int]:
@@ -164,25 +169,13 @@ class ProxyTransport:
     def slot_s(self) -> float:
         return self.inner.slot_s
 
-    @property
-    def sent_count(self) -> int:
-        return self.inner.sent_count
+    def announce(self, pid: int, elapsed: float, message) -> None:
+        """Announce on the inner fabric: an entry is not the proxy's."""
+        self.inner.announce(pid, elapsed, message)
 
-    @property
-    def wheel(self):
-        return self.inner.wheel
-
-    def park(self, src: int, payload: object, frames) -> None:
-        """Park frames the flood computed, fate included, on the inner fabric."""
-        self.inner.park(src, payload, frames)
-
-    def subscribe(self, pid: int, handler) -> None:
-        """Subscribe on the inner fabric: delivery is not the proxy's."""
-        self.inner.subscribe(pid, handler)
-
-    def unsubscribe(self, pid: int) -> None:
-        """Unsubscribe on the inner fabric."""
-        self.inner.unsubscribe(pid)
+    def listen(self, handler) -> None:
+        """Listen on the inner fabric."""
+        self.inner.listen(handler)
 
     # ------------------------------------------------------------------
     # Audit

@@ -2,30 +2,24 @@
 
 The multi-process deployment fabric.  Each worker (worker 0 in the
 coordinator's process, the others spawned) hosts a *shard* of the
-deployment's nodes and one :class:`SocketTransport`:
-sends between two pids of the same shard loop back through the delivery
-wheel (exactly like :class:`~repro.net.transport.SimTransport`), sends
-to a remote pid are pickled into a length-prefixed frame and written to
-the socket of the worker that owns the destination.  The surface is the
-same ``park(src, payload, frames)`` / ``subscribe(pid, handler)``
-pair, carrying the run's :class:`~repro.net.transport.LinkLatencyModel`,
-so :class:`~repro.net.gossip.GossipNetwork` runs unchanged on either
-substrate — and, because a link's draw is a pure function of the seed,
-the link and the message, a sharded run draws exactly the modelled
-latencies the single-process run would (real socket hops add on top;
-δ absorbs them).
+deployment's nodes and one :class:`SocketTransport`.  Every shard
+computes the whole flood (:mod:`repro.net.gossip`), so what crosses the
+mesh is announcements only: a message that entered the flood at a pid
+this worker hosts, and when, written once to every peer worker
+(:meth:`SocketTransport.announce`), and a node's stop.  Point-to-point
+frames between two pids of the shard loop back through the delivery
+wheel exactly like :class:`~repro.net.transport.SimTransport`'s; a pid
+another worker hosts takes none.  Because a link's draw is a pure
+function of the seed, the link and the message, a sharded run draws
+exactly the modelled latencies the single-process run would.
 
-Delivery is pushed on both paths: a wheel slot hands a local frame to
-its pid's subscriber, and the socket reader hands over each frame of a
-decoded batch, in batch order, before it reads the next blob.  Each
-transport keeps one bounded **body table** (:class:`DecodedBodyMemo`:
-body bytes → object) for both directions.  Every body this worker
-pickles is entered in it as the object it was pickled from, and every
-body it decodes as the object decoded.  So a body that rides several
-batches — gossip offers one message to a worker once per overlay edge
-that crosses into it, and floods every message back across the cut it
-came over — is unpickled at most once per process, and a body this
-worker sent comes back as the very object it sent.
+Delivery is pushed: the socket reader hands each announcement of a
+decoded batch to the flood's listener, in batch order, before it reads
+the next blob.  Each transport keeps one bounded **body table**
+(:class:`DecodedBodyMemo`: body bytes → object) for the bodies it
+reads, so a body that rides several batches is unpickled at most once
+per process.  A message crosses to each other process once, so bodies
+this worker pickles never come back to it and are not entered.
 
 A miss decodes through the table's own unpickler, whose ``find_class``
 opens onto the wire's six types and nothing else: a body naming any
@@ -45,14 +39,14 @@ blob.  There are two blob layouts, one per channel:
   ≥ 2 always start with the ``0x80`` PROTO opcode).  This is the
   control channel's format only — its other end is the coordinator,
   in the run's own parent process — and the data mesh never reads it.
-* **frame v2 batch** — version byte ``0x02``, then an **intern table**
-  of distinct encoded payload bodies (u16 count, each body
-  length-prefixed u32), then a frame list (u32 count, each frame
-  ``u32 src · u32 dst · u16 body index``).  Every frame coalesced into
-  the same delivery slot for the same worker rides one batch write, and
-  a payload broadcast to many destinations is pickled once and
-  referenced by offset — the per-destination cost is ten bytes of
-  header.  It is the only layout the data mesh accepts: a data blob
+* **v3 announcement batch** — version byte ``0x03``, then an **intern
+  table** of distinct encoded message bodies (u16 count, each body
+  length-prefixed u32), then an entry list (u32 count, each entry
+  ``u32 pid · f64 instant · u16 body index``).  The instant is seconds
+  since the run's shared start — finite and non-negative — and body
+  index ``0xFFFF`` is a stop, which carries no body.  Every
+  announcement made in one turn of the event loop rides one batch write
+  per peer.  It is the only layout the data mesh accepts: a data blob
   that does not decode as a batch is counted by reason — torn framing
   in ``frames_rejected_torn``, a body that is not a wire object in
   ``frames_rejected_refused`` — and skipped (the outer length prefix
@@ -62,23 +56,27 @@ blob.  There are two blob layouts, one per channel:
   sum of the three.
 
 Workers form a full mesh — every worker dials every other worker once
-and uses that connection for its outgoing frames; the accepting side
-only reads.  Addresses are UNIX domain socket paths (strings) or
-``(host, port)`` TCP tuples, so the same framing crosses hosts
-unchanged.
+and uses that connection for its outgoing announcements; the accepting
+side only reads.  A dialer's first blob on a data connection is its
+**hello**, ``0x03 · u32 worker id``: a reader refuses (counted torn) and
+hangs up on a connection whose first blob names no peer worker, and
+refuses every entry naming a pid its connection's worker does not host,
+counted in ``entries_refused``.  Addresses are UNIX domain socket paths
+(strings) or ``(host, port)`` TCP tuples, so the same framing crosses
+hosts unchanged.
 
-Frames are never dropped: an in-order stream plus a hold for frames
-whose pid has no subscriber preserve the model's "delayed, not lost"
-dissemination assumption; a frame for a pid this worker does not host (a
-routing bug, not load) is counted in ``misrouted_count`` rather than
-silently discarded, and a subscriber that raises costs its own frame
-only (``handler_errors``).
+Announcements are never dropped: an in-order stream preserves the
+model's "delayed, not lost" dissemination assumption; one for a peer
+whose connection is gone (a shutdown race, not load) is counted in
+``misrouted_count`` rather than silently discarded, and a listener that
+raises costs its own announcement only (``handler_errors``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import io
+import math
 import pickle
 import socket
 import struct
@@ -106,14 +104,20 @@ _HEADER = struct.Struct(">I")
 #: trigger a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First blob byte of a frame v2 batch (never a pickle's first byte: a
-#: pickle at protocol ≥ 2 begins with the PROTO opcode ``0x80``).
-BATCH_VERSION = 0x02
+#: First blob byte of a v3 announcement batch and of a hello (never a
+#: pickle's first byte: a pickle at protocol ≥ 2 begins with the PROTO
+#: opcode ``0x80``).
+BATCH_VERSION = 0x03
 _BATCH_MARKER = bytes([BATCH_VERSION])
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_FRAME_REF = struct.Struct(">IIH")
-#: Fixed batch overhead: version byte + body count + frame count.
+#: One entry: pid, instant (seconds since the run's start), body index.
+_ENTRY = struct.Struct(">IdH")
+#: The body index of a stop, which carries no body.
+STOP = 0xFFFF
+#: A dialer's first blob: the version byte and its worker id.
+_HELLO = struct.Struct(">BI")
+#: Fixed batch overhead: version byte + body count + entry count.
 _BATCH_BASE = 1 + _U16.size + _U32.size
 
 
@@ -135,44 +139,44 @@ async def read_frame(reader: asyncio.StreamReader) -> object:
 
 
 def encode_batch(
-    frames: Sequence[tuple[int, int, object, bytes]],
+    entries: Sequence[tuple[int, float, object, bytes | None]],
     max_bytes: int = MAX_FRAME_BYTES,
 ) -> list[bytes]:
-    """Length-prefixed frame v2 batch writes for ``frames``.
+    """Length-prefixed v3 announcement batch writes for ``entries``.
 
-    Each frame is ``(src, dst, intern_key, body)`` where ``body`` is the
-    payload's pickle and ``intern_key`` groups equal bodies (the encode
-    cache supplies a message's ``content_key``, or a body-identity
-    fallback for foreign payloads).  Bodies are written once per batch
-    and referenced by offset.  A batch that would exceed ``max_bytes``
-    splits cleanly at a frame boundary (bodies are re-emitted in the
-    next chunk); a single frame whose lone batch would still exceed the
-    cap raises, exactly like an oversized v1 frame.
+    Each entry is ``(pid, instant, intern_key, body)``, where ``body`` is
+    the message's pickle (``None`` for a stop) and ``intern_key`` groups
+    equal bodies (the encode cache supplies a message's ``content_key``,
+    or a body-identity fallback for foreign payloads).  Bodies are
+    written once per batch and referenced by index.  A batch that would
+    exceed ``max_bytes`` splits cleanly at an entry boundary (bodies are
+    re-emitted in the next chunk); a single entry whose lone batch would
+    still exceed the cap raises, exactly like an oversized v1 frame.
     """
     chunks: list[bytes] = []
     start = 0
-    while start < len(frames):
+    while start < len(entries):
         bodies: list[bytes] = []
         index: dict[object, int] = {}
-        refs: list[tuple[int, int, int]] = []
+        refs: list[tuple[int, float, int]] = []
         size = _BATCH_BASE
         i = start
-        while i < len(frames):
-            _src, _dst, key, body = frames[i]
-            body_index = index.get(key)
-            extra = _FRAME_REF.size
+        while i < len(entries):
+            pid, instant, key, body = entries[i]
+            body_index = STOP if body is None else index.get(key)
+            extra = _ENTRY.size
             if body_index is None:
                 extra += _U32.size + len(body)
-            if size + extra > max_bytes or (body_index is None and len(bodies) > 0xFFFF - 1):
+            if size + extra > max_bytes or (body_index is None and len(bodies) >= STOP):
                 if not refs:
                     raise ValueError(
-                        f"single frame of {len(body)} bytes exceeds the {max_bytes} batch cap"
+                        f"single entry of {len(body)} bytes exceeds the {max_bytes} batch cap"
                     )
                 break
             if body_index is None:
                 body_index = index[key] = len(bodies)
                 bodies.append(body)
-            refs.append((frames[i][0], frames[i][1], body_index))
+            refs.append((pid, instant, body_index))
             size += extra
             i += 1
         parts = [_BATCH_MARKER, _U16.pack(len(bodies))]
@@ -181,11 +185,16 @@ def encode_batch(
             parts.append(body)
         parts.append(_U32.pack(len(refs)))
         for ref in refs:
-            parts.append(_FRAME_REF.pack(*ref))
+            parts.append(_ENTRY.pack(*ref))
         blob = b"".join(parts)
         chunks.append(_HEADER.pack(len(blob)) + blob)
         start = i
     return chunks
+
+
+def encode_hello(worker_id: int) -> bytes:
+    """The length-prefixed hello a dialer writes first on a data connection."""
+    return _HEADER.pack(_HELLO.size) + _HELLO.pack(BATCH_VERSION, worker_id)
 
 
 #: The only globals a data body may name: the wire's message kinds and
@@ -237,16 +246,15 @@ class _BodyUnpickler(pickle.Unpickler):
 class DecodedBodyMemo:
     """The process's one body table: body bytes → object, LRU-bounded.
 
-    Both directions enter it.  :meth:`enter` records a body this process
-    pickled as the object it was pickled from; :meth:`loads` decodes a
-    body on its first sight and hands back that object on every later
-    one.  The key is the body's bytes themselves — equal bytes decode to
-    equal content, so handing back the held object is the same value at
-    none of the cost, and a body differing in one byte is a different
-    key.  Payloads are immutable once published (the assumption every
-    identity memo already makes), so sharing one object across batches,
-    destinations and directions is safe; ids are recomputed at a decode,
-    never believed from the bytes.
+    :meth:`loads` decodes a body on its first sight, enters it
+    (:meth:`enter`) and hands back that object on every later one.  The
+    key is the body's bytes themselves — equal bytes decode to equal
+    content, so handing back the held object is the same value at none
+    of the cost, and a body differing in one byte is a different key.
+    Payloads are immutable once published (the assumption every identity
+    memo already makes), so sharing one object across batches and pids
+    is safe; ids are recomputed at a decode, never believed from the
+    bytes.
 
     A miss decodes through :class:`_BodyUnpickler`, and :meth:`transaction`
     is where it builds a transaction: one whose four fields are exactly
@@ -325,20 +333,20 @@ class FrameError(ValueError):
         self.reason = reason
 
 
-def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, object]]:
-    """Decode one frame v2 batch blob into ``(src, dst, payload)`` frames.
+def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, float, object]]:
+    """Decode one v3 announcement batch blob into ``(pid, instant,
+    payload)`` entries, ``payload`` ``None`` for a stop.
 
-    Bodies resolve through ``memo``: every frame referencing a body
-    shares one payload object, mirroring the in-process bus handing one
-    canonical instance to many receivers, and with the transport's table
-    that sharing extends across batches and to the bodies this process
-    sent.  A torn batch, or one carrying a body that does not decode,
-    raises :class:`FrameError` — whatever the decode itself raised — so
-    a reader has one exception to count, by reason; a bad batch is never
-    a silent partial delivery.
+    Bodies resolve through ``memo``: every entry referencing a body
+    shares one payload object, and with the transport's table that
+    sharing extends across batches.  A torn batch (an entry whose
+    instant is not a finite non-negative number among them) or one
+    carrying a body that does not decode raises :class:`FrameError`,
+    whatever the decode itself raised, so a reader has one exception to
+    count, by reason; a bad batch is never a silent partial delivery.
     """
     if not blob or blob[0] != BATCH_VERSION:
-        raise FrameError("torn", "not a frame v2 batch blob")
+        raise FrameError("torn", "not a v3 announcement batch blob")
     view = memoryview(blob)
     try:
         offset = 1
@@ -349,7 +357,7 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
             (length,) = _U32.unpack_from(view, offset)
             offset += _U32.size
             if offset + length > len(blob):
-                raise FrameError("torn", "torn batch frame: truncated body")
+                raise FrameError("torn", "torn batch: truncated body")
             body = view[offset : offset + length]
             try:
                 payloads.append(memo.loads(bytes(body)))
@@ -360,27 +368,29 @@ def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, int, obj
                 # and all of it is the peer's malformed input, not our failure.
                 raise FrameError("refused", f"undecodable batch body: {exc!r}") from None
             offset += length
-        (n_frames,) = _U32.unpack_from(view, offset)
+        (n_entries,) = _U32.unpack_from(view, offset)
         offset += _U32.size
-        frames = []
-        for _ in range(n_frames):
-            src, dst, body_index = _FRAME_REF.unpack_from(view, offset)
-            offset += _FRAME_REF.size
-            frames.append((src, dst, payloads[body_index]))
+        entries = []
+        for _ in range(n_entries):
+            pid, instant, body_index = _ENTRY.unpack_from(view, offset)
+            offset += _ENTRY.size
+            if not 0.0 <= instant < math.inf:
+                raise FrameError("torn", f"torn batch: instant {instant!r}")
+            entries.append((pid, instant, None if body_index == STOP else payloads[body_index]))
     except (struct.error, IndexError) as exc:
-        raise FrameError("torn", f"torn batch frame: {exc!r}") from None
+        raise FrameError("torn", f"torn batch: {exc!r}") from None
     if offset != len(blob):
-        raise FrameError("torn", "torn batch frame: trailing bytes")
-    return frames
+        raise FrameError("torn", "torn batch: trailing bytes")
+    return entries
 
 
 class EncodedPayloadCache:
     """Encoded payload bodies for send fan-outs, one pickle per object.
 
-    A broadcast hands the *same* payload object to ``send`` once per
-    destination; this cache pickles it on first sight and reuses the
-    bytes for every later destination, so a fan-out at n = 1000 costs
-    one pickle, not ~1000.  Entries live in an
+    An announcement goes to every peer worker; this cache pickles its
+    message on first sight and reuses the bytes for every later peer and
+    every later announcement of the same object, so a fan-out costs one
+    pickle, not one per peer.  Entries live in an
     :class:`~repro.sleepy.messages.IdentityMemo` (keyed by the payload
     object, LRU-bounded: a flood of distinct payloads evicts, it never
     grows without bound).  The batch intern table is keyed by a
@@ -426,22 +436,23 @@ def supports_unix_sockets() -> bool:
 
 
 class SocketTransport(PushDelivery):
-    """One worker's point-to-point fabric over the socket mesh.
+    """One worker's share of the socket mesh.
 
     Args:
         n: total deployment size (for parity with ``SimTransport``).
         local_pids: the pids this worker hosts (only these can be
-            subscribed to).
+            subscribed to, and announced).
         owner: pid → worker id, for every pid of the deployment.
         worker_id: this worker's id.
         addresses: worker id → listen address for every worker.
         base_latency_s / jitter_s / seed: the modelled latency
             layer, identical to ``SimTransport``'s.
 
-    Frames go through :class:`~repro.net.transport.PushDelivery`'s one
-    door, :meth:`park`: local destinations loop back through the
-    delivery wheel, remote ones ride the owning worker's connection at
-    their slot (:meth:`_send_remote`).
+    :meth:`announce` queues an entry for every peer worker, and the
+    announcements made in one turn of the event loop leave in one batch
+    write per peer (:meth:`_flush_batch`).  Point-to-point frames go
+    through :class:`~repro.net.transport.PushDelivery`'s one door,
+    :meth:`park`, and loop back through the delivery wheel.
     """
 
     def __init__(
@@ -475,33 +486,35 @@ class SocketTransport(PushDelivery):
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
         self._encode_cache = EncodedPayloadCache()
-        #: The one body table: bodies sent and bodies read, all connections.
+        #: The one body table: every body read, all connections.
         self._decode_memo = DecodedBodyMemo()
-        #: (slot, worker id) -> frames awaiting that slot's batch write,
-        #: and each frame's ``(dst, payload)``: the batch pins the payload
-        #: and pops its supersession entry when it is written.
-        self._slot_batches: dict[
-            tuple[int, int], tuple[list[tuple[int, int, object, bytes]], list[tuple[int, object]]]
-        ] = {}
-        #: Logical frames written to / read from the socket mesh.
+        #: Peer worker id -> entries awaiting this turn's batch write.
+        self._outbox: dict[int, list[tuple[int, float, object, bytes | None]]] = {
+            wid: [] for wid in sorted(set(self._owner.values()) - {worker_id})
+        }
+        #: Whether a write of the outboxes is scheduled.
+        self._flushing = False
+        #: Announcements written to / read from the socket mesh.
         self.frames_sent = 0
         self.frames_received = 0
         #: Batch writes issued / batch blobs decoded.
         self.batches_sent = 0
         self.batches_received = 0
-        #: Data blobs that did not decode as a frame v2 batch, by
+        #: Data blobs that did not decode as a batch (or hello), by
         #: :class:`FrameError` reason, and length prefixes over
         #: ``MAX_FRAME_BYTES`` (``oversized``: each ends its connection).
         self.frames_rejected_torn = 0
         self.frames_rejected_refused = 0
         self.frames_rejected_oversized = 0
+        #: Entries naming a pid their connection's worker does not host.
+        self.entries_refused = 0
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
         self.bytes_received = 0
         #: Payload pickles actually performed vs interned-bytes reuses.
         self.payload_encodes = 0
         self.payload_reuses = 0
-        #: Frames that arrived for a pid this worker does not host.
+        #: Announcements for a peer whose connection is gone.
         self.misrouted_count = 0
 
     @property
@@ -521,22 +534,26 @@ class SocketTransport(PushDelivery):
         self._server = await serve_stream(self._addresses[self.worker_id], self._accept)
 
     async def connect(self) -> None:
-        """Dial every other worker (call after all listeners are bound)."""
+        """Dial every other worker (call after all listeners are bound)
+        and say hello: the first blob on each connection is this
+        worker's id."""
+        hello = encode_hello(self.worker_id)
         for wid, address in sorted(self._addresses.items()):
             if wid == self.worker_id:
                 continue
             _, writer = await open_stream(address)
+            writer.write(hello)
             self._peer_writers[wid] = writer
 
     async def close(self) -> None:
         """Tear down the listener, peer connections, and reader tasks.
 
         Pending wheel slots are flushed first — deliveries reach their
-        subscribers (or the hold, for a pid already unsubscribed) and
-        outstanding batches are written — so teardown never loses a
-        frame whose slot had not fired yet.
+        subscribers (or the hold, for a pid already unsubscribed) — and
+        announcements not written yet are, so teardown never loses one.
         """
         self.flush()
+        self._flush_batch()
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
@@ -554,62 +571,58 @@ class SocketTransport(PushDelivery):
             self._server = None
 
     def cancel(self) -> None:
-        """Discard every pending delivery and every batch not yet written."""
+        """Discard every pending delivery and every announcement not yet written."""
         super().cancel()
-        self._slot_batches.clear()
+        for entries in self._outbox.values():
+            entries.clear()
 
     # ------------------------------------------------------------------
-    # Internals
+    # Announcements
     # ------------------------------------------------------------------
-    def _send_remote(self, src: int, payload: object, frames: list[tuple[int, int]]) -> None:
-        """Park one fan-out's remote frames, each in its ``(slot, worker)`` batch.
+    def announce(self, pid: int, elapsed: float, message: Message | None) -> None:
+        """Queue ``(pid, elapsed, message)`` for every peer worker; the
+        turn's announcements leave together, once the turn ends.
 
-        Every remote frame sharing a bucket coalesces into one frame v2
-        batch write whose payload bodies are pickled once per fan-out
-        and referenced by offset; the real socket adds its own latency
-        on top of the modelled one.  A remote frame is superseded
-        exactly like a local one: one worker's batches to a peer go out
-        in slot order over one FIFO connection.  A freshly pickled body
-        enters the body table, so when gossip floods it back it is
-        ``payload`` again, not a second decode.
+        The message is pickled once, on its first announcement, and the
+        bytes serve every peer.
         """
-        intern_key, body, fresh = self._encode_cache.encode(payload)
-        if fresh:
-            self._decode_memo.enter(body, payload)
-        self.payload_encodes += fresh
-        self.payload_reuses += len(frames) - fresh
-        for dst, slot in frames:
-            key = (slot, self._owner[dst])
-            pending = self._slot_batches.get(key)
-            if pending is None:
-                pending = self._slot_batches[key] = ([], [])
-                self.wheel.schedule(slot, self._flush_batch, key)
-            pending[0].append((src, dst, intern_key, body))
-            pending[1].append((dst, payload))
+        outbox = self._outbox
+        if message is None:
+            entry = (pid, elapsed, None, None)
+        else:
+            intern_key, body, fresh = self._encode_cache.encode(message)
+            self.payload_encodes += fresh
+            self.payload_reuses += len(outbox) - fresh
+            entry = (pid, elapsed, intern_key, body)
+        for entries in outbox.values():
+            entries.append(entry)
+        self.sent_count += len(outbox)
+        if not self._flushing and outbox:
+            self._flushing = True
+            asyncio.get_running_loop().call_soon(self._flush_batch)
 
-    def _flush_batch(self, key: tuple[int, int]) -> None:
-        """Write every frame parked under ``(slot, worker)`` as v2 batches."""
-        pending = self._slot_batches.pop(key, None)
-        if pending is None:
-            return
-        frames, payloads = pending
-        for dst, payload in payloads:
-            # The frame leaves: it no longer supersedes a later copy.
-            self._parked[dst].pop(id(payload), None)
-        writer = self._peer_writers.get(key[1])
-        if writer is None or writer.is_closing():
-            # Peer already gone (shutdown race): nothing to deliver to.
-            self.misrouted_count += len(frames)
-            return
-        for chunk in encode_batch(frames):
-            writer.write(chunk)
-            self.batches_sent += 1
-            self.bytes_sent += len(chunk)
-        self.frames_sent += len(frames)
+    def _flush_batch(self) -> None:
+        """Write every queued announcement, one batch per peer."""
+        self._flushing = False
+        for wid, entries in self._outbox.items():
+            if not entries:
+                continue
+            self._outbox[wid] = []
+            writer = self._peer_writers.get(wid)
+            if writer is None or writer.is_closing():
+                # Peer already gone (shutdown race): nothing to deliver to.
+                self.misrouted_count += len(entries)
+                continue
+            for chunk in encode_batch(entries):
+                writer.write(chunk)
+                self.batches_sent += 1
+                self.bytes_sent += len(chunk)
+            self.frames_sent += len(entries)
 
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._reader_tasks.append(asyncio.current_task())
         try:
+            peer = None
             while True:
                 header = await reader.readexactly(_HEADER.size)
                 (length,) = _HEADER.unpack(header)
@@ -620,8 +633,16 @@ class SocketTransport(PushDelivery):
                     break
                 blob = await reader.readexactly(length)
                 self.bytes_received += _HEADER.size + length
+                if peer is None:
+                    peer = self._hello(blob)
+                    if peer is None:
+                        # A connection that names no peer worker cannot
+                        # announce anything: count it and hang up.
+                        self.frames_rejected_torn += 1
+                        break
+                    continue
                 try:
-                    frames = decode_batch(blob, self._decode_memo)
+                    entries = decode_batch(blob, self._decode_memo)
                 except FrameError as exc:
                     # A peer's blob is untrusted input: anything that is
                     # not a well-formed batch is counted and skipped, and
@@ -633,12 +654,13 @@ class SocketTransport(PushDelivery):
                         self.frames_rejected_refused += 1
                     continue
                 self.batches_received += 1
-                for src, dst, payload in frames:
+                owner = self._owner
+                for pid, elapsed, payload in entries:
                     self.frames_received += 1
-                    if dst in self.hosted:
-                        self.wheel.call(self._deliver, dst, src, payload)
+                    if owner.get(pid) != peer:
+                        self.entries_refused += 1
                     else:
-                        self.misrouted_count += 1
+                        self._hand_over(pid, elapsed, payload)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
         except asyncio.CancelledError:
@@ -647,3 +669,10 @@ class SocketTransport(PushDelivery):
             pass
         finally:
             writer.close()
+
+    def _hello(self, blob: bytes) -> int | None:
+        """The peer worker a connection's first blob names, or ``None``."""
+        if len(blob) != _HELLO.size or blob[0] != BATCH_VERSION:
+            return None
+        _, wid = _HELLO.unpack(blob)
+        return wid if wid in self._outbox else None

@@ -1,8 +1,8 @@
-"""The fabric: slot-wheel delivery, push subscribers, and the link law's draws.
+"""The fabric: the link law's draws, entry announcements, and slot-wheel delivery.
 
 The round simulator in :mod:`repro.sleepy` gives the adversary *logical*
 control over delivery; a deployment models the physical phenomenon
-behind it — latency.  Two pieces live here:
+behind it — latency.  Three pieces live here:
 
 * :class:`LinkLatencyModel`, the **draws**.  A link's delay for a
   message is a pure function of the run seed, the link and the message:
@@ -14,22 +14,25 @@ behind it — latency.  Two pieces live here:
   order, or on which process computes it — a sharded run draws exactly
   what the one-shard run draws.  The digest is not an identity: nothing
   dedups or keys on it.
-* :class:`PushDelivery`, the **fabric**.  A frame is parked at the wheel
-  slot it arrives in (:meth:`PushDelivery.park`) and handed to its pid's
-  subscriber when the slot fires, or, for a pid another process hosts,
-  written to that process at the slot.  Messages are never dropped by
-  the fabric, matching the paper's assumption that gossip survives
-  transient asynchrony.
-
-Which slot a gossip frame arrives in is the flood's to compute
-(:mod:`repro.net.gossip`): the hop law ``ceil((t + d) / slot_s)``, with
-``d`` the link's draw times the surge factor of the round holding ``t``.
-A shard computes its own nodes' arrivals and parks only the frames that
-leave it.  The fabric's own :meth:`PushDelivery.send` is the plain
-case: a frame sent now arrives after the link's base latency.
+* **Announcements**, what crosses between processes.  Every shard
+  computes the whole flood from those draws (:mod:`repro.net.gossip`),
+  so all another process needs to know of a message is where and when
+  it entered: :meth:`Transport.announce` tells every peer process, once,
+  that a message entered the flood at a pid this fabric hosts, so many
+  seconds after the run's start — or, with no message, that the pid
+  stopped — and :meth:`Transport.listen` hands a peer's announcements
+  to the shard's flood.  In one process there is nobody to tell.
+* :class:`PushDelivery`, the **point-to-point fabric**.  A frame is
+  parked at the wheel slot it arrives in (:meth:`PushDelivery.park`) and
+  handed to its pid's subscriber when the slot fires.  Messages are
+  never dropped by the fabric, matching the paper's assumption that
+  gossip survives transient asynchrony.  The fabric's own
+  :meth:`PushDelivery.send` is the plain case: a frame sent now arrives
+  after the link's base latency.  Only pids the fabric hosts take
+  frames: nothing point-to-point crosses a process boundary.
 
 Delivery is **pushed**.  A consumer registers one handler per pid
-(:meth:`Transport.subscribe`) and the fabric calls it, synchronously,
+(:meth:`PushDelivery.subscribe`) and the fabric calls it, synchronously,
 for every frame addressed to that pid: there is no receive call, no
 queue and no task between a :class:`DeliveryWheel` slot and the
 consumer.  **Slot order is the delivery order** — frames parked in one
@@ -65,6 +68,9 @@ _log = logging.getLogger(__name__)
 
 #: Called with ``(source pid, payload)`` for each frame a pid receives.
 FrameHandler = Callable[[int, object], None]
+#: Called with ``(pid, seconds since the run's start, message)`` for each
+#: announcement from a peer process; the message is ``None`` for a stop.
+EntryHandler = Callable[[int, float, object], None]
 
 
 class Transport(Protocol):
@@ -74,37 +80,27 @@ class Transport(Protocol):
     :class:`~repro.net.socket_transport.SocketTransport` (one shard of a
     socket mesh), and forwarded by
     :class:`~repro.net.proxy_transport.ProxyTransport`, which adds the
-    attack script's ``fate``; ``tests/net/test_transport_conformance.py``
-    holds the fabrics to it.  Lifecycle (start/connect/close) is
+    attack script's ``fate``.  Lifecycle (start/connect/close) is
     deliberately not part of it: only whoever builds a fabric calls it.
     """
 
-    #: The pids whose frames this fabric hands to subscribers.
+    #: The pids this fabric hosts.
     hosted: frozenset[int]
     #: The run's link draws.
     links: LinkLatencyModel
-    #: Frames parked through this fabric so far.
-    sent_count: int
-    #: The slot wheel frames wait on.
-    wheel: DeliveryWheel
 
     @property
     def slot_s(self) -> float:
-        """Width of a delivery slot, in loop seconds."""
+        """Width of a delivery slot, in loop seconds: the hop law's grid."""
 
-    def park(self, src: int, payload: object, frames: Sequence[tuple[int, int]]) -> None:
-        """Deliver ``payload`` from ``src`` to each ``dst`` of ``frames``,
-        ``[(dst, slot)]``, at loop time ``slot × slot_s``."""
+    def announce(self, pid: int, elapsed: float, message: Message | None) -> None:
+        """Tell every peer process that ``message`` entered the flood at
+        hosted ``pid``, ``elapsed`` seconds after the run's start
+        (``None``: that ``pid`` stopped then)."""
 
-    def subscribe(self, pid: int, handler: FrameHandler) -> None:
-        """Push every frame addressed to hosted ``pid`` to ``handler(src, payload)``.
-
-        Frames that arrived while ``pid`` had no subscriber are handed
-        over first, in arrival order.
-        """
-
-    def unsubscribe(self, pid: int) -> None:
-        """Stop pushing to ``pid``'s handler; later arrivals are held."""
+    def listen(self, handler: EntryHandler) -> None:
+        """Hand every peer process's announcement to ``handler(pid,
+        elapsed, message)``, in the order each peer sent them."""
 
 
 def draw_key(message: Message) -> bytes:
@@ -283,18 +279,20 @@ class DeliveryWheel:
 
 
 class PushDelivery:
-    """What both fabrics share: a slot wheel, its subscribers and the run's draws.
+    """What both fabrics share: a slot wheel, its subscribers, the run's
+    draws and the flood's listener.
 
-    :meth:`park` is every frame's one door: it applies the supersession
-    rule (module docstring), then schedules a hosted pid's frame on the
-    wheel or hands a remote one to :meth:`_send_remote`.  One handler
-    per hosted pid: :meth:`_deliver` is what a wheel slot (or a socket
-    reader) calls per frame; a frame whose pid has no subscriber is held
-    — never dropped, never ``misrouted`` — and handed over, in arrival
-    order, by the next :meth:`subscribe`.  The lifecycle is one too:
-    :meth:`start` binds, :meth:`connect` dials and :meth:`close` tears
-    down; in memory none of them has anything to do.  :attr:`links` is
-    the run's :class:`LinkLatencyModel`, which the flood draws from.
+    :meth:`park` is every point-to-point frame's one door: it applies
+    the supersession rule (module docstring), then schedules the frame
+    on the wheel.  One handler per hosted pid: :meth:`_deliver` is what
+    a wheel slot calls per frame; a frame whose pid has no subscriber is
+    held — never dropped — and handed over, in arrival order, by the
+    next :meth:`subscribe`.  The lifecycle is one too: :meth:`start`
+    binds, :meth:`connect` dials and :meth:`close` tears down; in memory
+    none of them has anything to do, and neither has :meth:`announce`.
+    :attr:`links` is the run's :class:`LinkLatencyModel`, which the flood
+    draws from, and :meth:`_hand_over` passes a peer's announcement to
+    the listener, isolated like a slot entry.
     """
 
     def __init__(
@@ -311,7 +309,10 @@ class PushDelivery:
         #: and the entry goes when a frame of it fires, so an ``id`` is
         #: never reused while its entry lives.
         self._parked: list[dict[int, int]] = [{} for _ in range(n)]
-        #: Frames parked through this fabric (local + remote).
+        #: The flood's handler for peer announcements (:meth:`listen`).
+        self._listener: EntryHandler | None = None
+        #: Frames sent through this fabric: parked, and announcements
+        #: (one per peer process).
         self.sent_count = 0
         #: Frames not parked: the same object was parked for their pid
         #: at a slot no later than theirs, so they could only arrive second.
@@ -352,20 +353,22 @@ class PushDelivery:
         self.park(src, payload, [(dst, slot) for dst in dsts])
 
     def park(self, src: int, payload: object, frames: Sequence[tuple[int, int]]) -> None:
-        """Deliver ``payload`` from ``src`` to each ``dst`` of ``frames``,
-        ``[(dst, slot)]``, at loop time ``slot × slot_s``.
+        """Deliver ``payload`` from ``src`` to each hosted ``dst`` of
+        ``frames``, ``[(dst, slot)]``, at loop time ``slot × slot_s``.
 
         A frame behind the same object parked for its pid at a slot no
         later is superseded — counted, not parked, its slot armed all the
         same, so the wheel keeps exactly the timers it would have had and
         a loop clock that advances timer by timer (a virtual one)
-        accumulates the same instants.  The frames for pids other
-        processes host leave in one :meth:`_send_remote` call.
+        accumulates the same instants.  A pid this fabric does not host
+        is refused before anything is parked.
         """
+        foreign = [dst for dst, _ in frames if dst not in self.hosted]
+        if foreign:
+            raise ValueError(f"pids {foreign} are not hosted by this fabric")
         wheel = self.wheel
         parked = self._parked
         key = id(payload)
-        remote = None
         for dst, slot in frames:
             table = parked[dst]
             first = table.get(key)
@@ -375,15 +378,22 @@ class PushDelivery:
                     wheel.arm(slot)
                 continue
             table[key] = slot
-            if dst in self.hosted:
-                wheel.schedule(slot, self._deliver, dst, src, payload)
-            elif remote is None:
-                remote = [(dst, slot)]
-            else:
-                remote.append((dst, slot))
+            wheel.schedule(slot, self._deliver, dst, src, payload)
         self.sent_count += len(frames)
-        if remote is not None:
-            self._send_remote(src, payload, remote)
+
+    def announce(self, pid: int, elapsed: float, message: Message | None) -> None:
+        """Tell every peer process of an entry or a stop: in memory there is none."""
+
+    def listen(self, handler: EntryHandler) -> None:
+        """Hand every peer announcement to ``handler`` (the last one given)."""
+        self._listener = handler
+
+    def _hand_over(self, pid: int, elapsed: float, message: object) -> None:
+        """A peer's announcement reaches this process: the listener (the
+        shard's flood, which listens before the fabric starts) takes it
+        now, a raise counted in ``handler_errors`` like a slot entry's."""
+        if self._listener is not None:
+            self.wheel.call(self._listener, pid, elapsed, message)
 
     def subscribe(self, pid: int, handler: FrameHandler) -> None:
         """Push ``pid``'s frames to ``handler``, held ones first."""
@@ -409,15 +419,6 @@ class PushDelivery:
         self.wheel.cancel()
         self._forget_parked()
 
-    def _send_remote(self, src: int, payload: object, frames: list[tuple[int, int]]) -> None:
-        """Route one fan-out's frames for pids other processes host.
-
-        ``frames`` is ``[(dst, slot)]``.  Each frame's supersession entry
-        is already recorded; whoever sends it pops the entry
-        (``self._parked[dst]``) when the frame leaves.
-        """
-        raise ValueError(f"pids {[dst for dst, _ in frames]} are not hosted by this fabric")
-
     def _forget_parked(self) -> None:
         for table in self._parked:
             table.clear()
@@ -425,10 +426,8 @@ class PushDelivery:
     def _deliver(self, dst: int, src: int, payload: object) -> None:
         """A frame reaches hosted ``dst``: it is handed over (or held).
 
-        Called when a wheel slot fires a parked frame, and per frame a
-        socket reader decodes.  Either way a copy of ``payload`` parked
-        for ``dst`` stops superseding — exact for the frame firing, and
-        only ever conservative for a frame read off the wire.
+        Called when a wheel slot fires a parked frame: a copy of
+        ``payload`` parked for ``dst`` stops superseding.
         """
         self._parked[dst].pop(id(payload), None)
         handler = self._handlers.get(dst)

@@ -7,8 +7,9 @@ receive phase.  The round simulator realises that with one
 class, fed by its gossip layer rather than by its senders:
 
 * **Publish.**  A message enters the shard's bus once, when it first
-  reaches any node of the shard (:meth:`ShardDelivery.admit`, the
-  :class:`~repro.net.gossip.GossipNetwork`'s admission callback), so
+  enters the shard's flood — published at one of its nodes, or
+  announced by another process (:meth:`ShardDelivery.admit`, the
+  :class:`~repro.net.gossip.GossipNetwork`'s admission callback) — so
   the log is in shard arrival order.
 * **Deliver.**  A node's receive phase (:meth:`ShardDelivery.take`)
   hands it what is pending for it that has reached it — what the

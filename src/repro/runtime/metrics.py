@@ -50,7 +50,8 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 #: sample's ``transport`` section.
 #: ``superseded`` is kept by every fabric; the rest by a socket fabric.
 #: ``frames_rejected`` is the sum of its three ``frames_rejected_*``
-#: reasons (``torn``, ``refused``, ``oversized``).
+#: reasons (``torn``, ``refused``, ``oversized``); ``entries_refused``
+#: counts announcements naming a pid their sender does not host.
 WIRE_COUNTER_ATTRS = (
     "superseded",
     "frames_sent",
@@ -65,6 +66,7 @@ WIRE_COUNTER_ATTRS = (
     "frames_rejected_torn",
     "frames_rejected_refused",
     "frames_rejected_oversized",
+    "entries_refused",
 )
 
 

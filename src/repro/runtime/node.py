@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.protocols.tob_base import SleepyTOBProcess
 from repro.runtime.delivery import ShardDelivery
 from repro.sleepy.messages import Message
-from repro.sleepy.schedule import SleepSchedule
 from repro.sleepy.trace import DecisionEvent
 
 
@@ -28,12 +27,10 @@ class DeployedNode:
     def __init__(
         self,
         process: SleepyTOBProcess,
-        schedule: SleepSchedule,
         delivery: ShardDelivery,
         gossip_stats: dict[str, int],
     ) -> None:
         self.process = process
-        self._schedule = schedule
         self._delivery = delivery
         self._gossip_stats = gossip_stats
         self.decisions: list[DecisionEvent] = []
@@ -41,10 +38,6 @@ class DeployedNode:
     @property
     def pid(self) -> int:
         return self.process.pid
-
-    def awake(self, round_number: int) -> bool:
-        """Whether this node participates in ``round_number`` (``O_r``)."""
-        return self.pid in self._schedule.awake(round_number)
 
     def run_send_phase(self, round_number: int) -> list[Message]:
         """Protocol send phase; returns the messages to publish."""

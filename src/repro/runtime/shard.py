@@ -130,9 +130,9 @@ class ShardRuntime:
     """The nodes of one shard, assembled over an already-built fabric.
 
     The caller built ``transport`` and owns its lifecycle
-    (start/close); the shard's gossip parks the frames that leave the
-    shard on it and subscribes its nodes to it — here, so build the
-    shard before the fabric starts listening — behind a
+    (start/close); the shard's gossip announces its entries and stops on
+    it and listens to it for its peers' — here, so build the shard
+    before the fabric starts listening — behind a
     :class:`ProxyTransport` when the spec's adversary is scripted.
     :attr:`record` sees every message this shard originates before it
     enters gossip; its tree is :attr:`chain`'s canonical tree, the
@@ -196,7 +196,6 @@ class ShardRuntime:
                 build_process(
                     factory, pid, self.registry.secret_key(pid), self.pipeline, self.chain
                 ),
-                schedule=self.schedule,
                 delivery=self.delivery,
                 gossip_stats=self.network.nodes[pid].stats,
             )
@@ -255,7 +254,7 @@ class ShardRuntime:
             await report(self.sample())
 
     def stop(self) -> None:
-        """Unsubscribe gossip."""
+        """Stop the shard's nodes in every shard's flood."""
         self.network.stop()
 
     def sample(self) -> dict:
@@ -265,8 +264,8 @@ class ShardRuntime:
         The hub's counters and histograms, then what each owner holds,
         read now: the fabric's counters and the frames its wheel still
         parks (``in_flight``), the gossip layer's totals, the mempools
-        and, under a script, the proxy's per-phase audit, its phase and
-        the frames it holds.
+        and, under a script, the proxy's per-phase audit of the links
+        its nodes send on, and its phase.
         """
         pools = [node.process.mempool for node in self.nodes.values()]
         pools = [pool for pool in pools if pool is not None]

@@ -18,8 +18,8 @@ the flood reads each round's surge and attack phase off that clock), pushes live
 samples over its channel while the coordinator listens for them, and
 takes its payload the moment the drive returns: after a node's last
 receive phase nothing that arrives can reach its tree, vote store or
-decisions, and frames still parked are written at their slots or by
-the transport's closing flush.  The payload's trace part is what the
+decisions, and announcements not written yet (its nodes' stops among
+them) go out by the transport's closing flush.  The payload's trace part is what the
 shard recorded at publish (the blocks it published, its per-round
 counts, its nodes' decisions), so a block reaches the coordinator
 once, from the shard that published it.

@@ -8,7 +8,7 @@ import functools
 import selectors
 from collections.abc import Iterable
 
-from repro.net.transport import DeliveryWheel, LinkLatencyModel
+from repro.net.transport import LinkLatencyModel
 from repro.runtime.clock import RoundClock
 
 
@@ -47,15 +47,11 @@ class NoLinks:
         self.hosted = frozenset(hosted)
         self.links = LinkLatencyModel(0.001, 0.0, seed=0)
         self.slot_s = 0.001
-        self.wheel = DeliveryWheel(self.slot_s)
 
-    def subscribe(self, pid: int, handler) -> None:
+    def announce(self, pid: int, elapsed: float, message) -> None:
         pass
 
-    def unsubscribe(self, pid: int) -> None:
-        pass
-
-    def park(self, src: int, payload, frames) -> None:
+    def listen(self, handler) -> None:
         pass
 
 
@@ -110,13 +106,19 @@ def tap_arrivals(network, record) -> None:
     for node in network.nodes.values():
         ingest = node._ingest
 
-        def tapped_ingest(src, message, ingest=ingest):
+        def tapped_ingest(message, ingest=ingest):
             messages.setdefault(getattr(message, "content_key", None), message)
-            ingest(src, message)
+            ingest(message)
 
         node._ingest = tapped_ingest
-        network.transport.unsubscribe(node.pid)
-        network.transport.subscribe(node.pid, tapped_ingest)
+    enter = network._enter
+
+    def tapped_enter(pid, elapsed, message):
+        messages.setdefault(getattr(message, "content_key", None), message)
+        enter(pid, elapsed, message)
+
+    network._enter = tapped_enter
+    network.transport.listen(tapped_enter)
     catch_up, clock = network.catch_up, network.clock
     pending, summaries = network._pending, network._summaries
     #: key -> ``(arrivals, held bits)`` as of the last look.
@@ -131,8 +133,8 @@ def tap_arrivals(network, record) -> None:
             new += [(pid, key) for pid in range(fresh.bit_length()) if fresh >> pid & 1]
         return new
 
-    def tapped_catch_up():
-        now = clock.now()
+    def tapped_catch_up(until=None):
+        now = clock.now() if until is None else min(until, clock.now())
         # Only a flood filed whole sets a bit outside a catch-up: its
         # entry's, at the instant it entered, which is now.
         entered = newly_held()

@@ -267,50 +267,43 @@ def test_seen_set_is_bounded_by_the_expiry_horizon():
 # Two shards in one process
 # ----------------------------------------------------------------------
 class _MeshShard(PushDelivery):
-    """One shard of a fabric split over processes, in one process: a frame
-    for a pid the other shard hosts is handed to that shard at its slot,
-    as the socket reader of :class:`~repro.net.socket_transport.
-    SocketTransport` hands over each decoded frame."""
+    """One shard of a fabric split over processes, in one process: an
+    announcement reaches every other shard's listener on the loop's next
+    turn, or ``delay`` seconds later, as the socket reader of
+    :class:`~repro.net.socket_transport.SocketTransport` hands over each
+    decoded entry."""
 
-    def __init__(self, n, hosted, slot_s, links) -> None:
+    def __init__(self, n, hosted, slot_s, links, delay=0.0) -> None:
         super().__init__(n, hosted, slot_s, links)
-        self.peer: _MeshShard | None = None
-        #: ``(src, dst, slot)`` of every frame sent to the other shard.
-        self.crossed: list[tuple[int, int, int]] = []
+        self.peers: list[_MeshShard] = []
+        self.delay = delay
+        #: ``(pid, elapsed, message)`` of every announcement, once per peer.
+        self.crossed: list[tuple[int, float, object]] = []
 
-    def _send_remote(self, src, payload, frames):
-        for dst, slot in frames:
-            self.crossed.append((src, dst, slot))
-            self.wheel.schedule(slot, self._cross, src, dst, payload)
-
-    def _cross(self, src, dst, payload):
-        self._parked[dst].pop(id(payload), None)
-        self.peer.wheel.call(self.peer._deliver, dst, src, payload)
-
-
-class _NeverSupersedes(_MeshShard):
-    """A mesh shard that parks every frame, even one that can only arrive second."""
-
-    def park(self, src, payload, frames):
-        self._forget_parked()
-        super().park(src, payload, frames)
+    def announce(self, pid, elapsed, message):
+        loop = asyncio.get_running_loop()
+        for peer in self.peers:
+            self.crossed.append((pid, elapsed, message))
+            self.sent_count += 1
+            loop.call_later(self.delay, peer._hand_over, pid, elapsed, message)
 
 
-def _mesh(n, shards, slot_s, model, shard_class=_MeshShard):
-    """One ``shard_class`` per pid tuple of ``shards``, each with its own
-    link model built from ``model``, wired to one another."""
-    fabrics = [shard_class(n, hosted, slot_s, LinkLatencyModel(**model)) for hosted in shards]
-    for fabric, peer in zip(fabrics, fabrics[1:] + fabrics[:1]):
-        fabric.peer = peer
+def _mesh(n, shards, slot_s, model, delay=0.0):
+    """One :class:`_MeshShard` per pid tuple of ``shards``, each with its
+    own link model built from ``model``, each the others' peer."""
+    fabrics = [
+        _MeshShard(n, hosted, slot_s, LinkLatencyModel(**model), delay) for hosted in shards
+    ]
+    for fabric in fabrics:
+        fabric.peers = [peer for peer in fabrics if peer is not fabric]
     return fabrics
 
 
 def test_a_raising_admission_does_not_stop_the_flood():
     """The admission callback raising costs its shard that message's
-    admission only: the shard's arrivals were already filed and its
-    forwards parked, every node still gets the message, and the next
-    message is admitted.  Two shards, so the raise happens in a frame's
-    handler."""
+    admission only: the shard's arrivals were already computed, every
+    node still gets the message, and the next message is admitted.  Two
+    shards, so the raise happens in the listener of an announcement."""
 
     async def scenario():
         n = 8
@@ -483,16 +476,16 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
     return first
 
 
-def _computed_flood(shards, surge_factor, script, stopped, shard_class=_MeshShard):
+def _computed_flood(shards, surge_factor, script, stopped):
     """The flood on ``shards`` (pid tuples) of one virtual-clock process,
-    each shard a network over its own ``shard_class`` fabric, link model
-    and round clock: ``{content key: {pid: first-arrival instant}}`` as
-    the shards filed it, the frames that crossed between shards and the
+    each shard a network over its own fabric, link model and round
+    clock: ``{content key: {pid: first-arrival instant}}`` as the shards
+    filed it, the announcements that crossed between shards and the
     audit totals."""
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        fabrics = _mesh(FLOOD_N, shards, SLOT_S, FLOOD_MODEL, shard_class)
+        fabrics = _mesh(FLOOD_N, shards, SLOT_S, FLOOD_MODEL)
         filed: dict[tuple, dict[int, float]] = {}
 
         def file_arrival(pid, message, at):
@@ -556,9 +549,17 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
     predicted = {key: pids for key, pids in predicted.items() if pids}
     assert one == predicted
     assert two == predicted
-    # Each shard audits the links full flooding offers, so the two agree.
+    # Each shard audits the links its own nodes send on, so the audits
+    # summed over the shards are the one shard's.
     assert one_audit == two_audit
-    assert crossed == [] and crossed_two
+    # A message crosses to the other shard once, at publish, and so
+    # does each stop.
+    assert crossed == []
+    bodies = [message for _, _, message in crossed_two if message is not None]
+    assert sorted(m.content_key for m in bodies) == sorted(
+        m.content_key for _, _, m in _flood_publishes()
+    )
+    assert sorted(pid for pid, _, message in crossed_two if message is None) == sorted(stopped)
     # What each case exercises shows in what it predicts.
     reached = [len(pids) for pids in predicted.values()]
     live = FLOOD_N - len(stopped)
@@ -695,33 +696,6 @@ def test_a_flood_filed_whole_shows_every_reader_what_full_flooding_files():
     assert max(predicted[keys[1]].values()) > clock.instant(2)
 
 
-def test_through_drops_and_a_partition_supersession_changes_no_delivery():
-    """Two shards behind a proxy that drops frames, partitions the overlay
-    and heals: the fabrics that supersede frames which can only arrive
-    second file exactly the first arrivals that fabrics parking every
-    frame do, and audit the same offers."""
-    made: list[_MeshShard] = []
-
-    class Kept(_MeshShard):
-        def __init__(self, *args) -> None:
-            super().__init__(*args)
-            made.append(self)
-
-    surge_factor, script, stopped = FLOOD_CASES["partition-and-drops"]
-    halves = (tuple(range(FLOOD_N // 2)), tuple(range(FLOOD_N // 2, FLOOD_N)))
-    filed, crossed, audit = _computed_flood(halves, surge_factor, script, stopped, Kept)
-    full, full_crossed, full_audit = _computed_flood(
-        halves, surge_factor, script, stopped, _NeverSupersedes
-    )
-    assert filed == full
-    assert audit == full_audit
-    assert audit["dropped"] > 0 and audit["partitioned"] > 0
-    # Superseded frames never cross: the ones that do are full flooding's.
-    assert sum(fabric.superseded for fabric in made) > 0
-    assert set(crossed) < set(full_crossed)
-    assert len(full_crossed) - len(crossed) == sum(fabric.superseded for fabric in made)
-
-
 def test_one_shard_parks_no_frame_and_arms_no_timer():
     """A shard hosting every pid computes its nodes' arrivals: nothing is
     sent, nothing waits on the wheel, and every node is reached once."""
@@ -790,13 +764,12 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
     assert stats["duplicates"] == 0
 
 
-def test_across_two_shards_only_co_located_holders_are_skipped():
+def test_across_two_shards_a_message_crosses_once_and_arrives_once():
     """K4 split into A = {0, 1, 2} and B = {3}, no jitter, 2 ms links.
-    0 publishes at 0: A reaches 1 and 2 at 2 ms and never offers either a
-    frame once it holds; a frame to 3 is always sent — B's holdings are
-    not A's to read — so 1 sends one at 2 ms, when 3 already holds it
-    (2's, parked behind 1's in the same slot, is superseded).  B's own
-    forwards come back to 1 and 2 as duplicates."""
+    0 publishes at 0: A announces it to B once, and each shard computes
+    the whole flood — A files 1 and 2 at 2 ms and settles 3 as a relay,
+    B files 3 at 2 ms and settles A's pids as relays.  Nothing else
+    crosses, and no node is reached twice."""
     k4 = {pid: tuple(peer for peer in range(4) if peer != pid) for pid in range(4)}
     registry = KeyRegistry(4, run_seed=0)
     vote = make_vote(registry, registry.secret_key(0), 0, None)
@@ -811,53 +784,58 @@ def test_across_two_shards_only_co_located_holders_are_skipped():
             tap_arrivals(network, lambda pid, _m, at: filed[pid].append(round(at, 6)))
         networks[0].nodes[0].publish(vote)
         await asyncio.sleep(0.1)
+        for network in networks:
+            network.catch_up()
         stats = {pid: dict(n.nodes[pid].stats) for n in networks for pid in n.nodes}
-        return filed, shard_a, shard_b, stats
+        relays = [n.seen.arrivals[vote.content_key].relayed for n in networks]
+        return filed, shard_a, shard_b, stats, relays
 
-    filed, shard_a, shard_b, stats = run_virtual(scenario())
+    filed, shard_a, shard_b, stats, relays = run_virtual(scenario())
     assert filed == {0: [0.0], 1: [0.002], 2: [0.002], 3: [0.002]}
-    assert [(src, dst, slot) for src, dst, slot in shard_a.crossed] == [(0, 3, 2), (1, 3, 4)]
-    assert shard_a.superseded == 1
-    assert sorted((src, dst) for src, dst, _ in shard_b.crossed) == [(3, 1), (3, 2)]
+    assert shard_a.crossed == [(0, 0.0, vote)] and shard_b.crossed == []
+    assert relays == [1 << 3, 0b111]
     assert {pid: s["delivered"] for pid, s in stats.items()} == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert {pid: s["duplicates"] for pid, s in stats.items()} == {0: 0, 1: 1, 2: 1, 3: 1}
+    assert {pid: s["duplicates"] for pid, s in stats.items()} == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
-def test_a_frame_from_another_shard_lowers_only_future_instants():
-    """Two shards on a ring 0-1-2-3-0, shard A = {0, 1}, B = {2, 3}; the
-    link 3 → 2 crawls (40 ms extra).  B first hears of the message at 3
-    and has 2 due at 42 ms; A's frame 1 → 2 reaches 2 at 2 ms, which is
-    its first arrival: the crawling one is never filed, and 2 owes A no
-    forward (1 is where it came from)."""
+@pytest.mark.parametrize(
+    "delay, lowered",
+    [(0.0015, True), (0.003, False)],
+    ids=["before-settled", "after-settled"],
+)
+def test_an_announcement_lowers_only_instants_not_yet_settled(delay, lowered):
+    """Two shards on a ring 0-1-2-3-0, A = {0, 1}, B = {2, 3}, 1 ms links,
+    and announcements that take ``delay`` to cross.  A publishes a vote
+    at 0 at 0 ms and B the same vote at 2 at 0.5 ms, so 3 is first
+    reached at 1 ms (from 0) in full flooding, and at 2 ms (from 2) in
+    B's flood before A's entry is known there.  B catches up at 2.5 ms.
+    A's entry, reaching B at 1.5 ms, lowers 3's instant to 1 ms; at 3 ms,
+    after B settled 3, it changes nothing filed."""
     ring = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
     registry = KeyRegistry(4, run_seed=0)
     vote = make_vote(registry, registry.secret_key(0), 0, None)
     model = {"base_latency_s": 0.001, "jitter_s": 0.0, "seed": 0}
-    script = AttackScript(
-        name="slow-3-2", phases=(phase(1), phase(9, surge(41.0, links=[(3, 2)])))
-    )
 
     async def scenario():
-        shard_a, shard_b = _mesh(4, ((0, 1), (2, 3)), 0.001, model)
-        clock = RoundClock(0.01)
-        clock.start_at(-0.03)  # round 1, the surge's, holds every instant here
-        proxies = [
-            ProxyTransport(fabric, script.timeline(), clock=clock, base_latency_s=0.001)
-            for fabric in (shard_a, shard_b)
-        ]
-        networks = [_network(proxy, ring, clock) for proxy in proxies]
+        loop = asyncio.get_running_loop()
+        shard_a, shard_b = _mesh(4, ((0, 1), (2, 3)), 0.001, model, delay)
+        clock = _started_clock()
+        networks = [_network(fabric, ring, clock) for fabric in (shard_a, shard_b)]
         filed: dict[int, list[float]] = {pid: [] for pid in range(4)}
         for network in networks:
             tap_arrivals(network, lambda pid, _m, at: filed[pid].append(round(at, 6)))
         networks[0].nodes[0].publish(vote)
+        loop.call_at(0.0005, networks[1].nodes[2].publish, vote)
+        loop.call_at(0.0025, networks[1].catch_up)
         await asyncio.sleep(0.1)
+        for network in networks:
+            network.catch_up()
         stats = {pid: dict(n.nodes[pid].stats) for n in networks for pid in n.nodes}
         return filed, shard_a.crossed, shard_b.crossed, stats
 
     filed, from_a, from_b, stats = run_virtual(scenario())
-    assert filed == {0: [0.0], 1: [0.001], 2: [0.002], 3: [0.001]}
-    assert [(src, dst) for src, dst, _ in from_a] == [(0, 3), (1, 2)]
-    assert from_b == []
+    assert filed == {0: [0.0], 1: [0.001], 2: [0.0005], 3: [0.001 if lowered else 0.002]}
+    assert from_a == [(0, 0.0, vote)] and from_b == [(2, 0.0005, vote)]
     assert [s["delivered"] for _, s in sorted(stats.items())] == [1, 1, 1, 1]
     assert sum(s["duplicates"] for s in stats.values()) == 0
 

@@ -6,10 +6,10 @@ from repro.attacks import AttackScript, drop, heal, partition, phase, surge, wit
 from repro.crypto.signatures import KeyRegistry
 from repro.net.gossip import regular_topology
 from repro.net.proxy_transport import ProxyTransport
-from repro.net.transport import SimTransport
+from repro.net.transport import LinkLatencyModel, PushDelivery, SimTransport
 from repro.sleepy.messages import make_vote
 
-from tests.net.conftest import Collector, StillClock, run_virtual
+from tests.net.conftest import StillClock
 
 #: δ = 10 ms: rounds of 30 ms.
 CLOCK_DELTA_S = 0.01
@@ -151,22 +151,36 @@ def test_a_blackout_holds_every_link_until_the_heal():
 
 
 def test_audit_phase_and_delegation():
-    """The phase entered, the audit of a held frame, and frames the flood
-    parks and subscriptions passing straight through to the inner fabric."""
+    """The phase entered, the audit of a held frame, and announcements
+    passing straight through to the inner fabric."""
+    proxy = _proxy(SCRIPT)
+    heard = []
+    proxy.listen(lambda *entry: heard.append(entry))
+    assert proxy.phase == 0
+    proxy.enter_phase(1)
+    assert proxy.phase == 1
+    assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
+    assert proxy.audit_totals()["partitioned"] == 1
+    proxy.inner._hand_over(2, 0.5, "x")
+    assert heard == [(2, 0.5, "x")]
 
-    async def scenario():
-        proxy = _proxy(SCRIPT)
-        inbox = Collector(proxy, (2,))  # subscribes through to the inner fabric
-        assert proxy.phase == 0
-        proxy.enter_phase(1)
-        assert proxy.phase == 1
-        assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
-        assert proxy.audit_totals()["partitioned"] == 1
-        proxy.park(0, "x", [(2, 3)])
-        assert proxy.sent_count == proxy.inner.sent_count == 1
-        return await inbox.until(2, 1)
 
-    assert run_virtual(scenario()) == [(0, "x")]
+def test_a_shard_audits_only_the_links_its_own_nodes_send_on():
+    """Every shard asks ``fate`` for every out-link of the flood, and the
+    answer is the same whoever hosts the sender; only the shard hosting
+    the sender counts it, so the shards' audits add up to one shard's."""
+    inner = PushDelivery(4, (0, 1), 0.001, LinkLatencyModel(0.01, 0.0, seed=0))
+    inner.links.enumerate({src: tuple(dst for dst in range(4) if dst != src) for src in range(4)})
+    proxy = ProxyTransport(
+        inner, SCRIPT.timeline(), clock=StillClock(CLOCK_DELTA_S), base_latency_s=0.01
+    )
+    message, t = _vote(), _in_round(2)
+    assert proxy.fate(0, 2, t, message) == proxy.fate(2, 0, t, message)
+    assert proxy.fate(0, 2, t, message) == pytest.approx(4 * ROUND_S)
+    assert proxy.audit_totals()["partitioned"] == 2
+    surged = _in_round(6)
+    assert proxy.fate(3, 1, surged, message) == proxy.fate(1, 3, surged, message)
+    assert proxy.audit_totals()["delayed"] == 1
 
 
 def test_the_proxy_forwards_the_inner_fabrics_surface():

@@ -1,6 +1,7 @@
-"""Socket transport: framing, mesh routing, local loopback, audit counters."""
+"""Socket transport: framing, announcements, local loopback, audit counters."""
 
 import asyncio
+import math
 import pickle
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from repro.chain.block import Block
 from repro.chain.transactions import Transaction
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.vrf import VRFOutput
+from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.net.socket_transport import (
     BATCH_VERSION,
     MAX_FRAME_BYTES,
@@ -23,10 +25,12 @@ from repro.net.socket_transport import (
     decode_batch,
     encode_batch,
     encode_frame,
+    encode_hello,
     open_stream,
     read_frame,
     supports_unix_sockets,
 )
+from repro.runtime.clock import RoundClock
 from repro.sleepy.messages import (
     AckMessage,
     ProposeMessage,
@@ -35,7 +39,8 @@ from repro.sleepy.messages import (
     make_vote,
 )
 
-from tests.net.conftest import Collector
+
+from tests.net.conftest import Collector, ignore, no_surge
 from tests.sleepy.test_content_key import ill_typed_bodies, wire_form_ill_typed_bodies
 
 
@@ -77,28 +82,45 @@ def _mesh_pair(tmp_path):
     return a, b
 
 
+class _Heard:
+    """Listens on a fabric and records every announcement it hands over,
+    as ``(pid, elapsed, message)``."""
+
+    def __init__(self, transport) -> None:
+        self.entries: list[tuple[int, float, object]] = []
+        transport.listen(lambda *entry: self.entries.append(entry))
+
+    async def until(self, count: int, timeout: float = 2.0) -> list[tuple[int, float, object]]:
+        """The first ``count`` announcements (``TimeoutError`` if fewer arrive)."""
+        async with asyncio.timeout(timeout):
+            while len(self.entries) < count:
+                await asyncio.sleep(0.0005)
+        return self.entries[:count]
+
+
 async def _listening_pair(tmp_path):
-    """The mesh pair, subscribed (first) and listening, with its two inboxes."""
+    """The mesh pair, listening (first) and connected, with what each hears."""
     a, b = _mesh_pair(tmp_path)
-    inbox_a, inbox_b = Collector(a, (0,)), Collector(b, (1, 2))
+    heard_a, heard_b = _Heard(a), _Heard(b)
     await a.start()
     await b.start()
     await a.connect()
     await b.connect()
-    return a, b, inbox_a, inbox_b
+    return a, b, heard_a, heard_b
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_cross_worker_and_local_delivery(tmp_path):
+def test_an_announcement_crosses_to_the_peer_and_a_local_frame_loops_back(tmp_path):
     async def scenario():
-        a, b, inbox_a, inbox_b = await _listening_pair(tmp_path)
+        a, b, heard_a, heard_b = await _listening_pair(tmp_path)
+        inbox_b = Collector(b, (2,))
         try:
-            a.send(0, 1, "remote")  # crosses the socket to worker b
+            a.announce(0, 0.25, "entry")  # crosses the socket to worker b
             b.send(1, 2, "local")  # loops back inside worker b
-            b.send(2, 0, "back")  # crosses the socket to worker a
-            assert await inbox_b.until(1, 1) == [(0, "remote")]
+            b.announce(1, 0.5, None)  # a stop, crossing to worker a
+            assert await heard_b.until(1) == [(0, 0.25, "entry")]
             assert await inbox_b.until(2, 1) == [(1, "local")]
-            assert await inbox_a.until(0, 1) == [(2, "back")]
+            assert await heard_a.until(1) == [(1, 0.5, None)]
             # Local loopback never touches the socket mesh.
             assert a.frames_sent == 1 and b.frames_sent == 1
             assert a.frames_received == 1 and b.frames_received == 1
@@ -140,31 +162,28 @@ def test_modelled_latencies_match_sim_transport(tmp_path):
         assert sim.links.coins(key) == socketed.links.coins(key)
 
 
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_misrouted_frames_are_counted_not_dropped_silently(tmp_path):
-    async def scenario():
-        a, b = _mesh_pair(tmp_path)
-        await a.start()
-        await b.start()
-        await a.connect()
-        await b.connect()
-        try:
-            # Fault injection: worker a forgets it hosts pid 0 and
-            # frames it to worker b, which does not host pid 0 either.
-            a.hosted = frozenset()
-            a._owner[0] = 1
-            a.send(1, 0, "lost?")
-            await asyncio.sleep(0.1)
-            assert b.misrouted_count == 1
-        finally:
-            await a.close()
-            await b.close()
+def test_a_point_to_point_frame_never_crosses_the_mesh():
+    """Only announcements cross between workers: a frame for a pid
+    another worker hosts is refused before anything is parked."""
+    a, _ = _mesh_pair(Path("unused"))
+    with pytest.raises(ValueError, match="not hosted"):
+        a.park(0, "x", [(0, 3), (1, 3)])
+    assert a.sent_count == 0 and a.wheel.pending == 0
 
-    asyncio.run(scenario())
+
+def test_an_announcement_with_no_connection_is_counted_misrouted():
+    async def scenario():
+        a, _ = _mesh_pair(Path("unused"))
+        a.announce(0, 0.0, "nobody to tell")  # never connected
+        await asyncio.sleep(0)
+        return a
+
+    a = asyncio.run(scenario())
+    assert a.misrouted_count == 1 and a.frames_sent == 0
 
 
 # ----------------------------------------------------------------------
-# Frame v2 batches
+# v3 announcement batches
 # ----------------------------------------------------------------------
 def _body(payload):
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -172,38 +191,41 @@ def _body(payload):
 
 def test_batch_roundtrip_shares_one_decoded_body():
     body = _body(["shared"])
-    chunks = encode_batch([(0, dst, "key", body) for dst in range(1, 6)])
+    entries = [(pid, 0.5 * pid, "key", body) for pid in range(1, 6)] + [(7, 3.0, None, None)]
+    chunks = encode_batch(entries)
     assert len(chunks) == 1
     blob = chunks[0][4:]
     assert blob[0] == BATCH_VERSION
-    frames = decode_batch(blob, DecodedBodyMemo())
-    assert frames == [(0, dst, ["shared"]) for dst in range(1, 6)]
-    # One body on the wire, one unpickle: every frame shares the object.
-    first = frames[0][2]
-    assert all(payload is first for _, _, payload in frames)
+    decoded = decode_batch(blob, DecodedBodyMemo())
+    assert decoded == [(pid, 0.5 * pid, ["shared"]) for pid in range(1, 6)] + [(7, 3.0, None)]
+    # One body on the wire, one unpickle: every entry shares the object.
+    first = decoded[0][2]
+    assert all(payload is first for _, _, payload in decoded[:5])
 
 
 def test_batch_splits_cleanly_at_the_byte_cap():
     body = _body(b"x" * 100)
-    frames = [(0, dst, "key", body) for dst in range(10)]
-    chunks = encode_batch(frames, max_bytes=180)
+    entries = [(pid, float(pid), "key", body) for pid in range(10)]
+    chunks = encode_batch(entries, max_bytes=180)
     assert len(chunks) > 1
     decoded = []
     for chunk in chunks:
         assert len(chunk) - 4 <= 180
         decoded.extend(decode_batch(chunk[4:], DecodedBodyMemo()))
-    # Bodies are re-emitted per chunk; no frame is lost or reordered.
-    assert [(src, dst) for src, dst, _ in decoded] == [(0, dst) for dst in range(10)]
+    # Bodies are re-emitted per chunk; no entry is lost or reordered.
+    assert [(pid, instant) for pid, instant, _ in decoded] == [
+        (pid, float(pid)) for pid in range(10)
+    ]
     assert all(payload == b"x" * 100 for _, _, payload in decoded)
 
 
-def test_single_oversized_frame_rejected():
+def test_single_oversized_entry_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        encode_batch([(0, 1, "key", _body(b"y" * 100))], max_bytes=50)
+        encode_batch([(0, 0.0, "key", _body(b"y" * 100))], max_bytes=50)
 
 
 def test_torn_batch_blobs_raise_value_error():
-    (chunk,) = encode_batch([(0, dst, "key", _body("p")) for dst in range(3)])
+    (chunk,) = encode_batch([(pid, 1.0, "key", _body("p")) for pid in range(3)])
     blob = chunk[4:]
     # Truncations at any depth are a framing error, not a partial delivery.
     for cut in (1, 2, 5, len(blob) - 3):
@@ -211,12 +233,23 @@ def test_torn_batch_blobs_raise_value_error():
             decode_batch(blob[:cut], DecodedBodyMemo())
     with pytest.raises(ValueError, match="torn batch"):
         decode_batch(blob + b"junk", DecodedBodyMemo())
-    with pytest.raises(ValueError, match="not a frame v2"):
+    with pytest.raises(ValueError, match="not a v3"):
         decode_batch(b"\x80rest", DecodedBodyMemo())
+    # The previous layout's version byte is no batch any more.
+    with pytest.raises(ValueError, match="not a v3"):
+        decode_batch(b"\x02" + blob[1:], DecodedBodyMemo())
+
+
+@pytest.mark.parametrize("instant", [math.nan, math.inf, -math.inf, -0.001])
+def test_an_instant_that_is_not_a_finite_non_negative_number_is_torn(instant):
+    (chunk,) = encode_batch([(0, 1.0, "key", _body("p")), (0, instant, None, None)])
+    with pytest.raises(FrameError, match="instant") as raised:
+        decode_batch(chunk[4:], DecodedBodyMemo())
+    assert raised.value.reason == "torn"
 
 
 def test_partial_batch_frame_at_eof_raises_incomplete_read():
-    (chunk,) = encode_batch([(0, 1, "key", _body("p"))])
+    (chunk,) = encode_batch([(0, 0.0, "key", _body("p"))])
 
     async def torn_stream():
         reader = asyncio.StreamReader()
@@ -266,91 +299,61 @@ def test_encoded_payload_cache_interns_messages_by_content_digest():
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_broadcast_pickles_once_and_rides_one_batch(tmp_path):
+def test_an_announcement_pickles_once_for_every_peer(tmp_path):
+    """Three workers: an announcement goes to both peers, pickled once and
+    reused once, one batch write each; each peer decodes it for itself."""
+
     async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        addresses = {wid: str(tmp_path / f"w{wid}.sock") for wid in range(3)}
+        owner = {pid: pid for pid in range(3)}
+        workers = [
+            SocketTransport(
+                3,
+                local_pids=(wid,),
+                owner=owner,
+                worker_id=wid,
+                addresses=addresses,
+                base_latency_s=0.001,
+                jitter_s=0.0,
+            )
+            for wid in range(3)
+        ]
+        heard = [_Heard(worker) for worker in workers]
+        for worker in workers:
+            await worker.start()
+        for worker in workers:
+            await worker.connect()
+        a = workers[0]
         try:
-            # One send_many = one clock read, so at zero jitter both
-            # frames land in one slot by construction.
             body = ["broadcast", bytes(4096)]
-            a.send_many(0, (1, 2), body)
-            (got_1,) = await inbox_b.until(1, 1)
-            (got_2,) = await inbox_b.until(2, 1)
-            assert got_1 == (0, body) and got_2 == (0, body)
-            # The fan-out pickled once, reused once, and both frames
-            # crossed the wire in a single batch write; the receiver
-            # decoded one body that both pids share.
+            a.announce(0, 0.125, body)
+            assert await heard[1].until(1) == [(0, 0.125, body)]
+            assert await heard[2].until(1) == [(0, 0.125, body)]
+            assert heard[0].entries == []
             assert a.payload_encodes == 1 and a.payload_reuses == 1
-            # Interned body: the wire carried it once, not once per frame.
-            assert a.bytes_sent < 2 * 4096 * 3 // 4
-            assert a.batches_sent == 1 and b.batches_received == 1
-            assert a.frames_sent == 2 and b.frames_received == 2
-            assert got_1[1] is got_2[1]
+            assert a.batches_sent == 2 and a.frames_sent == 2 == a.sent_count
+            assert all(w.batches_received == 1 and w.frames_received == 1 for w in workers[1:])
         finally:
-            await a.close()
-            await b.close()
+            for worker in workers:
+                await worker.close()
 
     asyncio.run(scenario())
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_send_many_matches_per_send_counters(tmp_path):
+def test_a_turns_announcements_ride_one_batch_and_arm_no_timer(tmp_path):
     async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        a, b, _heard_a, heard_b = await _listening_pair(tmp_path)
         try:
-            a.send_many(0, (1, 2), ["fanout"])
-            assert await inbox_b.until(1, 1) == [(0, ["fanout"])]
-            assert await inbox_b.until(2, 1) == [(0, ["fanout"])]
-            assert a.sent_count == 2
-            assert a.payload_encodes == 1 and a.payload_reuses == 1
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_a_remote_copy_behind_one_in_flight_is_never_written(tmp_path):
-    """One worker's batches to a peer leave in slot order over one FIFO
-    connection, so a remote frame is superseded exactly like a local
-    one — until its batch is written, after which a copy goes out again."""
-
-    async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
-        try:
-            body = ["remote"]
-            a.send_many(0, (1, 2, 1), body)
-            assert a.sent_count == 3 and a.superseded == 1
-            await inbox_b.until(2, 1)
-            assert await inbox_b.until(1, 1) == [(0, body)]
-            assert a.frames_sent == 2
-            a.send(0, 1, body)  # the first copy's batch is gone: written again
-            assert len(await inbox_b.until(1, 2)) == 2
-            assert a.superseded == 1 and a.frames_sent == 3
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_timer_budget_is_per_slot_not_per_message(tmp_path):
-    async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
-        try:
-            # 40 frames burst into the same latency envelope: the wheel
-            # arms O(slots) timers, not one per message (zero jitter at
-            # base latency 1 ms → every delivery shares one slot or two).
+            # 20 announcements in one turn of the loop: one batch write,
+            # written once the turn ends, and no loop timer at all.
             for i in range(20):
-                a.send_many(0, (1, 2), i)
-            await inbox_b.until(1, 20)
-            await inbox_b.until(2, 20)
-            # 40 frames crossed the wire, but the wheel parked them in
-            # (slot, worker) buckets: a handful of loop timers total.
-            assert a.frames_sent == 40
-            assert a.wheel.timers_created <= 4
+                a.announce(0, float(i), i)
+            assert a.frames_sent == 0
+            entries = await heard_b.until(20)
+            assert [message for _, _, message in entries] == list(range(20))
+            assert a.frames_sent == 20 and a.batches_sent == 1
+            assert a.wheel.timers_created == 0
         finally:
             await a.close()
             await b.close()
@@ -376,20 +379,28 @@ def _blob(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+#: A batch worker 0 may send: an entry at its pid 0, and its stop.
+_VALID = [(0, 0.25, "ok"), (0, 0.5, None)]
+
+
+def _valid_batch() -> bytes:
+    (chunk,) = encode_batch([(0, 0.25, "key", _body("ok")), (0, 0.5, None, None)])
+    return chunk
+
+
 def _deliver_raw(tmp_path, junk: bytes) -> SocketTransport:
-    """Worker b after a raw peer wrote ``junk`` and then one valid batch."""
-    (valid,) = encode_batch([(0, dst, "key", _body("ok")) for dst in (1, 2)])
+    """Worker b after a raw peer said hello as worker 0 and wrote ``junk``
+    and then one valid batch."""
 
     async def scenario():
         _, b = _mesh_pair(tmp_path)
-        inbox = Collector(b, (1, 2))
+        heard = _Heard(b)
         await b.start()
         try:
             _, writer = await open_stream(b._addresses[1])
-            writer.write(junk + valid)
+            writer.write(encode_hello(0) + junk + _valid_batch())
             # The reader outlives the junk: the valid batch still lands.
-            assert await inbox.until(1, 1) == [(0, "ok")]
-            assert await inbox.until(2, 1) == [(0, "ok")]
+            assert await heard.until(2) == _VALID
             writer.close()
         finally:
             await b.close()
@@ -410,8 +421,8 @@ def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
 
 
 def _riding_along(body: bytes) -> bytes:
-    """A well-formed batch: one good frame, then one carrying ``body``."""
-    (chunk,) = encode_batch([(0, 1, "ok", _body("rides along")), (0, 2, "bad", body)])
+    """A well-formed batch: one good entry, then one carrying ``body``."""
+    (chunk,) = encode_batch([(0, 0.1, "ok", _body("rides along")), (0, 0.2, "bad", body)])
     return chunk
 
 
@@ -443,8 +454,8 @@ _POISONED_BODIES = {
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
-    (chunk,) = encode_batch([(0, 1, "key", _body("lost"))])
-    junk = _blob(chunk[4:-3]) + _blob(b"\x02garbage")
+    (chunk,) = encode_batch([(0, 0.0, "key", _body("lost"))])
+    junk = _blob(chunk[4:-3]) + _blob(bytes([BATCH_VERSION]) + b"garbage")
     # A batch can also be framed perfectly and carry a body whose load
     # raises whatever it likes: still one rejected batch, not a dead reader.
     for raised, body in _POISONED_BODIES.items():
@@ -485,24 +496,22 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_an_oversized_length_prefix_is_counted_and_ends_only_its_connection(tmp_path):
-    (valid,) = encode_batch([(0, dst, "key", _body("ok")) for dst in (1, 2)])
-
     async def scenario():
         _, b = _mesh_pair(tmp_path)
-        inbox = Collector(b, (1, 2))
+        heard = _Heard(b)
         await b.start()
         try:
             hung_up, bogus = await open_stream(b._addresses[1])
-            bogus.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + valid)
+            bogus_length = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+            bogus.write(encode_hello(0) + bogus_length + _valid_batch())
             # Nothing can resync past a bogus length: b ends this connection.
             assert await asyncio.wait_for(hung_up.read(), 2) == b""
             (ended,) = [task for task in b._reader_tasks if task.done()]
             assert ended.exception() is None
             # Another connection is served as before.
             _, honest = await open_stream(b._addresses[1])
-            honest.write(valid)
-            assert await inbox.until(1, 1) == [(0, "ok")]
-            assert await inbox.until(2, 1) == [(0, "ok")]
+            honest.write(encode_hello(0) + _valid_batch())
+            assert await heard.until(2) == _VALID
             bogus.close()
             honest.close()
         finally:
@@ -513,6 +522,87 @@ def test_an_oversized_length_prefix_is_counted_and_ends_only_its_connection(tmp_
     assert b.frames_rejected_oversized == b.frames_rejected == 1
     assert b.frames_rejected_torn == b.frames_rejected_refused == 0
     assert b.batches_received == 1 and b.frames_received == 2
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_an_announcement_for_a_pid_its_sender_does_not_host_is_refused_and_counted(tmp_path):
+    """Worker 0 hosts pid 0 only: its entries at pids 1 (worker b's own)
+    and 9 (nobody's) are refused and counted, the one at 0 is heard.  A
+    connection whose hello names no peer — b itself, a worker the mesh
+    does not have, or no hello at all — is refused and hung up on."""
+    (forged,) = encode_batch(
+        [(1, 0.1, "a", _body("forged")), (0, 0.2, "b", _body("ok")), (9, 0.3, None, None)]
+    )
+
+    async def scenario():
+        _, b = _mesh_pair(tmp_path)
+        heard = _Heard(b)
+        await b.start()
+        try:
+            _, writer = await open_stream(b._addresses[1])
+            writer.write(encode_hello(0) + forged)
+            assert await heard.until(1) == [(0, 0.2, "ok")]
+            for hello in (encode_hello(1), encode_hello(7), _valid_batch()):
+                hung_up, stranger = await open_stream(b._addresses[1])
+                stranger.write(hello + _valid_batch())
+                assert await asyncio.wait_for(hung_up.read(), 2) == b""
+                stranger.close()
+            writer.close()
+        finally:
+            await b.close()
+        return b, heard
+
+    b, heard = asyncio.run(scenario())
+    assert heard.entries == [(0, 0.2, "ok")]
+    assert b.entries_refused == 2 and b.frames_received == 3
+    assert b.frames_rejected == b.frames_rejected_torn == 3
+
+
+@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
+def test_an_entry_instant_ahead_of_the_receivers_clock_lands_at_receipt(tmp_path):
+    """A receiving shard enters an announced message at its instant, or,
+    if that is ahead of its own clock, at the instant it reads it."""
+    triangle = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    early, late = (make_vote(REGISTRY, REGISTRY.secret_key(0), r, None) for r in (0, 1))
+
+    async def scenario():
+        a, b = _mesh_pair(tmp_path)
+        clock = RoundClock(0.01)
+        clock.start()
+        network = GossipNetwork(b, triangle, ignore, SeenIndex(10), clock, no_surge)
+        entries = []
+        enter, summarise = network._enter, network._summarise
+
+        def entering(pid, elapsed, message):
+            entries.append([clock.now()])
+            enter(pid, elapsed, message)
+
+        def summarising(pid, t0, arrivals, message):
+            entries[-1].append(t0)  # where and when the flood starts
+            return summarise(pid, t0, arrivals, message)
+
+        network._summarise = summarising
+        b.listen(entering)
+        for transport in (a, b):
+            await transport.start()
+        await a.connect()
+        try:
+            await asyncio.sleep(0.01)
+            past = clock.elapsed() - 0.004
+            a.announce(0, past, early)
+            a.announce(0, clock.elapsed() + 10.0, late)
+            async with asyncio.timeout(2):
+                while len(entries) < 2:
+                    await asyncio.sleep(0.0005)
+        finally:
+            await a.close()
+            await b.close()
+        return clock.origin + past, entries
+
+    past_at, [(_, kept), (received, clamped)] = asyncio.run(scenario())
+    assert kept == pytest.approx(past_at, abs=1e-9)
+    # Read off the clock as it enters, not ten seconds ahead.
+    assert received <= clamped < received + 0.01
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +617,17 @@ def _mangled_batches(draw) -> tuple[str, bytes]:
         prefix = draw(st.sampled_from((b"", bytes([BATCH_VERSION]))))
         return how, prefix + draw(st.binary(max_size=96))
     messages = draw(st.lists(_wire_messages(), min_size=1, max_size=4))
-    frames = [(m.sender, 1 + i % 2, m.content_key, _body(m)) for i, m in enumerate(messages)]
-    (chunk,) = encode_batch(frames)
+    entries = [(m.sender, 0.5 * i, m.content_key, _body(m)) for i, m in enumerate(messages)]
+    if draw(st.booleans()):
+        entries.append((0, 2.0, None, None))  # a stop rides along
+    (chunk,) = encode_batch(entries)
     blob = bytearray(chunk[4:])
     if how == "cut":
         return how, bytes(blob[: draw(st.integers(0, len(blob) - 1))])
     # Framing is a few bytes among the bodies': aim a third of the flips
     # at the head (version, counts, the first body's length), a third at
-    # the frame table (count, src, dst, body index), a third anywhere.
-    table = len(blob) - 4 - 10 * len(frames)
+    # the entry table (count, pid, instant, body index), a third anywhere.
+    table = len(blob) - 4 - 14 * len(entries)
     start, stop = draw(st.sampled_from(((0, 7), (table, len(blob)), (0, len(blob)))))
     for bit in draw(st.lists(st.integers(8 * start, 8 * stop - 1), min_size=1, max_size=4)):
         blob[bit // 8] ^= 1 << (bit % 8)
@@ -547,7 +639,7 @@ def _mangled_batches(draw) -> tuple[str, bytes]:
 def test_only_a_frame_error_escapes_decode_batch(mangled):
     how, blob = mangled
     try:
-        decode_batch(blob, DecodedBodyMemo())
+        entries = decode_batch(blob, DecodedBodyMemo())
     except FrameError as exc:
         assert exc.reason in ("torn", "refused")
         # A cut is torn whatever it cuts: a body's length is checked
@@ -555,6 +647,8 @@ def test_only_a_frame_error_escapes_decode_batch(mangled):
         assert how != "cut" or exc.reason == "torn"
     else:
         assert how != "cut"
+        # Whatever decodes carries only instants a shard can enter.
+        assert all(0.0 <= instant < math.inf for _, instant, _ in entries)
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
@@ -563,16 +657,17 @@ def test_only_a_frame_error_escapes_decode_batch(mangled):
 def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
     async def scenario(directory):
         _, b = _mesh_pair(directory)
-        inbox = Collector(b, (1, 2))
+        heard = _Heard(b)
         await b.start()
         try:
             _, writer = await open_stream(b._addresses[1])
+            writer.write(encode_hello(0))
             for i, (_how, blob) in enumerate(mangled):
                 marker = ("next", i)
-                (valid,) = encode_batch([(0, 1, marker, _body(marker))])
+                (valid,) = encode_batch([(0, float(i), marker, _body(marker))])
                 writer.write(_blob(blob) + valid)
                 async with asyncio.timeout(2):
-                    while (0, marker) not in inbox.frames[1]:
+                    while (0, float(i), marker) not in heard.entries:
                         await asyncio.sleep(0.0005)
             writer.close()
         finally:
@@ -591,16 +686,16 @@ def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
 # ----------------------------------------------------------------------
 def test_one_body_in_two_batches_decodes_to_one_object_with_one_loads():
     body = _body(["gossiped", "vote"])
-    (first,) = encode_batch([(0, 1, "key", body)])
-    (second,) = encode_batch([(3, 2, "key", body), (3, 1, "other", _body("x"))])
+    (first,) = encode_batch([(0, 0.0, "key", body)])
+    (second,) = encode_batch([(3, 1.0, "key", body), (3, 2.0, "other", _body("x"))])
     memo = DecodedBodyMemo()
-    frames = decode_batch(first[4:], memo) + decode_batch(second[4:], memo)
-    assert [(src, dst) for src, dst, _ in frames] == [(0, 1), (3, 2), (3, 1)]
-    assert frames[0][2] == ["gossiped", "vote"]
-    assert frames[1][2] is frames[0][2]
-    assert memo.decodes == 2  # three frames, two distinct bodies
+    entries = decode_batch(first[4:], memo) + decode_batch(second[4:], memo)
+    assert [(pid, instant) for pid, instant, _ in entries] == [(0, 0.0), (3, 1.0), (3, 2.0)]
+    assert entries[0][2] == ["gossiped", "vote"]
+    assert entries[1][2] is entries[0][2]
+    assert memo.decodes == 2  # three entries, two distinct bodies
     # Another table decodes for itself.
-    assert decode_batch(first[4:], DecodedBodyMemo())[0][2] is not frames[0][2]
+    assert decode_batch(first[4:], DecodedBodyMemo())[0][2] is not entries[0][2]
 
 
 def test_one_flipped_byte_is_a_different_object():
@@ -637,15 +732,15 @@ def test_the_decode_memo_never_exceeds_its_bound():
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_the_reader_hands_one_object_to_every_batch_a_body_rides(tmp_path):
     async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        a, b, _heard_a, heard_b = await _listening_pair(tmp_path)
         try:
             body = ["flooded", bytes(512)]
-            a.send(0, 1, body)
-            await inbox_b.until(1, 1)
-            a.send(0, 2, body)  # a later slot, so a second batch
-            await inbox_b.until(2, 1)
-            assert b.batches_received == 2
-            assert inbox_b.frames[2][0][1] is inbox_b.frames[1][0][1]
+            a.announce(0, 0.1, body)
+            await heard_b.until(1)
+            a.announce(0, 0.2, body)  # a later turn, so a second batch
+            first, second = await heard_b.until(2)
+            assert b.batches_received == 2 and b._decode_memo.decodes == 1
+            assert second[2] is first[2]
         finally:
             await a.close()
             await b.close()
@@ -687,23 +782,21 @@ def _counting_hashes(monkeypatch) -> list[str]:
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_a_body_flooded_back_is_the_object_its_sender_sent(tmp_path):
-    """Gossip forwards a first-seen message to every neighbour, so what
-    crossed the cut floods back: the sender resolves it, unpickling nothing."""
+def test_a_body_is_decoded_once_by_its_receiver_and_never_entered_by_its_sender(tmp_path):
+    """A message crosses to each other process once, so its receiver
+    decodes it, and its sender, to which it never comes back, keeps no
+    entry for it."""
     vote = make_vote(REGISTRY, REGISTRY.secret_key(0), 3, None)
     proposal = _proposal(0, _transactions(3))
 
     async def scenario():
-        a, b, inbox_a, inbox_b = await _listening_pair(tmp_path)
+        a, b, _heard_a, heard_b = await _listening_pair(tmp_path)
         try:
             for count, message in enumerate((vote, proposal), start=1):
-                a.send(0, 1, message)
-                _, there = (await inbox_b.until(1, count))[-1]
-                b.send(1, 0, there)  # the forward, back across the cut
-                _, back = (await inbox_a.until(0, count))[-1]
+                a.announce(0, 0.0, message)
+                _, _, there = (await heard_b.until(count))[-1]
                 assert there == message and there is not message
-                assert back is message
-            assert a._decode_memo.decodes == 0
+            assert len(a._decode_memo) == a._decode_memo.decodes == 0
             assert b._decode_memo.decodes == 2
         finally:
             await a.close()
@@ -875,29 +968,28 @@ def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
 
 
 # ----------------------------------------------------------------------
-# Subscriber lifecycle on the socket fabric
+# Listener and subscriber lifecycle on the socket fabric
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_a_raising_subscriber_does_not_stop_the_reader(tmp_path):
+def test_a_raising_listener_does_not_stop_the_reader(tmp_path):
     async def scenario():
         a, b = _mesh_pair(tmp_path)
         got = []
 
-        def fragile(src, payload):
-            got.append(payload)
+        def fragile(pid, elapsed, message):
+            got.append(message)
             if len(got) == 1:
                 raise RuntimeError("consumer bug")
 
-        b.subscribe(1, fragile)
-        inbox = Collector(b, (2,))
+        b.listen(fragile)
         for transport in (a, b):
             await transport.start()
         await a.connect()
         try:
-            a.send_many(0, (1, 2), "first")
-            a.send(0, 1, "second")
-            await inbox.until(2, 1)
-            a.send(0, 1, "next batch")
+            a.announce(0, 0.0, "first")
+            a.announce(0, 0.0, "second")
+            await asyncio.sleep(0.01)
+            a.announce(0, 0.0, "next batch")
             async with asyncio.timeout(2):
                 while len(got) < 3:
                     await asyncio.sleep(0.001)
@@ -916,7 +1008,8 @@ def test_close_after_unsubscribe_holds_in_flight_frames_quietly(tmp_path):
     flushed frames reach nobody — no re-flood — and are not misrouted."""
 
     async def scenario():
-        a, b, _inbox_a, inbox_b = await _listening_pair(tmp_path)
+        a, b, _heard_a, _heard_b = await _listening_pair(tmp_path)
+        inbox_b = Collector(b, (2,))
         b.send(1, 2, "in flight")  # parked in a wheel slot
         b.unsubscribe(2)
         await a.close()

@@ -1,4 +1,4 @@
-"""Every fabric implements the one ``Transport`` data surface the same way."""
+"""Every fabric implements the one point-to-point surface (``PushDelivery``) the same way."""
 
 import asyncio
 import math

@@ -215,15 +215,18 @@ def _per_node_list_twin(patch) -> None:
     """The shard before its bus: each node keeps the list of what first
     reached it, in arrival order, and its receive phase drains it."""
     lists: dict[int, list] = {}
+    #: pid -> the sleep schedule of the shard hosting it.
+    schedules: dict = {}
     init = ShardRuntime.__init__
 
     def init_with_lists(self, *args):
         init(self, *args)
         lists.update((pid, []) for pid in self.nodes)
+        schedules.update((pid, self.schedule) for pid in self.nodes)
         tap_arrivals(self.network, lambda pid, message, _at: lists[pid].append(message))
 
     def drain(self, round_number):
-        if not self.awake(round_number + 1):
+        if self.pid not in schedules[self.pid].awake(round_number + 1):
             return 0
         batch, lists[self.pid] = lists[self.pid], []
         if batch:

@@ -161,10 +161,12 @@ def test_extras_have_one_shape_on_both_substrates():
             assert total == sum(row[key] for row in attack["per_phase"])
         assert attack["totals"]["partitioned"] > 0
         assert attack["phase"] == len(spec.adversary.timeline.states) - 1
-    # One shard computes its arrivals and parks no frame; frames crossing
-    # between shards are parked, and a copy behind one is superseded.
+    # No shard parks a frame: one shard has nobody to tell, and sharded
+    # ones announce each entry to their peer once, and every node first
+    # holds each message once.
     assert single.extras["transport"]["sent"] == single.extras["transport"]["superseded"] == 0
-    assert multi.extras["transport"]["superseded"] > 0
+    assert multi.extras["transport"]["superseded"] == 0
+    assert multi.extras["gossip"]["duplicates"] == 0
     # Zeros where the fabric has no wire, counts where it has one.
     assert single.extras["transport"]["frames_sent"] == 0
     assert multi.extras["transport"]["frames_sent"] > 0

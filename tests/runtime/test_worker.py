@@ -110,11 +110,13 @@ def test_multiprocess_run_with_workload_churn_and_telemetry():
     assert result.extras["mempool"]["shed"] == 0
     wire = result.extras["transport"]
     assert wire["misrouted"] == 0
-    # The sharded run rode the batched wire path: frames coalesced into
-    # batch writes and fan-out payloads were pickled once, then reused.
+    # The sharded run rode the batched wire path: announcements coalesced
+    # into batch writes, and each message was pickled once for its one
+    # peer, never again.
     assert 0 < wire["batches_sent"] <= wire["frames_sent"]
     assert wire["batches_received"] > 0
-    assert wire["payload_reuses"] > 0
+    assert wire["payload_encodes"] > 0 and wire["payload_reuses"] == 0
+    assert wire["entries_refused"] == 0
     assert wire["bytes_sent"] > 0
     assert result.extras["counters"]["decisions"] == len(result.trace.decisions)
     assert result.extras["histograms"]["decision_latency_s"]["count"] > 0
