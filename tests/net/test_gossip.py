@@ -696,6 +696,35 @@ def test_a_flood_filed_whole_shows_every_reader_what_full_flooding_files():
     assert max(predicted[keys[1]].values()) > clock.instant(2)
 
 
+def test_two_shards_each_file_a_calm_flood_whole():
+    """A calm flood is filed whole in the shard it is published in and in
+    the shard it is announced to, and each settles it in one step: its
+    own nodes held and counted once, the other's pids relayed."""
+    halves = (tuple(range(FLOOD_N // 2)), tuple(range(FLOOD_N // 2, FLOOD_N)))
+    at, pid, message = _flood_publishes(SUMMARY_PUBLISHES[:1], SUMMARY_DELTA_S)[0]
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        fabrics = _mesh(FLOOD_N, halves, SLOT_S, FLOOD_MODEL)
+        networks = [
+            _network(fabric, FLOOD_TOPOLOGY, _flood_clock(SUMMARY_DELTA_S), FLOOD_HORIZON)
+            for fabric in fabrics
+        ]
+        loop.call_at(at, networks[0].nodes[pid].publish, message)
+        await asyncio.sleep(at + 0.9 * 3 * SUMMARY_DELTA_S)
+        for network in networks:
+            network.catch_up()
+        return networks
+
+    networks = run_virtual(scenario())
+    masks = [sum(1 << p for p in half) for half in halves]
+    for network, own, other in zip(networks, masks, reversed(masks)):
+        arrivals = network.seen.arrivals[message.content_key]
+        assert network.summarised == 1
+        assert (arrivals.held, arrivals.relayed) == (own, other)
+        assert network.stats_totals()["delivered"] == FLOOD_N // 2
+
+
 def test_one_shard_parks_no_frame_and_arms_no_timer():
     """A shard hosting every pid computes its nodes' arrivals: nothing is
     sent, nothing waits on the wheel, and every node is reached once."""
