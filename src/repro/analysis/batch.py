@@ -278,11 +278,11 @@ def deploy_smoke_spec(*, eta: int, n: int, rounds: int, seed: int, **_) -> RunSp
 def deployment_backend() -> ExecutionBackend:
     """The single-process deployment backend of the D0 and AD grids.
 
-    Sweeps run it on the serial lane.  The multi-process proxy path
-    (coordinator-broadcast phase frames) is exercised by the CI
-    attack-matrix job's ``repro attack --processes 2`` step and by the
-    runtime test-suite, where one cell is enough; paying two worker
-    spawns per grid cell here would not buy more coverage.
+    Sweeps run it on the serial lane.  The multi-process proxy path is
+    exercised by the CI attack-matrix job's ``repro attack --processes
+    2`` step and by the runtime test-suite, where one cell is enough;
+    paying two worker spawns per grid cell here would not buy more
+    coverage.
     """
     # Local: keeps asyncio and the runtime out of simulator-only sweeps.
     from repro.engine.deploy_backend import DeploymentBackend

@@ -14,9 +14,9 @@ substrate —
   ``Adversary``/``AdversaryContext`` seam), and
 * the asyncio deployment realises the same script physically through the
   :class:`~repro.net.proxy_transport.ProxyTransport` per-link
-  delay/drop/partition layer, on one process or many: one runner, one
-  phase driver — every shard's proxy flips its own phases from the
-  start instant all shards share, with nothing sent between them.
+  delay/drop/partition law, on one process or many: every shard's proxy
+  reads the phase of each instant off its round clock, started at the
+  one instant all shards share, with nothing sent between them.
 
 :func:`~repro.attacks.script.apply_script` composes a script onto a
 :class:`~repro.engine.spec.RunSpec`; :data:`~repro.attacks.library.ATTACKS`

@@ -103,7 +103,11 @@ class HealOp(_Op):
 
 @dataclass(frozen=True)
 class SurgeOp(_Op):
-    """Delay traffic: all links, or only the ``(src, dst)`` pairs listed."""
+    """Delay traffic: all links, or only the ``(src, dst)`` pairs listed.
+
+    A deployment multiplies a surged link's draw by ``factor`` and
+    refuses a listed pair that is no hop of its gossip overlay.
+    """
 
     factor: float = DEFAULT_SURGE_FACTOR
     links: tuple[tuple[int, int], ...] | None = None
@@ -374,9 +378,10 @@ class AttackScript:
 
         Surge factors are fixed at 1.0 here on purpose: the *scripted*
         realisation of asynchrony (adversarial delivery on the
-        simulator, the proxy transport on deployments) replaces the
-        generic physical surge, so the built-in transport must not
-        degrade the same rounds twice.
+        simulator, the proxy transport on deployments) applies the
+        script's own factor, on the links its ``surge`` lists, so a
+        period factor here would stretch the same draws twice — and on
+        every link.
         """
         timeline = self.timeline()
         periods: list[AsyncPeriod] = []

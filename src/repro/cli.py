@@ -10,8 +10,8 @@ library is explorable without writing a script:
 * ``attack``   — a named attack script from :mod:`repro.attacks`,
   baseline vs η-expiration (default: ``split-vote``, the paper's
   agreement attack), on either backend where the fabric can realise it
-  (``--backend deployment --processes 2`` exercises the
-  coordinator-broadcast phase path of the adversarial proxy transport);
+  (``--backend deployment --processes 2`` runs it sharded, every
+  shard's proxy reading each instant's phase off its own round clock);
 * ``outage``   — a correlated participation outage replay;
 * ``tune-eta`` — the operator's η menu for a given per-round churn;
 * ``soak``     — the deployment run as a *service*: a wall-clock

@@ -11,20 +11,23 @@ Substrate differences (inherent, not incidental):
 
 * **Delivery control.**  The simulator grants the adversary *logical*
   per-receiver delivery choice during asynchronous rounds.  The
-  deployment realises asynchrony *physically*: latencies surge past δ
-  in exactly the rounds the period covers (the flood multiplies a
-  link's draw by the surge factor of the round it is sent in,
-  :mod:`repro.net.gossip`), or — under an attack script — the
-  :class:`~repro.net.proxy_transport.ProxyTransport`'s ``fate`` holds,
-  delays or drops frames per link, so round-``r`` messages arrive rounds
+  deployment realises asynchrony *physically*, as links slower than Δ:
+  the flood multiplies a link's draw by the surge factor of the period
+  holding the instant the frame starts crossing and, under an attack
+  script, by the script's factor on that link too
+  (:mod:`repro.net.gossip`), while the
+  :class:`~repro.net.proxy_transport.ProxyTransport`'s ``fate`` holds
+  or drops frames per link — so round-``r`` messages arrive rounds
   late.  An adversary's ``deliver`` hook is not consulted here, which is
   why a script is checked against the fabric before anything runs
-  (:meth:`~repro.attacks.script.AttackScript.requires`): ``split_vote``
-  chooses per receiver and is refused on every process count; the ops
-  that sign as corrupted processes (``equivocate``, ``vote_for``,
-  ``propose``) need the live adversary and are refused at
-  ``processes > 1``; ``partition``, ``surge``, ``withhold``, ``corrupt``
-  and ``sleep``/``wake`` run as written everywhere, and ``drop`` really
+  (:meth:`DeploymentBackend._check_realisable`): ``split_vote`` chooses
+  per receiver and is refused on every process count; the ops that sign
+  as corrupted processes (``equivocate``, ``vote_for``, ``propose``)
+  need the live adversary and are refused at ``processes > 1``; a
+  per-link ``surge`` or ``drop`` naming a pair that is no hop of the
+  gossip overlay is refused, since no frame crosses it;
+  ``partition``, ``surge``, ``withhold``, ``corrupt`` and
+  ``sleep``/``wake`` run as written everywhere, and ``drop`` really
   loses frames.
 
 One runner, one round step.  Every run is k shards, each a
@@ -74,14 +77,24 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.attacks.adversary import ScriptedAdversary
+from repro.attacks.script import DropOp, Op, SurgeOp
 from repro.engine.backend import EngineResult, ExecutionBackend, base_meta
 from repro.engine.spec import RunSpec
 from repro.runtime.clock import RECEIVE_FRACTION, ROUND_FACTOR
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.metrics import SourcedMetrics, merge_samples
-from repro.runtime.shard import WorkerConfig, shard_pids
+from repro.runtime.shard import WorkerConfig, overlay, shard_pids
 from repro.runtime.worker import run_worker, worker_main
 from repro.sleepy.trace import Trace, TraceRecorder
+
+
+def _named_links(op: Op) -> tuple[tuple[int, int], ...]:
+    """The ``(src, dst)`` links ``op`` spells out, both ends named."""
+    if isinstance(op, SurgeOp):
+        return op.links or ()
+    if isinstance(op, DropOp) and op.src is not None and op.dst is not None:
+        return ((op.src, op.dst),)
+    return ()
 
 
 @dataclass
@@ -159,10 +172,17 @@ class DeploymentBackend(ExecutionBackend):
         )
 
     def _check_realisable(self, spec: RunSpec) -> None:
-        """Refuse, before anything runs, an adversary this fabric cannot be."""
+        """Refuse, before anything runs, an adversary this fabric cannot be.
+
+        Besides the powers an op needs, a per-link op (``surge`` with
+        ``links``, ``drop`` with both ends named) must name hops of the
+        run's gossip overlay: frames cross those only, so an op on any
+        other pair would realise nothing.
+        """
         adversary = spec.adversary
         if isinstance(adversary, ScriptedAdversary):
             granted = {"frame-loss"} | ({"signing"} if self.processes == 1 else set())
+            hops = overlay(spec)
             for record in adversary.script.phases:
                 for op in record.ops:
                     if op.needs - granted:
@@ -170,6 +190,13 @@ class DeploymentBackend(ExecutionBackend):
                             f"{op.op} needs {' and '.join(sorted(op.needs - granted))}, which a "
                             f"deployment on {self.processes} process(es) does not grant"
                         )
+                    for src, dst in _named_links(op):
+                        if dst not in hops.get(src, ()):
+                            raise ValueError(
+                                f"{op.op} names the link ({src}, {dst}), which is no hop of "
+                                f"the gossip overlay (n={spec.n}, seed={spec.seed}): a "
+                                "deployment realises per-link ops on overlay hops only"
+                            )
         elif adversary is not None and self.processes > 1:
             raise ValueError(
                 f"{type(adversary).__name__} needs processes=1: a live adversary "

@@ -29,12 +29,15 @@ realises: a node ``u`` first holding the message at loop instant
 of the round holding ``T_u`` (:meth:`~repro.runtime.clock.RoundClock.
 round_at`: an instant on a round's edge is in the round that begins
 there).  Under an attack script the proxy's
-:meth:`~repro.net.proxy_transport.ProxyTransport.fate` moves ``T_u``
-first — to a partition's release, past a surge's extra delay — or drops
-the frame.  No delay is negative and a node forwards exactly once, at
-its first arrival, so settling nodes in instant order *is* the frame-by-
-frame flood's event order: every first arrival lands in the slot full
-flooding would give it, though a surge ending mid-flight is not FIFO.
+:meth:`~repro.net.proxy_transport.ProxyTransport.fate` first moves
+``T_u`` to a partition's release, or drops the frame, and ``d_uv`` is
+multiplied by the script's surge factor on the link as well: one law,
+``draw × period factor × script factor``, both factors those of the
+instant the frame starts crossing.  No delay is negative and a node
+forwards exactly once, at its first arrival, so settling nodes in
+instant order *is* the frame-by-frame flood's event order: every first
+arrival lands in the slot full flooding would give it, though a surge
+ending mid-flight is not FIFO.
 
 **Every shard computes the whole flood.**  The draws, the surge factors
 and ``fate`` are pure functions of the run seed, the link, the message
@@ -64,7 +67,7 @@ receive phase is handed what the node holds by its instant
 host woke it.  No shard arms a timer for the flood.
 
 **A calm flood is filed whole.**  Where nothing but the clock can look
-inside a flood — its fabric has no ``fate`` and no node is stopped — a
+inside a flood — the network has no ``fate`` and no node is stopped — a
 message entering at ``pid`` at ``t0`` is not computed node by node
 (:meth:`GossipNetwork._summarise`).  A hop moves a frame at most
 ``H = ceil((base + jitter) · f / slot_s) + 1`` slots past the slot its
@@ -370,8 +373,9 @@ class GossipNetwork:
     which its owner advances once per round.  ``clock`` is the shard's
     round clock and ``surge_factor(r)`` the latency multiplier of round
     ``r`` (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`).
-    A fabric with a ``fate`` (the attack proxy) has it asked for every
-    out-link of every node the flood settles.
+    ``fate``, under an attack script the proxy's
+    (:meth:`~repro.net.proxy_transport.ProxyTransport.fate`), is asked
+    for every out-link of every node the flood settles.
     """
 
     def __init__(
@@ -382,6 +386,7 @@ class GossipNetwork:
         seen: SeenIndex,
         clock: RoundClock,
         surge_factor: Callable[[int], float],
+        fate: Callable[[int, int, float, Message], tuple[float, float] | None] | None = None,
     ) -> None:
         self.transport = transport
         self.seen = seen
@@ -390,7 +395,7 @@ class GossipNetwork:
         self._surge_factor = surge_factor
         #: Round -> its surge factor, as the flood asks for them.
         self._factors: dict[int, float] = {}
-        self._fate = getattr(transport, "fate", None)
+        self._fate = fate
         links = transport.links
         links.enumerate(topology)
         hosted = transport.hosted
@@ -601,11 +606,13 @@ class GossipNetwork:
             if fate is not None:
                 # Full flooding offers every link but the source's: the
                 # proxy audits the offer, held peer or not.
-                sent = fate(pid, peer, t, message)
-                if sent is None:
+                crossing = fate(pid, peer, t, message)
+                if crossing is None:
                     continue
+                sent, stretch = crossing
                 if sent != t:
                     surge = self._factor(self.clock.round_at(sent))
+                surge *= stretch
             if settled >> peer & 1:
                 continue  # holds it already
             at = ceil((sent + (base + word(drawn, at_word)[0] * scale) * surge) / slot_s) * slot_s

@@ -78,9 +78,9 @@ class Transport(Protocol):
 
     Implemented by :class:`SimTransport` (one process, in memory) and
     :class:`~repro.net.socket_transport.SocketTransport` (one shard of a
-    socket mesh), and forwarded by
-    :class:`~repro.net.proxy_transport.ProxyTransport`, which adds the
-    attack script's ``fate``.  Lifecycle (start/connect/close) is
+    socket mesh).  An attack script is no fabric: its
+    :meth:`~repro.net.proxy_transport.ProxyTransport.fate` is handed to
+    the flood beside the fabric.  Lifecycle (start/connect/close) is
     deliberately not part of it: only whoever builds a fabric calls it.
     """
 

@@ -31,7 +31,7 @@ empty, and ``attack`` ``None``, before the first sample arrives)::
                             "min": float, "max": float,
                             "p50": float, "p95": float,
                             "buckets": {upper_bound_repr: count}}},
-      "transport":  {counter: int},             # transport_counters + in_flight
+      "transport":  {counter: int},             # transport_counters
       "gossip":     {counter: int},             # GossipNetwork.stats_totals
       "mempool":    {"shed": int, "admitted": int, "occupancy": int},
       "attack":     None | {"per_phase": [audit row, ...],

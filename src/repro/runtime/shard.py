@@ -32,8 +32,7 @@ the shard holds every node), waking at ``clock.start_of(r)`` and again
 at ``RECEIVE_FRACTION`` of the round (:meth:`ShardRuntime.drive`).  The
 shard's :class:`~repro.runtime.clock.RoundClock` is its only clock: the
 flood reads each round's surge factor and attack phase off it for the
-instants it computes, and the loop enters each round's phase into the
-attack proxy as it wakes for it.
+instants it computes.
 """
 
 from __future__ import annotations
@@ -106,6 +105,11 @@ _BATCH_MEMO_CAPACITY = 4
 _REPORT_INTERVAL_S = 0.25
 
 
+def overlay(spec: RunSpec) -> dict[int, tuple[int, ...]]:
+    """The run's gossip overlay, the same in every shard: seeded by the spec."""
+    return regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed)
+
+
 @dataclass(frozen=True)
 class WorkerConfig:
     """Everything one shard needs, picklable for ``spawn``.
@@ -132,8 +136,8 @@ class ShardRuntime:
     The caller built ``transport`` and owns its lifecycle
     (start/close); the shard's gossip announces its entries and stops on
     it and listens to it for its peers' — here, so build the shard
-    before the fabric starts listening — behind a
-    :class:`ProxyTransport` when the spec's adversary is scripted.
+    before the fabric starts listening — and, when the spec's adversary
+    is scripted, asks a :class:`ProxyTransport`'s ``fate`` of every link.
     :attr:`record` sees every message this shard originates before it
     enters gossip; its tree is :attr:`chain`'s canonical tree, the
     omniscient one the adversary's ``send`` reads when this shard holds
@@ -168,10 +172,10 @@ class ShardRuntime:
         self.proxy: ProxyTransport | None = None
         if isinstance(spec.adversary, ScriptedAdversary):
             self.proxy = ProxyTransport(
-                transport,
                 spec.adversary.timeline,
                 clock=self.clock,
-                base_latency_s=config.delta_s / 8,
+                links=transport.links,
+                hosted=transport.hosted,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
         self.pipeline = IngestPipeline(self.registry, batch_memo_capacity=_BATCH_MEMO_CAPACITY)
@@ -183,12 +187,13 @@ class ShardRuntime:
             SeenIndex(seen_horizon(PROTOCOLS.effective_eta(spec.protocol, spec.eta))),
         )
         self.network = GossipNetwork(
-            self.proxy if self.proxy is not None else transport,
-            regular_topology(spec.n, GOSSIP_DEGREE, seed=spec.seed),
+            transport,
+            overlay(spec),
             on_admit=self.delivery.admit,
             seen=self.delivery.seen,
             clock=self.clock,
             surge_factor=spec.resolved_conditions().surge_factor,
+            fate=None if self.proxy is None else self.proxy.fate,
         )
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         self.nodes = {
@@ -211,23 +216,21 @@ class ShardRuntime:
         """Run every round's step (:func:`~repro.engine.round.step`) on
         :attr:`clock`, which the caller starts first.
 
-        At ``clock.start_of(r)`` the attack proxy enters ``r``'s phase
-        and the flood catches up (:meth:`~repro.net.gossip.GossipNetwork.
-        catch_up`) before the step's sends; at ``RECEIVE_FRACTION`` of
-        the round it catches up again before the step's receive phases.
+        At ``clock.start_of(r)`` the flood catches up
+        (:meth:`~repro.net.gossip.GossipNetwork.catch_up`) before the
+        step's sends; at ``RECEIVE_FRACTION`` of the round it catches up
+        again before the step's receive phases.
         Corrupted nodes keep relaying gossip; nothing is kept for them to
         receive.  :attr:`hub` observes how late each phase woke
         (``phase_lateness_s``) and each decision's latency from its
         view's first round; ``report`` is awaited with a fresh
         :meth:`sample` four times a second.
         """
-        clock, hub, proxy, network = self.clock, self.hub, self.proxy, self.network
+        clock, hub, network = self.clock, self.hub, self.network
         reporter = asyncio.ensure_future(self._report(report)) if report is not None else None
         try:
             for r in range(self.config.spec.rounds):
                 hub.observe("phase_lateness_s", await clock.sleep_until_elapsed(clock.start_of(r)))
-                if proxy is not None:
-                    proxy.enter_phase(proxy.timeline.state_at(r).index)
                 network.catch_up()
                 made = {pid: len(node.decisions) for pid, node in self.nodes.items()}
                 rounds = step(self, r)
@@ -262,10 +265,10 @@ class ShardRuntime:
         :func:`~repro.runtime.metrics.merge_samples` folds.
 
         The hub's counters and histograms, then what each owner holds,
-        read now: the fabric's counters and the frames its wheel still
-        parks (``in_flight``), the gossip layer's totals, the mempools
-        and, under a script, the proxy's per-phase audit of the links
-        its nodes send on, and its phase.
+        read now: the fabric's counters, the gossip layer's totals, the
+        mempools and, under a script, the proxy's per-phase audit of the
+        links its nodes send on, and the phase of the round the shard
+        has entered.
         """
         pools = [node.process.mempool for node in self.nodes.values()]
         pools = [pool for pool in pools if pool is not None]
@@ -273,14 +276,11 @@ class ShardRuntime:
         if self.proxy is not None:
             attack = {
                 "per_phase": [dict(row) for row in self.proxy.audit],
-                "phase": self.proxy.phase,
+                "phase": self.proxy.timeline.state_at(self.delivery.seen.now).index,
             }
         return {
             **self.hub.snapshot(),
-            "transport": {
-                **transport_counters(self.transport),
-                "in_flight": self.transport.wheel.pending,
-            },
+            "transport": transport_counters(self.transport),
             "gossip": self.network.stats_totals(),
             "mempool": {
                 "shed": sum(pool.shed_count for pool in pools),

@@ -5,19 +5,21 @@ The acceptance spine of the attack subsystem: the same
 simulator (via :class:`~repro.attacks.adversary.ScriptedAdversary`), the
 single-process deployment, and a sharded deployment (via
 :class:`~repro.net.proxy_transport.ProxyTransport`, every shard's proxy
-flipping its own phases) — with the resilient protocol safe in every
-case and the attack observably biting, phase by phase (audit counters).
+reading each instant's phase off its own clock) — with the resilient
+protocol safe in every case and the attack observably biting, phase by
+phase (audit counters).
 """
 
 import pytest
 
 from repro.analysis import check_safety
 from repro.analysis.batch import GRIDS
-from repro.attacks import ATTACKS, apply_script, get_script
+from repro.attacks import ATTACKS, AttackScript, apply_script, drop, get_script, heal, phase, surge
 from repro.engine.backend import run_spec
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec, stable_digest
 from repro.net.socket_transport import supports_unix_sockets
+from repro.runtime.shard import overlay
 
 from tests.net.conftest import run_virtual
 
@@ -145,7 +147,8 @@ def test_acceptance_script_runs_on_all_three_substrates(processes):
 
     if not supports_unix_sockets():
         pytest.skip("sharded deployment needs AF_UNIX")
-    # Every shard's proxy flips its own phases from the shared origin.
+    # Every shard's proxy reads each instant's phase off a clock started
+    # at the shared origin.
     multi = DeploymentBackend(delta_s=0.01, processes=processes).execute(spec)
     assert check_safety(multi.trace).ok and multi.trace.decisions
     _assert_interference_stays_in_its_phases(multi)
@@ -196,6 +199,31 @@ def test_split_vote_is_rejected_on_every_deployment(processes):
     backend = DeploymentBackend(delta_s=0.01, processes=processes)
     with pytest.raises(ValueError, match="split_vote needs per-receiver-delivery"):
         backend.execute(_scripted_spec("split-vote", 10))
+
+
+def _per_link_spec(*ops) -> RunSpec:
+    script = AttackScript(name="per-link", phases=(phase(2), phase(4, *ops), phase(4, heal())))
+    return apply_script(RunSpec(n=6, rounds=script.total_rounds, eta=6, seed=0), script)
+
+
+@pytest.mark.parametrize("op", [surge(links=[(0, 4)]), drop(0, 4, 1.0)], ids=["surge", "drop"])
+def test_a_per_link_op_off_the_overlay_is_refused(op):
+    """At n = 6, seed 0 the gossip overlay has no 0–4 hop, so no frame
+    crosses 0 → 4: a deployment refuses a per-link op naming it before
+    anything runs, where it would otherwise realise nothing."""
+    spec = _per_link_spec(op)
+    assert 4 not in overlay(spec)[0]
+    with pytest.raises(ValueError, match=r"names the link \(0, 4\), which is no hop"):
+        DeploymentBackend(delta_s=0.01).execute(spec)
+
+
+def test_a_per_link_op_on_an_overlay_hop_bites():
+    """An overlay hop is accepted and surged; a wildcard end is never refused."""
+    spec = _per_link_spec(surge(links=[(0, 1)]), drop(None, 4, 0.5))
+    assert 1 in overlay(spec)[0]
+    result = run_virtual(DeploymentBackend(delta_s=0.01).execute_async(spec))
+    totals = result.extras["attack"]["totals"]
+    assert totals["delayed"] > 0 and totals["dropped"] > 0
 
 
 def test_a_live_adversary_needs_the_in_process_shard():

@@ -40,9 +40,13 @@ def _started_clock(delta_s=0.01):
     return clock
 
 
-def _network(transport, topology, clock, horizon=HORIZON, on_admit=ignore, surge_factor=no_surge):
+def _network(
+    transport, topology, clock, horizon=HORIZON, on_admit=ignore, surge_factor=no_surge, fate=None
+):
     """A gossip network over ``topology`` with a fresh seen index."""
-    return GossipNetwork(transport, topology, on_admit, SeenIndex(horizon), clock, surge_factor)
+    return GossipNetwork(
+        transport, topology, on_admit, SeenIndex(horizon), clock, surge_factor, fate
+    )
 
 
 def _tapped_network(transport, topology, delivered, field="message_id", **kwargs):
@@ -412,6 +416,18 @@ FLOOD_CASES = {
         ),
         (),
     ),
+    "partition-into-a-surge": (
+        no_surge,
+        AttackScript(
+            name="split-into-surge",
+            phases=(
+                phase(1),
+                phase(1, partition(range(6), range(6, 12))),
+                phase(1, heal(), surge(6.0)),
+            ),
+        ),
+        (),
+    ),
     "stopped-node": (_surge_rounds_1_to_2, None, (3,)),
     "stopped-mid-flight": (_surge_rounds_1_to_2, None, _STOPPED_MID_FLIGHT),
 }
@@ -422,8 +438,10 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
 
     Every first arrival at a live node offers the message to every
     neighbour but its source at that instant, through the script's
-    ``fate`` when there is one; frames park in slots and a slot's frames
-    are processed in the order they were offered.  An arrival in a round
+    ``fate`` when there is one; a frame's delay is its draw times the
+    surge factor of the round holding the instant it starts crossing
+    times the script's factor on the link then.  Frames park in slots
+    and a slot's frames are processed in the order they were offered.  An arrival in a round
     whose seen floor is above the message's round is no arrival.
     ``stopped`` holds the pids stopped from the start, or maps each
     stopped pid to the instant it stops at.  Rounds are ``3 · delta_s``
@@ -438,10 +456,7 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
     fate = None
     if script is not None:
         fate = ProxyTransport(
-            fabric,
-            script.timeline(),
-            clock=_flood_clock(delta_s),
-            base_latency_s=FLOOD_MODEL["base_latency_s"],
+            script.timeline(), clock=_flood_clock(delta_s), links=model, hosted=fabric.hosted
         ).fate
     slots: dict[int, list] = {}
     first: dict[tuple, dict[int, float]] = {}
@@ -457,10 +472,11 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
         for peer in FLOOD_TOPOLOGY[dst]:
             if peer == src:
                 continue
-            sent = at if fate is None else fate(dst, peer, at, message)
-            if sent is None:
+            crossing = (at, 1.0) if fate is None else fate(dst, peer, at, message)
+            if crossing is None:
                 continue
-            scale = surge_factor(round_at(sent))
+            sent, stretch = crossing
+            scale = surge_factor(round_at(sent)) * stretch
             slot = math.ceil((sent + draws[model.edges[(dst, peer)]] * scale) / SLOT_S)
             slots.setdefault(slot, []).append((peer, dst, message))
 
@@ -495,17 +511,15 @@ def _computed_flood(shards, surge_factor, script, stopped):
         for fabric in fabrics:
             clock = RoundClock(FLOOD_DELTA_S)
             clock.start_at(FLOOD_ORIGIN)
-            front = fabric
+            fate = None
             if script is not None:
-                front = ProxyTransport(
-                    fabric,
-                    script.timeline(),
-                    clock=clock,
-                    base_latency_s=FLOOD_MODEL["base_latency_s"],
+                proxy = ProxyTransport(
+                    script.timeline(), clock=clock, links=fabric.links, hosted=fabric.hosted
                 )
-                proxies.append(front)
+                proxies.append(proxy)
+                fate = proxy.fate
             network = _network(
-                front, FLOOD_TOPOLOGY, clock, FLOOD_HORIZON, surge_factor=surge_factor
+                fabric, FLOOD_TOPOLOGY, clock, FLOOD_HORIZON, surge_factor=surge_factor, fate=fate
             )
             tap_arrivals(network, file_arrival)
             networks.append(network)
@@ -578,11 +592,41 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
         assert reached[0] == FLOOD_N
         assert reached[1:] == [FLOOD_N // 2] * 3
         assert one_audit["partitioned"] > 0
+    elif case == "partition-into-a-surge":
+        # Round 1's message, published on the left, crosses to the right
+        # when round 2 releases it, and round 2's surge stretches every
+        # draw sixfold: no right pid holds it before a stretched hop.
+        released = _flood_clock().instant(2)
+        right = predicted[_flood_publishes()[1][2].content_key]
+        assert len(right) == FLOOD_N
+        assert min(at for pid, at in right.items() if pid >= 6) >= (
+            released + 6 * FLOOD_MODEL["base_latency_s"]
+        )
+        assert one_audit["partitioned"] > 0 and one_audit["delayed"] > 0
     else:
         assert one_audit["dropped"] > 0 and one_audit["partitioned"] > 0
         assert one_audit["delayed"] > 0
         # Redundant paths route around the lost frames.
         assert reached == [FLOOD_N] * len(FLOOD_PUBLISHES)
+
+
+def test_a_script_surge_stretches_a_draw_as_a_period_of_its_factor_does():
+    """One law: a script's ``surge(6.0)`` over rounds 1-2 and a period of
+    factor 6 over the same rounds file every first arrival in the same
+    slot — a publisher's neighbour at ``ceil((t + draw · 6) / slot_s) ·
+    slot_s``."""
+    one_shard = (tuple(range(FLOOD_N)),)
+    script = AttackScript(name="surge", phases=(phase(1), phase(2, surge(6.0))))
+    scripted, _, audit = _computed_flood(one_shard, no_surge, script, ())
+    period, _, _ = _computed_flood(one_shard, _surge_rounds_1_to_2, None, ())
+    assert scripted == period and audit["delayed"] > 0
+    t, pid, message = _flood_publishes()[1]  # round 1's
+    model = LinkLatencyModel(**FLOOD_MODEL)
+    model.enumerate(FLOOD_TOPOLOGY)
+    draws = model.delays(model.draw(draw_key(message)))
+    for peer in FLOOD_TOPOLOGY[pid]:
+        slot = math.ceil((t + draws[model.edges[(pid, peer)]] * 6.0) / SLOT_S) * SLOT_S
+        assert scripted[message.content_key][peer] == slot
 
 
 #: δ = 40 ms, so Δ = 120 ms: a calm flood (hops of at most 12.5 ms) ends
@@ -753,7 +797,7 @@ def test_one_shard_parks_no_frame_and_arms_no_timer():
 
 
 class _Offers(SimTransport):
-    """A fabric with a ``fate`` that passes every frame and records each
+    """A fabric and a ``fate`` that passes every frame and records each
     offer as ``(src, dst, content key)``."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -762,7 +806,7 @@ class _Offers(SimTransport):
 
     def fate(self, src, dst, t, message):
         self.offers.append((src, dst, message.content_key))
-        return t
+        return t, 1.0
 
 
 def test_one_shard_sends_each_message_once_per_overlay_edge():
@@ -775,7 +819,7 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
 
     async def scenario():
         transport = _Offers(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
-        network = _network(transport, topology, _started_clock())
+        network = _network(transport, topology, _started_clock(), fate=transport.fate)
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)

@@ -6,7 +6,7 @@ from repro.attacks import AttackScript, drop, heal, partition, phase, surge, wit
 from repro.crypto.signatures import KeyRegistry
 from repro.net.gossip import regular_topology
 from repro.net.proxy_transport import ProxyTransport
-from repro.net.transport import LinkLatencyModel, PushDelivery, SimTransport
+from repro.net.transport import LinkLatencyModel
 from repro.sleepy.messages import make_vote
 
 from tests.net.conftest import StillClock
@@ -21,13 +21,16 @@ def _vote(i: int = 0):
     return make_vote(_REGISTRY, _REGISTRY.secret_key(i % 4), i // 4, None)
 
 
-def _proxy(script, *, seed=0, base_latency_s=0.01, n=4, topology=None):
-    inner = SimTransport(n, base_latency_s=base_latency_s, jitter_s=0.0, seed=seed)
-    inner.links.enumerate(
+def _proxy(script, *, seed=0, n=4, topology=None, hosted=None):
+    links = LinkLatencyModel(0.01, 0.0, seed=seed)
+    links.enumerate(
         topology or {src: tuple(dst for dst in range(n) if dst != src) for src in range(n)}
     )
     return ProxyTransport(
-        inner, script.timeline(), clock=StillClock(CLOCK_DELTA_S), base_latency_s=base_latency_s
+        script.timeline(),
+        clock=StillClock(CLOCK_DELTA_S),
+        links=links,
+        hosted=frozenset(range(n)) if hosted is None else hosted,
     )
 
 
@@ -51,24 +54,24 @@ def test_audit_counters_are_exact_per_phase():
     proxy = _proxy(SCRIPT)
     message = _vote()
     t = _in_round(0)
-    # Phase 0: benign — every frame crosses when it is sent.
-    assert proxy.fate(0, 2, t, message) == t
+    # Phase 0: benign — every frame crosses when it is sent, unstretched.
+    assert proxy.fate(0, 2, t, message) == (t, 1.0)
     # Phase 1 (rounds 2-3): the partition holds cross-group frames until
     # the phase that stops blocking them starts; in-group frames pass.
     t = _in_round(2)
-    assert proxy.fate(0, 1, t, message) == t
-    assert proxy.fate(0, 2, t, message) == pytest.approx(4 * ROUND_S)
-    assert proxy.fate(3, 1, _in_round(3), message) == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(0, 1, t, message) == (t, 1.0)
+    assert proxy.fate(0, 2, t, message) == (pytest.approx(4 * ROUND_S), 1.0)
+    assert proxy.fate(3, 1, _in_round(3), message) == (pytest.approx(4 * ROUND_S), 1.0)
     # Phase 2 (rounds 4-5): the p = 1 drop rule discards 0 → 1 only.
     t = _in_round(4)
     assert proxy.fate(0, 1, t, message) is None
-    assert proxy.fate(1, 0, t, message) == t
-    # Phase 3 (rounds 6-7): the surge adds (factor − 1) × base latency.
+    assert proxy.fate(1, 0, t, message) == (t, 1.0)
+    # Phase 3 (rounds 6-7): the surge stretches the link's draw by its factor.
     t = _in_round(6)
-    assert proxy.fate(2, 3, t, message) == pytest.approx(t + 4 * 0.01)
+    assert proxy.fate(2, 3, t, message) == (t, 5.0)
     # After the script: the trailing heal.
     t = _in_round(9)
-    assert proxy.fate(2, 3, t, message) == t
+    assert proxy.fate(2, 3, t, message) == (t, 1.0)
 
     assert proxy.audit_totals() == {"partitioned": 2, "dropped": 1, "delayed": 1}
     assert proxy.audit[1] == {"partitioned": 2, "dropped": 0, "delayed": 0}
@@ -80,20 +83,30 @@ def test_an_instant_on_a_round_edge_is_in_the_round_that_begins_there():
     proxy = _proxy(SCRIPT)
     message = _vote()
     # Round 2 begins the partition, round 4 ends it.
-    assert proxy.fate(0, 2, 2 * ROUND_S, message) == pytest.approx(4 * ROUND_S)
-    assert proxy.fate(0, 2, 4 * ROUND_S, message) == 4 * ROUND_S
-    assert proxy.fate(0, 2, 2 * ROUND_S - 1e-4, message) == 2 * ROUND_S - 1e-4
+    assert proxy.fate(0, 2, 2 * ROUND_S, message)[0] == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(0, 2, 4 * ROUND_S, message)[0] == 4 * ROUND_S
+    assert proxy.fate(0, 2, 2 * ROUND_S - 1e-4, message)[0] == 2 * ROUND_S - 1e-4
 
 
-def test_phase_transitions_are_monotone_and_idempotent():
-    proxy = _proxy(SCRIPT)
-    assert proxy.phase == 0
-    proxy.enter_phase(2)
-    proxy.enter_phase(1)  # stale: ignored
-    proxy.enter_phase(99)  # out of range: ignored
-    assert proxy.phase == 2
-    # The phase entered is what a sample reports; fate reads the clock.
-    assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
+def test_a_frame_released_into_a_surged_phase_takes_that_phases_factor():
+    """The factor is the phase's holding the instant the frame starts
+    crossing: a partition's release into a surge on the link, or on
+    other links only."""
+    script = AttackScript(
+        name="split-then-surge",
+        phases=(
+            phase(1),
+            phase(1, partition((0, 1), (2, 3))),
+            phase(1, heal(), surge(3.0, links=[(0, 2)])),
+        ),
+    )
+    proxy = _proxy(script)
+    released = pytest.approx(2 * ROUND_S)
+    assert proxy.fate(0, 2, _in_round(1), _vote()) == (released, 3.0)
+    assert proxy.fate(2, 0, _in_round(1), _vote()) == (released, 1.0)
+    # Counted where it was blocked, not where it crosses.
+    assert proxy.audit[1] == {"partitioned": 2, "delayed": 0, "dropped": 0}
+    assert proxy.audit[2] == {"partitioned": 0, "delayed": 0, "dropped": 0}
 
 
 def test_drop_coin_frequency_matches_p():
@@ -146,49 +159,25 @@ def test_a_blackout_holds_every_link_until_the_heal():
     proxy = _proxy(script)
     t = _in_round(2)
     for src, dst in ((0, 1), (1, 0), (2, 3)):
-        assert proxy.fate(src, dst, t, _vote()) == pytest.approx(4 * ROUND_S)
+        assert proxy.fate(src, dst, t, _vote()) == (pytest.approx(4 * ROUND_S), 1.0)
     assert proxy.audit_totals()["partitioned"] == 3
 
 
-def test_audit_phase_and_delegation():
-    """The phase entered, the audit of a held frame, and announcements
-    passing straight through to the inner fabric."""
+def test_audit_of_a_held_frame():
     proxy = _proxy(SCRIPT)
-    heard = []
-    proxy.listen(lambda *entry: heard.append(entry))
-    assert proxy.phase == 0
-    proxy.enter_phase(1)
-    assert proxy.phase == 1
-    assert proxy.fate(0, 2, _in_round(2), _vote()) == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(0, 2, _in_round(2), _vote())[0] == pytest.approx(4 * ROUND_S)
     assert proxy.audit_totals()["partitioned"] == 1
-    proxy.inner._hand_over(2, 0.5, "x")
-    assert heard == [(2, 0.5, "x")]
 
 
 def test_a_shard_audits_only_the_links_its_own_nodes_send_on():
     """Every shard asks ``fate`` for every out-link of the flood, and the
     answer is the same whoever hosts the sender; only the shard hosting
     the sender counts it, so the shards' audits add up to one shard's."""
-    inner = PushDelivery(4, (0, 1), 0.001, LinkLatencyModel(0.01, 0.0, seed=0))
-    inner.links.enumerate({src: tuple(dst for dst in range(4) if dst != src) for src in range(4)})
-    proxy = ProxyTransport(
-        inner, SCRIPT.timeline(), clock=StillClock(CLOCK_DELTA_S), base_latency_s=0.01
-    )
+    proxy = _proxy(SCRIPT, hosted=frozenset({0, 1}))
     message, t = _vote(), _in_round(2)
     assert proxy.fate(0, 2, t, message) == proxy.fate(2, 0, t, message)
-    assert proxy.fate(0, 2, t, message) == pytest.approx(4 * ROUND_S)
+    assert proxy.fate(0, 2, t, message)[0] == pytest.approx(4 * ROUND_S)
     assert proxy.audit_totals()["partitioned"] == 2
     surged = _in_round(6)
     assert proxy.fate(3, 1, surged, message) == proxy.fate(1, 3, surged, message)
     assert proxy.audit_totals()["delayed"] == 1
-
-
-def test_the_proxy_forwards_the_inner_fabrics_surface():
-    proxy = _proxy(SCRIPT)
-    inner = proxy.inner
-    assert proxy.hosted == inner.hosted
-    assert proxy.links is inner.links
-    assert proxy.slot_s == inner.slot_s
-    # Only the data surface is forwarded: lifecycle stays with whoever
-    # built the inner transport.
-    assert not hasattr(proxy, "close")

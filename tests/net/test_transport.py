@@ -32,7 +32,7 @@ def test_messages_arrive_in_order_per_link():
 
 
 def test_wheel_pending_counts_frames_in_flight():
-    """What ``ShardRuntime.sample()["transport"]["in_flight"]`` reads."""
+    """The wheel counts the frames parked and not yet handed over."""
 
     async def scenario():
         transport = SimTransport(2, base_latency_s=0.001, jitter_s=0.0, seed=0)

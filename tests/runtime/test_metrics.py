@@ -20,7 +20,7 @@ def _sample(hub, sent=0, attack=None):
     """A shard sample around ``hub``, as ``ShardRuntime.sample`` shapes it."""
     return {
         **hub.snapshot(),
-        "transport": {"sent": sent, "in_flight": 1},
+        "transport": {"sent": sent, "superseded": 1},
         "gossip": {"delivered": 2 * sent, "seen_entries": 3},
         "mempool": {"shed": 0, "admitted": sent, "occupancy": 1},
         "attack": attack,
@@ -66,7 +66,7 @@ def test_merge_sums_counters_and_sections():
     assert set(merged) == SECTIONS
     assert merged["counters"] == {"decisions": 6}
     assert merged["histograms"]["decision_latency_s"]["count"] == 2
-    assert merged["transport"] == {"sent": 10, "in_flight": 2}
+    assert merged["transport"] == {"sent": 10, "superseded": 2}
     assert merged["gossip"] == {"delivered": 20, "seen_entries": 6}
     assert merged["mempool"] == {"shed": 0, "admitted": 10, "occupancy": 2}
     assert merged["attack"] is None

@@ -245,10 +245,10 @@ def test_two_shards_in_one_attack_phase_report_that_phase():
     ],
 )
 def test_the_proxy_holds_round_rs_phase_at_round_rs_sends(processes, monkeypatch):
-    """The round loop is the proxy's only phase driver: whenever a node
-    of the shard runs round ``r``'s send phase, the proxy is in
-    ``timeline.state_at(r)``, as the simulator's scripted adversary is.
-    At ``processes=2`` the patch reaches shard 0, in this process."""
+    """Whenever a node of the shard runs round ``r``'s send phase, the
+    shard's sample reports ``timeline.state_at(r)``, the phase the
+    simulator's scripted adversary is in.  At ``processes=2`` the patch
+    reaches shard 0, in this process."""
     script = get_script("partition-surge", 6)
     base = RunSpec(n=6, rounds=script.total_rounds + 2, protocol="resilient", eta=6, seed=0)
     spec = apply_script(base, script)
@@ -260,7 +260,7 @@ def test_the_proxy_holds_round_rs_phase_at_round_rs_sends(processes, monkeypatch
         shards.append(self)
 
     def observed(self, round_number):
-        seen.append((round_number, shards[0].proxy.phase))
+        seen.append((round_number, shards[0].sample()["attack"]["phase"]))
         return send_phase(self, round_number)
 
     monkeypatch.setattr(ShardRuntime, "__init__", remembering)
