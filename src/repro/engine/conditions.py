@@ -28,7 +28,7 @@ def check_surge_factor(factor: float) -> None:
     """Refuse a latency multiplier a fabric cannot apply.
 
     A surge only slows links, and a delay must stay a number: NaN or
-    inf would reach the delivery wheel's slot arithmetic mid-run.
+    inf would reach the flood's slot arithmetic mid-run.
     """
     if not (math.isfinite(factor) and factor >= 1.0):
         raise ValueError("surge factor must be finite and >= 1 (a surge only slows the network)")

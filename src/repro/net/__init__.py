@@ -8,14 +8,14 @@ This package makes that substrate concrete:
 * :mod:`repro.net.transport` — the fabric: the run's link draws, a
   pure function of the seed, the link and the message; what the flood
   asks of a fabric (where a message entered, announced to the other
-  processes); and a slot wheel that pushes each point-to-point frame to
-  one subscriber per hosted pid, in slot order.
+  processes); and a point-to-point slot wheel with subscribers, which
+  has no caller in ``src/`` and waits to be deleted.
 * :mod:`repro.net.gossip` — a random regular overlay and the flood over
   it, computed: every shard settles when each pid first holds a
   message, in instant order, files its own nodes' arrivals and
   announces what enters at them; dedup is by content, once per node.
-* :mod:`repro.net.socket_transport` — the same transport surface over
-  real TCP/UNIX-domain sockets, for multi-process deployments.
+* :mod:`repro.net.socket_transport` — the announcements over real
+  TCP/UNIX-domain sockets, for multi-process deployments.
 * :mod:`repro.net.proxy_transport` — the adversarial proxy that gives
   each link its fate under a scheduled attack script's
   partition/surge/drop effects, with per-phase audit counters.

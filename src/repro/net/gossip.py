@@ -18,8 +18,8 @@ by frame.  It settles the overlay's nodes in instant order, Dijkstra's
 way, on one heap of computed frames (:meth:`GossipNetwork.catch_up`): a
 message enters at a node — published there, or announced by another
 process as published there — and each node it settles offers the
-message to its neighbours under the hop law the delivery wheel
-realises: a node ``u`` first holding the message at loop instant
+message to its neighbours under the hop law, quantized to the
+fabric's slots: a node ``u`` first holding the message at loop instant
 ``T_u`` offers it to neighbour ``v``, and the frame arrives at
 
     ``ceil((T_u + d_uv) / slot_s) · slot_s``,

@@ -25,8 +25,9 @@ The phase holding in ``t``'s round decides
 resolved :class:`~repro.attacks.script.ScriptTimeline` the simulator's
 :class:`~repro.attacks.adversary.ScriptedAdversary` interprets, so one
 script means one thing on every substrate; the surge factor is that of
-the phase holding the instant the frame starts crossing, so a frame a
-partition releases into a surged phase crosses surged.  ``fate`` is a
+the phase holding the instant the frame starts crossing, and so is the
+drop coin, so a frame a partition releases into a surged or lossy phase
+crosses surged, or is dropped, as one sent in that phase would.  ``fate`` is a
 pure function of its arguments, so every shard asks it alike: the flood
 calls it for every out-link of every node it settles, hosted or a
 relay, and it never holds a frame.  Every shard of a deployment starts
@@ -37,7 +38,8 @@ pair before it runs.
 
 Every interference is audited per phase (``partitioned`` / ``dropped``
 / ``delayed``: out-links full flooding offers that the phase holding
-``t`` blocks, drops, or crosses surged) and read into its shard's
+``t`` blocks, drops, or crosses surged; a held frame's drop is the
+releasing phase's) and read into its shard's
 sample (:meth:`~repro.runtime.shard.ShardRuntime.sample`), so a run can
 *prove* its attack actually bit.  An out-link is audited by the shard
 hosting its sender only: every shard computes the whole flood, and the
@@ -97,16 +99,20 @@ class ProxyTransport:
         none or other links); ``None`` if the frame is dropped.
 
         Blocked: the start of the first later phase that does not block
-        the link.  Otherwise ``t``, unless dropped.  A block, a drop and
-        a surged crossing are counted in the audit row of the phase
-        holding ``t``, if this shard hosts ``src``.
+        the link, else ``t``; then dropped under the coin of the phase
+        holding that instant, so a frame a partition releases into a
+        lossy phase is tossed as one sent there is.  A block and an
+        unheld surged crossing are counted in the audit row of the phase
+        holding ``t``, a drop in that of the phase whose coin dropped it,
+        if this shard hosts ``src``.
         """
         clock = self.clock
         state = self.timeline.state_at(max(clock.round_at(t), 0))
-        counters = self.audit[state.index] if src in self.hosted else None
-        if state.blocks(src, dst):
-            if counters is not None:
-                counters["partitioned"] += 1
+        hosted = src in self.hosted
+        blocked = state.blocks(src, dst)
+        if blocked:
+            if hosted:
+                self.audit[state.index]["partitioned"] += 1
             # The trailing quiescent phase blocks nothing.
             state = next(
                 later
@@ -114,15 +120,15 @@ class ProxyTransport:
                 if not later.blocks(src, dst)
             )
             t = clock.instant(state.start)
-        else:
-            p = state.drop_probability(src, dst)
-            if p > 0.0 and self._coin(src, dst, message) < p:
-                if counters is not None:
-                    counters["dropped"] += 1
-                return None
-            if counters is not None and state.surged(src, dst):
-                counters["delayed"] += 1
-        return t, state.surge_factor if state.surged(src, dst) else 1.0
+        p = state.drop_probability(src, dst)
+        if p > 0.0 and self._coin(src, dst, message) < p:
+            if hosted:
+                self.audit[state.index]["dropped"] += 1
+            return None
+        surged = state.surged(src, dst)
+        if hosted and surged and not blocked:
+            self.audit[state.index]["delayed"] += 1
+        return t, state.surge_factor if surged else 1.0
 
     def _coin(self, src: int, dst: int, message: Message) -> float:
         links = self.links

@@ -6,31 +6,31 @@ deployment's nodes and one :class:`SocketTransport`.  Every shard
 computes the whole flood (:mod:`repro.net.gossip`), so what crosses the
 mesh is announcements only: a message that entered the flood at a pid
 this worker hosts, and when, written once to every peer worker
-(:meth:`SocketTransport.announce`), and a node's stop.  Point-to-point
-frames between two pids of the shard loop back through the delivery
-wheel exactly like :class:`~repro.net.transport.SimTransport`'s; a pid
-another worker hosts takes none.  Because a link's draw is a pure
+(:meth:`SocketTransport.announce`), and a node's stop.  The
+point-to-point surface it inherits
+(:class:`~repro.net.transport.PushDelivery`: ``send``, ``park``, the
+wheel, subscribers) has no caller in ``src/``: no frame takes it, and
+it waits to be deleted.  Because a link's draw is a pure
 function of the seed, the link and the message, a sharded run draws
 exactly the modelled latencies the single-process run would.
 
 Delivery is pushed: the socket reader hands each announcement of a
 decoded batch to the flood's listener, in batch order, before it reads
-the next blob.  Each transport keeps one bounded **body table**
-(:class:`DecodedBodyMemo`: body bytes → object) for the bodies it
-reads, so a body that rides several batches is unpickled at most once
-per process.  A message crosses to each other process once, so bodies
-this worker pickles never come back to it and are not entered.
+the next blob.  A message crosses to each other process once, so every
+body a worker reads is new to it and is decoded once, as it is read;
+nothing remembers bodies.  What repeats across bodies is the
+transactions of one view's proposals, so each transport keeps one
+bounded **transaction table** (:class:`TransactionTable`): a decoded
+:class:`~repro.chain.transactions.Transaction` equal to one the table
+holds *is* that object, constructed and hashed once per process.
 
-A miss decodes through the table's own unpickler, whose ``find_class``
+A body decodes through the table's own unpickler, whose ``find_class``
 opens onto the wire's six types and nothing else: a body naming any
 other global (a bomb's ``__reduce__`` target, ``builtins.getattr``, a
 module nobody has) is refused before anything is imported or called.
-A decoded :class:`~repro.chain.transactions.Transaction` equal to one
-the table holds *is* that object, so the transactions of the proposals
-of one view are constructed and hashed once per process.  A body that
-would decode to an ill-typed message (a ``float`` round: its
-``__setstate__`` raises), or that rewrites the state of a transaction
-or block it built, is an undecodable body like any other.
+A body that would decode to an ill-typed message (a ``float`` round:
+its ``__setstate__`` raises), or that rewrites the state of a
+transaction or block it built, is an undecodable body like any other.
 
 Wire format: every write is a 4-byte big-endian length followed by a
 blob.  There are two blob layouts, one per channel:
@@ -39,16 +39,15 @@ blob.  There are two blob layouts, one per channel:
   ≥ 2 always start with the ``0x80`` PROTO opcode).  This is the
   control channel's format only — its other end is the coordinator,
   in the run's own parent process — and the data mesh never reads it.
-* **v3 announcement batch** — version byte ``0x03``, then an **intern
-  table** of distinct encoded message bodies (u16 count, each body
-  length-prefixed u32), then an entry list (u32 count, each entry
-  ``u32 pid · f64 instant · u16 body index``).  The instant is seconds
-  since the run's shared start — finite and non-negative — and body
-  index ``0xFFFF`` is a stop, which carries no body.  Every
-  announcement made in one turn of the event loop rides one batch write
-  per peer.  It is the only layout the data mesh accepts: a data blob
-  that does not decode as a batch is counted by reason — torn framing
-  in ``frames_rejected_torn``, a body that is not a wire object in
+* **v4 announcement batch** — version byte ``0x04``, then an entry list
+  (u32 count, each entry ``u32 pid · f64 instant · u32 body length``
+  followed by the body's bytes).  The instant is seconds since the
+  run's shared start — finite and non-negative — and body length
+  ``0xFFFFFFFF`` is a stop, which carries no body.  Every announcement
+  made in one turn of the event loop rides one batch write per peer.
+  It is the only layout the data mesh accepts: a data blob that does
+  not decode as a batch is counted by reason — torn framing in
+  ``frames_rejected_torn``, a body that is not a wire object in
   ``frames_rejected_refused`` — and skipped (the outer length prefix
   keeps the stream in sync).  A length prefix over ``MAX_FRAME_BYTES``
   is counted in ``frames_rejected_oversized`` and ends that connection:
@@ -58,7 +57,7 @@ blob.  There are two blob layouts, one per channel:
 Workers form a full mesh — every worker dials every other worker once
 and uses that connection for its outgoing announcements; the accepting
 side only reads.  A dialer's first blob on a data connection is its
-**hello**, ``0x03 · u32 worker id``: a reader refuses (counted torn) and
+**hello**, ``0x04 · u32 worker id``: a reader refuses (counted torn) and
 hangs up on a connection whose first blob names no peer worker, and
 refuses every entry naming a pid its connection's worker does not host,
 counted in ``entries_refused``.  Addresses are UNIX domain socket paths
@@ -104,21 +103,20 @@ _HEADER = struct.Struct(">I")
 #: trigger a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First blob byte of a v3 announcement batch and of a hello (never a
+#: First blob byte of a v4 announcement batch and of a hello (never a
 #: pickle's first byte: a pickle at protocol ≥ 2 begins with the PROTO
 #: opcode ``0x80``).
-BATCH_VERSION = 0x03
+BATCH_VERSION = 0x04
 _BATCH_MARKER = bytes([BATCH_VERSION])
-_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-#: One entry: pid, instant (seconds since the run's start), body index.
-_ENTRY = struct.Struct(">IdH")
-#: The body index of a stop, which carries no body.
-STOP = 0xFFFF
+#: One entry's head: pid, instant (seconds since the run's start), body length.
+_ENTRY = struct.Struct(">IdI")
+#: The body length of a stop, which carries no body.
+STOP = 0xFFFFFFFF
 #: A dialer's first blob: the version byte and its worker id.
 _HELLO = struct.Struct(">BI")
-#: Fixed batch overhead: version byte + body count + entry count.
-_BATCH_BASE = 1 + _U16.size + _U32.size
+#: Fixed batch overhead: version byte + entry count.
+_BATCH_BASE = 1 + _U32.size
 
 
 def encode_frame(payload: object) -> bytes:
@@ -139,57 +137,40 @@ async def read_frame(reader: asyncio.StreamReader) -> object:
 
 
 def encode_batch(
-    entries: Sequence[tuple[int, float, object, bytes | None]],
+    entries: Sequence[tuple[int, float, bytes | None]],
     max_bytes: int = MAX_FRAME_BYTES,
 ) -> list[bytes]:
-    """Length-prefixed v3 announcement batch writes for ``entries``.
+    """Length-prefixed v4 announcement batch writes for ``entries``.
 
-    Each entry is ``(pid, instant, intern_key, body)``, where ``body`` is
-    the message's pickle (``None`` for a stop) and ``intern_key`` groups
-    equal bodies (the encode cache supplies a message's ``content_key``,
-    or a body-identity fallback for foreign payloads).  Bodies are
-    written once per batch and referenced by index.  A batch that would
-    exceed ``max_bytes`` splits cleanly at an entry boundary (bodies are
-    re-emitted in the next chunk); a single entry whose lone batch would
-    still exceed the cap raises, exactly like an oversized v1 frame.
+    Each entry is ``(pid, instant, body)``, where ``body`` is the
+    message's pickle (``None`` for a stop), written right after the
+    entry's head.  A batch that would exceed ``max_bytes`` splits cleanly
+    at an entry boundary; a single entry whose lone batch would still
+    exceed the cap raises, exactly like an oversized v1 frame.
     """
     chunks: list[bytes] = []
-    start = 0
-    while start < len(entries):
-        bodies: list[bytes] = []
-        index: dict[object, int] = {}
-        refs: list[tuple[int, float, int]] = []
-        size = _BATCH_BASE
-        i = start
-        while i < len(entries):
-            pid, instant, key, body = entries[i]
-            body_index = STOP if body is None else index.get(key)
-            extra = _ENTRY.size
-            if body_index is None:
-                extra += _U32.size + len(body)
-            if size + extra > max_bytes or (body_index is None and len(bodies) >= STOP):
-                if not refs:
-                    raise ValueError(
-                        f"single entry of {len(body)} bytes exceeds the {max_bytes} batch cap"
-                    )
-                break
-            if body_index is None:
-                body_index = index[key] = len(bodies)
-                bodies.append(body)
-            refs.append((pid, instant, body_index))
-            size += extra
-            i += 1
-        parts = [_BATCH_MARKER, _U16.pack(len(bodies))]
-        for body in bodies:
-            parts.append(_U32.pack(len(body)))
+    parts: list[bytes] = []
+    count, size = 0, _BATCH_BASE
+    for pid, instant, body in entries:
+        extra = _ENTRY.size + (0 if body is None else len(body))
+        if size + extra > max_bytes and count:
+            chunks.append(_sealed(count, parts))
+            parts, count, size = [], 0, _BATCH_BASE
+        if size + extra > max_bytes:
+            raise ValueError(f"single entry of {extra} bytes exceeds the {max_bytes} batch cap")
+        parts.append(_ENTRY.pack(pid, instant, STOP if body is None else len(body)))
+        if body is not None:
             parts.append(body)
-        parts.append(_U32.pack(len(refs)))
-        for ref in refs:
-            parts.append(_ENTRY.pack(*ref))
-        blob = b"".join(parts)
-        chunks.append(_HEADER.pack(len(blob)) + blob)
-        start = i
+        count += 1
+        size += extra
+    if count:
+        chunks.append(_sealed(count, parts))
     return chunks
+
+
+def _sealed(count: int, parts: list[bytes]) -> bytes:
+    blob = b"".join((_BATCH_MARKER, _U32.pack(count), *parts))
+    return _HEADER.pack(len(blob)) + blob
 
 
 def encode_hello(worker_id: int) -> bytes:
@@ -207,7 +188,7 @@ _WIRE_TYPES = {
 #: Field types a transaction must have, exactly, to be held for sharing.
 _TX_FIELD_TYPES = (int, int, bytes, str)
 
-#: Transactions a body table holds for later bodies to resolve to: a few
+#: Transactions a table holds for later bodies to resolve to: a few
 #: views' proposals, and all a flood of distinct ones can pin.
 TRANSACTION_INTERN_CAPACITY = 4 * IDENTITY_MEMO_CAPACITY
 
@@ -217,7 +198,7 @@ def _new_block(*args) -> Block:
 
 
 class _BodyUnpickler(pickle.Unpickler):
-    """One body's decode, in its table's context.
+    """One body's decode, in its transaction table's context.
 
     ``find_class`` is the only door to a global.  Message kinds and
     :class:`VRFOutput` come back as themselves: their constructor and
@@ -228,7 +209,7 @@ class _BodyUnpickler(pickle.Unpickler):
     raises), so no body writes onto a transaction the table shares.
     """
 
-    def __init__(self, body: bytes, table: DecodedBodyMemo) -> None:
+    def __init__(self, body: bytes, table: TransactionTable) -> None:
         super().__init__(io.BytesIO(body))
         self._transaction = table.transaction
 
@@ -243,60 +224,27 @@ class _BodyUnpickler(pickle.Unpickler):
         return cls
 
 
-class DecodedBodyMemo:
-    """The process's one body table: body bytes → object, LRU-bounded.
+class TransactionTable:
+    """The process's decoded transactions: equal exact fields, one object.
 
-    :meth:`loads` decodes a body on its first sight, enters it
-    (:meth:`enter`) and hands back that object on every later one.  The
-    key is the body's bytes themselves — equal bytes decode to equal
-    content, so handing back the held object is the same value at none
-    of the cost, and a body differing in one byte is a different key.
-    Payloads are immutable once published (the assumption every identity
-    memo already makes), so sharing one object across batches and pids
-    is safe; ids are recomputed at a decode, never believed from the
-    bytes.
-
-    A miss decodes through :class:`_BodyUnpickler`, and :meth:`transaction`
-    is where it builds a transaction: one whose four fields are exactly
-    ``int, int, bytes, str`` and equal to a held one's *is* the held one,
-    and a new one is held from then on.  A flood of distinct bodies or
-    transactions evicts; neither table grows past its capacity.
+    :meth:`loads` decodes a body through :class:`_BodyUnpickler`, and
+    :meth:`transaction` is where it builds a transaction: one whose four
+    fields are exactly ``int, int, bytes, str`` and equal to a held
+    one's *is* the held one, and a new one is held from then on.  Ids
+    are recomputed at a decode, never believed from the bytes.  A flood
+    of distinct transactions evicts; the table never grows past
+    ``TRANSACTION_INTERN_CAPACITY``.
     """
 
-    __slots__ = ("_capacity", "_entries", "_transactions", "decodes")
+    __slots__ = ("_transactions",)
 
-    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("memo capacity must be positive")
-        self._capacity = capacity
-        self._entries: OrderedDict[bytes, object] = OrderedDict()
+    def __init__(self) -> None:
         #: exact-typed transaction fields -> the one object for them.
         self._transactions: OrderedDict[tuple, Transaction] = OrderedDict()
-        #: Bodies actually unpickled (misses), refused ones included.
-        self.decodes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def enter(self, body: bytes, payload: object) -> None:
-        """Record that ``body`` is ``payload``'s pickle: it resolves to ``payload``."""
-        entries = self._entries
-        entries[body] = payload
-        if len(entries) > self._capacity:
-            entries.popitem(last=False)
 
     def loads(self, body: bytes) -> object:
-        """The object ``body`` is: held, else decoded once and held."""
-        entries = self._entries
-        try:
-            payload = entries[body]
-        except KeyError:
-            self.decodes += 1
-            payload = _BodyUnpickler(body, self).load()
-            self.enter(body, payload)
-        else:
-            entries.move_to_end(body)
-        return payload
+        """The object ``body`` is, decoded in this table's context."""
+        return _BodyUnpickler(body, self).load()
 
     def transaction(self, *fields) -> Transaction:
         """The held transaction with exactly ``fields``, else a new one.
@@ -321,11 +269,12 @@ class DecodedBodyMemo:
 class FrameError(ValueError):
     """A data blob the wire rejects, and why (:attr:`reason`).
 
-    ``torn``: the framing is wrong — a bad version byte, counts that do
-    not fit, a truncated body, a body index past the table, trailing
-    bytes.  ``refused``: the framing is sound but a body is not a wire
-    object — it names a non-wire global, carries an ill-typed field, or
-    writes state onto a block or transaction.
+    ``torn``: the framing is wrong — a bad version byte, a count that
+    does not fit, a truncated body, an instant that is not a finite
+    non-negative number, trailing bytes.  ``refused``: the framing is
+    sound but a body is not a wire object — it names a non-wire global,
+    carries an ill-typed field, or writes state onto a block or
+    transaction.
     """
 
     def __init__(self, reason: str, detail: str) -> None:
@@ -333,51 +282,43 @@ class FrameError(ValueError):
         self.reason = reason
 
 
-def decode_batch(blob: bytes, memo: DecodedBodyMemo) -> list[tuple[int, float, object]]:
-    """Decode one v3 announcement batch blob into ``(pid, instant,
+def decode_batch(blob: bytes, table: TransactionTable) -> list[tuple[int, float, object]]:
+    """Decode one v4 announcement batch blob into ``(pid, instant,
     payload)`` entries, ``payload`` ``None`` for a stop.
 
-    Bodies resolve through ``memo``: every entry referencing a body
-    shares one payload object, and with the transport's table that
-    sharing extends across batches.  A torn batch (an entry whose
-    instant is not a finite non-negative number among them) or one
+    Each body decodes in ``table``'s context.  A torn batch (an entry
+    whose instant is not a finite non-negative number among them) or one
     carrying a body that does not decode raises :class:`FrameError`,
     whatever the decode itself raised, so a reader has one exception to
     count, by reason; a bad batch is never a silent partial delivery.
     """
     if not blob or blob[0] != BATCH_VERSION:
-        raise FrameError("torn", "not a v3 announcement batch blob")
-    view = memoryview(blob)
+        raise FrameError("torn", "not a v4 announcement batch blob")
     try:
-        offset = 1
-        (n_bodies,) = _U16.unpack_from(view, offset)
-        offset += _U16.size
-        payloads = []
-        for _ in range(n_bodies):
-            (length,) = _U32.unpack_from(view, offset)
-            offset += _U32.size
-            if offset + length > len(blob):
-                raise FrameError("torn", "torn batch: truncated body")
-            body = view[offset : offset + length]
-            try:
-                payloads.append(memo.loads(bytes(body)))
-            except Exception as exc:
-                # Unpickling runs the wire types' constructors on what the
-                # peer wrote: a well-framed body can raise (UnpicklingError
-                # from a refused global, a TypeError from ``__setstate__``…),
-                # and all of it is the peer's malformed input, not our failure.
-                raise FrameError("refused", f"undecodable batch body: {exc!r}") from None
-            offset += length
-        (n_entries,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
+        (count,) = _U32.unpack_from(blob, 1)
+        offset = _BATCH_BASE
         entries = []
-        for _ in range(n_entries):
-            pid, instant, body_index = _ENTRY.unpack_from(view, offset)
+        for _ in range(count):
+            pid, instant, length = _ENTRY.unpack_from(blob, offset)
             offset += _ENTRY.size
             if not 0.0 <= instant < math.inf:
                 raise FrameError("torn", f"torn batch: instant {instant!r}")
-            entries.append((pid, instant, None if body_index == STOP else payloads[body_index]))
-    except (struct.error, IndexError) as exc:
+            payload = None
+            if length != STOP:
+                if offset + length > len(blob):
+                    raise FrameError("torn", "torn batch: truncated body")
+                try:
+                    payload = table.loads(blob[offset : offset + length])
+                except Exception as exc:
+                    # Unpickling runs the wire types' constructors on what
+                    # the peer wrote: a well-framed body can raise
+                    # (UnpicklingError from a refused global, a TypeError
+                    # from ``__setstate__``…), and all of it is the peer's
+                    # malformed input, not our failure.
+                    raise FrameError("refused", f"undecodable batch body: {exc!r}") from None
+                offset += length
+            entries.append((pid, instant, payload))
+    except struct.error as exc:
         raise FrameError("torn", f"torn batch: {exc!r}") from None
     if offset != len(blob):
         raise FrameError("torn", "torn batch: trailing bytes")
@@ -393,25 +334,21 @@ class EncodedPayloadCache:
     pickle, not one per peer.  Entries live in an
     :class:`~repro.sleepy.messages.IdentityMemo` (keyed by the payload
     object, LRU-bounded: a flood of distinct payloads evicts, it never
-    grows without bound).  The batch intern table is keyed by a
-    message's ``content_key`` (README, "Identifiers and where they are
-    computed"), so two distinct instances of one logical message still
-    share a single body on the wire.
+    grows without bound).
     """
 
     def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
         #: payload -> encoded body.
         self._bodies = IdentityMemo(capacity)
 
-    def encode(self, payload: object) -> tuple[object, bytes, bool]:
-        """``(intern_key, body, freshly_encoded)`` for ``payload``."""
+    def encode(self, payload: object) -> tuple[bytes, bool]:
+        """``(body, freshly_encoded)`` for ``payload``."""
         body = self._bodies.get(payload)
         fresh = body is None
         if fresh:
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             self._bodies.put(payload, body)
-        key = payload.content_key if isinstance(payload, Message) else ("raw", body)
-        return key, body, fresh
+        return body, fresh
 
 
 async def open_stream(address) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -441,7 +378,7 @@ class SocketTransport(PushDelivery):
     Args:
         n: total deployment size (for parity with ``SimTransport``).
         local_pids: the pids this worker hosts (only these can be
-            subscribed to, and announced).
+            announced).
         owner: pid → worker id, for every pid of the deployment.
         worker_id: this worker's id.
         addresses: worker id → listen address for every worker.
@@ -450,9 +387,9 @@ class SocketTransport(PushDelivery):
 
     :meth:`announce` queues an entry for every peer worker, and the
     announcements made in one turn of the event loop leave in one batch
-    write per peer (:meth:`_flush_batch`).  Point-to-point frames go
-    through :class:`~repro.net.transport.PushDelivery`'s one door,
-    :meth:`park`, and loop back through the delivery wheel.
+    write per peer (:meth:`_flush_batch`).  The point-to-point surface
+    inherited from :class:`~repro.net.transport.PushDelivery` has no
+    caller in ``src/``.
     """
 
     def __init__(
@@ -470,8 +407,6 @@ class SocketTransport(PushDelivery):
     ) -> None:
         if n <= 0:
             raise ValueError("need at least one node")
-        # Delivery slot width: δ/8 in deployments (the base link
-        # latency), so quantization hides inside the modelled jitter.
         super().__init__(
             n,
             local_pids,
@@ -486,10 +421,10 @@ class SocketTransport(PushDelivery):
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._reader_tasks: list[asyncio.Task] = []
         self._encode_cache = EncodedPayloadCache()
-        #: The one body table: every body read, all connections.
-        self._decode_memo = DecodedBodyMemo()
+        #: The one transaction table: every body read, all connections.
+        self._transactions = TransactionTable()
         #: Peer worker id -> entries awaiting this turn's batch write.
-        self._outbox: dict[int, list[tuple[int, float, object, bytes | None]]] = {
+        self._outbox: dict[int, list[tuple[int, float, bytes | None]]] = {
             wid: [] for wid in sorted(set(self._owner.values()) - {worker_id})
         }
         #: Whether a write of the outboxes is scheduled.
@@ -511,7 +446,7 @@ class SocketTransport(PushDelivery):
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Payload pickles actually performed vs interned-bytes reuses.
+        #: Payload pickles actually performed vs cached-bytes reuses.
         self.payload_encodes = 0
         self.payload_reuses = 0
         #: Announcements for a peer whose connection is gone.
@@ -587,13 +522,12 @@ class SocketTransport(PushDelivery):
         bytes serve every peer.
         """
         outbox = self._outbox
-        if message is None:
-            entry = (pid, elapsed, None, None)
-        else:
-            intern_key, body, fresh = self._encode_cache.encode(message)
+        body = None
+        if message is not None:
+            body, fresh = self._encode_cache.encode(message)
             self.payload_encodes += fresh
             self.payload_reuses += len(outbox) - fresh
-            entry = (pid, elapsed, intern_key, body)
+        entry = (pid, elapsed, body)
         for entries in outbox.values():
             entries.append(entry)
         self.sent_count += len(outbox)
@@ -642,7 +576,7 @@ class SocketTransport(PushDelivery):
                         break
                     continue
                 try:
-                    entries = decode_batch(blob, self._decode_memo)
+                    entries = decode_batch(blob, self._transactions)
                 except FrameError as exc:
                     # A peer's blob is untrusted input: anything that is
                     # not a well-formed batch is counted and skipped, and

@@ -29,7 +29,8 @@ behind it — latency.  Three pieces live here:
   gossip survives transient asynchrony.  The fabric's own
   :meth:`PushDelivery.send` is the plain case: a frame sent now arrives
   after the link's base latency.  Only pids the fabric hosts take
-  frames: nothing point-to-point crosses a process boundary.
+  frames: nothing point-to-point crosses a process boundary.  It has no
+  caller in ``src/``: the flood is computed, so no frame takes it.
 
 Delivery is **pushed**.  A consumer registers one handler per pid
 (:meth:`PushDelivery.subscribe`) and the fabric calls it, synchronously,
@@ -192,7 +193,7 @@ class DeliveryWheel:
     pushed, is the order consumers see the slot's frames in.
 
     Quantization delays a delivery by strictly less than ``slot_s``.
-    Deployments size slots at δ/8 — the fabric's base link latency —
+    Deployments size slots at δ/16, half the modelled jitter width,
     which the round structure absorbs exactly like modelled jitter
     (Δ = 3δ, the receive phase sits at 0.9 Δ).
 

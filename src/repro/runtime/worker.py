@@ -44,19 +44,20 @@ def _fabric(config: WorkerConfig) -> PushDelivery:
     """The shard's fabric: in memory if it hosts every pid, else a mesh share."""
     spec = config.spec
     links = link_model(spec, config.delta_s)
+    # One slot width for every k, half the modelled jitter width: a
+    # computed arrival's quantization (< one slot) hides inside jitter
+    # with real-time margin to spare before the 0.9 Δ receive phase even
+    # when the host stalls.
+    slot_s = config.delta_s / 16
     if len(config.shard) == spec.n:
-        # The in-memory fabric rides the same delivery wheel as the
-        # socket one, at half the modelled jitter width: quantization
-        # (< one slot) hides inside jitter with real-time margin to
-        # spare before the 0.9 Δ receive phase even when the host stalls.
-        return SimTransport(spec.n, slot_s=config.delta_s / 16, **links)
+        return SimTransport(spec.n, slot_s=slot_s, **links)
     return SocketTransport(
         spec.n,
         local_pids=config.shard,
         owner=config.owner,
         worker_id=config.worker_id,
         addresses=config.addresses,
-        slot_s=config.delta_s / 8,
+        slot_s=slot_s,
         **links,
     )
 

@@ -58,8 +58,8 @@ class Message:
         A flat tuple — kind, claimed sender, signed fields, signature —
         built per use from type-checked fields, **never** from
         ``message_id`` (README, "Identifiers and where they are
-        computed").  Verdict tables, dedup and the wire's intern table
-        key by it; the kinds spell theirs out, this is the fallback.
+        computed").  Verdict tables and dedup key by it; the kinds
+        spell theirs out, this is the fallback.
         """
         return (type(self).__name__, self.sender, *self._signed_fields(), self.signature)
 

@@ -24,8 +24,8 @@ from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
 from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.net.socket_transport import (
-    DecodedBodyMemo,
     EncodedPayloadCache,
+    TransactionTable,
     decode_batch,
     encode_batch,
 )
@@ -119,12 +119,10 @@ def test_wire_batch_yields_blocks_with_recomputed_ids(registry, genesis):
     propose = _proposal(registry, genesis, txs=3)
     honest_block_id = propose.block.block_id
     object.__setattr__(propose.block, "block_id", FORGED)
-    key, body, _ = EncodedPayloadCache().encode(propose)
-    (chunk,) = encode_batch([(1, 4, key, body), (1, 5, key, body)])
-    frames = decode_batch(chunk[4:], DecodedBodyMemo())
-    assert [frame[:2] for frame in frames] == [(1, 4), (1, 5)]
-    decoded = frames[0][2]
-    assert decoded is frames[1][2]
+    body, _ = EncodedPayloadCache().encode(propose)
+    (chunk,) = encode_batch([(1, 4, body)])
+    ((pid, instant, decoded),) = decode_batch(chunk[4:], TransactionTable())
+    assert (pid, instant) == (1, 4)
     fresh = Block(
         parent=decoded.block.parent,
         proposer=decoded.block.proposer,

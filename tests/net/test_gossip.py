@@ -428,6 +428,18 @@ FLOOD_CASES = {
         ),
         (),
     ),
+    "partition-into-a-drop": (
+        no_surge,
+        AttackScript(
+            name="split-into-loss",
+            phases=(
+                phase(1),
+                phase(1, partition(range(6), range(6, 12))),
+                phase(1, heal(), drop(None, None, 1.0)),
+            ),
+        ),
+        (),
+    ),
     "stopped-node": (_surge_rounds_1_to_2, None, (3,)),
     "stopped-mid-flight": (_surge_rounds_1_to_2, None, _STOPPED_MID_FLIGHT),
 }
@@ -603,6 +615,13 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
             released + 6 * FLOOD_MODEL["base_latency_s"]
         )
         assert one_audit["partitioned"] > 0 and one_audit["delayed"] > 0
+    elif case == "partition-into-a-drop":
+        # Round 1's message, published on the left, is held at the cut
+        # until round 2, whose drop tosses every link's coin at p = 1:
+        # the release loses it, so no right pid ever holds it.
+        right = predicted[_flood_publishes()[1][2].content_key]
+        assert right and all(pid < 6 for pid in right)
+        assert one_audit["partitioned"] > 0 and one_audit["dropped"] > 0
     else:
         assert one_audit["dropped"] > 0 and one_audit["partitioned"] > 0
         assert one_audit["delayed"] > 0

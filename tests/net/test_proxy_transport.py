@@ -109,6 +109,28 @@ def test_a_frame_released_into_a_surged_phase_takes_that_phases_factor():
     assert proxy.audit[2] == {"partitioned": 0, "delayed": 0, "dropped": 0}
 
 
+def test_a_frame_released_into_a_lossy_phase_is_tossed_by_its_coin():
+    """A frame a partition releases into a drop phase is dropped as one
+    sent in that phase is: the releasing phase tosses the link's coin,
+    and its audit row counts the drop, the blocking phase's the hold."""
+    script = AttackScript(
+        name="split-into-loss",
+        phases=(
+            phase(1),
+            phase(1, partition((0, 1), (2, 3))),
+            phase(1, heal(), drop(0, 2, 1.0)),
+        ),
+    )
+    proxy = _proxy(script)
+    message = _vote()
+    assert proxy.fate(0, 2, _in_round(1), message) is None
+    assert proxy.fate(0, 2, _in_round(2), message) is None
+    # Another held link crosses at the release: the drop is 0 → 2's only.
+    assert proxy.fate(0, 3, _in_round(1), message) == (pytest.approx(2 * ROUND_S), 1.0)
+    assert proxy.audit[1] == {"partitioned": 2, "delayed": 0, "dropped": 0}
+    assert proxy.audit[2] == {"partitioned": 0, "delayed": 0, "dropped": 2}
+
+
 def test_drop_coin_frequency_matches_p():
     """One coin per link per message, keyed by the run seed: over 3,000
     messages a p = 0.3 link drops within 3 σ of 30 %, a second seed

@@ -3,6 +3,7 @@
 import asyncio
 import math
 import pickle
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.net.socket_transport import (
     BATCH_VERSION,
     MAX_FRAME_BYTES,
-    DecodedBodyMemo,
     EncodedPayloadCache,
     FrameError,
     SocketTransport,
+    TransactionTable,
     decode_batch,
     encode_batch,
     encode_frame,
@@ -183,36 +184,50 @@ def test_an_announcement_with_no_connection_is_counted_misrouted():
 
 
 # ----------------------------------------------------------------------
-# v3 announcement batches
+# v4 announcement batches
 # ----------------------------------------------------------------------
 def _body(payload):
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def test_batch_roundtrip_shares_one_decoded_body():
-    body = _body(["shared"])
-    entries = [(pid, 0.5 * pid, "key", body) for pid in range(1, 6)] + [(7, 3.0, None, None)]
+def test_batch_roundtrip_carries_each_body_after_its_entry():
+    entries = [(pid, 0.5 * pid, _body(["body", pid])) for pid in range(1, 6)] + [(7, 3.0, None)]
     chunks = encode_batch(entries)
     assert len(chunks) == 1
     blob = chunks[0][4:]
     assert blob[0] == BATCH_VERSION
-    decoded = decode_batch(blob, DecodedBodyMemo())
-    assert decoded == [(pid, 0.5 * pid, ["shared"]) for pid in range(1, 6)] + [(7, 3.0, None)]
-    # One body on the wire, one unpickle: every entry shares the object.
-    first = decoded[0][2]
-    assert all(payload is first for _, _, payload in decoded[:5])
+    # Version, count, then per entry a 16-byte head and the body's bytes.
+    assert len(blob) == 5 + 16 * len(entries) + sum(len(body or b"") for *_, body in entries)
+    decoded = decode_batch(blob, TransactionTable())
+    assert decoded == [(pid, 0.5 * pid, ["body", pid]) for pid in range(1, 6)] + [(7, 3.0, None)]
+
+
+def test_a_stop_is_a_head_alone_and_a_head_cannot_claim_more_than_the_blob():
+    (chunk,) = encode_batch([(3, 1.5, None)])
+    blob = chunk[4:]
+    assert blob == bytes([BATCH_VERSION, 0, 0, 0, 1]) + struct.pack(">IdI", 3, 1.5, 0xFFFFFFFF)
+    assert decode_batch(blob, TransactionTable()) == [(3, 1.5, None)]
+    # A body length just short of a stop's, or a count past the entries
+    # the blob holds, is torn before anything is read past the blob.
+    for forged in (
+        blob[:-4] + (0xFFFFFFFE).to_bytes(4, "big") + b"\x80",
+        blob[:1] + (2).to_bytes(4, "big") + blob[5:],
+    ):
+        with pytest.raises(FrameError, match="torn batch") as raised:
+            decode_batch(forged, TransactionTable())
+        assert raised.value.reason == "torn"
 
 
 def test_batch_splits_cleanly_at_the_byte_cap():
     body = _body(b"x" * 100)
-    entries = [(pid, float(pid), "key", body) for pid in range(10)]
-    chunks = encode_batch(entries, max_bytes=180)
+    entries = [(pid, float(pid), body) for pid in range(10)]
+    chunks = encode_batch(entries, max_bytes=300)
     assert len(chunks) > 1
     decoded = []
     for chunk in chunks:
-        assert len(chunk) - 4 <= 180
-        decoded.extend(decode_batch(chunk[4:], DecodedBodyMemo()))
-    # Bodies are re-emitted per chunk; no entry is lost or reordered.
+        assert len(chunk) - 4 <= 300
+        decoded.extend(decode_batch(chunk[4:], TransactionTable()))
+    # No entry is lost or reordered.
     assert [(pid, instant) for pid, instant, _ in decoded] == [
         (pid, float(pid)) for pid in range(10)
     ]
@@ -221,35 +236,35 @@ def test_batch_splits_cleanly_at_the_byte_cap():
 
 def test_single_oversized_entry_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        encode_batch([(0, 0.0, "key", _body(b"y" * 100))], max_bytes=50)
+        encode_batch([(0, 0.0, _body(b"y" * 100))], max_bytes=50)
 
 
 def test_torn_batch_blobs_raise_value_error():
-    (chunk,) = encode_batch([(pid, 1.0, "key", _body("p")) for pid in range(3)])
+    (chunk,) = encode_batch([(pid, 1.0, _body("p")) for pid in range(3)])
     blob = chunk[4:]
     # Truncations at any depth are a framing error, not a partial delivery.
-    for cut in (1, 2, 5, len(blob) - 3):
+    for cut in (1, 2, 5, 12, 21, len(blob) - 3):
         with pytest.raises(ValueError, match="torn batch"):
-            decode_batch(blob[:cut], DecodedBodyMemo())
+            decode_batch(blob[:cut], TransactionTable())
     with pytest.raises(ValueError, match="torn batch"):
-        decode_batch(blob + b"junk", DecodedBodyMemo())
-    with pytest.raises(ValueError, match="not a v3"):
-        decode_batch(b"\x80rest", DecodedBodyMemo())
+        decode_batch(blob + b"junk", TransactionTable())
+    with pytest.raises(ValueError, match="not a v4"):
+        decode_batch(b"\x80rest", TransactionTable())
     # The previous layout's version byte is no batch any more.
-    with pytest.raises(ValueError, match="not a v3"):
-        decode_batch(b"\x02" + blob[1:], DecodedBodyMemo())
+    with pytest.raises(ValueError, match="not a v4"):
+        decode_batch(b"\x03" + blob[1:], TransactionTable())
 
 
 @pytest.mark.parametrize("instant", [math.nan, math.inf, -math.inf, -0.001])
 def test_an_instant_that_is_not_a_finite_non_negative_number_is_torn(instant):
-    (chunk,) = encode_batch([(0, 1.0, "key", _body("p")), (0, instant, None, None)])
+    (chunk,) = encode_batch([(0, 1.0, _body("p")), (0, instant, None)])
     with pytest.raises(FrameError, match="instant") as raised:
-        decode_batch(chunk[4:], DecodedBodyMemo())
+        decode_batch(chunk[4:], TransactionTable())
     assert raised.value.reason == "torn"
 
 
 def test_partial_batch_frame_at_eof_raises_incomplete_read():
-    (chunk,) = encode_batch([(0, 0.0, "key", _body("p"))])
+    (chunk,) = encode_batch([(0, 0.0, _body("p"))])
 
     async def torn_stream():
         reader = asyncio.StreamReader()
@@ -261,41 +276,20 @@ def test_partial_batch_frame_at_eof_raises_incomplete_read():
     asyncio.run(torn_stream())
 
 
-def test_encoded_payload_cache_reuses_bytes_and_interns_equal_bodies():
+def test_encoded_payload_cache_reuses_the_bytes_of_one_object():
     cache = EncodedPayloadCache(capacity=2)
     payload = ["p"]
-    key1, body1, fresh1 = cache.encode(payload)
-    key2, body2, fresh2 = cache.encode(payload)
-    assert fresh1 and not fresh2
-    assert key1 == key2 and body1 is body2
-    # A distinct but equal payload pickles again, yet interns to the
-    # same batch key — one body on the wire for one logical payload.
-    key3, _body3, fresh3 = cache.encode(["p"])
-    assert fresh3 and key3 == key1
+    body1, fresh1 = cache.encode(payload)
+    body2, fresh2 = cache.encode(payload)
+    assert fresh1 and not fresh2 and body1 is body2
+    # A distinct but equal payload pickles again: the cache is by identity.
+    body3, fresh3 = cache.encode(["p"])
+    assert fresh3 and body3 == body1
     # Eviction (capacity 2) stays correct: re-encoding is fresh again.
     cache.encode(["q"])
     cache.encode(["r"])
-    _, _, fresh4 = cache.encode(payload)
+    _, fresh4 = cache.encode(payload)
     assert fresh4
-
-
-def test_encoded_payload_cache_interns_messages_by_content_digest():
-    from repro.crypto.signatures import KeyRegistry
-    from repro.sleepy.messages import make_vote
-
-    registry = KeyRegistry(1)
-    key = registry.secret_key(0)
-    # Two distinct instances of the same logical vote: equal content,
-    # different identity.  They pickle separately but intern to one
-    # wire body via the freshly computed verification digest.
-    vote_a = make_vote(registry, key, 3, None)
-    vote_b = make_vote(registry, key, 3, None)
-    assert vote_a is not vote_b
-    cache = EncodedPayloadCache()
-    key_a, _, fresh_a = cache.encode(vote_a)
-    key_b, _, fresh_b = cache.encode(vote_b)
-    assert fresh_a and fresh_b
-    assert key_a == key_b
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
@@ -384,7 +378,7 @@ _VALID = [(0, 0.25, "ok"), (0, 0.5, None)]
 
 
 def _valid_batch() -> bytes:
-    (chunk,) = encode_batch([(0, 0.25, "key", _body("ok")), (0, 0.5, None, None)])
+    (chunk,) = encode_batch([(0, 0.25, _body("ok")), (0, 0.5, None)])
     return chunk
 
 
@@ -422,7 +416,7 @@ def test_v1_pickle_on_the_data_mesh_is_never_loaded(tmp_path):
 
 def _riding_along(body: bytes) -> bytes:
     """A well-formed batch: one good entry, then one carrying ``body``."""
-    (chunk,) = encode_batch([(0, 0.1, "ok", _body("rides along")), (0, 0.2, "bad", body)])
+    (chunk,) = encode_batch([(0, 0.1, _body("rides along")), (0, 0.2, body)])
     return chunk
 
 
@@ -433,7 +427,7 @@ def test_a_bomb_inside_a_well_formed_batch_never_runs(tmp_path):
     assert _TRIPPED.pop()  # the bomb is live: loading it runs code
     poisoned = _riding_along(body)
     with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
-        decode_batch(poisoned[4:], DecodedBodyMemo())
+        decode_batch(poisoned[4:], TransactionTable())
     assert not _TRIPPED
     b = _deliver_raw(tmp_path, poisoned)
     assert not _TRIPPED
@@ -454,7 +448,7 @@ _POISONED_BODIES = {
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
 def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
-    (chunk,) = encode_batch([(0, 0.0, "key", _body("lost"))])
+    (chunk,) = encode_batch([(0, 0.0, _body("lost"))])
     junk = _blob(chunk[4:-3]) + _blob(bytes([BATCH_VERSION]) + b"garbage")
     # A batch can also be framed perfectly and carry a body whose load
     # raises whatever it likes: still one rejected batch, not a dead reader.
@@ -463,7 +457,7 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
             pickle.loads(body)
         poisoned = _riding_along(body)
         with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
-            decode_batch(poisoned[4:], DecodedBodyMemo())
+            decode_batch(poisoned[4:], TransactionTable())
         junk += poisoned
     # Hand-built ill-typed messages reach ``object.__new__`` through
     # ``builtins.getattr``: refused at the global, like any non-wire name.
@@ -471,7 +465,7 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
     for body in refused:
         poisoned = _riding_along(body)
         with pytest.raises(ValueError, match="undecodable batch body: UnpicklingError"):
-            decode_batch(poisoned[4:], DecodedBodyMemo())
+            decode_batch(poisoned[4:], TransactionTable())
         junk += poisoned
     # The same states in a message's own form name only wire types — a
     # float round, a bool sender, bytes for a signature — and still decode
@@ -481,7 +475,7 @@ def test_torn_batches_are_counted_and_the_reader_keeps_serving(tmp_path):
     for body in ill_typed:
         poisoned = _riding_along(body)
         with pytest.raises(ValueError, match="undecodable batch body: TypeError"):
-            decode_batch(poisoned[4:], DecodedBodyMemo())
+            decode_batch(poisoned[4:], TransactionTable())
         junk += poisoned
     b = _deliver_raw(tmp_path, junk)
     # Two torn blobs (a truncated batch, garbage after the version byte);
@@ -531,7 +525,7 @@ def test_an_announcement_for_a_pid_its_sender_does_not_host_is_refused_and_count
     connection whose hello names no peer — b itself, a worker the mesh
     does not have, or no hello at all — is refused and hung up on."""
     (forged,) = encode_batch(
-        [(1, 0.1, "a", _body("forged")), (0, 0.2, "b", _body("ok")), (9, 0.3, None, None)]
+        [(1, 0.1, _body("forged")), (0, 0.2, _body("ok")), (9, 0.3, None)]
     )
 
     async def scenario():
@@ -617,18 +611,21 @@ def _mangled_batches(draw) -> tuple[str, bytes]:
         prefix = draw(st.sampled_from((b"", bytes([BATCH_VERSION]))))
         return how, prefix + draw(st.binary(max_size=96))
     messages = draw(st.lists(_wire_messages(), min_size=1, max_size=4))
-    entries = [(m.sender, 0.5 * i, m.content_key, _body(m)) for i, m in enumerate(messages)]
+    entries = [(m.sender, 0.5 * i, _body(m)) for i, m in enumerate(messages)]
     if draw(st.booleans()):
-        entries.append((0, 2.0, None, None))  # a stop rides along
+        entries.append((0, 2.0, None))  # a stop rides along
     (chunk,) = encode_batch(entries)
     blob = bytearray(chunk[4:])
     if how == "cut":
         return how, bytes(blob[: draw(st.integers(0, len(blob) - 1))])
     # Framing is a few bytes among the bodies': aim a third of the flips
-    # at the head (version, counts, the first body's length), a third at
-    # the entry table (count, pid, instant, body index), a third anywhere.
-    table = len(blob) - 4 - 14 * len(entries)
-    start, stop = draw(st.sampled_from(((0, 7), (table, len(blob)), (0, len(blob)))))
+    # at the head (version, count, the first entry's pid, instant and
+    # body length), a third at some entry's head, a third anywhere.
+    heads = [5]
+    for *_, body in entries[:-1]:
+        heads.append(heads[-1] + 16 + len(body or b""))
+    head = draw(st.sampled_from(heads))
+    start, stop = draw(st.sampled_from(((0, 21), (head, head + 16), (0, len(blob)))))
     for bit in draw(st.lists(st.integers(8 * start, 8 * stop - 1), min_size=1, max_size=4)):
         blob[bit // 8] ^= 1 << (bit % 8)
     return how, bytes(blob)
@@ -639,7 +636,7 @@ def _mangled_batches(draw) -> tuple[str, bytes]:
 def test_only_a_frame_error_escapes_decode_batch(mangled):
     how, blob = mangled
     try:
-        entries = decode_batch(blob, DecodedBodyMemo())
+        entries = decode_batch(blob, TransactionTable())
     except FrameError as exc:
         assert exc.reason in ("torn", "refused")
         # A cut is torn whatever it cuts: a body's length is checked
@@ -664,7 +661,7 @@ def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
             writer.write(encode_hello(0))
             for i, (_how, blob) in enumerate(mangled):
                 marker = ("next", i)
-                (valid,) = encode_batch([(0, float(i), marker, _body(marker))])
+                (valid,) = encode_batch([(0, float(i), _body(marker))])
                 writer.write(_blob(blob) + valid)
                 async with asyncio.timeout(2):
                     while (0, float(i), marker) not in heard.entries:
@@ -682,72 +679,8 @@ def test_a_live_reader_serves_the_next_batch_after_each_mangled_one(mangled):
 
 
 # ----------------------------------------------------------------------
-# The body table: one decode per process, counting the bodies it sent
+# The transaction table: one object per transaction per process
 # ----------------------------------------------------------------------
-def test_one_body_in_two_batches_decodes_to_one_object_with_one_loads():
-    body = _body(["gossiped", "vote"])
-    (first,) = encode_batch([(0, 0.0, "key", body)])
-    (second,) = encode_batch([(3, 1.0, "key", body), (3, 2.0, "other", _body("x"))])
-    memo = DecodedBodyMemo()
-    entries = decode_batch(first[4:], memo) + decode_batch(second[4:], memo)
-    assert [(pid, instant) for pid, instant, _ in entries] == [(0, 0.0), (3, 1.0), (3, 2.0)]
-    assert entries[0][2] == ["gossiped", "vote"]
-    assert entries[1][2] is entries[0][2]
-    assert memo.decodes == 2  # three entries, two distinct bodies
-    # Another table decodes for itself.
-    assert decode_batch(first[4:], DecodedBodyMemo())[0][2] is not entries[0][2]
-
-
-def test_one_flipped_byte_is_a_different_object():
-    body = _body(b"payload-" + bytes(32))
-    flipped = bytearray(body)
-    flipped[-5] ^= 0x01
-    memo = DecodedBodyMemo()
-    original = memo.loads(body)
-    other = memo.loads(bytes(flipped))
-    assert other is not original and other != original
-    assert memo.loads(body) is original
-    assert len(memo) == 2
-
-
-def test_the_decode_memo_never_exceeds_its_bound():
-    memo = DecodedBodyMemo(capacity=4)
-    bodies = [_body(i) for i in range(10)]
-    for body in bodies:
-        memo.loads(body)
-        assert len(memo) <= 4
-    # Least recently used goes first: a re-read body survives the flood.
-    kept = memo.loads(bodies[6])
-    for body in bodies[:3]:
-        memo.loads(body)
-    assert memo.loads(bodies[6]) is kept
-    with pytest.raises(ValueError):
-        DecodedBodyMemo(capacity=0)
-    # The transport's own memo is bounded like every identity memo.
-    from repro.sleepy.messages import IDENTITY_MEMO_CAPACITY
-
-    assert DecodedBodyMemo()._capacity == IDENTITY_MEMO_CAPACITY
-
-
-@pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_the_reader_hands_one_object_to_every_batch_a_body_rides(tmp_path):
-    async def scenario():
-        a, b, _heard_a, heard_b = await _listening_pair(tmp_path)
-        try:
-            body = ["flooded", bytes(512)]
-            a.announce(0, 0.1, body)
-            await heard_b.until(1)
-            a.announce(0, 0.2, body)  # a later turn, so a second batch
-            first, second = await heard_b.until(2)
-            assert b.batches_received == 2 and b._decode_memo.decodes == 1
-            assert second[2] is first[2]
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
 REGISTRY = KeyRegistry(4, run_seed=3)
 
 
@@ -782,10 +715,10 @@ def _counting_hashes(monkeypatch) -> list[str]:
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
-def test_a_body_is_decoded_once_by_its_receiver_and_never_entered_by_its_sender(tmp_path):
-    """A message crosses to each other process once, so its receiver
-    decodes it, and its sender, to which it never comes back, keeps no
-    entry for it."""
+def test_an_announced_message_is_decoded_by_its_receiver_only(tmp_path):
+    """A message crosses to each other process once: its receiver decodes
+    it into an equal object and holds the proposal's transactions, and
+    its sender, to which it never comes back, decodes nothing."""
     vote = make_vote(REGISTRY, REGISTRY.secret_key(0), 3, None)
     proposal = _proposal(0, _transactions(3))
 
@@ -796,8 +729,8 @@ def test_a_body_is_decoded_once_by_its_receiver_and_never_entered_by_its_sender(
                 a.announce(0, 0.0, message)
                 _, _, there = (await heard_b.until(count))[-1]
                 assert there == message and there is not message
-            assert len(a._decode_memo) == a._decode_memo.decodes == 0
-            assert b._decode_memo.decodes == 2
+            assert not a._transactions._transactions
+            assert len(b._transactions._transactions) == 3
         finally:
             await a.close()
             await b.close()
@@ -809,10 +742,10 @@ def test_a_proposal_of_held_transactions_hashes_only_its_block(monkeypatch):
     txs = _transactions(5)
     first_body = _body(_proposal(1, _copies(txs)))
     second_body = _body(_proposal(2, _copies(txs)))
-    memo = DecodedBodyMemo()
-    first = memo.loads(first_body)
+    table = TransactionTable()
+    first = table.loads(first_body)
     calls = _counting_hashes(monkeypatch)
-    second = memo.loads(second_body)
+    second = table.loads(second_body)
     assert calls == ["block"]
     assert all(a is b for a, b in zip(second.block.payload, first.block.payload, strict=True))
     assert second == pickle.loads(second_body)
@@ -822,13 +755,13 @@ def test_the_transaction_table_stays_within_its_bound_under_a_flood():
     from repro.net.socket_transport import TRANSACTION_INTERN_CAPACITY
 
     flood = _transactions(TRANSACTION_INTERN_CAPACITY + 50, sender=3)
-    memo = DecodedBodyMemo(capacity=4)
+    table = TransactionTable()
     for view, start in enumerate(range(0, len(flood), 100), start=1):
-        memo.loads(_body(_proposal(1, flood[start : start + 100], view=view)))
-        assert len(memo._transactions) <= TRANSACTION_INTERN_CAPACITY and len(memo) <= 4
-    assert len(memo._transactions) == TRANSACTION_INTERN_CAPACITY
+        table.loads(_body(_proposal(1, flood[start : start + 100], view=view)))
+        assert len(table._transactions) <= TRANSACTION_INTERN_CAPACITY
+    assert len(table._transactions) == TRANSACTION_INTERN_CAPACITY
     # The oldest went first; an evicted transaction decodes again, equal.
-    (again,) = memo.loads(_body(_proposal(1, flood[:1], view=99))).block.payload
+    (again,) = table.loads(_body(_proposal(1, flood[:1], view=99))).block.payload
     assert again == flood[0] and again.tx_id == flood[0].tx_id
 
 
@@ -850,10 +783,10 @@ def _text(value: str) -> bytes:
 
 def test_a_body_cannot_rewrite_a_held_transaction_or_build_a_block_around_its_id():
     (tx,) = _transactions(1)  # nonce 0: every sender's first transaction
-    memo = DecodedBodyMemo()
-    memo.loads(_body(_proposal(1, _copies([tx]))))
+    table = TransactionTable()
+    table.loads(_body(_proposal(1, _copies([tx]))))
     fields = (tx.sender, tx.nonce, tx.payload, tx.checksum)
-    held = memo.transaction(*fields)
+    held = table.transaction(*fields)
     before = dict(vars(held))
     # Forged ids and verdicts, and fields equal to the held ones but of
     # another type (0 == False == 0.0, 2 == 2.0).
@@ -871,13 +804,13 @@ def test_a_body_cannot_rewrite_a_held_transaction_or_build_a_block_around_its_id
         # Alone, and followed by the same transaction resolved again.
         for body in (_body(rewrite), _body((rewrite, *_copies([tx])))):
             with pytest.raises(pickle.UnpicklingError, match="no pickled state"):
-                memo.loads(body)
-            assert memo.transaction(*fields) is held
+                table.loads(body)
+            assert table.transaction(*fields) is held
             assert {k: (type(v), v) for k, v in vars(held).items()} == {
                 k: (type(v), v) for k, v in before.items()
             }
     rewritten = _body(_Rewritten(Block, (None, 1, 1, (), 0), {"block_id": "f0" * 32}))
-    for load in (pickle.loads, memo.loads):
+    for load in (pickle.loads, table.loads):
         with pytest.raises(pickle.UnpicklingError, match="no pickled state"):
             load(rewritten)
     # NEWOBJ: a block that never ran its constructor, with no fields at
@@ -887,11 +820,11 @@ def test_a_body_cannot_rewrite_a_held_transaction_or_build_a_block_around_its_id
     forged = newobj + b"}" + _text("block_id") + _text("f0" * 32) + b"sb."
     for body in (newobj + b".", forged):
         with pytest.raises(pickle.UnpicklingError, match="NEWOBJ"):
-            memo.loads(body)
+            table.loads(body)
 
 
 # A differential against plain ``pickle.loads``: exact and non-exact field
-# types, one-byte-apart payloads and checksums, bodies sent and received.
+# types, one-byte-apart payloads and checksums.
 _SENDERS = (0, 1, "1", None)
 _PAYLOADS = (b"", b"x", b"y", "x", None)
 _CHECKSUMS = ("c0", "c1", None)
@@ -932,29 +865,19 @@ def _wire_messages(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), _wire_messages()), min_size=1, max_size=16))
-def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
-    memo = DecodedBodyMemo()
-    resolves_to: dict[bytes, object] = {}
+@given(st.lists(_wire_messages(), min_size=1, max_size=16))
+def test_the_transaction_table_decodes_what_plain_pickle_decodes(messages):
+    table = TransactionTable()
     #: id -> (typed fields, first decode that handed it out).  Every
-    #: decoded message stays in ``held`` (a later send of its body
-    #: replaces it in ``resolves_to``), so no id is recycled.
+    #: decoded message stays in ``held``, so no id is recycled.
     seen: dict[int, tuple[tuple, int]] = {}
     held: list[object] = []
-    for step, (sent, message) in enumerate(steps):
+    for step, message in enumerate(messages):
         body = _body(message)
-        if sent:
-            memo.enter(body, message)
-            resolves_to[body] = message
-            continue
-        decoded, plain = memo.loads(body), pickle.loads(body)
+        decoded, plain = table.loads(body), pickle.loads(body)
         held.append(decoded)
         assert type(decoded) is type(plain) and decoded == plain
         assert decoded.content_key == plain.content_key
-        if body in resolves_to:  # a body seen before is the object it was
-            assert decoded is resolves_to[body]
-            continue
-        resolves_to[body] = decoded
         if type(plain) is not ProposeMessage:
             continue
         for tx, twin in zip(decoded.block.payload, plain.block.payload, strict=True):
@@ -964,7 +887,7 @@ def test_the_body_table_decodes_what_plain_pickle_decodes(steps):
             assert typed == _typed(tx)
             if not _exact(tx):  # never held, never shared with another body
                 assert first == step
-                assert all(held is not tx for held in memo._transactions.values())
+                assert all(held is not tx for held in table._transactions.values())
 
 
 # ----------------------------------------------------------------------

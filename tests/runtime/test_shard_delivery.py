@@ -119,6 +119,33 @@ def test_what_one_node_lacks_when_its_key_is_forgotten_is_withdrawn_from_it():
     assert list(delivery.take(0, network.nodes[0].stats["delivered"])) == [_VOTES[0]]
 
 
+def test_a_receive_phase_hands_over_an_honest_vote_tagged_for_the_next_round():
+    """``take`` tests no round tag: an honest vote tagged r + 1 that has
+    reached a node by its receive phase r is handed over in phase r, on
+    the caught-up path and the chosen path alike.  The model never
+    delivers an honest message early; this is the early arrival that
+    ROADMAP.md's arrival classifier (item 1) is to count, pinned as the
+    behaviour it will count."""
+    registry = KeyRegistry(2, run_seed=0)
+    on_time = make_vote(registry, registry.secret_key(1), 0, None)
+    early = make_vote(registry, registry.secret_key(1), 1, None)
+    seen = SeenIndex(HORIZON)
+    delivery = ShardDelivery(2, (0, 1), seen)
+    network = GossipNetwork(
+        NoLinks((0, 1)), {0: (), 1: ()}, delivery.admit, seen, StillClock(), no_surge
+    )
+    delivery.advance(0, frozenset())  # pid 1, the sender, is honest
+    network.nodes[0].publish(on_time)
+    for pid in (0, 1):
+        network.nodes[pid].publish(early)
+    # Node 0 holds all it has pending: the caught-up path.
+    assert list(delivery.take(0, network.nodes[0].stats["delivered"])) == [on_time, early]
+    # Node 1 lacks the round-0 vote: the chosen path, which hands over
+    # what the node holds, whatever its tag.
+    assert list(delivery.take(1, network.nodes[1].stats["delivered"])) == [early]
+    assert early.round == seen.now + 1
+
+
 # ----------------------------------------------------------------------
 # Sharing
 # ----------------------------------------------------------------------

@@ -76,6 +76,30 @@ def test_a_sharded_runs_wall_is_its_rounds_not_its_setup():
     assert max(lifecycle["dialed_s"]) < lifecycle["setup_s"]
 
 
+def test_every_k_quantizes_at_one_slot_width():
+    """A shard's fabric is in memory when it hosts every pid and a mesh
+    share otherwise; both quantize arrivals at δ/16."""
+    from repro.runtime.shard import WorkerConfig
+    from repro.runtime.worker import _fabric
+
+    spec = RunSpec(n=4, rounds=2, protocol="resilient", eta=2, seed=0)
+    widths = [
+        _fabric(
+            WorkerConfig(
+                worker_id=0,
+                shard=shard,
+                owner={pid: pid // len(shard) for pid in range(4)},
+                addresses={},
+                control_address=None,
+                spec=spec,
+                delta_s=0.02,
+            )
+        ).slot_s
+        for shard in ((0, 1, 2, 3), (0, 1))
+    ]
+    assert widths == [0.02 / 16] * 2
+
+
 def test_multiprocess_rejects_adversaries_and_bad_process_counts():
     from repro.sleepy.adversary import NullAdversary
 
