@@ -50,9 +50,13 @@ from collections.abc import Iterable, Sequence
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.log import Log
+from repro.chain.transactions import ArrivalLog
 from repro.chain.tree import BlockTree, MissingParentError, UnknownBlockError
 
 __all__ = ["ChainView", "SharedChain", "TreeLike"]
+
+#: Segments whose transaction ids a chain keeps (:meth:`SharedChain.payload_ids`).
+_SEGMENTS_KEPT = 8
 
 
 class SharedChain:
@@ -72,6 +76,11 @@ class SharedChain:
         # :meth:`stretch`); holding the run keeps its identity unique.
         self._run: Sequence[tuple[Block, object]] | None = None
         self._run_stretch: tuple | None = None
+        # (tip, above) -> the segment's transaction ids, oldest pair first.
+        self._segments: dict[tuple[BlockId | None, BlockId | None], frozenset[str]] = {}
+        #: The chain's one transaction pool: each process's mempool is a
+        #: cursor over it (:class:`~repro.chain.transactions.Mempool`).
+        self.arrival_log = ArrivalLog()
         #: The canonical, append-only tree (also the run's omniscient
         #: trace tree in the simulator).
         self.tree = BlockTree()
@@ -122,6 +131,23 @@ class SharedChain:
                 stretch = (lo, lo + len(run))
         self._run, self._run_stretch = run, stretch
         return stretch
+
+    def payload_ids(self, tip: BlockId | None, above: BlockId | None) -> frozenset[str]:
+        """The canonical tree's :meth:`~repro.chain.tree.BlockTree.payload_ids`,
+        kept for the last few ``(tip, above)`` pairs asked about.
+
+        A pair names one immutable segment, so receivers that decide, or
+        propose on, the same segment share one walk of it.
+        """
+        key = (tip, above)
+        segments = self._segments
+        ids = segments.get(key)
+        if ids is None:
+            ids = self.tree.payload_ids(tip, above)
+            if len(segments) >= _SEGMENTS_KEPT:
+                del segments[next(iter(segments))]
+            segments[key] = ids
+        return ids
 
     def scratch(self, key: str) -> dict:
         """A run-shared memo dict for ``key``, created on first request.
@@ -336,13 +362,14 @@ class ChainView:
     ) -> frozenset[str]:
         """Transaction ids of ``tip``'s log, or of its segment ``(above, tip]``.
 
-        A path walk, as :meth:`repro.chain.tree.BlockTree.payload_ids`.
+        A path walk, as :meth:`repro.chain.tree.BlockTree.payload_ids`,
+        shared with the chain's other views (:meth:`SharedChain.payload_ids`).
         """
         if tip not in self:
             raise UnknownBlockError(tip)
         if above not in self:
             raise UnknownBlockError(above)
-        return self._tree.payload_ids(tip, above)
+        return self.chain.payload_ids(tip, above)
 
     def longest(self, tips: Iterable[BlockId | None]) -> BlockId | None:
         """The deepest visible tip among ``tips``; ties broken by tip id."""

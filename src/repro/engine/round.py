@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.chain.transactions import admit_arrivals
 from repro.engine.backend import check_adversary_message, check_honest_message
 
 
@@ -36,19 +37,17 @@ def step(host, r: int) -> Iterator[None]:
     delivery.advance(r, byz)
     host.pipeline.interner.advance(r, delivery.floor)
 
-    # In pid order, each awake node takes the round's transactions and,
-    # outside B_r, runs its send phase; then the adversary sends.
+    # The round's transactions are admitted once for the awake nodes'
+    # pools; in pid order each awake node outside B_r runs its send
+    # phase; then the adversary sends.
     awake = host.schedule.awake(r)
-    arrivals = host.arrivals(r)
     nodes, recorded, publish = host.nodes, host.record.published, host.publish
+    arrivals = host.arrivals(r)
+    if arrivals:
+        pools = [node.process.mempool for pid, node in nodes.items() if pid in awake]
+        admit_arrivals(arrivals, awake, pools)
     for pid, node in nodes.items():
-        if pid not in awake:
-            continue
-        mempool = node.process.mempool
-        if mempool is not None:
-            for tx in arrivals:
-                mempool.add(tx)
-        if pid in byz:
+        if pid not in awake or pid in byz:
             continue
         for message in node.run_send_phase(r):
             check_honest_message(message, pid, r)

@@ -67,7 +67,9 @@ receive phase is handed what the node holds by its instant
 host woke it.  No shard arms a timer for the flood.
 
 **A calm flood is filed whole.**  Where nothing but the clock can look
-inside a flood — the network has no ``fate`` and no node is stopped — a
+inside a flood — no node is stopped, and ``t0``'s round has no attack
+script or is in a calm phase of one, where ``fate`` returns every
+instant as is, with factor 1, and audits nothing — a
 message entering at ``pid`` at ``t0`` is not computed node by node
 (:meth:`GossipNetwork._summarise`).  A hop moves a frame at most
 ``H = ceil((base + jitter) · f / slot_s) + 1`` slots past the slot its
@@ -88,10 +90,11 @@ has ``pid`` offer the message on at ``t0``, as the flood computed node
 by node did then, and the heap takes it from there.  So does another
 entry of the message meanwhile, and a node's stop.  Either way, what a
 catch-up files — ``held``, ``delivered``, ``stale_dropped`` — is bit
-for bit what the flood computed node by node files; with no ``fate``
-nothing else reads its instants.  A flood entering a surged round whose
-hops outlast the round, and every flood under an attack script, is
-computed node by node.
+for bit what the flood computed node by node files, and in a calm
+phase nothing else reads its instants.  A flood entering a surged round
+whose hops outlast the round, or a round whose script phase is
+:attr:`~repro.attacks.script.PhaseState.delivery_active`, is computed
+node by node.
 
 Two more rules match the frame-by-frame flood at its edges:
 
@@ -148,6 +151,7 @@ from repro.sleepy.horizon import RoundBuckets
 from repro.sleepy.messages import Message
 
 if TYPE_CHECKING:  # import at runtime would cycle through repro.runtime
+    from repro.net.proxy_transport import ProxyTransport
     from repro.runtime.clock import RoundClock
 
 #: A network's consumer: called with a message and its dedup key when the
@@ -373,9 +377,10 @@ class GossipNetwork:
     which its owner advances once per round.  ``clock`` is the shard's
     round clock and ``surge_factor(r)`` the latency multiplier of round
     ``r`` (:meth:`~repro.engine.conditions.NetworkConditions.surge_factor`).
-    ``fate``, under an attack script the proxy's
-    (:meth:`~repro.net.proxy_transport.ProxyTransport.fate`), is asked
-    for every out-link of every node the flood settles.
+    ``proxy``, under an attack script, is asked the
+    :meth:`~repro.net.proxy_transport.ProxyTransport.fate` of every
+    out-link of every node the flood settles, and whether a round is
+    calm (:meth:`~repro.net.proxy_transport.ProxyTransport.calm`).
     """
 
     def __init__(
@@ -386,7 +391,7 @@ class GossipNetwork:
         seen: SeenIndex,
         clock: RoundClock,
         surge_factor: Callable[[int], float],
-        fate: Callable[[int, int, float, Message], tuple[float, float] | None] | None = None,
+        proxy: ProxyTransport | None = None,
     ) -> None:
         self.transport = transport
         self.seen = seen
@@ -395,7 +400,8 @@ class GossipNetwork:
         self._surge_factor = surge_factor
         #: Round -> its surge factor, as the flood asks for them.
         self._factors: dict[int, float] = {}
-        self._fate = fate
+        self._fate = None if proxy is None else proxy.fate
+        self._calm = None if proxy is None else proxy.calm
         links = transport.links
         links.enumerate(topology)
         hosted = transport.hosted
@@ -625,11 +631,13 @@ class GossipNetwork:
         ``t0``, whole if its bound allows (module docstring): ``pid``
         holds it (or relays it) now and every other node once the clock
         passes the bound.  Whether it was."""
-        if self._fate is not None or self.stopped:
+        if self.stopped:
             return False
         clock = self.clock
         r = clock.round_at(t0)
         if r > message.round + self.seen.horizon:
+            return False
+        if self._calm is not None and not self._calm(r):
             return False
         base, _, slot_s = self._hop
         factor = self._factor(r)

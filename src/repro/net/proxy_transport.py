@@ -38,8 +38,8 @@ pair before it runs.
 
 Every interference is audited per phase (``partitioned`` / ``dropped``
 / ``delayed``: out-links full flooding offers that the phase holding
-``t`` blocks, drops, or crosses surged; a held frame's drop is the
-releasing phase's) and read into its shard's
+``t`` blocks, drops, or crosses surged; a held frame's drop or surged
+crossing is the releasing phase's) and read into its shard's
 sample (:meth:`~repro.runtime.shard.ShardRuntime.sample`), so a run can
 *prove* its attack actually bit.  An out-link is audited by the shard
 hosting its sender only: every shard computes the whole flood, and the
@@ -101,10 +101,10 @@ class ProxyTransport:
         Blocked: the start of the first later phase that does not block
         the link, else ``t``; then dropped under the coin of the phase
         holding that instant, so a frame a partition releases into a
-        lossy phase is tossed as one sent there is.  A block and an
-        unheld surged crossing are counted in the audit row of the phase
-        holding ``t``, a drop in that of the phase whose coin dropped it,
-        if this shard hosts ``src``.
+        lossy phase is tossed as one sent there is.  A block is counted
+        in the audit row of the phase holding ``t``; a drop and a surged
+        crossing in that of the phase the frame starts crossing in (for
+        a held frame, the releasing phase), if this shard hosts ``src``.
         """
         clock = self.clock
         state = self.timeline.state_at(max(clock.round_at(t), 0))
@@ -126,9 +126,15 @@ class ProxyTransport:
                 self.audit[state.index]["dropped"] += 1
             return None
         surged = state.surged(src, dst)
-        if hosted and surged and not blocked:
+        if hosted and surged:
             self.audit[state.index]["delayed"] += 1
         return t, state.surge_factor if surged else 1.0
+
+    def calm(self, r: int) -> bool:
+        """Whether round ``r``'s phase leaves every link alone: no block,
+        surge or drop, so :meth:`fate` returns every instant as is, with
+        factor 1, and audits nothing."""
+        return not self.timeline.state_at(max(r, 0)).delivery_active
 
     def _coin(self, src: int, dst: int, message: Message) -> float:
         links = self.links

@@ -117,7 +117,7 @@ class SleepyTOBProcess(Process):
         self._key = key
         self._verifier = verifier
         self.eta = eta
-        self.mempool = Mempool()
+        self.mempool = Mempool(pid=pid, log=chain.arrival_log if chain is not None else None)
         #: ``(ga_round, read)`` for every GA this process read, in order;
         #: each read is the object the GA returned, never a copy (a shared
         #: chain's receivers reference one read per distinct window).

@@ -193,7 +193,7 @@ class ShardRuntime:
             seen=self.delivery.seen,
             clock=self.clock,
             surge_factor=spec.resolved_conditions().surge_factor,
-            fate=None if self.proxy is None else self.proxy.fate,
+            proxy=self.proxy,
         )
         factory = PROTOCOLS.factory(spec.protocol, eta=spec.eta, beta=spec.beta)
         self.nodes = {

@@ -32,7 +32,11 @@ class Process(ABC):
     send phase.
     """
 
-    #: Where arriving transactions are offered; ``None`` takes none.
+    #: Where arriving transactions are offered; ``None`` takes none.  A
+    #: process built on a shared chain holds a cursor over the chain's
+    #: one :class:`~repro.chain.transactions.ArrivalLog`, into which the
+    #: round step admits each arrival once for every awake process; a
+    #: ``mempool.add(tx)`` admits ``tx`` for this process alone.
     mempool: Mempool | None = None
 
     def __init__(self, pid: int) -> None:

@@ -64,6 +64,11 @@ class Trace:
     tree: BlockTree = field(default_factory=BlockTree)
     meta: dict = field(default_factory=dict)
 
+    def __repr__(self) -> str:
+        # Short: asyncio's teardown reprs a task's result (an
+        # EngineResult holding this trace) into an error message.
+        return f"Trace(n={self.n}, rounds={self.horizon}, decisions={len(self.decisions)})"
+
     # ------------------------------------------------------------------
     # Participation-set accessors (paper §2.3 notation)
     # ------------------------------------------------------------------

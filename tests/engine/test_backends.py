@@ -53,6 +53,17 @@ def test_throughput_scenario_runs_on_both_substrates():
     assert deploy.trace.meta["deployment"] is True
 
 
+def test_a_deployment_result_has_a_short_repr():
+    """``asyncio.run``'s teardown reprs the main task's result into an
+    error message: a deployment's result names the run's size, not
+    every round, decision and block."""
+    result = run_spec(throughput_scenario(n=5, rounds=12, rate_per_round=4, seed=3), FAST_DEPLOY)
+    trace = result.trace
+    assert trace.decisions
+    assert repr(trace) == f"Trace(n=5, rounds=12, decisions={len(trace.decisions)})"
+    assert len(repr(result)) < 200
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -41,11 +41,11 @@ def _started_clock(delta_s=0.01):
 
 
 def _network(
-    transport, topology, clock, horizon=HORIZON, on_admit=ignore, surge_factor=no_surge, fate=None
+    transport, topology, clock, horizon=HORIZON, on_admit=ignore, surge_factor=no_surge, proxy=None
 ):
     """A gossip network over ``topology`` with a fresh seen index."""
     return GossipNetwork(
-        transport, topology, on_admit, SeenIndex(horizon), clock, surge_factor, fate
+        transport, topology, on_admit, SeenIndex(horizon), clock, surge_factor, proxy
     )
 
 
@@ -523,15 +523,14 @@ def _computed_flood(shards, surge_factor, script, stopped):
         for fabric in fabrics:
             clock = RoundClock(FLOOD_DELTA_S)
             clock.start_at(FLOOD_ORIGIN)
-            fate = None
+            proxy = None
             if script is not None:
                 proxy = ProxyTransport(
                     script.timeline(), clock=clock, links=fabric.links, hosted=fabric.hosted
                 )
                 proxies.append(proxy)
-                fate = proxy.fate
             network = _network(
-                fabric, FLOOD_TOPOLOGY, clock, FLOOD_HORIZON, surge_factor=surge_factor, fate=fate
+                fabric, FLOOD_TOPOLOGY, clock, FLOOD_HORIZON, surge_factor=surge_factor, proxy=proxy
             )
             tap_arrivals(network, file_arrival)
             networks.append(network)
@@ -816,8 +815,9 @@ def test_one_shard_parks_no_frame_and_arms_no_timer():
 
 
 class _Offers(SimTransport):
-    """A fabric and a ``fate`` that passes every frame and records each
-    offer as ``(src, dst, content key)``."""
+    """A fabric and a link law that passes every frame and records each
+    offer as ``(src, dst, content key)``; no round is calm, so the flood
+    asks ``fate`` of every offer."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -826,6 +826,9 @@ class _Offers(SimTransport):
     def fate(self, src, dst, t, message):
         self.offers.append((src, dst, message.content_key))
         return t, 1.0
+
+    def calm(self, r):
+        return False
 
 
 def test_one_shard_sends_each_message_once_per_overlay_edge():
@@ -838,7 +841,7 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
 
     async def scenario():
         transport = _Offers(n, base_latency_s=0.002, jitter_s=0.002, seed=4)
-        network = _network(transport, topology, _started_clock(), fate=transport.fate)
+        network = _network(transport, topology, _started_clock(), proxy=transport)
         for sender in range(messages):
             network.nodes[sender].publish(
                 make_vote(registry, registry.secret_key(sender), 0, None)

@@ -104,9 +104,10 @@ def test_a_frame_released_into_a_surged_phase_takes_that_phases_factor():
     released = pytest.approx(2 * ROUND_S)
     assert proxy.fate(0, 2, _in_round(1), _vote()) == (released, 3.0)
     assert proxy.fate(2, 0, _in_round(1), _vote()) == (released, 1.0)
-    # Counted where it was blocked, not where it crosses.
+    # The hold is the blocking phase's; the surged crossing (0 → 2 only)
+    # the releasing phase's, as a released frame's drop is.
     assert proxy.audit[1] == {"partitioned": 2, "delayed": 0, "dropped": 0}
-    assert proxy.audit[2] == {"partitioned": 0, "delayed": 0, "dropped": 0}
+    assert proxy.audit[2] == {"partitioned": 0, "delayed": 1, "dropped": 0}
 
 
 def test_a_frame_released_into_a_lossy_phase_is_tossed_by_its_coin():
