@@ -106,8 +106,12 @@ class SharedChain:
     def stretch(self, run: Sequence[tuple[Block, object]]) -> tuple[int, int] | None:
         """Where a delivered run of ``(block, source)`` pairs sits in the
         intern order: ``(lo, hi)`` when its blocks are exactly the
-        interned indices ``lo .. hi − 1``, in order, and every parent is
-        interned below ``lo``, else ``None``.
+        interned indices ``lo .. hi − 1``, in order, else ``None``.
+
+        The canonical tree interns every parent before its child, so
+        each parent is interned below its child: below ``lo``, or inside
+        the stretch ahead of its child in the run.  A backlog spanning
+        several views (a waker's) therefore has a stretch too.
 
         Intern indices never change, so a stretch is a fact about the
         run, not about any view; it is worked out once per run and kept
@@ -120,15 +124,10 @@ class SharedChain:
         index_of = self._index.get
         stretch = None
         lo = index_of(run[0][0].block_id) if run else None
-        if lo is not None:
-            for offset, (block, _source) in enumerate(run):
-                if index_of(block.block_id) != lo + offset:
-                    break
-                parent = block.parent
-                if parent is not None and index_of(parent, lo) >= lo:  # not interned, or not below
-                    break
-            else:
-                stretch = (lo, lo + len(run))
+        if lo is not None and all(
+            index_of(block.block_id) == lo + offset for offset, (block, _source) in enumerate(run)
+        ):
+            stretch = (lo, lo + len(run))
         self._run, self._run_stretch = run, stretch
         return stretch
 
@@ -239,15 +238,16 @@ class ChainView:
         if that is what adding its blocks one by one would amount to.
 
         It is when the run occupies one stretch ``lo .. hi − 1`` of the
-        intern order with every parent below it (:meth:`SharedChain.
+        intern order with every parent below its child (:meth:`SharedChain.
         stretch`), this view's watermark has reached the stretch
-        (``lo ≤ floor``, so every parent is visible) and nothing is
-        visible beyond it (so no block of the stretch has a visible
-        child): then the watermark moves to ``hi``, swallowing the
-        overflow entries, which all lie inside the stretch.  A run
-        wholly below the watermark (a redelivery) is accepted as the
-        no-op it is.  Returns ``False`` with nothing changed in every
-        other case; the caller then adds block by block.
+        (``lo ≤ floor``, so every parent below ``lo`` is visible, and
+        every parent inside the stretch is added, one by one, before its
+        child) and nothing is visible beyond it (so no block of the
+        stretch has a visible child): then the watermark moves to
+        ``hi``, swallowing the overflow entries, which all lie inside the
+        stretch.  A run wholly below the watermark (a redelivery) is
+        accepted as the no-op it is.  Returns ``False`` with nothing
+        changed in every other case; the caller then adds block by block.
         """
         stretch = self._stretch(run)
         if stretch is None:

@@ -6,6 +6,19 @@ The encoding is injective: every field is length-prefixed and tagged with
 its type, so distinct field tuples can never produce the same byte
 string.  This matters because the simulated signatures and VRFs inherit
 their unforgeability argument from the injectivity of this encoding.
+
+The same few values recur in almost every encoding — the kind labels,
+block ids, rounds and pids of a run's votes and proposals — so the
+encoder keeps the encoded piece (tag, length, payload) of each exact
+``str`` and exact ``int`` it meets in one bounded memo per type
+(:data:`PIECES_KEPT` pieces of at most :data:`PIECE_BYTES_KEPT` bytes
+each, emptied when full) and holds the head of every short tuple
+precomputed.  The memo is consulted only after the exact-type
+dispatch, so it is keyed by values of one type: ``True``, ``1.0`` and
+an ``IntEnum`` member never reach the ``int`` memo even though they
+compare equal to ``1``; ``bool`` and ``float`` are refused and
+subclasses are encoded by the slow path as always.  A hit and a miss
+produce the same bytes, so the memo changes cost, never an id.
 """
 
 from __future__ import annotations
@@ -24,6 +37,17 @@ Encodable = None | int | str | bytes | tuple
 #: Tag byte and big-endian u32 length of one field, packed in one call.
 _pack_head = struct.Struct(">cI").pack
 
+#: Entries each piece memo holds before it is emptied.
+PIECES_KEPT = 512
+#: Longest piece a memo keeps (a block id's is 69 bytes).
+PIECE_BYTES_KEPT = 128
+#: Exact ``str`` / exact ``int`` value -> its encoded piece.
+_str_pieces: dict[str, bytes] = {}
+_int_pieces: dict[int, bytes] = {}
+#: The head of a tuple of each length below this (a protocol signs at most 16).
+_SHORT_TUPLE = 32
+_TUPLE_HEADS = tuple(_pack_head(_TAG_TUPLE, length) for length in range(_SHORT_TUPLE))
+
 
 def encode_fields(*fields: Encodable) -> bytes:
     """Return the canonical, injective byte encoding of ``fields``.
@@ -36,9 +60,9 @@ def encode_fields(*fields: Encodable) -> bytes:
     return b"".join(parts)
 
 
-def bytes_field(data: bytes) -> bytes:
-    """One ``bytes`` field exactly as :func:`encode_fields` emits it."""
-    return _pack_head(_TAG_BYTES, len(data)) + data
+def bytes_head(length: int) -> bytes:
+    """What :func:`encode_fields` emits before a ``bytes`` field's ``length`` bytes."""
+    return _pack_head(_TAG_BYTES, length)
 
 
 def _emit_tuple(items: tuple, append) -> None:
@@ -46,18 +70,19 @@ def _emit_tuple(items: tuple, append) -> None:
     # pieces to the caller's list (joined once at the end), recurse only
     # into nested tuples.  Everything else — subclasses of the supported
     # types, and ``bool``, which must raise — takes ``_encode_one``, so
-    # the two paths cannot disagree on what is encodable.
-    append(_pack_head(_TAG_TUPLE, len(items)))
+    # the two paths cannot disagree on what is encodable.  The memo
+    # lookups come after the dispatch: a key equal to ``1`` but of
+    # another type never reaches ``_int_pieces``.
+    length = len(items)
+    append(_TUPLE_HEADS[length] if length < _SHORT_TUPLE else _pack_head(_TAG_TUPLE, length))
     for field in items:
         kind = type(field)
         if kind is str:
-            payload = field.encode("utf-8")
-            append(_pack_head(_TAG_STR, len(payload)))
-            append(payload)
+            piece = _str_pieces.get(field)
+            append(piece if piece is not None else _str_piece(field))
         elif kind is int:
-            payload = field.to_bytes((field.bit_length() + 8) // 8, "big", signed=True)
-            append(_pack_head(_TAG_INT, len(payload)))
-            append(payload)
+            piece = _int_pieces.get(field)
+            append(piece if piece is not None else _int_piece(field))
         elif kind is tuple:
             _emit_tuple(field, append)
         elif field is None:
@@ -67,6 +92,25 @@ def _emit_tuple(items: tuple, append) -> None:
             append(field)
         else:
             append(_encode_one(field))
+
+
+def _str_piece(field: str) -> bytes:
+    payload = field.encode("utf-8")
+    return _keep(_str_pieces, field, _pack_head(_TAG_STR, len(payload)) + payload)
+
+
+def _int_piece(field: int) -> bytes:
+    payload = field.to_bytes((field.bit_length() + 8) // 8, "big", signed=True)
+    return _keep(_int_pieces, field, _pack_head(_TAG_INT, len(payload)) + payload)
+
+
+def _keep(memo: dict, field: str | int, piece: bytes) -> bytes:
+    # A long value is encoded, never kept: the bound is on bytes too.
+    if len(piece) <= PIECE_BYTES_KEPT:
+        if len(memo) >= PIECES_KEPT:
+            memo.clear()
+        memo[field] = piece
+    return piece
 
 
 def _encode_one(field: Encodable) -> bytes:

@@ -24,10 +24,13 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.crypto.hashing import bytes_field, encode_fields
+from repro.crypto.hashing import bytes_head, encode_fields
 
 #: A signature is a 64-character hex tag.
 Signature = str
+
+#: The field head of the inner digest the outer hash of a tag covers.
+_DIGEST_HEAD = bytes_head(hashlib.sha256().digest_size)
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,14 @@ class KeyRegistry:
 def _keyed_states(seed: bytes) -> tuple:
     """The two SHA-256 states of :func:`_tag` for one key: fed
     everything of ``encode_fields(b"inner" | b"outer", seed, x)`` that
-    precedes ``x``, which is the same for every ``x``."""
-    empty = len(bytes_field(b""))
-    return tuple(
+    precedes ``x``'s field, which is the same for every ``x``; the
+    outer one also the field head of ``x``, always a 32-byte digest."""
+    empty = len(bytes_head(0))
+    inner, outer = (
         hashlib.sha256(encode_fields(label, seed, b"")[:-empty]) for label in (b"inner", b"outer")
     )
+    outer.update(_DIGEST_HEAD)
+    return inner, outer
 
 
 def _same_tag(tag: Signature, claimed: Signature) -> bool:
@@ -149,9 +155,11 @@ def _same_tag(tag: Signature, claimed: Signature) -> bool:
 def _tag(states: tuple, message: bytes) -> Signature:
     # Standard HMAC construction over SHA-256 (inner/outer keyed hashes):
     # sha256(encode_fields(b"outer", seed, sha256(encode_fields(b"inner",
-    # seed, message)))), byte for byte, from the key's pre-fed states.
+    # seed, message)))), byte for byte, from the key's pre-fed states;
+    # the message is fed after its field head, never copied behind it.
     inner = states[0].copy()
-    inner.update(bytes_field(message))
+    inner.update(bytes_head(len(message)))
+    inner.update(message)
     outer = states[1].copy()
-    outer.update(bytes_field(inner.digest()))
+    outer.update(inner.digest())
     return outer.hexdigest()

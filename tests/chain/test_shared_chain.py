@@ -260,6 +260,12 @@ def test_a_caught_up_view_takes_a_contiguous_run_by_moving_its_watermark():
     taken, _, _ = _offer_both_ways(chain, caught_up_and_proposed, first)
     assert taken
 
+    # A waker's backlog spans both views: round_two's parent lies inside
+    # the run, ahead of its children, so one by one adds it first.
+    taken, view, _ = _offer_both_ways(chain, lambda v: None, first + second)
+    assert chain.stretch(first + second) == (1, 11)
+    assert taken and not view._extra and view._floor == 11
+
 
 def test_a_run_is_refused_whenever_block_by_block_could_differ():
     chain = SharedChain()
@@ -286,8 +292,9 @@ def test_a_run_is_refused_whenever_block_by_block_could_differ():
     taken, _, _ = _offer_both_ways(chain, lambda v: v.add(round_one[0]), later)
     assert not taken
 
-    # Out of intern order, a repeated block, a parent inside the run, a
-    # block nobody interned: no stretch.
+    # Out of intern order, a repeated block, a gap in the intern order
+    # (``child`` is index 5, ``run[1]`` index 2), a block nobody
+    # interned: no stretch.
     for broken in (
         run[::-1],
         run + run[:1],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto import hashing
 from repro.crypto.hashing import encode_fields, hash_fields, sha256_hex
 
 
@@ -125,11 +126,15 @@ def _random_field(rng: random.Random, depth: int = 0):
     return tuple(_random_field(rng, depth + 1) for _ in range(rng.randrange(5)))
 
 
-def test_single_pass_encoder_matches_the_recursive_oracle():
-    rng = random.Random(20240612)
-    for _ in range(20_000):
+def _oracle_draws(seed: int = 20240612, draws: int = 20_000) -> None:
+    rng = random.Random(seed)
+    for _ in range(draws):
         fields = tuple(_random_field(rng) for _ in range(rng.randrange(7)))
         assert encode_fields(*fields) == _oracle_encode_fields(*fields), fields
+
+
+def test_single_pass_encoder_matches_the_recursive_oracle():
+    _oracle_draws()
 
 
 class _Kind(enum.IntEnum):
@@ -163,6 +168,50 @@ def test_bool_rejected_at_any_depth():
     for fields in ((True,), (1, False), ((1, (True,)),), (_Pair((False,)),)):
         with pytest.raises(TypeError, match="bool"):
             encode_fields(*fields)
+
+
+# ----------------------------------------------------------------------
+# The piece memo: a hit is the bytes a miss computes
+# ----------------------------------------------------------------------
+def _memo_sizes() -> tuple[int, int]:
+    return len(hashing._str_pieces), len(hashing._int_pieces)
+
+
+def test_a_warm_memo_encodes_what_the_oracle_does():
+    # The same draws twice: the second pass hits the pieces the first kept.
+    _oracle_draws(draws=2_000)
+    assert any(_memo_sizes())
+    _oracle_draws(draws=2_000)
+
+
+def test_the_memo_is_bounded_and_exact_across_evictions():
+    bound = hashing.PIECES_KEPT
+    values = [f"id-{i}" for i in range(3 * bound)] + list(range(-bound, 2 * bound))
+    for _ in range(2):
+        for value in values:
+            assert encode_fields(value, (value,)) == _oracle_encode_fields(value, (value,))
+            assert max(_memo_sizes()) <= bound
+    long = "x" * hashing.PIECE_BYTES_KEPT
+    assert encode_fields(long) == _oracle_encode_fields(long)
+    assert long not in hashing._str_pieces
+
+
+def test_an_equal_value_of_another_type_never_hits_the_memo():
+    # ``1 == 1.0 == True`` as dict keys: each is dispatched on its exact
+    # type before any lookup, so a cached ``1`` cannot stand in for them.
+    hashing._str_pieces.clear()
+    hashing._int_pieces.clear()
+    encode_fields(1, 0, 7, "tip")
+    assert {1, 0, 7} <= hashing._int_pieces.keys() and "tip" in hashing._str_pieces
+    for refused in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            encode_fields(refused)
+    with pytest.raises(TypeError, match="unsupported"):
+        encode_fields(1.0)  # type: ignore[arg-type]
+    assert encode_fields(_Kind.VOTE) == _oracle_encode_fields(_Kind.VOTE) == encode_fields(7)
+    assert encode_fields(_Name("tip")) == _oracle_encode_fields(_Name("tip"))
+    assert all(type(key) is int for key in hashing._int_pieces)
+    assert all(type(key) is str for key in hashing._str_pieces)
 
 
 def test_golden_hashes_pin_the_id_space():
