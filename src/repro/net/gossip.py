@@ -88,13 +88,24 @@ A catch-up at or past ``done`` files every other node's first arrival
 in one step; one before it, past the earliest second arrival, first
 has ``pid`` offer the message on at ``t0``, as the flood computed node
 by node did then, and the heap takes it from there.  So does another
-entry of the message meanwhile, and a node's stop.  Either way, what a
-catch-up files — ``held``, ``delivered``, ``stale_dropped`` — is bit
-for bit what the flood computed node by node files, and in a calm
-phase nothing else reads its instants.  A flood entering a surged round
-whose hops outlast the round, or a round whose script phase is
-:attr:`~repro.attacks.script.PhaseState.delivery_active`, is computed
-node by node.
+entry of the message meanwhile, a node's stop, and a catch-up after the
+seen index has forgotten the message (whose frames then land stale).
+Either way, what a catch-up files — ``held``, ``delivered``,
+``stale_dropped`` — is bit for bit what the flood computed node by node
+files, and in a calm phase nothing else reads its instants.  A flood
+entering a surged round whose hops outlast the round, or a round whose
+script phase is :attr:`~repro.attacks.script.PhaseState.delivery_active`,
+is computed node by node.
+
+**A flood draws its links when a frame of it is computed.**  A message
+enters undrawn; its draws are computed the first time the shard
+computes a frame of its flood — a frame settled node by node, or a
+flood filed whole that is opened — and kept for the rest of it, so a
+flood filed whole and settled so draws nothing (where no frame goes
+stale, ``draw_digests + summarised`` is the floods the shard entered).
+Its drop coins, where a script's ``drop`` asks for them, are tossed
+once while it is in flight.  Both are pure functions of the run seed
+and the message, so when they are computed moves no instant.
 
 Two more rules match the frame-by-frame flood at its edges:
 
@@ -239,6 +250,10 @@ def regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, tuple[int,
     raise RuntimeError("could not sample a connected regular overlay")
 
 
+#: :attr:`Arrivals.drawn` until a frame of the message's flood is computed.
+UNDRAWN = object()
+
+
 class Arrivals:
     """One message's arrivals in one shard.
 
@@ -251,20 +266,26 @@ class Arrivals:
     reaches it — its first arrival, unless an earlier frame is computed
     before the clock gets there, or a stale one.  :attr:`drawn` is the
     message's link draws
-    (:meth:`~repro.net.transport.LinkLatencyModel.draw`), computed once
-    per message per shard, when it enters, and ``None`` once the seen
-    index has forgotten the message: a frame pending then is stale.
-    :attr:`summary` is the message's flood while it is filed whole and
-    not yet settled (:meth:`GossipNetwork._summarise`), else ``None``.
+    (:meth:`~repro.net.transport.LinkLatencyModel.draw`): :data:`UNDRAWN`
+    until the first frame of its flood is computed, then computed once
+    per message per shard, so a flood filed whole and settled so draws
+    nothing; ``None`` once the seen index has forgotten the message: a
+    frame pending then is stale.  :attr:`coins` is the message's drop
+    coins (:meth:`~repro.net.transport.LinkLatencyModel.coins`), tossed
+    by the attack proxy the first time one of its frames needs one and
+    kept while its flood is in flight, else ``None``.  :attr:`summary`
+    is the message's flood while it is filed whole and not yet settled
+    (:meth:`GossipNetwork._summarise`), else ``None``.
     """
 
-    __slots__ = ("held", "relayed", "best", "drawn", "summary")
+    __slots__ = ("held", "relayed", "best", "drawn", "coins", "summary")
 
-    def __init__(self, drawn: bytes) -> None:
+    def __init__(self) -> None:
         self.held = 0
         self.relayed = 0
         self.best: dict[int, float] = {}
-        self.drawn: bytes | None = drawn
+        self.drawn: bytes | object | None = UNDRAWN
+        self.coins: list[float] | None = None
         self.summary: Summary | None = None
 
 
@@ -280,8 +301,6 @@ class Summary(NamedTuple):
     #: The surge factor of ``t0``'s round.
     factor: float
     message: Message
-    #: The message's link draws.
-    drawn: bytes
 
 
 class SeenIndex:
@@ -479,7 +498,7 @@ class GossipNetwork:
         arrivals = seen.arrivals.get(key)
         first = arrivals is None
         if first:
-            arrivals = seen.arrivals[key] = Arrivals(self.transport.links.draw(draw_key(message)))
+            arrivals = seen.arrivals[key] = Arrivals()
             seen.admit(key, message.round)
         elif (arrivals.held | arrivals.relayed) >> pid & 1:
             if node is not None:
@@ -561,6 +580,7 @@ class GossipNetwork:
         # ``round_at`` inlined: ``floor((t - origin) / round_s + edge)``.
         origin, round_s, edge = clock.origin, clock.round_s, clock.edge_tolerance
         horizon, offer, floor, stopped = self.seen.horizon, self._offer, math.floor, self.stopped
+        draw = self.transport.links.draw
         while pending and pending[0][0] <= now:
             t, _, pid, came_from, arrivals, message = heappop(pending)
             best = arrivals.best
@@ -581,9 +601,13 @@ class GossipNetwork:
             else:
                 arrivals.held |= 1 << pid
                 node["delivered"] += 1
+            if drawn is UNDRAWN:
+                drawn = arrivals.drawn = draw(draw_key(message))
             offer(pid, came_from, t, factors.get(r) or self._factor(r), arrivals, message, drawn)
             if not best:
+                # Nothing of the flood is in flight.
                 arrivals.best = {}  # a dict keeps the table it grew
+                arrivals.coins = None
         return now
 
     def _offer(
@@ -612,7 +636,7 @@ class GossipNetwork:
             if fate is not None:
                 # Full flooding offers every link but the source's: the
                 # proxy audits the offer, held peer or not.
-                crossing = fate(pid, peer, t, message)
+                crossing = fate(pid, peer, t, message, arrivals)
                 if crossing is None:
                     continue
                 sent, stretch = crossing
@@ -654,7 +678,7 @@ class GossipNetwork:
             done = (math.ceil(t0 / slot_s) + hops * hop) * slot_s
             if clock.round_at(done) != r:
                 return False
-            arrivals.summary = Summary(done, pid, t0, factor, message, arrivals.drawn)
+            arrivals.summary = Summary(done, pid, t0, factor, message)
             heappush(self._summaries, (first, next(self._order), arrivals))
         node = self._stats.get(pid)
         if node is None:
@@ -667,11 +691,17 @@ class GossipNetwork:
     def _expand(self, arrivals: Arrivals) -> None:
         """Compute a flood filed whole node by node from here on: its
         entry offers the message on at its entry instant, as the flood
-        computed node by node did then."""
+        computed node by node did then.
+
+        No frame of it was computed before, so this draws its links.  A
+        flood the seen index has forgotten keeps no draw (its frames are
+        computed all the same, and dropped stale where they land)."""
         summary, arrivals.summary = arrivals.summary, None
-        self._offer(
-            summary.entry, -1, summary.t0, summary.factor, arrivals, summary.message, summary.drawn
-        )
+        message = summary.message
+        drawn = self.transport.links.draw(draw_key(message))
+        if arrivals.drawn is not None:
+            arrivals.drawn = drawn
+        self._offer(summary.entry, -1, summary.t0, summary.factor, arrivals, message, drawn)
 
     def _expand_summaries(self) -> None:
         """Compute every flood filed whole node by node from here on."""
@@ -710,13 +740,15 @@ class GossipNetwork:
 
     def stats_totals(self) -> dict[str, int]:
         """Summed per-node dissemination counters, the shard's live seen
-        keys, the link-draw digests its fabric computed and the floods
-        it filed whole."""
+        keys, the link-draw and drop-coin digests its fabric computed and
+        the floods it filed whole."""
         totals = {"delivered": 0, "duplicates": 0, "stale_dropped": 0}
         for node in self.nodes.values():
             for key in totals:
                 totals[key] += node.stats[key]
         totals["seen_entries"] = len(self.seen)
-        totals["draw_digests"] = self.transport.links.digests
+        links = self.transport.links
+        totals["draw_digests"] = links.digests
+        totals["coin_digests"] = links.coin_digests
         totals["summarised"] = self.summarised
         return totals

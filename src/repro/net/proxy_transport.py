@@ -44,7 +44,9 @@ sample (:meth:`~repro.runtime.shard.ShardRuntime.sample`), so a run can
 *prove* its attack actually bit.  An out-link is audited by the shard
 hosting its sender only: every shard computes the whole flood, and the
 audits summed over the shards are the one-shard audit.  Coins are
-tossed per link and per message, never per wire batch.
+tossed per link and per message, never per wire batch, and computed
+once per message per shard while its flood is in flight: ``fate`` keeps
+them on the message's :class:`~repro.net.gossip.Arrivals`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from repro.net.transport import LinkLatencyModel, draw_key
 
 if TYPE_CHECKING:  # import at runtime would cycle through repro.net
     from repro.attacks.script import ScriptTimeline
+    from repro.net.gossip import Arrivals
     from repro.runtime.clock import RoundClock
     from repro.sleepy.messages import Message
 
@@ -84,19 +87,21 @@ class ProxyTransport:
         self.clock = clock
         self.links = links
         self.hosted = hosted
-        #: The message whose coins were drawn last, and its coins.
-        self._coins: tuple[object, list[float]] = (None, [])
         #: Per-phase audit rows (one per timeline state, trailing
         #: quiescent phase included): phase index → counter dict.
         self.audit: list[dict[str, int]] = [
             {key: 0 for key in AUDIT_KEYS} for _ in timeline.states
         ]
 
-    def fate(self, src: int, dst: int, t: float, message: Message) -> tuple[float, float] | None:
+    def fate(
+        self, src: int, dst: int, t: float, message: Message, arrivals: Arrivals
+    ) -> tuple[float, float] | None:
         """``(instant, factor)``: the loop instant a frame ``src → dst``
         sent at ``t`` starts crossing its link, and the surge factor of
         the phase holding that instant on the link (1.0 where it surges
         none or other links); ``None`` if the frame is dropped.
+        ``arrivals`` is the message's in this shard, which keeps its
+        coins once tossed, so a flood tosses them at most once.
 
         Blocked: the start of the first later phase that does not block
         the link, else ``t``; then dropped under the coin of the phase
@@ -121,7 +126,7 @@ class ProxyTransport:
             )
             t = clock.instant(state.start)
         p = state.drop_probability(src, dst)
-        if p > 0.0 and self._coin(src, dst, message) < p:
+        if p > 0.0 and self._coin(src, dst, message, arrivals) < p:
             if hosted:
                 self.audit[state.index]["dropped"] += 1
             return None
@@ -136,12 +141,11 @@ class ProxyTransport:
         factor 1, and audits nothing."""
         return not self.timeline.state_at(max(r, 0)).delivery_active
 
-    def _coin(self, src: int, dst: int, message: Message) -> float:
+    def _coin(self, src: int, dst: int, message: Message, arrivals: Arrivals) -> float:
         links = self.links
-        drawn, coins = self._coins
-        if drawn is not message:
-            coins = links.coins(draw_key(message))
-            self._coins = (message, coins)
+        coins = arrivals.coins
+        if coins is None:
+            coins = arrivals.coins = links.coins(draw_key(message))
         return coins[links.edges[(src, dst)]]
 
     def audit_totals(self) -> dict[str, int]:

@@ -89,7 +89,6 @@ from repro.net.transport import LinkLatencyModel, PushDelivery
 from repro.sleepy.messages import (
     IDENTITY_MEMO_CAPACITY,
     AckMessage,
-    IdentityMemo,
     Message,
     ProposeMessage,
     VoteMessage,
@@ -326,29 +325,16 @@ def decode_batch(blob: bytes, table: TransactionTable) -> list[tuple[int, float,
 
 
 class EncodedPayloadCache:
-    """Encoded payload bodies for send fan-outs, one pickle per object.
+    """A payload's body for the wire: one pickle per call.
 
-    An announcement goes to every peer worker; this cache pickles its
-    message on first sight and reuses the bytes for every later peer and
-    every later announcement of the same object, so a fan-out costs one
-    pickle, not one per peer.  Entries live in an
-    :class:`~repro.sleepy.messages.IdentityMemo` (keyed by the payload
-    object, LRU-bounded: a flood of distinct payloads evicts, it never
-    grows without bound).
+    A message is announced once, and :meth:`SocketTransport.announce`
+    hands the one body to every peer worker, so nothing is kept for a
+    later call to reuse.
     """
 
-    def __init__(self, capacity: int = IDENTITY_MEMO_CAPACITY) -> None:
-        #: payload -> encoded body.
-        self._bodies = IdentityMemo(capacity)
-
-    def encode(self, payload: object) -> tuple[bytes, bool]:
-        """``(body, freshly_encoded)`` for ``payload``."""
-        body = self._bodies.get(payload)
-        fresh = body is None
-        if fresh:
-            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            self._bodies.put(payload, body)
-        return body, fresh
+    def encode(self, payload: object) -> bytes:
+        """``payload``'s body."""
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 async def open_stream(address) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -446,7 +432,7 @@ class SocketTransport(PushDelivery):
         #: Wire bytes written / read (headers included).
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Payload pickles actually performed vs cached-bytes reuses.
+        #: Bodies pickled, and the peers past the first each body served.
         self.payload_encodes = 0
         self.payload_reuses = 0
         #: Announcements for a peer whose connection is gone.
@@ -518,15 +504,14 @@ class SocketTransport(PushDelivery):
         """Queue ``(pid, elapsed, message)`` for every peer worker; the
         turn's announcements leave together, once the turn ends.
 
-        The message is pickled once, on its first announcement, and the
-        bytes serve every peer.
+        The message is pickled once, and the bytes serve every peer.
         """
         outbox = self._outbox
         body = None
         if message is not None:
-            body, fresh = self._encode_cache.encode(message)
-            self.payload_encodes += fresh
-            self.payload_reuses += len(outbox) - fresh
+            body = self._encode_cache.encode(message)
+            self.payload_encodes += 1
+            self.payload_reuses += len(outbox) - 1
         entry = (pid, elapsed, body)
         for entries in outbox.values():
             entries.append(entry)

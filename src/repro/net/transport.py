@@ -124,8 +124,8 @@ class LinkLatencyModel:
     The caller multiplies a delay by the surge in force.  :meth:`coins`
     are every link's drop coins, from a second digest under
     ``"coin:<seed>:"``.  Zero jitter hashes nothing: every word is zero
-    and every delay the base latency.  :attr:`digests` counts the
-    digests computed.
+    and every delay the base latency.  :attr:`digests` counts the draws'
+    digests computed and :attr:`coin_digests` the coins'.
     """
 
     def __init__(self, base_latency_s: float, jitter_s: float, seed: int) -> None:
@@ -139,8 +139,13 @@ class LinkLatencyModel:
         self.edges: Mapping[tuple[int, int], int] = {}
         self._words = struct.Struct("<0I")
         self._still = b""
-        #: Digests computed (one per message per shard for the delays).
+        #: Draw digests computed: one per message per shard whose flood
+        #: has a frame computed node by node (a flood filed whole and
+        #: settled so draws none).
         self.digests = 0
+        #: Coin digests computed: one per message per shard whose flood
+        #: has a frame meet a lossy link while it is in flight.
+        self.coin_digests = 0
 
     def enumerate(self, topology: Mapping[int, Sequence[int]]) -> None:
         """Index the directed edges of ``topology``: ``(src, dst)`` in
@@ -158,6 +163,7 @@ class LinkLatencyModel:
         """The draws of the message keyed ``key``: 4 bytes per link."""
         if self.jitter == 0.0:
             return self._still
+        self.digests += 1
         return self._digest(self._delay_prefix, key)
 
     def delays(self, drawn: bytes) -> list[float]:
@@ -167,12 +173,12 @@ class LinkLatencyModel:
 
     def coins(self, key: bytes) -> list[float]:
         """Every link's drop coin, uniform on ``[0, 1)``, for the message keyed ``key``."""
+        self.coin_digests += 1
         return [word / 2**32 for word in self._words.unpack(self._digest(self._coin_prefix, key))]
 
     def _digest(self, prefix, key: bytes) -> bytes:
         digest = prefix.copy()
         digest.update(key)
-        self.digests += 1
         return digest.digest(self._words.size)
 
 

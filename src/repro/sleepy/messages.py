@@ -230,17 +230,17 @@ def check_payload(registry: KeyRegistry, message: Message) -> bool:
     return True
 
 
-#: Entries an identity-keyed memo (the encoded-payload cache) keeps.
-#: Every entry pins its object — a decoded proposal owns its block and
-#: transactions — so it is a few rounds' worth, not a run's.
+#: A few rounds' worth of objects, not a run's: the unit the wire's
+#: transaction table is sized in
+#: (:data:`~repro.net.socket_transport.TRANSACTION_INTERN_CAPACITY`),
+#: and the count tests run past to show that nothing is kept per object.
 IDENTITY_MEMO_CAPACITY = 256
 
 
 class IdentityMemo:
     """LRU memo of one value per *object*, keyed by ``id``.
 
-    The one implementation behind the ingest pipeline's batch memo and
-    the wire's encoded-payload cache.  An entry holds a strong
+    The ingest pipeline's batch memo.  An entry holds a strong
     reference to its key object, so the ``id``
     cannot be recycled while the entry lives, and lookups compare with
     ``is``, so an ``id`` recycled after eviction cannot alias.  Identity

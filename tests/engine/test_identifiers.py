@@ -119,7 +119,7 @@ def test_wire_batch_yields_blocks_with_recomputed_ids(registry, genesis):
     propose = _proposal(registry, genesis, txs=3)
     honest_block_id = propose.block.block_id
     object.__setattr__(propose.block, "block_id", FORGED)
-    body, _ = EncodedPayloadCache().encode(propose)
+    body = EncodedPayloadCache().encode(propose)
     (chunk,) = encode_batch([(1, 4, body)])
     ((pid, instant, decoded),) = decode_batch(chunk[4:], TransactionTable())
     assert (pid, instant) == (1, 4)

@@ -12,7 +12,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.engine.conditions import AsyncPeriod, NetworkConditions
 from repro.engine.deploy_backend import DeploymentBackend
 from repro.engine.spec import RunSpec
-from repro.net.gossip import GossipNetwork, SeenIndex, regular_topology
+from repro.net.gossip import Arrivals, GossipNetwork, SeenIndex, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel, PushDelivery, SimTransport, draw_key
 from repro.runtime import worker
@@ -472,6 +472,7 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
         ).fate
     slots: dict[int, list] = {}
     first: dict[tuple, dict[int, float]] = {}
+    tossed: dict[tuple, Arrivals] = {}
 
     def arrive(at, dst, src, message):
         key = message.content_key
@@ -481,10 +482,11 @@ def _reference_flood(surge_factor, script, stopped, delta_s=FLOOD_DELTA_S, publi
             return
         first[key][dst] = at
         draws = model.delays(model.draw(draw_key(message)))
+        coins = tossed.setdefault(key, Arrivals())  # where the proxy keeps its coins
         for peer in FLOOD_TOPOLOGY[dst]:
             if peer == src:
                 continue
-            crossing = (at, 1.0) if fate is None else fate(dst, peer, at, message)
+            crossing = (at, 1.0) if fate is None else fate(dst, peer, at, message, coins)
             if crossing is None:
                 continue
             sent, stretch = crossing
@@ -508,8 +510,8 @@ def _computed_flood(shards, surge_factor, script, stopped):
     """The flood on ``shards`` (pid tuples) of one virtual-clock process,
     each shard a network over its own fabric, link model and round
     clock: ``{content key: {pid: first-arrival instant}}`` as the shards
-    filed it, the announcements that crossed between shards and the
-    audit totals."""
+    filed it, the announcements that crossed between shards, the audit
+    totals and each shard's gossip totals."""
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -551,7 +553,8 @@ def _computed_flood(shards, surge_factor, script, stopped):
         for proxy in proxies:
             for name, count in proxy.audit_totals().items():
                 audit[name] = audit.get(name, 0) + count
-        return filed, [frame for fabric in fabrics for frame in fabric.crossed], audit
+        crossed = [frame for fabric in fabrics for frame in fabric.crossed]
+        return filed, crossed, audit, [network.stats_totals() for network in networks]
 
     return run_virtual(scenario())
 
@@ -562,10 +565,10 @@ def test_every_first_arrival_lands_in_the_slot_full_flooding_predicts(case):
     same draws: every hosted node's first-arrival slot is the same."""
     surge_factor, script, stopped = FLOOD_CASES[case]
     predicted = _reference_flood(surge_factor, script, stopped)
-    one, crossed, one_audit = _computed_flood(
+    one, crossed, one_audit, _ = _computed_flood(
         (tuple(range(FLOOD_N)),), surge_factor, script, stopped
     )
-    two, crossed_two, two_audit = _computed_flood(
+    two, crossed_two, two_audit, _ = _computed_flood(
         (tuple(range(FLOOD_N // 2)), tuple(range(FLOOD_N // 2, FLOOD_N))),
         surge_factor,
         script,
@@ -635,8 +638,8 @@ def test_a_script_surge_stretches_a_draw_as_a_period_of_its_factor_does():
     slot_s``."""
     one_shard = (tuple(range(FLOOD_N)),)
     script = AttackScript(name="surge", phases=(phase(1), phase(2, surge(6.0))))
-    scripted, _, audit = _computed_flood(one_shard, no_surge, script, ())
-    period, _, _ = _computed_flood(one_shard, _surge_rounds_1_to_2, None, ())
+    scripted, _, audit, _ = _computed_flood(one_shard, no_surge, script, ())
+    period, *_ = _computed_flood(one_shard, _surge_rounds_1_to_2, None, ())
     assert scripted == period and audit["delayed"] > 0
     t, pid, message = _flood_publishes()[1]  # round 1's
     model = LinkLatencyModel(**FLOOD_MODEL)
@@ -645,6 +648,23 @@ def test_a_script_surge_stretches_a_draw_as_a_period_of_its_factor_does():
     for peer in FLOOD_TOPOLOGY[pid]:
         slot = math.ceil((t + draws[model.edges[(pid, peer)]] * 6.0) / SLOT_S) * SLOT_S
         assert scripted[message.content_key][peer] == slot
+
+
+def test_a_shard_tosses_each_messages_drop_coins_once():
+    """Under a drop op from round 1 on, each shard tosses a message's drop
+    coins once while its flood is in flight, however the frames of
+    floods that overlap settle (round 3's two floods do), and drops
+    what full flooding drops.  Round 0 is calm: its flood tosses none."""
+    script = AttackScript(
+        name="lossy", phases=(phase(1), phase(FLOOD_ROUNDS, drop(None, None, 0.3)))
+    )
+    predicted = {key: pids for key, pids in _reference_flood(no_surge, script, ()).items() if pids}
+    lossy = len(FLOOD_PUBLISHES) - 1
+    for shards in ((tuple(range(FLOOD_N)),), (tuple(range(6)), tuple(range(6, FLOOD_N)))):
+        filed, _, audit, totals = _computed_flood(shards, no_surge, script, ())
+        assert filed == predicted
+        assert audit["dropped"] > 0
+        assert [shard["coin_digests"] for shard in totals] == [lossy] * len(shards)
 
 
 #: δ = 40 ms, so Δ = 120 ms: a calm flood (hops of at most 12.5 ms) ends
@@ -789,7 +809,9 @@ def test_two_shards_each_file_a_calm_flood_whole():
 
 def test_one_shard_parks_no_frame_and_arms_no_timer():
     """A shard hosting every pid computes its nodes' arrivals: nothing is
-    sent, nothing waits on the wheel, and every node is reached once."""
+    sent, nothing waits on the wheel, and every node is reached once.
+    Each calm flood is filed whole, and settled so, without drawing its
+    links."""
     n, messages = 12, 5
     topology = regular_topology(n, 4, seed=1)
     registry = KeyRegistry(n, run_seed=0)
@@ -810,8 +832,8 @@ def test_one_shard_parks_no_frame_and_arms_no_timer():
     assert stats["delivered"] == messages * n
     assert stats["duplicates"] == 0
     assert stats["seen_entries"] == messages
-    # One digest per message per shard.
-    assert stats["draw_digests"] == messages
+    assert stats["summarised"] == messages
+    assert stats["draw_digests"] == stats["coin_digests"] == 0
 
 
 class _Offers(SimTransport):
@@ -823,7 +845,7 @@ class _Offers(SimTransport):
         super().__init__(*args, **kwargs)
         self.offers: list[tuple[int, int, tuple]] = []
 
-    def fate(self, src, dst, t, message):
+    def fate(self, src, dst, t, message, arrivals):
         self.offers.append((src, dst, message.content_key))
         return t, 1.0
 
@@ -857,6 +879,63 @@ def test_one_shard_sends_each_message_once_per_overlay_edge():
     assert transport.sent_count == 0
     assert stats["delivered"] == messages * n
     assert stats["duplicates"] == 0
+
+
+def test_a_forgotten_flood_filed_whole_drops_what_it_would_have_computed():
+    """A calm flood filed whole that the seen index forgets before any
+    reader opens it still computes its entry's frames, from a draw it
+    does not keep, and drops each as stale where it lands: read along
+    the way, it files the same arrivals and the same ``stale_dropped`` as
+    the flood computed node by node (under a link law that calls no
+    round calm), and draws once, as that flood does."""
+    clock = _flood_clock(SUMMARY_DELTA_S)
+    at, entry, message = _flood_publishes(SUMMARY_PUBLISHES[:1], SUMMARY_DELTA_S)[0]
+
+    def flood(never_calm):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            fabric = (_Offers if never_calm else SimTransport)(
+                FLOOD_N, slot_s=SLOT_S, **FLOOD_MODEL
+            )
+            network = _network(
+                fabric,
+                FLOOD_TOPOLOGY,
+                _flood_clock(SUMMARY_DELTA_S),
+                FLOOD_HORIZON,
+                proxy=fabric if never_calm else None,
+            )
+            kept, readings = [], []  # the message's arrivals, past forgetting
+
+            def publish():
+                network.nodes[entry].publish(message)
+                kept.append(network.seen.arrivals[message.content_key])
+                readings.append(kept[0].summary is not None)
+                # Forgotten before the flood's earliest second arrival.
+                network.seen.advance(message.round + FLOOD_HORIZON + 1)
+
+            def read():
+                network.catch_up()
+                stale = {pid: node.stats["stale_dropped"] for pid, node in network.nodes.items()}
+                readings.append((kept[0].held, stale))
+
+            loop.call_at(at, publish)
+            for after in (0.003, 0.005, 0.0075, 0.01, 0.02, 0.9 * clock.round_s):
+                loop.call_at(at + after, read)
+            await asyncio.sleep(clock.instant(1))
+            return readings, network.stats_totals()
+
+        return run_virtual(scenario())
+
+    (whole, *readings), totals = flood(never_calm=False)
+    (not_whole, *computed), computed_totals = flood(never_calm=True)
+    assert (whole, not_whole) == (True, False)
+    assert readings == computed
+    assert readings[0] == (1 << entry, dict.fromkeys(range(FLOOD_N), 0))  # nothing due yet
+    assert readings[-1] == (
+        1 << entry,
+        {pid: int(pid in FLOOD_TOPOLOGY[entry]) for pid in range(FLOOD_N)},
+    )
+    assert totals["draw_digests"] == computed_totals["draw_digests"] == 1
 
 
 def test_across_two_shards_a_message_crosses_once_and_arrives_once():
@@ -946,7 +1025,9 @@ def test_a_one_shard_deployment_arms_no_delivery_timer(seed, digest, monkeypatch
     """A deployment with jitter and a surge decides on computed arrivals:
     its fabric parks no frame and arms no loop timer, and every node
     still first holds every message once (1,856 first arrivals, as the
-    frame-by-frame flood had)."""
+    frame-by-frame flood had).  A message's links are drawn only if its
+    flood is computed node by node: every message is either drawn or
+    filed whole."""
     spec = RunSpec(
         n=8,
         rounds=20,
@@ -974,14 +1055,16 @@ def test_a_one_shard_deployment_arms_no_delivery_timer(seed, digest, monkeypatch
     gossip = result.extras["gossip"]
     assert gossip["delivered"] == 1856
     assert gossip["duplicates"] == 0
-    assert gossip["draw_digests"] == 1856 // 8
+    assert 0 < gossip["draw_digests"] < gossip["summarised"]
+    assert gossip["draw_digests"] + gossip["summarised"] == 1856 // 8
 
 
 def test_a_one_shard_deployment_files_its_calm_floods_whole(monkeypatch):
     """``summarised`` counts the floods a shard filed whole: in a
     one-process deployment on a virtual clock, with one surge period,
     every flood entering a calm round is filed whole and settled so,
-    and no flood entering a surged round is filed whole."""
+    and no flood entering a surged round is filed whole.  Only the
+    floods computed node by node draw their links."""
     conditions = NetworkConditions(periods=(AsyncPeriod(8, 2),))
     spec = RunSpec(
         n=8,
@@ -1007,4 +1090,5 @@ def test_a_one_shard_deployment_files_its_calm_floods_whole(monkeypatch):
     assert surged and entered[False] == surged
     assert entered[True] == set(range(spec.rounds)) - surged
     assert gossip["summarised"] == sum(sent[r] for r in entered[True])
-    assert gossip["draw_digests"] == sum(sent.values())
+    assert gossip["draw_digests"] == sum(sent[r] for r in surged)
+    assert gossip["draw_digests"] + gossip["summarised"] == sum(sent.values())

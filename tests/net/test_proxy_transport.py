@@ -4,7 +4,7 @@ import pytest
 
 from repro.attacks import AttackScript, drop, heal, partition, phase, surge, withhold
 from repro.crypto.signatures import KeyRegistry
-from repro.net.gossip import regular_topology
+from repro.net.gossip import Arrivals, regular_topology
 from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel
 from repro.sleepy.messages import make_vote
@@ -34,6 +34,11 @@ def _proxy(script, *, seed=0, n=4, topology=None, hosted=None):
     )
 
 
+def _fate(proxy, src, dst, t, message):
+    """``proxy.fate`` of a frame whose message has tossed no coin yet."""
+    return proxy.fate(src, dst, t, message, Arrivals())
+
+
 def _in_round(r: int, offset: float = 0.25) -> float:
     """A loop instant inside round ``r``."""
     return (r + offset) * ROUND_S
@@ -55,23 +60,23 @@ def test_audit_counters_are_exact_per_phase():
     message = _vote()
     t = _in_round(0)
     # Phase 0: benign — every frame crosses when it is sent, unstretched.
-    assert proxy.fate(0, 2, t, message) == (t, 1.0)
+    assert _fate(proxy, 0, 2, t, message) == (t, 1.0)
     # Phase 1 (rounds 2-3): the partition holds cross-group frames until
     # the phase that stops blocking them starts; in-group frames pass.
     t = _in_round(2)
-    assert proxy.fate(0, 1, t, message) == (t, 1.0)
-    assert proxy.fate(0, 2, t, message) == (pytest.approx(4 * ROUND_S), 1.0)
-    assert proxy.fate(3, 1, _in_round(3), message) == (pytest.approx(4 * ROUND_S), 1.0)
+    assert _fate(proxy, 0, 1, t, message) == (t, 1.0)
+    assert _fate(proxy, 0, 2, t, message) == (pytest.approx(4 * ROUND_S), 1.0)
+    assert _fate(proxy, 3, 1, _in_round(3), message) == (pytest.approx(4 * ROUND_S), 1.0)
     # Phase 2 (rounds 4-5): the p = 1 drop rule discards 0 → 1 only.
     t = _in_round(4)
-    assert proxy.fate(0, 1, t, message) is None
-    assert proxy.fate(1, 0, t, message) == (t, 1.0)
+    assert _fate(proxy, 0, 1, t, message) is None
+    assert _fate(proxy, 1, 0, t, message) == (t, 1.0)
     # Phase 3 (rounds 6-7): the surge stretches the link's draw by its factor.
     t = _in_round(6)
-    assert proxy.fate(2, 3, t, message) == (t, 5.0)
+    assert _fate(proxy, 2, 3, t, message) == (t, 5.0)
     # After the script: the trailing heal.
     t = _in_round(9)
-    assert proxy.fate(2, 3, t, message) == (t, 1.0)
+    assert _fate(proxy, 2, 3, t, message) == (t, 1.0)
 
     assert proxy.audit_totals() == {"partitioned": 2, "dropped": 1, "delayed": 1}
     assert proxy.audit[1] == {"partitioned": 2, "dropped": 0, "delayed": 0}
@@ -83,9 +88,9 @@ def test_an_instant_on_a_round_edge_is_in_the_round_that_begins_there():
     proxy = _proxy(SCRIPT)
     message = _vote()
     # Round 2 begins the partition, round 4 ends it.
-    assert proxy.fate(0, 2, 2 * ROUND_S, message)[0] == pytest.approx(4 * ROUND_S)
-    assert proxy.fate(0, 2, 4 * ROUND_S, message)[0] == 4 * ROUND_S
-    assert proxy.fate(0, 2, 2 * ROUND_S - 1e-4, message)[0] == 2 * ROUND_S - 1e-4
+    assert _fate(proxy, 0, 2, 2 * ROUND_S, message)[0] == pytest.approx(4 * ROUND_S)
+    assert _fate(proxy, 0, 2, 4 * ROUND_S, message)[0] == 4 * ROUND_S
+    assert _fate(proxy, 0, 2, 2 * ROUND_S - 1e-4, message)[0] == 2 * ROUND_S - 1e-4
 
 
 def test_a_frame_released_into_a_surged_phase_takes_that_phases_factor():
@@ -102,8 +107,8 @@ def test_a_frame_released_into_a_surged_phase_takes_that_phases_factor():
     )
     proxy = _proxy(script)
     released = pytest.approx(2 * ROUND_S)
-    assert proxy.fate(0, 2, _in_round(1), _vote()) == (released, 3.0)
-    assert proxy.fate(2, 0, _in_round(1), _vote()) == (released, 1.0)
+    assert _fate(proxy, 0, 2, _in_round(1), _vote()) == (released, 3.0)
+    assert _fate(proxy, 2, 0, _in_round(1), _vote()) == (released, 1.0)
     # The hold is the blocking phase's; the surged crossing (0 → 2 only)
     # the releasing phase's, as a released frame's drop is.
     assert proxy.audit[1] == {"partitioned": 2, "delayed": 0, "dropped": 0}
@@ -124,10 +129,10 @@ def test_a_frame_released_into_a_lossy_phase_is_tossed_by_its_coin():
     )
     proxy = _proxy(script)
     message = _vote()
-    assert proxy.fate(0, 2, _in_round(1), message) is None
-    assert proxy.fate(0, 2, _in_round(2), message) is None
+    assert _fate(proxy, 0, 2, _in_round(1), message) is None
+    assert _fate(proxy, 0, 2, _in_round(2), message) is None
     # Another held link crosses at the release: the drop is 0 → 2's only.
-    assert proxy.fate(0, 3, _in_round(1), message) == (pytest.approx(2 * ROUND_S), 1.0)
+    assert _fate(proxy, 0, 3, _in_round(1), message) == (pytest.approx(2 * ROUND_S), 1.0)
     assert proxy.audit[1] == {"partitioned": 2, "delayed": 0, "dropped": 0}
     assert proxy.audit[2] == {"partitioned": 0, "delayed": 0, "dropped": 2}
 
@@ -141,7 +146,7 @@ def test_drop_coin_frequency_matches_p():
 
     def dropped(seed):
         proxy = _proxy(script, seed=seed)
-        return [proxy.fate(0, 1, _in_round(1), m) is None for m in messages]
+        return [_fate(proxy, 0, 1, _in_round(1), m) is None for m in messages]
 
     first = dropped(7)
     share = sum(first) / len(first)
@@ -160,7 +165,7 @@ def test_a_messages_coins_split_its_fan_out():
     proxy = _proxy(script, n=n, topology=topology)
     message = _vote()
     t = _in_round(1)
-    fates = [proxy.fate(src, dst, t, message) for src in range(n) for dst in topology[src]]
+    fates = [_fate(proxy, src, dst, t, message) for src in range(n) for dst in topology[src]]
     dropped = sum(f is None for f in fates)
     assert 0 < dropped < len(fates)
     assert proxy.audit_totals()["dropped"] == dropped
@@ -170,8 +175,8 @@ def test_drop_wildcards_match_any_link():
     script = AttackScript(name="wild", phases=(phase(1), phase(1, drop(None, None, 1.0))))
     proxy = _proxy(script)
     t = _in_round(1)
-    assert proxy.fate(0, 1, t, _vote()) is None
-    assert proxy.fate(3, 2, t, _vote()) is None
+    assert _fate(proxy, 0, 1, t, _vote()) is None
+    assert _fate(proxy, 3, 2, t, _vote()) is None
     assert proxy.audit_totals()["dropped"] == 2
 
 
@@ -182,13 +187,13 @@ def test_a_blackout_holds_every_link_until_the_heal():
     proxy = _proxy(script)
     t = _in_round(2)
     for src, dst in ((0, 1), (1, 0), (2, 3)):
-        assert proxy.fate(src, dst, t, _vote()) == (pytest.approx(4 * ROUND_S), 1.0)
+        assert _fate(proxy, src, dst, t, _vote()) == (pytest.approx(4 * ROUND_S), 1.0)
     assert proxy.audit_totals()["partitioned"] == 3
 
 
 def test_audit_of_a_held_frame():
     proxy = _proxy(SCRIPT)
-    assert proxy.fate(0, 2, _in_round(2), _vote())[0] == pytest.approx(4 * ROUND_S)
+    assert _fate(proxy, 0, 2, _in_round(2), _vote())[0] == pytest.approx(4 * ROUND_S)
     assert proxy.audit_totals()["partitioned"] == 1
 
 
@@ -198,9 +203,9 @@ def test_a_shard_audits_only_the_links_its_own_nodes_send_on():
     the sender counts it, so the shards' audits add up to one shard's."""
     proxy = _proxy(SCRIPT, hosted=frozenset({0, 1}))
     message, t = _vote(), _in_round(2)
-    assert proxy.fate(0, 2, t, message) == proxy.fate(2, 0, t, message)
-    assert proxy.fate(0, 2, t, message)[0] == pytest.approx(4 * ROUND_S)
+    assert _fate(proxy, 0, 2, t, message) == _fate(proxy, 2, 0, t, message)
+    assert _fate(proxy, 0, 2, t, message)[0] == pytest.approx(4 * ROUND_S)
     assert proxy.audit_totals()["partitioned"] == 2
     surged = _in_round(6)
-    assert proxy.fate(3, 1, surged, message) == proxy.fate(1, 3, surged, message)
+    assert _fate(proxy, 3, 1, surged, message) == _fate(proxy, 1, 3, surged, message)
     assert proxy.audit_totals()["delayed"] == 1

@@ -19,7 +19,6 @@ from repro.net.gossip import GossipNetwork, SeenIndex
 from repro.net.socket_transport import (
     BATCH_VERSION,
     MAX_FRAME_BYTES,
-    EncodedPayloadCache,
     FrameError,
     SocketTransport,
     TransactionTable,
@@ -274,22 +273,6 @@ def test_partial_batch_frame_at_eof_raises_incomplete_read():
             await read_frame(reader)
 
     asyncio.run(torn_stream())
-
-
-def test_encoded_payload_cache_reuses_the_bytes_of_one_object():
-    cache = EncodedPayloadCache(capacity=2)
-    payload = ["p"]
-    body1, fresh1 = cache.encode(payload)
-    body2, fresh2 = cache.encode(payload)
-    assert fresh1 and not fresh2 and body1 is body2
-    # A distinct but equal payload pickles again: the cache is by identity.
-    body3, fresh3 = cache.encode(["p"])
-    assert fresh3 and body3 == body1
-    # Eviction (capacity 2) stays correct: re-encoding is fresh again.
-    cache.encode(["q"])
-    cache.encode(["r"])
-    _, fresh4 = cache.encode(payload)
-    assert fresh4
 
 
 @pytest.mark.skipif(not supports_unix_sockets(), reason="needs AF_UNIX")
