@@ -46,14 +46,14 @@ optional capability, not a requirement.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Set
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
 from repro.chain.log import Log
 from repro.chain.transactions import ArrivalLog
 from repro.chain.tree import BlockTree, MissingParentError, UnknownBlockError
 
-__all__ = ["ChainView", "SharedChain", "TreeLike"]
+__all__ = ["ChainView", "DecidedIndex", "SharedChain", "TreeLike"]
 
 #: Segments whose transaction ids a chain keeps (:meth:`SharedChain.payload_ids`).
 _SEGMENTS_KEPT = 8
@@ -84,6 +84,9 @@ class SharedChain:
         #: The canonical, append-only tree (also the run's omniscient
         #: trace tree in the simulator).
         self.tree = BlockTree()
+        #: The decided path's transaction depths, read by every process
+        #: whose delivered log lies on that path.
+        self.decided = DecidedIndex(self.tree, segment_ids=self.payload_ids)
         self.tree.add_listener(self._on_add)
         self.tree.add(genesis_block())
         for block in blocks:
@@ -160,6 +163,72 @@ class SharedChain:
         receiver-local belongs here.
         """
         return self._scratch.setdefault(key, {})
+
+
+class DecidedIndex:
+    """Transaction id -> depth on one decided path, grown with the path.
+
+    What a process's delivered set held, once per tree instead of once
+    per process: a process whose delivered log lies on the index's path
+    keeps only its delivered tip's depth, and a transaction is in its
+    delivered log iff its depth here is at most that (a transaction the
+    path carries twice keeps its shallower depth).  :meth:`advance`
+    reads only the blocks a newly decided tip adds, each through
+    ``segment_ids`` (the tree's ``payload_ids`` by default; a chain's
+    memoised one, which a proposer of the same block has often walked
+    already).  A decision that leaves the path gets a :meth:`rebuilt`
+    index of its own.
+    """
+
+    __slots__ = ("tree", "tip", "depths", "_segment_ids")
+
+    def __init__(
+        self,
+        tree: BlockTree,
+        tip: BlockId | None = GENESIS_TIP,
+        segment_ids: Callable[[BlockId, BlockId | None], Set[str]] | None = None,
+    ) -> None:
+        self.tree = tree
+        self._segment_ids = segment_ids if segment_ids is not None else tree.payload_ids
+        #: The deepest decided tip: the path is this tip's log.
+        self.tip: BlockId | None = GENESIS_TIP
+        #: Transaction id -> depth of the shallowest block on the path carrying it.
+        self.depths: dict[str, int] = {}
+        self._extend(tip)
+
+    def advance(self, tip: BlockId | None) -> bool:
+        """Whether ``tip`` is on the path once the path has grown to it:
+        ``True`` when it already was or extends the path (which then
+        ends at ``tip``), ``False``, with nothing changed, when it
+        conflicts with the path."""
+        tree = self.tree
+        if tree.is_prefix(tip, self.tip):
+            return True
+        if not tree.is_prefix(self.tip, tip):
+            return False
+        self._extend(tip)
+        return True
+
+    def rebuilt(self, tip: BlockId | None) -> DecidedIndex:
+        """An index of the same tree whose path is ``tip``'s log."""
+        return DecidedIndex(self.tree, tip, self._segment_ids)
+
+    def _extend(self, tip: BlockId | None) -> None:
+        """Grow the path to ``tip``, which extends it."""
+        tree = self.tree
+        segment = []
+        node = tip
+        while node != self.tip:
+            parent = tree.parent(node)
+            segment.append((node, parent))
+            node = parent
+        depth = tree.depth(node)
+        first_seen, segment_ids = self.depths.setdefault, self._segment_ids
+        for block_id, parent in reversed(segment):
+            depth += 1
+            for tx_id in segment_ids(block_id, parent):
+                first_seen(tx_id, depth)
+        self.tip = tip
 
 
 class ChainView:

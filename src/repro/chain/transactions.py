@@ -21,7 +21,8 @@ owns one nobody else reads.
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterable, Sequence, Set
+import sys
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import islice
 
@@ -37,7 +38,8 @@ class Transaction:
     (:func:`is_valid_transaction`) verifies.
 
     The id is hashed once, at construction, and the validity verdict
-    once, on first ask; neither crosses a pickle, and a pickle that
+    once, on first ask (or by :meth:`create`, which computes the
+    checksum itself); neither crosses a pickle, and a pickle that
     writes state onto a transaction is refused, so a peer can ship
     neither an id nor a "valid" verdict (README, "Identifiers and where
     they are computed").
@@ -67,8 +69,16 @@ class Transaction:
 
     @staticmethod
     def create(sender: int, nonce: int, payload: bytes = b"") -> "Transaction":
-        """Create a valid transaction (checksum computed from contents)."""
-        return Transaction(sender, nonce, payload, _checksum(sender, nonce, payload))
+        """Create a valid transaction (checksum computed from contents).
+
+        The checksum is computed here, from the very fields the
+        transaction is built of, so the verdict is known and recorded:
+        admission does not hash it again.  A transaction built by the
+        constructor (or unpickled, which calls it) is checked on first ask.
+        """
+        tx = Transaction(sender, nonce, payload, _checksum(sender, nonce, payload))
+        object.__setattr__(tx, "_valid", True)
+        return tx
 
     @property
     def tx_id(self) -> str:
@@ -106,6 +116,15 @@ MEMPOOL_CAPACITY = 4096
 #: Entries nobody holds that a log keeps before it compacts (it also
 #: waits until they outnumber the held ones).
 _DEAD_SLACK = 64
+
+#: ``(depths, depth)``: the transactions whose depth in ``depths`` is at
+#: most ``depth`` — a process's delivered log as its depth on a decided
+#: index (:class:`~repro.chain.shared.DecidedIndex`).
+Decided = tuple[Mapping[str, int], int]
+#: No transaction is decided.
+NONE_DECIDED: Decided = ({}, -1)
+#: The depth of a transaction no decided path carries.
+_UNDECIDED = sys.maxsize
 
 
 class _Entry:
@@ -316,26 +335,27 @@ class Mempool:
         return self.log.admit(tx, frozenset((self.pid,)) if audience is None else audience)
 
     def take(
-        self,
-        limit: int,
-        exclude: Set[str] = frozenset(),
-        also_exclude: Set[str] = frozenset(),
+        self, limit: int, exclude: Set[str] = frozenset(), *, decided: Decided = NONE_DECIDED
     ) -> tuple[Transaction, ...]:
-        """Up to ``limit`` pending transactions whose ids are in neither set.
+        """Up to ``limit`` pending transactions whose ids are neither in
+        ``exclude`` nor ``decided``.
 
-        Two sets because a proposer excludes its (long, standing)
-        delivered set and a (short, per-block) undelivered segment, and
-        uniting them would copy the long one per block.
+        A proposer excludes its delivered log as ``decided`` and the
+        (short, per-block) undelivered segment below its parent as
+        ``exclude``: each test is one dict or set lookup, and nothing is
+        united or copied.
         """
         if limit <= 0:
             return ()
         selected: list[Transaction] = []
         pid, skipped = self.pid, self._skipped
+        depths, depth = decided
+        depth_of = depths.get
         for entry in islice(self.log._entries, self._cursor, None):
             tx_id = entry.tx_id
             if (
-                tx_id in also_exclude
-                or tx_id in exclude
+                tx_id in exclude
+                or depth_of(tx_id, _UNDECIDED) <= depth
                 or pid not in entry.audience
                 or entry in skipped
             ):
@@ -345,20 +365,26 @@ class Mempool:
                 break
         return tuple(selected)
 
-    def mark_included(self, tx_ids: Set[str]) -> None:
-        """Drop transactions that have been observed in a delivered log.
+    def mark_included(
+        self, tx_ids: Set[str] = frozenset(), *, decided: Decided = NONE_DECIDED
+    ) -> None:
+        """Drop transactions that have been observed in a delivered log:
+        those of ``tx_ids`` and those ``decided``.
 
-        ``tx_ids`` may be the whole delivered log: the cost is one walk
-        of the pending entries, and the cursor moves past every entry
+        Either may be the whole delivered log: the cost is one walk of
+        the pending entries, and the cursor moves past every entry
         before the first one still held.
         """
         pid, log, skipped = self.pid, self.log, self._skipped
+        depths, depth = decided
+        depth_of = depths.get
         cursor = self._cursor
         at_cursor = True
         removed = 0
         for entry in islice(log._entries, cursor, None):
             # Inclusion first: most pending entries are not included yet.
-            if entry.tx_id in tx_ids:
+            tx_id = entry.tx_id
+            if tx_id in tx_ids or depth_of(tx_id, _UNDECIDED) <= depth:
                 if pid not in entry.audience or entry in skipped:
                     if at_cursor:
                         skipped.discard(entry)

@@ -27,7 +27,11 @@ stacks two layers, each shared run-wide:
    :class:`~repro.sleepy.messages.VerifiedBatch` per delivered tuple
    (by identity, holding the tuple alive so the key can never be
    recycled), so verification, classification, and per-vote record
-   extraction run once per delivery instead of once per receiver.
+   extraction run once per delivery instead of once per receiver.  A
+   tuple is shared within its round only, so the memo holds the round
+   in progress's few tuples and is emptied as the next round is entered
+   (:meth:`IngestPipeline.advance`): no closed round's messages stay
+   alive through it.
 
 This is the only verifier: no backend, test fixture or example checks a
 message any other way.  Protocol code never imports this module at
@@ -50,24 +54,29 @@ from repro.sleepy.messages import (
     check_payload,
 )
 
-#: How many distinct delivered tuples keep their classified batch alive.
-#: Per round there are only a handful of distinct cursor positions
-#: (caught-up receivers share one), so a small window suffices.
-DEFAULT_BATCH_MEMO_CAPACITY = 32
+#: How many distinct delivered tuples of the round in progress keep
+#: their classified batch alive, on either substrate.  A tuple is shared
+#: within its round only (the caught-up receivers' one, and one per
+#: sleeper waking in it), so the memo is emptied as each round is
+#: entered (:meth:`IngestPipeline.advance`) and a few entries suffice.
+BATCH_MEMO_CAPACITY = 4
 
 
 class IngestPipeline:
-    """Run-shared verification pipeline every backend feeds."""
+    """Run-shared verification pipeline every backend feeds.
 
-    def __init__(
-        self,
-        registry: KeyRegistry,
-        batch_memo_capacity: int = DEFAULT_BATCH_MEMO_CAPACITY,
-    ) -> None:
+    One verdict table and one batch memo per run (or shard).  The round
+    step enters each round through :meth:`advance`, which releases the
+    verdicts below the delivery's floor and the batches of the round
+    just closed, so what the pipeline keeps alive is bounded by what a
+    receiver can still get.
+    """
+
+    def __init__(self, registry: KeyRegistry) -> None:
         self._registry = registry
         self._interner = MessageInterner()
         #: Delivered tuple -> its classified batch.
-        self._batch_memo = IdentityMemo(batch_memo_capacity)
+        self._batch_memo = IdentityMemo(BATCH_MEMO_CAPACITY)
         #: Pipeline accounting (consumed by benches and tests):
         #: ``crypto_verifications`` counts actual signature/VRF checks,
         #: which the bench gate pins to one per logical message.
@@ -88,6 +97,13 @@ class IngestPipeline:
     def interner(self) -> MessageInterner:
         """The run's verdict table."""
         return self._interner
+
+    def advance(self, now: int, floor: int) -> None:
+        """Enter round ``now``: forget the verdicts entered before round
+        ``floor`` (:meth:`MessageInterner.advance`) and every memoised
+        batch, since a delivered tuple is shared within its round only."""
+        self._interner.advance(now, floor)
+        self._batch_memo.clear()
 
     # ------------------------------------------------------------------
     # Single-message path

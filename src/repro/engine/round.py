@@ -29,13 +29,14 @@ def step(host, r: int) -> Iterator[None]:
     not run), ``delivery`` (``advance(r, retired)``, ``floor``),
     ``pipeline``, ``record``, ``arrivals(r)`` and ``publish(message)``.
     """
-    # Enter r: B_r, the delivery with B_r retired, the verdicts below its floor.
+    # Enter r: B_r, the delivery with B_r retired, the verdicts below its
+    # floor and the batches of closed rounds.
     corruption, adversary, ctx = host.corruption, host.adversary, host.corruption.ctx
     byz = corruption.corrupted(r)
     ctx.round = r
     delivery = host.delivery
     delivery.advance(r, byz)
-    host.pipeline.interner.advance(r, delivery.floor)
+    host.pipeline.advance(r, delivery.floor)
 
     # The round's transactions are admitted once for the awake nodes'
     # pools; in pid order each awake node outside B_r runs its send

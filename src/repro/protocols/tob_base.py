@@ -70,9 +70,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
-from repro.chain.shared import ChainView, SharedChain
+from repro.chain.shared import ChainView, DecidedIndex, SharedChain
 from repro.chain.store import BlockBuffer
-from repro.chain.transactions import Mempool
+from repro.chain.transactions import NONE_DECIDED, Decided, Mempool
 from repro.chain.tree import BlockTree
 from repro.core.extended_ga import GARead, GradedAgreement
 from repro.crypto.signatures import SecretKey
@@ -100,7 +100,18 @@ def first_round_of_view(view: int) -> int:
 
 
 class SleepyTOBProcess(Process):
-    """A well-behaved participant of Algorithm 1 with expiration period η."""
+    """A well-behaved participant of Algorithm 1 with expiration period η.
+
+    Given its run's (or shard's) :class:`~repro.chain.shared.SharedChain`,
+    a process keeps per-process state only where it differs between
+    processes, and reads what the chain's processes share from the
+    chain: a view over the one tree; its delivered log as a depth on the
+    chain's :class:`~repro.chain.shared.DecidedIndex` (its own index
+    only after a decision off that index's path); a delivery's vote and
+    proposal tables adopted by reference, copied before a first merge;
+    its GA reads and their ``(ga_round, read)`` pairs, one per chain.
+    Without a chain it owns a private tree and index.
+    """
 
     def __init__(
         self,
@@ -120,8 +131,15 @@ class SleepyTOBProcess(Process):
         self.mempool = Mempool(pid=pid, log=chain.arrival_log if chain is not None else None)
         #: ``(ga_round, read)`` for every GA this process read, in order;
         #: each read is the object the GA returned, never a copy (a shared
-        #: chain's receivers reference one read per distinct window).
+        #: chain's receivers reference one read per distinct window, and
+        #: one pair per read).
         self.ga_reads: list[tuple[int, GARead]] = []
+        # ga_round -> {id(read): (ga_round, read)}: the pairs, interned
+        # per chain; the pair holds its read, so an id cannot be reused
+        # while its entry lives.  Rounds below the vote horizon are forgotten.
+        self._read_pairs: dict[int, dict[int, tuple[int, GARead]]] = (
+            chain.scratch("ga_read_pairs") if chain is not None else {}
+        )
 
         # With a shared chain (one per simulation, one per deployment
         # shard) the process holds a visibility *view* over the one
@@ -136,8 +154,12 @@ class SleepyTOBProcess(Process):
         # store already holds from rounds ``[g − η, g)``).
         self._ga = GradedAgreement(self.tree, beta)
         self._votes = self._ga.votes
-        # view -> sender -> propose message (or _EQUIVOCATED marker).
+        # view -> sender -> propose message (or None: an equivocator).
         self._proposals: dict[int, dict[int, ProposeMessage | None]] = {}
+        # Views whose table is a delivery's, adopted by reference (every
+        # receiver of a shared delivery holds the one table) and copied
+        # before its first merge.
+        self._adopted: set[int] = set()
         # view -> (seen senders, ascending (VRF value, sender)):
         # _select_proposal takes the max-VRF admissible entry by
         # scanning from the top instead of a full per-call scan.  The
@@ -155,10 +177,13 @@ class SleepyTOBProcess(Process):
 
         #: Tip of the longest log this process has delivered.
         self.delivered_tip: BlockId | None = GENESIS_TIP
-        # Ids of every transaction in the delivered log: the process's
-        # one membership set (the tree stores none), extended at each
-        # decision by the newly delivered segment only.
-        self._delivered_ids: set[str] = set()
+        # The delivered log's membership (the tree stores none): its
+        # tip's depth on a decided index whose path holds that tip.  The
+        # index is the chain's one, which every process on the decided
+        # path shares, until a decision leaves its path; a private tree
+        # has its own.
+        self._decided = chain.decided if chain is not None else DecidedIndex(self.tree)
+        self._delivered_depth = 0
         self._pending_decisions: list[DecisionEvent] = []
 
     # ------------------------------------------------------------------
@@ -236,6 +261,7 @@ class SleepyTOBProcess(Process):
         horizon = current_view - 2
         while self._proposal_floor < horizon:
             self._proposals.pop(self._proposal_floor, None)
+            self._adopted.discard(self._proposal_floor)
             if not self._index_is_shared:
                 # A shared order is pruned by nobody: other receivers may
                 # lag, and its footprint (one tuple per distinct proposal)
@@ -263,6 +289,7 @@ class SleepyTOBProcess(Process):
                     self._buffer.offer(message.block, source=message.sender)
 
         proposals = self._proposals
+        adopted = self._adopted
         index = self._proposal_index
         for view, resolved in table.by_view.items():
             # Below the prune floor nothing can consult the proposal.
@@ -270,8 +297,13 @@ class SleepyTOBProcess(Process):
                 continue
             held = proposals.get(view)
             if held is None:
-                proposals[view] = dict(resolved)
+                # Adopted by reference, as the vote store adopts a round.
+                proposals[view] = resolved
+                adopted.add(view)
             else:
+                if view in adopted:
+                    held = proposals[view] = dict(held)
+                    adopted.discard(view)
                 for sender, message in resolved.items():
                     existing = held.get(sender, _MISSING)
                     if existing is _MISSING:
@@ -297,7 +329,16 @@ class SleepyTOBProcess(Process):
         the GA started in ``ga_round`` — all Algorithm 1 reads of it —
         kept in :attr:`ga_reads`."""
         read = self._ga.longest(max(0, ga_round - self.eta), ga_round)
-        self.ga_reads.append((ga_round, read))
+        pairs = self._read_pairs.get(ga_round)
+        if pairs is None:
+            pairs = self._read_pairs[ga_round] = {}
+            horizon = ga_round - self.eta
+            for stale in [g for g in self._read_pairs if g < horizon]:
+                del self._read_pairs[stale]
+        pair = pairs.get(id(read))
+        if pair is None:
+            pair = pairs[id(read)] = (ga_round, read)
+        self.ga_reads.append(pair)
         return read
 
     def _ga_output(self, ga_round: int) -> GAOutput:
@@ -333,19 +374,20 @@ class SleepyTOBProcess(Process):
         return self.tree.longest([best.tip, longest_any])
 
     def _make_block(self, parent: BlockId | None, view: int) -> Block:
-        # Exclude everything on the parent's path: the delivered set
+        # Exclude everything on the parent's path: the delivered log
         # plus the (short) undelivered segment above the delivered tip —
         # or, when the parent does not extend the delivered tip, the
         # whole path, walked.
         tree = self.tree
-        exclude: tuple[Set[str], ...] = ()
+        exclude: Set[str] = frozenset()
+        decided = NONE_DECIDED
         if parent in tree:
             if tree.is_prefix(self.delivered_tip, parent):
-                segment = tree.payload_ids(parent, above=self.delivered_tip)
-                exclude = (self._delivered_ids, segment)
+                exclude = tree.payload_ids(parent, above=self.delivered_tip)
+                decided = self._delivered()
             else:
-                exclude = (tree.payload_ids(parent),)
-        payload = self.mempool.take(BLOCK_CAPACITY, *exclude)
+                exclude = tree.payload_ids(parent)
+        payload = self.mempool.take(BLOCK_CAPACITY, exclude, decided=decided)
         block = Block(parent=parent, proposer=self.pid, view=view, payload=payload)
         self._buffer.offer(block)
         return block
@@ -358,12 +400,28 @@ class SleepyTOBProcess(Process):
         self._pending_decisions.append(
             DecisionEvent(pid=self.pid, round=round_number, view=view, tip=tip)
         )
-        if self.tree.is_prefix(self.delivered_tip, tip):
-            self._delivered_ids |= self.tree.payload_ids(tip, above=self.delivered_tip)
-        else:  # a conflicting decision, recorded faithfully: start over
-            self._delivered_ids = set(self.tree.payload_ids(tip))
+        # The delivered tip is on the index's path, so a tip off that
+        # path either extends the delivered log past a conflicting
+        # decision of another process, or conflicts with the delivered
+        # log itself (recorded faithfully): either way this process
+        # starts an index of its own at ``tip``.
+        if not self._decided.advance(tip):
+            self._decided = self._decided.rebuilt(tip)
         self.delivered_tip = tip
-        self.mempool.mark_included(self._delivered_ids)
+        self._delivered_depth = self.tree.depth(tip)
+        # The whole delivered log, not the new segment: a transaction
+        # re-offered after its delivery is swept out too.
+        self.mempool.mark_included(decided=self._delivered())
+
+    def _delivered(self) -> Decided:
+        return self._decided.depths, self._delivered_depth
+
+    @property
+    def delivered_ids(self) -> frozenset[str]:
+        """Ids of every transaction in the delivered log (for tests and
+        analysis: the protocol tests membership on the decided index)."""
+        depth = self._delivered_depth
+        return frozenset(tx_id for tx_id, at in self._decided.depths.items() if at <= depth)
 
     # ------------------------------------------------------------------
     # Accountability

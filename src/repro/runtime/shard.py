@@ -97,10 +97,6 @@ def link_model(spec: RunSpec, delta_s: float) -> dict:
 
 #: Overlay degree: each node gossips with this many neighbours.
 GOSSIP_DEGREE = 4
-#: Delivered tuples whose verified batch a shard keeps.  A tuple is shared
-#: within its round only (the caught-up nodes' one, and one per sleeper
-#: waking in it), and a slot keeps its round's messages alive.
-_BATCH_MEMO_CAPACITY = 4
 #: Seconds between the live samples a driving shard reports.
 _REPORT_INTERVAL_S = 0.25
 
@@ -178,7 +174,7 @@ class ShardRuntime:
                 hosted=transport.hosted,
             )
         #: The shard's one verifier; its verdicts follow the seen index.
-        self.pipeline = IngestPipeline(self.registry, batch_memo_capacity=_BATCH_MEMO_CAPACITY)
+        self.pipeline = IngestPipeline(self.registry)
         #: The shard's receive side: one bus over what its gossip admits,
         #: on the seen index's horizon.
         self.delivery = ShardDelivery(

@@ -279,6 +279,10 @@ class IdentityMemo:
         while len(entries) > self._capacity:
             entries.popitem(last=False)
 
+    def clear(self) -> None:
+        """Forget every entry."""
+        self._entries.clear()
+
 
 #: Capacity of a :class:`MessageInterner`: far above the verdicts an
 #: honest run keeps alive (its deliverable messages), so only a flood of

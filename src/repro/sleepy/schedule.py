@@ -18,6 +18,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
+from functools import lru_cache
 
 
 class SleepSchedule(ABC):
@@ -43,11 +44,21 @@ class SleepSchedule(ABC):
         return frozenset(result)
 
 
+@lru_cache(maxsize=8)
+def _everyone(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 class FullParticipation(SleepSchedule):
-    """Everyone is awake in every round (the classic static model)."""
+    """Everyone is awake in every round (the classic static model).
+
+    Every round answers with one set, built once per ``n`` and kept
+    outside the instance (whose ``vars`` enter a spec's digest), so a
+    run's round records share it.
+    """
 
     def awake(self, round_number: int) -> frozenset[int]:
-        return frozenset(range(self.n))
+        return _everyone(self.n)
 
 
 class TableSchedule(SleepSchedule):

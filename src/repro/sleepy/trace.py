@@ -38,7 +38,10 @@ class RoundRecord:
     """Participation and activity of one round.
 
     ``honest`` is derived, not passed: ``H_r = O_r \\ B_r``, because
-    Byzantine processes never sleep (§2.1).
+    Byzantine processes never sleep (§2.1).  With ``B_r`` empty it is
+    ``awake`` itself, and :meth:`TraceRecorder.close_round` passes the
+    schedule's own set as ``awake`` then, so the records of a run with
+    one participation set (full participation) share that one set.
     """
 
     round: int
@@ -51,7 +54,8 @@ class RoundRecord:
     other_sent: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "honest", frozenset(self.awake - self.byzantine))
+        awake, byzantine = self.awake, self.byzantine
+        object.__setattr__(self, "honest", frozenset(awake - byzantine if byzantine else awake))
 
 
 @dataclass
@@ -189,7 +193,7 @@ class TraceRecorder:
         self.trace.rounds.append(
             RoundRecord(
                 round=round_number,
-                awake=frozenset(scheduled | byzantine),
+                awake=frozenset(scheduled | byzantine if byzantine else scheduled),
                 byzantine=frozenset(byzantine),
                 asynchronous=asynchronous,
                 votes_sent=votes,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.chain import transactions
 from repro.chain.transactions import (
     ArrivalLog,
+    Decided,
     Mempool,
     Transaction,
     admit_arrivals,
@@ -29,6 +30,11 @@ TXS = [Transaction.create(0, nonce) for nonce in range(7)] + [
     Transaction(sender=0, nonce=99, payload=b"", checksum="forged")
 ]
 IDS = [tx.tx_id for tx in TXS]
+
+
+def _decided_ids(decided: Decided) -> frozenset[str]:
+    depths, depth = decided
+    return frozenset(tx_id for tx_id, at in depths.items() if at <= depth)
 
 
 class _PrivatePool:
@@ -53,14 +59,13 @@ class _PrivatePool:
         self.admitted_count += 1
         return True
 
-    def take(self, limit: int, exclude: Set[str], also_exclude: Set[str]) -> tuple:
-        eligible = (
-            tx for tx_id, tx in self.pending.items() if tx_id not in exclude | also_exclude
-        )
+    def take(self, limit: int, exclude: Set[str], decided: Decided) -> tuple:
+        excluded = exclude | _decided_ids(decided)
+        eligible = (tx for tx_id, tx in self.pending.items() if tx_id not in excluded)
         return tuple(tx for _, tx in zip(range(limit), eligible))
 
-    def mark_included(self, tx_ids: Set[str]) -> None:
-        for tx_id in tx_ids:
+    def mark_included(self, tx_ids: Set[str], decided: Decided) -> None:
+        for tx_id in tx_ids | _decided_ids(decided):
             self.pending.pop(tx_id, None)
 
     def pending_ids(self) -> frozenset[str]:
@@ -69,11 +74,13 @@ class _PrivatePool:
 
 pids = st.integers(0, N - 1)
 tx_ids = st.frozensets(st.sampled_from(IDS))
+#: A delivered log as a depth on a decided index: ids at depth <= the second.
+decided = st.tuples(st.dictionaries(st.sampled_from(IDS), st.integers(1, 4)), st.integers(0, 4))
 operations = st.one_of(
     st.tuples(st.just("arrive"), st.lists(st.sampled_from(TXS), max_size=3), st.frozensets(pids)),
     st.tuples(st.just("add"), pids, st.sampled_from(TXS)),
-    st.tuples(st.just("take"), pids, st.integers(0, 5), tx_ids, tx_ids),
-    st.tuples(st.just("mark"), pids, tx_ids),
+    st.tuples(st.just("take"), pids, st.integers(0, 5), tx_ids, decided),
+    st.tuples(st.just("mark"), pids, tx_ids, decided),
 )
 
 
@@ -107,15 +114,17 @@ def _drive(capacity, script):
             _, pid, tx = op
             assert pools[pid].add(tx) == twins[pid].add(tx)
         elif op[0] == "take":
-            _, pid, limit, exclude, also = op
-            assert pools[pid].take(limit, exclude, also) == twins[pid].take(limit, exclude, also)
+            _, pid, limit, exclude, delivered = op
+            assert pools[pid].take(limit, exclude, decided=delivered) == twins[pid].take(
+                limit, exclude, delivered
+            )
         else:
-            _, pid, included = op
-            pools[pid].mark_included(included)
-            twins[pid].mark_included(included)
+            _, pid, included, delivered = op
+            pools[pid].mark_included(included, decided=delivered)
+            twins[pid].mark_included(included, delivered)
         for pool, twin in zip(pools, twins):
             assert pool.pending_ids() == twin.pending_ids()
-            assert pool.take(N * len(TXS), frozenset(), frozenset()) == tuple(twin.pending.values())
+            assert pool.take(N * len(TXS)) == tuple(twin.pending.values())
             assert len(pool) == len(twin)
             assert (pool.admitted_count, pool.shed_count) == (twin.admitted_count, twin.shed_count)
 

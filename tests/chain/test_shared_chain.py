@@ -15,8 +15,9 @@ import random
 import pytest
 
 from repro.chain.block import GENESIS_TIP, Block, genesis_block
-from repro.chain.shared import ChainView, SharedChain
+from repro.chain.shared import ChainView, DecidedIndex, SharedChain
 from repro.chain.store import BlockBuffer
+from repro.chain.transactions import Transaction
 from repro.chain.tree import BlockTree, MissingParentError, UnknownBlockError
 
 # ----------------------------------------------------------------------
@@ -320,3 +321,27 @@ def test_a_waiting_orphan_keeps_the_buffer_on_the_per_block_path():
     buffer.offer_run(((parent, 0),))
     assert not buffer.orphan_ids()
     assert orphan.block_id in view and view.tips() == (orphan.block_id,)
+
+
+def test_a_decided_index_grows_with_its_path_and_keeps_first_depths():
+    chain = SharedChain()
+    genesis = genesis_block()
+    a, b = Transaction.create(1, 0), Transaction.create(1, 1)
+    one = Block(parent=genesis.block_id, proposer=0, view=1, payload=(a,))
+    two = Block(parent=one.block_id, proposer=1, view=2, payload=(a, b))
+    fork = Block(parent=genesis.block_id, proposer=2, view=1, payload=(b,))
+    for block in (one, two, fork):
+        chain.tree.add(block)
+    index = chain.decided
+    assert index.advance(one.block_id)
+    assert index.depths == {a.tx_id: 2}
+    assert index.advance(two.block_id) and index.tip == two.block_id
+    # The path carries ``a`` twice: it keeps the shallower depth.
+    assert index.depths == {a.tx_id: 2, b.tx_id: 3}
+    assert index.advance(genesis.block_id)  # on the path already
+    assert not index.advance(fork.block_id)  # off it: nothing changes
+    assert index.tip == two.block_id and index.depths == {a.tx_id: 2, b.tx_id: 3}
+    rebuilt = index.rebuilt(fork.block_id)
+    assert rebuilt.tree is index.tree and rebuilt.depths == {b.tx_id: 2}
+    private = DecidedIndex(BlockTree([genesis, one, two]), two.block_id)
+    assert private.depths == index.depths

@@ -79,12 +79,6 @@ def test_mempool_mark_included_drops():
     assert pool.pending_ids() == {txs[2].tx_id}
 
 
-def test_mempool_take_excludes_both_sets():
-    pool = Mempool()
-    txs = [Transaction.create(0, i) for i in range(4)]
-    for tx in txs:
-        pool.add(tx)
-    assert pool.take(10, {txs[0].tx_id}, {txs[2].tx_id}) == (txs[1], txs[3])
 
 
 def test_mempool_capacity_sheds_and_counts():
@@ -120,3 +114,42 @@ def test_mempool_capacity_validation_and_default_bound():
         assert pool.add(Transaction.create(1, i))
     assert not pool.add(Transaction.create(1, MEMPOOL_CAPACITY))
     assert (pool.admitted_count, pool.shed_count) == (MEMPOOL_CAPACITY, 1)
+
+
+def test_create_records_validity_and_a_forged_checksum_is_still_checked(monkeypatch):
+    import pickle
+
+    import repro.chain.transactions as transactions
+
+    calls = []
+    hash_fields = transactions.hash_fields
+    monkeypatch.setattr(
+        transactions, "hash_fields", lambda *fields: calls.append(fields) or hash_fields(*fields)
+    )
+    tx = Transaction.create(3, 7, b"payload")
+    hashed = len(calls)
+    # The checksum create computed is the verdict: asking hashes nothing.
+    assert is_valid_transaction(tx) and len(calls) == hashed
+    # Built by the constructor, or unpickled (which calls it), a
+    # transaction is checked, so a forged checksum built either way fails.
+    forged = Transaction(sender=3, nonce=8, payload=b"payload", checksum=tx.checksum)
+    assert not is_valid_transaction(forged)
+    assert not is_valid_transaction(pickle.loads(pickle.dumps(forged)))
+    arrived = pickle.loads(pickle.dumps(tx))
+    assert "_valid" not in vars(arrived) and is_valid_transaction(arrived)
+    assert len(calls) > hashed
+
+
+def test_take_excludes_a_set_and_a_decided_depth_and_mark_included_drops_them():
+    pool = Mempool()
+    txs = [Transaction.create(0, nonce) for nonce in range(4)]
+    for tx in txs:
+        pool.add(tx)
+    depths = {txs[0].tx_id: 1, txs[1].tx_id: 2, txs[2].tx_id: 3}
+    # Decided at depth 2: what the path carries at depth 1 or 2.
+    assert pool.take(10, decided=(depths, 2)) == (txs[2], txs[3])
+    assert pool.take(10, {txs[3].tx_id}, decided=(depths, 2)) == (txs[2],)
+    pool.mark_included(decided=(depths, 1))
+    assert pool.pending_ids() == {tx.tx_id for tx in txs[1:]}
+    pool.mark_included(decided=(depths, 3))
+    assert pool.pending_ids() == {txs[3].tx_id}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.block import Block
-from repro.engine.ingest import IngestPipeline
+from repro.engine.ingest import BATCH_MEMO_CAPACITY, IngestPipeline
 from repro.sleepy.messages import (
     EQUIVOCATED_VOTE,
     REJECTED,
@@ -146,16 +146,17 @@ def test_verification_cache_is_lru_bounded(registry, genesis):
 
 
 def test_batch_memo_eviction_keeps_identity_keys_sound(registry, genesis):
-    pipeline = IngestPipeline(registry, batch_memo_capacity=2)
+    pipeline = IngestPipeline(registry)
     batches = [
-        tuple(signed_votes(registry, r, genesis.block_id, range(3))) for r in range(5)
+        tuple(signed_votes(registry, r, genesis.block_id, range(3)))
+        for r in range(BATCH_MEMO_CAPACITY + 1)
     ]
     outputs = [pipeline.batch(b) for b in batches]
     # Oldest entries evicted; re-presenting an evicted tuple rebuilds
     # (cheaply, via interner hits) rather than returning a stale batch.
     rebuilt = pipeline.batch(batches[0])
     assert rebuilt.votes == outputs[0].votes
-    assert pipeline.stats["crypto_verifications"] == 15  # never re-verified
+    assert pipeline.stats["crypto_verifications"] == 3 * len(batches)  # never re-verified
 
 
 def test_interner_is_lru_bounded_and_eviction_is_sound(registry, genesis):

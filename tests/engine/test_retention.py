@@ -21,6 +21,7 @@ one message it now publishes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import pytest
@@ -85,6 +86,21 @@ def test_simulator_retains_a_constant_number_of_rounds_messages():
     assert log <= 2 * per_round and verdicts <= 2 * per_round
     assert keys <= BOUND_ROUNDS * per_round
     assert simulation.pipeline.stats["crypto_verifications"] == simulation.bus.total_published
+
+
+def _live_votes() -> int:
+    gc.collect()
+    return sum(isinstance(each, VoteMessage) for each in gc.get_objects())
+
+
+def test_no_delivered_tuple_of_a_closed_round_outlives_a_run():
+    """The batch memo holds the round in progress only: after a run, the
+    votes still alive are no more than the verdict table keeps."""
+    before = _live_votes()
+    simulation = SimulationBackend().build(_spec(rounds=60))
+    simulation.run(60)
+    live = _live_votes() - before
+    assert 0 < live <= len(simulation.pipeline.interner)
 
 
 def test_a_shard_retains_a_constant_number_of_rounds_messages(monkeypatch):

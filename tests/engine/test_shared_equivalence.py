@@ -143,3 +143,18 @@ def test_shared_run_actually_interns_one_tree():
     assert len(trees) == private.registry.n
     reads = {id(process._ga.reads) for process in private.processes.values()}
     assert len(reads) == private.registry.n
+
+
+def test_ga_read_pairs_are_interned_per_chain_and_forgotten_below_the_horizon():
+    shared = _run("churn-equivocation", shared=True)
+    eta = _scenario("churn-equivocation").eta
+    pairs: dict[tuple[int, int], int] = {}
+    for process in shared.processes.values():
+        for pair in process.ga_reads:
+            ga_round, read = pair
+            # One pair per (round, read) however many receivers read it.
+            assert pairs.setdefault((ga_round, id(read)), id(pair)) == id(pair)
+    assert len(pairs) < sum(len(p.ga_reads) for p in shared.processes.values())
+    held = shared.chain.scratch("ga_read_pairs")
+    latest = max(ga_round for ga_round, _ in pairs)
+    assert latest in held and min(held) >= latest - eta

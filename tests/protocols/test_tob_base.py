@@ -9,7 +9,7 @@ from repro.chain.transactions import Transaction
 from repro.engine.backend import run_spec
 from repro.engine.sim_backend import SimulationBackend
 from repro.engine.spec import RunSpec
-from repro.sleepy.messages import ProposeMessage, VoteMessage
+from repro.sleepy.messages import ProposeMessage, VoteMessage, make_propose
 
 
 def test_view_zero_sends_genesis_proposal():
@@ -157,10 +157,45 @@ def test_conflicting_decision_rebuilds_the_delivered_set():
     # Recorded faithfully, and membership now describes the new log only.
     assert [event.tip for event in process.pop_decisions()] == [fork.block_id]
     assert process.delivered_tip == fork.block_id
-    assert process._delivered_ids == process.tree.payload_ids(fork.block_id) == {on_fork.tx_id}
+    assert process.delivered_ids == process.tree.payload_ids(fork.block_id) == {on_fork.tx_id}
     assert process.mempool.pending_ids() == {txs[0].tx_id}
     # The old branch's transaction is proposable again on the new log.
     assert process._make_block(parent=fork.block_id, view=99).payload == (txs[0],)
+
+
+def test_every_process_on_the_decided_path_shares_one_index():
+    sim, process, txs = _sim_with_delivered_transactions()
+    for each in sim.processes.values():
+        assert each._decided is sim.chain.decided
+        assert each.delivered_ids == each.tree.payload_ids(each.delivered_tip)
+    assert {tx.tx_id for tx in txs} <= process.delivered_ids
+    # A decision off the index's path gets an index of its own; the
+    # others keep reading the chain's.
+    fork = _fork_off_genesis(process, ())
+    process._decide(fork.block_id, round_number=15, view=7)
+    assert process._decided is not sim.chain.decided
+    assert process._decided.tree is sim.chain.tree
+    assert all(sim.processes[pid]._decided is sim.chain.decided for pid in (1, 2, 3))
+
+
+def test_a_second_batch_for_a_view_leaves_another_receivers_adopted_table_unchanged():
+    sim = SimulationBackend().build(RunSpec(n=4, rounds=8, protocol="mmr"))
+    sim.run(2)  # view 2 is proposed in round 2: nobody holds a view-2 table yet
+    registry = sim.registry
+
+    def proposal(pid):
+        block = Block(parent=genesis_block().block_id, proposer=pid, view=2, payload=())
+        return make_propose(registry, registry.secret_key(pid), 2, view=2, block=block)
+
+    first = sim.pipeline.batch((proposal(1),))
+    mine, other = sim.processes[0], sim.processes[2]
+    mine.receive_batch(2, first)
+    other.receive_batch(2, first)
+    table = first.proposal_table().by_view[2]
+    assert mine._proposals[2] is table and other._proposals[2] is table
+    mine.receive_batch(2, sim.pipeline.batch((proposal(3),)))
+    assert set(mine._proposals[2]) == {1, 3}
+    assert other._proposals[2] is table and set(table) == {1}
 
 
 def test_decision_events_deduplicate_prefix_redeliveries():

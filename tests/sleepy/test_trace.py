@@ -7,6 +7,8 @@ import pytest
 from repro.chain.block import Block, genesis_block
 from repro.chain.store import BlockBuffer
 from repro.chain.tree import BlockTree
+from repro.engine.backend import run_spec
+from repro.engine.spec import RunSpec
 from repro.sleepy.messages import make_propose, make_vote
 from repro.sleepy.trace import DecisionEvent, RoundRecord, Trace, TraceRecorder
 
@@ -134,3 +136,12 @@ def test_folding_shipments_offers_each_block_once_and_sums_counts(
         merged.close_round(r, frozenset({0, 1}), frozenset(), asynchronous=False)
     assert [rec.proposes_sent for rec in merged.trace.rounds] == [1, 2]
     assert [d.pid for d in merged.trace.decisions] == [1]
+
+
+def test_full_participation_shares_one_set_across_round_records():
+    trace = run_spec(RunSpec(n=5, rounds=6, protocol="mmr")).trace
+    assert len(trace.rounds) == 6
+    shared = {id(record.awake) for record in trace.rounds}
+    shared |= {id(record.honest) for record in trace.rounds}
+    assert len(shared) == 1
+    assert trace.rounds[0].honest == frozenset(range(5))
