@@ -4,7 +4,9 @@ A log is a finite sequence of blocks ``Λ = [b1, ..., bk]`` where each
 block references the previous one.  Protocol internals manipulate logs
 by tip id inside a :class:`repro.chain.tree.BlockTree`; :class:`Log` is
 the materialised form used at API boundaries (delivered logs, examples,
-tests) where the sequence itself is what callers want.
+tests) where the sequence itself is what callers want.  Prefix
+relations (⪯) are decided on the tree (``BlockTree.is_prefix``,
+``compatible``, ``conflict``), not on a materialised log.
 """
 
 from __future__ import annotations
@@ -47,24 +49,6 @@ class Log:
     def tip(self) -> "BlockId | None":
         """Id of the last block, or ``None`` for the empty log."""
         return self.blocks[-1].block_id if self.blocks else None
-
-    def is_prefix_of(self, other: "Log") -> bool:
-        """``self ⪯ other`` (Definition 1)."""
-        if len(self) > len(other):
-            return False
-        return all(a.block_id == b.block_id for a, b in zip(self.blocks, other.blocks))
-
-    def extends(self, other: "Log") -> bool:
-        """``other ⪯ self``."""
-        return other.is_prefix_of(self)
-
-    def compatible(self, other: "Log") -> bool:
-        """One of the two logs is a prefix of the other."""
-        return self.is_prefix_of(other) or other.is_prefix_of(self)
-
-    def conflicts(self, other: "Log") -> bool:
-        """Neither log is a prefix of the other."""
-        return not self.compatible(other)
 
     def transactions(self) -> tuple:
         """All transactions in the log, in order."""

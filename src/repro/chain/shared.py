@@ -15,14 +15,14 @@ This module interns the structure once:
   exactly once, no matter how many receivers learn it.  Every block
   also gets a dense integer **intern index** in insertion order.
 * :class:`ChainView` is one receiver's lens: the canonical tree
-  filtered by a visible set over intern indices.  It exposes the full
-  :class:`~repro.chain.tree.BlockTree` query surface (``add``,
-  membership, ``depth``, ``longest``, ``is_prefix``, ``conflict``,
-  ``common_prefix``, ``payload_ids``, ``tips``, ``path``, ``log``, …)
-  with the semantics of a private tree holding only the blocks this
-  receiver has accepted (``children`` and ``tips`` list them in
-  canonical intern order) — so protocol state machines,
-  :class:`~repro.chain.tally.PrefixTally`,
+  filtered by a visible set over intern indices.  It answers the
+  :class:`~repro.chain.tree.BlockTree` queries a receiver is asked
+  (``add``, membership, ``get``, ``parent``, ``depth``,
+  ``ancestor_at_depth``, ``longest``, ``is_prefix``, ``compatible``,
+  ``conflict``, ``payload_ids``, ``tips``) with the semantics of a
+  private tree holding only the blocks this receiver has accepted
+  (``tips`` lists them in canonical intern order) — so protocol state
+  machines, :class:`~repro.chain.tally.PrefixTally`,
   :class:`~repro.chain.store.BlockBuffer`, and the finality gadget run
   on a view unchanged, bit for bit.
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence, Set
 
 from repro.chain.block import GENESIS_TIP, Block, BlockId, genesis_block
-from repro.chain.log import Log
 from repro.chain.transactions import ArrivalLog
 from repro.chain.tree import BlockTree, MissingParentError, UnknownBlockError
 
@@ -234,14 +233,16 @@ class DecidedIndex:
 class ChainView:
     """One receiver's visibility-filtered lens over a :class:`SharedChain`.
 
-    Drop-in for the :class:`~repro.chain.tree.BlockTree` query surface:
-    a block is "in the tree" iff this view has accepted it via
-    :meth:`add`, and every query answers as a private tree holding
-    those blocks would, listing blocks (:meth:`children`, :meth:`tips`)
-    in canonical intern order.  (Ancestors of a visible block are
-    always visible — :meth:`add` requires the parent, like
-    ``BlockTree.add`` — so structural queries can delegate to the
-    canonical index once the arguments pass the visibility check.)
+    Drop-in for the :class:`~repro.chain.tree.BlockTree` queries a
+    receiver is asked: a block is "in the tree" iff this view has
+    accepted it via :meth:`add`, and every query answers as a private
+    tree holding those blocks would, listing leaves (:meth:`tips`) in
+    canonical intern order.  The whole-tree queries (``children``,
+    ``common_prefix``, ``path``, ``log``) are the canonical tree's.
+    (Ancestors of a visible block are always visible — :meth:`add`
+    requires the parent, like ``BlockTree.add`` — so structural
+    queries can delegate to the canonical index once the arguments
+    pass the visibility check.)
 
     :meth:`add_run` accepts a whole delivery's blocks by moving the
     watermark when — and only when — that leaves the view exactly as
@@ -340,7 +341,7 @@ class ChainView:
         return index < self._floor or index in self._extra
 
     # ------------------------------------------------------------------
-    # Queries (the BlockTree surface, visibility-filtered)
+    # Queries (what a receiver asks of its tree, visibility-filtered)
     # ------------------------------------------------------------------
     def __contains__(self, tip: BlockId | None) -> bool:
         return tip is GENESIS_TIP or self._visible(tip)
@@ -363,12 +364,6 @@ class ChainView:
     def parent(self, tip: BlockId) -> BlockId | None:
         """Parent tip of a visible block (``None`` if it is a root)."""
         return self.get(tip).parent
-
-    def children(self, tip: BlockId | None) -> tuple[BlockId, ...]:
-        """Visible direct children of ``tip`` (canonical intern order)."""
-        if tip not in self:
-            raise UnknownBlockError(tip)
-        return tuple(c for c in self._tree.children(tip) if self._visible(c))
 
     def tips(self) -> tuple[BlockId, ...]:
         """Visible leaves (no visible children), in canonical intern order.
@@ -404,27 +399,6 @@ class ChainView:
     def conflict(self, a: BlockId | None, b: BlockId | None) -> bool:
         """Whether the two logs conflict (neither a prefix of the other)."""
         return not self.compatible(a, b)
-
-    def common_prefix(self, tips: Iterable[BlockId | None]) -> BlockId | None:
-        """Tip of the longest common prefix of the given visible logs."""
-        checked = []
-        for tip in tips:
-            if tip not in self:
-                raise UnknownBlockError(tip)
-            checked.append(tip)
-        return self._tree.common_prefix(checked)
-
-    def path(self, tip: BlockId | None) -> tuple[BlockId, ...]:
-        """Block ids of the log identified by ``tip``, root first."""
-        if tip not in self:
-            raise UnknownBlockError(tip)
-        return self._tree.path(tip)
-
-    def log(self, tip: BlockId | None) -> Log:
-        """Materialise the log identified by ``tip``."""
-        if tip not in self:
-            raise UnknownBlockError(tip)
-        return self._tree.log(tip)
 
     def payload_ids(
         self, tip: BlockId | None, above: BlockId | None = GENESIS_TIP

@@ -22,9 +22,6 @@ query:
   protocol's steady state all but a few senders move from the same old
   tip to the same new tip, so a GA pays for one or two transitions and
   never looks at a single voter;
-* :meth:`~PrefixTally.add_vote` / :meth:`~PrefixTally.remove_vote` /
-  :meth:`~PrefixTally.move_vote` are the single-voter forms: the same
-  call with one bit changed;
 * block insertion needs no maintenance at all: a fresh block starts
   with count 0 until a vote reaches its subtree.
 
@@ -241,8 +238,7 @@ class PrefixTally:
     resolves equivocations and window membership — e.g. via
     :class:`~repro.core.expiration.LatestVoteStore`); every vote's tip
     must be present in the tree.  Counts stay exact under any sequence
-    of :meth:`set_vote`/:meth:`remove_vote`/:meth:`set_votes` calls and
-    under tree growth.
+    of :meth:`set_votes` calls and under tree growth.
 
     Reading is one rule, :meth:`deepest_above`: the longest log counted
     more than a threshold — what Algorithm 1 and the finality gadget
@@ -280,30 +276,6 @@ class PrefixTally:
     # ------------------------------------------------------------------
     # Vote churn
     # ------------------------------------------------------------------
-    def set_vote(self, sender: int, tip: BlockId | None) -> None:
-        """Upsert ``sender``'s vote (add when new, move when changed)."""
-        bit = 1 << sender
-        self.set_votes(self._votes.drop(bit).merge(VoteSet({tip: bit})))
-
-    def add_vote(self, sender: int, tip: BlockId | None) -> None:
-        """Tally a new sender's vote — O(depth) count updates."""
-        if sender in self._votes:
-            raise ValueError(f"sender {sender} already has a tallied vote")
-        self.set_vote(sender, tip)
-
-    def move_vote(self, sender: int, tip: BlockId | None) -> None:
-        """Re-point ``sender``'s vote, adjusting counts only between the
-        old and new tip — not along the whole chain."""
-        if sender not in self._votes:
-            raise ValueError(f"sender {sender} has no tallied vote to move")
-        self.set_vote(sender, tip)
-
-    def remove_vote(self, sender: int) -> None:
-        """Untally ``sender``'s vote — O(depth) count updates."""
-        if sender not in self._votes:
-            raise ValueError(f"sender {sender} has no tallied vote to remove")
-        self.set_votes(self._votes.drop(1 << sender))
-
     def set_votes(self, votes: Mapping[int, BlockId | None]) -> None:
         """Make the tallied set equal ``votes`` (a :class:`VoteSet`, or
         a ``{sender: tip}`` mapping normalised to one), by weighted diff.

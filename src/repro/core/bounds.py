@@ -34,7 +34,7 @@ def beta_tilde(beta: Rational, gamma: Rational) -> Fraction:
     if not 0 <= gamma < beta:
         raise ValueError(f"churn rate γ must satisfy 0 ≤ γ < β, got γ={gamma}, β={beta}")
     denominator = gamma * (beta - 2) + 1
-    assert denominator > 0  # γ < β < 1 implies γ(β−2) > −2γ > −1... kept exact below
+    assert denominator > 0  # γ < β < 1: 1 − γ(2 − β) > 1 − β(2 − β) = (1 − β)² > 0
     return (beta - gamma) / denominator
 
 

@@ -57,9 +57,8 @@ sender, signed fields and signature, compared exactly; built per use,
 nothing hashed, nothing memoised — and never by an id read from the
 message (README, "Identifiers and where they are computed"; a trusted
 id could suppress a distinct message at publish or void an honest
-message's delivery through :meth:`MessageBus.deliver_chosen`).  Foreign
-message types without a content key (test doubles, custom transports)
-fall back to their ``message_id`` attribute as the key.
+message's delivery through :meth:`MessageBus.deliver_chosen`).  A
+message carries no id: its content key is its one identity.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from collections.abc import Collection, Sequence
 
 from repro.engine.errors import UndeliverableMessageError
 from repro.sleepy.horizon import RoundBuckets
-from repro.sleepy.messages import Message, dedup_key
+from repro.sleepy.messages import Message
 
 
 class MessageBus:
@@ -157,7 +156,7 @@ class MessageBus:
     def publish(self, message: Message) -> bool:
         """Add ``message`` to the log; ``False`` if its content was seen
         within the key horizon."""
-        key = dedup_key(message)
+        key = message.content_key
         if key in self._keys:
             self.stats["duplicates"] += 1
             return False
@@ -212,9 +211,9 @@ class MessageBus:
         Raises :class:`UndeliverableMessageError` if the choice strays
         outside the deliverable view (injection through the delivery
         hook is impossible by construction).  Matching is by the same
-        content key as publish dedup, so a Byzantine message carrying a
-        transplanted ``message_id`` cannot impersonate an honest pending
-        message and void its delivery.  The pending set is keyed once, and
+        content key as publish dedup, so a Byzantine message can only
+        stand for a pending message with the same content, never void a
+        distinct one's delivery.  The pending set is keyed once, and
         only when a chosen object is not itself one of the pending ones.
         """
         if pending is None:
@@ -233,12 +232,12 @@ class MessageBus:
             # Some chosen object is not itself pending: match by content.
             # A key past the horizon may be pending twice (published,
             # forgotten, published again); each choice takes the oldest.
-            pending_keys = [dedup_key(m) for m in pending]
+            pending_keys = [m.content_key for m in pending]
             remaining: dict[object, list[int]] = {}
             for key, i in zip(pending_keys, at):
                 remaining.setdefault(key, []).append(i)
             for message in chosen:
-                key = dedup_key(message)
+                key = message.content_key
                 positions = remaining.get(key)
                 if positions:
                     positions.pop(0)
@@ -281,8 +280,7 @@ class MessageBus:
         return self._base + len(self._log)
 
     def __contains__(self, key: object) -> bool:
-        """Whether a dedup key (``content_key``; ``message_id`` for
-        foreign message types) was published within the key horizon."""
+        """Whether a content key was published within the key horizon."""
         return key in self._keys
 
     @property

@@ -12,9 +12,9 @@ stacks two layers, each shared run-wide:
    so sharing verdicts changes no semantics.  The table is keyed by
    :attr:`~repro.sleepy.messages.Message.content_key` — kind, claimed
    sender, signed fields and signature, compared exactly; no hash, no
-   memo, never ``message_id`` — so a message whose ``sender`` does not
-   match the key that produced its signature is rejected even when the
-   signature is a valid tag for some *other* registered process; and
+   memo — so a message whose ``sender`` does not match the key that
+   produced its signature is rejected even when the signature is a
+   valid tag for some *other* registered process; and
    messages are well-typed by construction, so the verifier rejects
    and never raises.  An accepted verdict is the first verified
    instance of the logical message, which becomes canonical: the bus,

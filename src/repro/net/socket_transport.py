@@ -86,13 +86,7 @@ from repro.chain.block import Block
 from repro.chain.transactions import Transaction
 from repro.crypto.vrf import VRFOutput
 from repro.net.transport import LinkLatencyModel, PushDelivery
-from repro.sleepy.messages import (
-    IDENTITY_MEMO_CAPACITY,
-    AckMessage,
-    Message,
-    ProposeMessage,
-    VoteMessage,
-)
+from repro.sleepy.messages import AckMessage, Message, ProposeMessage, VoteMessage
 
 #: ``str`` → UNIX domain socket path, ``(host, port)`` → TCP.
 Address = str | tuple[str, int]
@@ -189,7 +183,7 @@ _TX_FIELD_TYPES = (int, int, bytes, str)
 
 #: Transactions a table holds for later bodies to resolve to: a few
 #: views' proposals, and all a flood of distinct ones can pin.
-TRANSACTION_INTERN_CAPACITY = 4 * IDENTITY_MEMO_CAPACITY
+TRANSACTION_INTERN_CAPACITY = 1024
 
 
 def _new_block(*args) -> Block:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.chain.block import Block, BlockId
 from repro.chain.tally import EQUIVOCATED_VOTE, VoteSet
-from repro.crypto.hashing import hash_fields, require_exact_types
+from repro.crypto.hashing import require_exact_types
 from repro.crypto.signatures import KeyRegistry, SecretKey, Signature
 from repro.crypto.vrf import VRFOutput, evaluate_vrf, verify_vrf
 from repro.sleepy.horizon import RoundBuckets
@@ -53,36 +53,21 @@ class Message:
 
     @property
     def content_key(self) -> tuple:
-        """The message's identity: its content, compared, not hashed.
+        """The message's one identity: its content, compared, not hashed.
 
         A flat tuple — kind, claimed sender, signed fields, signature —
-        built per use from type-checked fields, **never** from
-        ``message_id`` (README, "Identifiers and where they are
-        computed").  Verdict tables and dedup key by it; the kinds
-        spell theirs out, this is the fallback.
+        built per use from type-checked fields; a message carries no id
+        (README, "Identifiers and where they are computed").  Verdict
+        tables, dedup and delivery key by it; the kinds spell theirs
+        out, this is the fallback.
         """
         return (type(self).__name__, self.sender, *self._signed_fields(), self.signature)
-
-    @property
-    def message_id(self) -> str:
-        """Unique id (hash of contents, signature included).
-
-        Computed on first access and memoised on the (frozen) instance,
-        for the instance's owner only: the memo is dropped from pickles,
-        and no consumer keys anything by it (README, "Identifiers and
-        where they are computed").
-        """
-        cached = self.__dict__.get("_message_id")
-        if cached is None:
-            cached = hash_fields(type(self).__name__, *self._signed_fields(), self.signature)
-            object.__setattr__(self, "_message_id", cached)
-        return cached
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def __setstate__(self, state: dict) -> None:
-        # Declared fields only (no id a peer put in the state), type-checked.
+        # Declared fields only (nothing else a peer put in the state), type-checked.
         for name in self.__dataclass_fields__:
             object.__setattr__(self, name, state[name])
         self.__post_init__()
@@ -163,15 +148,6 @@ class ProposeMessage(Message):
         return ("propose", self.sender, self.round, self.view, self.tip, *vrf_fields)
 
 
-def dedup_key(message: Message) -> object:
-    """What dissemination dedups by: ``message.content_key``, or a foreign
-    message type's (a test double's) ``message_id``."""
-    try:
-        return message.content_key
-    except AttributeError:
-        return message.message_id
-
-
 def make_vote(
     registry: KeyRegistry, key: SecretKey, round_number: int, tip: BlockId | None
 ) -> VoteMessage:
@@ -228,13 +204,6 @@ def check_payload(registry: KeyRegistry, message: Message) -> bool:
             registry, message.sender, message.view, message.vrf
         )
     return True
-
-
-#: A few rounds' worth of objects, not a run's: the unit the wire's
-#: transaction table is sized in
-#: (:data:`~repro.net.socket_transport.TRANSACTION_INTERN_CAPACITY`),
-#: and the count tests run past to show that nothing is kept per object.
-IDENTITY_MEMO_CAPACITY = 256
 
 
 class IdentityMemo:
@@ -298,8 +267,7 @@ class MessageInterner:
     """The verifier's one verdict table: ``content key -> canonical message | REJECTED``.
 
     The key is a message's :attr:`~Message.content_key` — kind, claimed
-    sender, signed fields, signature, compared exactly — never its
-    memoised ``message_id``, which is attacker-supplied state.  In a
+    sender, signed fields, signature, compared exactly.  In a
     multicast model every process
     verifies the same messages, so one shared table turns n·messages
     verifications into one per logical message, and an accepted verdict
@@ -340,11 +308,6 @@ class MessageInterner:
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of verdicts held."""
-        return self._capacity
 
     def advance(self, now: int, floor: int) -> None:
         """Enter round ``now``; forget every verdict entered before round ``floor``."""

@@ -1,4 +1,7 @@
-"""Log value object: chain validation and Definition 1 relations."""
+"""Log value object: chain validation and materialised contents.
+
+Definition 1's relations are decided on the tree (``tests/chain/test_tree.py``).
+"""
 
 import pytest
 
@@ -28,26 +31,6 @@ def test_log_validates_chain_structure():
         Log((blocks[0], blocks[2]))  # skipped a link
     with pytest.raises(ValueError, match="chain"):
         Log((blocks[1],))  # first block is not a root
-
-
-def test_prefix_relations():
-    blocks = _chain(3)
-    short = Log(tuple(blocks[:2]))
-    long = Log(tuple(blocks))
-    assert short.is_prefix_of(long)
-    assert long.extends(short)
-    assert not long.is_prefix_of(short)
-    assert short.is_prefix_of(short)
-    assert Log(()).is_prefix_of(short)
-
-
-def test_conflicting_logs():
-    left = Log(tuple(_chain(2, salt=1)))
-    right = Log(tuple(_chain(2, salt=2)))
-    # Both share the genesis prefix but fork immediately after.
-    assert left.conflicts(right)
-    assert not left.compatible(right)
-    assert left.compatible(Log(tuple(left.blocks[:1])))
 
 
 def test_log_iteration_and_indexing():

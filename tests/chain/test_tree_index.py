@@ -199,11 +199,9 @@ def test_prefix_tally_counts_and_grades_under_churn(shape, seed):
         action = rng.random()
         if action < 0.15 and sender in votes:
             del votes[sender]
-            tally.remove_vote(sender)
         else:
-            tip = rng.choice(nodes)
-            votes[sender] = tip
-            tally.set_vote(sender, tip)
+            votes[sender] = rng.choice(nodes)
+        tally.set_votes(votes)
         if step % 20 == 0:
             counts = naive_prefix_counts(tree, votes)
             for node in rng.sample(nodes, 25):
@@ -328,27 +326,22 @@ def test_tally_tracks_tree_growth():
     block = Block(parent=genesis_block().block_id, proposer=0, view=1)
     tree.add(block)  # block insertion needs no tally maintenance
     assert tally.count(block.block_id) == 0
-    tally.move_vote(0, block.block_id)
+    tally.set_votes({0: block.block_id})
     assert tally.count(block.block_id) == 1
     assert tally.count(genesis_block().block_id) == 1
     assert tally.count(GENESIS_TIP) == 1
 
 
-def test_tally_rejects_unknown_tips_and_bad_transitions():
+def test_tally_rejects_unknown_tips():
     tree = BlockTree([genesis_block()])
     tally = PrefixTally(tree)
     with pytest.raises(UnknownBlockError):
-        tally.set_vote(0, "ab" * 32)
+        tally.set_votes({0: "ab" * 32})
     with pytest.raises(UnknownBlockError):
         tally.count("ab" * 32)
-    tally.add_vote(0, GENESIS_TIP)
-    with pytest.raises(ValueError):
-        tally.add_vote(0, GENESIS_TIP)  # already tallied
-    with pytest.raises(ValueError):
-        tally.move_vote(1, GENESIS_TIP)  # nothing to move
-    with pytest.raises(ValueError):
-        tally.remove_vote(1)  # nothing to remove
-    tally.remove_vote(0)
+    tally.set_votes({0: GENESIS_TIP})
+    assert len(tally) == 1
+    tally.set_votes({})
     assert len(tally) == 0
     assert tally.grade().m == 0
 

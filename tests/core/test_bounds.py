@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.bounds import (
@@ -63,9 +63,10 @@ def test_beta_tilde_domain_validation():
 
 
 @given(
-    beta=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 2)),
+    beta=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)),
     scale=st.fractions(min_value=0, max_value=Fraction(99, 100)),
 )
+@example(beta=Fraction(9, 10), scale=Fraction(8, 9))  # γ = 4/5 ≥ 1/2: β̃ = 5/6
 def test_beta_tilde_bounded_by_beta(beta, scale):
     gamma = beta * scale
     value = beta_tilde(beta, gamma)

@@ -21,30 +21,30 @@ from repro.engine.errors import UndeliverableMessageError
 
 @dataclass(frozen=True)
 class FakeMessage:
-    """The bus only reads ``message_id``; everything else is payload."""
+    """The bus only reads ``content_key``; everything else is payload."""
 
-    message_id: str
+    content_key: str
     round: int = 0
 
 
 class FlatPool:
     """The pre-refactor delivery state as the oracle, with the bus's key
-    horizon: an id accepted in round ``a`` is a duplicate through round
+    horizon: a key accepted in round ``a`` is a duplicate through round
     ``a + horizon``."""
 
     def __init__(self, n: int, horizon: int) -> None:
         self._pool: list[FakeMessage] = []
-        #: id -> the round it was last accepted in.
+        #: key -> the round it was last accepted in.
         self._ids: dict[str, int] = {}
         self._cursor = {pid: 0 for pid in range(n)}
         self._extras: dict[int, set[FakeMessage]] = {pid: set() for pid in range(n)}
         self._horizon = horizon
 
     def publish(self, message: FakeMessage, now: int = 0) -> bool:
-        accepted = self._ids.get(message.message_id)
+        accepted = self._ids.get(message.content_key)
         if accepted is not None and accepted >= now - self._horizon:
             return False
-        self._ids[message.message_id] = now
+        self._ids[message.content_key] = now
         self._pool.append(message)
         return True
 
@@ -62,7 +62,7 @@ class FlatPool:
 
 
 def ids(messages) -> list[str]:
-    return [m.message_id for m in messages]
+    return [m.content_key for m in messages]
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_catch_up_on_wake_equals_flat_pool():
     assert bus.deliverable(1) == []
 
 
-def test_duplicate_message_id_suppressed():
+def test_duplicate_content_key_suppressed():
     bus = MessageBus(1, horizon_rounds=8)
     assert bus.publish(FakeMessage("a"))
     assert not bus.publish(FakeMessage("a"))

@@ -29,16 +29,14 @@ from repro.net.socket_transport import (
     decode_batch,
     encode_batch,
 )
-from repro.sleepy.messages import (
-    IDENTITY_MEMO_CAPACITY,
-    IdentityMemo,
-    make_propose,
-    make_vote,
-)
+from repro.sleepy.messages import IdentityMemo, make_propose, make_vote
 from repro.workloads import SubmissionRateWorkload
 from tests.net.conftest import NoLinks, StillClock, ignore, no_surge
 
 FORGED = "f0" * 32
+#: More objects than a few rounds hold: a run past it shows that nothing
+#: is kept per object.
+MANY = 256
 
 
 def _counted(monkeypatch, original) -> list[int]:
@@ -102,17 +100,16 @@ def test_block_pickle_recomputes_a_poisoned_id(genesis):
     assert clone.payload[0].tx_id == Transaction.create(3, 7, b"payload").tx_id
 
 
-def test_message_pickle_drops_the_memoised_id(registry, genesis):
+def test_message_pickle_carries_declared_fields_only(registry, genesis):
     propose = _proposal(registry, genesis)
-    honest_id = propose.message_id
-    object.__setattr__(propose, "_message_id", FORGED)
+    object.__setattr__(propose, "_smuggled", FORGED)
     blob = pickle.dumps(propose, protocol=pickle.HIGHEST_PROTOCOL)
-    assert FORGED.encode() not in blob and honest_id.encode() not in blob
+    assert FORGED.encode() not in blob
     clone = pickle.loads(blob)
-    assert "_message_id" not in vars(clone)
-    assert clone == propose and clone.message_id == honest_id
+    assert "_smuggled" not in vars(clone)
+    assert clone == propose and clone.content_key == propose.content_key
     # The sender's own instance is untouched by pickling it.
-    assert propose.message_id == FORGED
+    assert propose._smuggled == FORGED
 
 
 def test_wire_batch_yields_blocks_with_recomputed_ids(registry, genesis):
@@ -162,7 +159,7 @@ def test_content_key_costs_no_hash_and_no_encoding(registry, genesis, encode_cal
 
 def test_content_key_of_an_equal_but_distinct_object_is_equal(registry, genesis, encode_calls):
     """An equal twin carries an equal key and finds the first's verdict
-    without a hash; an id on the instance is never believed."""
+    without a hash."""
     key = registry.secret_key(2)
     vote, twin = (make_vote(registry, key, 5, genesis.block_id) for _ in range(2))
     assert vote == twin and vote is not twin
@@ -172,9 +169,8 @@ def test_content_key_of_an_equal_but_distinct_object_is_equal(registry, genesis,
     assert twin.content_key == vote.content_key
     assert pipeline.verify(twin) and pipeline.interner.lookup(twin.content_key) is vote
     assert encode_calls[0] == 0  # a table hit: no second signature check either
-    # A transplanted id on a different message does not transplant the key.
+    # A different sender's vote for the same tip is a different key.
     other = make_vote(registry, registry.secret_key(3), 5, genesis.block_id)
-    object.__setattr__(other, "_message_id", vote.message_id)
     assert other.content_key != vote.content_key
 
 
@@ -183,7 +179,7 @@ def test_a_seen_key_pins_no_message(registry):
     message object stays alive because it was once disseminated."""
     key = registry.secret_key(0)
     network = GossipNetwork(NoLinks((0,)), {0: ()}, ignore, SeenIndex(10), StillClock(), no_surge)
-    votes = [make_vote(registry, key, r, None) for r in range(IDENTITY_MEMO_CAPACITY + 10)]
+    votes = [make_vote(registry, key, r, None) for r in range(MANY + 10)]
     for vote in votes:
         network.nodes[0].publish(vote)
     assert set(network.seen.arrivals) == {vote.content_key for vote in votes}
@@ -269,7 +265,7 @@ def test_simulator_hashes_nothing_per_message_at_any_n(hash_calls, encode_calls)
         simulation.run(8)
         proposals = sum(record.proposes_sent for record in simulation.trace.rounds)
         votes = simulation.bus.total_published - proposals
-        assert proposals and votes > IDENTITY_MEMO_CAPACITY
+        assert proposals and votes > MANY
         assert simulation.pipeline.stats["crypto_verifications"] == votes + proposals
         # ``hash_fields``: the id of the block each proposal built, nothing else.
         assert hash_calls[0] == proposals

@@ -99,23 +99,21 @@ def test_vote_table_resolves_within_batch_equivocation(registry, pipeline, genes
 # ----------------------------------------------------------------------
 # Cache safety (the transplanted-signature class of attacks)
 # ----------------------------------------------------------------------
-def test_poisoned_message_id_cannot_inherit_cached_verdict(registry, genesis):
-    """A transplanted signature with a poisoned memoised ``message_id``
-    must not inherit the victim's cached True verdict — the digest is
-    recomputed by the verifier from the claimed sender and content."""
+def test_transplanted_signature_cannot_inherit_cached_verdict(registry, genesis):
+    """A transplanted signature must not inherit the victim's cached
+    True verdict: the verdict table keys by the claimed sender and
+    content, which differ from the victim's in the sender alone."""
     verifier = IngestPipeline(registry)
     good = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
     assert verifier.verify(good)
     forged = VoteMessage(sender=0, round=3, signature=good.signature, tip=genesis.block_id)
-    object.__setattr__(forged, "_message_id", good.message_id)
-    assert forged.message_id == good.message_id  # the lie is in place
+    assert forged.content_key != good.content_key
     assert not verifier.verify(forged)
 
 
-def test_poisoned_id_in_batch_path_rejected(registry, pipeline, genesis):
+def test_transplanted_signature_in_batch_path_rejected(registry, pipeline, genesis):
     good = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
     forged = VoteMessage(sender=0, round=3, signature=good.signature, tip=genesis.block_id)
-    object.__setattr__(forged, "_message_id", good.message_id)
     batch = pipeline.batch((good, forged))
     assert batch.votes == (good,)
     assert batch.rejected == 1

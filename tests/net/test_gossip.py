@@ -17,7 +17,7 @@ from repro.net.proxy_transport import ProxyTransport
 from repro.net.transport import LinkLatencyModel, PushDelivery, SimTransport, draw_key
 from repro.runtime import worker
 from repro.runtime.clock import RoundClock
-from repro.sleepy.messages import make_vote
+from repro.sleepy.messages import VoteMessage, make_vote
 from repro.workloads.transactions import SubmissionRateWorkload
 
 from tests.net.conftest import (
@@ -49,11 +49,11 @@ def _network(
     )
 
 
-def _tapped_network(transport, topology, delivered, field="message_id", **kwargs):
-    """A network whose nodes' first arrivals append ``message.<field>``
-    to ``delivered[pid]``."""
+def _tapped_network(transport, topology, delivered, **kwargs):
+    """A network whose nodes' first arrivals append the message's
+    ``content_key`` to ``delivered[pid]``."""
     network = _network(transport, topology, _started_clock(), **kwargs)
-    tap_arrivals(network, lambda pid, m, _at: delivered[pid].append(getattr(m, field)))
+    tap_arrivals(network, lambda pid, m, _at: delivered[pid].append(m.content_key))
     return network
 
 
@@ -134,13 +134,13 @@ def _flood_scenario(n: int, degree: int, publisher: int = 0):
 def test_published_message_floods_every_node():
     delivered, vote = _flood_scenario(n=12, degree=3)
     for pid in range(12):
-        assert delivered[pid] == [vote.message_id]
+        assert delivered[pid] == [vote.content_key]
 
 
 def test_each_node_delivers_each_message_exactly_once():
     delivered, vote = _flood_scenario(n=8, degree=4)
     for messages in delivered.values():
-        assert messages.count(vote.message_id) == 1
+        assert messages.count(vote.content_key) == 1
 
 
 def test_dissemination_survives_publisher_silence():
@@ -165,18 +165,16 @@ def test_dissemination_survives_publisher_silence():
 
     delivered, vote = run_virtual(scenario())
     for pid in range(10):
-        assert vote.message_id in delivered[pid]
+        assert vote.content_key in delivered[pid]
 
 
-def test_transplanted_id_cannot_censor_honest_message():
+def test_transplanted_signature_cannot_censor_honest_message():
     """Regression for the headline dedup bug: front-running an honest
-    message's *self-reported* id must not suppress the honest original.
+    message with a near copy must not suppress the honest original.
 
-    The adversary floods a junk message whose memoised ``_message_id``
-    slot is overwritten with the honest message's id.  Under the old
-    id-keyed dedup every node marked that id seen and refused to flood
-    the honest message; under content-keyed dedup the two messages have
-    different keys and both flood.
+    The adversary floods a junk message that carries the honest
+    message's signature under another claimed sender.  Dedup keys by
+    content, so the two messages have different keys and both flood.
     """
 
     async def scenario():
@@ -185,13 +183,12 @@ def test_transplanted_id_cannot_censor_honest_message():
         transport = SimTransport(n, base_latency_s=0.001, jitter_s=0.0, seed=0)
         delivered: dict[int, list] = {pid: [] for pid in range(n)}
         topology = regular_topology(n, 3, seed=0)
-        network = _tapped_network(transport, topology, delivered, "content_key")
+        network = _tapped_network(transport, topology, delivered)
         honest = make_vote(registry, registry.secret_key(0), 0, None)
-        junk = make_vote(registry, registry.secret_key(1), 0, None)
-        # Transplant the honest id into the junk message's memo slot —
-        # exactly what an adversary controls on objects it constructs.
-        object.__setattr__(junk, "_message_id", honest.message_id)
-        assert junk.message_id == honest.message_id
+        # The honest signature, claimed by another sender: what an
+        # adversary controls on objects it constructs.
+        junk = VoteMessage(sender=1, round=0, signature=honest.signature, tip=None)
+        assert junk.content_key != honest.content_key
         network.nodes[1].publish(junk)
         await asyncio.sleep(0.05)
         network.nodes[0].publish(honest)
@@ -321,14 +318,14 @@ def test_a_raising_admission_does_not_stop_the_flood():
             if not admitted:
                 admitted.append("raised")
                 raise RuntimeError("consumer bug")
-            admitted.append(message.message_id)
+            admitted.append(message.content_key)
 
         clock = _started_clock()
         near = _network(near_fabric, topology, clock)
         far = _network(far_fabric, topology, clock, on_admit=on_admit)
         delivered: dict[int, set] = {pid: set() for pid in range(n)}
         for network in (near, far):
-            tap_arrivals(network, lambda pid, m, _at: delivered[pid].add(m.message_id))
+            tap_arrivals(network, lambda pid, m, _at: delivered[pid].add(m.content_key))
         first = make_vote(registry, registry.secret_key(0), 0, None)
         second = make_vote(registry, registry.secret_key(1), 0, None)
         near.nodes[0].publish(first)
@@ -338,9 +335,9 @@ def test_a_raising_admission_does_not_stop_the_flood():
         near.stop()
         far.stop()
         assert far_fabric.handler_errors == 1
-        assert admitted == ["raised", second.message_id]
+        assert admitted == ["raised", second.content_key]
         for pid in range(n):
-            assert delivered[pid] == {first.message_id, second.message_id}
+            assert delivered[pid] == {first.content_key, second.content_key}
 
     asyncio.run(scenario())
 

@@ -128,10 +128,10 @@ def test_keys_tell_apart_what_only_the_digest_used_to(registry, genesis):
         assert fallback[2:] == message.content_key and fallback[1] == message.sender
 
 
-def test_a_key_ignores_the_id_slot(registry, genesis):
+def test_a_key_ignores_undeclared_attributes(registry, genesis):
     vote = make_vote(registry, registry.secret_key(2), 5, genesis.block_id)
     before = vote.content_key
-    object.__setattr__(vote, "_message_id", "f0" * 32)
+    object.__setattr__(vote, "_smuggled", "f0" * 32)
     assert vote.content_key == before
 
 
@@ -244,16 +244,16 @@ def test_an_ill_typed_vrf_output_cannot_be_constructed():
             VRFOutput(value_num=5, proof=bad)
 
 
-def test_a_well_typed_state_round_trips_and_drops_a_carried_id(registry, genesis):
+def test_a_well_typed_state_round_trips_and_drops_an_undeclared_key(registry, genesis):
     propose = make_propose(registry, registry.secret_key(1), 5, 2, BLOCKS[2])
     for good in (make_vote(registry, registry.secret_key(1), 5, None), propose):
         clone = pickle.loads(pickle.dumps(good))
         assert clone == good and clone.content_key == good.content_key
-        # A peer that writes an id into the state does not get it loaded.
-        state = {**good.__getstate__(), "_message_id": "f0" * 32}
+        # A peer that writes an undeclared key into the state does not get it loaded.
+        state = {**good.__getstate__(), "_smuggled": "f0" * 32}
         smuggled = pickle.loads(pickle.dumps(HandBuilt(type(good), state)))
-        assert "_message_id" not in vars(smuggled)
-        assert smuggled.message_id == good.message_id
+        assert "_smuggled" not in vars(smuggled)
+        assert smuggled == good and smuggled.content_key == good.content_key
 
 
 def test_the_verifier_rejects_where_it_used_to_raise(registry, genesis):
@@ -289,7 +289,6 @@ def test_a_junk_twin_published_first_cannot_censor_on_the_bus(registry, genesis)
     good = make_vote(registry, registry.secret_key(1), 5, genesis.block_id)
     bus = MessageBus(4, horizon_rounds=8)
     for junk in _junk_twins(good):
-        object.__setattr__(junk, "_message_id", good.message_id)
         assert bus.publish(junk)
     assert bus.publish(good) and good.content_key in bus
     assert good in bus.deliverable(0)

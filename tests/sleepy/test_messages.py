@@ -68,15 +68,6 @@ def test_propose_requires_block_and_vrf(registry):
     assert not verify_message(registry, bogus)
 
 
-def test_message_ids_unique(registry, genesis):
-    key = registry.secret_key(1)
-    a = make_vote(registry, key, 1, genesis.block_id)
-    b = make_vote(registry, key, 2, genesis.block_id)
-    c = make_vote(registry, key, 1, None)
-    assert len({a.message_id, b.message_id, c.message_id}) == 3
-    assert a.message_id == make_vote(registry, key, 1, genesis.block_id).message_id
-
-
 def test_cached_verifier_matches_uncached(registry, genesis):
     verifier = IngestPipeline(registry)
     vote = make_vote(registry, registry.secret_key(0), 1, genesis.block_id)
@@ -86,19 +77,18 @@ def test_cached_verifier_matches_uncached(registry, genesis):
         assert verifier.verify(bad) is verify_message(registry, bad) is False
 
 
-def test_transplanted_signature_rejected_despite_poisoned_cache_key(registry, genesis):
+def test_transplanted_signature_rejected_after_the_victim_is_cached(registry, genesis):
     """Regression: a message whose ``sender`` does not match the key
     that produced its (otherwise valid) signature must be rejected even
-    when its memoised ``message_id`` is transplanted from the victim —
-    the verifier keys its cache by a digest it recomputes itself."""
+    once the victim's True verdict is cached — the verifier keys its
+    table by the message's content, which includes the claimed sender."""
     verifier = IngestPipeline(registry)
     victim = make_vote(registry, registry.secret_key(9), 3, genesis.block_id)
     assert verifier.verify(victim)  # the True verdict is now cached
     transplant = VoteMessage(
         sender=0, round=3, signature=victim.signature, tip=genesis.block_id
     )
-    object.__setattr__(transplant, "_message_id", victim.message_id)
-    assert transplant.message_id == victim.message_id
+    assert transplant.content_key != victim.content_key
     assert not verifier.verify(transplant)
     # And the batch path agrees.
     batch = verifier.batch([victim, transplant])

@@ -21,16 +21,16 @@ class ProbeProcess(Process):
         self._key = key
         self._verifier = verifier
         self.send_rounds: list[int] = []
-        self.received: list[tuple[int, tuple[str, ...]]] = []
+        self.received: list[tuple[int, tuple[tuple, ...]]] = []
 
     def send(self, round_number: int) -> Sequence[Message]:
         self.send_rounds.append(round_number)
         return [make_vote(self._verifier.registry, self._key, round_number, None)]
 
     def receive(self, round_number: int, messages: Sequence[Message]) -> None:
-        self.received.append((round_number, tuple(m.message_id for m in messages)))
+        self.received.append((round_number, tuple(m.content_key for m in messages)))
 
-    def received_ids(self) -> set[str]:
+    def received_ids(self) -> set[tuple]:
         return {mid for _, ids in self.received for mid in ids}
 
 
@@ -95,7 +95,7 @@ class SelectiveAdversary(NullAdversary):
     """Delivers only the lexicographically first deliverable message."""
 
     def deliver(self, round_number, receiver, deliverable, ctx):
-        return sorted(deliverable, key=lambda m: m.message_id)[:1]
+        return sorted(deliverable, key=lambda m: m.content_key)[:1]
 
 
 def test_asynchronous_round_delivery_is_adversary_controlled():

@@ -102,11 +102,11 @@ def build(table, windows, pattern, tail_rounds=4):
 def test_no_delivery_before_send_and_exactly_once(table, windows, pattern):
     sim, _ = build(table, windows, pattern)
     for process in sim.processes.values():
-        seen: set[str] = set()
+        seen: set[tuple] = set()
         for deliver_round, message in process.deliveries:
             assert message.round <= deliver_round  # causality
-            assert message.message_id not in seen  # exactly-once
-            seen.add(message.message_id)
+            assert message.content_key not in seen  # exactly-once
+            seen.add(message.content_key)
 
 
 @given(schedule_tables, async_windows, subset_patterns)
@@ -127,9 +127,9 @@ def test_everything_is_delivered_once_synchrony_returns(table, windows, pattern)
     """Messages survive asynchrony: after the synchronous tail, every
     process has received every message ever sent (paper §2.1)."""
     sim, _ = build(table, windows, pattern)
-    all_sent = {m.message_id for p in sim.processes.values() for m in p.sent}
+    all_sent = {m.content_key for p in sim.processes.values() for m in p.sent}
     for process in sim.processes.values():
-        received = {m.message_id for _, m in process.deliveries}
+        received = {m.content_key for _, m in process.deliveries}
         assert received == all_sent
 
 
