@@ -1,13 +1,13 @@
-"""Log value object: chain validation and materialised contents.
-
-Definition 1's relations are decided on the tree (``tests/chain/test_tree.py``).
-"""
+"""Log value object: chain validation, materialised contents, and
+Definition 1's relations between materialised logs, decided on the tree
+that holds their blocks."""
 
 import pytest
 
 from repro.chain.block import Block, genesis_block
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
+from repro.chain.tree import BlockTree
 
 
 def _chain(length: int, salt: int = 0) -> list[Block]:
@@ -31,6 +31,27 @@ def test_log_validates_chain_structure():
         Log((blocks[0], blocks[2]))  # skipped a link
     with pytest.raises(ValueError, match="chain"):
         Log((blocks[1],))  # first block is not a root
+
+
+def test_prefix_relations():
+    blocks = _chain(3)
+    short = Log(tuple(blocks[:2]))
+    long = Log(tuple(blocks))
+    tree = BlockTree(long)
+    assert tree.is_prefix(short.tip, long.tip)
+    assert not tree.is_prefix(long.tip, short.tip)
+    assert tree.is_prefix(short.tip, short.tip)
+    assert tree.is_prefix(Log(()).tip, short.tip)
+
+
+def test_conflicting_logs():
+    left = Log(tuple(_chain(2, salt=1)))
+    right = Log(tuple(_chain(2, salt=2)))
+    tree = BlockTree((*left, *right))
+    # Both share the genesis prefix but fork immediately after.
+    assert tree.conflict(left.tip, right.tip)
+    assert not tree.compatible(left.tip, right.tip)
+    assert tree.compatible(left.tip, Log(tuple(left.blocks[:1])).tip)
 
 
 def test_log_iteration_and_indexing():

@@ -68,6 +68,15 @@ def test_propose_requires_block_and_vrf(registry):
     assert not verify_message(registry, bogus)
 
 
+def test_message_ids_unique(registry, genesis):
+    key = registry.secret_key(1)
+    a = make_vote(registry, key, 1, genesis.block_id)
+    b = make_vote(registry, key, 2, genesis.block_id)
+    c = make_vote(registry, key, 1, None)
+    assert len({a.content_key, b.content_key, c.content_key}) == 3
+    assert a.content_key == make_vote(registry, key, 1, genesis.block_id).content_key
+
+
 def test_cached_verifier_matches_uncached(registry, genesis):
     verifier = IngestPipeline(registry)
     vote = make_vote(registry, registry.secret_key(0), 1, genesis.block_id)
